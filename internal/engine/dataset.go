@@ -123,6 +123,7 @@ func (e *Engine) RegisterDatasetParts(name string, parts []DataPart, schema []ca
 			ps.binData = data
 			ps.nrows = r.NRows()
 		}
+		ps.resident.Store(true)
 		if e.vault != nil {
 			e.vaultLoad(ps)
 		}
@@ -259,8 +260,11 @@ func (e *Engine) refreshDataset(st *tableState) error {
 			_ = e.vault.RemoveTable(ds.parts[oi].tab.Name)
 		}
 	}
+	// The pair is read by admission (EstimateQueryBytes) under e.mu alone.
+	e.mu.Lock()
 	ds.manifest = m
 	ds.parts = newParts
+	e.mu.Unlock()
 	ds.dirty = true
 	return nil
 }
@@ -292,7 +296,7 @@ func (pc *planCtx) prunePartition(ps *tableState, preds []boundPred) bool {
 func shadowQuery(alias string, ps *tableState, preds []boundPred, cols []int,
 	schema []catalog.Column) *resolvedQuery {
 	sq := &resolvedQuery{
-		tables:  []*boundTable{{alias: alias, st: ps}},
+		tables:  []*boundTable{{alias: alias, st: ps, pm: ps.posMap(), jidx: ps.jsonIdx()}},
 		filters: [][]boundPred{preds},
 	}
 	for _, c := range cols {

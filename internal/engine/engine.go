@@ -244,6 +244,9 @@ type tableState struct {
 	rootTree *rootfile.Tree
 	loaded   []*vector.Vector // DBMS-loaded full columns
 	nrows    int64            // -1 until known
+	// resident says the raw backing is in memory. The fields above belong to
+	// the query holding qmu; admission (EstimateQueryBytes) reads only this.
+	resident atomic.Bool
 	// expectSize, for dataset partitions, is the file size the manifest
 	// recorded at refresh. A load observing different bytes means the file
 	// changed after refresh (sheared mid-query) — see loadPartChecked.
@@ -633,6 +636,7 @@ func loadTableData(st *tableState) error {
 			st.nrows = tr.NEntries()
 		}
 	}
+	st.resident.Store(true)
 	return nil
 }
 

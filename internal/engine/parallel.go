@@ -694,18 +694,24 @@ func (pc *planCtx) morselScansInner(r *resolvedQuery, cols []int, candidates []b
 			return nil, nil, nil, pc.declineParallel(fallbackSmallFile,
 				"%s splits into %d morsels (need %d)", tab.Name, len(spans), pc.minMorsels()), nil
 		}
+		var scans []*insitu.ExternalScan
 		for _, sp := range spans {
 			sc, err := insitu.NewExternalScan(st.csvData[sp.Start:sp.End], tab, cols, bs)
 			if err != nil {
 				return nil, nil, nil, false, err
 			}
 			parts = append(parts, sc)
-		}
-		if st.nrows < 0 {
-			st.nrows = csvfile.CountRows(st.csvData)
+			scans = append(scans, sc)
 		}
 		pc.pathf("par[%d]:external:scan(%s)", len(parts), tab.Name)
-		return parts, nil, candidates, true, nil
+		return parts, func() error {
+			var rows int64
+			for _, sc := range scans {
+				rows += sc.Rows()
+			}
+			st.learnRows(rows)
+			return nil
+		}, candidates, true, nil
 
 	case StrategyInSitu:
 		switch tab.Format {
@@ -1022,9 +1028,7 @@ func (pc *planCtx) csvMorsels(r *resolvedQuery, cols []int, candidates []boundPr
 			}
 		}
 		st.setPosMap(merged)
-		if st.nrows < 0 {
-			st.nrows = merged.NRows()
-		}
+		st.learnRows(merged.NRows())
 		if mergeSyn := pc.mergeSynopsis(st, synFrags); mergeSyn != nil {
 			return mergeSyn()
 		}
@@ -1188,9 +1192,7 @@ func (pc *planCtx) jsonMorsels(r *resolvedQuery, cols []int, candidates []boundP
 		}
 		merged := jsonidx.Merge(frags, offs, 0)
 		st.setJSONIdx(merged)
-		if st.nrows < 0 {
-			st.nrows = merged.NRows()
-		}
+		st.learnRows(merged.NRows())
 		if mergeSyn := pc.mergeSynopsis(st, synFrags); mergeSyn != nil {
 			return mergeSyn()
 		}

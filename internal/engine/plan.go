@@ -14,7 +14,6 @@ import (
 	"rawdb/internal/posmap"
 	"rawdb/internal/shred"
 	"rawdb/internal/storage/csvfile"
-	"rawdb/internal/storage/jsonfile"
 	"rawdb/internal/synopsis"
 	"rawdb/internal/vector"
 )
@@ -305,26 +304,45 @@ func (pc *planCtx) deferMerge(done func() error) {
 // is installed — with its lifecycle event — only when the scan ran to
 // completion. An aborted scan leaves no partial map behind.
 func (pc *planCtx) installPosMap(st *tableState, pm *posmap.Map) {
-	if !pc.capture {
-		return // governor degraded mode: build stays private, nothing publishes
-	}
 	pc.onComplete = append(pc.onComplete, func() {
-		if pm.NRows() <= 0 {
-			return // the scan never finished a row; nothing worth publishing
+		st.learnRows(pm.NRows())
+		if pm.NRows() <= 0 || !pc.capture {
+			return // no finished row, or the governor's degraded mode: nothing publishes
 		}
+		pm.Clip()
 		st.setPosMap(pm)
 		pc.emitCaptured("posmap", st.tab, pm.MemoryFootprint())
 	})
 }
 
+// learnRows records a text table's row count from a scan that visited every
+// row. Only publication calls it: no query counts, a failed one leaves -1.
+func (st *tableState) learnRows(rows int64) {
+	if st.nrows < 0 && rows > 0 {
+		st.nrows = rows
+	}
+}
+
+// rowHint is the row count to allocate a full scan's positional map and
+// full-column captures for, once: the count an earlier scan learned, else
+// CSV's estimate from the first rows; 0 (no reservation) under one batch.
+func rowHint(st *tableState) int {
+	n := st.nrows
+	if n < 0 {
+		n = csvfile.EstimateRows(st.csvData)
+	}
+	if n < vector.DefaultBatchSize {
+		return 0
+	}
+	return int(n)
+}
+
 // installJSONIdx is installPosMap for the JSON structural index built by a
 // serial sequential scan.
 func (pc *planCtx) installJSONIdx(st *tableState, idx *jsonidx.Index) {
-	if !pc.capture {
-		return
-	}
 	pc.onComplete = append(pc.onComplete, func() {
-		if idx.NRows() <= 0 {
+		st.learnRows(idx.NRows())
+		if idx.NRows() <= 0 || !pc.capture {
 			return
 		}
 		st.setJSONIdx(idx)
@@ -444,6 +462,9 @@ func (pc *planCtx) scanSpan(p *pipe, mark scanMark) {
 // plan builds the physical operator tree for a resolved query, preferring
 // the morsel-parallel plan when the query and cache state are eligible.
 func (pc *planCtx) plan(r *resolvedQuery) (exec.Operator, error) {
+	for _, bt := range r.tables {
+		bt.pm, bt.jidx = bt.st.posMap(), bt.st.jsonIdx()
+	}
 	if pc.workers > 1 {
 		mark := pc.trace.Mark()
 		savedStats := *pc.stats // slice headers snapshot current lengths
@@ -688,11 +709,9 @@ func (pc *planCtx) planJoin(r *resolvedQuery) (*pipe, error) {
 func (pc *planCtx) lateCapable(bt *boundTable) bool {
 	switch bt.st.tab.Format {
 	case catalog.CSV:
-		pm := bt.st.posMap()
-		return pm != nil && pm.NRows() > 0
+		return bt.pm != nil && bt.pm.NRows() > 0
 	case catalog.JSON:
-		x := bt.st.jsonIdx()
-		return x != nil && x.NRows() > 0
+		return bt.jidx != nil && bt.jidx.NRows() > 0
 	case catalog.Binary, catalog.Root:
 		return true
 	case catalog.Memory, catalog.Dataset:
@@ -833,9 +852,7 @@ func (pc *planCtx) baseScanInner(r *resolvedQuery, t int, cols []int, needRID bo
 		p.op = sc
 		layout(cols, -1)
 		pc.pathf("external:scan(%s)", tab.Name)
-		if st.nrows < 0 {
-			st.nrows = csvfile.CountRows(st.csvData)
-		}
+		pc.onComplete = append(pc.onComplete, func() { st.learnRows(sc.Rows()) })
 		return p, candidates, nil
 
 	case StrategyInSitu:
@@ -856,7 +873,7 @@ func (pc *planCtx) baseScanInSitu(p *pipe, r *resolvedQuery, t int, cols []int,
 	bs := pc.e.cfg.BatchSize
 	switch tab.Format {
 	case catalog.CSV:
-		if pm := st.posMap(); pm != nil && pm.NRows() > 0 && pmCovers(pm, cols) {
+		if pm := r.tables[t].pm; pm != nil && pm.NRows() > 0 && pmCovers(pm, cols) {
 			sc, err := insitu.NewCSVScan(st.csvData, tab, cols, pm, nil, false, bs)
 			if err != nil {
 				return nil, err
@@ -868,6 +885,7 @@ func (pc *planCtx) baseScanInSitu(p *pipe, r *resolvedQuery, t int, cols []int,
 			return p, nil
 		}
 		pm := posmap.New(pc.e.cfg.PosMapPolicy, len(tab.Schema))
+		pm.Reserve(rowHint(st))
 		sc, err := insitu.NewCSVScan(st.csvData, tab, cols, nil, pm, false, bs)
 		if err != nil {
 			return nil, err
@@ -876,9 +894,6 @@ func (pc *planCtx) baseScanInSitu(p *pipe, r *resolvedQuery, t int, cols []int,
 		p.op = sc
 		layout(cols, -1)
 		pc.pathf("insitu:seq(%s)", tab.Name)
-		if st.nrows < 0 {
-			st.nrows = csvfile.CountRows(st.csvData)
-		}
 		return p, nil
 	case catalog.Binary:
 		sc, err := insitu.NewBinScan(st.bin, tab, cols, false, bs)
@@ -906,16 +921,13 @@ func (pc *planCtx) baseScanInSitu(p *pipe, r *resolvedQuery, t int, cols []int,
 		// and consult the index, NoDB-style).
 		var sc *jit.JSONScan
 		var err error
-		if idx := st.jsonIdx(); idx != nil && idx.NRows() > 0 {
+		if idx := r.tables[t].jidx; idx != nil && idx.NRows() > 0 {
 			sc, err = jit.NewJSONMapScan(st.jsonData, tab, cols, idx, false, bs)
 		} else {
 			idx := jsonidx.New(0)
 			sc, err = jit.NewJSONSequentialScan(st.jsonData, tab, cols, idx, false, bs)
 			if err == nil {
 				pc.installJSONIdx(st, idx)
-				if st.nrows < 0 {
-					st.nrows = jsonfile.CountRows(st.jsonData)
-				}
 			}
 		}
 		if err != nil {
@@ -1020,9 +1032,8 @@ func (pc *planCtx) baseScanJIT(p *pipe, r *resolvedQuery, t int, cols []int, nee
 	pruned := false
 	var absorbed []exec.Pred
 	var skipped bool
-	pm := st.posMap()    // snapshot: eviction may clear the shared pointer
-	idx := st.jsonIdx()  // likewise
-	syn := st.synopsis() // likewise
+	pm, idx := r.tables[t].pm, r.tables[t].jidx
+	syn := st.synopsis() // snapshot: eviction may clear the shared pointer
 	if !pc.zonemaps || pc.captureActive() {
 		syn = nil // zone skipping would leave capture holes; see captureActive
 	}
@@ -1043,6 +1054,7 @@ func (pc *planCtx) baseScanJIT(p *pipe, r *resolvedQuery, t int, cols []int, nee
 		} else {
 			mode = jit.Sequential
 			pm = posmap.New(pc.e.cfg.PosMapPolicy, len(tab.Schema))
+			pm.Reserve(rowHint(st))
 			opts := jit.Pushdown{Preds: execPreds(pushable)}
 			opts.Syn = pc.newSynBuilder(st, uncached, opts.Preds, false)
 			sc, err := jit.NewCSVSequentialScanPush(st.csvData, tab, uncached, pm, emitRID, bs, opts)
@@ -1054,9 +1066,6 @@ func (pc *planCtx) baseScanJIT(p *pipe, r *resolvedQuery, t int, cols []int, nee
 			absorbed = opts.Preds
 			pc.pushStats(sc.PushStats)
 			pc.pathf("jit:seq(%s)", tab.Name)
-			if st.nrows < 0 {
-				st.nrows = csvfile.CountRows(st.csvData)
-			}
 		}
 	case catalog.JSON:
 		if idx != nil && idx.NRows() > 0 {
@@ -1085,9 +1094,6 @@ func (pc *planCtx) baseScanJIT(p *pipe, r *resolvedQuery, t int, cols []int, nee
 			absorbed = opts.Preds
 			pc.pushStats(sc.PushStats)
 			pc.pathf("jit:jsonseq(%s)", tab.Name)
-			if st.nrows < 0 {
-				st.nrows = jsonfile.CountRows(st.jsonData)
-			}
 		}
 	case catalog.Binary:
 		mode = jit.Direct
@@ -1196,6 +1202,7 @@ func (pc *planCtx) baseScanJIT(p *pipe, r *resolvedQuery, t int, cols []int, nee
 		if err != nil {
 			return nil, nil, err
 		}
+		cap.Reserve(rowHint(st))
 		op = cap
 		pc.noteShredCapture(tab, uncached)
 	}
@@ -1295,8 +1302,7 @@ func (pc *planCtx) lateScanInner(p *pipe, r *resolvedQuery, t int, cols []int) e
 
 	var ls *jit.LateScan
 	var err error
-	pm := st.posMap()
-	idx := st.jsonIdx()
+	pm, idx := r.tables[t].pm, r.tables[t].jidx
 	switch tab.Format {
 	case catalog.CSV:
 		ls, err = jit.NewCSVLateScan(p.op, st.csvData, tab, fromFile, pm, ridIdx)

@@ -357,6 +357,7 @@ func TestSynopsisVaultRoundTrip(t *testing.T) {
 	// Restart: the synopsis comes back from disk; the first selective query
 	// prunes without any prior scan in this "process".
 	e2 := mk(csvData)
+	defer e2.Close() // waits for the vault write-back, which would race the TempDir cleanup
 	res, err := e2.Query("SELECT COUNT(*) FROM t WHERE col1 < 100")
 	if err != nil {
 		t.Fatal(err)
@@ -372,6 +373,7 @@ func TestSynopsisVaultRoundTrip(t *testing.T) {
 	changed := append([]byte{}, csvData...)
 	changed[0] = '9' // first col1 value becomes 90..., breaking sortedness
 	e3 := mk(changed)
+	defer e3.Close()
 	res3, err := e3.Query("SELECT COUNT(*) FROM t WHERE col1 < 100")
 	if err != nil {
 		t.Fatal(err)

@@ -67,22 +67,6 @@ func (p *partLostError) Error() string {
 
 func (p *partLostError) Unwrap() error { return p.err }
 
-// rawSize returns the loaded raw byte size of a CSV/JSON table state, or -1
-// when the format keeps no in-memory image to compare (binary readers page).
-func rawSize(st *tableState) int64 {
-	switch st.tab.Format {
-	case catalog.CSV:
-		if st.csvData != nil {
-			return int64(len(st.csvData))
-		}
-	case catalog.JSON:
-		if st.jsonData != nil {
-			return int64(len(st.jsonData))
-		}
-	}
-	return -1
-}
-
 // loadPartChecked loads one partition's raw bytes and verifies them against
 // the manifest snapshot the query planned with: a load error or a size that
 // no longer matches the stat identity means the file was deleted, truncated
@@ -93,14 +77,17 @@ func (e *Engine) loadPartChecked(ps *tableState) error {
 	if err := e.loadWithRetry(ps); err != nil {
 		return &partLostError{part: ps.tab.Name, err: err}
 	}
-	if ps.expectSize > 0 {
-		if got := rawSize(ps); got >= 0 && got != ps.expectSize {
-			ps.csvData = nil
-			ps.jsonData = nil
-			return &partLostError{
-				part: ps.tab.Name,
-				err:  fmt.Errorf("size %d differs from manifest snapshot %d", got, ps.expectSize),
-			}
+	data := ps.csvData // only text formats keep an image to compare; binary readers page
+	if data == nil {
+		data = ps.jsonData
+	}
+	if got := int64(len(data)); ps.expectSize > 0 && data != nil && got != ps.expectSize {
+		ps.csvData = nil
+		ps.jsonData = nil
+		ps.resident.Store(false)
+		return &partLostError{
+			part: ps.tab.Name,
+			err:  fmt.Errorf("size %d differs from manifest snapshot %d", got, ps.expectSize),
 		}
 	}
 	return nil
@@ -157,20 +144,14 @@ func (e *Engine) EstimateQueryBytes(src string) int64 {
 			if st.ds == nil || st.ds.manifest == nil {
 				continue
 			}
-			for i := range st.ds.manifest.Parts {
-				if i < len(st.ds.parts) {
-					if ps := st.ds.parts[i]; ps != nil && (rawSize(ps) >= 0 || ps.bin != nil) {
-						continue // already resident
-					}
+			for i, ps := range st.ds.parts { // aligned with the manifest: swapped as a pair
+				if !ps.resident.Load() {
+					total += st.ds.manifest.Parts[i].Size
 				}
-				total += st.ds.manifest.Parts[i].Size
 			}
 			continue
 		}
-		if rawSize(st) >= 0 || st.bin != nil || st.rootTree != nil || st.loaded != nil {
-			continue
-		}
-		if st.tab.Path != "" {
+		if st.tab.Path != "" && !st.resident.Load() {
 			if fi, err := os.Stat(st.tab.Path); err == nil {
 				total += fi.Size()
 			}

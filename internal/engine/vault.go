@@ -85,18 +85,14 @@ func (e *Engine) vaultLoad(st *tableState) {
 		if pm := e.vault.LoadPosMap(name, fp); pm != nil && pm.NRows() > 0 {
 			st.setPosMap(pm)
 			st.savedPM = pm
-			if st.nrows < 0 {
-				st.nrows = pm.NRows()
-			}
+			st.learnRows(pm.NRows())
 			restored("posmap", pm.MemoryFootprint())
 		}
 	case catalog.JSON:
 		if x := e.vault.LoadJSONIdx(name, fp); x != nil && x.NRows() > 0 {
 			st.setJSONIdx(x)
 			st.savedJIdx, st.savedJIdxVer = x, x.Version()
-			if st.nrows < 0 {
-				st.nrows = x.NRows()
-			}
+			st.learnRows(x.NRows())
 			restored("jsonidx", x.MemoryFootprint())
 		}
 	}

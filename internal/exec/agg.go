@@ -100,6 +100,17 @@ func denseEligible(keys []int64) bool {
 	return true
 }
 
+// growDense makes key (below denseLimit) addressable in the dense table. The
+// table at least doubles, so keys arriving in rising order cost amortised
+// O(1) copied slots each rather than a copy of the whole table — up to 8 MiB
+// — for every 1024 of them.
+func (a *Aggregate) growDense(key int64) {
+	n := min(max(2*int64(len(a.dense)), key+1), denseLimit)
+	grown := make([]int32, n)
+	copy(grown, a.dense)
+	a.dense = grown
+}
+
 type aggState struct {
 	count int64
 	i64   int64
@@ -315,9 +326,7 @@ func (a *Aggregate) Next() (*vector.Batch, error) {
 		if a.countOnly && k1 == nil && sel == nil && denseEligible(k0[:n]) {
 			for _, key0 := range k0[:n] {
 				if int64(len(a.dense)) <= key0 {
-					grown := make([]int32, key0+1024)
-					copy(grown, a.dense)
-					a.dense = grown
+					a.growDense(key0)
 				}
 				slot := a.dense[key0]
 				if slot == 0 {
@@ -343,9 +352,7 @@ func (a *Aggregate) Next() (*vector.Batch, error) {
 			// Dense fast path: single small non-negative key.
 			if k1 == nil && key0 >= 0 && key0 < denseLimit {
 				if int64(len(a.dense)) <= key0 {
-					grown := make([]int32, key0+1024)
-					copy(grown, a.dense)
-					a.dense = grown
+					a.growDense(key0)
 				}
 				slot := a.dense[key0]
 				if slot == 0 {

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -271,6 +272,57 @@ func TestAggregateGrouped(t *testing.T) {
 	for k, w := range want {
 		if got[k] != w {
 			t.Fatalf("group %d = %v, want %v", k, got[k], w)
+		}
+	}
+}
+
+// TestAggregateDenseRegrowth feeds the grouped aggregate a few small keys,
+// arriving in rising order, among keys too large for the dense table. Each
+// small key lies past the table's end, so each regrows it: the bytes that
+// allocates must stay a small multiple of the final table (8 MiB), not a copy
+// of the table per key. The answer must match the hash path's, reached by
+// shifting every key past denseLimit.
+func TestAggregateDenseRegrowth(t *testing.T) {
+	const small, stride = 1000, 2048 // 999*2048 < denseLimit
+	var keys, vals []int64
+	for i := int64(0); i < small; i++ {
+		keys = append(keys, i*stride, denseLimit+7*i, i*stride, 3*denseLimit+i)
+		vals = append(vals, i, 2*i, 3*i, 4*i)
+	}
+	run := func(shift int64) []*vector.Vector {
+		shifted := make([]int64, len(keys))
+		for i, k := range keys {
+			shifted[i] = k + shift
+		}
+		schema := vector.Schema{{Name: "g", Type: vector.Int64}, {Name: "v", Type: vector.Int64}}
+		s := memScan(t, schema, []*vector.Vector{intVec(shifted...), intVec(vals...)}, 512)
+		agg, err := NewAggregate(s, []AggSpec{{Func: Sum, Col: 1}, {Func: Count, Col: -1}}, []int{0})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := Collect(agg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got := run(0)
+	runtime.ReadMemStats(&after)
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 64<<20 {
+		t.Errorf("aggregate allocated %d MiB for %d rising keys; the dense table is 8 MiB", alloc>>20, small)
+	}
+	want := run(4 * denseLimit)
+	if got[0].Len() != 3*small || want[0].Len() != got[0].Len() {
+		t.Fatalf("%d groups on the dense path, %d on the hash path, want %d", got[0].Len(), want[0].Len(), 3*small)
+	}
+	for i := range got[0].Int64s {
+		if got[0].Int64s[i] != want[0].Int64s[i]-4*denseLimit ||
+			got[1].Int64s[i] != want[1].Int64s[i] || got[2].Int64s[i] != want[2].Int64s[i] {
+			t.Fatalf("group %d: dense path (%d, %d, %d), hash path (%d, %d, %d)", i,
+				got[0].Int64s[i], got[1].Int64s[i], got[2].Int64s[i],
+				want[0].Int64s[i]-4*denseLimit, want[1].Int64s[i], want[2].Int64s[i])
 		}
 	}
 }

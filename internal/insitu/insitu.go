@@ -94,6 +94,10 @@ func NewExternalScan(data []byte, t *catalog.Table, need []int, batchSize int) (
 // Schema implements exec.Operator.
 func (s *ExternalScan) Schema() vector.Schema { return s.schema }
 
+// Rows returns the number of rows scanned so far; once Next has returned nil
+// it is the row count of the data the scan was given.
+func (s *ExternalScan) Rows() int64 { return s.row }
+
 // Open implements exec.Operator.
 func (s *ExternalScan) Open() error {
 	s.pos = 0
@@ -305,7 +309,7 @@ func (s *CSVScan) nextSequential() (*vector.Batch, error) {
 				}
 				s.pos = next
 			} else {
-				s.pos = csvfile.SkipField(data, s.pos)
+				s.pos = csvfile.SkipFields(data, s.pos, 1)
 			}
 		}
 		if s.buildPM != nil {
@@ -343,7 +347,7 @@ func (s *CSVScan) nextViaMap() (*vector.Batch, error) {
 			}
 			pos := int(pos64)
 			for k := 0; k < skip; k++ {
-				pos = csvfile.SkipField(data, pos)
+				pos = csvfile.SkipFields(data, pos, 1)
 			}
 			start, end, _ := csvfile.FieldBounds(data, pos)
 			field := data[start:end]

@@ -247,10 +247,14 @@ func NewCSVSequentialScanPush(data []byte, t *catalog.Table, need []int,
 		}
 		s.failSteps = append(s.failSteps, skipOne)
 	}
-	// Flush any trailing uninteresting columns as one exact skip; the last
-	// field's skip or parse consumes the row's newline, landing the cursor
-	// on the next row start.
-	flushSkip()
+	// Trailing uninteresting columns need no field count: one newline search
+	// lands the cursor on the next row start. (When the last column is read,
+	// its parse consumes the row's newline instead.)
+	if pending > 0 {
+		st := func(pos int) int { return csvfile.SkipRow(data, pos) }
+		s.steps = append(s.steps, st)
+		s.failSteps = append(s.failSteps, st)
+	}
 	return s, nil
 }
 

@@ -126,6 +126,31 @@ func (m *Map) TrackedColumns() []int { return m.tracked }
 // NRows returns the number of rows recorded so far.
 func (m *Map) NRows() int64 { return m.nrows }
 
+// Reserve gives every position slice capacity for rows rows, so a scan that
+// goes on to append about that many allocates each slice once instead of
+// regrowing (and re-copying) it as it fills. The planner passes the table's
+// row count, or an estimate of it; a low estimate only brings regrowth back.
+func (m *Map) Reserve(rows int) {
+	for i, p := range m.pos {
+		if cap(p) < rows {
+			m.pos[i] = append(make([]int64, 0, rows), p...)
+		}
+	}
+}
+
+// Clip reallocates any position slice whose spare capacity exceeds 1/32 of
+// its length. Called once on a finished map, before it is published, it
+// bounds what a high Reserve estimate (or append's own regrowth) leaves
+// allocated but unused for the map's lifetime; MemoryFootprint counts
+// lengths and cannot see it.
+func (m *Map) Clip() {
+	for i, p := range m.pos {
+		if cap(p)-len(p) > len(p)/32 {
+			m.pos[i] = append(make([]int64, 0, len(p)), p...)
+		}
+	}
+}
+
 // AppendRow records the byte offsets of the tracked columns for the next row.
 // offsets must be ordered like TrackedColumns(). The scan operators call this
 // once per row while building the map.

@@ -121,3 +121,32 @@ func TestTrackedColumnsOrder(t *testing.T) {
 		t.Fatalf("TrackedColumns = %v", got)
 	}
 }
+
+// TestReserveAndClip checks that a reserved map allocates its position slices
+// once (an exact reservation is what the finished map holds), and that Clip
+// bounds the slack of a high or low estimate to 1/32 of the length.
+func TestReserveAndClip(t *testing.T) {
+	const rows = 5000
+	for _, reserve := range []int{0, rows / 3, rows, rows + rows/50, 4 * rows} {
+		m := New(Policy{EveryK: 2}, 4)
+		m.Reserve(reserve)
+		for r := int64(0); r < rows; r++ {
+			m.AppendRow([]int64{10 * r, 10*r + 5})
+		}
+		if reserve == rows {
+			if got := cap(m.Positions(0)); got != rows {
+				t.Errorf("exact reservation: cap %d before Clip, want %d", got, rows)
+			}
+		}
+		m.Clip()
+		for _, c := range m.TrackedColumns() {
+			p := m.Positions(c)
+			if len(p) != rows || cap(p) > rows+rows/20 {
+				t.Errorf("reserve %d, column %d: len %d cap %d, want cap <= 1.05 x %d", reserve, c, len(p), cap(p), rows)
+			}
+		}
+		if pos, _, ok := m.Lookup(rows-1, 2); !ok || pos != 10*(rows-1)+5 {
+			t.Errorf("reserve %d: lookup after Clip = %d, %v", reserve, pos, ok)
+		}
+	}
+}

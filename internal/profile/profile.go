@@ -119,7 +119,7 @@ func genericPass(data []byte, tab *catalog.Table, need []int, s stage) error {
 		for c := 0; c < ncols; c++ {
 			slot, needed := needSet[c]
 			if !needed || s == stageLoop {
-				pos = csvfile.SkipField(data, pos)
+				pos = csvfile.SkipFields(data, pos, 1)
 				continue
 			}
 			start, end, next := csvfile.FieldBounds(data, pos)
@@ -196,7 +196,7 @@ func jitPass(data []byte, tab *catalog.Table, need []int, s stage) error {
 				pos = csvfile.SkipFields(data, pos, a.skipBefore)
 			}
 			if s == stageLoop {
-				pos = csvfile.SkipField(data, pos)
+				pos = csvfile.SkipFields(data, pos, 1)
 				continue
 			}
 			start, end, next := csvfile.FieldBounds(data, pos)

@@ -14,8 +14,10 @@ package csvfile
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"io"
+	"math/bits"
 	"os"
 
 	"rawdb/internal/bytesconv"
@@ -45,22 +47,48 @@ func FieldBounds(data []byte, pos int) (start, end, next int) {
 	return start, i, i
 }
 
-// SkipField advances past one field and its trailing delimiter or newline.
-func SkipField(data []byte, pos int) int {
-	for pos < len(data) {
-		c := data[pos]
-		pos++
-		if c == Delim || c == '\n' {
-			return pos
-		}
-	}
-	return pos
+// SWAR constants: a byte lane holds 0x01, 0x7f, ',' or '\n' in every lane.
+const (
+	lanes1   = 0x0101010101010101
+	lanes7f  = 0x7f7f7f7f7f7f7f7f
+	lanesDel = lanes1 * Delim
+	lanesNL  = lanes1 * '\n'
+)
+
+// delimMask returns a word whose byte lane i is 0x80 when byte i of w is a
+// delimiter or a newline and 0x00 otherwise. The zero-byte test is the exact
+// one: adding 0x7f to the low seven bits of a lane cannot carry into the next
+// lane, so look-alikes that differ from a delimiter only in bit 7 (0xAC,
+// 0x8A) or by one (0x2D, 0x0B) never match, unlike the (x-1)&^x shortcut.
+func delimMask(w uint64) uint64 {
+	x, y := w^lanesDel, w^lanesNL
+	return ^(((x & lanes7f) + lanes7f) | x | lanes7f) | ^(((y & lanes7f) + lanes7f) | y | lanes7f)
 }
 
-// SkipFields advances past n fields.
+// SkipFields advances past n fields, each with its trailing delimiter or
+// newline, and returns the position of the first byte after them (len(data)
+// when fewer than n fields remain). It reads eight bytes per load: whole
+// words are consumed by the population count of their delimiter mask, the
+// word holding the n-th delimiter is resolved by clearing the n-1 lower mask
+// bits, and the final <8 bytes of the file are handled byte by byte.
 func SkipFields(data []byte, pos, n int) int {
-	for k := 0; k < n; k++ {
-		pos = SkipField(data, pos)
+	for n > 0 && pos+8 <= len(data) {
+		m := delimMask(binary.LittleEndian.Uint64(data[pos:]))
+		if c := bits.OnesCount64(m); c < n {
+			n -= c
+			pos += 8
+			continue
+		}
+		for ; n > 1; n-- {
+			m &= m - 1
+		}
+		return pos + bits.TrailingZeros64(m)>>3 + 1
+	}
+	for n > 0 && pos < len(data) {
+		if c := data[pos]; c == Delim || c == '\n' {
+			n--
+		}
+		pos++
 	}
 	return pos
 }
@@ -68,13 +96,13 @@ func SkipFields(data []byte, pos, n int) int {
 // SkipRow advances past the remainder of the current row, returning the
 // position of the first byte of the next row.
 func SkipRow(data []byte, pos int) int {
-	for pos < len(data) {
-		if data[pos] == '\n' {
-			return pos + 1
-		}
-		pos++
+	if pos >= len(data) {
+		return pos
 	}
-	return pos
+	if i := bytes.IndexByte(data[pos:], '\n'); i >= 0 {
+		return pos + i + 1
+	}
+	return len(data)
 }
 
 // A Span is one morsel of a text file: the half-open byte range
@@ -126,18 +154,27 @@ func Split(data []byte, n int) []Span {
 // CountRows counts newline-terminated rows. A non-empty trailing fragment
 // without a final newline counts as one row.
 func CountRows(data []byte) int64 {
-	var n int64
-	last := byte('\n')
-	for _, c := range data {
-		if c == '\n' {
-			n++
-		}
-		last = c
-	}
-	if last != '\n' && len(data) > 0 {
+	n := int64(bytes.Count(data, []byte{'\n'}))
+	if len(data) > 0 && data[len(data)-1] != '\n' {
 		n++
 	}
 	return n
+}
+
+// EstimateRows estimates the row count from the file's length and the mean
+// length of its first 64 rows, plus 2 %, without reading further. It sizes
+// allocations ahead of a scan; only CountRows is exact.
+func EstimateRows(data []byte) int64 {
+	end, rows := 0, 0
+	for rows < 64 && end < len(data) {
+		end = SkipRow(data, end)
+		rows++
+	}
+	if rows == 0 {
+		return 0
+	}
+	n := int64(len(data)) * int64(rows) / int64(end)
+	return n + n/50 + 1
 }
 
 // Load reads an entire raw file into memory. It is the stand-in for the

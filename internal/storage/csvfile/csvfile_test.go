@@ -36,7 +36,7 @@ func TestFieldBounds(t *testing.T) {
 
 func TestFieldBoundsAtEOFWithoutNewline(t *testing.T) {
 	data := []byte("1,2")
-	p := SkipField(data, 0)
+	p := SkipFields(data, 0, 1)
 	s, e, n := FieldBounds(data, p)
 	if string(data[s:e]) != "2" || n != len(data) {
 		t.Fatalf("got %q next=%d", data[s:e], n)
@@ -101,8 +101,8 @@ func TestTokenizerMatchesEncodingCSV(t *testing.T) {
 	}
 }
 
-// TestSkipEquivalence checks SkipField/SkipFields/SkipRow agree with
-// FieldBounds on arbitrary comma/newline soup.
+// TestSkipEquivalence checks SkipFields agrees with FieldBounds on arbitrary
+// comma/newline soup.
 func TestSkipEquivalence(t *testing.T) {
 	f := func(raw []byte) bool {
 		// Map raw bytes onto a CSV-ish alphabet.
@@ -114,9 +114,6 @@ func TestSkipEquivalence(t *testing.T) {
 		pos := 0
 		for pos < len(data) {
 			_, _, next := FieldBounds(data, pos)
-			if SkipField(data, pos) != next {
-				return false
-			}
 			if SkipFields(data, pos, 1) != next {
 				return false
 			}

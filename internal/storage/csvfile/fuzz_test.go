@@ -73,8 +73,8 @@ func FuzzScanLine(f *testing.F) {
 			if start != pos || end < start || end > len(data) || next < end || next > len(data) {
 				t.Fatalf("FieldBounds(%d) = (%d,%d,%d) out of order/bounds", pos, start, end, next)
 			}
-			if skip := SkipField(data, pos); skip != next {
-				t.Fatalf("SkipField(%d) = %d, FieldBounds next = %d", pos, skip, next)
+			if skip := SkipFields(data, pos, 1); skip != next {
+				t.Fatalf("SkipFields(%d, 1) = %d, FieldBounds next = %d", pos, skip, next)
 			}
 			if next == pos {
 				t.Fatalf("FieldBounds made no progress at %d", pos)

@@ -260,15 +260,8 @@ func Split(data []byte, n int) []Span {
 // CountRows counts newline-terminated rows; a non-empty trailing fragment
 // without a final newline counts as one row.
 func CountRows(data []byte) int64 {
-	var n int64
-	last := byte('\n')
-	for _, c := range data {
-		if c == '\n' {
-			n++
-		}
-		last = c
-	}
-	if last != '\n' && len(data) > 0 {
+	n := int64(bytes.Count(data, []byte{'\n'}))
+	if len(data) > 0 && data[len(data)-1] != '\n' {
 		n++
 	}
 	return n

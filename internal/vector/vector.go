@@ -174,6 +174,23 @@ func (v *Vector) Extend(n int) int {
 	}
 }
 
+// Clip reallocates the payload when its spare capacity exceeds 1/32 of its
+// length, so a vector built by appending (or into a generous reservation)
+// and then kept does not hold the slack for its lifetime.
+func (v *Vector) Clip() {
+	v.Int64s = clip(v.Int64s)
+	v.Float64s = clip(v.Float64s)
+	v.Bools = clip(v.Bools)
+	v.Bytess = clip(v.Bytess)
+}
+
+func clip[T any](s []T) []T {
+	if cap(s)-len(s) <= len(s)/32 {
+		return s
+	}
+	return append(make([]T, 0, len(s)), s...)
+}
+
 // AppendInt64 appends x. The vector must have type Int64.
 func (v *Vector) AppendInt64(x int64) { v.Int64s = append(v.Int64s, x) }
 
