@@ -6,8 +6,6 @@ import (
 	"strings"
 
 	"rawdb/internal/exec"
-	"rawdb/internal/jsonidx"
-	"rawdb/internal/posmap"
 	"rawdb/internal/sql"
 	"rawdb/internal/vector"
 )
@@ -32,11 +30,9 @@ type resolvedQuery struct {
 type boundTable struct {
 	alias string
 	st    *tableState
-	// pm and jidx snapshot the positional map and structural index for the
-	// plan being built (planCtx.plan): the cache budget may evict the shared
-	// pointers at any moment, and every step of a plan must see the same ones.
-	pm   *posmap.Map
-	jidx *jsonidx.Index
+	// pos is the positional structure as the plan being built sees it
+	// (planCtx.plan takes the snapshot).
+	pos positions
 }
 
 type boundRef struct {

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"rawdb/internal/catalog"
+	"rawdb/internal/exec"
 	"rawdb/internal/faults"
 	"rawdb/internal/shred"
 	"rawdb/internal/vector"
@@ -233,5 +234,92 @@ func TestColdScanStructuresAllocatedOnce(t *testing.T) {
 		if c := cap(s.Vector().Int64s); c >= rows {
 			t.Errorf("partial capture of %d rows holds capacity for %d", s.Len(), c)
 		}
+	}
+}
+
+// TestMorselCaptureReserve checks the capture tee rawScans uses for full
+// columns, in isolation: an exact reservation is the very buffer that gets
+// published, an overshoot is clipped to within 5 % of the length, several
+// captures concatenate in span order, and a capture the plan did not drain
+// publishes nothing.
+func TestMorselCaptureReserve(t *testing.T) {
+	const rows = 5000
+	tab := &catalog.Table{Name: "t", Schema: []catalog.Column{{Name: "a", Type: vector.Int64}}}
+	vals := vector.New(vector.Int64, rows)
+	for i := 0; i < rows; i++ {
+		vals.AppendInt64(int64(3 * i))
+	}
+	capture := func(lo, hi, reserve int) *morselCapture {
+		t.Helper()
+		child, err := exec.NewMemScan(vector.Schema{{Name: "a", Type: vector.Int64}},
+			[]*vector.Vector{vals.Slice(lo, hi)}, 512)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return newMorselCapture(child, tab, []int{0}, reserve)
+	}
+	publish := func(clip bool, caps ...*morselCapture) *shred.Shred {
+		t.Helper()
+		e := newTestEngine(t, Config{Parallelism: 1})
+		(&planCtx{e: e}).publishCaptures(tab, []int{0}, caps, clip)
+		return e.shreds.LookupAny(shred.Key{Table: "t", Col: 0})
+	}
+	check := func(what string, s *shred.Shred) []int64 {
+		t.Helper()
+		if s == nil || !s.Full() || s.Len() != rows {
+			t.Fatalf("%s: published %v", what, s)
+		}
+		got := s.Vector().Int64s
+		for i, v := range got {
+			if v != int64(3*i) {
+				t.Fatalf("%s: value %d = %d, want %d", what, i, v, 3*i)
+			}
+		}
+		return got
+	}
+
+	mc := capture(0, rows, rows)
+	if _, err := exec.Collect(mc); err != nil {
+		t.Fatal(err)
+	}
+	filled := &mc.vecs[0].Int64s[0]
+	got := check("exact reservation", publish(true, mc))
+	if cap(got) != rows || &got[0] != filled {
+		t.Errorf("exact reservation: cap %d (want %d), adopted the capture's buffer: %v", cap(got), rows, &got[0] == filled)
+	}
+	for _, reserve := range []int{0, rows / 3, rows + rows/50, 4 * rows} {
+		mc := capture(0, rows, reserve)
+		if _, err := exec.Collect(mc); err != nil {
+			t.Fatal(err)
+		}
+		got := check(fmt.Sprintf("reservation of %d", reserve), publish(reserve > 0, mc))
+		if reserve > 0 && cap(got) > rows+rows/20 {
+			t.Errorf("reservation of %d for %d rows: published cap %d exceeds 1.05 x len", reserve, rows, cap(got))
+		}
+	}
+
+	a, b := capture(0, rows/3, 0), capture(rows/3, rows, 0)
+	for _, mc := range []*morselCapture{b, a} { // completion order is not span order
+		if _, err := exec.Collect(mc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := check("two spans", publish(false, a, b)); cap(got) != rows {
+		t.Errorf("two spans: merged cap %d, want exactly %d", cap(got), rows)
+	}
+
+	a, b = capture(0, rows/3, 0), capture(rows/3, rows, 0)
+	if _, err := exec.Collect(a); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Open(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.Next(); err != nil {
+		t.Fatal(err)
+	}
+	b.Close()
+	if s := publish(false, a, b); s != nil {
+		t.Errorf("an undrained capture published %v", s)
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"rawdb/internal/dataset"
 	"rawdb/internal/exec"
 	"rawdb/internal/obs"
-	"rawdb/internal/storage/binfile"
 	"rawdb/internal/vector"
 )
 
@@ -84,12 +83,18 @@ type DataPart struct {
 // the slice order; the manifest never refreshes.
 func (e *Engine) RegisterDatasetParts(name string, parts []DataPart, schema []catalog.Column) error {
 	m := &dataset.Manifest{}
+	srcs := make([]source, len(parts))
 	for i, dp := range parts {
-		switch dp.Format {
-		case catalog.CSV, catalog.JSON, catalog.Binary:
-		default:
+		// A format backs an in-memory partition if its plug-in reads the
+		// image as handed over.
+		src, err := newSource(dp.Format, e.cfg.PosMapPolicy, present(dp.Data))
+		if err != nil {
+			return fmt.Errorf("engine: dataset partition %d: %w", i, err)
+		}
+		if src == nil || src.image() == nil {
 			return fmt.Errorf("engine: dataset partition %d: format %s cannot back a partition", i, dp.Format)
 		}
+		srcs[i] = src
 		id := fmt.Sprintf("part%04d", i)
 		m.Parts = append(m.Parts, dataset.Partition{
 			Path: "mem:" + id, ID: id, Format: dp.Format,
@@ -101,28 +106,10 @@ func (e *Engine) RegisterDatasetParts(name string, parts []DataPart, schema []ca
 		return err
 	}
 	st := &tableState{tab: tab, nrows: -1, ds: &datasetState{manifest: m}}
-	for i, dp := range parts {
-		ps := &tableState{nrows: -1}
-		ps.tab = &catalog.Table{Name: name + "#" + m.Parts[i].ID, Format: dp.Format, Schema: schema}
-		data := dp.Data
-		if data == nil {
-			data = []byte{}
-		}
-		switch dp.Format {
-		case catalog.CSV:
-			ps.csvData = data
-		case catalog.JSON:
-			ps.jsonData = data
-		case catalog.Binary:
-			r, err := binfile.NewReader(data)
-			if err != nil {
-				_ = e.cat.Drop(name)
-				return fmt.Errorf("engine: dataset partition %d: %w", i, err)
-			}
-			ps.bin = r
-			ps.binData = data
-			ps.nrows = r.NRows()
-		}
+	for i, src := range srcs {
+		ps := &tableState{src: src}
+		_, ps.nrows = src.stat()
+		ps.tab = &catalog.Table{Name: name + "#" + m.Parts[i].ID, Format: parts[i].Format, Schema: schema}
 		ps.resident.Store(true)
 		if e.vault != nil {
 			e.vaultLoad(ps)
@@ -170,6 +157,7 @@ func (e *Engine) datasetWarmup(st *tableState) {
 // that happens lazily at plan time, after partition pruning.
 func (e *Engine) newPartState(parent *tableState, p *dataset.Partition) *tableState {
 	ps := &tableState{nrows: -1}
+	ps.src, _ = newSource(p.Format, e.cfg.PosMapPolicy, nil) // errs only on a bad image
 	ps.tab = &catalog.Table{
 		Name:   parent.tab.Name + "#" + p.ID,
 		Path:   p.Path,
@@ -296,7 +284,7 @@ func (pc *planCtx) prunePartition(ps *tableState, preds []boundPred) bool {
 func shadowQuery(alias string, ps *tableState, preds []boundPred, cols []int,
 	schema []catalog.Column) *resolvedQuery {
 	sq := &resolvedQuery{
-		tables:  []*boundTable{{alias: alias, st: ps, pm: ps.posMap(), jidx: ps.jsonIdx()}},
+		tables:  []*boundTable{{alias: alias, st: ps, pos: ps.positions()}},
 		filters: [][]boundPred{preds},
 	}
 	for _, c := range cols {

@@ -395,7 +395,7 @@ func TestDatasetVaultRestartPruning(t *testing.T) {
 	// partitions 0 and 1 hold rows with col1 < 90000.
 	loaded := 0
 	for i, ps := range st.ds.parts {
-		if ps.csvData != nil {
+		if ps.src.image() != nil {
 			loaded++
 			if i > 1 {
 				t.Fatalf("pruned partition %d was opened", i)

@@ -22,9 +22,6 @@ import (
 	"rawdb/internal/obs"
 	"rawdb/internal/posmap"
 	"rawdb/internal/shred"
-	"rawdb/internal/storage/binfile"
-	"rawdb/internal/storage/csvfile"
-	"rawdb/internal/storage/jsonfile"
 	"rawdb/internal/storage/rootfile"
 	"rawdb/internal/synopsis"
 	"rawdb/internal/vault"
@@ -234,18 +231,15 @@ type tableState struct {
 	// install freshly built structures, vault write-backs are scheduled).
 	// ROOT tables keep it held through execution — their format library's
 	// buffer pool is not internally locked (see queryExclusive).
-	qmu      sync.Mutex
-	tab      *catalog.Table
-	csvData  []byte
-	jsonData []byte
-	binData  []byte // raw binary image when registered from memory
-	bin      *binfile.Reader
-	rootFile *rootfile.File
-	rootTree *rootfile.Tree
-	loaded   []*vector.Vector // DBMS-loaded full columns
-	nrows    int64            // -1 until known
-	// resident says the raw backing is in memory. The fields above belong to
-	// the query holding qmu; admission (EstimateQueryBytes) reads only this.
+	qmu sync.Mutex
+	tab *catalog.Table
+	// src is the table's input plug-in (source.go), resolved at registration;
+	// it owns the raw image. nil for memory tables and dataset parents.
+	src    source
+	loaded []*vector.Vector // DBMS-loaded full columns
+	nrows  int64            // -1 until known
+	// resident says the raw backing is in memory. The image belongs to the
+	// query holding qmu; admission (EstimateQueryBytes) reads only this.
 	resident atomic.Bool
 	// expectSize, for dataset partitions, is the file size the manifest
 	// recorded at refresh. A load observing different bytes means the file
@@ -411,53 +405,40 @@ func (e *Engine) Vault() *vault.Store { return e.vault }
 // RegisterCSV registers a CSV file under name. Registration stores metadata
 // only; the file is read lazily on first query (in-situ semantics).
 func (e *Engine) RegisterCSV(name, path string, schema []catalog.Column) error {
-	return e.register(&catalog.Table{Name: name, Path: path, Format: catalog.CSV, Schema: schema}, nil)
+	return e.registerRaw(&catalog.Table{Name: name, Path: path, Format: catalog.CSV, Schema: schema}, nil)
 }
 
 // RegisterCSVData registers an in-memory CSV image (tests, benchmarks).
 func (e *Engine) RegisterCSVData(name string, data []byte, schema []catalog.Column) error {
-	if data == nil {
-		data = []byte{} // non-nil marks the image as present (an empty file)
-	}
-	st := &tableState{csvData: data}
-	return e.register(&catalog.Table{Name: name, Format: catalog.CSV, Schema: schema}, st)
+	return e.registerRaw(&catalog.Table{Name: name, Format: catalog.CSV, Schema: schema}, present(data))
 }
 
 // RegisterJSON registers a newline-delimited JSON file under name. The
 // schema is partial: columns name the dotted paths queries touch (e.g.
 // "payload.energy"), out of possibly many more members in each object.
 func (e *Engine) RegisterJSON(name, path string, schema []catalog.Column) error {
-	return e.register(&catalog.Table{Name: name, Path: path, Format: catalog.JSON, Schema: schema}, nil)
+	return e.registerRaw(&catalog.Table{Name: name, Path: path, Format: catalog.JSON, Schema: schema}, nil)
 }
 
 // RegisterJSONData registers an in-memory JSONL image (tests, benchmarks).
 func (e *Engine) RegisterJSONData(name string, data []byte, schema []catalog.Column) error {
-	if data == nil {
-		data = []byte{} // non-nil marks the image as present (an empty file)
-	}
-	st := &tableState{jsonData: data}
-	return e.register(&catalog.Table{Name: name, Format: catalog.JSON, Schema: schema}, st)
+	return e.registerRaw(&catalog.Table{Name: name, Format: catalog.JSON, Schema: schema}, present(data))
 }
 
 // RegisterBinary registers a fixed-width binary file under name.
 func (e *Engine) RegisterBinary(name, path string, schema []catalog.Column) error {
-	return e.register(&catalog.Table{Name: name, Path: path, Format: catalog.Binary, Schema: schema}, nil)
+	return e.registerRaw(&catalog.Table{Name: name, Path: path, Format: catalog.Binary, Schema: schema}, nil)
 }
 
 // RegisterBinaryData registers an in-memory binary image.
 func (e *Engine) RegisterBinaryData(name string, data []byte, schema []catalog.Column) error {
-	r, err := binfile.NewReader(data)
-	if err != nil {
-		return err
-	}
-	st := &tableState{bin: r, binData: data, nrows: r.NRows()}
-	return e.register(&catalog.Table{Name: name, Format: catalog.Binary, Schema: schema}, st)
+	return e.registerRaw(&catalog.Table{Name: name, Format: catalog.Binary, Schema: schema}, present(data))
 }
 
 // RegisterRoot registers one tree of a ROOT-like file as a table. The schema
 // may be partial: only the branches named in it are visible to queries.
 func (e *Engine) RegisterRoot(name, path, tree string, schema []catalog.Column) error {
-	return e.register(&catalog.Table{Name: name, Path: path, Format: catalog.Root, Tree: tree, Schema: schema}, nil)
+	return e.registerRaw(&catalog.Table{Name: name, Path: path, Format: catalog.Root, Tree: tree, Schema: schema}, nil)
 }
 
 // RegisterMemory registers a fully materialised in-memory table. Memory
@@ -545,19 +526,35 @@ func (e *Engine) RegisterRootFile(name string, f *rootfile.File, tree string, sc
 	if err != nil {
 		return err
 	}
-	st := &tableState{rootFile: f, rootTree: tr, nrows: tr.NEntries()}
+	st := &tableState{src: &rootSource{file: f, tree: tr}}
 	return e.register(&catalog.Table{Name: name, Format: catalog.Root, Tree: tree, Schema: schema}, st)
+}
+
+// present makes a registered in-memory image non-nil: that marks it resident,
+// however short (an empty file).
+func present(data []byte) []byte {
+	if data == nil {
+		return []byte{}
+	}
+	return data
+}
+
+// registerRaw registers a table over one raw file: path-backed (data nil,
+// read lazily by the first query) or an in-memory image.
+func (e *Engine) registerRaw(tab *catalog.Table, data []byte) error {
+	src, err := newSource(tab.Format, e.cfg.PosMapPolicy, data)
+	if err != nil {
+		return err
+	}
+	return e.register(tab, &tableState{src: src})
 }
 
 func (e *Engine) register(tab *catalog.Table, st *tableState) error {
 	if err := e.cat.Register(tab); err != nil {
 		return err
 	}
-	if st == nil {
-		st = &tableState{}
-	}
-	if st.nrows == 0 && st.bin == nil && st.rootTree == nil {
-		st.nrows = -1
+	if st.src != nil {
+		_, st.nrows = st.src.stat()
 	}
 	st.tab = tab
 	// Warm the table from the vault before it becomes queryable: valid
@@ -595,45 +592,15 @@ func (e *Engine) state(name string) (*tableState, error) {
 // loadTableData reads a table's raw backing into memory if it is not present
 // yet (in-situ semantics: registration recorded metadata only).
 func loadTableData(st *tableState) error {
-	switch st.tab.Format {
-	case catalog.CSV:
-		if st.csvData == nil {
-			data, err := csvfile.Load(st.tab.Path)
-			if err != nil {
-				return err
-			}
-			st.csvData = data
+	if st.resident.Load() {
+		return nil
+	}
+	if st.src != nil {
+		if err := st.src.load(st.tab); err != nil {
+			return err
 		}
-	case catalog.JSON:
-		if st.jsonData == nil {
-			data, err := jsonfile.Load(st.tab.Path)
-			if err != nil {
-				return err
-			}
-			st.jsonData = data
-		}
-	case catalog.Binary:
-		if st.bin == nil {
-			r, err := binfile.Open(st.tab.Path)
-			if err != nil {
-				return err
-			}
-			st.bin = r
-			st.nrows = r.NRows()
-		}
-	case catalog.Root:
-		if st.rootTree == nil {
-			f, err := rootfile.Open(st.tab.Path)
-			if err != nil {
-				return err
-			}
-			tr, err := f.Tree(st.tab.Tree)
-			if err != nil {
-				return err
-			}
-			st.rootFile = f
-			st.rootTree = tr
-			st.nrows = tr.NEntries()
+		if _, rows := st.src.stat(); rows >= 0 {
+			st.nrows = rows
 		}
 	}
 	st.resident.Store(true)
@@ -677,11 +644,10 @@ func resetStateCaches(st *tableState) {
 	st.savedPM, st.savedJIdx, st.savedSyn = nil, nil, nil
 	st.savedJIdxVer, st.savedShredVer = 0, 0
 	st.loaded = nil
-	if st.tab.Format != catalog.Binary && st.tab.Format != catalog.Root {
-		st.nrows = -1
-	}
-	if st.rootFile != nil {
-		st.rootFile.DropCaches()
+	st.nrows = -1
+	if st.src != nil {
+		st.src.release(false)
+		_, st.nrows = st.src.stat()
 	}
 }
 

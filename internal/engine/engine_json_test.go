@@ -124,6 +124,24 @@ func TestJSONAccessPathProgression(t *testing.T) {
 			t.Fatalf("hot paths touched raw data: %v", p3)
 		}
 	}
+
+	// The in-situ baseline names the same two forms, cold and warm, whether
+	// it runs serial or morsel-parallel.
+	for _, workers := range []int{1, 4} {
+		e := New(Config{Strategy: StrategyInSitu, Parallelism: workers})
+		if err := e.RegisterJSONData("ev", data, schema); err != nil {
+			t.Fatal(err)
+		}
+		for _, want := range []string{"insitu:jsonseq(ev)", "insitu:json(ev)"} {
+			res, err := e.Query("SELECT MAX(id) FROM ev WHERE run < 50")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := res.Stats.AccessPaths; len(got) != 1 || !strings.HasSuffix(got[0], want) {
+				t.Fatalf("in-situ workers=%d paths = %v, want %s", workers, got, want)
+			}
+		}
+	}
 }
 
 // TestJSONNestedPathSQL exercises dotted-path references in every clause,

@@ -91,21 +91,16 @@ func (pc *planCtx) noteScanHeat(st *tableState, probeMark int) {
 	})
 }
 
-// heatBytes estimates the raw bytes backing a table state: the registered
-// file image for in-situ formats, zero for formats the engine reads
-// through a library reader (ROOT) or that have no raw backing (memory
-// tables). An estimate is fine — heat steers structure-building economics,
-// it is not an accounting ledger.
+// heatBytes is the raw bytes backing a table state: the plug-in's resident
+// size, zero for formats the engine reads through a library reader (ROOT) or
+// that have no raw backing (memory tables). An estimate is fine — heat
+// steers structure-building economics, it is not an accounting ledger.
 func heatBytes(st *tableState) int64 {
-	switch {
-	case st.csvData != nil:
-		return int64(len(st.csvData))
-	case st.jsonData != nil:
-		return int64(len(st.jsonData))
-	case st.binData != nil:
-		return int64(len(st.binData))
+	if st.src == nil {
+		return 0
 	}
-	return 0
+	bytes, _ := st.src.stat()
+	return bytes
 }
 
 // foldHeat folds the query's accumulated heat deltas into the engine

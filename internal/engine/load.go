@@ -3,9 +3,7 @@ package engine
 import (
 	"fmt"
 
-	"rawdb/internal/catalog"
 	"rawdb/internal/exec"
-	"rawdb/internal/jit"
 	"rawdb/internal/vector"
 )
 
@@ -13,26 +11,22 @@ import (
 // traditional DBMS loading step. It reuses the JIT access paths as bulk
 // loaders (the fastest way through the file), which is fair to the DBMS
 // baseline: its loading is at least as efficient as any single query's scan.
+// The loader keeps no positional structure: it never reads the file again.
 func loadAll(st *tableState) ([]*vector.Vector, error) {
 	tab := st.tab
+	if st.src == nil {
+		return nil, fmt.Errorf("engine: cannot load format %s", tab.Format)
+	}
 	all := make([]int, len(tab.Schema))
 	for i := range all {
 		all[i] = i
 	}
-	var op exec.Operator
-	var err error
-	switch tab.Format {
-	case catalog.CSV:
-		op, err = jit.NewCSVSequentialScan(st.csvData, tab, all, nil, false, vector.DefaultBatchSize)
-	case catalog.JSON:
-		op, err = jit.NewJSONSequentialScan(st.jsonData, tab, all, nil, false, vector.DefaultBatchSize)
-	case catalog.Binary:
-		op, err = jit.NewBinScan(st.bin, tab, all, false, vector.DefaultBatchSize)
-	case catalog.Root:
-		op, err = jit.NewRootScan(st.rootTree, tab, all, false, vector.DefaultBatchSize)
-	default:
-		return nil, fmt.Errorf("engine: cannot load format %s", tab.Format)
+	a, err := st.src.access(tab, positions{}, all, scanGenerated)
+	if err != nil {
+		return nil, err
 	}
+	op, _, err := st.src.scan(tab, positions{}, scanReq{
+		mode: a.mode, span: wholeTable, cols: all, batch: vector.DefaultBatchSize})
 	if err != nil {
 		return nil, err
 	}

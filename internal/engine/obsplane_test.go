@@ -333,6 +333,29 @@ func TestHeatProfiler(t *testing.T) {
 	if got := tab.Columns[0].Filters + tab.Columns[1].Reads; got < 2 {
 		t.Fatalf("column heat did not accumulate: %+v", tab.Columns)
 	}
+
+	// A binary file registered by path is read whole into the reader: its
+	// scan reads those bytes, though no in-memory image was ever registered.
+	_, binData, _, _ := testData(t, 1000, 3, 12)
+	path := filepath.Join(t.TempDir(), "b.bin")
+	if err := os.WriteFile(path, binData, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.RegisterBinary("b", path, schema); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Query("SELECT MAX(col2) FROM b WHERE col1 < 500000000"); err != nil {
+		t.Fatal(err)
+	}
+	var read int64
+	for _, tab := range e.Heat().Snapshot().Tables {
+		if tab.Table == "b" {
+			read = tab.BytesRead
+		}
+	}
+	if read != int64(len(binData)) {
+		t.Fatalf("path-registered binary: bytes read = %d, want %d", read, len(binData))
+	}
 }
 
 func TestHeatProfilerDatasetPruning(t *testing.T) {

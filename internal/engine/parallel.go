@@ -5,15 +5,8 @@ import (
 
 	"rawdb/internal/catalog"
 	"rawdb/internal/exec"
-	"rawdb/internal/insitu"
-	"rawdb/internal/jit"
-	"rawdb/internal/jsonidx"
 	"rawdb/internal/obs"
-	"rawdb/internal/posmap"
 	"rawdb/internal/shred"
-	"rawdb/internal/storage/csvfile"
-	"rawdb/internal/storage/jsonfile"
-	"rawdb/internal/synopsis"
 	"rawdb/internal/vector"
 )
 
@@ -581,17 +574,18 @@ func (pc *planCtx) finishParallelAgg(r *resolvedQuery, parts []exec.Operator,
 
 // skipMorsels drops row ranges a zone map excludes before they are ever
 // dispatched to a worker, counting them in the query stats. At least one
-// range is always kept (operator shapes need one part); callers hand the
-// same skip test to the per-morsel scans, whose scan-level check empties the
-// kept range if it too is excluded. (Shred-backed mem morsels use memSkip
-// instead — MemScan has no scan-level skip hook.)
-func (pc *planCtx) skipMorsels(ranges [][2]int64, skip func(start, end int64) bool) [][2]int64 {
-	if skip == nil {
+// range is always kept (operator shapes need one part), so a lone range is
+// not even tested; callers hand the same skip test to the per-morsel scans,
+// whose scan-level check empties a kept range if it too is excluded.
+// (Shred-backed mem morsels use memSkip instead — MemScan has no scan-level
+// skip hook.)
+func (pc *planCtx) skipMorsels(ranges []span, skip func(lo, hi int64) bool) []span {
+	if skip == nil || len(ranges) < 2 {
 		return ranges
 	}
-	kept := make([][2]int64, 0, len(ranges))
+	kept := make([]span, 0, len(ranges))
 	for _, rr := range ranges {
-		if skip(rr[0], rr[1]) {
+		if skip(rr.lo, rr.hi) {
 			pc.stats.MorselsSkipped++
 			continue
 		}
@@ -604,20 +598,9 @@ func (pc *planCtx) skipMorsels(ranges [][2]int64, skip func(start, end int64) bo
 	return kept
 }
 
-// parallelPush decides the pushdown shape of a morsel-parallel scan over the
-// raw file: candidates are absorbed only when shred capture is inactive (a
-// morsel scan that eliminates rows cannot publish full columns, and capture
-// wins that conflict — see captureActive). Scans over cached shreds use
-// shredPush instead.
-func (pc *planCtx) parallelPush(candidates []boundPred) (pushable, residual []boundPred) {
-	if !pc.pushdown || !pc.jitCapable() || pc.captureActive() {
-		return nil, candidates
-	}
-	return candidates, nil
-}
-
-// shredPush is parallelPush for scans over already-cached full shreds, where
-// no capture is involved: absorb whenever pushdown is on.
+// shredPush decides the pushdown shape of scans over already-cached full
+// shreds, where no capture is involved: absorb whenever pushdown is on. (Scans
+// over the raw file arbitrate against capture; see rawScans.)
 func (pc *planCtx) shredPush(candidates []boundPred) (pushable, residual []boundPred) {
 	if !pc.pushdown {
 		return nil, candidates
@@ -683,547 +666,94 @@ func (pc *planCtx) morselScansInner(r *resolvedQuery, cols []int, candidates []b
 		return parts, nil, candidates, true, nil
 	}
 
+	var kind scanKind
 	switch pc.strategy {
 	case StrategyExternal:
-		if tab.Format != catalog.CSV {
-			return nil, nil, nil, pc.declineParallel(fallbackUnsupportedFormat,
-				"external tool has no parallel %s scan", tab.Format), nil
-		}
-		spans := csvfile.Split(st.csvData, nm)
-		if len(spans) < pc.minMorsels() {
-			return nil, nil, nil, pc.declineParallel(fallbackSmallFile,
-				"%s splits into %d morsels (need %d)", tab.Name, len(spans), pc.minMorsels()), nil
-		}
-		var scans []*insitu.ExternalScan
-		for _, sp := range spans {
-			sc, err := insitu.NewExternalScan(st.csvData[sp.Start:sp.End], tab, cols, bs)
-			if err != nil {
-				return nil, nil, nil, false, err
-			}
-			parts = append(parts, sc)
-			scans = append(scans, sc)
-		}
-		pc.pathf("par[%d]:external:scan(%s)", len(parts), tab.Name)
-		return parts, func() error {
-			var rows int64
-			for _, sc := range scans {
-				rows += sc.Rows()
-			}
-			st.learnRows(rows)
-			return nil
-		}, candidates, true, nil
-
+		kind = scanExternal
 	case StrategyInSitu:
-		switch tab.Format {
-		case catalog.CSV:
-			return pc.csvMorsels(r, cols, candidates, false)
-		case catalog.JSON:
-			return pc.jsonMorsels(r, cols, candidates, false)
-		case catalog.Binary:
-			ranges := splitRows(st.bin.NRows(), nm)
-			if len(ranges) < pc.minMorsels() {
-				return nil, nil, nil, pc.declineParallel(fallbackSmallFile,
-					"%s splits into %d morsels (need %d)", tab.Name, len(ranges), pc.minMorsels()), nil
-			}
-			for _, rr := range ranges {
-				sc, err := insitu.NewBinScan(st.bin, tab, cols, false, bs)
-				if err != nil {
-					return nil, nil, nil, false, err
-				}
-				if err := sc.SetRowRange(rr[0], rr[1]); err != nil {
-					return nil, nil, nil, false, err
-				}
-				parts = append(parts, sc)
-			}
-			pc.pathf("par[%d]:insitu:bin(%s)", len(parts), tab.Name)
-			return parts, nil, candidates, true, nil
-		}
-		return nil, nil, nil, pc.declineParallel(fallbackRootTable,
-			"%s tables page through the format library at its own pace", tab.Format), nil
-
+		kind = scanGeneric
 	case StrategyJIT, StrategyShreds:
-		// All requested columns cached as full shreds: scan row ranges of
-		// the pool vectors, no raw access at all. Predicates are absorbed
-		// into the morsel scans (vectorized, selection-vector output) and
-		// zone maps exclude whole morsels before dispatch.
-		if pc.useCache {
-			cached := make([]*shred.Shred, 0, len(cols))
-			for _, c := range cols {
-				s := pc.e.shreds.LookupFull(shred.Key{Table: tab.Name, Col: c})
-				if s == nil {
-					break
-				}
-				cached = append(cached, s)
-			}
-			if len(cached) == len(cols) && len(cols) > 0 {
-				vecs := make([]*vector.Vector, len(cols))
-				for i, s := range cached {
-					vecs[i] = s.Vector()
-				}
-				pushable, rest := pc.shredPush(candidates)
-				var skip func(start, end int64) bool
-				if pc.zonemaps {
-					skip = synSkip(st.synopsis(), candidates)
-				}
-				parts, err := pc.memVectorMorselsPush(tab, vecs, cols, nm, bs, pushable, skip)
-				if err != nil || parts == nil {
-					return nil, nil, nil, false, err
-				}
-				pc.stats.ShredHits += len(cols)
-				pc.noteStructHit(tab.Name, "shred", len(cols))
-				pc.pathf("par[%d]:shred:scan(%s)", len(parts), tab.Name)
-				pc.notePush(tab.Name, len(pushable), skip != nil)
-				return parts, nil, rest, true, nil
-			}
-			// Partially cached column sets fall through: the raw file is
-			// still the source of truth, and an unpruned pass recaptures
-			// every column as a full shred (Put overwrites the partial
-			// entries harmlessly).
-		}
-		switch tab.Format {
-		case catalog.CSV:
-			return pc.csvMorsels(r, cols, candidates, true)
-		case catalog.JSON:
-			return pc.jsonMorsels(r, cols, candidates, true)
-		case catalog.Binary:
-			ranges := splitRows(st.bin.NRows(), nm)
-			if len(ranges) < pc.minMorsels() {
-				return nil, nil, nil, pc.declineParallel(fallbackSmallFile,
-					"%s splits into %d morsels (need %d)", tab.Name, len(ranges), pc.minMorsels()), nil
-			}
-			pushable, rest := pc.parallelPush(candidates)
-			var skip func(start, end int64) bool
-			if pc.zonemaps && !pc.captureActive() {
-				skip = synSkip(st.synopsis(), candidates)
-			}
-			nranges := len(ranges)
-			ranges = pc.skipMorsels(ranges, skip)
-			// A scan that eliminates rows cannot publish full columns:
-			// capture only when no pruning of any kind is active.
-			capture := len(pushable) == 0 && skip == nil
-			// Zone maps for the binary file are built by the first full
-			// parallel pass itself: per-morsel fragment builders concatenate
-			// in morsel order on completion. A fuller pass replaces a synopsis
-			// an earlier selective query narrowed (see newSynBuilder).
-			synObs := observableCols(tab, cols, execPreds(pushable), true)
-			buildSyn := pc.zonemaps && skip == nil && len(ranges) == nranges &&
-				len(synObs) > 0 && !pc.synCovered(st, synObs)
-			var synFrags []*synopsis.Builder
-			var caps []*morselCapture
-			for _, rr := range ranges {
-				opts := jit.Pushdown{Preds: execPreds(pushable), Skip: skip}
-				if buildSyn {
-					fb := synopsis.NewBuilder(pc.blockRows(), synObs)
-					synFrags = append(synFrags, fb)
-					opts.Syn = fb
-				}
-				sc, err := jit.NewBinScanPush(st.bin, tab, cols, false, bs, opts)
-				if err != nil {
-					return nil, nil, nil, false, err
-				}
-				if err := sc.SetRowRange(rr[0], rr[1]); err != nil {
-					return nil, nil, nil, false, err
-				}
-				pc.pushStats(sc.PushStats)
-				var op exec.Operator = sc
-				if capture {
-					wrapped, cap := pc.wrapCapture(tab, sc, cols)
-					if cap != nil {
-						caps = append(caps, cap)
-					}
-					op = wrapped
-				}
-				parts = append(parts, op)
-			}
-			pc.ensureTemplate(jit.Spec{
-				Format: tab.Format, Table: tab.Name, Mode: jit.Direct,
-				Types: tab.Types(), Need: cols, Preds: execPreds(pushable),
-			})
-			pc.pathf("par[%d]:jit:bin(%s)", len(parts), tab.Name)
-			pc.notePush(tab.Name, len(pushable), skip != nil)
-			mergeSyn := pc.mergeSynopsis(st, synFrags)
-			if buildSyn {
-				pc.noteSynCapture(st)
-			}
-			if len(caps) > 0 {
-				pc.noteShredCapture(tab, cols)
-			}
-			return parts, pc.captureDone(tab, cols, caps, mergeSyn), rest, true, nil
-		}
-		return nil, nil, nil, pc.declineParallel(fallbackRootTable,
-			"%s tables page through the format library at its own pace", tab.Format), nil
-	}
-	return nil, nil, nil, pc.declineParallel(fallbackInternal,
-		"no parallel planner for strategy %s", pc.strategy), nil
-}
-
-// noteSynCapture emits a captured lifecycle event iff the completion hooks
-// installed a new synopsis (mergeSynopsis declines on a row-count mismatch,
-// so the event is gated on the pointer actually changing).
-func (pc *planCtx) noteSynCapture(st *tableState) {
-	old := st.synopsis()
-	pc.onComplete = append(pc.onComplete, func() {
-		if s := st.synopsis(); s != nil && s != old {
-			pc.emitCaptured("synopsis", st.tab, s.MemoryFootprint())
-		}
-	})
-}
-
-// mergeSynopsis returns the merge-on-completion hook concatenating per-
-// morsel zone-map fragments in morsel order (nil when nothing was built).
-func (pc *planCtx) mergeSynopsis(st *tableState, frags []*synopsis.Builder) func() error {
-	if !pc.capture || len(frags) == 0 {
-		return nil
-	}
-	return func() error {
-		fins := make([]*synopsis.Synopsis, len(frags))
-		for i, fb := range frags {
-			fins[i] = fb.Finish()
-		}
-		if syn := synopsis.Concat(fins); syn != nil && (st.nrows < 0 || syn.NRows() == st.nrows) {
-			st.setSynopsis(syn)
-		}
-		return nil
-	}
-}
-
-// csvMorsels builds the CSV morsel scans: row ranges through the positional
-// map when it covers every needed column, byte-range morsels with private
-// fragment maps (merged on completion) otherwise. jitMode selects the
-// generated access paths (and shred capture) over the generic in-situ ones;
-// under jitMode the candidates are pushed into every morsel scan, zone maps
-// exclude morsels/ranges on the warm path, and the cold pass builds
-// per-morsel zone-map fragments alongside the positional-map fragments.
-func (pc *planCtx) csvMorsels(r *resolvedQuery, cols []int, candidates []boundPred, jitMode bool) (parts []exec.Operator, done func() error, residual []boundPred, ok bool, err error) {
-	st := r.tables[0].st
-	tab := st.tab
-	bs := pc.e.cfg.BatchSize
-	nm := pc.morselCount()
-	var caps []*morselCapture
-
-	pushable := []boundPred(nil)
-	residual = candidates
-	if jitMode {
-		pushable, residual = pc.parallelPush(candidates)
+		kind = scanGenerated
+	default:
+		return nil, nil, nil, pc.declineParallel(fallbackInternal,
+			"no parallel planner for strategy %s", pc.strategy), nil
 	}
 
-	if pm := st.posMap(); pm != nil && pm.NRows() > 0 && pmCovers(pm, cols) {
-		ranges := splitRows(pm.NRows(), nm)
-		if len(ranges) < pc.minMorsels() {
-			return nil, nil, nil, pc.declineParallel(fallbackSmallFile,
-				"%s splits into %d morsels (need %d)", tab.Name, len(ranges), pc.minMorsels()), nil
-		}
-		var skip func(start, end int64) bool
-		if jitMode && pc.zonemaps && !pc.captureActive() {
-			skip = synSkip(st.synopsis(), candidates)
-		}
-		ranges = pc.skipMorsels(ranges, skip)
-		capture := jitMode && len(pushable) == 0 && skip == nil
-		for _, rr := range ranges {
-			var sc exec.Operator
-			if jitMode {
-				opts := jit.Pushdown{Preds: execPreds(pushable), Skip: skip}
-				js, err := jit.NewCSVMapScanPush(st.csvData, tab, cols, pm, false, bs, opts)
-				if err != nil {
-					return nil, nil, nil, false, err
-				}
-				if err := js.SetRowRange(rr[0], rr[1]); err != nil {
-					return nil, nil, nil, false, err
-				}
-				pc.pushStats(js.PushStats)
-				sc = js
-				if capture {
-					op, cap := pc.wrapCapture(tab, js, cols)
-					if cap != nil {
-						caps = append(caps, cap)
-					}
-					sc = op
-				}
-			} else {
-				is, err := insitu.NewCSVScan(st.csvData, tab, cols, pm, nil, false, bs)
-				if err != nil {
-					return nil, nil, nil, false, err
-				}
-				if err := is.SetRowRange(rr[0], rr[1]); err != nil {
-					return nil, nil, nil, false, err
-				}
-				sc = is
-			}
-			parts = append(parts, sc)
-		}
-		if jitMode {
-			pc.ensureTemplate(jit.Spec{
-				Format: tab.Format, Table: tab.Name, Mode: jit.ViaMap,
-				Types: tab.Types(), Need: cols,
-				PMRead: pmTracked(pm, true),
-				Preds:  execPreds(pushable),
-			})
-			pc.pathf("par[%d]:jit:viamap(%s)", len(parts), tab.Name)
-			pc.notePush(tab.Name, len(pushable), skip != nil)
-		} else {
-			pc.pathf("par[%d]:insitu:viamap(%s)", len(parts), tab.Name)
-		}
-		if len(caps) > 0 {
-			pc.noteShredCapture(tab, cols)
-		}
-		return parts, pc.captureDone(tab, cols, caps, nil), residual, true, nil
-	}
-
-	// Cold file: byte-range morsels, each building a private positional-map
-	// fragment over its subslice; fragments merge in morsel order on
-	// completion, so the installed map is identical to a serial scan's. Under
-	// jitMode each morsel also builds a private zone-map fragment, merged the
-	// same way.
-	spans := csvfile.Split(st.csvData, nm)
-	if len(spans) < pc.minMorsels() {
-		return nil, nil, nil, pc.declineParallel(fallbackSmallFile,
-			"%s splits into %d morsels (need %d)", tab.Name, len(spans), pc.minMorsels()), nil
-	}
-	capture := !jitMode || len(pushable) == 0
-	frags := make([]*posmap.Map, len(spans))
-	var synFrags []*synopsis.Builder
-	synObs := observableCols(tab, cols, execPreds(pushable), false)
-	buildSyn := jitMode && pc.zonemaps && len(synObs) > 0 && !pc.synCovered(st, synObs)
-	for i, sp := range spans {
-		frag := posmap.New(pc.e.cfg.PosMapPolicy, len(tab.Schema))
-		frags[i] = frag
-		var sc exec.Operator
-		if jitMode {
-			opts := jit.Pushdown{Preds: execPreds(pushable)}
-			if buildSyn {
-				fb := synopsis.NewBuilder(pc.blockRows(), synObs)
-				synFrags = append(synFrags, fb)
-				opts.Syn = fb
-			}
-			js, err := jit.NewCSVSequentialScanPush(st.csvData[sp.Start:sp.End], tab, cols, frag, false, bs, opts)
-			if err != nil {
-				return nil, nil, nil, false, err
-			}
-			pc.pushStats(js.PushStats)
-			sc = js
-			if capture {
-				op, cap := pc.wrapCapture(tab, js, cols)
-				if cap != nil {
-					caps = append(caps, cap)
-				}
-				sc = op
-			}
-		} else {
-			is, err := insitu.NewCSVScan(st.csvData[sp.Start:sp.End], tab, cols, nil, frag, false, bs)
-			if err != nil {
-				return nil, nil, nil, false, err
-			}
-			sc = is
-		}
-		parts = append(parts, sc)
-	}
-	mergePM := func() error {
-		if !pc.capture {
-			return nil // governor degraded mode: keep per-morsel state private
-		}
-		merged := posmap.New(pc.e.cfg.PosMapPolicy, len(tab.Schema))
-		for i, frag := range frags {
-			if err := merged.Merge(frag, int64(spans[i].Start)); err != nil {
-				return err
-			}
-		}
-		st.setPosMap(merged)
-		st.learnRows(merged.NRows())
-		if mergeSyn := pc.mergeSynopsis(st, synFrags); mergeSyn != nil {
-			return mergeSyn()
-		}
-		return nil
-	}
-	if jitMode {
-		pc.ensureTemplate(jit.Spec{
-			Format: tab.Format, Table: tab.Name, Mode: jit.Sequential,
-			Types: tab.Types(), Need: cols,
-			PMBuild: pmTracked(frags[0], true),
-			Preds:   execPreds(pushable),
-		})
-		pc.pathf("par[%d]:jit:seq(%s)", len(parts), tab.Name)
-		pc.notePush(tab.Name, len(pushable), false)
-	} else {
-		pc.pathf("par[%d]:insitu:seq(%s)", len(parts), tab.Name)
-	}
-	oldPM := st.posMap()
-	pc.onComplete = append(pc.onComplete, func() {
-		if pm := st.posMap(); pm != nil && pm != oldPM {
-			pc.emitCaptured("posmap", tab, pm.MemoryFootprint())
-		}
-	})
-	if buildSyn {
-		pc.noteSynCapture(st)
-	}
-	if len(caps) > 0 {
-		pc.noteShredCapture(tab, cols)
-	}
-	return parts, pc.captureDone(tab, cols, caps, mergePM), residual, true, nil
-}
-
-// jsonMorsels builds the JSONL morsel scans: row ranges through the
-// structural index when populated (the index is internally locked for the
-// concurrent readers), byte-range morsels with private fragment indexes
-// (merged on completion) otherwise. Pushdown and zone maps apply as in
-// csvMorsels; ranged scans that would need adaptive recording keep their
-// dense walks (the scan constructor guarantees index completeness).
-func (pc *planCtx) jsonMorsels(r *resolvedQuery, cols []int, candidates []boundPred, jitMode bool) (parts []exec.Operator, done func() error, residual []boundPred, ok bool, err error) {
-	st := r.tables[0].st
-	tab := st.tab
-	bs := pc.e.cfg.BatchSize
-	nm := pc.morselCount()
-	var caps []*morselCapture
-
-	pushable := []boundPred(nil)
-	residual = candidates
-	if jitMode {
-		pushable, residual = pc.parallelPush(candidates)
-	}
-
-	if idx := st.jsonIdx(); idx != nil && idx.NRows() > 0 {
-		ranges := splitRows(idx.NRows(), nm)
-		if len(ranges) < pc.minMorsels() {
-			return nil, nil, nil, pc.declineParallel(fallbackSmallFile,
-				"%s splits into %d morsels (need %d)", tab.Name, len(ranges), pc.minMorsels()), nil
-		}
-		// Morsel-level zone skipping requires every needed path tracked:
-		// dropping a morsel would otherwise leave adaptive-recording holes.
-		allTracked := true
+	// All requested columns cached as full shreds: scan row ranges of the pool
+	// vectors, no raw access at all. Predicates are absorbed into the morsel
+	// scans (vectorized, selection-vector output) and zone maps exclude whole
+	// morsels before dispatch.
+	if kind == scanGenerated && pc.useCache {
+		cached := make([]*shred.Shred, 0, len(cols))
 		for _, c := range cols {
-			if !idx.Tracked(tab.Schema[c].Name) {
-				allTracked = false
+			s := pc.e.shreds.LookupFull(shred.Key{Table: tab.Name, Col: c})
+			if s == nil {
 				break
 			}
+			cached = append(cached, s)
 		}
-		var skip func(start, end int64) bool
-		if jitMode && pc.zonemaps && allTracked && !pc.captureActive() {
-			skip = synSkip(st.synopsis(), candidates)
-		}
-		ranges = pc.skipMorsels(ranges, skip)
-		capture := jitMode && len(pushable) == 0 && skip == nil
-		for _, rr := range ranges {
-			opts := jit.Pushdown{Skip: skip}
-			if jitMode {
-				opts.Preds = execPreds(pushable)
+		if len(cached) == len(cols) && len(cols) > 0 {
+			vecs := make([]*vector.Vector, len(cols))
+			for i, s := range cached {
+				vecs[i] = s.Vector()
 			}
-			js, err := jit.NewJSONMapScanPush(st.jsonData, tab, cols, idx, false, bs, opts)
+			pushable, rest := pc.shredPush(candidates)
+			var skip func(start, end int64) bool
+			if pc.zonemaps {
+				skip = synSkip(st.synopsis(), candidates)
+			}
+			parts, err := pc.memVectorMorselsPush(tab, vecs, cols, nm, bs, pushable, skip)
 			if err != nil {
 				return nil, nil, nil, false, err
 			}
-			if err := js.SetRowRange(rr[0], rr[1]); err != nil {
-				return nil, nil, nil, false, err
+			if parts == nil {
+				return nil, nil, nil, pc.declineParallel(fallbackSmallFile,
+					"cached columns of %s yield fewer than %d morsels", tab.Name, pc.minMorsels()), nil
 			}
-			pc.pushStats(js.PushStats)
-			op := exec.Operator(js)
-			if capture {
-				wrapped, cap := pc.wrapCapture(tab, js, cols)
-				if cap != nil {
-					caps = append(caps, cap)
-				}
-				op = wrapped
-			}
-			parts = append(parts, op)
-		}
-		if jitMode {
-			pc.ensureTemplate(jit.Spec{
-				Format: tab.Format, Table: tab.Name, Mode: jit.ViaMap,
-				Types: tab.Types(), Need: cols,
-				Paths:  jsonPaths(tab, cols),
-				PMRead: jidxTracked(idx, tab),
-				Preds:  execPreds(pushable),
-			})
-			pc.pathf("par[%d]:jit:jsonidx(%s)", len(parts), tab.Name)
+			pc.stats.ShredHits += len(cols)
+			pc.noteStructHit(tab.Name, "shred", len(cols))
+			pc.pathf("par[%d]:shred:scan(%s)", len(parts), tab.Name)
 			pc.notePush(tab.Name, len(pushable), skip != nil)
-		} else {
-			pc.pathf("par[%d]:insitu:json(%s)", len(parts), tab.Name)
+			return parts, nil, rest, true, nil
 		}
-		if len(caps) > 0 {
-			pc.noteShredCapture(tab, cols)
-		}
-		return parts, pc.captureDone(tab, cols, caps, nil), residual, true, nil
+		// Partially cached column sets fall through: the raw file is still
+		// the source of truth, and an unpruned pass recaptures every column
+		// as a full shred (Put overwrites the partial entries harmlessly).
 	}
 
-	// Cold file: byte-range morsels with private fragment indexes; each
-	// sequential scan commits its recordings into its own fragment at end of
-	// morsel, and the fragments (plus zone-map fragments under jitMode) merge
-	// in morsel order on completion.
-	spans := jsonfile.Split(st.jsonData, nm)
+	// Raw file: row-range morsels where rows are addressable (through the
+	// positional structure, or natively), record-aligned byte-range morsels
+	// over a cold text image — each of those filling a private fragment that
+	// merges in morsel order on completion, so what is installed is identical
+	// to a serial scan's.
+	bt := r.tables[0]
+	a, err := st.src.access(tab, bt.pos, cols, kind)
+	if _, noReader := err.(noReaderError); noReader {
+		return nil, nil, nil, pc.declineParallel(fallbackUnsupportedFormat,
+			"%s tool has no parallel %s scan", kind, tab.Format), nil
+	}
+	if err != nil {
+		return nil, nil, nil, false, err
+	}
+	spans, splittable := st.src.split(bt.pos, a.mode, nm)
+	if !splittable {
+		return nil, nil, nil, pc.declineParallel(fallbackRootTable,
+			"%s tables page through the format library at its own pace", tab.Format), nil
+	}
 	if len(spans) < pc.minMorsels() {
 		return nil, nil, nil, pc.declineParallel(fallbackSmallFile,
 			"%s splits into %d morsels (need %d)", tab.Name, len(spans), pc.minMorsels()), nil
 	}
-	capture := !jitMode || len(pushable) == 0
-	frags := make([]*jsonidx.Index, len(spans))
-	offs := make([]int64, len(spans))
-	var synFrags []*synopsis.Builder
-	synObs := observableCols(tab, cols, execPreds(pushable), false)
-	buildSyn := jitMode && pc.zonemaps && len(synObs) > 0 && !pc.synCovered(st, synObs)
-	for i, sp := range spans {
-		frag := jsonidx.New(0)
-		frags[i] = frag
-		offs[i] = int64(sp.Start)
-		opts := jit.Pushdown{}
-		if jitMode {
-			opts.Preds = execPreds(pushable)
-			if buildSyn {
-				fb := synopsis.NewBuilder(pc.blockRows(), synObs)
-				synFrags = append(synFrags, fb)
-				opts.Syn = fb
-			}
-		}
-		js, err := jit.NewJSONSequentialScanPush(st.jsonData[sp.Start:sp.End], tab, cols, frag, false, bs, opts)
-		if err != nil {
-			return nil, nil, nil, false, err
-		}
-		pc.pushStats(js.PushStats)
-		op := exec.Operator(js)
-		if jitMode && capture {
-			wrapped, cap := pc.wrapCapture(tab, js, cols)
-			if cap != nil {
-				caps = append(caps, cap)
-			}
-			op = wrapped
-		}
-		parts = append(parts, op)
+	parts, done, absorbed, _, err := pc.rawScans(rawScan{bt: bt, kind: kind, cols: cols,
+		pushable: candidates, skip: candidates}, a, spans)
+	if err != nil {
+		return nil, nil, nil, false, err
 	}
-	mergeIdx := func() error {
-		if !pc.capture {
-			return nil
-		}
-		merged := jsonidx.Merge(frags, offs, 0)
-		st.setJSONIdx(merged)
-		st.learnRows(merged.NRows())
-		if mergeSyn := pc.mergeSynopsis(st, synFrags); mergeSyn != nil {
-			return mergeSyn()
-		}
-		return nil
+	residual = candidates
+	if len(absorbed) > 0 {
+		residual = nil
 	}
-	if jitMode {
-		pc.ensureTemplate(jit.Spec{
-			Format: tab.Format, Table: tab.Name, Mode: jit.Sequential,
-			Types: tab.Types(), Need: cols,
-			Paths:   jsonPaths(tab, cols),
-			PMBuild: cols,
-			Preds:   execPreds(pushable),
-		})
-		pc.pathf("par[%d]:jit:jsonseq(%s)", len(parts), tab.Name)
-		pc.notePush(tab.Name, len(pushable), false)
-	} else {
-		pc.pathf("par[%d]:insitu:jsonseq(%s)", len(parts), tab.Name)
-	}
-	oldIdx := st.jsonIdx()
-	pc.onComplete = append(pc.onComplete, func() {
-		if idx := st.jsonIdx(); idx != nil && idx != oldIdx {
-			pc.emitCaptured("jsonidx", tab, idx.MemoryFootprint())
-		}
-	})
-	if buildSyn {
-		pc.noteSynCapture(st)
-	}
-	if len(caps) > 0 {
-		pc.noteShredCapture(tab, cols)
-	}
-	return parts, pc.captureDone(tab, cols, caps, mergeIdx), residual, true, nil
+	return parts, done, residual, true, nil
 }
 
 // memMorsels builds row-range MemScans over resident column vectors.
@@ -1273,14 +803,14 @@ func (pc *planCtx) memVectorMorselsPush(tab *catalog.Table, vecs []*vector.Vecto
 // buildMemMorsels applies, counting skipped morsels. Mem scans have no
 // scan-level skip hook, so unlike skipMorsels the all-excluded fallback is an
 // explicitly empty range rather than a kept morsel.
-func (pc *planCtx) memSkip(skip func(start, end int64) bool) func([][2]int64) [][2]int64 {
+func (pc *planCtx) memSkip(skip func(start, end int64) bool) func([]span) []span {
 	if skip == nil {
 		return nil
 	}
-	return func(ranges [][2]int64) [][2]int64 {
-		kept := make([][2]int64, 0, len(ranges))
+	return func(ranges []span) []span {
+		kept := make([]span, 0, len(ranges))
 		for _, rr := range ranges {
-			if skip(rr[0], rr[1]) {
+			if skip(rr.lo, rr.hi) {
 				pc.stats.MorselsSkipped++
 				continue
 			}
@@ -1289,7 +819,7 @@ func (pc *planCtx) memSkip(skip func(start, end int64) bool) func([][2]int64) []
 		if len(kept) == 0 {
 			// Every morsel excluded: one empty range keeps the operator
 			// shape (a MemScan over zero-row slices yields nothing).
-			kept = append(kept, [2]int64{ranges[0][0], ranges[0][0]})
+			kept = append(kept, span{ranges[0].lo, ranges[0].lo})
 		}
 		return kept
 	}
@@ -1299,7 +829,7 @@ func (pc *planCtx) memSkip(skip func(start, end int64) bool) func([][2]int64) []
 // split into row ranges, optionally drop zone-map-excluded ranges, and build
 // one (predicate-absorbing) MemScan per surviving range.
 func buildMemMorsels(tab *catalog.Table, vecs []*vector.Vector, cols []int,
-	nm, bs int, preds []exec.Pred, rangeFilter func([][2]int64) [][2]int64, minParts int) ([]exec.Operator, error) {
+	nm, bs int, preds []exec.Pred, rangeFilter func([]span) []span, minParts int) ([]exec.Operator, error) {
 	if len(vecs) == 0 {
 		return nil, nil
 	}
@@ -1319,7 +849,7 @@ func buildMemMorsels(tab *catalog.Table, vecs []*vector.Vector, cols []int,
 	for _, rr := range ranges {
 		sliced := make([]*vector.Vector, len(vecs))
 		for i, v := range vecs {
-			sliced[i] = v.Slice(int(rr[0]), int(rr[1]))
+			sliced[i] = v.Slice(int(rr.lo), int(rr.hi))
 		}
 		ms, err := exec.NewMemScanPred(schema, sliced, bs, preds)
 		if err != nil {
@@ -1330,66 +860,56 @@ func buildMemMorsels(tab *catalog.Table, vecs []*vector.Vector, cols []int,
 	return parts, nil
 }
 
-// wrapCapture tees the scanned (pre-filter) columns of one morsel into
-// private vectors when the strategy captures shreds; captureDone later
-// concatenates the morsel vectors in order and publishes full columns to the
-// pool — merge-on-completion, so workers never write shared cache state.
-func (pc *planCtx) wrapCapture(tab *catalog.Table, scan exec.Operator, cols []int) (exec.Operator, *morselCapture) {
-	if !pc.capture || !pc.useCache || pc.e.cfg.DisableShredCache {
-		return scan, nil
-	}
-	types := make([]vector.Type, len(cols))
-	for i, c := range cols {
-		types[i] = tab.Schema[c].Type
-	}
-	cap := newMorselCapture(scan, types)
-	return cap, cap
+// morselCapture tees every batch of one raw-file scan into private per-column
+// vectors (copies — batches are reused by the scans beneath); rawScans'
+// completion hook publishes them as full columns to the shred pool — merge on
+// completion, so workers never write shared cache state.
+type morselCapture struct {
+	child   exec.Operator
+	types   []vector.Type
+	reserve int // rows to allocate for at Open (a whole-table capture's hint)
+	vecs    []*vector.Vector
+	// eof says the child was drained: only then are vecs full columns.
+	eof bool
 }
 
-// captureDone combines the cache-merge hook with shred publication. Either
-// may be nil.
-func (pc *planCtx) captureDone(tab *catalog.Table, cols []int, caps []*morselCapture,
-	mergeCaches func() error) func() error {
-	if len(caps) == 0 && mergeCaches == nil {
-		return nil
+func newMorselCapture(child exec.Operator, tab *catalog.Table, cols []int, reserve int) *morselCapture {
+	c := &morselCapture{child: child, types: make([]vector.Type, len(cols)), reserve: reserve}
+	for i, col := range cols {
+		c.types[i] = tab.Schema[col].Type
 	}
-	return func() error {
-		if mergeCaches != nil {
-			if err := mergeCaches(); err != nil {
-				return err
-			}
+	return c
+}
+
+// publishCaptures puts the columns the captures teed — one capture per span,
+// in span order — into the shred pool as full columns. One capture is adopted
+// as it filled (clipped, if it was allocated to a hint); several concatenate.
+// A capture the plan did not drain holds no full column: nothing is put.
+func (pc *planCtx) publishCaptures(tab *catalog.Table, cols []int, caps []*morselCapture, clip bool) {
+	if len(caps) == 0 {
+		return
+	}
+	for _, mc := range caps {
+		if !mc.eof {
+			return
 		}
-		if len(caps) == 0 {
-			return nil
-		}
-		for ci, c := range cols {
+	}
+	for ci, c := range cols {
+		full := caps[0].vecs[ci]
+		if len(caps) > 1 {
 			total := 0
 			for _, mc := range caps {
 				total += mc.vecs[ci].Len()
 			}
-			full := vector.New(tab.Schema[c].Type, total)
+			full = vector.New(tab.Schema[c].Type, total)
 			for _, mc := range caps {
 				full.AppendVector(mc.vecs[ci])
 			}
-			pc.e.shreds.Put(shred.Key{Table: tab.Name, Col: c}, nil, full)
+		} else if clip {
+			full.Clip()
 		}
-		return nil
+		pc.e.shreds.Put(shred.Key{Table: tab.Name, Col: c}, nil, full)
 	}
-}
-
-// morselCapture tees every batch of its child into private per-column
-// vectors (copies — batches are reused by the scans beneath).
-type morselCapture struct {
-	child exec.Operator
-	vecs  []*vector.Vector
-}
-
-func newMorselCapture(child exec.Operator, types []vector.Type) *morselCapture {
-	c := &morselCapture{child: child, vecs: make([]*vector.Vector, len(types))}
-	for i, t := range types {
-		c.vecs[i] = vector.New(t, vector.DefaultBatchSize)
-	}
-	return c
 }
 
 // Schema implements exec.Operator.
@@ -1397,6 +917,17 @@ func (c *morselCapture) Schema() vector.Schema { return c.child.Schema() }
 
 // Open implements exec.Operator.
 func (c *morselCapture) Open() error {
+	c.eof = false
+	if c.vecs == nil {
+		n := vector.DefaultBatchSize
+		if c.reserve > n {
+			n = c.reserve
+		}
+		c.vecs = make([]*vector.Vector, len(c.types))
+		for i, t := range c.types {
+			c.vecs[i] = vector.New(t, n)
+		}
+	}
 	for _, v := range c.vecs {
 		v.Reset()
 	}
@@ -1407,6 +938,7 @@ func (c *morselCapture) Open() error {
 func (c *morselCapture) Next() (*vector.Batch, error) {
 	b, err := c.child.Next()
 	if err != nil || b == nil {
+		c.eof = err == nil
 		return b, err
 	}
 	for i, v := range c.vecs {
@@ -1421,21 +953,21 @@ func (c *morselCapture) Close() error { return c.child.Close() }
 var _ exec.Operator = (*morselCapture)(nil)
 
 // splitRows cuts [0, nrows) into at most n contiguous non-empty row ranges.
-func splitRows(nrows int64, n int) [][2]int64 {
+func splitRows(nrows int64, n int) []span {
 	if nrows <= 0 || n < 1 {
 		return nil
 	}
 	if int64(n) > nrows {
 		n = int(nrows)
 	}
-	ranges := make([][2]int64, 0, n)
+	ranges := make([]span, 0, n)
 	var start int64
 	for i := 1; i <= n; i++ {
 		end := nrows * int64(i) / int64(n)
 		if end <= start {
 			continue
 		}
-		ranges = append(ranges, [2]int64{start, end})
+		ranges = append(ranges, span{start, end})
 		start = end
 	}
 	return ranges

@@ -373,13 +373,18 @@ func TestParallelFallbackReporting(t *testing.T) {
 		if err := e.RegisterCSVData("tiny", csvData, schema); err != nil {
 			t.Fatal(err)
 		}
-		res := queryAt(t, e, "SELECT COUNT(*) FROM tiny", 8)
-		if res.Int64(0, 0) != 1 {
-			t.Fatalf("COUNT(*) = %d, want 1", res.Int64(0, 0))
-		}
-		if res.Stats.ParallelFallback != fallbackSmallFile {
-			t.Fatalf("fallback = %q (%s), want %q",
-				res.Stats.ParallelFallback, res.Stats.ParallelFallbackDetail, fallbackSmallFile)
+		// Cold, then twice warm: once every column is a cached shred the
+		// decline comes from the shred-backed morsel builder, which must name
+		// its reason like the raw-file one does.
+		for run := 0; run < 3; run++ {
+			res := queryAt(t, e, "SELECT COUNT(*) FROM tiny", 8)
+			if res.Int64(0, 0) != 1 {
+				t.Fatalf("run %d: COUNT(*) = %d, want 1", run, res.Int64(0, 0))
+			}
+			if res.Stats.ParallelFallback != fallbackSmallFile {
+				t.Fatalf("run %d: fallback = %q (%s), want %q", run,
+					res.Stats.ParallelFallback, res.Stats.ParallelFallbackDetail, fallbackSmallFile)
+			}
 		}
 	})
 	t.Run("none-when-parallel", func(t *testing.T) {

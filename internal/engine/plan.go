@@ -7,13 +7,9 @@ import (
 
 	"rawdb/internal/catalog"
 	"rawdb/internal/exec"
-	"rawdb/internal/insitu"
 	"rawdb/internal/jit"
-	"rawdb/internal/jsonidx"
 	"rawdb/internal/obs"
-	"rawdb/internal/posmap"
 	"rawdb/internal/shred"
-	"rawdb/internal/storage/csvfile"
 	"rawdb/internal/synopsis"
 	"rawdb/internal/vector"
 )
@@ -127,13 +123,6 @@ type pruneProbe struct {
 	span *obs.Span
 }
 
-// jitCapable reports whether the strategy generates access paths predicates
-// can be pushed into; the baselines (in-situ, external, DBMS) keep the
-// paper's interpretation overhead by design.
-func (pc *planCtx) jitCapable() bool {
-	return pc.strategy == StrategyJIT || pc.strategy == StrategyShreds
-}
-
 // captureActive reports whether raw-file scans of this query capture column
 // shreds. Capture and row pruning are mutually exclusive on one scan — a
 // scan that eliminates rows cannot publish full columns — and the engine
@@ -230,36 +219,6 @@ func (pc *planCtx) blockRows() int64 {
 	return synopsis.DefaultBlockRows
 }
 
-// newSynBuilder creates a builder for a full sequential scan of the table,
-// or nil when zone maps are off or nothing is observable. An existing
-// synopsis is kept while it already tracks every observable column; when a
-// scan can observe a column the current synopsis lacks (e.g. the first query
-// was selective and observed only its predicate column, and a later scan
-// parses more), a fresh synopsis is built and replaces the old one — the
-// columns of the latest build are the ones current queries filter on. The
-// finalizer installs the synopsis once the query completed.
-func (pc *planCtx) newSynBuilder(st *tableState, cols []int, absorbed []exec.Pred,
-	vectorized bool) *synopsis.Builder {
-	if !pc.zonemaps || !pc.capture {
-		return nil
-	}
-	obs := observableCols(st.tab, cols, absorbed, vectorized)
-	if len(obs) == 0 {
-		return nil
-	}
-	if pc.synCovered(st, obs) {
-		return nil
-	}
-	b := synopsis.NewBuilder(pc.blockRows(), obs)
-	pc.onComplete = append(pc.onComplete, func() {
-		if syn := b.Finish(); syn != nil && (st.nrows < 0 || syn.NRows() == st.nrows) {
-			st.setSynopsis(syn)
-			pc.emitCaptured("synopsis", st.tab, syn.MemoryFootprint())
-		}
-	})
-	return b
-}
-
 // synCovered reports whether the table's current synopsis already tracks
 // every column of obs (an empty obs counts as covered).
 func (pc *planCtx) synCovered(st *tableState, obs map[int]vector.Type) bool {
@@ -298,23 +257,6 @@ func (pc *planCtx) deferMerge(done func() error) {
 	}
 }
 
-// installPosMap defers publication of a positional map a serial sequential
-// scan builds: the map stays private to the query while it fills (execution
-// runs without the table locks, and posmap.Map is not internally locked) and
-// is installed — with its lifecycle event — only when the scan ran to
-// completion. An aborted scan leaves no partial map behind.
-func (pc *planCtx) installPosMap(st *tableState, pm *posmap.Map) {
-	pc.onComplete = append(pc.onComplete, func() {
-		st.learnRows(pm.NRows())
-		if pm.NRows() <= 0 || !pc.capture {
-			return // no finished row, or the governor's degraded mode: nothing publishes
-		}
-		pm.Clip()
-		st.setPosMap(pm)
-		pc.emitCaptured("posmap", st.tab, pm.MemoryFootprint())
-	})
-}
-
 // learnRows records a text table's row count from a scan that visited every
 // row. Only publication calls it: no query counts, a failed one leaves -1.
 func (st *tableState) learnRows(rows int64) {
@@ -323,31 +265,19 @@ func (st *tableState) learnRows(rows int64) {
 	}
 }
 
-// rowHint is the row count to allocate a full scan's positional map and
-// full-column captures for, once: the count an earlier scan learned, else
-// CSV's estimate from the first rows; 0 (no reservation) under one batch.
-func rowHint(st *tableState) int {
+// rowHint is the row count to allocate a whole-table scan's positional
+// fragment and full-column captures for, once: the count the format states or
+// an earlier scan learned, else the access's estimate; 0 (no reservation)
+// under one batch.
+func rowHint(st *tableState, a access) int {
 	n := st.nrows
-	if n < 0 {
-		n = csvfile.EstimateRows(st.csvData)
+	if n < 0 && a.estRows != nil {
+		n = a.estRows()
 	}
 	if n < vector.DefaultBatchSize {
 		return 0
 	}
 	return int(n)
-}
-
-// installJSONIdx is installPosMap for the JSON structural index built by a
-// serial sequential scan.
-func (pc *planCtx) installJSONIdx(st *tableState, idx *jsonidx.Index) {
-	pc.onComplete = append(pc.onComplete, func() {
-		st.learnRows(idx.NRows())
-		if idx.NRows() <= 0 || !pc.capture {
-			return
-		}
-		st.setJSONIdx(idx)
-		pc.emitCaptured("jsonidx", st.tab, idx.MemoryFootprint())
-	})
 }
 
 // noteShredCapture emits captured lifecycle events for the columns a raw-file
@@ -463,7 +393,7 @@ func (pc *planCtx) scanSpan(p *pipe, mark scanMark) {
 // the morsel-parallel plan when the query and cache state are eligible.
 func (pc *planCtx) plan(r *resolvedQuery) (exec.Operator, error) {
 	for _, bt := range r.tables {
-		bt.pm, bt.jidx = bt.st.posMap(), bt.st.jsonIdx()
+		bt.pos = bt.st.positions()
 	}
 	if pc.workers > 1 {
 		mark := pc.trace.Mark()
@@ -704,20 +634,15 @@ func (pc *planCtx) planJoin(r *resolvedQuery) (*pipe, error) {
 }
 
 // lateCapable reports whether column shreds can be used for this table under
-// the current cache state: CSV needs a populated positional map (built by a
-// previous query); binary and root formats address rows directly.
+// the current cache state: rows must be addressable by row id — through a
+// populated positional map or structural index for text formats (built by a
+// previous query), natively for binary and ROOT.
 func (pc *planCtx) lateCapable(bt *boundTable) bool {
-	switch bt.st.tab.Format {
-	case catalog.CSV:
-		return bt.pm != nil && bt.pm.NRows() > 0
-	case catalog.JSON:
-		return bt.jidx != nil && bt.jidx.NRows() > 0
-	case catalog.Binary, catalog.Root:
-		return true
-	case catalog.Memory, catalog.Dataset:
+	if bt.st.src == nil {
 		return false
 	}
-	return false
+	a, err := bt.st.src.access(bt.st.tab, bt.pos, nil, scanGenerated)
+	return err == nil && a.mode != jit.Sequential
 }
 
 // splitPreds partitions predicates into those whose column is in cols and
@@ -841,22 +766,11 @@ func (pc *planCtx) baseScanInner(r *resolvedQuery, t int, cols []int, needRID bo
 		return p, candidates, nil
 
 	case StrategyExternal:
-		if tab.Format != catalog.CSV {
-			return nil, nil, fmt.Errorf("engine: external tables support CSV only (table %q is %s)",
-				tab.Name, tab.Format)
-		}
-		sc, err := insitu.NewExternalScan(st.csvData, tab, cols, bs)
-		if err != nil {
-			return nil, nil, err
-		}
-		p.op = sc
-		layout(cols, -1)
-		pc.pathf("external:scan(%s)", tab.Name)
-		pc.onComplete = append(pc.onComplete, func() { st.learnRows(sc.Rows()) })
-		return p, candidates, nil
+		pp, err := pc.baseScanGeneric(p, bt, scanExternal, cols, layout)
+		return pp, candidates, err
 
 	case StrategyInSitu:
-		pp, err := pc.baseScanInSitu(p, r, t, cols, layout)
+		pp, err := pc.baseScanGeneric(p, bt, scanGeneric, cols, layout)
 		return pp, candidates, err
 
 	case StrategyJIT, StrategyShreds:
@@ -865,80 +779,184 @@ func (pc *planCtx) baseScanInner(r *resolvedQuery, t int, cols []int, needRID bo
 	return nil, nil, fmt.Errorf("engine: unknown strategy %d", pc.strategy)
 }
 
-// baseScanInSitu builds the NoDB-style generic scan.
-func (pc *planCtx) baseScanInSitu(p *pipe, r *resolvedQuery, t int, cols []int,
-	layout func([]int, int)) (*pipe, error) {
-	st := r.tables[t].st
+// rawScan says what one read of a table's raw file must deliver.
+type rawScan struct {
+	bt   *boundTable
+	kind scanKind
+	cols []int // columns to materialise, sorted
+	// pushable are the predicates on cols the scans may absorb; skip are all
+	// the predicates a zone map may exclude row ranges by (in a serial plan
+	// that includes those on cached columns appended above the scan).
+	pushable, skip []boundPred
+	emitRID        bool // whole-table scans only
+}
+
+// rawScans builds one scan per span over a table's raw file — the serial
+// plans pass wholeTable, the morsel planner the plug-in's split — through the
+// access path a the plug-in described, plus the completion hook that
+// publishes what the scans built on the side. It is the one place that
+// arbitrates between pushdown and capture, applies zone maps, attaches
+// synopsis builders, charges the template cache, labels the path and tees
+// full columns into the shred pool, for every format and both planners.
+//
+// absorbed are the predicates the scans evaluate exactly (all of rs.pushable
+// or none; the caller filters the rest). pruned says the scans may drop rows
+// — absorbed predicates, zone skipping, advisory pruning — so their output is
+// no full column. done (nil when nothing is built) runs under the
+// re-acquired table locks once execution succeeded, so a failed or cancelled
+// query publishes nothing.
+func (pc *planCtx) rawScans(rs rawScan, a access, spans []span) (parts []exec.Operator,
+	done func() error, absorbed []boundPred, pruned bool, err error) {
+	st := rs.bt.st
 	tab := st.tab
-	bs := pc.e.cfg.BatchSize
-	switch tab.Format {
-	case catalog.CSV:
-		if pm := r.tables[t].pm; pm != nil && pm.NRows() > 0 && pmCovers(pm, cols) {
-			sc, err := insitu.NewCSVScan(st.csvData, tab, cols, pm, nil, false, bs)
-			if err != nil {
-				return nil, err
-			}
-			p.op = sc
-			layout(cols, -1)
-			pc.pathf("insitu:viamap(%s)", tab.Name)
-			pc.noteStructHit(tab.Name, "posmap", 1)
-			return p, nil
+	whole := len(spans) == 1 && spans[0] == wholeTable
+	generated := rs.kind == scanGenerated
+
+	// A scan that eliminates rows cannot publish full columns, and capture
+	// wins that conflict (see captureActive): predicates are absorbed and
+	// zone maps consulted only when this scan captures nothing.
+	capturing := generated && pc.captureActive()
+	var push []exec.Pred
+	if generated && (a.advisory || pc.pushdown && !capturing) {
+		push = execPreds(rs.pushable)
+		if !a.advisory {
+			absorbed = rs.pushable
 		}
-		pm := posmap.New(pc.e.cfg.PosMapPolicy, len(tab.Schema))
-		pm.Reserve(rowHint(st))
-		sc, err := insitu.NewCSVScan(st.csvData, tab, cols, nil, pm, false, bs)
-		if err != nil {
-			return nil, err
-		}
-		pc.installPosMap(st, pm)
-		p.op = sc
-		layout(cols, -1)
-		pc.pathf("insitu:seq(%s)", tab.Name)
-		return p, nil
-	case catalog.Binary:
-		sc, err := insitu.NewBinScan(st.bin, tab, cols, false, bs)
-		if err != nil {
-			return nil, err
-		}
-		p.op = sc
-		layout(cols, -1)
-		pc.pathf("insitu:bin(%s)", tab.Name)
-		return p, nil
-	case catalog.Root:
-		// The paper has no generic root scan; in-situ degrades to the
-		// library-backed access path.
-		sc, err := jit.NewRootScan(st.rootTree, tab, cols, false, bs)
-		if err != nil {
-			return nil, err
-		}
-		p.op = sc
-		layout(cols, -1)
-		pc.pathf("insitu:root(%s)", tab.Name)
-		return p, nil
-	case catalog.JSON:
-		// JSON likewise predates no generic scan in the paper; in-situ
-		// degrades to the structural-index access paths (which still build
-		// and consult the index, NoDB-style).
-		var sc *jit.JSONScan
-		var err error
-		if idx := r.tables[t].jidx; idx != nil && idx.NRows() > 0 {
-			sc, err = jit.NewJSONMapScan(st.jsonData, tab, cols, idx, false, bs)
-		} else {
-			idx := jsonidx.New(0)
-			sc, err = jit.NewJSONSequentialScan(st.jsonData, tab, cols, idx, false, bs)
-			if err == nil {
-				pc.installJSONIdx(st, idx)
-			}
-		}
-		if err != nil {
-			return nil, err
-		}
-		p.op = sc
-		layout(cols, -1)
-		pc.pathf("insitu:json(%s)", tab.Name)
-		return p, nil
 	}
-	return nil, fmt.Errorf("engine: in-situ scan unsupported for format %s", tab.Format)
+	var skip func(lo, hi int64) bool
+	if generated && a.zoneSkip && (whole || !a.recording) && pc.zonemaps && !capturing {
+		skip = synSkip(st.synopsis(), rs.skip)
+	}
+	spans = pc.skipMorsels(spans, skip)
+	pruned = len(push) > 0 || skip != nil
+
+	// A pass that parses every value builds the table's zone maps on the side,
+	// one fragment per span — unless a zone map already steers it (a skipped
+	// range never advances a builder) or the current synopsis tracks all it
+	// could observe. A fuller pass replaces a synopsis an earlier selective
+	// query narrowed: the columns of the latest build are the ones current
+	// queries filter on.
+	var synObs map[int]vector.Type
+	if generated && a.buildsSyn && skip == nil && pc.zonemaps && pc.capture {
+		synObs = observableCols(tab, rs.cols, push, a.mode != jit.Sequential)
+		if pc.synCovered(st, synObs) {
+			synObs = nil
+		}
+	}
+
+	hint := 0
+	if whole {
+		hint = rowHint(st, a)
+	}
+	var frags []fragment
+	var synFrags []*synopsis.Builder
+	var caps []*morselCapture
+	for _, sp := range spans {
+		req := scanReq{kind: rs.kind, mode: a.mode, span: sp, cols: rs.cols, emitRID: rs.emitRID,
+			push: jit.Pushdown{Preds: push, Skip: skip}, batch: pc.e.cfg.BatchSize,
+			track: true, rowHint: hint}
+		if synObs != nil {
+			req.push.Syn = synopsis.NewBuilder(pc.blockRows(), synObs)
+			synFrags = append(synFrags, req.push.Syn)
+		}
+		op, frag, err := st.src.scan(tab, rs.bt.pos, req)
+		if err != nil {
+			return nil, nil, nil, false, err
+		}
+		if frag != nil {
+			frags = append(frags, frag)
+		}
+		if ps, ok := op.(interface{ PushStats() (int64, int64) }); ok {
+			pc.pushStats(ps.PushStats)
+		}
+		if capturing && !pruned {
+			mc := newMorselCapture(op, tab, rs.cols, hint)
+			caps = append(caps, mc)
+			op = mc
+		}
+		parts = append(parts, op)
+	}
+
+	label, par := a.label, ""
+	if a.advisory && len(push) > 0 {
+		label += "+zonemap"
+	}
+	if !whole {
+		par = fmt.Sprintf("par[%d]:", len(parts))
+	}
+	pc.pathf("%s%s:%s(%s)", par, rs.kind, label, tab.Name)
+	if a.mode == jit.ViaMap {
+		pc.noteStructHit(tab.Name, a.structure, 1)
+	}
+	pc.notePush(tab.Name, len(absorbed), skip != nil)
+	if generated {
+		spec := st.src.spec(tab, rs.bt.pos, a.mode, rs.cols)
+		spec.EmitRID = rs.emitRID
+		if len(absorbed) > 0 {
+			spec.Preds = push
+		}
+		pc.ensureTemplate(spec)
+	}
+	if len(caps) > 0 {
+		pc.noteShredCapture(tab, rs.cols)
+	}
+	if len(frags) == 0 && len(synFrags) == 0 && len(caps) == 0 {
+		return parts, nil, absorbed, pruned, nil
+	}
+
+	return parts, func() error {
+		if len(frags) > 0 {
+			// The scans visited every row: the table's row count is known
+			// from here on, whether or not anything may be published.
+			var rows int64
+			for _, f := range frags {
+				rows += f.NRows()
+			}
+			st.learnRows(rows)
+			if a.structure != "" && pc.capture && rows > 0 {
+				bytes, err := st.src.publish(st, frags, spans)
+				if err != nil {
+					return err
+				}
+				pc.emitCaptured(a.structure, tab, bytes)
+			}
+		}
+		if len(synFrags) > 0 {
+			fins := make([]*synopsis.Synopsis, len(synFrags))
+			for i, fb := range synFrags {
+				fins[i] = fb.Finish()
+			}
+			syn := fins[0]
+			if len(fins) > 1 {
+				syn = synopsis.Concat(fins)
+			}
+			if syn != nil && (st.nrows < 0 || syn.NRows() == st.nrows) {
+				st.setSynopsis(syn)
+				pc.emitCaptured("synopsis", tab, syn.MemoryFootprint())
+			}
+		}
+		pc.publishCaptures(tab, rs.cols, caps, hint > 0)
+		return nil
+	}, absorbed, pruned, nil
+}
+
+// baseScanGeneric builds a baseline's whole-file scan — the NoDB-style
+// in-situ scan or the external table: nothing pushed down, nothing captured.
+func (pc *planCtx) baseScanGeneric(p *pipe, bt *boundTable, kind scanKind, cols []int,
+	layout func([]int, int)) (*pipe, error) {
+	rs := rawScan{bt: bt, kind: kind, cols: cols}
+	a, err := bt.st.src.access(bt.st.tab, bt.pos, cols, kind)
+	if err != nil {
+		return nil, err
+	}
+	parts, done, _, _, err := pc.rawScans(rs, a, []span{wholeTable})
+	if err != nil {
+		return nil, err
+	}
+	pc.deferMerge(done)
+	p.op = parts[0]
+	layout(cols, -1)
+	return p, nil
 }
 
 // baseScanJIT builds the JIT access path, serving columns from the shred
@@ -1006,203 +1024,46 @@ func (pc *planCtx) baseScanJIT(p *pipe, r *resolvedQuery, t int, cols []int, nee
 		return p, residual, nil
 	}
 
-	// Split the candidates: predicates on uncached columns can be absorbed
-	// by the generated scan (unless shred capture needs the full column
-	// stream — see captureActive); predicates on cached (late-appended)
-	// columns always stay in the Filter above.
-	var pushable, residual []boundPred
-	uncachedSet := make(map[int]bool, len(uncached))
-	for _, c := range uncached {
-		uncachedSet[c] = true
-	}
-	for _, bp := range candidates {
-		if pc.pushdown && !pc.captureActive() && uncachedSet[bp.col] {
-			pushable = append(pushable, bp)
-		} else {
-			residual = append(residual, bp)
-		}
-	}
-
-	// Read uncached columns from the raw file with a generated access path.
-	// If cached columns must be appended, the scan emits row ids for the
-	// (sequential) shred late-scan doing the appending.
+	// Read uncached columns from the raw file with a generated access path,
+	// which may absorb the candidates on them; predicates on cached
+	// (late-appended) columns always stay in the Filter above. If cached
+	// columns must be appended, the scan emits row ids for the (sequential)
+	// shred late-scan doing the appending.
+	pushable, rest := splitPreds(candidates, uncached)
 	emitRID := needRID || len(cached) > 0
-	var op exec.Operator
-	var mode jit.Mode
-	pruned := false
-	var absorbed []exec.Pred
-	var skipped bool
-	pm, idx := r.tables[t].pm, r.tables[t].jidx
-	syn := st.synopsis() // snapshot: eviction may clear the shared pointer
-	if !pc.zonemaps || pc.captureActive() {
-		syn = nil // zone skipping would leave capture holes; see captureActive
+	a, err := st.src.access(tab, r.tables[t].pos, uncached, scanGenerated)
+	if err != nil {
+		return nil, nil, err
 	}
-	switch tab.Format {
-	case catalog.CSV:
-		if pm != nil && pm.NRows() > 0 && pmCovers(pm, uncached) {
-			mode = jit.ViaMap
-			opts := jit.Pushdown{Preds: execPreds(pushable), Skip: synSkip(syn, candidates)}
-			sc, err := jit.NewCSVMapScanPush(st.csvData, tab, uncached, pm, emitRID, bs, opts)
-			if err != nil {
-				return nil, nil, err
-			}
-			op = sc
-			absorbed, skipped = opts.Preds, opts.Skip != nil
-			pc.pushStats(sc.PushStats)
-			pc.pathf("jit:viamap(%s)", tab.Name)
-			pc.noteStructHit(tab.Name, "posmap", 1)
-		} else {
-			mode = jit.Sequential
-			pm = posmap.New(pc.e.cfg.PosMapPolicy, len(tab.Schema))
-			pm.Reserve(rowHint(st))
-			opts := jit.Pushdown{Preds: execPreds(pushable)}
-			opts.Syn = pc.newSynBuilder(st, uncached, opts.Preds, false)
-			sc, err := jit.NewCSVSequentialScanPush(st.csvData, tab, uncached, pm, emitRID, bs, opts)
-			if err != nil {
-				return nil, nil, err
-			}
-			pc.installPosMap(st, pm)
-			op = sc
-			absorbed = opts.Preds
-			pc.pushStats(sc.PushStats)
-			pc.pathf("jit:seq(%s)", tab.Name)
-		}
-	case catalog.JSON:
-		if idx != nil && idx.NRows() > 0 {
-			mode = jit.ViaMap
-			opts := jit.Pushdown{Preds: execPreds(pushable), Skip: synSkip(syn, candidates)}
-			sc, err := jit.NewJSONMapScanPush(st.jsonData, tab, uncached, idx, emitRID, bs, opts)
-			if err != nil {
-				return nil, nil, err
-			}
-			op = sc
-			absorbed, skipped = opts.Preds, opts.Skip != nil
-			pc.pushStats(sc.PushStats)
-			pc.pathf("jit:jsonidx(%s)", tab.Name)
-			pc.noteStructHit(tab.Name, "jsonidx", 1)
-		} else {
-			mode = jit.Sequential
-			idx = jsonidx.New(0)
-			opts := jit.Pushdown{Preds: execPreds(pushable)}
-			opts.Syn = pc.newSynBuilder(st, uncached, opts.Preds, false)
-			sc, err := jit.NewJSONSequentialScanPush(st.jsonData, tab, uncached, idx, emitRID, bs, opts)
-			if err != nil {
-				return nil, nil, err
-			}
-			pc.installJSONIdx(st, idx)
-			op = sc
-			absorbed = opts.Preds
-			pc.pushStats(sc.PushStats)
-			pc.pathf("jit:jsonseq(%s)", tab.Name)
-		}
-	case catalog.Binary:
-		mode = jit.Direct
-		opts := jit.Pushdown{Preds: execPreds(pushable), Skip: synSkip(syn, candidates)}
-		if opts.Skip == nil {
-			// A skipped range never advances the builder, so a build under an
-			// active Skip could only ever be discarded at install time.
-			opts.Syn = pc.newSynBuilder(st, uncached, opts.Preds, true)
-		}
-		sc, err := jit.NewBinScanPush(st.bin, tab, uncached, emitRID, bs, opts)
-		if err != nil {
-			return nil, nil, err
-		}
-		op = sc
-		absorbed, skipped = opts.Preds, opts.Skip != nil
-		pc.pushStats(sc.PushStats)
-		pc.pathf("jit:bin(%s)", tab.Name)
-	case catalog.Root:
-		mode = jit.Direct
-		// ROOT keeps its original advisory pruning: the file format carries
-		// its own per-basket zone maps, so the generated scan consults those
-		// and the Filter above re-checks survivors.
-		residual = candidates
-		pushable = nil
-		var prune *jit.Prune
-		for _, bp := range r.filters[t] {
-			applies := false
-			for _, c := range uncached {
-				if c == bp.col {
-					applies = true
-					break
-				}
-			}
-			if applies {
-				prune = &jit.Prune{Col: bp.col, Op: bp.op, I64: bp.i64, F64: bp.f64}
-				break
-			}
-		}
-		sc, err := jit.NewRootScanPruned(st.rootTree, tab, uncached, emitRID, bs, prune)
-		if err != nil {
-			return nil, nil, err
-		}
-		op = sc
-		if prune != nil {
-			pruned = true
-			pc.pathf("jit:root+zonemap(%s)", tab.Name)
-		} else {
-			pc.pathf("jit:root(%s)", tab.Name)
-		}
-	default:
-		return nil, nil, fmt.Errorf("engine: JIT scan unsupported for format %s", tab.Format)
+	parts, done, absorbed, pruned, err := pc.rawScans(rawScan{bt: r.tables[t], kind: scanGenerated,
+		cols: uncached, pushable: pushable, skip: candidates, emitRID: emitRID}, a, []span{wholeTable})
+	if err != nil {
+		return nil, nil, err
 	}
+	pc.deferMerge(done)
+	op := parts[0]
+	residual := candidates
 	if len(absorbed) > 0 {
-		pruned = true
-	} else {
-		// Nothing absorbed: every candidate stays in the Filter.
-		residual = candidates
+		residual = rest
 	}
-	if skipped {
-		pruned = true
-	}
-	pc.notePush(tab.Name, len(absorbed), skipped)
-	spec := jit.Spec{
-		Format:  tab.Format,
-		Table:   tab.Name,
-		Mode:    mode,
-		Types:   tab.Types(),
-		Need:    uncached,
-		Preds:   absorbed,
-		EmitRID: emitRID,
-	}
-	switch tab.Format {
-	case catalog.CSV:
-		spec.PMRead = pmTracked(pm, mode == jit.ViaMap)
-		spec.PMBuild = pmTracked(pm, mode == jit.Sequential)
-	case catalog.JSON:
-		spec.Paths = jsonPaths(tab, uncached)
-		if mode == jit.ViaMap {
-			spec.PMRead = jidxTracked(idx, tab)
-		} else {
-			// A sequential scan records every requested path.
-			spec.PMBuild = uncached
-		}
-	}
-	pc.ensureTemplate(spec)
-
 	order := append([]int{}, uncached...)
 	ridIdx := -1
 	if emitRID {
 		ridIdx = len(uncached)
 	}
 
-	// Capture file-read full columns into the pool. A zone-map-pruned scan
-	// skips rows, so its output is NOT a full column: capture it keyed by
-	// row ids instead (requires the rid column), or not at all.
-	if pc.capture && pc.useCache && !pc.e.cfg.DisableShredCache && (!pruned || emitRID) {
-		ridFor := -1
-		if pruned {
-			ridFor = len(uncached) // partial capture via the rid column
-		}
+	// rawScans captured the columns of an unpruned scan in full. A pruned
+	// scan's output is NOT a full column: capture it keyed by row ids instead
+	// (requires the rid column), or not at all.
+	if pruned && emitRID && pc.captureActive() {
 		specs := make([]shred.CaptureSpec, len(uncached))
 		for i, c := range uncached {
-			specs[i] = shred.CaptureSpec{Key: shred.Key{Table: tab.Name, Col: c}, ColIdx: i, RIDIdx: ridFor}
+			specs[i] = shred.CaptureSpec{Key: shred.Key{Table: tab.Name, Col: c}, ColIdx: i, RIDIdx: ridIdx}
 		}
 		cap, err := shred.NewCapture(op, pc.e.shreds, specs)
 		if err != nil {
 			return nil, nil, err
 		}
-		cap.Reserve(rowHint(st))
 		op = cap
 		pc.noteShredCapture(tab, uncached)
 	}
@@ -1300,37 +1161,13 @@ func (pc *planCtx) lateScanInner(p *pipe, r *resolvedQuery, t int, cols []int) e
 		return nil
 	}
 
-	var ls *jit.LateScan
-	var err error
-	pm, idx := r.tables[t].pm, r.tables[t].jidx
-	switch tab.Format {
-	case catalog.CSV:
-		ls, err = jit.NewCSVLateScan(p.op, st.csvData, tab, fromFile, pm, ridIdx)
-	case catalog.JSON:
-		ls, err = jit.NewJSONLateScan(p.op, st.jsonData, tab, fromFile, idx, ridIdx)
-	case catalog.Binary:
-		ls, err = jit.NewBinLateScan(p.op, st.bin, tab, fromFile, ridIdx)
-	case catalog.Root:
-		ls, err = jit.NewRootLateScan(p.op, st.rootTree, tab, fromFile, ridIdx)
-	default:
-		return fmt.Errorf("engine: late scan unsupported for format %s", tab.Format)
-	}
+	pos := r.tables[t].pos
+	ls, err := st.src.late(p.op, tab, pos, fromFile, ridIdx)
 	if err != nil {
 		return err
 	}
-	lateSpec := jit.Spec{
-		Format:  tab.Format,
-		Table:   tab.Name,
-		Mode:    jit.Late,
-		Types:   tab.Types(),
-		Need:    fromFile,
-		PMRead:  pmTracked(pm, tab.Format == catalog.CSV),
-		EmitRID: true,
-	}
-	if tab.Format == catalog.JSON {
-		lateSpec.Paths = jsonPaths(tab, fromFile)
-		lateSpec.PMRead = jidxTracked(idx, tab)
-	}
+	lateSpec := st.src.spec(tab, pos, jit.Late, fromFile)
+	lateSpec.EmitRID = true
 	pc.ensureTemplate(lateSpec)
 	pc.pathf("jit:late(%s)", shredKeys(tab.Name, fromFile))
 
@@ -1504,46 +1341,6 @@ func (pc *planCtx) ensureTemplate(sp jit.Spec) {
 
 func (pc *planCtx) pathf(format string, args ...any) {
 	pc.stats.AccessPaths = append(pc.stats.AccessPaths, fmt.Sprintf(format, args...))
-}
-
-func pmCovers(pm *posmap.Map, cols []int) bool {
-	for _, c := range cols {
-		if _, ok := pm.Nearest(c); !ok {
-			return false
-		}
-	}
-	return true
-}
-
-func pmTracked(pm *posmap.Map, use bool) []int {
-	if !use || pm == nil {
-		return nil
-	}
-	return pm.TrackedColumns()
-}
-
-// jsonPaths returns the dotted paths of the given schema columns.
-func jsonPaths(tab *catalog.Table, cols []int) []string {
-	out := make([]string, len(cols))
-	for i, c := range cols {
-		out[i] = tab.Schema[c].Name
-	}
-	return out
-}
-
-// jidxTracked returns the schema column indexes whose paths the structural
-// index currently tracks.
-func jidxTracked(idx *jsonidx.Index, tab *catalog.Table) []int {
-	if idx == nil {
-		return nil
-	}
-	var out []int
-	for c, col := range tab.Schema {
-		if idx.Tracked(col.Name) {
-			out = append(out, c)
-		}
-	}
-	return out
 }
 
 func shredKeys(table string, cols []int) string {

@@ -77,13 +77,9 @@ func (e *Engine) loadPartChecked(ps *tableState) error {
 	if err := e.loadWithRetry(ps); err != nil {
 		return &partLostError{part: ps.tab.Name, err: err}
 	}
-	data := ps.csvData // only text formats keep an image to compare; binary readers page
-	if data == nil {
-		data = ps.jsonData
-	}
+	data := ps.src.image() // only text formats read an image to compare; binary readers page
 	if got := int64(len(data)); ps.expectSize > 0 && data != nil && got != ps.expectSize {
-		ps.csvData = nil
-		ps.jsonData = nil
+		ps.src.release(true)
 		ps.resident.Store(false)
 		return &partLostError{
 			part: ps.tab.Name,

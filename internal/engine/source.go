@@ -1,0 +1,604 @@
+package engine
+
+import (
+	"fmt"
+
+	"rawdb/internal/catalog"
+	"rawdb/internal/exec"
+	"rawdb/internal/insitu"
+	"rawdb/internal/jit"
+	"rawdb/internal/jsonidx"
+	"rawdb/internal/posmap"
+	"rawdb/internal/storage/binfile"
+	"rawdb/internal/storage/csvfile"
+	"rawdb/internal/storage/jsonfile"
+	"rawdb/internal/storage/rootfile"
+)
+
+// This file is the paper's input plug-in: everything the engine needs to
+// know about one raw file format, answered once per format behind one
+// contract. A table's plug-in is resolved at registration and lives on its
+// tableState; the planners (plan.go, parallel.go) never branch on a format,
+// they ask the plug-in and run one flow (rawScans) over its answers.
+
+// source is the input plug-in contract. Implementations own the table's raw
+// image; the positional structure scans build over it (positional map,
+// structural index) stays on the tableState, where the cache budget and the
+// vault reach it, and comes in as the plan's positions snapshot.
+type source interface {
+	// load reads the raw image from tab.Path unless it is already resident.
+	load(tab *catalog.Table) error
+	// stat reports the resident raw bytes (0: none, or the format is paged
+	// through its own library) and the row count where the format states it
+	// (-1: only a scan can tell).
+	stat() (bytes, rows int64)
+	// image returns the raw image when it is one byte slice registered or
+	// read as such, else nil.
+	image() []byte
+	// release drops what can be read again: a format library's buffer pool
+	// always, and with image set the raw image itself, so the next load
+	// re-reads the file.
+	release(image bool)
+	// access says how cols would be read right now under kind: by row number
+	// where the positional structure allows it, record by record otherwise.
+	// nil cols asks whether rows are addressable at all (lateCapable). It
+	// fails with a noReaderError when kind has no reader for the format.
+	access(tab *catalog.Table, pos positions, cols []int, kind scanKind) (access, error)
+	// split cuts the table into at most n spans in file order — row ranges
+	// for positional modes, record-aligned byte ranges for jit.Sequential —
+	// that are disjoint and cover it exactly. ok is false when the format can
+	// only be read whole.
+	split(pos positions, mode jit.Mode, n int) (spans []span, ok bool)
+	// scan builds the operator reading req.cols over req.span, and the
+	// private fragment of the positional structure a record-by-record pass
+	// fills on the side (nil when it fills none).
+	scan(tab *catalog.Table, pos positions, req scanReq) (exec.Operator, fragment, error)
+	// late appends cols to child's batches by the row ids in column ridIdx.
+	late(child exec.Operator, tab *catalog.Table, pos positions, cols []int, ridIdx int) (exec.Operator, error)
+	// publish installs on st the positional structure the fragments make up
+	// (frags[i] was filled over spans[i], in file order) and returns its
+	// footprint. A lone fragment that starts the file is adopted as it is;
+	// only a real merge copies.
+	publish(st *tableState, frags []fragment, spans []span) (bytes int64, err error)
+	// spec returns the template-cache key of the access path reading cols in
+	// mode, up to the predicates and the row-id flag its caller adds.
+	spec(tab *catalog.Table, pos positions, mode jit.Mode, cols []int) jit.Spec
+}
+
+// scanKind selects the family of scan operators reading the raw bytes.
+type scanKind uint8
+
+const (
+	scanGenerated scanKind = iota // JIT access path specialised to file and query
+	scanGeneric                   // NoDB-style general-purpose in-situ scan
+	scanExternal                  // external table: re-parse per query, keep nothing
+)
+
+// String is the kind's prefix in access-path labels.
+func (k scanKind) String() string {
+	return [...]string{"jit", "insitu", "external"}[k]
+}
+
+// span is one scan unit of a table: rows [lo, hi) under a positional mode,
+// bytes [lo, hi) of the raw image under jit.Sequential.
+type span struct{ lo, hi int64 }
+
+// wholeTable is the serial plan's one span: the scan is built unranged over
+// the whole image, and may emit row ids.
+var wholeTable = span{0, -1}
+
+// positions is a plan's snapshot of a table's positional structure. The
+// cache budget may evict the shared pointers at any moment; every step of a
+// plan reads the same ones.
+type positions struct {
+	pm   *posmap.Map
+	jidx *jsonidx.Index
+}
+
+func (st *tableState) positions() positions {
+	return positions{pm: st.posMap(), jidx: st.jsonIdx()}
+}
+
+// access is a plug-in's description of one way to read columns. What differs
+// between formats is stated here as data, so the planner has one flow.
+type access struct {
+	// mode: jit.Sequential walks a text image record by record (and fills a
+	// fragment of the positional structure); jit.ViaMap reads by row number
+	// through that structure; jit.Direct formats address rows themselves.
+	mode jit.Mode
+	// label names the path in Stats.AccessPaths and span names.
+	label string
+	// structure is the format's positional structure ("posmap", "jsonidx",
+	// "" for none): served under ViaMap, built under Sequential.
+	structure string
+	// zoneSkip: the scans take a zone map's exclusion test, and spans it
+	// excludes may be dropped before dispatch.
+	zoneSkip bool
+	// recording: the positional pass records structure it does not track yet
+	// as it goes. A whole-table scan drops the exclusion test itself while it
+	// records; no span of a split one may be dropped, so those get none.
+	recording bool
+	// buildsSyn: this pass parses every value of the scanned columns, so a
+	// synopsis builder may observe it.
+	buildsSyn bool
+	// advisory: pushed predicates only prune storage units (ROOT baskets) and
+	// all stay in the residual filter; it is no part of the pushdown/capture
+	// arbitration.
+	advisory bool
+	// estRows estimates the rows of a cold text pass from the image's first
+	// records, for one-time allocation (nil: no estimate). Asked only while
+	// the table's row count is unknown.
+	estRows func() int64
+}
+
+// scanReq is one scan a plug-in is asked to build.
+type scanReq struct {
+	kind    scanKind
+	mode    jit.Mode
+	span    span
+	cols    []int
+	emitRID bool
+	push    jit.Pushdown
+	batch   int
+	// track makes a record-by-record pass fill a fragment; the DBMS loader
+	// keeps nothing and clears it.
+	track bool
+	// rowHint sizes that fragment once (0: grow by append).
+	rowHint int
+}
+
+// fragment is the private piece of a positional structure one scan fills (a
+// *posmap.Map, a *jsonidx.Index), or a bare row counter.
+type fragment interface{ NRows() int64 }
+
+// scanRows makes an external scan's row counter a fragment, so the rows it
+// visited are learned like any other cold pass's.
+type scanRows struct{ sc *insitu.ExternalScan }
+
+func (s scanRows) NRows() int64 { return s.sc.Rows() }
+
+// newSource resolves the plug-in of a raw format. data is the in-memory image
+// for tables registered from memory, nil for path-backed ones (non-nil marks
+// the image present, however short). Memory tables and dataset parents have
+// no raw file of their own and no plug-in.
+func newSource(format catalog.Format, policy posmap.Policy, data []byte) (source, error) {
+	switch format {
+	case catalog.CSV:
+		return &csvSource{rawImage{data}, policy}, nil
+	case catalog.JSON:
+		return &jsonSource{rawImage{data}}, nil
+	case catalog.Binary:
+		s := &binSource{data: data}
+		if data != nil {
+			r, err := binfile.NewReader(data)
+			if err != nil {
+				return nil, err
+			}
+			s.r = r
+		}
+		return s, nil
+	case catalog.Root:
+		return &rootSource{}, nil
+	}
+	return nil, nil
+}
+
+// noReaderError is access's refusal: the scan kind has no reader for the
+// table's format (the external tool reads CSV only).
+type noReaderError struct{ tab *catalog.Table }
+
+func (e noReaderError) Error() string {
+	return fmt.Sprintf("engine: external tables support CSV only (table %q is %s)", e.tab.Name, e.tab.Format)
+}
+
+// ranged restricts a positional scan to a span's rows; the whole table needs
+// no restriction (and a JSON scan keeps the paths it records adaptively only
+// when unranged).
+func ranged[S interface {
+	exec.Operator
+	SetRowRange(lo, hi int64) error
+}](sc S, err error, sp span) (exec.Operator, fragment, error) {
+	if err != nil {
+		return nil, nil, err
+	}
+	if sp != wholeTable {
+		if err := sc.SetRowRange(sp.lo, sp.hi); err != nil {
+			return nil, nil, err
+		}
+	}
+	return sc, nil, nil
+}
+
+// baseSpec is the format-independent part of a template key.
+func baseSpec(tab *catalog.Table, mode jit.Mode, cols []int) jit.Spec {
+	return jit.Spec{Format: tab.Format, Table: tab.Name, Mode: mode, Types: tab.Types(), Need: cols}
+}
+
+// rowAddressed is embedded by the formats that address rows themselves: they
+// have no positional structure to publish and put nothing of their own in a
+// template key.
+type rowAddressed struct{}
+
+func (rowAddressed) publish(*tableState, []fragment, []span) (int64, error) { return 0, nil }
+
+func (rowAddressed) spec(tab *catalog.Table, _ positions, mode jit.Mode, cols []int) jit.Spec {
+	return baseSpec(tab, mode, cols)
+}
+
+// rawImage is the text formats' raw image: the whole file as one slice.
+type rawImage struct{ data []byte }
+
+func (im *rawImage) image() []byte { return im.data }
+
+func (im *rawImage) release(image bool) {
+	if image {
+		im.data = nil
+	}
+}
+
+// bytes returns the image bytes a sequential scan over sp reads.
+func (im *rawImage) bytes(sp span) []byte {
+	if sp == wholeTable {
+		return im.data
+	}
+	return im.data[sp.lo:sp.hi]
+}
+
+// --- CSV ---
+
+// pmCovers reports whether the map reaches every column of cols: a tracked
+// column at or before it to parse forward from.
+func pmCovers(pm *posmap.Map, cols []int) bool {
+	for _, c := range cols {
+		if _, ok := pm.Nearest(c); !ok {
+			return false
+		}
+	}
+	return true
+}
+
+type csvSource struct {
+	rawImage
+	policy posmap.Policy // which columns positional maps track
+}
+
+func (s *csvSource) load(tab *catalog.Table) error {
+	if s.data != nil {
+		return nil
+	}
+	data, err := csvfile.Load(tab.Path)
+	if err == nil {
+		s.data = data
+	}
+	return err
+}
+
+func (s *csvSource) stat() (int64, int64) { return int64(len(s.data)), -1 }
+
+// access: CSV reads by row number only once a positional map reaches every
+// requested column (a tracked column at or before it).
+func (s *csvSource) access(tab *catalog.Table, pos positions, cols []int, kind scanKind) (access, error) {
+	switch {
+	case kind == scanExternal:
+		return access{mode: jit.Sequential, label: "scan"}, nil
+	case pos.pm != nil && pos.pm.NRows() > 0 && pmCovers(pos.pm, cols):
+		return access{mode: jit.ViaMap, label: "viamap", structure: "posmap", zoneSkip: true}, nil
+	}
+	return access{mode: jit.Sequential, label: "seq", structure: "posmap", buildsSyn: true,
+		estRows: s.estimateRows}, nil
+}
+
+func (s *csvSource) estimateRows() int64 { return csvfile.EstimateRows(s.data) }
+
+func (s *csvSource) split(pos positions, mode jit.Mode, n int) ([]span, bool) {
+	if mode == jit.ViaMap {
+		return splitRows(pos.pm.NRows(), n), true
+	}
+	var out []span
+	for _, sp := range csvfile.Split(s.data, n) {
+		out = append(out, span{int64(sp.Start), int64(sp.End)})
+	}
+	return out, true
+}
+
+func (s *csvSource) scan(tab *catalog.Table, pos positions, req scanReq) (exec.Operator, fragment, error) {
+	if req.kind == scanExternal {
+		sc, err := insitu.NewExternalScan(s.bytes(req.span), tab, req.cols, req.batch)
+		if err != nil {
+			return nil, nil, err
+		}
+		return sc, scanRows{sc}, nil
+	}
+	if req.mode == jit.ViaMap {
+		if req.kind == scanGeneric {
+			sc, err := insitu.NewCSVScan(s.data, tab, req.cols, pos.pm, nil, false, req.batch)
+			return ranged(sc, err, req.span)
+		}
+		sc, err := jit.NewCSVMapScanPush(s.data, tab, req.cols, pos.pm, req.emitRID, req.batch, req.push)
+		return ranged(sc, err, req.span)
+	}
+	var pm *posmap.Map
+	var frag fragment
+	if req.track {
+		pm = posmap.New(s.policy, len(tab.Schema))
+		pm.Reserve(req.rowHint)
+		frag = pm
+	}
+	var op exec.Operator
+	var err error
+	if req.kind == scanGeneric {
+		op, err = insitu.NewCSVScan(s.bytes(req.span), tab, req.cols, nil, pm, false, req.batch)
+	} else {
+		op, err = jit.NewCSVSequentialScanPush(s.bytes(req.span), tab, req.cols, pm, req.emitRID, req.batch, req.push)
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	return op, frag, nil
+}
+
+func (s *csvSource) late(child exec.Operator, tab *catalog.Table, pos positions, cols []int, ridIdx int) (exec.Operator, error) {
+	return jit.NewCSVLateScan(child, s.data, tab, cols, pos.pm, ridIdx)
+}
+
+func (s *csvSource) publish(st *tableState, frags []fragment, spans []span) (int64, error) {
+	pm := frags[0].(*posmap.Map)
+	if len(frags) == 1 && spans[0].lo == 0 {
+		pm.Clip()
+	} else {
+		pm = posmap.New(s.policy, len(st.tab.Schema))
+		for i, f := range frags {
+			if err := pm.Merge(f.(*posmap.Map), spans[i].lo); err != nil {
+				return 0, err
+			}
+		}
+	}
+	st.setPosMap(pm)
+	return pm.MemoryFootprint(), nil
+}
+
+func (s *csvSource) spec(tab *catalog.Table, pos positions, mode jit.Mode, cols []int) jit.Spec {
+	sp := baseSpec(tab, mode, cols)
+	if mode == jit.Sequential {
+		sp.PMBuild = s.policy.Columns(len(tab.Schema))
+	} else if pos.pm != nil {
+		sp.PMRead = pos.pm.TrackedColumns()
+	}
+	return sp
+}
+
+// --- JSON ---
+
+type jsonSource struct{ rawImage }
+
+func (s *jsonSource) load(tab *catalog.Table) error {
+	if s.data != nil {
+		return nil
+	}
+	data, err := jsonfile.Load(tab.Path)
+	if err == nil {
+		s.data = data
+	}
+	return err
+}
+
+func (s *jsonSource) stat() (int64, int64) { return int64(len(s.data)), -1 }
+
+// access: a populated structural index reads any column by row number, and
+// records the paths it does not track yet as it goes (adaptively). Row ranges
+// are skipped only while it has nothing left to record: a hole in a recording
+// would be a hole in the index.
+func (s *jsonSource) access(tab *catalog.Table, pos positions, cols []int, kind scanKind) (access, error) {
+	if kind == scanExternal {
+		return access{}, noReaderError{tab}
+	}
+	idx := pos.jidx
+	if idx == nil || idx.NRows() == 0 {
+		return access{mode: jit.Sequential, label: "jsonseq", structure: "jsonidx", buildsSyn: true}, nil
+	}
+	a := access{mode: jit.ViaMap, label: "jsonidx", structure: "jsonidx", zoneSkip: true}
+	if kind == scanGeneric {
+		a.label = "json"
+	}
+	for _, c := range cols {
+		if !idx.Tracked(tab.Schema[c].Name) {
+			a.recording = true
+		}
+	}
+	return a, nil
+}
+
+func (s *jsonSource) split(pos positions, mode jit.Mode, n int) ([]span, bool) {
+	if mode == jit.ViaMap {
+		return splitRows(pos.jidx.NRows(), n), true
+	}
+	var out []span
+	for _, sp := range jsonfile.Split(s.data, n) {
+		out = append(out, span{int64(sp.Start), int64(sp.End)})
+	}
+	return out, true
+}
+
+// scan: JSON has no general-purpose scan of its own; the generic kind runs
+// the generated paths without pushdown (they still build and consult the
+// index, NoDB-style).
+func (s *jsonSource) scan(tab *catalog.Table, pos positions, req scanReq) (exec.Operator, fragment, error) {
+	if req.mode == jit.ViaMap {
+		sc, err := jit.NewJSONMapScanPush(s.data, tab, req.cols, pos.jidx, req.emitRID, req.batch, req.push)
+		return ranged(sc, err, req.span)
+	}
+	var idx *jsonidx.Index
+	var frag fragment
+	if req.track {
+		idx = jsonidx.New(0)
+		frag = idx
+	}
+	sc, err := jit.NewJSONSequentialScanPush(s.bytes(req.span), tab, req.cols, idx, req.emitRID, req.batch, req.push)
+	if err != nil {
+		return nil, nil, err
+	}
+	return sc, frag, nil
+}
+
+func (s *jsonSource) late(child exec.Operator, tab *catalog.Table, pos positions, cols []int, ridIdx int) (exec.Operator, error) {
+	return jit.NewJSONLateScan(child, s.data, tab, cols, pos.jidx, ridIdx)
+}
+
+func (s *jsonSource) publish(st *tableState, frags []fragment, spans []span) (int64, error) {
+	idx := frags[0].(*jsonidx.Index)
+	if len(frags) > 1 || spans[0].lo != 0 {
+		idxs := make([]*jsonidx.Index, len(frags))
+		offs := make([]int64, len(frags))
+		for i, f := range frags {
+			idxs[i], offs[i] = f.(*jsonidx.Index), spans[i].lo
+		}
+		idx = jsonidx.Merge(idxs, offs, 0)
+	}
+	st.setJSONIdx(idx)
+	return idx.MemoryFootprint(), nil
+}
+
+func (s *jsonSource) spec(tab *catalog.Table, pos positions, mode jit.Mode, cols []int) jit.Spec {
+	sp := baseSpec(tab, mode, cols)
+	sp.Paths = make([]string, len(cols))
+	for i, c := range cols {
+		sp.Paths[i] = tab.Schema[c].Name
+	}
+	if mode == jit.Sequential {
+		sp.PMBuild = cols // a sequential scan records every requested path
+	} else if pos.jidx != nil {
+		for c, col := range tab.Schema {
+			if pos.jidx.Tracked(col.Name) {
+				sp.PMRead = append(sp.PMRead, c)
+			}
+		}
+	}
+	return sp
+}
+
+// --- fixed-width binary ---
+
+type binSource struct {
+	rowAddressed
+	r    *binfile.Reader
+	data []byte // the image when registered from memory (the vault fingerprints it)
+}
+
+func (s *binSource) load(tab *catalog.Table) error {
+	if s.r != nil {
+		return nil
+	}
+	r, err := binfile.Open(tab.Path)
+	if err == nil {
+		s.r = r
+	}
+	return err
+}
+
+func (s *binSource) stat() (int64, int64) {
+	if s.r == nil {
+		return 0, -1
+	}
+	header := len(binfile.Magic) + 12 + len(s.r.Types())
+	return int64(header + len(s.r.Payload())), s.r.NRows()
+}
+
+func (s *binSource) image() []byte { return s.data }
+
+func (s *binSource) release(bool) {}
+
+// access: rows are addressed by arithmetic, always. With no sequential pass
+// to ride on, the positional pass itself builds the synopsis (unless a zone
+// map is already steering it).
+func (s *binSource) access(tab *catalog.Table, _ positions, _ []int, kind scanKind) (access, error) {
+	if kind == scanExternal {
+		return access{}, noReaderError{tab}
+	}
+	return access{mode: jit.Direct, label: "bin", zoneSkip: true, buildsSyn: true}, nil
+}
+
+func (s *binSource) split(_ positions, _ jit.Mode, n int) ([]span, bool) {
+	return splitRows(s.r.NRows(), n), true
+}
+
+func (s *binSource) scan(tab *catalog.Table, _ positions, req scanReq) (exec.Operator, fragment, error) {
+	if req.kind == scanGeneric {
+		sc, err := insitu.NewBinScan(s.r, tab, req.cols, false, req.batch)
+		return ranged(sc, err, req.span)
+	}
+	sc, err := jit.NewBinScanPush(s.r, tab, req.cols, req.emitRID, req.batch, req.push)
+	return ranged(sc, err, req.span)
+}
+
+func (s *binSource) late(child exec.Operator, tab *catalog.Table, _ positions, cols []int, ridIdx int) (exec.Operator, error) {
+	return jit.NewBinLateScan(child, s.r, tab, cols, ridIdx)
+}
+
+// --- ROOT ---
+
+type rootSource struct {
+	rowAddressed
+	file *rootfile.File
+	tree *rootfile.Tree
+}
+
+func (s *rootSource) load(tab *catalog.Table) error {
+	if s.tree != nil {
+		return nil
+	}
+	f, err := rootfile.Open(tab.Path)
+	if err != nil {
+		return err
+	}
+	tr, err := f.Tree(tab.Tree)
+	if err == nil {
+		s.file, s.tree = f, tr
+	}
+	return err
+}
+
+func (s *rootSource) stat() (int64, int64) {
+	if s.tree == nil {
+		return 0, -1
+	}
+	return 0, s.tree.NEntries()
+}
+
+func (s *rootSource) image() []byte { return nil }
+
+func (s *rootSource) release(bool) {
+	if s.file != nil {
+		s.file.DropCaches()
+	}
+}
+
+// access: the format library pages baskets at its own pace — one unsplittable
+// scan — and prunes them by their own min/max for the first pushed predicate,
+// advisorily.
+func (s *rootSource) access(tab *catalog.Table, _ positions, _ []int, kind scanKind) (access, error) {
+	if kind == scanExternal {
+		return access{}, noReaderError{tab}
+	}
+	return access{mode: jit.Direct, label: "root", advisory: true}, nil
+}
+
+func (s *rootSource) split(positions, jit.Mode, int) ([]span, bool) { return nil, false }
+
+// scan: the paper has no generic ROOT scan either; the generic kind is the
+// library-backed path without pruning.
+func (s *rootSource) scan(tab *catalog.Table, _ positions, req scanReq) (exec.Operator, fragment, error) {
+	var prune *jit.Prune
+	if len(req.push.Preds) > 0 {
+		p := req.push.Preds[0]
+		prune = &jit.Prune{Col: p.Col, Op: p.Op, I64: p.I64, F64: p.F64}
+	}
+	sc, err := jit.NewRootScanPruned(s.tree, tab, req.cols, req.emitRID, req.batch, prune)
+	if err != nil {
+		return nil, nil, err
+	}
+	return sc, nil, nil
+}
+
+func (s *rootSource) late(child exec.Operator, tab *catalog.Table, _ positions, cols []int, ridIdx int) (exec.Operator, error) {
+	return jit.NewRootLateScan(child, s.tree, tab, cols, ridIdx)
+}

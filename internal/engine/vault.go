@@ -45,13 +45,9 @@ func (e *Engine) vaultFingerprint(st *tableState) (vault.Fingerprint, bool) {
 		return vault.Fingerprint{Sum: h.Sum64(), Schema: vault.SchemaHash(tab.Schema)}, true
 	}
 	var fp vault.Fingerprint
-	switch {
-	case st.csvData != nil:
-		fp = vault.DataFingerprint(st.csvData)
-	case st.jsonData != nil:
-		fp = vault.DataFingerprint(st.jsonData)
-	case st.binData != nil:
-		fp = vault.DataFingerprint(st.binData)
+	switch img := st.src.image(); {
+	case img != nil:
+		fp = vault.DataFingerprint(img)
 	case tab.Path != "":
 		var err error
 		fp, err = vault.FileFingerprint(tab.Path)
