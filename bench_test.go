@@ -19,7 +19,6 @@ import (
 	"rawdb/internal/engine"
 	"rawdb/internal/higgs"
 	"rawdb/internal/posmap"
-	"rawdb/internal/profile"
 	"rawdb/internal/storage/rootfile"
 	"rawdb/internal/workload"
 )
@@ -195,30 +194,6 @@ func benchFig2(b *testing.B, strat engine.Strategy) {
 func BenchmarkFig2_InSitu(b *testing.B) { benchFig2(b, engine.StrategyInSitu) }
 func BenchmarkFig2_JIT(b *testing.B)    { benchFig2(b, engine.StrategyJIT) }
 func BenchmarkFig2_DBMS(b *testing.B)   { benchFig2(b, engine.StrategyDBMS) }
-
-// --- Figure 3: scan cost profiles ------------------------------------------
-
-func BenchmarkFig3_GenericScan(b *testing.B) {
-	ds := narrow(b)
-	tab := ds.Table("t", catalog.CSV)
-	b.SetBytes(int64(len(ds.CSV)))
-	for i := 0; i < b.N; i++ {
-		if _, err := profile.GenericCSV(ds.CSV, tab, []int{0}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig3_JITScan(b *testing.B) {
-	ds := narrow(b)
-	tab := ds.Table("t", catalog.CSV)
-	b.SetBytes(int64(len(ds.CSV)))
-	for i := 0; i < b.N; i++ {
-		if _, err := profile.JITCSV(ds.CSV, tab, []int{0}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
 
 // --- Figures 5/6: full vs shredded columns --------------------------------
 

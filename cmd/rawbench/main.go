@@ -24,7 +24,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment id (fig1a, fig1b, fig2, fig3, profile, fig5, fig6, table2, fig7, fig8, fig9, fig11, fig12, table3, json, parallel, vault, pushdown, partition, server) or 'all'")
+	exp := flag.String("exp", "all", "experiment id (fig1a, fig1b, fig2, fig5, fig6, table2, fig7, fig8, fig9, fig11, fig12, table3, json, parallel, vault, pushdown, partition, server) or 'all'")
 	rows := flag.Int("rows", 0, "narrow-table rows (default 100000)")
 	wideRows := flag.Int("wide-rows", 0, "wide-table rows (default 20000)")
 	joinRows := flag.Int("join-rows", 0, "join-table rows (default 50000)")

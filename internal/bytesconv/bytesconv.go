@@ -86,6 +86,95 @@ func ParseInt64Fast(b []byte) int64 {
 	return n
 }
 
+// maxPrefixDigits bounds the digits the prefix parsers take: 18 decimal
+// digits fit int64 without an overflow check and float64's mantissa
+// accumulator without ParseFloat64's 19-digit truncation.
+const maxPrefixDigits = 18
+
+// numberByte reports whether c can be part of a number token as the text
+// scanners delimit one (digits, signs, '.', exponent markers).
+func numberByte(c byte) bool {
+	return c-'0' <= 9 || c == '-' || c == '+' || c == '.' || c == 'e' || c == 'E'
+}
+
+// ParseInt64Prefix scans and converts, in one pass, the number token that
+// starts at data[pos] when it is the plain form -?digits of at most 18 digits.
+// It returns the value ParseInt64 gives for the token and the offset just
+// past it. ok is false — nothing is consumed, and the caller delimits the
+// token and calls ParseInt64 to get the value or the error — for every other
+// form: no digit, a leading '+', more digits, or a token that goes on ('.',
+// an exponent, a stray sign).
+func ParseInt64Prefix(data []byte, pos int) (v int64, end int, ok bool) {
+	i := pos
+	neg := i < len(data) && data[i] == '-'
+	if neg {
+		i++
+	}
+	start := i
+	var un uint64
+	for ; i < len(data); i++ {
+		c := data[i] - '0'
+		if c > 9 {
+			break
+		}
+		un = un*10 + uint64(c)
+	}
+	if i == start || i-start > maxPrefixDigits || i < len(data) && numberByte(data[i]) {
+		return 0, pos, false
+	}
+	if neg {
+		return -int64(un), i, true
+	}
+	return int64(un), i, true
+}
+
+// ParseFloat64Prefix is ParseInt64Prefix for the plain decimal form
+// -?digits[.digits] of at most 18 digits in all: the value is bit-identical
+// to ParseFloat64's for the token, computed by the same operations. ok is
+// false for exponents, a leading '+', longer mantissas and anything
+// malformed.
+func ParseFloat64Prefix(data []byte, pos int) (v float64, end int, ok bool) {
+	i := pos
+	neg := i < len(data) && data[i] == '-'
+	if neg {
+		i++
+	}
+	start := i
+	var mant uint64
+	for ; i < len(data); i++ {
+		c := data[i] - '0'
+		if c > 9 {
+			break
+		}
+		mant = mant*10 + uint64(c)
+	}
+	digits, frac := i-start, 0
+	if i < len(data) && data[i] == '.' {
+		i++
+		dot := i
+		for ; i < len(data); i++ {
+			c := data[i] - '0'
+			if c > 9 {
+				break
+			}
+			mant = mant*10 + uint64(c)
+		}
+		frac = i - dot
+		digits += frac
+	}
+	if digits == 0 || digits > maxPrefixDigits || i < len(data) && numberByte(data[i]) {
+		return 0, pos, false
+	}
+	f := float64(mant)
+	if frac > 0 {
+		f /= pow10tab[frac]
+	}
+	if neg {
+		f = -f
+	}
+	return f, i, true
+}
+
 // ParseFloat64 parses a decimal floating point number of the form emitted by
 // our dataset generators: [-+]?digits[.digits][eE[-+]digits]. It covers the
 // value domain of the paper's workloads without the full generality (hex

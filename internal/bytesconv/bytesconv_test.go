@@ -3,6 +3,7 @@ package bytesconv
 import (
 	"errors"
 	"math"
+	"math/rand"
 	"strconv"
 	"testing"
 	"testing/quick"
@@ -179,5 +180,78 @@ func BenchmarkStrconvParseInt(b *testing.B) {
 		if _, err := strconv.ParseInt(in, 10, 64); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// numberEnd delimits a number token the way the text scanners do.
+func numberEnd(data []byte, pos int) int {
+	for pos < len(data) && numberByte(data[pos]) {
+		pos++
+	}
+	return pos
+}
+
+// checkPrefixParsers holds the one-pass parsers to their contract at
+// data[pos]: when they accept, end is where the token ends and the value is
+// bit for bit what the slice parser gives for the token; when they decline,
+// nothing is consumed.
+func checkPrefixParsers(t *testing.T, data []byte, pos int) {
+	t.Helper()
+	tok := data[pos:numberEnd(data, pos)]
+	iv, iend, iok := ParseInt64Prefix(data, pos)
+	if want, err := ParseInt64(tok); iok {
+		if err != nil || iv != want || iend != pos+len(tok) {
+			t.Fatalf("ParseInt64Prefix(%q, %d) = %d, %d; ParseInt64(%q) = %d, %v", data, pos, iv, iend, tok, want, err)
+		}
+	} else if iend != pos {
+		t.Fatalf("ParseInt64Prefix(%q, %d) declined but consumed to %d", data, pos, iend)
+	}
+	fv, fend, fok := ParseFloat64Prefix(data, pos)
+	if want, err := ParseFloat64(tok); fok {
+		if err != nil || math.Float64bits(fv) != math.Float64bits(want) || fend != pos+len(tok) {
+			t.Fatalf("ParseFloat64Prefix(%q, %d) = %v, %d; ParseFloat64(%q) = %v, %v", data, pos, fv, fend, tok, want, err)
+		}
+	} else if fend != pos {
+		t.Fatalf("ParseFloat64Prefix(%q, %d) declined but consumed to %d", data, pos, fend)
+	}
+}
+
+func TestPrefixParsers(t *testing.T) {
+	accepted := func(in string) (bool, bool) {
+		_, _, iok := ParseInt64Prefix([]byte(in), 0)
+		_, _, fok := ParseFloat64Prefix([]byte(in), 0)
+		return iok, fok
+	}
+	for _, c := range []struct {
+		in       string
+		int, flt bool // the plain forms must be taken in one pass
+	}{
+		{"0", true, true}, {"7,", true, true}, {"-0}", true, true}, {"-12345678}", true, true},
+		{"123456789012345678]", true, true}, {"-123456789012345678", true, true},
+		{"1234567890123456789,", false, false}, {"12345678901234567890123456789", false, false},
+		{"1.5,", false, true}, {"-0.000001}", false, true}, {"1.", false, true}, {".5", false, true},
+		{"12345678.1234567890,", false, true}, {"1234567890.123456789", false, false},
+		{"0.1234567890123456789", false, false},
+		{"+7", false, false}, {"1e3", false, false}, {"1.5E-3", false, false}, {"1-2", false, false},
+		{"1.2.3", false, false}, {"-", false, false}, {".", false, false}, {"", false, false},
+		{"x1", false, false}, {"--1", false, false}, {"1+", false, false},
+	} {
+		if iok, fok := accepted(c.in); iok != c.int || fok != c.flt {
+			t.Errorf("%q: accepted as int %v (want %v), as float %v (want %v)", c.in, iok, c.int, fok, c.flt)
+		}
+		for pad := 0; pad < 10; pad++ { // with and without a whole word to load
+			data := []byte("[" + c.in + "         "[:pad])
+			checkPrefixParsers(t, data, 1)
+		}
+	}
+	// Random tokens of every digit count, in the middle of other bytes.
+	rng := rand.New(rand.NewSource(1))
+	const alphabet = "0123456789012345678901234567890123456789--++..eE,} x"
+	for i := 0; i < 200000; i++ {
+		data := make([]byte, 1+rng.Intn(30))
+		for j := range data {
+			data[j] = alphabet[rng.Intn(len(alphabet))]
+		}
+		checkPrefixParsers(t, data, rng.Intn(len(data)))
 	}
 }

@@ -7,6 +7,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
+	"strings"
 	"testing"
 
 	"rawdb/internal/catalog"
@@ -170,69 +173,282 @@ func TestCancelledColdScanPublishesNothing(t *testing.T) {
 	}
 }
 
-// TestColdScanStructuresAllocatedOnce checks the row hint end to end on a
-// file whose first rows mislead it: what the cold query publishes holds at
-// most 5 % spare capacity, whether the estimate ran high or low, and a
-// capture keyed by row ids (a partial column) is not sized for the table.
-func TestColdScanStructuresAllocatedOnce(t *testing.T) {
-	const rows = 20000
-	schema := []catalog.Column{
-		{Name: "col1", Type: vector.Int64}, {Name: "col2", Type: vector.Int64},
-		{Name: "col3", Type: vector.Int64},
-	}
-	render := func(wideFirst bool) []byte {
-		var buf bytes.Buffer
-		for r := 0; r < rows; r++ {
-			v := int64(r%9 + 1)
-			if (r < rows/2) == wideFirst {
-				v += 1_000_000_000_000
-			}
+// coldScanSchema and renderColdScan give the allocation tests a three-column
+// integer table in either text format whose rows change width half-way, so
+// that an estimate from the first lines runs low (wide rows first) or high.
+var coldScanSchema = []catalog.Column{
+	{Name: "col1", Type: vector.Int64}, {Name: "col2", Type: vector.Int64},
+	{Name: "col3", Type: vector.Int64},
+}
+
+func renderColdScan(format catalog.Format, rows int, wideFirst bool) []byte {
+	var buf bytes.Buffer
+	for r := 0; r < rows; r++ {
+		v := int64(r%9 + 1)
+		if (r < rows/2) == wideFirst {
+			v += 1_000_000_000_000
+		}
+		if format == catalog.JSON {
+			fmt.Fprintf(&buf, "{\"col1\":%d,\"col2\":%d,\"col3\":%d}\n", r, v, v+1)
+		} else {
 			fmt.Fprintf(&buf, "%d,%d,%d\n", r, v, v+1)
 		}
-		return buf.Bytes()
 	}
+	return buf.Bytes()
+}
+
+func registerColdScan(t *testing.T, e *Engine, format catalog.Format, data []byte) {
+	t.Helper()
+	var err error
+	if format == catalog.JSON {
+		err = e.RegisterJSONData("t", data, coldScanSchema)
+	} else {
+		err = e.RegisterCSVData("t", data, coldScanSchema)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+const coldScanQuery = "SELECT MAX(col2), COUNT(*) FROM t WHERE col1 < 5000"
+
+// TestColdScanStructuresAllocatedOnce checks the row hint end to end on a
+// file whose first rows mislead it, for both text formats, serial (one span,
+// fragment and captures adopted and clipped) and parallel (a hint per span,
+// fragments and captures merged into exactly-sized destinations): what the
+// cold query publishes holds at most 5 % spare capacity, whether the estimate
+// ran high or low, and a capture keyed by row ids (a partial column) is not
+// sized for the table.
+func TestColdScanStructuresAllocatedOnce(t *testing.T) {
+	const rows = 20000
 	slack := func(t *testing.T, what string, length, capacity int) {
 		t.Helper()
 		if length != rows || capacity > rows+rows/20 {
 			t.Errorf("%s: len %d cap %d, want len %d and cap <= 1.05 x len", what, length, capacity, rows)
 		}
 	}
-	for _, wideFirst := range []bool{true, false} { // the estimate runs low, then high
-		e := newTestEngine(t, Config{Parallelism: 1})
-		if err := e.RegisterCSVData("t", render(wideFirst), schema); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := e.Query("SELECT MAX(col2), COUNT(*) FROM t WHERE col1 < 5000"); err != nil {
-			t.Fatal(err)
-		}
-		pm := e.tables["t"].posMap()
-		if pm == nil {
-			t.Fatal("no positional map after the cold query")
-		}
-		for _, c := range pm.TrackedColumns() {
-			slack(t, fmt.Sprintf("posmap column %d", c), len(pm.Positions(c)), cap(pm.Positions(c)))
-		}
-		shs := e.shreds.ShredsOf("t")
-		if len(shs) == 0 {
-			t.Fatal("no shreds after the cold query")
-		}
-		for _, s := range shs {
-			if !s.Full() {
-				t.Fatalf("cold capture of %s is partial", s.Key())
+	for _, format := range []catalog.Format{catalog.CSV, catalog.JSON} {
+		for _, workers := range []int{1, 4} {
+			for _, wideFirst := range []bool{true, false} { // the estimate runs low, then high
+				t.Run(fmt.Sprintf("%s/workers=%d/wideFirst=%v", format, workers, wideFirst), func(t *testing.T) {
+					e := newTestEngine(t, Config{Parallelism: workers})
+					registerColdScan(t, e, format, renderColdScan(format, rows, wideFirst))
+					res, err := e.Query(coldScanQuery)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if par := strings.HasPrefix(res.Stats.AccessPaths[0], "par["); par != (workers > 1) {
+						t.Fatalf("access paths at Parallelism %d: %v", workers, res.Stats.AccessPaths)
+					}
+					st := e.tables["t"]
+					if pm := st.posMap(); pm != nil {
+						for _, c := range pm.TrackedColumns() {
+							slack(t, fmt.Sprintf("posmap column %d", c), len(pm.Positions(c)), cap(pm.Positions(c)))
+						}
+					} else if idx := st.jsonIdx(); idx != nil {
+						slack(t, "jsonidx row starts", len(idx.RowStarts()), cap(idx.RowStarts()))
+						for _, p := range idx.TrackedPaths() {
+							slack(t, "jsonidx path "+p, len(idx.Positions(p)), cap(idx.Positions(p)))
+						}
+					} else {
+						t.Fatal("no positional structure after the cold query")
+					}
+					shs := e.shreds.ShredsOf("t")
+					if len(shs) == 0 {
+						t.Fatal("no shreds after the cold query")
+					}
+					for _, s := range shs {
+						if !s.Full() {
+							t.Fatalf("cold capture of %s is partial", s.Key())
+						}
+						slack(t, "shred "+s.Key().String(), s.Len(), cap(s.Vector().Int64s))
+					}
+					if workers > 1 {
+						return // the parallel plan reads col3 in full next
+					}
+					// col3 is read late, for the 5000 qualifying rows only: a partial
+					// capture, which must not be sized for the table.
+					if _, err := e.Query("SELECT MAX(col3) FROM t WHERE col1 < 5000"); err != nil {
+						t.Fatal(err)
+					}
+					s := e.shreds.LookupAny(shred.Key{Table: "t", Col: 2})
+					if s == nil || s.Full() {
+						t.Fatalf("late capture of col3: %v", s)
+					}
+					if c := cap(s.Vector().Int64s); c >= rows {
+						t.Errorf("partial capture of %d rows holds capacity for %d", s.Len(), c)
+					}
+				})
 			}
-			slack(t, "shred "+s.Key().String(), s.Len(), cap(s.Vector().Int64s))
 		}
-		// col3 is read late, for the 5000 qualifying rows only: a partial
-		// capture, which must not be sized for the table.
-		if _, err := e.Query("SELECT MAX(col3) FROM t WHERE col1 < 5000"); err != nil {
+	}
+}
+
+// TestParallelColdScanMatchesSerial checks that what one parallel cold query
+// leaves behind — the row count, the zone maps' extent and columns, the heat
+// fold — is what the serial run leaves, for both text formats.
+func TestParallelColdScanMatchesSerial(t *testing.T) {
+	const rows = 20000
+	for _, format := range []catalog.Format{catalog.CSV, catalog.JSON} {
+		t.Run(format.String(), func(t *testing.T) {
+			data := renderColdScan(format, rows, true)
+			var left []string
+			for _, workers := range []int{1, 4} {
+				e := newTestEngine(t, Config{Parallelism: workers})
+				registerColdScan(t, e, format, data)
+				if _, err := e.Query(coldScanQuery); err != nil {
+					t.Fatal(err)
+				}
+				st := e.tables["t"]
+				syn := st.synopsis()
+				if syn == nil {
+					t.Fatalf("no synopsis at Parallelism %d", workers)
+				}
+				var cols []int
+				for _, c := range syn.Columns() {
+					cols = append(cols, c.Col)
+				}
+				left = append(left, fmt.Sprintf("nrows %d, synopsis over %d rows of columns %v, heat %+v",
+					st.nrows, syn.NRows(), cols, e.Heat().Snapshot()))
+			}
+			if left[0] != left[1] {
+				t.Errorf("serial left    %s\nparallel left  %s", left[0], left[1])
+			}
+		})
+	}
+}
+
+// TestParallelColdScanAllocationsDoNotScale checks that nothing in the
+// parallel cold path allocates per row or per doubling: the heap allocations
+// of one cold query over eight times the rows stay within a small constant of
+// the smaller query's (about 120 more: the zone maps' per-block bounds; append
+// regrowth of per-span fragments and captures used to add 300 to 450).
+func TestParallelColdScanAllocationsDoNotScale(t *testing.T) {
+	if testing.Short() {
+		t.Skip("renders a 400k-row file")
+	}
+	for _, format := range []catalog.Format{catalog.CSV, catalog.JSON} {
+		t.Run(format.String(), func(t *testing.T) {
+			mallocs := func(rows int) uint64 {
+				data := renderColdScan(format, rows, true)
+				e := newTestEngine(t, Config{Parallelism: 4})
+				registerColdScan(t, e, format, data)
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				if _, err := e.Query(coldScanQuery); err != nil {
+					t.Fatal(err)
+				}
+				runtime.ReadMemStats(&after)
+				return after.Mallocs - before.Mallocs
+			}
+			small, large := mallocs(50_000), mallocs(400_000)
+			t.Logf("%d allocations at 50k rows, %d at 400k rows", small, large)
+			if large > small+200 {
+				t.Errorf("%d allocations at 50k rows, %d at 400k rows: the cold path allocates as it goes", small, large)
+			}
+		})
+	}
+}
+
+// TestColdTextMorselsBounded checks the size bound on a cold text morsel: a
+// file of more than coldMorselBytes per requested morsel is cut into one span
+// per coldMorselBytes (so that a worker on a faster core takes more of them),
+// a smaller file into the two per worker the planner asks for, and what the
+// finer cut publishes is what the serial scan publishes.
+func TestColdTextMorselsBounded(t *testing.T) {
+	if testing.Short() {
+		t.Skip("renders a 500k-row file")
+	}
+	for _, format := range []catalog.Format{catalog.CSV, catalog.JSON} {
+		t.Run(format.String(), func(t *testing.T) {
+			for _, rows := range []int{20_000, 500_000} {
+				data := renderColdScan(format, rows, true)
+				want := max(4, len(data)/coldMorselBytes)
+				if big := rows > 20_000; big != (want > 4) {
+					t.Fatalf("%d rows render %d bytes: %d morsels", rows, len(data), want)
+				}
+				var left []map[string][]byte
+				for _, workers := range []int{1, 2} {
+					e := newTestEngine(t, Config{Parallelism: workers})
+					registerColdScan(t, e, format, data)
+					res, err := e.Query(coldScanQuery)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if path := res.Stats.AccessPaths[0]; workers > 1 && !strings.HasPrefix(path, fmt.Sprintf("par[%d]:", want)) {
+						t.Errorf("%d bytes at Parallelism %d read as %s, want %d morsels", len(data), workers, path, want)
+					}
+					st := e.tables["t"]
+					if st.nrows != int64(rows) {
+						t.Errorf("nrows = %d at Parallelism %d, want %d", st.nrows, workers, rows)
+					}
+					state := encodeState(e, st)
+					delete(state, "synopsis") // its blocks end where the spans do
+					left = append(left, state)
+				}
+				for what, serial := range left[0] {
+					if !bytes.Equal(serial, left[1][what]) {
+						t.Errorf("%d rows: the %s the morsels merged into differs from the serial scan's", rows, what)
+					}
+				}
+				if len(left[0]) != len(left[1]) || len(left[0]) == 0 {
+					t.Errorf("%d rows: serial left %d structures, parallel %d", rows, len(left[0]), len(left[1]))
+				}
+			}
+		})
+	}
+}
+
+// TestCancelledParallelColdJSONPublishesNothing cancels a parallel cold JSON
+// query as its first morsel starts — every span's fragment and captures exist
+// and are reserved — and checks that nothing of it is left behind and that the
+// same query then answers exactly as on an engine that never failed.
+func TestCancelledParallelColdJSONPublishesNothing(t *testing.T) {
+	const rows = 20000
+	data := renderColdScan(catalog.JSON, rows, false)
+	q := "SELECT MAX(col2), SUM(col3), COUNT(*) FROM t WHERE col1 < 5000"
+	ref := newTestEngine(t, Config{Parallelism: 4})
+	registerColdScan(t, ref, catalog.JSON, data)
+	want, err := ref.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	e := newTestEngine(t, Config{Parallelism: 4})
+	registerColdScan(t, e, catalog.JSON, data)
+	ctx, cancel := context.WithCancel(context.Background())
+	faults.Install(faults.NewSchedule(1, faults.Rule{
+		Site: faults.SiteExecMorsel, Kind: faults.Hook, Times: 1, Fn: cancel}))
+	_, err = e.QueryCtx(ctx, q)
+	faults.Disable()
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	st := e.tables["t"]
+	if st.nrows != -1 || st.jsonIdx() != nil || st.synopsis() != nil {
+		t.Fatalf("cancelled query left nrows %d, jsonidx %v, synopsis %v", st.nrows, st.jsonIdx(), st.synopsis())
+	}
+	if shs := e.shreds.ShredsOf("t"); len(shs) != 0 {
+		t.Fatalf("cancelled query published %d shreds", len(shs))
+	}
+	for pass := 0; pass < 2; pass++ { // cold, then over what the cold pass built
+		got, err := e.Query(q)
+		if err != nil {
 			t.Fatal(err)
 		}
-		s := e.shreds.LookupAny(shred.Key{Table: "t", Col: 2})
-		if s == nil || s.Full() {
-			t.Fatalf("late capture of col3: %v", s)
-		}
-		if c := cap(s.Vector().Int64s); c >= rows {
-			t.Errorf("partial capture of %d rows holds capacity for %d", s.Len(), c)
+		assertSameResult(t, fmt.Sprintf("pass %d after cancel", pass), want, got)
+	}
+	if st.nrows != rows {
+		t.Fatalf("nrows = %d after the re-run, want %d", st.nrows, rows)
+	}
+	refIdx, idx := ref.tables["t"].jsonIdx(), st.jsonIdx()
+	if !slices.Equal(refIdx.RowStarts(), idx.RowStarts()) ||
+		!slices.Equal(refIdx.TrackedPaths(), idx.TrackedPaths()) {
+		t.Fatal("the re-run's structural index differs from the one a clean run builds")
+	}
+	for _, p := range idx.TrackedPaths() {
+		if !slices.Equal(refIdx.Positions(p), idx.Positions(p)) {
+			t.Fatalf("the re-run's offsets of %s differ from a clean run's", p)
 		}
 	}
 }
@@ -258,10 +474,10 @@ func TestMorselCaptureReserve(t *testing.T) {
 		}
 		return newMorselCapture(child, tab, []int{0}, reserve)
 	}
-	publish := func(clip bool, caps ...*morselCapture) *shred.Shred {
+	publish := func(caps ...*morselCapture) *shred.Shred {
 		t.Helper()
 		e := newTestEngine(t, Config{Parallelism: 1})
-		(&planCtx{e: e}).publishCaptures(tab, []int{0}, caps, clip)
+		(&planCtx{e: e}).publishCaptures(tab, []int{0}, caps)
 		return e.shreds.LookupAny(shred.Key{Table: "t", Col: 0})
 	}
 	check := func(what string, s *shred.Shred) []int64 {
@@ -283,7 +499,7 @@ func TestMorselCaptureReserve(t *testing.T) {
 		t.Fatal(err)
 	}
 	filled := &mc.vecs[0].Int64s[0]
-	got := check("exact reservation", publish(true, mc))
+	got := check("exact reservation", publish(mc))
 	if cap(got) != rows || &got[0] != filled {
 		t.Errorf("exact reservation: cap %d (want %d), adopted the capture's buffer: %v", cap(got), rows, &got[0] == filled)
 	}
@@ -292,8 +508,8 @@ func TestMorselCaptureReserve(t *testing.T) {
 		if _, err := exec.Collect(mc); err != nil {
 			t.Fatal(err)
 		}
-		got := check(fmt.Sprintf("reservation of %d", reserve), publish(reserve > 0, mc))
-		if reserve > 0 && cap(got) > rows+rows/20 {
+		got := check(fmt.Sprintf("reservation of %d", reserve), publish(mc))
+		if cap(got) > rows+rows/20 {
 			t.Errorf("reservation of %d for %d rows: published cap %d exceeds 1.05 x len", reserve, rows, cap(got))
 		}
 	}
@@ -304,7 +520,7 @@ func TestMorselCaptureReserve(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := check("two spans", publish(false, a, b)); cap(got) != rows {
+	if got := check("two spans", publish(a, b)); cap(got) != rows {
 		t.Errorf("two spans: merged cap %d, want exactly %d", cap(got), rows)
 	}
 
@@ -319,7 +535,36 @@ func TestMorselCaptureReserve(t *testing.T) {
 		t.Fatal(err)
 	}
 	b.Close()
-	if s := publish(false, a, b); s != nil {
+	if s := publish(a, b); s != nil {
 		t.Errorf("an undrained capture published %v", s)
+	}
+}
+
+// TestColdJSONValueNeverSpansRows feeds the cold JSON scan rows whose first
+// unread member is cut short — a misspelt literal, an escape up against the
+// newline. Skipping it must not swallow the row terminator: the query fails
+// on row 0, with the same error serial and parallel, instead of fusing the
+// first two lines into one row (and answering differently once a morsel
+// boundary falls between them).
+func TestColdJSONValueNeverSpansRows(t *testing.T) {
+	schema := []catalog.Column{{Name: "run", Type: vector.Int64}}
+	for _, head := range []string{`{"a":n}`, `{"a":tru}`, `{"a":"x\`} {
+		data := []byte(head + "\n" + `{"run":1}` + "\n" + `{"run":2}` + "\n")
+		var errs []string
+		for _, workers := range []int{1, 4} {
+			e := newTestEngine(t, Config{Parallelism: workers})
+			if err := e.RegisterJSONData("t", data, schema); err != nil {
+				t.Fatal(err)
+			}
+			res, err := e.Query("SELECT COUNT(*), SUM(run) FROM t")
+			if err == nil {
+				t.Fatalf("%s at Parallelism %d: answered %v (paths %v), want an error on row 0",
+					head, workers, res.Columns, res.Stats.AccessPaths)
+			}
+			errs = append(errs, err.Error())
+		}
+		if errs[0] != errs[1] || !strings.Contains(errs[0], "row 0") {
+			t.Errorf("%s: serial error %q, parallel error %q", head, errs[0], errs[1])
+		}
 	}
 }

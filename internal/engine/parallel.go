@@ -867,7 +867,7 @@ func buildMemMorsels(tab *catalog.Table, vecs []*vector.Vector, cols []int,
 type morselCapture struct {
 	child   exec.Operator
 	types   []vector.Type
-	reserve int // rows to allocate for at Open (a whole-table capture's hint)
+	reserve int // rows to allocate for at Open (the span's row hint)
 	vecs    []*vector.Vector
 	// eof says the child was drained: only then are vecs full columns.
 	eof bool
@@ -883,9 +883,10 @@ func newMorselCapture(child exec.Operator, tab *catalog.Table, cols []int, reser
 
 // publishCaptures puts the columns the captures teed — one capture per span,
 // in span order — into the shred pool as full columns. One capture is adopted
-// as it filled (clipped, if it was allocated to a hint); several concatenate.
-// A capture the plan did not drain holds no full column: nothing is put.
-func (pc *planCtx) publishCaptures(tab *catalog.Table, cols []int, caps []*morselCapture, clip bool) {
+// as it filled, clipped; several concatenate into a column allocated at its
+// final size. A capture the plan did not drain holds no full column: nothing
+// is put.
+func (pc *planCtx) publishCaptures(tab *catalog.Table, cols []int, caps []*morselCapture) {
 	if len(caps) == 0 {
 		return
 	}
@@ -905,7 +906,7 @@ func (pc *planCtx) publishCaptures(tab *catalog.Table, cols []int, caps []*morse
 			for _, mc := range caps {
 				full.AppendVector(mc.vecs[ci])
 			}
-		} else if clip {
+		} else {
 			full.Clip()
 		}
 		pc.e.shreds.Put(shred.Key{Table: tab.Name, Col: c}, nil, full)

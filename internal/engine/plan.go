@@ -265,14 +265,20 @@ func (st *tableState) learnRows(rows int64) {
 	}
 }
 
-// rowHint is the row count to allocate a whole-table scan's positional
-// fragment and full-column captures for, once: the count the format states or
-// an earlier scan learned, else the access's estimate; 0 (no reservation)
+// rowHint is the row count to allocate one scan's positional fragment and
+// full-column captures for, once: exact where it is known — a row-range span's
+// length, the whole table's count once the format states it or a scan learned
+// it — else the access's estimate over the span's bytes; 0 (no reservation)
 // under one batch.
-func rowHint(st *tableState, a access) int {
-	n := st.nrows
-	if n < 0 && a.estRows != nil {
-		n = a.estRows()
+func rowHint(st *tableState, a access, sp span) int {
+	var n int64
+	switch {
+	case sp != wholeTable && a.mode != jit.Sequential:
+		n = sp.hi - sp.lo
+	case sp == wholeTable && st.nrows >= 0:
+		n = st.nrows
+	case a.estRows != nil:
+		n = a.estRows(sp)
 	}
 	if n < vector.DefaultBatchSize {
 		return 0
@@ -844,14 +850,11 @@ func (pc *planCtx) rawScans(rs rawScan, a access, spans []span) (parts []exec.Op
 		}
 	}
 
-	hint := 0
-	if whole {
-		hint = rowHint(st, a)
-	}
 	var frags []fragment
 	var synFrags []*synopsis.Builder
 	var caps []*morselCapture
 	for _, sp := range spans {
+		hint := rowHint(st, a, sp)
 		req := scanReq{kind: rs.kind, mode: a.mode, span: sp, cols: rs.cols, emitRID: rs.emitRID,
 			push: jit.Pushdown{Preds: push, Skip: skip}, batch: pc.e.cfg.BatchSize,
 			track: true, rowHint: hint}
@@ -935,7 +938,7 @@ func (pc *planCtx) rawScans(rs rawScan, a access, spans []span) (parts []exec.Op
 				pc.emitCaptured("synopsis", tab, syn.MemoryFootprint())
 			}
 		}
-		pc.publishCaptures(tab, rs.cols, caps, hint > 0)
+		pc.publishCaptures(tab, rs.cols, caps)
 		return nil
 	}, absorbed, pruned, nil
 }

@@ -44,10 +44,11 @@ type source interface {
 	// nil cols asks whether rows are addressable at all (lateCapable). It
 	// fails with a noReaderError when kind has no reader for the format.
 	access(tab *catalog.Table, pos positions, cols []int, kind scanKind) (access, error)
-	// split cuts the table into at most n spans in file order — row ranges
-	// for positional modes, record-aligned byte ranges for jit.Sequential —
-	// that are disjoint and cover it exactly. ok is false when the format can
-	// only be read whole.
+	// split cuts the table into spans in file order — at most n row ranges
+	// for positional modes, record-aligned byte ranges for jit.Sequential (n,
+	// or more where n would make them longer than coldMorselBytes) — that are
+	// disjoint and cover it exactly. ok is false when the format can only be
+	// read whole.
 	split(pos positions, mode jit.Mode, n int) (spans []span, ok bool)
 	// scan builds the operator reading req.cols over req.span, and the
 	// private fragment of the positional structure a record-by-record pass
@@ -125,10 +126,10 @@ type access struct {
 	// all stay in the residual filter; it is no part of the pushdown/capture
 	// arbitration.
 	advisory bool
-	// estRows estimates the rows of a cold text pass from the image's first
-	// records, for one-time allocation (nil: no estimate). Asked only while
-	// the table's row count is unknown.
-	estRows func() int64
+	// estRows estimates the rows a cold text pass reads over a span from the
+	// span's first records, for one-time allocation (nil: no estimate). Asked
+	// only where no row count is known.
+	estRows func(sp span) int64
 }
 
 // scanReq is one scan a plug-in is asked to build.
@@ -143,7 +144,8 @@ type scanReq struct {
 	// track makes a record-by-record pass fill a fragment; the DBMS loader
 	// keeps nothing and clears it.
 	track bool
-	// rowHint sizes that fragment once (0: grow by append).
+	// rowHint sizes that fragment once, for the span's rows (0: grow by
+	// append).
 	rowHint int
 }
 
@@ -244,6 +246,21 @@ func (im *rawImage) bytes(sp span) []byte {
 	return im.data[sp.lo:sp.hi]
 }
 
+// estRows estimates the records in sp — both text formats hold one per line —
+// from the span's length and the mean length of its first 64 lines, plus 2 %.
+func (im *rawImage) estRows(sp span) int64 { return csvfile.EstimateRows(im.bytes(sp)) }
+
+// coldMorselBytes bounds a byte-range morsel of a cold text image. Two morsels
+// per worker, the planner's count, level the workers only while the cores run
+// at one speed; when one is slower (a busy SMT sibling, a neighbour on a
+// shared host) the query ends when that core has read half of the file. With
+// morsels of about 4 ms of scanning the faster worker takes more of them.
+const coldMorselBytes = 2 << 20
+
+// morsels is how many byte spans a cold scan cuts the image into: the n the
+// planner asked for, or one per coldMorselBytes where that is more.
+func (im *rawImage) morsels(n int) int { return max(n, len(im.data)/coldMorselBytes) }
+
 // --- CSV ---
 
 // pmCovers reports whether the map reaches every column of cols: a tracked
@@ -285,17 +302,15 @@ func (s *csvSource) access(tab *catalog.Table, pos positions, cols []int, kind s
 		return access{mode: jit.ViaMap, label: "viamap", structure: "posmap", zoneSkip: true}, nil
 	}
 	return access{mode: jit.Sequential, label: "seq", structure: "posmap", buildsSyn: true,
-		estRows: s.estimateRows}, nil
+		estRows: s.estRows}, nil
 }
-
-func (s *csvSource) estimateRows() int64 { return csvfile.EstimateRows(s.data) }
 
 func (s *csvSource) split(pos positions, mode jit.Mode, n int) ([]span, bool) {
 	if mode == jit.ViaMap {
 		return splitRows(pos.pm.NRows(), n), true
 	}
 	var out []span
-	for _, sp := range csvfile.Split(s.data, n) {
+	for _, sp := range csvfile.Split(s.data, s.morsels(n)) {
 		out = append(out, span{int64(sp.Start), int64(sp.End)})
 	}
 	return out, true
@@ -347,6 +362,7 @@ func (s *csvSource) publish(st *tableState, frags []fragment, spans []span) (int
 		pm.Clip()
 	} else {
 		pm = posmap.New(s.policy, len(st.tab.Schema))
+		pm.Reserve(int(st.nrows)) // the fragments' total, learned just now
 		for i, f := range frags {
 			if err := pm.Merge(f.(*posmap.Map), spans[i].lo); err != nil {
 				return 0, err
@@ -394,7 +410,8 @@ func (s *jsonSource) access(tab *catalog.Table, pos positions, cols []int, kind 
 	}
 	idx := pos.jidx
 	if idx == nil || idx.NRows() == 0 {
-		return access{mode: jit.Sequential, label: "jsonseq", structure: "jsonidx", buildsSyn: true}, nil
+		return access{mode: jit.Sequential, label: "jsonseq", structure: "jsonidx", buildsSyn: true,
+			estRows: s.estRows}, nil
 	}
 	a := access{mode: jit.ViaMap, label: "jsonidx", structure: "jsonidx", zoneSkip: true}
 	if kind == scanGeneric {
@@ -413,7 +430,7 @@ func (s *jsonSource) split(pos positions, mode jit.Mode, n int) ([]span, bool) {
 		return splitRows(pos.jidx.NRows(), n), true
 	}
 	var out []span
-	for _, sp := range jsonfile.Split(s.data, n) {
+	for _, sp := range jsonfile.Split(s.data, s.morsels(n)) {
 		out = append(out, span{int64(sp.Start), int64(sp.End)})
 	}
 	return out, true
@@ -431,6 +448,7 @@ func (s *jsonSource) scan(tab *catalog.Table, pos positions, req scanReq) (exec.
 	var frag fragment
 	if req.track {
 		idx = jsonidx.New(0)
+		idx.Reserve(req.rowHint)
 		frag = idx
 	}
 	sc, err := jit.NewJSONSequentialScanPush(s.bytes(req.span), tab, req.cols, idx, req.emitRID, req.batch, req.push)
@@ -446,7 +464,9 @@ func (s *jsonSource) late(child exec.Operator, tab *catalog.Table, pos positions
 
 func (s *jsonSource) publish(st *tableState, frags []fragment, spans []span) (int64, error) {
 	idx := frags[0].(*jsonidx.Index)
-	if len(frags) > 1 || spans[0].lo != 0 {
+	if len(frags) == 1 && spans[0].lo == 0 {
+		idx.Clip()
+	} else {
 		idxs := make([]*jsonidx.Index, len(frags))
 		offs := make([]int64, len(frags))
 		for i, f := range frags {

@@ -21,12 +21,10 @@ import (
 	"path/filepath"
 	"time"
 
-	"rawdb/internal/catalog"
 	"rawdb/internal/engine"
 	"rawdb/internal/higgs"
 	"rawdb/internal/obs"
 	"rawdb/internal/posmap"
-	"rawdb/internal/profile"
 	"rawdb/internal/storage/rootfile"
 	"rawdb/internal/workload"
 )
@@ -116,8 +114,6 @@ func All() []Runner {
 		{"fig1a", "CSV Q1 cold: access-path comparison", RunFig1a},
 		{"fig1b", "CSV Q2 warm: access-path comparison (selectivity avg/min/max)", RunFig1b},
 		{"fig2", "Binary Q2 warm: in-situ vs JIT vs DBMS sweep", RunFig2},
-		{"fig3", "Scan cost breakdown: generic in-situ vs JIT", RunFig3},
-		{"profile", "Scan cost breakdown in absolute ns/row (fig3 companion)", RunProfile},
 		{"fig5", "CSV Q2: full vs shredded columns sweep", RunFig5},
 		{"fig6", "Binary Q2: full vs shredded columns sweep", RunFig6},
 		{"table2", "Wide table Q1: loading vs in-situ", RunTable2},
@@ -720,76 +716,6 @@ func RunFig2(cfg Config) (*Table, error) {
 	return runSweep("fig2", "Binary Q2 (warm): SELECT MAX(col11) WHERE col1 < X", cfg,
 		workload.Selectivities,
 		[]sweepVariant{mk(engine.StrategyInSitu), mk(engine.StrategyJIT), mk(engine.StrategyDBMS)})
-}
-
-// RunFig3 reports the subtractive cost breakdown of the generic in-situ
-// scan versus the JIT access path over the narrow CSV (paper Figure 3).
-func RunFig3(cfg Config) (*Table, error) {
-	cfg = cfg.withDefaults()
-	ds, err := workload.Narrow(cfg.NarrowRows, 1)
-	if err != nil {
-		return nil, err
-	}
-	tab := ds.Table("t", catalog.CSV)
-	need := []int{0}
-	g, err := profile.GenericCSV(ds.CSV, tab, need)
-	if err != nil {
-		return nil, err
-	}
-	j, err := profile.JITCSV(ds.CSV, tab, need)
-	if err != nil {
-		return nil, err
-	}
-	t := &Table{ID: "fig3", Title: "Scan cost breakdown (SELECT MAX(col1), CSV)",
-		Header: []string{"variant", "main_loop_s", "parsing_s", "convert_s", "build_s", "total_s"}}
-	for _, r := range []struct {
-		name string
-		b    profile.Breakdown
-	}{{"In Situ", g}, {"JIT", j}} {
-		t.Rows = append(t.Rows, []string{r.name,
-			secs(r.b.MainLoop), secs(r.b.Parsing), secs(r.b.Convert), secs(r.b.Build),
-			secs(r.b.Total())})
-	}
-	return t, nil
-}
-
-// RunProfile surfaces the Figure-3 subtractive breakdown with absolute
-// per-phase nanosecond costs plus a per-row rate — the machine-readable
-// companion to fig3's seconds table, meant for rawbench -json consumers that
-// track regressions in the scan inner loop.
-func RunProfile(cfg Config) (*Table, error) {
-	cfg = cfg.withDefaults()
-	ds, err := workload.Narrow(cfg.NarrowRows, 1)
-	if err != nil {
-		return nil, err
-	}
-	tab := ds.Table("t", catalog.CSV)
-	need := []int{0}
-	t := &Table{ID: "profile", Title: "Scan cost breakdown, absolute (SELECT MAX(col1), CSV)",
-		Header: []string{"variant", "main_loop_ns", "parsing_ns", "convert_ns", "build_ns", "total_ns", "ns_per_row"}}
-	for _, v := range []struct {
-		name string
-		run  func([]byte, *catalog.Table, []int) (profile.Breakdown, error)
-	}{{"In Situ", profile.GenericCSV}, {"JIT", profile.JITCSV}} {
-		var best profile.Breakdown
-		for rep := 0; rep < cfg.Repeats; rep++ {
-			b, err := v.run(ds.CSV, tab, need)
-			if err != nil {
-				return nil, err
-			}
-			if rep == 0 || b.Total() < best.Total() {
-				best = b
-			}
-		}
-		t.Rows = append(t.Rows, []string{v.name,
-			fmt.Sprintf("%d", best.MainLoop.Nanoseconds()),
-			fmt.Sprintf("%d", best.Parsing.Nanoseconds()),
-			fmt.Sprintf("%d", best.Convert.Nanoseconds()),
-			fmt.Sprintf("%d", best.Build.Nanoseconds()),
-			fmt.Sprintf("%d", best.Total().Nanoseconds()),
-			fmt.Sprintf("%.1f", float64(best.Total().Nanoseconds())/float64(cfg.NarrowRows))})
-	}
-	return t, nil
 }
 
 // fullVsShreds builds the Figure 5/6 variant set over one dataset/format.

@@ -32,6 +32,8 @@ type jsonTarget struct {
 	testI func(int64) bool
 	testF func(float64) bool
 	acc   *synopsis.Acc
+	// seen is the general walk (JSONScan.walks) that last found this leaf.
+	seen int64
 }
 
 // jsonMatcher matches the members of one (possibly nested) object level.
@@ -120,6 +122,15 @@ type JSONScan struct {
 	nexpect int
 	rec     *jsonidx.Recorder
 	recOffs []int64
+	// The row skeleton: the layout of the last row the general walker read,
+	// which the following rows are speculated to share (see walkSkeleton). It
+	// is derived from the data, per scan, and is no part of the Spec.
+	steps     []jsonStep
+	tail      []byte // from the last value through the row's newline; nil: no skeleton
+	litFrom   int    // while learning: where the next step's literal starts
+	speculate bool   // cleared after maxSkeletonMisses consecutive departures
+	misses    int    // consecutive departures
+	walks     int64  // rows read by the general walker, this one included
 
 	// ViaMap (structural index) mode.
 	readers  []jsonColReader
@@ -135,10 +146,9 @@ type JSONScan struct {
 	skip        func(start, end int64) bool
 
 	// Sequential pushdown state.
-	hasPreds bool
-	failed   bool
-	nneed    int
-	syn      *synopsis.Builder
+	failed bool
+	nneed  int
+	syn    *synopsis.Builder
 
 	// Pushdown statistics.
 	rowsPruned    int64
@@ -215,8 +225,8 @@ func NewJSONSequentialScanPush(data []byte, t *catalog.Table, need []int,
 		emitRID:   emitRID,
 		ridSlot:   len(need),
 		nneed:     len(need),
-		hasPreds:  len(opts.Preds) > 0,
 		syn:       opts.Syn,
+		speculate: true,
 	}
 	s.out = vector.NewBatch(schema.Types(), batchSize)
 
@@ -366,15 +376,12 @@ func newJSONColReader(data []byte, t *catalog.Table, c int, idx *jsonidx.Index,
 				if sel != nil {
 					base := out.Extend(int(rowEnd - rowStart))
 					for _, si := range sel {
-						p := positions[rowStart+int64(si)]
-						end := jsonfile.NumberEnd(data, int(p))
-						out.Int64s[base+int(si)] = bytesconv.ParseInt64Fast(data[p:end])
+						out.Int64s[base+int(si)] = jsonInt64Fast(data, int(positions[rowStart+int64(si)]))
 					}
 					return nil
 				}
 				for _, p := range positions[rowStart:rowEnd] {
-					end := jsonfile.NumberEnd(data, int(p))
-					out.Int64s = append(out.Int64s, bytesconv.ParseInt64Fast(data[p:end]))
+					out.Int64s = append(out.Int64s, jsonInt64Fast(data, int(p)))
 				}
 				return nil
 			}, nil
@@ -383,9 +390,7 @@ func newJSONColReader(data []byte, t *catalog.Table, c int, idx *jsonidx.Index,
 				if sel != nil {
 					base := out.Extend(int(rowEnd - rowStart))
 					for _, si := range sel {
-						p := positions[rowStart+int64(si)]
-						end := jsonfile.NumberEnd(data, int(p))
-						v, err := bytesconv.ParseFloat64(data[p:end])
+						v, _, err := jsonFloat64(data, int(positions[rowStart+int64(si)]))
 						if err != nil {
 							return fmt.Errorf("jit json map scan: %w", err)
 						}
@@ -394,8 +399,7 @@ func newJSONColReader(data []byte, t *catalog.Table, c int, idx *jsonidx.Index,
 					return nil
 				}
 				for _, p := range positions[rowStart:rowEnd] {
-					end := jsonfile.NumberEnd(data, int(p))
-					v, err := bytesconv.ParseFloat64(data[p:end])
+					v, _, err := jsonFloat64(data, int(p))
 					if err != nil {
 						return fmt.Errorf("jit json map scan: %w", err)
 					}
@@ -427,15 +431,14 @@ func newJSONColReader(data []byte, t *catalog.Table, c int, idx *jsonidx.Index,
 			if adaptive != nil {
 				adaptive.AppendPathOffset(ai, int64(pos))
 			}
-			end := jsonfile.NumberEnd(data, pos)
 			if isInt {
-				v, err := bytesconv.ParseInt64(data[pos:end])
+				v, _, err := jsonInt64(data, pos)
 				if err != nil {
 					return fmt.Errorf("jit json map scan: row %d path %q: %w", r, path, err)
 				}
 				out.Int64s = append(out.Int64s, v)
 			} else {
-				v, err := bytesconv.ParseFloat64(data[pos:end])
+				v, _, err := jsonFloat64(data, pos)
 				if err != nil {
 					return fmt.Errorf("jit json map scan: row %d path %q: %w", r, path, err)
 				}
@@ -446,10 +449,87 @@ func newJSONColReader(data []byte, t *catalog.Table, c int, idx *jsonidx.Index,
 	}, nil
 }
 
+// jsonInt64 scans and converts the number token at pos in one pass, or — for
+// the forms the prefix parser leaves alone — delimits it and converts it the
+// general way, so the value or the error is ParseInt64's for the token.
+func jsonInt64(data []byte, pos int) (int64, int, error) {
+	if v, end, ok := bytesconv.ParseInt64Prefix(data, pos); ok {
+		return v, end, nil
+	}
+	end := jsonfile.NumberEnd(data, pos)
+	v, err := bytesconv.ParseInt64(data[pos:end])
+	return v, end, err
+}
+
+// jsonInt64Fast is jsonInt64 for ParseInt64Fast: a recorded offset points at a
+// token an earlier scan validated, so the general way checks nothing either.
+func jsonInt64Fast(data []byte, pos int) int64 {
+	if v, _, ok := bytesconv.ParseInt64Prefix(data, pos); ok {
+		return v
+	}
+	return bytesconv.ParseInt64Fast(data[pos:jsonfile.NumberEnd(data, pos)])
+}
+
+// jsonFloat64 is jsonInt64 for ParseFloat64.
+func jsonFloat64(data []byte, pos int) (float64, int, error) {
+	if v, end, ok := bytesconv.ParseFloat64Prefix(data, pos); ok {
+		return v, end, nil
+	}
+	end := jsonfile.NumberEnd(data, pos)
+	v, err := bytesconv.ParseFloat64(data[pos:end])
+	return v, end, err
+}
+
+// leaf acts on the value at vpos of a matched leaf member — record its
+// offset, convert it with the pre-resolved conversion, observe, append, test —
+// and returns the position past it. The general walker and the skeleton walker
+// share it, so a value is treated the same whichever found it.
+func (s *JSONScan) leaf(tgt *jsonTarget, vpos int) (int, error) {
+	if tgt.rec >= 0 {
+		s.recOffs[tgt.rec] = int64(vpos)
+	}
+	if tgt.slot < 0 || s.failed {
+		// Unmaterialised leaf, or a pushed-down predicate already failed
+		// this row: the offset is recorded above, the value is skipped
+		// without conversion — the JSON form of "short-circuit the rest
+		// of the row".
+		return jsonfile.SkipValue(s.data, vpos), nil
+	}
+	if tgt.typ == vector.Int64 {
+		v, end, err := jsonInt64(s.data, vpos)
+		if err != nil {
+			return end, err
+		}
+		if tgt.acc != nil {
+			tgt.acc.ObserveInt64(v)
+		}
+		col := s.out.Cols[tgt.slot]
+		col.Int64s = append(col.Int64s, v)
+		if tgt.testI != nil && !tgt.testI(v) {
+			s.failed = true
+		}
+		return end, nil
+	}
+	v, end, err := jsonFloat64(s.data, vpos)
+	if err != nil {
+		return end, err
+	}
+	if tgt.acc != nil {
+		tgt.acc.ObserveFloat64(v)
+	}
+	col := s.out.Cols[tgt.slot]
+	col.Float64s = append(col.Float64s, v)
+	if tgt.testF != nil && !tgt.testF(v) {
+		s.failed = true
+	}
+	return end, nil
+}
+
 // walkObject runs the compiled matcher over one object: every member either
-// hits a target (record offset, descend, or parse with the pre-resolved
-// conversion) or is skipped wholesale. It returns the position past the
-// object and the number of leaf targets found.
+// hits a target (descend, or act on the leaf) or is skipped wholesale. It
+// returns the position past the object and the number of leaf targets found.
+// While s.speculate it also notes, per value it consumes, the bytes since the
+// previous one and the target: the row's skeleton.
 func (s *JSONScan) walkObject(m *jsonMatcher, pos int) (int, int, error) {
 	data := s.data
 	pos, ok := jsonfile.EnterObject(data, pos)
@@ -473,14 +553,7 @@ func (s *JSONScan) walkObject(m *jsonMatcher, pos int) (int, int, error) {
 				break
 			}
 		}
-		if tgt == nil {
-			pos = jsonfile.SkipValue(data, next)
-			continue
-		}
-		if tgt.rec >= 0 {
-			s.recOffs[tgt.rec] = int64(vpos)
-		}
-		if tgt.sub != nil {
+		if tgt != nil && tgt.sub != nil {
 			var sub int
 			pos, sub, err = s.walkObject(tgt.sub, vpos)
 			if err != nil {
@@ -489,45 +562,117 @@ func (s *JSONScan) walkObject(m *jsonMatcher, pos int) (int, int, error) {
 			found += sub
 			continue
 		}
-		if tgt.slot < 0 || s.failed {
-			// Unmaterialised leaf, or a pushed-down predicate already failed
-			// this row: the offset is recorded above, the value is skipped
-			// without conversion — the JSON form of "short-circuit the rest
-			// of the row".
+		if s.speculate {
+			s.steps = append(s.steps, jsonStep{lit: data[s.litFrom:vpos], tgt: tgt})
+		}
+		if tgt == nil {
+			pos = jsonfile.SkipValue(data, vpos)
+		} else {
+			// A path present twice would count for one that is absent and
+			// leave the columns out of step.
+			if tgt.seen == s.walks {
+				return pos, found, fmt.Errorf("jit json scan: row %d key %q: path present twice", s.row, key)
+			}
+			tgt.seen = s.walks
+			pos, err = s.leaf(tgt, vpos)
+			if err != nil {
+				return pos, found, fmt.Errorf("jit json scan: row %d key %q: %w", s.row, key, err)
+			}
 			found++
-			pos = jsonfile.SkipValue(data, next)
+		}
+		s.litFrom = pos
+	}
+}
+
+// jsonStep is one value of a row skeleton: the literal bytes from the
+// previous value (or the row start) up to this one — punctuation, keys,
+// whitespace, nesting — and the leaf it belongs to (nil: a member the query
+// does not read, skipped whatever it holds). lit aliases the learned row.
+type jsonStep struct {
+	lit []byte
+	tgt *jsonTarget
+}
+
+// maxSkeletonMisses is the run of consecutive rows departing from the
+// skeleton after which a scan stops speculating: a file with no stable layout
+// then costs the general walker plus this many wasted attempts, not one per
+// row.
+const maxSkeletonMisses = 8
+
+// walkSkeleton reads the row at pos through the learned skeleton: each
+// literal must be there byte for byte, and the value after it is acted on
+// directly. The general walker is a function of the bytes it reads, and
+// between two values it reads exactly the literal (plus the first byte of the
+// value, to see it is no whitespace), so on a row that matches it would make
+// the same calls to leaf and SkipValue at the same offsets: same values, same
+// recorded offsets. ok is false at the first departure — a literal differs, a
+// value does not convert, the row ends early; the caller rolls the row back
+// and hands it to the general walker, which also has the error text.
+func (s *JSONScan) walkSkeleton(pos int) (next int, ok bool) {
+	data := s.data
+	for i := range s.steps {
+		st := &s.steps[i]
+		vpos := pos + len(st.lit)
+		if vpos >= len(data) || string(data[pos:vpos]) != string(st.lit) {
+			return 0, false
+		}
+		if c := data[vpos]; c == ' ' || c == '\t' || c == '\r' {
+			return 0, false // the value starts further on than where it was learned
+		}
+		if st.tgt == nil {
+			pos = jsonfile.SkipValue(data, vpos)
 			continue
 		}
-		end := jsonfile.NumberEnd(data, vpos)
-		switch tgt.typ {
-		case vector.Int64:
-			v, err := bytesconv.ParseInt64(data[vpos:end])
-			if err != nil {
-				return pos, found, fmt.Errorf("jit json scan: row %d key %q: %w", s.row, key, err)
-			}
-			if tgt.acc != nil {
-				tgt.acc.ObserveInt64(v)
-			}
-			s.out.Cols[tgt.slot].Int64s = append(s.out.Cols[tgt.slot].Int64s, v)
-			if tgt.testI != nil && !tgt.testI(v) {
-				s.failed = true
-			}
-		case vector.Float64:
-			v, err := bytesconv.ParseFloat64(data[vpos:end])
-			if err != nil {
-				return pos, found, fmt.Errorf("jit json scan: row %d key %q: %w", s.row, key, err)
-			}
-			if tgt.acc != nil {
-				tgt.acc.ObserveFloat64(v)
-			}
-			s.out.Cols[tgt.slot].Float64s = append(s.out.Cols[tgt.slot].Float64s, v)
-			if tgt.testF != nil && !tgt.testF(v) {
-				s.failed = true
-			}
+		var err error
+		if pos, err = s.leaf(st.tgt, vpos); err != nil {
+			return 0, false
 		}
-		found++
-		pos = end
 	}
+	next = pos + len(s.tail)
+	if next > len(data) || string(data[pos:next]) != string(s.tail) {
+		return 0, false
+	}
+	return next, true
+}
+
+// walkRow reads the row at s.pos — through the skeleton when one is learned,
+// through the general walker otherwise or when the row departs from it — and
+// returns the start of the next row. The general walk of a row (re)learns the
+// skeleton from it, so a file whose layout shifts adapts.
+func (s *JSONScan) walkRow(n int) (int, error) {
+	if s.tail != nil {
+		if next, ok := s.walkSkeleton(s.pos); ok {
+			s.misses = 0
+			return next, nil
+		}
+		// Roll back what the attempt appended and decided. Whatever it fed
+		// the synopsis accumulators the general walk feeds them again (it
+		// converts the same values up to the departure), and min/max do not
+		// count.
+		s.failed = false
+		for i := 0; i < s.nneed; i++ {
+			s.out.Cols[i].Truncate(n)
+		}
+		s.tail = nil
+		if s.misses++; s.misses >= maxSkeletonMisses {
+			s.speculate = false
+		}
+	}
+	s.walks++
+	s.steps, s.litFrom = s.steps[:0], s.pos
+	pos, found, err := s.walkObject(s.matcher, s.pos)
+	if err != nil {
+		return 0, err
+	}
+	if found != s.nexpect {
+		return 0, fmt.Errorf("jit json scan: row %d: %d of %d required paths present",
+			s.row, found, s.nexpect)
+	}
+	next := jsonfile.NextRow(s.data, pos)
+	if s.speculate {
+		s.tail = s.data[s.litFrom:next]
+	}
+	return next, nil
 }
 
 // Schema implements exec.Operator.
@@ -538,6 +683,7 @@ func (s *JSONScan) Open() error {
 	s.pos = 0
 	s.row = s.rngStart
 	s.failed = false
+	s.tail, s.misses = nil, 0
 	return nil
 }
 
@@ -558,22 +704,17 @@ func (s *JSONScan) nextSequential() (*vector.Batch, error) {
 			s.pos++ // tolerate blank separator lines
 			continue
 		}
-		rowStart := s.pos
-		pos, found, err := s.walkObject(s.matcher, s.pos)
+		next, err := s.walkRow(n)
 		if err != nil {
 			return nil, err
-		}
-		if found != s.nexpect {
-			return nil, fmt.Errorf("jit json scan: row %d: %d of %d required paths present",
-				s.row, found, s.nexpect)
 		}
 		if s.syn != nil {
 			s.syn.Advance(1)
 		}
 		if s.rec != nil {
-			s.rec.AppendRow(int64(rowStart), s.recOffs)
+			s.rec.AppendRow(int64(s.pos), s.recOffs)
 		}
-		s.pos = jsonfile.NextRow(data, pos)
+		s.pos = next
 		if s.failed {
 			// A pushed-down predicate rejected the row: roll back whatever
 			// the walk appended before the check failed. The structural
@@ -740,8 +881,7 @@ func NewJSONLateScan(child exec.Operator, data []byte, t *catalog.Table, cols []
 				if err != nil {
 					return err
 				}
-				end := jsonfile.NumberEnd(data, pos)
-				v, err := bytesconv.ParseInt64(data[pos:end])
+				v, _, err := jsonInt64(data, pos)
 				if err != nil {
 					return fmt.Errorf("jit json late scan: row %d path %q: %w", rid, path, err)
 				}
@@ -754,8 +894,7 @@ func NewJSONLateScan(child exec.Operator, data []byte, t *catalog.Table, cols []
 				if err != nil {
 					return err
 				}
-				end := jsonfile.NumberEnd(data, pos)
-				v, err := bytesconv.ParseFloat64(data[pos:end])
+				v, _, err := jsonFloat64(data, pos)
 				if err != nil {
 					return fmt.Errorf("jit json late scan: row %d path %q: %w", rid, path, err)
 				}

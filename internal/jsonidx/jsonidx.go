@@ -45,6 +45,8 @@ type Index struct {
 	max   int64 // byte budget for tracked paths
 	ver   uint64
 
+	reserve int // rows the next recorder allocates its slices for (Reserve)
+
 	// seeks counts Positions lookups that were served (observability: how
 	// often queries navigated via the structural index instead of reparsing).
 	seeks int64
@@ -57,13 +59,6 @@ func (x *Index) Seeks() int64 {
 	return x.seeks
 }
 
-// NPaths returns the number of tracked paths.
-func (x *Index) NPaths() int {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	return len(x.paths)
-}
-
 // New returns an empty index; maxBytes <= 0 selects DefaultMaxBytes.
 func New(maxBytes int64) *Index {
 	if maxBytes <= 0 {
@@ -74,6 +69,35 @@ func New(maxBytes int64) *Index {
 		use:   make(map[string]int64),
 		max:   maxBytes,
 	}
+}
+
+// Reserve makes the next recorder taken from x allocate its row-start and
+// per-path slices for rows rows at once (when its first row arrives), so a
+// scan that goes on to stage about that many does not regrow (and re-copy)
+// them as it fills. The planner passes the row count of the bytes the scan
+// will read, or an estimate of it; a low estimate only brings regrowth back,
+// and Clip drops what a high one leaves. Call it before the index is shared.
+func (x *Index) Reserve(rows int) { x.reserve = rows }
+
+// Clip reallocates the row starts and any tracked path whose spare capacity
+// exceeds 1/32 of its length. Called once on a committed fragment that is
+// adopted as the table's index, it bounds what a high Reserve (or append's own
+// regrowth) leaves allocated but unused for the index's lifetime;
+// MemoryFootprint counts lengths and cannot see it.
+func (x *Index) Clip() {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	x.rows = clip(x.rows)
+	for p, offs := range x.paths {
+		x.paths[p] = clip(offs)
+	}
+}
+
+func clip(s []int64) []int64 {
+	if cap(s)-len(s) <= len(s)/32 {
+		return s
+	}
+	return append(make([]int64, 0, len(s)), s...)
 }
 
 // Restore reconstructs an index from its serialised parts: the row-start
@@ -188,26 +212,30 @@ func Merge(frags []*Index, offs []int64, maxBytes int64) *Index {
 	for _, f := range frags {
 		total += len(f.rows)
 	}
-	x.rows = make([]int64, 0, total)
-	for i, f := range frags {
-		for _, r := range f.rows {
-			x.rows = append(x.rows, r+offs[i])
+	// shifted concatenates one slice per fragment (nil: some fragment has no
+	// full recording) into an exactly-sized destination, each shifted by its
+	// fragment's byte offset.
+	shifted := func(of func(f *Index) []int64) []int64 {
+		for _, f := range frags {
+			if len(of(f)) != len(f.rows) {
+				return nil
+			}
 		}
-	}
-	for _, p := range frags[0].TrackedPaths() {
-		merged := make([]int64, 0, total)
-		complete := true
+		dst := make([]int64, total)
+		at := 0
 		for i, f := range frags {
-			po := f.paths[p]
-			if len(po) != len(f.rows) {
-				complete = false
-				break
+			off := offs[i]
+			for j, o := range of(f) {
+				dst[at+j] = o + off
 			}
-			for _, o := range po {
-				merged = append(merged, o+offs[i])
-			}
+			at += len(f.rows)
 		}
-		if !complete {
+		return dst
+	}
+	x.rows = shifted(func(f *Index) []int64 { return f.rows })
+	for _, p := range frags[0].TrackedPaths() {
+		merged := shifted(func(f *Index) []int64 { return f.paths[p] })
+		if merged == nil {
 			continue
 		}
 		x.clock++
@@ -233,6 +261,7 @@ type Recorder struct {
 	// firstScan is true when the index had no rows yet: the recorder is then
 	// also responsible for committing row starts.
 	firstScan bool
+	reserve   int // rows to allocate for at the first AppendRow (Index.Reserve)
 }
 
 // Record returns a recorder staging offsets for the given paths (paths
@@ -241,7 +270,8 @@ type Recorder struct {
 func (x *Index) Record(paths []string) *Recorder {
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	r := &Recorder{x: x, firstScan: len(x.rows) == 0}
+	r := &Recorder{x: x, firstScan: len(x.rows) == 0, reserve: x.reserve}
+	x.reserve = 0
 	for _, p := range paths {
 		if _, tracked := x.paths[p]; tracked {
 			continue
@@ -259,12 +289,28 @@ func (r *Recorder) Paths() []string { return r.paths }
 // AppendRow stages one row: its start offset and the value offsets of the
 // recorder's paths (aligned with Paths()).
 func (r *Recorder) AppendRow(rowStart int64, offs []int64) {
+	if r.reserve > 0 {
+		r.alloc()
+	}
 	if r.firstScan {
 		r.rows = append(r.rows, rowStart)
 	}
 	for i, o := range offs {
 		r.offs[i] = append(r.offs[i], o)
 	}
+}
+
+// alloc allocates the reserved slices: at the first row rather than at Record,
+// so a plan that never runs allocates nothing and each morsel's worker, not
+// the planner, touches its fragment's memory first.
+func (r *Recorder) alloc() {
+	if r.firstScan {
+		r.rows = make([]int64, 0, r.reserve)
+	}
+	for i := range r.offs {
+		r.offs[i] = make([]int64, 0, r.reserve)
+	}
+	r.reserve = 0
 }
 
 // AppendPathOffset stages the next row's value offset for staged path i

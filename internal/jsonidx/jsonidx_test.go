@@ -161,3 +161,45 @@ func TestByteEvictionOrder(t *testing.T) {
 		t.Fatal("version never advanced")
 	}
 }
+
+// TestReserveClipMerge checks that a reserved fragment allocates its slices
+// once (an exact reservation is what the committed index holds), that Clip
+// bounds the slack of a high or low estimate to 1/32 of the length, and that
+// Merge writes fragments into destinations of exactly their total length.
+func TestReserveClipMerge(t *testing.T) {
+	const rows = 5000
+	fill := func(reserve int) *Index {
+		x := New(0)
+		x.Reserve(reserve)
+		r := x.Record([]string{"a", "b"})
+		for i := int64(0); i < rows; i++ {
+			r.AppendRow(100*i, []int64{100*i + 5, 100*i + 9})
+		}
+		r.Commit()
+		return x
+	}
+	for _, reserve := range []int{0, rows / 3, rows, rows + rows/50, 4 * rows} {
+		x := fill(reserve)
+		if reserve == rows && (cap(x.RowStarts()) != rows || cap(x.Positions("b")) != rows) {
+			t.Errorf("exact reservation: caps %d, %d before Clip, want %d", cap(x.RowStarts()), cap(x.Positions("b")), rows)
+		}
+		x.Clip()
+		for what, s := range map[string][]int64{"rows": x.RowStarts(), "a": x.Positions("a"), "b": x.Positions("b")} {
+			if len(s) != rows || cap(s) > rows+rows/20 {
+				t.Errorf("reserve %d, %s: len %d cap %d, want cap <= 1.05 x %d", reserve, what, len(s), cap(s), rows)
+			}
+		}
+		if got := x.Positions("b")[rows-1]; got != 100*(rows-1)+9 {
+			t.Errorf("reserve %d: last offset after Clip = %d", reserve, got)
+		}
+	}
+	m := Merge([]*Index{fill(0), fill(rows)}, []int64{0, 100 * rows}, 0)
+	for what, s := range map[string][]int64{"rows": m.RowStarts(), "a": m.Positions("a"), "b": m.Positions("b")} {
+		if len(s) != 2*rows || cap(s) != 2*rows {
+			t.Errorf("merged %s: len %d cap %d, want both %d", what, len(s), cap(s), 2*rows)
+		}
+	}
+	if got := m.Positions("a")[2*rows-1]; got != 100*(2*rows-1)+5 {
+		t.Errorf("merged last offset = %d", got)
+	}
+}

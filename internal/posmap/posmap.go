@@ -13,6 +13,7 @@ package posmap
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -200,6 +201,8 @@ func (m *Map) Lookup(row int64, c int) (pos int64, skip int, ok bool) {
 // private fragment map per byte-range morsel and merge them in morsel order
 // once all workers finish, so the shared map is never written concurrently
 // and, after the merge, is indistinguishable from one built by a serial scan.
+// A caller that Reserves the fragments' total first gets every merge written
+// in place, into slices allocated once at exactly their final size.
 func (m *Map) Merge(frag *Map, byteOff int64) error {
 	if len(frag.tracked) != len(m.tracked) {
 		return fmt.Errorf("posmap: merge of map tracking %d columns into %d", len(frag.tracked), len(m.tracked))
@@ -209,10 +212,13 @@ func (m *Map) Merge(frag *Map, byteOff int64) error {
 			return fmt.Errorf("posmap: merge of maps tracking different columns")
 		}
 	}
-	for i := range m.pos {
-		for _, p := range frag.pos[i] {
-			m.pos[i] = append(m.pos[i], p+byteOff)
+	for i, src := range frag.pos {
+		n := len(m.pos[i])
+		dst := slices.Grow(m.pos[i], len(src))[:n+len(src)]
+		for j, p := range src {
+			dst[n+j] = p + byteOff
 		}
+		m.pos[i] = dst
 	}
 	m.nrows += frag.nrows
 	return nil

@@ -241,10 +241,9 @@ type Capture struct {
 	pool  *Pool
 	specs []CaptureSpec
 
-	bufs    []*vector.Vector
-	rids    [][]int64
-	done    bool
-	reserve int
+	bufs []*vector.Vector
+	rids [][]int64
+	done bool
 }
 
 // NewCapture validates specs against the child schema.
@@ -261,14 +260,6 @@ func NewCapture(child exec.Operator, pool *Pool, specs []CaptureSpec) (*Capture,
 	return &Capture{child: child, pool: pool, specs: specs}, nil
 }
 
-// Reserve declares how many rows the stream is expected to carry, so the
-// buffers of full-column captures (RIDIdx < 0) are allocated once, at that
-// size, instead of regrowing as batches arrive. Partial captures are never
-// reserved: how many rows survive a filter is unknown, and sizing them for
-// the whole table would hold a full column per selective query. Call before
-// Open; an estimate is fine — publication clips what it overshoots.
-func (c *Capture) Reserve(rows int) { c.reserve = rows }
-
 // Schema implements exec.Operator.
 func (c *Capture) Schema() vector.Schema { return c.child.Schema() }
 
@@ -278,11 +269,7 @@ func (c *Capture) Open() error {
 	c.bufs = make([]*vector.Vector, len(c.specs))
 	c.rids = make([][]int64, len(c.specs))
 	for i, sp := range c.specs {
-		n := vector.DefaultBatchSize
-		if sp.RIDIdx < 0 && c.reserve > n {
-			n = c.reserve
-		}
-		c.bufs[i] = vector.New(cs[sp.ColIdx].Type, n)
+		c.bufs[i] = vector.New(cs[sp.ColIdx].Type, vector.DefaultBatchSize)
 	}
 	c.done = false
 	return c.child.Open()
@@ -336,8 +323,6 @@ func (c *Capture) publish() {
 				// query.
 				rids = []int64{}
 			}
-		} else if c.reserve > 0 {
-			c.bufs[i].Clip()
 		}
 		c.pool.Put(sp.Key, rids, c.bufs[i])
 	}

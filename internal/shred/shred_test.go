@@ -282,55 +282,6 @@ func TestCaptureOperator(t *testing.T) {
 	}
 }
 
-// TestCaptureReserve checks the once-only allocation of full-column captures:
-// an exact reservation is the published buffer, an overshoot is clipped to
-// within 1/32 of the length, and a partial capture ignores the reservation.
-func TestCaptureReserve(t *testing.T) {
-	const rows = 5000
-	vals, rids := make([]int64, rows), make([]int64, rows)
-	for i := range vals {
-		vals[i], rids[i] = int64(3*i), int64(i)
-	}
-	capture := func(reserve, ridIdx int) *Shred {
-		t.Helper()
-		pool := NewPool(1 << 20)
-		child, err := exec.NewMemScan(ridSchema("a"), []*vector.Vector{intVec(vals...), intVec(rids...)}, 512)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c, err := NewCapture(child, pool, []CaptureSpec{{Key: Key{"t", 0}, ColIdx: 0, RIDIdx: ridIdx}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		c.Reserve(reserve)
-		if _, err := exec.Collect(c); err != nil {
-			t.Fatal(err)
-		}
-		s := pool.LookupAny(Key{"t", 0})
-		if s == nil || s.Len() != rows || s.Full() != (ridIdx < 0) {
-			t.Fatalf("reserve %d, rid column %d: published %v", reserve, ridIdx, s)
-		}
-		for i, v := range s.Vector().Int64s {
-			if v != vals[i] {
-				t.Fatalf("reserve %d: value %d = %d, want %d", reserve, i, v, vals[i])
-			}
-		}
-		return s
-	}
-	if got := cap(capture(rows, -1).Vector().Int64s); got != rows {
-		t.Errorf("exact reservation: cap %d, want %d", got, rows)
-	}
-	for _, reserve := range []int{rows / 3, rows + rows/50, 4 * rows} {
-		if got := cap(capture(reserve, -1).Vector().Int64s); got > rows+rows/20 {
-			t.Errorf("reservation of %d for %d rows: published cap %d exceeds 1.05 x len", reserve, rows, got)
-		}
-	}
-	unreserved := cap(capture(0, 1).Vector().Int64s)
-	if got := cap(capture(100*rows, 1).Vector().Int64s); got != unreserved {
-		t.Errorf("partial capture: cap %d with a reservation, %d without", got, unreserved)
-	}
-}
-
 func TestKeyString(t *testing.T) {
 	if (Key{"t", 3}).String() != "t.col3" {
 		t.Fatal("Key.String wrong")

@@ -87,6 +87,9 @@ func stringEnd(data []byte, pos int) int {
 	for pos < len(data) {
 		switch data[pos] {
 		case '\\':
+			if pos+1 < len(data) && data[pos+1] == '\n' {
+				return -1 // an escape cannot hide the row terminator
+			}
 			pos += 2
 		case '"':
 			return pos
@@ -99,11 +102,23 @@ func stringEnd(data []byte, pos int) int {
 	return -1
 }
 
-func minInt(a, b int) int {
-	if a < b {
-		return a
+// rowEnd returns the position of the newline ending the row that contains
+// pos, or len(data): where a value that cannot be completed is given up.
+func rowEnd(data []byte, pos int) int {
+	if i := bytes.IndexByte(data[pos:], '\n'); i >= 0 {
+		return pos + i
 	}
-	return b
+	return len(data)
+}
+
+// skipLiteral advances from pos over the longest prefix of lit that is
+// there, so a misspelt true/false/null ends at its first wrong byte (for the
+// caller to trip over) and never steps past the row terminator.
+func skipLiteral(data []byte, pos int, lit string) int {
+	for i := 0; i < len(lit) && pos < len(data) && data[pos] == lit[i]; i++ {
+		pos++
+	}
+	return pos
 }
 
 // NumberEnd returns the position just past the number token starting at pos.
@@ -121,7 +136,8 @@ func NumberEnd(data []byte, pos int) int {
 
 // SkipValue advances past one JSON value (object, array, string, number or
 // literal) starting at pos (whitespace allowed), returning the position just
-// past it.
+// past it. A value never spans rows: a malformed one ends at the latest on
+// the newline that ends its row.
 func SkipValue(data []byte, pos int) int {
 	pos = skipWS(data, pos)
 	if pos >= len(data) {
@@ -144,7 +160,7 @@ func SkipValue(data []byte, pos int) int {
 			case '"':
 				end := stringEnd(data, pos+1)
 				if end < 0 {
-					return len(data)
+					return rowEnd(data, pos)
 				}
 				pos = end + 1
 			case '\n':
@@ -157,13 +173,15 @@ func SkipValue(data []byte, pos int) int {
 	case '"':
 		end := stringEnd(data, pos+1)
 		if end < 0 {
-			return len(data)
+			return rowEnd(data, pos)
 		}
 		return end + 1
-	case 't', 'n': // true, null
-		return minInt(pos+4, len(data))
-	case 'f': // false
-		return minInt(pos+5, len(data))
+	case 't':
+		return skipLiteral(data, pos, "true")
+	case 'n':
+		return skipLiteral(data, pos, "null")
+	case 'f':
+		return skipLiteral(data, pos, "false")
 	default:
 		return NumberEnd(data, pos)
 	}

@@ -106,6 +106,24 @@ func TestSkipValueForms(t *testing.T) {
 			t.Fatalf("SkipValue(%q) left %q", c, got)
 		}
 	}
+	// A value never spans rows: a misspelt literal ends at its first wrong
+	// byte, an escape does not hide the newline, and an unterminated string
+	// is given up at the row's end — never in the middle of the next row.
+	for _, c := range []struct{ in, left string }{
+		{"n}\n{\"run\":1}\n", "}\n{\"run\":1}\n"},
+		{"tru}\n{\"run\":1}\n", "}\n{\"run\":1}\n"},
+		{"\"x\\\n{\"run\":1}\n", "\n{\"run\":1}\n"},
+		{"[\"x\\\n{\"run\":1}\n", "\n{\"run\":1}\n"},
+		{"fals", ""},
+	} {
+		data := []byte(c.in)
+		if got := string(data[SkipValue(data, 0):]); got != c.left {
+			t.Errorf("SkipValue(%q) left %q, want %q", c.in, got, c.left)
+		}
+	}
+	if pos := FindPath([]byte("{\"a\":n}\n{\"run\":1}\n"), 0, []string{"run"}); pos >= 0 {
+		t.Errorf("FindPath found a path of the next row at %d", pos)
+	}
 }
 
 func TestNextMemberWalk(t *testing.T) {
