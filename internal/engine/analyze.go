@@ -25,13 +25,16 @@ type resolvedQuery struct {
 	items   []boundItem
 	groupBy []boundRef
 	having  []boundHaving
+	// filterCols and outputCols are neededColumns' answer, worked out once:
+	// cut and every plan shape ask for it.
+	filterCols, outputCols [][]int
 }
 
 type boundTable struct {
 	alias string
 	st    *tableState
 	// pos is the positional structure as the plan being built sees it
-	// (planCtx.plan takes the snapshot).
+	// (planCtx.cut takes the snapshot).
 	pos positions
 }
 
@@ -319,6 +322,9 @@ func cmpOpOf(op string) (exec.CmpOp, error) {
 // filter columns (needed before the filter), join keys, and output columns
 // (aggregation inputs and group keys).
 func (r *resolvedQuery) neededColumns() (filterCols, outputCols [][]int) {
+	if r.filterCols != nil {
+		return r.filterCols, r.outputCols
+	}
 	nt := len(r.tables)
 	fset := make([]map[int]bool, nt)
 	oset := make([]map[int]bool, nt)
@@ -362,6 +368,7 @@ func (r *resolvedQuery) neededColumns() (filterCols, outputCols [][]int) {
 		sortInts(filterCols[t])
 		sortInts(outputCols[t])
 	}
+	r.filterCols, r.outputCols = filterCols, outputCols
 	return filterCols, outputCols
 }
 

@@ -16,9 +16,9 @@ import (
 // query lock — so every single-file mechanism (JIT access paths, positional
 // maps, structural indexes, column shreds, zone-map synopses, the vault)
 // applies per partition under a per-partition namespace ("<table>#<partID>").
-// The planner treats partitions as independent scan units: the serial plan
-// concatenates per-partition pipelines in manifest order (exec.Concat), the
-// parallel plan interleaves morsels across partitions on one worker pool,
+// The planner treats partitions as independent scan units: a plan of whole
+// partitions concatenates their pipelines in manifest order (exec.Concat), a
+// cut one interleaves their morsels on one worker pool,
 // and partitions whose synopsis excludes a predicate are pruned before their
 // file is ever opened (Stats.PartitionsSkipped).
 
@@ -278,76 +278,70 @@ func (pc *planCtx) prunePartition(ps *tableState, preds []boundPred) bool {
 
 // shadowQuery wraps one partition as a single-table resolved query so the
 // ordinary single-table planner machinery (strategy selection, shred
-// cascade, pushdown, morsel splitting) plans it unchanged: the partition's
-// filters are the parent's, and every needed column appears as a plain
-// projection item.
-func shadowQuery(alias string, ps *tableState, preds []boundPred, cols []int,
-	schema []catalog.Column) *resolvedQuery {
-	sq := &resolvedQuery{
-		tables:  []*boundTable{{alias: alias, st: ps, pos: ps.positions()}},
-		filters: [][]boundPred{preds},
-	}
+// cascade, pushdown) plans it unchanged: the partition's filters are the
+// parent's, and every needed column appears as a plain projection item.
+func shadowQuery(part *boundTable, preds []boundPred, cols []int) *resolvedQuery {
+	sq := &resolvedQuery{tables: []*boundTable{part}, filters: [][]boundPred{preds}}
 	for _, c := range cols {
-		sq.items = append(sq.items, boundItem{ref: boundRef{0, c}, name: schema[c].Name})
+		sq.items = append(sq.items, boundItem{ref: boundRef{0, c}, name: part.st.tab.Schema[c].Name})
 	}
 	return sq
 }
 
-// datasetCols returns the canonical column set of a dataset scan — every
-// filter and output column of table t, sorted — plus its batch schema.
-// Every partition pipeline projects onto this layout, so mixed cache states
-// (one partition serving shreds, its neighbour scanning cold) concatenate
-// cleanly.
-func datasetCols(r *resolvedQuery, t int) ([]int, vector.Schema) {
+// scanCols returns the columns a cut scan of table t materialises, which is
+// also the canonical layout of a dataset scan: every filter and output column,
+// sorted. Every partition pipeline projects onto this layout, so mixed cache
+// states (one partition serving shreds, its neighbour scanning cold)
+// concatenate cleanly.
+func scanCols(r *resolvedQuery, t int) []int {
 	filterCols, outputCols := r.neededColumns()
 	cols := append(append([]int{}, filterCols[t]...), outputCols[t]...)
 	sortInts(cols)
-	cols = dedupInts(cols)
-	tab := r.tables[t].st.tab
 	if len(cols) == 0 {
 		// Zero-column batches cannot carry a row count; materialise the
 		// cheapest fixed-width column.
-		cols = []int{countColumn(tab)}
+		cols = []int{countColumn(r.tables[t].st.tab)}
 	}
-	schema := make(vector.Schema, len(cols))
-	for i, c := range cols {
-		schema[i] = vector.Col{Name: tab.Schema[c].Name, Type: tab.Schema[c].Type}
-	}
-	return cols, schema
+	return cols
 }
 
-// datasetPipe plans table t of the query when it is a dataset: partitions
-// surviving zone-map pruning are planned by the ordinary single-table
-// machinery (one pipeline each, filters applied inside), projected onto the
-// canonical layout and concatenated in manifest order, so the stream above
-// is indistinguishable from one scan over the partitions' rows laid end to
-// end.
-func (pc *planCtx) datasetPipe(r *resolvedQuery, t int) (*pipe, error) {
-	bt := r.tables[t]
-	st := bt.st
-	preds := r.filters[t]
-	cols, schema := datasetCols(r, t)
+// datasetScan plans table t of the query when it is a dataset, over the
+// partitions that survived cut's zone-map pruning. Each is planned by the
+// ordinary single-table machinery with the filters applied inside (partitions
+// differ in cache state, so their scans may absorb different subsets). One-part
+// partitions are projected onto the canonical layout and concatenated in
+// manifest order, so the stream above is indistinguishable from one scan over
+// the partitions' rows laid end to end; the parts of cut ones, already in that
+// layout, interleave on one exchange, which replays them in (partition, span)
+// order — exactly the manifest-order concat.
+func (pc *planCtx) datasetScan(r *resolvedQuery, t int, tc *tableCut) (*pipe, error) {
+	st := r.tables[t].st
+	tab := st.tab
+	cols := tc.cols
+	schema := colSchema(tab, cols)
 	names := make([]string, len(cols))
 	for i := range cols {
 		names[i] = schema[i].Name
 	}
 
-	var parts []exec.Operator
+	p := &pipe{pos: make(map[boundRef]int), rid: map[int]int{}}
+	p.layout(t, cols, -1)
 	var pspans []*obs.Span
-	for i, ps := range st.ds.parts {
-		if pc.prunePartition(ps, preds) {
+	for i, u := range tc.units {
+		if u.spans == nil {
 			pc.stats.PartitionsSkipped++
-			pc.noteAvoidedHeat(st.tab.Name, st.ds.manifest.Parts[i].Size)
+			pc.noteAvoidedHeat(tab.Name, st.ds.manifest.Parts[i].Size)
 			continue
 		}
-		if err := pc.e.loadPartData(ps); err != nil {
-			return nil, err
-		}
 		pc.stats.PartitionsScanned++
-		shadow := shadowQuery(bt.alias, ps, preds, cols, st.tab.Schema)
-		pp, err := pc.planSingle(shadow)
+		pp, err := pc.planSingle(shadowQuery(u.bt, r.filters[t], cols), u)
 		if err != nil {
 			return nil, err
+		}
+		if pp.par {
+			p.par = true
+			p.ops = append(p.ops, pp.ops...)
+			continue
 		}
 		idxs := make([]int, len(cols))
 		for i, c := range cols {
@@ -357,18 +351,18 @@ func (pc *planCtx) datasetPipe(r *resolvedQuery, t int) (*pipe, error) {
 			}
 			idxs[i] = pos
 		}
-		proj, err := exec.NewProject(pp.op, idxs, names)
+		proj, err := exec.NewProject(pp.ops[0], idxs, names)
 		if err != nil {
 			return nil, err
 		}
-		pop, pspan := pc.opSpan(proj, "partition("+ps.tab.Name+")", pp.span)
-		parts = append(parts, pop)
+		pop, pspan := pc.opSpan(proj, "partition("+u.bt.st.tab.Name+")", pp.span)
+		p.ops = append(p.ops, pop)
 		pspans = append(pspans, pspan)
 	}
 
-	var op exec.Operator
-	switch len(parts) {
-	case 0:
+	switch {
+	case p.par:
+	case len(p.ops) == 0:
 		// Empty dataset, or every partition pruned: an empty in-memory scan
 		// keeps the operator shape and output schema intact.
 		vecs := make([]*vector.Vector, len(cols))
@@ -379,134 +373,16 @@ func (pc *planCtx) datasetPipe(r *resolvedQuery, t int) (*pipe, error) {
 		if err != nil {
 			return nil, err
 		}
-		op = ms
-	case 1:
-		op = parts[0]
+		p.ops = []exec.Operator{ms}
+	case len(p.ops) == 1:
+		p.span = pspans[0]
 	default:
-		cc, err := exec.NewConcat(parts)
+		cc, err := exec.NewConcat(p.ops)
 		if err != nil {
 			return nil, err
 		}
-		op = cc
-	}
-	p := &pipe{op: op, pos: make(map[boundRef]int), rid: map[int]int{t: -1}}
-	for i, c := range cols {
-		p.pos[boundRef{t, c}] = i
-	}
-	if pc.trace != nil {
-		switch len(parts) {
-		case 0:
-		case 1:
-			p.span = pspans[0]
-		default:
-			s := pc.trace.NewSpan(fmt.Sprintf("concat[parts=%d]", len(parts)))
-			for _, cs := range pspans {
-				cs.SetParent(s)
-			}
-			p.op = exec.WithSpan(p.op, s)
-			p.span = s
-		}
+		op, span := pc.opSpan(cc, fmt.Sprintf("concat[parts=%d]", len(p.ops)), pspans...)
+		p.ops, p.span = []exec.Operator{op}, span
 	}
 	return p, nil
-}
-
-// datasetMorsels builds the interleaved morsel set of a parallel dataset
-// scan: every surviving partition contributes at least one morsel — so
-// parallelism scales with file count even when individual files are too
-// small to split — and larger partitions proportionally more, up to the
-// query's total morsel target. The exchange replays part outputs in
-// (partition, morsel) order, which is exactly the manifest-order concat, so
-// results stay byte-identical to the serial plan. Residual predicates are
-// filtered per partition here (partitions differ in cache state, so their
-// scans may absorb different subsets). ok is false when any partition's
-// strategy × format × cache state has no parallel form — the whole query
-// then falls back to the serial dataset plan, with the stats mutations of
-// the attempt rolled back.
-func (pc *planCtx) datasetMorsels(r *resolvedQuery, cols []int, needSlot map[int]int) (parts []exec.Operator, done func() error, ok bool, err error) {
-	st := r.tables[0].st
-	preds := r.filters[0]
-
-	savedStats := *pc.stats // slice headers snapshot current lengths
-	savedHooks := len(pc.onComplete)
-	savedProbes := len(pc.probes)
-	restore := func() {
-		*pc.stats = savedStats
-		pc.onComplete = pc.onComplete[:savedHooks]
-		pc.probes = pc.probes[:savedProbes]
-	}
-
-	type cand struct {
-		ps     *tableState
-		weight int64
-	}
-	var cands []cand
-	var totalW int64
-	for i, ps := range st.ds.parts {
-		if pc.prunePartition(ps, preds) {
-			pc.stats.PartitionsSkipped++
-			pc.noteAvoidedHeat(st.tab.Name, st.ds.manifest.Parts[i].Size)
-			continue
-		}
-		w := st.ds.manifest.Parts[i].Size
-		if w <= 0 {
-			w = 1
-		}
-		cands = append(cands, cand{ps, w})
-		totalW += w
-	}
-	if len(cands) == 0 {
-		restore()
-		// The serial plan emits the empty scan.
-		return nil, nil, pc.declineParallel(fallbackSmallFile,
-			"every partition of %s pruned", st.tab.Name), nil
-	}
-
-	nmTotal := pc.workers * morselsPerWorker
-	pc.allowSingleMorsel = true
-	defer func() {
-		pc.allowSingleMorsel = false
-		pc.morselTarget = 0
-	}()
-	var dones []func() error
-	for _, c := range cands {
-		if err := pc.e.loadPartData(c.ps); err != nil {
-			restore()
-			return nil, nil, false, err
-		}
-		target := int(int64(nmTotal) * c.weight / totalW)
-		if target < 1 {
-			target = 1
-		}
-		pc.morselTarget = target
-		shadow := shadowQuery(r.tables[0].alias, c.ps, preds, cols, st.tab.Schema)
-		pp, pdone, residual, pok, err := pc.morselScans(shadow, cols, preds)
-		if err != nil || !pok {
-			restore()
-			return nil, nil, false, err
-		}
-		pp, err = filterParts(pp, residual, needSlot)
-		if err != nil {
-			restore()
-			return nil, nil, false, err
-		}
-		parts = append(parts, pp...)
-		if pdone != nil {
-			dones = append(dones, pdone)
-		}
-	}
-	pc.stats.PartitionsScanned += len(cands)
-	if len(parts) < 2 {
-		restore()
-		return nil, nil, pc.declineParallel(fallbackSmallFile,
-			"%s yields %d morsels across its partitions (need 2)", st.tab.Name, len(parts)), nil
-	}
-	done = func() error {
-		for _, d := range dones {
-			if err := d(); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	return parts, done, true, nil
 }

@@ -108,7 +108,7 @@ type Config struct {
 	BatchSize int
 	// Parallelism is the number of worker goroutines eligible queries fan
 	// out over (morsel-driven parallel scans). Values <= 1 keep every query
-	// on the serial plan; see planParallel for the fallback rules.
+	// on the one-part plan; see planCtx.cut for the fallback rules.
 	Parallelism int
 	// ShredCapacityBytes bounds the column-shred pool (default 256 MiB).
 	ShredCapacityBytes int64

@@ -12,11 +12,9 @@ import (
 // fold-at-end discipline foldStats uses, so execution hot loops never
 // touch shared profiler state.
 //
-// Scan-level contributions (scans, bytes read, bytes avoided, structure
-// hits) are registered as onFinish hooks rather than folded eagerly: the
-// parallel planner may roll a whole speculative plan attempt back
-// (plan.go), and the hook lists are part of that rollback, so an abandoned
-// attempt leaves no phantom heat behind. Structure builds are folded from
+// What planning decides (structure hits, bytes a pruned partition avoided) is
+// added as the plan is built; what only the run can tell (a scan's bytes read
+// and pruned) by an onFinish hook. Structure builds are folded from
 // emitCaptured, which only runs for published structures.
 
 // heatDelta returns the query's heat delta for a table, splitting a
@@ -37,27 +35,19 @@ func (pc *planCtx) heatDelta(table string) *obs.HeatDelta {
 	return d
 }
 
-// noteStructHit records n serves of a cached structure for a table,
-// deferred to onFinish so a rolled-back plan attempt discards it.
+// noteStructHit records n serves of a cached structure for a table.
 func (pc *planCtx) noteStructHit(table, structure string, n int) {
-	if n <= 0 {
-		return
-	}
-	pc.onFinish = append(pc.onFinish, func() {
+	if n > 0 {
 		pc.heatDelta(table).Hit(structure, int64(n))
-	})
+	}
 }
 
 // noteAvoidedHeat records bytes a pruning decision avoided reading
-// (partition pruning knows exact manifest file sizes), deferred to
-// onFinish like every other scan-level contribution.
+// (partition pruning knows exact manifest file sizes).
 func (pc *planCtx) noteAvoidedHeat(table string, bytes int64) {
-	if bytes <= 0 {
-		return
-	}
-	pc.onFinish = append(pc.onFinish, func() {
+	if bytes > 0 {
 		pc.heatDelta(table).BytesAvoided += bytes
-	})
+	}
 }
 
 // noteScanHeat records one raw scan of a table state: the scan itself, the
@@ -106,7 +96,7 @@ func heatBytes(st *tableState) int64 {
 // foldHeat folds the query's accumulated heat deltas into the engine
 // registry, adding the per-column read/filter counts from the resolved
 // query (known statically, so they need no hooks). Called once per run
-// attempt, after the onFinish hooks populated pc.heat.
+// attempt, after the onFinish hooks ran.
 func (e *Engine) foldHeat(r *resolvedQuery, pc *planCtx) {
 	for ti, bt := range r.tables {
 		d := pc.heatDelta(bt.st.tab.Name)

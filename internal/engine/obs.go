@@ -242,8 +242,7 @@ func (e *Engine) foldErrStats(stats *Stats) {
 // emitCaptured reports a structure freshly built by a query. The engine
 // calls it from the onComplete hooks that install structures, so only
 // builds that actually published are reported. The build is also folded
-// into the query's heat sample: captures run at publish time (after any
-// parallel-attempt rollback), so a rolled-back attempt records nothing.
+// into the query's heat sample.
 func (pc *planCtx) emitCaptured(structure string, tab *catalog.Table, bytes int64) {
 	pc.e.emitQueryEvent(pc.qid, obs.EventCaptured, structure, tab.Name, bytes, "scan")
 	pc.heatDelta(tab.Name).Build(structure, 1)

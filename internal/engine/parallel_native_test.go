@@ -5,11 +5,13 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
 	"rawdb/internal/catalog"
 	"rawdb/internal/obs"
+	"rawdb/internal/sql"
 	"rawdb/internal/storage/csvfile"
 	"rawdb/internal/storage/rootfile"
 	"rawdb/internal/vector"
@@ -366,6 +368,31 @@ func TestParallelFallbackReporting(t *testing.T) {
 			t.Fatalf("no fallback lifecycle event, have %v", e.RecentEvents())
 		}
 	})
+	t.Run("root-join-built-once", func(t *testing.T) {
+		// A ROOT probe side declines after the CSV build side was cut: the
+		// plan that runs must be the first to touch the template cache.
+		big, dim := goldenTable(t, 3000, 0), goldenTable(t, 50, 0)
+		f, err := rootfile.Parse(big.root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := newTestEngine(t, Config{Strategy: StrategyJIT})
+		if err := e.RegisterRootFile("t", f, "t", big.schema); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.RegisterCSVData("u", dim.csv, dim.schema); err != nil {
+			t.Fatal(err)
+		}
+		res := queryAt(t, e, "SELECT MAX(t.col4), COUNT(*) FROM t, u WHERE t.col2 = u.col1", 4)
+		if res.Int64(0, 1) != 3000 {
+			t.Fatalf("COUNT(*) = %d, want 3000", res.Int64(0, 1))
+		}
+		if s := res.Stats; s.ParallelFallback != fallbackRootTable || s.TemplateHits != 0 ||
+			s.TemplateMisses != 2 || e.TemplateCache().Len() != 2 {
+			t.Fatalf("fallback %q, templates hit %d missed %d cached %d; want %q, 0, 2, 2",
+				s.ParallelFallback, s.TemplateHits, s.TemplateMisses, e.TemplateCache().Len(), fallbackRootTable)
+		}
+	})
 	t.Run("small-file", func(t *testing.T) {
 		// One row = one record-aligned morsel: below the 2-morsel floor.
 		csvData, _, schema, _ := testData(t, 1, 3, 11)
@@ -404,4 +431,148 @@ func TestParallelFallbackReporting(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestCutDecides drives cut alone over the decline taxonomy and one
+// splittable case per source of spans: the span counts, the exact reason and
+// detail strings (plans.golden pins them end to end), and that deciding builds
+// nothing — no template, stat, hook, heat or span.
+func TestCutDecides(t *testing.T) {
+	big, tiny, dim := goldenTable(t, 3000, 0), goldenTable(t, 1, 0), goldenTable(t, 50, 0)
+	third := []*goldenData{goldenTable(t, 1000, 0), goldenTable(t, 1000, 1000), goldenTable(t, 1000, 2000)}
+	csv := func(g *goldenData) func(*Engine) error {
+		return func(e *Engine) error { return e.RegisterCSVData("t", g.csv, g.schema) }
+	}
+	root := func(e *Engine) error {
+		f, err := rootfile.Parse(big.root)
+		if err != nil {
+			return err
+		}
+		return e.RegisterRootFile("t", f, "t", big.schema)
+	}
+	dataset := func(parts ...DataPart) func(*Engine) error {
+		return func(e *Engine) error { return e.RegisterDatasetParts("t", parts, big.schema) }
+	}
+	const q = "SELECT MAX(col2) FROM t WHERE col1 < 600"
+	const join = "SELECT COUNT(*) FROM t, u WHERE t.col2 = u.col1"
+	cases := []struct {
+		name     string
+		strategy Strategy
+		register func(*Engine) error
+		warm     string // run serially first: caches its shreds and zone maps
+		sql      string
+		reason   string
+		detail   string
+		spans    [][]int // per table, per unit; 0: pruned
+		loaded   int
+		shreds   bool
+	}{
+		{name: "root", strategy: StrategyJIT, register: root, sql: q, reason: fallbackRootTable,
+			detail: "root tables page through the format library at its own pace", spans: [][]int{{1}}},
+		{name: "one-row csv", strategy: StrategyJIT, register: csv(tiny), sql: q, reason: fallbackSmallFile,
+			detail: "t splits into 1 morsels (need 2)", spans: [][]int{{1}}},
+		{name: "one-row memory", strategy: StrategyJIT, sql: q, reason: fallbackSmallFile,
+			register: func(e *Engine) error { return e.RegisterMemory("t", tiny.schema, tiny.cols) },
+			detail:   "memory table t yields fewer than 2 morsels", spans: [][]int{{1}}},
+		{name: "one-row dbms", strategy: StrategyDBMS, register: csv(tiny), sql: q, reason: fallbackSmallFile,
+			detail: "loaded table t yields fewer than 2 morsels", spans: [][]int{{1}}, loaded: 1},
+		{name: "one-row shreds", strategy: StrategyJIT, register: csv(tiny), warm: q, sql: q, reason: fallbackSmallFile,
+			detail: "cached columns of t yield fewer than 2 morsels", spans: [][]int{{1}}},
+		{name: "dataset all pruned", strategy: StrategyJIT, warm: q, sql: "SELECT MAX(col2) FROM t WHERE col1 < -5",
+			register: dataset(DataPart{Format: catalog.CSV, Data: third[0].csv}, DataPart{Format: catalog.Binary, Data: third[1].bin}),
+			reason:   fallbackSmallFile, detail: "every partition of t pruned", spans: [][]int{{0, 0}}},
+		{name: "dataset one tiny partition", strategy: StrategyJIT, sql: q, reason: fallbackSmallFile,
+			register: dataset(DataPart{Format: catalog.CSV, Data: tiny.csv}),
+			detail:   "t yields 1 morsels across its partitions (need 2)", spans: [][]int{{1}}},
+		{name: "join with a root side", strategy: StrategyJIT, sql: join, reason: fallbackRootTable,
+			register: func(e *Engine) error {
+				if err := root(e); err != nil {
+					return err
+				}
+				return e.RegisterCSVData("u", dim.csv, dim.schema)
+			},
+			detail: "root tables page through the format library at its own pace", spans: [][]int{{1}, {1}}},
+
+		{name: "csv", strategy: StrategyJIT, register: csv(big), sql: q, spans: [][]int{{8}}},
+		{name: "json", strategy: StrategyJIT, sql: q, spans: [][]int{{8}},
+			register: func(e *Engine) error { return e.RegisterJSONData("t", big.json, big.schema) }},
+		{name: "binary", strategy: StrategyInSitu, sql: q, spans: [][]int{{8}},
+			register: func(e *Engine) error { return e.RegisterBinaryData("t", big.bin, big.schema) }},
+		{name: "memory", strategy: StrategyShreds, sql: q, spans: [][]int{{8}},
+			register: func(e *Engine) error { return e.RegisterMemory("t", big.schema, big.cols) }},
+		{name: "dbms", strategy: StrategyDBMS, register: csv(big), sql: q, spans: [][]int{{8}}, loaded: 1},
+		{name: "shreds", strategy: StrategyJIT, register: csv(big), warm: q, sql: q, spans: [][]int{{8}}, shreds: true},
+		{name: "three partitions", strategy: StrategyJIT, sql: q, spans: [][]int{{1, 3, 2}},
+			register: dataset(DataPart{Format: catalog.CSV, Data: third[0].csv},
+				DataPart{Format: catalog.JSON, Data: third[1].json}, DataPart{Format: catalog.Binary, Data: third[2].bin})},
+		{name: "join, one-span build side", strategy: StrategyJIT, sql: join, spans: [][]int{{8}, {1}},
+			register: func(e *Engine) error {
+				if err := csv(big)(e); err != nil {
+					return err
+				}
+				return e.RegisterBinaryData("u", tiny.bin, tiny.schema)
+			}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			e := newTestEngine(t, Config{Strategy: tc.strategy, SynopsisBlockRows: 256})
+			if err := tc.register(e); err != nil {
+				t.Fatal(err)
+			}
+			if tc.warm != "" {
+				queryAt(t, e, tc.warm, 1)
+			}
+			parsed, err := sql.Parse(tc.sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, err := e.analyze(parsed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			templates := e.TemplateCache().Len()
+			pc := &planCtx{e: e, strategy: tc.strategy, workers: 4, useCache: true, capture: true,
+				pushdown: true, zonemaps: true, stats: &Stats{}, trace: obs.NewTrace()}
+			c, err := pc.cut(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.reason != tc.reason || c.detail != tc.detail || c.par != (tc.reason == "") {
+				t.Fatalf("reason %q (%s) par=%v, want %q (%s)", c.reason, c.detail, c.par, tc.reason, tc.detail)
+			}
+			var got [][]int
+			for _, tab := range c.tables {
+				var units []int
+				for _, u := range tab.units {
+					units = append(units, len(u.spans))
+					if u.spans != nil && u.whole() != !c.par {
+						t.Fatalf("unit %s: spans %v in a plan with par=%v", u.bt.st.tab.Name, u.spans, c.par)
+					}
+					if (u.shreds != nil) != tc.shreds {
+						t.Fatalf("unit %s: shreds %v, want set=%v", u.bt.st.tab.Name, u.shreds, tc.shreds)
+					}
+				}
+				got = append(got, units)
+			}
+			if !reflect.DeepEqual(got, tc.spans) {
+				t.Fatalf("span counts %v, want %v", got, tc.spans)
+			}
+			if len(c.loaded) != tc.loaded {
+				t.Fatalf("loaded %v, want %d table(s)", c.loaded, tc.loaded)
+			}
+			if n := e.TemplateCache().Len(); n != templates {
+				t.Fatalf("template cache grew %d -> %d", templates, n)
+			}
+			if !reflect.DeepEqual(*pc.stats, Stats{}) {
+				t.Fatalf("stats touched: %+v", *pc.stats)
+			}
+			if len(pc.onMerge)+len(pc.onComplete)+len(pc.onFinish)+len(pc.probes) != 0 || pc.heat != nil {
+				t.Fatalf("hooks registered: merge %d complete %d finish %d probes %d heat %v",
+					len(pc.onMerge), len(pc.onComplete), len(pc.onFinish), len(pc.probes), pc.heat)
+			}
+			if spans := pc.trace.Spans(); len(spans) != 0 {
+				t.Fatalf("trace holds %d spans", len(spans))
+			}
+		})
+	}
 }

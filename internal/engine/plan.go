@@ -37,15 +37,6 @@ type planCtx struct {
 	// never-cancelled context) leaves the plan untouched.
 	ctx context.Context
 
-	// morselTarget overrides the morsel count of the next morselScans call
-	// (0 keeps workers * morselsPerWorker); the dataset planner sets it per
-	// partition to spread the query's morsel budget by partition size.
-	morselTarget int
-	// allowSingleMorsel accepts a single morsel as a valid parallel unit:
-	// a dataset partition too small to split still interleaves with its
-	// siblings on the worker pool.
-	allowSingleMorsel bool
-
 	// Completion hooks. Execution runs without the table locks (the engine
 	// releases them after planning and re-acquires them to publish), so
 	// EVERY mutation of shared per-table state a query performs is deferred
@@ -73,47 +64,273 @@ type planCtx struct {
 	// building), so per-operator prune counts land on the right span.
 	probes []*pruneProbe
 
-	// fallbackReason/fallbackDetail record why planParallel declined a
-	// workers > 1 query (the first decline site wins — it is the innermost
-	// and most specific); plan() copies them into Stats, the trace, and an
-	// obs event whenever the serial plan runs instead.
-	fallbackReason string
-	fallbackDetail string
-
 	// qid is the engine-assigned query ID, stamped on query-scoped events.
 	qid int64
 	// heat accumulates this query's per-table workload-heat deltas (see
-	// heat.go); populated by onFinish hooks and emitCaptured, folded into
-	// the engine registry once by foldHeat.
+	// heat.go); populated by plan sites, onFinish hooks and emitCaptured,
+	// folded into the engine registry once by foldHeat.
 	heat map[string]*obs.HeatDelta
 }
 
 // Structured parallel-fallback reasons. With joins, HAVING, AVG, float SUM,
 // and bare GROUP BY parallel-native, these are the only ways a workers > 1
-// query still runs serial.
+// query still runs as one part.
 const (
 	// fallbackRootTable: ROOT files are accessed through the library pacing
 	// the paper measures; there is no splittable raw byte range.
 	fallbackRootTable = "root-table"
 	// fallbackSmallFile: the file (or dataset) yields fewer than two
-	// morsels, so an exchange would only add overhead over the serial scan.
+	// morsels, so an exchange would only add overhead over the one-part scan.
 	fallbackSmallFile = "small-file"
 	// fallbackUnsupportedFormat: the strategy has no reader for this format
-	// at all (the serial plan errors too).
+	// at all (building the plan then fails).
 	fallbackUnsupportedFormat = "unsupported-format"
-	// fallbackInternal marks decline paths that should be unreachable.
+	// fallbackInternal: the strategy is not one the planner knows (building
+	// the plan then fails).
 	fallbackInternal = "planner-internal"
 )
 
-// declineParallel records the structured reason the parallel planner is
-// declining this query. The first recorded reason wins. It always returns
-// false so decline sites can return it directly as their ok value.
-func (pc *planCtx) declineParallel(reason, detailf string, args ...any) bool {
-	if pc.fallbackReason == "" {
-		pc.fallbackReason = reason
-		pc.fallbackDetail = fmt.Sprintf(detailf, args...)
+// morselsPerWorker oversubscribes the morsel count so slow morsels (denser
+// rows, colder cache lines) do not leave workers idle at the tail.
+const morselsPerWorker = 2
+
+// unitCut is one scan unit — a table, a join side, a dataset partition — as
+// cut divided it.
+type unitCut struct {
+	// bt is the unit bound as a table: the query's own, or a partition under
+	// its dataset's alias with its own snapshot of the positional structures.
+	bt *boundTable
+	// spans are the parts the unit is scanned in: [wholeTable] for the
+	// one-part plan; else row ranges (resident vectors, positional modes) or
+	// record-aligned byte ranges (a cold text image), each one input of an
+	// exchange. nil: a partition pruned without opening its file.
+	spans []span
+	// shreds, when set, are the full shreds of every scan column: the spans
+	// are row ranges over them and the raw file is not read.
+	shreds []*shred.Shred
+}
+
+func (u unitCut) whole() bool { return len(u.spans) == 1 && u.spans[0] == wholeTable }
+
+// tableCut is one table of the query: the columns a cut scan or a dataset scan
+// of it materialises (sorted), and its units — itself, or one per partition in
+// manifest order.
+type tableCut struct {
+	cols  []int
+	units []unitCut
+}
+
+// cutPlan is cut's decision for a query.
+type cutPlan struct {
+	tables []tableCut
+	// par: the units are cut into exchange inputs; otherwise every one of
+	// them is [wholeTable].
+	par bool
+	// reason and detail say why a workers > 1 query is not cut. The first
+	// decline wins: it is the most specific.
+	reason, detail string
+	// loaded names the tables the DBMS baseline had to load to count their
+	// rows.
+	loaded []string
+}
+
+func (c *cutPlan) decline(reason, detailf string, args ...any) {
+	if c.reason == "" {
+		c.reason, c.detail = reason, fmt.Sprintf(detailf, args...)
 	}
-	return false
+}
+
+// cut decides, before any operator, span, stat or hook exists, how each scan
+// unit of the query is divided: into the spans of a morsel-parallel plan, or
+// — with one worker, or when any unit declines — [wholeTable] everywhere,
+// which is the serial plan. It reads what both shapes need anyway (worker
+// count, strategy, the rows of resident vectors and full shreds, the plug-in's
+// access and split, manifest sizes, partition pruning) and changes nothing but
+// what every plan over these tables first needs resident: surviving
+// partitions' raw bytes and the DBMS baseline's loaded columns.
+func (pc *planCtx) cut(r *resolvedQuery) (cutPlan, error) {
+	c := cutPlan{tables: make([]tableCut, len(r.tables))}
+	// The build side of a join goes first, as it does when the plan is built.
+	for t := len(r.tables) - 1; t >= 0; t-- {
+		r.tables[t].pos = r.tables[t].st.positions()
+		if err := pc.cutTable(&c, r, t); err != nil {
+			return c, err
+		}
+	}
+	c.par = pc.workers > 1 && c.reason == ""
+	if c.reason != "" {
+		for _, tc := range c.tables {
+			for i := range tc.units {
+				if u := &tc.units[i]; u.spans != nil {
+					u.spans, u.shreds = []span{wholeTable}, nil
+				}
+			}
+		}
+	}
+	return c, nil
+}
+
+// cutTable cuts table t. A plain table needs two spans to be worth an
+// exchange — one is the serial plan with exchange overhead — except as the
+// build side of a join, where the probe side provides the parallelism and one
+// will do. A dataset spreads the query's span budget over its surviving
+// partitions by file size, at least one span each — so parallelism scales
+// with file count even when no file is large enough to split — and needs two
+// spans in all.
+func (pc *planCtx) cutTable(c *cutPlan, r *resolvedQuery, t int) error {
+	bt := r.tables[t]
+	tc := &c.tables[t]
+	n := 0
+	if pc.workers > 1 {
+		n = pc.workers * morselsPerWorker
+	}
+	ds := bt.st.ds
+	if n > 0 || ds != nil {
+		tc.cols = scanCols(r, t) // a one-part plan of a plain table picks its own
+	}
+	if ds == nil {
+		min := 2
+		if t == 1 {
+			min = 1
+		}
+		u, err := pc.cutUnit(c, bt, tc.cols, n, min)
+		tc.units = []unitCut{u}
+		return err
+	}
+	tc.units = make([]unitCut, len(ds.parts))
+	weight := func(i int) int64 { return max(ds.manifest.Parts[i].Size, 1) }
+	var total int64
+	for i, ps := range ds.parts {
+		if pc.prunePartition(ps, r.filters[t]) {
+			continue
+		}
+		if err := pc.e.loadPartData(ps); err != nil {
+			return err
+		}
+		tc.units[i].bt = &boundTable{alias: bt.alias, st: ps, pos: ps.positions()}
+		total += weight(i)
+	}
+	if n > 0 && total == 0 {
+		c.decline(fallbackSmallFile, "every partition of %s pruned", bt.st.tab.Name)
+	}
+	nspans := 0
+	for i := range tc.units {
+		u := &tc.units[i]
+		if u.bt == nil {
+			continue
+		}
+		target := int(int64(n) * weight(i) / total)
+		if n > 0 && target < 1 {
+			target = 1
+		}
+		var err error
+		if *u, err = pc.cutUnit(c, u.bt, tc.cols, target, 1); err != nil {
+			return err
+		}
+		nspans += len(u.spans)
+	}
+	if n > 0 && nspans < 2 {
+		c.decline(fallbackSmallFile, "%s yields %d morsels across its partitions (need 2)",
+			bt.st.tab.Name, nspans)
+	}
+	return nil
+}
+
+// cutUnit divides one table or partition into at most n spans (0, or a query
+// that already declined: the whole table), declining under min.
+func (pc *planCtx) cutUnit(c *cutPlan, bt *boundTable, cols []int, n, min int) (unitCut, error) {
+	st := bt.st
+	tab := st.tab
+	u := unitCut{bt: bt, spans: []span{wholeTable}}
+	dbms := pc.strategy == StrategyDBMS && tab.Format != catalog.Memory
+	if dbms {
+		loaded, err := pc.e.ensureLoaded(st)
+		if err != nil {
+			return u, err
+		}
+		if loaded {
+			c.loaded = append(c.loaded, tab.Name)
+		}
+	}
+	if n == 0 || c.reason != "" {
+		return u, nil
+	}
+
+	// Resident vectors — memory tables, what the DBMS baseline loaded, columns
+	// all cached as full shreds — are cut into row ranges.
+	kind, known := pc.scanKind()
+	resident, rows := "", 0
+	switch {
+	case tab.Format == catalog.Memory:
+		resident, rows = "memory table %s yields", st.loaded[cols[0]].Len()
+	case dbms:
+		resident, rows = "loaded table %s yields", st.loaded[cols[0]].Len()
+	case !known:
+		c.decline(fallbackInternal, "no parallel planner for strategy %s", pc.strategy)
+		return u, nil
+	case kind == scanGenerated && pc.useCache:
+		// A partially cached column set reads the raw file, still the source
+		// of truth: an unpruned pass recaptures every column as a full shred
+		// (Put overwrites the partial entries harmlessly).
+		for _, col := range cols {
+			s := pc.e.shreds.LookupFull(shred.Key{Table: tab.Name, Col: col})
+			if s == nil {
+				break
+			}
+			u.shreds = append(u.shreds, s)
+		}
+		if len(u.shreds) < len(cols) {
+			u.shreds = nil
+			break
+		}
+		resident, rows = "cached columns of %s yield", u.shreds[0].Vector().Len()
+	}
+	if resident != "" {
+		spans := splitRows(int64(rows), n)
+		if len(spans) < min {
+			c.decline(fallbackSmallFile, resident+" fewer than %d morsels", tab.Name, min)
+			return u, nil
+		}
+		u.spans = spans
+		return u, nil
+	}
+
+	// Raw file: row ranges where rows are addressable (through the positional
+	// structure, or natively), record-aligned byte ranges over a cold text
+	// image.
+	a, err := st.src.access(tab, bt.pos, cols, kind)
+	if _, noReader := err.(noReaderError); noReader {
+		c.decline(fallbackUnsupportedFormat, "%s tool has no parallel %s scan", kind, tab.Format)
+		return u, nil
+	}
+	if err != nil {
+		return u, err
+	}
+	spans, splittable := st.src.split(bt.pos, a.mode, n)
+	if !splittable {
+		c.decline(fallbackRootTable, "%s tables page through the format library at its own pace", tab.Format)
+		return u, nil
+	}
+	if len(spans) < min {
+		c.decline(fallbackSmallFile, "%s splits into %d morsels (need %d)", tab.Name, len(spans), min)
+		return u, nil
+	}
+	u.spans = spans
+	return u, nil
+}
+
+// scanKind is the family of scan operators the strategy reads raw files with;
+// ok is false for a strategy that has none.
+func (pc *planCtx) scanKind() (kind scanKind, ok bool) {
+	switch pc.strategy {
+	case StrategyExternal:
+		return scanExternal, true
+	case StrategyInSitu:
+		return scanGeneric, true
+	case StrategyJIT, StrategyShreds:
+		return scanGenerated, true
+	}
+	return 0, false
 }
 
 // pruneProbe defers a scan's runtime prune counters to onComplete time and
@@ -326,7 +543,11 @@ func (pc *planCtx) pushStats(f func() (int64, int64)) {
 // each bound column currently lives in the batch and where each table's
 // hidden row-id column is (-1 if absent).
 type pipe struct {
-	op  exec.Operator
+	// ops is the pipeline, once per part: one operator, or with par set the
+	// inputs of an exchange — one per span of a cut table, all of one layout —
+	// until gather merges them.
+	ops []exec.Operator
+	par bool
 	pos map[boundRef]int
 	rid map[int]int
 	// span is the trace span of the pipeline's topmost wrapped operator
@@ -335,18 +556,36 @@ type pipe struct {
 	span *obs.Span
 }
 
-func (p *pipe) width() int { return len(p.op.Schema()) }
+func (p *pipe) width() int { return len(p.ops[0].Schema()) }
+
+// layout registers table t's columns at the head of the batch, in order, and
+// its row-id column (-1: none).
+func (p *pipe) layout(t int, order []int, ridIdx int) {
+	for i, c := range order {
+		p.pos[boundRef{t, c}] = i
+	}
+	p.rid[t] = ridIdx
+}
+
+// parLabel prefixes the access-path label of a cut scan with its part count.
+func (p *pipe) parLabel() string {
+	if !p.par {
+		return ""
+	}
+	return fmt.Sprintf("par[%d]:", len(p.ops))
+}
 
 // traceWrap wraps the pipe's current operator in a named span and makes it
-// the pipe's top span. No-op (returns nil) when tracing is off.
+// the pipe's top span. No-op (returns nil) when tracing is off, and on the
+// inputs of an exchange: gather gives each a span over the whole part.
 func (pc *planCtx) traceWrap(p *pipe, name string) *obs.Span {
-	if pc.trace == nil {
+	if pc.trace == nil || p.par {
 		return nil
 	}
 	s := pc.trace.NewSpan(name)
 	p.span.SetParent(s)
 	p.span = s
-	p.op = exec.WithSpan(p.op, s)
+	p.ops[0] = exec.WithSpan(p.ops[0], s)
 	return s
 }
 
@@ -376,7 +615,7 @@ func (pc *planCtx) markScan() scanMark {
 // scanSpan wraps the pipe in a span named after the access-path labels
 // recorded since mark, attaching the prune probes registered since mark.
 func (pc *planCtx) scanSpan(p *pipe, mark scanMark) {
-	if pc.trace == nil {
+	if pc.trace == nil || p.par {
 		return
 	}
 	labels := pc.stats.AccessPaths[mark.paths:]
@@ -395,61 +634,35 @@ func (pc *planCtx) scanSpan(p *pipe, mark scanMark) {
 	}
 }
 
-// plan builds the physical operator tree for a resolved query, preferring
-// the morsel-parallel plan when the query and cache state are eligible.
+// plan builds the physical operator tree for a resolved query: cut decides
+// the parts, then each plan shape is built once over them. A workers > 1
+// query that runs as one part says why — Explain, Stats, the trace and an obs
+// event carry the reason, so the fallback is never silent.
 func (pc *planCtx) plan(r *resolvedQuery) (exec.Operator, error) {
-	for _, bt := range r.tables {
-		bt.pos = bt.st.positions()
+	c, err := pc.cut(r)
+	if err != nil {
+		return nil, err
 	}
-	if pc.workers > 1 {
-		mark := pc.trace.Mark()
-		savedStats := *pc.stats // slice headers snapshot current lengths
-		savedMerges := len(pc.onMerge)
-		savedHooks := len(pc.onComplete)
-		savedFinish := len(pc.onFinish)
-		savedProbes := len(pc.probes)
-		op, ok, err := pc.planParallel(r)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			return op, nil
-		}
-		// The attempt fell back to serial: its spans, stats entries, and
-		// completion hooks describe a plan that never runs, so roll them
-		// back — and record the structured reason so the fallback is never
-		// silent (Explain, Stats, trace, obs event).
-		pc.trace.Rewind(mark)
-		*pc.stats = savedStats
-		pc.onMerge = pc.onMerge[:savedMerges]
-		pc.onComplete = pc.onComplete[:savedHooks]
-		pc.onFinish = pc.onFinish[:savedFinish]
-		pc.probes = pc.probes[:savedProbes]
-		if pc.fallbackReason == "" {
-			pc.fallbackReason = fallbackInternal
-			pc.fallbackDetail = "parallel planner declined without a recorded reason"
-		}
-		pc.stats.ParallelFallback = pc.fallbackReason
-		pc.stats.ParallelFallbackDetail = pc.fallbackDetail
+	pc.stats.LoadedTables = append(pc.stats.LoadedTables, c.loaded...)
+	if c.reason != "" {
+		pc.stats.ParallelFallback = c.reason
+		pc.stats.ParallelFallbackDetail = c.detail
 		if pc.trace != nil {
 			s := pc.trace.NewSpan("parallel-fallback")
-			s.AddAttr("reason", pc.fallbackReason)
-			if pc.fallbackDetail != "" {
-				s.AddAttr("detail", pc.fallbackDetail)
-			}
+			s.AddAttr("reason", c.reason)
+			s.AddAttr("detail", c.detail)
 			now := time.Now()
 			s.Window(now, now)
 		}
 	}
 	var p *pipe
-	var err error
 	switch {
-	case r.join == nil && r.tables[0].st.ds != nil:
-		p, err = pc.datasetPipe(r, 0)
-	case r.join == nil:
-		p, err = pc.planSingle(r)
+	case r.join != nil:
+		p, err = pc.planJoin(r, &c)
+	case r.tables[0].st.ds != nil:
+		p, err = pc.datasetScan(r, 0, &c.tables[0])
 	default:
-		p, err = pc.planJoin(r)
+		p, err = pc.planSingle(r, c.tables[0].units[0])
 	}
 	if err != nil {
 		return nil, err
@@ -457,17 +670,20 @@ func (pc *planCtx) plan(r *resolvedQuery) (exec.Operator, error) {
 	return pc.finish(r, p)
 }
 
-// planSingle plans a one-table query. Under StrategyShreds the filters
-// cascade: the base scan reads only the first filter column; each further
-// filter column is fetched by a late scan right before its predicate; output
-// columns are fetched last (one late scan per column, or a single
-// multi-column late scan when the option is set).
-func (pc *planCtx) planSingle(r *resolvedQuery) (*pipe, error) {
+// planSingle plans a one-table query over scan unit u (r's table, or the
+// partition a shadow query wraps). Under StrategyShreds a one-part plan
+// cascades its filters: the base scan reads only the first filter column; each
+// further filter column is fetched by a late scan right before its predicate;
+// output columns are fetched last (one late scan per column, or a single
+// multi-column late scan when the option is set). Every other plan — and every
+// cut one, whose parts carry no row ids past the exchange — reads all of its
+// columns in the base scan, once per span, and filters each part.
+func (pc *planCtx) planSingle(r *resolvedQuery, u unitCut) (*pipe, error) {
 	filterCols, outputCols := r.neededColumns()
 	t := 0
-	bt := r.tables[t]
+	bt := u.bt
 
-	late := pc.strategy == StrategyShreds && pc.lateCapable(bt)
+	late := pc.strategy == StrategyShreds && u.whole() && pc.lateCapable(bt)
 	var baseCols, lateFilterCols, lateOutputCols []int
 	if late {
 		if len(filterCols[t]) > 0 {
@@ -496,7 +712,7 @@ func (pc *planCtx) planSingle(r *resolvedQuery) (*pipe, error) {
 	// generated scan; whatever the access path cannot absorb comes back as
 	// the residual and runs in a Filter above, exactly as before.
 	basePreds, latePreds := splitPreds(r.filters[t], baseCols)
-	p, residual, err := pc.baseScan(r, t, baseCols, needRID, basePreds)
+	p, residual, err := pc.baseScan(t, u, baseCols, needRID, basePreds)
 	if err != nil {
 		return nil, err
 	}
@@ -551,18 +767,27 @@ func (pc *planCtx) planSingle(r *resolvedQuery) (*pipe, error) {
 // planJoin plans a two-table query: table 0 is the probe (pipelined) side,
 // table 1 the build side. Local filters apply below the join; the placement
 // option governs where output-only columns are created relative to the join.
-func (pc *planCtx) planJoin(r *resolvedQuery) (*pipe, error) {
+// A cut plan scans the build side into a shared partitioned hash table
+// (exec.SharedBuild) and runs one probe pipeline per probe-side part
+// (exec.HashProbe) on the exchange's worker pool. Probe parts replay in file
+// order with matches in build stream order, so the joined stream — and
+// everything finish stacks above it — is byte-identical to the HashJoin plan.
+func (pc *planCtx) planJoin(r *resolvedQuery, c *cutPlan) (*pipe, error) {
 	filterCols, outputCols := r.neededColumns()
 	sides := make([]*pipe, 2)
 	lateAfterJoin := make([][]int, 2)
-	for t := 0; t < 2; t++ {
+	order := [2]int{0, 1}
+	if c.par {
+		order = [2]int{1, 0} // the shared build is planned first
+	}
+	for _, t := range order {
 		bt := r.tables[t]
 		if bt.st.ds != nil {
 			// Dataset join sides materialise every needed column early and
 			// filter inside the per-partition pipelines (row ids are
 			// partition-local, so post-join late scans cannot span the
 			// concat).
-			p, err := pc.datasetPipe(r, t)
+			p, err := pc.datasetScan(r, t, &c.tables[t])
 			if err != nil {
 				return nil, err
 			}
@@ -571,7 +796,7 @@ func (pc *planCtx) planJoin(r *resolvedQuery) (*pipe, error) {
 		}
 		canLate := pc.lateCapable(bt)
 		place := pc.place
-		if pc.strategy != StrategyShreds || !canLate {
+		if pc.strategy != StrategyShreds || !canLate || c.par {
 			place = PlaceEarly
 		}
 		baseCols := append([]int{}, filterCols[t]...) // includes the join key
@@ -586,7 +811,7 @@ func (pc *planCtx) planJoin(r *resolvedQuery) (*pipe, error) {
 		}
 		sortInts(baseCols)
 		needRID := canLate && (len(intermediate) > 0 || len(lateAfterJoin[t]) > 0)
-		p, residual, err := pc.baseScan(r, t, baseCols, needRID, r.filters[t])
+		p, residual, err := pc.baseScan(t, c.tables[t].units[0], baseCols, needRID, r.filters[t])
 		if err != nil {
 			return nil, err
 		}
@@ -609,13 +834,8 @@ func (pc *planCtx) planJoin(r *resolvedQuery) (*pipe, error) {
 	if !ok {
 		return nil, fmt.Errorf("engine: internal: right join key not materialised")
 	}
-	join, err := exec.NewHashJoin(left.op, right.op, lk, rk)
-	if err != nil {
-		return nil, err
-	}
-	jop, jspan := pc.opSpan(join, "hashjoin", left.span, right.span)
 	// Merge layouts: right positions shift by the left width.
-	merged := &pipe{op: jop, pos: make(map[boundRef]int), rid: map[int]int{0: -1, 1: -1}, span: jspan}
+	merged := &pipe{pos: make(map[boundRef]int), rid: map[int]int{0: -1, 1: -1}}
 	off := left.width()
 	for ref, i := range left.pos {
 		merged.pos[ref] = i
@@ -628,6 +848,34 @@ func (pc *planCtx) planJoin(r *resolvedQuery) (*pipe, error) {
 	}
 	if i, ok := right.rid[1]; ok && i >= 0 {
 		merged.rid[1] = off + i
+	}
+	if c.par {
+		// The build side's parts feed a private exchange under the shared
+		// build, whose parse overlaps the probe scans.
+		if err := pc.gather(right, "build-exchange"); err != nil {
+			return nil, err
+		}
+		build, err := exec.NewSharedBuild(right.ops[0], rk, pc.workers)
+		if err != nil {
+			return nil, err
+		}
+		for i, part := range left.ops {
+			if left.ops[i], err = exec.NewHashProbe(part, build, lk); err != nil {
+				return nil, err
+			}
+		}
+		if err := pc.gather(left, "probe-exchange", right.span); err != nil {
+			return nil, err
+		}
+		pc.pathf("par:hashjoin(%s,%s)", r.tables[0].st.tab.Name, r.tables[1].st.tab.Name)
+		merged.ops, merged.span = left.ops, left.span
+	} else {
+		join, err := exec.NewHashJoin(left.ops[0], right.ops[0], lk, rk)
+		if err != nil {
+			return nil, err
+		}
+		jop, jspan := pc.opSpan(join, "hashjoin", left.span, right.span)
+		merged.ops, merged.span = []exec.Operator{jop}, jspan
 	}
 	for t := 0; t < 2; t++ {
 		if len(lateAfterJoin[t]) > 0 {
@@ -668,7 +916,8 @@ func splitPreds(preds []boundPred, cols []int) (in, out []boundPred) {
 	return in, out
 }
 
-// applyFilter adds a Filter operator for preds (no-op when empty).
+// applyFilter adds a Filter operator for preds to every part (no-op when
+// empty).
 func (pc *planCtx) applyFilter(p *pipe, t int, preds []boundPred) error {
 	if len(preds) == 0 {
 		return nil
@@ -681,108 +930,78 @@ func (pc *planCtx) applyFilter(p *pipe, t int, preds []boundPred) error {
 		}
 		eps[i] = exec.Pred{Col: pos, Op: bp.op, I64: bp.i64, F64: bp.f64}
 	}
-	f, err := exec.NewFilter(p.op, eps)
-	if err != nil {
-		return err
+	for i, op := range p.ops {
+		f, err := exec.NewFilter(op, eps)
+		if err != nil {
+			return err
+		}
+		p.ops[i] = f
 	}
-	p.op = f
 	pc.traceWrap(p, fmt.Sprintf("filter[%d]", len(preds)))
 	return nil
 }
 
-// baseScan builds the bottom access path for table t and, when tracing,
-// wraps it in a span named after the access path the strategy chose, with
-// the scan's prune probes attached so runtime counters land on the span.
-func (pc *planCtx) baseScan(r *resolvedQuery, t int, cols []int, needRID bool,
+// baseScan builds the bottom access path of scan unit u, one operator per span,
+// as table t of the pipeline. A one-part scan checks for cancellation under
+// every batch and, when tracing, is wrapped in a span named after the access
+// path the strategy chose, with the scan's prune probes attached so runtime
+// counters land on the span; the parts of a cut one get both from their
+// exchange.
+func (pc *planCtx) baseScan(t int, u unitCut, cols []int, needRID bool,
 	candidates []boundPred) (*pipe, []boundPred, error) {
 	mark := pc.markScan()
-	p, residual, err := pc.baseScanInner(r, t, cols, needRID, candidates)
+	p, residual, err := pc.baseScanInner(t, u, cols, needRID, candidates)
 	if err != nil {
 		return nil, nil, err
 	}
-	if st := r.tables[t].st; st.tab.Format != catalog.Memory {
+	if st := u.bt.st; st.tab.Format != catalog.Memory {
 		pc.noteScanHeat(st, mark.probes)
 	}
-	if pc.ctx != nil {
+	if pc.ctx != nil && !p.par {
 		// Cancellation check under every batch the scan emits: even plans
 		// whose upper operators drain their input inside one Next call
 		// (aggregates, hash-join builds) then stop within one batch.
-		p.op = exec.WithContext(p.op, pc.ctx)
+		p.ops[0] = exec.WithContext(p.ops[0], pc.ctx)
 	}
 	pc.scanSpan(p, mark)
 	return p, residual, nil
 }
 
-// baseScanInner builds the bottom access path for table t materialising cols
-// (sorted), optionally emitting the hidden row-id column, and registers the
-// resulting layout. candidates are the predicates on cols; the access path
-// absorbs what it can (JIT strategies) and returns the rest as the residual
-// the caller must still filter.
-func (pc *planCtx) baseScanInner(r *resolvedQuery, t int, cols []int, needRID bool,
+// baseScanInner builds the scans of unit u materialising cols (sorted),
+// optionally emitting the hidden row-id column (one-part plans only), and
+// registers the resulting layout. candidates are the predicates on cols; the
+// access path absorbs what it can (JIT strategies) and returns the rest as the
+// residual the caller must still filter.
+func (pc *planCtx) baseScanInner(t int, u unitCut, cols []int, needRID bool,
 	candidates []boundPred) (*pipe, []boundPred, error) {
-	bt := r.tables[t]
-	st := bt.st
+	st := u.bt.st
 	tab := st.tab
-	bs := pc.e.cfg.BatchSize
+	p := &pipe{pos: make(map[boundRef]int), rid: map[int]int{t: -1}, par: !u.whole()}
 
-	p := &pipe{pos: make(map[boundRef]int), rid: map[int]int{t: -1}}
-	layout := func(order []int, ridIdx int) {
-		for i, c := range order {
-			p.pos[boundRef{t, c}] = i
+	// Memory tables (staged results) are strategy-independent; the DBMS
+	// baseline scans what cut loaded.
+	if tab.Format == catalog.Memory || pc.strategy == StrategyDBMS {
+		label := "memory:scan"
+		if tab.Format != catalog.Memory {
+			label = "dbms:memscan"
 		}
-		p.rid[t] = ridIdx
-	}
-
-	// Memory tables (staged results) are strategy-independent.
-	if tab.Format == catalog.Memory {
-		schema := make(vector.Schema, len(cols))
 		vecs := make([]*vector.Vector, len(cols))
 		for i, c := range cols {
-			schema[i] = vector.Col{Name: tab.Schema[c].Name, Type: tab.Schema[c].Type}
 			vecs[i] = st.loaded[c]
 		}
-		ms, err := exec.NewMemScan(schema, vecs, bs)
-		if err != nil {
+		var err error
+		if p.ops, err = residentScans(tab, cols, vecs, u.spans, nil, pc.e.cfg.BatchSize); err != nil {
 			return nil, nil, err
 		}
-		p.op = ms
-		layout(cols, -1)
-		pc.pathf("memory:scan(%s)", tab.Name)
+		p.layout(t, cols, -1)
+		pc.pathf("%s%s(%s)", p.parLabel(), label, tab.Name)
 		return p, candidates, nil
 	}
-
-	switch pc.strategy {
-	case StrategyDBMS:
-		if err := pc.e.ensureLoaded(st, pc.stats); err != nil {
-			return nil, nil, err
-		}
-		schema := make(vector.Schema, len(cols))
-		vecs := make([]*vector.Vector, len(cols))
-		for i, c := range cols {
-			schema[i] = vector.Col{Name: tab.Schema[c].Name, Type: tab.Schema[c].Type}
-			vecs[i] = st.loaded[c]
-		}
-		ms, err := exec.NewMemScan(schema, vecs, bs)
-		if err != nil {
-			return nil, nil, err
-		}
-		p.op = ms
-		layout(cols, -1)
-		pc.pathf("dbms:memscan(%s)", tab.Name)
-		return p, candidates, nil
-
-	case StrategyExternal:
-		pp, err := pc.baseScanGeneric(p, bt, scanExternal, cols, layout)
-		return pp, candidates, err
-
-	case StrategyInSitu:
-		pp, err := pc.baseScanGeneric(p, bt, scanGeneric, cols, layout)
-		return pp, candidates, err
-
-	case StrategyJIT, StrategyShreds:
-		return pc.baseScanJIT(p, r, t, cols, needRID, candidates, layout)
+	kind, ok := pc.scanKind()
+	if !ok {
+		return nil, nil, fmt.Errorf("engine: unknown strategy %d", pc.strategy)
 	}
-	return nil, nil, fmt.Errorf("engine: unknown strategy %d", pc.strategy)
+	return pc.baseScanFile(p, t, u, kind, cols, needRID, candidates)
 }
 
 // rawScan says what one read of a table's raw file must deliver.
@@ -791,19 +1010,19 @@ type rawScan struct {
 	kind scanKind
 	cols []int // columns to materialise, sorted
 	// pushable are the predicates on cols the scans may absorb; skip are all
-	// the predicates a zone map may exclude row ranges by (in a serial plan
+	// the predicates a zone map may exclude row ranges by (in a one-part plan
 	// that includes those on cached columns appended above the scan).
 	pushable, skip []boundPred
 	emitRID        bool // whole-table scans only
 }
 
-// rawScans builds one scan per span over a table's raw file — the serial
-// plans pass wholeTable, the morsel planner the plug-in's split — through the
+// rawScans builds one scan per span over a table's raw file — cut's
+// [wholeTable], or the plug-in's split — through the
 // access path a the plug-in described, plus the completion hook that
 // publishes what the scans built on the side. It is the one place that
 // arbitrates between pushdown and capture, applies zone maps, attaches
 // synopsis builders, charges the template cache, labels the path and tees
-// full columns into the shred pool, for every format and both planners.
+// full columns into the shred pool, for every format and either plan shape.
 //
 // absorbed are the predicates the scans evaluate exactly (all of rs.pushable
 // or none; the caller filters the rest). pruned says the scans may drop rows
@@ -833,7 +1052,7 @@ func (pc *planCtx) rawScans(rs rawScan, a access, spans []span) (parts []exec.Op
 	if generated && a.zoneSkip && (whole || !a.recording) && pc.zonemaps && !capturing {
 		skip = synSkip(st.synopsis(), rs.skip)
 	}
-	spans = pc.skipMorsels(spans, skip)
+	spans = pc.skipMorsels(spans, skip, true)
 	pruned = len(push) > 0 || skip != nil
 
 	// A pass that parses every value builds the table's zone maps on the side,
@@ -943,57 +1162,47 @@ func (pc *planCtx) rawScans(rs rawScan, a access, spans []span) (parts []exec.Op
 	}, absorbed, pruned, nil
 }
 
-// baseScanGeneric builds a baseline's whole-file scan — the NoDB-style
-// in-situ scan or the external table: nothing pushed down, nothing captured.
-func (pc *planCtx) baseScanGeneric(p *pipe, bt *boundTable, kind scanKind, cols []int,
-	layout func([]int, int)) (*pipe, error) {
-	rs := rawScan{bt: bt, kind: kind, cols: cols}
-	a, err := bt.st.src.access(bt.st.tab, bt.pos, cols, kind)
-	if err != nil {
-		return nil, err
-	}
-	parts, done, _, _, err := pc.rawScans(rs, a, []span{wholeTable})
-	if err != nil {
-		return nil, err
-	}
-	pc.deferMerge(done)
-	p.op = parts[0]
-	layout(cols, -1)
-	return p, nil
-}
-
-// baseScanJIT builds the JIT access path, serving columns from the shred
-// pool where possible and capturing file-read columns into it. Candidate
-// predicates on uncached columns are pushed into the generated scan
-// (conversion-time checks, vectorized selection, zone-map skipping); the
-// returned residual holds whatever must still run in a Filter above.
-func (pc *planCtx) baseScanJIT(p *pipe, r *resolvedQuery, t int, cols []int, needRID bool,
-	candidates []boundPred, layout func([]int, int)) (*pipe, []boundPred, error) {
-	st := r.tables[t].st
+// baseScanFile scans a raw-file table under kind. The baselines' kinds — the
+// NoDB-style in-situ scan, the external table — read every column from the
+// file: nothing pushed down, nothing captured. The generated kind serves
+// columns from the shred pool where possible and captures file-read columns
+// into it; candidate predicates on uncached columns are pushed into the
+// generated scan (conversion-time checks, vectorized selection, zone-map
+// skipping). The returned residual holds whatever must still run in a Filter
+// above.
+func (pc *planCtx) baseScanFile(p *pipe, t int, u unitCut, kind scanKind, cols []int, needRID bool,
+	candidates []boundPred) (*pipe, []boundPred, error) {
+	bt := u.bt
+	st := bt.st
 	tab := st.tab
 	bs := pc.e.cfg.BatchSize
 
-	var cached, uncached []int
-	var cachedShreds []*shred.Shred
-	for _, c := range cols {
-		var s *shred.Shred
-		if pc.useCache {
-			s = pc.e.shreds.LookupFull(shred.Key{Table: tab.Name, Col: c})
-		}
-		if s != nil {
-			cached = append(cached, c)
-			cachedShreds = append(cachedShreds, s)
-		} else {
-			uncached = append(uncached, c)
+	// A one-part plan looks each column up and reads only the rest from the
+	// file; a cut one has them all as full shreds (cut looked) or reads them
+	// all from the file.
+	var cached []int
+	uncached, cachedShreds := cols, u.shreds
+	if cachedShreds != nil {
+		cached, uncached = cols, nil
+	} else if !p.par && kind == scanGenerated && pc.useCache {
+		uncached = nil
+		for _, c := range cols {
+			if s := pc.e.shreds.LookupFull(shred.Key{Table: tab.Name, Col: c}); s != nil {
+				cached = append(cached, c)
+				cachedShreds = append(cachedShreds, s)
+			} else {
+				uncached = append(uncached, c)
+			}
 		}
 	}
 	pc.stats.ShredHits += len(cached)
 	pc.noteStructHit(tab.Name, "shred", len(cached))
 
 	// Everything cached: stream from the pool, no raw access at all.
-	// Predicates on the cached columns are still absorbed — the shred scan
-	// evaluates them vectorized and emits selection-vector batches.
-	if len(uncached) == 0 && len(cached) > 0 {
+	// Predicates on the cached columns are still absorbed — the scans evaluate
+	// them vectorized and emit selection-vector batches — and zone maps
+	// exclude whole spans of a cut scan before dispatch.
+	if len(uncached) == 0 {
 		names := make([]string, len(cached))
 		slotOf := make(map[int]int, len(cached))
 		for i, c := range cached {
@@ -1008,52 +1217,71 @@ func (pc *planCtx) baseScanJIT(p *pipe, r *resolvedQuery, t int, cols []int, nee
 				preds = append(preds, exec.Pred{Col: slotOf[bp.col], Op: bp.op, I64: bp.i64, F64: bp.f64})
 			}
 		}
-		sc, err := shred.NewScanPred(cachedShreds, names, needRID, bs, preds)
-		if err != nil {
-			return nil, nil, err
-		}
-		p.op = sc
-		order := append([]int{}, cached...)
+		var skip func(lo, hi int64) bool
 		ridIdx := -1
-		if needRID {
-			ridIdx = len(cached)
+		if p.par {
+			if pc.zonemaps {
+				skip = synSkip(st.synopsis(), candidates)
+			}
+			vecs := make([]*vector.Vector, len(cached))
+			for i, s := range cachedShreds {
+				vecs[i] = s.Vector()
+			}
+			var err error
+			if p.ops, err = residentScans(tab, cols, vecs, pc.skipMorsels(u.spans, skip, false), preds, bs); err != nil {
+				return nil, nil, err
+			}
+		} else {
+			sc, err := shred.NewScanPred(cachedShreds, names, needRID, bs, preds)
+			if err != nil {
+				return nil, nil, err
+			}
+			p.ops = []exec.Operator{sc}
+			if needRID {
+				ridIdx = len(cached)
+			}
 		}
-		layout(order, ridIdx)
-		pc.pathf("shred:scan(%s)", tab.Name)
+		p.layout(t, cached, ridIdx)
+		pc.pathf("%sshred:scan(%s)", p.parLabel(), tab.Name)
+		pc.notePush(tab.Name, len(preds), skip != nil)
 		if len(preds) > 0 {
-			pc.notePush(tab.Name, len(preds), false)
-			pc.pushStats(func() (int64, int64) { return sc.RowsPruned(), 0 })
+			for _, op := range p.ops {
+				sc := op.(interface{ RowsPruned() int64 })
+				pc.pushStats(func() (int64, int64) { return sc.RowsPruned(), 0 })
+			}
 		}
 		return p, residual, nil
 	}
 
-	// Read uncached columns from the raw file with a generated access path,
-	// which may absorb the candidates on them; predicates on cached
-	// (late-appended) columns always stay in the Filter above. If cached
-	// columns must be appended, the scan emits row ids for the (sequential)
-	// shred late-scan doing the appending.
+	// Read uncached columns from the raw file, one scan per span, through the
+	// access path the plug-in describes. A generated one may absorb the
+	// candidates on them; predicates on cached (late-appended) columns always
+	// stay in the Filter above. If cached columns must be appended, the scan
+	// emits row ids for the (sequential) shred late-scan doing the appending.
 	pushable, rest := splitPreds(candidates, uncached)
 	emitRID := needRID || len(cached) > 0
-	a, err := st.src.access(tab, r.tables[t].pos, uncached, scanGenerated)
+	a, err := st.src.access(tab, bt.pos, uncached, kind)
 	if err != nil {
 		return nil, nil, err
 	}
-	parts, done, absorbed, pruned, err := pc.rawScans(rawScan{bt: r.tables[t], kind: scanGenerated,
-		cols: uncached, pushable: pushable, skip: candidates, emitRID: emitRID}, a, []span{wholeTable})
+	var done func() error
+	var absorbed []boundPred
+	var pruned bool
+	p.ops, done, absorbed, pruned, err = pc.rawScans(rawScan{bt: bt, kind: kind,
+		cols: uncached, pushable: pushable, skip: candidates, emitRID: emitRID}, a, u.spans)
 	if err != nil {
 		return nil, nil, err
 	}
 	pc.deferMerge(done)
-	op := parts[0]
 	residual := candidates
 	if len(absorbed) > 0 {
 		residual = rest
 	}
-	order := append([]int{}, uncached...)
 	ridIdx := -1
 	if emitRID {
 		ridIdx = len(uncached)
 	}
+	p.layout(t, uncached, ridIdx)
 
 	// rawScans captured the columns of an unpruned scan in full. A pruned
 	// scan's output is NOT a full column: capture it keyed by row ids instead
@@ -1063,45 +1291,31 @@ func (pc *planCtx) baseScanJIT(p *pipe, r *resolvedQuery, t int, cols []int, nee
 		for i, c := range uncached {
 			specs[i] = shred.CaptureSpec{Key: shred.Key{Table: tab.Name, Col: c}, ColIdx: i, RIDIdx: ridIdx}
 		}
-		cap, err := shred.NewCapture(op, pc.e.shreds, specs)
+		cap, err := shred.NewCapture(p.ops[0], pc.e.shreds, specs)
 		if err != nil {
 			return nil, nil, err
 		}
-		op = cap
+		p.ops[0] = cap
 		pc.noteShredCapture(tab, uncached)
 	}
 
-	// Append cached columns via their row ids.
+	// Append cached columns via their row ids, after uncached+rid.
 	if len(cached) > 0 {
 		names := make([]string, len(cached))
 		for i, c := range cached {
 			names[i] = tab.Schema[c].Name
 		}
-		ls, err := shred.NewLateScan(op, ridIdx, cachedShreds, names)
+		base := p.width()
+		ls, err := shred.NewLateScan(p.ops[0], ridIdx, cachedShreds, names)
 		if err != nil {
 			return nil, nil, err
 		}
-		op = ls
-		order = append(order, cached...)
-		// Layout: cached columns sit after uncached+rid.
-		p.op = ls
-		for i, c := range uncached {
-			p.pos[boundRef{t, c}] = i
-		}
-		base := len(uncached)
-		if emitRID {
-			base++
-		}
+		p.ops[0] = ls
 		for i, c := range cached {
 			p.pos[boundRef{t, c}] = base + i
 		}
-		p.rid[t] = ridIdx
 		pc.pathf("shred:append(%s)", tab.Name)
-		return p, residual, nil
 	}
-
-	p.op = op
-	layout(order, ridIdx)
 	return p, residual, nil
 }
 
@@ -1149,12 +1363,12 @@ func (pc *planCtx) lateScanInner(p *pipe, r *resolvedQuery, t int, cols []int) e
 		for i, c := range fromCache {
 			names[i] = tab.Schema[c].Name
 		}
-		ls, err := shred.NewLateScan(p.op, ridIdx, cachedShreds, names)
+		ls, err := shred.NewLateScan(p.ops[0], ridIdx, cachedShreds, names)
 		if err != nil {
 			return err
 		}
 		base := p.width()
-		p.op = ls
+		p.ops[0] = ls
 		for i, c := range fromCache {
 			p.pos[boundRef{t, c}] = base + i
 		}
@@ -1165,7 +1379,7 @@ func (pc *planCtx) lateScanInner(p *pipe, r *resolvedQuery, t int, cols []int) e
 	}
 
 	pos := r.tables[t].pos
-	ls, err := st.src.late(p.op, tab, pos, fromFile, ridIdx)
+	ls, err := st.src.late(p.ops[0], tab, pos, fromFile, ridIdx)
 	if err != nil {
 		return err
 	}
@@ -1178,7 +1392,7 @@ func (pc *planCtx) lateScanInner(p *pipe, r *resolvedQuery, t int, cols []int) e
 	sorted := append([]int{}, fromFile...)
 	sortInts(sorted)
 	base := p.width()
-	p.op = ls
+	p.ops[0] = ls
 	for i, c := range sorted {
 		p.pos[boundRef{t, c}] = base + i
 	}
@@ -1193,38 +1407,57 @@ func (pc *planCtx) lateScanInner(p *pipe, r *resolvedQuery, t int, cols []int) e
 				RIDIdx: ridIdx,
 			}
 		}
-		cap, err := shred.NewCapture(p.op, pc.e.shreds, specs)
+		cap, err := shred.NewCapture(p.ops[0], pc.e.shreds, specs)
 		if err != nil {
 			return err
 		}
-		p.op = cap
+		p.ops[0] = cap
 		pc.noteShredCapture(tab, sorted)
 	}
 	return nil
 }
 
+// outRef locates one query aggregate in the aggregation's output: either a
+// final aggregate column or a divide column appended above them (AVG of a
+// two-stage plan).
+type outRef struct {
+	div bool
+	idx int
+}
+
 // finish adds aggregation/grouping, HAVING filters and the final projection.
+// Over one part the aggregate runs in one stage. Over the parts of a cut
+// table it is split into a partial aggregate per part and a final combining
+// aggregate above the exchange: COUNT partials merge by summation; MIN/MAX and
+// integer SUM merge by re-applying the same function. Float SUM travels as a
+// (Sum, SumErr) pair — the correctly rounded part sum plus the residue
+// rounding dropped — merged exactly by MergeSum, so the total is
+// bit-identical to the one-stage sum. AVG is decomposed into final SUM and
+// COUNT combined by a Divide column above the final aggregate, and HAVING
+// filters above that. Group keys stay in first-encounter order because the
+// parts partition the file in order and the exchange replays partial outputs
+// in part order.
 func (pc *planCtx) finish(r *resolvedQuery, p *pipe) (exec.Operator, error) {
-	hasAgg := false
-	for _, it := range r.items {
-		if it.isAgg {
-			hasAgg = true
-			break
-		}
+	names := make([]string, len(r.items))
+	hasAgg := len(r.groupBy) > 0 || len(r.having) > 0
+	for i, it := range r.items {
+		names[i] = it.name
+		hasAgg = hasAgg || it.isAgg
 	}
-	if !hasAgg && len(r.groupBy) == 0 && len(r.having) == 0 {
+	if !hasAgg {
 		// Plain projection.
+		if err := pc.gather(p, "exchange"); err != nil {
+			return nil, err
+		}
 		idxs := make([]int, len(r.items))
-		names := make([]string, len(r.items))
 		for i, it := range r.items {
 			pos, ok := p.pos[it.ref]
 			if !ok {
 				return nil, fmt.Errorf("engine: internal: output column %q not materialised", it.name)
 			}
 			idxs[i] = pos
-			names[i] = it.name
 		}
-		pr, err := exec.NewProject(p.op, idxs, names)
+		pr, err := exec.NewProject(p.ops[0], idxs, names)
 		if err != nil {
 			return nil, err
 		}
@@ -1232,6 +1465,7 @@ func (pc *planCtx) finish(r *resolvedQuery, p *pipe) (exec.Operator, error) {
 		return op, nil
 	}
 
+	twoStage := p.par
 	groupIdx := make([]int, len(r.groupBy))
 	for i, g := range r.groupBy {
 		pos, ok := p.pos[g]
@@ -1240,31 +1474,99 @@ func (pc *planCtx) finish(r *resolvedQuery, p *pipe) (exec.Operator, error) {
 		}
 		groupIdx[i] = pos
 	}
-	var specs []exec.AggSpec
-	// addSpec registers an aggregate (deduplicating identical ones) and
-	// returns its position in the Aggregate output.
-	addSpec := func(it boundItem) (int, error) {
+
+	// Three registries, each deduplicating identical entries: the final
+	// aggregates — over the pipeline itself in one stage, over the partials in
+	// two —, the partial aggregates computed per part, and the divide columns
+	// (AVG = final SUM ÷ final COUNT) appended above the final aggregate.
+	var partials, finals []exec.AggSpec
+	type divSpec struct {
+		num, den int // final-aggregate spec indexes
+		name     string
+	}
+	var divides []divSpec
+	addPartial := func(f exec.AggFunc, col int, name string) int {
+		for i, s := range partials {
+			if s.Func == f && s.Col == col {
+				return i
+			}
+		}
+		partials = append(partials, exec.AggSpec{Func: f, Col: col, As: name})
+		return len(partials) - 1
+	}
+	// pcol maps a partial spec index onto its column in the exchange stream
+	// (group keys first, then the partials in registration order).
+	pcol := func(pi int) int { return len(groupIdx) + pi }
+	addFinal := func(f exec.AggFunc, col, col2 int, name string) int {
+		for i, s := range finals {
+			if s.Func == f && s.Col == col && s.Col2 == col2 {
+				return i
+			}
+		}
+		finals = append(finals, exec.AggSpec{Func: f, Col: col, Col2: col2, As: name})
+		return len(finals) - 1
+	}
+	addDivide := func(num, den int, name string) int {
+		for i, d := range divides {
+			if d.num == num && d.den == den {
+				return i
+			}
+		}
+		divides = append(divides, divSpec{num: num, den: den, name: name})
+		return len(divides) - 1
+	}
+
+	// decompose registers the specs implementing one query aggregate and
+	// returns where its value lands.
+	decompose := func(it boundItem) (outRef, error) {
 		col := -1
+		isFloat := false
 		if !it.star {
 			pos, ok := p.pos[it.ref]
 			if !ok {
-				return 0, fmt.Errorf("engine: internal: aggregate input %q not materialised", it.name)
+				return outRef{}, fmt.Errorf("engine: internal: aggregate input %q not materialised", it.name)
 			}
 			col = pos
+			isFloat = r.tables[it.ref.table].st.tab.Schema[it.ref.col].Type == vector.Float64
 		}
-		for si, s := range specs {
-			if s.Func == it.agg && s.Col == col {
-				return len(r.groupBy) + si, nil
-			}
+		switch {
+		case !twoStage:
+			return outRef{idx: addFinal(it.agg, col, -1, it.name)}, nil
+		case it.agg == exec.Count:
+			p := addPartial(exec.Count, col, it.name)
+			return outRef{idx: addFinal(exec.Sum, pcol(p), -1, it.name)}, nil
+		case it.agg == exec.Min || it.agg == exec.Max:
+			p := addPartial(it.agg, col, it.name)
+			return outRef{idx: addFinal(it.agg, pcol(p), -1, it.name)}, nil
+		case it.agg == exec.Sum && !isFloat:
+			p := addPartial(exec.Sum, col, it.name)
+			return outRef{idx: addFinal(exec.Sum, pcol(p), -1, it.name)}, nil
+		case it.agg == exec.Sum:
+			hi := addPartial(exec.Sum, col, it.name)
+			lo := addPartial(exec.SumErr, col, it.name+"#err")
+			return outRef{idx: addFinal(exec.MergeSum, pcol(hi), pcol(lo), it.name)}, nil
+		case it.agg == exec.Avg && isFloat:
+			hi := addPartial(exec.Sum, col, it.name+"#sum")
+			lo := addPartial(exec.SumErr, col, it.name+"#err")
+			n := addPartial(exec.Count, -1, "#rows")
+			fs := addFinal(exec.MergeSum, pcol(hi), pcol(lo), it.name+"#sum")
+			fn := addFinal(exec.Sum, pcol(n), -1, "#rows")
+			return outRef{div: true, idx: addDivide(fs, fn, it.name)}, nil
+		case it.agg == exec.Avg:
+			s := addPartial(exec.Sum, col, it.name+"#sum")
+			n := addPartial(exec.Count, -1, "#rows")
+			fs := addFinal(exec.Sum, pcol(s), -1, it.name+"#sum")
+			fn := addFinal(exec.Sum, pcol(n), -1, "#rows")
+			return outRef{div: true, idx: addDivide(fs, fn, it.name)}, nil
 		}
-		specs = append(specs, exec.AggSpec{Func: it.agg, Col: col, As: it.name})
-		return len(r.groupBy) + len(specs) - 1, nil
+		return outRef{}, fmt.Errorf("engine: internal: no parallel form for aggregate %s", it.agg)
 	}
 
+	refs := make([]outRef, len(r.items))
 	aggOut := make([]int, len(r.items)) // result position per item
 	for i, it := range r.items {
 		if !it.isAgg {
-			// Bare group column: position within the Aggregate output is its
+			// Bare group column: position within the aggregate output is its
 			// index in groupBy.
 			for gi, g := range r.groupBy {
 				if g == it.ref {
@@ -1273,38 +1575,108 @@ func (pc *planCtx) finish(r *resolvedQuery, p *pipe) (exec.Operator, error) {
 			}
 			continue
 		}
-		pos, err := addSpec(it)
+		ref, err := decompose(it)
 		if err != nil {
 			return nil, err
 		}
-		aggOut[i] = pos
+		refs[i] = ref
 	}
 	// HAVING aggregates may add hidden specs.
-	havingPos := make([]int, len(r.having))
+	havingRefs := make([]outRef, len(r.having))
 	for i, h := range r.having {
-		pos, err := addSpec(h.item)
+		ref, err := decompose(h.item)
 		if err != nil {
 			return nil, err
 		}
-		havingPos[i] = pos
+		havingRefs[i] = ref
 	}
-	if len(specs) == 0 {
+	if len(finals) == 0 {
 		// Bare GROUP BY projection (SELECT g FROM t GROUP BY g): stage a
 		// hidden COUNT so the aggregate has a spec; the projection drops it.
-		if _, err := addSpec(boundItem{agg: exec.Count, isAgg: true, star: true, name: "#rows"}); err != nil {
+		if _, err := decompose(boundItem{agg: exec.Count, isAgg: true, star: true, name: "#rows"}); err != nil {
 			return nil, err
 		}
 	}
-	agg, err := exec.NewAggregate(p.op, specs, groupIdx)
+
+	// Every output position is now known: the final aggregate emits the group
+	// keys then the finals, and each Divide appends one column above that.
+	finalBase := len(groupIdx)
+	posOf := func(ref outRef) int {
+		if ref.div {
+			return finalBase + len(finals) + ref.idx
+		}
+		return finalBase + ref.idx
+	}
+	for i, it := range r.items {
+		if it.isAgg {
+			aggOut[i] = posOf(refs[i])
+		}
+	}
+
+	stage := "aggregate"
+	if twoStage {
+		// Ungrouped partials emit one row even when their part filtered down
+		// to nothing (COUNT = 0 with identity-less zero aggregates); those
+		// rows must not feed MIN/MAX/SUM merging. Reuse any registered COUNT
+		// partial as the guard, or stage a hidden one, and filter empty
+		// partials out. Grouped partials only emit groups that saw rows, so
+		// no guard is needed there.
+		guard := -1
+		if len(groupIdx) == 0 {
+			for i, s := range partials {
+				if s.Func == exec.Count {
+					guard = i
+					break
+				}
+			}
+			if guard < 0 {
+				guard = addPartial(exec.Count, -1, "#partial_rows")
+			}
+		}
+		for i, part := range p.ops {
+			agg, err := exec.NewAggregate(part, partials, groupIdx)
+			if err != nil {
+				return nil, err
+			}
+			p.ops[i] = agg
+		}
+		if err := pc.gather(p, "exchange"); err != nil {
+			return nil, err
+		}
+		if guard >= 0 {
+			f, err := exec.NewFilter(p.ops[0], []exec.Pred{{Col: pcol(guard), Op: exec.Gt, I64: 0}})
+			if err != nil {
+				return nil, err
+			}
+			p.ops[0] = f
+		}
+		// The exchange stream leads with the group keys.
+		groupIdx = make([]int, len(groupIdx))
+		for i := range groupIdx {
+			groupIdx[i] = i
+		}
+		stage = "final-aggregate"
+	}
+	agg, err := exec.NewAggregate(p.ops[0], finals, groupIdx)
 	if err != nil {
 		return nil, err
 	}
 	out, top := pc.opSpan(agg,
-		fmt.Sprintf("aggregate[groups=%d aggs=%d]", len(groupIdx), len(specs)), p.span)
+		fmt.Sprintf("%s[groups=%d aggs=%d]", stage, len(groupIdx), len(finals)), p.span)
+	if len(divides) > 0 {
+		for _, d := range divides {
+			dv, err := exec.NewDivide(out, finalBase+d.num, finalBase+d.den, d.name)
+			if err != nil {
+				return nil, err
+			}
+			out = dv
+		}
+		out, top = pc.opSpan(out, fmt.Sprintf("divide[%d]", len(divides)), top)
+	}
 	if len(r.having) > 0 {
 		preds := make([]exec.Pred, len(r.having))
 		for i, h := range r.having {
-			preds[i] = exec.Pred{Col: havingPos[i], Op: h.op, I64: h.i64, F64: h.f64}
+			preds[i] = exec.Pred{Col: posOf(havingRefs[i]), Op: h.op, I64: h.i64, F64: h.f64}
 		}
 		f, err := exec.NewFilter(out, preds)
 		if err != nil {
@@ -1313,10 +1685,6 @@ func (pc *planCtx) finish(r *resolvedQuery, p *pipe) (exec.Operator, error) {
 		out, top = pc.opSpan(f, fmt.Sprintf("having[%d]", len(preds)), top)
 	}
 	// Re-order to the SELECT list.
-	names := make([]string, len(r.items))
-	for i, it := range r.items {
-		names[i] = it.name
-	}
 	pr, err := exec.NewProject(out, aggOut, names)
 	if err != nil {
 		return nil, err
@@ -1355,19 +1723,19 @@ func shredKeys(table string, cols []int) string {
 }
 
 // ensureLoaded materialises every column of a table in memory (the DBMS
-// baseline's loading step), charged to the first query that touches it.
-func (e *Engine) ensureLoaded(st *tableState, stats *Stats) error {
+// baseline's loading step), charged to the first query that touches it:
+// loaded says this call did the loading.
+func (e *Engine) ensureLoaded(st *tableState) (loaded bool, err error) {
 	if st.loaded != nil {
-		return nil
+		return false, nil
 	}
 	cols, err := loadAll(st)
 	if err != nil {
-		return err
+		return false, err
 	}
 	st.loaded = cols
 	if len(cols) > 0 {
 		st.nrows = int64(cols[0].Len())
 	}
-	stats.LoadedTables = append(stats.LoadedTables, st.tab.Name)
-	return nil
+	return true, nil
 }

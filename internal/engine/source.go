@@ -18,8 +18,8 @@ import (
 // This file is the paper's input plug-in: everything the engine needs to
 // know about one raw file format, answered once per format behind one
 // contract. A table's plug-in is resolved at registration and lives on its
-// tableState; the planners (plan.go, parallel.go) never branch on a format,
-// they ask the plug-in and run one flow (rawScans) over its answers.
+// tableState; the planner (plan.go, parallel.go) never branches on a format,
+// it asks the plug-in and runs one flow (rawScans) over its answers.
 
 // source is the input plug-in contract. Implementations own the table's raw
 // image; the positional structure scans build over it (positional map,
@@ -84,7 +84,7 @@ func (k scanKind) String() string {
 // bytes [lo, hi) of the raw image under jit.Sequential.
 type span struct{ lo, hi int64 }
 
-// wholeTable is the serial plan's one span: the scan is built unranged over
+// wholeTable is the one-part plan's one span: the scan is built unranged over
 // the whole image, and may emit row ids.
 var wholeTable = span{0, -1}
 

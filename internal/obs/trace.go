@@ -212,30 +212,6 @@ func (t *Trace) Phase(name string) *Span {
 	return s
 }
 
-// Mark returns the current span count, for Rewind.
-func (t *Trace) Mark() int {
-	if t == nil {
-		return 0
-	}
-	return len(t.spans)
-}
-
-// Rewind discards the spans created since mark: a planner rolling back a
-// speculative plan attempt (e.g. the parallel plan falling back to serial)
-// discards the attempt's spans with it. Surviving spans that were re-parented
-// under a discarded span become roots again.
-func (t *Trace) Rewind(mark int) {
-	if t == nil || mark < 0 || mark >= len(t.spans) {
-		return
-	}
-	t.spans = t.spans[:mark]
-	for _, s := range t.spans {
-		if s.parent >= mark {
-			s.parent = -1
-		}
-	}
-}
-
 // Spans returns the trace's spans in creation order.
 func (t *Trace) Spans() []*Span {
 	if t == nil {

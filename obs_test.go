@@ -1,6 +1,6 @@
 // Observability integration tests: span trees and chrome export over real
-// queries, serial-vs-parallel pruning-stat parity, the parallel-fallback
-// rollback (no phantom spans or counters), lifecycle events through the
+// queries, serial-vs-parallel pruning-stat parity, the parallel fallback
+// (no phantom spans or counters), lifecycle events through the
 // facade, and the trace-overhead benchmark backing the zero-cost-when-off
 // contract.
 package raw_test
@@ -97,49 +97,80 @@ func TestObsStatsSerialParallelParity(t *testing.T) {
 	}
 }
 
-// TestObsParallelFallbackNoPhantoms registers a dataset too small for the
-// morsel planner (one tiny partition) with a high worker count, so every
-// query speculatively attempts the parallel plan and falls back to serial.
-// The rollback must leave no phantom state: partition/prune counters reflect
-// the serial plan only, the trace holds no morsel or exchange spans from the
-// abandoned attempt, and the cumulative registry never sees a morsel skip.
+// TestObsParallelFallbackNoPhantoms runs queries the planner cannot cut (one
+// tiny partition; a one-row file) at a high worker count. The plan that runs
+// must be the only one that leaves a mark: partition/prune counters reflect
+// the one-part plan only, the trace holds no morsel or exchange spans, the
+// cumulative registry never sees a morsel skip, and what deciding the cut
+// loaded is reported by the query that loaded it.
 func TestObsParallelFallbackNoPhantoms(t *testing.T) {
-	// A single one-row partition yields exactly one morsel, and datasetMorsels
-	// abandons parallel plans with fewer than two parts after the attempt
-	// already walked (and counted) the partition list.
 	data := obsSortedCSV(1)
-	e := raw.NewEngine(raw.Config{Strategy: raw.StrategyJIT, Parallelism: 8})
-	parts := []raw.DatasetPart{{Format: raw.FormatCSV, Data: data}}
-	if err := e.RegisterDatasetParts("t", parts, obsSchema); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ { // twice: phantom counts would accumulate
-		tr := raw.NewTrace()
-		res, err := e.QueryOpt("SELECT SUM(col2) FROM t WHERE col1 < 100", raw.Options{Trace: tr})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := res.Value(0, 0); got != any(int64(0)) {
-			t.Fatalf("run %d: SUM=%v, want 0", i, got)
-		}
-		s := res.Stats
-		if s.PartitionsScanned != 1 || s.PartitionsSkipped != 0 {
-			t.Fatalf("run %d: partitions scanned=%d skipped=%d, want 1/0 (phantom attempt counts?)",
-				i, s.PartitionsScanned, s.PartitionsSkipped)
-		}
-		if s.MorselsSkipped != 0 {
-			t.Fatalf("run %d: MorselsSkipped=%d on a serial fallback", i, s.MorselsSkipped)
-		}
-		render := tr.Render()
-		if strings.Contains(render, "morsel[") || strings.Contains(render, "exchange[") {
-			t.Fatalf("run %d: trace kept spans of the abandoned parallel attempt:\n%s", i, render)
-		}
-		if !strings.Contains(render, "partition(") {
-			t.Fatalf("run %d: trace lost the serial partition span:\n%s", i, render)
-		}
-	}
-	if got := e.Metrics().Snapshot()["prune.morsels"]; got != 0 {
-		t.Fatalf("registry prune.morsels=%d after serial fallbacks, want 0", got)
+	for _, tc := range []struct {
+		name     string
+		strategy raw.Strategy
+		dataset  bool
+	}{
+		// A single one-row partition yields exactly one morsel, and a dataset
+		// needs two across its partitions.
+		{"jit-dataset", raw.StrategyJIT, true},
+		// The DBMS baseline loads the table to count its rows before it can
+		// decline: the first query must still own up to the load.
+		{"dbms-csv", raw.StrategyDBMS, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := raw.NewEngine(raw.Config{Strategy: tc.strategy, Parallelism: 4})
+			var err error
+			if tc.dataset {
+				err = e.RegisterDatasetParts("t", []raw.DatasetPart{{Format: raw.FormatCSV, Data: data}}, obsSchema)
+			} else {
+				err = e.RegisterCSVData("t", data, obsSchema)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 2; i++ { // twice: phantom counts would accumulate
+				tr := raw.NewTrace()
+				res, err := e.QueryOpt("SELECT SUM(col2) FROM t WHERE col1 < 100", raw.Options{Trace: tr})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := res.Value(0, 0); got != any(int64(0)) {
+					t.Fatalf("run %d: SUM=%v, want 0", i, got)
+				}
+				s := res.Stats
+				if s.ParallelFallback != "small-file" {
+					t.Fatalf("run %d: fallback %q, want small-file", i, s.ParallelFallback)
+				}
+				wantParts := 0
+				if tc.dataset {
+					wantParts = 1
+				}
+				if s.PartitionsScanned != wantParts || s.PartitionsSkipped != 0 {
+					t.Fatalf("run %d: partitions scanned=%d skipped=%d, want %d/0 (phantom attempt counts?)",
+						i, s.PartitionsScanned, s.PartitionsSkipped, wantParts)
+				}
+				if s.MorselsSkipped != 0 {
+					t.Fatalf("run %d: MorselsSkipped=%d on a one-part plan", i, s.MorselsSkipped)
+				}
+				wantLoaded := 0
+				if tc.strategy == raw.StrategyDBMS && i == 0 {
+					wantLoaded = 1
+				}
+				if len(s.LoadedTables) != wantLoaded {
+					t.Fatalf("run %d: LoadedTables=%v, want %d table(s)", i, s.LoadedTables, wantLoaded)
+				}
+				render := tr.Render()
+				if strings.Contains(render, "morsel[") || strings.Contains(render, "exchange[") {
+					t.Fatalf("run %d: trace holds spans of a plan that did not run:\n%s", i, render)
+				}
+				if tc.dataset && !strings.Contains(render, "partition(") {
+					t.Fatalf("run %d: trace lost the partition span:\n%s", i, render)
+				}
+			}
+			if got := e.Metrics().Snapshot()["prune.morsels"]; got != 0 {
+				t.Fatalf("registry prune.morsels=%d after one-part plans, want 0", got)
+			}
+		})
 	}
 }
 
