@@ -2,7 +2,7 @@ package exec
 
 import (
 	"fmt"
-	"math"
+	"math/bits"
 
 	"rawdb/internal/vector"
 )
@@ -64,6 +64,11 @@ type AggSpec struct {
 // one or two int64 key columns. Without grouping it emits exactly one row
 // (with COUNT = 0 and NULL-ish zero aggregates on empty input, matching the
 // paper's MAX queries which always see at least one row in practice).
+//
+// It works a batch at a time: first every selected row's group slot is
+// resolved into a reused buffer, then one loop per spec, specialised for its
+// function and column type, folds the batch into the group states. An
+// ungrouped aggregate is the one-group case.
 type Aggregate struct {
 	child   Operator
 	specs   []AggSpec
@@ -72,33 +77,36 @@ type Aggregate struct {
 
 	done bool
 
-	// Ungrouped state.
-	states []aggState
-
-	// Grouped state: key -> group slot.
-	groups map[[2]int64]int
+	// Group g's states are states[g*len(specs):][:len(specs)]; keys[g] is
+	// its key when grouped.
 	keys   [][2]int64
-	gstate [][]aggState
+	states []aggState
+	// table is the hash path: open addressing over slot+1 (0 is free),
+	// indexed by the top bits of a Fibonacci hash and probed linearly, at
+	// most half full. A probe compares keys[slot], so keys are stored once.
+	table []int32
 	// dense is the fast path for single-column grouping over small
 	// non-negative keys (vectorized group-by): dense[key] holds slot+1.
 	dense []int32
-	// countOnly marks the specialised grouped-COUNT plan shape.
-	countOnly bool
+
+	// all holds 0, 1, 2, ...: the rows of a batch without a selection.
+	// slots holds each selected row's group slot; an ungrouped aggregate
+	// never writes it, so its slots are all group 0.
+	all, slots []int32
 }
+
+// seq and zeros are read-only starts for Aggregate.all and an ungrouped
+// Aggregate.slots, so that default-sized batches allocate neither.
+var seq, zeros = func() (seq, zeros [vector.DefaultBatchSize]int32) {
+	for i := range seq {
+		seq[i] = int32(i)
+	}
+	return seq, zeros
+}()
 
 // denseLimit bounds the dense group-by table (8 MiB of int32 slots). Keys at
 // or above it fall back to the hash path.
 const denseLimit = 1 << 21
-
-// denseEligible reports whether every key fits the dense table.
-func denseEligible(keys []int64) bool {
-	for _, k := range keys {
-		if k < 0 || k >= denseLimit {
-			return false
-		}
-	}
-	return true
-}
 
 // growDense makes key (below denseLimit) addressable in the dense table. The
 // table at least doubles, so keys arriving in rising order cost amortised
@@ -111,13 +119,15 @@ func (a *Aggregate) growDense(key int64) {
 	a.dense = grown
 }
 
+// aggState is one spec's state in one group. Min and Max take their first
+// value when count is 0, so a zero aggState is every function's identity.
 type aggState struct {
 	count int64
 	i64   int64
 	f64   float64
-	// exp holds the exact float expansion for SUM/AVG over DOUBLE (and the
-	// SumErr/MergeSum transport funcs); allocated on first use.
-	exp *fsum
+	// sum is the exact accumulator of a float Sum, Avg, SumErr or MergeSum,
+	// allocated on the group's first row.
+	sum *fsum
 }
 
 // NewAggregate validates specs and groupBy against the child schema.
@@ -183,10 +193,11 @@ func NewAggregate(child Operator, specs []AggSpec, groupBy []int) (*Aggregate, e
 		}
 		schema = append(schema, vector.Col{Name: name, Type: outType})
 	}
-	return &Aggregate{
-		child: child, specs: specs, groupBy: groupBy, schema: schema,
-		countOnly: len(specs) == 1 && specs[0].Func == Count,
-	}, nil
+	a := &Aggregate{child: child, specs: specs, groupBy: groupBy, schema: schema, all: seq[:]}
+	if len(groupBy) == 0 {
+		a.slots = zeros[:]
+	}
+	return a, nil
 }
 
 // Schema implements Operator.
@@ -195,87 +206,162 @@ func (a *Aggregate) Schema() vector.Schema { return a.schema }
 // Open implements Operator.
 func (a *Aggregate) Open() error {
 	a.done = false
-	a.states = nil
-	a.groups = nil
-	a.keys = nil
-	a.gstate = nil
-	a.dense = nil
+	a.keys, a.states, a.table, a.dense = nil, nil, nil, nil
+	if len(a.groupBy) == 0 {
+		a.states = make([]aggState, len(a.specs))
+	}
 	return a.child.Open()
 }
 
-func newStates(n int) []aggState {
-	st := make([]aggState, n)
-	for i := range st {
-		st[i].i64 = math.MaxInt64 // min identity; fixed up per func on update
-		st[i].f64 = math.Inf(1)
+// newGroup adds a group with zero states and returns its slot. The states
+// double when they grow: append grows a large slice by 1.25×, which on the
+// hash path's tens of thousands of groups clears and copies them many times.
+func (a *Aggregate) newGroup(key [2]int64) int32 {
+	n := len(a.states) + len(a.specs)
+	if n > cap(a.states) {
+		a.states = append(make([]aggState, 0, 2*n), a.states...)
 	}
-	return st
+	a.states = a.states[:n]
+	a.keys = append(a.keys, key)
+	return int32(len(a.keys) - 1)
 }
 
-func (a *Aggregate) update(st []aggState, b *vector.Batch, row int) {
+// resolve returns the group slot of each of b's rows, creating groups for
+// keys not seen before.
+func (a *Aggregate) resolve(b *vector.Batch, rows []int32) []int32 {
+	if len(a.slots) < len(rows) {
+		a.slots = make([]int32, len(rows))
+	}
+	slots := a.slots[:len(rows)]
+	if len(a.groupBy) == 0 {
+		return slots
+	}
+	k0, k1 := b.Cols[a.groupBy[0]].Int64s, []int64(nil)
+	if len(a.groupBy) == 2 {
+		k1 = b.Cols[a.groupBy[1]].Int64s
+	}
+	for i, r := range rows {
+		key := [2]int64{k0[r]}
+		if k1 != nil {
+			key[1] = k1[r]
+		} else if uint64(key[0]) < denseLimit {
+			if key[0] >= int64(len(a.dense)) {
+				a.growDense(key[0])
+			}
+			if a.dense[key[0]] == 0 {
+				a.dense[key[0]] = a.newGroup(key) + 1
+			}
+			slots[i] = a.dense[key[0]] - 1
+			continue
+		}
+		if 2*len(a.keys) >= len(a.table) {
+			a.rehash()
+		}
+		e := a.find(key)
+		if a.table[e] == 0 {
+			a.table[e] = a.newGroup(key) + 1
+		}
+		slots[i] = a.table[e] - 1
+	}
+	return slots
+}
+
+// find returns the index of key's entry in the hash table, or of the free
+// entry where it belongs.
+func (a *Aggregate) find(key [2]int64) uint64 {
+	mask := uint64(len(a.table) - 1)
+	e := khash(key[0]^int64(khash(key[1]))) >> bits.LeadingZeros64(mask)
+	for a.table[e] != 0 && a.keys[a.table[e]-1] != key {
+		e = (e + 1) & mask
+	}
+	return e
+}
+
+// rehash sizes the hash table to four times the groups, at least 1024
+// entries, and enters every group.
+func (a *Aggregate) rehash() {
+	a.table = make([]int32, max(1024, 1<<bits.Len(uint(4*len(a.keys)))))
+	for slot, key := range a.keys {
+		a.table[a.find(key)] = int32(slot) + 1
+	}
+}
+
+// consume folds batch b into the group states. Batches may carry a
+// selection vector (scans with pushed-down predicates, Filter output): the
+// selected rows are aggregated directly instead of from a compacted copy.
+func (a *Aggregate) consume(b *vector.Batch) {
+	rows := b.Sel
+	if rows == nil {
+		for i := len(a.all); i < b.Len(); i++ {
+			a.all = append(a.all, int32(i))
+		}
+		rows = a.all[:b.Len()]
+	}
+	a.update(b, rows, a.resolve(b, rows))
+}
+
+// owner returns the spec whose state spec si reads: for a SumErr, the Sum
+// on the same column if there is one, so that each value is added to one
+// exact accumulator and not two; otherwise si itself.
+func (a *Aggregate) owner(si int) int {
+	for sj, s := range a.specs {
+		if a.specs[si].Func == SumErr && s.Func == Sum && s.Col == a.specs[si].Col {
+			return sj
+		}
+	}
+	return si
+}
+
+// update folds b's rows into their groups' states, one loop per spec.
+func (a *Aggregate) update(b *vector.Batch, rows, slots []int32) {
 	for si, s := range a.specs {
-		state := &st[si]
-		switch s.Func {
-		case Count:
-			state.count++
-			continue
-		case SumErr:
-			if state.exp == nil {
-				state.exp = &fsum{}
-			}
-			state.exp.add(b.Cols[s.Col].Float64s[row])
-			state.count++
-			continue
-		case MergeSum:
-			if state.exp == nil {
-				state.exp = &fsum{}
-			}
-			state.exp.add(b.Cols[s.Col].Float64s[row])
-			state.exp.add(b.Cols[s.Col2].Float64s[row])
-			state.count++
+		if a.owner(si) != si {
 			continue
 		}
-		col := b.Cols[s.Col]
-		switch col.Type {
-		case vector.Int64:
-			v := col.Int64s[row]
-			switch s.Func {
-			case Min:
-				if state.count == 0 || v < state.i64 {
-					state.i64 = v
-				}
-			case Max:
-				if state.count == 0 || v > state.i64 {
-					state.i64 = v
-				}
-			case Sum, Avg:
-				if state.count == 0 {
-					state.i64 = 0
-				}
-				state.i64 += v
+		st, ns := a.states[si:], len(a.specs) // group g's state of spec si is st[g*ns]
+		if s.Func == Count {
+			for _, g := range slots {
+				st[int(g)*ns].count++
 			}
-		case vector.Float64:
-			v := col.Float64s[row]
-			switch s.Func {
-			case Min:
-				if state.count == 0 || v < state.f64 {
-					state.f64 = v
+			continue
+		}
+		col, isMax := b.Cols[s.Col], s.Func == Max
+		switch {
+		case col.Type == vector.Int64 && (s.Func == Min || isMax):
+			fold(st, ns, rows, slots, col.Int64s, func(x *aggState, v int64) {
+				if x.count == 0 || isMax && v > x.i64 || !isMax && v < x.i64 {
+					x.i64 = v
 				}
-			case Max:
-				if state.count == 0 || v > state.f64 {
-					state.f64 = v
+			})
+		case col.Type == vector.Int64: // Sum, Avg
+			fold(st, ns, rows, slots, col.Int64s, func(x *aggState, v int64) { x.i64 += v })
+		case s.Func == Min || isMax:
+			fold(st, ns, rows, slots, col.Float64s, func(x *aggState, v float64) {
+				if x.count == 0 || isMax && v > x.f64 || !isMax && v < x.f64 {
+					x.f64 = v
 				}
-			case Sum, Avg:
-				// Exact expansion, not a running float: SUM/AVG over DOUBLE
-				// is the correctly rounded sum, independent of row order —
-				// the invariant that keeps morsel-parallel plans bit-exact.
-				if state.exp == nil {
-					state.exp = &fsum{}
+			})
+		default: // Sum, Avg, SumErr, MergeSum over DOUBLE: the exact sum, not a running float
+			fold(st, ns, rows, slots, col.Float64s, func(x *aggState, v float64) {
+				if x.sum == nil {
+					x.sum = new(fsum)
 				}
-				state.exp.add(v)
+				x.sum.add(v)
+			})
+			if s.Func == MergeSum { // the residues join the same sum; count is only tested against 0
+				fold(st, ns, rows, slots, b.Cols[s.Col2].Float64s, func(x *aggState, v float64) { x.sum.add(v) })
 			}
 		}
-		state.count++
+	}
+}
+
+// fold applies step to each selected row's value and its group's state, and
+// counts the row. step is inlined: fold is the loop of one spec.
+func fold[T int64 | float64](st []aggState, ns int, rows, slots []int32, v []T, step func(x *aggState, v T)) {
+	for i, r := range rows {
+		x := &st[int(slots[i])*ns]
+		step(x, v[r])
+		x.count++
 	}
 }
 
@@ -283,12 +369,6 @@ func (a *Aggregate) update(st []aggState, b *vector.Batch, row int) {
 func (a *Aggregate) Next() (*vector.Batch, error) {
 	if a.done {
 		return nil, nil
-	}
-	grouped := len(a.groupBy) > 0
-	if grouped {
-		a.groups = make(map[[2]int64]int)
-	} else {
-		a.states = newStates(len(a.specs))
 	}
 	for {
 		b, err := a.child.Next()
@@ -298,158 +378,50 @@ func (a *Aggregate) Next() (*vector.Batch, error) {
 		if b == nil {
 			break
 		}
-		n := b.Len()
-		// Batches may carry a selection vector (scans with pushed-down
-		// predicates, Filter output): iterate the selected rows directly
-		// instead of requiring a compacted copy.
-		sel := b.Sel
-		if !grouped {
-			if sel != nil {
-				for _, r := range sel {
-					a.update(a.states, b, int(r))
-				}
-			} else {
-				for r := 0; r < n; r++ {
-					a.update(a.states, b, r)
-				}
-			}
-			continue
-		}
-		k0 := b.Cols[a.groupBy[0]].Int64s
-		var k1 []int64
-		if len(a.groupBy) == 2 {
-			k1 = b.Cols[a.groupBy[1]].Int64s
-		}
-		// Specialised grouped COUNT: the per-row body is two slice indexes
-		// and an increment — no aggregate-state dispatch. Applied per batch
-		// when every key is in the dense range.
-		if a.countOnly && k1 == nil && sel == nil && denseEligible(k0[:n]) {
-			for _, key0 := range k0[:n] {
-				if int64(len(a.dense)) <= key0 {
-					a.growDense(key0)
-				}
-				slot := a.dense[key0]
-				if slot == 0 {
-					a.keys = append(a.keys, [2]int64{key0, 0})
-					a.gstate = append(a.gstate, newStates(1))
-					slot = int32(len(a.keys))
-					a.dense[key0] = slot
-				}
-				a.gstate[slot-1][0].count++
-			}
-			continue
-		}
-		nr := n
-		if sel != nil {
-			nr = len(sel)
-		}
-		for ri := 0; ri < nr; ri++ {
-			r := ri
-			if sel != nil {
-				r = int(sel[ri])
-			}
-			key0 := k0[r]
-			// Dense fast path: single small non-negative key.
-			if k1 == nil && key0 >= 0 && key0 < denseLimit {
-				if int64(len(a.dense)) <= key0 {
-					a.growDense(key0)
-				}
-				slot := a.dense[key0]
-				if slot == 0 {
-					a.keys = append(a.keys, [2]int64{key0, 0})
-					a.gstate = append(a.gstate, newStates(len(a.specs)))
-					slot = int32(len(a.keys))
-					a.dense[key0] = slot
-				}
-				a.update(a.gstate[slot-1], b, r)
-				continue
-			}
-			var key [2]int64
-			key[0] = key0
-			if k1 != nil {
-				key[1] = k1[r]
-			}
-			slot, ok := a.groups[key]
-			if !ok {
-				slot = len(a.keys)
-				a.groups[key] = slot
-				a.keys = append(a.keys, key)
-				a.gstate = append(a.gstate, newStates(len(a.specs)))
-			}
-			a.update(a.gstate[slot], b, r)
-		}
+		a.consume(b)
 	}
 	a.done = true
 	return a.emit()
 }
 
 func (a *Aggregate) emit() (*vector.Batch, error) {
-	ngroups := 1
-	if len(a.groupBy) > 0 {
-		ngroups = len(a.keys)
-		if ngroups == 0 {
-			return nil, nil
-		}
+	ns := len(a.specs)
+	ngroups := len(a.states) / ns
+	if ngroups == 0 {
+		return nil, nil
 	}
 	out := vector.NewBatch(a.schema.Types(), ngroups)
-	cs := a.child.Schema()
-	for g := 0; g < ngroups; g++ {
-		col := 0
-		st := a.states
-		if len(a.groupBy) > 0 {
-			st = a.gstate[g]
-			for ki := range a.groupBy {
-				out.Cols[col].AppendInt64(a.keys[g][ki])
-				col++
-			}
+	for ki := range a.groupBy {
+		for _, key := range a.keys {
+			out.Cols[ki].AppendInt64(key[ki])
 		}
-		for si, s := range a.specs {
-			state := st[si]
+	}
+	cs := a.child.Schema()
+	for si, s := range a.specs {
+		o, dst := a.owner(si), out.Cols[len(a.groupBy)+si]
+		for g := range ngroups {
+			x := a.states[g*ns+o]
 			switch {
-			case s.Func == Count:
-				out.Cols[col].AppendInt64(state.count)
-			case s.Func == Avg:
-				var sum float64
-				if s.Col >= 0 && cs[s.Col].Type == vector.Int64 {
-					sum = float64(state.i64)
-				} else if state.exp != nil {
-					sum = state.exp.round()
-				}
-				if state.count == 0 {
-					out.Cols[col].AppendFloat64(0)
+			case s.Func == Count || x.count == 0: // count is 0 only in an ungrouped aggregate over no rows: all 0
+				if dst.Type == vector.Int64 {
+					dst.AppendInt64(x.count)
 				} else {
-					out.Cols[col].AppendFloat64(sum / float64(state.count))
+					dst.AppendFloat64(0)
 				}
+			case s.Func == Avg && cs[s.Col].Type == vector.Int64:
+				dst.AppendFloat64(float64(x.i64) / float64(x.count))
+			case s.Func == Avg:
+				dst.AppendFloat64(x.sum.round() / float64(x.count))
 			case s.Func == SumErr:
-				var lo float64
-				if state.exp != nil && state.count > 0 {
-					_, lo = state.exp.compress()
-				}
-				out.Cols[col].AppendFloat64(lo)
-			case s.Func == MergeSum:
-				var v float64
-				if state.exp != nil && state.count > 0 {
-					v = state.exp.round()
-				}
-				out.Cols[col].AppendFloat64(v)
-			case cs[s.Col].Type == vector.Int64:
-				v := state.i64
-				if state.count == 0 {
-					v = 0
-				}
-				out.Cols[col].AppendInt64(v)
+				_, lo := x.sum.compress()
+				dst.AppendFloat64(lo)
+			case s.Func == Sum && dst.Type == vector.Float64, s.Func == MergeSum:
+				dst.AppendFloat64(x.sum.round())
+			case dst.Type == vector.Int64:
+				dst.AppendInt64(x.i64)
 			default:
-				var v float64
-				if s.Func == Sum {
-					if state.exp != nil && state.count > 0 {
-						v = state.exp.round()
-					}
-				} else if state.count > 0 {
-					v = state.f64
-				}
-				out.Cols[col].AppendFloat64(v)
+				dst.AppendFloat64(x.f64)
 			}
-			col++
 		}
 	}
 	return out, nil
