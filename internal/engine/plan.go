@@ -767,11 +767,12 @@ func (pc *planCtx) planSingle(r *resolvedQuery, u unitCut) (*pipe, error) {
 // planJoin plans a two-table query: table 0 is the probe (pipelined) side,
 // table 1 the build side. Local filters apply below the join; the placement
 // option governs where output-only columns are created relative to the join.
-// A cut plan scans the build side into a shared partitioned hash table
-// (exec.SharedBuild) and runs one probe pipeline per probe-side part
-// (exec.HashProbe) on the exchange's worker pool. Probe parts replay in file
-// order with matches in build stream order, so the joined stream — and
-// everything finish stacks above it — is byte-identical to the HashJoin plan.
+// Every plan collects the build side into one hash table (exec.SharedBuild)
+// and probes it with exec.HashProbe: the serial plan with one probe, a cut
+// plan with one probe pipeline per probe-side
+// part on the exchange's worker pool. Probe parts replay in file order with
+// matches in build stream order, so the joined stream — and everything
+// finish stacks above it — is byte-identical to the serial plan.
 func (pc *planCtx) planJoin(r *resolvedQuery, c *cutPlan) (*pipe, error) {
 	filterCols, outputCols := r.neededColumns()
 	sides := make([]*pipe, 2)
@@ -849,32 +850,33 @@ func (pc *planCtx) planJoin(r *resolvedQuery, c *cutPlan) (*pipe, error) {
 	if i, ok := right.rid[1]; ok && i >= 0 {
 		merged.rid[1] = off + i
 	}
+	// The serial plan is the one-probe case of the shared build.
+	workers := 1
 	if c.par {
 		// The build side's parts feed a private exchange under the shared
 		// build, whose parse overlaps the probe scans.
 		if err := pc.gather(right, "build-exchange"); err != nil {
 			return nil, err
 		}
-		build, err := exec.NewSharedBuild(right.ops[0], rk, pc.workers)
-		if err != nil {
+		workers = pc.workers
+	}
+	build, err := exec.NewSharedBuild(right.ops[0], rk, workers)
+	if err != nil {
+		return nil, err
+	}
+	for i, part := range left.ops {
+		if left.ops[i], err = exec.NewHashProbe(part, build, lk); err != nil {
 			return nil, err
 		}
-		for i, part := range left.ops {
-			if left.ops[i], err = exec.NewHashProbe(part, build, lk); err != nil {
-				return nil, err
-			}
-		}
+	}
+	if c.par {
 		if err := pc.gather(left, "probe-exchange", right.span); err != nil {
 			return nil, err
 		}
 		pc.pathf("par:hashjoin(%s,%s)", r.tables[0].st.tab.Name, r.tables[1].st.tab.Name)
 		merged.ops, merged.span = left.ops, left.span
 	} else {
-		join, err := exec.NewHashJoin(left.ops[0], right.ops[0], lk, rk)
-		if err != nil {
-			return nil, err
-		}
-		jop, jspan := pc.opSpan(join, "hashjoin", left.span, right.span)
+		jop, jspan := pc.opSpan(left.ops[0], "hashjoin", left.span, right.span)
 		merged.ops, merged.span = []exec.Operator{jop}, jspan
 	}
 	for t := 0; t < 2; t++ {

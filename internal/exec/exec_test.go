@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"math"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -361,12 +362,21 @@ func TestAggregateValidation(t *testing.T) {
 	}
 }
 
+// hashJoin is the serial plan's join: one probe over the build.
+func hashJoin(left, right Operator, leftKey, rightKey int) (*HashProbe, error) {
+	build, err := NewSharedBuild(right, rightKey, 1)
+	if err != nil {
+		return nil, err
+	}
+	return NewHashProbe(left, build, leftKey)
+}
+
 func TestHashJoinBasic(t *testing.T) {
 	ls := vector.Schema{{Name: "lk", Type: vector.Int64}, {Name: "lv", Type: vector.Int64}}
 	rs := vector.Schema{{Name: "rk", Type: vector.Int64}, {Name: "rv", Type: vector.Float64}}
 	left := memScan(t, ls, []*vector.Vector{intVec(1, 2, 3, 4), intVec(10, 20, 30, 40)}, 2)
 	right := memScan(t, rs, []*vector.Vector{intVec(2, 4, 6), floatVec(0.2, 0.4, 0.6)}, 2)
-	j, err := NewHashJoin(left, right, 0, 0)
+	j, err := hashJoin(left, right, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,7 +401,7 @@ func TestHashJoinDuplicateBuildKeys(t *testing.T) {
 	rs := vector.Schema{{Name: "rk", Type: vector.Int64}, {Name: "rv", Type: vector.Int64}}
 	left := memScan(t, ls, []*vector.Vector{intVec(7, 8)}, 0)
 	right := memScan(t, rs, []*vector.Vector{intVec(7, 7, 8), intVec(1, 2, 3)}, 0)
-	j, err := NewHashJoin(left, right, 0, 0)
+	j, err := hashJoin(left, right, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,66 +409,89 @@ func TestHashJoinDuplicateBuildKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out[0].Len() != 3 {
-		t.Fatalf("got %d rows, want 3", out[0].Len())
+	if got := out[2].Int64s; len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
+		t.Fatalf("build rows %v, want [1 2 3]", got)
 	}
 }
 
-// TestHashJoinPropertyMatchesNestedLoop cross-checks the hash join against a
-// naive nested-loop join on random inputs, including row order (probe order).
+// TestHashJoinPropertyMatchesNestedLoop cross-checks the join against a
+// naive nested loop, row for row and batch for batch: random keys with
+// duplicates on both sides and random selections, then the edge cases.
 func TestHashJoinPropertyMatchesNestedLoop(t *testing.T) {
-	prop := func(lraw, rraw []uint8) bool {
+	prop := func(lraw, rraw []uint8, mask []bool, inBatch, outBatch uint8, seed int64) bool {
 		lk := make([]int64, len(lraw))
 		for i, v := range lraw {
-			lk[i] = int64(v % 16)
+			lk[i] = int64(v%16) - 8
 		}
 		rk := make([]int64, len(rraw))
-		rv := make([]int64, len(rraw))
 		for i, v := range rraw {
-			rk[i] = int64(v % 16)
-			rv[i] = int64(i)
+			rk[i] = int64(v%16) - 8
 		}
-		ls := vector.Schema{{Name: "lk", Type: vector.Int64}}
-		rs := vector.Schema{{Name: "rk", Type: vector.Int64}, {Name: "rv", Type: vector.Int64}}
-		left, err := NewMemScan(ls, []*vector.Vector{intVec(lk...)}, 3)
-		if err != nil {
+		keep := make([]bool, len(lk))
+		for i := range keep {
+			keep[i] = i >= len(mask) || mask[i]
+		}
+		if err := joinDiff(rk, lk, keep, int(inBatch%8)+1, int(outBatch%8)+1, seed); err != nil {
+			t.Log(err)
 			return false
-		}
-		right, err := NewMemScan(rs, []*vector.Vector{intVec(rk...), intVec(rv...)}, 3)
-		if err != nil {
-			return false
-		}
-		j, err := NewHashJoin(left, right, 0, 0)
-		if err != nil {
-			return false
-		}
-		out, err := Collect(j)
-		if err != nil {
-			return false
-		}
-		// Nested loop reference (probe order, build order within a key).
-		var wantK, wantV []int64
-		for _, l := range lk {
-			for i, r := range rk {
-				if l == r {
-					wantK = append(wantK, l)
-					wantV = append(wantV, rv[i])
-				}
-			}
-		}
-		if out[0].Len() != len(wantK) {
-			return false
-		}
-		for i := range wantK {
-			if out[0].Int64s[i] != wantK[i] || out[2].Int64s[i] != wantV[i] {
-				return false
-			}
 		}
 		return true
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
+
+	bs := vector.DefaultBatchSize
+	extremes := []int64{math.MinInt64, math.MaxInt64, 0, -1, -7, 1, math.MinInt64 + 1}
+	shared := bucketZeroKeys(20)
+	many := make([]int64, 2*bs+37)
+	for i := range many {
+		many[i] = 5
+	}
+	every := make([]bool, 3*bs)
+	for i := range every {
+		every[i] = i%3 != 1
+	}
+	for _, c := range []struct {
+		name   string
+		bk, pk []int64
+		keep   []bool
+		in     int
+	}{
+		{"extremes", append(extremes, extremes...), append(extremes, 42, math.MaxInt64), nil, 3},
+		{"small table", []int64{4, 4, 9}, []int64{9, 4, 1, 4, 2, 3}, nil, 2},
+		{"shared top bits", shared, append(shared[10:], shared[:15]...), nil, 4},
+		{"resume mid-chain", append([]int64{4}, append(many, 6)...), []int64{6, 5, 7, 5, 4}, nil, 2},
+		{"sel", seqKeys(3*bs, 50), seqKeys(3*bs, 70), every, 300},
+		{"empty build", nil, []int64{1, 2}, nil, 0},
+		{"empty probe", []int64{1, 2}, nil, nil, 0},
+		{"full batches", seqKeys(5*bs, 900), seqKeys(4*bs+3, 1000), nil, 0},
+	} {
+		if err := joinDiff(c.bk, c.pk, c.keep, c.in, bs, 0); err != nil {
+			t.Errorf("%s: %v", c.name, err)
+		}
+	}
+}
+
+// bucketZeroKeys returns n keys that land in bucket 0 of the 64-bucket
+// table an n-row build gets under seed 0 (n in 17..32).
+func bucketZeroKeys(n int) []int64 {
+	var ks []int64
+	for k := int64(0); len(ks) < n; k++ {
+		if khash(k)>>58 == 0 {
+			ks = append(ks, k)
+		}
+	}
+	return ks
+}
+
+// seqKeys returns n keys cycling through 0..mod-1.
+func seqKeys(n int, mod int64) []int64 {
+	ks := make([]int64, n)
+	for i := range ks {
+		ks[i] = int64(i) % mod
+	}
+	return ks
 }
 
 func TestHashJoinValidation(t *testing.T) {
@@ -466,11 +499,14 @@ func TestHashJoinValidation(t *testing.T) {
 	left := memScan(t, ls, []*vector.Vector{floatVec(1)}, 0)
 	right := memScan(t, vector.Schema{{Name: "k", Type: vector.Int64}},
 		[]*vector.Vector{intVec(1)}, 0)
-	if _, err := NewHashJoin(left, right, 0, 0); err == nil {
+	if _, err := hashJoin(left, right, 0, 0); err == nil {
 		t.Fatal("expected key type error")
 	}
-	if _, err := NewHashJoin(right, right, 5, 0); err == nil {
+	if _, err := hashJoin(right, right, 5, 0); err == nil {
 		t.Fatal("expected key range error")
+	}
+	if _, err := hashJoin(right, right, 0, 5); err == nil {
+		t.Fatal("expected build key range error")
 	}
 }
 
@@ -485,7 +521,7 @@ func TestHashJoinLargeSpillsBatches(t *testing.T) {
 		[]*vector.Vector{intVec(lk...)}, 0)
 	right := memScan(t, vector.Schema{{Name: "k", Type: vector.Int64}},
 		[]*vector.Vector{intVec(lk...)}, 0)
-	j, err := NewHashJoin(left, right, 0, 0)
+	j, err := hashJoin(left, right, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -497,8 +533,8 @@ func TestHashJoinLargeSpillsBatches(t *testing.T) {
 		t.Fatalf("got %d rows, want %d", out[0].Len(), n)
 	}
 	for i := 0; i < n; i++ {
-		if out[0].Int64s[i] != int64(i) {
-			t.Fatalf("row %d key %d", i, out[0].Int64s[i])
+		if out[0].Int64s[i] != int64(i) || out[1].Int64s[i] != int64(i) {
+			t.Fatalf("row %d keys %d, %d", i, out[0].Int64s[i], out[1].Int64s[i])
 		}
 	}
 }
@@ -521,7 +557,7 @@ func TestAggregateOverJoinPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j, err := NewHashJoin(f, right, 0, 0)
+	j, err := hashJoin(f, right, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,38 +2,45 @@ package exec
 
 import (
 	"fmt"
+	"math"
+	"math/rand/v2"
 	"sync"
 
 	"rawdb/internal/vector"
 )
 
-// SharedBuild materialises a join build side once and builds a hash table
-// partitioned by key hash, one goroutine per partition. The source is
-// typically a Parallel exchange over morsel scans, so the expensive raw-file
-// parsing is already parallel; the partition pass parallelises the table
-// construction itself. Row indexes inside each per-key list stay in stream
-// order, so probes emit matches exactly as the serial HashJoin would.
+// SharedBuild materialises a join build side once and indexes it in one
+// flat, bucket-chained hash table: head[b] holds 1 + the first build row of
+// bucket b (0 = empty), next[r] 1 + the row after r in its chain. Rows are
+// inserted in reverse, so every chain lists its rows in ascending stream
+// order and probes emit matches in build order. Probes compare against the
+// collected key column itself, and the build makes the same few allocations
+// however many distinct keys there are.
 //
-// Many HashProbe operators share one SharedBuild: the first Open triggers
-// the build and the rest block on the same sync.Once. A SharedBuild belongs
-// to a single plan execution and cannot be re-opened.
+// Every join runs through it: the serial plan is one HashProbe over the
+// build, a cut plan one HashProbe per probe morsel. The first
+// Open triggers the build and the rest block on the same sync.Once. A
+// SharedBuild belongs to a single plan execution and cannot be re-opened.
 type SharedBuild struct {
-	src    Operator
-	key    int
-	nparts int
+	src Operator
+	key int
 
-	once sync.Once
-	err  error
-	cols []*vector.Vector
-	ht   []map[int64][]int32
+	once  sync.Once
+	err   error
+	cols  []*vector.Vector
+	keys  []int64 // cols[key].Int64s
+	head  []int32
+	next  []int32
+	seed  int64 // bucket of k = khash(k^seed) >> shift
+	shift uint
 }
 
-// sharedBuildParallelMin is the build row count below which partitioning is
-// not worth spawning goroutines; one map serves every partition slot.
-const sharedBuildParallelMin = 4096
+// maxBuildRows bounds a build side: chain entries hold 1 + a row in int32.
+const maxBuildRows = math.MaxInt32
 
 // NewSharedBuild wraps src as a shared build side keyed on src column key.
-// parallelism bounds the partition count (clamped to [1, 16]).
+// The insert is serial (~16 ns/row); parallelism is accepted and unused
+// until a workload builds large enough for a split insert to pay.
 func NewSharedBuild(src Operator, key, parallelism int) (*SharedBuild, error) {
 	ss := src.Schema()
 	if key < 0 || key >= len(ss) {
@@ -42,14 +49,8 @@ func NewSharedBuild(src Operator, key, parallelism int) (*SharedBuild, error) {
 	if ss[key].Type != vector.Int64 {
 		return nil, fmt.Errorf("exec: sharedbuild: join key must be %s", vector.Int64)
 	}
-	np := parallelism
-	if np < 1 {
-		np = 1
-	}
-	if np > 16 {
-		np = 16
-	}
-	return &SharedBuild{src: src, key: key, nparts: np}, nil
+	// A per-build seed keeps crafted keys from piling onto one chain.
+	return &SharedBuild{src: src, key: key, seed: rand.Int64()}, nil
 }
 
 // Schema describes the buffered build columns.
@@ -62,9 +63,19 @@ func (b *SharedBuild) ensure() error {
 	return b.err
 }
 
-// khash spreads int64 join keys across partitions (Fibonacci hashing).
+// khash scatters int64 join keys (Fibonacci hashing); buckets take its top
+// bits.
 func khash(k int64) uint64 {
 	return uint64(k) * 0x9E3779B97F4A7C15
+}
+
+// checkBuildRows rejects build sides whose row indexes would not fit a
+// chain entry.
+func checkBuildRows(n int) error {
+	if n > maxBuildRows {
+		return fmt.Errorf("exec: sharedbuild: %d build rows exceed the limit of %d", n, maxBuildRows)
+	}
+	return nil
 }
 
 func (b *SharedBuild) build() error {
@@ -72,70 +83,33 @@ func (b *SharedBuild) build() error {
 	if err != nil {
 		return err
 	}
-	b.cols = cols
 	keys := cols[b.key].Int64s
 	n := len(keys)
-	b.ht = make([]map[int64][]int32, b.nparts)
-	if b.nparts == 1 || n < sharedBuildParallelMin {
-		m := make(map[int64][]int32, n)
-		for i, k := range keys {
-			m[k] = append(m[k], int32(i))
-		}
-		// Every partition slot shares the one map; lookup routing stays
-		// uniform and the map contains all keys anyway.
-		for p := range b.ht {
-			b.ht[p] = m
-		}
-		return nil
+	if err := checkBuildRows(n); err != nil {
+		return err
 	}
-	// Two parallel passes: compute each row's partition, then let one
-	// goroutine per partition walk the rows ascending and append its own
-	// keys — per-key row lists end up in stream order with no locking.
-	pid := make([]uint8, n)
-	var wg sync.WaitGroup
-	chunk := (n + b.nparts - 1) / b.nparts
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				pid[i] = uint8(khash(keys[i]) % uint64(b.nparts))
-			}
-		}(lo, hi)
+	size, shift := 1, uint(64)
+	for size < 2*n {
+		size <<= 1
+		shift--
 	}
-	wg.Wait()
-	for p := 0; p < b.nparts; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			m := make(map[int64][]int32)
-			mine := uint8(p)
-			for i, id := range pid {
-				if id == mine {
-					m[keys[i]] = append(m[keys[i]], int32(i))
-				}
-			}
-			b.ht[p] = m
-		}(p)
+	head, next, seed := make([]int32, size), make([]int32, n), b.seed
+	for i := n - 1; i >= 0; i-- {
+		h := khash(keys[i]^seed) >> shift
+		next[i] = head[h]
+		head[h] = int32(i + 1)
 	}
-	wg.Wait()
+	b.cols, b.keys, b.head, b.next, b.shift = cols, keys, head, next, shift
 	return nil
 }
 
-// lookup returns the build row indexes matching k, in stream order.
-func (b *SharedBuild) lookup(k int64) []int32 {
-	return b.ht[khash(k)%uint64(b.nparts)][k]
-}
-
-// HashProbe probes a SharedBuild with one morsel of the probe side: the
-// probe half of HashJoin split out so an exchange can run one probe pipeline
-// per morsel against a single shared table. Output rows preserve probe-row
-// order with matches in build stream order, so replaying the morsels in file
-// order reproduces the serial HashJoin output byte for byte.
+// HashProbe joins one probe stream against a SharedBuild. It walks each
+// probe batch's selected rows and their chains into two reused row lists
+// until the output batch is full, then fills every output column with one
+// Gather. A chain cut off by a full batch resumes on the next call, so
+// output batches are full except the last, rows follow probe order and
+// matches build stream order: replaying probe morsels in file order
+// reproduces the serial join byte for byte.
 type HashProbe struct {
 	probe     Operator
 	build     *SharedBuild
@@ -143,12 +117,15 @@ type HashProbe struct {
 	schema    vector.Schema
 	batchSize int
 
-	out     *vector.Batch
-	pending *vector.Batch // current probe batch
-	ppos    int           // next probe row to resume from
-	pmatch  []int32       // unconsumed matches for probe row ppos-1
+	out          *vector.Batch
+	prows, brows []int32 // pending output pairs: probe row, build row
 
-	probeScratch *vector.Batch
+	pending *vector.Batch // current probe batch
+	keys    []int64       // its key column
+	sel     []int32       // its selection, nil when dense
+	n, pos  int           // selected rows, next one to probe
+	cur     int32         // probe row whose chain is being walked
+	link    int32         // 1 + next chain row to compare, 0 = none
 }
 
 // NewHashProbe joins probe ⋈ build on probe.Schema()[key] = build key.
@@ -174,15 +151,13 @@ func NewHashProbe(probe Operator, build *SharedBuild, key int) (*HashProbe, erro
 func (j *HashProbe) Schema() vector.Schema { return j.schema }
 
 // Open implements Operator. The first probe to open triggers the shared
-// build (its own exchange runs the build morsels in parallel); the others
-// block until the table is ready.
+// build (a cut plan's own exchange runs the build morsels in parallel); the
+// others block until the table is ready.
 func (j *HashProbe) Open() error {
 	if err := j.build.ensure(); err != nil {
 		return err
 	}
-	j.pending = nil
-	j.ppos = 0
-	j.pmatch = nil
+	j.pending, j.n, j.pos, j.link = nil, 0, 0, 0
 	return j.probe.Open()
 }
 
@@ -190,56 +165,79 @@ func (j *HashProbe) Open() error {
 func (j *HashProbe) Next() (*vector.Batch, error) {
 	if j.out == nil {
 		j.out = vector.NewBatch(j.schema.Types(), j.batchSize)
+		j.prows = make([]int32, 0, j.batchSize)
+		j.brows = make([]int32, 0, j.batchSize)
 	}
 	j.out.Reset()
-	np := len(j.probe.Schema())
-	emit := func(probe *vector.Batch, pi int, bi int32) {
-		for c := 0; c < np; c++ {
-			appendRow(j.out.Cols[c], probe.Cols[c], pi)
+	j.brows = j.brows[:0]
+	for j.walk(); len(j.brows) < j.batchSize; j.walk() {
+		// The probe batch is used up: copy its rows out before the next
+		// batch replaces it.
+		j.gatherProbe()
+		b, err := j.probe.Next()
+		if err != nil {
+			return nil, err
 		}
-		for c := range j.build.cols {
-			appendRow(j.out.Cols[np+c], j.build.cols[c], int(bi))
-		}
-	}
-	for {
-		// Drain leftover matches from a row split across output batches.
-		for len(j.pmatch) > 0 && j.out.Len() < j.batchSize {
-			emit(j.pending, j.ppos-1, j.pmatch[0])
-			j.pmatch = j.pmatch[1:]
-		}
-		if j.out.Len() >= j.batchSize {
-			return j.out, nil
-		}
-		if j.pending == nil || j.ppos >= j.pending.Len() {
-			b, err := j.probe.Next()
-			if err != nil {
-				return nil, err
-			}
-			if b == nil {
-				if j.out.Len() > 0 {
-					return j.out, nil
-				}
+		if b == nil {
+			if len(j.brows) == 0 {
 				return nil, nil
 			}
-			j.pending = b.Compact(&j.probeScratch)
-			j.ppos = 0
+			break
 		}
-		keys := j.pending.Cols[j.key].Int64s
-		for j.ppos < j.pending.Len() && j.out.Len() < j.batchSize {
-			matches := j.build.lookup(keys[j.ppos])
-			j.ppos++
-			for mi, bi := range matches {
-				if j.out.Len() >= j.batchSize {
-					j.pmatch = matches[mi:]
-					break
-				}
-				emit(j.pending, j.ppos-1, bi)
-			}
-		}
-		if j.out.Len() >= j.batchSize {
-			return j.out, nil
+		j.pending, j.keys, j.sel, j.pos = b, b.Cols[j.key].Int64s, b.Sel, 0
+		j.n = len(b.Sel)
+		if b.Sel == nil {
+			j.n = b.Len()
 		}
 	}
+	j.gatherProbe()
+	np := len(j.schema) - len(j.build.cols)
+	for c, col := range j.build.cols {
+		j.out.Cols[np+c].Gather(col, j.brows)
+	}
+	return j.out, nil
+}
+
+// walk appends (probe row, build row) pairs until the output batch is full
+// or the pending probe rows are used up, resuming an unfinished chain.
+func (j *HashProbe) walk() {
+	b := j.build
+	bkeys, head, next, seed, shift := b.keys, b.head, b.next, b.seed, b.shift
+	keys, sel, n, i := j.keys, j.sel, j.n, j.pos
+	prows, brows := j.prows, j.brows
+	p, link := j.cur, j.link
+	for len(brows) < j.batchSize {
+		if link == 0 {
+			if i == n {
+				break
+			}
+			p = int32(i)
+			if sel != nil {
+				p = sel[i]
+			}
+			i++
+			link = head[khash(keys[p]^seed)>>shift]
+			continue
+		}
+		r := link - 1
+		link = next[r]
+		if bkeys[r] == keys[p] {
+			prows = append(prows, p)
+			brows = append(brows, r)
+		}
+	}
+	j.pos, j.prows, j.brows, j.cur, j.link = i, prows, brows, p, link
+}
+
+// gatherProbe copies the pending probe rows into the output batch.
+func (j *HashProbe) gatherProbe() {
+	if len(j.prows) == 0 {
+		return
+	}
+	for c, col := range j.pending.Cols {
+		j.out.Cols[c].Gather(col, j.prows)
+	}
+	j.prows = j.prows[:0]
 }
 
 // Close implements Operator. The shared build belongs to the plan, not any
