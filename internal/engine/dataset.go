@@ -174,18 +174,20 @@ func (e *Engine) newPartState(parent *tableState, p *dataset.Partition) *tableSt
 	return ps
 }
 
-// loadPartData loads one partition's raw bytes if absent. It takes the
-// partition's own (otherwise unused) qmu so a concurrent Explain — which
-// plans without the parent's query lock — cannot race the load.
-func (e *Engine) loadPartData(ps *tableState) error {
+// loadPartData loads one partition's raw bytes if absent, for the planner of
+// query qid. It takes the partition's own (otherwise unused) qmu so a
+// concurrent Explain — which plans without the parent's query lock — cannot
+// race the load.
+func (e *Engine) loadPartData(ps *tableState, qid int64) error {
 	ps.qmu.Lock()
 	defer ps.qmu.Unlock()
-	return e.loadPartChecked(ps)
+	return e.loadPartChecked(ps, qid)
 }
 
 // refreshDatasets incrementally refreshes every dataset a query touches.
-// Called under the query's table locks, right before planning.
-func (e *Engine) refreshDatasets(r *resolvedQuery) error {
+// Called under the query's table locks, right before planning; what the
+// refresh reports is stamped with the query (rec).
+func (e *Engine) refreshDatasets(rec *queryRecord, r *resolvedQuery) error {
 	seen := make(map[*tableState]bool, len(r.tables))
 	for _, bt := range r.tables {
 		st := bt.st
@@ -193,7 +195,7 @@ func (e *Engine) refreshDatasets(r *resolvedQuery) error {
 			continue
 		}
 		seen[st] = true
-		if err := e.refreshDataset(st); err != nil {
+		if err := e.refreshDataset(rec, st); err != nil {
 			return err
 		}
 	}
@@ -206,7 +208,7 @@ func (e *Engine) refreshDatasets(r *resolvedQuery) error {
 // files are invalidated per partition (their caches, budget entries and
 // pooled shreds dropped; the raw bytes reload lazily), and removed files
 // drop out entirely. A change only ever costs the partitions it touches.
-func (e *Engine) refreshDataset(st *tableState) error {
+func (e *Engine) refreshDataset(rec *queryRecord, st *tableState) error {
 	ds := st.ds
 	m, err := dataset.Discover(ds.pattern, ds.override)
 	if err != nil {
@@ -214,7 +216,7 @@ func (e *Engine) refreshDataset(st *tableState) error {
 		// query running against the manifest it last saw (files that truly
 		// vanished will surface as retryable partition losses at load time).
 		e.metrics.Counter("manifest.refresh.errors").Inc()
-		e.emitEvent(obs.EventStaleManifest, "manifest", st.tab.Name, 0,
+		rec.event(obs.EventStaleManifest, "manifest", st.tab.Name, 0,
 			"refresh failed: "+err.Error())
 		return nil
 	}
@@ -228,7 +230,7 @@ func (e *Engine) refreshDataset(st *tableState) error {
 		newParts[ki[1]] = ds.parts[ki[0]]
 	}
 	for _, ci := range d.Changed {
-		e.emitInvalidated(ds.parts[ci[0]], "file-changed")
+		e.emitInvalidated(rec.id, ds.parts[ci[0]], "file-changed")
 		e.dropStateCaches(ds.parts[ci[0]])
 		if e.vault != nil && ds.manifest.Parts[ci[0]].ID != m.Parts[ci[1]].ID {
 			// The partition's ID (and with it the vault namespace) changed:
@@ -242,7 +244,7 @@ func (e *Engine) refreshDataset(st *tableState) error {
 		newParts[ni] = e.newPartState(st, &m.Parts[ni])
 	}
 	for _, oi := range d.Removed {
-		e.emitInvalidated(ds.parts[oi], "file-removed")
+		e.emitInvalidated(rec.id, ds.parts[oi], "file-removed")
 		e.dropStateCaches(ds.parts[oi])
 		if e.vault != nil {
 			_ = e.vault.RemoveTable(ds.parts[oi].tab.Name)
@@ -330,7 +332,7 @@ func (pc *planCtx) datasetScan(r *resolvedQuery, t int, tc *tableCut) (*pipe, er
 	for i, u := range tc.units {
 		if u.spans == nil {
 			pc.stats.PartitionsSkipped++
-			pc.noteAvoidedHeat(tab.Name, st.ds.manifest.Parts[i].Size)
+			pc.heatDelta(tab.Name).BytesAvoided += st.ds.manifest.Parts[i].Size
 			continue
 		}
 		pc.stats.PartitionsScanned++

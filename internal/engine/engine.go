@@ -378,7 +378,7 @@ func New(cfg Config) *Engine {
 		// event naming the table and structure kind.
 		e.vault.OnQuarantine(func(table string, kind vault.Kind, reason string) {
 			e.metrics.Counter("vault.quarantined").Inc()
-			e.emitEvent(obs.EventQuarantined, kind.String(), table, 0, reason)
+			e.emitEvent(0, obs.EventQuarantined, kind.String(), table, 0, reason)
 		})
 	}
 	return e
@@ -495,11 +495,11 @@ func (e *Engine) DropTable(name string) error {
 	delete(e.tables, name)
 	e.mu.Unlock()
 	if st != nil {
-		e.emitInvalidated(st, "dropped")
+		e.emitInvalidated(0, st, "dropped")
 		e.dropStateCaches(st)
 		if st.ds != nil {
 			for _, ps := range st.ds.parts {
-				e.emitInvalidated(ps, "dropped")
+				e.emitInvalidated(0, ps, "dropped")
 				e.dropStateCaches(ps)
 			}
 		}
@@ -583,7 +583,7 @@ func (e *Engine) state(name string) (*tableState, error) {
 	if st.tab.Format == catalog.Dataset {
 		return st, nil
 	}
-	if err := e.loadWithRetry(st); err != nil {
+	if err := e.loadWithRetry(st, 0); err != nil {
 		return nil, err
 	}
 	return st, nil

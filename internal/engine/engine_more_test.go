@@ -9,6 +9,7 @@ import (
 
 	"rawdb/internal/catalog"
 	"rawdb/internal/exec"
+	"rawdb/internal/obs"
 	"rawdb/internal/posmap"
 	"rawdb/internal/storage/rootfile"
 	"rawdb/internal/vector"
@@ -275,20 +276,36 @@ func TestRetryOnStalePartialShred(t *testing.T) {
 	if err := e.RegisterCSVData("t", csvData, schema); err != nil {
 		t.Fatal(err)
 	}
-	// Narrow filter: caches a small shred of col3 (rows with col1 < 10%).
-	if _, err := e.Query("SELECT MAX(col3) FROM t WHERE col1 < 100000000"); err != nil {
-		t.Fatal(err)
+	for _, q := range shredMissWarmup("t") {
+		if _, err := e.Query(q); err != nil {
+			t.Fatal(err)
+		}
 	}
 	// Wider filter: the cached col3 shred does NOT subsume these rows; the
 	// planner picks it optimistically, execution fails with ErrNotCached,
 	// and the query must still return the right answer via replan.
 	want, _ := refMaxWhere(vals, 2, 0, 900_000_000)
-	res, err := e.Query("SELECT MAX(col3) FROM t WHERE col1 < 900000000")
+	tr := obs.NewTrace()
+	res, err := e.QueryOpt("SELECT MAX(col3) FROM t WHERE col1 < 900000000", Options{Trace: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Int64(0, 0) != want {
 		t.Fatalf("got %d, want %d", res.Int64(0, 0), want)
+	}
+	if tr.Find("replan: shred miss") == nil {
+		t.Fatal("the query did not replan")
+	}
+}
+
+// shredMissWarmup is the cache state under which a wide filter over table
+// tab picks a partial col3 shred that misses: the first query builds the
+// positional map (a cold scan captures whole columns), so the narrow second
+// one late-scans col3 and caches it for the rows with col1 < 10% only.
+func shredMissWarmup(tab string) []string {
+	return []string{
+		"SELECT MAX(col2) FROM " + tab + " WHERE col1 < 500000000",
+		"SELECT MAX(col3) FROM " + tab + " WHERE col1 < 100000000",
 	}
 }
 

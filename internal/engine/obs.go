@@ -3,16 +3,16 @@ package engine
 import (
 	"strings"
 
-	"rawdb/internal/catalog"
 	"rawdb/internal/faults"
 	"rawdb/internal/obs"
 	"rawdb/internal/shred"
 )
 
 // This file wires the engine into the observability layer (package obs):
-// the engine-wide metrics registry (counters folded per query, pull-mode
-// gauges over the caches) and the adaptive-structure lifecycle event log.
-// Per-query tracing lives with the planner (plan.go, query.go).
+// the engine-wide metrics registry (pull-mode gauges over the caches) and the
+// adaptive-structure lifecycle event log. What one query did — its Stats,
+// trace phases, log line, and registry and heat folds — is its query record
+// (record.go).
 
 // Metrics exposes the engine's metrics registry. Counters are cumulative
 // over the engine's lifetime; gauges reflect cache state at snapshot time.
@@ -63,57 +63,23 @@ func (e *Engine) initObs() {
 	}
 	e.shreds.SetEvictObserver(func(k shred.Key, bytes int64) {
 		e.metrics.Counter("shred.pool.evictions").Inc()
-		e.emitEvent(obs.EventEvicted, "shred", k.String(), bytes, "lru")
+		e.emitEvent(0, obs.EventEvicted, "shred", k.String(), bytes, "lru")
 	})
 
 	// Per-structure footprint and effectiveness gauges, summed over every
 	// table (and dataset partition) at snapshot time. The sum takes each
 	// table's query lock in turn — never while holding e.mu, which would
 	// invert the qmu -> e.mu lock order the planner uses.
-	m.Gauge("posmap.bytes", func() int64 {
-		return e.sumStates(func(st *tableState) int64 {
-			if pm := st.posMap(); pm != nil {
-				return pm.MemoryFootprint()
-			}
-			return 0
-		})
-	})
-	m.Gauge("jsonidx.bytes", func() int64 {
-		return e.sumStates(func(st *tableState) int64 {
-			if x := st.jsonIdx(); x != nil {
-				return x.MemoryFootprint()
-			}
-			return 0
-		})
-	})
-	m.Gauge("jsonidx.seeks", func() int64 {
-		return e.sumStates(func(st *tableState) int64 {
-			if x := st.jsonIdx(); x != nil {
-				return x.Seeks()
-			}
-			return 0
-		})
-	})
-	m.Gauge("synopsis.bytes", func() int64 {
-		return e.sumStates(func(st *tableState) int64 {
-			if s := st.synopsis(); s != nil {
-				return s.MemoryFootprint()
-			}
-			return 0
-		})
-	})
-	m.Gauge("synopsis.checks", func() int64 {
-		return e.sumStates(func(st *tableState) int64 {
-			c, _ := st.synopsis().PruneStats()
-			return c
-		})
-	})
-	m.Gauge("synopsis.exclusions", func() int64 {
-		return e.sumStates(func(st *tableState) int64 {
-			_, h := st.synopsis().PruneStats()
-			return h
-		})
-	})
+	for name, f := range map[string]func(*tableState) int64{
+		"posmap.bytes":        func(st *tableState) int64 { return st.posMap().MemoryFootprint() },
+		"jsonidx.bytes":       func(st *tableState) int64 { return st.jsonIdx().MemoryFootprint() },
+		"jsonidx.seeks":       func(st *tableState) int64 { return st.jsonIdx().Seeks() },
+		"synopsis.bytes":      func(st *tableState) int64 { return st.synopsis().MemoryFootprint() },
+		"synopsis.checks":     func(st *tableState) int64 { c, _ := st.synopsis().PruneStats(); return c },
+		"synopsis.exclusions": func(st *tableState) int64 { _, h := st.synopsis().PruneStats(); return h },
+	} {
+		m.Gauge(name, func() int64 { return e.sumStates(f) })
+	}
 }
 
 // sumStates folds f over every table state, dataset partitions included.
@@ -144,15 +110,9 @@ func (e *Engine) sumStates(f func(*tableState) int64) int64 {
 
 // emitEvent records one lifecycle event, splitting a partition-namespaced
 // table name ("parent#partID") into its parent and partition, and bumps the
-// per-kind counter.
-func (e *Engine) emitEvent(kind obs.EventKind, structure, table string, bytes int64, reason string) {
-	e.emitQueryEvent(0, kind, structure, table, bytes, reason)
-}
-
-// emitQueryEvent is emitEvent with the originating query ID stamped on the
-// event, so query-scoped transitions (retries, panics, captures) join
-// against query-log records and rendered traces.
-func (e *Engine) emitQueryEvent(qid int64, kind obs.EventKind, structure, table string, bytes int64, reason string) {
+// per-kind counter. qid is the query that raised it (0: none), so what a
+// query did joins against its query-log line and rendered trace.
+func (e *Engine) emitEvent(qid int64, kind obs.EventKind, structure, table string, bytes int64, reason string) {
 	parent, part := table, ""
 	if i := strings.IndexByte(table, '#'); i >= 0 {
 		parent, part = table[:i], table[i+1:]
@@ -180,70 +140,25 @@ func (e *Engine) observeBudgetEviction(key string, size int64) {
 	}
 	e.metrics.Counter("budget.evictions").Inc()
 	e.metrics.Counter("budget.evicted_bytes").Add(size)
-	e.emitEvent(obs.EventEvicted, structure, rest, size, "budget")
+	e.emitEvent(0, obs.EventEvicted, structure, rest, size, "budget")
 }
 
 // emitInvalidated reports every structure a table state currently holds as
 // invalidated (the raw file changed, the partition vanished, or the table
-// was dropped). Called right before the caches are released.
-func (e *Engine) emitInvalidated(st *tableState, reason string) {
+// was dropped), stamped with the query whose manifest refresh found it (0:
+// none). Called right before the caches are released.
+func (e *Engine) emitInvalidated(qid int64, st *tableState, reason string) {
 	name := st.tab.Name
 	if pm := st.posMap(); pm != nil {
-		e.emitEvent(obs.EventInvalidated, "posmap", name, pm.MemoryFootprint(), reason)
+		e.emitEvent(qid, obs.EventInvalidated, "posmap", name, pm.MemoryFootprint(), reason)
 	}
 	if x := st.jsonIdx(); x != nil {
-		e.emitEvent(obs.EventInvalidated, "jsonidx", name, x.MemoryFootprint(), reason)
+		e.emitEvent(qid, obs.EventInvalidated, "jsonidx", name, x.MemoryFootprint(), reason)
 	}
 	if s := st.synopsis(); s != nil {
-		e.emitEvent(obs.EventInvalidated, "synopsis", name, s.MemoryFootprint(), reason)
+		e.emitEvent(qid, obs.EventInvalidated, "synopsis", name, s.MemoryFootprint(), reason)
 	}
 	if n := len(e.shreds.ShredsOf(name)); n > 0 {
-		e.emitEvent(obs.EventInvalidated, "shred", name, 0, reason)
+		e.emitEvent(qid, obs.EventInvalidated, "shred", name, 0, reason)
 	}
-}
-
-// foldStats folds one query's Stats into the cumulative registry. Called at
-// the end of run, so hot scan loops never touch a counter.
-func (e *Engine) foldStats(stats *Stats) {
-	m := e.metrics
-	m.Counter("query.count").Inc()
-	m.Histogram("query.ns").Observe(stats.Elapsed.Nanoseconds())
-	m.Counter("query.rows_out").Add(int64(stats.RowsOut))
-	m.Counter("jit.template.hits").Add(int64(stats.TemplateHits))
-	m.Counter("jit.template.misses").Add(int64(stats.TemplateMisses))
-	m.Counter("shred.serves").Add(int64(stats.ShredHits))
-	m.Counter("push.preds").Add(int64(stats.PredsPushed))
-	m.Counter("prune.rows").Add(stats.RowsPruned)
-	m.Counter("prune.blocks").Add(stats.BlocksSkipped)
-	m.Counter("prune.morsels").Add(int64(stats.MorselsSkipped))
-	m.Counter("prune.partitions").Add(int64(stats.PartitionsSkipped))
-	m.Counter("scan.partitions").Add(int64(stats.PartitionsScanned))
-	if stats.ManifestRefresh > 0 {
-		m.Counter("manifest.refresh.count").Inc()
-		m.Histogram("manifest.refresh.ns").Observe(stats.ManifestRefresh.Nanoseconds())
-	}
-}
-
-// foldErrStats folds the Stats of a failed (or cancelled) query into the
-// registry: the error is counted and the scan-side pushdown/prune counters —
-// real work the query did before dying — are preserved, but the success-only
-// series (query.count, rows, latency histogram) are not touched.
-func (e *Engine) foldErrStats(stats *Stats) {
-	m := e.metrics
-	m.Counter("query.errors").Inc()
-	m.Counter("push.preds").Add(int64(stats.PredsPushed))
-	m.Counter("prune.rows").Add(stats.RowsPruned)
-	m.Counter("prune.blocks").Add(stats.BlocksSkipped)
-	m.Counter("prune.morsels").Add(int64(stats.MorselsSkipped))
-	m.Counter("prune.partitions").Add(int64(stats.PartitionsSkipped))
-	m.Counter("scan.partitions").Add(int64(stats.PartitionsScanned))
-}
-
-// emitCaptured reports a structure freshly built by a query. The engine
-// calls it from the onComplete hooks that install structures, so only
-// builds that actually published are reported. The build is also folded
-// into the query's heat sample.
-func (pc *planCtx) emitCaptured(structure string, tab *catalog.Table, bytes int64) {
-	pc.e.emitQueryEvent(pc.qid, obs.EventCaptured, structure, tab.Name, bytes, "scan")
-	pc.heatDelta(tab.Name).Build(structure, 1)
 }

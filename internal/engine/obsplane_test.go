@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -89,7 +90,7 @@ func TestQueryLogRecords(t *testing.T) {
 	if bad.Error == "" {
 		t.Fatal("parse-error record carries no error")
 	}
-	if len(bad.Tables) != 0 || bad.Rows != 0 {
+	if len(bad.Tables) != 0 || bad.Rows != 0 || len(bad.PhaseNS) != 1 {
 		t.Fatalf("parse-error record = %+v", bad)
 	}
 	if ts, err := time.Parse(time.RFC3339Nano, first.Time); err != nil || ts.IsZero() {
@@ -128,6 +129,205 @@ func TestQueryIDInTraceAndEvents(t *testing.T) {
 	}
 	if !captured {
 		t.Fatal("no captured event to check")
+	}
+
+	// A query the planner keeps on one part raises its fallback event from
+	// run: it carries the query's ID too.
+	if err := e.RegisterCSVData("one", []byte("1,2,3\n"), catalogColumns3()); err != nil {
+		t.Fatal(err)
+	}
+	workers := 4
+	res, err = e.QueryOpt("SELECT MAX(col2) FROM one", Options{Parallelism: &workers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.ParallelFallback == "" {
+		t.Fatalf("a 1-row table ran %d workers without a fallback", workers)
+	}
+	var fallback bool
+	for _, ev := range e.RecentEvents() {
+		if ev.Kind == obs.EventFallback {
+			fallback = true
+			if ev.Query != res.Stats.QueryID {
+				t.Fatalf("fallback event query=%d, want %d", ev.Query, res.Stats.QueryID)
+			}
+		}
+	}
+	if !fallback {
+		t.Fatal("no fallback event to check")
+	}
+}
+
+// TestQueryLogFailedQueryKeepsWork checks the log line of a query that fails
+// mid-scan: it is derived from the same record as a success's, so it carries
+// the phases the query went through and the access paths it planned.
+func TestQueryLogFailedQueryKeepsWork(t *testing.T) {
+	for _, strat := range []Strategy{StrategyInSitu, StrategyJIT} {
+		t.Run(strat.String(), func(t *testing.T) {
+			var buf bytes.Buffer
+			e := newTestEngine(t, Config{Strategy: strat, QueryLog: obs.NewQueryLog(&buf)})
+			if err := e.RegisterCSVData("t", badMidCSV(50), catalogColumns3()); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := e.Query("SELECT MAX(col2) FROM t WHERE col1 < 1000000"); err == nil {
+				t.Fatal("query over a corrupt file succeeded")
+			}
+			var rec obs.QueryRecord
+			if err := json.Unmarshal(bytes.TrimRight(buf.Bytes(), "\n"), &rec); err != nil {
+				t.Fatalf("bad record: %v\n%s", err, buf.String())
+			}
+			if rec.Error == "" {
+				t.Fatalf("failed query logged no error: %+v", rec)
+			}
+			for _, phase := range []string{"parse", "analyze", "plan", "exec"} {
+				if _, ok := rec.PhaseNS[phase]; !ok {
+					t.Fatalf("phase %q missing from the failed query's %v", phase, rec.PhaseNS)
+				}
+			}
+			if len(rec.AccessPaths) == 0 || len(rec.Tables) != 1 || rec.Tables[0] != "t" {
+				t.Fatalf("failed query's record lost what it did: %+v", rec)
+			}
+		})
+	}
+}
+
+// TestQueryLogViewsAgree runs one sequence of queries with a query log
+// attached — cold, warm, pushdown-pruned, zone-skipped, morsel-skipped, a
+// 3-partition dataset with pruned partitions, a mid-scan failure and a
+// shred-miss replan — and checks that the views of the query record agree:
+// the registry deltas are the sums over the log, every line's phases sum to
+// at most its elapsed time and equal the query's Stats, and every single-file
+// table's heat accounts for each scan's bytes as read or avoided.
+func TestQueryLogViewsAgree(t *testing.T) {
+	var buf bytes.Buffer
+	e := newTestEngine(t, Config{Strategy: StrategyJIT, SynopsisBlockRows: 256,
+		QueryLog: obs.NewQueryLog(&buf)})
+	g := goldenTable(t, 3000, 0)
+	var parts []DataPart
+	for i := int64(0); i < 3; i++ {
+		parts = append(parts, DataPart{Format: catalog.CSV, Data: goldenTable(t, 1000, 1000*i).csv})
+	}
+	csvData, _, schema, _ := testData(t, 400, 6, 204)
+	for _, err := range []error{
+		e.RegisterCSVData("t", g.csv, g.schema),
+		e.RegisterDatasetParts("d", parts, g.schema),
+		e.RegisterCSVData("bad", badMidCSV(50), catalogColumns3()),
+		e.RegisterCSVData("s", csvData, schema),
+	} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	noCapture, one, four, shreds := true, 1, 4, StrategyShreds
+	replan := obs.NewTrace()
+	type step struct {
+		sql  string
+		opts Options
+	}
+	steps := []step{
+		{"SELECT MAX(col2) FROM t WHERE col1 < 600", Options{}}, // cold
+		{"SELECT MAX(col2) FROM t WHERE col1 < 600", Options{}}, // warm, pruned over shreds
+		{"SELECT MIN(col5) FROM t WHERE col1 < 600", Options{NoCapture: &noCapture, Parallelism: &one}},
+		{"SELECT MIN(col5) FROM t WHERE col1 < 600", Options{NoCapture: &noCapture, Parallelism: &four}},
+		{"SELECT MAX(col2) FROM d WHERE col1 < 600", Options{}},
+		{"SELECT MAX(col2) FROM d WHERE col1 < 600", Options{}}, // zone maps prune two partitions
+		// Fails at the garbage row, after the pushed predicate pruned rows.
+		{"SELECT MAX(col2) FROM bad WHERE col1 < 10", Options{NoCapture: &noCapture}},
+	}
+	for _, q := range shredMissWarmup("s") {
+		steps = append(steps, step{q, Options{Strategy: &shreds}})
+	}
+	steps = append(steps, step{"SELECT MAX(col3) FROM s WHERE col1 < 900000000",
+		Options{Strategy: &shreds, Trace: replan}})
+	before := e.Metrics().Snapshot()
+	stats := make(map[int64]Stats)
+	for _, st := range steps {
+		res, err := e.QueryOpt(st.sql, st.opts)
+		if (err != nil) != strings.Contains(st.sql, "bad") {
+			t.Fatalf("%s: %v", st.sql, err)
+		}
+		if res != nil {
+			stats[res.Stats.QueryID] = res.Stats
+		}
+	}
+	if replan.Find("replan: shred miss") == nil {
+		t.Fatal("the shred-miss query did not replan")
+	}
+	after := e.Metrics().Snapshot()
+
+	sums := make(map[string]int64)
+	partName := regexp.MustCompile(`\w+#part\d+`)
+	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
+	if len(lines) != len(steps) {
+		t.Fatalf("%d log lines for %d queries", len(lines), len(steps))
+	}
+	for _, line := range lines {
+		var rec obs.QueryRecord
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatal(err)
+		}
+		if rec.Error != "" {
+			sums["query.errors"]++
+		} else {
+			sums["query.count"]++
+		}
+		sums["push.preds"] += int64(rec.PredsPushed)
+		sums["prune.rows"] += rec.RowsPruned
+		sums["prune.blocks"] += rec.BlocksSkip
+		sums["prune.morsels"] += rec.MorselsSkip
+		sums["prune.partitions"] += int64(rec.PartsSkip)
+		scanned := make(map[string]bool)
+		for _, ap := range rec.AccessPaths {
+			for _, p := range partName.FindAllString(ap, -1) {
+				scanned[p] = true
+			}
+		}
+		sums["scan.partitions"] += int64(len(scanned))
+
+		var phases int64
+		for _, ns := range rec.PhaseNS {
+			phases += ns
+		}
+		if phases > rec.ElapsedNS {
+			t.Fatalf("query %d: phases sum to %d ns, elapsed %d ns", rec.ID, phases, rec.ElapsedNS)
+		}
+		s, ok := stats[rec.ID]
+		if !ok {
+			continue
+		}
+		for name, d := range map[string]time.Duration{"parse": s.PhaseParse, "analyze": s.PhaseAnalyze,
+			"plan": s.PhasePlan, "exec": s.PhaseExec, "publish": s.PhasePublish} {
+			if ns, ok := rec.PhaseNS[name]; !ok || ns != d.Nanoseconds() {
+				t.Fatalf("query %d: Stats %s = %d ns, log %v", rec.ID, name, d.Nanoseconds(), rec.PhaseNS)
+			}
+		}
+	}
+	for name, sum := range sums {
+		if got := after[name] - before[name]; got != sum {
+			t.Fatalf("registry %s grew by %d, the log sums to %d", name, got, sum)
+		}
+	}
+	for _, name := range []string{"query.errors", "push.preds", "prune.rows", "prune.blocks",
+		"prune.morsels", "prune.partitions", "scan.partitions"} {
+		if sums[name] == 0 {
+			t.Fatalf("the sequence exercised no %s: %v", name, sums)
+		}
+	}
+
+	for _, th := range e.Heat().Snapshot().Tables {
+		if th.Table == "d" {
+			continue // pruned partitions are avoided without a scan
+		}
+		st, err := e.state(th.Table)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, _ := st.src.stat()
+		if th.Scans == 0 || th.BytesRead+th.BytesAvoided != th.Scans*raw {
+			t.Fatalf("table %s: read %d + avoided %d over %d scans of %d bytes",
+				th.Table, th.BytesRead, th.BytesAvoided, th.Scans, raw)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -531,8 +532,9 @@ func TestCutDecides(t *testing.T) {
 				t.Fatal(err)
 			}
 			templates := e.TemplateCache().Len()
-			pc := &planCtx{e: e, strategy: tc.strategy, workers: 4, useCache: true, capture: true,
-				pushdown: true, zonemaps: true, stats: &Stats{}, trace: obs.NewTrace()}
+			workers := 4
+			rec := e.newRecord(Options{Parallelism: &workers, Trace: obs.NewTrace()})
+			pc := rec.newPlanCtx(context.Background(), true)
 			c, err := pc.cut(r)
 			if err != nil {
 				t.Fatal(err)
@@ -563,14 +565,14 @@ func TestCutDecides(t *testing.T) {
 			if n := e.TemplateCache().Len(); n != templates {
 				t.Fatalf("template cache grew %d -> %d", templates, n)
 			}
-			if !reflect.DeepEqual(*pc.stats, Stats{}) {
-				t.Fatalf("stats touched: %+v", *pc.stats)
+			if !reflect.DeepEqual(rec.stats, Stats{}) {
+				t.Fatalf("stats touched: %+v", rec.stats)
 			}
-			if len(pc.onMerge)+len(pc.onComplete)+len(pc.onFinish)+len(pc.probes) != 0 || pc.heat != nil {
-				t.Fatalf("hooks registered: merge %d complete %d finish %d probes %d heat %v",
-					len(pc.onMerge), len(pc.onComplete), len(pc.onFinish), len(pc.probes), pc.heat)
+			if len(pc.onMerge)+len(pc.onComplete)+len(rec.probes)+len(rec.scans) != 0 || rec.heat != nil {
+				t.Fatalf("hooks registered: merge %d complete %d probes %d scans %d heat %v",
+					len(pc.onMerge), len(pc.onComplete), len(rec.probes), len(rec.scans), rec.heat)
 			}
-			if spans := pc.trace.Spans(); len(spans) != 0 {
+			if spans := rec.trace.Spans(); len(spans) != 0 {
 				t.Fatalf("trace holds %d spans", len(spans))
 			}
 		})

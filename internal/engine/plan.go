@@ -14,62 +14,36 @@ import (
 	"rawdb/internal/vector"
 )
 
-// planCtx carries the per-query planning state: effective options, the
-// running stats record and the cache-reuse switch (cleared on retry when an
-// optimistic partial-shred choice fails at runtime).
+// planCtx carries one planning attempt: the query's resolved options, the
+// query record every plan site writes what it decides to (record.go), and
+// the cache-reuse switch (cleared on retry when an optimistic partial-shred
+// choice fails at runtime). Build one with queryRecord.newPlanCtx.
 type planCtx struct {
-	e        *Engine
-	strategy Strategy
-	place    JoinPlacement
-	multi    bool
-	workers  int // morsel-parallel worker count; <= 1 plans serially
+	planOpts
+	*queryRecord
 	useCache bool
-	// capture allows this query to build and publish NEW adaptive structures
-	// (positional maps, structural indexes, synopses, shreds). False — the
-	// memory governor's degraded mode — still reuses everything already
-	// cached; the query simply leaves no new resident state behind.
-	capture  bool
-	pushdown bool // absorb eligible predicates into generated access paths
-	zonemaps bool // build and consult per-block min/max synopses
-	stats    *Stats
 	// ctx is the query's cancellation context: base scans are wrapped with a
 	// per-batch check and exchanges hand it to their worker pools. nil (or a
 	// never-cancelled context) leaves the plan untouched.
 	ctx context.Context
 
-	// Completion hooks. Execution runs without the table locks (the engine
+	// Publication hooks. Execution runs without the table locks (the engine
 	// releases them after planning and re-acquires them to publish), so
 	// EVERY mutation of shared per-table state a query performs is deferred
-	// to one of these lists, all of which run under the re-acquired locks:
+	// to one of these lists, both of which run under the re-acquired locks
+	// and on success only — an aborted query publishes nothing:
 	//
 	//   - onMerge: the merge-on-completion hooks of parallel plans (positional
 	//     map / structural index fragments, zone-map fragments, captured
 	//     column shreds). They can fail and run first, so the install/event
-	//     hooks below observe the merged state. Success only.
+	//     hooks below observe the merged state.
 	//   - onComplete: installs of serially built structures and "captured"
-	//     lifecycle events. Success only — an aborted query publishes nothing.
-	//   - onFinish: stats folding (pushdown/prune runtime counters, span
-	//     annotations). Runs exactly once whether the query succeeded or
-	//     failed, so an aborted scan's counters are never silently dropped.
+	//     lifecycle events.
+	//
+	// The runtime counters are not hooks: the record reads every scan's
+	// prune probes once the plan ran, on success and failure alike.
 	onMerge    []func() error
 	onComplete []func()
-	onFinish   []func()
-
-	// trace, when non-nil, collects operator spans: plan sites wrap the
-	// operators they build (exec.WithSpan) and phase work is timed. A nil
-	// trace leaves the plan untouched — the zero-cost disabled path.
-	trace *obs.Trace
-	// probes pairs each registered pushdown-counter closure with the scan
-	// span it belongs to (assigned when the enclosing scan site finishes
-	// building), so per-operator prune counts land on the right span.
-	probes []*pruneProbe
-
-	// qid is the engine-assigned query ID, stamped on query-scoped events.
-	qid int64
-	// heat accumulates this query's per-table workload-heat deltas (see
-	// heat.go); populated by plan sites, onFinish hooks and emitCaptured,
-	// folded into the engine registry once by foldHeat.
-	heat map[string]*obs.HeatDelta
 }
 
 // Structured parallel-fallback reasons. With joins, HAVING, AVG, float SUM,
@@ -204,7 +178,7 @@ func (pc *planCtx) cutTable(c *cutPlan, r *resolvedQuery, t int) error {
 		if pc.prunePartition(ps, r.filters[t]) {
 			continue
 		}
-		if err := pc.e.loadPartData(ps); err != nil {
+		if err := pc.e.loadPartData(ps, pc.id); err != nil {
 			return err
 		}
 		tc.units[i].bt = &boundTable{alias: bt.alias, st: ps, pos: ps.positions()}
@@ -333,13 +307,6 @@ func (pc *planCtx) scanKind() (kind scanKind, ok bool) {
 	return 0, false
 }
 
-// pruneProbe defers a scan's runtime prune counters to onComplete time and
-// remembers which span should be annotated with them.
-type pruneProbe struct {
-	f    func() (rows, blocks int64)
-	span *obs.Span
-}
-
 // captureActive reports whether raw-file scans of this query capture column
 // shreds. Capture and row pruning are mutually exclusive on one scan — a
 // scan that eliminates rows cannot publish full columns — and the engine
@@ -451,19 +418,6 @@ func (pc *planCtx) synCovered(st *tableState, obs map[int]vector.Type) bool {
 	return true
 }
 
-// notePush records absorbed predicates and zone-skip activity in the stats
-// and the access-path list (shared by every scan-building site).
-func (pc *planCtx) notePush(table string, npush int, zmap bool) {
-	if npush > 0 {
-		pc.stats.PredsPushed += npush
-		pc.pathf("push[%d](%s)", npush, table)
-	}
-	if zmap {
-		pc.pathf("zmap(%s)", table)
-		pc.noteStructHit(table, "synopsis", 1)
-	}
-}
-
 // deferMerge schedules a parallel plan's merge-on-completion hook to run
 // under the re-acquired table locks once execution succeeded. Merge hooks
 // publish shared cache state (fragment merges, shred publication), which must
@@ -503,38 +457,21 @@ func rowHint(st *tableState, a access, sp span) int {
 	return int(n)
 }
 
-// noteShredCapture emits captured lifecycle events for the columns a raw-file
-// scan published into the shred pool, once the query completed. ShredsOf is
-// used instead of a lookup so the event probe does not perturb the pool's
-// hit/miss statistics or its LRU order.
-func (pc *planCtx) noteShredCapture(tab *catalog.Table, cols []int) {
+// shredsCaptured records the columns a raw-file scan published into the
+// shred pool as captured, once the query completed. ShredsOf is used instead
+// of a lookup so the event probe does not perturb the pool's hit/miss
+// statistics or its LRU order.
+func (pc *planCtx) shredsCaptured(tab *catalog.Table, cols []int) {
 	want := append([]int(nil), cols...)
 	pc.onComplete = append(pc.onComplete, func() {
 		shs := pc.e.shreds.ShredsOf(tab.Name)
 		for _, c := range want {
 			for _, s := range shs {
 				if s.Key().Col == c {
-					pc.emitCaptured("shred", tab, s.SizeBytes())
+					pc.captured("shred", tab, s.SizeBytes())
 					break
 				}
 			}
-		}
-	})
-}
-
-// pushStats folds a scan's runtime pushdown counters into the query stats
-// once execution finished, and annotates the scan's span (assigned later by
-// the wrapping site) with the same counts.
-func (pc *planCtx) pushStats(f func() (int64, int64)) {
-	probe := &pruneProbe{f: f}
-	pc.probes = append(pc.probes, probe)
-	pc.onFinish = append(pc.onFinish, func() {
-		rows, blocks := probe.f()
-		pc.stats.RowsPruned += rows
-		pc.stats.BlocksSkipped += blocks
-		if probe.span != nil && (rows > 0 || blocks > 0) {
-			probe.span.AddAttrInt("rows_pruned", rows)
-			probe.span.AddAttrInt("blocks_skipped", blocks)
 		}
 	})
 }
@@ -627,9 +564,9 @@ func (pc *planCtx) scanSpan(p *pipe, mark scanMark) {
 	for _, l := range labels[1:] {
 		s.AddAttr("path", l)
 	}
-	for _, probe := range pc.probes[mark.probes:] {
-		if probe.span == nil {
-			probe.span = s
+	for i := mark.probes; i < len(pc.probes); i++ {
+		if pc.probes[i].span == nil {
+			pc.probes[i].span = s
 		}
 	}
 }
@@ -647,13 +584,10 @@ func (pc *planCtx) plan(r *resolvedQuery) (exec.Operator, error) {
 	if c.reason != "" {
 		pc.stats.ParallelFallback = c.reason
 		pc.stats.ParallelFallbackDetail = c.detail
-		if pc.trace != nil {
-			s := pc.trace.NewSpan("parallel-fallback")
-			s.AddAttr("reason", c.reason)
-			s.AddAttr("detail", c.detail)
-			now := time.Now()
-			s.Window(now, now)
-		}
+		s := pc.span("parallel-fallback")
+		s.AddAttr("reason", c.reason)
+		s.AddAttr("detail", c.detail)
+		s.End()
 	}
 	var p *pipe
 	switch {
@@ -956,8 +890,8 @@ func (pc *planCtx) baseScan(t int, u unitCut, cols []int, needRID bool,
 	if err != nil {
 		return nil, nil, err
 	}
-	if st := u.bt.st; st.tab.Format != catalog.Memory {
-		pc.noteScanHeat(st, mark.probes)
+	if st := u.bt.st; st.src != nil { // not a memory table
+		pc.scans = append(pc.scans, scanHeat{st: st, first: mark.probes, end: len(pc.probes)})
 	}
 	if pc.ctx != nil && !p.par {
 		// Cancellation check under every batch the scan emits: even plans
@@ -1091,7 +1025,7 @@ func (pc *planCtx) rawScans(rs rawScan, a access, spans []span) (parts []exec.Op
 			frags = append(frags, frag)
 		}
 		if ps, ok := op.(interface{ PushStats() (int64, int64) }); ok {
-			pc.pushStats(ps.PushStats)
+			pc.probes = append(pc.probes, pruneProbe{f: ps.PushStats})
 		}
 		if capturing && !pruned {
 			mc := newMorselCapture(op, tab, rs.cols, hint)
@@ -1110,9 +1044,9 @@ func (pc *planCtx) rawScans(rs rawScan, a access, spans []span) (parts []exec.Op
 	}
 	pc.pathf("%s%s:%s(%s)", par, rs.kind, label, tab.Name)
 	if a.mode == jit.ViaMap {
-		pc.noteStructHit(tab.Name, a.structure, 1)
+		pc.hit(tab.Name, a.structure, 1)
 	}
-	pc.notePush(tab.Name, len(absorbed), skip != nil)
+	pc.pushed(tab.Name, len(absorbed), skip != nil)
 	if generated {
 		spec := st.src.spec(tab, rs.bt.pos, a.mode, rs.cols)
 		spec.EmitRID = rs.emitRID
@@ -1122,7 +1056,7 @@ func (pc *planCtx) rawScans(rs rawScan, a access, spans []span) (parts []exec.Op
 		pc.ensureTemplate(spec)
 	}
 	if len(caps) > 0 {
-		pc.noteShredCapture(tab, rs.cols)
+		pc.shredsCaptured(tab, rs.cols)
 	}
 	if len(frags) == 0 && len(synFrags) == 0 && len(caps) == 0 {
 		return parts, nil, absorbed, pruned, nil
@@ -1142,7 +1076,7 @@ func (pc *planCtx) rawScans(rs rawScan, a access, spans []span) (parts []exec.Op
 				if err != nil {
 					return err
 				}
-				pc.emitCaptured(a.structure, tab, bytes)
+				pc.captured(a.structure, tab, bytes)
 			}
 		}
 		if len(synFrags) > 0 {
@@ -1156,7 +1090,7 @@ func (pc *planCtx) rawScans(rs rawScan, a access, spans []span) (parts []exec.Op
 			}
 			if syn != nil && (st.nrows < 0 || syn.NRows() == st.nrows) {
 				st.setSynopsis(syn)
-				pc.emitCaptured("synopsis", tab, syn.MemoryFootprint())
+				pc.captured("synopsis", tab, syn.MemoryFootprint())
 			}
 		}
 		pc.publishCaptures(tab, rs.cols, caps)
@@ -1197,8 +1131,7 @@ func (pc *planCtx) baseScanFile(p *pipe, t int, u unitCut, kind scanKind, cols [
 			}
 		}
 	}
-	pc.stats.ShredHits += len(cached)
-	pc.noteStructHit(tab.Name, "shred", len(cached))
+	pc.hit(tab.Name, "shred", len(cached))
 
 	// Everything cached: stream from the pool, no raw access at all.
 	// Predicates on the cached columns are still absorbed — the scans evaluate
@@ -1245,11 +1178,11 @@ func (pc *planCtx) baseScanFile(p *pipe, t int, u unitCut, kind scanKind, cols [
 		}
 		p.layout(t, cached, ridIdx)
 		pc.pathf("%sshred:scan(%s)", p.parLabel(), tab.Name)
-		pc.notePush(tab.Name, len(preds), skip != nil)
+		pc.pushed(tab.Name, len(preds), skip != nil)
 		if len(preds) > 0 {
 			for _, op := range p.ops {
 				sc := op.(interface{ RowsPruned() int64 })
-				pc.pushStats(func() (int64, int64) { return sc.RowsPruned(), 0 })
+				pc.probes = append(pc.probes, pruneProbe{f: func() (int64, int64) { return sc.RowsPruned(), 0 }})
 			}
 		}
 		return p, residual, nil
@@ -1298,7 +1231,7 @@ func (pc *planCtx) baseScanFile(p *pipe, t int, u unitCut, kind scanKind, cols [
 			return nil, nil, err
 		}
 		p.ops[0] = cap
-		pc.noteShredCapture(tab, uncached)
+		pc.shredsCaptured(tab, uncached)
 	}
 
 	// Append cached columns via their row ids, after uncached+rid.
@@ -1357,8 +1290,7 @@ func (pc *planCtx) lateScanInner(p *pipe, r *resolvedQuery, t int, cols []int) e
 			fromFile = append(fromFile, c)
 		}
 	}
-	pc.stats.ShredHits += len(fromCache)
-	pc.noteStructHit(tab.Name, "shred", len(fromCache))
+	pc.hit(tab.Name, "shred", len(fromCache))
 
 	if len(fromCache) > 0 {
 		names := make([]string, len(fromCache))
@@ -1414,7 +1346,7 @@ func (pc *planCtx) lateScanInner(p *pipe, r *resolvedQuery, t int, cols []int) e
 			return err
 		}
 		p.ops[0] = cap
-		pc.noteShredCapture(tab, sorted)
+		pc.shredsCaptured(tab, sorted)
 	}
 	return nil
 }
@@ -1710,10 +1642,6 @@ func (pc *planCtx) ensureTemplate(sp jit.Spec) {
 		s.AddAttr("table", sp.Table)
 		s.Window(start, time.Now())
 	}
-}
-
-func (pc *planCtx) pathf(format string, args ...any) {
-	pc.stats.AccessPaths = append(pc.stats.AccessPaths, fmt.Sprintf(format, args...))
 }
 
 func shredKeys(table string, cols []int) string {

@@ -4,9 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
-	"time"
 
 	"rawdb/internal/catalog"
 	"rawdb/internal/exec"
@@ -23,23 +23,18 @@ type planOpts struct {
 	strategy Strategy
 	place    JoinPlacement
 	multi    bool
-	workers  int
-	pushdown bool
-	zonemaps bool
-	// capture: this query may build and publish new adaptive structures.
-	// The memory governor clears it under pressure (see Options.NoCapture).
+	workers  int  // morsel-parallel worker count; <= 1 plans serially
+	pushdown bool // absorb eligible predicates into generated access paths
+	zonemaps bool // build and consult per-block min/max synopses
+	// capture: this query may build and publish new adaptive structures
+	// (positional maps, structural indexes, synopses, shreds). The memory
+	// governor clears it under pressure (see Options.NoCapture): everything
+	// cached is still reused, the query just leaves no new resident state.
 	capture bool
-	trace   *obs.Trace
-	// qid and inf are set by QueryOptCtx once per query (not by
-	// resolveOptions): the engine-assigned query ID and the live inflight
-	// record the run phases update.
-	qid int64
-	inf *inflightQuery
 }
 
 // resolveOptions merges per-query Options over the engine Config. It is the
-// single resolution point shared by QueryOpt and Explain (they previously
-// duplicated this block and drifted: Explain ignored opts.Trace).
+// single resolution point shared by QueryOpt and Explain (through newRecord).
 func resolveOptions(cfg Config, opts Options) planOpts {
 	po := planOpts{
 		strategy: cfg.Strategy,
@@ -49,30 +44,24 @@ func resolveOptions(cfg Config, opts Options) planOpts {
 		pushdown: !cfg.DisablePushdown,
 		zonemaps: !cfg.DisableZoneMaps,
 		capture:  true,
-		trace:    opts.Trace,
 	}
-	if opts.Strategy != nil {
-		po.strategy = *opts.Strategy
-	}
-	if opts.JoinPlacement != nil {
-		po.place = *opts.JoinPlacement
-	}
-	if opts.MultiColumnShreds != nil {
-		po.multi = *opts.MultiColumnShreds
-	}
-	if opts.Parallelism != nil {
-		po.workers = *opts.Parallelism
-	}
-	if opts.Pushdown != nil {
-		po.pushdown = *opts.Pushdown
-	}
-	if opts.ZoneMaps != nil {
-		po.zonemaps = *opts.ZoneMaps
-	}
+	override(&po.strategy, opts.Strategy)
+	override(&po.place, opts.JoinPlacement)
+	override(&po.multi, opts.MultiColumnShreds)
+	override(&po.workers, opts.Parallelism)
+	override(&po.pushdown, opts.Pushdown)
+	override(&po.zonemaps, opts.ZoneMaps)
 	if opts.NoCapture != nil {
 		po.capture = !*opts.NoCapture
 	}
 	return po
+}
+
+// override sets *dst to the option's value when the option is set.
+func override[T any](dst, opt *T) {
+	if opt != nil {
+		*dst = *opt
+	}
 }
 
 // Query parses, plans and executes one SQL statement with the engine's
@@ -100,160 +89,82 @@ func (e *Engine) QueryOptCtx(ctx context.Context, src string, opts Options) (*Re
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	po := resolveOptions(e.cfg, opts)
-	if po.trace == nil && e.cfg.QueryLog != nil && e.cfg.SlowQueryMillis > 0 {
-		// The slow-query path dumps a rendered span tree into the log record,
-		// which needs a trace attached; arm one when the caller did not.
-		po.trace = obs.NewTrace()
-	}
-	po.qid = e.queryID.Add(1)
-	tr := po.trace
-	tr.SetQueryID(po.qid)
-	// Every query is registered in the in-flight set with its own cancel
-	// function, so CancelQuery(id) reaches it through the same context path
-	// caller cancellation uses.
+	// Every query is listed in flight with its own cancel function, so
+	// CancelQuery(id) reaches it through the same context path caller
+	// cancellation uses.
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	inf := &inflightQuery{id: po.qid, sql: src, start: time.Now(), workers: po.workers, cancel: cancel}
-	po.inf = inf
-	e.inflight.add(inf)
-	defer e.inflight.remove(po.qid)
+	rec := e.beginQuery(src, opts, cancel)
+	defer e.inflight.remove(rec.id)
 
-	inf.setPhase(phaseParse)
-	sp := tr.Phase("parse")
-	t0 := time.Now()
+	rec.enter(phaseParse)
 	q, err := sql.Parse(src)
-	parseD := time.Since(t0)
-	sp.End()
 	var r *resolvedQuery
 	var res *Result
 	if err == nil {
-		inf.setPhase(phaseAnalyze)
-		sp = tr.Phase("analyze")
-		t0 = time.Now()
+		rec.enter(phaseAnalyze)
 		r, err = e.analyze(q)
-		analyzeD := time.Since(t0)
-		sp.End()
-		if err == nil {
-			res, err = e.run(ctx, r, po, true)
-			if err != nil && errors.Is(err, shred.ErrNotCached) {
-				// An optimistically chosen partial shred did not subsume this
-				// query's rows; replan without cache reuse (the raw file
-				// remains the source of truth).
-				tr.Phase("replan: shred miss").End()
-				res, err = e.run(ctx, r, po, false)
-			}
-			var pl *partLostError
-			if err != nil && errors.As(err, &pl) {
-				// A dataset partition vanished or changed between manifest
-				// refresh and load. Retry exactly once: the rerun's refresh
-				// reconciles the partition set first, so the query either
-				// answers against the new state or fails with a plain error
-				// (never a torn snapshot).
-				e.metrics.Counter("query.partition_retries").Inc()
-				e.emitQueryEvent(po.qid, obs.EventRetry, "partition", pl.part, 0,
-					"replan after partition lost: "+pl.err.Error())
-				tr.Phase("replan: partition lost").End()
-				res, err = e.run(ctx, r, po, true)
-			}
+	}
+	if err == nil {
+		res, err = e.run(ctx, rec, r, true)
+		if errors.Is(err, shred.ErrNotCached) {
+			// An optimistically chosen partial shred did not subsume this
+			// query's rows; replan without cache reuse (the raw file
+			// remains the source of truth).
+			rec.span("replan: shred miss").End()
+			res, err = e.run(ctx, rec, r, false)
 		}
-		if res != nil {
-			res.Stats.PhaseParse, res.Stats.PhaseAnalyze = parseD, analyzeD
+		var pl *partLostError
+		if errors.As(err, &pl) {
+			// A dataset partition vanished or changed between manifest
+			// refresh and load. Retry exactly once: the rerun's refresh
+			// reconciles the partition set first, so the query either
+			// answers against the new state or fails with a plain error
+			// (never a torn snapshot).
+			e.metrics.Counter("query.partition_retries").Inc()
+			rec.event(obs.EventRetry, "partition", pl.part, 0,
+				"replan after partition lost: "+pl.err.Error())
+			rec.span("replan: partition lost").End()
+			res, err = e.run(ctx, rec, r, true)
 		}
 	}
-	e.logQuery(src, inf, r, res, err, po, parseD)
+	rec.enter(phaseDone)
+	if res != nil {
+		res.Stats = rec.stats
+	}
+	if ql := e.cfg.QueryLog; ql != nil {
+		ql.Emit(rec.logLine(r, err))
+	}
 	return res, err
 }
 
-// logQuery emits the structured query-log record for one completed query
-// (success or failure). A nil Config.QueryLog returns immediately.
-func (e *Engine) logQuery(src string, inf *inflightQuery, r *resolvedQuery,
-	res *Result, err error, po planOpts, parseD time.Duration) {
-	ql := e.cfg.QueryLog
-	if ql == nil {
-		return
-	}
-	elapsed := time.Since(inf.start)
-	rec := &obs.QueryRecord{
-		ID:        inf.id,
-		Time:      time.Now().UTC().Format(time.RFC3339Nano),
-		SQLHash:   obs.HashSQL(src),
-		SQL:       obs.TruncateSQL(src),
-		ElapsedNS: elapsed.Nanoseconds(),
-		Workers:   po.workers,
-		NoCapture: !po.capture,
-	}
-	if r != nil {
-		seen := make(map[string]bool, len(r.tables))
-		for _, bt := range r.tables {
-			if name := bt.st.tab.Name; !seen[name] {
-				seen[name] = true
-				rec.Tables = append(rec.Tables, name)
-			}
-		}
-	}
-	phases := map[string]int64{"parse": parseD.Nanoseconds()}
-	if res != nil {
-		s := &res.Stats
-		rec.Rows = s.RowsOut
-		rec.AccessPaths = s.AccessPaths
-		rec.PredsPushed = s.PredsPushed
-		rec.RowsPruned = s.RowsPruned
-		rec.BlocksSkip = s.BlocksSkipped
-		rec.MorselsSkip = int64(s.MorselsSkipped)
-		rec.PartsSkip = s.PartitionsSkipped
-		rec.Fallback = s.ParallelFallback
-		phases["analyze"] = s.PhaseAnalyze.Nanoseconds()
-		phases["plan"] = s.PhasePlan.Nanoseconds()
-		phases["exec"] = s.PhaseExec.Nanoseconds()
-		phases["publish"] = s.PhasePublish.Nanoseconds()
-	}
-	rec.PhaseNS = phases
-	if err != nil {
-		rec.Error = err.Error()
-	}
-	if ms := e.cfg.SlowQueryMillis; ms > 0 && elapsed >= time.Duration(ms)*time.Millisecond {
-		rec.SlowTrace = po.trace.Render()
-	}
-	ql.Emit(rec)
-}
-
-// run executes one resolved query through the engine's three lock phases:
+// run executes one attempt at a resolved query through the engine's three
+// lock phases (DESIGN.md, "The three-phase query lifecycle"):
 //
-//  1. plan (locks held): datasets are refreshed, the physical plan is built
-//     against a consistent snapshot of the per-table caches, and any
-//     structure the query will build is created private to the query.
-//  2. execute (locks released): the operator tree runs without the table
-//     locks, so read-only queries over the same table overlap; everything the
-//     operators touch is either immutable after planning (raw bytes, loaded
-//     vectors, published positional maps, synopses) or internally locked
-//     (shred pool, structural index). ROOT tables are the exception — their
-//     format library pages through an unlocked buffer pool, so queryExclusive
-//     keeps the locks held through execution for them.
-//  3. publish (locks re-acquired): on success the deferred hooks install the
-//     structures the query built (onMerge first — parallel fragment merges —
-//     then onComplete) and vault write-backs are scheduled; on failure
-//     nothing is installed. The onFinish hooks (stats folding) run on both
-//     paths, so an aborted scan's prune counters are never silently dropped.
-func (e *Engine) run(ctx context.Context, r *resolvedQuery, po planOpts, useCache bool) (res *Result, err error) {
+//  1. plan (locks held): datasets are refreshed and the plan is built against
+//     a consistent snapshot of the per-table caches; whatever the query
+//     builds stays private to it.
+//  2. execute (locks released): operators touch only state that is immutable
+//     after planning or internally locked, so read-only queries over the same
+//     table overlap. ROOT tables keep their locks (queryExclusive).
+//  3. publish (locks re-acquired): on success the onMerge, then onComplete
+//     hooks install what the query built and vault write-backs are scheduled;
+//     on failure nothing is installed. The record folds the attempt either way.
+//
+// The result's Stats are the record's, filled in once the query ended.
+func (e *Engine) run(ctx context.Context, rec *queryRecord, r *resolvedQuery, useCache bool) (res *Result, err error) {
 	// Panic containment for the serial path (the exchange recovers its own
 	// workers): a bug in a generated access path or operator fails this one
 	// query instead of the process. Declared before the lock defer, so
 	// unwinding releases the table locks first; the publication hooks below
 	// never ran, so no partial structure survives the panic.
 	defer func() {
-		if rec := recover(); rec != nil {
-			e.metrics.Counter("query.panics").Inc()
-			table := ""
-			if len(r.tables) > 0 {
-				table = r.tables[0].st.tab.Name
-			}
-			e.emitQueryEvent(po.qid, obs.EventPanicRecovered, "query", table, 0,
-				fmt.Sprintf("%v", rec))
-			res, err = nil, fmt.Errorf("engine: query panicked: %v", rec)
+		if p := recover(); p != nil {
+			rec.panicked("query", r, fmt.Sprintf("%v", p))
+			res, err = nil, fmt.Errorf("engine: query panicked: %v", p)
 		}
 	}()
-	tr := po.trace
+	pc := rec.attempt(ctx, useCache)
 	locks := lockTables(r)
 	locks.lock()
 	held := true
@@ -267,42 +178,16 @@ func (e *Engine) run(ctx context.Context, r *resolvedQuery, po planOpts, useCach
 	// truncated ones are invalidated per partition before planning reads any
 	// cached structure. Refresh swaps in fresh partition states; a query
 	// already executing against the old ones keeps its snapshot.
-	sp := tr.Phase("manifest-refresh")
-	refreshStart := time.Now()
-	err = e.refreshDatasets(r)
-	refresh := time.Since(refreshStart)
-	sp.End()
-	if err != nil {
+	if err := e.refreshDatasets(rec, r); err != nil {
 		return nil, err
 	}
-	stats := &Stats{Strategy: po.strategy, ManifestRefresh: refresh, QueryID: po.qid}
-	pc := &planCtx{
-		e:        e,
-		strategy: po.strategy,
-		place:    po.place,
-		multi:    po.multi,
-		workers:  po.workers,
-		useCache: useCache && !e.cfg.DisableShredCache,
-		capture:  po.capture,
-		pushdown: po.pushdown,
-		zonemaps: po.zonemaps,
-		stats:    stats,
-		trace:    tr,
-		ctx:      ctx,
-		qid:      po.qid,
-	}
-	po.inf.setPhase(phasePlan)
-	start := time.Now()
-	sp = tr.Phase("plan")
+	rec.enter(phasePlan)
 	op, err := pc.plan(r)
-	stats.PhasePlan = time.Since(start)
-	sp.End()
 	if err != nil {
 		return nil, fmt.Errorf("engine: planning %s: %w", r.describe(), err)
 	}
-	if stats.ParallelFallback != "" {
-		e.emitEvent(obs.EventFallback, "planner", r.tables[0].st.tab.Name, 0,
-			stats.ParallelFallback)
+	if reason := rec.stats.ParallelFallback; reason != "" {
+		rec.event(obs.EventFallback, "planner", r.tables[0].st.tab.Name, 0, reason)
 	}
 
 	exclusive := queryExclusive(r)
@@ -310,76 +195,50 @@ func (e *Engine) run(ctx context.Context, r *resolvedQuery, po planOpts, useCach
 		held = false
 		locks.unlock()
 	}
-	po.inf.setPhase(phaseExec)
-	execStart := time.Now()
-	sp = tr.Phase("execute")
-	cols, execErr := collectSerial(ctx, op, po.inf)
-	sp.End()
-	stats.PhaseExec = time.Since(execStart)
+	rec.enter(phaseExec)
+	cols, err := collectSerial(ctx, op, &rec.rows)
 	if !exclusive {
 		locks.lock()
 		held = true
 	}
-	stats.Elapsed = time.Since(start)
-	po.inf.setPhase(phasePublish)
-	pubStart := time.Now()
+	rec.enter(phasePublish)
 
 	// Publication phase (locks re-acquired). Merge hooks run first and can
 	// fail; a failed merge fails the query like an execution error.
-	if execErr == nil {
+	if err == nil {
 		for _, m := range pc.onMerge {
-			if err := m(); err != nil {
-				execErr = err
+			if err = m(); err != nil {
 				break
 			}
 		}
 	}
-	if execErr != nil {
+	if err != nil {
 		// Deterministic error path: nothing is installed or written back,
-		// but runtime counters still fold (onFinish always runs). Engine-wide
-		// error accounting is skipped for the internal shred-miss replan —
-		// QueryOptCtx retries and the retry folds its own stats.
-		for _, f := range pc.onFinish {
-			f()
-		}
-		e.foldHeat(r, pc)
+		// but the attempt's runtime counters still fold.
 		var pe *exec.PanicError
-		if errors.As(execErr, &pe) {
-			e.metrics.Counter("query.panics").Inc()
-			table := ""
-			if len(r.tables) > 0 {
-				table = r.tables[0].st.tab.Name
-			}
-			e.emitQueryEvent(po.qid, obs.EventPanicRecovered, "worker", table, 0,
-				execErr.Error())
+		if errors.As(err, &pe) {
+			rec.panicked("worker", r, err.Error())
 		}
-		if !errors.Is(execErr, shred.ErrNotCached) {
-			e.foldErrStats(stats)
-		}
-		return nil, execErr
+		rec.fold(r, err)
+		return nil, err
 	}
 	for _, f := range pc.onComplete {
 		f()
 	}
-	for _, f := range pc.onFinish {
-		f()
-	}
-	e.foldHeat(r, pc)
-	// Refresh unified-budget accounting and schedule vault write-backs for
-	// structures this query built or grew (locks still held: the encodes
-	// snapshot consistent state; only disk I/O happens asynchronously).
-	sp = tr.Phase("vault-publish")
-	e.vaultUpdate(r)
-	sp.End()
-	stats.PhasePublish = time.Since(pubStart)
-	schema := op.Schema()
-	res = &Result{Stats: *stats, cols: cols}
-	for _, c := range schema {
+	res = &Result{cols: cols}
+	for _, c := range op.Schema() {
 		res.Columns = append(res.Columns, c.Name)
 		res.Types = append(res.Types, c.Type)
 	}
-	res.Stats.RowsOut = res.NumRows()
-	e.foldStats(&res.Stats)
+	rec.stats.RowsOut = res.NumRows()
+	rec.stats.Elapsed = rec.stats.PhasePlan + rec.stats.PhaseExec
+	rec.fold(r, nil)
+	// Refresh unified-budget accounting and schedule vault write-backs for
+	// structures this query built or grew (locks still held: the encodes
+	// snapshot consistent state; only disk I/O happens asynchronously).
+	sp := rec.span("vault-publish")
+	e.vaultUpdate(r)
+	sp.End()
 	return res, nil
 }
 
@@ -407,23 +266,13 @@ type tableLocks struct {
 // deterministic order prevents deadlock between concurrent multi-table
 // queries). The locks are NOT acquired yet; call lock.
 func lockTables(r *resolvedQuery) *tableLocks {
-	distinct := make([]*tableState, 0, len(r.tables))
-	for _, bt := range r.tables {
-		dup := false
-		for _, st := range distinct {
-			if st == bt.st {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			distinct = append(distinct, bt.st)
-		}
+	states := make([]*tableState, len(r.tables))
+	for i, bt := range r.tables {
+		states[i] = bt.st
 	}
-	sort.Slice(distinct, func(i, j int) bool {
-		return distinct[i].tab.Name < distinct[j].tab.Name
-	})
-	return &tableLocks{states: distinct}
+	// A table named twice (a self-join) is one state, sorted next to itself.
+	sort.Slice(states, func(i, j int) bool { return states[i].tab.Name < states[j].tab.Name })
+	return &tableLocks{states: slices.Compact(states)}
 }
 
 func (l *tableLocks) lock() {
@@ -455,22 +304,19 @@ func (e *Engine) Explain(src string, opts Options) (string, error) {
 	// the same tables. It does not refresh datasets: the plan describes the
 	// manifest as currently known. The deferred install hooks are dropped —
 	// describing a plan must not publish the structures it would build.
-	po := resolveOptions(e.cfg, opts)
+	rec := e.newRecord(opts)
 	locks := lockTables(r)
 	locks.lock()
 	defer locks.unlock()
-	stats := &Stats{Strategy: po.strategy}
-	pc := &planCtx{e: e, strategy: po.strategy, place: po.place, multi: po.multi,
-		workers: po.workers, useCache: !e.cfg.DisableShredCache, capture: po.capture,
-		pushdown: po.pushdown, zonemaps: po.zonemaps, stats: stats, trace: po.trace}
-	sp := po.trace.Phase("plan")
-	op, err := pc.plan(r)
+	sp := rec.span("plan")
+	op, err := rec.newPlanCtx(context.Background(), true).plan(r)
 	sp.End()
 	if err != nil {
 		return "", err
 	}
+	stats := &rec.stats
 	var b strings.Builder
-	fmt.Fprintf(&b, "strategy: %s\n", po.strategy)
+	fmt.Fprintf(&b, "strategy: %s\n", rec.opts.strategy)
 	fmt.Fprintf(&b, "output:  ")
 	for i, c := range op.Schema() {
 		if i > 0 {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io/fs"
 	"os"
+	"sync/atomic"
 	"time"
 
 	"rawdb/internal/catalog"
@@ -32,14 +33,15 @@ const loadBackoff = 2 * time.Millisecond
 
 // loadWithRetry is loadTableData plus bounded backoff for transient errors.
 // A missing file fails fast: retrying ENOENT only delays the manifest
-// refresh that actually fixes it.
-func (e *Engine) loadWithRetry(st *tableState) error {
+// refresh that actually fixes it. Retry events carry the ID of the query
+// whose planner loads the file (0: none).
+func (e *Engine) loadWithRetry(st *tableState, qid int64) error {
 	backoff := loadBackoff
 	var err error
 	for attempt := 0; attempt < loadRetries; attempt++ {
 		if attempt > 0 {
 			e.metrics.Counter("load.retries").Inc()
-			e.emitEvent(obs.EventRetry, "raw", st.tab.Name, 0,
+			e.emitEvent(qid, obs.EventRetry, "raw", st.tab.Name, 0,
 				fmt.Sprintf("load attempt %d after: %v", attempt+1, err))
 			time.Sleep(backoff)
 			backoff *= 4
@@ -73,8 +75,8 @@ func (p *partLostError) Unwrap() error { return p.err }
 // or rewritten after refresh — the partition is lost for this query's
 // snapshot, and the caller surfaces a retryable partLostError. Sheared bytes
 // are dropped so the retry reloads from the (new) file.
-func (e *Engine) loadPartChecked(ps *tableState) error {
-	if err := e.loadWithRetry(ps); err != nil {
+func (e *Engine) loadPartChecked(ps *tableState, qid int64) error {
+	if err := e.loadWithRetry(ps, qid); err != nil {
 		return &partLostError{part: ps.tab.Name, err: err}
 	}
 	data := ps.src.image() // only text formats read an image to compare; binary readers page
@@ -90,17 +92,14 @@ func (e *Engine) loadPartChecked(ps *tableState) error {
 }
 
 // collectSerial drains a serial plan to completion, streaming the running
-// row count into the query's in-flight record so /debug/queries shows live
+// row count into rows — the query record's, so /debug/queries shows live
 // progress. The fault site makes the serial execution phase injectable like
 // the morsel workers are.
-func collectSerial(ctx context.Context, op exec.Operator, inf *inflightQuery) ([]*vector.Vector, error) {
+func collectSerial(ctx context.Context, op exec.Operator, rows *atomic.Int64) ([]*vector.Vector, error) {
 	if err := faults.Hit(faults.SiteExecSerial); err != nil {
 		return nil, err
 	}
-	if inf == nil {
-		return exec.CollectCtx(ctx, op)
-	}
-	return exec.CollectCtxCount(ctx, op, &inf.rows)
+	return exec.CollectCtxCount(ctx, op, rows)
 }
 
 // --- memory governor (engine side) ---

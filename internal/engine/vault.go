@@ -74,7 +74,7 @@ func (e *Engine) vaultLoad(st *tableState) {
 	restored := func(structure string, bytes int64) {
 		e.metrics.Counter("vault.restored").Inc()
 		e.metrics.Counter("vault.restored_bytes").Add(bytes)
-		e.emitEvent(obs.EventRestored, structure, name, bytes, "vault")
+		e.emitEvent(0, obs.EventRestored, structure, name, bytes, "vault")
 	}
 	switch st.tab.Format {
 	case catalog.CSV:

@@ -52,8 +52,12 @@ type Index struct {
 	seeks int64
 }
 
-// Seeks returns how many tracked-path lookups this index has served.
+// Seeks returns how many tracked-path lookups this index has served (0 for
+// a nil index).
 func (x *Index) Seeks() int64 {
+	if x == nil {
+		return 0
+	}
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	return x.seeks
@@ -186,8 +190,12 @@ func (x *Index) Positions(path string) []int64 {
 	return offs
 }
 
-// MemoryFootprint returns the approximate byte size of the stored offsets.
+// MemoryFootprint returns the approximate byte size of the stored offsets
+// (0 for a nil index).
 func (x *Index) MemoryFootprint() int64 {
+	if x == nil {
+		return 0
+	}
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	n := int64(len(x.rows)) * 8

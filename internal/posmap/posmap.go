@@ -225,7 +225,10 @@ func (m *Map) Merge(frag *Map, byteOff int64) error {
 }
 
 // MemoryFootprint returns the approximate size in bytes of the stored
-// positions, used by the engine's cache accounting.
+// positions, used by the engine's cache accounting (0 for a nil map).
 func (m *Map) MemoryFootprint() int64 {
+	if m == nil {
+		return 0
+	}
 	return int64(len(m.tracked)) * m.nrows * 8
 }

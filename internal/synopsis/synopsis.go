@@ -99,8 +99,11 @@ func (s *Synopsis) Columns() []*Column {
 }
 
 // MemoryFootprint returns the approximate byte size of the stored bounds,
-// used by the engine's unified cache accounting.
+// used by the engine's unified cache accounting (0 for a nil synopsis).
 func (s *Synopsis) MemoryFootprint() int64 {
+	if s == nil {
+		return 0
+	}
 	b := int64(len(s.bounds)) * 8
 	for _, c := range s.cols {
 		b += int64(len(c.IMin)+len(c.IMax))*8 + int64(len(c.FMin)+len(c.FMax))*8
