@@ -20,7 +20,7 @@ import (
 	"rawdb/internal/vector"
 )
 
-var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/plans.golden from the current planner")
+var updateGolden = flag.Bool("update-golden", false, "rewrite the testdata/*.golden files of the tests run from the current engine")
 
 // goldenData is one logical table — col1 a sorted key (zone maps are
 // selective), col2..col5 pseudo-random — rendered in every raw format.
@@ -244,12 +244,19 @@ func TestPlanGolden(t *testing.T) {
 		}
 	}
 
-	path := filepath.Join("testdata", "plans.golden")
+	checkGolden(t, filepath.Join("testdata", "plans.golden"), out.String())
+}
+
+// checkGolden compares got with the golden file at path, or rewrites the file
+// under -update-golden. A mismatch reports the first differing line and the
+// "=== " section it belongs to.
+func checkGolden(t *testing.T, path, got string) {
+	t.Helper()
 	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(path, []byte(out.String()), 0o644); err != nil {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
@@ -258,7 +265,7 @@ func TestPlanGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := out.String(); got != string(want) {
+	if got != string(want) {
 		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
 		for i := 0; i < len(gl) && i < len(wl); i++ {
 			if gl[i] != wl[i] {
@@ -269,10 +276,10 @@ func TestPlanGolden(t *testing.T) {
 						break
 					}
 				}
-				t.Fatalf("plan differs from %s at line %d (%s):\n got: %s\nwant: %s\n(-update-golden rewrites the file)",
+				t.Fatalf("output differs from %s at line %d (%s):\n got: %s\nwant: %s\n(-update-golden rewrites the file)",
 					path, i+1, section, gl[i], wl[i])
 			}
 		}
-		t.Fatalf("plan output has %d lines, %s has %d", len(gl), path, len(wl))
+		t.Fatalf("output has %d lines, %s has %d", len(gl), path, len(wl))
 	}
 }
