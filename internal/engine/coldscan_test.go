@@ -56,10 +56,10 @@ func TestColdScanLearnsRows(t *testing.T) {
 			if st.nrows != rows {
 				t.Fatalf("nrows = %d after the cold query, want %d", st.nrows, rows)
 			}
-			if syn := st.synopsis(); syn == nil || syn.NRows() != rows {
+			if syn := st.positions().syn; syn == nil || syn.NRows() != rows {
 				t.Fatalf("synopsis after the cold query: %v", syn)
 			}
-			if st.posMap() == nil && st.jsonIdx() == nil {
+			if st.positions().pm == nil && st.positions().jidx == nil {
 				t.Fatal("cold query published neither a positional map nor a structural index")
 			}
 		})
@@ -152,9 +152,9 @@ func TestCancelledColdScanPublishesNothing(t *testing.T) {
 				t.Fatalf("err = %v, want context.Canceled", err)
 			}
 			st := e.tables["t"]
-			if st.nrows != -1 || st.posMap() != nil || st.synopsis() != nil {
+			if st.nrows != -1 || st.positions().pm != nil || st.positions().syn != nil {
 				t.Fatalf("cancelled query left nrows %d, posmap %v, synopsis %v",
-					st.nrows, st.posMap(), st.synopsis())
+					st.nrows, st.positions().pm, st.positions().syn)
 			}
 			if shs := e.shreds.ShredsOf("t"); len(shs) != 0 {
 				t.Fatalf("cancelled query published %d shreds", len(shs))
@@ -241,11 +241,11 @@ func TestColdScanStructuresAllocatedOnce(t *testing.T) {
 						t.Fatalf("access paths at Parallelism %d: %v", workers, res.Stats.AccessPaths)
 					}
 					st := e.tables["t"]
-					if pm := st.posMap(); pm != nil {
+					if pm := st.positions().pm; pm != nil {
 						for _, c := range pm.TrackedColumns() {
 							slack(t, fmt.Sprintf("posmap column %d", c), len(pm.Positions(c)), cap(pm.Positions(c)))
 						}
-					} else if idx := st.jsonIdx(); idx != nil {
+					} else if idx := st.positions().jidx; idx != nil {
 						slack(t, "jsonidx row starts", len(idx.RowStarts()), cap(idx.RowStarts()))
 						for _, p := range idx.TrackedPaths() {
 							slack(t, "jsonidx path "+p, len(idx.Positions(p)), cap(idx.Positions(p)))
@@ -300,7 +300,7 @@ func TestParallelColdScanMatchesSerial(t *testing.T) {
 					t.Fatal(err)
 				}
 				st := e.tables["t"]
-				syn := st.synopsis()
+				syn := st.positions().syn
 				if syn == nil {
 					t.Fatalf("no synopsis at Parallelism %d", workers)
 				}
@@ -425,8 +425,8 @@ func TestCancelledParallelColdJSONPublishesNothing(t *testing.T) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	st := e.tables["t"]
-	if st.nrows != -1 || st.jsonIdx() != nil || st.synopsis() != nil {
-		t.Fatalf("cancelled query left nrows %d, jsonidx %v, synopsis %v", st.nrows, st.jsonIdx(), st.synopsis())
+	if st.nrows != -1 || st.positions().jidx != nil || st.positions().syn != nil {
+		t.Fatalf("cancelled query left nrows %d, jsonidx %v, synopsis %v", st.nrows, st.positions().jidx, st.positions().syn)
 	}
 	if shs := e.shreds.ShredsOf("t"); len(shs) != 0 {
 		t.Fatalf("cancelled query published %d shreds", len(shs))
@@ -441,7 +441,7 @@ func TestCancelledParallelColdJSONPublishesNothing(t *testing.T) {
 	if st.nrows != rows {
 		t.Fatalf("nrows = %d after the re-run, want %d", st.nrows, rows)
 	}
-	refIdx, idx := ref.tables["t"].jsonIdx(), st.jsonIdx()
+	refIdx, idx := ref.tables["t"].positions().jidx, st.positions().jidx
 	if !slices.Equal(refIdx.RowStarts(), idx.RowStarts()) ||
 		!slices.Equal(refIdx.TrackedPaths(), idx.TrackedPaths()) {
 		t.Fatal("the re-run's structural index differs from the one a clean run builds")

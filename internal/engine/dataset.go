@@ -7,6 +7,8 @@ import (
 	"rawdb/internal/dataset"
 	"rawdb/internal/exec"
 	"rawdb/internal/obs"
+	"rawdb/internal/synopsis"
+	"rawdb/internal/vault"
 	"rawdb/internal/vector"
 )
 
@@ -63,8 +65,8 @@ func (e *Engine) registerDataset(name, pattern string, format catalog.Format, sc
 	if err := e.cat.Register(tab); err != nil {
 		return err
 	}
-	st := &tableState{tab: tab, nrows: -1,
-		ds: &datasetState{pattern: pattern, override: format, manifest: m}}
+	st := &tableState{nrows: -1, ds: &datasetState{pattern: pattern, override: format, manifest: m}}
+	st.bind(tab)
 	e.datasetWarmup(st)
 	e.mu.Lock()
 	e.tables[name] = st
@@ -105,15 +107,14 @@ func (e *Engine) RegisterDatasetParts(name string, parts []DataPart, schema []ca
 	if err := e.cat.Register(tab); err != nil {
 		return err
 	}
-	st := &tableState{tab: tab, nrows: -1, ds: &datasetState{manifest: m}}
+	st := &tableState{nrows: -1, ds: &datasetState{manifest: m}}
+	st.bind(tab)
 	for i, src := range srcs {
 		ps := &tableState{src: src}
 		_, ps.nrows = src.stat()
-		ps.tab = &catalog.Table{Name: name + "#" + m.Parts[i].ID, Format: parts[i].Format, Schema: schema}
+		ps.bind(&catalog.Table{Name: name + "#" + m.Parts[i].ID, Format: parts[i].Format, Schema: schema})
 		ps.resident.Store(true)
-		if e.vault != nil {
-			e.vaultLoad(ps)
-		}
+		e.vaultLoad(ps)
 		st.ds.parts = append(st.ds.parts, ps)
 	}
 	e.datasetWarmup(st)
@@ -134,7 +135,7 @@ func (e *Engine) datasetWarmup(st *tableState) {
 	if e.vault != nil {
 		if fp, ok := e.vaultFingerprint(st); ok {
 			st.fp, st.hasFP = fp, true
-			if old := e.vault.LoadManifest(st.tab.Name, fp); old != nil {
+			if old, _ := e.vault.Load(st.tab.Name, vault.KindManifest, fp).(*dataset.Manifest); old != nil {
 				d := dataset.Compare(old, ds.manifest)
 				for _, ki := range d.Kept {
 					ds.manifest.Parts[ki[1]].Rows = old.Parts[ki[0]].Rows
@@ -158,19 +159,17 @@ func (e *Engine) datasetWarmup(st *tableState) {
 func (e *Engine) newPartState(parent *tableState, p *dataset.Partition) *tableState {
 	ps := &tableState{nrows: -1}
 	ps.src, _ = newSource(p.Format, e.cfg.PosMapPolicy, nil) // errs only on a bad image
-	ps.tab = &catalog.Table{
+	ps.bind(&catalog.Table{
 		Name:   parent.tab.Name + "#" + p.ID,
 		Path:   p.Path,
 		Format: p.Format,
 		Schema: parent.tab.Schema,
-	}
+	})
 	ps.expectSize = p.Size
 	if p.Rows >= 0 {
 		ps.nrows = p.Rows
 	}
-	if e.vault != nil {
-		e.vaultLoad(ps)
-	}
+	e.vaultLoad(ps)
 	return ps
 }
 
@@ -230,8 +229,7 @@ func (e *Engine) refreshDataset(rec *queryRecord, st *tableState) error {
 		newParts[ki[1]] = ds.parts[ki[0]]
 	}
 	for _, ci := range d.Changed {
-		e.emitInvalidated(rec.id, ds.parts[ci[0]], "file-changed")
-		e.dropStateCaches(ds.parts[ci[0]])
+		e.dropState(rec.id, ds.parts[ci[0]], "file-changed")
 		if e.vault != nil && ds.manifest.Parts[ci[0]].ID != m.Parts[ci[1]].ID {
 			// The partition's ID (and with it the vault namespace) changed:
 			// remove the old namespace, or nothing would ever read — or
@@ -244,8 +242,7 @@ func (e *Engine) refreshDataset(rec *queryRecord, st *tableState) error {
 		newParts[ni] = e.newPartState(st, &m.Parts[ni])
 	}
 	for _, oi := range d.Removed {
-		e.emitInvalidated(rec.id, ds.parts[oi], "file-removed")
-		e.dropStateCaches(ds.parts[oi])
+		e.dropState(rec.id, ds.parts[oi], "file-removed")
 		if e.vault != nil {
 			_ = e.vault.RemoveTable(ds.parts[oi].tab.Name)
 		}
@@ -262,15 +259,14 @@ func (e *Engine) refreshDataset(rec *queryRecord, st *tableState) error {
 // --- planning ---
 
 // prunePartition reports whether a partition can be excluded without opening
-// its file: a zone-map synopsis from an earlier query (or the vault) proves
-// some predicate matches no row. Whole-partition pruning leaves no capture
-// holes inside opened files, so unlike block skipping it applies even while
-// shred capture is active.
-func (pc *planCtx) prunePartition(ps *tableState, preds []boundPred) bool {
+// its file: its zone-map synopsis, from an earlier query (or the vault),
+// proves some predicate matches no row. Whole-partition pruning leaves no
+// capture holes inside opened files, so unlike block skipping it applies even
+// while shred capture is active.
+func (pc *planCtx) prunePartition(syn *synopsis.Synopsis, preds []boundPred) bool {
 	if !pc.zonemaps || len(preds) == 0 {
 		return false
 	}
-	syn := ps.synopsis()
 	if syn == nil || syn.NRows() <= 0 {
 		return false
 	}

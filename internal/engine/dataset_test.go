@@ -196,7 +196,7 @@ func TestDatasetIncrementalDiscovery(t *testing.T) {
 	if len(st.ds.parts) != 2 {
 		t.Fatalf("%d partitions", len(st.ds.parts))
 	}
-	pmA := st.ds.parts[0].posMap()
+	pmA := st.ds.parts[0].positions().pm
 	if pmA == nil {
 		t.Fatal("partition a has no positional map after a scan")
 	}
@@ -214,7 +214,7 @@ func TestDatasetIncrementalDiscovery(t *testing.T) {
 		t.Fatalf("count after rewrite = %d", got)
 	}
 	st = e.tables["t"]
-	if got := st.ds.parts[0].posMap(); got != pmA {
+	if got := st.ds.parts[0].positions().pm; got != pmA {
 		t.Fatal("untouched partition lost its positional map on a sibling's rewrite")
 	}
 

@@ -18,12 +18,10 @@ import (
 
 	"rawdb/internal/catalog"
 	"rawdb/internal/jit"
-	"rawdb/internal/jsonidx"
 	"rawdb/internal/obs"
 	"rawdb/internal/posmap"
 	"rawdb/internal/shred"
 	"rawdb/internal/storage/rootfile"
-	"rawdb/internal/synopsis"
 	"rawdb/internal/vault"
 	"rawdb/internal/vector"
 )
@@ -110,8 +108,6 @@ type Config struct {
 	// out over (morsel-driven parallel scans). Values <= 1 keep every query
 	// on the one-part plan; see planCtx.cut for the fallback rules.
 	Parallelism int
-	// ShredCapacityBytes bounds the column-shred pool (default 256 MiB).
-	ShredCapacityBytes int64
 	// CompileDelay simulates the one-time cost of compiling a generated
 	// access path (charged on template-cache misses; default 0).
 	CompileDelay time.Duration
@@ -134,9 +130,8 @@ type Config struct {
 	// rebuild).
 	CacheDir string
 	// CacheBudget, when > 0, bounds the total in-memory bytes of positional
-	// maps, structural indexes and column shreds with one unified LRU budget
-	// (replacing the per-structure limits; ShredCapacityBytes is ignored
-	// then).
+	// maps, structural indexes, synopses and column shreds with one unified
+	// LRU budget (replacing the shred pool's own 256 MiB bound).
 	CacheBudget int64
 	// DisablePushdown keeps every WHERE conjunct in a separate Filter
 	// operator instead of absorbing eligible ones into the generated access
@@ -155,9 +150,6 @@ type Config struct {
 	// event (captured / restored / evicted / invalidated) as it happens, in
 	// addition to the engine's bounded in-memory event log.
 	OnEvent func(obs.Event)
-	// EventLogSize bounds the in-memory lifecycle event ring (<= 0 selects
-	// 512, the obs package default).
-	EventLogSize int
 	// QueryLog, when non-nil, receives one structured JSON record per query
 	// at completion (obs.NewQueryLog / obs.OpenQueryLog). A nil log costs one
 	// pointer compare per query.
@@ -208,7 +200,7 @@ type Engine struct {
 	heat      *obs.Heat
 	// queryID hands out the monotonic per-engine query IDs stamped on
 	// traces, events and query-log records; inflight tracks the queries
-	// currently between admission and completion (see inflight.go).
+	// currently between admission and completion (see record.go).
 	queryID  atomic.Int64
 	inflight inflightSet
 	// vaultIO tracks in-flight asynchronous vault writer goroutines. It is a
@@ -226,11 +218,10 @@ type tableState struct {
 	// qmu is the per-table query lock, held in phases rather than across a
 	// whole query: planning holds it (reading a consistent snapshot of the
 	// caches and the dataset partition list), execution releases it (operators
-	// run against immutable snapshots, so read-only queries over the same
-	// table overlap), and publication re-acquires it (the deferred hooks
-	// install freshly built structures, vault write-backs are scheduled).
-	// ROOT tables keep it held through execution — their format library's
-	// buffer pool is not internally locked (see queryExclusive).
+	// run against immutable snapshots or internally locked state, so read-only
+	// queries over the same table overlap), and publication re-acquires it (the
+	// deferred hooks install freshly built structures, vault write-backs are
+	// scheduled).
 	qmu sync.Mutex
 	tab *catalog.Table
 	// src is the table's input plug-in (source.go), resolved at registration;
@@ -246,26 +237,18 @@ type tableState struct {
 	// changed after refresh (sheared mid-query) — see loadPartChecked.
 	expectSize int64
 
-	// cmu guards the pm/jidx/syn pointers alone: queries read and install
-	// them under qmu, but the unified cache budget may evict them from any
-	// goroutine, so the pointer load/store is separately locked. Readers
-	// snapshot the pointer once and keep using the structure they got (a
-	// concurrent eviction only drops the shared reference, never the data).
-	cmu  sync.Mutex
-	pm   *posmap.Map
-	jidx *jsonidx.Index     // structural index over a JSONL file
-	syn  *synopsis.Synopsis // per-block min/max zone maps
+	// pos and syn are the table's cached structures (vault.go): the
+	// positional structure its plug-in builds, and its zone-map synopsis.
+	// saves orders them the way the vault writes them.
+	pos, syn slot
+	saves    [2]*slot
 
 	// Vault state (guarded by qmu, like the caches themselves): the raw
-	// file fingerprint entries are saved under, and the last-saved markers
-	// the write-back uses to detect dirty structures.
-	fp            vault.Fingerprint
-	hasFP         bool
-	savedPM       *posmap.Map
-	savedJIdx     *jsonidx.Index
-	savedJIdxVer  uint64
-	savedShredVer int64
-	savedSyn      *synopsis.Synopsis
+	// file fingerprint entries are saved under, and the shred-pool version
+	// the vault writer last took.
+	fp       vault.Fingerprint
+	hasFP    bool
+	shredVer int64
 	// wmu serialises this table's disk writes; it is locked by the
 	// completing query (preserving save order) and unlocked by the
 	// asynchronous writer goroutine.
@@ -278,69 +261,19 @@ type tableState struct {
 	ds *datasetState
 }
 
-// posMap returns the current positional map (nil when absent or evicted).
-func (st *tableState) posMap() *posmap.Map {
-	st.cmu.Lock()
-	defer st.cmu.Unlock()
-	return st.pm
-}
+// slots returns the table's slots: the positional structure first, whose
+// rows the synopsis is checked against.
+func (st *tableState) slots() [2]*slot { return [2]*slot{&st.pos, &st.syn} }
 
-func (st *tableState) setPosMap(pm *posmap.Map) {
-	st.cmu.Lock()
-	st.pm = pm
-	st.cmu.Unlock()
-}
-
-// dropPosMap clears the positional map iff it still is old (budget eviction
-// callback; a newer map installed meanwhile stays).
-func (st *tableState) dropPosMap(old *posmap.Map) {
-	st.cmu.Lock()
-	if st.pm == old {
-		st.pm = nil
+// family yields st and, for a dataset parent, each of its partitions.
+func (st *tableState) family(yield func(*tableState) bool) {
+	if yield(st) && st.ds != nil {
+		for _, ps := range st.ds.parts {
+			if !yield(ps) {
+				return
+			}
+		}
 	}
-	st.cmu.Unlock()
-}
-
-// jsonIdx returns the current structural index (nil when absent or evicted).
-func (st *tableState) jsonIdx() *jsonidx.Index {
-	st.cmu.Lock()
-	defer st.cmu.Unlock()
-	return st.jidx
-}
-
-func (st *tableState) setJSONIdx(x *jsonidx.Index) {
-	st.cmu.Lock()
-	st.jidx = x
-	st.cmu.Unlock()
-}
-
-func (st *tableState) dropJSONIdx(old *jsonidx.Index) {
-	st.cmu.Lock()
-	if st.jidx == old {
-		st.jidx = nil
-	}
-	st.cmu.Unlock()
-}
-
-// synopsis returns the current zone maps (nil when absent or evicted).
-func (st *tableState) synopsis() *synopsis.Synopsis {
-	st.cmu.Lock()
-	defer st.cmu.Unlock()
-	return st.syn
-}
-
-func (st *tableState) setSynopsis(s *synopsis.Synopsis) {
-	st.cmu.Lock()
-	st.syn = s
-	st.cmu.Unlock()
-}
-
-func (st *tableState) dropSynopsis(old *synopsis.Synopsis) {
-	st.cmu.Lock()
-	if st.syn == old {
-		st.syn = nil
-	}
-	st.cmu.Unlock()
 }
 
 // New returns an engine with the given configuration.
@@ -355,7 +288,7 @@ func New(cfg Config) *Engine {
 		cfg:       cfg,
 		cat:       catalog.New(),
 		templates: jit.NewCache(),
-		shreds:    shred.NewPool(cfg.ShredCapacityBytes),
+		shreds:    shred.NewPool(0),
 		tables:    make(map[string]*tableState),
 	}
 	e.templates.SetCompileDelay(cfg.CompileDelay)
@@ -495,28 +428,11 @@ func (e *Engine) DropTable(name string) error {
 	delete(e.tables, name)
 	e.mu.Unlock()
 	if st != nil {
-		e.emitInvalidated(0, st, "dropped")
-		e.dropStateCaches(st)
-		if st.ds != nil {
-			for _, ps := range st.ds.parts {
-				e.emitInvalidated(0, ps, "dropped")
-				e.dropStateCaches(ps)
-			}
+		for s := range st.family {
+			e.dropState(0, s, "dropped")
 		}
 	}
 	return nil
-}
-
-// dropStateCaches releases a table state's budget accounting and pooled
-// shreds (the owner is dropping the structures; no eviction callbacks run).
-func (e *Engine) dropStateCaches(st *tableState) {
-	name := st.tab.Name
-	e.shreds.DropTable(name)
-	if e.budget != nil {
-		e.budget.Remove("posmap:" + name)
-		e.budget.Remove("jsonidx:" + name)
-		e.budget.Remove("synopsis:" + name)
-	}
 }
 
 // RegisterRootFile registers a tree of an already-open ROOT-like file,
@@ -556,17 +472,26 @@ func (e *Engine) register(tab *catalog.Table, st *tableState) error {
 	if st.src != nil {
 		_, st.nrows = st.src.stat()
 	}
-	st.tab = tab
+	st.bind(tab)
 	// Warm the table from the vault before it becomes queryable: valid
 	// entries restore the positional map / structural index and re-seed the
 	// shred pool, so the first query after a restart plans against them.
-	if e.vault != nil {
-		e.vaultLoad(st)
-	}
+	e.vaultLoad(st)
 	e.mu.Lock()
 	e.tables[tab.Name] = st
 	e.mu.Unlock()
 	return nil
+}
+
+// tableStates returns the registered tables' states.
+func (e *Engine) tableStates() []*tableState {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	sts := make([]*tableState, 0, len(e.tables))
+	for _, st := range e.tables {
+		sts = append(sts, st)
+	}
+	return sts
 }
 
 // state returns the engine state for a table, opening backing files lazily.
@@ -621,11 +546,8 @@ func (e *Engine) DropCaches() {
 		e.budget.Reset()
 	}
 	for _, st := range e.tables {
-		resetStateCaches(st)
-		if st.ds != nil {
-			for _, ps := range st.ds.parts {
-				resetStateCaches(ps)
-			}
+		for s := range st.family {
+			resetStateCaches(s)
 		}
 	}
 }
@@ -636,13 +558,11 @@ func resetStateCaches(st *tableState) {
 	if st.tab.Format == catalog.Memory {
 		return // memory tables have no raw backing to re-read
 	}
-	st.cmu.Lock()
-	st.pm = nil
-	st.jidx = nil
-	st.syn = nil
-	st.cmu.Unlock()
-	st.savedPM, st.savedJIdx, st.savedSyn = nil, nil, nil
-	st.savedJIdxVer, st.savedShredVer = 0, 0
+	for _, s := range st.slots() {
+		s.set(nil)
+		s.markSaved(nil)
+	}
+	st.shredVer = 0
 	st.loaded = nil
 	st.nrows = -1
 	if st.src != nil {

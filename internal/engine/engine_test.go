@@ -423,7 +423,7 @@ func TestTemplateCacheReuse(t *testing.T) {
 	}
 	// Force the same access path shape: drop the posmap so the second run
 	// regenerates the same sequential spec.
-	e.tables["t"].pm = nil
+	e.tables["t"].pos.set(nil)
 	res2, err := e.Query(q)
 	if err != nil {
 		t.Fatal(err)
@@ -449,7 +449,7 @@ func TestDropCaches(t *testing.T) {
 	if e.ShredPool().Len() != 0 || e.TemplateCache().Len() != 0 {
 		t.Fatal("DropCaches left state behind")
 	}
-	if e.tables["t"].pm != nil {
+	if e.tables["t"].positions().pm != nil {
 		t.Fatal("positional map survived DropCaches")
 	}
 }

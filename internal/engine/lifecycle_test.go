@@ -11,6 +11,7 @@ import (
 
 	"rawdb/internal/catalog"
 	"rawdb/internal/obs"
+	"rawdb/internal/storage/rootfile"
 	"rawdb/internal/vector"
 )
 
@@ -50,7 +51,7 @@ func TestMidScanErrorPublishesNothing(t *testing.T) {
 			if serr != nil {
 				t.Fatal(serr)
 			}
-			if pm := st.posMap(); pm != nil {
+			if pm := st.positions().pm; pm != nil {
 				t.Fatalf("partial positional map published after mid-scan error (%d rows)", pm.NRows())
 			}
 			for _, ev := range e.RecentEvents() {
@@ -185,7 +186,7 @@ func TestCancelledQueryReleasesLocksAndBudget(t *testing.T) {
 	if serr != nil {
 		t.Fatal(serr)
 	}
-	if pm := st.posMap(); pm != nil {
+	if pm := st.positions().pm; pm != nil {
 		t.Fatal("cancelled query published a positional map")
 	}
 	if got := e.Metrics().Snapshot()["budget.bytes"]; got != 0 {
@@ -214,4 +215,64 @@ func TestQueryCtxDeadlineExceeded(t *testing.T) {
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
+}
+
+// TestRootTreesOfOneFileConcurrent: the trees of one ROOT-like file are
+// separate tables with separate query locks, but they read through the file's
+// one buffer pool. Queries over both trees — and several over the same tree —
+// execute unlocked side by side, with a pool small enough that every scan
+// evicts baskets another scan is reading.
+func TestRootTreesOfOneFileConcurrent(t *testing.T) {
+	const rows = 1000
+	var buf bytes.Buffer
+	w := rootfile.NewWriter(&buf, rootfile.Options{BasketEntries: 16})
+	schema := []catalog.Column{{Name: "x", Type: vector.Int64}}
+	want := map[string]int64{}
+	for i, tree := range []string{"a", "b"} {
+		br := w.Tree(tree).Branch("x", vector.Int64)
+		for r := 0; r < rows; r++ {
+			v := int64(r*(i+2) + i)
+			br.AppendInt64(v)
+			want[tree] += v
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := rootfile.Parse(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Pool().SetCapacity(4)
+	e := newTestEngine(t, Config{})
+	for _, tree := range []string{"a", "b"} {
+		if err := e.RegisterRootFile(tree, f, tree, schema); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	run := func(trees ...string) {
+		defer wg.Done()
+		for i := 0; i < 50; i++ {
+			tree := trees[i%len(trees)]
+			res, err := e.Query("SELECT SUM(x) FROM " + tree)
+			if err != nil {
+				t.Errorf("%s: %v", tree, err)
+				return
+			}
+			if got := res.Int64(0, 0); got != want[tree] {
+				t.Errorf("SUM(x) over %s = %d, want %d", tree, got, want[tree])
+				return
+			}
+		}
+	}
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go run([]string{"a", "b"}[g%2], []string{"a", "b"}[1-g%2])
+	}
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go run("a")
+	}
+	wg.Wait()
 }

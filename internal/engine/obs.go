@@ -33,7 +33,7 @@ func (e *Engine) Heat() *obs.Heat { return e.heat }
 // gauges. Called once from New, before the engine is shared.
 func (e *Engine) initObs() {
 	e.metrics = obs.NewRegistry()
-	e.events = obs.NewEventLog(e.cfg.EventLogSize, e.cfg.OnEvent)
+	e.events = obs.NewEventLog(0, e.cfg.OnEvent)
 	e.heat = obs.NewHeat()
 
 	// Relay fault-injection firings into the event log, so a chaos run's
@@ -70,40 +70,33 @@ func (e *Engine) initObs() {
 	// table (and dataset partition) at snapshot time. The sum takes each
 	// table's query lock in turn — never while holding e.mu, which would
 	// invert the qmu -> e.mu lock order the planner uses.
-	for name, f := range map[string]func(*tableState) int64{
-		"posmap.bytes":        func(st *tableState) int64 { return st.posMap().MemoryFootprint() },
-		"jsonidx.bytes":       func(st *tableState) int64 { return st.jsonIdx().MemoryFootprint() },
-		"jsonidx.seeks":       func(st *tableState) int64 { return st.jsonIdx().Seeks() },
-		"synopsis.bytes":      func(st *tableState) int64 { return st.synopsis().MemoryFootprint() },
-		"synopsis.checks":     func(st *tableState) int64 { c, _ := st.synopsis().PruneStats(); return c },
-		"synopsis.exclusions": func(st *tableState) int64 { _, h := st.synopsis().PruneStats(); return h },
+	for name, f := range map[string]func(positions) int64{
+		"posmap.bytes":        func(p positions) int64 { return p.pm.MemoryFootprint() },
+		"jsonidx.bytes":       func(p positions) int64 { return p.jidx.MemoryFootprint() },
+		"jsonidx.seeks":       func(p positions) int64 { return p.jidx.Seeks() },
+		"synopsis.bytes":      func(p positions) int64 { return p.syn.MemoryFootprint() },
+		"synopsis.checks":     func(p positions) int64 { c, _ := p.syn.PruneStats(); return c },
+		"synopsis.exclusions": func(p positions) int64 { _, h := p.syn.PruneStats(); return h },
 	} {
 		m.Gauge(name, func() int64 { return e.sumStates(f) })
 	}
 }
 
-// sumStates folds f over every table state, dataset partitions included.
-// Parent states are snapshotted under e.mu; each parent's partition list is
-// read under its own query lock (the lock that guards refresh swaps).
-func (e *Engine) sumStates(f func(*tableState) int64) int64 {
-	e.mu.Lock()
-	parents := make([]*tableState, 0, len(e.tables))
-	for _, st := range e.tables {
-		parents = append(parents, st)
-	}
-	e.mu.Unlock()
+// sumStates folds f over the cached structures of every table state, dataset
+// partitions included. Each parent's partition list is read under its query
+// lock (the lock that guards refresh swaps); a parent caches nothing itself.
+func (e *Engine) sumStates(f func(positions) int64) int64 {
 	var total int64
-	for _, st := range parents {
+	for _, st := range e.tableStates() {
+		total += f(st.positions())
 		if st.ds != nil {
 			st.qmu.Lock()
 			parts := append([]*tableState(nil), st.ds.parts...)
 			st.qmu.Unlock()
 			for _, ps := range parts {
-				total += f(ps)
+				total += f(ps.positions())
 			}
-			continue
 		}
-		total += f(st)
 	}
 	return total
 }
@@ -143,22 +136,27 @@ func (e *Engine) observeBudgetEviction(key string, size int64) {
 	e.emitEvent(0, obs.EventEvicted, structure, rest, size, "budget")
 }
 
-// emitInvalidated reports every structure a table state currently holds as
-// invalidated (the raw file changed, the partition vanished, or the table
-// was dropped), stamped with the query whose manifest refresh found it (0:
-// none). Called right before the caches are released.
-func (e *Engine) emitInvalidated(qid int64, st *tableState, reason string) {
+// dropState releases what a table state caches — its slots' budget entries
+// and its pooled shreds — reporting each structure it holds as invalidated
+// (the raw file changed, the partition vanished, or the table was dropped),
+// stamped with the query whose manifest refresh found it (0: none). No
+// eviction callback runs: the state itself is being discarded.
+func (e *Engine) dropState(qid int64, st *tableState, reason string) {
 	name := st.tab.Name
-	if pm := st.posMap(); pm != nil {
-		e.emitEvent(qid, obs.EventInvalidated, "posmap", name, pm.MemoryFootprint(), reason)
+	for _, s := range st.slots() {
+		if x := s.get(); x != nil {
+			e.emitEvent(qid, obs.EventInvalidated, s.kind.String(), name, x.MemoryFootprint(), reason)
+		}
+		if e.budget != nil {
+			e.budget.Remove(s.key)
+		}
 	}
-	if x := st.jsonIdx(); x != nil {
-		e.emitEvent(qid, obs.EventInvalidated, "jsonidx", name, x.MemoryFootprint(), reason)
+	if shs := e.shreds.ShredsOf(name); len(shs) > 0 {
+		var bytes int64
+		for _, s := range shs {
+			bytes += s.SizeBytes()
+		}
+		e.emitEvent(qid, obs.EventInvalidated, "shred", name, bytes, reason)
 	}
-	if s := st.synopsis(); s != nil {
-		e.emitEvent(qid, obs.EventInvalidated, "synopsis", name, s.MemoryFootprint(), reason)
-	}
-	if n := len(e.shreds.ShredsOf(name)); n > 0 {
-		e.emitEvent(qid, obs.EventInvalidated, "shred", name, 0, reason)
-	}
+	e.shreds.DropTable(name)
 }

@@ -175,13 +175,14 @@ func (pc *planCtx) cutTable(c *cutPlan, r *resolvedQuery, t int) error {
 	weight := func(i int) int64 { return max(ds.manifest.Parts[i].Size, 1) }
 	var total int64
 	for i, ps := range ds.parts {
-		if pc.prunePartition(ps, r.filters[t]) {
+		pos := ps.positions()
+		if pc.prunePartition(pos.syn, r.filters[t]) {
 			continue
 		}
 		if err := pc.e.loadPartData(ps, pc.id); err != nil {
 			return err
 		}
-		tc.units[i].bt = &boundTable{alias: bt.alias, st: ps, pos: ps.positions()}
+		tc.units[i].bt = &boundTable{alias: bt.alias, st: ps, pos: pos}
 		total += weight(i)
 	}
 	if n > 0 && total == 0 {
@@ -405,8 +406,7 @@ func (pc *planCtx) blockRows() int64 {
 
 // synCovered reports whether the table's current synopsis already tracks
 // every column of obs (an empty obs counts as covered).
-func (pc *planCtx) synCovered(st *tableState, obs map[int]vector.Type) bool {
-	cur := st.synopsis()
+func (pc *planCtx) synCovered(cur *synopsis.Synopsis, obs map[int]vector.Type) bool {
 	if cur == nil {
 		return len(obs) == 0
 	}
@@ -986,7 +986,7 @@ func (pc *planCtx) rawScans(rs rawScan, a access, spans []span) (parts []exec.Op
 	}
 	var skip func(lo, hi int64) bool
 	if generated && a.zoneSkip && (whole || !a.recording) && pc.zonemaps && !capturing {
-		skip = synSkip(st.synopsis(), rs.skip)
+		skip = synSkip(rs.bt.pos.syn, rs.skip)
 	}
 	spans = pc.skipMorsels(spans, skip, true)
 	pruned = len(push) > 0 || skip != nil
@@ -1000,7 +1000,7 @@ func (pc *planCtx) rawScans(rs rawScan, a access, spans []span) (parts []exec.Op
 	var synObs map[int]vector.Type
 	if generated && a.buildsSyn && skip == nil && pc.zonemaps && pc.capture {
 		synObs = observableCols(tab, rs.cols, push, a.mode != jit.Sequential)
-		if pc.synCovered(st, synObs) {
+		if pc.synCovered(rs.bt.pos.syn, synObs) {
 			synObs = nil
 		}
 	}
@@ -1089,7 +1089,7 @@ func (pc *planCtx) rawScans(rs rawScan, a access, spans []span) (parts []exec.Op
 				syn = synopsis.Concat(fins)
 			}
 			if syn != nil && (st.nrows < 0 || syn.NRows() == st.nrows) {
-				st.setSynopsis(syn)
+				st.syn.set(syn)
 				pc.captured("synopsis", tab, syn.MemoryFootprint())
 			}
 		}
@@ -1156,7 +1156,7 @@ func (pc *planCtx) baseScanFile(p *pipe, t int, u unitCut, kind scanKind, cols [
 		ridIdx := -1
 		if p.par {
 			if pc.zonemaps {
-				skip = synSkip(st.synopsis(), candidates)
+				skip = synSkip(bt.pos.syn, candidates)
 			}
 			vecs := make([]*vector.Vector, len(cached))
 			for i, s := range cachedShreds {

@@ -8,7 +8,6 @@ import (
 	"sort"
 	"strings"
 
-	"rawdb/internal/catalog"
 	"rawdb/internal/exec"
 	"rawdb/internal/obs"
 	"rawdb/internal/shred"
@@ -146,7 +145,7 @@ func (e *Engine) QueryOptCtx(ctx context.Context, src string, opts Options) (*Re
 //     builds stays private to it.
 //  2. execute (locks released): operators touch only state that is immutable
 //     after planning or internally locked, so read-only queries over the same
-//     table overlap. ROOT tables keep their locks (queryExclusive).
+//     table overlap.
 //  3. publish (locks re-acquired): on success the onMerge, then onComplete
 //     hooks install what the query built and vault write-backs are scheduled;
 //     on failure nothing is installed. The record folds the attempt either way.
@@ -190,17 +189,12 @@ func (e *Engine) run(ctx context.Context, rec *queryRecord, r *resolvedQuery, us
 		rec.event(obs.EventFallback, "planner", r.tables[0].st.tab.Name, 0, reason)
 	}
 
-	exclusive := queryExclusive(r)
-	if !exclusive {
-		held = false
-		locks.unlock()
-	}
+	held = false
+	locks.unlock()
 	rec.enter(phaseExec)
 	cols, err := collectSerial(ctx, op, &rec.rows)
-	if !exclusive {
-		locks.lock()
-		held = true
-	}
+	locks.lock()
+	held = true
 	rec.enter(phasePublish)
 
 	// Publication phase (locks re-acquired). Merge hooks run first and can
@@ -237,53 +231,38 @@ func (e *Engine) run(ctx context.Context, rec *queryRecord, r *resolvedQuery, us
 	// structures this query built or grew (locks still held: the encodes
 	// snapshot consistent state; only disk I/O happens asynchronously).
 	sp := rec.span("vault-publish")
-	e.vaultUpdate(r)
+	e.vaultUpdate(locks)
 	sp.End()
 	return res, nil
-}
-
-// queryExclusive reports whether a query must keep its table locks held
-// through execution. ROOT tables qualify: the format library serves reads
-// through a shared buffer pool with no internal locking, so two unlocked
-// readers would race on its LRU state.
-func queryExclusive(r *resolvedQuery) bool {
-	for _, bt := range r.tables {
-		if bt.st.tab.Format == catalog.Root {
-			return true
-		}
-	}
-	return false
 }
 
 // tableLocks holds the per-table query locks of one query in their canonical
 // acquisition order, so the engine can release them for the execution phase
 // and re-acquire them for publication.
-type tableLocks struct {
-	states []*tableState
-}
+type tableLocks []*tableState
 
 // lockTables collects the distinct tables of a query in name order (a
 // deterministic order prevents deadlock between concurrent multi-table
 // queries). The locks are NOT acquired yet; call lock.
-func lockTables(r *resolvedQuery) *tableLocks {
-	states := make([]*tableState, len(r.tables))
+func lockTables(r *resolvedQuery) tableLocks {
+	states := make(tableLocks, len(r.tables))
 	for i, bt := range r.tables {
 		states[i] = bt.st
 	}
 	// A table named twice (a self-join) is one state, sorted next to itself.
 	sort.Slice(states, func(i, j int) bool { return states[i].tab.Name < states[j].tab.Name })
-	return &tableLocks{states: slices.Compact(states)}
+	return slices.Compact(states)
 }
 
-func (l *tableLocks) lock() {
-	for _, st := range l.states {
+func (l tableLocks) lock() {
+	for _, st := range l {
 		st.qmu.Lock()
 	}
 }
 
-func (l *tableLocks) unlock() {
-	for i := len(l.states) - 1; i >= 0; i-- {
-		l.states[i].qmu.Unlock()
+func (l tableLocks) unlock() {
+	for i := len(l) - 1; i >= 0; i-- {
+		l[i].qmu.Unlock()
 	}
 }
 

@@ -13,6 +13,8 @@ import (
 	"rawdb/internal/storage/csvfile"
 	"rawdb/internal/storage/jsonfile"
 	"rawdb/internal/storage/rootfile"
+	"rawdb/internal/synopsis"
+	"rawdb/internal/vault"
 )
 
 // This file is the paper's input plug-in: everything the engine needs to
@@ -23,8 +25,8 @@ import (
 
 // source is the input plug-in contract. Implementations own the table's raw
 // image; the positional structure scans build over it (positional map,
-// structural index) stays on the tableState, where the cache budget and the
-// vault reach it, and comes in as the plan's positions snapshot.
+// structural index) stays in the tableState's pos slot, where the cache budget
+// and the vault reach it, and comes in as the plan's positions snapshot.
 type source interface {
 	// load reads the raw image from tab.Path unless it is already resident.
 	load(tab *catalog.Table) error
@@ -88,16 +90,40 @@ type span struct{ lo, hi int64 }
 // the whole image, and may emit row ids.
 var wholeTable = span{0, -1}
 
-// positions is a plan's snapshot of a table's positional structure. The
-// cache budget may evict the shared pointers at any moment; every step of a
-// plan reads the same ones.
+// positions is a plan's snapshot of a table's cached structures: the
+// positional structure (one of pm, jidx) and the zone maps. The cache budget
+// may evict the shared pointers at any moment; every step of a plan reads the
+// same ones.
 type positions struct {
 	pm   *posmap.Map
 	jidx *jsonidx.Index
+	syn  *synopsis.Synopsis
 }
 
 func (st *tableState) positions() positions {
-	return positions{pm: st.posMap(), jidx: st.jsonIdx()}
+	pos := st.pos.get()
+	pm, _ := pos.(*posmap.Map)
+	jidx, _ := pos.(*jsonidx.Index)
+	syn, _ := st.syn.get().(*synopsis.Synopsis)
+	return positions{pm, jidx, syn}
+}
+
+// bind makes tab the table st serves and names its slots after it. The
+// positional slot takes the kind of structure the format's plug-in builds —
+// a positional map for CSV, a structural index for JSON, written to the vault
+// after the synopsis — and stays unbound where the format addresses rows
+// itself.
+func (st *tableState) bind(tab *catalog.Table) {
+	st.tab = tab
+	st.saves = [2]*slot{&st.pos, &st.syn}
+	switch tab.Format {
+	case catalog.CSV:
+		st.pos.bind(vault.KindPosMap, tab.Name)
+	case catalog.JSON:
+		st.pos.bind(vault.KindJSONIdx, tab.Name)
+		st.saves = [2]*slot{&st.syn, &st.pos}
+	}
+	st.syn.bind(vault.KindSynopsis, tab.Name)
 }
 
 // access is a plug-in's description of one way to read columns. What differs
@@ -369,7 +395,7 @@ func (s *csvSource) publish(st *tableState, frags []fragment, spans []span) (int
 			}
 		}
 	}
-	st.setPosMap(pm)
+	st.pos.set(pm)
 	return pm.MemoryFootprint(), nil
 }
 
@@ -474,7 +500,7 @@ func (s *jsonSource) publish(st *tableState, frags []fragment, spans []span) (in
 		}
 		idx = jsonidx.Merge(idxs, offs, 0)
 	}
-	st.setJSONIdx(idx)
+	st.pos.set(idx)
 	return idx.MemoryFootprint(), nil
 }
 

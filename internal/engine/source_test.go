@@ -94,14 +94,10 @@ func sourceCases(t *testing.T, policy posmap.Policy) []sourceCase {
 func encodeState(e *Engine, st *tableState) map[string][]byte {
 	out := make(map[string][]byte)
 	var fp vault.Fingerprint
-	if pm := st.posMap(); pm != nil {
-		out["posmap"] = vault.EncodePosMap(fp, pm)
-	}
-	if x := st.jsonIdx(); x != nil {
-		out["jsonidx"] = vault.EncodeJSONIdx(fp, x)
-	}
-	if syn := st.synopsis(); syn != nil {
-		out["synopsis"] = vault.EncodeSynopsis(fp, syn)
+	for _, s := range st.slots() {
+		if x := s.get(); x != nil {
+			out[s.kind.String()] = vault.Encode(fp, x)
+		}
 	}
 	if e != nil {
 		var ts []vault.TableShred

@@ -6,27 +6,105 @@ import (
 	"sync"
 
 	"rawdb/internal/catalog"
-	"rawdb/internal/jsonidx"
 	"rawdb/internal/obs"
-	"rawdb/internal/posmap"
 	"rawdb/internal/shred"
-	"rawdb/internal/synopsis"
 	"rawdb/internal/vault"
 )
 
-// This file wires the persistent raw-data vault (package vault) and the
-// unified cache budget through the engine:
+// This file wires a table's cached structures through the unified cache
+// budget and the persistent raw-data vault (package vault):
 //
-//   - Register* computes the raw file's fingerprint and loads any valid
+//   - Register* computes the raw file's fingerprint and restores any valid
 //     vault entries, so the first query after a process restart plans
-//     against the positional map / structural index / shreds earlier
-//     processes built (restart-warm ≈ in-memory-warm).
+//     against the positional structure / synopsis / shreds earlier processes
+//     built (restart-warm ≈ in-memory-warm).
 //   - Every completed query re-accounts its tables' structures in the
 //     unified budget and, when a structure changed, encodes it under the
 //     table's query lock and hands the bytes to an asynchronous writer that
 //     publishes them with an atomic rename. Losing an async write (process
 //     exit without Close) merely costs restart warmth — the vault is a
 //     cache, never the source of truth.
+//
+// The positional structure and the synopsis each live in one slot, and every
+// step above — restore, account, save, evict, reset, drop, report — is one
+// loop over a table's slots. Shreds and a dataset's manifest keep their own
+// paths: the shred pool and the manifest own them.
+
+// structure is what a slot caches: a positional map, a structural index or a
+// synopsis.
+type structure interface {
+	NRows() int64
+	MemoryFootprint() int64
+}
+
+// slot holds one cached structure of a table. The current structure has its
+// own lock: queries read and install it under the table's qmu, but the
+// budget may evict it from any goroutine. Readers snapshot it once
+// (positions) and keep using what they got; an eviction only drops the
+// shared reference, never the data.
+type slot struct {
+	// kind names the structure in budget keys, events, gauges and vault
+	// entries (0: the table's format keeps none); key is its budget key,
+	// "<kind>:<table>".
+	kind vault.Kind
+	key  string
+
+	mu  sync.Mutex
+	cur structure
+
+	// saved and savedVer are the structure, and its version, the vault
+	// writer last took (written under the table's qmu and wmu).
+	saved    structure
+	savedVer uint64
+}
+
+func (s *slot) bind(k vault.Kind, table string) { s.kind, s.key = k, k.String()+":"+table }
+
+func (s *slot) get() structure {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.cur
+}
+
+func (s *slot) set(x structure) {
+	s.mu.Lock()
+	s.cur = x
+	s.mu.Unlock()
+}
+
+// drop clears the slot iff it still holds old (budget eviction: a structure
+// installed meanwhile stays).
+func (s *slot) drop(old structure) {
+	s.mu.Lock()
+	if s.cur == old {
+		s.cur = nil
+	}
+	s.mu.Unlock()
+}
+
+// markSaved records x as what the vault holds.
+func (s *slot) markSaved(x structure) { s.saved, s.savedVer = x, version(x) }
+
+// dirty returns the slot's structure if the vault does not hold it yet: one
+// installed since the last save (structures are immutable once installed,
+// so identity tells), or one that grew in place since (a structural index
+// records new paths as queries ask for them, and bumps its Version).
+func (s *slot) dirty() structure {
+	cur := s.get()
+	if cur == nil || cur.NRows() <= 0 || cur == s.saved && version(cur) == s.savedVer {
+		return nil
+	}
+	return cur
+}
+
+// version is a structure's in-place growth counter (0 for one that never
+// grows).
+func version(x structure) uint64 {
+	if v, ok := x.(interface{ Version() uint64 }); ok {
+		return v.Version()
+	}
+	return 0
+}
 
 // vaultFingerprint computes the fingerprint vault entries for this table are
 // keyed by. ok is false for tables without a stable raw identity (memory
@@ -61,110 +139,87 @@ func (e *Engine) vaultFingerprint(st *tableState) (vault.Fingerprint, bool) {
 	return fp, true
 }
 
-// vaultLoad warms a table from the vault at registration time. Invalid or
-// stale entries are ignored (and removed by the store); the table then
-// starts cold exactly as without a vault.
+// vaultLoad warms a table from the vault, if any, at registration time.
+// Invalid or stale entries are ignored (and removed by the store); the table
+// then starts cold exactly as without a vault. A restored structure states
+// the table's row count; one disagreeing with a count already known is
+// ignored.
 func (e *Engine) vaultLoad(st *tableState) {
+	if e.vault == nil {
+		return
+	}
 	fp, ok := e.vaultFingerprint(st)
 	if !ok {
 		return
 	}
 	st.fp, st.hasFP = fp, true
 	name := st.tab.Name
-	restored := func(structure string, bytes int64) {
+	restored := func(kind vault.Kind, bytes int64) {
 		e.metrics.Counter("vault.restored").Inc()
 		e.metrics.Counter("vault.restored_bytes").Add(bytes)
-		e.emitEvent(0, obs.EventRestored, structure, name, bytes, "vault")
+		e.emitEvent(0, obs.EventRestored, kind.String(), name, bytes, "vault")
 	}
-	switch st.tab.Format {
-	case catalog.CSV:
-		if pm := e.vault.LoadPosMap(name, fp); pm != nil && pm.NRows() > 0 {
-			st.setPosMap(pm)
-			st.savedPM = pm
-			st.learnRows(pm.NRows())
-			restored("posmap", pm.MemoryFootprint())
+	for _, s := range st.slots() {
+		if s.kind == 0 || s == &st.syn && e.cfg.DisableZoneMaps {
+			continue
 		}
-	case catalog.JSON:
-		if x := e.vault.LoadJSONIdx(name, fp); x != nil && x.NRows() > 0 {
-			st.setJSONIdx(x)
-			st.savedJIdx, st.savedJIdxVer = x, x.Version()
-			st.learnRows(x.NRows())
-			restored("jsonidx", x.MemoryFootprint())
+		x, _ := e.vault.Load(name, s.kind, fp).(structure)
+		if x == nil || x.NRows() <= 0 || st.nrows >= 0 && x.NRows() != st.nrows {
+			continue
 		}
-	}
-	if !e.cfg.DisableZoneMaps {
-		if syn := e.vault.LoadSynopsis(name, fp); syn != nil && syn.NRows() > 0 &&
-			(st.nrows < 0 || syn.NRows() == st.nrows) {
-			st.setSynopsis(syn)
-			st.savedSyn = syn
-			restored("synopsis", syn.MemoryFootprint())
-		}
+		s.set(x)
+		s.markSaved(x)
+		st.learnRows(x.NRows())
+		restored(s.kind, x.MemoryFootprint())
 	}
 	if !e.cfg.DisableShredCache {
 		before := e.shreds.SizeBytes()
 		n := 0
-		for _, ts := range e.vault.LoadShreds(name, fp) {
+		shs, _ := e.vault.Load(name, vault.KindShreds, fp).([]vault.TableShred)
+		for _, ts := range shs {
 			if ts.Col >= len(st.tab.Schema) || ts.Vec.Type != st.tab.Schema[ts.Col].Type {
 				continue // defense in depth; the schema hash should prevent this
 			}
 			e.shreds.Put(shred.Key{Table: name, Col: ts.Col}, ts.RowIDs, ts.Vec)
 			n++
 		}
-		st.savedShredVer = e.shreds.TableVersion(name)
+		st.shredVer = e.shreds.TableVersion(name)
 		if n > 0 {
-			restored("shred", e.shreds.SizeBytes()-before)
+			restored(vault.KindShreds, e.shreds.SizeBytes()-before)
 		}
 	}
 	e.accountState(st)
 }
 
-// accountState (re-)records a table's positional map and structural index in
-// the unified budget. Shreds are accounted by the pool itself, per shred.
+// accountState (re-)records a table's slots in the unified budget; an
+// eviction drops the structure accounted, not a newer one. Shreds are
+// accounted by the pool itself, per shred.
 func (e *Engine) accountState(st *tableState) {
 	if e.budget == nil {
 		return
 	}
-	name := st.tab.Name
-	if pm := st.posMap(); pm != nil {
-		e.budget.Set("posmap:"+name, pm.MemoryFootprint(), func() { st.dropPosMap(pm) })
-	}
-	if x := st.jsonIdx(); x != nil {
-		e.budget.Set("jsonidx:"+name, x.MemoryFootprint(), func() { st.dropJSONIdx(x) })
-	}
-	if syn := st.synopsis(); syn != nil {
-		e.budget.Set("synopsis:"+name, syn.MemoryFootprint(), func() { st.dropSynopsis(syn) })
+	for _, s := range st.slots() {
+		if x := s.get(); x != nil {
+			e.budget.Set(s.key, x.MemoryFootprint(), func() { s.drop(x) })
+		}
 	}
 }
 
-// vaultUpdate runs at the end of every successful query, while the query's
-// table locks are still held: it refreshes budget accounting and schedules
-// vault write-backs for structures that changed.
-func (e *Engine) vaultUpdate(r *resolvedQuery) {
-	if e.vault == nil && e.budget == nil {
-		return
-	}
-	seen := make(map[*tableState]bool, len(r.tables))
-	for _, bt := range r.tables {
-		st := bt.st
-		if seen[st] {
-			continue
-		}
-		seen[st] = true
+// vaultUpdate runs at the end of every successful query over the distinct
+// tables sts, while their query locks are still held: it schedules vault
+// write-backs for structures that changed and refreshes budget accounting.
+func (e *Engine) vaultUpdate(sts []*tableState) {
+	for _, st := range sts {
 		// Write-back first: accounting may evict this very table's dirty
-		// structure under budget pressure (dropPosMap nils the shared
+		// structure under budget pressure (slot.drop nils the shared
 		// pointer), and a structure must reach the encoder before it can be
 		// dropped from memory — disk persistence is independent of the
-		// in-memory budget.
-		if st.ds != nil {
-			// Datasets: each partition writes back and accounts under its own
-			// namespace; the parent contributes only the manifest.
-			for _, ps := range st.ds.parts {
-				e.vaultSaveAsync(ps)
-				e.accountState(ps)
-			}
+		// in-memory budget. A dataset's partitions write back and account
+		// under their own namespaces; the parent contributes the manifest.
+		for s := range st.family {
+			e.vaultSave(s, true)
+			e.accountState(s)
 		}
-		e.vaultSaveAsync(st)
-		e.accountState(st)
 	}
 }
 
@@ -173,130 +228,93 @@ type vaultWrite struct {
 	data []byte
 }
 
-// vaultMarkers are the last-saved markers to install once a collected save
-// is committed to the writer.
-type vaultMarkers struct {
-	pm       *posmap.Map
-	jidx     *jsonidx.Index
-	jidxVer  uint64
-	shredVer int64
-	syn      *synopsis.Synopsis
-	// manifestClean marks that a dataset manifest reached the writer (the
-	// parent's dirty flag clears on install).
-	manifestClean bool
-}
-
-// collectVaultWrites encodes every structure of st that changed since the
-// last save (the caller holds st.qmu, so the structures are stable while
-// encoding), returning the encoded entries and the markers to install if the
-// save is committed.
-func (e *Engine) collectVaultWrites(st *tableState) ([]vaultWrite, vaultMarkers) {
+// collectVaultWrites encodes every structure of st the vault does not hold
+// yet, in the table's write order, and marks it saved. The caller holds
+// st.qmu, so the structures are stable while encoding, and st.wmu, so the
+// marks advance only for bytes handed to the writer.
+func (e *Engine) collectVaultWrites(st *tableState) []vaultWrite {
 	var writes []vaultWrite
-	m := vaultMarkers{pm: st.savedPM, jidx: st.savedJIdx,
-		jidxVer: st.savedJIdxVer, shredVer: st.savedShredVer, syn: st.savedSyn}
+	for _, s := range st.saves {
+		if cur := s.dirty(); cur != nil {
+			writes = append(writes, vaultWrite{s.kind, vault.Encode(st.fp, cur)})
+			s.markSaved(cur)
+		}
+	}
 	name := st.tab.Name
-	if st.tab.Format == catalog.CSV {
-		if cur := st.posMap(); cur != nil && cur.NRows() > 0 && cur != st.savedPM {
-			writes = append(writes, vaultWrite{vault.KindPosMap, vault.EncodePosMap(st.fp, cur)})
-			m.pm = cur
-		}
-	}
-	// Synopses are immutable once installed, so pointer identity is the
-	// dirtiness test (like positional maps).
-	if cur := st.synopsis(); cur != nil && cur.NRows() > 0 && cur != st.savedSyn {
-		writes = append(writes, vaultWrite{vault.KindSynopsis, vault.EncodeSynopsis(st.fp, cur)})
-		m.syn = cur
-	}
-	if st.tab.Format == catalog.JSON {
-		if cur := st.jsonIdx(); cur != nil && cur.NRows() > 0 &&
-			(cur != st.savedJIdx || cur.Version() != st.savedJIdxVer) {
-			writes = append(writes, vaultWrite{vault.KindJSONIdx, vault.EncodeJSONIdx(st.fp, cur)})
-			m.jidx, m.jidxVer = cur, cur.Version()
-		}
-	}
 	if !e.cfg.DisableShredCache {
-		if v := e.shreds.TableVersion(name); v != st.savedShredVer {
+		if v := e.shreds.TableVersion(name); v != st.shredVer {
 			if shs := e.shreds.ShredsOf(name); len(shs) > 0 {
 				ts := make([]vault.TableShred, len(shs))
 				for i, s := range shs {
 					ts[i] = vault.TableShred{Col: s.Key().Col, RowIDs: s.RowIDs(), Vec: s.Vector()}
 				}
-				writes = append(writes, vaultWrite{vault.KindShreds, vault.EncodeShreds(st.fp, ts)})
-				m.shredVer = v
+				writes = append(writes, vaultWrite{vault.KindShreds, vault.Encode(st.fp, ts)})
+				st.shredVer = v
 			}
 		}
 	}
 	if ds := st.ds; ds != nil {
 		// Sync partition row counts into the manifest; newly known counts (or
 		// a refresh-reshaped partition list) dirty it.
-		rowsChanged := false
 		for i, ps := range ds.parts {
 			if ps.nrows >= 0 && ds.manifest.Parts[i].Rows != ps.nrows {
 				ds.manifest.Parts[i].Rows = ps.nrows
-				rowsChanged = true
+				ds.dirty = true
 			}
 		}
-		if ds.dirty || rowsChanged {
-			writes = append(writes, vaultWrite{vault.KindManifest, vault.EncodeManifest(st.fp, ds.manifest)})
-			m.manifestClean = true
+		if ds.dirty {
+			writes = append(writes, vaultWrite{vault.KindManifest, vault.Encode(st.fp, ds.manifest)})
+			ds.dirty = false
 		}
 	}
-	return writes, m
+	return writes
 }
 
-func (st *tableState) installMarkers(m vaultMarkers) {
-	st.savedPM, st.savedJIdx, st.savedSyn = m.pm, m.jidx, m.syn
-	st.savedJIdxVer, st.savedShredVer = m.jidxVer, m.shredVer
-	if m.manifestClean && st.ds != nil {
-		st.ds.dirty = false
-	}
-}
-
-// vaultSaveAsync schedules the write-back of st's dirty structures. The
-// caller holds st.qmu: encoding happens here, synchronously, so the bytes
-// are a consistent snapshot; only the disk I/O runs on the writer goroutine.
-// Per-table write order is preserved by handing the table's write lock to
-// the goroutine; if a previous write is still in flight the save is skipped
-// and a later query (or FlushVault) retries — the dirtiness markers are only
-// advanced when a save is actually committed.
-func (e *Engine) vaultSaveAsync(st *tableState) {
+// vaultSave writes back st's dirty structures in one step: under st's write
+// lock it collects them, marks them saved and hands the bytes to the writer.
+// The caller holds st.qmu. An async save's writer is a goroutine that
+// inherits the lock, so the table's writes land in order; a save that finds
+// a write still in flight is skipped, and a later query (or FlushVault)
+// retries. A synchronous save waits for the write in flight instead.
+func (e *Engine) vaultSave(st *tableState, async bool) {
 	if e.vault == nil || !st.hasFP {
 		return
 	}
-	// Take the write lock before encoding: when a previous write is still in
-	// flight the save is skipped anyway, and encoding first would waste an
-	// O(cached-bytes) pass under the query lock just to discard it.
-	if !st.wmu.TryLock() {
+	// Lock before encoding: an async save finding a write in flight is
+	// skipped, and encoding first would waste an O(cached-bytes) pass under
+	// the query lock just to discard it.
+	if !async {
+		st.wmu.Lock()
+	} else if !st.wmu.TryLock() {
 		return
 	}
-	writes, m := e.collectVaultWrites(st)
+	writes := e.collectVaultWrites(st)
 	if len(writes) == 0 {
 		st.wmu.Unlock()
 		return
 	}
-	st.installMarkers(m)
-	e.notePublish(writes)
-	name := st.tab.Name
-	e.vaultIO.add()
-	go func() {
-		defer e.vaultIO.done()
-		defer st.wmu.Unlock()
-		for _, w := range writes {
-			// Best effort: a failed write only costs restart warmth.
-			_ = e.vault.WriteEntry(name, w.kind, w.data)
-		}
-	}()
-}
-
-// notePublish accounts a committed batch of vault write-backs in the
-// registry (entry count and encoded bytes).
-func (e *Engine) notePublish(writes []vaultWrite) {
 	var bytes int64
 	for _, w := range writes {
 		bytes += int64(len(w.data))
 	}
 	e.metrics.Counter("vault.publish.entries").Add(int64(len(writes)))
 	e.metrics.Counter("vault.publish.bytes").Add(bytes)
+	write := func() {
+		defer st.wmu.Unlock()
+		for _, w := range writes {
+			// Best effort: a failed write only costs restart warmth.
+			_ = e.vault.WriteEntry(st.tab.Name, w.kind, w.data)
+		}
+	}
+	if !async {
+		write()
+		return
+	}
+	e.vaultIO.add()
+	go func() {
+		defer e.vaultIO.done()
+		write()
+	}()
 }
 
 // FlushVault writes back every dirty structure synchronously and waits for
@@ -306,35 +324,13 @@ func (e *Engine) FlushVault() {
 	if e.vault == nil {
 		return
 	}
-	e.mu.Lock()
-	sts := make([]*tableState, 0, len(e.tables))
-	for _, st := range e.tables {
-		sts = append(sts, st)
-	}
-	e.mu.Unlock()
+	sts := e.tableStates()
 	sort.Slice(sts, func(i, j int) bool { return sts[i].tab.Name < sts[j].tab.Name })
 	for _, st := range sts {
-		group := []*tableState{st}
-		if st.ds != nil {
-			// Partitions share the parent's query lock; flush them under it.
-			group = append(group, st.ds.parts...)
-		}
+		// Partitions share the parent's query lock; flush them under it.
 		st.qmu.Lock()
-		for _, s := range group {
-			if !s.hasFP {
-				continue
-			}
-			writes, m := e.collectVaultWrites(s)
-			if len(writes) == 0 {
-				continue
-			}
-			s.wmu.Lock() // waits for any in-flight async write of this table
-			s.installMarkers(m)
-			e.notePublish(writes)
-			for _, w := range writes {
-				_ = e.vault.WriteEntry(s.tab.Name, w.kind, w.data)
-			}
-			s.wmu.Unlock()
+		for s := range st.family {
+			e.vaultSave(s, false)
 		}
 		st.qmu.Unlock()
 	}

@@ -1,6 +1,9 @@
 package rootfile
 
-import "container/list"
+import (
+	"container/list"
+	"sync"
+)
 
 // A DecodedBasket is one basket's values decoded into a typed slice.
 type DecodedBasket struct {
@@ -11,8 +14,10 @@ type DecodedBasket struct {
 // BufferPool is an LRU cache of decoded baskets. It models ROOT's in-memory
 // buffer pool of commonly-accessed objects: the hand-written analysis and the
 // engine's scans both read through it, so the second (warm) run of a query
-// skips decompression and decoding for hot baskets.
+// skips decompression and decoding for hot baskets. Every tree of a file reads
+// through the file's one pool, so it is safe for concurrent use.
 type BufferPool struct {
+	mu       sync.Mutex
 	capacity int
 	lru      *list.List // of *poolEntry, front = most recent
 	index    map[poolKey]*list.Element
@@ -45,6 +50,8 @@ func NewBufferPool(capacity int) *BufferPool {
 
 // Get returns the decoded basket for (branch, basket) or nil on a miss.
 func (p *BufferPool) Get(b *Branch, basket int) *DecodedBasket {
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	if el, ok := p.index[poolKey{b, basket}]; ok {
 		p.hits++
 		p.lru.MoveToFront(el)
@@ -57,14 +64,20 @@ func (p *BufferPool) Get(b *Branch, basket int) *DecodedBasket {
 // Put inserts a decoded basket, evicting the least recently used entry if the
 // pool is full.
 func (p *BufferPool) Put(b *Branch, basket int, db *DecodedBasket) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	key := poolKey{b, basket}
 	if el, ok := p.index[key]; ok {
 		p.lru.MoveToFront(el)
 		el.Value.(*poolEntry).db = db
 		return
 	}
-	el := p.lru.PushFront(&poolEntry{key: key, db: db})
-	p.index[key] = el
+	p.index[key] = p.lru.PushFront(&poolEntry{key: key, db: db})
+	p.evictLocked()
+}
+
+// evictLocked drops least recently used entries down to the capacity.
+func (p *BufferPool) evictLocked() {
 	for p.lru.Len() > p.capacity {
 		back := p.lru.Back()
 		p.lru.Remove(back)
@@ -73,13 +86,23 @@ func (p *BufferPool) Put(b *Branch, basket int, db *DecodedBasket) {
 }
 
 // Len returns the number of cached baskets.
-func (p *BufferPool) Len() int { return p.lru.Len() }
+func (p *BufferPool) Len() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.lru.Len()
+}
 
 // Stats returns cumulative hit/miss counts.
-func (p *BufferPool) Stats() (hits, misses int64) { return p.hits, p.misses }
+func (p *BufferPool) Stats() (hits, misses int64) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.hits, p.misses
+}
 
 // Reset empties the pool and clears statistics (cold-start simulation).
 func (p *BufferPool) Reset() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	p.lru.Init()
 	p.index = make(map[poolKey]*list.Element)
 	p.hits, p.misses = 0, 0
@@ -87,13 +110,8 @@ func (p *BufferPool) Reset() {
 
 // SetCapacity resizes the pool, evicting as needed.
 func (p *BufferPool) SetCapacity(capacity int) {
-	if capacity < 1 {
-		capacity = 1
-	}
-	p.capacity = capacity
-	for p.lru.Len() > p.capacity {
-		back := p.lru.Back()
-		p.lru.Remove(back)
-		delete(p.index, back.Value.(*poolEntry).key)
-	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.capacity = max(capacity, 1)
+	p.evictLocked()
 }

@@ -7,6 +7,7 @@ import (
 	"hash/fnv"
 	"math"
 
+	"rawdb/internal/dataset"
 	"rawdb/internal/jsonidx"
 	"rawdb/internal/posmap"
 	"rawdb/internal/synopsis"
@@ -62,22 +63,58 @@ const (
 	KindManifest Kind = 5
 )
 
+// kinds describes each entry kind: its label across metrics, events and
+// budget keys, its file name, and its decoder.
+var kinds = [...]struct {
+	label, file string
+	decode      func([]byte) (Fingerprint, any, error)
+}{
+	KindPosMap:   {"posmap", "posmap.rawv", boxed(DecodePosMap)},
+	KindJSONIdx:  {"jsonidx", "jsonidx.rawv", boxed(DecodeJSONIdx)},
+	KindShreds:   {"shred", "shreds.rawv", boxed(DecodeShreds)},
+	KindSynopsis: {"synopsis", "synopsis.rawv", boxed(DecodeSynopsis)},
+	KindManifest: {"manifest", "manifest.rawv", boxed(DecodeManifest)},
+}
+
+// boxed adapts a typed decoder to the kinds table.
+func boxed[T any](dec func([]byte) (Fingerprint, T, error)) func([]byte) (Fingerprint, any, error) {
+	return func(b []byte) (Fingerprint, any, error) { return dec(b) }
+}
+
 // String returns the structure label used across metrics and events.
 func (k Kind) String() string {
-	switch k {
-	case KindPosMap:
-		return "posmap"
-	case KindJSONIdx:
-		return "jsonidx"
-	case KindShreds:
-		return "shred"
-	case KindSynopsis:
-		return "synopsis"
-	case KindManifest:
-		return "manifest"
-	default:
-		return fmt.Sprintf("Kind(%d)", uint8(k))
+	if int(k) < len(kinds) && kinds[k].label != "" {
+		return kinds[k].label
 	}
+	return fmt.Sprintf("Kind(%d)", uint8(k))
+}
+
+// decode decodes an entry of the given kind, returning the fingerprint it
+// was saved under.
+func decode(kind Kind, b []byte) (Fingerprint, any, error) {
+	if int(kind) >= len(kinds) || kinds[kind].decode == nil {
+		return Fingerprint{}, nil, fmt.Errorf("%w: unknown kind %d", ErrCodec, kind)
+	}
+	return kinds[kind].decode(b)
+}
+
+// Encode serialises any structure the vault keeps, under its own kind: a
+// *posmap.Map, *jsonidx.Index, []TableShred, *synopsis.Synopsis or
+// *dataset.Manifest.
+func Encode(fp Fingerprint, x any) []byte {
+	switch x := x.(type) {
+	case *posmap.Map:
+		return EncodePosMap(fp, x)
+	case *jsonidx.Index:
+		return EncodeJSONIdx(fp, x)
+	case []TableShred:
+		return EncodeShreds(fp, x)
+	case *synopsis.Synopsis:
+		return EncodeSynopsis(fp, x)
+	case *dataset.Manifest:
+		return EncodeManifest(fp, x)
+	}
+	panic(fmt.Sprintf("vault: no entry kind for %T", x))
 }
 
 // ErrCodec reports an undecodable (truncated, corrupted, or

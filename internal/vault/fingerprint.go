@@ -12,7 +12,7 @@
 // makes the engine fall back to a cold rebuild. Deleting or corrupting the
 // cache directory is therefore always safe.
 //
-// Entries live under <dir>/<table>/{posmap,jsonidx,shreds}.rawv and are
+// Entries live under <dir>/<table>/, one .rawv file per Kind, and are
 // published by atomic rename, so concurrent readers never observe torn state.
 // A unified Budget bounds the in-memory footprint of all structure types with
 // LRU eviction (see budget.go).

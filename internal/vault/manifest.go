@@ -110,27 +110,3 @@ func DecodeManifest(b []byte) (Fingerprint, *dataset.Manifest, error) {
 	}
 	return fp, m, nil
 }
-
-// SaveManifest publishes a dataset manifest under the fingerprint.
-func (s *Store) SaveManifest(table string, fp Fingerprint, m *dataset.Manifest) error {
-	return s.WriteEntry(table, KindManifest, EncodeManifest(fp, m))
-}
-
-// LoadManifest returns the stored manifest if present and still valid for
-// fp; stale or corrupt entries are removed and nil is returned.
-func (s *Store) LoadManifest(table string, fp Fingerprint) *dataset.Manifest {
-	b := s.ReadEntry(table, KindManifest)
-	if b == nil {
-		return nil
-	}
-	got, m, err := DecodeManifest(b)
-	if err != nil {
-		s.quarantine(table, KindManifest, err)
-		return nil
-	}
-	if got != fp {
-		s.Invalidate(table, KindManifest)
-		return nil
-	}
-	return m
-}

@@ -76,19 +76,19 @@ func TestManifestStoreRoundTrip(t *testing.T) {
 	}
 	fp := testFP()
 	m := sampleManifest()
-	if err := s.SaveManifest("ds", fp, m); err != nil {
+	if err := s.WriteEntry("ds", KindManifest, EncodeManifest(fp, m)); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.LoadManifest("ds", fp); !reflect.DeepEqual(got, m) {
+	if got := s.Load("ds", KindManifest, fp); !reflect.DeepEqual(got, m) {
 		t.Fatalf("store round trip: got %+v", got)
 	}
 	// A fingerprint mismatch (schema change, different pattern) invalidates.
 	other := fp
 	other.Schema++
-	if got := s.LoadManifest("ds", other); got != nil {
+	if got := s.Load("ds", KindManifest, other); got != nil {
 		t.Fatalf("stale manifest served: %+v", got)
 	}
-	if got := s.LoadManifest("ds", fp); got != nil {
+	if got := s.Load("ds", KindManifest, fp); got != nil {
 		t.Fatal("stale manifest entry not removed after mismatch")
 	}
 }

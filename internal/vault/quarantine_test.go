@@ -44,19 +44,7 @@ func FuzzQuarantine(f *testing.F) {
 				t.Fatal(err)
 			}
 			before := quarantined
-			var gotNil bool
-			switch kind {
-			case KindPosMap:
-				gotNil = s.LoadPosMap("tbl", fp) == nil
-			case KindJSONIdx:
-				gotNil = s.LoadJSONIdx("tbl", fp) == nil
-			case KindShreds:
-				gotNil = s.LoadShreds("tbl", fp) == nil
-			case KindSynopsis:
-				gotNil = s.LoadSynopsis("tbl", fp) == nil
-			case KindManifest:
-				gotNil = s.LoadManifest("tbl", fp) == nil
-			}
+			gotNil := s.Load("tbl", kind, fp) == nil
 			if quarantined > before {
 				if !gotNil {
 					t.Fatalf("kind %s: load returned a structure AND quarantined", kind)
@@ -80,7 +68,7 @@ func TestSweepOrphanTmpFiles(t *testing.T) {
 	}
 	fp := Fingerprint{Size: 1 << 20, Sum: 1}
 	pm := posmap.New(posmap.Policy{EveryK: 4}, 1)
-	if err := s.SavePosMap("tbl", fp, pm); err != nil {
+	if err := s.WriteEntry("tbl", KindPosMap, EncodePosMap(fp, pm)); err != nil {
 		t.Fatal(err)
 	}
 	tdir := filepath.Dir(s.EntryPath("tbl", KindPosMap))
@@ -123,12 +111,12 @@ func TestTornWriteQuarantines(t *testing.T) {
 	for r := int64(0); r < 100; r++ {
 		pm.AppendRow([]int64{r * 10})
 	}
-	if err := s.SavePosMap("tbl", fp, pm); err != nil {
+	if err := s.WriteEntry("tbl", KindPosMap, EncodePosMap(fp, pm)); err != nil {
 		t.Fatal(err)
 	}
 	faults.Disable()
 
-	if got := s.LoadPosMap("tbl", fp); got != nil {
+	if got := s.Load("tbl", KindPosMap, fp); got != nil {
 		t.Fatal("torn entry decoded successfully; expected quarantine")
 	}
 	if len(events) != 1 || events[0] != "tbl/posmap" {
@@ -138,10 +126,10 @@ func TestTornWriteQuarantines(t *testing.T) {
 		t.Fatal("torn entry not deleted")
 	}
 	// The store stays writable: a clean save round-trips.
-	if err := s.SavePosMap("tbl", fp, pm); err != nil {
+	if err := s.WriteEntry("tbl", KindPosMap, EncodePosMap(fp, pm)); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.LoadPosMap("tbl", fp); got == nil {
+	if got := s.Load("tbl", KindPosMap, fp); got == nil {
 		t.Fatal("clean save after quarantine did not load")
 	}
 }

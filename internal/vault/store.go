@@ -7,9 +7,6 @@ import (
 	"strings"
 
 	"rawdb/internal/faults"
-	"rawdb/internal/jsonidx"
-	"rawdb/internal/posmap"
-	"rawdb/internal/synopsis"
 )
 
 // Store is one on-disk vault: a directory holding, per table, up to one
@@ -91,17 +88,8 @@ func tableDirName(table string) string {
 }
 
 func kindFile(kind Kind) string {
-	switch kind {
-	case KindPosMap:
-		return "posmap.rawv"
-	case KindJSONIdx:
-		return "jsonidx.rawv"
-	case KindShreds:
-		return "shreds.rawv"
-	case KindSynopsis:
-		return "synopsis.rawv"
-	case KindManifest:
-		return "manifest.rawv"
+	if int(kind) < len(kinds) && kinds[kind].file != "" {
+		return kinds[kind].file
 	}
 	return fmt.Sprintf("kind%d.rawv", kind)
 }
@@ -187,98 +175,23 @@ func (s *Store) RemoveTable(table string) error {
 	return os.RemoveAll(filepath.Join(s.dir, tableDirName(table)))
 }
 
-// SavePosMap publishes a positional map under the fingerprint.
-func (s *Store) SavePosMap(table string, fp Fingerprint, pm *posmap.Map) error {
-	return s.WriteEntry(table, KindPosMap, EncodePosMap(fp, pm))
-}
-
-// LoadPosMap returns the stored positional map if present and still valid
-// for fp; stale or corrupt entries are removed and nil is returned.
-func (s *Store) LoadPosMap(table string, fp Fingerprint) *posmap.Map {
-	b := s.ReadEntry(table, KindPosMap)
+// Load returns the structure stored for table under kind — a *posmap.Map,
+// *jsonidx.Index, []TableShred, *synopsis.Synopsis or *dataset.Manifest — if
+// present and still valid for fp. A stale entry is removed and an undecodable
+// one quarantined; both return nil.
+func (s *Store) Load(table string, kind Kind, fp Fingerprint) any {
+	b := s.ReadEntry(table, kind)
 	if b == nil {
 		return nil
 	}
-	got, pm, err := DecodePosMap(b)
+	got, x, err := decode(kind, b)
 	if err != nil {
-		s.quarantine(table, KindPosMap, err)
+		s.quarantine(table, kind, err)
 		return nil
 	}
 	if got != fp {
-		s.Invalidate(table, KindPosMap)
-		return nil
-	}
-	return pm
-}
-
-// SaveJSONIdx publishes a structural index under the fingerprint.
-func (s *Store) SaveJSONIdx(table string, fp Fingerprint, x *jsonidx.Index) error {
-	return s.WriteEntry(table, KindJSONIdx, EncodeJSONIdx(fp, x))
-}
-
-// LoadJSONIdx returns the stored structural index if present and still valid
-// for fp; stale or corrupt entries are removed and nil is returned.
-func (s *Store) LoadJSONIdx(table string, fp Fingerprint) *jsonidx.Index {
-	b := s.ReadEntry(table, KindJSONIdx)
-	if b == nil {
-		return nil
-	}
-	got, x, err := DecodeJSONIdx(b)
-	if err != nil {
-		s.quarantine(table, KindJSONIdx, err)
-		return nil
-	}
-	if got != fp {
-		s.Invalidate(table, KindJSONIdx)
+		s.Invalidate(table, kind)
 		return nil
 	}
 	return x
-}
-
-// SaveSynopsis publishes a zone-map synopsis under the fingerprint.
-func (s *Store) SaveSynopsis(table string, fp Fingerprint, syn *synopsis.Synopsis) error {
-	return s.WriteEntry(table, KindSynopsis, EncodeSynopsis(fp, syn))
-}
-
-// LoadSynopsis returns the stored synopsis if present and still valid for
-// fp; stale or corrupt entries are removed and nil is returned.
-func (s *Store) LoadSynopsis(table string, fp Fingerprint) *synopsis.Synopsis {
-	b := s.ReadEntry(table, KindSynopsis)
-	if b == nil {
-		return nil
-	}
-	got, syn, err := DecodeSynopsis(b)
-	if err != nil {
-		s.quarantine(table, KindSynopsis, err)
-		return nil
-	}
-	if got != fp {
-		s.Invalidate(table, KindSynopsis)
-		return nil
-	}
-	return syn
-}
-
-// SaveShreds publishes a table's column shreds under the fingerprint.
-func (s *Store) SaveShreds(table string, fp Fingerprint, shreds []TableShred) error {
-	return s.WriteEntry(table, KindShreds, EncodeShreds(fp, shreds))
-}
-
-// LoadShreds returns the stored shreds if present and still valid for fp;
-// stale or corrupt entries are removed and nil is returned.
-func (s *Store) LoadShreds(table string, fp Fingerprint) []TableShred {
-	b := s.ReadEntry(table, KindShreds)
-	if b == nil {
-		return nil
-	}
-	got, shreds, err := DecodeShreds(b)
-	if err != nil {
-		s.quarantine(table, KindShreds, err)
-		return nil
-	}
-	if got != fp {
-		s.Invalidate(table, KindShreds)
-		return nil
-	}
-	return shreds
 }

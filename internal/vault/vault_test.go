@@ -10,8 +10,10 @@ import (
 	"time"
 
 	"rawdb/internal/catalog"
+	"rawdb/internal/dataset"
 	"rawdb/internal/jsonidx"
 	"rawdb/internal/posmap"
+	"rawdb/internal/synopsis"
 	"rawdb/internal/vector"
 )
 
@@ -203,23 +205,23 @@ func TestVaultStorePublishAndInvalidate(t *testing.T) {
 	}
 	fp := testFP()
 	pm := samplePosMap(t)
-	if err := s.SavePosMap("t", fp, pm); err != nil {
+	if err := s.WriteEntry("t", KindPosMap, EncodePosMap(fp, pm)); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.LoadPosMap("t", fp); got == nil || got.NRows() != pm.NRows() {
+	if got, _ := s.Load("t", KindPosMap, fp).(*posmap.Map); got == nil || got.NRows() != pm.NRows() {
 		t.Fatal("published entry did not load")
 	}
 	// A different fingerprint invalidates and removes the entry.
 	other := fp
 	other.Size++
-	if got := s.LoadPosMap("t", other); got != nil {
+	if got := s.Load("t", KindPosMap, other); got != nil {
 		t.Fatal("stale entry loaded")
 	}
-	if got := s.LoadPosMap("t", fp); got != nil {
+	if got := s.Load("t", KindPosMap, fp); got != nil {
 		t.Fatal("stale entry not removed after invalidation")
 	}
 	// Corrupt bytes on disk are also removed on load.
-	if err := s.SavePosMap("t", fp, pm); err != nil {
+	if err := s.WriteEntry("t", KindPosMap, EncodePosMap(fp, pm)); err != nil {
 		t.Fatal(err)
 	}
 	path := s.EntryPath("t", KindPosMap)
@@ -231,7 +233,7 @@ func TestVaultStorePublishAndInvalidate(t *testing.T) {
 	if err := os.WriteFile(path, b, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.LoadPosMap("t", fp); got != nil {
+	if got := s.Load("t", KindPosMap, fp); got != nil {
 		t.Fatal("corrupt entry loaded")
 	}
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
@@ -239,15 +241,62 @@ func TestVaultStorePublishAndInvalidate(t *testing.T) {
 	}
 	// Table names with path-hostile characters stay inside the vault dir.
 	weird := "../evil/..\\t"
-	if err := s.SavePosMap(weird, fp, pm); err != nil {
+	if err := s.WriteEntry(weird, KindPosMap, EncodePosMap(fp, pm)); err != nil {
 		t.Fatal(err)
 	}
 	rel, err := filepath.Rel(s.Dir(), s.EntryPath(weird, KindPosMap))
 	if err != nil || rel == ".." || filepath.IsAbs(rel) || len(rel) >= 2 && rel[:2] == ".." {
 		t.Fatalf("entry path escapes the vault dir: %q", s.EntryPath(weird, KindPosMap))
 	}
-	if got := s.LoadPosMap(weird, fp); got == nil {
+	if got := s.Load(weird, KindPosMap, fp); got == nil {
 		t.Fatal("escaped table name did not round-trip")
+	}
+}
+
+// TestVaultStoreEveryKind: Encode picks each structure's own kind, and Load
+// selects the decoder by kind and hands back what was written.
+func TestVaultStoreEveryKind(t *testing.T) {
+	s, err := Open(filepath.Join(t.TempDir(), "vault"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	syn := synopsis.NewBuilder(4, map[int]vector.Type{0: vector.Int64})
+	for r := int64(0); r < 10; r++ {
+		syn.Acc(0).ObserveInt64(r)
+		syn.Advance(1)
+	}
+	idx := jsonidx.New(0)
+	rec := idx.Record([]string{"a"})
+	rec.AppendRow(0, []int64{5})
+	rec.Commit()
+	iv := vector.New(vector.Int64, 2)
+	iv.Int64s = []int64{3, 4}
+	fp := testFP()
+	for _, c := range []struct {
+		kind  Kind
+		file  string
+		x     any
+		nrows func(any) int64
+	}{
+		{KindPosMap, "posmap.rawv", samplePosMap(t), func(x any) int64 { return x.(*posmap.Map).NRows() }},
+		{KindJSONIdx, "jsonidx.rawv", idx, func(x any) int64 { return x.(*jsonidx.Index).NRows() }},
+		{KindShreds, "shreds.rawv", []TableShred{{Col: 1, Vec: iv}}, func(x any) int64 { return int64(len(x.([]TableShred))) }},
+		{KindSynopsis, "synopsis.rawv", syn.Finish(), func(x any) int64 { return x.(*synopsis.Synopsis).NRows() }},
+		{KindManifest, "manifest.rawv", sampleManifest(), func(x any) int64 { return int64(len(x.(*dataset.Manifest).Parts)) }},
+	} {
+		if err := s.WriteEntry("t", c.kind, Encode(fp, c.x)); err != nil {
+			t.Fatal(err)
+		}
+		if got := filepath.Base(s.EntryPath("t", c.kind)); got != c.file {
+			t.Fatalf("%s entry file %q, want %q", c.kind, got, c.file)
+		}
+		got := s.Load("t", c.kind, fp)
+		if got == nil || c.nrows(got) != c.nrows(c.x) {
+			t.Fatalf("%s: loaded %v, want %v", c.kind, got, c.x)
+		}
+	}
+	if got := Kind(9).String(); got != "Kind(9)" {
+		t.Fatalf("unknown kind label %q", got)
 	}
 }
 

@@ -114,8 +114,6 @@ type Config struct {
 	// lifecycle event, and results are bit-identical either way (float SUM
 	// and AVG use exact summation in both plans).
 	Parallelism int
-	// ShredCapacityBytes bounds the column-shred cache (256 MiB).
-	ShredCapacityBytes int64
 	// CompileDelay simulates the one-time latency of compiling a generated
 	// access path, charged to the first query that needs it.
 	CompileDelay time.Duration
@@ -135,8 +133,8 @@ type Config struct {
 	// back to a cold rebuild, so deleting the directory is always safe.
 	CacheDir string
 	// CacheBudget, when > 0, bounds the total in-memory bytes of positional
-	// maps, structural indexes and column shreds under one unified LRU
-	// budget (ShredCapacityBytes is ignored then).
+	// maps, structural indexes, synopses and column shreds under one unified
+	// LRU budget (in place of the shred cache's own 256 MiB bound).
 	CacheBudget int64
 	// DisablePushdown keeps every WHERE conjunct in a separate Filter
 	// operator instead of absorbing eligible ones into the generated access
@@ -154,8 +152,6 @@ type Config struct {
 	// structure lifecycle event (captured, restored, evicted, invalidated),
 	// in addition to the engine's bounded in-memory event log.
 	OnEvent func(Event)
-	// EventLogSize bounds the in-memory lifecycle event ring (default 512).
-	EventLogSize int
 	// QueryLog, when non-nil, receives one structured JSON record per query
 	// (ID, SQL hash, tables, rows, per-phase timings, access paths, prune
 	// counters, error). Build one with NewQueryLog or OpenQueryLog.
@@ -271,23 +267,21 @@ type Engine struct {
 // NewEngine returns an engine with the given configuration.
 func NewEngine(cfg Config) *Engine {
 	return &Engine{e: engine.New(engine.Config{
-		Strategy:           cfg.Strategy,
-		PosMapPolicy:       cfg.PosMapPolicy,
-		BatchSize:          cfg.BatchSize,
-		Parallelism:        cfg.Parallelism,
-		ShredCapacityBytes: cfg.ShredCapacityBytes,
-		CompileDelay:       cfg.CompileDelay,
-		DisableShredCache:  cfg.DisableShredCache,
-		JoinPlacement:      cfg.JoinPlacement,
-		MultiColumnShreds:  cfg.MultiColumnShreds,
-		CacheDir:           cfg.CacheDir,
-		CacheBudget:        cfg.CacheBudget,
-		DisablePushdown:    cfg.DisablePushdown,
-		DisableZoneMaps:    cfg.DisableZoneMaps,
-		OnEvent:            cfg.OnEvent,
-		EventLogSize:       cfg.EventLogSize,
-		QueryLog:           cfg.QueryLog,
-		SlowQueryMillis:    cfg.SlowQueryMillis,
+		Strategy:          cfg.Strategy,
+		PosMapPolicy:      cfg.PosMapPolicy,
+		BatchSize:         cfg.BatchSize,
+		Parallelism:       cfg.Parallelism,
+		CompileDelay:      cfg.CompileDelay,
+		DisableShredCache: cfg.DisableShredCache,
+		JoinPlacement:     cfg.JoinPlacement,
+		MultiColumnShreds: cfg.MultiColumnShreds,
+		CacheDir:          cfg.CacheDir,
+		CacheBudget:       cfg.CacheBudget,
+		DisablePushdown:   cfg.DisablePushdown,
+		DisableZoneMaps:   cfg.DisableZoneMaps,
+		OnEvent:           cfg.OnEvent,
+		QueryLog:          cfg.QueryLog,
+		SlowQueryMillis:   cfg.SlowQueryMillis,
 	})}
 }
 
