@@ -135,28 +135,3 @@ func (e *Engine) observeBudgetEviction(key string, size int64) {
 	e.metrics.Counter("budget.evicted_bytes").Add(size)
 	e.emitEvent(0, obs.EventEvicted, structure, rest, size, "budget")
 }
-
-// dropState releases what a table state caches — its slots' budget entries
-// and its pooled shreds — reporting each structure it holds as invalidated
-// (the raw file changed, the partition vanished, or the table was dropped),
-// stamped with the query whose manifest refresh found it (0: none). No
-// eviction callback runs: the state itself is being discarded.
-func (e *Engine) dropState(qid int64, st *tableState, reason string) {
-	name := st.tab.Name
-	for _, s := range st.slots() {
-		if x := s.get(); x != nil {
-			e.emitEvent(qid, obs.EventInvalidated, s.kind.String(), name, x.MemoryFootprint(), reason)
-		}
-		if e.budget != nil {
-			e.budget.Remove(s.key)
-		}
-	}
-	if shs := e.shreds.ShredsOf(name); len(shs) > 0 {
-		var bytes int64
-		for _, s := range shs {
-			bytes += s.SizeBytes()
-		}
-		e.emitEvent(qid, obs.EventInvalidated, "shred", name, bytes, reason)
-	}
-	e.shreds.DropTable(name)
-}
