@@ -63,29 +63,6 @@ func ParseInt64(b []byte) (int64, error) {
 	return int64(un), nil
 }
 
-// ParseInt64Fast parses a field already known to be a well-formed decimal
-// integer (e.g. validated at positional-map build time). It performs no
-// bounds or syntax checking beyond digit arithmetic; malformed input yields
-// an unspecified value. JIT access paths use it when the field length is
-// known from the positional map, exactly as the paper's custom atoi exploits
-// stored field lengths.
-func ParseInt64Fast(b []byte) int64 {
-	neg := false
-	i := 0
-	if len(b) > 0 && (b[0] == '-' || b[0] == '+') {
-		neg = b[0] == '-'
-		i = 1
-	}
-	var n int64
-	for ; i < len(b); i++ {
-		n = n*10 + int64(b[i]-'0')
-	}
-	if neg {
-		return -n
-	}
-	return n
-}
-
 // maxPrefixDigits bounds the digits the prefix parsers take: 18 decimal
 // digits fit int64 without an overflow check and float64's mantissa
 // accumulator without ParseFloat64's 19-digit truncation.

@@ -56,19 +56,6 @@ func TestParseInt64MatchesStrconv(t *testing.T) {
 	}
 }
 
-func TestParseInt64FastMatchesStrconv(t *testing.T) {
-	f := func(v int64) bool {
-		if v == math.MinInt64 {
-			return true // -u negation identity; Fast is unchecked by contract
-		}
-		s := strconv.FormatInt(v, 10)
-		return ParseInt64Fast([]byte(s)) == v
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestParseFloat64(t *testing.T) {
 	cases := []struct {
 		in   string
@@ -162,14 +149,6 @@ func BenchmarkParseInt64(b *testing.B) {
 		if _, err := ParseInt64(in); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func BenchmarkParseInt64Fast(b *testing.B) {
-	in := []byte("123456789")
-	b.SetBytes(int64(len(in)))
-	for i := 0; i < b.N; i++ {
-		_ = ParseInt64Fast(in)
 	}
 }
 

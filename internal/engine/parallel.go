@@ -5,6 +5,7 @@ import (
 
 	"rawdb/internal/catalog"
 	"rawdb/internal/exec"
+	"rawdb/internal/insitu"
 	"rawdb/internal/obs"
 	"rawdb/internal/shred"
 	"rawdb/internal/vector"
@@ -83,7 +84,7 @@ func (pc *planCtx) skipMorsels(ranges []span, skip func(lo, hi int64) bool, scan
 
 // colSchema is the batch schema of cols of tab, in order.
 func colSchema(tab *catalog.Table, cols []int) vector.Schema {
-	schema := make(vector.Schema, len(cols))
+	schema := make(vector.Schema, len(cols), len(cols)+1) // room for a row-id column
 	for i, c := range cols {
 		schema[i] = vector.Col{Name: tab.Schema[c].Name, Type: tab.Schema[c].Type}
 	}
@@ -93,9 +94,13 @@ func colSchema(tab *catalog.Table, cols []int) vector.Schema {
 // residentScans builds one (predicate-absorbing) MemScan per span over
 // resident vectors aligned with cols: a memory table's or the DBMS baseline's
 // loaded columns, or full column shreds. preds are bound to the output slots.
+// emitRID (whole-table scans only) appends the hidden row-id column.
 func residentScans(tab *catalog.Table, cols []int, vecs []*vector.Vector, spans []span,
-	preds []exec.Pred, bs int) ([]exec.Operator, error) {
+	preds []exec.Pred, bs int, emitRID bool) ([]exec.Operator, error) {
 	schema := colSchema(tab, cols)
+	if emitRID {
+		schema = append(schema, vector.Col{Name: insitu.RowIDColumn, Type: vector.Int64})
+	}
 	parts := make([]exec.Operator, 0, len(spans))
 	for _, sp := range spans {
 		part := vecs

@@ -926,7 +926,7 @@ func (pc *planCtx) baseScanInner(t int, u unitCut, cols []int, needRID bool,
 			vecs[i] = st.loaded[c]
 		}
 		var err error
-		if p.ops, err = residentScans(tab, cols, vecs, u.spans, nil, pc.e.cfg.BatchSize); err != nil {
+		if p.ops, err = residentScans(tab, cols, vecs, u.spans, nil, pc.e.cfg.BatchSize, false); err != nil {
 			return nil, nil, err
 		}
 		p.layout(t, cols, -1)
@@ -1138,10 +1138,8 @@ func (pc *planCtx) baseScanFile(p *pipe, t int, u unitCut, kind scanKind, cols [
 	// them vectorized and emit selection-vector batches — and zone maps
 	// exclude whole spans of a cut scan before dispatch.
 	if len(uncached) == 0 {
-		names := make([]string, len(cached))
 		slotOf := make(map[int]int, len(cached))
 		for i, c := range cached {
-			names[i] = tab.Schema[c].Name
 			slotOf[c] = i
 		}
 		var preds []exec.Pred
@@ -1152,29 +1150,23 @@ func (pc *planCtx) baseScanFile(p *pipe, t int, u unitCut, kind scanKind, cols [
 				preds = append(preds, exec.Pred{Col: slotOf[bp.col], Op: bp.op, I64: bp.i64, F64: bp.f64})
 			}
 		}
+		// Only a cut plan drops the spans a zone map excludes: the one-part
+		// plan's wholeTable span is never tested.
 		var skip func(lo, hi int64) bool
+		if p.par && pc.zonemaps {
+			skip = synSkip(bt.pos.syn, candidates)
+		}
+		vecs := make([]*vector.Vector, len(cached))
+		for i, s := range cachedShreds {
+			vecs[i] = s.Vector()
+		}
+		var err error
+		if p.ops, err = residentScans(tab, cols, vecs, pc.skipMorsels(u.spans, skip, false), preds, bs, needRID); err != nil {
+			return nil, nil, err
+		}
 		ridIdx := -1
-		if p.par {
-			if pc.zonemaps {
-				skip = synSkip(bt.pos.syn, candidates)
-			}
-			vecs := make([]*vector.Vector, len(cached))
-			for i, s := range cachedShreds {
-				vecs[i] = s.Vector()
-			}
-			var err error
-			if p.ops, err = residentScans(tab, cols, vecs, pc.skipMorsels(u.spans, skip, false), preds, bs); err != nil {
-				return nil, nil, err
-			}
-		} else {
-			sc, err := shred.NewScanPred(cachedShreds, names, needRID, bs, preds)
-			if err != nil {
-				return nil, nil, err
-			}
-			p.ops = []exec.Operator{sc}
-			if needRID {
-				ridIdx = len(cached)
-			}
+		if needRID {
+			ridIdx = len(cached)
 		}
 		p.layout(t, cached, ridIdx)
 		pc.pathf("%sshred:scan(%s)", p.parLabel(), tab.Name)

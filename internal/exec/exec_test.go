@@ -3,6 +3,7 @@ package exec
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"testing"
 	"testing/quick"
@@ -31,25 +32,68 @@ func memScan(t *testing.T, schema vector.Schema, cols []*vector.Vector, batch in
 	return s
 }
 
+// TestMemScanBatching: a MemScan streams its columns in batches, emits the
+// row-id column its schema names past them, and absorbs bound predicates into
+// selection vectors, skipping the ranges no row survives.
 func TestMemScanBatching(t *testing.T) {
-	n := 10
-	vals := make([]int64, n)
-	for i := range vals {
-		vals[i] = int64(i)
+	const n = 10
+	a, b := intVec(), floatVec()
+	for i := 0; i < n; i++ {
+		a.AppendInt64(int64(i))
+		b.AppendFloat64(float64(i) * 10)
 	}
-	s := memScan(t, vector.Schema{{Name: "a", Type: vector.Int64}},
-		[]*vector.Vector{intVec(vals...)}, 3)
-	out, err := Collect(s)
-	if err != nil {
-		t.Fatal(err)
+	schema := vector.Schema{{Name: "a", Type: vector.Int64}, {Name: "b", Type: vector.Float64}}
+	withRID := append(schema[:2:2], vector.Col{Name: "rid", Type: vector.Int64})
+	type batch struct {
+		start int
+		sel   []int32
 	}
-	if out[0].Len() != n {
-		t.Fatalf("collected %d rows", out[0].Len())
-	}
-	for i, v := range out[0].Int64s {
-		if v != int64(i) {
-			t.Fatalf("row %d = %d", i, v)
-		}
+	dense := []batch{{0, nil}, {3, nil}, {6, nil}, {9, nil}}
+	for _, c := range []struct {
+		name    string
+		schema  vector.Schema
+		preds   []Pred
+		batches []batch
+		pruned  int64
+	}{
+		{"plain", schema, nil, dense, 0},
+		{"rid", withRID, nil, dense, 0},
+		// Rows 0-2: only row 2 qualifies; 3-5 all do; 6-8 and 9 none do.
+		{"preds", withRID, []Pred{{Col: 0, Op: Ge, I64: 2}, {Col: 1, Op: Lt, F64: 60}},
+			[]batch{{0, []int32{2}}, {3, nil}}, 6},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			s, err := NewMemScanPred(c.schema, []*vector.Vector{a, b}, 3, c.preds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Open(); err != nil {
+				t.Fatal(err)
+			}
+			for _, want := range c.batches {
+				bt, err := s.Next()
+				if err != nil || bt == nil {
+					t.Fatalf("batch from row %d: %v, %v", want.start, bt, err)
+				}
+				if len(bt.Cols) != len(c.schema) || !reflect.DeepEqual(bt.Sel, want.sel) {
+					t.Fatalf("batch from row %d: %d columns, sel %v; want %d, %v",
+						want.start, len(bt.Cols), bt.Sel, len(c.schema), want.sel)
+				}
+				for i := 0; i < bt.Len(); i++ {
+					row := want.start + i
+					if bt.Cols[0].Int64s[i] != int64(row) || bt.Cols[1].Float64s[i] != float64(row)*10 ||
+						len(bt.Cols) == 3 && bt.Cols[2].Int64s[i] != int64(row) {
+						t.Fatalf("row %d wrong in batch from row %d", row, want.start)
+					}
+				}
+			}
+			if bt, err := s.Next(); bt != nil || err != nil {
+				t.Fatalf("extra batch %v, %v", bt, err)
+			}
+			if s.RowsPruned() != c.pruned {
+				t.Fatalf("RowsPruned = %d, want %d", s.RowsPruned(), c.pruned)
+			}
+		})
 	}
 }
 
@@ -64,6 +108,11 @@ func TestMemScanValidation(t *testing.T) {
 	two := vector.Schema{{Name: "a", Type: vector.Int64}, {Name: "b", Type: vector.Int64}}
 	if _, err := NewMemScan(two, []*vector.Vector{intVec(1), intVec(1, 2)}, 0); err == nil {
 		t.Fatal("expected ragged column error")
+	}
+	// A row-id column must be Int64 and follow at least one column.
+	if _, err := NewMemScan(vector.Schema{{Name: "a", Type: vector.Int64}, {Name: "rid", Type: vector.Float64}},
+		[]*vector.Vector{intVec(1)}, 0); err == nil {
+		t.Fatal("expected arity error for a non-integer row-id column")
 	}
 }
 

@@ -64,17 +64,41 @@ func (p Pred) String() string {
 	return fmt.Sprintf("c%d%s%d/%x", p.Col, p.Op, p.I64, math.Float64bits(p.F64))
 }
 
-// SelectPred appends to sel the indexes in [0, n) of v satisfying p — the
-// vectorized first-predicate pass, exported for scans that evaluate pushed-
-// down predicates themselves.
-func SelectPred(sel []int32, v *vector.Vector, p Pred, n int) []int32 {
-	return evalPredAll(sel, v, p, n)
+// CheckPreds reports an error unless every predicate names a numeric column
+// of schema.
+func CheckPreds(schema vector.Schema, preds []Pred) error {
+	for _, p := range preds {
+		if p.Col < 0 || p.Col >= len(schema) {
+			return fmt.Errorf("exec: predicate column %d out of range", p.Col)
+		}
+		if t := schema[p.Col].Type; t != vector.Int64 && t != vector.Float64 {
+			return fmt.Errorf("exec: unsupported predicate column type %s", t)
+		}
+	}
+	return nil
 }
 
-// RefinePred filters sel in place, keeping the indexes satisfying p over v —
-// the vectorized follow-up passes of a conjunction.
-func RefinePred(sel []int32, v *vector.Vector, p Pred) []int32 {
-	return evalPredSel(sel, v, p)
+// Select evaluates the conjunction preds (at least one; Col = index into
+// cols) over one batch and returns the qualifying physical row indexes,
+// ascending, in buf's storage. The candidates are the rows of in, the batch's
+// incoming selection, when it is non-nil, else rows [0, n). It is the one
+// conjunction loop: Filter, MemScan and the row-addressed JIT scans all
+// evaluate predicates through it.
+func Select(buf []int32, cols []*vector.Vector, preds []Pred, in []int32, n int) []int32 {
+	sel := buf[:0]
+	if in != nil {
+		sel = append(sel, in...)
+	} else {
+		sel = evalPredAll(sel, cols[preds[0].Col], preds[0], n)
+		preds = preds[1:]
+	}
+	for _, p := range preds {
+		if len(sel) == 0 {
+			break
+		}
+		sel = evalPredSel(sel, cols[p.Col], p)
+	}
+	return sel
 }
 
 // Filter passes through the rows of its child that satisfy every predicate.
@@ -94,16 +118,8 @@ type Filter struct {
 // NewFilter validates the predicates against the child schema.
 func NewFilter(child Operator, preds []Pred) (*Filter, error) {
 	schema := child.Schema()
-	for _, p := range preds {
-		if p.Col < 0 || p.Col >= len(schema) {
-			return nil, fmt.Errorf("exec: filter: column index %d out of range", p.Col)
-		}
-		switch schema[p.Col].Type {
-		case vector.Int64, vector.Float64:
-		default:
-			return nil, fmt.Errorf("exec: filter: unsupported predicate column type %s",
-				schema[p.Col].Type)
-		}
+	if err := CheckPreds(schema, preds); err != nil {
+		return nil, err
 	}
 	return &Filter{child: child, preds: preds, schema: schema}, nil
 }
@@ -124,28 +140,11 @@ func (f *Filter) Next() (*vector.Batch, error) {
 		if len(f.preds) == 0 {
 			return b, nil
 		}
+		// A child that already selected rows (a scan with pushed-down
+		// predicates, or another Filter) has its selection refined on a
+		// private copy.
 		n := b.Len()
-		if b.Sel != nil {
-			// The child already selected rows (a scan with pushed-down
-			// predicates, or another Filter): refine its selection in place
-			// on a private copy.
-			f.sel = append(f.sel[:0], b.Sel...)
-			for _, p := range f.preds {
-				if len(f.sel) == 0 {
-					break
-				}
-				f.sel = evalPredSel(f.sel, b.Cols[p.Col], p)
-			}
-		} else {
-			// First predicate scans all rows; the rest refine the selection.
-			f.sel = evalPredAll(f.sel[:0], b.Cols[f.preds[0].Col], f.preds[0], n)
-			for _, p := range f.preds[1:] {
-				if len(f.sel) == 0 {
-					break
-				}
-				f.sel = evalPredSel(f.sel, b.Cols[p.Col], p)
-			}
-		}
+		f.sel = Select(f.sel, b.Cols, f.preds, b.Sel, n)
 		if len(f.sel) == 0 {
 			continue // fully filtered batch; pull the next one
 		}

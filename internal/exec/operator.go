@@ -1,6 +1,7 @@
 // Package exec implements the vectorized relational operators of the engine:
 // selection, projection, hash join, and aggregation, plus the in-memory scan
-// used by the load-first DBMS baseline.
+// (over the load-first DBMS baseline's columns and cached shreds) and the
+// late-append shell every column-shred access path runs in.
 //
 // Operators follow the Volcano model the paper links its generated scan
 // operators into, but exchange vector.Batch values (batch-at-a-time) rather
@@ -32,7 +33,8 @@ type Operator interface {
 }
 
 // MemScan streams a fully materialised table (a set of equal-length column
-// vectors) in batches. The DBMS baseline queries loaded tables through it,
+// vectors) in batches. The DBMS baseline queries loaded tables through it, the
+// planner streams resident columns and cached full column shreds through it,
 // and tests use it as a deterministic source. With predicates bound
 // (NewMemScanPred) the scan evaluates them vectorized per batch and emits a
 // selection vector instead of feeding a separate Filter.
@@ -43,8 +45,11 @@ type MemScan struct {
 	preds      []Pred
 	sel        []int32
 	rowsPruned int64
-	pos        int
-	out        *vector.Batch
+	// rid, when the schema names a column past cols, is that column: the row
+	// ids, counted from 0 over cols.
+	rid *vector.Vector
+	pos int
+	out *vector.Batch
 }
 
 // RowsPruned reports how many rows the bound predicates eliminated inside
@@ -59,24 +64,20 @@ func NewMemScanPred(schema vector.Schema, cols []*vector.Vector, batchSize int, 
 	if err != nil {
 		return nil, err
 	}
-	for _, p := range preds {
-		if p.Col < 0 || p.Col >= len(schema) {
-			return nil, fmt.Errorf("exec: memscan: predicate column %d out of range", p.Col)
-		}
-		switch schema[p.Col].Type {
-		case vector.Int64, vector.Float64:
-		default:
-			return nil, fmt.Errorf("exec: memscan: unsupported predicate column type %s", schema[p.Col].Type)
-		}
+	if err := CheckPreds(schema, preds); err != nil {
+		return nil, err
 	}
 	s.preds = preds
 	return s, nil
 }
 
-// NewMemScan returns a scan over cols with the given schema. batchSize <= 0
-// selects vector.DefaultBatchSize.
+// NewMemScan returns a scan over cols with the given schema. A schema one
+// Int64 column longer than cols (at least one) names the row-id column the
+// scan then emits last; this package does not know the name hidden row-id
+// columns go by. batchSize <= 0 selects vector.DefaultBatchSize.
 func NewMemScan(schema vector.Schema, cols []*vector.Vector, batchSize int) (*MemScan, error) {
-	if len(schema) != len(cols) {
+	emitRID := len(cols) > 0 && len(schema) == len(cols)+1 && schema[len(cols)].Type == vector.Int64
+	if len(schema) != len(cols) && !emitRID {
 		return nil, fmt.Errorf("exec: memscan: %d schema columns, %d vectors", len(schema), len(cols))
 	}
 	n := -1
@@ -93,7 +94,11 @@ func NewMemScan(schema vector.Schema, cols []*vector.Vector, batchSize int) (*Me
 	if batchSize <= 0 {
 		batchSize = vector.DefaultBatchSize
 	}
-	return &MemScan{schema: schema, cols: cols, batchSize: batchSize}, nil
+	s := &MemScan{schema: schema, cols: cols, batchSize: batchSize}
+	if emitRID {
+		s.rid = vector.New(vector.Int64, batchSize)
+	}
+	return s, nil
 }
 
 // Schema implements Operator.
@@ -120,22 +125,23 @@ func (s *MemScan) Next() (*vector.Batch, error) {
 			end = n
 		}
 		if s.out == nil {
-			s.out = &vector.Batch{Cols: make([]*vector.Vector, len(s.cols))}
+			s.out = &vector.Batch{Cols: make([]*vector.Vector, len(s.schema))}
 		}
 		for i, c := range s.cols {
 			s.out.Cols[i] = c.Slice(s.pos, end)
+		}
+		if s.rid != nil {
+			s.rid.Reset()
+			for r := s.pos; r < end; r++ {
+				s.rid.AppendInt64(int64(r))
+			}
+			s.out.Cols[len(s.cols)] = s.rid
 		}
 		s.out.Sel = nil
 		m := end - s.pos
 		s.pos = end
 		if len(s.preds) > 0 {
-			s.sel = evalPredAll(s.sel[:0], s.out.Cols[s.preds[0].Col], s.preds[0], m)
-			for _, p := range s.preds[1:] {
-				if len(s.sel) == 0 {
-					break
-				}
-				s.sel = evalPredSel(s.sel, s.out.Cols[p.Col], p)
-			}
+			s.sel = Select(s.sel, s.out.Cols, s.preds, nil, m)
 			s.rowsPruned += int64(m - len(s.sel))
 			if len(s.sel) == 0 {
 				continue // fully filtered range: advance to the next one

@@ -264,7 +264,7 @@ func (s *CSVScan) Next() (*vector.Batch, error) {
 	}
 	s.out.Reset()
 	if s.readPM != nil {
-		return s.nextViaMap()
+		return s.nextPositional()
 	}
 	return s.nextSequential()
 }
@@ -326,10 +326,10 @@ func (s *CSVScan) nextSequential() (*vector.Batch, error) {
 	return s.out, nil
 }
 
-// nextViaMap is the generic second-query loop: per row and per needed column,
-// consult the positional map, jump, incrementally skip to the column, then
-// convert via the type switch.
-func (s *CSVScan) nextViaMap() (*vector.Batch, error) {
+// nextPositional is the generic second-query loop: per row and per needed
+// column, consult the positional map, jump, incrementally skip to the column,
+// then convert via the type switch.
+func (s *CSVScan) nextPositional() (*vector.Batch, error) {
 	data := s.data
 	ridSlot := -1
 	if s.emitRID {

@@ -6,106 +6,35 @@ import (
 	"math"
 
 	"rawdb/internal/catalog"
-	"rawdb/internal/exec"
 	"rawdb/internal/storage/binfile"
-	"rawdb/internal/synopsis"
 	"rawdb/internal/vector"
 )
 
-// BinScan is a JIT access path over the fixed-width binary format. The
-// generator computes every field's byte offset and the row stride once and
-// folds them into per-column reader closures; execution is column-at-a-time
-// strided decoding with no per-field position arithmetic beyond one addition
-// and no type dispatch. This is the paper's "the location of the 3rd column
-// of row 15 can be computed as 15*tupleSize + 2*dataSize ... directly
-// included in the generated code". With pushdown (NewBinScanPush) predicate
-// columns decode first, the conjunction is evaluated vectorized, remaining
-// columns decode only qualifying rows, and zone maps exclude whole batch
-// ranges before any decoding.
-type BinScan struct {
-	schema    vector.Schema
-	batchSize int
-	nrows     int64
-	readers   []func(rowStart, rowEnd int64, sel []int32, out *vector.Vector)
-	emitRID   bool
-	ridSlot   int
-
-	predReaders []int
-	restReaders []int
-	predEval    []slotPred
-	selBuf      []int32
-	skip        func(start, end int64) bool
-	// syn, when set, advances by each batch's row count after all observed
-	// columns decoded: zone boundaries then align to batches, which the
-	// synopsis representation permits (blocks are variable row ranges). With
-	// predicates pushed, only predicate columns (decoded dense) observe.
-	syn *synopsis.Builder
-
-	rowsPruned    int64
-	blocksSkipped int64
-
-	// Row range [rngStart, rngEnd) restricts the scan to a morsel of the
-	// file; the zero rngEnd means "to the last row".
-	rngStart, rngEnd int64
-
-	row int64
-	out *vector.Batch
-}
-
-// SetRowRange restricts the scan to rows [start, end), the morsel form used
-// by parallel plans (fixed-stride arithmetic makes any row range addressable
-// directly). The emitted row ids stay absolute.
-func (s *BinScan) SetRowRange(start, end int64) error {
-	if start < 0 || end < start || end > s.nrows {
-		return fmt.Errorf("jit: row range [%d,%d) outside 0..%d", start, end, s.nrows)
-	}
-	s.rngStart, s.rngEnd = start, end
-	return nil
-}
-
-// PushStats reports how many rows pushed-down predicates eliminated and how
-// many batch ranges zone-map skip tests excluded inside this scan.
-func (s *BinScan) PushStats() (rowsPruned, blocksSkipped int64) {
-	return s.rowsPruned, s.blocksSkipped
-}
-
 // NewBinScan generates a binary access path materialising columns need.
-func NewBinScan(r *binfile.Reader, t *catalog.Table, need []int, emitRID bool, batchSize int) (*BinScan, error) {
+func NewBinScan(r *binfile.Reader, t *catalog.Table, need []int, emitRID bool, batchSize int) (*RowScan, error) {
 	return NewBinScanPush(r, t, need, emitRID, batchSize, Pushdown{})
 }
 
-// NewBinScanPush generates a binary access path with pushdown (see BinScan).
+// NewBinScanPush generates a JIT access path over the fixed-width binary
+// format. The generator computes every field's byte offset and the row stride
+// once and folds them into per-column reader closures; execution is
+// column-at-a-time strided decoding with no per-field position arithmetic
+// beyond one addition and no type dispatch. This is the paper's "the location
+// of the 3rd column of row 15 can be computed as 15*tupleSize + 2*dataSize ...
+// directly included in the generated code". Fixed-stride arithmetic makes any
+// row range addressable directly. opts.Syn observes the columns decoded
+// dense: all of them, or with predicates pushed only the predicate columns.
 func NewBinScanPush(r *binfile.Reader, t *catalog.Table, need []int, emitRID bool,
-	batchSize int, opts Pushdown) (*BinScan, error) {
+	batchSize int, opts Pushdown) (*RowScan, error) {
 	if t.Format != catalog.Binary {
 		return nil, fmt.Errorf("jit: bin scan got format %s", t.Format)
 	}
-	if err := validatePreds(t, need, opts.Preds); err != nil {
-		return nil, err
-	}
-	if batchSize <= 0 {
-		batchSize = vector.DefaultBatchSize
-	}
-	schema, err := scanSchema(t, need, emitRID)
-	if err != nil {
-		return nil, err
-	}
-	s := &BinScan{
-		schema:    schema,
-		batchSize: batchSize,
-		nrows:     r.NRows(),
-		emitRID:   emitRID,
-		ridSlot:   len(need),
-		skip:      opts.Skip,
-		syn:       opts.Syn,
-	}
-	s.out = vector.NewBatch(schema.Types(), batchSize)
 	payload := r.Payload()
 	rowSize := r.RowSize()
 	types := r.Types()
-	for i, c := range need {
-		if c < 0 || c >= len(types) {
-			return nil, fmt.Errorf("jit: column index %d out of range", c)
+	return newRowScan(t, need, r.NRows(), emitRID, batchSize, opts, func(c int) (rowCol, error) {
+		if c >= len(types) {
+			return rowCol{}, fmt.Errorf("jit: column index %d out of range", c)
 		}
 		// Offset and synopsis accumulator resolved at generation time:
 		// constants in the closure.
@@ -113,7 +42,7 @@ func NewBinScanPush(r *binfile.Reader, t *catalog.Table, need []int, emitRID boo
 		acc := opts.Syn.Acc(c)
 		switch types[c] {
 		case vector.Int64:
-			s.readers = append(s.readers, func(rowStart, rowEnd int64, sel []int32, out *vector.Vector) {
+			return rowCol{read: func(rowStart, rowEnd int64, sel []int32, out *vector.Vector) error {
 				if sel != nil {
 					base := out.Extend(int(rowEnd - rowStart))
 					start := int(rowStart) * rowSize
@@ -121,7 +50,7 @@ func NewBinScanPush(r *binfile.Reader, t *catalog.Table, need []int, emitRID boo
 						p := start + int(si)*rowSize + off
 						out.Int64s[base+int(si)] = int64(binary.LittleEndian.Uint64(payload[p : p+8]))
 					}
-					return
+					return nil
 				}
 				p := int(rowStart)*rowSize + off
 				for i := rowStart; i < rowEnd; i++ {
@@ -132,9 +61,10 @@ func NewBinScanPush(r *binfile.Reader, t *catalog.Table, need []int, emitRID boo
 					out.Int64s = append(out.Int64s, v)
 					p += rowSize
 				}
-			})
+				return nil
+			}}, nil
 		case vector.Float64:
-			s.readers = append(s.readers, func(rowStart, rowEnd int64, sel []int32, out *vector.Vector) {
+			return rowCol{read: func(rowStart, rowEnd int64, sel []int32, out *vector.Vector) error {
 				if sel != nil {
 					base := out.Extend(int(rowEnd - rowStart))
 					start := int(rowStart) * rowSize
@@ -142,7 +72,7 @@ func NewBinScanPush(r *binfile.Reader, t *catalog.Table, need []int, emitRID boo
 						p := start + int(si)*rowSize + off
 						out.Float64s[base+int(si)] = math.Float64frombits(binary.LittleEndian.Uint64(payload[p : p+8]))
 					}
-					return
+					return nil
 				}
 				p := int(rowStart)*rowSize + off
 				for i := rowStart; i < rowEnd; i++ {
@@ -153,97 +83,9 @@ func NewBinScanPush(r *binfile.Reader, t *catalog.Table, need []int, emitRID boo
 					out.Float64s = append(out.Float64s, v)
 					p += rowSize
 				}
-			})
-		default:
-			return nil, fmt.Errorf("jit: unsupported binary column type %s", types[c])
+				return nil
+			}}, nil
 		}
-		if ps := predsFor(opts.Preds, c); len(ps) > 0 {
-			s.predReaders = append(s.predReaders, i)
-			for _, p := range ps {
-				s.predEval = append(s.predEval, slotPred{slot: i, p: p})
-			}
-		} else {
-			s.restReaders = append(s.restReaders, i)
-		}
-	}
-	return s, nil
+		return rowCol{}, fmt.Errorf("jit: unsupported binary column type %s", types[c])
+	})
 }
-
-// Schema implements exec.Operator.
-func (s *BinScan) Schema() vector.Schema { return s.schema }
-
-// Open implements exec.Operator.
-func (s *BinScan) Open() error {
-	s.row = s.rngStart
-	return nil
-}
-
-// Next implements exec.Operator.
-func (s *BinScan) Next() (*vector.Batch, error) {
-	limit := s.nrows
-	if s.rngEnd > 0 {
-		limit = s.rngEnd
-	}
-	for {
-		if s.row >= limit {
-			return nil, nil
-		}
-		end := s.row + int64(s.batchSize)
-		if end > limit {
-			end = limit
-		}
-		if s.skip != nil && s.skip(s.row, end) {
-			s.blocksSkipped++
-			s.rowsPruned += end - s.row
-			s.row = end
-			continue
-		}
-		s.out.Reset()
-		m := int(end - s.row)
-		var sel []int32
-		if len(s.predEval) > 0 {
-			for _, ri := range s.predReaders {
-				s.readers[ri](s.row, end, nil, s.out.Cols[ri])
-			}
-			var all bool
-			sel, all = evalSlotPreds(s.predEval, s.out, m, s.selBuf)
-			s.selBuf = sel[:0]
-			if all {
-				sel = nil
-			} else if len(sel) == 0 {
-				s.rowsPruned += int64(m)
-				if s.syn != nil {
-					s.syn.Advance(end - s.row)
-				}
-				s.row = end
-				continue
-			} else {
-				s.rowsPruned += int64(m - len(sel))
-			}
-			for _, ri := range s.restReaders {
-				s.readers[ri](s.row, end, sel, s.out.Cols[ri])
-			}
-		} else {
-			for i, r := range s.readers {
-				r(s.row, end, nil, s.out.Cols[i])
-			}
-		}
-		if s.syn != nil {
-			s.syn.Advance(end - s.row)
-		}
-		if s.emitRID {
-			rid := s.out.Cols[s.ridSlot]
-			for i := s.row; i < end; i++ {
-				rid.AppendInt64(i)
-			}
-		}
-		s.out.Sel = sel
-		s.row = end
-		return s.out, nil
-	}
-}
-
-// Close implements exec.Operator.
-func (s *BinScan) Close() error { return nil }
-
-var _ exec.Operator = (*BinScan)(nil)

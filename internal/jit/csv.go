@@ -20,30 +20,19 @@ import (
 // loop conditions and no catalog lookups.
 type rowStep func(pos int) int
 
-// colReader reads the values of one column for rows [rowStart, rowEnd) into
-// out, using a positional map column captured at construction. It is the
-// vectorized, column-at-a-time body of a ViaMap JIT scan. A non-nil sel
-// restricts the read to the selected batch rows: the vector is extended to
-// the full physical range and only the selected positions are written (the
-// selection-vector contract of vector.Batch).
-type colReader func(rowStart, rowEnd int64, sel []int32, out *vector.Vector) error
-
-// CSVScan is a JIT access path over a CSV file. Construct it with
-// NewCSVSequentialScan (first query: parse front-to-back, optionally
-// building a positional map) or NewCSVMapScan (later queries: jump via the
-// positional map, column at a time). The *Push constructors additionally
-// inline pushed-down predicates, zone-map skip tests and synopsis building
-// into the generated code.
+// CSVScan is the sequential JIT access path over a CSV file: the first query
+// parses it front to back, optionally building a positional map; later
+// queries jump through that map, column at a time (NewCSVMapScan, a RowScan).
+// NewCSVSequentialScanPush additionally inlines pushed-down predicates and
+// synopsis building into the generated code.
 type CSVScan struct {
 	schema    vector.Schema
 	batchSize int
-
-	// Sequential mode.
-	data    []byte
-	steps   []rowStep
-	buildPM *posmap.Map
-	scratch []int64
-	err     error
+	data      []byte
+	steps     []rowStep
+	buildPM   *posmap.Map
+	scratch   []int64
+	err       error
 	// failSteps mirrors steps with structural-only actions (delimiter skips
 	// and positional-map recordings, no conversions): when a pushed-down
 	// predicate fails mid-row, the remainder of the row is completed through
@@ -53,25 +42,8 @@ type CSVScan struct {
 	hasPreds  bool
 	nneed     int
 	syn       *synopsis.Builder
-
-	// ViaMap mode.
-	readers []colReader
-	// predReaders run first (dense) and feed the vectorized conjunction;
-	// the remaining readers honour the resulting selection.
-	predReaders []int // indexes into readers, in evaluation order
-	restReaders []int
-	predEval    []slotPred
-	selBuf      []int32
-	skip        func(start, end int64) bool
-	nrows       int64
-
-	// Pushdown statistics.
-	rowsPruned    int64
-	blocksSkipped int64
-
-	// Row range [rngStart, rngEnd) restricts a ViaMap scan to a morsel of
-	// the file; the zero rngEnd means "to the last row".
-	rngStart, rngEnd int64
+	// rowsPruned counts the rows pushed-down predicates short-circuited.
+	rowsPruned int64
 
 	emitRID bool
 	ridSlot int
@@ -80,24 +52,10 @@ type CSVScan struct {
 	out     *vector.Batch
 }
 
-// SetRowRange restricts a ViaMap scan to rows [start, end), the row-morsel
-// form used by parallel plans over an already-built positional map. The
-// emitted row ids stay absolute.
-func (s *CSVScan) SetRowRange(start, end int64) error {
-	if s.readers == nil {
-		return fmt.Errorf("jit: row ranges require a via-map csv scan")
-	}
-	if start < 0 || end < start || end > s.nrows {
-		return fmt.Errorf("jit: row range [%d,%d) outside 0..%d", start, end, s.nrows)
-	}
-	s.rngStart, s.rngEnd = start, end
-	return nil
-}
-
-// PushStats reports how many rows pushed-down predicates short-circuited and
-// how many batch ranges zone-map skip tests excluded inside this scan.
+// PushStats reports how many rows pushed-down predicates short-circuited (a
+// sequential scan skips no range).
 func (s *CSVScan) PushStats() (rowsPruned, blocksSkipped int64) {
-	return s.rowsPruned, s.blocksSkipped
+	return s.rowsPruned, 0
 }
 
 // NewCSVSequentialScan generates a sequential access path: one specialised
@@ -120,14 +78,14 @@ func NewCSVSequentialScanPush(data []byte, t *catalog.Table, need []int,
 	if t.Format != catalog.CSV {
 		return nil, fmt.Errorf("jit: csv scan got format %s", t.Format)
 	}
-	if err := validatePreds(t, need, opts.Preds); err != nil {
-		return nil, err
-	}
 	if batchSize <= 0 {
 		batchSize = vector.DefaultBatchSize
 	}
 	schema, err := scanSchema(t, need, emitRID)
 	if err != nil {
+		return nil, err
+	}
+	if _, err := bindPreds(schema, need, opts.Preds); err != nil {
 		return nil, err
 	}
 	s := &CSVScan{
@@ -263,60 +221,27 @@ func NewCSVSequentialScanPush(data []byte, t *catalog.Table, need []int,
 // fields to skip, then emits a monomorphic column reader. Execution is
 // column-at-a-time over each batch's row range.
 func NewCSVMapScan(data []byte, t *catalog.Table, need []int, pm *posmap.Map,
-	emitRID bool, batchSize int) (*CSVScan, error) {
+	emitRID bool, batchSize int) (*RowScan, error) {
 	return NewCSVMapScanPush(data, t, need, pm, emitRID, batchSize, Pushdown{})
 }
 
-// NewCSVMapScanPush generates a ViaMap access path with pushdown: predicate
-// columns are read first (dense), the conjunction is evaluated vectorized,
-// and the remaining columns are parsed only for qualifying rows; emitted
-// batches carry a selection vector. opts.Skip excludes whole batch ranges
-// via zone maps before any field is touched.
+// NewCSVMapScanPush generates a ViaMap access path with pushdown (see
+// RowScan): opts.Preds select rows before the remaining columns are parsed,
+// and opts.Skip excludes whole batch ranges via zone maps before any field is
+// touched. opts.Syn is ignored: these readers observe nothing.
 func NewCSVMapScanPush(data []byte, t *catalog.Table, need []int, pm *posmap.Map,
-	emitRID bool, batchSize int, opts Pushdown) (*CSVScan, error) {
+	emitRID bool, batchSize int, opts Pushdown) (*RowScan, error) {
 	if t.Format != catalog.CSV {
 		return nil, fmt.Errorf("jit: csv scan got format %s", t.Format)
 	}
 	if pm == nil || pm.NRows() == 0 {
 		return nil, fmt.Errorf("jit: map scan requires a populated positional map")
 	}
-	if err := validatePreds(t, need, opts.Preds); err != nil {
-		return nil, err
-	}
-	if batchSize <= 0 {
-		batchSize = vector.DefaultBatchSize
-	}
-	schema, err := scanSchema(t, need, emitRID)
-	if err != nil {
-		return nil, err
-	}
-	s := &CSVScan{
-		data:      data,
-		schema:    schema,
-		batchSize: batchSize,
-		nrows:     pm.NRows(),
-		emitRID:   emitRID,
-		ridSlot:   len(need),
-		nneed:     len(need),
-		skip:      opts.Skip,
-	}
-	s.out = vector.NewBatch(schema.Types(), batchSize)
-	for i, c := range need {
+	opts.Syn = nil
+	return newRowScan(t, need, pm.NRows(), emitRID, batchSize, opts, func(c int) (rowCol, error) {
 		r, err := newCSVColReader(data, t, c, pm)
-		if err != nil {
-			return nil, err
-		}
-		s.readers = append(s.readers, r)
-		if ps := predsFor(opts.Preds, c); len(ps) > 0 {
-			s.predReaders = append(s.predReaders, i)
-			for _, p := range ps {
-				s.predEval = append(s.predEval, slotPred{slot: i, p: p})
-			}
-		} else {
-			s.restReaders = append(s.restReaders, i)
-		}
-	}
-	return s, nil
+		return rowCol{read: r}, err
+	})
 }
 
 // newCSVColReader generates the reader for one column: jump positions and
@@ -336,14 +261,23 @@ func newCSVColReader(data []byte, t *catalog.Table, c int, pm *posmap.Map) (colR
 				if sel != nil {
 					base := out.Extend(int(rowEnd - rowStart))
 					for _, si := range sel {
-						start, end, _ := csvfile.FieldBounds(data, int(positions[rowStart+int64(si)]))
-						out.Int64s[base+int(si)] = bytesconv.ParseInt64Fast(data[start:end])
+						row := rowStart + int64(si)
+						start, end, _ := csvfile.FieldBounds(data, int(positions[row]))
+						v, err := bytesconv.ParseInt64(data[start:end])
+						if err != nil {
+							return csvMapError(row, c, err)
+						}
+						out.Int64s[base+int(si)] = v
 					}
 					return nil
 				}
-				for _, p := range positions[rowStart:rowEnd] {
+				for i, p := range positions[rowStart:rowEnd] {
 					start, end, _ := csvfile.FieldBounds(data, int(p))
-					out.Int64s = append(out.Int64s, bytesconv.ParseInt64Fast(data[start:end]))
+					v, err := bytesconv.ParseInt64(data[start:end])
+					if err != nil {
+						return csvMapError(rowStart+int64(i), c, err)
+					}
+					out.Int64s = append(out.Int64s, v)
 				}
 				return nil
 			}, nil
@@ -352,16 +286,25 @@ func newCSVColReader(data []byte, t *catalog.Table, c int, pm *posmap.Map) (colR
 			if sel != nil {
 				base := out.Extend(int(rowEnd - rowStart))
 				for _, si := range sel {
-					pos := csvfile.SkipFields(data, int(positions[rowStart+int64(si)]), skip)
+					row := rowStart + int64(si)
+					pos := csvfile.SkipFields(data, int(positions[row]), skip)
 					start, end, _ := csvfile.FieldBounds(data, pos)
-					out.Int64s[base+int(si)] = bytesconv.ParseInt64Fast(data[start:end])
+					v, err := bytesconv.ParseInt64(data[start:end])
+					if err != nil {
+						return csvMapError(row, c, err)
+					}
+					out.Int64s[base+int(si)] = v
 				}
 				return nil
 			}
-			for _, p := range positions[rowStart:rowEnd] {
+			for i, p := range positions[rowStart:rowEnd] {
 				pos := csvfile.SkipFields(data, int(p), skip)
 				start, end, _ := csvfile.FieldBounds(data, pos)
-				out.Int64s = append(out.Int64s, bytesconv.ParseInt64Fast(data[start:end]))
+				v, err := bytesconv.ParseInt64(data[start:end])
+				if err != nil {
+					return csvMapError(rowStart+int64(i), c, err)
+				}
+				out.Int64s = append(out.Int64s, v)
 			}
 			return nil
 		}, nil
@@ -370,20 +313,21 @@ func newCSVColReader(data []byte, t *catalog.Table, c int, pm *posmap.Map) (colR
 			if sel != nil {
 				base := out.Extend(int(rowEnd - rowStart))
 				for _, si := range sel {
-					pos := int(positions[rowStart+int64(si)])
+					row := rowStart + int64(si)
+					pos := int(positions[row])
 					if skip > 0 {
 						pos = csvfile.SkipFields(data, pos, skip)
 					}
 					start, end, _ := csvfile.FieldBounds(data, pos)
 					v, err := bytesconv.ParseFloat64(data[start:end])
 					if err != nil {
-						return fmt.Errorf("jit csv map scan: %w", err)
+						return csvMapError(row, c, err)
 					}
 					out.Float64s[base+int(si)] = v
 				}
 				return nil
 			}
-			for _, p := range positions[rowStart:rowEnd] {
+			for i, p := range positions[rowStart:rowEnd] {
 				pos := int(p)
 				if skip > 0 {
 					pos = csvfile.SkipFields(data, pos, skip)
@@ -391,7 +335,7 @@ func newCSVColReader(data []byte, t *catalog.Table, c int, pm *posmap.Map) (colR
 				start, end, _ := csvfile.FieldBounds(data, pos)
 				v, err := bytesconv.ParseFloat64(data[start:end])
 				if err != nil {
-					return fmt.Errorf("jit csv map scan: %w", err)
+					return csvMapError(rowStart+int64(i), c, err)
 				}
 				out.Float64s = append(out.Float64s, v)
 			}
@@ -402,16 +346,26 @@ func newCSVColReader(data []byte, t *catalog.Table, c int, pm *posmap.Map) (colR
 	}
 }
 
+// csvMapError is a via-map reader's conversion failure, at row and column.
+func csvMapError(row int64, c int, err error) error {
+	return fmt.Errorf("jit csv map scan: row %d col %d: %w", row, c, err)
+}
+
 func scanSchema(t *catalog.Table, need []int, emitRID bool) (vector.Schema, error) {
-	schema := make(vector.Schema, 0, len(need)+1)
-	for _, c := range need {
+	schema, err := appendSchema(make(vector.Schema, 0, len(need)+1), t, need)
+	if err == nil && emitRID {
+		schema = append(schema, vector.Col{Name: insitu.RowIDColumn, Type: vector.Int64})
+	}
+	return schema, err
+}
+
+// appendSchema appends columns cols of t to schema.
+func appendSchema(schema vector.Schema, t *catalog.Table, cols []int) (vector.Schema, error) {
+	for _, c := range cols {
 		if c < 0 || c >= len(t.Schema) {
 			return nil, fmt.Errorf("jit: column index %d out of range for table %q", c, t.Name)
 		}
 		schema = append(schema, vector.Col{Name: t.Schema[c].Name, Type: t.Schema[c].Type})
-	}
-	if emitRID {
-		schema = append(schema, vector.Col{Name: insitu.RowIDColumn, Type: vector.Int64})
 	}
 	return schema, nil
 }
@@ -422,7 +376,7 @@ func (s *CSVScan) Schema() vector.Schema { return s.schema }
 // Open implements exec.Operator.
 func (s *CSVScan) Open() error {
 	s.pos = 0
-	s.row = s.rngStart
+	s.row = 0
 	s.err = nil
 	s.failed = false
 	return nil
@@ -431,13 +385,6 @@ func (s *CSVScan) Open() error {
 // Next implements exec.Operator.
 func (s *CSVScan) Next() (*vector.Batch, error) {
 	s.out.Reset()
-	if s.readers != nil {
-		return s.nextViaMap()
-	}
-	return s.nextSequential()
-}
-
-func (s *CSVScan) nextSequential() (*vector.Batch, error) {
 	data := s.data
 	steps := s.steps
 	n := 0
@@ -509,74 +456,6 @@ func (s *CSVScan) nextSequential() (*vector.Batch, error) {
 		return nil, nil
 	}
 	return s.out, nil
-}
-
-func (s *CSVScan) nextViaMap() (*vector.Batch, error) {
-	limit := s.nrows
-	if s.rngEnd > 0 {
-		limit = s.rngEnd
-	}
-	for {
-		if s.row >= limit {
-			return nil, nil
-		}
-		end := s.row + int64(s.batchSize)
-		if end > limit {
-			end = limit
-		}
-		// Zone-map exclusion: skip the whole range without touching a byte.
-		if s.skip != nil && s.skip(s.row, end) {
-			s.blocksSkipped++
-			s.rowsPruned += end - s.row
-			s.row = end
-			continue
-		}
-		s.out.Reset()
-		m := int(end - s.row)
-		var sel []int32
-		if len(s.predEval) > 0 {
-			// Predicate columns first, dense; then the vectorized conjunction.
-			for _, ri := range s.predReaders {
-				if err := s.readers[ri](s.row, end, nil, s.out.Cols[ri]); err != nil {
-					return nil, err
-				}
-			}
-			var all bool
-			sel, all = evalSlotPreds(s.predEval, s.out, m, s.selBuf)
-			s.selBuf = sel[:0]
-			if all {
-				sel = nil
-			} else if len(sel) == 0 {
-				s.rowsPruned += int64(m)
-				s.row = end
-				continue
-			} else {
-				s.rowsPruned += int64(m - len(sel))
-			}
-			// Remaining columns honour the selection: non-qualifying rows
-			// never pay their parse cost.
-			for _, ri := range s.restReaders {
-				if err := s.readers[ri](s.row, end, sel, s.out.Cols[ri]); err != nil {
-					return nil, err
-				}
-			}
-		} else {
-			for i, r := range s.readers {
-				if err := r(s.row, end, nil, s.out.Cols[i]); err != nil {
-					return nil, err
-				}
-			}
-		}
-		if s.emitRID {
-			rid := s.out.Cols[s.ridSlot]
-			for i := s.row; i < end; i++ {
-				rid.AppendInt64(i)
-			}
-		}
-		s.out.Sel = sel
-		s.row = end
-		return s.out, nil
-	}
 }
 
 // Close implements exec.Operator.

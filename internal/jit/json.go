@@ -7,6 +7,7 @@ import (
 	"rawdb/internal/bytesconv"
 	"rawdb/internal/catalog"
 	"rawdb/internal/exec"
+	"rawdb/internal/insitu"
 	"rawdb/internal/jsonidx"
 	"rawdb/internal/storage/jsonfile"
 	"rawdb/internal/synopsis"
@@ -100,24 +101,15 @@ func compileJSONMatcher(entries []jsonEntry) (*jsonMatcher, int, error) {
 	return root, nleaves, nil
 }
 
-// jsonColReader reads one column's values for rows [rowStart, rowEnd), the
-// column-at-a-time body of a structural-index (ViaMap) JSON scan. A non-nil
-// sel restricts recorded-offset readers to the selected batch rows; readers
-// that record adaptively ignore sel (the structural index must cover every
-// row) and always run dense.
-type jsonColReader func(rowStart, rowEnd int64, sel []int32, out *vector.Vector) error
-
-// JSONScan is a JIT access path over a JSONL file. Construct it with
-// NewJSONSequentialScan (first query: walk every object front to back,
-// building the structural index as a side effect) or NewJSONMapScan (later
-// queries: jump via recorded value offsets, recording any newly touched
-// paths adaptively).
+// JSONScan is the sequential JIT access path over a JSONL file: the first
+// query walks every object front to back, building the structural index as a
+// side effect; later queries jump via recorded value offsets, recording any
+// newly touched paths adaptively (NewJSONMapScan, a RowScan).
 type JSONScan struct {
 	schema    vector.Schema
 	batchSize int
 	data      []byte
 
-	// Sequential mode.
 	matcher *jsonMatcher
 	nexpect int
 	rec     *jsonidx.Recorder
@@ -132,31 +124,12 @@ type JSONScan struct {
 	misses    int    // consecutive departures
 	walks     int64  // rows read by the general walker, this one included
 
-	// ViaMap (structural index) mode.
-	readers  []jsonColReader
-	nrows    int64
-	adaptive *jsonidx.Recorder
-	// predReaders run first (dense) and feed the vectorized conjunction; the
-	// remaining readers honour the selection when they can (recorded-offset
-	// navigation) and run dense when they must (adaptive recording).
-	predReaders []int
-	restReaders []int
-	predEval    []slotPred
-	selBuf      []int32
-	skip        func(start, end int64) bool
-
-	// Sequential pushdown state.
-	failed bool
-	nneed  int
-	syn    *synopsis.Builder
-
-	// Pushdown statistics.
-	rowsPruned    int64
-	blocksSkipped int64
-
-	// Row range [rngStart, rngEnd) restricts a ViaMap scan to a morsel of
-	// the file; the zero rngEnd means "to the last row".
-	rngStart, rngEnd int64
+	// Pushdown state: failed marks the current row rejected by a predicate;
+	// rowsPruned counts the rows rejected so far.
+	failed     bool
+	rowsPruned int64
+	nneed      int
+	syn        *synopsis.Builder
 
 	emitRID   bool
 	ridSlot   int
@@ -166,25 +139,10 @@ type JSONScan struct {
 	out       *vector.Batch
 }
 
-// PushStats reports how many rows pushed-down predicates short-circuited and
-// how many batch ranges zone-map skip tests excluded inside this scan.
+// PushStats reports how many rows pushed-down predicates short-circuited (a
+// sequential scan skips no range).
 func (s *JSONScan) PushStats() (rowsPruned, blocksSkipped int64) {
-	return s.rowsPruned, s.blocksSkipped
-}
-
-// SetRowRange restricts a ViaMap scan to rows [start, end), the row-morsel
-// form used by parallel plans over a populated structural index. The emitted
-// row ids stay absolute. Adaptive recordings staged by a ranged scan are
-// discarded at commit (their row counts never match the whole file).
-func (s *JSONScan) SetRowRange(start, end int64) error {
-	if s.readers == nil {
-		return fmt.Errorf("jit: row ranges require a via-map json scan")
-	}
-	if start < 0 || end < start || end > s.nrows {
-		return fmt.Errorf("jit: row range [%d,%d) outside 0..%d", start, end, s.nrows)
-	}
-	s.rngStart, s.rngEnd = start, end
-	return nil
+	return s.rowsPruned, 0
 }
 
 // NewJSONSequentialScan generates a sequential access path over a JSONL
@@ -208,14 +166,14 @@ func NewJSONSequentialScanPush(data []byte, t *catalog.Table, need []int,
 	if t.Format != catalog.JSON {
 		return nil, fmt.Errorf("jit: json scan got format %s", t.Format)
 	}
-	if err := validatePreds(t, need, opts.Preds); err != nil {
-		return nil, err
-	}
 	if batchSize <= 0 {
 		batchSize = vector.DefaultBatchSize
 	}
 	schema, err := scanSchema(t, need, emitRID)
 	if err != nil {
+		return nil, err
+	}
+	if _, err := bindPreds(schema, need, opts.Preds); err != nil {
 		return nil, err
 	}
 	s := &JSONScan{
@@ -285,130 +243,109 @@ func NewJSONSequentialScanPush(data []byte, t *catalog.Table, need []int,
 // as a side effect — the adaptive population of the structural index).
 // Execution is column-at-a-time over each batch's row range.
 func NewJSONMapScan(data []byte, t *catalog.Table, need []int, idx *jsonidx.Index,
-	emitRID bool, batchSize int) (*JSONScan, error) {
+	emitRID bool, batchSize int) (*RowScan, error) {
 	return NewJSONMapScanPush(data, t, need, idx, emitRID, batchSize, Pushdown{})
 }
 
-// NewJSONMapScanPush generates a structural-index access path with pushdown:
-// predicate columns are read first (dense), the conjunction is evaluated
-// vectorized, and recorded-offset columns are then parsed only for
-// qualifying rows; emitted batches carry a selection vector. Columns needing
-// adaptive recording always read dense (the index must cover every row).
+// NewJSONMapScanPush generates a structural-index access path with pushdown
+// (see RowScan): recorded-offset columns are parsed only for rows opts.Preds
+// select, while columns needing adaptive recording always read dense (the
+// index must cover every row) and commit once the scan read the last row; a
+// ranged scan's recordings never match the whole file and are discarded.
 // opts.Skip applies only when no adaptive recording is staged — skipped rows
-// could never be recorded — and the constructor drops it otherwise.
+// could never be recorded — and is dropped otherwise. opts.Syn is ignored.
 func NewJSONMapScanPush(data []byte, t *catalog.Table, need []int, idx *jsonidx.Index,
-	emitRID bool, batchSize int, opts Pushdown) (*JSONScan, error) {
+	emitRID bool, batchSize int, opts Pushdown) (*RowScan, error) {
 	if t.Format != catalog.JSON {
 		return nil, fmt.Errorf("jit: json scan got format %s", t.Format)
 	}
 	if idx == nil || idx.NRows() == 0 {
 		return nil, fmt.Errorf("jit: json map scan requires a populated structural index")
 	}
-	if err := validatePreds(t, need, opts.Preds); err != nil {
-		return nil, err
-	}
-	if batchSize <= 0 {
-		batchSize = vector.DefaultBatchSize
-	}
-	schema, err := scanSchema(t, need, emitRID)
-	if err != nil {
-		return nil, err
-	}
-	s := &JSONScan{
-		data:      data,
-		schema:    schema,
-		batchSize: batchSize,
-		nrows:     idx.NRows(),
-		emitRID:   emitRID,
-		ridSlot:   len(need),
-		nneed:     len(need),
-	}
-	s.out = vector.NewBatch(schema.Types(), batchSize)
-
-	// Declare the untracked paths up front so one recorder stages them all.
+	// Declare the untracked paths up front so one recorder stages them all
+	// (a column out of range fails in newRowScan).
 	var newPaths []string
 	for _, c := range need {
-		if p := t.Schema[c].Name; !idx.Tracked(p) {
-			newPaths = append(newPaths, p)
+		if c >= 0 && c < len(t.Schema) && !idx.Tracked(t.Schema[c].Name) {
+			newPaths = append(newPaths, t.Schema[c].Name)
 		}
 	}
-	if len(newPaths) > 0 {
-		s.adaptive = idx.Record(newPaths)
-	}
-	if s.adaptive == nil {
-		s.skip = opts.Skip
-	}
+	var adaptive *jsonidx.Recorder
 	adaptSlot := make(map[string]int)
-	if s.adaptive != nil {
-		for i, p := range s.adaptive.Paths() {
+	if len(newPaths) > 0 {
+		adaptive = idx.Record(newPaths)
+		for i, p := range adaptive.Paths() {
 			adaptSlot[p] = i
 		}
+		opts.Skip = nil
 	}
-	for i, c := range need {
-		r, err := newJSONColReader(data, t, c, idx, s.adaptive, adaptSlot)
-		if err != nil {
-			return nil, err
-		}
-		s.readers = append(s.readers, r)
-		if ps := predsFor(opts.Preds, c); len(ps) > 0 {
-			s.predReaders = append(s.predReaders, i)
-			for _, p := range ps {
-				s.predEval = append(s.predEval, slotPred{slot: i, p: p})
-			}
-		} else {
-			s.restReaders = append(s.restReaders, i)
-		}
+	opts.Syn = nil
+	s, err := newRowScan(t, need, idx.NRows(), emitRID, batchSize, opts, func(c int) (rowCol, error) {
+		return newJSONColReader(data, t, c, idx, adaptive, adaptSlot)
+	})
+	if err == nil && adaptive != nil {
+		s.atEnd = adaptive.Commit
 	}
-	return s, nil
+	return s, err
 }
 
 // newJSONColReader generates the reader for one column; which navigation it
 // uses (recorded offsets vs row-start walk) and which conversion applies are
 // resolved here, once, and captured as constants.
 func newJSONColReader(data []byte, t *catalog.Table, c int, idx *jsonidx.Index,
-	adaptive *jsonidx.Recorder, adaptSlot map[string]int) (jsonColReader, error) {
+	adaptive *jsonidx.Recorder, adaptSlot map[string]int) (rowCol, error) {
 	path := t.Schema[c].Name
 	typ := t.Schema[c].Type
 	if positions := idx.Positions(path); positions != nil {
 		switch typ {
 		case vector.Int64:
-			return func(rowStart, rowEnd int64, sel []int32, out *vector.Vector) error {
+			return rowCol{read: func(rowStart, rowEnd int64, sel []int32, out *vector.Vector) error {
 				if sel != nil {
 					base := out.Extend(int(rowEnd - rowStart))
 					for _, si := range sel {
-						out.Int64s[base+int(si)] = jsonInt64Fast(data, int(positions[rowStart+int64(si)]))
+						row := rowStart + int64(si)
+						v, _, err := jsonInt64(data, int(positions[row]))
+						if err != nil {
+							return jsonMapError(row, path, err)
+						}
+						out.Int64s[base+int(si)] = v
 					}
 					return nil
 				}
-				for _, p := range positions[rowStart:rowEnd] {
-					out.Int64s = append(out.Int64s, jsonInt64Fast(data, int(p)))
+				for i, p := range positions[rowStart:rowEnd] {
+					v, _, err := jsonInt64(data, int(p))
+					if err != nil {
+						return jsonMapError(rowStart+int64(i), path, err)
+					}
+					out.Int64s = append(out.Int64s, v)
 				}
 				return nil
-			}, nil
+			}}, nil
 		case vector.Float64:
-			return func(rowStart, rowEnd int64, sel []int32, out *vector.Vector) error {
+			return rowCol{read: func(rowStart, rowEnd int64, sel []int32, out *vector.Vector) error {
 				if sel != nil {
 					base := out.Extend(int(rowEnd - rowStart))
 					for _, si := range sel {
-						v, _, err := jsonFloat64(data, int(positions[rowStart+int64(si)]))
+						row := rowStart + int64(si)
+						v, _, err := jsonFloat64(data, int(positions[row]))
 						if err != nil {
-							return fmt.Errorf("jit json map scan: %w", err)
+							return jsonMapError(row, path, err)
 						}
 						out.Float64s[base+int(si)] = v
 					}
 					return nil
 				}
-				for _, p := range positions[rowStart:rowEnd] {
+				for i, p := range positions[rowStart:rowEnd] {
 					v, _, err := jsonFloat64(data, int(p))
 					if err != nil {
-						return fmt.Errorf("jit json map scan: %w", err)
+						return jsonMapError(rowStart+int64(i), path, err)
 					}
 					out.Float64s = append(out.Float64s, v)
 				}
 				return nil
-			}, nil
+			}}, nil
 		default:
-			return nil, fmt.Errorf("jit: unsupported JSON column type %s", typ)
+			return rowCol{}, fmt.Errorf("jit: unsupported JSON column type %s", typ)
 		}
 	}
 	// Untracked path: walk from the recorded row starts, recording offsets.
@@ -419,10 +356,10 @@ func newJSONColReader(data []byte, t *catalog.Table, c int, idx *jsonidx.Index,
 	switch typ {
 	case vector.Int64, vector.Float64:
 	default:
-		return nil, fmt.Errorf("jit: unsupported JSON column type %s", typ)
+		return rowCol{}, fmt.Errorf("jit: unsupported JSON column type %s", typ)
 	}
 	isInt := typ == vector.Int64
-	return func(rowStart, rowEnd int64, sel []int32, out *vector.Vector) error {
+	return rowCol{dense: true, read: func(rowStart, rowEnd int64, _ []int32, out *vector.Vector) error {
 		for r := rowStart; r < rowEnd; r++ {
 			pos := jsonfile.FindPath(data, int(idx.RowStart(r)), segs)
 			if pos < 0 {
@@ -434,19 +371,25 @@ func newJSONColReader(data []byte, t *catalog.Table, c int, idx *jsonidx.Index,
 			if isInt {
 				v, _, err := jsonInt64(data, pos)
 				if err != nil {
-					return fmt.Errorf("jit json map scan: row %d path %q: %w", r, path, err)
+					return jsonMapError(r, path, err)
 				}
 				out.Int64s = append(out.Int64s, v)
 			} else {
 				v, _, err := jsonFloat64(data, pos)
 				if err != nil {
-					return fmt.Errorf("jit json map scan: row %d path %q: %w", r, path, err)
+					return jsonMapError(r, path, err)
 				}
 				out.Float64s = append(out.Float64s, v)
 			}
 		}
 		return nil
-	}, nil
+	}}, nil
+}
+
+// jsonMapError is a structural-index reader's conversion failure, at row and
+// path.
+func jsonMapError(row int64, path string, err error) error {
+	return fmt.Errorf("jit json map scan: row %d path %q: %w", row, path, err)
 }
 
 // jsonInt64 scans and converts the number token at pos in one pass, or — for
@@ -459,15 +402,6 @@ func jsonInt64(data []byte, pos int) (int64, int, error) {
 	end := jsonfile.NumberEnd(data, pos)
 	v, err := bytesconv.ParseInt64(data[pos:end])
 	return v, end, err
-}
-
-// jsonInt64Fast is jsonInt64 for ParseInt64Fast: a recorded offset points at a
-// token an earlier scan validated, so the general way checks nothing either.
-func jsonInt64Fast(data []byte, pos int) int64 {
-	if v, _, ok := bytesconv.ParseInt64Prefix(data, pos); ok {
-		return v
-	}
-	return bytesconv.ParseInt64Fast(data[pos:jsonfile.NumberEnd(data, pos)])
 }
 
 // jsonFloat64 is jsonInt64 for ParseFloat64.
@@ -681,7 +615,7 @@ func (s *JSONScan) Schema() vector.Schema { return s.schema }
 // Open implements exec.Operator.
 func (s *JSONScan) Open() error {
 	s.pos = 0
-	s.row = s.rngStart
+	s.row = 0
 	s.failed = false
 	s.tail, s.misses = nil, 0
 	return nil
@@ -690,13 +624,6 @@ func (s *JSONScan) Open() error {
 // Next implements exec.Operator.
 func (s *JSONScan) Next() (*vector.Batch, error) {
 	s.out.Reset()
-	if s.readers != nil {
-		return s.nextViaMap()
-	}
-	return s.nextSequential()
-}
-
-func (s *JSONScan) nextSequential() (*vector.Batch, error) {
 	data := s.data
 	n := 0
 	for n < s.batchSize && s.pos < len(data) {
@@ -743,90 +670,6 @@ func (s *JSONScan) nextSequential() (*vector.Batch, error) {
 	return s.out, nil
 }
 
-func (s *JSONScan) nextViaMap() (*vector.Batch, error) {
-	limit := s.nrows
-	if s.rngEnd > 0 {
-		limit = s.rngEnd
-	}
-	for {
-		if s.row >= limit {
-			return nil, nil
-		}
-		end := s.row + int64(s.batchSize)
-		if end > limit {
-			end = limit
-		}
-		// Zone-map exclusion: only set when no adaptive recording is staged,
-		// so skipping rows cannot leave recording holes.
-		if s.skip != nil && s.skip(s.row, end) {
-			s.blocksSkipped++
-			s.rowsPruned += end - s.row
-			s.row = end
-			continue
-		}
-		s.out.Reset()
-		m := int(end - s.row)
-		var sel []int32
-		if len(s.predEval) > 0 {
-			for _, ri := range s.predReaders {
-				if err := s.readers[ri](s.row, end, nil, s.out.Cols[ri]); err != nil {
-					return nil, err
-				}
-			}
-			var all bool
-			sel, all = evalSlotPreds(s.predEval, s.out, m, s.selBuf)
-			s.selBuf = sel[:0]
-			switch {
-			case all:
-				sel = nil
-			case len(sel) == 0 && s.adaptive == nil:
-				s.rowsPruned += int64(m)
-				s.row = end
-				continue
-			default:
-				s.rowsPruned += int64(m - len(sel))
-				if sel == nil {
-					sel = emptySel // empty but non-nil: readers must not run dense
-				}
-			}
-			for _, ri := range s.restReaders {
-				if err := s.readers[ri](s.row, end, sel, s.out.Cols[ri]); err != nil {
-					return nil, err
-				}
-			}
-			if sel != nil && len(sel) == 0 {
-				// Adaptive recording forced the dense walks to run; emit
-				// nothing for this range but keep pulling.
-				s.row = end
-				if s.row >= s.nrows && s.adaptive != nil && !s.committed {
-					s.adaptive.Commit()
-					s.committed = true
-				}
-				continue
-			}
-		} else {
-			for i, r := range s.readers {
-				if err := r(s.row, end, nil, s.out.Cols[i]); err != nil {
-					return nil, err
-				}
-			}
-		}
-		if s.emitRID {
-			rid := s.out.Cols[s.ridSlot]
-			for i := s.row; i < end; i++ {
-				rid.AppendInt64(i)
-			}
-		}
-		s.out.Sel = sel
-		s.row = end
-		if s.row >= s.nrows && s.adaptive != nil && !s.committed {
-			s.adaptive.Commit()
-			s.committed = true
-		}
-		return s.out, nil
-	}
-}
-
 // Close implements exec.Operator.
 func (s *JSONScan) Close() error { return nil }
 
@@ -837,26 +680,21 @@ var _ exec.Operator = (*JSONScan)(nil)
 // the value for tracked paths, to the row start plus one object walk for
 // untracked ones.
 func NewJSONLateScan(child exec.Operator, data []byte, t *catalog.Table, cols []int,
-	idx *jsonidx.Index, ridIdx int) (*LateScan, error) {
+	idx *jsonidx.Index, ridIdx int) (*exec.LateScan, error) {
 	if t.Format != catalog.JSON {
 		return nil, fmt.Errorf("jit: json late scan got format %s", t.Format)
 	}
 	if idx == nil || idx.NRows() == 0 {
 		return nil, fmt.Errorf("jit: json late scan requires a populated structural index")
 	}
-	s, err := newLateScan(child, ridIdx, t, cols)
+	schema, err := lateSchema(child, t, cols)
 	if err != nil {
 		return nil, err
 	}
-	nrows := idx.NRows()
-	type jsonFetch struct {
-		slot int
-		fn   func(rid int64, out *vector.Vector) error
-	}
-	var fetchers []jsonFetch
-	for slot, c := range cols {
-		path := t.Schema[c].Name
-		typ := t.Schema[c].Type
+	fetchers := make([]colFetch, len(cols))
+	for i, c := range cols {
+		col := t.Schema[c]
+		path := col.Name
 		positions := idx.Positions(path)
 		var segs []string
 		if positions == nil {
@@ -874,9 +712,9 @@ func NewJSONLateScan(child exec.Operator, data []byte, t *catalog.Table, cols []
 			}
 			return pos, nil
 		}
-		switch typ {
+		switch col.Type {
 		case vector.Int64:
-			fetchers = append(fetchers, jsonFetch{slot, func(rid int64, out *vector.Vector) error {
+			fetchers[i] = func(rid int64, out *vector.Vector) error {
 				pos, err := locate(rid)
 				if err != nil {
 					return err
@@ -887,9 +725,9 @@ func NewJSONLateScan(child exec.Operator, data []byte, t *catalog.Table, cols []
 				}
 				out.Int64s = append(out.Int64s, v)
 				return nil
-			}})
+			}
 		case vector.Float64:
-			fetchers = append(fetchers, jsonFetch{slot, func(rid int64, out *vector.Vector) error {
+			fetchers[i] = func(rid int64, out *vector.Vector) error {
 				pos, err := locate(rid)
 				if err != nil {
 					return err
@@ -900,24 +738,10 @@ func NewJSONLateScan(child exec.Operator, data []byte, t *catalog.Table, cols []
 				}
 				out.Float64s = append(out.Float64s, v)
 				return nil
-			}})
-		default:
-			return nil, fmt.Errorf("jit: unsupported JSON column type %s", typ)
-		}
-	}
-	s.fetch = func(rids []int64, outs []*vector.Vector) error {
-		for _, f := range fetchers {
-			out := outs[f.slot]
-			for _, rid := range rids {
-				if rid < 0 || rid >= nrows {
-					return fmt.Errorf("jit: late scan row id %d out of range", rid)
-				}
-				if err := f.fn(rid, out); err != nil {
-					return err
-				}
 			}
+		default:
+			return nil, fmt.Errorf("jit: unsupported JSON column type %s", col.Type)
 		}
-		return nil
 	}
-	return s, nil
+	return exec.NewLateScan(child, ridIdx, insitu.RowIDColumn, schema, fetchColumns(fetchers, idx.NRows()))
 }

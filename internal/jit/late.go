@@ -15,78 +15,38 @@ import (
 	"rawdb/internal/vector"
 )
 
-// LateScan implements column shreds: a scan operator pushed *up* the query
-// plan. Its child carries a hidden row-id column listing the rows that
-// survived earlier filters or joins; for each batch the LateScan reads the
-// requested columns only for those rows and appends them to the batch. The
-// result is that conversion and column-building costs are paid for exactly
-// the shred of each column a query needs.
-//
-// One LateScan may fetch several columns at once — the paper's speculative
-// "multi-column shreds" (Figure 9) — in which case nearby fields are
-// collected in a single parsing pass per row.
-type LateScan struct {
-	child   exec.Operator
-	ridIdx  int
-	schema  vector.Schema
-	fetch   func(rids []int64, outs []*vector.Vector) error
-	newCols []*vector.Vector
-	scratch *vector.Batch
-	out     vector.Batch
-}
+// The late access paths implement column shreds: scan operators pushed *up*
+// the query plan, appending columns by row id to the batches of a child that
+// carries the hidden row-id column (exec.LateScan). Conversion and
+// column-building costs are then paid for exactly the shred of each column a
+// query needs. Each format generates only the fetch function.
 
-// Schema implements exec.Operator.
-func (s *LateScan) Schema() vector.Schema { return s.schema }
-
-// Open implements exec.Operator.
-func (s *LateScan) Open() error { return s.child.Open() }
-
-// Next implements exec.Operator.
-func (s *LateScan) Next() (*vector.Batch, error) {
-	b, err := s.child.Next()
-	if err != nil || b == nil {
-		return nil, err
-	}
-	// Fetched columns align physically with the child's rows; densify
-	// selection-vector batches so only surviving rows pay raw access.
-	b = b.Compact(&s.scratch)
-	for _, c := range s.newCols {
-		c.Reset()
-	}
-	rids := b.Cols[s.ridIdx].Int64s
-	if err := s.fetch(rids, s.newCols); err != nil {
-		return nil, err
-	}
-	s.out.Cols = s.out.Cols[:0]
-	s.out.Cols = append(s.out.Cols, b.Cols...)
-	s.out.Cols = append(s.out.Cols, s.newCols...)
-	return &s.out, nil
-}
-
-// Close implements exec.Operator.
-func (s *LateScan) Close() error { return s.child.Close() }
-
-// lateSchema builds the output schema (child schema plus fetched columns)
-// and allocates the appended vectors.
-func newLateScan(child exec.Operator, ridIdx int, t *catalog.Table, cols []int) (*LateScan, error) {
+// lateSchema is a late scan's output schema: child's columns, then cols of t.
+func lateSchema(child exec.Operator, t *catalog.Table, cols []int) (vector.Schema, error) {
 	cs := child.Schema()
-	if ridIdx < 0 || ridIdx >= len(cs) || cs[ridIdx].Type != vector.Int64 ||
-		cs[ridIdx].Name != insitu.RowIDColumn {
-		return nil, fmt.Errorf("jit: late scan: column %d of child is not the hidden row-id column", ridIdx)
-	}
-	schema := make(vector.Schema, 0, len(cs)+len(cols))
-	schema = append(schema, cs...)
-	s := &LateScan{child: child, ridIdx: ridIdx}
-	for _, c := range cols {
-		if c < 0 || c >= len(t.Schema) {
-			return nil, fmt.Errorf("jit: late scan: column index %d out of range", c)
+	return appendSchema(append(make(vector.Schema, 0, len(cs)+len(cols)), cs...), t, cols)
+}
+
+// colFetch appends one column's value at row rid to out.
+type colFetch func(rid int64, out *vector.Vector) error
+
+// fetchColumns is the fetch of a late scan whose columns are fetched one at a
+// time: fetchers[i] over every row id into outs[i], each id checked against
+// the table's nrows.
+func fetchColumns(fetchers []colFetch, nrows int64) func(rids []int64, outs []*vector.Vector) error {
+	return func(rids []int64, outs []*vector.Vector) error {
+		for i, f := range fetchers {
+			for _, rid := range rids {
+				if rid < 0 || rid >= nrows {
+					return fmt.Errorf("jit: late scan row id %d out of range", rid)
+				}
+				if err := f(rid, outs[i]); err != nil {
+					return err
+				}
+			}
 		}
-		col := vector.Col{Name: t.Schema[c].Name, Type: t.Schema[c].Type}
-		schema = append(schema, col)
-		s.newCols = append(s.newCols, vector.New(col.Type, vector.DefaultBatchSize))
+		return nil
 	}
-	s.schema = schema
-	return s, nil
 }
 
 // csvWalkTarget is one field collected during a single parsing pass.
@@ -99,9 +59,10 @@ type csvWalkTarget struct {
 // NewCSVLateScan generates a column-shred access path over a CSV file. The
 // generator groups the requested columns by the positional-map anchor they
 // are reached from; each group is fetched with one parsing pass per row
-// (multi-column shreds when len(cols) > 1 share an anchor).
+// (multi-column shreds when len(cols) > 1 share an anchor). The columns are
+// appended in ascending order.
 func NewCSVLateScan(child exec.Operator, data []byte, t *catalog.Table, cols []int,
-	pm *posmap.Map, ridIdx int) (*LateScan, error) {
+	pm *posmap.Map, ridIdx int) (*exec.LateScan, error) {
 	if t.Format != catalog.CSV {
 		return nil, fmt.Errorf("jit: csv late scan got format %s", t.Format)
 	}
@@ -110,7 +71,7 @@ func NewCSVLateScan(child exec.Operator, data []byte, t *catalog.Table, cols []i
 	}
 	sorted := append([]int(nil), cols...)
 	sort.Ints(sorted)
-	s, err := newLateScan(child, ridIdx, t, sorted)
+	schema, err := lateSchema(child, t, sorted)
 	if err != nil {
 		return nil, err
 	}
@@ -135,7 +96,7 @@ func NewCSVLateScan(child exec.Operator, data []byte, t *catalog.Table, cols []i
 		}
 		g.targets = append(g.targets, csvWalkTarget{col: c, slot: slot, typ: t.Schema[c].Type})
 	}
-	s.fetch = func(rids []int64, outs []*vector.Vector) error {
+	fetch := func(rids []int64, outs []*vector.Vector) error {
 		for _, g := range groups {
 			positions := g.positions
 			for _, rid := range rids {
@@ -151,8 +112,11 @@ func NewCSVLateScan(child exec.Operator, data []byte, t *catalog.Table, cols []i
 					start, end, next := csvfile.FieldBounds(data, pos)
 					switch tg.typ {
 					case vector.Int64:
-						outs[tg.slot].Int64s = append(outs[tg.slot].Int64s,
-							bytesconv.ParseInt64Fast(data[start:end]))
+						v, err := bytesconv.ParseInt64(data[start:end])
+						if err != nil {
+							return fmt.Errorf("jit: late scan row %d col %d: %w", rid, tg.col, err)
+						}
+						outs[tg.slot].Int64s = append(outs[tg.slot].Int64s, v)
 					case vector.Float64:
 						v, err := bytesconv.ParseFloat64(data[start:end])
 						if err != nil {
@@ -169,78 +133,57 @@ func NewCSVLateScan(child exec.Operator, data []byte, t *catalog.Table, cols []i
 		}
 		return nil
 	}
-	return s, nil
+	return exec.NewLateScan(child, ridIdx, insitu.RowIDColumn, schema, fetch)
 }
 
 // NewBinLateScan generates a column-shred access path over the binary
 // format: positions are computed directly from constants, no map needed.
 func NewBinLateScan(child exec.Operator, r *binfile.Reader, t *catalog.Table, cols []int,
-	ridIdx int) (*LateScan, error) {
+	ridIdx int) (*exec.LateScan, error) {
 	if t.Format != catalog.Binary {
 		return nil, fmt.Errorf("jit: bin late scan got format %s", t.Format)
 	}
-	s, err := newLateScan(child, ridIdx, t, cols)
+	schema, err := lateSchema(child, t, cols)
 	if err != nil {
 		return nil, err
 	}
 	types := r.Types()
-	type binFetch struct {
-		slot int
-		fn   func(rid int64, out *vector.Vector)
-	}
-	var fetchers []binFetch
-	for slot, c := range cols {
+	fetchers := make([]colFetch, len(cols))
+	for i, c := range cols {
 		if c >= len(types) {
 			return nil, fmt.Errorf("jit: column index %d out of range", c)
 		}
 		switch types[c] {
 		case vector.Int64:
-			c := c
-			fetchers = append(fetchers, binFetch{slot, func(rid int64, out *vector.Vector) {
+			fetchers[i] = func(rid int64, out *vector.Vector) error {
 				out.Int64s = append(out.Int64s, r.Int64At(rid, c))
-			}})
+				return nil
+			}
 		case vector.Float64:
-			c := c
-			fetchers = append(fetchers, binFetch{slot, func(rid int64, out *vector.Vector) {
+			fetchers[i] = func(rid int64, out *vector.Vector) error {
 				out.Float64s = append(out.Float64s, r.Float64At(rid, c))
-			}})
+				return nil
+			}
 		default:
 			return nil, fmt.Errorf("jit: unsupported type %s", types[c])
 		}
 	}
-	nrows := r.NRows()
-	s.fetch = func(rids []int64, outs []*vector.Vector) error {
-		for _, f := range fetchers {
-			out := outs[f.slot]
-			for _, rid := range rids {
-				if rid < 0 || rid >= nrows {
-					return fmt.Errorf("jit: late scan row id %d out of range", rid)
-				}
-				f.fn(rid, out)
-			}
-		}
-		return nil
-	}
-	return s, nil
+	return exec.NewLateScan(child, ridIdx, insitu.RowIDColumn, schema, fetchColumns(fetchers, r.NRows()))
 }
 
 // NewRootLateScan generates a column-shred access path over the ROOT-like
 // format using id-based library access ("readROOTField(fieldName, id)").
 func NewRootLateScan(child exec.Operator, tree *rootfile.Tree, t *catalog.Table, cols []int,
-	ridIdx int) (*LateScan, error) {
+	ridIdx int) (*exec.LateScan, error) {
 	if t.Format != catalog.Root {
 		return nil, fmt.Errorf("jit: root late scan got format %s", t.Format)
 	}
-	s, err := newLateScan(child, ridIdx, t, cols)
+	schema, err := lateSchema(child, t, cols)
 	if err != nil {
 		return nil, err
 	}
-	type rootFetch struct {
-		slot int
-		fn   func(rid int64, out *vector.Vector) error
-	}
-	var fetchers []rootFetch
-	for slot, c := range cols {
+	fetchers := make([]colFetch, len(cols))
+	for i, c := range cols {
 		col := t.Schema[c]
 		br, err := tree.Branch(col.Name)
 		if err != nil {
@@ -248,39 +191,26 @@ func NewRootLateScan(child exec.Operator, tree *rootfile.Tree, t *catalog.Table,
 		}
 		switch col.Type {
 		case vector.Int64:
-			fetchers = append(fetchers, rootFetch{slot, func(rid int64, out *vector.Vector) error {
+			fetchers[i] = func(rid int64, out *vector.Vector) error {
 				v, err := br.Int64At(rid)
 				if err != nil {
 					return err
 				}
 				out.Int64s = append(out.Int64s, v)
 				return nil
-			}})
+			}
 		case vector.Float64:
-			fetchers = append(fetchers, rootFetch{slot, func(rid int64, out *vector.Vector) error {
+			fetchers[i] = func(rid int64, out *vector.Vector) error {
 				v, err := br.Float64At(rid)
 				if err != nil {
 					return err
 				}
 				out.Float64s = append(out.Float64s, v)
 				return nil
-			}})
+			}
 		default:
 			return nil, fmt.Errorf("jit: unsupported type %s", col.Type)
 		}
 	}
-	s.fetch = func(rids []int64, outs []*vector.Vector) error {
-		for _, f := range fetchers {
-			out := outs[f.slot]
-			for _, rid := range rids {
-				if err := f.fn(rid, out); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}
-	return s, nil
+	return exec.NewLateScan(child, ridIdx, insitu.RowIDColumn, schema, fetchColumns(fetchers, tree.NEntries()))
 }
-
-var _ exec.Operator = (*LateScan)(nil)

@@ -1,12 +1,8 @@
 package jit
 
 import (
-	"fmt"
-
-	"rawdb/internal/catalog"
 	"rawdb/internal/exec"
 	"rawdb/internal/synopsis"
-	"rawdb/internal/vector"
 )
 
 // Pushdown carries the per-query extras a generated access path can absorb
@@ -41,31 +37,6 @@ func predsFor(preds []exec.Pred, c int) []exec.Pred {
 		}
 	}
 	return out
-}
-
-// validatePreds checks every predicate column is part of need and numeric.
-func validatePreds(t *catalog.Table, need []int, preds []exec.Pred) error {
-	for _, p := range preds {
-		if p.Col < 0 || p.Col >= len(t.Schema) {
-			return fmt.Errorf("jit: predicate column %d out of range", p.Col)
-		}
-		switch t.Schema[p.Col].Type {
-		case vector.Int64, vector.Float64:
-		default:
-			return fmt.Errorf("jit: cannot push predicate on %s column", t.Schema[p.Col].Type)
-		}
-		found := false
-		for _, c := range need {
-			if c == p.Col {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return fmt.Errorf("jit: pushed predicate on unread column %d", p.Col)
-		}
-	}
-	return nil
 }
 
 // intPredTest compiles the conjuncts into one monomorphic test closure
@@ -138,33 +109,3 @@ func floatPredTest(ps []exec.Pred) func(float64) bool {
 		}
 	}
 }
-
-// slotPred rebinds a predicate's column to an output slot for vectorized
-// evaluation over a scan's own batch.
-type slotPred struct {
-	slot int
-	p    exec.Pred
-}
-
-// evalSlotPreds evaluates the conjunction over the first m physical rows of
-// out, reusing buf. all reports that every row passed (sel is then invalid).
-func evalSlotPreds(preds []slotPred, out *vector.Batch, m int, buf []int32) (sel []int32, all bool) {
-	sel = exec.SelectPred(buf[:0], out.Cols[preds[0].slot], rebind(preds[0]), m)
-	for _, sp := range preds[1:] {
-		if len(sel) == 0 {
-			break
-		}
-		sel = exec.RefinePred(sel, out.Cols[sp.slot], rebind(sp))
-	}
-	return sel, len(sel) == m
-}
-
-func rebind(sp slotPred) exec.Pred {
-	p := sp.p
-	p.Col = sp.slot
-	return p
-}
-
-// emptySel is a non-nil empty selection: "no rows pass", as opposed to the
-// nil selection meaning "all rows pass".
-var emptySel = []int32{}

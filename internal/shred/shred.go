@@ -110,7 +110,8 @@ func (s *Shred) Extract(rids []int64, out *vector.Vector) error {
 // the merge over the shred's row-id list at cursor and returning the new
 // cursor. Streaming consumers (late scans pulling ascending batches) carry
 // the cursor across calls so a whole pass over an n-row shred costs O(n)
-// rather than O(batches*n).
+// rather than O(batches*n); a row id not above the last one the merge passed
+// starts a fresh pass, so a consumer never resets the cursor itself.
 func (s *Shred) ExtractSeq(rids []int64, out *vector.Vector, cursor int) (int, error) {
 	if s.rowIDs == nil {
 		n := int64(s.vec.Len())
@@ -129,7 +130,7 @@ func (s *Shred) ExtractSeq(rids []int64, out *vector.Vector, cursor int) (int, e
 	for _, r := range rids {
 		// Advance within the sorted id list; rids are ascending so j never
 		// moves backwards across one streaming pass.
-		if j < len(s.rowIDs) && s.rowIDs[j] > r {
+		if j > 0 && s.rowIDs[j-1] >= r {
 			j = 0 // caller went backwards (fresh pass): restart the merge
 		}
 		for j < len(s.rowIDs) && s.rowIDs[j] < r {

@@ -33,6 +33,9 @@ func TestShredSubsumesAndExtract(t *testing.T) {
 	if part.Full() {
 		t.Fatal("partial shred reported full")
 	}
+	if _, err := NewScan([]*Shred{full, part}, []string{"a", "b"}, false, 0); err == nil {
+		t.Fatal("a base scan over a partial shred must be refused")
+	}
 	if !part.Subsumes([]int64{2, 9}) || part.Subsumes([]int64{2, 3}) {
 		t.Fatal("partial subsumption wrong")
 	}
@@ -185,32 +188,6 @@ func ridSchema(names ...string) vector.Schema {
 	return s
 }
 
-func TestScanOperator(t *testing.T) {
-	shA := &Shred{key: Key{"t", 0}, vec: intVec(1, 2, 3, 4, 5)}
-	shB := &Shred{key: Key{"t", 1}, vec: intVec(10, 20, 30, 40, 50)}
-	s, err := NewScan([]*Shred{shA, shB}, []string{"a", "b"}, true, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := exec.Collect(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out[0].Len() != 5 || out[1].Int64s[4] != 50 || out[2].Int64s[3] != 3 {
-		t.Fatalf("scan output wrong: %v %v %v", out[0].Int64s, out[1].Int64s, out[2].Int64s)
-	}
-	// Partial shreds are rejected.
-	part := &Shred{key: Key{"t", 2}, rowIDs: []int64{0}, vec: intVec(9)}
-	if _, err := NewScan([]*Shred{part}, []string{"c"}, false, 0); err == nil {
-		t.Fatal("expected partial-shred rejection")
-	}
-	// Ragged columns are rejected.
-	if _, err := NewScan([]*Shred{shA, {key: Key{"t", 3}, vec: intVec(1)}},
-		[]string{"a", "c"}, false, 0); err == nil {
-		t.Fatal("expected ragged error")
-	}
-}
-
 func TestLateScanOperator(t *testing.T) {
 	// Child: rows 1 and 3 survived, rid column at index 1.
 	child, err := exec.NewMemScan(ridSchema("a"),
@@ -229,6 +206,22 @@ func TestLateScanOperator(t *testing.T) {
 	}
 	if out[2].Int64s[0] != 11 || out[2].Int64s[1] != 33 {
 		t.Fatalf("late scan = %v", out[2].Int64s)
+	}
+	// Every pass (a new Open) restarts a partial shred's merge, even one the
+	// previous pass left at the shred's end.
+	part := &Shred{key: Key{"t", 6}, rowIDs: []int64{1, 3}, vec: intVec(10, 30)}
+	again, err := NewLateScan(child, 1, []*Shred{part}, []string{"c6"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pass := 0; pass < 2; pass++ {
+		out, err := exec.Collect(again)
+		if err != nil {
+			t.Fatalf("pass %d: %v", pass, err)
+		}
+		if got := out[2].Int64s; len(got) != 2 || got[0] != 10 || got[1] != 30 {
+			t.Fatalf("pass %d: late scan = %v", pass, got)
+		}
 	}
 	// Bad rid index.
 	if _, err := NewLateScan(child, 0, []*Shred{sh}, []string{"c5"}); err == nil {
