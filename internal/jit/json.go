@@ -236,162 +236,6 @@ func NewJSONSequentialScanPush(data []byte, t *catalog.Table, need []int,
 	return s, nil
 }
 
-// NewJSONMapScan generates a structural-index access path: for each
-// requested path the generator resolves, once, whether recorded value
-// offsets exist (jump straight to the value) or the row-start offsets must
-// be used (walk the object from the row start, recording the path's offsets
-// as a side effect — the adaptive population of the structural index).
-// Execution is column-at-a-time over each batch's row range.
-func NewJSONMapScan(data []byte, t *catalog.Table, need []int, idx *jsonidx.Index,
-	emitRID bool, batchSize int) (*RowScan, error) {
-	return NewJSONMapScanPush(data, t, need, idx, emitRID, batchSize, Pushdown{})
-}
-
-// NewJSONMapScanPush generates a structural-index access path with pushdown
-// (see RowScan): recorded-offset columns are parsed only for rows opts.Preds
-// select, while columns needing adaptive recording always read dense (the
-// index must cover every row) and commit once the scan read the last row; a
-// ranged scan's recordings never match the whole file and are discarded.
-// opts.Skip applies only when no adaptive recording is staged — skipped rows
-// could never be recorded — and is dropped otherwise. opts.Syn is ignored.
-func NewJSONMapScanPush(data []byte, t *catalog.Table, need []int, idx *jsonidx.Index,
-	emitRID bool, batchSize int, opts Pushdown) (*RowScan, error) {
-	if t.Format != catalog.JSON {
-		return nil, fmt.Errorf("jit: json scan got format %s", t.Format)
-	}
-	if idx == nil || idx.NRows() == 0 {
-		return nil, fmt.Errorf("jit: json map scan requires a populated structural index")
-	}
-	// Declare the untracked paths up front so one recorder stages them all
-	// (a column out of range fails in newRowScan).
-	var newPaths []string
-	for _, c := range need {
-		if c >= 0 && c < len(t.Schema) && !idx.Tracked(t.Schema[c].Name) {
-			newPaths = append(newPaths, t.Schema[c].Name)
-		}
-	}
-	var adaptive *jsonidx.Recorder
-	adaptSlot := make(map[string]int)
-	if len(newPaths) > 0 {
-		adaptive = idx.Record(newPaths)
-		for i, p := range adaptive.Paths() {
-			adaptSlot[p] = i
-		}
-		opts.Skip = nil
-	}
-	opts.Syn = nil
-	s, err := newRowScan(t, need, idx.NRows(), emitRID, batchSize, opts, func(c int) (rowCol, error) {
-		return newJSONColReader(data, t, c, idx, adaptive, adaptSlot)
-	})
-	if err == nil && adaptive != nil {
-		s.atEnd = adaptive.Commit
-	}
-	return s, err
-}
-
-// newJSONColReader generates the reader for one column; which navigation it
-// uses (recorded offsets vs row-start walk) and which conversion applies are
-// resolved here, once, and captured as constants.
-func newJSONColReader(data []byte, t *catalog.Table, c int, idx *jsonidx.Index,
-	adaptive *jsonidx.Recorder, adaptSlot map[string]int) (rowCol, error) {
-	path := t.Schema[c].Name
-	typ := t.Schema[c].Type
-	if positions := idx.Positions(path); positions != nil {
-		switch typ {
-		case vector.Int64:
-			return rowCol{read: func(rowStart, rowEnd int64, sel []int32, out *vector.Vector) error {
-				if sel != nil {
-					base := out.Extend(int(rowEnd - rowStart))
-					for _, si := range sel {
-						row := rowStart + int64(si)
-						v, _, err := jsonInt64(data, int(positions[row]))
-						if err != nil {
-							return jsonMapError(row, path, err)
-						}
-						out.Int64s[base+int(si)] = v
-					}
-					return nil
-				}
-				for i, p := range positions[rowStart:rowEnd] {
-					v, _, err := jsonInt64(data, int(p))
-					if err != nil {
-						return jsonMapError(rowStart+int64(i), path, err)
-					}
-					out.Int64s = append(out.Int64s, v)
-				}
-				return nil
-			}}, nil
-		case vector.Float64:
-			return rowCol{read: func(rowStart, rowEnd int64, sel []int32, out *vector.Vector) error {
-				if sel != nil {
-					base := out.Extend(int(rowEnd - rowStart))
-					for _, si := range sel {
-						row := rowStart + int64(si)
-						v, _, err := jsonFloat64(data, int(positions[row]))
-						if err != nil {
-							return jsonMapError(row, path, err)
-						}
-						out.Float64s[base+int(si)] = v
-					}
-					return nil
-				}
-				for i, p := range positions[rowStart:rowEnd] {
-					v, _, err := jsonFloat64(data, int(p))
-					if err != nil {
-						return jsonMapError(rowStart+int64(i), path, err)
-					}
-					out.Float64s = append(out.Float64s, v)
-				}
-				return nil
-			}}, nil
-		default:
-			return rowCol{}, fmt.Errorf("jit: unsupported JSON column type %s", typ)
-		}
-	}
-	// Untracked path: walk from the recorded row starts, recording offsets.
-	// The walk runs dense regardless of any selection — the adaptive
-	// recording must cover every row for the index to stay sound.
-	segs := jsonfile.SplitPath(path)
-	ai := adaptSlot[path]
-	switch typ {
-	case vector.Int64, vector.Float64:
-	default:
-		return rowCol{}, fmt.Errorf("jit: unsupported JSON column type %s", typ)
-	}
-	isInt := typ == vector.Int64
-	return rowCol{dense: true, read: func(rowStart, rowEnd int64, _ []int32, out *vector.Vector) error {
-		for r := rowStart; r < rowEnd; r++ {
-			pos := jsonfile.FindPath(data, int(idx.RowStart(r)), segs)
-			if pos < 0 {
-				return fmt.Errorf("jit json map scan: row %d: path %q absent", r, path)
-			}
-			if adaptive != nil {
-				adaptive.AppendPathOffset(ai, int64(pos))
-			}
-			if isInt {
-				v, _, err := jsonInt64(data, pos)
-				if err != nil {
-					return jsonMapError(r, path, err)
-				}
-				out.Int64s = append(out.Int64s, v)
-			} else {
-				v, _, err := jsonFloat64(data, pos)
-				if err != nil {
-					return jsonMapError(r, path, err)
-				}
-				out.Float64s = append(out.Float64s, v)
-			}
-		}
-		return nil
-	}}, nil
-}
-
-// jsonMapError is a structural-index reader's conversion failure, at row and
-// path.
-func jsonMapError(row int64, path string, err error) error {
-	return fmt.Errorf("jit json map scan: row %d path %q: %w", row, path, err)
-}
-
 // jsonInt64 scans and converts the number token at pos in one pass, or — for
 // the forms the prefix parser leaves alone — delimits it and converts it the
 // general way, so the value or the error is ParseInt64's for the token.
@@ -674,6 +518,162 @@ func (s *JSONScan) Next() (*vector.Batch, error) {
 func (s *JSONScan) Close() error { return nil }
 
 var _ exec.Operator = (*JSONScan)(nil)
+
+// NewJSONMapScan generates a structural-index access path: for each
+// requested path the generator resolves, once, whether recorded value
+// offsets exist (jump straight to the value) or the row-start offsets must
+// be used (walk the object from the row start, recording the path's offsets
+// as a side effect — the adaptive population of the structural index).
+// Execution is column-at-a-time over each batch's row range.
+func NewJSONMapScan(data []byte, t *catalog.Table, need []int, idx *jsonidx.Index,
+	emitRID bool, batchSize int) (*RowScan, error) {
+	return NewJSONMapScanPush(data, t, need, idx, emitRID, batchSize, Pushdown{})
+}
+
+// NewJSONMapScanPush generates a structural-index access path with pushdown
+// (see RowScan): recorded-offset columns are parsed only for rows opts.Preds
+// select, while columns needing adaptive recording always read dense (the
+// index must cover every row) and commit once the scan read the last row; a
+// ranged scan's recordings never match the whole file and are discarded.
+// opts.Skip applies only when no adaptive recording is staged — skipped rows
+// could never be recorded — and is dropped otherwise. opts.Syn is ignored.
+func NewJSONMapScanPush(data []byte, t *catalog.Table, need []int, idx *jsonidx.Index,
+	emitRID bool, batchSize int, opts Pushdown) (*RowScan, error) {
+	if t.Format != catalog.JSON {
+		return nil, fmt.Errorf("jit: json scan got format %s", t.Format)
+	}
+	if idx == nil || idx.NRows() == 0 {
+		return nil, fmt.Errorf("jit: json map scan requires a populated structural index")
+	}
+	// Declare the untracked paths up front so one recorder stages them all
+	// (a column out of range fails in newRowScan).
+	var newPaths []string
+	for _, c := range need {
+		if c >= 0 && c < len(t.Schema) && !idx.Tracked(t.Schema[c].Name) {
+			newPaths = append(newPaths, t.Schema[c].Name)
+		}
+	}
+	var adaptive *jsonidx.Recorder
+	adaptSlot := make(map[string]int)
+	if len(newPaths) > 0 {
+		adaptive = idx.Record(newPaths)
+		for i, p := range adaptive.Paths() {
+			adaptSlot[p] = i
+		}
+		opts.Skip = nil
+	}
+	opts.Syn = nil
+	s, err := newRowScan(t, need, idx.NRows(), emitRID, batchSize, opts, func(c int) (rowCol, error) {
+		return newJSONColReader(data, t, c, idx, adaptive, adaptSlot)
+	})
+	if err == nil && adaptive != nil {
+		s.atEnd = adaptive.Commit
+	}
+	return s, err
+}
+
+// newJSONColReader generates the reader for one column; which navigation it
+// uses (recorded offsets vs row-start walk) and which conversion applies are
+// resolved here, once, and captured as constants.
+func newJSONColReader(data []byte, t *catalog.Table, c int, idx *jsonidx.Index,
+	adaptive *jsonidx.Recorder, adaptSlot map[string]int) (rowCol, error) {
+	path := t.Schema[c].Name
+	typ := t.Schema[c].Type
+	if positions := idx.Positions(path); positions != nil {
+		switch typ {
+		case vector.Int64:
+			return rowCol{read: func(rowStart, rowEnd int64, sel []int32, out *vector.Vector) error {
+				if sel != nil {
+					base := out.Extend(int(rowEnd - rowStart))
+					for _, si := range sel {
+						row := rowStart + int64(si)
+						v, _, err := jsonInt64(data, int(positions[row]))
+						if err != nil {
+							return jsonMapError(row, path, err)
+						}
+						out.Int64s[base+int(si)] = v
+					}
+					return nil
+				}
+				for i, p := range positions[rowStart:rowEnd] {
+					v, _, err := jsonInt64(data, int(p))
+					if err != nil {
+						return jsonMapError(rowStart+int64(i), path, err)
+					}
+					out.Int64s = append(out.Int64s, v)
+				}
+				return nil
+			}}, nil
+		case vector.Float64:
+			return rowCol{read: func(rowStart, rowEnd int64, sel []int32, out *vector.Vector) error {
+				if sel != nil {
+					base := out.Extend(int(rowEnd - rowStart))
+					for _, si := range sel {
+						row := rowStart + int64(si)
+						v, _, err := jsonFloat64(data, int(positions[row]))
+						if err != nil {
+							return jsonMapError(row, path, err)
+						}
+						out.Float64s[base+int(si)] = v
+					}
+					return nil
+				}
+				for i, p := range positions[rowStart:rowEnd] {
+					v, _, err := jsonFloat64(data, int(p))
+					if err != nil {
+						return jsonMapError(rowStart+int64(i), path, err)
+					}
+					out.Float64s = append(out.Float64s, v)
+				}
+				return nil
+			}}, nil
+		default:
+			return rowCol{}, fmt.Errorf("jit: unsupported JSON column type %s", typ)
+		}
+	}
+	// Untracked path: walk from the recorded row starts, recording offsets.
+	// The walk runs dense regardless of any selection — the adaptive
+	// recording must cover every row for the index to stay sound.
+	segs := jsonfile.SplitPath(path)
+	ai := adaptSlot[path]
+	switch typ {
+	case vector.Int64, vector.Float64:
+	default:
+		return rowCol{}, fmt.Errorf("jit: unsupported JSON column type %s", typ)
+	}
+	isInt := typ == vector.Int64
+	return rowCol{dense: true, read: func(rowStart, rowEnd int64, _ []int32, out *vector.Vector) error {
+		for r := rowStart; r < rowEnd; r++ {
+			pos := jsonfile.FindPath(data, int(idx.RowStart(r)), segs)
+			if pos < 0 {
+				return fmt.Errorf("jit json map scan: row %d: path %q absent", r, path)
+			}
+			if adaptive != nil {
+				adaptive.AppendPathOffset(ai, int64(pos))
+			}
+			if isInt {
+				v, _, err := jsonInt64(data, pos)
+				if err != nil {
+					return jsonMapError(r, path, err)
+				}
+				out.Int64s = append(out.Int64s, v)
+			} else {
+				v, _, err := jsonFloat64(data, pos)
+				if err != nil {
+					return jsonMapError(r, path, err)
+				}
+				out.Float64s = append(out.Float64s, v)
+			}
+		}
+		return nil
+	}}, nil
+}
+
+// jsonMapError is a structural-index reader's conversion failure, at row and
+// path.
+func jsonMapError(row int64, path string, err error) error {
+	return fmt.Errorf("jit json map scan: row %d path %q: %w", row, path, err)
+}
 
 // NewJSONLateScan generates a column-shred access path over a JSONL file:
 // for each surviving row id it jumps via the structural index — straight to
