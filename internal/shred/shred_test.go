@@ -188,6 +188,40 @@ func ridSchema(names ...string) vector.Schema {
 	return s
 }
 
+func TestScanOperator(t *testing.T) {
+	shA := &Shred{key: Key{"t", 0}, vec: intVec(1, 2, 3, 4, 5)}
+	shB := &Shred{key: Key{"t", 1}, vec: intVec(10, 20, 30, 40, 50)}
+	s, err := NewScan([]*Shred{shA, shB}, []string{"a", "b"}, true, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sc := s.Schema(); len(sc) != 3 || sc[0].Name != "a" || sc[1].Name != "b" ||
+		sc[2].Name != insitu.RowIDColumn {
+		t.Fatalf("scan schema = %v", sc)
+	}
+	out, err := exec.Collect(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out[0].Len() != 5 || out[1].Int64s[4] != 50 || out[2].Int64s[3] != 3 {
+		t.Fatalf("scan output wrong: %v %v %v", out[0].Int64s, out[1].Int64s, out[2].Int64s)
+	}
+	// Partial shreds are rejected.
+	part := &Shred{key: Key{"t", 2}, rowIDs: []int64{0}, vec: intVec(9)}
+	if _, err := NewScan([]*Shred{part}, []string{"c"}, false, 0); err == nil {
+		t.Fatal("expected partial-shred rejection")
+	}
+	// Ragged columns are rejected.
+	if _, err := NewScan([]*Shred{shA, {key: Key{"t", 3}, vec: intVec(1)}},
+		[]string{"a", "c"}, false, 0); err == nil {
+		t.Fatal("expected ragged error")
+	}
+	// Names must align with shreds.
+	if _, err := NewScan([]*Shred{shA, shB}, []string{"a"}, false, 0); err == nil {
+		t.Fatal("expected name-count error")
+	}
+}
+
 func TestLateScanOperator(t *testing.T) {
 	// Child: rows 1 and 3 survived, rid column at index 1.
 	child, err := exec.NewMemScan(ridSchema("a"),
