@@ -1,30 +1,26 @@
 // Command rawbench regenerates the paper's evaluation tables and figures
-// (see DESIGN.md for the per-experiment index and EXPERIMENTS.md for the
-// shape comparison against the published results).
+// (internal/experiments indexes them) and the parallel, pushdown and
+// partition sweeps. Engineering benchmarks live in bench/ (bench/run.sh).
 //
 // Usage:
 //
 //	rawbench                      # run every experiment at default scale
 //	rawbench -exp fig5            # one experiment
 //	rawbench -rows 200000 -md     # bigger dataset, markdown output
-//	rawbench -exp pushdown -json out/   # also write machine-readable out/BENCH_pushdown.json
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 	"time"
 
 	"rawdb/internal/experiments"
-	"rawdb/internal/obs"
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment id (fig1a, fig1b, fig2, fig5, fig6, table2, fig7, fig8, fig9, fig11, fig12, table3, json, parallel, vault, pushdown, partition, server) or 'all'")
+	exp := flag.String("exp", "all", "experiment id (fig1a, fig1b, fig2, fig5, fig6, table2, fig7, fig8, fig9, fig11, fig12, table3, parallel, pushdown, partition) or 'all'")
 	rows := flag.Int("rows", 0, "narrow-table rows (default 100000)")
 	wideRows := flag.Int("wide-rows", 0, "wide-table rows (default 20000)")
 	joinRows := flag.Int("join-rows", 0, "join-table rows (default 50000)")
@@ -32,10 +28,7 @@ func main() {
 	repeats := flag.Int("repeats", 0, "timed repeats per point, min kept (default 2)")
 	workers := flag.Int("workers", 0, "max morsel-parallel workers swept by the parallel experiment (default 8)")
 	compileDelay := flag.Duration("compile-delay", 0, "simulated access-path compile latency (e.g. 2s) charged to first queries")
-	cacheDir := flag.String("cachedir", "", "persistent vault directory for the vault experiment (default: fresh temp dir)")
-	cacheBudget := flag.Int64("cachebudget", 0, "unified cache budget in bytes for the vault experiment's engines (0 = per-structure defaults)")
 	md := flag.Bool("md", false, "emit markdown tables")
-	jsonDir := flag.String("json", "", "directory to additionally write one machine-readable BENCH_<exp>.json per experiment (effective parameters, measured rows, engine metrics snapshot)")
 	flag.Parse()
 
 	cfg := experiments.Config{
@@ -46,8 +39,6 @@ func main() {
 		Repeats:      *repeats,
 		Workers:      *workers,
 		CompileDelay: *compileDelay,
-		CacheDir:     *cacheDir,
-		CacheBudget:  *cacheBudget,
 	}
 
 	var runners []experiments.Runner
@@ -62,13 +53,6 @@ func main() {
 		runners = []experiments.Runner{r}
 	}
 
-	if *jsonDir != "" {
-		if err := os.MkdirAll(*jsonDir, 0o755); err != nil {
-			fmt.Fprintf(os.Stderr, "rawbench: %v\n", err)
-			os.Exit(1)
-		}
-	}
-
 	for _, r := range runners {
 		start := time.Now()
 		tbl, err := r.Run(cfg)
@@ -76,65 +60,14 @@ func main() {
 			fmt.Fprintf(os.Stderr, "rawbench: %s: %v\n", r.ID, err)
 			os.Exit(1)
 		}
-		elapsed := time.Since(start)
-		fmt.Printf("== %s: %s  (measured in %v)\n", tbl.ID, tbl.Title, elapsed.Round(time.Millisecond))
+		fmt.Printf("== %s: %s  (measured in %v)\n", tbl.ID, tbl.Title, time.Since(start).Round(time.Millisecond))
 		if *md {
 			printMarkdown(tbl)
 		} else {
 			printAligned(tbl)
 		}
 		fmt.Println()
-		if *jsonDir != "" {
-			path := filepath.Join(*jsonDir, "BENCH_"+tbl.ID+".json")
-			if err := writeJSON(path, cfg, tbl, elapsed); err != nil {
-				fmt.Fprintf(os.Stderr, "rawbench: %s: %v\n", tbl.ID, err)
-				os.Exit(1)
-			}
-			fmt.Fprintf(os.Stderr, "(wrote %s)\n", path)
-		}
 	}
-}
-
-// benchJSON is the machine-readable experiment record written by -json: the
-// effective (default-resolved) parameters, the measured table verbatim, and
-// the engine metrics-registry snapshot when the experiment captured one.
-type benchJSON struct {
-	Experiment string            `json:"experiment"`
-	Title      string            `json:"title"`
-	Params     map[string]int64  `json:"params"`
-	Header     []string          `json:"header"`
-	Rows       [][]string        `json:"rows"`
-	ElapsedNS  int64             `json:"elapsed_ns"`
-	Metrics    map[string]int64  `json:"metrics,omitempty"`
-	Heat       *obs.HeatSnapshot `json:"heat,omitempty"`
-}
-
-func writeJSON(path string, cfg experiments.Config, tbl *experiments.Table, elapsed time.Duration) error {
-	eff := cfg.WithDefaults()
-	rec := benchJSON{
-		Experiment: tbl.ID,
-		Title:      tbl.Title,
-		Params: map[string]int64{
-			"narrow_rows":      int64(eff.NarrowRows),
-			"wide_rows":        int64(eff.WideRows),
-			"join_rows":        int64(eff.JoinRows),
-			"higgs_events":     int64(eff.HiggsEvents),
-			"repeats":          int64(eff.Repeats),
-			"workers":          int64(eff.Workers),
-			"compile_delay_ns": eff.CompileDelay.Nanoseconds(),
-			"cache_budget":     eff.CacheBudget,
-		},
-		Header:    tbl.Header,
-		Rows:      tbl.Rows,
-		ElapsedNS: elapsed.Nanoseconds(),
-		Metrics:   tbl.Metrics,
-		Heat:      tbl.Heat,
-	}
-	data, err := json.MarshalIndent(rec, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 func printAligned(t *experiments.Table) {

@@ -35,62 +35,32 @@ import (
 	"strings"
 
 	"rawdb"
-	"rawdb/internal/faults"
 	"rawdb/internal/infer"
 	"rawdb/internal/server"
 )
 
-// multiFlag collects repeated name=path flags.
-type multiFlag []string
-
-func (m *multiFlag) String() string     { return strings.Join(*m, ",") }
-func (m *multiFlag) Set(v string) error { *m = append(*m, v); return nil }
-
 func main() {
-	var specs infer.Specs
-	flag.Var((*multiFlag)(&specs.CSVs), "csv", "register a CSV file as name=path (repeatable)")
-	flag.Var((*multiFlag)(&specs.Bins), "bin", "register a binary file as name=path (repeatable)")
-	flag.Var((*multiFlag)(&specs.JSONs), "json", "register a JSONL file as name=path (repeatable)")
-	flag.Var((*multiFlag)(&specs.Roots), "root", "register every tree of a root-like file (path; tree names become table names; repeatable)")
-	flag.Var((*multiFlag)(&specs.Datasets), "dataset", "register a directory or glob of raw files as one table, name=pattern (formats inferred per file by extension; schema inferred from the first file; repeatable)")
+	var ef infer.EngineFlags
+	ef.Bind(flag.CommandLine)
 	query := flag.String("q", "", "SQL query to run")
 	connect := flag.String("connect", "", "run the query on a rawserve instance at host:port (line protocol) instead of an in-process engine")
 	timeoutMS := flag.Int64("timeout", 0, "per-query deadline in milliseconds, enforced by the server (-connect only; 0 = none)")
-	strategy := flag.String("strategy", "shreds", "access strategy: shreds, jit, insitu, external, dbms")
-	workers := flag.Int("workers", 1, "morsel-parallel workers for scans, aggregation and joins (<=1 serial; ROOT tables and sub-morsel files fall back to serial with the reason reported in -stats)")
-	cacheDir := flag.String("cachedir", "", "persistent vault directory: positional maps, structural indexes and column shreds persist here across runs (safe to delete at any time)")
-	cacheBudget := flag.Int64("cachebudget", 0, "unified in-memory cache budget in bytes across positional maps, structural indexes and column shreds (0 keeps per-structure defaults)")
-	noPushdown := flag.Bool("nopushdown", false, "keep WHERE predicates in Filter operators instead of pushing them into the generated access paths")
-	noShredCache := flag.Bool("noshredcache", false, "disable column-shred capture and reuse (raw-file scans then absorb predicates and skip zone-map-excluded blocks; capture otherwise wins that conflict)")
-	noZoneMaps := flag.Bool("nozonemaps", false, "disable per-block min/max zone maps (no block or morsel skipping)")
 	explain := flag.Bool("explain", false, "print the physical plan (access paths, pushdown, zone-map decisions) instead of executing")
 	analyze := flag.Bool("analyze", false, "execute the query with tracing on and print an EXPLAIN ANALYZE-style span tree (per-operator wall/busy time, rows, prune counts) to stderr")
 	traceOut := flag.String("trace", "", "execute the query with tracing on and write a chrome://tracing JSON timeline to this file")
 	events := flag.Bool("events", false, "print adaptive-structure lifecycle events (captured/restored/evicted/invalidated) to stderr after the query")
 	heat := flag.Bool("heat", false, "print the workload-heat profile (per-table scans, bytes read/avoided, structure hits vs builds, column touch counts) to stderr after the query")
-	queryLog := flag.String("query-log", "", "append one structured JSON record per query to this file ('-' for stderr)")
-	slowMs := flag.Int("slow-query-ms", 0, "with -query-log: embed the rendered span tree in records at or over this latency")
-	faultSpec := flag.String("faults", "", "chaos testing: inject deterministic faults into file and cache access, e.g. 'vault.read:corrupt:after=1' (see rawserve -faults for sites and kinds; in-process engine only)")
-	faultSeed := flag.Int64("fault-seed", 1, "seed for the -faults schedule")
 	statsMode := flag.String("stats", "text", "stats output: text (human-readable stderr lines) or json (one machine-readable line with query stats and an engine metrics snapshot)")
 	flag.Parse()
 
-	if *faultSpec != "" {
-		sched, err := faults.ParseSpec(*faultSpec, *faultSeed)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "rawql:", err)
-			os.Exit(1)
-		}
-		faults.Install(sched)
-	}
-
 	var err error
-	if *connect != "" {
-		err = runRemote(specs, *connect, *query, *timeoutMS)
-	} else {
-		err = run(specs, *query, *strategy, *workers, *cacheDir, *cacheBudget,
-			*noPushdown, *noZoneMaps, *noShredCache, *explain, *analyze, *traceOut, *events,
-			*heat, *queryLog, *slowMs, *statsMode)
+	switch {
+	case *query == "":
+		err = fmt.Errorf("no query; pass -q \"SELECT ...\"")
+	case *connect != "":
+		err = runRemote(ef.Specs, *connect, *query, *timeoutMS)
+	default:
+		err = run(&ef, *query, output{*explain, *analyze, *traceOut, *events, *heat, *statsMode})
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "rawql:", err)
@@ -98,11 +68,16 @@ func main() {
 	}
 }
 
+// output is what rawql prints besides the result rows.
+type output struct {
+	explain, analyze bool
+	traceOut         string
+	events, heat     bool
+	statsMode        string
+}
+
 // runRemote sends the query to a rawserve session over the line protocol.
 func runRemote(specs infer.Specs, addr, query string, timeoutMS int64) error {
-	if query == "" {
-		return fmt.Errorf("no query; pass -q \"SELECT ...\"")
-	}
 	if len(specs.CSVs)+len(specs.Bins)+len(specs.JSONs)+len(specs.Roots)+len(specs.Datasets) > 0 {
 		return fmt.Errorf("-connect runs against the server's catalog; table flags are not allowed")
 	}
@@ -123,53 +98,24 @@ func runRemote(specs infer.Specs, addr, query string, timeoutMS int64) error {
 	return nil
 }
 
-func run(specs infer.Specs, query, strategy string, workers int,
-	cacheDir string, cacheBudget int64, noPushdown, noZoneMaps, noShredCache, explain bool,
-	analyze bool, traceOut string, events, heat bool, queryLog string, slowMs int,
-	statsMode string) error {
-	if query == "" {
-		return fmt.Errorf("no query; pass -q \"SELECT ...\"")
-	}
-	strat, err := infer.ParseStrategy(strategy)
+func run(ef *infer.EngineFlags, query string, out output) error {
+	eng, closeAll, err := ef.Open()
 	if err != nil {
 		return err
 	}
-	var qlog *raw.QueryLog
-	switch queryLog {
-	case "":
-		if slowMs > 0 {
-			return fmt.Errorf("-slow-query-ms needs -query-log")
-		}
-	case "-":
-		qlog = raw.NewQueryLog(os.Stderr)
-	default:
-		if qlog, err = raw.OpenQueryLog(queryLog, 0); err != nil {
-			return err
-		}
-		defer qlog.Close()
-	}
-	eng := raw.NewEngine(raw.Config{Strategy: strat, Parallelism: workers,
-		CacheDir: cacheDir, CacheBudget: cacheBudget,
-		DisablePushdown: noPushdown, DisableZoneMaps: noZoneMaps,
-		DisableShredCache: noShredCache,
-		QueryLog:          qlog, SlowQueryMillis: slowMs})
-	defer eng.Close() // flush vault write-backs so the next run starts warm
+	defer closeAll()
 
-	if err := infer.Register(eng, specs); err != nil {
-		return err
-	}
-
-	if explain {
-		out, err := eng.Explain(query, raw.Options{})
+	if out.explain {
+		plan, err := eng.Explain(query, raw.Options{})
 		if err != nil {
 			return err
 		}
-		fmt.Print(out)
+		fmt.Print(plan)
 		return nil
 	}
 
 	var tr *raw.Trace
-	if analyze || traceOut != "" {
+	if out.analyze || out.traceOut != "" {
 		tr = raw.NewTrace()
 	}
 	res, err := eng.QueryOpt(query, raw.Options{Trace: tr})
@@ -184,7 +130,7 @@ func run(specs infer.Specs, query, strategy string, workers int,
 		}
 		fmt.Println(strings.Join(cells, "\t"))
 	}
-	switch statsMode {
+	switch out.statsMode {
 	case "json":
 		line, err := json.Marshal(struct {
 			Rows    int              `json:"rows"`
@@ -211,13 +157,13 @@ func run(specs infer.Specs, query, strategy string, workers int,
 				s.ParallelFallback, s.ParallelFallbackDetail)
 		}
 	default:
-		return fmt.Errorf("unknown -stats mode %q (want text or json)", statsMode)
+		return fmt.Errorf("unknown -stats mode %q (want text or json)", out.statsMode)
 	}
-	if analyze {
+	if out.analyze {
 		fmt.Fprint(os.Stderr, tr.Render())
 	}
-	if traceOut != "" {
-		f, err := os.Create(traceOut)
+	if out.traceOut != "" {
+		f, err := os.Create(out.traceOut)
 		if err != nil {
 			return err
 		}
@@ -228,9 +174,9 @@ func run(specs infer.Specs, query, strategy string, workers int,
 		if err := f.Close(); err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "(trace written to %s; load it in chrome://tracing or Perfetto)\n", traceOut)
+		fmt.Fprintf(os.Stderr, "(trace written to %s; load it in chrome://tracing or Perfetto)\n", out.traceOut)
 	}
-	if events {
+	if out.events {
 		for _, ev := range eng.RecentEvents() {
 			fmt.Fprintf(os.Stderr, "[event] %s %s table=%s", ev.Kind, ev.Structure, ev.Table)
 			if ev.Partition != "" {
@@ -245,7 +191,7 @@ func run(specs infer.Specs, query, strategy string, workers int,
 			fmt.Fprintln(os.Stderr)
 		}
 	}
-	if heat {
+	if out.heat {
 		fmt.Fprint(os.Stderr, eng.HeatSnapshot().Format())
 	}
 	return nil

@@ -32,56 +32,26 @@ import (
 	"syscall"
 	"time"
 
-	"rawdb"
-	"rawdb/internal/faults"
 	"rawdb/internal/infer"
 	"rawdb/internal/server"
 )
 
 func main() {
-	var specs infer.Specs
-	flag.Var((*multiFlag)(&specs.CSVs), "csv", "register a CSV file as name=path (repeatable)")
-	flag.Var((*multiFlag)(&specs.Bins), "bin", "register a binary file as name=path (repeatable)")
-	flag.Var((*multiFlag)(&specs.JSONs), "json", "register a JSONL file as name=path (repeatable)")
-	flag.Var((*multiFlag)(&specs.Roots), "root", "register every tree of a root-like file (path; repeatable)")
-	flag.Var((*multiFlag)(&specs.Datasets), "dataset", "register a directory or glob of raw files as one table, name=pattern (repeatable)")
+	var ef infer.EngineFlags
+	ef.Bind(flag.CommandLine)
 	httpAddr := flag.String("http", "", "HTTP listen address (e.g. :8080) for POST /query, GET /metrics, GET /healthz")
 	lineAddr := flag.String("listen", "", "line-protocol listen address (e.g. :8081): one JSON request per line, one JSON response per line; rawql -connect speaks it")
-	strategy := flag.String("strategy", "shreds", "access strategy: shreds, jit, insitu, external, dbms")
-	workers := flag.Int("workers", 1, "morsel-parallel workers per query")
-	cacheDir := flag.String("cachedir", "", "persistent vault directory (structures survive restarts)")
-	cacheBudget := flag.Int64("cachebudget", 0, "unified in-memory cache budget in bytes (0 keeps per-structure defaults)")
-	noPushdown := flag.Bool("nopushdown", false, "disable predicate pushdown into generated access paths")
-	noZoneMaps := flag.Bool("nozonemaps", false, "disable per-block min/max zone maps")
-	noShredCache := flag.Bool("noshredcache", false, "disable column-shred capture and reuse")
 	maxConcurrent := flag.Int("max-concurrent", 8, "queries allowed to execute at once")
 	maxQueue := flag.Int("max-queue", 64, "queries allowed to wait for an execution slot")
 	queueTimeout := flag.Duration("queue-timeout", 5*time.Second, "longest a query waits for a slot before a 429")
 	queryTimeout := flag.Duration("query-timeout", 0, "server-side per-query deadline (0 = none)")
 	memDegrade := flag.Float64("mem-degrade", 0.75, "cache-budget occupancy fraction above which new queries run in no-capture mode (needs -cachebudget)")
 	memReject := flag.Float64("mem-reject", 1.5, "projected cache-budget occupancy fraction above which queries are rejected with 429 (needs -cachebudget)")
-	faultSpec := flag.String("faults", "", "chaos testing: inject deterministic faults, e.g. 'vault.read:corrupt:after=2;csv.load:err:times=1' (sites: csv.load json.load vault.read vault.write dataset.stat exec.morsel exec.serial; kinds: err notexist shortread corrupt torn latency panic)")
-	faultSeed := flag.Int64("fault-seed", 1, "seed for the -faults schedule (determinism across runs)")
-	queryLog := flag.String("query-log", "", "structured query log: one JSON record per query, appended to this file ('-' for stderr), rotated once past -query-log-bytes")
-	queryLogBytes := flag.Int64("query-log-bytes", 0, "rotate the query log past this many bytes (default 64 MiB)")
-	slowMs := flag.Int("slow-query-ms", 0, "with -query-log: trace every query and embed the rendered span tree in records at or over this latency")
+	flag.Int64Var(&ef.QueryLogBytes, "query-log-bytes", 0, "rotate the query log past this many bytes (default 64 MiB)")
 	debugAddr := flag.String("debug", "", "debug listen address (e.g. localhost:6060) serving net/http/pprof")
 	flag.Parse()
 
-	if *faultSpec != "" {
-		sched, err := faults.ParseSpec(*faultSpec, *faultSeed)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "rawserve:", err)
-			os.Exit(1)
-		}
-		faults.Install(sched)
-		fmt.Fprintf(os.Stderr, "rawserve: fault injection armed: %s (seed %d)\n", *faultSpec, *faultSeed)
-	}
-
-	obsCfg := obsOpts{queryLog: *queryLog, queryLogBytes: *queryLogBytes,
-		slowMs: *slowMs, debugAddr: *debugAddr}
-	if err := run(specs, *httpAddr, *lineAddr, *strategy, *workers, *cacheDir, *cacheBudget,
-		*noPushdown, *noZoneMaps, *noShredCache, obsCfg,
+	if err := run(&ef, *httpAddr, *lineAddr, *debugAddr,
 		server.Options{MaxConcurrent: *maxConcurrent, MaxQueue: *maxQueue,
 			QueueTimeout: *queueTimeout, QueryTimeout: *queryTimeout,
 			MemoryDegrade: *memDegrade, MemoryReject: *memReject}); err != nil {
@@ -90,70 +60,26 @@ func main() {
 	}
 }
 
-// obsOpts bundles the observability flags: query log destination, slow-query
-// threshold, and the pprof debug listener.
-type obsOpts struct {
-	queryLog      string
-	queryLogBytes int64
-	slowMs        int
-	debugAddr     string
-}
-
-// openQueryLog builds the query log the flags describe, or (nil, nil) when
-// logging is off.
-func (o obsOpts) openQueryLog() (*raw.QueryLog, error) {
-	switch o.queryLog {
-	case "":
-		if o.slowMs > 0 {
-			return nil, fmt.Errorf("-slow-query-ms needs -query-log")
-		}
-		return nil, nil
-	case "-":
-		return raw.NewQueryLog(os.Stderr), nil
-	default:
-		return raw.OpenQueryLog(o.queryLog, o.queryLogBytes)
-	}
-}
-
-type multiFlag []string
-
-func (m *multiFlag) String() string     { return fmt.Sprint([]string(*m)) }
-func (m *multiFlag) Set(v string) error { *m = append(*m, v); return nil }
-
-func run(specs infer.Specs, httpAddr, lineAddr, strategy string, workers int,
-	cacheDir string, cacheBudget int64, noPushdown, noZoneMaps, noShredCache bool,
-	obsCfg obsOpts, sopts server.Options) error {
+func run(ef *infer.EngineFlags, httpAddr, lineAddr, debugAddr string, sopts server.Options) error {
 	if httpAddr == "" && lineAddr == "" {
 		return fmt.Errorf("no listener; pass -http and/or -listen")
 	}
-	strat, err := infer.ParseStrategy(strategy)
+	eng, closeAll, err := ef.Open()
 	if err != nil {
 		return err
 	}
-	qlog, err := obsCfg.openQueryLog()
-	if err != nil {
-		return err
-	}
-	if qlog != nil {
-		defer qlog.Close()
-	}
-	eng := raw.NewEngine(raw.Config{Strategy: strat, Parallelism: workers,
-		CacheDir: cacheDir, CacheBudget: cacheBudget,
-		DisablePushdown: noPushdown, DisableZoneMaps: noZoneMaps,
-		DisableShredCache: noShredCache,
-		QueryLog:          qlog, SlowQueryMillis: obsCfg.slowMs})
-	defer eng.Close()
-	if err := infer.Register(eng, specs); err != nil {
-		return err
+	defer closeAll()
+	if ef.Faults != "" {
+		fmt.Fprintf(os.Stderr, "rawserve: fault injection armed: %s (seed %d)\n", ef.Faults, ef.FaultSeed)
 	}
 
 	srv := server.New(eng, sopts)
 	errc := make(chan error, 3)
 	var closers []func()
-	if obsCfg.debugAddr != "" {
+	if debugAddr != "" {
 		// net/http/pprof registers its handlers on DefaultServeMux; the debug
 		// listener serves that mux, kept off the query listener on purpose.
-		l, err := net.Listen("tcp", obsCfg.debugAddr)
+		l, err := net.Listen("tcp", debugAddr)
 		if err != nil {
 			return err
 		}
@@ -190,7 +116,7 @@ func run(specs infer.Specs, httpAddr, lineAddr, strategy string, workers int,
 		for _, c := range closers {
 			c()
 		}
-		return nil // deferred eng.Close flushes the vault
+		return nil // deferred closeAll flushes the vault
 	case err := <-errc:
 		for _, c := range closers {
 			c()

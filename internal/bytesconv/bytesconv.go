@@ -5,12 +5,16 @@
 // function used to convert strings to integers" directly into generated scan
 // code. This package is that custom conversion layer: allocation-free parsers
 // that operate on sub-slices of a memory-resident raw file, avoiding the
-// string conversions and error-object allocations of strconv.
+// string conversions and error-object allocations of strconv. The package's
+// own grammar is the only validator; a float that needs more than one exact
+// multiply or divide is rounded by strconv over the same bytes, uncopied.
 package bytesconv
 
 import (
 	"errors"
 	"math"
+	"strconv"
+	"unsafe"
 )
 
 // Conversion errors. They are sentinel values so hot paths can compare with
@@ -47,7 +51,7 @@ func ParseInt64(b []byte) (int64, error) {
 			return 0, ErrSyntax
 		}
 		if un >= cutoff {
-			return 0, ErrOverflow
+			return 0, overflowOrSyntax(b[i:])
 		}
 		un = un*10 + uint64(c)
 	}
@@ -63,10 +67,24 @@ func ParseInt64(b []byte) (int64, error) {
 	return int64(un), nil
 }
 
+// overflowOrSyntax classifies a digit run too long for int64 by what is left
+// of it: a malformed token is ErrSyntax however many digits it starts with.
+func overflowOrSyntax(rest []byte) error {
+	for _, c := range rest {
+		if c-'0' > 9 {
+			return ErrSyntax
+		}
+	}
+	return ErrOverflow
+}
+
 // maxPrefixDigits bounds the digits the prefix parsers take: 18 decimal
-// digits fit int64 without an overflow check and float64's mantissa
-// accumulator without ParseFloat64's 19-digit truncation.
+// digits fit int64 without an overflow check.
 const maxPrefixDigits = 18
+
+// maxExactMant is the largest mantissa the float parsers convert exactly:
+// every integer up to 2^53 is a float64.
+const maxExactMant = 1 << 53
 
 // numberByte reports whether c can be part of a number token as the text
 // scanners delimit one (digits, signs, '.', exponent markers).
@@ -106,9 +124,10 @@ func ParseInt64Prefix(data []byte, pos int) (v int64, end int, ok bool) {
 }
 
 // ParseFloat64Prefix is ParseInt64Prefix for the plain decimal form
-// -?digits[.digits] of at most 18 digits in all: the value is bit-identical
-// to ParseFloat64's for the token, computed by the same operations. ok is
-// false for exponents, a leading '+', longer mantissas and anything
+// -?digits[.digits] of at most 18 digits in all whose digits, read as one
+// integer, are at most 2^53: the tokens ParseFloat64 converts on its exact
+// fast path, by the same operations, so the value is bit-identical. ok is
+// false for exponents, a leading '+', larger mantissas and anything
 // malformed.
 func ParseFloat64Prefix(data []byte, pos int) (v float64, end int, ok bool) {
 	i := pos
@@ -139,7 +158,7 @@ func ParseFloat64Prefix(data []byte, pos int) (v float64, end int, ok bool) {
 		frac = i - dot
 		digits += frac
 	}
-	if digits == 0 || digits > maxPrefixDigits || i < len(data) && numberByte(data[i]) {
+	if digits == 0 || digits > maxPrefixDigits || mant > maxExactMant || i < len(data) && numberByte(data[i]) {
 		return 0, pos, false
 	}
 	f := float64(mant)
@@ -152,10 +171,17 @@ func ParseFloat64Prefix(data []byte, pos int) (v float64, end int, ok bool) {
 	return f, i, true
 }
 
-// ParseFloat64 parses a decimal floating point number of the form emitted by
-// our dataset generators: [-+]?digits[.digits][eE[-+]digits]. It covers the
-// value domain of the paper's workloads without the full generality (hex
-// floats, Inf/NaN spellings) of strconv.ParseFloat.
+// ParseFloat64 parses a decimal floating point number of the form
+// [-+]?digits[.digits][eE[-+]digits], where either digit run of the mantissa
+// may be empty but not both, and returns the correctly rounded float64 —
+// strconv.ParseFloat's value for the same text. Anything else (spaces, hex,
+// underscores, Inf/NaN spellings) is ErrSyntax, and a value beyond float64's
+// range is ErrOverflow.
+//
+// Clinger's fast path takes the generators' values: when no digit is dropped,
+// the mantissa is at most 2^53 and the decimal exponent at most 22 in
+// magnitude, both operands are exact and one multiply or divide rounds
+// correctly. Every other token goes to strconv.
 func ParseFloat64(b []byte) (float64, error) {
 	if len(b) == 0 {
 		return 0, ErrEmpty
@@ -172,10 +198,11 @@ func ParseFloat64(b []byte) (float64, error) {
 	if i == len(b) {
 		return 0, ErrSyntax
 	}
-	// Integer part.
+	// Integer part, then fractional part: up to 19 digits accumulate in
+	// mant, and any further digit marks the mantissa truncated.
 	var mant uint64
 	var digits, frac int
-	sawDigit := false
+	sawDigit, trunc := false, false
 	for ; i < len(b); i++ {
 		c := b[i] - '0'
 		if c > 9 {
@@ -186,10 +213,9 @@ func ParseFloat64(b []byte) (float64, error) {
 			mant = mant*10 + uint64(c)
 			digits++
 		} else {
-			frac-- // excess integer digits shift the exponent up
+			trunc = true
 		}
 	}
-	// Fractional part.
 	if i < len(b) && b[i] == '.' {
 		i++
 		for ; i < len(b); i++ {
@@ -202,6 +228,8 @@ func ParseFloat64(b []byte) (float64, error) {
 				mant = mant*10 + uint64(c)
 				digits++
 				frac++
+			} else {
+				trunc = true
 			}
 		}
 	}
@@ -235,37 +263,32 @@ func ParseFloat64(b []byte) (float64, error) {
 	if i != len(b) {
 		return 0, ErrSyntax
 	}
-	f := float64(mant)
-	e := exp - frac
-	switch {
-	case e > 308:
-		return 0, ErrOverflow
-	case e < -323:
-		f = 0
-	case e >= 0:
-		f *= pow10(e)
-	default:
-		f /= pow10(-e)
+	if e := exp - frac; !trunc && mant <= maxExactMant && e >= -22 && e <= 22 {
+		f := float64(mant)
+		if e >= 0 {
+			f *= pow10tab[e]
+		} else {
+			f /= pow10tab[-e]
+		}
+		if neg {
+			f = -f
+		}
+		return f, nil
 	}
-	if neg {
-		f = -f
+	// The grammar above is strconv's decimal form, so its only error left
+	// is a range error, which it reports as ±Inf.
+	f, _ := strconv.ParseFloat(unsafe.String(&b[0], len(b)), 64)
+	if math.IsInf(f, 0) {
+		return 0, ErrOverflow
 	}
 	return f, nil
 }
 
+// pow10tab holds the powers of ten a float64 represents exactly.
 var pow10tab = [...]float64{
 	1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9,
 	1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19,
 	1e20, 1e21, 1e22,
-}
-
-func pow10(e int) float64 {
-	f := 1.0
-	for e >= len(pow10tab) {
-		f *= 1e22
-		e -= 22
-	}
-	return f * pow10tab[e]
 }
 
 // AppendInt64 appends the decimal representation of v to dst.

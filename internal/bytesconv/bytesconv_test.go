@@ -25,6 +25,7 @@ func TestParseInt64(t *testing.T) {
 		{"9223372036854775808", 0, ErrOverflow},
 		{"-9223372036854775809", 0, ErrOverflow},
 		{"99999999999999999999", 0, ErrOverflow},
+		{"10000000000000000000A", 0, ErrSyntax},
 		{"", 0, ErrEmpty},
 		{"-", 0, ErrSyntax},
 		{"+", 0, ErrSyntax},
@@ -206,10 +207,12 @@ func TestPrefixParsers(t *testing.T) {
 		int, flt bool // the plain forms must be taken in one pass
 	}{
 		{"0", true, true}, {"7,", true, true}, {"-0}", true, true}, {"-12345678}", true, true},
-		{"123456789012345678]", true, true}, {"-123456789012345678", true, true},
+		{"123456789012345678]", true, false}, {"-123456789012345678", true, false},
+		{"9007199254740992,", true, true}, {"-9007199254740993", true, false}, {"0.00000000000000001", false, true},
 		{"1234567890123456789,", false, false}, {"12345678901234567890123456789", false, false},
 		{"1.5,", false, true}, {"-0.000001}", false, true}, {"1.", false, true}, {".5", false, true},
-		{"12345678.1234567890,", false, true}, {"1234567890.123456789", false, false},
+		{"12345678.1234567890,", false, false}, {"1234567890.123456789", false, false},
+		{"360871.41685690597", false, false}, {"90071992.54740992", false, true},
 		{"0.1234567890123456789", false, false},
 		{"+7", false, false}, {"1e3", false, false}, {"1.5E-3", false, false}, {"1-2", false, false},
 		{"1.2.3", false, false}, {"-", false, false}, {".", false, false}, {"", false, false},
@@ -233,4 +236,80 @@ func TestPrefixParsers(t *testing.T) {
 		}
 		checkPrefixParsers(t, data, rng.Intn(len(data)))
 	}
+}
+
+// TestParseFloat64CorrectlyRounded pins inputs a multiply-by-power-of-ten
+// parser misrounds, then holds seeded random shortest-round-trip doubles,
+// and 17-digit plain decimals through the prefix parser, to strconv bit for
+// bit.
+func TestParseFloat64CorrectlyRounded(t *testing.T) {
+	check := func(s string) {
+		t.Helper()
+		want, err := strconv.ParseFloat(s, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := ParseFloat64([]byte(s))
+		if err != nil || math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("ParseFloat64(%q) = %v, %v; want %v", s, got, err, want)
+		}
+		if v, _, ok := ParseFloat64Prefix([]byte(s), 0); ok && math.Float64bits(v) != math.Float64bits(want) {
+			t.Fatalf("ParseFloat64Prefix(%q) = %v; want %v", s, v, want)
+		}
+	}
+	for _, s := range []string{"7.078406569534682e+64", "1e-320", "0.000001e309", "360871.41685690597"} {
+		check(s)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 200000; i++ {
+		f := math.Float64frombits(rng.Uint64())
+		if math.IsNaN(f) || math.IsInf(f, 0) {
+			continue
+		}
+		check(strconv.FormatFloat(f, 'g', -1, 64))
+		check(strconv.FormatFloat(rng.Float64()*1e6, 'f', -1, 64))
+	}
+}
+
+// FuzzParseFloat holds ParseFloat64 to strconv on every token its grammar
+// accepts: the same bits, or ErrOverflow exactly where strconv gives ±Inf.
+// Wherever the prefix parser accepts, it agrees with the full one.
+func FuzzParseFloat(f *testing.F) {
+	for _, s := range []string{"0", "-0", "1.5", ".5", "5.", "+1e-5", "7.078406569534682e+64",
+		"1e-320", "0.000001e309", "360871.41685690597", "1e400", "-2e-400", "1_0", "inf", "0x1p3"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		checkPrefixParsers(t, []byte(s), 0)
+		got, err := ParseFloat64([]byte(s))
+		if errors.Is(err, ErrEmpty) || errors.Is(err, ErrSyntax) {
+			return
+		}
+		want, serr := strconv.ParseFloat(s, 64)
+		if errors.Is(err, ErrOverflow) != math.IsInf(want, 0) ||
+			err == nil && (serr != nil || math.Float64bits(got) != math.Float64bits(want)) {
+			t.Fatalf("ParseFloat64(%q) = %v, %v; strconv %v, %v", s, got, err, want, serr)
+		}
+	})
+}
+
+// FuzzParseInt is FuzzParseFloat for ParseInt64: the same value, or
+// ErrOverflow exactly where strconv reports a range error.
+func FuzzParseInt(f *testing.F) {
+	for _, s := range []string{"0", "-0", "+7", "9223372036854775807", "-9223372036854775808",
+		"9223372036854775808", "000000000000000000000001", "1_0", "12x4"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		checkPrefixParsers(t, []byte(s), 0)
+		got, err := ParseInt64([]byte(s))
+		if errors.Is(err, ErrEmpty) || errors.Is(err, ErrSyntax) {
+			return
+		}
+		want, serr := strconv.ParseInt(s, 10, 64)
+		if errors.Is(err, ErrOverflow) != errors.Is(serr, strconv.ErrRange) ||
+			err == nil && (serr != nil || got != want) {
+			t.Fatalf("ParseInt64(%q) = %d, %v; strconv %d, %v", s, got, err, want, serr)
+		}
+	})
 }

@@ -1,8 +1,10 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (Sections 4-6) on laptop-scale datasets. Each experiment
-// returns a Table of labelled measurements that cmd/rawbench prints; the
-// per-experiment index lives in DESIGN.md, and the observed-vs-paper shape
-// comparison in EXPERIMENTS.md.
+// returns a Table of labelled measurements that cmd/rawbench prints; All is
+// the per-experiment index. Engineering performance (cold, warm and served
+// queries, layer by layer) is measured by bench/, not here: besides the
+// paper's figures, this package keeps only the three sweeps bench/ has no
+// twin for (parallel, pushdown, partition).
 //
 // Methodology notes:
 //
@@ -17,13 +19,10 @@ package experiments
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"time"
 
 	"rawdb/internal/engine"
 	"rawdb/internal/higgs"
-	"rawdb/internal/obs"
 	"rawdb/internal/posmap"
 	"rawdb/internal/storage/rootfile"
 	"rawdb/internal/workload"
@@ -44,12 +43,6 @@ type Config struct {
 	// Workers bounds the morsel-parallel worker sweep of the "parallel"
 	// experiment (default 8).
 	Workers int
-	// CacheDir is the persistent-vault directory the "vault" experiment uses
-	// (default: a fresh temporary directory, removed afterwards).
-	CacheDir string
-	// CacheBudget is the unified cache budget in bytes handed to the vault
-	// experiment's engines (0 keeps per-structure defaults).
-	CacheBudget int64
 }
 
 func (c Config) withDefaults() Config {
@@ -80,26 +73,7 @@ type Table struct {
 	Title  string
 	Header []string
 	Rows   [][]string
-	// Metrics, when non-nil, is an engine metrics-registry snapshot taken
-	// from a representative engine after the experiment's final query:
-	// cumulative prune/pushdown counters, cache gauges and query-latency
-	// histograms. rawbench -json folds it into BENCH_<id>.json.
-	Metrics map[string]int64
-	// Heat, when non-nil, is the same engine's workload-heat snapshot
-	// (per-table scans, bytes read/avoided, structure hits vs builds).
-	Heat *obs.HeatSnapshot
 }
-
-// heatOf snapshots an engine's workload-heat profiler for Table.Heat.
-func heatOf(e *engine.Engine) *obs.HeatSnapshot {
-	s := e.Heat().Snapshot()
-	return &s
-}
-
-// WithDefaults resolves zero-valued Config fields to their laptop-scale
-// defaults (exported so cmd/rawbench can report the effective parameters in
-// its machine-readable output).
-func (c Config) WithDefaults() Config { return c.withDefaults() }
 
 // Runner executes one experiment.
 type Runner struct {
@@ -123,12 +97,9 @@ func All() []Runner {
 		{"fig11", "Join, projected column on pipelined side", RunFig11},
 		{"fig12", "Join, projected column on pipeline-breaking side", RunFig12},
 		{"table3", "Higgs analysis: hand-written vs RAW, cold and warm", RunTable3},
-		{"json", "JSON adapter: cold vs structural-index-warm vs shred-hot, against CSV", RunJSON},
 		{"parallel", "Morsel-parallel cold aggregate scans: workers sweep over CSV and JSONL", RunParallel},
-		{"vault", "Persistent vault: cold vs restart-warm vs in-memory-warm first queries", RunVault},
 		{"pushdown", "Predicate pushdown and zone-map pruning: selectivity sweeps, on vs off", RunPushdown},
 		{"partition", "Partitioned datasets: file-count sweep 1→64 with pruning on/off on a sorted-key split", RunPartition},
-		{"server", "Query server: shared-engine QPS and tail latency at 1/8/64 concurrent sessions, mixed hot/cold", RunServer},
 	}
 }
 
@@ -162,8 +133,8 @@ func timeQuery(repeats int, fn func() error) (time.Duration, error) {
 	return best, nil
 }
 
-// narrowEngine builds a fresh engine over the narrow dataset in the given
-// format ("csv" or "bin") with the given posmap spacing.
+// narrowEngine builds a fresh engine over a narrow or wide dataset in the
+// given format ("csv" or "bin") with the given posmap spacing.
 func narrowEngine(ds *workload.Dataset, format string, strat engine.Strategy,
 	everyK int, disableShreds bool, compileDelay time.Duration) (*engine.Engine, error) {
 	e := engine.New(engine.Config{
@@ -188,59 +159,6 @@ func narrowEngine(ds *workload.Dataset, format string, strat engine.Strategy,
 const q1 = "SELECT MAX(col1) FROM t WHERE col1 < %d"
 const q2 = "SELECT MAX(col11) FROM t WHERE col1 < %d"
 
-// RunJSON compares the JSON adapter against CSV on identical rows (the
-// narrow table in both serialisations), through the adaptive warm-up arc:
-// a cold first query (sequential scan, index construction), a warm second
-// query over a different column (structural index / positional map
-// navigation), and the same query again (served from column shreds).
-func RunJSON(cfg Config) (*Table, error) {
-	cfg = cfg.withDefaults()
-	ds, err := workload.Narrow(cfg.NarrowRows, 1)
-	if err != nil {
-		return nil, err
-	}
-	t := &Table{ID: "json", Title: "JSON vs CSV: cold, index-warm and shred-hot queries",
-		Header: []string{"format", "q1 cold (s)", "q2 warm (s)", "q2 hot (s)"}}
-	for _, format := range []string{"csv", "json"} {
-		e := engine.New(engine.Config{
-			Strategy:     engine.StrategyShreds,
-			PosMapPolicy: posmap.Policy{EveryK: 10},
-			CompileDelay: cfg.CompileDelay,
-		})
-		if format == "csv" {
-			err = e.RegisterCSVData("t", ds.CSV, ds.Schema)
-		} else {
-			err = e.RegisterJSONData("t", ds.JSONL, ds.Schema)
-		}
-		if err != nil {
-			return nil, err
-		}
-		cold, err := timeQuery(1, func() error {
-			_, err := e.Query(fmt.Sprintf(q1, workload.Threshold(0.5)))
-			return err
-		})
-		if err != nil {
-			return nil, err
-		}
-		warm, err := timeQuery(1, func() error {
-			_, err := e.Query(fmt.Sprintf(q2, workload.Threshold(0.4)))
-			return err
-		})
-		if err != nil {
-			return nil, err
-		}
-		hot, err := timeQuery(cfg.Repeats, func() error {
-			_, err := e.Query(fmt.Sprintf(q2, workload.Threshold(0.4)))
-			return err
-		})
-		if err != nil {
-			return nil, err
-		}
-		t.Rows = append(t.Rows, []string{format, secs(cold), secs(warm), secs(hot)})
-	}
-	return t, nil
-}
-
 // RunParallel sweeps the morsel-parallel worker count over cold aggregate
 // scans of the narrow table in CSV and JSONL form. Each point runs a fresh
 // engine (no positional map, no shreds), so the measurement covers the full
@@ -261,7 +179,6 @@ func RunParallel(cfg Config) (*Table, error) {
 	const q = "SELECT MIN(col1), MAX(col1), COUNT(*) FROM t WHERE col1 >= 0"
 	t := &Table{ID: "parallel", Title: "Cold aggregate scan: morsel-parallel worker sweep",
 		Header: []string{"format", "workers", "seconds", "speedup_vs_1"}}
-	var last *engine.Engine
 	for _, format := range []string{"csv", "json"} {
 		var base time.Duration
 		for _, w := range sweep {
@@ -272,7 +189,6 @@ func RunParallel(cfg Config) (*Table, error) {
 					Parallelism:       w,
 					DisableShredCache: true,
 				})
-				last = e
 				var rerr error
 				if format == "csv" {
 					rerr = e.RegisterCSVData("t", ds.CSV, ds.Schema)
@@ -295,103 +211,6 @@ func RunParallel(cfg Config) (*Table, error) {
 			t.Rows = append(t.Rows, []string{format, fmt.Sprintf("%d", w), secs(d),
 				fmt.Sprintf("%.2fx", speedup)})
 		}
-	}
-	if last != nil {
-		t.Metrics = last.Metrics().Snapshot()
-		t.Heat = heatOf(last)
-	}
-	return t, nil
-}
-
-// RunVault measures what the persistent vault buys across process restarts:
-// for CSV and JSONL, the cold first query (fresh engine, nothing cached), the
-// first query of a "restarted" engine that loads the previous engine's
-// vault entries at registration, and the in-memory warm repeat on the
-// original engine. With working persistence, restart-warm tracks
-// in-memory-warm rather than cold: the positional map / structural index and
-// the column shreds all come back from disk, so the probe query never
-// re-tokenizes the raw file.
-func RunVault(cfg Config) (*Table, error) {
-	cfg = cfg.withDefaults()
-	ds, err := workload.Narrow(cfg.NarrowRows, 1)
-	if err != nil {
-		return nil, err
-	}
-	dir := cfg.CacheDir
-	if dir == "" {
-		dir, err = os.MkdirTemp("", "rawdb-vault-*")
-		if err != nil {
-			return nil, err
-		}
-		defer os.RemoveAll(dir)
-	}
-	t := &Table{ID: "vault", Title: "Vault: first-query cost cold vs restart-warm vs in-memory-warm",
-		Header: []string{"format", "cold (s)", "restart_warm (s)", "mem_warm (s)"}}
-	probe := fmt.Sprintf(q2, workload.Threshold(0.4))
-	warmup := fmt.Sprintf(q1, workload.Threshold(0.4))
-	for _, format := range []string{"csv", "json"} {
-		mk := func(cachedir string) (*engine.Engine, error) {
-			e := engine.New(engine.Config{
-				Strategy:     engine.StrategyShreds,
-				PosMapPolicy: posmap.Policy{EveryK: 10},
-				CompileDelay: cfg.CompileDelay,
-				CacheDir:     cachedir,
-				CacheBudget:  cfg.CacheBudget,
-			})
-			var rerr error
-			if format == "csv" {
-				rerr = e.RegisterCSVData("t", ds.CSV, ds.Schema)
-			} else {
-				rerr = e.RegisterJSONData("t", ds.JSONL, ds.Schema)
-			}
-			if rerr != nil {
-				return nil, rerr
-			}
-			return e, nil
-		}
-		// Cold and in-memory warm, no vault involved.
-		e1, err := mk("")
-		if err != nil {
-			return nil, err
-		}
-		cold, err := timeQuery(1, func() error { _, err := e1.Query(probe); return err })
-		if err != nil {
-			return nil, err
-		}
-		if _, err := e1.Query(warmup); err != nil { // cache the filter column too
-			return nil, err
-		}
-		memWarm, err := timeQuery(cfg.Repeats, func() error { _, err := e1.Query(probe); return err })
-		if err != nil {
-			return nil, err
-		}
-		// Populate the vault in one "process", then restart into it.
-		fdir := filepath.Join(dir, format)
-		ev, err := mk(fdir)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := ev.Query(probe); err != nil {
-			return nil, err
-		}
-		if _, err := ev.Query(warmup); err != nil {
-			return nil, err
-		}
-		ev.Close()
-		e2, err := mk(fdir)
-		if err != nil {
-			return nil, err
-		}
-		// One repeat: the restart-warm effect exists only on e2's first query
-		// (repeats would measure the in-memory warm state it settles into).
-		restart, err := timeQuery(1, func() error { _, err := e2.Query(probe); return err })
-		if err != nil {
-			return nil, err
-		}
-		t.Metrics = e2.Metrics().Snapshot() // vault.restored* counters live here
-		t.Heat = heatOf(e2)
-		e2.Close()
-		t.Rows = append(t.Rows, []string{format, secs(cold), secs(restart), secs(memWarm)})
 	}
 	return t, nil
 }
@@ -487,7 +306,6 @@ func RunPushdown(cfg Config) (*Table, error) {
 
 	// Phase 2: warm zone-map pruning over the sorted key, morsel-parallel.
 	zoneSels := []float64{0.001, 0.01, 0.1}
-	var lastOn *engine.Engine
 	for _, format := range []string{"csv", "json", "bin"} {
 		mk := func(noZones bool) (*engine.Engine, error) {
 			e := engine.New(engine.Config{
@@ -515,7 +333,6 @@ func RunPushdown(cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		lastOn = eOn
 		for _, sel := range zoneSels {
 			q := fmt.Sprintf("SELECT COUNT(*) FROM t WHERE col1 < %d", workload.Threshold(sel))
 			off, err := timeQuery(cfg.Repeats, func() error { _, err := eOff.Query(q); return err })
@@ -540,10 +357,6 @@ func RunPushdown(cfg Config) (*Table, error) {
 				secs(off), secs(on), fmt.Sprintf("%.2fx", float64(off)/float64(on)),
 				fmt.Sprintf("%d morsels, %d blocks", skipped, blocks)})
 		}
-	}
-	if lastOn != nil {
-		t.Metrics = lastOn.Metrics().Snapshot() // prune.* and push.* counters
-		t.Heat = heatOf(lastOn)
 	}
 	return t, nil
 }
@@ -772,14 +585,9 @@ func RunFig6(cfg Config) (*Table, error) {
 		fullVsShreds(ds, "bin", map[string]int{"direct": 10}, false, q))
 }
 
-// wideQuery aggregates a floating-point column (col12) filtered on the
-// integer col1, as in the paper's 120-column experiments.
-const wideQ1 = "SELECT MAX(col1) FROM t WHERE col1 < %d"
+// wideQ2 aggregates a floating-point column (col12) filtered on the integer
+// col1, as in the paper's 120-column experiments; q1 is their first query.
 const wideQ2 = "SELECT MAX(col12) FROM t WHERE col1 < %d"
-
-func wideEngine(ds *workload.Dataset, format string, strat engine.Strategy) (*engine.Engine, error) {
-	return narrowEngine(ds, format, strat, 10, false, 0)
-}
 
 // RunTable2 times the first query over the wide table for each system and
 // format (paper Table 2: loading dominates the DBMS's first query).
@@ -802,11 +610,11 @@ func RunTable2(cfg Config) (*Table, error) {
 			{"Column Shreds", engine.StrategyShreds},
 		} {
 			d, err := timeQuery(1, func() error {
-				e, err := wideEngine(ds, format, v.strat)
+				e, err := narrowEngine(ds, format, v.strat, 10, false, 0)
 				if err != nil {
 					return err
 				}
-				_, err = e.Query(fmt.Sprintf(wideQ1, x))
+				_, err = e.Query(fmt.Sprintf(q1, x))
 				return err
 			})
 			if err != nil {
@@ -831,11 +639,11 @@ func wideSweep(id, title, format string, cfg Config) (*Table, error) {
 		return sweepVariant{
 			name: name,
 			build: func(sel float64) (*engine.Engine, string, error) {
-				e, err := wideEngine(ds, format, strat)
+				e, err := narrowEngine(ds, format, strat, 10, false, 0)
 				return e, fmt.Sprintf(wideQ2, workload.Threshold(sel)), err
 			},
 			warm: func(e *engine.Engine, sel float64) error {
-				_, err := e.Query(fmt.Sprintf(wideQ1, workload.Threshold(sel)))
+				_, err := e.Query(fmt.Sprintf(q1, workload.Threshold(sel)))
 				return err
 			},
 		}

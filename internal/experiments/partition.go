@@ -103,8 +103,6 @@ func RunPartition(cfg Config) (*Table, error) {
 
 		t.Rows = append(t.Rows, []string{fmt.Sprintf("%d", parts), secs(cold),
 			secs(warm), secs(noprune), fmt.Sprintf("%d", skipped)})
-		t.Metrics = e.Metrics().Snapshot() // last sweep point's pruning engine
-		t.Heat = heatOf(e)
 	}
 	return t, nil
 }

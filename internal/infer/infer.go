@@ -1,8 +1,8 @@
 // Package infer derives table schemas from raw file bytes and registers
 // command-line table specs against an engine. It is the shared front end of
-// cmd/rawql and cmd/rawserve: both accept the same name=path flags, and both
-// must infer identical schemas so a query typed locally and one sent to a
-// server see the same types.
+// cmd/rawql and cmd/rawserve: both declare the same engine and name=path
+// flags (EngineFlags), and both must infer identical schemas so a query typed
+// locally and one sent to a server see the same types.
 //
 // Inference rules (the paper's conventions): CSV columns are typed from the
 // first row and named col1..colN; JSONL columns are the numeric leaf paths of
@@ -11,6 +11,7 @@
 package infer
 
 import (
+	"flag"
 	"fmt"
 	"os"
 	"strings"
@@ -18,6 +19,7 @@ import (
 	"rawdb"
 	"rawdb/internal/bytesconv"
 	"rawdb/internal/dataset"
+	"rawdb/internal/faults"
 	"rawdb/internal/storage/binfile"
 	"rawdb/internal/storage/csvfile"
 	"rawdb/internal/storage/jsonfile"
@@ -272,4 +274,99 @@ func ParseStrategy(s string) (raw.Strategy, error) {
 	default:
 		return 0, fmt.Errorf("unknown strategy %q", s)
 	}
+}
+
+// EngineFlags are the engine and table flags rawql and rawserve share: Bind
+// declares them, Open turns their parsed values into a registered engine.
+type EngineFlags struct {
+	Specs                                Specs
+	Strategy                             string
+	Workers                              int
+	CacheDir                             string
+	CacheBudget                          int64
+	NoPushdown, NoZoneMaps, NoShredCache bool
+	Faults                               string
+	FaultSeed                            int64
+	QueryLog                             string
+	// QueryLogBytes rotates a file query log (0 keeps the 64 MiB default);
+	// only rawserve exposes it, as -query-log-bytes.
+	QueryLogBytes int64
+	SlowMs        int
+}
+
+// multiFlag collects the values of a repeatable flag.
+type multiFlag []string
+
+func (m *multiFlag) String() string     { return strings.Join(*m, ",") }
+func (m *multiFlag) Set(v string) error { *m = append(*m, v); return nil }
+
+// Bind declares the shared flags on fs.
+func (f *EngineFlags) Bind(fs *flag.FlagSet) {
+	fs.Var((*multiFlag)(&f.Specs.CSVs), "csv", "register a CSV file as name=path (repeatable)")
+	fs.Var((*multiFlag)(&f.Specs.Bins), "bin", "register a binary file as name=path (repeatable)")
+	fs.Var((*multiFlag)(&f.Specs.JSONs), "json", "register a JSONL file as name=path (repeatable)")
+	fs.Var((*multiFlag)(&f.Specs.Roots), "root", "register every tree of a root-like file (path; tree names become table names; repeatable)")
+	fs.Var((*multiFlag)(&f.Specs.Datasets), "dataset", "register a directory or glob of raw files as one table, name=pattern (formats inferred per file by extension; schema inferred from the first file; repeatable)")
+	fs.StringVar(&f.Strategy, "strategy", "shreds", "access strategy: shreds, jit, insitu, external, dbms")
+	fs.IntVar(&f.Workers, "workers", 1, "morsel-parallel workers for scans, aggregation and joins (<=1 serial; ROOT tables and sub-morsel files fall back to serial with the reason reported in the query stats)")
+	fs.StringVar(&f.CacheDir, "cachedir", "", "persistent vault directory: positional maps, structural indexes and column shreds persist here across runs (safe to delete at any time)")
+	fs.Int64Var(&f.CacheBudget, "cachebudget", 0, "unified in-memory cache budget in bytes across positional maps, structural indexes and column shreds (0 keeps per-structure defaults)")
+	fs.BoolVar(&f.NoPushdown, "nopushdown", false, "keep WHERE predicates in Filter operators instead of pushing them into the generated access paths")
+	fs.BoolVar(&f.NoShredCache, "noshredcache", false, "disable column-shred capture and reuse (raw-file scans then absorb predicates and skip zone-map-excluded blocks; capture otherwise wins that conflict)")
+	fs.BoolVar(&f.NoZoneMaps, "nozonemaps", false, "disable per-block min/max zone maps (no block or morsel skipping)")
+	fs.StringVar(&f.Faults, "faults", "", "chaos testing: inject deterministic faults into file and cache access, e.g. 'vault.read:corrupt:after=2;csv.load:err:times=1' (sites: csv.load json.load vault.read vault.write dataset.stat exec.morsel exec.serial; kinds: err notexist shortread corrupt torn latency panic)")
+	fs.Int64Var(&f.FaultSeed, "fault-seed", 1, "seed for the -faults schedule (determinism across runs)")
+	fs.StringVar(&f.QueryLog, "query-log", "", "append one structured JSON record per query to this file ('-' for stderr)")
+	fs.IntVar(&f.SlowMs, "slow-query-ms", 0, "with -query-log: trace every query and embed the rendered span tree in records at or over this latency")
+}
+
+// Open installs the -faults schedule, opens the query log, builds the engine
+// and registers the table specs on it. closeAll closes the engine, flushing
+// vault write-backs so the next run starts warm, and then the query log.
+func (f *EngineFlags) Open() (eng *raw.Engine, closeAll func(), err error) {
+	if f.Faults != "" {
+		sched, err := faults.ParseSpec(f.Faults, f.FaultSeed)
+		if err != nil {
+			return nil, nil, err
+		}
+		faults.Install(sched)
+	}
+	cfg, err := f.config()
+	if err != nil {
+		return nil, nil, err
+	}
+	switch f.QueryLog {
+	case "":
+	case "-":
+		cfg.QueryLog = raw.NewQueryLog(os.Stderr)
+	default:
+		if cfg.QueryLog, err = raw.OpenQueryLog(f.QueryLog, f.QueryLogBytes); err != nil {
+			return nil, nil, err
+		}
+	}
+	eng = raw.NewEngine(cfg)
+	closeAll = func() {
+		eng.Close()
+		cfg.QueryLog.Close()
+	}
+	if err := Register(eng, f.Specs); err != nil {
+		closeAll()
+		return nil, nil, err
+	}
+	return eng, closeAll, nil
+}
+
+// config is the engine configuration the flags describe, query log aside.
+func (f *EngineFlags) config() (raw.Config, error) {
+	strat, err := ParseStrategy(f.Strategy)
+	if err != nil {
+		return raw.Config{}, err
+	}
+	if f.SlowMs > 0 && f.QueryLog == "" {
+		return raw.Config{}, fmt.Errorf("-slow-query-ms needs -query-log")
+	}
+	return raw.Config{Strategy: strat, Parallelism: f.Workers,
+		CacheDir: f.CacheDir, CacheBudget: f.CacheBudget,
+		DisablePushdown: f.NoPushdown, DisableZoneMaps: f.NoZoneMaps,
+		DisableShredCache: f.NoShredCache, SlowQueryMillis: f.SlowMs}, nil
 }

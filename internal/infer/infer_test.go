@@ -1,0 +1,72 @@
+package infer
+
+import (
+	"flag"
+	"os"
+	"path/filepath"
+	"reflect"
+	"testing"
+
+	"rawdb"
+)
+
+// TestEngineFlags parses one argument list through the shared binder and
+// checks the engine configuration and table specs it describes, the
+// defaults, the flag errors, and an engine opened from them.
+func TestEngineFlags(t *testing.T) {
+	parse := func(args ...string) *EngineFlags {
+		t.Helper()
+		var ef EngineFlags
+		fs := flag.NewFlagSet("rawql", flag.ContinueOnError)
+		ef.Bind(fs)
+		if err := fs.Parse(args); err != nil {
+			t.Fatal(err)
+		}
+		return &ef
+	}
+	ef := parse("-csv", "a=a.csv", "-csv", "b=b.csv", "-json", "j=j.jsonl", "-bin", "x=x.bin",
+		"-root", "ev.root", "-dataset", "d=logs/*.csv", "-strategy", "JIT", "-workers", "4",
+		"-cachedir", "vault", "-cachebudget", "4096", "-nopushdown", "-nozonemaps", "-noshredcache",
+		"-query-log", "q.log", "-slow-query-ms", "5", "-faults", "vault.read:err", "-fault-seed", "9")
+	cfg, err := ef.config()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := raw.Config{Strategy: raw.StrategyJIT, Parallelism: 4, CacheDir: "vault", CacheBudget: 4096,
+		DisablePushdown: true, DisableZoneMaps: true, DisableShredCache: true, SlowQueryMillis: 5}
+	if !reflect.DeepEqual(cfg, want) {
+		t.Errorf("config = %+v, want %+v", cfg, want)
+	}
+	wantSpecs := Specs{CSVs: []string{"a=a.csv", "b=b.csv"}, Bins: []string{"x=x.bin"},
+		JSONs: []string{"j=j.jsonl"}, Roots: []string{"ev.root"}, Datasets: []string{"d=logs/*.csv"}}
+	if !reflect.DeepEqual(ef.Specs, wantSpecs) {
+		t.Errorf("specs = %+v, want %+v", ef.Specs, wantSpecs)
+	}
+	if ef.QueryLog != "q.log" || ef.Faults != "vault.read:err" || ef.FaultSeed != 9 {
+		t.Errorf("query log %q, faults %q seed %d", ef.QueryLog, ef.Faults, ef.FaultSeed)
+	}
+
+	def := parse()
+	if cfg, err := def.config(); err != nil || !reflect.DeepEqual(cfg, raw.Config{Strategy: raw.StrategyShreds, Parallelism: 1}) || def.FaultSeed != 1 {
+		t.Errorf("defaults: config %+v, %v, fault seed %d", cfg, err, def.FaultSeed)
+	}
+	for _, args := range [][]string{{"-strategy", "nope"}, {"-slow-query-ms", "5"}} {
+		if _, err := parse(args...).config(); err == nil {
+			t.Errorf("%v: no error", args)
+		}
+	}
+
+	path := filepath.Join(t.TempDir(), "t.csv")
+	if err := os.WriteFile(path, []byte("1,2.5\n3,4.5\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	eng, closeAll, err := parse("-csv", "t="+path, "-workers", "2").Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeAll()
+	res, err := eng.Query("SELECT SUM(col2) FROM t WHERE col1 > 0")
+	if err != nil || res.Value(0, 0) != 7.0 {
+		t.Fatalf("query over the opened engine: %v, %v", res, err)
+	}
+}

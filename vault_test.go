@@ -6,9 +6,8 @@
 // safety property (any file change or cache corruption falls back to a cold
 // rebuild with correct results) and the unified cache budget.
 //
-// Everything here is named TestVault* / BenchmarkVault* so CI can run the
-// restart simulation twice (-count=2 catches state leaking between runs)
-// and smoke the benchmarks.
+// Everything here is named TestVault* so CI can run the restart simulation
+// twice (-count=2 catches state leaking between runs).
 package raw_test
 
 import (
@@ -501,52 +500,4 @@ func TestVaultConcurrentQueries(t *testing.T) {
 		sameResult(t, q, want, got)
 	}
 	e2.Close()
-}
-
-// BenchmarkVaultRestart measures the first query of a vault-warm "restarted"
-// engine against the cold first query it replaces (the vault experiment's
-// restart_warm vs cold columns, as a benchmark).
-func BenchmarkVaultRestart(b *testing.B) {
-	ds, err := workload.Narrow(benchNarrowRows, 7)
-	if err != nil {
-		b.Fatal(err)
-	}
-	schema := make([]raw.Column, len(ds.Schema))
-	for i, c := range ds.Schema {
-		schema[i] = raw.Column{Name: c.Name, Type: c.Type}
-	}
-	q := fmt.Sprintf("SELECT MAX(col11) FROM t WHERE col1 < %d", workload.Threshold(0.4))
-	dir := b.TempDir()
-	seed := raw.NewEngine(raw.Config{CacheDir: dir})
-	if err := seed.RegisterCSVData("t", ds.CSV, schema); err != nil {
-		b.Fatal(err)
-	}
-	if _, err := seed.Query(q); err != nil {
-		b.Fatal(err)
-	}
-	seed.Close()
-
-	b.Run("cold", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			e := raw.NewEngine(raw.Config{})
-			if err := e.RegisterCSVData("t", ds.CSV, schema); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := e.Query(q); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("restart-warm", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			e := raw.NewEngine(raw.Config{CacheDir: dir})
-			if err := e.RegisterCSVData("t", ds.CSV, schema); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := e.Query(q); err != nil {
-				b.Fatal(err)
-			}
-			e.Close()
-		}
-	})
 }
