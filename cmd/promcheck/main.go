@@ -4,7 +4,7 @@
 // for promtool's format checker in CI, with no dependency outside the
 // standard library:
 //
-//	curl -s 'localhost:8080/metrics?format=prom' | promcheck
+//	curl -s localhost:8080/metrics | promcheck
 //
 // Exit status 0 means the stream is well-formed; 1 reports the first
 // violation on stderr.

@@ -10,8 +10,7 @@
 //	rawserve -csv t=data.csv -http :8080 -listen :8081
 //	rawql -connect localhost:8081 -q "SELECT MAX(col11) FROM t WHERE col1 < 500000000"
 //	curl -s localhost:8080/query -d '{"query":"SELECT COUNT(*) FROM t"}'
-//	curl -s localhost:8080/metrics                # text form
-//	curl -s 'localhost:8080/metrics?format=prom'  # Prometheus exposition
+//	curl -s localhost:8080/metrics                # Prometheus exposition
 //	curl -s localhost:8080/debug/queries          # in-flight queries
 //	curl -s localhost:8080/debug/heat             # workload-heat profile
 //

@@ -13,16 +13,19 @@
 // match in probe file order with its build-side matches in build file order;
 // ungrouped aggregates emit one row (zeroes at COUNT = 0); grouped aggregates
 // emit groups in first-encounter order; HAVING filters aggregate rows after
-// grouping. Float SUM/AVG are exact at every worker count: generated values
-// are multiples of 1/64 with bounded magnitude, so the oracle's naive
-// file-order accumulation and the engine's compensated summation (serial
-// expansions, parallel hi/lo partial transport) land on the same correctly
-// rounded double.
+// grouping. Float SUM/AVG are exact at every worker count: the oracle sums in
+// math/big and rounds once, which the engine's exact accumulation (serial,
+// and parallel hi/lo partial transport) must match bit for bit. The data is
+// wide enough to expose the engine's own parsers: besides k/64 dyadics, float
+// columns hold arbitrary shortest-round-trip doubles, 17-digit mantissas,
+// -0 and subnormals in plain, exponent and 'g' renderings, and integer
+// columns hold MinInt64, MaxInt64 and their neighbours.
 package raw_test
 
 import (
 	"fmt"
 	"math"
+	"math/big"
 	"math/rand"
 	"os"
 	"strconv"
@@ -50,19 +53,76 @@ type dtTable struct {
 	cols   []raw.Column
 	ints   map[int][]int64
 	floats map[int][]float64
-	group  int // small-cardinality BIGINT column for GROUP BY
-	nrows  int
+	// wide marks the float columns drawn from the second family (wideFloat),
+	// which also render in exponent forms (floatText).
+	wide  map[int]bool
+	group int // small-cardinality BIGINT column for GROUP BY
+	nrows int
+}
+
+// intExtremes are the int64 extremes and their neighbours.
+var intExtremes = []int64{math.MinInt64, math.MinInt64 + 1, math.MinInt64 + 2,
+	math.MaxInt64 - 2, math.MaxInt64 - 1, math.MaxInt64}
+
+// dyadic is a float of the first family: a multiple of 1/64 with bounded
+// magnitude.
+func dyadic(rng *rand.Rand) float64 { return float64(rng.Int63n(1<<21)-(1<<20)) / 64 }
+
+// wideFloat draws from the second float family: arbitrary finite doubles,
+// 17-digit decimal mantissas, -0, subnormals, and dyadics for ties.
+func wideFloat(rng *rand.Rand) float64 {
+	sign := float64(1 - 2*rng.Intn(2))
+	switch rng.Intn(6) {
+	case 0:
+		for {
+			if f := math.Float64frombits(rng.Uint64()); !math.IsInf(f, 0) && !math.IsNaN(f) {
+				return f
+			}
+		}
+	case 1:
+		f, err := strconv.ParseFloat(fmt.Sprintf("%d.%016de%d", 1+rng.Intn(9), rng.Int63n(1e16), rng.Intn(61)-30), 64)
+		if err != nil {
+			panic(err)
+		}
+		return sign * f
+	case 2:
+		return math.Copysign(0, -1)
+	case 3:
+		return sign * math.Float64frombits(uint64(1+rng.Int63n(1<<52-1)))
+	}
+	return dyadic(rng)
+}
+
+// floatText renders value r of float column c. Dyadic columns print plain
+// shortest decimals; wide ones cycle through plain, exponent and 'g' shortest
+// forms and a 17-significant-digit exponent form, which round-trips too.
+func (t *dtTable) floatText(c, r int) string {
+	v := t.floats[c][r]
+	if !t.wide[c] {
+		return strconv.FormatFloat(v, 'f', -1, 64)
+	}
+	switch r % 4 {
+	case 0:
+		return strconv.FormatFloat(v, 'f', -1, 64)
+	case 1:
+		return strconv.FormatFloat(v, 'e', -1, 64)
+	case 2:
+		return strconv.FormatFloat(v, 'g', -1, 64)
+	}
+	return strconv.FormatFloat(v, 'e', 16, 64)
 }
 
 // genTable builds a random schema (mixed BIGINT/DOUBLE, one low-cardinality
-// group column, one nested JSON path) and data. Float values are multiples
-// of 1/64 so their decimal renderings parse back bit-exactly through every
-// text format.
+// group column, one nested JSON path) and data. Float columns hold dyadics
+// or the wide family; some non-group integer columns mix in the int64
+// extremes. Every rendering parses back bit-exactly through every text
+// format.
 func genTable(rng *rand.Rand, nrows int) *dtTable {
 	ncols := 5 + rng.Intn(3)
 	t := &dtTable{
 		ints:   make(map[int][]int64),
 		floats: make(map[int][]float64),
+		wide:   make(map[int]bool),
 		nrows:  nrows,
 	}
 	t.group = 1 + rng.Intn(ncols-1)
@@ -79,12 +139,18 @@ func genTable(rng *rand.Rand, nrows int) *dtTable {
 			typ = raw.Float64
 		}
 		t.cols = append(t.cols, raw.Column{Name: name, Type: typ})
+		t.wide[c] = isFloat && rng.Intn(2) == 0
+		extreme := !isFloat && c != t.group && rng.Intn(3) == 0
 		for r := 0; r < nrows; r++ {
 			switch {
+			case t.wide[c]:
+				t.floats[c] = append(t.floats[c], wideFloat(rng))
 			case isFloat:
-				t.floats[c] = append(t.floats[c], float64(rng.Int63n(1<<21)-(1<<20))/64)
+				t.floats[c] = append(t.floats[c], dyadic(rng))
 			case c == t.group:
 				t.ints[c] = append(t.ints[c], rng.Int63n(7))
+			case extreme && rng.Intn(3) == 0:
+				t.ints[c] = append(t.ints[c], intExtremes[rng.Intn(len(intExtremes))])
 			default:
 				t.ints[c] = append(t.ints[c], rng.Int63n(2_000_001)-1_000_000)
 			}
@@ -103,7 +169,7 @@ func (t *dtTable) renderCSV() []byte {
 			if t.cols[c].Type == raw.Int64 {
 				b.WriteString(strconv.FormatInt(t.ints[c][r], 10))
 			} else {
-				b.WriteString(strconv.FormatFloat(t.floats[c][r], 'f', -1, 64))
+				b.WriteString(t.floatText(c, r))
 			}
 		}
 		b.WriteByte('\n')
@@ -124,7 +190,7 @@ func (t *dtTable) renderJSONL() []byte {
 			if t.cols[c].Type == raw.Int64 {
 				val = strconv.FormatInt(t.ints[c][r], 10)
 			} else {
-				val = strconv.FormatFloat(t.floats[c][r], 'f', -1, 64)
+				val = t.floatText(c, r)
 			}
 			if dot := strings.IndexByte(name, '.'); dot >= 0 {
 				fmt.Fprintf(&b, "%q:{%q:%s}", name[:dot], name[dot+1:], val)
@@ -266,9 +332,16 @@ func genPred(rng *rand.Rand, ts dtTabs, tbl int, plainOnly bool) dtPred {
 	}
 	p := dtPred{tbl: tbl, col: c, op: dtOps[rng.Intn(len(dtOps))]}
 	r := rng.Intn(t.nrows)
-	if t.cols[c].Type == raw.Int64 {
+	switch {
+	case t.cols[c].Type == raw.Int64:
 		p.i64 = t.ints[c][r] + rng.Int63n(3) - 1
-	} else {
+	case rng.Intn(4) == 0: // a signed zero: '=', '<' and '<=' meet ±0
+		p.f64 = math.Copysign(0, float64(1-2*rng.Intn(2)))
+	case rng.Intn(3) == 0 && t.wide[c]:
+		p.f64 = wideFloat(rng)
+	case rng.Intn(3) == 0:
+		p.f64 = dyadic(rng)
+	default:
 		p.f64 = t.floats[c][r] // exact data value: '=' can match
 	}
 	return p
@@ -319,7 +392,7 @@ func genHaving(rng *rand.Rand, ts dtTabs, join bool) dtHaving {
 		}
 		h.f64 = float64(h.i64)
 	} else {
-		h.f64 = float64(rng.Int63n(1<<21)-(1<<20)) / 64
+		h.f64 = dyadic(rng)
 		h.i64 = int64(h.f64)
 	}
 	return h
@@ -441,8 +514,10 @@ func (q dtQuery) SQL(ts dtTabs) string {
 		if ts.tab(p.tbl).cols[p.col].Type == raw.Int64 {
 			fmt.Fprintf(&b, "%s %s %d", name(p.tbl, p.col), p.op, p.i64)
 		} else {
+			// 'g' spells every value from 1e21 up with an exponent, so no
+			// literal reads as an out-of-range integer.
 			fmt.Fprintf(&b, "%s %s %s", name(p.tbl, p.col), p.op,
-				strconv.FormatFloat(p.f64, 'f', -1, 64))
+				strconv.FormatFloat(p.f64, 'g', -1, 64))
 		}
 	}
 	if q.groupBy >= 0 {
@@ -588,14 +663,21 @@ func oracle(ts dtTabs, q dtQuery) (rows [][]oracleCell, types []raw.Type) {
 		return rows, types
 	}
 
-	// aggState mirrors the engine's per-spec accumulator exactly. Naive
-	// float accumulation suffices: every value is a multiple of 1/64 with
-	// bounded magnitude, so each running sum is exactly representable and
-	// equals the engine's correctly rounded compensated total.
+	// aggState mirrors the engine's per-spec accumulator. A float SUM/AVG
+	// is exact: a 2200-bit big.Float holds any sum of a few thousand doubles
+	// without rounding, and exactSum rounds it once.
 	type aggState struct {
 		count int64
 		i     int64
 		f     float64
+		sum   *big.Float
+	}
+	exactSum := func(st aggState) float64 {
+		if st.sum == nil {
+			return 0
+		}
+		f, _ := st.sum.Float64()
+		return f
 	}
 	update := func(st *aggState, it dtItem, p dtPair) {
 		if it.agg == "COUNT" { // counts rows regardless of column (no NULLs)
@@ -632,10 +714,10 @@ func oracle(ts dtTabs, q dtQuery) (rows [][]oracleCell, types []raw.Type) {
 					st.f = v
 				}
 			case "SUM", "AVG":
-				if st.count == 0 {
-					st.f = 0
+				if st.sum == nil {
+					st.sum = new(big.Float).SetPrec(2200)
 				}
-				st.f += v
+				st.sum.Add(st.sum, new(big.Float).SetFloat64(v))
 			}
 		}
 		st.count++
@@ -645,11 +727,9 @@ func oracle(ts dtTabs, q dtQuery) (rows [][]oracleCell, types []raw.Type) {
 		case it.agg == "COUNT":
 			return oracleCell{i: st.count}
 		case it.agg == "AVG":
-			var sum float64
+			sum := exactSum(st)
 			if ts.tab(it.tbl).cols[it.col].Type == raw.Int64 {
 				sum = float64(st.i)
-			} else {
-				sum = st.f
 			}
 			if st.count == 0 {
 				return oracleCell{f: 0}
@@ -660,6 +740,8 @@ func oracle(ts dtTabs, q dtQuery) (rows [][]oracleCell, types []raw.Type) {
 				return oracleCell{i: 0}
 			}
 			return oracleCell{i: st.i}
+		case it.agg == "SUM":
+			return oracleCell{f: exactSum(st)}
 		default:
 			if st.count == 0 {
 				return oracleCell{f: 0}

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"rawdb/internal/catalog"
@@ -26,6 +27,9 @@ type planCtx struct {
 	// per-batch check and exchanges hand it to their worker pools. nil (or a
 	// never-cancelled context) leaves the plan untouched.
 	ctx context.Context
+	// looked are the pool's answers for the columns planSingle looked up
+	// ahead (lookAhead), which the plan consumes instead of asking again.
+	looked map[shred.Key]*shred.Shred
 
 	// Publication hooks. Execution runs without the table locks (the engine
 	// releases them after planning and re-acquires them to publish), so
@@ -605,40 +609,38 @@ func (pc *planCtx) plan(r *resolvedQuery) (exec.Operator, error) {
 }
 
 // planSingle plans a one-table query over scan unit u (r's table, or the
-// partition a shadow query wraps). Under StrategyShreds a one-part plan
-// cascades its filters: the base scan reads only the first filter column; each
-// further filter column is fetched by a late scan right before its predicate;
-// output columns are fetched last (one late scan per column, or a single
-// multi-column late scan when the option is set). Every other plan — and every
-// cut one, whose parts carry no row ids past the exchange — reads all of its
-// columns in the base scan, once per span, and filters each part.
+// partition a shadow query wraps). Under StrategyShreds a one-part plan whose
+// columns are not all cached as full shreds cascades its filters: the base
+// scan reads only the first filter column; each further filter column is
+// fetched by a late scan right before its predicate; output columns are
+// fetched last (one late scan per column, or a single multi-column late scan
+// when the option is set). Every other plan — one whose columns are all full
+// shreds, and every cut one, whose parts carry no row ids past the exchange —
+// reads all of its columns in the base scan, once per span, and filters each
+// part.
 func (pc *planCtx) planSingle(r *resolvedQuery, u unitCut) (*pipe, error) {
 	filterCols, outputCols := r.neededColumns()
 	t := 0
 	bt := u.bt
 
-	late := pc.strategy == StrategyShreds && u.whole() && pc.lateCapable(bt)
+	// The cascade shreds against the first filter column and fetches the
+	// other columns late, so it needs a filter column and one more; it is left
+	// when every column is cached as a full shred (lookAhead).
+	late := pc.strategy == StrategyShreds && u.whole() && pc.lateCapable(bt) &&
+		len(filterCols[t]) > 0 && len(filterCols[t])+len(outputCols[t]) > 1
 	var baseCols, lateFilterCols, lateOutputCols []int
 	if late {
-		if len(filterCols[t]) > 0 {
-			baseCols = filterCols[t][:1]
-			lateFilterCols = filterCols[t][1:]
-		}
-		lateOutputCols = outputCols[t]
-		if len(baseCols) == 0 && len(lateOutputCols) > 0 {
-			// No filters: nothing to shred against; read everything early.
-			baseCols = lateOutputCols
-			lateOutputCols = nil
-		}
-	} else {
+		baseCols, lateFilterCols, lateOutputCols = filterCols[t][:1], filterCols[t][1:], outputCols[t]
+		late = !pc.useCache || !pc.lookAhead(bt.st.tab.Name, baseCols, lateFilterCols, lateOutputCols)
+	}
+	if !late {
 		baseCols = append(append([]int{}, filterCols[t]...), outputCols[t]...)
 		sortInts(baseCols)
 	}
-	needRID := late && (len(lateFilterCols)+len(lateOutputCols) > 0)
 
 	// A query touching no columns at all (unfiltered COUNT(*)) still needs
 	// one materialised column: zero-column batches cannot carry a row count.
-	if len(baseCols) == 0 && len(lateFilterCols)+len(lateOutputCols) == 0 {
+	if len(baseCols) == 0 {
 		baseCols = []int{countColumn(bt.st.tab)}
 	}
 
@@ -646,7 +648,7 @@ func (pc *planCtx) planSingle(r *resolvedQuery, u unitCut) (*pipe, error) {
 	// generated scan; whatever the access path cannot absorb comes back as
 	// the residual and runs in a Filter above, exactly as before.
 	basePreds, latePreds := splitPreds(r.filters[t], baseCols)
-	p, residual, err := pc.baseScan(t, u, baseCols, needRID, basePreds)
+	p, residual, err := pc.baseScan(t, u, baseCols, late, basePreds)
 	if err != nil {
 		return nil, err
 	}
@@ -664,10 +666,8 @@ func (pc *planCtx) planSingle(r *resolvedQuery, u unitCut) (*pipe, error) {
 		// remaining predicates.
 		all := append(append([]int{}, lateFilterCols...), lateOutputCols...)
 		sortInts(all)
-		if len(all) > 0 {
-			if err := pc.lateScan(p, r, t, all); err != nil {
-				return nil, err
-			}
+		if err := pc.lateScan(p, r, t, all); err != nil {
+			return nil, err
 		}
 		if err := pc.applyFilter(p, t, latePreds); err != nil {
 			return nil, err
@@ -833,6 +833,41 @@ func (pc *planCtx) lateCapable(bt *boundTable) bool {
 	}
 	a, err := bt.st.src.access(bt.st.tab, bt.pos, nil, scanGenerated)
 	return err == nil && a.mode != jit.Sequential
+}
+
+// lookAhead looks each column of a cascade up once, in the cascade's order
+// and with its pool call: the base columns as full shreds, the late ones as
+// any shred (in column order when one late scan fetches them all). The plan
+// consumes the answers instead of asking again (lookup); full reports that
+// all of them are full shreds, which makes the plan one resident scan.
+func (pc *planCtx) lookAhead(table string, base, lateFilter, lateOutput []int) (full bool) {
+	all := slices.Concat(base, lateFilter, lateOutput)
+	if pc.multi {
+		sortInts(all[len(base):])
+	}
+	pc.looked = make(map[shred.Key]*shred.Shred, len(all))
+	full = true
+	for i, c := range all {
+		s := pc.lookup(table, c, i >= len(base))
+		pc.looked[shred.Key{Table: table, Col: c}] = s
+		full = full && s != nil && s.Full()
+	}
+	return full
+}
+
+// lookup asks the pool for a full shred of column col, or with partial set for
+// the best shred there is (a partial one is checked at runtime). A column
+// lookAhead asked for is answered from its memo, once.
+func (pc *planCtx) lookup(table string, col int, partial bool) *shred.Shred {
+	k := shred.Key{Table: table, Col: col}
+	if s, ok := pc.looked[k]; ok {
+		delete(pc.looked, k)
+		return s
+	}
+	if partial {
+		return pc.e.shreds.LookupAny(k)
+	}
+	return pc.e.shreds.LookupFull(k)
 }
 
 // splitPreds partitions predicates into those whose column is in cols and
@@ -1123,7 +1158,7 @@ func (pc *planCtx) baseScanFile(p *pipe, t int, u unitCut, kind scanKind, cols [
 	} else if !p.par && kind == scanGenerated && pc.useCache {
 		uncached = nil
 		for _, c := range cols {
-			if s := pc.e.shreds.LookupFull(shred.Key{Table: tab.Name, Col: c}); s != nil {
+			if s := pc.lookup(tab.Name, c, false); s != nil {
 				cached = append(cached, c)
 				cachedShreds = append(cachedShreds, s)
 			} else {
@@ -1273,7 +1308,7 @@ func (pc *planCtx) lateScanInner(p *pipe, r *resolvedQuery, t int, cols []int) e
 	for _, c := range cols {
 		var s *shred.Shred
 		if pc.useCache {
-			s = pc.e.shreds.LookupAny(shred.Key{Table: tab.Name, Col: c})
+			s = pc.lookup(tab.Name, c, true)
 		}
 		if s != nil {
 			fromCache = append(fromCache, c)

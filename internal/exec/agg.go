@@ -68,7 +68,8 @@ type AggSpec struct {
 // It works a batch at a time: first every selected row's group slot is
 // resolved into a reused buffer, then one loop per spec, specialised for its
 // function and column type, folds the batch into the group states. An
-// ungrouped aggregate is the one-group case.
+// ungrouped aggregate is the one-group case, whose loops keep their running
+// values in local variables.
 type Aggregate struct {
 	child   Operator
 	specs   []AggSpec
@@ -312,13 +313,22 @@ func (a *Aggregate) owner(si int) int {
 	return si
 }
 
-// update folds b's rows into their groups' states, one loop per spec.
+// update folds b's rows into their groups' states, one loop per spec. The
+// one group of an ungrouped aggregate keeps a MIN, MAX or integer SUM running
+// in a local variable, so that no row waits on the previous row's store, and
+// stores it once; its COUNT adds the batch's rows.
 func (a *Aggregate) update(b *vector.Batch, rows, slots []int32) {
+	one := len(a.groupBy) == 0
 	for si, s := range a.specs {
 		if a.owner(si) != si {
 			continue
 		}
 		st, ns := a.states[si:], len(a.specs) // group g's state of spec si is st[g*ns]
+		x, n := &st[0], int64(len(rows))      // the one group's state
+		if s.Func == Count && one {
+			x.count += n
+			continue
+		}
 		if s.Func == Count {
 			for _, g := range slots {
 				st[int(g)*ns].count++
@@ -327,6 +337,16 @@ func (a *Aggregate) update(b *vector.Batch, rows, slots []int32) {
 		}
 		col, isMax := b.Cols[s.Col], s.Func == Max
 		switch {
+		case one && col.Type == vector.Int64 && (s.Func == Min || isMax):
+			x.i64, x.count = extreme(x.i64, x.count, rows, col.Int64s, isMax), x.count+n
+		case one && col.Type == vector.Int64: // Sum, Avg
+			var sum int64
+			for _, r := range rows {
+				sum += col.Int64s[r]
+			}
+			x.i64, x.count = x.i64+sum, x.count+n
+		case one && (s.Func == Min || isMax):
+			x.f64, x.count = extreme(x.f64, x.count, rows, col.Float64s, isMax), x.count+n
 		case col.Type == vector.Int64 && (s.Func == Min || isMax):
 			fold(st, ns, rows, slots, col.Int64s, func(x *aggState, v int64) {
 				if x.count == 0 || isMax && v > x.i64 || !isMax && v < x.i64 {
@@ -353,6 +373,17 @@ func (a *Aggregate) update(b *vector.Batch, rows, slots []int32) {
 			}
 		}
 	}
+}
+
+// extreme folds the selected values of v into m, the MIN (or MAX) of a state
+// that has seen count rows: a state that has seen none takes the first value.
+func extreme[T int64 | float64](m T, count int64, rows []int32, v []T, isMax bool) T {
+	for i, r := range rows {
+		if x := v[r]; i == 0 && count == 0 || isMax && x > m || !isMax && x < m {
+			m = x
+		}
+	}
+	return m
 }
 
 // fold applies step to each selected row's value and its group's state, and

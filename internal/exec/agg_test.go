@@ -189,7 +189,10 @@ func containsRow(sel []int32, r int) bool {
 // per-row reference, bit for bit, over every function and value type,
 // 0/1/2 grouping keys, with and without selection vectors, empty input, keys
 // on both the dense and the hash path, and SumErr with and without a sibling
-// Sum on its column.
+// Sum on its column. Ungrouped aggregates, which fold each batch in local
+// variables, also run over many batches: leading ones that select nothing (MIN
+// and MAX must take the first selected value), empty ones, single-row
+// selections and batches longer than DefaultBatchSize.
 func TestAggregateMatchesNaive(t *testing.T) {
 	const i, f, g = 2, 3, 4
 	all := []AggSpec{{Func: Count, Col: -1}, {Func: Count, Col: i}, {Func: MergeSum, Col: f, Col2: g}}
@@ -206,39 +209,97 @@ func TestAggregateMatchesNaive(t *testing.T) {
 	for _, s := range all {
 		specSets = append(specSets, []AggSpec{s})
 	}
-	rng := rand.New(rand.NewSource(3))
-	for _, groupBy := range [][]int{nil, {0}, {1}, {0, 1}} {
-		for _, sel := range []bool{false, true} {
-			for _, nbatches := range []int{0, 1, 4} {
-				bs := aggBatches(rng, nbatches, sel)
-				for _, specs := range specSets {
-					name := fmt.Sprintf("group%v/sel=%v/batches=%d/%v", groupBy, sel, nbatches, specs)
-					agg, err := NewAggregate(&batchSource{schema: aggInput, bs: bs}, specs, groupBy)
-					if err != nil {
-						t.Fatal(err)
-					}
-					got, err := Collect(agg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					want := naiveAggregate(bs, specs, groupBy)
-					if len(got) != len(want) {
-						t.Fatalf("%s: %d columns, want %d", name, len(got), len(want))
-					}
-					for c := range want {
-						if got[c].Len() != want[c].Len() {
-							t.Fatalf("%s: column %d has %d rows, want %d", name, c, got[c].Len(), want[c].Len())
-						}
-						for r := range want[c].Len() {
-							if want[c].Type == vector.Int64 && got[c].Int64s[r] != want[c].Int64s[r] ||
-								want[c].Type == vector.Float64 && !sameFloat(got[c].Float64s[r], want[c].Float64s[r]) {
-								t.Fatalf("%s: column %d row %d = %v, want %v", name, c, r, got[c].Value(r), want[c].Value(r))
-							}
-						}
+	check := func(name string, bs []*vector.Batch, groupBy []int) {
+		t.Helper()
+		for _, specs := range specSets {
+			name := fmt.Sprintf("%s/%v", name, specs)
+			agg, err := NewAggregate(&batchSource{schema: aggInput, bs: bs}, specs, groupBy)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := Collect(agg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := naiveAggregate(bs, specs, groupBy)
+			if len(got) != len(want) {
+				t.Fatalf("%s: %d columns, want %d", name, len(got), len(want))
+			}
+			for c := range want {
+				if got[c].Len() != want[c].Len() {
+					t.Fatalf("%s: column %d has %d rows, want %d", name, c, got[c].Len(), want[c].Len())
+				}
+				for r := range want[c].Len() {
+					if want[c].Type == vector.Int64 && got[c].Int64s[r] != want[c].Int64s[r] ||
+						want[c].Type == vector.Float64 && !sameFloat(got[c].Float64s[r], want[c].Float64s[r]) {
+						t.Fatalf("%s: column %d row %d = %v, want %v", name, c, r, got[c].Value(r), want[c].Value(r))
 					}
 				}
 			}
 		}
+	}
+	rng := rand.New(rand.NewSource(3))
+	for _, groupBy := range [][]int{nil, {0}, {1}, {0, 1}} {
+		for _, sel := range []bool{false, true} {
+			for _, nbatches := range []int{0, 1, 4} {
+				check(fmt.Sprintf("group%v/sel=%v/batches=%d", groupBy, sel, nbatches),
+					aggBatches(rng, nbatches, sel), groupBy)
+			}
+		}
+	}
+	for round := range 4 {
+		bs := aggBatches(rng, 12, true)
+		for _, b := range bs[:3] {
+			b.Sel = []int32{} // leading batches select nothing
+		}
+		bs[4] = vector.NewBatch(aggInput.Types(), 0) // an empty batch
+		for _, b := range bs[5:8] {
+			if b.Len() > 0 {
+				b.Sel = []int32{int32(rng.Intn(b.Len()))}
+			}
+		}
+		long := vector.NewBatch(aggInput.Types(), 0)
+		for _, b := range aggBatches(rng, 24, false) {
+			for c := range long.Cols {
+				long.Cols[c].AppendVector(b.Cols[c])
+			}
+		}
+		if long.Len() <= vector.DefaultBatchSize {
+			t.Fatalf("long batch has %d rows", long.Len())
+		}
+		bs = append(bs, long)
+		// Values of one sign, so that a MIN or MAX starting from the zero
+		// state rather than the first selected value is wrong; in the last
+		// round the first selected value is NaN, which no later value
+		// displaces.
+		first := true
+		for _, b := range bs {
+			for r := range b.Len() {
+				for _, c := range b.Cols[i:] {
+					switch {
+					case round == 1 && c.Type == vector.Int64:
+						c.Int64s[r] = c.Int64s[r]&(1<<62-1) | 1
+					case round == 1:
+						c.Float64s[r] = math.Abs(c.Float64s[r]) + 1
+					case round == 2 && c.Type == vector.Int64:
+						c.Int64s[r] = -(c.Int64s[r]&(1<<62-1) | 1)
+					case round == 2:
+						c.Float64s[r] = -math.Abs(c.Float64s[r]) - 1
+					case round == 3 && first && c.Type == vector.Float64:
+						c.Float64s[r] = math.NaN()
+					}
+				}
+				first = first && (b.Sel != nil && !containsRow(b.Sel, r))
+			}
+		}
+		longSel := &vector.Batch{Cols: long.Cols}
+		for r := range long.Len() {
+			if rng.Intn(2) == 0 {
+				longSel.Sel = append(longSel.Sel, int32(r))
+			}
+		}
+		bs = append(bs, longSel)
+		check(fmt.Sprintf("ungrouped/round=%d", round), bs, nil)
 	}
 }
 

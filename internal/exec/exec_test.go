@@ -227,7 +227,7 @@ func TestFilterPropertyMatchesNaive(t *testing.T) {
 		}
 		var want []int64
 		for _, v := range vals {
-			if cmpInt64(v, lit, op) {
+			if cmp(v, lit, op) {
 				want = append(want, v)
 			}
 		}

@@ -54,10 +54,10 @@ type Pred struct {
 }
 
 // MatchInt64 reports whether "x op I64" holds.
-func (p Pred) MatchInt64(x int64) bool { return cmpInt64(x, p.I64, p.Op) }
+func (p Pred) MatchInt64(x int64) bool { return cmp(x, p.I64, p.Op) }
 
 // MatchFloat64 reports whether "x op F64" holds.
-func (p Pred) MatchFloat64(x float64) bool { return cmpFloat64(x, p.F64, p.Op) }
+func (p Pred) MatchFloat64(x float64) bool { return cmp(x, p.F64, p.Op) }
 
 // String renders the predicate for logs and template-cache keys.
 func (p Pred) String() string {
@@ -83,20 +83,28 @@ func CheckPreds(schema vector.Schema, preds []Pred) error {
 // ascending, in buf's storage. The candidates are the rows of in, the batch's
 // incoming selection, when it is non-nil, else rows [0, n). It is the one
 // conjunction loop: Filter, MemScan and the row-addressed JIT scans all
-// evaluate predicates through it.
+// evaluate predicates through it. It is branch-free: every candidate's index
+// is written and the count advances by the comparison, so its cost per row
+// does not depend on selectivity.
 func Select(buf []int32, cols []*vector.Vector, preds []Pred, in []int32, n int) []int32 {
-	sel := buf[:0]
-	if in != nil {
-		sel = append(sel, in...)
-	} else {
-		sel = evalPredAll(sel, cols[preds[0].Col], preds[0], n)
-		preds = preds[1:]
+	if cap(buf) < n {
+		buf = make([]int32, n)
 	}
-	for _, p := range preds {
-		if len(sel) == 0 {
-			break
+	sel := append(buf[:0], in...)
+	for i, p := range preds {
+		v := cols[p.Col]
+		switch {
+		case i == 0 && in == nil && v.Type == vector.Int64:
+			sel = evalPredAll(buf[:n], v.Int64s[:n], p.Op, p.I64)
+		case i == 0 && in == nil:
+			sel = evalPredAll(buf[:n], v.Float64s[:n], p.Op, p.F64)
+		case len(sel) == 0:
+			return sel
+		case v.Type == vector.Int64:
+			sel = evalPredSel(sel, v.Int64s, p.Op, p.I64)
+		default:
+			sel = evalPredSel(sel, v.Float64s, p.Op, p.F64)
 		}
-		sel = evalPredSel(sel, cols[p.Col], p)
 	}
 	return sel
 }
@@ -161,136 +169,94 @@ func (f *Filter) Next() (*vector.Batch, error) {
 // Close implements Operator.
 func (f *Filter) Close() error { return f.child.Close() }
 
-// evalPredAll appends to sel the indexes in [0, n) satisfying p over v.
-func evalPredAll(sel []int32, v *vector.Vector, p Pred, n int) []int32 {
-	switch v.Type {
-	case vector.Int64:
-		s := v.Int64s[:n]
-		lit := p.I64
-		switch p.Op {
-		case Lt:
-			for i, x := range s {
-				if x < lit {
-					sel = append(sel, int32(i))
-				}
-			}
-		case Le:
-			for i, x := range s {
-				if x <= lit {
-					sel = append(sel, int32(i))
-				}
-			}
-		case Gt:
-			for i, x := range s {
-				if x > lit {
-					sel = append(sel, int32(i))
-				}
-			}
-		case Ge:
-			for i, x := range s {
-				if x >= lit {
-					sel = append(sel, int32(i))
-				}
-			}
-		case Eq:
-			for i, x := range s {
-				if x == lit {
-					sel = append(sel, int32(i))
-				}
-			}
-		case Ne:
-			for i, x := range s {
-				if x != lit {
-					sel = append(sel, int32(i))
-				}
-			}
-		}
-	case vector.Float64:
-		s := v.Float64s[:n]
-		lit := p.F64
-		switch p.Op {
-		case Lt:
-			for i, x := range s {
-				if x < lit {
-					sel = append(sel, int32(i))
-				}
-			}
-		case Le:
-			for i, x := range s {
-				if x <= lit {
-					sel = append(sel, int32(i))
-				}
-			}
-		case Gt:
-			for i, x := range s {
-				if x > lit {
-					sel = append(sel, int32(i))
-				}
-			}
-		case Ge:
-			for i, x := range s {
-				if x >= lit {
-					sel = append(sel, int32(i))
-				}
-			}
-		case Eq:
-			for i, x := range s {
-				if x == lit {
-					sel = append(sel, int32(i))
-				}
-			}
-		case Ne:
-			for i, x := range s {
-				if x != lit {
-					sel = append(sel, int32(i))
-				}
-			}
-		}
-	}
-	return sel
-}
-
-// evalPredSel filters sel in place, keeping indexes satisfying p over v.
-func evalPredSel(sel []int32, v *vector.Vector, p Pred) []int32 {
-	out := sel[:0]
-	switch v.Type {
-	case vector.Int64:
-		s := v.Int64s
-		for _, i := range sel {
-			if cmpInt64(s[i], p.I64, p.Op) {
-				out = append(out, i)
-			}
-		}
-	case vector.Float64:
-		s := v.Float64s
-		for _, i := range sel {
-			if cmpFloat64(s[i], p.F64, p.Op) {
-				out = append(out, i)
-			}
-		}
-	}
-	return out
-}
-
-func cmpInt64(x, lit int64, op CmpOp) bool {
+// evalPredAll writes to sel, as long as s, the indexes i with "s[i] op lit".
+// The store is unconditional and the comparison only advances the count,
+// which compiles to a flag set and an add: no branch per row to mispredict.
+func evalPredAll[T int64 | float64](sel []int32, s []T, op CmpOp, lit T) []int32 {
+	k := 0
 	switch op {
 	case Lt:
-		return x < lit
+		for i, x := range s {
+			sel[k] = int32(i)
+			k += b2i(x < lit)
+		}
 	case Le:
-		return x <= lit
+		for i, x := range s {
+			sel[k] = int32(i)
+			k += b2i(x <= lit)
+		}
 	case Gt:
-		return x > lit
+		for i, x := range s {
+			sel[k] = int32(i)
+			k += b2i(x > lit)
+		}
 	case Ge:
-		return x >= lit
+		for i, x := range s {
+			sel[k] = int32(i)
+			k += b2i(x >= lit)
+		}
 	case Eq:
-		return x == lit
+		for i, x := range s {
+			sel[k] = int32(i)
+			k += b2i(x == lit)
+		}
 	case Ne:
-		return x != lit
+		for i, x := range s {
+			sel[k] = int32(i)
+			k += b2i(x != lit)
+		}
 	}
-	return false
+	return sel[:k]
 }
 
-func cmpFloat64(x, lit float64, op CmpOp) bool {
+// evalPredSel is evalPredAll over the indexes already in sel: k never passes
+// the index being read, so it filters sel in place.
+func evalPredSel[T int64 | float64](sel []int32, s []T, op CmpOp, lit T) []int32 {
+	k := 0
+	switch op {
+	case Lt:
+		for _, i := range sel {
+			sel[k] = i
+			k += b2i(s[i] < lit)
+		}
+	case Le:
+		for _, i := range sel {
+			sel[k] = i
+			k += b2i(s[i] <= lit)
+		}
+	case Gt:
+		for _, i := range sel {
+			sel[k] = i
+			k += b2i(s[i] > lit)
+		}
+	case Ge:
+		for _, i := range sel {
+			sel[k] = i
+			k += b2i(s[i] >= lit)
+		}
+	case Eq:
+		for _, i := range sel {
+			sel[k] = i
+			k += b2i(s[i] == lit)
+		}
+	case Ne:
+		for _, i := range sel {
+			sel[k] = i
+			k += b2i(s[i] != lit)
+		}
+	}
+	return sel[:k]
+}
+
+// b2i is 1 for true and 0 for false, without a branch.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+func cmp[T int64 | float64](x, lit T, op CmpOp) bool {
 	switch op {
 	case Lt:
 		return x < lit

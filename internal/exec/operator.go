@@ -50,6 +50,9 @@ type MemScan struct {
 	rid *vector.Vector
 	pos int
 	out *vector.Batch
+	// views are the batch's column headers, reused so a batch allocates
+	// nothing.
+	views []vector.Vector
 }
 
 // RowsPruned reports how many rows the bound predicates eliminated inside
@@ -126,9 +129,11 @@ func (s *MemScan) Next() (*vector.Batch, error) {
 		}
 		if s.out == nil {
 			s.out = &vector.Batch{Cols: make([]*vector.Vector, len(s.schema))}
+			s.views = make([]vector.Vector, len(s.cols))
 		}
 		for i, c := range s.cols {
-			s.out.Cols[i] = c.Slice(s.pos, end)
+			s.views[i] = *c.Slice(s.pos, end)
+			s.out.Cols[i] = &s.views[i]
 		}
 		if s.rid != nil {
 			s.rid.Reset()

@@ -1,9 +1,6 @@
 package obs
 
 import (
-	"fmt"
-	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -212,27 +209,4 @@ func (r *Registry) Snapshot() map[string]int64 {
 		out[k+".max"] = h.Max()
 	}
 	return out
-}
-
-// SortedKeys returns snap's keys in sorted order. Both text and Prometheus
-// exposition iterate through it so /metrics output is byte-stable across
-// scrapes of the same state (map iteration order never leaks out).
-func SortedKeys(snap map[string]int64) []string {
-	keys := make([]string, 0, len(snap))
-	for k := range snap {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// Format renders a snapshot as sorted "name value" lines (rawql -stats and
-// debugging).
-func Format(snap map[string]int64) string {
-	keys := SortedKeys(snap)
-	var b strings.Builder
-	for _, k := range keys {
-		fmt.Fprintf(&b, "%s %d\n", k, snap[k])
-	}
-	return b.String()
 }

@@ -11,8 +11,8 @@ import (
 
 // Prometheus text-format exposition (version 0.0.4) over the registry.
 //
-// The text /metrics form flattens histograms into pre-digested quantiles,
-// which is right for humans but wrong for a scraper: Prometheus wants the
+// Registry.Snapshot flattens histograms into pre-digested quantiles, which
+// is right for humans but wrong for a scraper: Prometheus wants the
 // raw cumulative bucket counts so it can aggregate across instances and
 // compute quantiles server-side. WritePrometheus therefore reads the
 // registry's typed state directly — counters and gauges as single samples,

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -115,24 +116,31 @@ func TestObsLintPrometheusRejects(t *testing.T) {
 	}
 }
 
+// TestObsFormatSorted: /metrics renders families sorted by name and is
+// byte-identical across scrapes of unchanged state.
 func TestObsFormatSorted(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("zeta").Inc()
 	r.Counter("alpha").Inc()
 	r.Counter("midway").Inc()
-	snap := r.Snapshot()
-	out := Format(snap)
-	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	for i := 1; i < len(lines); i++ {
-		if lines[i-1] >= lines[i] {
-			t.Fatalf("Format lines not sorted: %q before %q", lines[i-1], lines[i])
+	scrape := func() string {
+		var b strings.Builder
+		if err := r.WritePrometheus(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	out := scrape()
+	var names []string
+	for _, l := range strings.Split(out, "\n") {
+		if name, ok := strings.CutPrefix(l, "# TYPE "); ok {
+			names = append(names, strings.Fields(name)[0])
 		}
 	}
-	if Format(r.Snapshot()) != out {
-		t.Fatal("Format not deterministic across snapshots of unchanged state")
+	if want := []string{"rawdb_alpha", "rawdb_midway", "rawdb_zeta"}; !slices.Equal(names, want) {
+		t.Fatalf("families %v, want %v", names, want)
 	}
-	keys := SortedKeys(snap)
-	if len(keys) != 3 || keys[0] != "alpha" || keys[2] != "zeta" {
-		t.Fatalf("SortedKeys = %v", keys)
+	if scrape() != out {
+		t.Fatal("exposition not deterministic across scrapes of unchanged state")
 	}
 }

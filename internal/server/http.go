@@ -14,8 +14,8 @@ import (
 // HTTP endpoint.
 //
 //	POST /query   {"query": "...", "timeout_ms": 0}  -> Response (JSON)
-//	GET  /metrics  engine + server metrics snapshot; text form by default,
-//	               Prometheus exposition format with ?format=prom
+//	GET  /metrics  engine + server metrics in Prometheus exposition format
+//	               (a ?format=prom parameter is accepted and ignored)
 //	GET  /debug/queries             in-flight queries (JSON)
 //	POST /debug/queries/{id}/cancel cancel one in-flight query
 //	GET  /debug/heat                workload-heat profiler snapshot (JSON)
@@ -82,13 +82,8 @@ func (s *Server) serve(ctx context.Context, req Request) (*Response, int) {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Query().Get("format") == "prom" {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		raw.WritePrometheus(w, s.eng.Metrics())
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	w.Write([]byte(raw.FormatMetrics(s.eng.Metrics().Snapshot())))
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	raw.WritePrometheus(w, s.eng.Metrics())
 }
 
 // handleInflight serves the live query registry: one JSON object per

@@ -332,15 +332,15 @@ func TestPrometheusEndpoint(t *testing.T) {
 		}
 	}
 
-	// The default text form still answers without the format parameter.
+	// Without the format parameter /metrics serves the same exposition.
 	r2, err := http.Get(hs.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r2.Body.Close()
 	plain, _ := io.ReadAll(r2.Body)
-	if bytes.Contains(plain, []byte("# TYPE")) {
-		t.Fatal("plain metrics view switched to prom exposition")
+	if err := raw.LintPrometheus(bytes.NewReader(plain)); err != nil || !bytes.Contains(plain, []byte("rawdb_query_count")) {
+		t.Fatalf("/metrics without ?format=prom is not the exposition (lint: %v):\n%s", err, plain)
 	}
 }
 

@@ -239,7 +239,7 @@ func TestObsTraceAndEvents(t *testing.T) {
 
 // TestObsMetricsRegistry checks the registry's query-level counters through
 // the facade: query.count advances per query, prune counters accumulate, and
-// FormatMetrics renders a snapshot deterministically.
+// the Prometheus exposition carries them.
 func TestObsMetricsRegistry(t *testing.T) {
 	e := raw.NewEngine(raw.Config{Strategy: raw.StrategyJIT, DisableShredCache: true})
 	if err := e.RegisterCSVData("t", obsSortedCSV(5000), obsSchema); err != nil {
@@ -261,9 +261,12 @@ func TestObsMetricsRegistry(t *testing.T) {
 		t.Fatalf("query.ns histogram not populated: count=%d p50=%d",
 			snap["query.ns.count"], snap["query.ns.p50"])
 	}
-	text := raw.FormatMetrics(snap)
-	if !strings.Contains(text, "query.count 3") {
-		t.Fatalf("FormatMetrics output missing query.count:\n%s", text)
+	var text strings.Builder
+	if err := raw.WritePrometheus(&text, e.Metrics()); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(text.String(), "\nrawdb_query_count 3\n") {
+		t.Fatalf("exposition missing query.count:\n%s", text.String())
 	}
 }
 

@@ -211,13 +211,9 @@ const (
 	EventPanicRecovered = obs.EventPanicRecovered
 )
 
-// FormatMetrics renders a metrics snapshot as sorted "name value" lines.
-func FormatMetrics(snap map[string]int64) string { return obs.Format(snap) }
-
 // WritePrometheus renders the registry in Prometheus text exposition format
 // (0.0.4): HELP/TYPE headers, rawdb_-prefixed normalized names, and
-// cumulative histogram buckets. Served by the query server at
-// /metrics?format=prom.
+// cumulative histogram buckets. Served by the query server at /metrics.
 func WritePrometheus(w io.Writer, m *Metrics) error { return m.WritePrometheus(w) }
 
 // LintPrometheus validates a Prometheus text exposition stream (the checks
