@@ -28,6 +28,7 @@ import (
 	"math/big"
 	"math/rand"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -976,6 +977,32 @@ func TestDifferentialDataset(t *testing.T) {
 	}
 }
 
+// fillLadder runs one filter at rising literals over "l", a copy of t that no
+// random query reads, one worker, and checks every rung against the oracle.
+// The first rung caches the filter column whole (and builds the positional
+// structure), the second a partial shred of the summed column, and every
+// later rung needs rows that shred lacks, so a shred-caching engine completes
+// it from the raw file.
+func fillLadder(t *testing.T, label string, eng *raw.Engine, ts dtTabs) {
+	t.Helper()
+	keys := slices.Sorted(slices.Values(ts.t.ints[0]))
+	one := 1
+	for i, frac := range []float64{1, 0.2, 0.5, 0.8, 1} {
+		q := dtQuery{groupBy: -1, items: []dtItem{{agg: "SUM", col: len(ts.t.cols) - 1}},
+			preds: []dtPred{{col: 0, op: "<=", i64: keys[int(frac*float64(len(keys)-1))]}}}
+		if i == 0 {
+			q.items = []dtItem{{agg: "COUNT", star: true}}
+		}
+		sql := strings.Replace(q.SQL(ts), " FROM t", " FROM l", 1)
+		res, err := eng.QueryOpt(sql, raw.Options{Parallelism: &one})
+		if err != nil {
+			t.Fatalf("%s ladder rung %d %q: %v", label, i, sql, err)
+		}
+		want, types := oracle(ts, q)
+		checkOracle(t, fmt.Sprintf("%s ladder rung %d", label, i), sql, res, want, types)
+	}
+}
+
 // TestDifferentialOracle is the coverage backbone: difftestQueries random
 // queries per strategy × format — joins, GROUP BY, HAVING and float
 // SUM/AVG included — each executed at workers 1/2/8 (cycling) and, for the
@@ -1039,9 +1066,24 @@ func TestDifferentialOracle(t *testing.T) {
 					vaultEng = raw.NewEngine(raw.Config{Strategy: s.strat, CacheDir: dir})
 					modes = append(modes, mode{"vault-cold", vaultEng})
 				}
+				shreds := s.strat == raw.StrategyShreds
+				register := func(eng *raw.Engine) {
+					registerDT(t, eng, "t", tab, format, csv, jsonl, bin)
+					registerDT(t, eng, "u", utab, format, ucsv, ujsonl, ubin)
+					if shreds {
+						registerDT(t, eng, "l", tab, format, csv, jsonl, bin)
+					}
+				}
+				// fills runs the ladder over l and requires the engine to have
+				// completed a partial shred from the raw file by then.
+				fills := func(name string, eng *raw.Engine) {
+					fillLadder(t, name, eng, ts)
+					if eng.Metrics().Snapshot()["shred.fill.rows"] == 0 {
+						t.Fatalf("%s (seed %d): no late scan completed a partial shred from the raw file", name, seed)
+					}
+				}
 				for _, m := range modes {
-					registerDT(t, m.eng, "t", tab, format, csv, jsonl, bin)
-					registerDT(t, m.eng, "u", utab, format, ucsv, ujsonl, ubin)
+					register(m.eng)
 				}
 				run := func(m mode) {
 					for qi, q := range queries {
@@ -1058,6 +1100,9 @@ func TestDifferentialOracle(t *testing.T) {
 				}
 				for _, m := range modes {
 					run(m)
+					if shreds && m.name != "push-nocache" {
+						fills(m.name, m.eng)
+					}
 				}
 				if s.vault {
 					// Flush the populated vault and "restart" into it: the
@@ -1066,9 +1111,11 @@ func TestDifferentialOracle(t *testing.T) {
 					vaultEng.Close()
 					restarted := mode{"vault-restart",
 						raw.NewEngine(raw.Config{Strategy: s.strat, CacheDir: dir})}
-					registerDT(t, restarted.eng, "t", tab, format, csv, jsonl, bin)
-					registerDT(t, restarted.eng, "u", utab, format, ucsv, ujsonl, ubin)
+					register(restarted.eng)
 					run(restarted)
+					if shreds {
+						fills(restarted.name, restarted.eng)
+					}
 					restarted.eng.Close()
 				}
 			})

@@ -477,7 +477,7 @@ func TestMorselCaptureReserve(t *testing.T) {
 	publish := func(caps ...*morselCapture) *shred.Shred {
 		t.Helper()
 		e := newTestEngine(t, Config{Parallelism: 1})
-		e.newRecord(Options{}).newPlanCtx(context.Background(), true).publishCaptures(tab, []int{0}, caps)
+		e.newRecord(Options{}).newPlanCtx(context.Background()).publishCaptures(tab, []int{0}, caps)
 		return e.shreds.LookupAny(shred.Key{Table: "t", Col: 0})
 	}
 	check := func(what string, s *shred.Shred) []int64 {

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
@@ -11,6 +14,7 @@ import (
 	"rawdb/internal/exec"
 	"rawdb/internal/obs"
 	"rawdb/internal/posmap"
+	"rawdb/internal/shred"
 	"rawdb/internal/storage/rootfile"
 	"rawdb/internal/vector"
 )
@@ -268,41 +272,126 @@ func TestMemoryTables(t *testing.T) {
 	}
 }
 
-// TestRetryOnStalePartialShred forces the optimistic partial-shred path to
-// fail subsumption at runtime and verifies the engine's silent replan.
-func TestRetryOnStalePartialShred(t *testing.T) {
-	csvData, _, schema, vals := testData(t, 400, 6, 204)
-	e := newTestEngine(t, Config{Strategy: StrategyShreds})
-	if err := e.RegisterCSVData("t", csvData, schema); err != nil {
-		t.Fatal(err)
+// TestPartialShredCompletesFromRaw: late columns whose only shreds are
+// partial and lack rows a query needs are completed from the raw file in the
+// same late scan, over CSV, JSONL and binary, with the multi-column late
+// option on and off. The rows equal a cache-less engine's, nothing replans,
+// the filter is served from its full shred, the pool keeps exactly the old
+// partial shreds, each looked up once, and a query the shreds subsume reads
+// no raw row.
+func TestPartialShredCompletesFromRaw(t *testing.T) {
+	g := goldenTable(t, 3000, 0)
+	formats := []struct {
+		name     string
+		register func(e *Engine) error
+	}{
+		{"csv", func(e *Engine) error { return e.RegisterCSVData("t", g.csv, g.schema) }},
+		{"jsonl", func(e *Engine) error { return e.RegisterJSONData("t", g.json, g.schema) }},
+		{"bin", func(e *Engine) error { return e.RegisterBinaryData("t", g.bin, g.schema) }},
 	}
-	for _, q := range shredMissWarmup("t") {
-		if _, err := e.Query(q); err != nil {
-			t.Fatal(err)
+	// col1 is the row number. The first warm-up caches it whole (and builds
+	// the positional structure), the second caches col3 and col4 for the
+	// first 400 rows only; wide needs 2500.
+	const (
+		narrow = "SELECT SUM(col3), MAX(col4) FROM t WHERE col1 < 400"
+		wide   = "SELECT SUM(col3), MAX(col4), COUNT(*) FROM t WHERE col1 < 2500"
+		lacked = 2 * (2500 - 400)
+	)
+	for _, f := range formats {
+		for _, multi := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/multi=%v", f.name, multi), func(t *testing.T) {
+				e := newTestEngine(t, Config{Strategy: StrategyShreds, MultiColumnShreds: multi})
+				plain := newTestEngine(t, Config{Strategy: StrategyShreds, DisableShredCache: true})
+				for _, eng := range []*Engine{e, plain} {
+					if err := f.register(eng); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for _, q := range []string{"SELECT COUNT(*) FROM t WHERE col1 < 1000", narrow} {
+					if _, err := e.Query(q); err != nil {
+						t.Fatal(err)
+					}
+				}
+				partials := func() []*shred.Shred {
+					var out []*shred.Shred
+					for _, s := range e.shreds.ShredsOf("t") {
+						if c := s.Key().Col; c == 2 || c == 3 {
+							out = append(out, s)
+						}
+					}
+					return out
+				}
+				before := partials()
+				if len(before) != 2 || before[0].Full() || before[1].Full() {
+					t.Fatalf("warm-up left col3/col4 shreds %v, want two partial ones", before)
+				}
+				fill := e.metrics.Counter("shred.fill.rows")
+				hits, misses := e.shreds.Stats()
+				filled := fill.Load()
+				tr := obs.NewTrace()
+				res, err := e.QueryOpt(wide, Options{Trace: tr})
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := plain.Query(wide)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for c := range want.Columns {
+					if res.Value(0, c) != want.Value(0, c) {
+						t.Fatalf("column %d = %v, the cache-less engine says %v", c, res.Value(0, c), want.Value(0, c))
+					}
+				}
+				if tr.Find("replan: shred miss") != nil {
+					t.Fatal("the query replanned")
+				}
+				wantPaths := "shred:scan(t) push[1](t) shred:late(t.cols2,) shred:late(t.cols3,)"
+				if multi {
+					wantPaths = "shred:scan(t) push[1](t) shred:late(t.cols2,3,)"
+				}
+				if paths := strings.Join(res.Stats.AccessPaths, " "); paths != wantPaths {
+					t.Fatalf("paths %q, want %q", paths, wantPaths)
+				}
+				if after := partials(); !slices.Equal(after, before) {
+					t.Fatalf("the pool's col3/col4 shreds went %v -> %v", before, after)
+				}
+				if h, m := e.shreds.Stats(); h-hits != 3 || m != misses {
+					t.Fatalf("lookups: %d hits, %d misses; want 3 and 0", h-hits, m-misses)
+				}
+				if got := fill.Load() - filled; got != lacked {
+					t.Fatalf("shred.fill.rows grew by %d, want %d", got, lacked)
+				}
+				var spanFilled int64
+				for _, s := range tr.Spans() {
+					for _, a := range s.Attrs() {
+						if a.Key == "filled" {
+							n, _ := strconv.ParseInt(a.Val, 10, 64)
+							spanFilled += n
+						}
+					}
+				}
+				if spanFilled != lacked {
+					t.Fatalf("late-scan spans say filled=%d, want %d", spanFilled, lacked)
+				}
+				// A query the partial shreds subsume reads no raw row.
+				filled = fill.Load()
+				if _, err := e.Query(narrow); err != nil {
+					t.Fatal(err)
+				}
+				if got := fill.Load() - filled; got != 0 {
+					t.Fatalf("a subsumed query filled %d rows from the raw file", got)
+				}
+			})
 		}
-	}
-	// Wider filter: the cached col3 shred does NOT subsume these rows; the
-	// planner picks it optimistically, execution fails with ErrNotCached,
-	// and the query must still return the right answer via replan.
-	want, _ := refMaxWhere(vals, 2, 0, 900_000_000)
-	tr := obs.NewTrace()
-	res, err := e.QueryOpt("SELECT MAX(col3) FROM t WHERE col1 < 900000000", Options{Trace: tr})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Int64(0, 0) != want {
-		t.Fatalf("got %d, want %d", res.Int64(0, 0), want)
-	}
-	if tr.Find("replan: shred miss") == nil {
-		t.Fatal("the query did not replan")
 	}
 }
 
-// shredMissWarmup is the cache state under which a wide filter over table
-// tab picks a partial col3 shred that misses: the first query builds the
-// positional map (a cold scan captures whole columns), so the narrow second
-// one late-scans col3 and caches it for the rows with col1 < 10% only.
-func shredMissWarmup(tab string) []string {
+// partialShredWarmup is the cache state under which a wide filter over table
+// tab late-scans a partial col3 shred that lacks some of its rows: the first
+// query builds the positional map (a cold scan captures whole columns), so
+// the narrow second one late-scans col3 and caches it for the rows with
+// col1 < 10% only.
+func partialShredWarmup(tab string) []string {
 	return []string{
 		"SELECT MAX(col2) FROM " + tab + " WHERE col1 < 500000000",
 		"SELECT MAX(col3) FROM " + tab + " WHERE col1 < 100000000",

@@ -15,8 +15,9 @@ import (
 // earlier query converted is the same bytesconv.ErrSyntax failure whichever
 // path reads it first — the cold sequential scan, a read through the
 // positional map or structural index other columns built, a late column-shred
-// fetch, or a read through offsets a pruned warm-up recorded without
-// converting — serial and parallel, pushdown on and off.
+// fetch, a late scan completing a partial shred from the raw file, or a read
+// through offsets a pruned warm-up recorded without converting — serial and
+// parallel, pushdown on and off.
 func TestMalformedIntFailsInEveryMode(t *testing.T) {
 	const rows, bad = 60, 37
 	schema := []catalog.Column{{Name: "a", Type: vector.Int64}, {Name: "b", Type: vector.Int64},
@@ -31,7 +32,7 @@ func TestMalformedIntFailsInEveryMode(t *testing.T) {
 		fmt.Fprintf(&csvData, "%d,%d,%s\n", r, r*2, csvC)
 		fmt.Fprintf(&jsonData, "{\"a\":%d,\"b\":%d,\"c\":%s}\n", r, r*2, jsonC)
 	}
-	on := true
+	on, one := true, 1
 	type warm struct {
 		sql  string
 		opts Options
@@ -49,6 +50,11 @@ func TestMalformedIntFailsInEveryMode(t *testing.T) {
 		{name: "recorded", noShreds: true,
 			warm: []warm{{sql: "SELECT COUNT(*) FROM t WHERE a < 0 AND c > 0", opts: Options{Pushdown: &on}}},
 			sql:  "SELECT SUM(c) FROM t"},
+		// A partial shred of c over well-formed rows, then a query needing row
+		// 37, which the late scan completes from the raw file.
+		{name: "partial", warm: []warm{{sql: "SELECT SUM(a) FROM t"},
+			{sql: "SELECT SUM(c) FROM t WHERE a < 10", opts: Options{Parallelism: &one}}},
+			sql: "SELECT SUM(c) FROM t WHERE a >= 0"},
 	}
 	for _, format := range []string{"csv", "jsonl"} {
 		for _, m := range modes {

@@ -49,6 +49,7 @@ func (e *Engine) initObs() {
 
 	m := e.metrics
 	obs.RegisterRuntimeGauges(m)
+	m.Describe("shred.fill.rows", "rows a partial column shred lacked that a late scan read from the raw file")
 	m.Gauge("jit.cache.entries", func() int64 { return int64(e.templates.Len()) })
 	m.Gauge("jit.cache.bytes", func() int64 { return e.templates.SizeBytes() })
 	m.Gauge("shred.pool.count", func() int64 { return int64(e.shreds.Len()) })

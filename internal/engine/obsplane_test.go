@@ -194,7 +194,8 @@ func TestQueryLogFailedQueryKeepsWork(t *testing.T) {
 // TestQueryLogViewsAgree runs one sequence of queries with a query log
 // attached — cold, warm, pushdown-pruned, zone-skipped, morsel-skipped, a
 // 3-partition dataset with pruned partitions, a mid-scan failure and a
-// shred-miss replan — and checks that the views of the query record agree:
+// partial shred completed from the raw file — and checks that the views of
+// the query record agree:
 // the registry deltas are the sums over the log, every line's phases sum to
 // at most its elapsed time and equal the query's Stats, and every single-file
 // table's heat accounts for each scan's bytes as read or avoided.
@@ -207,7 +208,7 @@ func TestQueryLogViewsAgree(t *testing.T) {
 	for i := int64(0); i < 3; i++ {
 		parts = append(parts, DataPart{Format: catalog.CSV, Data: goldenTable(t, 1000, 1000*i).csv})
 	}
-	csvData, _, schema, _ := testData(t, 400, 6, 204)
+	csvData, _, schema, vals := testData(t, 400, 6, 204)
 	for _, err := range []error{
 		e.RegisterCSVData("t", g.csv, g.schema),
 		e.RegisterDatasetParts("d", parts, g.schema),
@@ -220,7 +221,7 @@ func TestQueryLogViewsAgree(t *testing.T) {
 	}
 
 	noCapture, one, four, shreds := true, 1, 4, StrategyShreds
-	replan := obs.NewTrace()
+	completed := obs.NewTrace()
 	type step struct {
 		sql  string
 		opts Options
@@ -235,14 +236,18 @@ func TestQueryLogViewsAgree(t *testing.T) {
 		// Fails at the garbage row, after the pushed predicate pruned rows.
 		{"SELECT MAX(col2) FROM bad WHERE col1 < 10", Options{NoCapture: &noCapture}},
 	}
-	for _, q := range shredMissWarmup("s") {
+	for _, q := range partialShredWarmup("s") {
 		steps = append(steps, step{q, Options{Strategy: &shreds}})
 	}
 	steps = append(steps, step{"SELECT MAX(col3) FROM s WHERE col1 < 900000000",
-		Options{Strategy: &shreds, Trace: replan}})
+		Options{Strategy: &shreds, Trace: completed}})
 	before := e.Metrics().Snapshot()
+	var last map[string]int64
 	stats := make(map[int64]Stats)
-	for _, st := range steps {
+	for i, st := range steps {
+		if i == len(steps)-1 {
+			last = e.Metrics().Snapshot()
+		}
 		res, err := e.QueryOpt(st.sql, st.opts)
 		if (err != nil) != strings.Contains(st.sql, "bad") {
 			t.Fatalf("%s: %v", st.sql, err)
@@ -251,10 +256,20 @@ func TestQueryLogViewsAgree(t *testing.T) {
 			stats[res.Stats.QueryID] = res.Stats
 		}
 	}
-	if replan.Find("replan: shred miss") == nil {
-		t.Fatal("the shred-miss query did not replan")
+	if completed.Find("replan: shred miss") != nil {
+		t.Fatal("the partial-shred query replanned")
 	}
 	after := e.Metrics().Snapshot()
+	// The completed query folded the registry once, as a success, and counts
+	// the rows its partial col3 shred lacked.
+	_, held := refMaxWhere(vals, 2, 0, 100_000_000)
+	_, needed := refMaxWhere(vals, 2, 0, 900_000_000)
+	for name, want := range map[string]int64{"query.count": 1, "query.errors": 0,
+		"shred.fill.rows": int64(needed - held)} {
+		if got := after[name] - last[name]; got != want {
+			t.Fatalf("the partial-shred query moved %s by %d, want %d", name, got, want)
+		}
+	}
 
 	sums := make(map[string]int64)
 	partName := regexp.MustCompile(`\w+#part\d+`)

@@ -534,7 +534,7 @@ func TestCutDecides(t *testing.T) {
 			templates := e.TemplateCache().Len()
 			workers := 4
 			rec := e.newRecord(Options{Parallelism: &workers, Trace: obs.NewTrace()})
-			pc := rec.newPlanCtx(context.Background(), true)
+			pc := rec.newPlanCtx(context.Background())
 			c, err := pc.cut(r)
 			if err != nil {
 				t.Fatal(err)

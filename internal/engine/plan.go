@@ -8,6 +8,7 @@ import (
 
 	"rawdb/internal/catalog"
 	"rawdb/internal/exec"
+	"rawdb/internal/insitu"
 	"rawdb/internal/jit"
 	"rawdb/internal/obs"
 	"rawdb/internal/shred"
@@ -17,8 +18,8 @@ import (
 
 // planCtx carries one planning attempt: the query's resolved options, the
 // query record every plan site writes what it decides to (record.go), and
-// the cache-reuse switch (cleared on retry when an optimistic partial-shred
-// choice fails at runtime). Build one with queryRecord.newPlanCtx.
+// whether the shred pool is consulted and fed (Config.DisableShredCache
+// clears it). Build one with queryRecord.newPlanCtx.
 type planCtx struct {
 	planOpts
 	*queryRecord
@@ -319,10 +320,10 @@ func (pc *planCtx) scanKind() (kind scanKind, ok bool) {
 // scan pays full parse once, later queries hit shreds) is the paper's core
 // warm-up behaviour and must not silently degrade. Pushdown and zone-map
 // skipping therefore apply to raw-file scans only when capture is off
-// (DisableShredCache, or the no-cache replan); scans over already-cached
+// (DisableShredCache, or a no-capture query); scans over already-cached
 // shreds absorb predicates unconditionally, since no capture is involved.
 func (pc *planCtx) captureActive() bool {
-	return pc.capture && pc.useCache && !pc.e.cfg.DisableShredCache
+	return pc.capture && pc.useCache
 }
 
 // execPred converts a bound predicate to its exec form keyed by the table
@@ -1263,22 +1264,27 @@ func (pc *planCtx) baseScanFile(p *pipe, t int, u unitCut, kind scanKind, cols [
 
 	// Append cached columns via their row ids, after uncached+rid.
 	if len(cached) > 0 {
-		names := make([]string, len(cached))
-		for i, c := range cached {
-			names[i] = tab.Schema[c].Name
-		}
-		base := p.width()
-		ls, err := shred.NewLateScan(p.ops[0], ridIdx, cachedShreds, names)
-		if err != nil {
+		if err := appendLate(p, t, tab, ridIdx, cached, shred.NewLateFill(cachedShreds, nil).Fetch); err != nil {
 			return nil, nil, err
-		}
-		p.ops[0] = ls
-		for i, c := range cached {
-			p.pos[boundRef{t, c}] = base + i
 		}
 		pc.pathf("shred:append(%s)", tab.Name)
 	}
 	return p, residual, nil
+}
+
+// appendLate stacks on p the late scan appending cols of table t, fetched by
+// fetch: the one place the planner builds a late scan.
+func appendLate(p *pipe, t int, tab *catalog.Table, ridIdx int, cols []int, fetch exec.Fetch) error {
+	base := p.width()
+	ls, err := exec.NewLateScan(p.ops[0], ridIdx, insitu.RowIDColumn, colSchema(tab, cols), fetch)
+	if err != nil {
+		return err
+	}
+	p.ops[0] = ls
+	for i, c := range cols {
+		p.pos[boundRef{t, c}] = base + i
+	}
+	return nil
 }
 
 // lateScan appends the given columns of table t via a column-shred access
@@ -1292,88 +1298,86 @@ func (pc *planCtx) lateScan(p *pipe, r *resolvedQuery, t int, cols []int) error 
 	return nil
 }
 
-// lateScanInner appends the given columns of table t to the pipeline via a
-// column-shred access path, preferring cached shreds over raw access, and
-// captures newly read shreds into the pool.
+// lateScanInner appends the given columns of table t to the pipeline in one
+// late scan. A column is served from the best shred the pool holds — a
+// partial one completed from the raw file by the table's own late reader,
+// never replanned — and read from the file otherwise; file-read columns are
+// captured into the pool as shreds keyed by row id.
 func (pc *planCtx) lateScanInner(p *pipe, r *resolvedQuery, t int, cols []int) error {
-	st := r.tables[t].st
+	st, pos := r.tables[t].st, r.tables[t].pos
 	tab := st.tab
 	ridIdx := p.rid[t]
 	if ridIdx < 0 {
 		return fmt.Errorf("engine: internal: late scan without row ids for table %q", tab.Name)
 	}
-	var fromCache []int
+	var fromCache, fromFile []int
 	var cachedShreds []*shred.Shred
-	var fromFile []int
+	var raw []exec.Fetch
 	for _, c := range cols {
 		var s *shred.Shred
 		if pc.useCache {
 			s = pc.lookup(tab.Name, c, true)
 		}
-		if s != nil {
-			fromCache = append(fromCache, c)
-			cachedShreds = append(cachedShreds, s)
-		} else {
+		if s == nil {
 			fromFile = append(fromFile, c)
+			continue
 		}
+		var f exec.Fetch
+		if !s.Full() {
+			var err error
+			if f, err = st.src.late(tab, pos, []int{c}); err != nil {
+				return err
+			}
+		}
+		fromCache, cachedShreds, raw = append(fromCache, c), append(cachedShreds, s), append(raw, f)
 	}
 	pc.hit(tab.Name, "shred", len(fromCache))
 
+	var fetch exec.Fetch
 	if len(fromCache) > 0 {
-		names := make([]string, len(fromCache))
-		for i, c := range fromCache {
-			names[i] = tab.Schema[c].Name
-		}
-		ls, err := shred.NewLateScan(p.ops[0], ridIdx, cachedShreds, names)
+		fill := shred.NewLateFill(cachedShreds, raw)
+		fetch = fill.Fetch
+		pc.probes = append(pc.probes, pruneProbe{fill: fill})
+		pc.pathf("shred:late(%s)", shredKeys(tab.Name, fromCache))
+	}
+	if len(fromFile) > 0 {
+		sortInts(fromFile)
+		file, err := st.src.late(tab, pos, fromFile)
 		if err != nil {
 			return err
 		}
-		base := p.width()
-		p.ops[0] = ls
-		for i, c := range fromCache {
-			p.pos[boundRef{t, c}] = base + i
+		lateSpec := st.src.spec(tab, pos, jit.Late, fromFile)
+		lateSpec.EmitRID = true
+		pc.ensureTemplate(lateSpec)
+		pc.pathf("jit:late(%s)", shredKeys(tab.Name, fromFile))
+		if cached, k := fetch, len(fromCache); cached == nil {
+			fetch = file
+		} else {
+			fetch = func(rids []int64, outs []*vector.Vector) error {
+				if err := cached(rids, outs[:k]); err != nil {
+					return err
+				}
+				return file(rids, outs[k:])
+			}
 		}
-		pc.pathf("shred:late(%s)", shredKeys(tab.Name, fromCache))
 	}
-	if len(fromFile) == 0 {
-		return nil
-	}
-
-	pos := r.tables[t].pos
-	ls, err := st.src.late(p.ops[0], tab, pos, fromFile, ridIdx)
-	if err != nil {
+	if err := appendLate(p, t, tab, ridIdx, slices.Concat(fromCache, fromFile), fetch); err != nil {
 		return err
 	}
-	lateSpec := st.src.spec(tab, pos, jit.Late, fromFile)
-	lateSpec.EmitRID = true
-	pc.ensureTemplate(lateSpec)
-	pc.pathf("jit:late(%s)", shredKeys(tab.Name, fromFile))
 
-	// NewCSVLateScan sorts its columns; recover the output order.
-	sorted := append([]int{}, fromFile...)
-	sortInts(sorted)
-	base := p.width()
-	p.ops[0] = ls
-	for i, c := range sorted {
-		p.pos[boundRef{t, c}] = base + i
-	}
-
-	// Capture the shreds (partial columns keyed by row id).
-	if pc.capture && pc.useCache && !pc.e.cfg.DisableShredCache {
-		specs := make([]shred.CaptureSpec, len(sorted))
-		for i, c := range sorted {
-			specs[i] = shred.CaptureSpec{
-				Key:    shred.Key{Table: tab.Name, Col: c},
-				ColIdx: base + i,
-				RIDIdx: ridIdx,
-			}
+	// Capture the file-read columns (partial columns keyed by row id).
+	if len(fromFile) > 0 && pc.captureActive() {
+		specs := make([]shred.CaptureSpec, len(fromFile))
+		for i, c := range fromFile {
+			specs[i] = shred.CaptureSpec{Key: shred.Key{Table: tab.Name, Col: c},
+				ColIdx: p.pos[boundRef{t, c}], RIDIdx: ridIdx}
 		}
 		cap, err := shred.NewCapture(p.ops[0], pc.e.shreds, specs)
 		if err != nil {
 			return err
 		}
 		p.ops[0] = cap
-		pc.shredsCaptured(tab, sorted)
+		pc.shredsCaptured(tab, fromFile)
 	}
 	return nil
 }

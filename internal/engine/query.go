@@ -10,7 +10,6 @@ import (
 
 	"rawdb/internal/exec"
 	"rawdb/internal/obs"
-	"rawdb/internal/shred"
 	"rawdb/internal/sql"
 )
 
@@ -105,14 +104,7 @@ func (e *Engine) QueryOptCtx(ctx context.Context, src string, opts Options) (*Re
 		r, err = e.analyze(q)
 	}
 	if err == nil {
-		res, err = e.run(ctx, rec, r, true)
-		if errors.Is(err, shred.ErrNotCached) {
-			// An optimistically chosen partial shred did not subsume this
-			// query's rows; replan without cache reuse (the raw file
-			// remains the source of truth).
-			rec.span("replan: shred miss").End()
-			res, err = e.run(ctx, rec, r, false)
-		}
+		res, err = e.run(ctx, rec, r)
 		var pl *partLostError
 		if errors.As(err, &pl) {
 			// A dataset partition vanished or changed between manifest
@@ -124,7 +116,7 @@ func (e *Engine) QueryOptCtx(ctx context.Context, src string, opts Options) (*Re
 			rec.event(obs.EventRetry, "partition", pl.part, 0,
 				"replan after partition lost: "+pl.err.Error())
 			rec.span("replan: partition lost").End()
-			res, err = e.run(ctx, rec, r, true)
+			res, err = e.run(ctx, rec, r)
 		}
 	}
 	rec.enter(phaseDone)
@@ -151,7 +143,7 @@ func (e *Engine) QueryOptCtx(ctx context.Context, src string, opts Options) (*Re
 //     on failure nothing is installed. The record folds the attempt either way.
 //
 // The result's Stats are the record's, filled in once the query ended.
-func (e *Engine) run(ctx context.Context, rec *queryRecord, r *resolvedQuery, useCache bool) (res *Result, err error) {
+func (e *Engine) run(ctx context.Context, rec *queryRecord, r *resolvedQuery) (res *Result, err error) {
 	// Panic containment for the serial path (the exchange recovers its own
 	// workers): a bug in a generated access path or operator fails this one
 	// query instead of the process. Declared before the lock defer, so
@@ -163,7 +155,7 @@ func (e *Engine) run(ctx context.Context, rec *queryRecord, r *resolvedQuery, us
 			res, err = nil, fmt.Errorf("engine: query panicked: %v", p)
 		}
 	}()
-	pc := rec.attempt(ctx, useCache)
+	pc := rec.attempt(ctx)
 	locks := lockTables(r)
 	locks.lock()
 	held := true
@@ -288,7 +280,7 @@ func (e *Engine) Explain(src string, opts Options) (string, error) {
 	locks.lock()
 	defer locks.unlock()
 	sp := rec.span("plan")
-	op, err := rec.newPlanCtx(context.Background(), true).plan(r)
+	op, err := rec.newPlanCtx(context.Background()).plan(r)
 	sp.End()
 	if err != nil {
 		return "", err

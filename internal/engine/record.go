@@ -2,7 +2,6 @@ package engine
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -22,9 +21,9 @@ import (
 // prune probes, publication records what was captured. Stats, the query-log
 // line, the registry fold, the heat fold and the /debug/queries entry are all
 // derived from it, so no two of them can disagree. What one run of the plan
-// did (Stats, heat, the registry fold) starts afresh when a shred-miss or
-// partition-lost replan runs it again; what the query did (its ID, phase,
-// rows drained, the log line) spans every attempt.
+// did (Stats, heat, the registry fold) starts afresh when a partition-lost
+// replan runs it again; what the query did (its ID, phase, rows drained, the
+// log line) spans every attempt.
 
 // queryPhase is the lifecycle position of a query, in the order it passes
 // through them.
@@ -91,10 +90,13 @@ type queryRecord struct {
 	scans  []scanHeat
 }
 
-// pruneProbe reads one scan's runtime prune counters when its attempt folds.
-// span is the scan's trace span, assigned once the scan site wraps it.
+// pruneProbe reads one scan's runtime prune counters when its attempt folds,
+// or with fill set the rows a late scan read from the raw file for the
+// partial shreds it completed. span is the scan's trace span, assigned once
+// the scan site wraps it.
 type pruneProbe struct {
 	f            func() (rows, blocks int64)
+	fill         *shred.LateFill
 	span         *obs.Span
 	rows, blocks int64 // as read by fold
 }
@@ -150,18 +152,17 @@ func (r *queryRecord) enter(p queryPhase) {
 // context. Entering the refresh phase first closes the previous attempt's
 // last phase into that attempt's Stats; only then do the per-attempt facts
 // start afresh.
-func (r *queryRecord) attempt(ctx context.Context, useCache bool) *planCtx {
+func (r *queryRecord) attempt(ctx context.Context) *planCtx {
 	r.enter(phaseRefresh)
 	r.stats = Stats{Strategy: r.opts.strategy, QueryID: r.id,
 		PhaseParse: r.stats.PhaseParse, PhaseAnalyze: r.stats.PhaseAnalyze}
 	r.heat, r.probes, r.scans = nil, nil, nil
-	return r.newPlanCtx(ctx, useCache)
+	return r.newPlanCtx(ctx)
 }
 
 // newPlanCtx is the planning context over the record, for run and Explain.
-func (r *queryRecord) newPlanCtx(ctx context.Context, useCache bool) *planCtx {
-	return &planCtx{planOpts: r.opts, queryRecord: r, ctx: ctx,
-		useCache: useCache && !r.e.cfg.DisableShredCache}
+func (r *queryRecord) newPlanCtx(ctx context.Context) *planCtx {
+	return &planCtx{planOpts: r.opts, queryRecord: r, ctx: ctx, useCache: !r.e.cfg.DisableShredCache}
 }
 
 // span opens a root trace span that is not a phase (replan markers, the
@@ -247,11 +248,19 @@ func (r *queryRecord) heatDelta(table string) *obs.HeatDelta {
 // avoided. The heat fold follows — one raw scan per scanHeat, the per-column
 // reads and filters of the resolved query — then the registry fold: the
 // scan-side work always, the success-only series on success, the error count
-// on failure. A shred miss folds no registry: its replan does.
+// on failure.
 func (r *queryRecord) fold(q *resolvedQuery, err error) {
 	s := &r.stats
+	var filled int64
 	for i := range r.probes {
 		p := &r.probes[i]
+		if p.fill != nil {
+			if n := p.fill.Filled; n > 0 {
+				filled += n
+				p.span.AddAttrInt("filled", n)
+			}
+			continue
+		}
 		p.rows, p.blocks = p.f()
 		s.RowsPruned += p.rows
 		s.BlocksSkipped += p.blocks
@@ -306,9 +315,6 @@ func (r *queryRecord) fold(q *resolvedQuery, err error) {
 		r.e.heat.Fold(table, d)
 	}
 
-	if errors.Is(err, shred.ErrNotCached) {
-		return
-	}
 	m := r.e.metrics
 	if err != nil {
 		m.Counter("query.errors").Inc()
@@ -326,6 +332,7 @@ func (r *queryRecord) fold(q *resolvedQuery, err error) {
 	}
 	m.Counter("push.preds").Add(int64(s.PredsPushed))
 	m.Counter("prune.rows").Add(s.RowsPruned)
+	m.Counter("shred.fill.rows").Add(filled)
 	m.Counter("prune.blocks").Add(s.BlocksSkipped)
 	m.Counter("prune.morsels").Add(int64(s.MorselsSkipped))
 	m.Counter("prune.partitions").Add(int64(s.PartitionsSkipped))

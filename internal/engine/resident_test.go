@@ -43,7 +43,7 @@ func TestResidentShredPlan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pc := e.newRecord(Options{}).newPlanCtx(context.Background(), true)
+		pc := e.newRecord(Options{}).newPlanCtx(context.Background())
 		c, err := pc.cut(r)
 		if err != nil {
 			t.Fatal(err)

@@ -56,8 +56,9 @@ type source interface {
 	// private fragment of the positional structure a record-by-record pass
 	// fills on the side (nil when it fills none).
 	scan(tab *catalog.Table, pos positions, req scanReq) (exec.Operator, fragment, error)
-	// late appends cols to child's batches by the row ids in column ridIdx.
-	late(child exec.Operator, tab *catalog.Table, pos positions, cols []int, ridIdx int) (exec.Operator, error)
+	// late returns the table's own late reader of cols (ascending): the fetch
+	// by row id an exec.LateScan runs, alone or completing a partial shred.
+	late(tab *catalog.Table, pos positions, cols []int) (exec.Fetch, error)
 	// publish installs on st the positional structure the fragments make up
 	// (frags[i] was filled over spans[i], in file order) and returns its
 	// footprint. A lone fragment that starts the file is adopted as it is;
@@ -378,8 +379,8 @@ func (s *csvSource) scan(tab *catalog.Table, pos positions, req scanReq) (exec.O
 	return op, frag, nil
 }
 
-func (s *csvSource) late(child exec.Operator, tab *catalog.Table, pos positions, cols []int, ridIdx int) (exec.Operator, error) {
-	return jit.NewCSVLateScan(child, s.data, tab, cols, pos.pm, ridIdx)
+func (s *csvSource) late(tab *catalog.Table, pos positions, cols []int) (exec.Fetch, error) {
+	return jit.CSVLateFetch(s.data, tab, cols, pos.pm)
 }
 
 func (s *csvSource) publish(st *tableState, frags []fragment, spans []span) (int64, error) {
@@ -484,8 +485,8 @@ func (s *jsonSource) scan(tab *catalog.Table, pos positions, req scanReq) (exec.
 	return sc, frag, nil
 }
 
-func (s *jsonSource) late(child exec.Operator, tab *catalog.Table, pos positions, cols []int, ridIdx int) (exec.Operator, error) {
-	return jit.NewJSONLateScan(child, s.data, tab, cols, pos.jidx, ridIdx)
+func (s *jsonSource) late(tab *catalog.Table, pos positions, cols []int) (exec.Fetch, error) {
+	return jit.JSONLateFetch(s.data, tab, cols, pos.jidx)
 }
 
 func (s *jsonSource) publish(st *tableState, frags []fragment, spans []span) (int64, error) {
@@ -576,8 +577,8 @@ func (s *binSource) scan(tab *catalog.Table, _ positions, req scanReq) (exec.Ope
 	return ranged(sc, err, req.span)
 }
 
-func (s *binSource) late(child exec.Operator, tab *catalog.Table, _ positions, cols []int, ridIdx int) (exec.Operator, error) {
-	return jit.NewBinLateScan(child, s.r, tab, cols, ridIdx)
+func (s *binSource) late(tab *catalog.Table, _ positions, cols []int) (exec.Fetch, error) {
+	return jit.BinLateFetch(s.r, tab, cols)
 }
 
 // --- ROOT ---
@@ -645,6 +646,6 @@ func (s *rootSource) scan(tab *catalog.Table, _ positions, req scanReq) (exec.Op
 	return sc, nil, nil
 }
 
-func (s *rootSource) late(child exec.Operator, tab *catalog.Table, _ positions, cols []int, ridIdx int) (exec.Operator, error) {
-	return jit.NewRootLateScan(child, s.tree, tab, cols, ridIdx)
+func (s *rootSource) late(tab *catalog.Table, _ positions, cols []int) (exec.Fetch, error) {
+	return jit.RootLateFetch(s.tree, tab, cols)
 }

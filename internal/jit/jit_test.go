@@ -330,6 +330,24 @@ func TestRootScan(t *testing.T) {
 	}
 }
 
+// lateScan runs fetch, generated for cols of tab (err is its generator's), in
+// the late-scan shell over child, whose row ids are its column 1.
+func lateScan(t *testing.T, child exec.Operator, tab *catalog.Table, cols []int, fetch exec.Fetch, err error) exec.Operator {
+	t.Helper()
+	if err != nil {
+		t.Fatal(err)
+	}
+	schema, err := appendSchema(nil, tab, cols)
+	if err != nil {
+		t.Fatal(err)
+	}
+	late, err := exec.NewLateScan(child, 1, insitu.RowIDColumn, schema, fetch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return late
+}
+
 // lateChild builds a filtered child pipeline emitting row ids, for late scan
 // tests: rows whose col0 value < threshold survive.
 func lateChild(t *testing.T, data []byte, tab *catalog.Table, pm *posmap.Map, threshold int64) exec.Operator {
@@ -437,11 +455,8 @@ func TestBinLateScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	late, err := NewBinLateScan(f, rd, &btab, []int{7}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := exec.Collect(late)
+	fetch, err := BinLateFetch(rd, &btab, []int{7})
+	out, err := exec.Collect(lateScan(t, f, &btab, []int{7}, fetch, err))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -487,11 +502,8 @@ func TestRootLateScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	late, err := NewRootLateScan(flt, tree, tab, []int{1}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := exec.Collect(late)
+	fetch, err := RootLateFetch(tree, tab, []int{1})
+	out, err := exec.Collect(lateScan(t, flt, tab, []int{1}, fetch, err))
 	if err != nil {
 		t.Fatal(err)
 	}

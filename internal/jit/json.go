@@ -7,7 +7,6 @@ import (
 	"rawdb/internal/bytesconv"
 	"rawdb/internal/catalog"
 	"rawdb/internal/exec"
-	"rawdb/internal/insitu"
 	"rawdb/internal/jsonidx"
 	"rawdb/internal/storage/jsonfile"
 	"rawdb/internal/synopsis"
@@ -675,20 +674,17 @@ func jsonMapError(row int64, path string, err error) error {
 	return fmt.Errorf("jit json map scan: row %d path %q: %w", row, path, err)
 }
 
-// NewJSONLateScan generates a column-shred access path over a JSONL file:
-// for each surviving row id it jumps via the structural index — straight to
-// the value for tracked paths, to the row start plus one object walk for
-// untracked ones.
-func NewJSONLateScan(child exec.Operator, data []byte, t *catalog.Table, cols []int,
-	idx *jsonidx.Index, ridIdx int) (*exec.LateScan, error) {
+// JSONLateFetch generates the late fetch of cols of a JSONL file: for each
+// row id it jumps via the structural index — straight to the value for
+// tracked paths, to the row start plus one object walk for untracked ones.
+func JSONLateFetch(data []byte, t *catalog.Table, cols []int, idx *jsonidx.Index) (exec.Fetch, error) {
 	if t.Format != catalog.JSON {
 		return nil, fmt.Errorf("jit: json late scan got format %s", t.Format)
 	}
 	if idx == nil || idx.NRows() == 0 {
 		return nil, fmt.Errorf("jit: json late scan requires a populated structural index")
 	}
-	schema, err := lateSchema(child, t, cols)
-	if err != nil {
+	if _, err := appendSchema(nil, t, cols); err != nil {
 		return nil, err
 	}
 	fetchers := make([]colFetch, len(cols))
@@ -743,5 +739,5 @@ func NewJSONLateScan(child exec.Operator, data []byte, t *catalog.Table, cols []
 			return nil, fmt.Errorf("jit: unsupported JSON column type %s", col.Type)
 		}
 	}
-	return exec.NewLateScan(child, ridIdx, insitu.RowIDColumn, schema, fetchColumns(fetchers, idx.NRows()))
+	return fetchColumns(fetchers, idx.NRows()), nil
 }

@@ -219,11 +219,8 @@ func TestJSONLateScan(t *testing.T) {
 	}
 	// Column 2 (payload.energy) is untracked: late fetch walks from row
 	// starts; column 0 would be tracked. Fetch the untracked one.
-	late, err := NewJSONLateScan(f, data, tab, []int{2}, idx, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := exec.Collect(late)
+	fetch, err := JSONLateFetch(data, tab, []int{2}, idx)
+	out, err := exec.Collect(lateScan(t, f, tab, []int{2}, fetch, err))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +240,7 @@ func TestJSONLateScan(t *testing.T) {
 		}
 	}
 	// Requires a populated index.
-	if _, err := NewJSONLateScan(f, data, tab, []int{2}, jsonidx.New(0), 1); err == nil {
+	if _, err := JSONLateFetch(data, tab, []int{2}, jsonidx.New(0)); err == nil {
 		t.Fatal("expected error for empty index")
 	}
 }

@@ -2,7 +2,7 @@ package jit
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"rawdb/internal/bytesconv"
 	"rawdb/internal/catalog"
@@ -17,23 +17,17 @@ import (
 
 // The late access paths implement column shreds: scan operators pushed *up*
 // the query plan, appending columns by row id to the batches of a child that
-// carries the hidden row-id column (exec.LateScan). Conversion and
-// column-building costs are then paid for exactly the shred of each column a
-// query needs. Each format generates only the fetch function.
-
-// lateSchema is a late scan's output schema: child's columns, then cols of t.
-func lateSchema(child exec.Operator, t *catalog.Table, cols []int) (vector.Schema, error) {
-	cs := child.Schema()
-	return appendSchema(append(make(vector.Schema, 0, len(cs)+len(cols)), cs...), t, cols)
-}
+// carries the hidden row-id column. Conversion and column-building costs are
+// then paid for exactly the shred of each column a query needs. Each format
+// generates only the fetch (exec.Fetch); the engine runs it in the one
+// exec.LateScan shell, on its own or completing a partial cached shred.
 
 // colFetch appends one column's value at row rid to out.
 type colFetch func(rid int64, out *vector.Vector) error
 
-// fetchColumns is the fetch of a late scan whose columns are fetched one at a
-// time: fetchers[i] over every row id into outs[i], each id checked against
-// the table's nrows.
-func fetchColumns(fetchers []colFetch, nrows int64) func(rids []int64, outs []*vector.Vector) error {
+// fetchColumns is the fetch of columns read one at a time: fetchers[i] over
+// every row id into outs[i], each id checked against the table's nrows.
+func fetchColumns(fetchers []colFetch, nrows int64) exec.Fetch {
 	return func(rids []int64, outs []*vector.Vector) error {
 		for i, f := range fetchers {
 			for _, rid := range rids {
@@ -56,23 +50,32 @@ type csvWalkTarget struct {
 	typ  vector.Type
 }
 
-// NewCSVLateScan generates a column-shred access path over a CSV file. The
-// generator groups the requested columns by the positional-map anchor they
-// are reached from; each group is fetched with one parsing pass per row
-// (multi-column shreds when len(cols) > 1 share an anchor). The columns are
-// appended in ascending order.
+// NewCSVLateScan is the late scan appending cols of a CSV file, in ascending
+// order, through CSVLateFetch.
 func NewCSVLateScan(child exec.Operator, data []byte, t *catalog.Table, cols []int,
 	pm *posmap.Map, ridIdx int) (*exec.LateScan, error) {
+	sorted := slices.Sorted(slices.Values(cols))
+	fetch, err := CSVLateFetch(data, t, sorted, pm)
+	if err != nil {
+		return nil, err
+	}
+	schema, _ := appendSchema(nil, t, sorted) // CSVLateFetch checked the columns
+	return exec.NewLateScan(child, ridIdx, insitu.RowIDColumn, schema, fetch)
+}
+
+// CSVLateFetch generates the late fetch of cols of a CSV file. The generator
+// groups the columns by the positional-map anchor they are reached from; each
+// group is read with one parsing pass per row (multi-column shreds when
+// len(cols) > 1 share an anchor). The columns are fetched in ascending order.
+func CSVLateFetch(data []byte, t *catalog.Table, cols []int, pm *posmap.Map) (exec.Fetch, error) {
 	if t.Format != catalog.CSV {
 		return nil, fmt.Errorf("jit: csv late scan got format %s", t.Format)
 	}
 	if pm == nil || pm.NRows() == 0 {
 		return nil, fmt.Errorf("jit: csv late scan requires a populated positional map")
 	}
-	sorted := append([]int(nil), cols...)
-	sort.Ints(sorted)
-	schema, err := lateSchema(child, t, sorted)
-	if err != nil {
+	sorted := slices.Sorted(slices.Values(cols))
+	if _, err := appendSchema(nil, t, sorted); err != nil {
 		return nil, err
 	}
 	// Group columns by anchor; resolved once at generation time.
@@ -96,7 +99,7 @@ func NewCSVLateScan(child exec.Operator, data []byte, t *catalog.Table, cols []i
 		}
 		g.targets = append(g.targets, csvWalkTarget{col: c, slot: slot, typ: t.Schema[c].Type})
 	}
-	fetch := func(rids []int64, outs []*vector.Vector) error {
+	return func(rids []int64, outs []*vector.Vector) error {
 		for _, g := range groups {
 			positions := g.positions
 			for _, rid := range rids {
@@ -132,19 +135,16 @@ func NewCSVLateScan(child exec.Operator, data []byte, t *catalog.Table, cols []i
 			}
 		}
 		return nil
-	}
-	return exec.NewLateScan(child, ridIdx, insitu.RowIDColumn, schema, fetch)
+	}, nil
 }
 
-// NewBinLateScan generates a column-shred access path over the binary
-// format: positions are computed directly from constants, no map needed.
-func NewBinLateScan(child exec.Operator, r *binfile.Reader, t *catalog.Table, cols []int,
-	ridIdx int) (*exec.LateScan, error) {
+// BinLateFetch generates the late fetch of cols of the binary format:
+// positions are computed directly from constants, no map needed.
+func BinLateFetch(r *binfile.Reader, t *catalog.Table, cols []int) (exec.Fetch, error) {
 	if t.Format != catalog.Binary {
 		return nil, fmt.Errorf("jit: bin late scan got format %s", t.Format)
 	}
-	schema, err := lateSchema(child, t, cols)
-	if err != nil {
+	if _, err := appendSchema(nil, t, cols); err != nil {
 		return nil, err
 	}
 	types := r.Types()
@@ -168,18 +168,16 @@ func NewBinLateScan(child exec.Operator, r *binfile.Reader, t *catalog.Table, co
 			return nil, fmt.Errorf("jit: unsupported type %s", types[c])
 		}
 	}
-	return exec.NewLateScan(child, ridIdx, insitu.RowIDColumn, schema, fetchColumns(fetchers, r.NRows()))
+	return fetchColumns(fetchers, r.NRows()), nil
 }
 
-// NewRootLateScan generates a column-shred access path over the ROOT-like
-// format using id-based library access ("readROOTField(fieldName, id)").
-func NewRootLateScan(child exec.Operator, tree *rootfile.Tree, t *catalog.Table, cols []int,
-	ridIdx int) (*exec.LateScan, error) {
+// RootLateFetch generates the late fetch of cols of the ROOT-like format
+// using id-based library access ("readROOTField(fieldName, id)").
+func RootLateFetch(tree *rootfile.Tree, t *catalog.Table, cols []int) (exec.Fetch, error) {
 	if t.Format != catalog.Root {
 		return nil, fmt.Errorf("jit: root late scan got format %s", t.Format)
 	}
-	schema, err := lateSchema(child, t, cols)
-	if err != nil {
+	if _, err := appendSchema(nil, t, cols); err != nil {
 		return nil, err
 	}
 	fetchers := make([]colFetch, len(cols))
@@ -212,5 +210,5 @@ func NewRootLateScan(child exec.Operator, tree *rootfile.Tree, t *catalog.Table,
 			return nil, fmt.Errorf("jit: unsupported type %s", col.Type)
 		}
 	}
-	return exec.NewLateScan(child, ridIdx, insitu.RowIDColumn, schema, fetchColumns(fetchers, tree.NEntries()))
+	return fetchColumns(fetchers, tree.NEntries()), nil
 }

@@ -126,6 +126,7 @@ type Registry struct {
 	counters map[string]*Counter
 	gauges   map[string]func() int64
 	hists    map[string]*Histogram
+	help     map[string]string
 }
 
 // NewRegistry returns an empty registry.
@@ -134,7 +135,16 @@ func NewRegistry() *Registry {
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]func() int64),
 		hists:    make(map[string]*Histogram),
+		help:     make(map[string]string),
 	}
+}
+
+// Describe sets the HELP text the Prometheus exposition gives the named
+// series (by default "rawdb <type> <name>").
+func (r *Registry) Describe(name, help string) {
+	r.mu.Lock()
+	r.help[name] = help
+	r.mu.Unlock()
 }
 
 // Counter returns the named counter, creating it on first use.

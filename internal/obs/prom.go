@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"maps"
 	"sort"
 	"strconv"
 	"strings"
@@ -64,12 +65,17 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	for k, v := range r.hists {
 		hists[k] = v
 	}
+	help := maps.Clone(r.help)
 	r.mu.Unlock()
 
 	bw := bufio.NewWriter(w)
 	for _, name := range sortedNames(counters) {
 		pn := PromName(name)
-		fmt.Fprintf(bw, "# HELP %s rawdb counter %s\n", pn, name)
+		text, ok := help[name]
+		if !ok {
+			text = "rawdb counter " + name
+		}
+		fmt.Fprintf(bw, "# HELP %s %s\n", pn, text)
 		fmt.Fprintf(bw, "# TYPE %s counter\n", pn)
 		fmt.Fprintf(bw, "%s %d\n", pn, counters[name].Load())
 	}

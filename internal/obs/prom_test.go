@@ -53,6 +53,7 @@ func TestObsBucketBound(t *testing.T) {
 func TestObsWritePrometheusLints(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("query.count").Add(3)
+	r.Describe("query.count", "queries that completed")
 	r.Counter("prune.rows").Add(42)
 	v := int64(7)
 	r.Gauge("shred.pool.bytes", func() int64 { return v })
@@ -67,6 +68,8 @@ func TestObsWritePrometheusLints(t *testing.T) {
 	}
 	out := buf.String()
 	for _, want := range []string{
+		"# HELP rawdb_query_count queries that completed\n",
+		"# HELP rawdb_prune_rows rawdb counter prune.rows\n",
 		"# TYPE rawdb_query_count counter\n",
 		"rawdb_query_count 3\n",
 		"# TYPE rawdb_shred_pool_bytes gauge\n",

@@ -122,21 +122,6 @@ func (c *Client) Query(req Request) (*Response, error) {
 // Close ends the session.
 func (c *Client) Close() error { return c.conn.Close() }
 
-// DecodeRow parses one wire row back into engine values, keyed by the
-// response's type names (see DecodeCell for the exactness argument).
-func (r *Response) DecodeRow(i int) ([]any, error) {
-	row := r.Rows[i]
-	out := make([]any, len(row))
-	for c, cell := range row {
-		v, err := DecodeCell(r.Types[c], cell)
-		if err != nil {
-			return nil, fmt.Errorf("row %d col %d: %w", i, c, err)
-		}
-		out[c] = v
-	}
-	return out, nil
-}
-
 // Int64 decodes one cell as BIGINT, panicking on type or syntax mismatch
 // (test helper).
 func (r *Response) Int64(row, col int) int64 {

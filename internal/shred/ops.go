@@ -34,29 +34,102 @@ func NewScan(shreds []*Shred, names []string, emitRID bool, batchSize int) (*exe
 
 // NewLateScan appends one column per shred (named by names) to child's
 // batches, by the row ids in child's column ridIdx: a column-shred access
-// path that touches no raw data at all. Every row id the child emits must be
-// present in each shred. Each shred's merge cursor carries across batches.
+// path that touches no raw data at all, so every row id the child emits must
+// be present in each shred.
 func NewLateScan(child exec.Operator, ridIdx int, shreds []*Shred, names []string) (*exec.LateScan, error) {
 	if len(names) != len(shreds) {
 		return nil, fmt.Errorf("shred: %d names for %d shreds", len(names), len(shreds))
 	}
-	cs := child.Schema()
-	schema := append(make(vector.Schema, 0, len(cs)+len(shreds)), cs...)
+	cols := make(vector.Schema, len(shreds))
 	for i, sh := range shreds {
-		schema = append(schema, vector.Col{Name: names[i], Type: sh.Vector().Type})
+		cols[i] = vector.Col{Name: names[i], Type: sh.Vector().Type}
 	}
-	cursors := make([]int, len(shreds))
-	fetch := func(rids []int64, outs []*vector.Vector) error {
-		for i, sh := range shreds {
-			cur, err := sh.ExtractSeq(rids, outs[i], cursors[i])
-			if err != nil {
+	return exec.NewLateScan(child, ridIdx, insitu.RowIDColumn, cols, NewLateFill(shreds, nil).Fetch)
+}
+
+// LateFill is the late fetch of cached columns, one shred each. A row id a
+// shred holds is served from it; the ones it lacks are read by the column's
+// raw fetch (the table's own late reader), all of a batch's in one call and in
+// order, and written into their slots. A query a partial shred does not
+// subsume therefore still runs on it, and only its missing rows touch raw
+// bytes. The fill publishes nothing: the shreds stay as they were.
+type LateFill struct {
+	shreds []*Shred
+	raw    []exec.Fetch // per shred; a nil (or absent) one makes a miss an error
+	// cursors are the shreds' merge positions, carried across the batches of
+	// a pass; a row id not above the last one a merge passed restarts it.
+	cursors []int
+	miss    []int64          // the row ids one shred lacks in one batch
+	at      []int            // and their slots in the output
+	got     []*vector.Vector // per shred, what its raw fetch returned
+	// Filled counts the rows the shreds lacked and the raw fetches supplied.
+	Filled int64
+}
+
+// NewLateFill fetches from shreds, completing shred i through raw[i].
+func NewLateFill(shreds []*Shred, raw []exec.Fetch) *LateFill {
+	return &LateFill{shreds: shreds, raw: raw, cursors: make([]int, len(shreds)),
+		got: make([]*vector.Vector, len(shreds))}
+}
+
+// Fetch is the exec.Fetch of the shreds' columns: outs[i] receives shred i's.
+func (f *LateFill) Fetch(rids []int64, outs []*vector.Vector) error {
+	for i, s := range f.shreds {
+		out := outs[i]
+		f.miss, f.at = f.miss[:0], f.at[:0]
+		j, n := f.cursors[i], int64(s.vec.Len())
+		for _, r := range rids {
+			k := int(r)
+			if s.rowIDs != nil {
+				if j > 0 && s.rowIDs[j-1] >= r {
+					j = 0 // a new pass, or rows a join reordered: restart the merge
+				}
+				for j < len(s.rowIDs) && s.rowIDs[j] < r {
+					j++
+				}
+				if k = j; j < len(s.rowIDs) && s.rowIDs[j] == r {
+					j++
+				} else {
+					k = -1
+				}
+			} else if r < 0 || r >= n {
+				k = -1
+			}
+			if k >= 0 {
+				appendAt(out, s.vec, k)
+				continue
+			}
+			f.miss = append(f.miss, r)
+			f.at = append(f.at, out.Extend(1))
+		}
+		f.cursors[i] = j
+		if len(f.miss) > 0 {
+			if err := f.fill(i, out); err != nil {
 				return err
 			}
-			cursors[i] = cur
 		}
-		return nil
 	}
-	return exec.NewLateScan(child, ridIdx, insitu.RowIDColumn, schema, fetch)
+	return nil
+}
+
+// fill reads the rows shred i lacks in this batch through its raw fetch and
+// writes them into their slots of out.
+func (f *LateFill) fill(i int, out *vector.Vector) error {
+	if i >= len(f.raw) || f.raw[i] == nil {
+		return fmt.Errorf("shred: row id %d missing from %s", f.miss[0], f.shreds[i].key)
+	}
+	if f.got[i] == nil {
+		f.got[i] = vector.New(out.Type, len(f.miss))
+	}
+	f.got[i].Reset()
+	if err := f.raw[i](f.miss, f.got[i:i+1]); err != nil {
+		return err
+	}
+	for m, at := range f.at {
+		setAt(out, at, f.got[i], m)
+	}
+	f.Filled += int64(len(f.miss))
+	return nil
 }
 
 // CaptureSpec directs a Capture operator to cache one column of its input.

@@ -3,28 +3,23 @@
 // later ones.
 //
 // A shred stores the values of one table column for a sorted set of row ids
-// (nil row ids meaning the full column). An incoming query may be served
-// from a shred iff the shred's rows subsume the rows the query needs — the
-// paper's reuse rule — and the pool evicts least-recently-used shreds under
-// a byte budget. This is RAW's answer to "at some moment data must adapt to
+// (nil row ids meaning the full column). An incoming query is served from a
+// shred for the rows the shred holds — wholly when they subsume the rows the
+// query needs, the paper's reuse rule; a partial shred is completed from the
+// raw file, never replanned — and the pool evicts least-recently-used shreds
+// under a byte budget. This is RAW's answer to "at some moment data must adapt to
 // the query engine": only data that actually flowed through a query gets
 // cached, and only that cache is ever consulted.
 package shred
 
 import (
 	"container/list"
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
 
 	"rawdb/internal/vector"
 )
-
-// ErrNotCached reports that a requested row is absent from a shred. The
-// engine uses it to fall back to raw-file access when an optimistically
-// chosen partial shred turns out not to subsume a query's rows.
-var ErrNotCached = errors.New("shred: row not cached")
 
 // Key identifies a cached column.
 type Key struct {
@@ -100,51 +95,7 @@ func (s *Shred) Subsumes(rids []int64) bool {
 	return true
 }
 
-// Extract appends the values for rids (sorted ascending, all present) to out.
-func (s *Shred) Extract(rids []int64, out *vector.Vector) error {
-	_, err := s.ExtractSeq(rids, out, 0)
-	return err
-}
-
-// ExtractSeq appends the values for rids (sorted ascending) to out, resuming
-// the merge over the shred's row-id list at cursor and returning the new
-// cursor. Streaming consumers (late scans pulling ascending batches) carry
-// the cursor across calls so a whole pass over an n-row shred costs O(n)
-// rather than O(batches*n); a row id not above the last one the merge passed
-// starts a fresh pass, so a consumer never resets the cursor itself.
-func (s *Shred) ExtractSeq(rids []int64, out *vector.Vector, cursor int) (int, error) {
-	if s.rowIDs == nil {
-		n := int64(s.vec.Len())
-		for _, r := range rids {
-			if r < 0 || r >= n {
-				return cursor, fmt.Errorf("%w: row id %d outside full column of %d rows", ErrNotCached, r, n)
-			}
-			appendAt(out, s.vec, int(r))
-		}
-		return cursor, nil
-	}
-	j := cursor
-	if j < 0 || j > len(s.rowIDs) {
-		j = 0
-	}
-	for _, r := range rids {
-		// Advance within the sorted id list; rids are ascending so j never
-		// moves backwards across one streaming pass.
-		if j > 0 && s.rowIDs[j-1] >= r {
-			j = 0 // caller went backwards (fresh pass): restart the merge
-		}
-		for j < len(s.rowIDs) && s.rowIDs[j] < r {
-			j++
-		}
-		if j >= len(s.rowIDs) || s.rowIDs[j] != r {
-			return j, fmt.Errorf("%w: row id %d missing from %s", ErrNotCached, r, s.key)
-		}
-		appendAt(out, s.vec, j)
-		j++
-	}
-	return j, nil
-}
-
+// appendAt appends src's value i to dst.
 func appendAt(dst, src *vector.Vector, i int) {
 	switch dst.Type {
 	case vector.Int64:
@@ -155,6 +106,20 @@ func appendAt(dst, src *vector.Vector, i int) {
 		dst.Bools = append(dst.Bools, src.Bools[i])
 	case vector.Bytes:
 		dst.Bytess = append(dst.Bytess, src.Bytess[i])
+	}
+}
+
+// setAt overwrites dst's value i with src's value j.
+func setAt(dst *vector.Vector, i int, src *vector.Vector, j int) {
+	switch dst.Type {
+	case vector.Int64:
+		dst.Int64s[i] = src.Int64s[j]
+	case vector.Float64:
+		dst.Float64s[i] = src.Float64s[j]
+	case vector.Bool:
+		dst.Bools[i] = src.Bools[j]
+	case vector.Bytes:
+		dst.Bytess[i] = src.Bytess[j]
 	}
 }
 
@@ -336,8 +301,8 @@ func (p *Pool) LookupFull(key Key) *Shred { return p.Lookup(key, nil) }
 // LookupAny returns the best cached shred for key without knowing the rows a
 // query will need — preferring a full column, falling back to the largest
 // partial shred. The planner uses it to choose access paths before
-// execution; a partial choice is verified at runtime (Extract fails with
-// ErrNotCached if optimism was misplaced).
+// execution; the rows a partial choice lacks are read from the raw file at
+// runtime (LateFill).
 func (p *Pool) LookupAny(key Key) *Shred {
 	p.mu.Lock()
 	var best *Shred

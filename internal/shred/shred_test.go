@@ -22,7 +22,10 @@ func TestShredSubsumesAndExtract(t *testing.T) {
 		t.Fatal("full shred subsumption wrong")
 	}
 	out := vector.New(vector.Int64, 2)
-	if err := full.Extract([]int64{1, 3}, out); err != nil {
+	extract := func(s *Shred, rids ...int64) error {
+		return NewLateFill([]*Shred{s}, nil).Fetch(rids, []*vector.Vector{out})
+	}
+	if err := extract(full, 1, 3); err != nil {
 		t.Fatal(err)
 	}
 	if out.Int64s[0] != 20 || out.Int64s[1] != 40 {
@@ -40,13 +43,13 @@ func TestShredSubsumesAndExtract(t *testing.T) {
 		t.Fatal("partial subsumption wrong")
 	}
 	out.Reset()
-	if err := part.Extract([]int64{5, 9}, out); err != nil {
+	if err := extract(part, 5, 9); err != nil {
 		t.Fatal(err)
 	}
 	if out.Int64s[0] != 500 || out.Int64s[1] != 900 {
 		t.Fatalf("extract = %v", out.Int64s)
 	}
-	if err := part.Extract([]int64{3}, out); err == nil {
+	if err := extract(part, 3); err == nil {
 		t.Fatal("expected missing-row error")
 	}
 }
@@ -284,7 +287,7 @@ func TestCaptureOperator(t *testing.T) {
 		t.Fatal("capture did not publish shred")
 	}
 	out := vector.New(vector.Int64, 2)
-	if err := s.Extract([]int64{3, 5}, out); err != nil {
+	if err := NewLateFill([]*Shred{s}, nil).Fetch([]int64{3, 5}, []*vector.Vector{out}); err != nil {
 		t.Fatal(err)
 	}
 	if out.Int64s[0] != 300 || out.Int64s[1] != 500 {
