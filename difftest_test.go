@@ -23,6 +23,7 @@
 package raw_test
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/big"
@@ -158,6 +159,33 @@ func genTable(rng *rand.Rand, nrows int) *dtTable {
 		}
 	}
 	return t
+}
+
+// sortedCopy is t's rows repeated times over and ordered (stably) by the
+// first column, a BIGINT: a table whose filter column is sorted, so zone maps
+// exclude the batch ranges past a cut-off.
+func (t *dtTable) sortedCopy(times int) *dtTable {
+	n := t.nrows * times
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i % t.nrows
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(t.ints[0][a], t.ints[0][b]) })
+	s := &dtTable{cols: t.cols, ints: make(map[int][]int64), floats: make(map[int][]float64),
+		wide: t.wide, group: t.group, nrows: n}
+	for c, v := range t.ints {
+		s.ints[c] = make([]int64, n)
+		for i, r := range order {
+			s.ints[c][i] = v[r]
+		}
+	}
+	for c, v := range t.floats {
+		s.floats[c] = make([]float64, n)
+		for i, r := range order {
+			s.floats[c][i] = v[r]
+		}
+	}
+	return s
 }
 
 func (t *dtTable) renderCSV() []byte {
@@ -977,13 +1005,13 @@ func TestDifferentialDataset(t *testing.T) {
 	}
 }
 
-// fillLadder runs one filter at rising literals over "l", a copy of t that no
-// random query reads, one worker, and checks every rung against the oracle.
-// The first rung caches the filter column whole (and builds the positional
-// structure), the second a partial shred of the summed column, and every
-// later rung needs rows that shred lacks, so a shred-caching engine completes
-// it from the raw file.
-func fillLadder(t *testing.T, label string, eng *raw.Engine, ts dtTabs) {
+// fillLadder runs one filter at rising literals over name, a table holding
+// ts.t that no random query reads, one worker, and checks every rung against
+// the oracle. The first rung caches the filter column whole (and builds the
+// positional structure and zone map), the second a partial shred of the
+// summed column, and every later rung needs rows that shred lacks, so a
+// shred-caching engine completes it from the raw file.
+func fillLadder(t *testing.T, label string, eng *raw.Engine, name string, ts dtTabs) {
 	t.Helper()
 	keys := slices.Sorted(slices.Values(ts.t.ints[0]))
 	one := 1
@@ -993,13 +1021,13 @@ func fillLadder(t *testing.T, label string, eng *raw.Engine, ts dtTabs) {
 		if i == 0 {
 			q.items = []dtItem{{agg: "COUNT", star: true}}
 		}
-		sql := strings.Replace(q.SQL(ts), " FROM t", " FROM l", 1)
+		sql := strings.Replace(q.SQL(ts), " FROM t", " FROM "+name, 1)
 		res, err := eng.QueryOpt(sql, raw.Options{Parallelism: &one})
 		if err != nil {
-			t.Fatalf("%s ladder rung %d %q: %v", label, i, sql, err)
+			t.Fatalf("%s %s ladder rung %d %q: %v", label, name, i, sql, err)
 		}
 		want, types := oracle(ts, q)
-		checkOracle(t, fmt.Sprintf("%s ladder rung %d", label, i), sql, res, want, types)
+		checkOracle(t, fmt.Sprintf("%s %s ladder rung %d", label, name, i), sql, res, want, types)
 	}
 }
 
@@ -1037,6 +1065,13 @@ func TestDifferentialOracle(t *testing.T) {
 				bin := tab.renderBin(t)
 				ucsv, ujsonl := utab.renderCSV(), utab.renderJSONL()
 				ubin := utab.renderBin(t)
+				// "s" is t sorted on its filter column, each row 40 times: more
+				// rows than one zone-map block (4096), so blocks past the
+				// ladder's cut-offs are excluded.
+				stab := tab.sortedCopy(40)
+				sts := dtTabs{t: stab, u: utab}
+				scsv, sjsonl := stab.renderCSV(), stab.renderJSONL()
+				sbin := stab.renderBin(t)
 
 				queries := make([]dtQuery, difftestQueries)
 				for i := range queries {
@@ -1072,14 +1107,23 @@ func TestDifferentialOracle(t *testing.T) {
 					registerDT(t, eng, "u", utab, format, ucsv, ujsonl, ubin)
 					if shreds {
 						registerDT(t, eng, "l", tab, format, csv, jsonl, bin)
+						registerDT(t, eng, "s", stab, format, scsv, sjsonl, sbin)
 					}
 				}
 				// fills runs the ladder over l and requires the engine to have
-				// completed a partial shred from the raw file by then.
-				fills := func(name string, eng *raw.Engine) {
-					fillLadder(t, name, eng, ts)
+				// completed a partial shred from the raw file by then; then
+				// over s, where an engine with zone maps on must skip ranges
+				// of the sorted filter column.
+				fills := func(name string, eng *raw.Engine, zoned bool) {
+					fillLadder(t, name, eng, "l", ts)
 					if eng.Metrics().Snapshot()["shred.fill.rows"] == 0 {
 						t.Fatalf("%s (seed %d): no late scan completed a partial shred from the raw file", name, seed)
+					}
+					exclusions := func() int64 { return eng.Metrics().Snapshot()["synopsis.exclusions"] }
+					before := exclusions()
+					fillLadder(t, name, eng, "s", sts)
+					if zoned && exclusions() == before {
+						t.Fatalf("%s (seed %d): no zone map excluded a range of the sorted table", name, seed)
 					}
 				}
 				for _, m := range modes {
@@ -1101,7 +1145,7 @@ func TestDifferentialOracle(t *testing.T) {
 				for _, m := range modes {
 					run(m)
 					if shreds && m.name != "push-nocache" {
-						fills(m.name, m.eng)
+						fills(m.name, m.eng, m.name != "nopush")
 					}
 				}
 				if s.vault {
@@ -1114,7 +1158,7 @@ func TestDifferentialOracle(t *testing.T) {
 					register(restarted.eng)
 					run(restarted)
 					if shreds {
-						fills(restarted.name, restarted.eng)
+						fills(restarted.name, restarted.eng, true)
 					}
 					restarted.eng.Close()
 				}

@@ -606,7 +606,8 @@ type Stats struct {
 	// skipped blocks.
 	RowsPruned int64
 	// BlocksSkipped counts batch ranges scans skipped wholesale via zone
-	// maps without touching a raw byte.
+	// maps: a raw-file scan touches none of their bytes, a scan over cached
+	// columns reads none of their values and writes none of their row ids.
 	BlocksSkipped int64
 	// MorselsSkipped counts whole morsels the parallel planner excluded via
 	// zone maps before dispatching them to workers.

@@ -345,9 +345,9 @@ func TestPartialShredCompletesFromRaw(t *testing.T) {
 				if tr.Find("replan: shred miss") != nil {
 					t.Fatal("the query replanned")
 				}
-				wantPaths := "shred:scan(t) push[1](t) shred:late(t.cols2,) shred:late(t.cols3,)"
+				wantPaths := "shred:scan(t) push[1](t) zmap(t) shred:late(t.cols2,) shred:late(t.cols3,)"
 				if multi {
-					wantPaths = "shred:scan(t) push[1](t) shred:late(t.cols2,3,)"
+					wantPaths = "shred:scan(t) push[1](t) zmap(t) shred:late(t.cols2,3,)"
 				}
 				if paths := strings.Join(res.Stats.AccessPaths, " "); paths != wantPaths {
 					t.Fatalf("paths %q, want %q", paths, wantPaths)

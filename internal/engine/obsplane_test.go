@@ -193,12 +193,14 @@ func TestQueryLogFailedQueryKeepsWork(t *testing.T) {
 
 // TestQueryLogViewsAgree runs one sequence of queries with a query log
 // attached — cold, warm, pushdown-pruned, zone-skipped, morsel-skipped, a
+// serial all-cached scan zone-skipping with pushdown on and off, a
 // 3-partition dataset with pruned partitions, a mid-scan failure and a
 // partial shred completed from the raw file — and checks that the views of
 // the query record agree:
 // the registry deltas are the sums over the log, every line's phases sum to
-// at most its elapsed time and equal the query's Stats, and every single-file
-// table's heat accounts for each scan's bytes as read or avoided.
+// at most its elapsed time and equal the query's Stats, every single-file
+// table's heat accounts for each scan's bytes as read or avoided, and the
+// all-cached scan's rows are emitted or pruned, with skipped blocks counted.
 func TestQueryLogViewsAgree(t *testing.T) {
 	var buf bytes.Buffer
 	e := newTestEngine(t, Config{Strategy: StrategyJIT, SynopsisBlockRows: 256,
@@ -220,8 +222,11 @@ func TestQueryLogViewsAgree(t *testing.T) {
 		}
 	}
 
-	noCapture, one, four, shreds := true, 1, 4, StrategyShreds
+	noCapture, one, four, shreds, noPush := true, 1, 4, StrategyShreds, false
 	completed := obs.NewTrace()
+	// The serial all-cached scan, pushdown on and off: its zone map skips
+	// the ranges col1 < 600 rules out.
+	resident := []*obs.Trace{obs.NewTrace(), obs.NewTrace()}
 	type step struct {
 		sql  string
 		opts Options
@@ -229,6 +234,8 @@ func TestQueryLogViewsAgree(t *testing.T) {
 	steps := []step{
 		{"SELECT MAX(col2) FROM t WHERE col1 < 600", Options{}}, // cold
 		{"SELECT MAX(col2) FROM t WHERE col1 < 600", Options{}}, // warm, pruned over shreds
+		{"SELECT MAX(col2) FROM t WHERE col1 < 600", Options{Parallelism: &one, Trace: resident[0]}},
+		{"SELECT MAX(col2) FROM t WHERE col1 < 600", Options{Parallelism: &one, Pushdown: &noPush, Trace: resident[1]}},
 		{"SELECT MIN(col5) FROM t WHERE col1 < 600", Options{NoCapture: &noCapture, Parallelism: &one}},
 		{"SELECT MIN(col5) FROM t WHERE col1 < 600", Options{NoCapture: &noCapture, Parallelism: &four}},
 		{"SELECT MAX(col2) FROM d WHERE col1 < 600", Options{}},
@@ -258,6 +265,23 @@ func TestQueryLogViewsAgree(t *testing.T) {
 	}
 	if completed.Find("replan: shred miss") != nil {
 		t.Fatal("the partial-shred query replanned")
+	}
+	// Every row of the resident scan is accounted for: emitted, or pruned by
+	// the predicates or inside a skipped range.
+	for i, tr := range resident {
+		sp := tr.Find("shred:scan(t)")
+		if sp == nil {
+			t.Fatalf("resident scan %d: no shred:scan(t) span in\n%s", i, tr.Render())
+		}
+		attrs := make(map[string]string)
+		for _, a := range sp.Attrs() {
+			attrs[a.Key] = a.Val
+		}
+		if got := fmt.Sprint(3000 - sp.Rows()); attrs["rows_pruned"] != got ||
+			attrs["blocks_skipped"] == "" || attrs["blocks_skipped"] == "0" {
+			t.Fatalf("resident scan %d: %d rows out, attributes %v; want rows_pruned=%s and blocks skipped",
+				i, sp.Rows(), sp.Attrs(), got)
+		}
 	}
 	after := e.Metrics().Snapshot()
 	// The completed query folded the registry once, as a success, and counts

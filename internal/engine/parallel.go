@@ -53,14 +53,12 @@ func (pc *planCtx) gather(p *pipe, name string, under ...*obs.Span) error {
 }
 
 // skipMorsels drops row ranges a zone map excludes before they are ever
-// dispatched to a worker, counting them in the query stats. At least one range
-// is always kept (operator shapes need one part). Raw-file scans take the same
-// skip test themselves (scanSkips): a lone range is not even tested, and when
-// every range is excluded the first is kept for its scan-level check to empty.
-// Scans over resident vectors have no scan-level hook, so there the
-// all-excluded fallback is an explicitly empty range.
-func (pc *planCtx) skipMorsels(ranges []span, skip func(lo, hi int64) bool, scanSkips bool) []span {
-	if skip == nil || scanSkips && len(ranges) < 2 {
+// dispatched to a worker, counting them in the query stats. Every scan takes
+// the same skip test itself, per batch range: a lone range is not even
+// tested, and when every range is excluded the first is kept (operator
+// shapes need one part) for its scan to empty.
+func (pc *planCtx) skipMorsels(ranges []span, skip func(lo, hi int64) bool) []span {
+	if skip == nil || len(ranges) < 2 {
 		return ranges
 	}
 	kept := make([]span, 0, len(ranges))
@@ -71,13 +69,9 @@ func (pc *planCtx) skipMorsels(ranges []span, skip func(lo, hi int64) bool, scan
 		}
 		kept = append(kept, rr)
 	}
-	switch {
-	case len(kept) > 0:
-	case scanSkips:
+	if len(kept) == 0 {
 		pc.stats.MorselsSkipped--
 		kept = append(kept, ranges[0])
-	default:
-		kept = append(kept, span{ranges[0].lo, ranges[0].lo})
 	}
 	return kept
 }
@@ -93,24 +87,26 @@ func colSchema(tab *catalog.Table, cols []int) vector.Schema {
 
 // residentScans builds one (predicate-absorbing) MemScan per span over
 // resident vectors aligned with cols: a memory table's or the DBMS baseline's
-// loaded columns, or full column shreds. preds are bound to the output slots.
-// emitRID (whole-table scans only) appends the hidden row-id column.
+// loaded columns, or full column shreds. preds are bound to the output slots;
+// skip, when non-nil, tests ranges of table rows. emitRID (whole-table scans
+// only) appends the hidden row-id column.
 func residentScans(tab *catalog.Table, cols []int, vecs []*vector.Vector, spans []span,
-	preds []exec.Pred, bs int, emitRID bool) ([]exec.Operator, error) {
+	preds []exec.Pred, skip func(lo, hi int64) bool, bs int, emitRID bool) ([]exec.Operator, error) {
 	schema := colSchema(tab, cols)
 	if emitRID {
 		schema = append(schema, vector.Col{Name: insitu.RowIDColumn, Type: vector.Int64})
 	}
 	parts := make([]exec.Operator, 0, len(spans))
 	for _, sp := range spans {
-		part := vecs
+		part, base := vecs, int64(0)
 		if sp != wholeTable {
+			base = sp.lo
 			part = make([]*vector.Vector, len(vecs))
 			for i, v := range vecs {
 				part[i] = v.Slice(int(sp.lo), int(sp.hi))
 			}
 		}
-		ms, err := exec.NewMemScanPred(schema, part, bs, preds)
+		ms, err := exec.NewMemScanPred(schema, part, bs, preds, base, skip)
 		if err != nil {
 			return nil, err
 		}

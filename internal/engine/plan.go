@@ -962,7 +962,7 @@ func (pc *planCtx) baseScanInner(t int, u unitCut, cols []int, needRID bool,
 			vecs[i] = st.loaded[c]
 		}
 		var err error
-		if p.ops, err = residentScans(tab, cols, vecs, u.spans, nil, pc.e.cfg.BatchSize, false); err != nil {
+		if p.ops, err = residentScans(tab, cols, vecs, u.spans, nil, nil, pc.e.cfg.BatchSize, false); err != nil {
 			return nil, nil, err
 		}
 		p.layout(t, cols, -1)
@@ -1024,7 +1024,7 @@ func (pc *planCtx) rawScans(rs rawScan, a access, spans []span) (parts []exec.Op
 	if generated && a.zoneSkip && (whole || !a.recording) && pc.zonemaps && !capturing {
 		skip = synSkip(rs.bt.pos.syn, rs.skip)
 	}
-	spans = pc.skipMorsels(spans, skip, true)
+	spans = pc.skipMorsels(spans, skip)
 	pruned = len(push) > 0 || skip != nil
 
 	// A pass that parses every value builds the table's zone maps on the side,
@@ -1060,8 +1060,8 @@ func (pc *planCtx) rawScans(rs rawScan, a access, spans []span) (parts []exec.Op
 		if frag != nil {
 			frags = append(frags, frag)
 		}
-		if ps, ok := op.(interface{ PushStats() (int64, int64) }); ok {
-			pc.probes = append(pc.probes, pruneProbe{f: ps.PushStats})
+		if ps, ok := op.(pushStats); ok {
+			pc.probes = append(pc.probes, pruneProbe{scan: ps})
 		}
 		if capturing && !pruned {
 			mc := newMorselCapture(op, tab, rs.cols, hint)
@@ -1171,8 +1171,9 @@ func (pc *planCtx) baseScanFile(p *pipe, t int, u unitCut, kind scanKind, cols [
 
 	// Everything cached: stream from the pool, no raw access at all.
 	// Predicates on the cached columns are still absorbed — the scans evaluate
-	// them vectorized and emit selection-vector batches — and zone maps
-	// exclude whole spans of a cut scan before dispatch.
+	// them vectorized and emit selection-vector batches — and, when the
+	// synopsis covers exactly the shreds' rows, zone maps exclude batch ranges
+	// inside every scan and whole spans of a cut one before dispatch.
 	if len(uncached) == 0 {
 		slotOf := make(map[int]int, len(cached))
 		for i, c := range cached {
@@ -1186,18 +1187,27 @@ func (pc *planCtx) baseScanFile(p *pipe, t int, u unitCut, kind scanKind, cols [
 				preds = append(preds, exec.Pred{Col: slotOf[bp.col], Op: bp.op, I64: bp.i64, F64: bp.f64})
 			}
 		}
-		// Only a cut plan drops the spans a zone map excludes: the one-part
-		// plan's wholeTable span is never tested.
-		var skip func(lo, hi int64) bool
-		if p.par && pc.zonemaps {
-			skip = synSkip(bt.pos.syn, candidates)
-		}
 		vecs := make([]*vector.Vector, len(cached))
 		for i, s := range cachedShreds {
 			vecs[i] = s.Vector()
 		}
+		// A range is excluded only when one predicate excludes every block it
+		// overlaps: when the zone map excludes no block, the scans (and
+		// morsels) are handed no test, and unsorted columns pay nothing.
+		var skip, scanSkip func(lo, hi int64) bool
+		if syn := bt.pos.syn; pc.zonemaps && syn != nil && len(vecs) > 0 && syn.NRows() == int64(vecs[0].Len()) {
+			if skip = synSkip(syn, candidates); skip != nil {
+				b := syn.Bounds()
+				for i := 0; i+1 < len(b); i++ {
+					if skip(b[i], b[i+1]) {
+						scanSkip = skip
+						break
+					}
+				}
+			}
+		}
 		var err error
-		if p.ops, err = residentScans(tab, cols, vecs, pc.skipMorsels(u.spans, skip, false), preds, bs, needRID); err != nil {
+		if p.ops, err = residentScans(tab, cols, vecs, pc.skipMorsels(u.spans, scanSkip), preds, scanSkip, bs, needRID); err != nil {
 			return nil, nil, err
 		}
 		ridIdx := -1
@@ -1207,10 +1217,9 @@ func (pc *planCtx) baseScanFile(p *pipe, t int, u unitCut, kind scanKind, cols [
 		p.layout(t, cached, ridIdx)
 		pc.pathf("%sshred:scan(%s)", p.parLabel(), tab.Name)
 		pc.pushed(tab.Name, len(preds), skip != nil)
-		if len(preds) > 0 {
+		if len(preds) > 0 || scanSkip != nil {
 			for _, op := range p.ops {
-				sc := op.(interface{ RowsPruned() int64 })
-				pc.probes = append(pc.probes, pruneProbe{f: func() (int64, int64) { return sc.RowsPruned(), 0 }})
+				pc.probes = append(pc.probes, pruneProbe{scan: op.(*exec.MemScan)})
 			}
 		}
 		return p, residual, nil

@@ -95,10 +95,15 @@ type queryRecord struct {
 // partial shreds it completed. span is the scan's trace span, assigned once
 // the scan site wraps it.
 type pruneProbe struct {
-	f            func() (rows, blocks int64)
+	scan         pushStats
 	fill         *shred.LateFill
 	span         *obs.Span
 	rows, blocks int64 // as read by fold
+}
+
+// pushStats is a scan that counts the rows and batch ranges it pruned.
+type pushStats interface {
+	PushStats() (rowsPruned, blocksSkipped int64)
 }
 
 // scanHeat is one scan of a table state; probes[first:end] are its own.
@@ -261,7 +266,7 @@ func (r *queryRecord) fold(q *resolvedQuery, err error) {
 			}
 			continue
 		}
-		p.rows, p.blocks = p.f()
+		p.rows, p.blocks = p.scan.PushStats()
 		s.RowsPruned += p.rows
 		s.BlocksSkipped += p.blocks
 		if p.span != nil && (p.rows > 0 || p.blocks > 0) {

@@ -2,10 +2,12 @@ package engine
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 
+	"rawdb/internal/catalog"
 	"rawdb/internal/insitu"
 	"rawdb/internal/sql"
 )
@@ -68,7 +70,7 @@ func TestResidentShredPlan(t *testing.T) {
 	const q = "SELECT MAX(col1) FROM t WHERE col3 < 500 AND col2 > 10"
 	queryAt(t, e, q, 1) // cold: captures all three as full shreds
 	paths, hits, misses := run(q)
-	if want := []string{"shred:scan(t)", "push[2](t)"}; !reflect.DeepEqual(paths, want) {
+	if want := []string{"shred:scan(t)", "push[2](t)", "zmap(t)"}; !reflect.DeepEqual(paths, want) {
 		t.Fatalf("warm paths %v, want %v", paths, want)
 	}
 	if hits != 3 || misses != 0 {
@@ -98,7 +100,7 @@ func TestResidentShredPlan(t *testing.T) {
 	const partial = "SELECT MAX(col4) FROM t WHERE col3 < 500"
 	queryAt(t, e, partial, 1)
 	paths, hits, misses = run(partial)
-	if want := []string{"shred:scan(t)", "push[1](t)", "shred:late(t.cols3,)"}; !reflect.DeepEqual(paths, want) {
+	if want := []string{"shred:scan(t)", "push[1](t)", "zmap(t)", "shred:late(t.cols3,)"}; !reflect.DeepEqual(paths, want) {
 		t.Fatalf("partial paths %v, want %v", paths, want)
 	}
 	if hits != 2 || misses != 0 {
@@ -106,5 +108,73 @@ func TestResidentShredPlan(t *testing.T) {
 	}
 	if p := plan(partial); !hasRID(p) {
 		t.Fatalf("cascade plan without a row-id column (rid %v)", p.rid)
+	}
+}
+
+// TestResidentScanZoneMapSkip: a serial query whose columns are all full
+// shreds takes the table's zone map inside its one resident scan, over CSV,
+// JSONL and binary with pushdown on and off. col1 is sorted, so the ranges
+// past its cut-off are skipped: the rows are bit-equal to a run without zone
+// maps, the path names the skip, the synopsis answered exclusions and the
+// stats count the skipped ranges. Each partition of a two-partition dataset
+// is planned the same way.
+func TestResidentScanZoneMapSkip(t *testing.T) {
+	g := goldenTable(t, 3000, 0)
+	lo, hi := goldenTable(t, 1000, 0), goldenTable(t, 1000, 1000)
+	formats := []struct {
+		name     string
+		register func(e *Engine) error
+	}{
+		{"csv", func(e *Engine) error { return e.RegisterCSVData("t", g.csv, g.schema) }},
+		{"jsonl", func(e *Engine) error { return e.RegisterJSONData("t", g.json, g.schema) }},
+		{"bin", func(e *Engine) error { return e.RegisterBinaryData("t", g.bin, g.schema) }},
+		{"dataset", func(e *Engine) error {
+			return e.RegisterDatasetParts("t", []DataPart{{Format: catalog.CSV, Data: lo.csv},
+				{Format: catalog.CSV, Data: hi.csv}}, g.schema)
+		}},
+	}
+	const (
+		warmup = "SELECT SUM(col1), SUM(col3), MAX(col4) FROM t"
+		q      = "SELECT SUM(col3), MAX(col4), COUNT(*) FROM t WHERE col1 < 400"
+	)
+	serial, off := 1, false
+	for _, f := range formats {
+		for _, push := range []bool{true, false} {
+			t.Run(fmt.Sprintf("%s/pushdown=%v", f.name, push), func(t *testing.T) {
+				e := newTestEngine(t, Config{Strategy: StrategyShreds, BatchSize: 256,
+					SynopsisBlockRows: 128, DisablePushdown: !push})
+				if err := f.register(e); err != nil {
+					t.Fatal(err)
+				}
+				queryAt(t, e, warmup, 1) // captures the three columns whole and the zone map
+				exclusions := func() int64 { return e.Metrics().Snapshot()["synopsis.exclusions"] }
+				before := exclusions()
+				res := queryAt(t, e, q, 1)
+				if exclusions() == before {
+					t.Fatal("the zone map excluded no range")
+				}
+				want, err := e.QueryOpt(q, Options{Parallelism: &serial, ZoneMaps: &off})
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameResult(t, "zone maps on vs off", res, want)
+
+				table, pushed := "t", ""
+				if f.name == "dataset" {
+					table = "t#part0000"
+				}
+				if push {
+					pushed = fmt.Sprintf(" push[1](%s)", table)
+				}
+				wantPaths := fmt.Sprintf("shred:scan(%s)%s zmap(%s)", table, pushed, table)
+				if paths := strings.Join(res.Stats.AccessPaths, " "); paths != wantPaths {
+					t.Fatalf("paths %q, want %q", paths, wantPaths)
+				}
+				if res.Stats.BlocksSkipped == 0 || res.Stats.RowsPruned == 0 {
+					t.Fatalf("the scan reports %d blocks skipped, %d rows pruned",
+						res.Stats.BlocksSkipped, res.Stats.RowsPruned)
+				}
+			})
+		}
 	}
 }

@@ -63,7 +63,7 @@ func TestMemScanBatching(t *testing.T) {
 			[]batch{{0, []int32{2}}, {3, nil}}, 6},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			s, err := NewMemScanPred(c.schema, []*vector.Vector{a, b}, 3, c.preds)
+			s, err := NewMemScanPred(c.schema, []*vector.Vector{a, b}, 3, c.preds, 0, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -90,8 +90,8 @@ func TestMemScanBatching(t *testing.T) {
 			if bt, err := s.Next(); bt != nil || err != nil {
 				t.Fatalf("extra batch %v, %v", bt, err)
 			}
-			if s.RowsPruned() != c.pruned {
-				t.Fatalf("RowsPruned = %d, want %d", s.RowsPruned(), c.pruned)
+			if pruned, _ := s.PushStats(); pruned != c.pruned {
+				t.Fatalf("rows pruned = %d, want %d", pruned, c.pruned)
 			}
 		})
 	}

@@ -37,16 +37,22 @@ type Operator interface {
 // planner streams resident columns and cached full column shreds through it,
 // and tests use it as a deterministic source. With predicates bound
 // (NewMemScanPred) the scan evaluates them vectorized per batch and emits a
-// selection vector instead of feeding a separate Filter.
+// selection vector instead of feeding a separate Filter; with a skip test
+// bound it drops the batch ranges a zone map excludes before reading them.
 type MemScan struct {
-	schema     vector.Schema
-	cols       []*vector.Vector
-	batchSize  int
-	preds      []Pred
-	sel        []int32
-	rowsPruned int64
+	schema    vector.Schema
+	cols      []*vector.Vector
+	batchSize int
+	preds     []Pred
+	sel       []int32
+	// base is the table row of cols' first row: row ids and the ranges skip
+	// tests count from it.
+	base          int64
+	skip          func(lo, hi int64) bool
+	rowsPruned    int64
+	blocksSkipped int64
 	// rid, when the schema names a column past cols, is that column: the row
-	// ids, counted from 0 over cols.
+	// ids of the batch.
 	rid *vector.Vector
 	pos int
 	out *vector.Batch
@@ -55,22 +61,28 @@ type MemScan struct {
 	views []vector.Vector
 }
 
-// RowsPruned reports how many rows the bound predicates eliminated inside
-// the scan so far.
-func (s *MemScan) RowsPruned() int64 { return s.rowsPruned }
+// PushStats reports how many rows the bound predicates and skip test
+// eliminated inside the scan so far, and how many batch ranges the skip test
+// excluded.
+func (s *MemScan) PushStats() (rowsPruned, blocksSkipped int64) {
+	return s.rowsPruned, s.blocksSkipped
+}
 
-// NewMemScanPred returns a scan over cols that absorbs the given conjunctive
-// predicates (Col = output slot). Batches with a partial match carry a
-// selection vector; fully filtered batch ranges are skipped.
-func NewMemScanPred(schema vector.Schema, cols []*vector.Vector, batchSize int, preds []Pred) (*MemScan, error) {
+// NewMemScanPred returns a scan over cols, table rows [base, base+len), that
+// absorbs the given conjunctive predicates (Col = output slot, never the
+// row-id column) and, when skip is non-nil, drops each batch range of table
+// rows [lo, hi) for which skip reports true. Batches with a partial match
+// carry a selection vector; fully filtered batch ranges are skipped.
+func NewMemScanPred(schema vector.Schema, cols []*vector.Vector, batchSize int, preds []Pred,
+	base int64, skip func(lo, hi int64) bool) (*MemScan, error) {
 	s, err := NewMemScan(schema, cols, batchSize)
 	if err != nil {
 		return nil, err
 	}
-	if err := CheckPreds(schema, preds); err != nil {
+	if err := CheckPreds(schema[:len(cols)], preds); err != nil {
 		return nil, err
 	}
-	s.preds = preds
+	s.preds, s.base, s.skip = preds, base, skip
 	return s, nil
 }
 
@@ -113,38 +125,32 @@ func (s *MemScan) Open() error {
 	return nil
 }
 
-// Next implements Operator. Batches alias the underlying storage.
+// Next implements Operator. Batches alias the underlying storage. Per batch
+// range: the skip test, then the column views, then the predicates, and row
+// ids only for a range some row survives.
 func (s *MemScan) Next() (*vector.Batch, error) {
 	n := 0
 	if len(s.cols) > 0 {
 		n = s.cols[0].Len()
 	}
-	for {
-		if s.pos >= n {
-			return nil, nil
-		}
-		end := s.pos + s.batchSize
-		if end > n {
-			end = n
+	for s.pos < n {
+		lo, end := s.pos, min(s.pos+s.batchSize, n)
+		m := end - lo
+		s.pos = end
+		if s.skip != nil && s.skip(s.base+int64(lo), s.base+int64(end)) {
+			s.blocksSkipped++
+			s.rowsPruned += int64(m)
+			continue
 		}
 		if s.out == nil {
 			s.out = &vector.Batch{Cols: make([]*vector.Vector, len(s.schema))}
 			s.views = make([]vector.Vector, len(s.cols))
 		}
 		for i, c := range s.cols {
-			s.views[i] = *c.Slice(s.pos, end)
+			s.views[i] = *c.Slice(lo, end)
 			s.out.Cols[i] = &s.views[i]
 		}
-		if s.rid != nil {
-			s.rid.Reset()
-			for r := s.pos; r < end; r++ {
-				s.rid.AppendInt64(int64(r))
-			}
-			s.out.Cols[len(s.cols)] = s.rid
-		}
 		s.out.Sel = nil
-		m := end - s.pos
-		s.pos = end
 		if len(s.preds) > 0 {
 			s.sel = Select(s.sel, s.out.Cols, s.preds, nil, m)
 			s.rowsPruned += int64(m - len(s.sel))
@@ -155,8 +161,17 @@ func (s *MemScan) Next() (*vector.Batch, error) {
 				s.out.Sel = s.sel
 			}
 		}
+		if s.rid != nil {
+			ids := s.rid.Int64s[:m]
+			for i := range ids {
+				ids[i] = s.base + int64(lo+i)
+			}
+			s.rid.Int64s = ids
+			s.out.Cols[len(s.cols)] = s.rid
+		}
 		return s.out, nil
 	}
+	return nil, nil
 }
 
 // Close implements Operator.
