@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"rawdb"
+	"rawdb/internal/vector"
 )
 
 // HTTP endpoint.
@@ -46,19 +47,22 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
+	body, status := make([]byte, 0, 512), http.StatusBadRequest
 	var req Request
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, &Response{Error: "bad request: " + err.Error()})
-		return
+		body = appendError(body, "bad request: "+err.Error())
+	} else {
+		body, status = s.serve(r.Context(), req, body)
 	}
-	resp, status := s.serve(r.Context(), req)
-	writeJSON(w, status, resp)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	w.Write(body)
 }
 
-// serve runs one wire request through admission and execution and maps the
-// outcome to a response + HTTP status. Shared by the HTTP handler and the
-// line protocol (which reports the status in-band).
-func (s *Server) serve(ctx context.Context, req Request) (*Response, int) {
+// serve runs one wire request through admission and execution, appends its
+// response line to dst, and maps the outcome to an HTTP status. Shared by the
+// HTTP handler and the line protocol (which reports the status in-band).
+func (s *Server) serve(ctx context.Context, req Request, dst []byte) ([]byte, int) {
 	if req.TimeoutMillis > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.TimeoutMillis)*time.Millisecond)
@@ -71,13 +75,17 @@ func (s *Server) serve(ctx context.Context, req Request) (*Response, int) {
 	res, err := s.ExecuteOpt(ctx, req.Query, opts)
 	switch {
 	case err == nil:
-		return encodeResult(res), http.StatusOK
+		cols := make([]*vector.Vector, len(res.Columns))
+		for c := range cols {
+			cols[c] = res.Column(c)
+		}
+		return appendResult(dst, res.Columns, res.Types, cols), http.StatusOK
 	case errors.Is(err, ErrOverloaded):
-		return &Response{Error: err.Error()}, http.StatusTooManyRequests
+		return appendError(dst, err.Error()), http.StatusTooManyRequests
 	case errors.Is(err, context.DeadlineExceeded):
-		return &Response{Error: err.Error()}, http.StatusGatewayTimeout
+		return appendError(dst, err.Error()), http.StatusGatewayTimeout
 	default:
-		return &Response{Error: err.Error()}, http.StatusBadRequest
+		return appendError(dst, err.Error()), http.StatusBadRequest
 	}
 }
 
@@ -113,10 +121,4 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleHeat(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(s.eng.HeatSnapshot())
-}
-
-func writeJSON(w http.ResponseWriter, status int, resp *Response) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(resp)
 }

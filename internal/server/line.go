@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"strconv"
 	"sync"
@@ -39,29 +40,32 @@ func (s *Server) ServeLine(l net.Listener) error {
 	}
 }
 
+// maxRetainedLine bounds the response buffer a connection keeps between
+// queries: a larger one, grown by an exceptional result, is dropped after it
+// is sent, so no session pins the size of its largest result.
+const maxRetainedLine = 256 << 10
+
 func (s *Server) serveConn(conn net.Conn) {
 	defer conn.Close()
 	sc := bufio.NewScanner(conn)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	w := bufio.NewWriter(conn)
-	enc := json.NewEncoder(w)
+	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024) // requests are untrusted: capped
+	var buf []byte
 	for sc.Scan() {
 		line := sc.Bytes()
 		if len(line) == 0 {
 			continue
 		}
 		var req Request
-		var resp *Response
 		if err := json.Unmarshal(line, &req); err != nil {
-			resp = &Response{Error: "bad request: " + err.Error()}
+			buf = appendError(buf[:0], "bad request: "+err.Error())
 		} else {
-			resp, _ = s.serve(context.Background(), req)
+			buf, _ = s.serve(context.Background(), req, buf[:0])
 		}
-		if err := enc.Encode(resp); err != nil {
+		if _, err := conn.Write(buf); err != nil {
 			return
 		}
-		if err := w.Flush(); err != nil {
-			return
+		if cap(buf) > maxRetainedLine {
+			buf = nil
 		}
 	}
 }
@@ -72,8 +76,7 @@ func (s *Server) serveConn(conn net.Conn) {
 type Client struct {
 	mu   sync.Mutex
 	conn net.Conn
-	sc   *bufio.Scanner
-	w    *bufio.Writer
+	r    *bufio.Reader
 }
 
 // Dial connects a line-protocol session to addr.
@@ -82,9 +85,7 @@ func Dial(addr string) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	sc := bufio.NewScanner(conn)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	return &Client{conn: conn, sc: sc, w: bufio.NewWriter(conn)}, nil
+	return &Client{conn: conn, r: bufio.NewReaderSize(conn, 64<<10)}, nil
 }
 
 // Query sends one request and reads its response. A Response with a non-empty
@@ -96,27 +97,43 @@ func (c *Client) Query(req Request) (*Response, error) {
 	if err != nil {
 		return nil, err
 	}
-	line = append(line, '\n')
-	if _, err := c.w.Write(line); err != nil {
+	if _, err := c.conn.Write(append(line, '\n')); err != nil {
 		return nil, err
 	}
-	if err := c.w.Flush(); err != nil {
-		return nil, err
-	}
-	if !c.sc.Scan() {
-		if err := c.sc.Err(); err != nil {
-			return nil, err
+	if line, err = readLine(c.r); err != nil {
+		if err == io.EOF {
+			return nil, fmt.Errorf("server: connection closed mid-query")
 		}
-		return nil, fmt.Errorf("server: connection closed mid-query")
+		return nil, err
 	}
-	var resp Response
-	if err := json.Unmarshal(c.sc.Bytes(), &resp); err != nil {
+	resp, err := decodeResponse(line)
+	if err != nil {
 		return nil, err
 	}
 	if resp.Error != "" {
 		return nil, fmt.Errorf("server: %s", resp.Error)
 	}
-	return &resp, nil
+	return resp, nil
+}
+
+// readLine reads one response line without its newline. Responses come from
+// the server the client chose to trust, so unlike requests their length is
+// not capped: a line longer than the reader's buffer is accumulated. The
+// returned bytes are valid until the next read.
+func readLine(r *bufio.Reader) ([]byte, error) {
+	line, err := r.ReadSlice('\n')
+	var long []byte
+	for err == bufio.ErrBufferFull {
+		long = append(long, line...)
+		line, err = r.ReadSlice('\n')
+	}
+	if long != nil {
+		line = append(long, line...)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return line[:len(line)-1], nil
 }
 
 // Close ends the session.

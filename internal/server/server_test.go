@@ -23,7 +23,7 @@ import (
 
 // testEngine builds an engine with one CSV table "t": col1 int64, col2
 // float64, 2000 rows. Returns the engine and the reference values.
-func testEngine(t *testing.T) (*raw.Engine, []int64, []float64) {
+func testEngine(t testing.TB) (*raw.Engine, []int64, []float64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(42))
 	var b bytes.Buffer
@@ -43,6 +43,18 @@ func testEngine(t *testing.T) (*raw.Engine, []int64, []float64) {
 	return eng, ints, floats
 }
 
+// serveResp runs one request through serve and decodes its response line as
+// the line-protocol client does.
+func serveResp(t *testing.T, ctx context.Context, srv *Server, req Request) (*Response, int) {
+	t.Helper()
+	line, status := srv.serve(ctx, req, nil)
+	resp, err := decodeResponse(bytes.TrimSuffix(line, []byte("\n")))
+	if err != nil {
+		t.Fatalf("response line %q: %v", line, err)
+	}
+	return resp, status
+}
+
 func strconvFloat(f float64) string {
 	return fmt.Sprintf("%.17g", f)
 }
@@ -55,7 +67,7 @@ func TestWireRoundTripIsBitExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, status := srv.serve(context.Background(), Request{Query: q})
+	resp, status := serveResp(t, context.Background(), srv, Request{Query: q})
 	if status != http.StatusOK {
 		t.Fatalf("status = %d: %s", status, resp.Error)
 	}
@@ -86,7 +98,7 @@ func TestDecodeCellRoundTrip(t *testing.T) {
 		}
 	}
 	for _, v := range []float64{0, -0.0, 1.0 / 3.0, math.Pi, 1e308, 5e-324, math.Inf(1)} {
-		cell := strconv.FormatFloat(v, 'g', -1, 64) // mirror encodeCell
+		cell := strconv.FormatFloat(v, 'g', -1, 64) // mirror appendResult
 		got, err := DecodeCell("DOUBLE", cell)
 		if err != nil || math.Float64bits(got.(float64)) != math.Float64bits(v) {
 			t.Fatalf("DOUBLE %v (%q) round-tripped to %v (%v)", v, cell, got, err)
@@ -172,7 +184,7 @@ func TestAdmissionRejectsWhenSaturated(t *testing.T) {
 	srv.queued.Add(-1)
 
 	// The HTTP layer maps it to 429.
-	resp, status := srv.serve(context.Background(), Request{Query: "SELECT COUNT(*) FROM t"})
+	resp, status := serveResp(t, context.Background(), srv, Request{Query: "SELECT COUNT(*) FROM t"})
 	if status != http.StatusTooManyRequests {
 		t.Fatalf("status = %d (%s), want 429", status, resp.Error)
 	}
@@ -183,7 +195,7 @@ func TestDeadlineMapsTo504(t *testing.T) {
 	srv := New(eng, Options{})
 	ctx, cancel := context.WithTimeout(context.Background(), -time.Second)
 	defer cancel()
-	resp, status := srv.serve(ctx, Request{Query: "SELECT COUNT(*) FROM t"})
+	resp, status := serveResp(t, ctx, srv, Request{Query: "SELECT COUNT(*) FROM t"})
 	if status != http.StatusGatewayTimeout {
 		t.Fatalf("status = %d (%s), want 504", status, resp.Error)
 	}
