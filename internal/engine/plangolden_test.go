@@ -101,9 +101,11 @@ var spanTimes = regexp.MustCompile(` (time|busy)=\S+`)
 
 // TestPlanGolden pins what the planner decides — not what the scans compute
 // — for every strategy × format × cache state × worker count × pushdown
-// setting: the Explain text, the access paths and prune counters, the
-// fallback reason, the lifecycle events and the span tree (times stripped;
-// bench/trace.go keys on the span-name prefixes). Regenerate with
+// setting, and for the shred cascade's two knobs (multi-column late scans,
+// join placement): the Explain text, the access paths and prune counters, the
+// fallback reason, the lifecycle events, the span tree (times stripped;
+// bench/trace.go keys on the span-name prefixes) and the shred pool's lookup
+// hits and misses, whose order drives the pool's LRU. Regenerate with
 // `go test ./internal/engine -run TestPlanGolden -update-golden` and review
 // the diff: every changed line is a planner behaviour change.
 func TestPlanGolden(t *testing.T) {
@@ -171,6 +173,13 @@ func TestPlanGolden(t *testing.T) {
 		{"jit-noshredcache", StrategyJIT, true},
 	}
 
+	registerJoin := func(e *Engine) error {
+		if err := e.RegisterCSVData("t", big.csv, big.schema); err != nil {
+			return err
+		}
+		return e.RegisterBinaryData("u", dim.bin, dim.schema)
+	}
+
 	var out strings.Builder
 	scenario := func(label string, cfg Config, workers int, register func(e *Engine) error, queries []goldenQuery) {
 		var events []obs.Event
@@ -180,21 +189,30 @@ func TestPlanGolden(t *testing.T) {
 		if err := register(e); err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
+		lookups := func() [2]int64 {
+			snap := e.Metrics().Snapshot()
+			return [2]int64{snap["shred.lookup.hits"], snap["shred.lookup.misses"]}
+		}
 		for _, q := range queries {
 			fmt.Fprintf(&out, "=== %s %s\n%s\n", label, q.state, q.sql)
 			opts := Options{Parallelism: &workers}
 			if q.noCapture {
 				opts.NoCapture = &q.noCapture
 			}
+			before := lookups()
 			plan, err := e.Explain(q.sql, opts)
 			if err != nil {
 				fmt.Fprintf(&out, "explain error: %v\n", err)
 			} else {
 				out.WriteString(plan)
 			}
+			explained := lookups()
 			events = events[:0]
 			opts.Trace = obs.NewTrace()
 			res, err := e.QueryOpt(q.sql, opts)
+			queried := lookups()
+			fmt.Fprintf(&out, "pool lookups: explain hits=%d misses=%d, query hits=%d misses=%d\n",
+				explained[0]-before[0], explained[1]-before[1], queried[0]-explained[0], queried[1]-explained[1])
 			if err != nil {
 				fmt.Fprintf(&out, "query error: %v\n", err)
 			} else {
@@ -234,13 +252,31 @@ func TestPlanGolden(t *testing.T) {
 					scenario(label, cfg, workers, f.register, single)
 				}
 				label := fmt.Sprintf("%s/join(csv,binary)/workers=%d/pushdown=%v", st.name, workers, push)
-				scenario(label, cfg, workers, func(e *Engine) error {
-					if err := e.RegisterCSVData("t", big.csv, big.schema); err != nil {
-						return err
-					}
-					return e.RegisterBinaryData("u", dim.bin, dim.schema)
-				}, join)
+				scenario(label, cfg, workers, registerJoin, join)
 			}
+		}
+	}
+	// The shred cascade's knobs, which the default configuration leaves off:
+	// one multi-column late scan, and join-projected columns created before
+	// the join (intermediate) or at the base scan (early).
+	knobs := []struct {
+		name string
+		cfg  Config
+	}{
+		{"multi", Config{Strategy: StrategyShreds, MultiColumnShreds: true}},
+		{"intermediate", Config{Strategy: StrategyShreds, JoinPlacement: PlaceIntermediate}},
+		{"early", Config{Strategy: StrategyShreds, JoinPlacement: PlaceEarly}},
+	}
+	for _, k := range knobs {
+		for _, workers := range []int{1, 4} {
+			for _, f := range formats {
+				if f.name == "csv" || f.name == "json" || f.name == "dataset" {
+					label := fmt.Sprintf("shreds-%s/%s/workers=%d", k.name, f.name, workers)
+					scenario(label, k.cfg, workers, f.register, single)
+				}
+			}
+			label := fmt.Sprintf("shreds-%s/join(csv,binary)/workers=%d", k.name, workers)
+			scenario(label, k.cfg, workers, registerJoin, join)
 		}
 	}
 
