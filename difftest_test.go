@@ -1036,7 +1036,8 @@ func fillLadder(t *testing.T, label string, eng *raw.Engine, name string, ts dtT
 // SUM/AVG included — each executed at workers 1/2/8 (cycling) and, for the
 // cache-building strategies, in three vault modes: vault off, vault enabled
 // from a cold directory, and a restarted engine loading the populated
-// directory — all compared against the oracle.
+// directory — all compared against the oracle. The shreds strategy also runs
+// with its cascade knobs set (multi-column late scans, join placement).
 func TestDifferentialOracle(t *testing.T) {
 	strategies := []struct {
 		name  string
@@ -1094,6 +1095,17 @@ func TestDifferentialOracle(t *testing.T) {
 				// (capture otherwise wins the capture-vs-pruning conflict).
 				modes = append(modes, mode{"push-nocache", raw.NewEngine(raw.Config{
 					Strategy: s.strat, DisableShredCache: true})})
+				shreds := s.strat == raw.StrategyShreds
+				if shreds {
+					// The shred cascade's knobs, off by default: one late scan
+					// for all late columns with join-projected columns created
+					// before the join, and every column created at the base
+					// scan of a join side.
+					modes = append(modes,
+						mode{"multi-intermediate", raw.NewEngine(raw.Config{Strategy: s.strat,
+							MultiColumnShreds: true, JoinPlacement: raw.PlaceIntermediate})},
+						mode{"early", raw.NewEngine(raw.Config{Strategy: s.strat, JoinPlacement: raw.PlaceEarly})})
+				}
 				var dir string
 				var vaultEng *raw.Engine
 				if s.vault {
@@ -1101,7 +1113,6 @@ func TestDifferentialOracle(t *testing.T) {
 					vaultEng = raw.NewEngine(raw.Config{Strategy: s.strat, CacheDir: dir})
 					modes = append(modes, mode{"vault-cold", vaultEng})
 				}
-				shreds := s.strat == raw.StrategyShreds
 				register := func(eng *raw.Engine) {
 					registerDT(t, eng, "t", tab, format, csv, jsonl, bin)
 					registerDT(t, eng, "u", utab, format, ucsv, ujsonl, ubin)
