@@ -25,8 +25,8 @@ type resolvedQuery struct {
 	items   []boundItem
 	groupBy []boundRef
 	having  []boundHaving
-	// filterCols and outputCols are neededColumns' answer, worked out once:
-	// cut and every plan shape ask for it.
+	// filterCols and outputCols are neededColumns' answer, worked out once
+	// for every planning step that asks.
 	filterCols, outputCols [][]int
 }
 
@@ -34,7 +34,7 @@ type boundTable struct {
 	alias string
 	st    *tableState
 	// pos is the positional structure as the plan being built sees it
-	// (planCtx.cut takes the snapshot).
+	// (planCtx.decide takes the snapshot).
 	pos positions
 }
 

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 
 	"rawdb/internal/catalog"
 	"rawdb/internal/dataset"
@@ -18,11 +19,9 @@ import (
 // query lock — so every single-file mechanism (JIT access paths, positional
 // maps, structural indexes, column shreds, zone-map synopses, the vault)
 // applies per partition under a per-partition namespace ("<table>#<partID>").
-// The planner treats partitions as independent scan units: a plan of whole
-// partitions concatenates their pipelines in manifest order (exec.Concat), a
-// cut one interleaves their morsels on one worker pool,
-// and partitions whose synopsis excludes a predicate are pruned before their
-// file is ever opened (Stats.PartitionsSkipped).
+// The planner treats partitions as scan units of their own, and prunes those
+// whose synopsis excludes a predicate before their file is ever opened
+// (Stats.PartitionsSkipped).
 
 // datasetState is the dataset-specific state of a parent tableState,
 // guarded by the parent's qmu like the rest of the per-table state.
@@ -274,49 +273,27 @@ func (pc *planCtx) prunePartition(syn *synopsis.Synopsis, preds []boundPred) boo
 	return skip != nil && skip(0, syn.NRows())
 }
 
-// shadowQuery wraps one partition as a single-table resolved query so the
-// ordinary single-table planner machinery (strategy selection, shred
-// cascade, pushdown) plans it unchanged: the partition's filters are the
-// parent's, and every needed column appears as a plain projection item.
-func shadowQuery(part *boundTable, preds []boundPred, cols []int) *resolvedQuery {
-	sq := &resolvedQuery{tables: []*boundTable{part}, filters: [][]boundPred{preds}}
-	for _, c := range cols {
-		sq.items = append(sq.items, boundItem{ref: boundRef{0, c}, name: part.st.tab.Schema[c].Name})
-	}
-	return sq
-}
-
 // scanCols returns the columns a cut scan of table t materialises, which is
-// also the canonical layout of a dataset scan: every filter and output column,
-// sorted. Every partition pipeline projects onto this layout, so mixed cache
-// states (one partition serving shreds, its neighbour scanning cold)
-// concatenate cleanly.
+// also the layout every partition of a dataset is projected onto, so mixed
+// cache states concatenate cleanly: every filter and output column, sorted,
+// or the cheapest one to count rows by.
 func scanCols(r *resolvedQuery, t int) []int {
 	filterCols, outputCols := r.neededColumns()
-	cols := append(append([]int{}, filterCols[t]...), outputCols[t]...)
-	sortInts(cols)
-	if len(cols) == 0 {
-		// Zero-column batches cannot carry a row count; materialise the
-		// cheapest fixed-width column.
+	cols := slices.Concat(filterCols[t], outputCols[t])
+	if sortInts(cols); len(cols) == 0 {
 		cols = []int{countColumn(r.tables[t].st.tab)}
 	}
 	return cols
 }
 
-// datasetScan plans table t of the query when it is a dataset, over the
-// partitions that survived cut's zone-map pruning. Each is planned by the
-// ordinary single-table machinery with the filters applied inside (partitions
-// differ in cache state, so their scans may absorb different subsets). One-part
-// partitions are projected onto the canonical layout and concatenated in
-// manifest order, so the stream above is indistinguishable from one scan over
-// the partitions' rows laid end to end; the parts of cut ones, already in that
-// layout, interleave on one exchange, which replays them in (partition, span)
-// order — exactly the manifest-order concat.
-func (pc *planCtx) datasetScan(r *resolvedQuery, t int, tc *tableCut) (*pipe, error) {
-	st := r.tables[t].st
-	tab := st.tab
-	cols := tc.cols
-	schema := colSchema(tab, cols)
+// buildDataset builds table t of the query when it is a dataset, over the
+// partitions that survived pruning. One-part partitions are projected onto
+// the table's layout and concatenated in manifest order, as if one scan read
+// their rows end to end; the parts of cut ones, already in that layout,
+// interleave on one exchange, which replays them in the same order.
+func (pc *planCtx) buildDataset(r *resolvedQuery, t int, tp *tablePlan) (*pipe, error) {
+	st, cols := r.tables[t].st, tp.cols
+	tab, schema := st.tab, colSchema(st.tab, cols)
 	names := make([]string, len(cols))
 	for i := range cols {
 		names[i] = schema[i].Name
@@ -325,14 +302,15 @@ func (pc *planCtx) datasetScan(r *resolvedQuery, t int, tc *tableCut) (*pipe, er
 	p := &pipe{pos: make(map[boundRef]int), rid: map[int]int{}}
 	p.layout(t, cols, -1)
 	var pspans []*obs.Span
-	for i, u := range tc.units {
+	for i := range tp.units {
+		u := &tp.units[i]
 		if u.spans == nil {
 			pc.stats.PartitionsSkipped++
 			pc.heatDelta(tab.Name).BytesAvoided += st.ds.manifest.Parts[i].Size
 			continue
 		}
 		pc.stats.PartitionsScanned++
-		pp, err := pc.planSingle(shadowQuery(u.bt, r.filters[t], cols), u)
+		pp, err := pc.buildUnit(t, u)
 		if err != nil {
 			return nil, err
 		}
@@ -343,7 +321,7 @@ func (pc *planCtx) datasetScan(r *resolvedQuery, t int, tc *tableCut) (*pipe, er
 		}
 		idxs := make([]int, len(cols))
 		for i, c := range cols {
-			pos, ok := pp.pos[boundRef{0, c}]
+			pos, ok := pp.pos[boundRef{t, c}]
 			if !ok {
 				return nil, fmt.Errorf("engine: internal: dataset column %d not materialised", c)
 			}
@@ -357,7 +335,6 @@ func (pc *planCtx) datasetScan(r *resolvedQuery, t int, tc *tableCut) (*pipe, er
 		p.ops = append(p.ops, pop)
 		pspans = append(pspans, pspan)
 	}
-
 	switch {
 	case p.par:
 	case len(p.ops) == 0:

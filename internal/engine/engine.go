@@ -106,7 +106,7 @@ type Config struct {
 	BatchSize int
 	// Parallelism is the number of worker goroutines eligible queries fan
 	// out over (morsel-driven parallel scans). Values <= 1 keep every query
-	// on the one-part plan; see planCtx.cut for the fallback rules.
+	// on the one-part plan; see planCtx.decide for the fallback rules.
 	Parallelism int
 	// CompileDelay simulates the one-time cost of compiling a generated
 	// access path (charged on template-cache misses; default 0).
@@ -259,6 +259,14 @@ type tableState struct {
 	// in the catalog) hang off it and are guarded by the parent's qmu; see
 	// dataset.go.
 	ds *datasetState
+}
+
+// learnRows records a text table's row count from a scan that visited every
+// row. Only publication calls it: no query counts, a failed one leaves -1.
+func (st *tableState) learnRows(rows int64) {
+	if st.nrows < 0 && rows > 0 {
+		st.nrows = rows
+	}
 }
 
 // slots returns the table's slots: the positional structure first, whose

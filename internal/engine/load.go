@@ -32,3 +32,21 @@ func loadAll(st *tableState) ([]*vector.Vector, error) {
 	}
 	return exec.Collect(op)
 }
+
+// ensureLoaded materialises every column of a table in memory (the DBMS
+// baseline's loading step), charged to the first query that touches it:
+// loaded says this call did the loading.
+func (e *Engine) ensureLoaded(st *tableState) (loaded bool, err error) {
+	if st.loaded != nil {
+		return false, nil
+	}
+	cols, err := loadAll(st)
+	if err != nil {
+		return false, err
+	}
+	st.loaded = cols
+	if len(cols) > 0 {
+		st.nrows = int64(cols[0].Len())
+	}
+	return true, nil
+}

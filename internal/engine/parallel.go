@@ -52,28 +52,25 @@ func (pc *planCtx) gather(p *pipe, name string, under ...*obs.Span) error {
 	return nil
 }
 
-// skipMorsels drops row ranges a zone map excludes before they are ever
-// dispatched to a worker, counting them in the query stats. Every scan takes
-// the same skip test itself, per batch range: a lone range is not even
-// tested, and when every range is excluded the first is kept (operator
-// shapes need one part) for its scan to empty.
-func (pc *planCtx) skipMorsels(ranges []span, skip func(lo, hi int64) bool) []span {
+// skipMorsels drops the row ranges a zone map excludes before they are ever
+// dispatched to a worker, and counts them. Every scan takes the same skip
+// test itself, per batch range: a lone range is not even tested, and when
+// every range is excluded the first is kept (operator shapes need one part)
+// for its scan to empty.
+func skipMorsels(ranges []span, skip func(lo, hi int64) bool) (kept []span, skipped int) {
 	if skip == nil || len(ranges) < 2 {
-		return ranges
+		return ranges, 0
 	}
-	kept := make([]span, 0, len(ranges))
+	kept = make([]span, 0, len(ranges))
 	for _, rr := range ranges {
-		if skip(rr.lo, rr.hi) {
-			pc.stats.MorselsSkipped++
-			continue
+		if !skip(rr.lo, rr.hi) {
+			kept = append(kept, rr)
 		}
-		kept = append(kept, rr)
 	}
 	if len(kept) == 0 {
-		pc.stats.MorselsSkipped--
 		kept = append(kept, ranges[0])
 	}
-	return kept
+	return kept, len(ranges) - len(kept)
 }
 
 // colSchema is the batch schema of cols of tab, in order.

@@ -434,7 +434,7 @@ func TestParallelFallbackReporting(t *testing.T) {
 	})
 }
 
-// TestCutDecides drives cut alone over the decline taxonomy and one
+// TestCutDecides drives decide alone over the decline taxonomy and one
 // splittable case per source of spans: the span counts, the exact reason and
 // detail strings (plans.golden pins them end to end), and that deciding builds
 // nothing — no template, stat, hook, heat or span.
@@ -535,7 +535,7 @@ func TestCutDecides(t *testing.T) {
 			workers := 4
 			rec := e.newRecord(Options{Parallelism: &workers, Trace: obs.NewTrace()})
 			pc := rec.newPlanCtx(context.Background())
-			c, err := pc.cut(r)
+			c, err := pc.decide(r)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -17,7 +17,7 @@ import (
 )
 
 // planCtx carries one planning attempt: the query's resolved options, the
-// query record every plan site writes what it decides to (record.go), and
+// query record every build site writes what it built to (record.go), and
 // whether the shred pool is consulted and fed (Config.DisableShredCache
 // clears it). Build one with queryRecord.newPlanCtx.
 type planCtx struct {
@@ -28,25 +28,13 @@ type planCtx struct {
 	// per-batch check and exchanges hand it to their worker pools. nil (or a
 	// never-cancelled context) leaves the plan untouched.
 	ctx context.Context
-	// looked are the pool's answers for the columns planSingle looked up
-	// ahead (lookAhead), which the plan consumes instead of asking again.
-	looked map[shred.Key]*shred.Shred
 
-	// Publication hooks. Execution runs without the table locks (the engine
-	// releases them after planning and re-acquires them to publish), so
-	// EVERY mutation of shared per-table state a query performs is deferred
-	// to one of these lists, both of which run under the re-acquired locks
-	// and on success only — an aborted query publishes nothing:
-	//
-	//   - onMerge: the merge-on-completion hooks of parallel plans (positional
-	//     map / structural index fragments, zone-map fragments, captured
-	//     column shreds). They can fail and run first, so the install/event
-	//     hooks below observe the merged state.
-	//   - onComplete: installs of serially built structures and "captured"
-	//     lifecycle events.
-	//
-	// The runtime counters are not hooks: the record reads every scan's
-	// prune probes once the plan ran, on success and failure alike.
+	// Publication hooks. Execution runs without the table locks, so every
+	// mutation of shared per-table state a query performs is deferred to
+	// these, which run under the re-acquired locks and on success only: first
+	// onMerge — raw-file scans' merges of positional structure, zone-map and
+	// captured-shred fragments, which can fail — then onComplete, the
+	// "captured" events that observe the merged state.
 	onMerge    []func() error
 	onComplete []func()
 }
@@ -73,9 +61,31 @@ const (
 // rows, colder cache lines) do not leave workers idle at the tail.
 const morselsPerWorker = 2
 
-// unitCut is one scan unit — a table, a join side, a dataset partition — as
-// cut divided it.
-type unitCut struct {
+// plan is decide's value: how every scan unit of a query is read and what
+// stacks on it, with nothing built yet.
+type plan struct {
+	// par: the units are cut into exchange inputs; otherwise every one is
+	// [wholeTable]. reason and detail say why a workers > 1 query is not cut
+	// (the first, most specific decline wins).
+	par            bool
+	reason, detail string
+	loaded         []string // tables the DBMS baseline loaded to count their rows
+	tables         []tablePlan
+	agg            aggPlan
+}
+
+// tablePlan is one table of the query: its units — itself, or one per
+// partition in manifest order — and the late scan of the columns a join
+// creates above itself (after, if any). cols are what a cut or dataset
+// scan of it materialises, sorted: every partition is projected onto them.
+type tablePlan struct {
+	cols  []int
+	units []unitPlan
+	after *scanStep
+}
+
+// unitPlan is one scan unit — a table, a join side, a dataset partition.
+type unitPlan struct {
 	// bt is the unit bound as a table: the query's own, or a partition under
 	// its dataset's alias with its own snapshot of the positional structures.
 	bt *boundTable
@@ -84,99 +94,177 @@ type unitCut struct {
 	// record-aligned byte ranges (a cold text image), each one input of an
 	// exchange. nil: a partition pruned without opening its file.
 	spans []span
-	// shreds, when set, are the full shreds of every scan column: the spans
-	// are row ranges over them and the raw file is not read.
+	// shreds are the full shreds of every column a cut scan reads, if it
+	// reads no raw file; a is the access a cut raw-file scan reads through.
 	shreds []*shred.Shred
+	a      access
+	base   scanStep
+	late   []scanStep // a cascade's, or a join side's before the join
 }
 
-func (u unitCut) whole() bool { return len(u.spans) == 1 && u.spans[0] == wholeTable }
+func (u *unitPlan) whole() bool { return len(u.spans) == 1 && u.spans[0] == wholeTable }
 
-// tableCut is one table of the query: the columns a cut scan or a dataset scan
-// of it materialises (sorted), and its units — itself, or one per partition in
-// manifest order.
-type tableCut struct {
-	cols  []int
-	units []unitCut
+// scanStep is one scan: a unit's base scan, or a late scan appending columns
+// by row id. filter runs right above it.
+type scanStep struct {
+	late bool
+	// cols are the columns the step reads itself: a base scan's resident
+	// vectors (labelled resident) or raw-file columns (read under kind through
+	// a), or those a late scan reads through the table's late reader.
+	cols     []int
+	vecs     []*vector.Vector
+	resident string
+	kind     scanKind
+	a        access
+	err      error // the plug-in refused the access: build fails here
+	// spans are a base scan's parts but the skipped ones a zone map excludes.
+	spans   []span
+	skipped int
+	// push are the predicates the scan evaluates (on table columns for a raw
+	// scan, output slots for a resident one), npush of them absorbed; skip is
+	// its zone-map test and zmap says a zone map steers it.
+	push  []exec.Pred
+	npush int
+	skip  func(lo, hi int64) bool
+	zmap  bool
+	// synObs are what a raw scan's synopsis builders observe; tee captures its
+	// columns whole, capture keyed by row id.
+	synObs       map[int]vector.Type
+	tee, capture bool
+	emitRID      bool
+	// cached are served from the pool by row id, from shreds: full ones
+	// appended to a base scan, a late scan's partial ones completed from the
+	// raw file. hits counts every column the pool serves.
+	cached []int
+	shreds []*shred.Shred
+	hits   int
+	filter []boundPred
+	paths  [2]int // the step's labels in Stats.AccessPaths
 }
 
-// cutPlan is cut's decision for a query.
-type cutPlan struct {
-	tables []tableCut
-	// par: the units are cut into exchange inputs; otherwise every one of
-	// them is [wholeTable].
-	par bool
-	// reason and detail say why a workers > 1 query is not cut. The first
-	// decline wins: it is the most specific.
-	reason, detail string
-	// loaded names the tables the DBMS baseline had to load to count their
-	// rows.
-	loaded []string
-}
-
-func (c *cutPlan) decline(reason, detailf string, args ...any) {
-	if c.reason == "" {
-		c.reason, c.detail = reason, fmt.Sprintf(detailf, args...)
+func (pl *plan) decline(reason, detailf string, args ...any) {
+	if pl.reason == "" {
+		pl.reason, pl.detail = reason, fmt.Sprintf(detailf, args...)
 	}
 }
 
-// cut decides, before any operator, span, stat or hook exists, how each scan
-// unit of the query is divided: into the spans of a morsel-parallel plan, or
-// — with one worker, or when any unit declines — [wholeTable] everywhere,
-// which is the serial plan. It reads what both shapes need anyway (worker
-// count, strategy, the rows of resident vectors and full shreds, the plug-in's
-// access and split, manifest sizes, partition pruning) and changes nothing but
-// what every plan over these tables first needs resident: surviving
-// partitions' raw bytes and the DBMS baseline's loaded columns.
-func (pc *planCtx) cut(r *resolvedQuery) (cutPlan, error) {
-	c := cutPlan{tables: make([]tableCut, len(r.tables))}
-	// The build side of a join goes first, as it does when the plan is built.
+// decide fixes, before any operator, span, stat or hook exists, how the query
+// is read. First the cut: each scan unit is divided into the spans of a
+// morsel-parallel plan, or — with one worker, or when any unit declines —
+// into [wholeTable] everywhere. Then each unit's scans: the source of every
+// column, the base/late split, pushed and residual predicates, zone skip and
+// capture; a join's placement; the aggregate's decomposition. The pool is
+// asked about each column once per shape, in the cascade's order. Besides
+// that, decide changes only what every plan first needs resident: surviving
+// partitions' raw bytes, the DBMS baseline's loaded columns.
+func (pc *planCtx) decide(r *resolvedQuery) (plan, error) {
+	pl := plan{tables: make([]tablePlan, len(r.tables))}
+	// The build side of a join is cut first, as it is built first.
 	for t := len(r.tables) - 1; t >= 0; t-- {
 		r.tables[t].pos = r.tables[t].st.positions()
-		if err := pc.cutTable(&c, r, t); err != nil {
-			return c, err
+		if err := pc.cutTable(&pl, r, t); err != nil {
+			return pl, err
 		}
 	}
-	c.par = pc.workers > 1 && c.reason == ""
-	if c.reason != "" {
-		for _, tc := range c.tables {
-			for i := range tc.units {
-				if u := &tc.units[i]; u.spans != nil {
-					u.spans, u.shreds = []span{wholeTable}, nil
+	pl.par = pc.workers > 1 && pl.reason == ""
+	fc, oc := r.neededColumns()
+	var after [2][]int
+	for t, tp := range pl.tables {
+		for i := range tp.units {
+			u := &tp.units[i]
+			if u.spans == nil {
+				continue
+			}
+			if pl.reason != "" {
+				u.spans, u.shreds = []span{wholeTable}, nil
+			}
+			if r.tables[t].st.ds != nil {
+				// A partition is planned as a table reading the dataset's
+				// columns: its filter columns, every other one an output.
+				var pfc, poc []int
+				for _, c := range tp.cols {
+					if slices.ContainsFunc(r.filters[t], func(bp boundPred) bool { return bp.col == c }) {
+						pfc = append(pfc, c)
+					} else {
+						poc = append(poc, c)
+					}
 				}
+				if err := pc.cascade(u, r.filters[t], pfc, poc); err != nil {
+					return pl, err
+				}
+			} else if r.join == nil {
+				if err := pc.cascade(u, r.filters[t], fc[t], oc[t]); err != nil {
+					return pl, err
+				}
+			} else if err := pc.joinSide(u, r.filters[t], fc[t], oc[t], &after[t]); err != nil {
+				return pl, err
 			}
 		}
 	}
-	return c, nil
+	// The late scans above a join ask the pool last.
+	for t, cols := range after {
+		if len(cols) > 0 {
+			s := pc.lateStep(r.tables[t], cols, nil, nil)
+			pl.tables[t].after = &s
+		}
+	}
+	// The aggregate runs in two stages around the exchange of a cut single
+	// table; a cut join gathers its probe parts below itself.
+	var err error
+	pl.agg, err = decideAgg(r, pl.par && r.join == nil)
+	return pl, err
+}
+
+// joinSide decides a join side's scans, filtered below the join. Its
+// output-only columns are created by the base scan (PlaceEarly), a late scan
+// before the join (intermediate) or, returned in after, above it (late); only
+// a serial shred plan over addressable rows fetches late.
+func (pc *planCtx) joinSide(u *unitPlan, filters []boundPred, fc, oc []int, after *[]int) error {
+	canLate := u.whole() && pc.addressable(u.bt)
+	place := pc.place
+	if pc.strategy != StrategyShreds || !canLate {
+		place = PlaceEarly
+	}
+	base := slices.Clone(fc) // includes the join key
+	var inter []int
+	switch place {
+	case PlaceEarly:
+		base = append(base, oc...)
+	case PlaceIntermediate:
+		inter = oc
+	case PlaceLate:
+		*after = oc
+	}
+	sortInts(base)
+	var err error
+	if u.base, err = pc.baseStep(u, base, place != PlaceEarly && len(oc) > 0, filters, nil); err != nil {
+		return err
+	}
+	if len(inter) > 0 {
+		u.late = []scanStep{pc.lateStep(u.bt, inter, nil, nil)}
+	}
+	return nil
 }
 
 // cutTable cuts table t. A plain table needs two spans to be worth an
-// exchange — one is the serial plan with exchange overhead — except as the
-// build side of a join, where the probe side provides the parallelism and one
-// will do. A dataset spreads the query's span budget over its surviving
-// partitions by file size, at least one span each — so parallelism scales
-// with file count even when no file is large enough to split — and needs two
-// spans in all.
-func (pc *planCtx) cutTable(c *cutPlan, r *resolvedQuery, t int) error {
-	bt := r.tables[t]
-	tc := &c.tables[t]
+// exchange, except as the build side of a join, where the probe side provides
+// the parallelism. A dataset spreads the span budget over its surviving
+// partitions by file size, at least one span each, and needs two in all.
+func (pc *planCtx) cutTable(pl *plan, r *resolvedQuery, t int) error {
+	bt, tp := r.tables[t], &pl.tables[t]
 	n := 0
 	if pc.workers > 1 {
 		n = pc.workers * morselsPerWorker
 	}
 	ds := bt.st.ds
 	if n > 0 || ds != nil {
-		tc.cols = scanCols(r, t) // a one-part plan of a plain table picks its own
+		tp.cols = scanCols(r, t) // a one-part plan of a plain table picks its own
 	}
 	if ds == nil {
-		min := 2
-		if t == 1 {
-			min = 1
-		}
-		u, err := pc.cutUnit(c, bt, tc.cols, n, min)
-		tc.units = []unitCut{u}
-		return err
+		tp.units = []unitPlan{{bt: bt}}
+		return pc.cutUnit(pl, &tp.units[0], tp.cols, n, 2-t)
 	}
-	tc.units = make([]unitCut, len(ds.parts))
+	tp.units = make([]unitPlan, len(ds.parts))
 	weight := func(i int) int64 { return max(ds.manifest.Parts[i].Size, 1) }
 	var total int64
 	for i, ps := range ds.parts {
@@ -187,53 +275,48 @@ func (pc *planCtx) cutTable(c *cutPlan, r *resolvedQuery, t int) error {
 		if err := pc.e.loadPartData(ps, pc.id); err != nil {
 			return err
 		}
-		tc.units[i].bt = &boundTable{alias: bt.alias, st: ps, pos: pos}
+		tp.units[i].bt = &boundTable{alias: bt.alias, st: ps, pos: pos}
 		total += weight(i)
 	}
 	if n > 0 && total == 0 {
-		c.decline(fallbackSmallFile, "every partition of %s pruned", bt.st.tab.Name)
+		pl.decline(fallbackSmallFile, "every partition of %s pruned", bt.st.tab.Name)
 	}
 	nspans := 0
-	for i := range tc.units {
-		u := &tc.units[i]
-		if u.bt == nil {
-			continue
+	for i := range tp.units {
+		if u := &tp.units[i]; u.bt != nil {
+			if err := pc.cutUnit(pl, u, tp.cols, max(int(int64(n)*weight(i)/total), min(n, 1)), 1); err != nil {
+				return err
+			}
+			nspans += len(u.spans)
 		}
-		target := int(int64(n) * weight(i) / total)
-		if n > 0 && target < 1 {
-			target = 1
-		}
-		var err error
-		if *u, err = pc.cutUnit(c, u.bt, tc.cols, target, 1); err != nil {
-			return err
-		}
-		nspans += len(u.spans)
 	}
 	if n > 0 && nspans < 2 {
-		c.decline(fallbackSmallFile, "%s yields %d morsels across its partitions (need 2)",
+		pl.decline(fallbackSmallFile, "%s yields %d morsels across its partitions (need 2)",
 			bt.st.tab.Name, nspans)
 	}
 	return nil
 }
 
 // cutUnit divides one table or partition into at most n spans (0, or a query
-// that already declined: the whole table), declining under min.
-func (pc *planCtx) cutUnit(c *cutPlan, bt *boundTable, cols []int, n, min int) (unitCut, error) {
-	st := bt.st
+// that already declined: the whole table), declining under min. A cut scan
+// reads resident vectors, the full shreds of every column (u.shreds), or the
+// raw file through the access the split was made for (u.a).
+func (pc *planCtx) cutUnit(pl *plan, u *unitPlan, cols []int, n, min int) error {
+	st := u.bt.st
 	tab := st.tab
-	u := unitCut{bt: bt, spans: []span{wholeTable}}
+	u.spans = []span{wholeTable}
 	dbms := pc.strategy == StrategyDBMS && tab.Format != catalog.Memory
 	if dbms {
 		loaded, err := pc.e.ensureLoaded(st)
 		if err != nil {
-			return u, err
+			return err
 		}
 		if loaded {
-			c.loaded = append(c.loaded, tab.Name)
+			pl.loaded = append(pl.loaded, tab.Name)
 		}
 	}
-	if n == 0 || c.reason != "" {
-		return u, nil
+	if n == 0 || pl.reason != "" {
+		return nil
 	}
 
 	// Resident vectors — memory tables, what the DBMS baseline loaded, columns
@@ -246,57 +329,54 @@ func (pc *planCtx) cutUnit(c *cutPlan, bt *boundTable, cols []int, n, min int) (
 	case dbms:
 		resident, rows = "loaded table %s yields", st.loaded[cols[0]].Len()
 	case !known:
-		c.decline(fallbackInternal, "no parallel planner for strategy %s", pc.strategy)
-		return u, nil
+		pl.decline(fallbackInternal, "no parallel planner for strategy %s", pc.strategy)
+		return nil
 	case kind == scanGenerated && pc.useCache:
 		// A partially cached column set reads the raw file, still the source
 		// of truth: an unpruned pass recaptures every column as a full shred
 		// (Put overwrites the partial entries harmlessly).
-		for _, col := range cols {
-			s := pc.e.shreds.LookupFull(shred.Key{Table: tab.Name, Col: col})
-			if s == nil {
+		for _, c := range cols {
+			if s := pc.lookup(tab.Name, c, true); s != nil {
+				u.shreds = append(u.shreds, s)
+			} else {
+				u.shreds = nil
 				break
 			}
-			u.shreds = append(u.shreds, s)
 		}
-		if len(u.shreds) < len(cols) {
-			u.shreds = nil
-			break
+		if u.shreds != nil {
+			resident, rows = "cached columns of %s yield", u.shreds[0].Vector().Len()
 		}
-		resident, rows = "cached columns of %s yield", u.shreds[0].Vector().Len()
 	}
 	if resident != "" {
-		spans := splitRows(int64(rows), n)
-		if len(spans) < min {
-			c.decline(fallbackSmallFile, resident+" fewer than %d morsels", tab.Name, min)
-			return u, nil
+		if spans := splitRows(int64(rows), n); len(spans) >= min {
+			u.spans = spans
+		} else {
+			pl.decline(fallbackSmallFile, resident+" fewer than %d morsels", tab.Name, min)
 		}
-		u.spans = spans
-		return u, nil
+		return nil
 	}
 
 	// Raw file: row ranges where rows are addressable (through the positional
 	// structure, or natively), record-aligned byte ranges over a cold text
 	// image.
-	a, err := st.src.access(tab, bt.pos, cols, kind)
+	a, err := st.src.access(tab, u.bt.pos, cols, kind)
 	if _, noReader := err.(noReaderError); noReader {
-		c.decline(fallbackUnsupportedFormat, "%s tool has no parallel %s scan", kind, tab.Format)
-		return u, nil
+		pl.decline(fallbackUnsupportedFormat, "%s tool has no parallel %s scan", kind, tab.Format)
+		return nil
 	}
 	if err != nil {
-		return u, err
+		return err
 	}
-	spans, splittable := st.src.split(bt.pos, a.mode, n)
-	if !splittable {
-		c.decline(fallbackRootTable, "%s tables page through the format library at its own pace", tab.Format)
-		return u, nil
+	spans, splittable := st.src.split(u.bt.pos, a.mode, n)
+	switch {
+	case !splittable:
+		pl.decline(fallbackRootTable, "%s tables page through the format library at its own pace", tab.Format)
+	case len(spans) < min:
+		pl.decline(fallbackSmallFile, "%s splits into %d morsels (need %d)", tab.Name, len(spans), min)
+	default:
+		u.spans, u.a = spans, a
 	}
-	if len(spans) < min {
-		c.decline(fallbackSmallFile, "%s splits into %d morsels (need %d)", tab.Name, len(spans), min)
-		return u, nil
-	}
-	u.spans = spans
-	return u, nil
+	return nil
 }
 
 // scanKind is the family of scan operators the strategy reads raw files with;
@@ -314,171 +394,520 @@ func (pc *planCtx) scanKind() (kind scanKind, ok bool) {
 }
 
 // captureActive reports whether raw-file scans of this query capture column
-// shreds. Capture and row pruning are mutually exclusive on one scan — a
-// scan that eliminates rows cannot publish full columns — and the engine
-// resolves the conflict in favour of the cache: the adaptation arc (cold
-// scan pays full parse once, later queries hit shreds) is the paper's core
-// warm-up behaviour and must not silently degrade. Pushdown and zone-map
-// skipping therefore apply to raw-file scans only when capture is off
-// (DisableShredCache, or a no-capture query); scans over already-cached
-// shreds absorb predicates unconditionally, since no capture is involved.
+// shreds. A scan that eliminates rows cannot publish full columns, and the
+// engine resolves that conflict in favour of the cache — the paper's warm-up
+// arc must not silently degrade — so pushdown and zone-map skipping apply to
+// raw-file scans only when capture is off. Scans over cached shreds absorb
+// predicates unconditionally.
 func (pc *planCtx) captureActive() bool {
 	return pc.capture && pc.useCache
 }
 
-// execPred converts a bound predicate to its exec form keyed by the table
-// column index (the form pushed-down scans and zone maps consume).
-func execPred(bp boundPred) exec.Pred {
-	return exec.Pred{Col: bp.col, Op: bp.op, I64: bp.i64, F64: bp.f64}
-}
-
-// execPreds converts a slice of bound predicates.
-func execPreds(bps []boundPred) []exec.Pred {
-	out := make([]exec.Pred, len(bps))
-	for i, bp := range bps {
-		out[i] = execPred(bp)
-	}
-	return out
-}
-
-// synSkip compiles the zone-map exclusion closure for a scan over rows of a
-// table: any conjunct excluding a row range (tracked columns only) lets the
-// whole range be skipped. nil when the synopsis covers no predicate column.
-func synSkip(syn *synopsis.Synopsis, preds []boundPred) func(start, end int64) bool {
-	if syn == nil {
-		return nil
-	}
-	var sps []exec.Pred
-	for _, bp := range preds {
-		if syn.Tracked(bp.col) {
-			sps = append(sps, execPred(bp))
-		}
-	}
-	if len(sps) == 0 {
-		return nil
-	}
-	return func(start, end int64) bool {
-		for _, p := range sps {
-			if syn.Excludes(p, start, end) {
-				return true
-			}
-		}
+// addressable reports whether the unit's rows can be read by row id, as late
+// scans do: through a populated positional map or structural index for text
+// formats (built by a previous query), natively for binary and ROOT.
+func (pc *planCtx) addressable(bt *boundTable) bool {
+	if bt.st.src == nil {
 		return false
 	}
+	a, err := bt.st.src.access(bt.st.tab, bt.pos, nil, scanGenerated)
+	return err == nil && a.mode != jit.Sequential
 }
 
-// observableCols selects which scanned columns a synopsis builder may
-// observe: only columns the generated code is guaranteed to parse for every
-// row. Without pushed predicates that is every scanned column; vectorized
-// paths (binary) parse all predicate columns dense; sequential paths with
-// short-circuiting only guarantee full observation of a single predicate
-// column (a later predicate column is skipped once an earlier one fails).
-func observableCols(tab *catalog.Table, cols []int, absorbed []exec.Pred,
-	vectorized bool) map[int]vector.Type {
-	obs := make(map[int]vector.Type)
-	add := func(c int) {
-		t := tab.Schema[c].Type
-		if t == vector.Int64 || t == vector.Float64 {
-			obs[c] = t
+// lookup asks the pool for a full shred of column col, or for the best shred
+// there is (a partial one is completed from the raw file at runtime). A plan
+// asks about each column once: the answers are part of it.
+func (pc *planCtx) lookup(table string, col int, full bool) *shred.Shred {
+	if full {
+		return pc.e.shreds.LookupFull(shred.Key{Table: table, Col: col})
+	}
+	return pc.e.shreds.LookupAny(shred.Key{Table: table, Col: col})
+}
+
+// cascade decides the scans of unit u reading filter columns fc and output
+// columns oc. Under StrategyShreds a one-part plan whose columns are not all
+// full shreds cascades: the base scan reads the first filter column, a late
+// scan fetches each further one right before its predicate, and output
+// columns come last (one late scan each, or one for all with the multi-column
+// option). Every other plan — all full shreds, or cut, whose parts carry no
+// row ids past the exchange — reads all of its columns in the base scan.
+func (pc *planCtx) cascade(u *unitPlan, filters []boundPred, fc, oc []int) error {
+	tab := u.bt.st.tab
+	late := pc.strategy == StrategyShreds && u.whole() && pc.addressable(u.bt) &&
+		len(fc) > 0 && len(fc)+len(oc) > 1
+	// cols are the cascade's columns in its order — the base column, then the
+	// late ones — or the base scan's, sorted.
+	cols := slices.Concat(fc, oc)
+	if late && pc.multi {
+		sortInts(cols[1:])
+	}
+	var found []*shred.Shred
+	if late && pc.useCache {
+		// The base column is asked for as a full shred, the late ones as any
+		// shred. All full makes the plan one resident scan over them.
+		found = make([]*shred.Shred, len(cols))
+		for i, c := range cols {
+			found[i] = pc.lookup(tab.Name, c, i == 0)
 		}
-	}
-	if len(absorbed) == 0 {
-		for _, c := range cols {
-			add(c)
+		late = slices.ContainsFunc(found, func(s *shred.Shred) bool { return s == nil || !s.Full() })
+		for i := 1; i < len(cols) && !late; i++ {
+			for j := i; j > 0 && cols[j] < cols[j-1]; j-- {
+				cols[j], cols[j-1] = cols[j-1], cols[j]
+				found[j], found[j-1] = found[j-1], found[j]
+			}
 		}
-		return obs
+	} else if !late {
+		sortInts(cols)
 	}
-	predCols := make(map[int]bool)
-	for _, p := range absorbed {
-		predCols[p.Col] = true
-	}
-	if !vectorized && len(predCols) > 1 {
-		return nil
-	}
-	for c := range predCols {
-		add(c)
-	}
-	return obs
-}
-
-// blockRows returns the configured zone-map block granularity.
-func (pc *planCtx) blockRows() int64 {
-	if pc.e.cfg.SynopsisBlockRows > 0 {
-		return int64(pc.e.cfg.SynopsisBlockRows)
-	}
-	return synopsis.DefaultBlockRows
-}
-
-// synCovered reports whether the table's current synopsis already tracks
-// every column of obs (an empty obs counts as covered).
-func (pc *planCtx) synCovered(cur *synopsis.Synopsis, obs map[int]vector.Type) bool {
-	if cur == nil {
-		return len(obs) == 0
-	}
-	for c := range obs {
-		if !cur.Tracked(c) {
-			return false
-		}
-	}
-	return true
-}
-
-// deferMerge schedules a parallel plan's merge-on-completion hook to run
-// under the re-acquired table locks once execution succeeded. Merge hooks
-// publish shared cache state (fragment merges, shred publication), which must
-// never happen while other queries run unlocked against the same table.
-func (pc *planCtx) deferMerge(done func() error) {
-	if done != nil {
-		pc.onMerge = append(pc.onMerge, done)
-	}
-}
-
-// learnRows records a text table's row count from a scan that visited every
-// row. Only publication calls it: no query counts, a failed one leaves -1.
-func (st *tableState) learnRows(rows int64) {
-	if st.nrows < 0 && rows > 0 {
-		st.nrows = rows
-	}
-}
-
-// rowHint is the row count to allocate one scan's positional fragment and
-// full-column captures for, once: exact where it is known — a row-range span's
-// length, the whole table's count once the format states it or a scan learned
-// it — else the access's estimate over the span's bytes; 0 (no reservation)
-// under one batch.
-func rowHint(st *tableState, a access, sp span) int {
-	var n int64
+	base := cols
 	switch {
-	case sp != wholeTable && a.mode != jit.Sequential:
-		n = sp.hi - sp.lo
-	case sp == wholeTable && st.nrows >= 0:
-		n = st.nrows
-	case a.estRows != nil:
-		n = a.estRows(sp)
+	case late:
+		base = cols[:1]
+	case len(cols) == 0:
+		// Zero-column batches cannot carry a row count (unfiltered COUNT(*)).
+		base = []int{countColumn(tab)}
 	}
-	if n < vector.DefaultBatchSize {
-		return 0
+	basePreds, latePreds := splitPreds(filters, base)
+	var err error
+	if u.base, err = pc.baseStep(u, base, late, basePreds, found[:min(len(found), len(base))]); err != nil {
+		return err
 	}
-	return int(n)
+	switch {
+	case !late:
+		if len(latePreds) > 0 {
+			return fmt.Errorf("engine: internal: unfiltered predicates in full-column plan")
+		}
+	case pc.multi:
+		// One speculative late scan for every remaining column, then the
+		// remaining predicates.
+		u.late = []scanStep{pc.lateStep(u.bt, cols[1:], found[min(len(found), 1):], latePreds)}
+	default:
+		// Strict cascade: fetch each filter column, filter, repeat; then fetch
+		// output columns one at a time.
+		u.late = make([]scanStep, len(cols)-1)
+		for i := range u.late {
+			c := cols[i+1 : i+2]
+			preds, _ := splitPreds(latePreds, c)
+			u.late[i] = pc.lateStep(u.bt, c, found[min(len(found), i+1):min(len(found), i+2)], preds)
+		}
+	}
+	return nil
 }
 
-// shredsCaptured records the columns a raw-file scan published into the
-// shred pool as captured, once the query completed. ShredsOf is used instead
-// of a lookup so the event probe does not perturb the pool's hit/miss
-// statistics or its LRU order.
-func (pc *planCtx) shredsCaptured(tab *catalog.Table, cols []int) {
-	want := append([]int(nil), cols...)
-	pc.onComplete = append(pc.onComplete, func() {
-		shs := pc.e.shreds.ShredsOf(tab.Name)
-		for _, c := range want {
-			for _, s := range shs {
-				if s.Key().Col == c {
-					pc.captured("shred", tab, s.SizeBytes())
-					break
+// baseStep decides the base scan of unit u materialising cols (sorted),
+// with the hidden row-id column if needRID. The access path absorbs what it
+// can of cands, the rest is the step's filter. found are the pool's answers
+// for cols if the cascade asked; a cut plan has cutUnit's.
+func (pc *planCtx) baseStep(u *unitPlan, cols []int, needRID bool, cands []boundPred,
+	found []*shred.Shred) (scanStep, error) {
+	st, pos := u.bt.st, u.bt.pos
+	tab := st.tab
+	s := scanStep{spans: u.spans, cols: cols, filter: cands}
+
+	// Memory tables (staged results) are strategy-independent; the DBMS
+	// baseline scans what decide loaded.
+	if tab.Format == catalog.Memory || pc.strategy == StrategyDBMS {
+		s.resident = "memory:scan"
+		if tab.Format != catalog.Memory {
+			s.resident = "dbms:memscan"
+		}
+		s.vecs = make([]*vector.Vector, len(cols))
+		for i, c := range cols {
+			s.vecs[i] = st.loaded[c]
+		}
+		return s, nil
+	}
+	var ok bool
+	if s.kind, ok = pc.scanKind(); !ok {
+		return s, fmt.Errorf("engine: unknown strategy %d", pc.strategy)
+	}
+	if !u.whole() {
+		found = u.shreds
+	} else if len(found) == 0 && s.kind == scanGenerated && pc.useCache {
+		found = make([]*shred.Shred, len(cols))
+		for i, c := range cols {
+			found[i] = pc.lookup(tab.Name, c, true)
+		}
+	}
+	for _, sh := range found {
+		if sh != nil {
+			s.hits++
+		}
+	}
+
+	// Everything cached: stream from the pool, no raw access at all.
+	// Predicates on the cached columns are still absorbed — the scans evaluate
+	// them vectorized and emit selection-vector batches — and, when the
+	// synopsis covers exactly the shreds' rows, zone maps exclude batch ranges
+	// inside every scan and whole spans of a cut one before dispatch.
+	if s.hits == len(cols) {
+		s.resident, s.emitRID = "shred:scan", needRID
+		s.vecs = make([]*vector.Vector, len(cols))
+		for i, sh := range found {
+			s.vecs[i] = sh.Vector()
+		}
+		if pc.pushdown {
+			s.filter, s.npush, s.push = nil, len(cands), make([]exec.Pred, len(cands))
+			for i, bp := range cands {
+				s.push[i] = exec.Pred{Col: slices.Index(cols, bp.col), Op: bp.op, I64: bp.i64, F64: bp.f64}
+			}
+		}
+		// A range is excluded only when one predicate excludes every block it
+		// overlaps: when the zone map excludes no block, the scans (and
+		// morsels) are handed no test, and unsorted columns pay nothing.
+		if syn := pos.syn; pc.zonemaps && syn != nil && syn.NRows() == int64(s.vecs[0].Len()) {
+			skip := synSkip(syn, cands)
+			s.zmap = skip != nil
+			for b, i := syn.Bounds(), 0; s.zmap && i+1 < len(b) && s.skip == nil; i++ {
+				if skip(b[i], b[i+1]) {
+					s.skip = skip
 				}
 			}
 		}
-	})
+		s.spans, s.skipped = skipMorsels(u.spans, s.skip)
+		return s, nil
+	}
+
+	// Read the other columns from the raw file, one scan per span, through the
+	// access path the plug-in describes; the cached ones are appended by the
+	// row ids the scan then emits. A refused access fails the plan where build
+	// meets the scan.
+	if s.hits > 0 {
+		s.cols = nil
+		for i, c := range cols {
+			if found[i] != nil {
+				s.cached, s.shreds = append(s.cached, c), append(s.shreds, found[i])
+			} else {
+				s.cols = append(s.cols, c)
+			}
+		}
+	}
+	s.emitRID, s.a = needRID || s.hits > 0, u.a
+	if u.whole() {
+		if s.a, s.err = st.src.access(tab, pos, s.cols, s.kind); s.err != nil {
+			return s, nil
+		}
+	}
+	pushable, rest := splitPreds(cands, s.cols)
+
+	// A generated scan may absorb the candidates on its columns, but a scan
+	// that eliminates rows cannot publish full columns, and capture wins that
+	// conflict (see captureActive): predicates are absorbed and zone maps
+	// consulted only when this scan captures nothing. Predicates on appended
+	// columns always stay in the filter.
+	generated := s.kind == scanGenerated
+	capturing := generated && pc.captureActive()
+	if generated && (s.a.advisory || pc.pushdown && !capturing) {
+		s.push = execPreds(pushable)
+		if !s.a.advisory {
+			s.npush, s.filter = len(pushable), rest
+		}
+	}
+	if generated && s.a.zoneSkip && (u.whole() || !s.a.recording) && pc.zonemaps && !capturing {
+		s.skip = synSkip(pos.syn, cands)
+	}
+	s.zmap = s.skip != nil
+	s.spans, s.skipped = skipMorsels(u.spans, s.skip)
+	pruned := len(s.push) > 0 || s.skip != nil
+	// A pruned scan's output is no full column: capture it keyed by row ids
+	// instead, or not at all.
+	s.tee, s.capture = capturing && !pruned, pruned && s.emitRID && pc.captureActive()
+
+	// A pass that parses every value builds the table's zone maps on the side,
+	// one fragment per span — unless a zone map already steers it (a skipped
+	// range never advances a builder) or the current synopsis tracks all it
+	// could observe. A fuller pass replaces a synopsis an earlier selective
+	// query narrowed: the columns of the latest build are the ones current
+	// queries filter on.
+	if generated && s.a.buildsSyn && s.skip == nil && pc.zonemaps && pc.capture {
+		s.synObs = observableCols(tab, s.cols, s.push, s.a.mode != jit.Sequential, pos.syn)
+	}
+	return s, nil
+}
+
+// lateStep decides a late scan appending cols of bt by row id: from the best
+// shred the pool holds (found, if the cascade asked), a partial one completed
+// from the raw file, else read from the file and captured keyed by row id.
+func (pc *planCtx) lateStep(bt *boundTable, cols []int, found []*shred.Shred, filter []boundPred) scanStep {
+	s := scanStep{late: true, filter: filter}
+	for i, c := range cols {
+		var sh *shred.Shred
+		if found != nil {
+			sh = found[i]
+		} else if pc.useCache {
+			sh = pc.lookup(bt.st.tab.Name, c, false)
+		}
+		if sh != nil {
+			s.cached, s.shreds = append(s.cached, c), append(s.shreds, sh)
+		} else {
+			s.cols = append(s.cols, c)
+		}
+	}
+	sortInts(s.cols)
+	s.hits = len(s.cached)
+	s.capture = len(s.cols) > 0 && pc.captureActive()
+	return s
+}
+
+// aggPlan is the aggregation decide fixed: one stage, or over the parts of a
+// cut table a partial aggregate per part and a final one above the exchange.
+// COUNT partials merge by summation, MIN/MAX and integer SUM by themselves,
+// float SUM as an exact (Sum, SumErr) pair by MergeSum; AVG is a final SUM
+// and COUNT divided above the final aggregate, and HAVING filters above that.
+type aggPlan struct {
+	on, twoStage bool // on: the query aggregates, else it only projects
+	// first is the aggregate over the pipeline, one-stage or partial; its Col
+	// names the aggregate (aggItem) whose input it reads, -1 for COUNT(*),
+	// until build puts the input's column there.
+	// finals combine the partials over the exchange stream: group keys, then
+	// the partials.
+	first, finals []exec.AggSpec
+	divides       []divSpec
+	// guard is the partial COUNT whose rows an ungrouped two-stage aggregate
+	// filters its empty partials by (-1: none).
+	guard int
+	// out are the select items' columns of the output, which having filters.
+	out    []int
+	having []exec.Pred
+}
+
+type divSpec struct {
+	num, den int // final-aggregate spec indexes
+	name     string
+}
+
+// aggItem is the i-th aggregate of the select list followed by HAVING.
+func aggItem(r *resolvedQuery, i int) boundItem {
+	if i < len(r.items) {
+		return r.items[i]
+	}
+	return r.having[i-len(r.items)].item
+}
+
+// decideAgg decomposes the query's aggregates, in two stages with twoStage
+// set.
+func decideAgg(r *resolvedQuery, twoStage bool) (aggPlan, error) {
+	a := aggPlan{on: len(r.groupBy) > 0 || len(r.having) > 0, twoStage: twoStage, guard: -1}
+	for _, it := range r.items {
+		a.on = a.on || it.isAgg
+	}
+	if !a.on {
+		return a, nil
+	}
+	// Each registry deduplicates identical entries.
+	ng := len(r.groupBy)
+	add := func(specs *[]exec.AggSpec, s exec.AggSpec) int {
+		i := slices.IndexFunc(*specs, func(o exec.AggSpec) bool { return o.Func == s.Func && o.Col == s.Col && o.Col2 == s.Col2 })
+		if i < 0 {
+			i, *specs = len(*specs), append(*specs, s)
+		}
+		return i
+	}
+	finals := &a.first
+	if twoStage {
+		finals = &a.finals
+	}
+	// partial registers a partial and returns its exchange-stream column.
+	partial := func(f exec.AggFunc, col int, name string) int {
+		return ng + add(&a.first, exec.AggSpec{Func: f, Col: col, As: name})
+	}
+	final := func(f exec.AggFunc, col, col2 int, name string) int {
+		return add(finals, exec.AggSpec{Func: f, Col: col, Col2: col2, As: name})
+	}
+	divide := func(num, den int, name string) int {
+		i := slices.IndexFunc(a.divides, func(d divSpec) bool { return d.num == num && d.den == den })
+		if i < 0 {
+			i, a.divides = len(a.divides), append(a.divides, divSpec{num, den, name})
+		}
+		return i
+	}
+	// decompose registers the specs implementing one query aggregate and
+	// returns its column in the output, less the group keys; n is the number
+	// of finals, which the divide columns follow.
+	type at struct{ idx, div int }
+	decompose := func(it boundItem) (at, error) {
+		col, isFloat := -1, false
+		if !it.star {
+			for col = 0; aggItem(r, col).ref != it.ref; col++ {
+			}
+			isFloat = r.tables[it.ref.table].st.tab.Schema[it.ref.col].Type == vector.Float64
+		}
+		switch {
+		case !twoStage:
+			return at{idx: final(it.agg, col, -1, it.name)}, nil
+		case it.agg == exec.Count:
+			return at{idx: final(exec.Sum, partial(exec.Count, col, it.name), -1, it.name)}, nil
+		case it.agg == exec.Min || it.agg == exec.Max || it.agg == exec.Sum && !isFloat:
+			return at{idx: final(it.agg, partial(it.agg, col, it.name), -1, it.name)}, nil
+		case it.agg == exec.Sum:
+			hi, lo := partial(exec.Sum, col, it.name), partial(exec.SumErr, col, it.name+"#err")
+			return at{idx: final(exec.MergeSum, hi, lo, it.name)}, nil
+		case it.agg == exec.Avg && isFloat:
+			hi, lo := partial(exec.Sum, col, it.name+"#sum"), partial(exec.SumErr, col, it.name+"#err")
+			n := partial(exec.Count, -1, "#rows")
+			return at{div: 1 + divide(final(exec.MergeSum, hi, lo, it.name+"#sum"), final(exec.Sum, n, -1, "#rows"), it.name)}, nil
+		case it.agg == exec.Avg:
+			s, n := partial(exec.Sum, col, it.name+"#sum"), partial(exec.Count, -1, "#rows")
+			return at{div: 1 + divide(final(exec.Sum, s, -1, it.name+"#sum"), final(exec.Sum, n, -1, "#rows"), it.name)}, nil
+		}
+		return at{}, fmt.Errorf("engine: internal: no parallel form for aggregate %s", it.agg)
+	}
+
+	// HAVING aggregates may add hidden specs; a bare GROUP BY projection
+	// (SELECT g FROM t GROUP BY g) stages a hidden COUNT so the aggregate has
+	// a spec, which the projection drops.
+	ats := make([]at, len(r.items)+len(r.having))
+	for i := range ats {
+		if it := aggItem(r, i); it.isAgg || i >= len(r.items) {
+			var err error
+			if ats[i], err = decompose(it); err != nil {
+				return a, err
+			}
+		}
+	}
+	if len(*finals) == 0 {
+		_, _ = decompose(boundItem{agg: exec.Count, isAgg: true, star: true, name: "#rows"}) // COUNT(*) has both forms
+	}
+	// Every output position is now known: the final aggregate emits the group
+	// keys then the finals, and each Divide appends one column above that. A
+	// bare group column sits at its index in groupBy.
+	a.out = make([]int, len(r.items))
+	for i := range ats {
+		pos := ng + ats[i].idx
+		if ats[i].div > 0 {
+			pos = ng + len(*finals) + ats[i].div - 1
+		}
+		if i >= len(r.items) {
+			h := r.having[i-len(r.items)]
+			a.having = append(a.having, exec.Pred{Col: pos, Op: h.op, I64: h.i64, F64: h.f64})
+		} else if r.items[i].isAgg {
+			a.out[i] = pos
+		} else {
+			a.out[i] = slices.Index(r.groupBy, r.items[i].ref)
+		}
+	}
+	if twoStage && ng == 0 {
+		// Ungrouped partials emit one row even when their part filtered down
+		// to nothing (COUNT = 0 with identity-less zero aggregates); those
+		// rows must not feed MIN/MAX/SUM merging. Reuse any registered COUNT
+		// partial as the guard, or stage a hidden one. Grouped partials only
+		// emit groups that saw rows, so no guard is needed there.
+		if i := slices.IndexFunc(a.first, func(s exec.AggSpec) bool { return s.Func == exec.Count }); i >= 0 {
+			a.guard = i
+		} else {
+			a.guard = partial(exec.Count, -1, "#partial_rows")
+		}
+	}
+	return a, nil
+}
+
+// plan decides the query, then builds it.
+func (pc *planCtx) plan(r *resolvedQuery) (exec.Operator, error) {
+	pl, err := pc.decide(r)
+	if err != nil {
+		return nil, err
+	}
+	return pc.build(r, &pl)
+}
+
+// build turns decide's value into operators, spans, probes and publication
+// hooks, and renders the access paths from it. A workers > 1 query that runs
+// as one part says why — Explain, Stats, the trace and an obs event carry the
+// reason, so the fallback is never silent.
+func (pc *planCtx) build(r *resolvedQuery, pl *plan) (exec.Operator, error) {
+	pc.stats.LoadedTables = append(pc.stats.LoadedTables, pl.loaded...)
+	if pl.reason != "" {
+		pc.stats.ParallelFallback, pc.stats.ParallelFallbackDetail = pl.reason, pl.detail
+		s := pc.span("parallel-fallback")
+		s.AddAttr("reason", pl.reason)
+		s.AddAttr("detail", pl.detail)
+		s.End()
+	}
+	pc.paths(r, pl)
+	var p *pipe
+	var err error
+	if r.join != nil {
+		p, err = pc.buildJoin(r, pl)
+	} else {
+		p, err = pc.buildTable(r, pl, 0)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return pc.finish(r, pl, p)
+}
+
+// sides are the query's tables in build order: a cut join builds its shared
+// build side first.
+func (pl *plan) sides() []int {
+	if len(pl.tables) == 2 && pl.par {
+		return sideOrders[2]
+	}
+	return sideOrders[len(pl.tables)-1]
+}
+
+var sideOrders = [...][]int{{0}, {0, 1}, {1, 0}}
+
+// paths renders the plan's access-path labels into the record, in the order
+// build meets the scans, and marks each step with its own: a scan's span is
+// named after its first label and carries the others. It stops at a refused
+// scan, where build stops.
+func (pc *planCtx) paths(r *resolvedQuery, pl *plan) {
+	pathf := func(format string, args ...any) {
+		pc.stats.AccessPaths = append(pc.stats.AccessPaths, fmt.Sprintf(format, args...))
+	}
+	failed := false
+	step := func(tab string, s *scanStep) {
+		if failed = failed || s.err != nil; failed {
+			return
+		}
+		s.paths[0] = len(pc.stats.AccessPaths)
+		par := ""
+		if !s.late && (len(s.spans) != 1 || s.spans[0] != wholeTable) {
+			par = fmt.Sprintf("par[%d]:", len(s.spans))
+		}
+		switch {
+		case s.late && len(s.cached) > 0:
+			pathf("shred:late(%s)", shredKeys(tab, s.cached))
+		case s.resident != "":
+			pathf("%s%s(%s)", par, s.resident, tab)
+		case s.a.advisory && len(s.push) > 0:
+			pathf("%s%s:%s+zonemap(%s)", par, s.kind, s.a.label, tab)
+		case !s.late:
+			pathf("%s%s:%s(%s)", par, s.kind, s.a.label, tab)
+		}
+		if s.late && len(s.cols) > 0 {
+			pathf("jit:late(%s)", shredKeys(tab, s.cols))
+		}
+		if s.npush > 0 {
+			pathf("push[%d](%s)", s.npush, tab)
+		}
+		if s.zmap {
+			pathf("zmap(%s)", tab)
+		}
+		if !s.late && len(s.cached) > 0 {
+			pathf("shred:append(%s)", tab)
+		}
+		s.paths[1] = len(pc.stats.AccessPaths)
+	}
+	for _, t := range pl.sides() {
+		for i := range pl.tables[t].units {
+			if u := &pl.tables[t].units[i]; u.spans != nil {
+				step(u.bt.st.tab.Name, &u.base)
+				for j := range u.late {
+					step(u.bt.st.tab.Name, &u.late[j])
+				}
+			}
+		}
+	}
+	if r.join != nil && pl.par {
+		pathf("par:hashjoin(%s,%s)", r.tables[0].st.tab.Name, r.tables[1].st.tab.Name)
+	}
+	for t := range pl.tables {
+		if pl.tables[t].after != nil {
+			step(r.tables[t].st.tab.Name, pl.tables[t].after)
+		}
+	}
 }
 
 // pipe is a partially built pipeline over one or two tables, tracking where
@@ -509,14 +938,6 @@ func (p *pipe) layout(t int, order []int, ridIdx int) {
 	p.rid[t] = ridIdx
 }
 
-// parLabel prefixes the access-path label of a cut scan with its part count.
-func (p *pipe) parLabel() string {
-	if !p.par {
-		return ""
-	}
-	return fmt.Sprintf("par[%d]:", len(p.ops))
-}
-
 // traceWrap wraps the pipe's current operator in a named span and makes it
 // the pipe's top span. No-op (returns nil) when tracing is off, and on the
 // inputs of an exchange: gather gives each a span over the whole part.
@@ -545,237 +966,296 @@ func (pc *planCtx) opSpan(op exec.Operator, name string, children ...*obs.Span) 
 	return exec.WithSpan(op, s), s
 }
 
-// scanMark snapshots the access-path and probe lists before a scan-building
-// call so the wrapping site can name the scan's span after the labels the
-// call appended and attach its prune probes.
-type scanMark struct{ paths, probes int }
-
-func (pc *planCtx) markScan() scanMark {
-	return scanMark{paths: len(pc.stats.AccessPaths), probes: len(pc.probes)}
+// buildTable builds table t of the query: its one unit, or its dataset.
+func (pc *planCtx) buildTable(r *resolvedQuery, pl *plan, t int) (*pipe, error) {
+	if r.tables[t].st.ds != nil {
+		return pc.buildDataset(r, t, &pl.tables[t])
+	}
+	return pc.buildUnit(t, &pl.tables[t].units[0])
 }
 
-// scanSpan wraps the pipe in a span named after the access-path labels
-// recorded since mark, attaching the prune probes registered since mark.
-func (pc *planCtx) scanSpan(p *pipe, mark scanMark) {
-	if pc.trace == nil || p.par {
-		return
-	}
-	labels := pc.stats.AccessPaths[mark.paths:]
-	name := "scan"
-	if len(labels) > 0 {
-		name = labels[0]
-	}
-	s := pc.traceWrap(p, name)
-	for _, l := range labels[1:] {
-		s.AddAttr("path", l)
-	}
-	for i := mark.probes; i < len(pc.probes); i++ {
-		if pc.probes[i].span == nil {
-			pc.probes[i].span = s
-		}
-	}
-}
-
-// plan builds the physical operator tree for a resolved query: cut decides
-// the parts, then each plan shape is built once over them. A workers > 1
-// query that runs as one part says why — Explain, Stats, the trace and an obs
-// event carry the reason, so the fallback is never silent.
-func (pc *planCtx) plan(r *resolvedQuery) (exec.Operator, error) {
-	c, err := pc.cut(r)
-	if err != nil {
+// buildUnit builds the scans of unit u, one operator per span, as table t of
+// a new pipeline.
+func (pc *planCtx) buildUnit(t int, u *unitPlan) (*pipe, error) {
+	p := &pipe{pos: make(map[boundRef]int), rid: map[int]int{t: -1}, par: !u.whole()}
+	if err := pc.buildStep(p, t, u.bt, &u.base); err != nil {
 		return nil, err
 	}
-	pc.stats.LoadedTables = append(pc.stats.LoadedTables, c.loaded...)
-	if c.reason != "" {
-		pc.stats.ParallelFallback = c.reason
-		pc.stats.ParallelFallbackDetail = c.detail
-		s := pc.span("parallel-fallback")
-		s.AddAttr("reason", c.reason)
-		s.AddAttr("detail", c.detail)
-		s.End()
-	}
-	var p *pipe
-	switch {
-	case r.join != nil:
-		p, err = pc.planJoin(r, &c)
-	case r.tables[0].st.ds != nil:
-		p, err = pc.datasetScan(r, 0, &c.tables[0])
-	default:
-		p, err = pc.planSingle(r, c.tables[0].units[0])
-	}
-	if err != nil {
-		return nil, err
-	}
-	return pc.finish(r, p)
-}
-
-// planSingle plans a one-table query over scan unit u (r's table, or the
-// partition a shadow query wraps). Under StrategyShreds a one-part plan whose
-// columns are not all cached as full shreds cascades its filters: the base
-// scan reads only the first filter column; each further filter column is
-// fetched by a late scan right before its predicate; output columns are
-// fetched last (one late scan per column, or a single multi-column late scan
-// when the option is set). Every other plan — one whose columns are all full
-// shreds, and every cut one, whose parts carry no row ids past the exchange —
-// reads all of its columns in the base scan, once per span, and filters each
-// part.
-func (pc *planCtx) planSingle(r *resolvedQuery, u unitCut) (*pipe, error) {
-	filterCols, outputCols := r.neededColumns()
-	t := 0
-	bt := u.bt
-
-	// The cascade shreds against the first filter column and fetches the
-	// other columns late, so it needs a filter column and one more; it is left
-	// when every column is cached as a full shred (lookAhead).
-	late := pc.strategy == StrategyShreds && u.whole() && pc.lateCapable(bt) &&
-		len(filterCols[t]) > 0 && len(filterCols[t])+len(outputCols[t]) > 1
-	var baseCols, lateFilterCols, lateOutputCols []int
-	if late {
-		baseCols, lateFilterCols, lateOutputCols = filterCols[t][:1], filterCols[t][1:], outputCols[t]
-		late = !pc.useCache || !pc.lookAhead(bt.st.tab.Name, baseCols, lateFilterCols, lateOutputCols)
-	}
-	if !late {
-		baseCols = append(append([]int{}, filterCols[t]...), outputCols[t]...)
-		sortInts(baseCols)
-	}
-
-	// A query touching no columns at all (unfiltered COUNT(*)) still needs
-	// one materialised column: zero-column batches cannot carry a row count.
-	if len(baseCols) == 0 {
-		baseCols = []int{countColumn(bt.st.tab)}
-	}
-
-	// Predicates over base columns are candidates for pushdown into the
-	// generated scan; whatever the access path cannot absorb comes back as
-	// the residual and runs in a Filter above, exactly as before.
-	basePreds, latePreds := splitPreds(r.filters[t], baseCols)
-	p, residual, err := pc.baseScan(t, u, baseCols, late, basePreds)
-	if err != nil {
-		return nil, err
-	}
-	if err := pc.applyFilter(p, t, residual); err != nil {
-		return nil, err
-	}
-	if !late {
-		if len(latePreds) > 0 {
-			return nil, fmt.Errorf("engine: internal: unfiltered predicates in full-column plan")
-		}
-		return p, nil
-	}
-	if pc.multi {
-		// One speculative late scan for every remaining column, then the
-		// remaining predicates.
-		all := append(append([]int{}, lateFilterCols...), lateOutputCols...)
-		sortInts(all)
-		if err := pc.lateScan(p, r, t, all); err != nil {
-			return nil, err
-		}
-		if err := pc.applyFilter(p, t, latePreds); err != nil {
-			return nil, err
-		}
-		return p, nil
-	}
-	// Strict cascade: fetch each filter column, filter, repeat; then fetch
-	// output columns one at a time.
-	for _, c := range lateFilterCols {
-		if err := pc.lateScan(p, r, t, []int{c}); err != nil {
-			return nil, err
-		}
-		var preds []boundPred
-		for _, bp := range latePreds {
-			if bp.col == c {
-				preds = append(preds, bp)
-			}
-		}
-		if err := pc.applyFilter(p, t, preds); err != nil {
-			return nil, err
-		}
-	}
-	for _, c := range lateOutputCols {
-		if err := pc.lateScan(p, r, t, []int{c}); err != nil {
+	for i := range u.late {
+		if err := pc.buildStep(p, t, u.bt, &u.late[i]); err != nil {
 			return nil, err
 		}
 	}
 	return p, nil
 }
 
-// planJoin plans a two-table query: table 0 is the probe (pipelined) side,
-// table 1 the build side. Local filters apply below the join; the placement
-// option governs where output-only columns are created relative to the join.
-// Every plan collects the build side into one hash table (exec.SharedBuild)
-// and probes it with exec.HashProbe: the serial plan with one probe, a cut
-// plan with one probe pipeline per probe-side
-// part on the exchange's worker pool. Probe parts replay in file order with
-// matches in build stream order, so the joined stream — and everything
-// finish stacks above it — is byte-identical to the serial plan.
-func (pc *planCtx) planJoin(r *resolvedQuery, c *cutPlan) (*pipe, error) {
-	filterCols, outputCols := r.neededColumns()
-	sides := make([]*pipe, 2)
-	lateAfterJoin := make([][]int, 2)
-	order := [2]int{0, 1}
-	if c.par {
-		order = [2]int{1, 0} // the shared build is planned first
+// buildStep builds one scan of table t onto p, then its filter. A one-part
+// base scan checks for cancellation under every batch, and a traced one-part
+// scan gets a span named after its access path, holding its prune probes; the
+// parts of a cut one get both from their exchange.
+func (pc *planCtx) buildStep(p *pipe, t int, bt *boundTable, s *scanStep) error {
+	probes := len(pc.probes)
+	if s.late {
+		if err := pc.buildLate(p, t, bt, s); err != nil {
+			return err
+		}
+	} else {
+		if err := pc.buildBase(p, t, bt, s); err != nil {
+			return err
+		}
+		if bt.st.src != nil { // not a memory table
+			pc.scans = append(pc.scans, scanHeat{st: bt.st, first: probes, end: len(pc.probes)})
+		}
+		if pc.ctx != nil && !p.par {
+			p.ops[0] = exec.WithContext(p.ops[0], pc.ctx)
+		}
 	}
-	for _, t := range order {
-		bt := r.tables[t]
-		if bt.st.ds != nil {
-			// Dataset join sides materialise every needed column early and
-			// filter inside the per-partition pipelines (row ids are
-			// partition-local, so post-join late scans cannot span the
-			// concat).
-			p, err := pc.datasetScan(r, t, &c.tables[t])
-			if err != nil {
-				return nil, err
-			}
-			sides[t] = p
-			continue
+	labels := pc.stats.AccessPaths[s.paths[0]:s.paths[1]]
+	if span := pc.traceWrap(p, labels[0]); span != nil {
+		for _, l := range labels[1:] {
+			span.AddAttr("path", l)
 		}
-		canLate := pc.lateCapable(bt)
-		place := pc.place
-		if pc.strategy != StrategyShreds || !canLate || c.par {
-			place = PlaceEarly
+		for i := probes; i < len(pc.probes); i++ {
+			pc.probes[i].span = span
 		}
-		baseCols := append([]int{}, filterCols[t]...) // includes the join key
-		var intermediate []int
-		switch place {
-		case PlaceEarly:
-			baseCols = append(baseCols, outputCols[t]...)
-		case PlaceIntermediate:
-			intermediate = outputCols[t]
-		case PlaceLate:
-			lateAfterJoin[t] = outputCols[t]
+	}
+	return pc.applyFilter(p, t, s.filter)
+}
+
+// buildBase builds a base scan: one resident or raw-file scan per span, the
+// capture keyed by the row ids it emits, and the cached columns appended by
+// them.
+func (pc *planCtx) buildBase(p *pipe, t int, bt *boundTable, s *scanStep) error {
+	if s.err != nil {
+		return s.err
+	}
+	tab := bt.st.tab
+	pc.hit(tab.Name, "shred", s.hits)
+	if pc.stats.PredsPushed += s.npush; s.zmap {
+		pc.hit(tab.Name, "synopsis", 1)
+	}
+	pc.stats.MorselsSkipped += s.skipped
+	var err error
+	if s.resident == "" {
+		err = pc.rawScans(p, bt, s)
+	} else if p.ops, err = residentScans(tab, s.cols, s.vecs, s.spans, s.push, s.skip, pc.e.cfg.BatchSize, s.emitRID); err == nil && (len(s.push) > 0 || s.skip != nil) {
+		for _, op := range p.ops {
+			pc.probes = append(pc.probes, pruneProbe{scan: op.(*exec.MemScan)})
 		}
-		sortInts(baseCols)
-		needRID := canLate && (len(intermediate) > 0 || len(lateAfterJoin[t]) > 0)
-		p, residual, err := pc.baseScan(t, c.tables[t].units[0], baseCols, needRID, r.filters[t])
+	}
+	if err != nil {
+		return err
+	}
+	ridIdx := -1
+	if s.emitRID {
+		ridIdx = len(s.cols)
+	}
+	p.layout(t, s.cols, ridIdx)
+	if s.capture {
+		if err := pc.captureRIDs(p, t, tab, s.cols, ridIdx); err != nil {
+			return err
+		}
+	}
+	if len(s.cached) > 0 {
+		return appendLate(p, t, tab, ridIdx, s.cached, shred.NewLateFill(s.shreds, nil).Fetch)
+	}
+	return nil
+}
+
+// rawScans builds one scan per span over a table's raw file through the
+// step's access path, for every format and either plan shape: synopsis
+// builders, template charge, full-column tees, and the completion hook that
+// publishes what the scans built on the side.
+func (pc *planCtx) rawScans(p *pipe, bt *boundTable, s *scanStep) error {
+	st, tab := bt.st, bt.st.tab
+	var frags []fragment
+	var synFrags []*synopsis.Builder
+	var caps []*morselCapture
+	p.ops = make([]exec.Operator, 0, len(s.spans))
+	for _, sp := range s.spans {
+		hint := rowHint(st, s.a, sp)
+		req := scanReq{kind: s.kind, mode: s.a.mode, span: sp, cols: s.cols, emitRID: s.emitRID,
+			push: jit.Pushdown{Preds: s.push, Skip: s.skip}, batch: pc.e.cfg.BatchSize,
+			track: true, rowHint: hint}
+		if s.synObs != nil {
+			req.push.Syn = synopsis.NewBuilder(pc.blockRows(), s.synObs)
+			synFrags = append(synFrags, req.push.Syn)
+		}
+		op, frag, err := st.src.scan(tab, bt.pos, req)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		if err := pc.applyFilter(p, t, residual); err != nil {
-			return nil, err
+		if frag != nil {
+			frags = append(frags, frag)
 		}
-		if len(intermediate) > 0 {
-			if err := pc.lateScan(p, r, t, intermediate); err != nil {
-				return nil, err
+		if ps, ok := op.(pushStats); ok {
+			pc.probes = append(pc.probes, pruneProbe{scan: ps})
+		}
+		if s.tee {
+			mc := newMorselCapture(op, tab, s.cols, hint)
+			caps = append(caps, mc)
+			op = mc
+		}
+		p.ops = append(p.ops, op)
+	}
+	if s.a.mode == jit.ViaMap {
+		pc.hit(tab.Name, s.a.structure, 1)
+	}
+	if s.kind == scanGenerated {
+		spec := st.src.spec(tab, bt.pos, s.a.mode, s.cols)
+		spec.EmitRID = s.emitRID
+		if s.npush > 0 {
+			spec.Preds = s.push
+		}
+		pc.ensureTemplate(spec)
+	}
+	if len(caps) > 0 {
+		pc.shredsCaptured(tab, s.cols)
+	}
+	if len(frags) == 0 && len(synFrags) == 0 && len(caps) == 0 {
+		return nil
+	}
+	pc.onMerge = append(pc.onMerge, func() error {
+		if len(frags) > 0 {
+			// The scans visited every row: the table's row count is known
+			// from here on, whether or not anything may be published.
+			var rows int64
+			for _, f := range frags {
+				rows += f.NRows()
+			}
+			st.learnRows(rows)
+			if s.a.structure != "" && pc.capture && rows > 0 {
+				bytes, err := st.src.publish(st, frags, s.spans)
+				if err != nil {
+					return err
+				}
+				pc.captured(s.a.structure, tab, bytes)
 			}
 		}
-		sides[t] = p
+		if len(synFrags) > 0 {
+			fins := make([]*synopsis.Synopsis, len(synFrags))
+			for i, fb := range synFrags {
+				fins[i] = fb.Finish()
+			}
+			syn := fins[0]
+			if len(fins) > 1 {
+				syn = synopsis.Concat(fins)
+			}
+			if syn != nil && (st.nrows < 0 || syn.NRows() == st.nrows) {
+				st.syn.set(syn)
+				pc.captured("synopsis", tab, syn.MemoryFootprint())
+			}
+		}
+		pc.publishCaptures(tab, s.cols, caps)
+		return nil
+	})
+	return nil
+}
+
+// buildLate builds a late scan appending the step's columns to table t of p:
+// the cached ones from their shreds, a partial shred completed from the raw
+// file by the table's late reader, then the file-read ones by that reader.
+func (pc *planCtx) buildLate(p *pipe, t int, bt *boundTable, s *scanStep) error {
+	st, tab := bt.st, bt.st.tab
+	ridIdx := p.rid[t]
+	if ridIdx < 0 {
+		return fmt.Errorf("engine: internal: late scan without row ids for table %q", tab.Name)
+	}
+	pc.hit(tab.Name, "shred", s.hits)
+	var fetch exec.Fetch
+	if len(s.cached) > 0 {
+		raw := make([]exec.Fetch, len(s.shreds))
+		for i, sh := range s.shreds {
+			if !sh.Full() {
+				var err error
+				if raw[i], err = st.src.late(tab, bt.pos, s.cached[i:i+1]); err != nil {
+					return err
+				}
+			}
+		}
+		fill := shred.NewLateFill(s.shreds, raw)
+		fetch = fill.Fetch
+		pc.probes = append(pc.probes, pruneProbe{fill: fill})
+	}
+	if len(s.cols) > 0 {
+		file, err := st.src.late(tab, bt.pos, s.cols)
+		if err != nil {
+			return err
+		}
+		spec := st.src.spec(tab, bt.pos, jit.Late, s.cols)
+		spec.EmitRID = true
+		pc.ensureTemplate(spec)
+		if cached, k := fetch, len(s.cached); cached == nil {
+			fetch = file
+		} else {
+			fetch = func(rids []int64, outs []*vector.Vector) error {
+				if err := cached(rids, outs[:k]); err != nil {
+					return err
+				}
+				return file(rids, outs[k:])
+			}
+		}
+	}
+	if err := appendLate(p, t, tab, ridIdx, slices.Concat(s.cached, s.cols), fetch); err != nil || !s.capture {
+		return err
+	}
+	return pc.captureRIDs(p, t, tab, s.cols, ridIdx)
+}
+
+// captureRIDs captures cols of table t, as p carries them, into the shred pool
+// keyed by the row ids at ridIdx: partial columns, the rows a pruned or late
+// scan read.
+func (pc *planCtx) captureRIDs(p *pipe, t int, tab *catalog.Table, cols []int, ridIdx int) error {
+	specs := make([]shred.CaptureSpec, len(cols))
+	for i, c := range cols {
+		specs[i] = shred.CaptureSpec{Key: shred.Key{Table: tab.Name, Col: c}, ColIdx: p.pos[boundRef{t, c}], RIDIdx: ridIdx}
+	}
+	cap, err := shred.NewCapture(p.ops[0], pc.e.shreds, specs)
+	if err != nil {
+		return err
+	}
+	p.ops[0] = cap
+	pc.shredsCaptured(tab, cols)
+	return nil
+}
+
+// appendLate stacks on p the late scan appending cols of table t, fetched by
+// fetch: the one place the planner builds a late scan.
+func appendLate(p *pipe, t int, tab *catalog.Table, ridIdx int, cols []int, fetch exec.Fetch) error {
+	base := p.width()
+	ls, err := exec.NewLateScan(p.ops[0], ridIdx, insitu.RowIDColumn, colSchema(tab, cols), fetch)
+	if err != nil {
+		return err
+	}
+	p.ops[0] = ls
+	for i, c := range cols {
+		p.pos[boundRef{t, c}] = base + i
+	}
+	return nil
+}
+
+// buildJoin builds a two-table query: table 0 is the probe side, table 1 the
+// build side, collected into one hash table (exec.SharedBuild) that the serial
+// plan probes once and a cut plan once per probe-side part on the exchange's
+// pool. Probe parts replay in file order, so the joined stream is
+// byte-identical to the serial plan's.
+func (pc *planCtx) buildJoin(r *resolvedQuery, pl *plan) (*pipe, error) {
+	var sides [2]*pipe
+	for _, t := range pl.sides() {
+		var err error
+		if sides[t], err = pc.buildTable(r, pl, t); err != nil {
+			return nil, err
+		}
 	}
 	left, right := sides[0], sides[1]
-	lk, ok := left.pos[boundRef{0, r.join.leftCol}]
-	if !ok {
-		return nil, fmt.Errorf("engine: internal: left join key not materialised")
-	}
-	rk, ok := right.pos[boundRef{1, r.join.rightCol}]
-	if !ok {
-		return nil, fmt.Errorf("engine: internal: right join key not materialised")
+	lk, lok := left.pos[boundRef{0, r.join.leftCol}]
+	rk, rok := right.pos[boundRef{1, r.join.rightCol}]
+	if !lok || !rok {
+		return nil, fmt.Errorf("engine: internal: join key not materialised")
 	}
 	// Merge layouts: right positions shift by the left width.
-	merged := &pipe{pos: make(map[boundRef]int), rid: map[int]int{0: -1, 1: -1}}
+	merged := &pipe{pos: left.pos, rid: map[int]int{0: -1, 1: -1}}
 	off := left.width()
-	for ref, i := range left.pos {
-		merged.pos[ref] = i
-	}
 	for ref, i := range right.pos {
 		merged.pos[ref] = off + i
 	}
@@ -785,11 +1265,11 @@ func (pc *planCtx) planJoin(r *resolvedQuery, c *cutPlan) (*pipe, error) {
 	if i, ok := right.rid[1]; ok && i >= 0 {
 		merged.rid[1] = off + i
 	}
-	// The serial plan is the one-probe case of the shared build.
+	// The serial plan is the one-probe case of the shared build. A cut one
+	// feeds the build side's parts to a private exchange under the shared
+	// build, whose parse overlaps the probe scans.
 	workers := 1
-	if c.par {
-		// The build side's parts feed a private exchange under the shared
-		// build, whose parse overlaps the probe scans.
+	if pl.par {
 		if err := pc.gather(right, "build-exchange"); err != nil {
 			return nil, err
 		}
@@ -804,82 +1284,240 @@ func (pc *planCtx) planJoin(r *resolvedQuery, c *cutPlan) (*pipe, error) {
 			return nil, err
 		}
 	}
-	if c.par {
-		if err := pc.gather(left, "probe-exchange", right.span); err != nil {
-			return nil, err
-		}
-		pc.pathf("par:hashjoin(%s,%s)", r.tables[0].st.tab.Name, r.tables[1].st.tab.Name)
+	if pl.par {
+		err = pc.gather(left, "probe-exchange", right.span)
 		merged.ops, merged.span = left.ops, left.span
 	} else {
 		jop, jspan := pc.opSpan(left.ops[0], "hashjoin", left.span, right.span)
 		merged.ops, merged.span = []exec.Operator{jop}, jspan
 	}
-	for t := 0; t < 2; t++ {
-		if len(lateAfterJoin[t]) > 0 {
-			if err := pc.lateScan(merged, r, t, lateAfterJoin[t]); err != nil {
-				return nil, err
-			}
+	for t := 0; t < 2 && err == nil; t++ {
+		if after := pl.tables[t].after; after != nil {
+			err = pc.buildStep(merged, t, r.tables[t], after)
 		}
 	}
-	return merged, nil
+	return merged, err
 }
 
-// lateCapable reports whether column shreds can be used for this table under
-// the current cache state: rows must be addressable by row id — through a
-// populated positional map or structural index for text formats (built by a
-// previous query), natively for binary and ROOT.
-func (pc *planCtx) lateCapable(bt *boundTable) bool {
-	if bt.st.src == nil {
+// finish stacks the aggregation decide fixed — in one stage, or partials per
+// part, the exchange and the final stage — with its divides and HAVING
+// filters, or just the exchange, under the final projection.
+func (pc *planCtx) finish(r *resolvedQuery, pl *plan, p *pipe) (exec.Operator, error) {
+	names := make([]string, len(r.items))
+	for i, it := range r.items {
+		names[i] = it.name
+	}
+	a := &pl.agg
+	if !a.on {
+		if err := pc.gather(p, "exchange"); err != nil {
+			return nil, err
+		}
+		idxs := make([]int, len(r.items))
+		for i, it := range r.items {
+			pos, ok := p.pos[it.ref]
+			if !ok {
+				return nil, fmt.Errorf("engine: internal: output column %q not materialised", it.name)
+			}
+			idxs[i] = pos
+		}
+		pr, err := exec.NewProject(p.ops[0], idxs, names)
+		if err != nil {
+			return nil, err
+		}
+		op, _ := pc.opSpan(pr, "project", p.span)
+		return op, nil
+	}
+
+	groupIdx := make([]int, len(r.groupBy))
+	for i, g := range r.groupBy {
+		pos, ok := p.pos[g]
+		if !ok {
+			return nil, fmt.Errorf("engine: internal: group column not materialised")
+		}
+		groupIdx[i] = pos
+	}
+	// The first stage reads its inputs where the pipeline carries them.
+	for i := range a.first {
+		if s := &a.first[i]; s.Col >= 0 {
+			pos, ok := p.pos[aggItem(r, s.Col).ref]
+			if !ok {
+				return nil, fmt.Errorf("engine: internal: aggregate input %q not materialised", s.As)
+			}
+			s.Col = pos
+		}
+	}
+	finals, stage := a.first, "aggregate"
+	if a.twoStage {
+		for i, part := range p.ops {
+			agg, err := exec.NewAggregate(part, a.first, groupIdx)
+			if err != nil {
+				return nil, err
+			}
+			p.ops[i] = agg
+		}
+		if err := pc.gather(p, "exchange"); err != nil {
+			return nil, err
+		}
+		if a.guard >= 0 {
+			f, err := exec.NewFilter(p.ops[0], []exec.Pred{{Col: a.guard, Op: exec.Gt, I64: 0}})
+			if err != nil {
+				return nil, err
+			}
+			p.ops[0] = f
+		}
+		// The exchange stream leads with the group keys.
+		groupIdx = make([]int, len(groupIdx))
+		for i := range groupIdx {
+			groupIdx[i] = i
+		}
+		finals, stage = a.finals, "final-aggregate"
+	}
+	agg, err := exec.NewAggregate(p.ops[0], finals, groupIdx)
+	if err != nil {
+		return nil, err
+	}
+	out, top := pc.opSpan(agg, fmt.Sprintf("%s[groups=%d aggs=%d]", stage, len(groupIdx), len(finals)), p.span)
+	for _, d := range a.divides {
+		if out, err = exec.NewDivide(out, len(groupIdx)+d.num, len(groupIdx)+d.den, d.name); err != nil {
+			return nil, err
+		}
+	}
+	if len(a.divides) > 0 {
+		out, top = pc.opSpan(out, fmt.Sprintf("divide[%d]", len(a.divides)), top)
+	}
+	if len(a.having) > 0 {
+		f, err := exec.NewFilter(out, a.having)
+		if err != nil {
+			return nil, err
+		}
+		out, top = pc.opSpan(f, fmt.Sprintf("having[%d]", len(a.having)), top)
+	}
+	// Re-order to the SELECT list.
+	pr, err := exec.NewProject(out, a.out, names)
+	if err != nil {
+		return nil, err
+	}
+	fin, _ := pc.opSpan(pr, "project", top)
+	return fin, nil
+}
+
+// execPreds converts bound predicates to their exec form keyed by the table
+// column index (the form pushed-down scans and zone maps consume).
+func execPreds(bps []boundPred) []exec.Pred {
+	out := make([]exec.Pred, len(bps))
+	for i, bp := range bps {
+		out[i] = exec.Pred{Col: bp.col, Op: bp.op, I64: bp.i64, F64: bp.f64}
+	}
+	return out
+}
+
+// synSkip compiles the zone-map exclusion closure for a scan over rows of a
+// table: any conjunct excluding a row range (tracked columns only) lets the
+// whole range be skipped. nil when the synopsis covers no predicate column.
+func synSkip(syn *synopsis.Synopsis, preds []boundPred) func(start, end int64) bool {
+	if syn == nil {
+		return nil
+	}
+	var sps []exec.Pred
+	for _, bp := range preds {
+		if syn.Tracked(bp.col) {
+			sps = append(sps, exec.Pred{Col: bp.col, Op: bp.op, I64: bp.i64, F64: bp.f64})
+		}
+	}
+	if len(sps) == 0 {
+		return nil
+	}
+	return func(start, end int64) bool {
+		for _, p := range sps {
+			if syn.Excludes(p, start, end) {
+				return true
+			}
+		}
 		return false
 	}
-	a, err := bt.st.src.access(bt.st.tab, bt.pos, nil, scanGenerated)
-	return err == nil && a.mode != jit.Sequential
 }
 
-// lookAhead looks each column of a cascade up once, in the cascade's order
-// and with its pool call: the base columns as full shreds, the late ones as
-// any shred (in column order when one late scan fetches them all). The plan
-// consumes the answers instead of asking again (lookup); full reports that
-// all of them are full shreds, which makes the plan one resident scan.
-func (pc *planCtx) lookAhead(table string, base, lateFilter, lateOutput []int) (full bool) {
-	all := slices.Concat(base, lateFilter, lateOutput)
-	if pc.multi {
-		sortInts(all[len(base):])
+// observableCols selects the scanned columns a synopsis builder may observe:
+// those the generated code parses for every row — all of them without pushed
+// predicates, else the predicate columns of a vectorized path, or of a
+// short-circuiting sequential one only when there is one. nil when the
+// current synopsis cur already tracks them all.
+func observableCols(tab *catalog.Table, cols []int, absorbed []exec.Pred, vectorized bool,
+	cur *synopsis.Synopsis) map[int]vector.Type {
+	if len(absorbed) > 0 {
+		cols = nil
+		for _, p := range absorbed {
+			if !slices.Contains(cols, p.Col) {
+				cols = append(cols, p.Col)
+			}
+		}
+		if !vectorized && len(cols) > 1 {
+			return nil
+		}
 	}
-	pc.looked = make(map[shred.Key]*shred.Shred, len(all))
-	full = true
-	for i, c := range all {
-		s := pc.lookup(table, c, i >= len(base))
-		pc.looked[shred.Key{Table: table, Col: c}] = s
-		full = full && s != nil && s.Full()
+	obs := make(map[int]vector.Type)
+	covered := cur != nil
+	for _, c := range cols {
+		if t := tab.Schema[c].Type; t == vector.Int64 || t == vector.Float64 {
+			obs[c], covered = t, covered && cur.Tracked(c)
+		}
 	}
-	return full
+	if covered || len(obs) == 0 {
+		return nil
+	}
+	return obs
 }
 
-// lookup asks the pool for a full shred of column col, or with partial set for
-// the best shred there is (a partial one is checked at runtime). A column
-// lookAhead asked for is answered from its memo, once.
-func (pc *planCtx) lookup(table string, col int, partial bool) *shred.Shred {
-	k := shred.Key{Table: table, Col: col}
-	if s, ok := pc.looked[k]; ok {
-		delete(pc.looked, k)
-		return s
+// blockRows returns the configured zone-map block granularity.
+func (pc *planCtx) blockRows() int64 {
+	if pc.e.cfg.SynopsisBlockRows > 0 {
+		return int64(pc.e.cfg.SynopsisBlockRows)
 	}
-	if partial {
-		return pc.e.shreds.LookupAny(k)
+	return synopsis.DefaultBlockRows
+}
+
+// rowHint is the row count to allocate one scan's positional fragment and
+// full-column captures for: a row range's length, the table's known count, or
+// the access's estimate over the span's bytes; 0 under one batch.
+func rowHint(st *tableState, a access, sp span) int {
+	var n int64
+	switch {
+	case sp != wholeTable && a.mode != jit.Sequential:
+		n = sp.hi - sp.lo
+	case sp == wholeTable && st.nrows >= 0:
+		n = st.nrows
+	case a.estRows != nil:
+		n = a.estRows(sp)
 	}
-	return pc.e.shreds.LookupFull(k)
+	if n < vector.DefaultBatchSize {
+		return 0
+	}
+	return int(n)
+}
+
+// shredsCaptured records the columns a scan published into the shred pool as
+// captured, once the query completed; ShredsOf leaves the pool's statistics
+// and LRU order alone.
+func (pc *planCtx) shredsCaptured(tab *catalog.Table, cols []int) {
+	want := append([]int(nil), cols...)
+	pc.onComplete = append(pc.onComplete, func() {
+		shs := pc.e.shreds.ShredsOf(tab.Name)
+		for _, c := range want {
+			for _, s := range shs {
+				if s.Key().Col == c {
+					pc.captured("shred", tab, s.SizeBytes())
+					break
+				}
+			}
+		}
+	})
 }
 
 // splitPreds partitions predicates into those whose column is in cols and
 // the rest.
 func splitPreds(preds []boundPred, cols []int) (in, out []boundPred) {
-	set := make(map[int]bool, len(cols))
-	for _, c := range cols {
-		set[c] = true
-	}
 	for _, p := range preds {
-		if set[p.col] {
+		if slices.Contains(cols, p.col) {
 			in = append(in, p)
 		} else {
 			out = append(out, p)
@@ -913,760 +1551,6 @@ func (pc *planCtx) applyFilter(p *pipe, t int, preds []boundPred) error {
 	return nil
 }
 
-// baseScan builds the bottom access path of scan unit u, one operator per span,
-// as table t of the pipeline. A one-part scan checks for cancellation under
-// every batch and, when tracing, is wrapped in a span named after the access
-// path the strategy chose, with the scan's prune probes attached so runtime
-// counters land on the span; the parts of a cut one get both from their
-// exchange.
-func (pc *planCtx) baseScan(t int, u unitCut, cols []int, needRID bool,
-	candidates []boundPred) (*pipe, []boundPred, error) {
-	mark := pc.markScan()
-	p, residual, err := pc.baseScanInner(t, u, cols, needRID, candidates)
-	if err != nil {
-		return nil, nil, err
-	}
-	if st := u.bt.st; st.src != nil { // not a memory table
-		pc.scans = append(pc.scans, scanHeat{st: st, first: mark.probes, end: len(pc.probes)})
-	}
-	if pc.ctx != nil && !p.par {
-		// Cancellation check under every batch the scan emits: even plans
-		// whose upper operators drain their input inside one Next call
-		// (aggregates, hash-join builds) then stop within one batch.
-		p.ops[0] = exec.WithContext(p.ops[0], pc.ctx)
-	}
-	pc.scanSpan(p, mark)
-	return p, residual, nil
-}
-
-// baseScanInner builds the scans of unit u materialising cols (sorted),
-// optionally emitting the hidden row-id column (one-part plans only), and
-// registers the resulting layout. candidates are the predicates on cols; the
-// access path absorbs what it can (JIT strategies) and returns the rest as the
-// residual the caller must still filter.
-func (pc *planCtx) baseScanInner(t int, u unitCut, cols []int, needRID bool,
-	candidates []boundPred) (*pipe, []boundPred, error) {
-	st := u.bt.st
-	tab := st.tab
-	p := &pipe{pos: make(map[boundRef]int), rid: map[int]int{t: -1}, par: !u.whole()}
-
-	// Memory tables (staged results) are strategy-independent; the DBMS
-	// baseline scans what cut loaded.
-	if tab.Format == catalog.Memory || pc.strategy == StrategyDBMS {
-		label := "memory:scan"
-		if tab.Format != catalog.Memory {
-			label = "dbms:memscan"
-		}
-		vecs := make([]*vector.Vector, len(cols))
-		for i, c := range cols {
-			vecs[i] = st.loaded[c]
-		}
-		var err error
-		if p.ops, err = residentScans(tab, cols, vecs, u.spans, nil, nil, pc.e.cfg.BatchSize, false); err != nil {
-			return nil, nil, err
-		}
-		p.layout(t, cols, -1)
-		pc.pathf("%s%s(%s)", p.parLabel(), label, tab.Name)
-		return p, candidates, nil
-	}
-	kind, ok := pc.scanKind()
-	if !ok {
-		return nil, nil, fmt.Errorf("engine: unknown strategy %d", pc.strategy)
-	}
-	return pc.baseScanFile(p, t, u, kind, cols, needRID, candidates)
-}
-
-// rawScan says what one read of a table's raw file must deliver.
-type rawScan struct {
-	bt   *boundTable
-	kind scanKind
-	cols []int // columns to materialise, sorted
-	// pushable are the predicates on cols the scans may absorb; skip are all
-	// the predicates a zone map may exclude row ranges by (in a one-part plan
-	// that includes those on cached columns appended above the scan).
-	pushable, skip []boundPred
-	emitRID        bool // whole-table scans only
-}
-
-// rawScans builds one scan per span over a table's raw file — cut's
-// [wholeTable], or the plug-in's split — through the
-// access path a the plug-in described, plus the completion hook that
-// publishes what the scans built on the side. It is the one place that
-// arbitrates between pushdown and capture, applies zone maps, attaches
-// synopsis builders, charges the template cache, labels the path and tees
-// full columns into the shred pool, for every format and either plan shape.
-//
-// absorbed are the predicates the scans evaluate exactly (all of rs.pushable
-// or none; the caller filters the rest). pruned says the scans may drop rows
-// — absorbed predicates, zone skipping, advisory pruning — so their output is
-// no full column. done (nil when nothing is built) runs under the
-// re-acquired table locks once execution succeeded, so a failed or cancelled
-// query publishes nothing.
-func (pc *planCtx) rawScans(rs rawScan, a access, spans []span) (parts []exec.Operator,
-	done func() error, absorbed []boundPred, pruned bool, err error) {
-	st := rs.bt.st
-	tab := st.tab
-	whole := len(spans) == 1 && spans[0] == wholeTable
-	generated := rs.kind == scanGenerated
-
-	// A scan that eliminates rows cannot publish full columns, and capture
-	// wins that conflict (see captureActive): predicates are absorbed and
-	// zone maps consulted only when this scan captures nothing.
-	capturing := generated && pc.captureActive()
-	var push []exec.Pred
-	if generated && (a.advisory || pc.pushdown && !capturing) {
-		push = execPreds(rs.pushable)
-		if !a.advisory {
-			absorbed = rs.pushable
-		}
-	}
-	var skip func(lo, hi int64) bool
-	if generated && a.zoneSkip && (whole || !a.recording) && pc.zonemaps && !capturing {
-		skip = synSkip(rs.bt.pos.syn, rs.skip)
-	}
-	spans = pc.skipMorsels(spans, skip)
-	pruned = len(push) > 0 || skip != nil
-
-	// A pass that parses every value builds the table's zone maps on the side,
-	// one fragment per span — unless a zone map already steers it (a skipped
-	// range never advances a builder) or the current synopsis tracks all it
-	// could observe. A fuller pass replaces a synopsis an earlier selective
-	// query narrowed: the columns of the latest build are the ones current
-	// queries filter on.
-	var synObs map[int]vector.Type
-	if generated && a.buildsSyn && skip == nil && pc.zonemaps && pc.capture {
-		synObs = observableCols(tab, rs.cols, push, a.mode != jit.Sequential)
-		if pc.synCovered(rs.bt.pos.syn, synObs) {
-			synObs = nil
-		}
-	}
-
-	var frags []fragment
-	var synFrags []*synopsis.Builder
-	var caps []*morselCapture
-	for _, sp := range spans {
-		hint := rowHint(st, a, sp)
-		req := scanReq{kind: rs.kind, mode: a.mode, span: sp, cols: rs.cols, emitRID: rs.emitRID,
-			push: jit.Pushdown{Preds: push, Skip: skip}, batch: pc.e.cfg.BatchSize,
-			track: true, rowHint: hint}
-		if synObs != nil {
-			req.push.Syn = synopsis.NewBuilder(pc.blockRows(), synObs)
-			synFrags = append(synFrags, req.push.Syn)
-		}
-		op, frag, err := st.src.scan(tab, rs.bt.pos, req)
-		if err != nil {
-			return nil, nil, nil, false, err
-		}
-		if frag != nil {
-			frags = append(frags, frag)
-		}
-		if ps, ok := op.(pushStats); ok {
-			pc.probes = append(pc.probes, pruneProbe{scan: ps})
-		}
-		if capturing && !pruned {
-			mc := newMorselCapture(op, tab, rs.cols, hint)
-			caps = append(caps, mc)
-			op = mc
-		}
-		parts = append(parts, op)
-	}
-
-	label, par := a.label, ""
-	if a.advisory && len(push) > 0 {
-		label += "+zonemap"
-	}
-	if !whole {
-		par = fmt.Sprintf("par[%d]:", len(parts))
-	}
-	pc.pathf("%s%s:%s(%s)", par, rs.kind, label, tab.Name)
-	if a.mode == jit.ViaMap {
-		pc.hit(tab.Name, a.structure, 1)
-	}
-	pc.pushed(tab.Name, len(absorbed), skip != nil)
-	if generated {
-		spec := st.src.spec(tab, rs.bt.pos, a.mode, rs.cols)
-		spec.EmitRID = rs.emitRID
-		if len(absorbed) > 0 {
-			spec.Preds = push
-		}
-		pc.ensureTemplate(spec)
-	}
-	if len(caps) > 0 {
-		pc.shredsCaptured(tab, rs.cols)
-	}
-	if len(frags) == 0 && len(synFrags) == 0 && len(caps) == 0 {
-		return parts, nil, absorbed, pruned, nil
-	}
-
-	return parts, func() error {
-		if len(frags) > 0 {
-			// The scans visited every row: the table's row count is known
-			// from here on, whether or not anything may be published.
-			var rows int64
-			for _, f := range frags {
-				rows += f.NRows()
-			}
-			st.learnRows(rows)
-			if a.structure != "" && pc.capture && rows > 0 {
-				bytes, err := st.src.publish(st, frags, spans)
-				if err != nil {
-					return err
-				}
-				pc.captured(a.structure, tab, bytes)
-			}
-		}
-		if len(synFrags) > 0 {
-			fins := make([]*synopsis.Synopsis, len(synFrags))
-			for i, fb := range synFrags {
-				fins[i] = fb.Finish()
-			}
-			syn := fins[0]
-			if len(fins) > 1 {
-				syn = synopsis.Concat(fins)
-			}
-			if syn != nil && (st.nrows < 0 || syn.NRows() == st.nrows) {
-				st.syn.set(syn)
-				pc.captured("synopsis", tab, syn.MemoryFootprint())
-			}
-		}
-		pc.publishCaptures(tab, rs.cols, caps)
-		return nil
-	}, absorbed, pruned, nil
-}
-
-// baseScanFile scans a raw-file table under kind. The baselines' kinds — the
-// NoDB-style in-situ scan, the external table — read every column from the
-// file: nothing pushed down, nothing captured. The generated kind serves
-// columns from the shred pool where possible and captures file-read columns
-// into it; candidate predicates on uncached columns are pushed into the
-// generated scan (conversion-time checks, vectorized selection, zone-map
-// skipping). The returned residual holds whatever must still run in a Filter
-// above.
-func (pc *planCtx) baseScanFile(p *pipe, t int, u unitCut, kind scanKind, cols []int, needRID bool,
-	candidates []boundPred) (*pipe, []boundPred, error) {
-	bt := u.bt
-	st := bt.st
-	tab := st.tab
-	bs := pc.e.cfg.BatchSize
-
-	// A one-part plan looks each column up and reads only the rest from the
-	// file; a cut one has them all as full shreds (cut looked) or reads them
-	// all from the file.
-	var cached []int
-	uncached, cachedShreds := cols, u.shreds
-	if cachedShreds != nil {
-		cached, uncached = cols, nil
-	} else if !p.par && kind == scanGenerated && pc.useCache {
-		uncached = nil
-		for _, c := range cols {
-			if s := pc.lookup(tab.Name, c, false); s != nil {
-				cached = append(cached, c)
-				cachedShreds = append(cachedShreds, s)
-			} else {
-				uncached = append(uncached, c)
-			}
-		}
-	}
-	pc.hit(tab.Name, "shred", len(cached))
-
-	// Everything cached: stream from the pool, no raw access at all.
-	// Predicates on the cached columns are still absorbed — the scans evaluate
-	// them vectorized and emit selection-vector batches — and, when the
-	// synopsis covers exactly the shreds' rows, zone maps exclude batch ranges
-	// inside every scan and whole spans of a cut one before dispatch.
-	if len(uncached) == 0 {
-		slotOf := make(map[int]int, len(cached))
-		for i, c := range cached {
-			slotOf[c] = i
-		}
-		var preds []exec.Pred
-		residual := candidates
-		if pc.pushdown {
-			residual = nil
-			for _, bp := range candidates {
-				preds = append(preds, exec.Pred{Col: slotOf[bp.col], Op: bp.op, I64: bp.i64, F64: bp.f64})
-			}
-		}
-		vecs := make([]*vector.Vector, len(cached))
-		for i, s := range cachedShreds {
-			vecs[i] = s.Vector()
-		}
-		// A range is excluded only when one predicate excludes every block it
-		// overlaps: when the zone map excludes no block, the scans (and
-		// morsels) are handed no test, and unsorted columns pay nothing.
-		var skip, scanSkip func(lo, hi int64) bool
-		if syn := bt.pos.syn; pc.zonemaps && syn != nil && len(vecs) > 0 && syn.NRows() == int64(vecs[0].Len()) {
-			if skip = synSkip(syn, candidates); skip != nil {
-				b := syn.Bounds()
-				for i := 0; i+1 < len(b); i++ {
-					if skip(b[i], b[i+1]) {
-						scanSkip = skip
-						break
-					}
-				}
-			}
-		}
-		var err error
-		if p.ops, err = residentScans(tab, cols, vecs, pc.skipMorsels(u.spans, scanSkip), preds, scanSkip, bs, needRID); err != nil {
-			return nil, nil, err
-		}
-		ridIdx := -1
-		if needRID {
-			ridIdx = len(cached)
-		}
-		p.layout(t, cached, ridIdx)
-		pc.pathf("%sshred:scan(%s)", p.parLabel(), tab.Name)
-		pc.pushed(tab.Name, len(preds), skip != nil)
-		if len(preds) > 0 || scanSkip != nil {
-			for _, op := range p.ops {
-				pc.probes = append(pc.probes, pruneProbe{scan: op.(*exec.MemScan)})
-			}
-		}
-		return p, residual, nil
-	}
-
-	// Read uncached columns from the raw file, one scan per span, through the
-	// access path the plug-in describes. A generated one may absorb the
-	// candidates on them; predicates on cached (late-appended) columns always
-	// stay in the Filter above. If cached columns must be appended, the scan
-	// emits row ids for the (sequential) shred late-scan doing the appending.
-	pushable, rest := splitPreds(candidates, uncached)
-	emitRID := needRID || len(cached) > 0
-	a, err := st.src.access(tab, bt.pos, uncached, kind)
-	if err != nil {
-		return nil, nil, err
-	}
-	var done func() error
-	var absorbed []boundPred
-	var pruned bool
-	p.ops, done, absorbed, pruned, err = pc.rawScans(rawScan{bt: bt, kind: kind,
-		cols: uncached, pushable: pushable, skip: candidates, emitRID: emitRID}, a, u.spans)
-	if err != nil {
-		return nil, nil, err
-	}
-	pc.deferMerge(done)
-	residual := candidates
-	if len(absorbed) > 0 {
-		residual = rest
-	}
-	ridIdx := -1
-	if emitRID {
-		ridIdx = len(uncached)
-	}
-	p.layout(t, uncached, ridIdx)
-
-	// rawScans captured the columns of an unpruned scan in full. A pruned
-	// scan's output is NOT a full column: capture it keyed by row ids instead
-	// (requires the rid column), or not at all.
-	if pruned && emitRID && pc.captureActive() {
-		specs := make([]shred.CaptureSpec, len(uncached))
-		for i, c := range uncached {
-			specs[i] = shred.CaptureSpec{Key: shred.Key{Table: tab.Name, Col: c}, ColIdx: i, RIDIdx: ridIdx}
-		}
-		cap, err := shred.NewCapture(p.ops[0], pc.e.shreds, specs)
-		if err != nil {
-			return nil, nil, err
-		}
-		p.ops[0] = cap
-		pc.shredsCaptured(tab, uncached)
-	}
-
-	// Append cached columns via their row ids, after uncached+rid.
-	if len(cached) > 0 {
-		if err := appendLate(p, t, tab, ridIdx, cached, shred.NewLateFill(cachedShreds, nil).Fetch); err != nil {
-			return nil, nil, err
-		}
-		pc.pathf("shred:append(%s)", tab.Name)
-	}
-	return p, residual, nil
-}
-
-// appendLate stacks on p the late scan appending cols of table t, fetched by
-// fetch: the one place the planner builds a late scan.
-func appendLate(p *pipe, t int, tab *catalog.Table, ridIdx int, cols []int, fetch exec.Fetch) error {
-	base := p.width()
-	ls, err := exec.NewLateScan(p.ops[0], ridIdx, insitu.RowIDColumn, colSchema(tab, cols), fetch)
-	if err != nil {
-		return err
-	}
-	p.ops[0] = ls
-	for i, c := range cols {
-		p.pos[boundRef{t, c}] = base + i
-	}
-	return nil
-}
-
-// lateScan appends the given columns of table t via a column-shred access
-// path, wrapping the result in a span named after the chosen path.
-func (pc *planCtx) lateScan(p *pipe, r *resolvedQuery, t int, cols []int) error {
-	mark := pc.markScan()
-	if err := pc.lateScanInner(p, r, t, cols); err != nil {
-		return err
-	}
-	pc.scanSpan(p, mark)
-	return nil
-}
-
-// lateScanInner appends the given columns of table t to the pipeline in one
-// late scan. A column is served from the best shred the pool holds — a
-// partial one completed from the raw file by the table's own late reader,
-// never replanned — and read from the file otherwise; file-read columns are
-// captured into the pool as shreds keyed by row id.
-func (pc *planCtx) lateScanInner(p *pipe, r *resolvedQuery, t int, cols []int) error {
-	st, pos := r.tables[t].st, r.tables[t].pos
-	tab := st.tab
-	ridIdx := p.rid[t]
-	if ridIdx < 0 {
-		return fmt.Errorf("engine: internal: late scan without row ids for table %q", tab.Name)
-	}
-	var fromCache, fromFile []int
-	var cachedShreds []*shred.Shred
-	var raw []exec.Fetch
-	for _, c := range cols {
-		var s *shred.Shred
-		if pc.useCache {
-			s = pc.lookup(tab.Name, c, true)
-		}
-		if s == nil {
-			fromFile = append(fromFile, c)
-			continue
-		}
-		var f exec.Fetch
-		if !s.Full() {
-			var err error
-			if f, err = st.src.late(tab, pos, []int{c}); err != nil {
-				return err
-			}
-		}
-		fromCache, cachedShreds, raw = append(fromCache, c), append(cachedShreds, s), append(raw, f)
-	}
-	pc.hit(tab.Name, "shred", len(fromCache))
-
-	var fetch exec.Fetch
-	if len(fromCache) > 0 {
-		fill := shred.NewLateFill(cachedShreds, raw)
-		fetch = fill.Fetch
-		pc.probes = append(pc.probes, pruneProbe{fill: fill})
-		pc.pathf("shred:late(%s)", shredKeys(tab.Name, fromCache))
-	}
-	if len(fromFile) > 0 {
-		sortInts(fromFile)
-		file, err := st.src.late(tab, pos, fromFile)
-		if err != nil {
-			return err
-		}
-		lateSpec := st.src.spec(tab, pos, jit.Late, fromFile)
-		lateSpec.EmitRID = true
-		pc.ensureTemplate(lateSpec)
-		pc.pathf("jit:late(%s)", shredKeys(tab.Name, fromFile))
-		if cached, k := fetch, len(fromCache); cached == nil {
-			fetch = file
-		} else {
-			fetch = func(rids []int64, outs []*vector.Vector) error {
-				if err := cached(rids, outs[:k]); err != nil {
-					return err
-				}
-				return file(rids, outs[k:])
-			}
-		}
-	}
-	if err := appendLate(p, t, tab, ridIdx, slices.Concat(fromCache, fromFile), fetch); err != nil {
-		return err
-	}
-
-	// Capture the file-read columns (partial columns keyed by row id).
-	if len(fromFile) > 0 && pc.captureActive() {
-		specs := make([]shred.CaptureSpec, len(fromFile))
-		for i, c := range fromFile {
-			specs[i] = shred.CaptureSpec{Key: shred.Key{Table: tab.Name, Col: c},
-				ColIdx: p.pos[boundRef{t, c}], RIDIdx: ridIdx}
-		}
-		cap, err := shred.NewCapture(p.ops[0], pc.e.shreds, specs)
-		if err != nil {
-			return err
-		}
-		p.ops[0] = cap
-		pc.shredsCaptured(tab, fromFile)
-	}
-	return nil
-}
-
-// outRef locates one query aggregate in the aggregation's output: either a
-// final aggregate column or a divide column appended above them (AVG of a
-// two-stage plan).
-type outRef struct {
-	div bool
-	idx int
-}
-
-// finish adds aggregation/grouping, HAVING filters and the final projection.
-// Over one part the aggregate runs in one stage. Over the parts of a cut
-// table it is split into a partial aggregate per part and a final combining
-// aggregate above the exchange: COUNT partials merge by summation; MIN/MAX and
-// integer SUM merge by re-applying the same function. Float SUM travels as a
-// (Sum, SumErr) pair — the correctly rounded part sum plus the residue
-// rounding dropped — merged exactly by MergeSum, so the total is
-// bit-identical to the one-stage sum. AVG is decomposed into final SUM and
-// COUNT combined by a Divide column above the final aggregate, and HAVING
-// filters above that. Group keys stay in first-encounter order because the
-// parts partition the file in order and the exchange replays partial outputs
-// in part order.
-func (pc *planCtx) finish(r *resolvedQuery, p *pipe) (exec.Operator, error) {
-	names := make([]string, len(r.items))
-	hasAgg := len(r.groupBy) > 0 || len(r.having) > 0
-	for i, it := range r.items {
-		names[i] = it.name
-		hasAgg = hasAgg || it.isAgg
-	}
-	if !hasAgg {
-		// Plain projection.
-		if err := pc.gather(p, "exchange"); err != nil {
-			return nil, err
-		}
-		idxs := make([]int, len(r.items))
-		for i, it := range r.items {
-			pos, ok := p.pos[it.ref]
-			if !ok {
-				return nil, fmt.Errorf("engine: internal: output column %q not materialised", it.name)
-			}
-			idxs[i] = pos
-		}
-		pr, err := exec.NewProject(p.ops[0], idxs, names)
-		if err != nil {
-			return nil, err
-		}
-		op, _ := pc.opSpan(pr, "project", p.span)
-		return op, nil
-	}
-
-	twoStage := p.par
-	groupIdx := make([]int, len(r.groupBy))
-	for i, g := range r.groupBy {
-		pos, ok := p.pos[g]
-		if !ok {
-			return nil, fmt.Errorf("engine: internal: group column not materialised")
-		}
-		groupIdx[i] = pos
-	}
-
-	// Three registries, each deduplicating identical entries: the final
-	// aggregates — over the pipeline itself in one stage, over the partials in
-	// two —, the partial aggregates computed per part, and the divide columns
-	// (AVG = final SUM ÷ final COUNT) appended above the final aggregate.
-	var partials, finals []exec.AggSpec
-	type divSpec struct {
-		num, den int // final-aggregate spec indexes
-		name     string
-	}
-	var divides []divSpec
-	addPartial := func(f exec.AggFunc, col int, name string) int {
-		for i, s := range partials {
-			if s.Func == f && s.Col == col {
-				return i
-			}
-		}
-		partials = append(partials, exec.AggSpec{Func: f, Col: col, As: name})
-		return len(partials) - 1
-	}
-	// pcol maps a partial spec index onto its column in the exchange stream
-	// (group keys first, then the partials in registration order).
-	pcol := func(pi int) int { return len(groupIdx) + pi }
-	addFinal := func(f exec.AggFunc, col, col2 int, name string) int {
-		for i, s := range finals {
-			if s.Func == f && s.Col == col && s.Col2 == col2 {
-				return i
-			}
-		}
-		finals = append(finals, exec.AggSpec{Func: f, Col: col, Col2: col2, As: name})
-		return len(finals) - 1
-	}
-	addDivide := func(num, den int, name string) int {
-		for i, d := range divides {
-			if d.num == num && d.den == den {
-				return i
-			}
-		}
-		divides = append(divides, divSpec{num: num, den: den, name: name})
-		return len(divides) - 1
-	}
-
-	// decompose registers the specs implementing one query aggregate and
-	// returns where its value lands.
-	decompose := func(it boundItem) (outRef, error) {
-		col := -1
-		isFloat := false
-		if !it.star {
-			pos, ok := p.pos[it.ref]
-			if !ok {
-				return outRef{}, fmt.Errorf("engine: internal: aggregate input %q not materialised", it.name)
-			}
-			col = pos
-			isFloat = r.tables[it.ref.table].st.tab.Schema[it.ref.col].Type == vector.Float64
-		}
-		switch {
-		case !twoStage:
-			return outRef{idx: addFinal(it.agg, col, -1, it.name)}, nil
-		case it.agg == exec.Count:
-			p := addPartial(exec.Count, col, it.name)
-			return outRef{idx: addFinal(exec.Sum, pcol(p), -1, it.name)}, nil
-		case it.agg == exec.Min || it.agg == exec.Max:
-			p := addPartial(it.agg, col, it.name)
-			return outRef{idx: addFinal(it.agg, pcol(p), -1, it.name)}, nil
-		case it.agg == exec.Sum && !isFloat:
-			p := addPartial(exec.Sum, col, it.name)
-			return outRef{idx: addFinal(exec.Sum, pcol(p), -1, it.name)}, nil
-		case it.agg == exec.Sum:
-			hi := addPartial(exec.Sum, col, it.name)
-			lo := addPartial(exec.SumErr, col, it.name+"#err")
-			return outRef{idx: addFinal(exec.MergeSum, pcol(hi), pcol(lo), it.name)}, nil
-		case it.agg == exec.Avg && isFloat:
-			hi := addPartial(exec.Sum, col, it.name+"#sum")
-			lo := addPartial(exec.SumErr, col, it.name+"#err")
-			n := addPartial(exec.Count, -1, "#rows")
-			fs := addFinal(exec.MergeSum, pcol(hi), pcol(lo), it.name+"#sum")
-			fn := addFinal(exec.Sum, pcol(n), -1, "#rows")
-			return outRef{div: true, idx: addDivide(fs, fn, it.name)}, nil
-		case it.agg == exec.Avg:
-			s := addPartial(exec.Sum, col, it.name+"#sum")
-			n := addPartial(exec.Count, -1, "#rows")
-			fs := addFinal(exec.Sum, pcol(s), -1, it.name+"#sum")
-			fn := addFinal(exec.Sum, pcol(n), -1, "#rows")
-			return outRef{div: true, idx: addDivide(fs, fn, it.name)}, nil
-		}
-		return outRef{}, fmt.Errorf("engine: internal: no parallel form for aggregate %s", it.agg)
-	}
-
-	refs := make([]outRef, len(r.items))
-	aggOut := make([]int, len(r.items)) // result position per item
-	for i, it := range r.items {
-		if !it.isAgg {
-			// Bare group column: position within the aggregate output is its
-			// index in groupBy.
-			for gi, g := range r.groupBy {
-				if g == it.ref {
-					aggOut[i] = gi
-				}
-			}
-			continue
-		}
-		ref, err := decompose(it)
-		if err != nil {
-			return nil, err
-		}
-		refs[i] = ref
-	}
-	// HAVING aggregates may add hidden specs.
-	havingRefs := make([]outRef, len(r.having))
-	for i, h := range r.having {
-		ref, err := decompose(h.item)
-		if err != nil {
-			return nil, err
-		}
-		havingRefs[i] = ref
-	}
-	if len(finals) == 0 {
-		// Bare GROUP BY projection (SELECT g FROM t GROUP BY g): stage a
-		// hidden COUNT so the aggregate has a spec; the projection drops it.
-		if _, err := decompose(boundItem{agg: exec.Count, isAgg: true, star: true, name: "#rows"}); err != nil {
-			return nil, err
-		}
-	}
-
-	// Every output position is now known: the final aggregate emits the group
-	// keys then the finals, and each Divide appends one column above that.
-	finalBase := len(groupIdx)
-	posOf := func(ref outRef) int {
-		if ref.div {
-			return finalBase + len(finals) + ref.idx
-		}
-		return finalBase + ref.idx
-	}
-	for i, it := range r.items {
-		if it.isAgg {
-			aggOut[i] = posOf(refs[i])
-		}
-	}
-
-	stage := "aggregate"
-	if twoStage {
-		// Ungrouped partials emit one row even when their part filtered down
-		// to nothing (COUNT = 0 with identity-less zero aggregates); those
-		// rows must not feed MIN/MAX/SUM merging. Reuse any registered COUNT
-		// partial as the guard, or stage a hidden one, and filter empty
-		// partials out. Grouped partials only emit groups that saw rows, so
-		// no guard is needed there.
-		guard := -1
-		if len(groupIdx) == 0 {
-			for i, s := range partials {
-				if s.Func == exec.Count {
-					guard = i
-					break
-				}
-			}
-			if guard < 0 {
-				guard = addPartial(exec.Count, -1, "#partial_rows")
-			}
-		}
-		for i, part := range p.ops {
-			agg, err := exec.NewAggregate(part, partials, groupIdx)
-			if err != nil {
-				return nil, err
-			}
-			p.ops[i] = agg
-		}
-		if err := pc.gather(p, "exchange"); err != nil {
-			return nil, err
-		}
-		if guard >= 0 {
-			f, err := exec.NewFilter(p.ops[0], []exec.Pred{{Col: pcol(guard), Op: exec.Gt, I64: 0}})
-			if err != nil {
-				return nil, err
-			}
-			p.ops[0] = f
-		}
-		// The exchange stream leads with the group keys.
-		groupIdx = make([]int, len(groupIdx))
-		for i := range groupIdx {
-			groupIdx[i] = i
-		}
-		stage = "final-aggregate"
-	}
-	agg, err := exec.NewAggregate(p.ops[0], finals, groupIdx)
-	if err != nil {
-		return nil, err
-	}
-	out, top := pc.opSpan(agg,
-		fmt.Sprintf("%s[groups=%d aggs=%d]", stage, len(groupIdx), len(finals)), p.span)
-	if len(divides) > 0 {
-		for _, d := range divides {
-			dv, err := exec.NewDivide(out, finalBase+d.num, finalBase+d.den, d.name)
-			if err != nil {
-				return nil, err
-			}
-			out = dv
-		}
-		out, top = pc.opSpan(out, fmt.Sprintf("divide[%d]", len(divides)), top)
-	}
-	if len(r.having) > 0 {
-		preds := make([]exec.Pred, len(r.having))
-		for i, h := range r.having {
-			preds[i] = exec.Pred{Col: posOf(havingRefs[i]), Op: h.op, I64: h.i64, F64: h.f64}
-		}
-		f, err := exec.NewFilter(out, preds)
-		if err != nil {
-			return nil, err
-		}
-		out, top = pc.opSpan(f, fmt.Sprintf("having[%d]", len(preds)), top)
-	}
-	// Re-order to the SELECT list.
-	pr, err := exec.NewProject(out, aggOut, names)
-	if err != nil {
-		return nil, err
-	}
-	fin, _ := pc.opSpan(pr, "project", top)
-	return fin, nil
-}
-
 // ensureTemplate consults the JIT template cache, charging simulated compile
 // latency on a miss (which, when tracing, shows up as a jit-compile span).
 func (pc *planCtx) ensureTemplate(sp jit.Spec) {
@@ -1690,22 +1574,4 @@ func shredKeys(table string, cols []int) string {
 		s += fmt.Sprintf("%d,", c)
 	}
 	return s
-}
-
-// ensureLoaded materialises every column of a table in memory (the DBMS
-// baseline's loading step), charged to the first query that touches it:
-// loaded says this call did the loading.
-func (e *Engine) ensureLoaded(st *tableState) (loaded bool, err error) {
-	if st.loaded != nil {
-		return false, nil
-	}
-	cols, err := loadAll(st)
-	if err != nil {
-		return false, err
-	}
-	st.loaded = cols
-	if len(cols) > 0 {
-		st.nrows = int64(cols[0].Len())
-	}
-	return true, nil
 }

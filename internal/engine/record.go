@@ -2,7 +2,6 @@ package engine
 
 import (
 	"context"
-	"fmt"
 	"slices"
 	"sort"
 	"strings"
@@ -199,11 +198,6 @@ func (r *queryRecord) captured(structure string, tab *catalog.Table, bytes int64
 	r.heatDelta(tab.Name).Build(structure, 1)
 }
 
-// pathf records one access-path label.
-func (r *queryRecord) pathf(format string, args ...any) {
-	r.stats.AccessPaths = append(r.stats.AccessPaths, fmt.Sprintf(format, args...))
-}
-
 // hit records n serves of a cached structure in the table's heat; shred
 // serves are also Stats.ShredHits, the columns served from the pool.
 func (r *queryRecord) hit(table, structure string, n int) {
@@ -214,19 +208,6 @@ func (r *queryRecord) hit(table, structure string, n int) {
 		r.stats.ShredHits += n
 	}
 	r.heatDelta(table).Hit(structure, int64(n))
-}
-
-// pushed records the predicates a scan absorbed and whether a zone map
-// steers it.
-func (r *queryRecord) pushed(table string, npush int, zmap bool) {
-	if npush > 0 {
-		r.stats.PredsPushed += npush
-		r.pathf("push[%d](%s)", npush, table)
-	}
-	if zmap {
-		r.pathf("zmap(%s)", table)
-		r.hit(table, "synopsis", 1)
-	}
 }
 
 // heatDelta returns the attempt's heat delta for a table, splitting a

@@ -4,11 +4,11 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"rawdb/internal/catalog"
-	"rawdb/internal/insitu"
 	"rawdb/internal/sql"
 )
 
@@ -35,8 +35,9 @@ func TestResidentShredPlan(t *testing.T) {
 		h1, m1 := lookups()
 		return res.Stats.AccessPaths, h1 - h0, m1 - m0
 	}
-	// plan builds q's serial pipeline without running it.
-	plan := func(q string) *pipe {
+	// plan decides q's serial plan without building it, and returns its one
+	// unit.
+	plan := func(q string) unitPlan {
 		parsed, err := sql.Parse(q)
 		if err != nil {
 			t.Fatal(err)
@@ -45,24 +46,11 @@ func TestResidentShredPlan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pc := e.newRecord(Options{}).newPlanCtx(context.Background())
-		c, err := pc.cut(r)
+		pl, err := e.newRecord(Options{}).newPlanCtx(context.Background()).decide(r)
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := pc.planSingle(r, c.tables[0].units[0])
-		if err != nil {
-			t.Fatal(err)
-		}
-		return p
-	}
-	hasRID := func(p *pipe) bool {
-		for _, c := range p.ops[0].Schema() {
-			if c.Name == insitu.RowIDColumn {
-				return true
-			}
-		}
-		return p.rid[0] >= 0
+		return pl.tables[0].units[0]
 	}
 
 	// Filter columns col2, col3 and output column col1: the cascade's order
@@ -91,8 +79,9 @@ func TestResidentShredPlan(t *testing.T) {
 	e.budget.Remove("probe")
 
 	queryAt(t, e, q, 1) // cold again: recaptures the three full shreds
-	if p := plan(q); hasRID(p) || len(p.ops) != 1 {
-		t.Fatalf("resident plan carries a row-id column (rid %v, schema %v)", p.rid, p.ops[0].Schema())
+	if u := plan(q); len(u.late) != 0 || u.base.resident != "shred:scan" || u.base.emitRID ||
+		!slices.Equal(u.base.cols, []int{0, 1, 2}) || !u.whole() {
+		t.Fatalf("plan %+v, want one resident shred scan of columns 0-2 without row ids", u)
 	}
 
 	// col4 is first fetched late, so only the rows col3 < 500 selected are
@@ -106,8 +95,9 @@ func TestResidentShredPlan(t *testing.T) {
 	if hits != 2 || misses != 0 {
 		t.Fatalf("partial lookups: %d hits, %d misses; want 2 hits, 0 misses", hits, misses)
 	}
-	if p := plan(partial); !hasRID(p) {
-		t.Fatalf("cascade plan without a row-id column (rid %v)", p.rid)
+	if u := plan(partial); len(u.late) != 1 || u.base.resident != "shred:scan" || !u.base.emitRID ||
+		!slices.Equal(u.late[0].cached, []int{3}) || u.late[0].shreds[0].Full() {
+		t.Fatalf("plan %+v, want a resident scan emitting row ids and a late scan of col4's partial shred", u)
 	}
 }
 

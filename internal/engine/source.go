@@ -43,7 +43,7 @@ type source interface {
 	release(image bool)
 	// access says how cols would be read right now under kind: by row number
 	// where the positional structure allows it, record by record otherwise.
-	// nil cols asks whether rows are addressable at all (lateCapable). It
+	// nil cols asks whether rows are addressable at all (addressable). It
 	// fails with a noReaderError when kind has no reader for the format.
 	access(tab *catalog.Table, pos positions, cols []int, kind scanKind) (access, error)
 	// split cuts the table into spans in file order — at most n row ranges
