@@ -15,6 +15,8 @@ import (
 	"rawdb/internal/catalog"
 	"rawdb/internal/exec"
 	"rawdb/internal/faults"
+	"rawdb/internal/jsonidx"
+	"rawdb/internal/posmap"
 	"rawdb/internal/shred"
 	"rawdb/internal/vector"
 )
@@ -215,10 +217,10 @@ const coldScanQuery = "SELECT MAX(col2), COUNT(*) FROM t WHERE col1 < 5000"
 // TestColdScanStructuresAllocatedOnce checks the row hint end to end on a
 // file whose first rows mislead it, for both text formats, serial (one span,
 // fragment and captures adopted and clipped) and parallel (a hint per span,
-// fragments and captures merged into exactly-sized destinations): what the
-// cold query publishes holds at most 5 % spare capacity, whether the estimate
-// ran high or low, and a capture keyed by row ids (a partial column) is not
-// sized for the table.
+// fragments linked, captures merged into exactly-sized destinations): what
+// the cold query publishes holds at most 5 % spare capacity, whether the
+// estimate ran high or low, and a capture keyed by row ids (a partial column)
+// is not sized for the table.
 func TestColdScanStructuresAllocatedOnce(t *testing.T) {
 	const rows = 20000
 	slack := func(t *testing.T, what string, length, capacity int) {
@@ -241,17 +243,31 @@ func TestColdScanStructuresAllocatedOnce(t *testing.T) {
 						t.Fatalf("access paths at Parallelism %d: %v", workers, res.Stats.AccessPaths)
 					}
 					st := e.tables["t"]
+					// The positional structure links its fragments' chunks: it holds at
+					// most 5 % more than the same offsets chunked by one serial pass.
+					var got, ref int64
 					if pm := st.positions().pm; pm != nil {
+						var pos [][]int64
 						for _, c := range pm.TrackedColumns() {
-							slack(t, fmt.Sprintf("posmap column %d", c), len(pm.Positions(c)), cap(pm.Positions(c)))
+							pos = append(pos, pm.Positions(c).Decode(nil, 0, rows))
 						}
+						serial, err := posmap.Restore(pm.TrackedColumns(), pos, rows)
+						if err != nil {
+							t.Fatal(err)
+						}
+						got, ref = pm.MemoryFootprint(), serial.MemoryFootprint()
 					} else if idx := st.positions().jidx; idx != nil {
-						slack(t, "jsonidx row starts", len(idx.RowStarts()), cap(idx.RowStarts()))
+						paths := map[string][]int64{}
 						for _, p := range idx.TrackedPaths() {
-							slack(t, "jsonidx path "+p, len(idx.Positions(p)), cap(idx.Positions(p)))
+							paths[p] = idx.Peek(p).Decode(nil, 0, rows)
 						}
+						got = idx.MemoryFootprint()
+						ref = jsonidx.Restore(idx.RowStarts().Decode(nil, 0, rows), paths, 0).MemoryFootprint()
 					} else {
 						t.Fatal("no positional structure after the cold query")
+					}
+					if got > ref+ref/20 {
+						t.Errorf("positional structure holds %d bytes, %d when chunked serially", got, ref)
 					}
 					shs := e.shreds.ShredsOf("t")
 					if len(shs) == 0 {
@@ -442,12 +458,12 @@ func TestCancelledParallelColdJSONPublishesNothing(t *testing.T) {
 		t.Fatalf("nrows = %d after the re-run, want %d", st.nrows, rows)
 	}
 	refIdx, idx := ref.tables["t"].positions().jidx, st.positions().jidx
-	if !slices.Equal(refIdx.RowStarts(), idx.RowStarts()) ||
+	if !slices.Equal(refIdx.RowStarts().Decode(nil, 0, rows), idx.RowStarts().Decode(nil, 0, rows)) ||
 		!slices.Equal(refIdx.TrackedPaths(), idx.TrackedPaths()) {
 		t.Fatal("the re-run's structural index differs from the one a clean run builds")
 	}
 	for _, p := range idx.TrackedPaths() {
-		if !slices.Equal(refIdx.Positions(p), idx.Positions(p)) {
+		if !slices.Equal(refIdx.Positions(p).Decode(nil, 0, rows), idx.Positions(p).Decode(nil, 0, rows)) {
 			t.Fatalf("the re-run's offsets of %s differ from a clean run's", p)
 		}
 	}

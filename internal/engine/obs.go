@@ -50,6 +50,8 @@ func (e *Engine) initObs() {
 	m := e.metrics
 	obs.RegisterRuntimeGauges(m)
 	m.Describe("shred.fill.rows", "rows a partial column shred lacked that a late scan read from the raw file")
+	m.Describe("posmap.bytes", "encoded bytes of positional maps (chunked offsets), charged to the cache budget")
+	m.Describe("jsonidx.bytes", "encoded bytes of structural indexes (chunked offsets), charged to the cache budget")
 	m.Gauge("jit.cache.entries", func() int64 { return int64(e.templates.Len()) })
 	m.Gauge("jit.cache.bytes", func() int64 { return e.templates.SizeBytes() })
 	m.Gauge("shred.pool.count", func() int64 { return int64(e.shreds.Len()) })

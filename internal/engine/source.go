@@ -389,7 +389,6 @@ func (s *csvSource) publish(st *tableState, frags []fragment, spans []span) (int
 		pm.Clip()
 	} else {
 		pm = posmap.New(s.policy, len(st.tab.Schema))
-		pm.Reserve(int(st.nrows)) // the fragments' total, learned just now
 		for i, f := range frags {
 			if err := pm.Merge(f.(*posmap.Map), spans[i].lo); err != nil {
 				return 0, err
@@ -491,11 +490,8 @@ func (s *jsonSource) late(tab *catalog.Table, pos positions, cols []int) (exec.F
 
 func (s *jsonSource) publish(st *tableState, frags []fragment, spans []span) (int64, error) {
 	idx := frags[0].(*jsonidx.Index)
-	if len(frags) == 1 && spans[0].lo == 0 {
-		idx.Clip()
-	} else {
-		idxs := make([]*jsonidx.Index, len(frags))
-		offs := make([]int64, len(frags))
+	if len(frags) > 1 || spans[0].lo != 0 {
+		idxs, offs := make([]*jsonidx.Index, len(frags)), make([]int64, len(frags))
 		for i, f := range frags {
 			idxs[i], offs[i] = f.(*jsonidx.Index), spans[i].lo
 		}

@@ -123,7 +123,7 @@ func TestCSVScanSequentialAndBuildPM(t *testing.T) {
 		t.Fatalf("posmap rows = %d", pm.NRows())
 	}
 	// Positions must point at the exact field starts: re-parse via the map.
-	pos := pm.Positions(3)
+	pos := pm.Positions(3).Decode(nil, 0, pm.NRows())
 	for r := 0; r < 250; r++ {
 		start, end, _ := csvfile.FieldBounds(data, int(pos[r]))
 		got := string(data[start:end])

@@ -252,17 +252,19 @@ func newCSVColReader(data []byte, t *catalog.Table, c int, pm *posmap.Map) (colR
 		return nil, fmt.Errorf("jit: positional map cannot reach column %d", c)
 	}
 	positions := pm.Positions(near)
+	var batch []int64 // the batch's positions, decoded into reused scratch
 	skip := c - near
 	typ := t.Schema[c].Type
 	switch typ {
 	case vector.Int64:
 		if skip == 0 {
 			return func(rowStart, rowEnd int64, sel []int32, out *vector.Vector) error {
+				batch = positions.Decode(batch, rowStart, rowEnd)
 				if sel != nil {
 					base := out.Extend(int(rowEnd - rowStart))
 					for _, si := range sel {
 						row := rowStart + int64(si)
-						start, end, _ := csvfile.FieldBounds(data, int(positions[row]))
+						start, end, _ := csvfile.FieldBounds(data, int(batch[si]))
 						v, err := bytesconv.ParseInt64(data[start:end])
 						if err != nil {
 							return csvMapError(row, c, err)
@@ -271,7 +273,7 @@ func newCSVColReader(data []byte, t *catalog.Table, c int, pm *posmap.Map) (colR
 					}
 					return nil
 				}
-				for i, p := range positions[rowStart:rowEnd] {
+				for i, p := range batch {
 					start, end, _ := csvfile.FieldBounds(data, int(p))
 					v, err := bytesconv.ParseInt64(data[start:end])
 					if err != nil {
@@ -283,11 +285,12 @@ func newCSVColReader(data []byte, t *catalog.Table, c int, pm *posmap.Map) (colR
 			}, nil
 		}
 		return func(rowStart, rowEnd int64, sel []int32, out *vector.Vector) error {
+			batch = positions.Decode(batch, rowStart, rowEnd)
 			if sel != nil {
 				base := out.Extend(int(rowEnd - rowStart))
 				for _, si := range sel {
 					row := rowStart + int64(si)
-					pos := csvfile.SkipFields(data, int(positions[row]), skip)
+					pos := csvfile.SkipFields(data, int(batch[si]), skip)
 					start, end, _ := csvfile.FieldBounds(data, pos)
 					v, err := bytesconv.ParseInt64(data[start:end])
 					if err != nil {
@@ -297,7 +300,7 @@ func newCSVColReader(data []byte, t *catalog.Table, c int, pm *posmap.Map) (colR
 				}
 				return nil
 			}
-			for i, p := range positions[rowStart:rowEnd] {
+			for i, p := range batch {
 				pos := csvfile.SkipFields(data, int(p), skip)
 				start, end, _ := csvfile.FieldBounds(data, pos)
 				v, err := bytesconv.ParseInt64(data[start:end])
@@ -310,11 +313,12 @@ func newCSVColReader(data []byte, t *catalog.Table, c int, pm *posmap.Map) (colR
 		}, nil
 	case vector.Float64:
 		return func(rowStart, rowEnd int64, sel []int32, out *vector.Vector) error {
+			batch = positions.Decode(batch, rowStart, rowEnd)
 			if sel != nil {
 				base := out.Extend(int(rowEnd - rowStart))
 				for _, si := range sel {
 					row := rowStart + int64(si)
-					pos := int(positions[row])
+					pos := int(batch[si])
 					if skip > 0 {
 						pos = csvfile.SkipFields(data, pos, skip)
 					}
@@ -327,7 +331,7 @@ func newCSVColReader(data []byte, t *catalog.Table, c int, pm *posmap.Map) (colR
 				}
 				return nil
 			}
-			for i, p := range positions[rowStart:rowEnd] {
+			for i, p := range batch {
 				pos := int(p)
 				if skip > 0 {
 					pos = csvfile.SkipFields(data, pos, skip)

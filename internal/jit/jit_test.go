@@ -116,7 +116,7 @@ func TestJITPMMatchesInSituPM(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, c := range pmJ.TrackedColumns() {
-		pj, pi := pmJ.Positions(c), pmI.Positions(c)
+		pj, pi := pmJ.Positions(c).Decode(nil, 0, pmJ.NRows()), pmI.Positions(c).Decode(nil, 0, pmI.NRows())
 		if len(pj) != len(pi) {
 			t.Fatalf("col %d: %d vs %d positions", c, len(pj), len(pi))
 		}

@@ -579,14 +579,16 @@ func newJSONColReader(data []byte, t *catalog.Table, c int, idx *jsonidx.Index,
 	path := t.Schema[c].Name
 	typ := t.Schema[c].Type
 	if positions := idx.Positions(path); positions != nil {
+		var batch []int64 // the batch's offsets, decoded into reused scratch
 		switch typ {
 		case vector.Int64:
 			return rowCol{read: func(rowStart, rowEnd int64, sel []int32, out *vector.Vector) error {
+				batch = positions.Decode(batch, rowStart, rowEnd)
 				if sel != nil {
 					base := out.Extend(int(rowEnd - rowStart))
 					for _, si := range sel {
 						row := rowStart + int64(si)
-						v, _, err := jsonInt64(data, int(positions[row]))
+						v, _, err := jsonInt64(data, int(batch[si]))
 						if err != nil {
 							return jsonMapError(row, path, err)
 						}
@@ -594,7 +596,7 @@ func newJSONColReader(data []byte, t *catalog.Table, c int, idx *jsonidx.Index,
 					}
 					return nil
 				}
-				for i, p := range positions[rowStart:rowEnd] {
+				for i, p := range batch {
 					v, _, err := jsonInt64(data, int(p))
 					if err != nil {
 						return jsonMapError(rowStart+int64(i), path, err)
@@ -605,11 +607,12 @@ func newJSONColReader(data []byte, t *catalog.Table, c int, idx *jsonidx.Index,
 			}}, nil
 		case vector.Float64:
 			return rowCol{read: func(rowStart, rowEnd int64, sel []int32, out *vector.Vector) error {
+				batch = positions.Decode(batch, rowStart, rowEnd)
 				if sel != nil {
 					base := out.Extend(int(rowEnd - rowStart))
 					for _, si := range sel {
 						row := rowStart + int64(si)
-						v, _, err := jsonFloat64(data, int(positions[row]))
+						v, _, err := jsonFloat64(data, int(batch[si]))
 						if err != nil {
 							return jsonMapError(row, path, err)
 						}
@@ -617,7 +620,7 @@ func newJSONColReader(data []byte, t *catalog.Table, c int, idx *jsonidx.Index,
 					}
 					return nil
 				}
-				for i, p := range positions[rowStart:rowEnd] {
+				for i, p := range batch {
 					v, _, err := jsonFloat64(data, int(p))
 					if err != nil {
 						return jsonMapError(rowStart+int64(i), path, err)
@@ -643,12 +646,13 @@ func newJSONColReader(data []byte, t *catalog.Table, c int, idx *jsonidx.Index,
 	isInt := typ == vector.Int64
 	return rowCol{dense: true, read: func(rowStart, rowEnd int64, _ []int32, out *vector.Vector) error {
 		for r := rowStart; r < rowEnd; r++ {
-			pos := jsonfile.FindPath(data, int(idx.RowStart(r)), segs)
+			rs := idx.RowStart(r)
+			pos := jsonfile.FindPath(data, int(rs), segs)
 			if pos < 0 {
 				return fmt.Errorf("jit json map scan: row %d: path %q absent", r, path)
 			}
 			if adaptive != nil {
-				adaptive.AppendPathOffset(ai, int64(pos))
+				adaptive.AppendPathOffset(ai, rs, int64(pos))
 			}
 			if isInt {
 				v, _, err := jsonInt64(data, pos)
@@ -700,7 +704,7 @@ func JSONLateFetch(data []byte, t *catalog.Table, cols []int, idx *jsonidx.Index
 		// navigation the generator chose above.
 		locate := func(rid int64) (int, error) {
 			if positions != nil {
-				return int(positions[rid]), nil
+				return int(positions.At(rid)), nil
 			}
 			pos := jsonfile.FindPath(data, int(idx.RowStart(rid)), segs)
 			if pos < 0 {

@@ -61,9 +61,9 @@ func skelOutcome(t testing.TB, data []byte, need []int, preds []exec.Pred, specu
 		}
 		out.WriteByte('\n')
 	}
-	fmt.Fprintf(&out, "rows %v\n", idx.RowStarts())
+	fmt.Fprintf(&out, "rows %v\n", idx.RowStarts().Decode(nil, 0, idx.NRows()))
 	for _, p := range idx.TrackedPaths() {
-		fmt.Fprintf(&out, "path %s %v\n", p, idx.Positions(p))
+		fmt.Fprintf(&out, "path %s %v\n", p, idx.Positions(p).Decode(nil, 0, idx.NRows()))
 	}
 	if fin := syn.Finish(); fin != nil {
 		fmt.Fprintf(&out, "syn %d %v\n", fin.NRows(), fin.Bounds())

@@ -8,6 +8,7 @@ import (
 	"rawdb/internal/catalog"
 	"rawdb/internal/exec"
 	"rawdb/internal/insitu"
+	"rawdb/internal/offsets"
 	"rawdb/internal/posmap"
 	"rawdb/internal/storage/binfile"
 	"rawdb/internal/storage/csvfile"
@@ -80,7 +81,7 @@ func CSVLateFetch(data []byte, t *catalog.Table, cols []int, pm *posmap.Map) (ex
 	}
 	// Group columns by anchor; resolved once at generation time.
 	type group struct {
-		positions []int64
+		positions *offsets.Column
 		anchor    int
 		targets   []csvWalkTarget
 	}
@@ -103,10 +104,10 @@ func CSVLateFetch(data []byte, t *catalog.Table, cols []int, pm *posmap.Map) (ex
 		for _, g := range groups {
 			positions := g.positions
 			for _, rid := range rids {
-				if rid < 0 || rid >= int64(len(positions)) {
+				if rid < 0 || rid >= positions.Len() {
 					return fmt.Errorf("jit: late scan row id %d out of range", rid)
 				}
-				pos := int(positions[rid])
+				pos := int(positions.At(rid))
 				cur := g.anchor
 				for _, tg := range g.targets {
 					if d := tg.col - cur; d > 0 {

@@ -19,6 +19,8 @@ package jsonidx
 import (
 	"sort"
 	"sync"
+
+	"rawdb/internal/offsets"
 )
 
 // DefaultMaxBytes bounds the tracked-path offsets of one index, in bytes.
@@ -34,18 +36,20 @@ const DefaultMaxBytes = 64 << 20
 // concurrently, so the tracked-path table (and its LRU clock) is internally
 // locked. Row starts are written exactly once — by the first committed scan,
 // before any concurrent reader can exist — and are read without locking.
+// A path's offsets are stored relative to their row's start, so they stay
+// as narrow as a row is wide.
 type Index struct {
-	rows []int64 // byte offset of each row start
+	rows *offsets.Column // byte offset of each row start
 
-	mu    sync.Mutex         // guards paths, use, clock, bytes, ver
-	paths map[string][]int64 // tracked path -> per-row value offsets
-	use   map[string]int64   // logical access clock per path, for LRU
+	mu    sync.Mutex                 // guards paths, use, clock, bytes, ver
+	paths map[string]*offsets.Column // tracked path -> per-row value offsets, anchored at rows
+	use   map[string]int64           // logical access clock per path, for LRU
 	clock int64
 	bytes int64 // accounted bytes of tracked paths (names + offsets)
 	max   int64 // byte budget for tracked paths
 	ver   uint64
 
-	reserve int // rows the next recorder allocates its slices for (Reserve)
+	reserve int // rows the next recorder allocates its columns for (Reserve)
 
 	// seeks counts Positions lookups that were served (observability: how
 	// often queries navigated via the structural index instead of reparsing).
@@ -69,78 +73,61 @@ func New(maxBytes int64) *Index {
 		maxBytes = DefaultMaxBytes
 	}
 	return &Index{
-		paths: make(map[string][]int64),
+		rows:  offsets.New(nil),
+		paths: make(map[string]*offsets.Column),
 		use:   make(map[string]int64),
 		max:   maxBytes,
 	}
 }
 
 // Reserve makes the next recorder taken from x allocate its row-start and
-// per-path slices for rows rows at once (when its first row arrives), so a
+// per-path columns for rows rows at once (when its first row arrives), so a
 // scan that goes on to stage about that many does not regrow (and re-copy)
 // them as it fills. The planner passes the row count of the bytes the scan
 // will read, or an estimate of it; a low estimate only brings regrowth back,
-// and Clip drops what a high one leaves. Call it before the index is shared.
+// and Commit drops what a high one leaves. Call it before the index is shared.
 func (x *Index) Reserve(rows int) { x.reserve = rows }
-
-// Clip reallocates the row starts and any tracked path whose spare capacity
-// exceeds 1/32 of its length. Called once on a committed fragment that is
-// adopted as the table's index, it bounds what a high Reserve (or append's own
-// regrowth) leaves allocated but unused for the index's lifetime;
-// MemoryFootprint counts lengths and cannot see it.
-func (x *Index) Clip() {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	x.rows = clip(x.rows)
-	for p, offs := range x.paths {
-		x.paths[p] = clip(offs)
-	}
-}
-
-func clip(s []int64) []int64 {
-	if cap(s)-len(s) <= len(s)/32 {
-		return s
-	}
-	return append(make([]int64, 0, len(s)), s...)
-}
 
 // Restore reconstructs an index from its serialised parts: the row-start
 // offsets and the per-path value offsets (each of length len(rows); shorter
 // or longer recordings are dropped as incomplete). maxBytes <= 0 selects
 // DefaultMaxBytes. It is the decode-side counterpart of the vault codec.
 func Restore(rows []int64, paths map[string][]int64, maxBytes int64) *Index {
-	x := New(maxBytes)
-	x.rows = rows
-	names := make([]string, 0, len(paths))
-	for p := range paths {
-		names = append(names, p)
+	var names []string
+	for p, offs := range paths {
+		if len(offs) == len(rows) {
+			names = append(names, p)
+		}
 	}
 	sort.Strings(names)
-	for _, p := range names {
-		if len(paths[p]) != len(rows) {
-			continue
-		}
-		x.clock++
-		x.paths[p] = paths[p]
-		x.use[p] = x.clock
-		x.bytes += pathBytes(p, paths[p])
+	x := New(maxBytes)
+	x.Reserve(len(rows))
+	rec, cols, offs := x.Record(names), make([][]int64, len(names)), make([]int64, len(names))
+	for i, p := range names {
+		cols[i] = paths[p]
 	}
-	x.evict()
+	for r, start := range rows {
+		for i, col := range cols {
+			offs[i] = col[r]
+		}
+		rec.AppendRow(start, offs)
+	}
+	rec.Commit()
 	return x
 }
 
 // pathBytes is the accounted footprint of one tracked path.
-func pathBytes(name string, offs []int64) int64 {
-	return int64(len(name)) + int64(len(offs))*8
+func pathBytes(name string, offs *offsets.Column) int64 {
+	return int64(len(name)) + offs.Bytes()
 }
 
 // NRows returns the number of rows whose starts are recorded; 0 means the
 // index is unpopulated and a sequential scan must run first.
-func (x *Index) NRows() int64 { return int64(len(x.rows)) }
+func (x *Index) NRows() int64 { return x.rows.Len() }
 
-// RowStarts returns the byte offsets of every row start. The slice is shared
-// and immutable once committed; callers must not modify it.
-func (x *Index) RowStarts() []int64 { return x.rows }
+// RowStarts returns the byte offsets of every row start. The column is shared
+// and immutable once committed; callers only read it.
+func (x *Index) RowStarts() *offsets.Column { return x.rows }
 
 // Version counts committed mutations of the tracked-path set. The engine's
 // vault write-back uses it to detect that an index grew since the last save
@@ -152,7 +139,7 @@ func (x *Index) Version() uint64 {
 }
 
 // RowStart returns the byte offset of the given row.
-func (x *Index) RowStart(row int64) int64 { return x.rows[row] }
+func (x *Index) RowStart(row int64) int64 { return x.rows.At(row) }
 
 // Tracked reports whether value offsets for the path are recorded.
 func (x *Index) Tracked(path string) bool {
@@ -175,9 +162,9 @@ func (x *Index) TrackedPaths() []string {
 }
 
 // Positions returns the per-row value offsets of a tracked path (nil if
-// untracked) and marks the path recently used. The slice is shared and never
-// mutated once installed; callers must not modify it.
-func (x *Index) Positions(path string) []int64 {
+// untracked) and marks the path recently used. The column is shared and never
+// mutated once installed; callers only read it.
+func (x *Index) Positions(path string) *offsets.Column {
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	offs, ok := x.paths[path]
@@ -190,7 +177,17 @@ func (x *Index) Positions(path string) []int64 {
 	return offs
 }
 
-// MemoryFootprint returns the approximate byte size of the stored offsets
+// Peek returns a tracked path's offsets like Positions, but leaves the LRU
+// order and the seek count alone: for readers that serve no query, such as
+// the vault's encoder.
+func (x *Index) Peek(path string) *offsets.Column {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	return x.paths[path]
+}
+
+// MemoryFootprint returns the bytes the index's encoded offsets take, chunk
+// headers and spare room included: what the engine's cache budget charges
 // (0 for a nil index).
 func (x *Index) MemoryFootprint() int64 {
 	if x == nil {
@@ -198,53 +195,37 @@ func (x *Index) MemoryFootprint() int64 {
 	}
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	n := int64(len(x.rows)) * 8
+	n := x.rows.Bytes()
 	for _, offs := range x.paths {
-		n += int64(len(offs)) * 8
+		n += offs.Bytes()
 	}
 	return n
 }
 
 // Merge combines per-morsel fragment indexes into one index over the whole
 // file: frags[i] indexes the bytes of the morsel starting at byte offs[i],
-// in file order. Row starts concatenate with their morsel offsets applied; a
-// path survives only if every fragment committed a full recording for it, so
-// the merged index is indistinguishable from one built by a serial scan.
-// Fragments are private to their workers, so no locking is needed on them.
+// in file order. The fragments' chunks are linked, not copied: only the row
+// starts' bases move by their morsel offsets, and path offsets, relative to
+// their rows, do not move at all. A path survives only if every fragment
+// committed a full recording for it, so the merged index reads like one built
+// by a serial scan. Fragments are private to their workers, so no locking is
+// needed on them.
 func Merge(frags []*Index, offs []int64, maxBytes int64) *Index {
 	x := New(maxBytes)
 	if len(frags) == 0 {
 		return x
 	}
-	total := 0
-	for _, f := range frags {
-		total += len(f.rows)
+	for i, f := range frags {
+		x.rows.Link(f.rows, offs[i])
 	}
-	// shifted concatenates one slice per fragment (nil: some fragment has no
-	// full recording) into an exactly-sized destination, each shifted by its
-	// fragment's byte offset.
-	shifted := func(of func(f *Index) []int64) []int64 {
-		for _, f := range frags {
-			if len(of(f)) != len(f.rows) {
-				return nil
-			}
-		}
-		dst := make([]int64, total)
-		at := 0
-		for i, f := range frags {
-			off := offs[i]
-			for j, o := range of(f) {
-				dst[at+j] = o + off
-			}
-			at += len(f.rows)
-		}
-		return dst
-	}
-	x.rows = shifted(func(f *Index) []int64 { return f.rows })
+paths:
 	for _, p := range frags[0].TrackedPaths() {
-		merged := shifted(func(f *Index) []int64 { return f.paths[p] })
-		if merged == nil {
-			continue
+		merged := offsets.New(x.rows)
+		for _, f := range frags {
+			if f.paths[p].Len() != f.rows.Len() {
+				continue paths
+			}
+			merged.Link(f.paths[p], 0)
 		}
 		x.clock++
 		x.paths[p] = merged
@@ -264,10 +245,10 @@ func Merge(frags []*Index, offs []int64, maxBytes int64) *Index {
 type Recorder struct {
 	x     *Index
 	paths []string
-	rows  []int64
-	offs  [][]int64
+	rows  *offsets.Column   // the row starts the offsets are relative to
+	offs  []*offsets.Column // per staged path, anchored at rows
 	// firstScan is true when the index had no rows yet: the recorder is then
-	// also responsible for committing row starts.
+	// also responsible for committing row starts, which it stages in rows.
 	firstScan bool
 	reserve   int // rows to allocate for at the first AppendRow (Index.Reserve)
 }
@@ -278,14 +259,17 @@ type Recorder struct {
 func (x *Index) Record(paths []string) *Recorder {
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	r := &Recorder{x: x, firstScan: len(x.rows) == 0, reserve: x.reserve}
+	r := &Recorder{x: x, rows: x.rows, firstScan: x.rows.Len() == 0, reserve: x.reserve}
 	x.reserve = 0
+	if r.firstScan {
+		r.rows = offsets.New(nil)
+	}
 	for _, p := range paths {
 		if _, tracked := x.paths[p]; tracked {
 			continue
 		}
 		r.paths = append(r.paths, p)
-		r.offs = append(r.offs, nil)
+		r.offs = append(r.offs, offsets.New(r.rows))
 	}
 	return r
 }
@@ -301,55 +285,58 @@ func (r *Recorder) AppendRow(rowStart int64, offs []int64) {
 		r.alloc()
 	}
 	if r.firstScan {
-		r.rows = append(r.rows, rowStart)
+		r.rows.Append(rowStart)
 	}
 	for i, o := range offs {
-		r.offs[i] = append(r.offs[i], o)
+		r.offs[i].Append(o - rowStart)
 	}
 }
 
-// alloc allocates the reserved slices: at the first row rather than at Record,
+// alloc allocates the reserved columns: at the first row rather than at Record,
 // so a plan that never runs allocates nothing and each morsel's worker, not
 // the planner, touches its fragment's memory first.
 func (r *Recorder) alloc() {
 	if r.firstScan {
-		r.rows = make([]int64, 0, r.reserve)
+		r.rows.Reserve(r.reserve)
 	}
-	for i := range r.offs {
-		r.offs[i] = make([]int64, 0, r.reserve)
+	for _, offs := range r.offs {
+		offs.Reserve(r.reserve)
 	}
 	r.reserve = 0
 }
 
 // AppendPathOffset stages the next row's value offset for staged path i
-// (aligned with Paths()). Column-at-a-time scans that visit each path in an
-// independent pass use this instead of AppendRow; Commit still verifies that
-// every path saw every row.
-func (r *Recorder) AppendPathOffset(i int, off int64) {
-	r.offs[i] = append(r.offs[i], off)
+// (aligned with Paths()), given that row's start. Column-at-a-time scans that
+// visit each path in an independent pass use this instead of AppendRow;
+// Commit still verifies that every path saw every row.
+func (r *Recorder) AppendPathOffset(i int, rowStart, off int64) {
+	r.offs[i].Append(off - rowStart)
 }
 
-// Commit installs the staged offsets into the index, evicting
-// least-recently-used paths beyond the budget. It is a no-op unless the
-// staged row count matches the index (guarding against partial scans, which
-// includes the partial recordings row-range morsel workers stage: their
-// counts never match the whole file, so concurrent commits discard safely).
+// Commit seals the staged offsets (offsets.Column.Clip) and installs them
+// into the index, evicting least-recently-used paths beyond the budget. It is
+// a no-op unless the staged row count matches the index (guarding against
+// partial scans, which includes the partial recordings row-range morsel
+// workers stage: their counts never match the whole file, so concurrent
+// commits discard safely).
 func (r *Recorder) Commit() {
 	x := r.x
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	if r.firstScan {
-		if len(r.rows) == 0 {
+		if r.rows.Len() == 0 {
 			return
 		}
+		r.rows.Clip()
 		x.rows = r.rows
 		x.ver++
 	}
-	n := len(x.rows)
+	n := x.rows.Len()
 	for i, p := range r.paths {
-		if len(r.offs[i]) != n {
+		if r.offs[i].Len() != n {
 			continue // partial recording (e.g. errored scan): discard
 		}
+		r.offs[i].Clip()
 		if old, ok := x.paths[p]; ok {
 			x.bytes -= pathBytes(p, old)
 		}

@@ -3,8 +3,14 @@ package jsonidx
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 )
+
+// onePath is the accounted size of a committed 2-character path over one
+// row: its name, a 56-byte segment, a 24-byte chunk header and its one-byte
+// offset (Commit clips the buffer to it).
+const onePath = 2 + 56 + 24 + 1
 
 func TestRecordCommitLookup(t *testing.T) {
 	x := New(0)
@@ -25,8 +31,8 @@ func TestRecordCommitLookup(t *testing.T) {
 	if !x.Tracked("a") || !x.Tracked("p.b") || x.Tracked("z") {
 		t.Fatal("tracked set wrong")
 	}
-	if pos := x.Positions("p.b"); pos[4] != 420 {
-		t.Fatalf("p.b positions = %v", pos)
+	if pos := x.Positions("p.b"); pos.At(4) != 420 {
+		t.Fatalf("p.b positions = %v", pos.Decode(nil, 0, 5))
 	}
 	if x.Positions("z") != nil {
 		t.Fatal("untracked path returned positions")
@@ -34,7 +40,11 @@ func TestRecordCommitLookup(t *testing.T) {
 	if got := x.TrackedPaths(); !reflect.DeepEqual(got, []string{"a", "p.b"}) {
 		t.Fatalf("TrackedPaths = %v", got)
 	}
-	if x.MemoryFootprint() != (5+5+5)*8 {
+	// Three committed columns of one segment (56 bytes) and one chunk header
+	// (24 bytes) each, their buffers clipped to what they hold: row starts
+	// 0..400 two bytes wide, both paths (5 and 20 past their row start) one
+	// byte wide.
+	if x.MemoryFootprint() != 3*(56+24)+5*2+5+5 {
 		t.Fatalf("footprint = %d", x.MemoryFootprint())
 	}
 }
@@ -60,8 +70,8 @@ func TestAdaptiveExtension(t *testing.T) {
 	if x.NRows() != 3 {
 		t.Fatalf("rows changed: %d", x.NRows())
 	}
-	if pos := x.Positions("b"); pos[2] != 27 {
-		t.Fatalf("b positions = %v", pos)
+	if pos := x.Positions("b"); pos.At(2) != 27 {
+		t.Fatalf("b positions = %v", pos.Decode(nil, 0, 3))
 	}
 }
 
@@ -91,9 +101,10 @@ func TestPartialScanDiscarded(t *testing.T) {
 
 // TestLRUEviction: path bytes beyond the budget are evicted
 // least-recently-used; recently read paths survive. Each 2-character path
-// over one row accounts 2 + 8 = 10 bytes, so a 30-byte budget holds three.
+// over one row accounts its name and one chunk (onePath bytes), so a budget
+// of three times that holds three.
 func TestLRUEviction(t *testing.T) {
-	x := New(30)
+	x := New(3 * onePath)
 	commit := func(path string, val int64) {
 		rec := x.Record([]string{path})
 		rec.AppendRow(0, []int64{val})
@@ -126,7 +137,7 @@ func TestLRUEviction(t *testing.T) {
 // single oversized path is still retained (the budget never empties the
 // index below one path).
 func TestByteEvictionOrder(t *testing.T) {
-	x := New(30)
+	x := New(3 * onePath)
 	commit := func(path string, val int64) {
 		rec := x.Record([]string{path})
 		rec.AppendRow(0, []int64{val})
@@ -148,7 +159,7 @@ func TestByteEvictionOrder(t *testing.T) {
 	// A lone path larger than the whole budget survives (floor of one).
 	y := New(10)
 	recY := y.Record([]string{"big"})
-	for r := int64(0); r < 4; r++ { // 3 + 4*8 = 35 bytes > 10
+	for r := int64(0); r < 4; r++ { // 3 + onePath-2 bytes > 10
 		recY.AppendRow(r*10, []int64{r*10 + 1})
 	}
 	recY.Commit()
@@ -162,44 +173,49 @@ func TestByteEvictionOrder(t *testing.T) {
 	}
 }
 
-// TestReserveClipMerge checks that a reserved fragment allocates its slices
-// once (an exact reservation is what the committed index holds), that Clip
-// bounds the slack of a high or low estimate to 1/32 of the length, and that
-// Merge writes fragments into destinations of exactly their total length.
+// TestReserveClipMerge checks that a reserved fragment allocates its columns
+// once (an exact reservation needs no regrowth), and that Merge, which links
+// fragments and clips their buffers, leaves what a high or low estimate left
+// to within 5 % of the same offsets restored (which sizes them exactly).
 func TestReserveClipMerge(t *testing.T) {
 	const rows = 5000
-	fill := func(reserve int) *Index {
+	fill := func(reserve int) (*Index, uint64) {
 		x := New(0)
 		x.Reserve(reserve)
 		r := x.Record([]string{"a", "b"})
-		for i := int64(0); i < rows; i++ {
+		r.AppendRow(0, []int64{5, 9}) // allocates the reserved columns
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := int64(1); i < rows; i++ {
 			r.AppendRow(100*i, []int64{100*i + 5, 100*i + 9})
 		}
+		runtime.ReadMemStats(&after)
 		r.Commit()
-		return x
+		return x, after.Mallocs - before.Mallocs
+	}
+	compact := func(what string, x *Index) {
+		t.Helper()
+		n := x.NRows()
+		paths := map[string][]int64{}
+		for _, p := range x.TrackedPaths() {
+			paths[p] = x.Peek(p).Decode(nil, 0, n)
+		}
+		want := Restore(x.RowStarts().Decode(nil, 0, n), paths, 0).MemoryFootprint()
+		if got := x.MemoryFootprint(); got > want+want/20 {
+			t.Errorf("%s: %d bytes, want <= 1.05 x %d", what, got, want)
+		}
+		if got := x.Peek("b").At(n - 1); got != 100*(n-1)+9 {
+			t.Errorf("%s: last offset %d", what, got)
+		}
 	}
 	for _, reserve := range []int{0, rows / 3, rows, rows + rows/50, 4 * rows} {
-		x := fill(reserve)
-		if reserve == rows && (cap(x.RowStarts()) != rows || cap(x.Positions("b")) != rows) {
-			t.Errorf("exact reservation: caps %d, %d before Clip, want %d", cap(x.RowStarts()), cap(x.Positions("b")), rows)
+		x, mallocs := fill(reserve)
+		if reserve == rows && mallocs != 0 {
+			t.Errorf("exact reservation: %d allocations while staging rows after the first, want 0", mallocs)
 		}
-		x.Clip()
-		for what, s := range map[string][]int64{"rows": x.RowStarts(), "a": x.Positions("a"), "b": x.Positions("b")} {
-			if len(s) != rows || cap(s) > rows+rows/20 {
-				t.Errorf("reserve %d, %s: len %d cap %d, want cap <= 1.05 x %d", reserve, what, len(s), cap(s), rows)
-			}
-		}
-		if got := x.Positions("b")[rows-1]; got != 100*(rows-1)+9 {
-			t.Errorf("reserve %d: last offset after Clip = %d", reserve, got)
-		}
+		compact(fmt.Sprintf("reserve %d, one fragment", reserve), Merge([]*Index{x}, []int64{0}, 0))
 	}
-	m := Merge([]*Index{fill(0), fill(rows)}, []int64{0, 100 * rows}, 0)
-	for what, s := range map[string][]int64{"rows": m.RowStarts(), "a": m.Positions("a"), "b": m.Positions("b")} {
-		if len(s) != 2*rows || cap(s) != 2*rows {
-			t.Errorf("merged %s: len %d cap %d, want both %d", what, len(s), cap(s), 2*rows)
-		}
-	}
-	if got := m.Positions("a")[2*rows-1]; got != 100*(2*rows-1)+5 {
-		t.Errorf("merged last offset = %d", got)
-	}
+	a, _ := fill(0)
+	b, _ := fill(rows)
+	compact("merged", Merge([]*Index{a, b}, []int64{0, 100 * rows}, 0))
 }

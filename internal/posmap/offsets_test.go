@@ -3,6 +3,7 @@ package posmap_test
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -110,13 +111,16 @@ func (ref offsetsRef) restored() (*posmap.Map, *jsonidx.Index, error) {
 }
 
 // pmBatch and idxBatch read rows [lo, hi) of one recorded column as a batch.
-func pmBatch(pm *posmap.Map, c int, lo, hi int64) []int64 { return pm.Positions(c)[lo:hi] }
+// Each decodes into a scratch slice that already holds other values.
+func pmBatch(pm *posmap.Map, c int, lo, hi int64) []int64 {
+	return pm.Positions(c).Decode([]int64{-1, -2, -3}, lo, hi)
+}
 
 func idxBatch(x *jsonidx.Index, path string, lo, hi int64) []int64 {
 	if path == "" {
-		return x.RowStarts()[lo:hi]
+		return x.RowStarts().Decode(make([]int64, 5, 2000), lo, hi)
 	}
-	return x.Positions(path)[lo:hi]
+	return x.Positions(path).Decode(nil, lo, hi)
 }
 
 // check compares every Lookup, RowStart and a spread of batch reads of pm and
@@ -260,4 +264,36 @@ func FuzzOffsets(f *testing.F) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// TestFootprintHonest checks that MemoryFootprint, which the cache budget
+// charges, is what a 100k-row positional map and structural index take on
+// the heap: within 10 % of the heap's growth while each is built, measured
+// after a collection so that regrown buffers do not count.
+func TestFootprintHonest(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	ref := genOffsets(rng, 100_000, 0, []int64{70, 85, 100, 140})
+	heap := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	for _, kind := range []string{"posmap", "jsonidx"} {
+		before := heap()
+		pm, x := ref.serial(0, len(ref.rows), 0)
+		var fp int64
+		if kind == "posmap" {
+			x, fp = nil, pm.MemoryFootprint()
+		} else {
+			pm, fp = nil, x.MemoryFootprint()
+		}
+		grew := int64(heap() - before)
+		runtime.KeepAlive(pm)
+		runtime.KeepAlive(x)
+		t.Logf("%s: footprint %d bytes (%.2f B/row), heap grew %d", kind, fp, float64(fp)/1e5, grew)
+		if d := fp - grew; d > grew/10 || -d > grew/10 {
+			t.Errorf("%s: footprint %d bytes, heap grew %d", kind, fp, grew)
+		}
+	}
 }

@@ -13,8 +13,9 @@ package posmap
 
 import (
 	"fmt"
-	"slices"
 	"sort"
+
+	"rawdb/internal/offsets"
 )
 
 // A Policy decides which columns of a file the map tracks.
@@ -60,45 +61,44 @@ func (p Policy) String() string {
 }
 
 // A Map stores, for each tracked column, the byte offset of that column's
-// field in every row of one raw file.
+// field in every row of one raw file. The first tracked column's offsets are
+// stored as they are; every other column's relative to the first's in the
+// same row, so that they stay as narrow as a row is wide.
 type Map struct {
-	tracked []int       // sorted tracked column indexes
-	index   map[int]int // column -> slot in positions
-	pos     [][]int64   // per tracked column, per row, byte offset
+	tracked []int             // sorted tracked column indexes
+	index   map[int]int       // column -> slot in positions
+	pos     []*offsets.Column // per tracked column, per row, byte offset
 	nrows   int64
 }
 
 // New returns an empty map tracking the given columns of an ncols-wide file.
 func New(policy Policy, ncols int) *Map {
-	cols := policy.Columns(ncols)
+	return newMap(policy.Columns(ncols))
+}
+
+func newMap(tracked []int) *Map {
 	m := &Map{
-		tracked: cols,
-		index:   make(map[int]int, len(cols)),
-		pos:     make([][]int64, len(cols)),
+		tracked: tracked,
+		index:   make(map[int]int, len(tracked)),
+		pos:     make([]*offsets.Column, len(tracked)),
 	}
-	for i, c := range cols {
+	for i, c := range tracked {
 		m.index[c] = i
+		m.pos[i] = offsets.New(m.pos[0]) // pos[0] itself gets a nil anchor
 	}
 	return m
 }
 
 // Restore reconstructs a map from its serialised parts: the sorted tracked
-// column indexes, the per-tracked-column position slices (each of length
-// nrows, taken over without copying) and the row count. It is the decode-side
-// counterpart of the vault codec; a map restored from a valid entry is
-// indistinguishable from one built by a scan.
+// column indexes, the per-tracked-column positions (each of length nrows) and
+// the row count. It is the decode-side counterpart of the vault codec; a map
+// restored from a valid entry is indistinguishable from one built by a scan.
 func Restore(tracked []int, pos [][]int64, nrows int64) (*Map, error) {
 	if len(tracked) != len(pos) {
 		return nil, fmt.Errorf("posmap: %d tracked columns for %d position slices", len(tracked), len(pos))
 	}
 	if nrows < 0 {
 		return nil, fmt.Errorf("posmap: negative row count %d", nrows)
-	}
-	m := &Map{
-		tracked: tracked,
-		index:   make(map[int]int, len(tracked)),
-		pos:     pos,
-		nrows:   nrows,
 	}
 	for i, c := range tracked {
 		if c < 0 {
@@ -110,8 +110,17 @@ func Restore(tracked []int, pos [][]int64, nrows int64) (*Map, error) {
 		if int64(len(pos[i])) != nrows {
 			return nil, fmt.Errorf("posmap: column %d has %d positions for %d rows", c, len(pos[i]), nrows)
 		}
-		m.index[c] = i
 	}
+	m := newMap(tracked)
+	m.Reserve(int(nrows))
+	row := make([]int64, len(pos))
+	for r := range nrows {
+		for i := range pos {
+			row[i] = pos[i][r]
+		}
+		m.AppendRow(row)
+	}
+	m.Clip()
 	return m, nil
 }
 
@@ -127,44 +136,43 @@ func (m *Map) TrackedColumns() []int { return m.tracked }
 // NRows returns the number of rows recorded so far.
 func (m *Map) NRows() int64 { return m.nrows }
 
-// Reserve gives every position slice capacity for rows rows, so a scan that
-// goes on to append about that many allocates each slice once instead of
-// regrowing (and re-copying) it as it fills. The planner passes the table's
-// row count, or an estimate of it; a low estimate only brings regrowth back.
+// Reserve gives every position column room for rows rows, so a scan that
+// goes on to append about that many allocates each buffer once instead of
+// regrowing (and re-copying) it as it fills. The planner passes the span's
+// row count, or an estimate of it; a low estimate only brings regrowth back,
+// and Clip drops what a high one leaves.
 func (m *Map) Reserve(rows int) {
-	for i, p := range m.pos {
-		if cap(p) < rows {
-			m.pos[i] = append(make([]int64, 0, rows), p...)
-		}
+	for _, col := range m.pos {
+		col.Reserve(rows)
 	}
 }
 
-// Clip reallocates any position slice whose spare capacity exceeds 1/32 of
-// its length. Called once on a finished map, before it is published, it
-// bounds what a high Reserve estimate (or append's own regrowth) leaves
-// allocated but unused for the map's lifetime; MemoryFootprint counts
-// lengths and cannot see it.
+// Clip reallocates any buffer whose spare room exceeds 1/32 of its length.
+// Called once on a finished map that is published as it is, it bounds what a
+// high Reserve estimate (or append's own regrowth) leaves allocated but
+// unused for the map's lifetime; Merge clips the maps it links.
 func (m *Map) Clip() {
-	for i, p := range m.pos {
-		if cap(p)-len(p) > len(p)/32 {
-			m.pos[i] = append(make([]int64, 0, len(p)), p...)
-		}
+	for _, col := range m.pos {
+		col.Clip()
 	}
 }
 
 // AppendRow records the byte offsets of the tracked columns for the next row.
 // offsets must be ordered like TrackedColumns(). The scan operators call this
 // once per row while building the map.
-func (m *Map) AppendRow(offsets []int64) {
-	for i, off := range offsets {
-		m.pos[i] = append(m.pos[i], off)
+func (m *Map) AppendRow(offs []int64) {
+	for i, off := range offs {
+		if i > 0 {
+			off -= offs[0]
+		}
+		m.pos[i].Append(off)
 	}
 	m.nrows++
 }
 
 // Positions returns the per-row byte offsets for tracked column c, or nil if
-// c is not tracked. The slice is shared; callers must not modify it.
-func (m *Map) Positions(c int) []int64 {
+// c is not tracked. The column is shared; callers only read it.
+func (m *Map) Positions(c int) *offsets.Column {
 	i, ok := m.index[c]
 	if !ok {
 		return nil
@@ -193,16 +201,16 @@ func (m *Map) Lookup(row int64, c int) (pos int64, skip int, ok bool) {
 	if !ok || row >= m.nrows {
 		return 0, 0, false
 	}
-	return m.pos[m.index[near]][row], c - near, true
+	return m.pos[m.index[near]].At(row), c - near, true
 }
 
 // Merge appends the rows of frag to m, shifting every recorded position by
 // byteOff. frag must track the same columns as m. Parallel scans build one
 // private fragment map per byte-range morsel and merge them in morsel order
 // once all workers finish, so the shared map is never written concurrently
-// and, after the merge, is indistinguishable from one built by a serial scan.
-// A caller that Reserves the fragments' total first gets every merge written
-// in place, into slices allocated once at exactly their final size.
+// and, after the merge, reads like one built by a serial scan. The merge
+// links frag's chunks instead of copying them, moving only the bases of its
+// first column (the others are relative to it); frag is not written again.
 func (m *Map) Merge(frag *Map, byteOff int64) error {
 	if len(frag.tracked) != len(m.tracked) {
 		return fmt.Errorf("posmap: merge of map tracking %d columns into %d", len(frag.tracked), len(m.tracked))
@@ -212,23 +220,26 @@ func (m *Map) Merge(frag *Map, byteOff int64) error {
 			return fmt.Errorf("posmap: merge of maps tracking different columns")
 		}
 	}
-	for i, src := range frag.pos {
-		n := len(m.pos[i])
-		dst := slices.Grow(m.pos[i], len(src))[:n+len(src)]
-		for j, p := range src {
-			dst[n+j] = p + byteOff
+	for i, col := range frag.pos {
+		if i > 0 {
+			byteOff = 0
 		}
-		m.pos[i] = dst
+		m.pos[i].Link(col, byteOff)
 	}
 	m.nrows += frag.nrows
 	return nil
 }
 
-// MemoryFootprint returns the approximate size in bytes of the stored
-// positions, used by the engine's cache accounting (0 for a nil map).
+// MemoryFootprint returns the bytes the map's encoded positions take, chunk
+// headers and spare room included: what the engine's cache budget charges
+// (0 for a nil map).
 func (m *Map) MemoryFootprint() int64 {
 	if m == nil {
 		return 0
 	}
-	return int64(len(m.tracked)) * m.nrows * 8
+	var n int64
+	for _, col := range m.pos {
+		n += col.Bytes()
+	}
+	return n
 }

@@ -2,6 +2,7 @@ package posmap
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -57,8 +58,8 @@ func TestAppendAndLookup(t *testing.T) {
 	if m.NRows() != 2 {
 		t.Fatalf("NRows = %d", m.NRows())
 	}
-	if got := m.Positions(3); len(got) != 2 || got[1] != 400 {
-		t.Fatalf("Positions(3) = %v", got)
+	if got := m.Positions(3); got.Len() != 2 || got.At(1) != 400 {
+		t.Fatalf("Positions(3) = %v", got.Decode(nil, 0, got.Len()))
 	}
 	if got := m.Positions(2); got != nil {
 		t.Fatalf("Positions(2) = %v, want nil", got)
@@ -110,7 +111,15 @@ func TestMemoryFootprint(t *testing.T) {
 	m := New(Policy{Extra: []int{0, 2}}, 4)
 	m.AppendRow([]int64{0, 10})
 	m.AppendRow([]int64{20, 30})
-	if got := m.MemoryFootprint(); got != 2*2*8 {
+	m.AppendRow([]int64{1000, 1010})
+	if got := m.MemoryFootprint(); got != 2*8*128 {
+		t.Fatalf("MemoryFootprint = %d before Clip, want two chunks' worth of rows not yet encoded", got)
+	}
+	m.Clip()
+	// Two columns of one segment (56 bytes) and one chunk header (24 bytes)
+	// each, their buffers clipped to what they hold: column 0 spans 1000 bytes,
+	// two bytes a row; column 2 sits 10 bytes past it, one byte a row.
+	if got := m.MemoryFootprint(); got != 2*(56+24)+3*2+3 {
 		t.Fatalf("MemoryFootprint = %d", got)
 	}
 }
@@ -122,31 +131,42 @@ func TestTrackedColumnsOrder(t *testing.T) {
 	}
 }
 
-// TestReserveAndClip checks that a reserved map allocates its position slices
-// once (an exact reservation is what the finished map holds), and that Clip
-// bounds the slack of a high or low estimate to 1/32 of the length.
+// TestReserveAndClip checks that a reserved map allocates its buffers once
+// (an exact reservation needs no regrowth), and that publishing it by a Merge
+// clips what a high or low estimate leaves to within 5 % of the same offsets
+// restored, which sizes them exactly.
 func TestReserveAndClip(t *testing.T) {
 	const rows = 5000
 	for _, reserve := range []int{0, rows / 3, rows, rows + rows/50, 4 * rows} {
 		m := New(Policy{EveryK: 2}, 4)
 		m.Reserve(reserve)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
 		for r := int64(0); r < rows; r++ {
 			m.AppendRow([]int64{10 * r, 10*r + 5})
 		}
-		if reserve == rows {
-			if got := cap(m.Positions(0)); got != rows {
-				t.Errorf("exact reservation: cap %d before Clip, want %d", got, rows)
-			}
+		runtime.ReadMemStats(&after)
+		if n := after.Mallocs - before.Mallocs; reserve == rows && n != 0 {
+			t.Errorf("exact reservation: %d allocations while appending, want 0", n)
 		}
-		m.Clip()
+		pub := New(Policy{EveryK: 2}, 4)
+		if err := pub.Merge(m, 0); err != nil {
+			t.Fatal(err)
+		}
+		m = pub
+		var pos [][]int64
 		for _, c := range m.TrackedColumns() {
-			p := m.Positions(c)
-			if len(p) != rows || cap(p) > rows+rows/20 {
-				t.Errorf("reserve %d, column %d: len %d cap %d, want cap <= 1.05 x %d", reserve, c, len(p), cap(p), rows)
-			}
+			pos = append(pos, m.Positions(c).Decode(nil, 0, rows))
+		}
+		ref, err := Restore(m.TrackedColumns(), pos, rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := m.MemoryFootprint(), ref.MemoryFootprint(); got > want+want/20 {
+			t.Errorf("reserve %d: %d bytes once merged, want <= 1.05 x %d", reserve, got, want)
 		}
 		if pos, _, ok := m.Lookup(rows-1, 2); !ok || pos != 10*(rows-1)+5 {
-			t.Errorf("reserve %d: lookup after Clip = %d, %v", reserve, pos, ok)
+			t.Errorf("reserve %d: lookup once merged = %d, %v", reserve, pos, ok)
 		}
 	}
 }

@@ -165,7 +165,7 @@ func EncodePosMap(fp Fingerprint, pm *posmap.Map) []byte {
 		b = binary.LittleEndian.AppendUint32(b, uint32(c))
 	}
 	for _, c := range tracked {
-		b = appendI64s(b, pm.Positions(c))
+		b = appendI64s(b, pm.Positions(c).Decode(nil, 0, pm.NRows()))
 	}
 	return appendCheck(b)
 }
@@ -173,16 +173,16 @@ func EncodePosMap(fp Fingerprint, pm *posmap.Map) []byte {
 // EncodeJSONIdx serialises a structural index (row starts plus every fully
 // recorded path).
 func EncodeJSONIdx(fp Fingerprint, x *jsonidx.Index) []byte {
-	rows := x.RowStarts()
+	n := x.NRows()
 	b := appendHeader(nil, KindJSONIdx, fp)
-	b = binary.LittleEndian.AppendUint64(b, uint64(len(rows)))
-	b = appendI64s(b, rows)
+	b = binary.LittleEndian.AppendUint64(b, uint64(n))
+	b = appendI64s(b, x.RowStarts().Decode(nil, 0, n))
 	paths := x.TrackedPaths()
-	// Only complete recordings serialise (the index invariant guarantees
-	// completeness, but stay defensive).
+	// Only complete recordings serialise (defensively); Peek leaves the LRU
+	// order and the seek count as the queries left them.
 	var full []string
 	for _, p := range paths {
-		if len(x.Positions(p)) == len(rows) {
+		if x.Peek(p).Len() == n {
 			full = append(full, p)
 		}
 	}
@@ -190,7 +190,7 @@ func EncodeJSONIdx(fp Fingerprint, x *jsonidx.Index) []byte {
 	for _, p := range full {
 		b = binary.LittleEndian.AppendUint32(b, uint32(len(p)))
 		b = append(b, p...)
-		b = appendI64s(b, x.Positions(p))
+		b = appendI64s(b, x.Peek(p).Decode(nil, 0, n))
 	}
 	return appendCheck(b)
 }

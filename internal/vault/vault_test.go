@@ -49,7 +49,7 @@ func TestVaultCodecPosMapRoundTrip(t *testing.T) {
 		t.Fatalf("tracked %v, want %v", got.TrackedColumns(), pm.TrackedColumns())
 	}
 	for _, c := range pm.TrackedColumns() {
-		if !reflect.DeepEqual(got.Positions(c), pm.Positions(c)) {
+		if !reflect.DeepEqual(got.Positions(c).Decode(nil, 0, got.NRows()), pm.Positions(c).Decode(nil, 0, pm.NRows())) {
 			t.Fatalf("positions of col %d differ", c)
 		}
 	}
@@ -83,7 +83,7 @@ func TestVaultCodecJSONIdxRoundTrip(t *testing.T) {
 		t.Fatalf("paths %v, want %v", got.TrackedPaths(), x.TrackedPaths())
 	}
 	for _, p := range x.TrackedPaths() {
-		if !reflect.DeepEqual(got.Positions(p), x.Positions(p)) {
+		if !reflect.DeepEqual(got.Positions(p).Decode(nil, 0, got.NRows()), x.Positions(p).Decode(nil, 0, x.NRows())) {
 			t.Fatalf("positions of %q differ", p)
 		}
 	}
@@ -436,5 +436,33 @@ func TestVaultBudgetLRU(t *testing.T) {
 	b2.Reset()
 	if set2 != 0 || b2.Len() != 0 {
 		t.Fatal("Reset invoked callbacks or kept entries")
+	}
+}
+
+// TestEncodeJSONIdxLeavesLRU checks that writing an index back to the vault is
+// not a query: it counts no seek and leaves the paths' LRU order alone, so
+// the path a query touched last still outlives the one it did not.
+func TestEncodeJSONIdxLeavesLRU(t *testing.T) {
+	x := jsonidx.New(200) // two one-letter paths over three rows fit, three do not
+	for _, p := range []string{"a", "b"} {
+		rec := x.Record([]string{p})
+		for r := int64(0); r < 3; r++ {
+			rec.AppendRow(r*10, []int64{r*10 + 2})
+		}
+		rec.Commit()
+	}
+	x.Positions("a") // a query reads a: b is now least recently used
+	seeks := x.Seeks()
+	EncodeJSONIdx(testFP(), x)
+	if got := x.Seeks(); got != seeks {
+		t.Fatalf("encode moved Seeks from %d to %d", seeks, got)
+	}
+	rec := x.Record([]string{"c"})
+	for r := int64(0); r < 3; r++ {
+		rec.AppendRow(r*10, []int64{r*10 + 4})
+	}
+	rec.Commit()
+	if got := x.TrackedPaths(); !reflect.DeepEqual(got, []string{"a", "c"}) {
+		t.Fatalf("after an encode and one eviction the index tracks %v, want [a c]", got)
 	}
 }
