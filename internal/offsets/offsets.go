@@ -215,8 +215,9 @@ func (c *Column) Decode(dst []int64, lo, hi int64) []int64 {
 }
 
 // Link appends the rows of frag (nil: none) to c, each moved by shift, without
-// rewriting them: c takes over frag's buffers, sealed by Clip, and copies only
-// their chunk headers, whose bases it moves.
+// rewriting them: c shares frag's buffers, sealed by Clip and capped at their
+// length so that neither column growing writes into the other's rows, and
+// copies only their chunk headers, whose bases it moves.
 func (c *Column) Link(frag *Column, shift int64) {
 	if frag == nil {
 		return
@@ -229,7 +230,8 @@ func (c *Column) Link(frag *Column, shift int64) {
 		if len(s.chunks) == 0 {
 			continue
 		}
-		s.row0, s.chunks = c.n, append(make([]chunk, 0, len(s.chunks)), s.chunks...)
+		s.row0, s.data = c.n, s.data[:len(s.data):len(s.data)]
+		s.chunks = append(make([]chunk, 0, len(s.chunks)), s.chunks...)
 		for k := range s.chunks {
 			s.chunks[k].base += shift
 		}
@@ -276,11 +278,8 @@ func clip[T any](s []T) []T {
 }
 
 // Bytes returns the memory the column holds: its buffers, chunk headers,
-// segment table and staged rows, spare room included (0 for a nil column).
+// segment table and staged rows, spare room included.
 func (c *Column) Bytes() int64 {
-	if c == nil {
-		return 0
-	}
 	n := int64(cap(c.segs))*int64(unsafe.Sizeof(segment{})) + int64(cap(c.stage))*8
 	for _, s := range c.segs {
 		n += int64(cap(s.data)) + int64(cap(s.chunks))*int64(unsafe.Sizeof(chunk{}))
