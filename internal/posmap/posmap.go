@@ -147,10 +147,12 @@ func (m *Map) Reserve(rows int) {
 	}
 }
 
-// Clip reallocates any buffer whose spare room exceeds 1/32 of its length.
-// Called once on a finished map that is published as it is, it bounds what a
-// high Reserve estimate (or append's own regrowth) leaves allocated but
-// unused for the map's lifetime; Merge clips the maps it links.
+// Clip seals the map: it encodes the rows its columns still stage, and
+// reallocates any buffer whose spare room exceeds 1/32 of its length. Called
+// once on a finished map that is published as it is — concurrent readers
+// need a sealed map — it bounds what a high Reserve estimate (or append's own
+// regrowth) leaves allocated but unused for the map's lifetime; Merge seals
+// the maps it links.
 func (m *Map) Clip() {
 	for _, col := range m.pos {
 		col.Clip()
