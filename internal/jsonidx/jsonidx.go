@@ -49,7 +49,7 @@ type Index struct {
 	max   int64 // byte budget for tracked paths
 	ver   uint64
 
-	reserve int // rows the next recorder allocates its columns for (Reserve)
+	reserve int // rows the next recorder's columns are reserved for (Reserve)
 
 	// seeks counts Positions lookups that were served (observability: how
 	// often queries navigated via the structural index instead of reparsing).
@@ -81,11 +81,12 @@ func New(maxBytes int64) *Index {
 }
 
 // Reserve makes the next recorder taken from x allocate its row-start and
-// per-path columns for rows rows at once (when its first row arrives), so a
-// scan that goes on to stage about that many does not regrow (and re-copy)
-// them as it fills. The planner passes the row count of the bytes the scan
-// will read, or an estimate of it; a low estimate only brings regrowth back,
-// and Commit drops what a high one leaves. Call it before the index is shared.
+// per-path columns for rows rows at once (when their first chunks are
+// encoded), so a scan that goes on to stage about that many does not regrow
+// (and re-copy) them as it fills. The planner passes the row count of the
+// bytes the scan will read, or an estimate of it; a low estimate only brings
+// regrowth back, and Commit drops what a high one leaves. Call it before the
+// index is shared.
 func (x *Index) Reserve(rows int) { x.reserve = rows }
 
 // Restore reconstructs an index from its serialised parts: the row-start
@@ -250,7 +251,6 @@ type Recorder struct {
 	// firstScan is true when the index had no rows yet: the recorder is then
 	// also responsible for committing row starts, which it stages in rows.
 	firstScan bool
-	reserve   int // rows to allocate for at the first AppendRow (Index.Reserve)
 }
 
 // Record returns a recorder staging offsets for the given paths (paths
@@ -259,18 +259,21 @@ type Recorder struct {
 func (x *Index) Record(paths []string) *Recorder {
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	r := &Recorder{x: x, rows: x.rows, firstScan: x.rows.Len() == 0, reserve: x.reserve}
-	x.reserve = 0
+	r := &Recorder{x: x, rows: x.rows, firstScan: x.rows.Len() == 0}
 	if r.firstScan {
 		r.rows = offsets.New(nil)
+		r.rows.Reserve(x.reserve)
 	}
 	for _, p := range paths {
 		if _, tracked := x.paths[p]; tracked {
 			continue
 		}
+		offs := offsets.New(r.rows)
+		offs.Reserve(x.reserve)
 		r.paths = append(r.paths, p)
-		r.offs = append(r.offs, offsets.New(r.rows))
+		r.offs = append(r.offs, offs)
 	}
+	x.reserve = 0
 	return r
 }
 
@@ -281,28 +284,12 @@ func (r *Recorder) Paths() []string { return r.paths }
 // AppendRow stages one row: its start offset and the value offsets of the
 // recorder's paths (aligned with Paths()).
 func (r *Recorder) AppendRow(rowStart int64, offs []int64) {
-	if r.reserve > 0 {
-		r.alloc()
-	}
 	if r.firstScan {
 		r.rows.Append(rowStart)
 	}
 	for i, o := range offs {
 		r.offs[i].Append(o - rowStart)
 	}
-}
-
-// alloc allocates the reserved columns: at the first row rather than at Record,
-// so a plan that never runs allocates nothing and each morsel's worker, not
-// the planner, touches its fragment's memory first.
-func (r *Recorder) alloc() {
-	if r.firstScan {
-		r.rows.Reserve(r.reserve)
-	}
-	for _, offs := range r.offs {
-		offs.Reserve(r.reserve)
-	}
-	r.reserve = 0
 }
 
 // AppendPathOffset stages the next row's value offset for staged path i

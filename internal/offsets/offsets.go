@@ -41,6 +41,7 @@ type Column struct {
 	segs   []segment
 	n      int64   // rows encoded into segs
 	stage  []int64 // the rows after them, up to a chunk, not encoded yet
+	hint   int     // rows the first segment is allocated for (Reserve)
 }
 
 // New returns an empty column whose values are stored relative to anchor's
@@ -98,24 +99,23 @@ func (c *Column) Append(v int64) {
 	c.stage = append(c.stage, v)
 }
 
-// tail returns the segment staged rows are encoded into: the last, unless
-// its last chunk is short, which ends it.
-func (c *Column) tail() *segment {
-	k := len(c.segs) - 1
-	if k < 0 || len(c.segs[k].chunks) > 0 && c.segs[k].rows(len(c.segs[k].chunks)-1) < ChunkRows {
-		c.segs = append(c.segs, segment{row0: c.n})
-	}
-	return &c.segs[len(c.segs)-1]
-}
-
 // flush encodes the staged rows as one chunk, based at their lowest value,
-// and empties the stage (allocating it when there is none).
+// and empties the stage (allocating it when there is none). The chunk goes
+// into the last segment, unless that one's last chunk is short, which ends it.
 func (c *Column) flush() {
 	if len(c.stage) == 0 {
 		c.stage = slices.Grow(c.stage, ChunkRows)
 		return
 	}
-	s := c.tail()
+	if k := len(c.segs) - 1; k < 0 || c.segs[k].rows(len(c.segs[k].chunks)-1) < ChunkRows {
+		width := 1
+		if c.anchor == nil {
+			width = 2
+		}
+		c.segs = append(c.segs, segment{row0: c.n, data: make([]byte, 0, c.hint*width), chunks: make([]chunk, 0, c.hint/ChunkRows+1)})
+		c.hint = 0
+	}
+	s := &c.segs[len(c.segs)-1]
 	lo, hi := c.stage[0], c.stage[0]
 	for _, x := range c.stage {
 		lo, hi = min(lo, x), max(hi, x)
@@ -227,9 +227,6 @@ func (c *Column) Link(frag *Column, shift int64) {
 	}
 	frag.Clip()
 	for _, s := range frag.segs {
-		if len(s.chunks) == 0 {
-			continue
-		}
 		s.row0, s.data = c.n, s.data[:len(s.data):len(s.data)]
 		s.chunks = append(make([]chunk, 0, len(s.chunks)), s.chunks...)
 		for k := range s.chunks {
@@ -240,25 +237,17 @@ func (c *Column) Link(frag *Column, shift int64) {
 	}
 }
 
-// Reserve gives the column room for rows more rows, so that a scan that goes
-// on to append about that many allocates its buffers once instead of
+// Reserve gives an empty column room for about rows rows, allocated when its
+// first chunk is encoded (by the goroutine that appends), so that a scan that
+// goes on to append that many allocates its buffers once instead of
 // regrowing them: two bytes a row for absolute offsets (the row starts of
 // rows up to 511 bytes wide), one for relative ones.
-func (c *Column) Reserve(rows int) {
-	width := 1
-	if c.anchor == nil {
-		width = 2
-	}
-	s := c.tail()
-	s.data = slices.Grow(s.data, rows*width)
-	s.chunks = slices.Grow(s.chunks, rows/ChunkRows+1)
-	c.stage = slices.Grow(c.stage, ChunkRows)
-}
+func (c *Column) Reserve(rows int) { c.hint = rows }
 
 // Clip seals the column: it encodes the staged rows, and reallocates any
 // buffer whose spare room exceeds 1/32 of its length, which a high Reserve
 // estimate or append's regrowth would otherwise leave allocated for the
-// column's lifetime. A sealed column may grow again, from a new segment.
+// column's lifetime.
 func (c *Column) Clip() {
 	if len(c.stage) > 0 {
 		c.flush()

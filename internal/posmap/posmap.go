@@ -136,11 +136,11 @@ func (m *Map) TrackedColumns() []int { return m.tracked }
 // NRows returns the number of rows recorded so far.
 func (m *Map) NRows() int64 { return m.nrows }
 
-// Reserve gives every position column room for rows rows, so a scan that
-// goes on to append about that many allocates each buffer once instead of
-// regrowing (and re-copying) it as it fills. The planner passes the span's
-// row count, or an estimate of it; a low estimate only brings regrowth back,
-// and Clip drops what a high one leaves.
+// Reserve gives every position column room for about rows rows, allocated
+// as the first rows arrive, so a scan that goes on to append about that many
+// allocates each buffer once instead of regrowing (and re-copying) it as it
+// fills. The planner passes the span's row count, or an estimate of it; a low
+// estimate only brings regrowth back, and Clip drops what a high one leaves.
 func (m *Map) Reserve(rows int) {
 	for _, col := range m.pos {
 		col.Reserve(rows)
