@@ -117,6 +117,7 @@ func TestConcurrentQueries(t *testing.T) {
 			for err := range errs {
 				t.Fatal(err)
 			}
+			auditBudget(t, "after the storm", eng)
 
 			// Cache-coherence invariants after the storm, as the pool's own
 			// contract states them. A key may keep several partial shreds

@@ -105,6 +105,7 @@ func TestDifferentialChaos(t *testing.T) {
 			sql := q.SQL(ts)
 			w := workerCycle[qi%len(workerCycle)]
 			res, err := eng.QueryOpt(sql, raw.Options{Parallelism: &w})
+			auditBudget(t, fmt.Sprintf("chaos %s query %d (error %v)", name, qi, err), eng)
 			if err != nil {
 				// A clean failure: no result, and the process/engine is
 				// intact (the next iteration proves it). Wrong answers are
@@ -132,7 +133,9 @@ func TestDifferentialChaos(t *testing.T) {
 				t.Fatalf("%s aftermath query %d %q: %v", name, qi, sql, err)
 			}
 			want, types := oracle(ts, q)
-			checkOracle(t, fmt.Sprintf("chaos-aftermath %s query %d", name, qi), sql, res, want, types)
+			label := fmt.Sprintf("chaos-aftermath %s query %d", name, qi)
+			checkOracle(t, label, sql, res, want, types)
+			auditBudget(t, label, eng)
 		}
 	}
 

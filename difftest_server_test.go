@@ -162,6 +162,7 @@ func TestDifferentialServer(t *testing.T) {
 				t.Fatalf("admission gauges not drained: active=%d queue=%d",
 					snap["server.active"], snap["server.queue"])
 			}
+			auditBudget(t, tc.name, eng)
 		})
 	}
 }

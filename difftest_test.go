@@ -895,6 +895,23 @@ func checkOracle(t *testing.T, label, sql string, res *raw.Result, want [][]orac
 	}
 }
 
+// auditBudget checks the cache budget's conservation identity after a query,
+// failed ones included: the budget charges exactly the bytes and entries of
+// the structures in the table slots and the shred pool, and the registry's
+// gauges add up to its bytes.
+func auditBudget(t *testing.T, label string, eng *raw.Engine) {
+	t.Helper()
+	if err := eng.Internal().AuditBudget(); err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	snap := eng.Metrics().Snapshot()
+	held := snap["posmap.bytes"] + snap["jsonidx.bytes"] + snap["synopsis.bytes"] + snap["shred.pool.bytes"]
+	if snap["budget.bytes"] != held {
+		t.Fatalf("%s: budget.bytes=%d, posmap+jsonidx+synopsis+shred.pool bytes=%d",
+			label, snap["budget.bytes"], held)
+	}
+}
+
 // registerDT registers one generated table under one format.
 func registerDT(t *testing.T, e *raw.Engine, name string, tab *dtTable, format string,
 	csv, jsonl, bin []byte) {
@@ -973,8 +990,9 @@ func TestDifferentialDataset(t *testing.T) {
 						t.Fatalf("%s (seed %d) query %d %q: %v", name, seed, qi, sql, err)
 					}
 					want, types := oracle(ts, q)
-					checkOracle(t, fmt.Sprintf("%s (seed %d) query %d workers %d", name, seed, qi, w),
-						sql, res, want, types)
+					label := fmt.Sprintf("%s (seed %d) query %d workers %d", name, seed, qi, w)
+					checkOracle(t, label, sql, res, want, types)
+					auditBudget(t, label, eng)
 				}
 			}
 			register := func(eng *raw.Engine) {
@@ -1027,7 +1045,9 @@ func fillLadder(t *testing.T, label string, eng *raw.Engine, name string, ts dtT
 			t.Fatalf("%s %s ladder rung %d %q: %v", label, name, i, sql, err)
 		}
 		want, types := oracle(ts, q)
-		checkOracle(t, fmt.Sprintf("%s %s ladder rung %d", label, name, i), sql, res, want, types)
+		rung := fmt.Sprintf("%s %s ladder rung %d", label, name, i)
+		checkOracle(t, rung, sql, res, want, types)
+		auditBudget(t, rung, eng)
 	}
 }
 
@@ -1149,8 +1169,9 @@ func TestDifferentialOracle(t *testing.T) {
 							t.Fatalf("%s (seed %d) query %d %q: %v", m.name, seed, qi, sql, err)
 						}
 						want, types := oracle(ts, q)
-						checkOracle(t, fmt.Sprintf("%s (seed %d) query %d workers %d", m.name, seed, qi, w),
-							sql, res, want, types)
+						label := fmt.Sprintf("%s (seed %d) query %d workers %d", m.name, seed, qi, w)
+						checkOracle(t, label, sql, res, want, types)
+						auditBudget(t, label, m.eng)
 					}
 				}
 				for _, m := range modes {

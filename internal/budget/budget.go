@@ -1,22 +1,26 @@
-package vault
+// Package budget is the engine's one cache budget: a byte bound shared by
+// every adaptive structure kept in memory — positional maps, structural
+// indexes, synopses and column shreds — with least-recently-used eviction
+// across all of them. It is a leaf package: the shred pool builds one, and
+// the engine shares the pool's with its table slots.
+package budget
 
 import (
 	"container/list"
 	"sync"
 )
 
-// Budget is the unified cache-budget manager: one byte budget shared by
-// every adaptive structure the engine keeps in memory — positional maps,
-// structural indexes and column shreds — with least-recently-used eviction
-// across all of them. It replaces the per-structure ad-hoc limits (a
-// shred-only byte cap, an entry-counted path budget) with a single knob.
-//
-// The manager tracks (key, size, evict callback) entries. Owners call Set
-// after growing or replacing a structure, Touch on use, and Remove when the
+// Budget tracks (key, size, evict callback) entries. Owners call Set after
+// growing or replacing a structure, Touch on use, and Remove when the
 // structure goes away for another reason. When the total exceeds the budget,
 // the least recently used entries are dropped and their eviction callbacks
 // invoked — after the manager's lock is released, so callbacks may freely
 // take their owners' locks without ordering constraints.
+//
+// The structural index keeps a per-index path budget beside this one:
+// jsonidx.New and Merge take a byte cap, which the benchmark's per-layer
+// measurements (bench/layers.go) set; the engine passes 0, which selects
+// jsonidx.DefaultMaxBytes.
 type Budget struct {
 	mu       sync.Mutex
 	capacity int64
@@ -36,9 +40,9 @@ type budgetEntry struct {
 	evict func()
 }
 
-// NewBudget returns a budget manager with the given capacity in bytes
-// (values <= 0 select 256 MiB, the shred pool's historical default).
-func NewBudget(capacityBytes int64) *Budget {
+// New returns a budget with the given capacity in bytes (values <= 0 select
+// 256 MiB).
+func New(capacityBytes int64) *Budget {
 	if capacityBytes <= 0 {
 		capacityBytes = 256 << 20
 	}

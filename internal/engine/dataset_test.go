@@ -409,7 +409,7 @@ func TestDatasetVaultRestartPruning(t *testing.T) {
 }
 
 // TestDatasetBudgetRelease is the leak audit: everything a dataset (or a
-// plain table) accounts to the unified budget — positional maps, structural
+// plain table) accounts to the cache budget — positional maps, structural
 // indexes, synopses and column shreds, across partitions — is released by
 // DropTable and by per-partition invalidation, leaving zero bytes behind.
 func TestDatasetBudgetRelease(t *testing.T) {
@@ -432,6 +432,9 @@ func TestDatasetBudgetRelease(t *testing.T) {
 		if _, err := e.Query(q); err != nil {
 			t.Fatalf("%q: %v", q, err)
 		}
+		if err := e.AuditBudget(); err != nil {
+			t.Fatalf("after %q: %v", q, err)
+		}
 	}
 	if e.Budget().SizeBytes() == 0 {
 		t.Fatal("budget accounted nothing; the audit would be vacuous")
@@ -445,6 +448,9 @@ func TestDatasetBudgetRelease(t *testing.T) {
 	}
 	if _, err := e.Query("SELECT COUNT(*) FROM ds"); err != nil {
 		t.Fatal(err)
+	}
+	if err := e.AuditBudget(); err != nil {
+		t.Fatalf("after a partition rewrite: %v", err)
 	}
 	for _, k := range e.Budget().Keys() {
 		if n := strings.Count(k, "part-0000.csv"); n > 1 {

@@ -16,6 +16,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"rawdb/internal/budget"
 	"rawdb/internal/catalog"
 	"rawdb/internal/jit"
 	"rawdb/internal/obs"
@@ -129,9 +130,10 @@ type Config struct {
 	// file; deleting or corrupting the directory is always safe (cold
 	// rebuild).
 	CacheDir string
-	// CacheBudget, when > 0, bounds the total in-memory bytes of positional
-	// maps, structural indexes, synopses and column shreds with one unified
-	// LRU budget (replacing the shred pool's own 256 MiB bound).
+	// CacheBudget bounds the total in-memory bytes of positional maps,
+	// structural indexes, synopses and column shreds with one LRU budget;
+	// values <= 0 select 256 MiB. Only a value > 0 turns on the server's
+	// memory governor (CacheBudgetUsage reports it as the capacity).
 	CacheBudget int64
 	// DisablePushdown keeps every WHERE conjunct in a separate Filter
 	// operator instead of absorbing eligible ones into the generated access
@@ -193,8 +195,8 @@ type Engine struct {
 	cat       *catalog.Catalog
 	templates *jit.Cache
 	shreds    *shred.Pool
-	vault     *vault.Store  // nil unless Config.CacheDir is set (and usable)
-	budget    *vault.Budget // nil unless Config.CacheBudget > 0
+	vault     *vault.Store // nil unless Config.CacheDir is set (and usable)
+	budget    *budget.Budget
 	metrics   *obs.Registry
 	events    *obs.EventLog
 	heat      *obs.Heat
@@ -296,14 +298,11 @@ func New(cfg Config) *Engine {
 		cfg:       cfg,
 		cat:       catalog.New(),
 		templates: jit.NewCache(),
-		shreds:    shred.NewPool(0),
+		shreds:    shred.NewPool(cfg.CacheBudget),
 		tables:    make(map[string]*tableState),
 	}
+	e.budget = e.shreds.Budget()
 	e.templates.SetCompileDelay(cfg.CompileDelay)
-	if cfg.CacheBudget > 0 {
-		e.budget = vault.NewBudget(cfg.CacheBudget)
-		e.shreds.SetAccountant(e.budget)
-	}
 	if cfg.CacheDir != "" {
 		// The vault is a cache: if the directory cannot be created the
 		// engine degrades to purely in-memory operation rather than failing.
@@ -335,9 +334,9 @@ func (e *Engine) TemplateCache() *jit.Cache { return e.templates }
 // ShredPool exposes the column-shred pool for inspection.
 func (e *Engine) ShredPool() *shred.Pool { return e.shreds }
 
-// Budget exposes the unified cache-budget manager (nil unless
-// Config.CacheBudget is set).
-func (e *Engine) Budget() *vault.Budget { return e.budget }
+// Budget exposes the cache budget, shared by the table slots and the shred
+// pool.
+func (e *Engine) Budget() *budget.Budget { return e.budget }
 
 // Vault exposes the persistent cache store (nil unless Config.CacheDir is
 // set and usable).
@@ -550,9 +549,7 @@ func (e *Engine) DropCaches() {
 	defer e.mu.Unlock()
 	e.shreds.Reset()
 	e.templates.Reset()
-	if e.budget != nil {
-		e.budget.Reset()
-	}
+	e.budget.Reset()
 	for _, st := range e.tables {
 		for s := range st.family {
 			resetStateCaches(s)

@@ -17,7 +17,8 @@ import (
 // through vault save, restart, budget eviction, a file rewrite and DropTable,
 // for each raw input kind. After every step it records what the engine
 // reports and what it holds: the lifecycle events, the budget keys, the vault
-// directory, the per-structure gauges and the vault publish counters.
+// directory, the per-structure gauges and the vault publish counters. Every
+// event must name the registered table, and a partition by its id.
 // Regenerate with `go test ./internal/engine -run TestStructureLifecycleGolden
 // -update-golden` and review the diff: every changed line is a lifecycle
 // behaviour change.
@@ -111,12 +112,26 @@ func TestStructureLifecycleGolden(t *testing.T) {
 				}
 			}},
 		}
+		// Every event names the one registered table, and a dataset's
+		// partition by its id (the file name under ds/).
+		parts := map[string]bool{"": true}
+		for name := range in.files {
+			if dir, id := filepath.Split(name); dir != "" {
+				parts[id] = true
+			}
+		}
 		for _, step := range steps {
 			fmt.Fprintf(&out, "=== %s %s\n", in.name, step.label)
 			events = events[:0]
 			step.run()
 			// Write-backs run on their own goroutine; a step ends when they land.
 			e.vaultIO.wait()
+			for _, ev := range events {
+				if ev.Table != "t" || !parts[ev.Partition] {
+					t.Errorf("%s %s: %s %s event names table %q, partition %q",
+						in.name, step.label, ev.Kind, ev.Structure, ev.Table, ev.Partition)
+				}
+			}
 			lifecycleState(t, &out, e, events, vaultDir)
 		}
 	}

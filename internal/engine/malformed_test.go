@@ -17,7 +17,8 @@ import (
 // positional map or structural index other columns built, a late column-shred
 // fetch, a late scan completing a partial shred from the raw file, or a read
 // through offsets a pruned warm-up recorded without converting — serial and
-// parallel, pushdown on and off.
+// parallel, pushdown on and off. Every failure leaves the cache budget
+// charging exactly what the engine holds, an index grown in place included.
 func TestMalformedIntFailsInEveryMode(t *testing.T) {
 	const rows, bad = 60, 37
 	schema := []catalog.Column{{Name: "a", Type: vector.Int64}, {Name: "b", Type: vector.Int64},
@@ -46,6 +47,9 @@ func TestMalformedIntFailsInEveryMode(t *testing.T) {
 		{name: "cold", sql: "SELECT SUM(c) FROM t"},
 		{name: "viamap", warm: []warm{{sql: "SELECT SUM(a) FROM t"}}, sql: "SELECT SUM(c) FROM t"},
 		{name: "late", warm: []warm{{sql: "SELECT SUM(a) FROM t"}}, sql: "SELECT SUM(c) FROM t WHERE a >= 0"},
+		// b is new to the structural index: the base scan records it in
+		// place and reaches the end of the file before the late scan fails.
+		{name: "grown", warm: []warm{{sql: "SELECT SUM(a) FROM t"}}, sql: "SELECT SUM(c) FROM t WHERE b >= 0"},
 		// Every row fails a < 0 first: c's offsets are recorded, never converted.
 		{name: "recorded", noShreds: true,
 			warm: []warm{{sql: "SELECT COUNT(*) FROM t WHERE a < 0 AND c > 0", opts: Options{Pushdown: &on}}},
@@ -85,6 +89,9 @@ func TestMalformedIntFailsInEveryMode(t *testing.T) {
 								got = fmt.Sprintf("a result (%v, paths %v)", res.Value(0, 0), res.Stats.AccessPaths)
 							}
 							t.Fatalf("%q: got %v, want a bytesconv.ErrSyntax failure", m.sql, got)
+						}
+						if err := e.AuditBudget(); err != nil {
+							t.Fatalf("after the failed %q: %v", m.sql, err)
 						}
 					})
 				}

@@ -5,7 +5,6 @@ import (
 
 	"rawdb/internal/faults"
 	"rawdb/internal/obs"
-	"rawdb/internal/shred"
 )
 
 // This file wires the engine into the observability layer (package obs):
@@ -58,16 +57,15 @@ func (e *Engine) initObs() {
 	m.Gauge("shred.pool.bytes", func() int64 { return e.shreds.SizeBytes() })
 	m.Gauge("shred.lookup.hits", func() int64 { h, _ := e.shreds.Stats(); return h })
 	m.Gauge("shred.lookup.misses", func() int64 { _, mi := e.shreds.Stats(); return mi })
-	if e.budget != nil {
-		m.Gauge("budget.bytes", func() int64 { return e.budget.SizeBytes() })
-		m.Gauge("budget.capacity", func() int64 { return e.budget.CapacityBytes() })
-		m.Gauge("budget.entries", func() int64 { return int64(e.budget.Len()) })
-		e.budget.SetObserver(e.observeBudgetEviction)
-	}
-	e.shreds.SetEvictObserver(func(k shred.Key, bytes int64) {
-		e.metrics.Counter("shred.pool.evictions").Inc()
-		e.emitEvent(0, obs.EventEvicted, "shred", k.String(), bytes, "lru")
-	})
+	m.Describe("budget.bytes", "bytes charged to the cache budget: positional maps, structural indexes, synopses and column shreds")
+	m.Describe("budget.capacity", "the cache budget's bound in bytes (Config.CacheBudget, or 256 MiB when unset)")
+	m.Describe("budget.entries", "structures charged to the cache budget: one per cached table structure, one per pooled shred")
+	m.Describe("budget.evictions", "structures the cache budget evicted, least recently used first")
+	m.Describe("budget.evicted_bytes", "bytes of the structures the cache budget evicted")
+	m.Gauge("budget.bytes", func() int64 { return e.budget.SizeBytes() })
+	m.Gauge("budget.capacity", func() int64 { return e.budget.CapacityBytes() })
+	m.Gauge("budget.entries", func() int64 { return int64(e.budget.Len()) })
+	e.budget.SetObserver(e.observeBudgetEviction)
 
 	// Per-structure footprint and effectiveness gauges, summed over every
 	// table (and dataset partition) at snapshot time. The sum takes each
@@ -122,15 +120,17 @@ func (e *Engine) emitEvent(qid int64, kind obs.EventKind, structure, table strin
 	e.metrics.Counter("lifecycle." + kind.String()).Inc()
 }
 
-// observeBudgetEviction turns a unified-budget eviction into a lifecycle
-// event. Budget keys are "<structure>:<table>" (shreds append "#<seq>").
+// observeBudgetEviction turns a cache-budget eviction into a lifecycle
+// event. Budget keys are "<structure>:<table>"; a shred's table is its
+// shred.Key ("<table>.col<N>") followed by "#<seq>", and the event names the
+// table alone, like the other shred events.
 func (e *Engine) observeBudgetEviction(key string, size int64) {
-	structure, rest := key, ""
-	if i := strings.IndexByte(key, ':'); i >= 0 {
-		structure, rest = key[:i], key[i+1:]
-	}
+	structure, rest, _ := strings.Cut(key, ":")
 	if structure == "shred" {
 		if i := strings.LastIndexByte(rest, '#'); i >= 0 {
+			rest = rest[:i]
+		}
+		if i := strings.LastIndex(rest, ".col"); i >= 0 {
 			rest = rest[:i]
 		}
 	}

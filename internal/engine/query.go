@@ -205,6 +205,14 @@ func (e *Engine) run(ctx context.Context, rec *queryRecord, r *resolvedQuery) (r
 		if errors.As(err, &pe) {
 			rec.panicked("worker", r, err.Error())
 		}
+		// A scan that reached the end of its file before the failure has
+		// committed the paths it recorded into the structural index in
+		// place: charge the budget what the slots hold now.
+		for _, st := range locks {
+			for s := range st.family {
+				e.accountState(s)
+			}
+		}
 		rec.fold(r, err)
 		return nil, err
 	}

@@ -104,14 +104,12 @@ func collectSerial(ctx context.Context, op exec.Operator, rows *atomic.Int64) ([
 
 // --- memory governor (engine side) ---
 
-// CacheBudgetUsage reports the unified cache budget's current size and
-// capacity in bytes. Both are 0 when the engine runs without a budget
-// (Config.CacheBudget unset), which callers must treat as "no pressure".
+// CacheBudgetUsage reports the cache budget's current size and the
+// configured Config.CacheBudget in bytes. A capacity <= 0 means none was
+// configured (the budget runs at its 256 MiB default), which callers must
+// treat as "no pressure".
 func (e *Engine) CacheBudgetUsage() (used, capacity int64) {
-	if e.budget == nil {
-		return 0, 0
-	}
-	return e.budget.SizeBytes(), e.budget.CapacityBytes()
+	return e.budget.SizeBytes(), e.cfg.CacheBudget
 }
 
 // EstimateQueryBytes estimates the adaptive-structure bytes a query could

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"hash/fnv"
 	"sort"
 	"sync"
@@ -195,14 +196,38 @@ func (e *Engine) vaultLoad(st *tableState) {
 // eviction drops the structure accounted, not a newer one. Shreds are
 // accounted by the pool itself, per shred.
 func (e *Engine) accountState(st *tableState) {
-	if e.budget == nil {
-		return
-	}
 	for _, s := range st.slots() {
 		if x := s.get(); x != nil {
 			e.budget.Set(s.key, x.MemoryFootprint(), func() { s.drop(x) })
 		}
 	}
+}
+
+// AuditBudget checks the cache budget's conservation identity: it charges
+// exactly the structures the table slots and the shred pool hold, byte for
+// byte and entry for entry. The identity holds between queries; a query in
+// flight may hold structures its publication has not charged yet.
+func (e *Engine) AuditBudget() error {
+	var bytes, entries int64
+	for _, st := range e.tableStates() {
+		st.qmu.Lock()
+		for s := range st.family {
+			for _, sl := range s.slots() {
+				if x := sl.get(); x != nil {
+					bytes += x.MemoryFootprint()
+					entries++
+				}
+			}
+		}
+		st.qmu.Unlock()
+	}
+	bytes += e.shreds.SizeBytes()
+	entries += int64(e.shreds.Len())
+	if b, n := e.budget.SizeBytes(), int64(e.budget.Len()); b != bytes || n != entries {
+		return fmt.Errorf("engine: cache budget charges %d bytes in %d entries, slots and shred pool hold %d in %d",
+			b, n, bytes, entries)
+	}
+	return nil
 }
 
 // dropState releases what a table state caches — its slots' budget entries
@@ -216,9 +241,7 @@ func (e *Engine) dropState(qid int64, st *tableState, reason string) {
 		if x := s.get(); x != nil {
 			e.emitEvent(qid, obs.EventInvalidated, s.kind.String(), name, x.MemoryFootprint(), reason)
 		}
-		if e.budget != nil {
-			e.budget.Remove(s.key)
-		}
+		e.budget.Remove(s.key)
 	}
 	if shs := e.shreds.ShredsOf(name); len(shs) > 0 {
 		var bytes int64

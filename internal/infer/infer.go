@@ -310,7 +310,7 @@ func (f *EngineFlags) Bind(fs *flag.FlagSet) {
 	fs.StringVar(&f.Strategy, "strategy", "shreds", "access strategy: shreds, jit, insitu, external, dbms")
 	fs.IntVar(&f.Workers, "workers", 1, "morsel-parallel workers for scans, aggregation and joins (<=1 serial; ROOT tables and sub-morsel files fall back to serial with the reason reported in the query stats)")
 	fs.StringVar(&f.CacheDir, "cachedir", "", "persistent vault directory: positional maps, structural indexes and column shreds persist here across runs (safe to delete at any time)")
-	fs.Int64Var(&f.CacheBudget, "cachebudget", 0, "unified in-memory cache budget in bytes across positional maps, structural indexes and column shreds (0 keeps per-structure defaults)")
+	fs.Int64Var(&f.CacheBudget, "cachebudget", 0, "in-memory cache budget in bytes across positional maps, structural indexes, synopses and column shreds (0 selects 256 MiB and leaves rawserve's memory governor off)")
 	fs.BoolVar(&f.NoPushdown, "nopushdown", false, "keep WHERE predicates in Filter operators instead of pushing them into the generated access paths")
 	fs.BoolVar(&f.NoShredCache, "noshredcache", false, "disable column-shred capture and reuse (raw-file scans then absorb predicates and skip zone-map-excluded blocks; capture otherwise wins that conflict)")
 	fs.BoolVar(&f.NoZoneMaps, "nozonemaps", false, "disable per-block min/max zone maps (no block or morsel skipping)")

@@ -69,29 +69,26 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	r.mu.Unlock()
 
 	bw := bufio.NewWriter(w)
-	for _, name := range sortedNames(counters) {
+	// header writes a family's HELP (Describe's text, or a generic one) and
+	// TYPE lines, returning its exposition name.
+	header := func(name, typ string) string {
 		pn := PromName(name)
 		text, ok := help[name]
 		if !ok {
-			text = "rawdb counter " + name
+			text = "rawdb " + typ + " " + name
 		}
 		fmt.Fprintf(bw, "# HELP %s %s\n", pn, text)
-		fmt.Fprintf(bw, "# TYPE %s counter\n", pn)
-		fmt.Fprintf(bw, "%s %d\n", pn, counters[name].Load())
+		fmt.Fprintf(bw, "# TYPE %s %s\n", pn, typ)
+		return pn
 	}
-	gaugeNames := make([]string, 0, len(gauges))
-	for k := range gauges {
-		gaugeNames = append(gaugeNames, k)
+	for _, name := range sortedNames(counters) {
+		fmt.Fprintf(bw, "%s %d\n", header(name, "counter"), counters[name].Load())
 	}
-	sort.Strings(gaugeNames)
-	for _, name := range gaugeNames {
-		pn := PromName(name)
-		fmt.Fprintf(bw, "# HELP %s rawdb gauge %s\n", pn, name)
-		fmt.Fprintf(bw, "# TYPE %s gauge\n", pn)
-		fmt.Fprintf(bw, "%s %d\n", pn, gauges[name]())
+	for _, name := range sortedNames(gauges) {
+		fmt.Fprintf(bw, "%s %d\n", header(name, "gauge"), gauges[name]())
 	}
 	for _, name := range sortedNames(hists) {
-		writePromHistogram(bw, name, hists[name])
+		writePromHistogram(bw, header(name, "histogram"), hists[name])
 	}
 	return bw.Flush()
 }
@@ -105,16 +102,14 @@ func sortedNames[V any](m map[string]V) []string {
 	return names
 }
 
-// writePromHistogram emits one histogram family. Buckets are cumulative and
+// writePromHistogram emits one histogram family's samples under its
+// exposition name pn, after its HELP and TYPE lines. Buckets are cumulative and
 // le edges inclusive, per the exposition format; empty leading/trailing
 // buckets collapse so a latency histogram exposes a handful of series, not
 // 48. The _count sample is derived from the bucket total rather than the
 // separate count field so the family is internally consistent even when
 // concurrent Observe calls land between the two loads.
-func writePromHistogram(w io.Writer, name string, h *Histogram) {
-	pn := PromName(name)
-	fmt.Fprintf(w, "# HELP %s rawdb histogram %s\n", pn, name)
-	fmt.Fprintf(w, "# TYPE %s histogram\n", pn)
+func writePromHistogram(w io.Writer, pn string, h *Histogram) {
 	buckets := h.Buckets()
 	sum := h.Sum()
 	hi := -1

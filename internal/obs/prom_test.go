@@ -57,6 +57,7 @@ func TestObsWritePrometheusLints(t *testing.T) {
 	r.Counter("prune.rows").Add(42)
 	v := int64(7)
 	r.Gauge("shred.pool.bytes", func() int64 { return v })
+	r.Describe("shred.pool.bytes", "bytes of pooled shreds")
 	h := r.Histogram("query.ns")
 	for _, ns := range []int64{100, 2000, 2000, 1 << 20} {
 		h.Observe(ns)
@@ -72,6 +73,7 @@ func TestObsWritePrometheusLints(t *testing.T) {
 		"# HELP rawdb_prune_rows rawdb counter prune.rows\n",
 		"# TYPE rawdb_query_count counter\n",
 		"rawdb_query_count 3\n",
+		"# HELP rawdb_shred_pool_bytes bytes of pooled shreds\n",
 		"# TYPE rawdb_shred_pool_bytes gauge\n",
 		"rawdb_shred_pool_bytes 7\n",
 		"# TYPE rawdb_query_ns histogram\n",

@@ -40,13 +40,13 @@ type Options struct {
 	// whatever deadline the client requested (0 means no server-side limit).
 	QueryTimeout time.Duration
 	// MemoryDegrade and MemoryReject are the memory governor's pressure
-	// thresholds, as fractions of the engine's unified cache budget
+	// thresholds, as fractions of the engine's configured cache budget
 	// (Config.CacheBudget). When the budget's projected occupancy — current
 	// bytes plus an estimate of what the query could capture — crosses
 	// MemoryDegrade, the query is admitted in no-capture mode: it reuses
 	// every cached structure but builds nothing new. Past MemoryReject, it
 	// is refused with ErrOverloaded (HTTP 429). Zero values select 0.75 and
-	// 1.5; the governor is inert when the engine runs without a budget.
+	// 1.5; the governor is inert when Config.CacheBudget is unset.
 	MemoryDegrade float64
 	MemoryReject  float64
 }
@@ -141,10 +141,10 @@ func (s *Server) ExecuteOpt(ctx context.Context, query string, opts raw.Options)
 }
 
 // govern is the memory governor's admission check, running after a slot is
-// held (so the estimate sees the freshest budget state). With no budget the
-// engine cannot run out of structure memory — everything is uncapped by
-// operator choice — and the governor stays out of the way. Under a budget,
-// projected occupancy (live bytes + the query's estimated capture, as a
+// held (so the estimate sees the freshest budget state). With no configured
+// budget the governor stays out of the way: the operator set no bound to
+// govern against, and the engine's default 256 MiB budget evicts on its own.
+// Under a configured budget, projected occupancy (live bytes + the query's estimated capture, as a
 // fraction of capacity) picks one of three rungs: admit normally, admit in
 // no-capture mode, or reject. Degraded queries still answer correctly and
 // still reuse every cached structure; they just leave nothing new behind —

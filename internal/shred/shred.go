@@ -6,18 +6,18 @@
 // (nil row ids meaning the full column). An incoming query is served from a
 // shred for the rows the shred holds — wholly when they subsume the rows the
 // query needs, the paper's reuse rule; a partial shred is completed from the
-// raw file, never replanned — and the pool evicts least-recently-used shreds
-// under a byte budget. This is RAW's answer to "at some moment data must adapt to
+// raw file, never replanned — and the pool's cache budget evicts
+// least-recently-used shreds. This is RAW's answer to "at some moment data must adapt to
 // the query engine": only data that actually flowed through a query gets
 // cached, and only that cache is ever consulted.
 package shred
 
 import (
-	"container/list"
 	"fmt"
 	"sort"
 	"sync"
 
+	"rawdb/internal/budget"
 	"rawdb/internal/vector"
 )
 
@@ -123,70 +123,35 @@ func setAt(dst *vector.Vector, i int, src *vector.Vector, j int) {
 	}
 }
 
-// An Accountant tracks the pool's shreds in an external cache budget shared
-// with other structure types (the engine's unified byte budget). When set,
-// the pool stops enforcing its own capacity: the accountant decides evictions
-// and calls back the evict closure handed to Set. vault.Budget implements it.
-type Accountant interface {
-	// Set records (or updates) an entry and marks it most recently used.
-	Set(key string, size int64, evict func())
-	// Touch marks an entry most recently used.
-	Touch(key string)
-	// Remove forgets an entry without invoking its eviction callback.
-	Remove(key string)
-}
-
-// Pool is a concurrency-safe LRU cache of shreds with a byte budget (its
-// own, or an external Accountant's).
+// Pool is a concurrency-safe cache of shreds. Every shred is an entry of a
+// cache budget, which decides evictions least-recently-used and calls the
+// pool back to drop the victim.
 type Pool struct {
-	mu       sync.Mutex
-	capacity int64
-	size     int64
-	lru      *list.List // *Shred, front = most recent
-	els      map[*Shred]*list.Element
-	byKey    map[Key][]*Shred
-	keyOf    map[*Shred]string // accountant key per shred
-	tver     map[string]int64  // per-table mutation version
-	seq      int64
-
-	// acct is set once before the pool is shared (SetAccountant); pool
-	// methods call it only after releasing mu, so accountant callbacks may
-	// re-enter the pool without deadlocking.
-	acct Accountant
-
-	// onEvict, when set, observes evictions under the pool's OWN capacity
-	// (the accountant path reports through the budget's observer instead).
-	// Invoked outside mu.
-	onEvict func(key Key, bytes int64)
+	mu     sync.Mutex
+	budget *budget.Budget
+	size   int64
+	byKey  map[Key][]*Shred
+	keyOf  map[*Shred]string // budget key per pooled shred
+	tver   map[string]int64  // per-table mutation version
+	seq    int64
 
 	hits, misses int64
 }
 
-// NewPool returns a pool with the given capacity in bytes (<=0 selects a
-// 256 MiB default).
+// NewPool returns a pool under a budget of its own, with the given capacity
+// in bytes (<=0 selects the budget's 256 MiB default). An engine shares that
+// budget with its other cached structures (Budget).
 func NewPool(capacityBytes int64) *Pool {
-	if capacityBytes <= 0 {
-		capacityBytes = 256 << 20
-	}
 	return &Pool{
-		capacity: capacityBytes,
-		lru:      list.New(),
-		els:      make(map[*Shred]*list.Element),
-		byKey:    make(map[Key][]*Shred),
-		keyOf:    make(map[*Shred]string),
-		tver:     make(map[string]int64),
+		budget: budget.New(capacityBytes),
+		byKey:  make(map[Key][]*Shred),
+		keyOf:  make(map[*Shred]string),
+		tver:   make(map[string]int64),
 	}
 }
 
-// SetAccountant delegates byte budgeting to an external accountant. Must be
-// called before the pool is shared across goroutines (the engine sets it at
-// construction).
-func (p *Pool) SetAccountant(a Accountant) { p.acct = a }
-
-// SetEvictObserver registers an observer for evictions under the pool's own
-// capacity (lifecycle events; no-op while an accountant owns budgeting).
-// Must be set before the pool is shared.
-func (p *Pool) SetEvictObserver(fn func(key Key, bytes int64)) { p.onEvict = fn }
+// Budget returns the cache budget the pool's shreds are charged to.
+func (p *Pool) Budget() *budget.Budget { return p.budget }
 
 // Put inserts a shred for key. rowIDs must be sorted ascending and aligned
 // with vec (nil for a full column). The pool takes ownership of both slices.
@@ -197,59 +162,43 @@ func (p *Pool) Put(key Key, rowIDs []int64, vec *vector.Vector) *Shred {
 	// refuse the insert if an existing shred already subsumes it.
 	for _, old := range p.byKey[key] {
 		if old.subsumesShred(s) {
-			p.touch(old)
-			ak := p.keyOf[old]
+			p.budget.Touch(p.keyOf[old])
 			p.mu.Unlock()
-			if p.acct != nil && ak != "" {
-				p.acct.Touch(ak)
-			}
 			return old
 		}
 	}
-	var removed []string
 	kept := p.byKey[key][:0]
 	for _, old := range p.byKey[key] {
 		if s.subsumesShred(old) {
-			if ak := p.keyOf[old]; ak != "" {
-				removed = append(removed, ak)
-			}
-			p.remove(old)
+			p.forget(old)
 		} else {
 			kept = append(kept, old)
 		}
 	}
 	p.byKey[key] = append(kept, s)
-	p.els[s] = p.lru.PushFront(s)
 	p.seq++
 	ak := fmt.Sprintf("shred:%s#%d", key, p.seq)
 	p.keyOf[s] = ak
 	p.tver[key.Table]++
 	bytes := s.bytes()
 	p.size += bytes
-	if p.acct == nil {
-		victims := p.evict()
-		onEvict := p.onEvict
-		p.mu.Unlock()
-		if onEvict != nil {
-			for _, v := range victims {
-				onEvict(v.key, v.bytes())
-			}
-		}
-		return s
+	p.mu.Unlock()
+	// Set may evict, and an eviction callback takes mu. A Put or DropTable
+	// that removed s meanwhile found no entry to remove: forget it here.
+	p.budget.Set(ak, bytes, func() { p.dropEvicted(s) })
+	p.mu.Lock()
+	if _, ok := p.keyOf[s]; !ok {
+		p.budget.Remove(ak)
 	}
 	p.mu.Unlock()
-	for _, k := range removed {
-		p.acct.Remove(k)
-	}
-	p.acct.Set(ak, bytes, func() { p.dropEvicted(s) })
 	return s
 }
 
-// dropEvicted removes a shred the accountant evicted (idempotent: the shred
-// may already be gone if a subsuming Put raced the eviction).
+// dropEvicted removes a shred the budget evicted (idempotent: the shred may
+// already be gone if a subsuming Put raced the eviction).
 func (p *Pool) dropEvicted(s *Shred) {
 	p.mu.Lock()
-	if _, ok := p.els[s]; ok {
+	if _, ok := p.keyOf[s]; ok {
 		p.remove(s)
 	}
 	p.mu.Unlock()
@@ -281,13 +230,9 @@ func (p *Pool) Lookup(key Key, rids []int64) *Shred {
 		if rids == nil && s.rowIDs != nil {
 			continue
 		}
-		p.touch(s)
+		p.budget.Touch(p.keyOf[s])
 		p.hits++
-		ak := p.keyOf[s]
 		p.mu.Unlock()
-		if p.acct != nil && ak != "" {
-			p.acct.Touch(ak)
-		}
 		return s
 	}
 	p.misses++
@@ -320,30 +265,27 @@ func (p *Pool) LookupAny(key Key) *Shred {
 		p.mu.Unlock()
 		return nil
 	}
-	p.touch(best)
+	p.budget.Touch(p.keyOf[best])
 	p.hits++
-	ak := p.keyOf[best]
 	p.mu.Unlock()
-	if p.acct != nil && ak != "" {
-		p.acct.Touch(ak)
-	}
 	return best
 }
 
-func (p *Pool) touch(s *Shred) {
-	if el, ok := p.els[s]; ok {
-		p.lru.MoveToFront(el)
-	}
-}
-
-func (p *Pool) remove(s *Shred) {
-	if el, ok := p.els[s]; ok {
-		p.lru.Remove(el)
-		delete(p.els, s)
+// forget drops a pooled shred's bookkeeping and budget entry, leaving byKey
+// to the caller; the caller holds mu.
+func (p *Pool) forget(s *Shred) {
+	if ak, ok := p.keyOf[s]; ok {
+		p.budget.Remove(ak)
+		delete(p.keyOf, s)
 		p.size -= s.bytes()
 	}
-	delete(p.keyOf, s)
 	p.tver[s.key.Table]++
+}
+
+// remove forgets a pooled shred and unlinks it from byKey; the caller holds
+// mu.
+func (p *Pool) remove(s *Shred) {
+	p.forget(s)
 	kept := p.byKey[s.key][:0]
 	for _, x := range p.byKey[s.key] {
 		if x != s {
@@ -357,18 +299,6 @@ func (p *Pool) remove(s *Shred) {
 	}
 }
 
-// evict enforces the pool's own capacity, returning the evicted shreds so
-// the caller can notify the observer outside mu.
-func (p *Pool) evict() []*Shred {
-	var victims []*Shred
-	for p.size > p.capacity && p.lru.Len() > 0 {
-		s := p.lru.Back().Value.(*Shred)
-		p.remove(s)
-		victims = append(victims, s)
-	}
-	return victims
-}
-
 // Stats returns cumulative lookup hits and misses.
 func (p *Pool) Stats() (hits, misses int64) {
 	p.mu.Lock()
@@ -380,7 +310,7 @@ func (p *Pool) Stats() (hits, misses int64) {
 func (p *Pool) Len() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.lru.Len()
+	return len(p.keyOf)
 }
 
 // SizeBytes returns the current memory accounted to the pool.
@@ -390,52 +320,35 @@ func (p *Pool) SizeBytes() int64 {
 	return p.size
 }
 
-// DropTable removes every shred of one table, releasing its accountant
-// entries (the owner is dropping the table, so eviction callbacks are not
-// invoked). Dropping a table that has no shreds is a no-op.
+// DropTable removes every shred of one table and its budget entries (the
+// owner is dropping the table, so eviction callbacks are not invoked).
+// Dropping a table that has no shreds is a no-op.
 func (p *Pool) DropTable(table string) {
 	p.mu.Lock()
-	var victims []*Shred
+	defer p.mu.Unlock()
 	for k, list := range p.byKey {
 		if k.Table == table {
-			victims = append(victims, list...)
-		}
-	}
-	var removed []string
-	for _, s := range victims {
-		if ak := p.keyOf[s]; ak != "" {
-			removed = append(removed, ak)
-		}
-		p.remove(s)
-	}
-	p.mu.Unlock()
-	if p.acct != nil {
-		for _, ak := range removed {
-			p.acct.Remove(ak)
+			for _, s := range list {
+				p.forget(s)
+			}
+			delete(p.byKey, k)
 		}
 	}
 }
 
-// Reset drops all shreds and statistics (cold-start simulation).
+// Reset drops all shreds, their budget entries and the statistics
+// (cold-start simulation).
 func (p *Pool) Reset() {
 	p.mu.Lock()
-	var removed []string
-	if p.acct != nil {
-		for _, ak := range p.keyOf {
-			removed = append(removed, ak)
-		}
+	defer p.mu.Unlock()
+	for _, ak := range p.keyOf {
+		p.budget.Remove(ak)
 	}
-	p.lru.Init()
-	p.els = make(map[*Shred]*list.Element)
 	p.byKey = make(map[Key][]*Shred)
 	p.keyOf = make(map[*Shred]string)
 	p.tver = make(map[string]int64)
 	p.size = 0
 	p.hits, p.misses = 0, 0
-	p.mu.Unlock()
-	for _, ak := range removed {
-		p.acct.Remove(ak)
-	}
 }
 
 // TableVersion returns a counter that advances on every mutation (insert or

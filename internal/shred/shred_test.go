@@ -142,6 +142,16 @@ func TestPoolPutSubsumptionDedup(t *testing.T) {
 	if p.Len() != 1 {
 		t.Fatalf("pool size grew to %d", p.Len())
 	}
+	// A partial shred that subsumes the first and third of three disjoint
+	// partials drops exactly those two, and the second stays reachable.
+	k2 := Key{"t", 1}
+	p.Put(k2, []int64{0, 1}, intVec(0, 1))
+	p.Put(k2, []int64{5, 6}, intVec(5, 6))
+	p.Put(k2, []int64{2, 3}, intVec(2, 3))
+	p.Put(k2, []int64{0, 1, 2, 3}, intVec(0, 1, 2, 3))
+	if p.Len() != 3 || p.Lookup(k2, []int64{5, 6}) == nil || p.Lookup(k2, []int64{0, 3}) == nil {
+		t.Fatalf("after a two-way subsumption the pool holds %d shreds, want 3 reachable", p.Len())
+	}
 }
 
 func TestPoolEviction(t *testing.T) {
@@ -318,39 +328,19 @@ func TestKeyString(t *testing.T) {
 	}
 }
 
-// fakeAcct records accountant traffic so tests can audit byte accounting.
-type fakeAcct struct {
-	sizes map[string]int64
-}
-
-func (a *fakeAcct) Set(key string, size int64, evict func()) {
-	if a.sizes == nil {
-		a.sizes = map[string]int64{}
-	}
-	a.sizes[key] = size
-}
-func (a *fakeAcct) Touch(string)      {}
-func (a *fakeAcct) Remove(key string) { delete(a.sizes, key) }
-func (a *fakeAcct) total() (sum int64) {
-	for _, s := range a.sizes {
-		sum += s
-	}
-	return sum
-}
-
 // TestPoolDropTable: dropping a table removes exactly its shreds and
-// releases every accountant byte they held (the leak the vault-budget audit
+// releases every budget byte they held (the leak the cache-budget audit
 // guards against).
 func TestPoolDropTable(t *testing.T) {
-	acct := &fakeAcct{}
 	p := NewPool(1 << 20)
-	p.SetAccountant(acct)
+	bud := p.Budget()
 	p.Put(Key{"a", 0}, nil, intVec(1, 2, 3))
 	p.Put(Key{"a", 1}, []int64{0, 2}, intVec(4, 5))
 	p.Put(Key{"b", 0}, nil, intVec(6))
-	before := acct.total()
-	if before == 0 {
-		t.Fatal("accountant recorded nothing")
+	before := bud.SizeBytes()
+	if before != p.SizeBytes() || bud.Len() != 3 {
+		t.Fatalf("budget holds %d bytes in %d entries, pool %d bytes in 3 shreds",
+			before, bud.Len(), p.SizeBytes())
 	}
 
 	p.DropTable("a")
@@ -360,12 +350,13 @@ func TestPoolDropTable(t *testing.T) {
 	if p.Lookup(Key{"b", 0}, nil) == nil {
 		t.Fatal("table b shred lost by a's drop")
 	}
-	if got := acct.total(); got >= before || got == 0 {
-		t.Fatalf("accountant holds %d bytes after drop (before %d)", got, before)
+	if got := bud.SizeBytes(); got >= before || got != p.SizeBytes() || bud.Len() != 1 {
+		t.Fatalf("budget holds %d bytes in %d entries after drop (before %d, pool %d)",
+			got, bud.Len(), before, p.SizeBytes())
 	}
 	p.DropTable("b")
-	if got := acct.total(); got != 0 {
-		t.Fatalf("accountant holds %d bytes after dropping every table", got)
+	if got := bud.SizeBytes(); got != 0 || bud.Len() != 0 {
+		t.Fatalf("budget holds %d bytes in %d entries after dropping every table", got, bud.Len())
 	}
 	if p.SizeBytes() != 0 || p.Len() != 0 {
 		t.Fatalf("pool retains %d bytes / %d shreds", p.SizeBytes(), p.Len())

@@ -14,8 +14,6 @@
 //
 // Entries live under <dir>/<table>/, one .rawv file per Kind, and are
 // published by atomic rename, so concurrent readers never observe torn state.
-// A unified Budget bounds the in-memory footprint of all structure types with
-// LRU eviction (see budget.go).
 package vault
 
 import (

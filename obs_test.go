@@ -268,6 +268,18 @@ func TestObsMetricsRegistry(t *testing.T) {
 	if !strings.Contains(text.String(), "\nrawdb_query_count 3\n") {
 		t.Fatalf("exposition missing query.count:\n%s", text.String())
 	}
+	// An engine configured without a cache budget still runs under the
+	// default one, and exposes it with HELP text.
+	if snap["budget.capacity"] != 256<<20 || snap["budget.bytes"] == 0 {
+		t.Fatalf("budget.capacity=%d budget.bytes=%d, want the 256 MiB default charging the positional map",
+			snap["budget.capacity"], snap["budget.bytes"])
+	}
+	for _, help := range []string{"# HELP rawdb_budget_bytes bytes charged", "# HELP rawdb_budget_capacity the cache",
+		"# HELP rawdb_budget_entries structures charged"} {
+		if !strings.Contains(text.String(), help) {
+			t.Fatalf("exposition missing %q:\n%s", help, text.String())
+		}
+	}
 }
 
 // BenchmarkTraceOverhead measures the same warm selective aggregate with

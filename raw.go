@@ -132,9 +132,10 @@ type Config struct {
 	// mtime, sampled checksum, schema); any mismatch or corruption falls
 	// back to a cold rebuild, so deleting the directory is always safe.
 	CacheDir string
-	// CacheBudget, when > 0, bounds the total in-memory bytes of positional
-	// maps, structural indexes, synopses and column shreds under one unified
-	// LRU budget (in place of the shred cache's own 256 MiB bound).
+	// CacheBudget bounds the total in-memory bytes of positional maps,
+	// structural indexes, synopses and column shreds under one LRU budget;
+	// values <= 0 select 256 MiB. Only a value > 0 arms the server's memory
+	// governor.
 	CacheBudget int64
 	// DisablePushdown keeps every WHERE conjunct in a separate Filter
 	// operator instead of absorbing eligible ones into the generated access
@@ -400,8 +401,8 @@ func (e *Engine) DropTable(name string) error { return e.e.DropTable(name) }
 // Metrics exposes the engine-wide metrics registry.
 func (e *Engine) Metrics() *Metrics { return e.e.Metrics() }
 
-// CacheBudgetUsage reports the unified cache budget's current size and
-// capacity in bytes (both 0 when the engine runs without a budget).
+// CacheBudgetUsage reports the cache budget's current size and the
+// configured Config.CacheBudget in bytes (capacity <= 0: none configured).
 func (e *Engine) CacheBudgetUsage() (used, capacity int64) { return e.e.CacheBudgetUsage() }
 
 // EstimateQueryBytes estimates the adaptive-structure bytes a query could

@@ -345,9 +345,6 @@ func TestVaultUnifiedBudget(t *testing.T) {
 		capped := raw.NewEngine(raw.Config{CacheBudget: budget})
 		registerFormat(t, capped, ds, format)
 		bud := capped.Internal().Budget()
-		if bud == nil {
-			t.Fatal("budget manager not constructed")
-		}
 		for round := 0; round < 2; round++ {
 			for qi, q := range queries {
 				want, err := ref.Query(q)
@@ -358,7 +355,10 @@ func TestVaultUnifiedBudget(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s round %d query %d: %v", format, round, qi, err)
 				}
-				sameResult(t, fmt.Sprintf("%s round %d query %d", format, round, qi), want, got)
+				label := fmt.Sprintf("%s round %d query %d", format, round, qi)
+				sameResult(t, label, want, got)
+				auditBudget(t, label+" (default budget)", ref)
+				auditBudget(t, label, capped)
 				if sz := bud.SizeBytes(); sz > budget {
 					t.Fatalf("%s round %d query %d: budget exceeded: %d > %d", format, round, qi, sz, budget)
 				}
