@@ -271,16 +271,35 @@ func TestParseFloat64CorrectlyRounded(t *testing.T) {
 	}
 }
 
+// checkPrefixAt holds the prefix parsers to their contract on s at offset
+// len(pre) of a buffer, followed by post and by each of post's first eight
+// prefixes, so that tokens also end within 8 bytes of the buffer's end. Each
+// buffer is allocated to its length, so a read past it panics.
+func checkPrefixAt(t *testing.T, pre []byte, s string, post []byte) {
+	t.Helper()
+	for k := range len(post) + 1 {
+		if k > 8 && k < len(post) {
+			continue
+		}
+		data := make([]byte, 0, len(pre)+len(s)+k)
+		data = append(append(append(data, pre...), s...), post[:k]...)
+		checkPrefixParsers(t, data, len(pre))
+	}
+}
+
 // FuzzParseFloat holds ParseFloat64 to strconv on every token its grammar
 // accepts: the same bits, or ErrOverflow exactly where strconv gives ±Inf.
-// Wherever the prefix parser accepts, it agrees with the full one.
+// Wherever the prefix parsers accept the token, at any offset and with any
+// bytes after it, they agree with the full ones (checkPrefixAt).
 func FuzzParseFloat(f *testing.F) {
 	for _, s := range []string{"0", "-0", "1.5", ".5", "5.", "+1e-5", "7.078406569534682e+64",
 		"1e-320", "0.000001e309", "360871.41685690597", "1e400", "-2e-400", "1_0", "inf", "0x1p3"} {
-		f.Add(s)
+		f.Add([]byte("x,"), s, []byte(",9\n"))
 	}
-	f.Fuzz(func(t *testing.T, s string) {
-		checkPrefixParsers(t, []byte(s), 0)
+	f.Add([]byte(nil), "90071992.54740992", []byte("}"))
+	f.Add([]byte("{\"a\":"), "-0.000001", []byte("e5,1234567"))
+	f.Fuzz(func(t *testing.T, pre []byte, s string, post []byte) {
+		checkPrefixAt(t, pre, s, post)
 		got, err := ParseFloat64([]byte(s))
 		if errors.Is(err, ErrEmpty) || errors.Is(err, ErrSyntax) {
 			return
@@ -298,10 +317,12 @@ func FuzzParseFloat(f *testing.F) {
 func FuzzParseInt(f *testing.F) {
 	for _, s := range []string{"0", "-0", "+7", "9223372036854775807", "-9223372036854775808",
 		"9223372036854775808", "000000000000000000000001", "1_0", "12x4"} {
-		f.Add(s)
+		f.Add([]byte("7,"), s, []byte("\r\n"))
 	}
-	f.Fuzz(func(t *testing.T, s string) {
-		checkPrefixParsers(t, []byte(s), 0)
+	f.Add([]byte(nil), "-123456789012345678", []byte("]"))
+	f.Add([]byte("1"), "123456789012345678", []byte("9,"))
+	f.Fuzz(func(t *testing.T, pre []byte, s string, post []byte) {
+		checkPrefixAt(t, pre, s, post)
 		got, err := ParseInt64([]byte(s))
 		if errors.Is(err, ErrEmpty) || errors.Is(err, ErrSyntax) {
 			return

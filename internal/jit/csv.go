@@ -366,12 +366,20 @@ func scanSchema(t *catalog.Table, need []int, emitRID bool) (vector.Schema, erro
 // appendSchema appends columns cols of t to schema.
 func appendSchema(schema vector.Schema, t *catalog.Table, cols []int) (vector.Schema, error) {
 	for _, c := range cols {
-		if c < 0 || c >= len(t.Schema) {
-			return nil, fmt.Errorf("jit: column index %d out of range for table %q", c, t.Name)
+		if err := columnInRange(t, c); err != nil {
+			return nil, err
 		}
 		schema = append(schema, vector.Col{Name: t.Schema[c].Name, Type: t.Schema[c].Type})
 	}
 	return schema, nil
+}
+
+// columnInRange fails when c is no column of t.
+func columnInRange(t *catalog.Table, c int) error {
+	if c < 0 || c >= len(t.Schema) {
+		return fmt.Errorf("jit: column index %d out of range for table %q", c, t.Name)
+	}
+	return nil
 }
 
 // Schema implements exec.Operator.

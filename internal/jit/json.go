@@ -4,10 +4,10 @@ import (
 	"bytes"
 	"fmt"
 
-	"rawdb/internal/bytesconv"
 	"rawdb/internal/catalog"
 	"rawdb/internal/exec"
 	"rawdb/internal/jsonidx"
+	"rawdb/internal/offsets"
 	"rawdb/internal/storage/jsonfile"
 	"rawdb/internal/synopsis"
 	"rawdb/internal/vector"
@@ -235,28 +235,6 @@ func NewJSONSequentialScanPush(data []byte, t *catalog.Table, need []int,
 	return s, nil
 }
 
-// jsonInt64 scans and converts the number token at pos in one pass, or — for
-// the forms the prefix parser leaves alone — delimits it and converts it the
-// general way, so the value or the error is ParseInt64's for the token.
-func jsonInt64(data []byte, pos int) (int64, int, error) {
-	if v, end, ok := bytesconv.ParseInt64Prefix(data, pos); ok {
-		return v, end, nil
-	}
-	end := jsonfile.NumberEnd(data, pos)
-	v, err := bytesconv.ParseInt64(data[pos:end])
-	return v, end, err
-}
-
-// jsonFloat64 is jsonInt64 for ParseFloat64.
-func jsonFloat64(data []byte, pos int) (float64, int, error) {
-	if v, end, ok := bytesconv.ParseFloat64Prefix(data, pos); ok {
-		return v, end, nil
-	}
-	end := jsonfile.NumberEnd(data, pos)
-	v, err := bytesconv.ParseFloat64(data[pos:end])
-	return v, end, err
-}
-
 // leaf acts on the value at vpos of a matched leaf member — record its
 // offset, convert it with the pre-resolved conversion, observe, append, test —
 // and returns the position past it. The general walker and the skeleton walker
@@ -273,7 +251,7 @@ func (s *JSONScan) leaf(tgt *jsonTarget, vpos int) (int, error) {
 		return jsonfile.SkipValue(s.data, vpos), nil
 	}
 	if tgt.typ == vector.Int64 {
-		v, end, err := jsonInt64(s.data, vpos)
+		v, end, err := jsonfile.Int64At(s.data, vpos, byteAt(s.data, vpos))
 		if err != nil {
 			return end, err
 		}
@@ -287,7 +265,7 @@ func (s *JSONScan) leaf(tgt *jsonTarget, vpos int) (int, error) {
 		}
 		return end, nil
 	}
-	v, end, err := jsonFloat64(s.data, vpos)
+	v, end, err := jsonfile.Float64At(s.data, vpos, byteAt(s.data, vpos))
 	if err != nil {
 		return end, err
 	}
@@ -389,12 +367,9 @@ func (s *JSONScan) walkSkeleton(pos int) (next int, ok bool) {
 	data := s.data
 	for i := range s.steps {
 		st := &s.steps[i]
-		vpos := pos + len(st.lit)
-		if vpos >= len(data) || string(data[pos:vpos]) != string(st.lit) {
+		vpos, ok := jsonfile.AtLiteral(data, pos, st.lit)
+		if !ok {
 			return 0, false
-		}
-		if c := data[vpos]; c == ' ' || c == '\t' || c == '\r' {
-			return 0, false // the value starts further on than where it was learned
 		}
 		if st.tgt == nil {
 			pos = jsonfile.SkipValue(data, vpos)
@@ -588,7 +563,8 @@ func newJSONColReader(data []byte, t *catalog.Table, c int, idx *jsonidx.Index,
 					base := out.Extend(int(rowEnd - rowStart))
 					for _, si := range sel {
 						row := rowStart + int64(si)
-						v, _, err := jsonInt64(data, int(batch[si]))
+						p := int(batch[si])
+						v, _, err := jsonfile.Int64At(data, p, byteAt(data, p))
 						if err != nil {
 							return jsonMapError(row, path, err)
 						}
@@ -597,7 +573,7 @@ func newJSONColReader(data []byte, t *catalog.Table, c int, idx *jsonidx.Index,
 					return nil
 				}
 				for i, p := range batch {
-					v, _, err := jsonInt64(data, int(p))
+					v, _, err := jsonfile.Int64At(data, int(p), byteAt(data, int(p)))
 					if err != nil {
 						return jsonMapError(rowStart+int64(i), path, err)
 					}
@@ -612,7 +588,8 @@ func newJSONColReader(data []byte, t *catalog.Table, c int, idx *jsonidx.Index,
 					base := out.Extend(int(rowEnd - rowStart))
 					for _, si := range sel {
 						row := rowStart + int64(si)
-						v, _, err := jsonFloat64(data, int(batch[si]))
+						p := int(batch[si])
+						v, _, err := jsonfile.Float64At(data, p, byteAt(data, p))
 						if err != nil {
 							return jsonMapError(row, path, err)
 						}
@@ -621,7 +598,7 @@ func newJSONColReader(data []byte, t *catalog.Table, c int, idx *jsonidx.Index,
 					return nil
 				}
 				for i, p := range batch {
-					v, _, err := jsonFloat64(data, int(p))
+					v, _, err := jsonfile.Float64At(data, int(p), byteAt(data, int(p)))
 					if err != nil {
 						return jsonMapError(rowStart+int64(i), path, err)
 					}
@@ -633,10 +610,11 @@ func newJSONColReader(data []byte, t *catalog.Table, c int, idx *jsonidx.Index,
 			return rowCol{}, fmt.Errorf("jit: unsupported JSON column type %s", typ)
 		}
 	}
-	// Untracked path: walk from the recorded row starts, recording offsets.
-	// The walk runs dense regardless of any selection — the adaptive
-	// recording must cover every row for the index to stay sound.
-	segs := jsonfile.SplitPath(path)
+	// Untracked path: walk from the recorded row starts, through a learned
+	// skeleton, recording offsets. The walk runs dense regardless of any
+	// selection — the adaptive recording must cover every row for the index
+	// to stay sound.
+	skel := jsonfile.NewSkeleton(jsonfile.SplitPath(path), maxSkeletonMisses)
 	ai := adaptSlot[path]
 	switch typ {
 	case vector.Int64, vector.Float64:
@@ -647,7 +625,7 @@ func newJSONColReader(data []byte, t *catalog.Table, c int, idx *jsonidx.Index,
 	return rowCol{dense: true, read: func(rowStart, rowEnd int64, _ []int32, out *vector.Vector) error {
 		for r := rowStart; r < rowEnd; r++ {
 			rs := idx.RowStart(r)
-			pos := jsonfile.FindPath(data, int(rs), segs)
+			pos := skel.Find(data, int(rs))
 			if pos < 0 {
 				return fmt.Errorf("jit json map scan: row %d: path %q absent", r, path)
 			}
@@ -655,13 +633,13 @@ func newJSONColReader(data []byte, t *catalog.Table, c int, idx *jsonidx.Index,
 				adaptive.AppendPathOffset(ai, rs, int64(pos))
 			}
 			if isInt {
-				v, _, err := jsonInt64(data, pos)
+				v, _, err := jsonfile.Int64At(data, pos, byteAt(data, pos))
 				if err != nil {
 					return jsonMapError(r, path, err)
 				}
 				out.Int64s = append(out.Int64s, v)
 			} else {
-				v, _, err := jsonFloat64(data, pos)
+				v, _, err := jsonfile.Float64At(data, pos, byteAt(data, pos))
 				if err != nil {
 					return jsonMapError(r, path, err)
 				}
@@ -680,7 +658,8 @@ func jsonMapError(row int64, path string, err error) error {
 
 // JSONLateFetch generates the late fetch of cols of a JSONL file: for each
 // row id it jumps via the structural index — straight to the value for
-// tracked paths, to the row start plus one object walk for untracked ones.
+// tracked paths, to the row start and through a jsonfile.Skeleton for
+// untracked ones.
 func JSONLateFetch(data []byte, t *catalog.Table, cols []int, idx *jsonidx.Index) (exec.Fetch, error) {
 	if t.Format != catalog.JSON {
 		return nil, fmt.Errorf("jit: json late scan got format %s", t.Format)
@@ -688,60 +667,60 @@ func JSONLateFetch(data []byte, t *catalog.Table, cols []int, idx *jsonidx.Index
 	if idx == nil || idx.NRows() == 0 {
 		return nil, fmt.Errorf("jit: json late scan requires a populated structural index")
 	}
-	if _, err := appendSchema(nil, t, cols); err != nil {
-		return nil, err
+	type lateCol struct {
+		path      string
+		positions *offsets.Column    // the path's value offsets, or the row starts
+		skel      *jsonfile.Skeleton // non-nil: untracked, found from the row start
+		isInt     bool
 	}
-	fetchers := make([]colFetch, len(cols))
+	lcs := make([]lateCol, len(cols))
 	for i, c := range cols {
+		if err := columnInRange(t, c); err != nil {
+			return nil, err
+		}
 		col := t.Schema[c]
-		path := col.Name
-		positions := idx.Positions(path)
-		var segs []string
-		if positions == nil {
-			segs = jsonfile.SplitPath(path)
-		}
-		// locate resolves the value offset for one row with whichever
-		// navigation the generator chose above.
-		locate := func(rid int64) (int, error) {
-			if positions != nil {
-				return int(positions.At(rid)), nil
-			}
-			pos := jsonfile.FindPath(data, int(idx.RowStart(rid)), segs)
-			if pos < 0 {
-				return 0, fmt.Errorf("jit json late scan: row %d: path %q absent", rid, path)
-			}
-			return pos, nil
-		}
-		switch col.Type {
-		case vector.Int64:
-			fetchers[i] = func(rid int64, out *vector.Vector) error {
-				pos, err := locate(rid)
-				if err != nil {
-					return err
-				}
-				v, _, err := jsonInt64(data, pos)
-				if err != nil {
-					return fmt.Errorf("jit json late scan: row %d path %q: %w", rid, path, err)
-				}
-				out.Int64s = append(out.Int64s, v)
-				return nil
-			}
-		case vector.Float64:
-			fetchers[i] = func(rid int64, out *vector.Vector) error {
-				pos, err := locate(rid)
-				if err != nil {
-					return err
-				}
-				v, _, err := jsonFloat64(data, pos)
-				if err != nil {
-					return fmt.Errorf("jit json late scan: row %d path %q: %w", rid, path, err)
-				}
-				out.Float64s = append(out.Float64s, v)
-				return nil
-			}
-		default:
+		if col.Type != vector.Int64 && col.Type != vector.Float64 {
 			return nil, fmt.Errorf("jit: unsupported JSON column type %s", col.Type)
 		}
+		lcs[i] = lateCol{path: col.Name, positions: idx.Positions(col.Name), isInt: col.Type == vector.Int64}
+		if lcs[i].positions == nil {
+			lcs[i].positions = idx.RowStarts()
+			lcs[i].skel = jsonfile.NewSkeleton(jsonfile.SplitPath(col.Name), maxSkeletonMisses)
+		}
 	}
-	return fetchColumns(fetchers, idx.NRows()), nil
+	nrows := idx.NRows()
+	var b lateBatch
+	return func(rids []int64, outs []*vector.Vector) error {
+		for i := range lcs {
+			lc, out := &lcs[i], outs[i]
+			if err := b.locate(data, lc.positions, nrows, rids); err != nil {
+				return err
+			}
+			for j, p := range b.pos {
+				pos, c := int(p), b.first[j]
+				if lc.skel != nil {
+					if pos = lc.skel.Find(data, pos); pos < 0 {
+						return fmt.Errorf("jit json late scan: row %d: path %q absent", rids[j], lc.path)
+					}
+					c = byteAt(data, pos)
+				}
+				var err error
+				if lc.isInt {
+					var v int64
+					if v, _, err = jsonfile.Int64At(data, pos, c); err == nil {
+						out.Int64s = append(out.Int64s, v)
+					}
+				} else {
+					var v float64
+					if v, _, err = jsonfile.Float64At(data, pos, c); err == nil {
+						out.Float64s = append(out.Float64s, v)
+					}
+				}
+				if err != nil {
+					return fmt.Errorf("jit json late scan: row %d path %q: %w", rids[j], lc.path, err)
+				}
+			}
+		}
+		return nil
+	}, nil
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 
-	"rawdb/internal/bytesconv"
 	"rawdb/internal/catalog"
 	"rawdb/internal/exec"
 	"rawdb/internal/insitu"
@@ -75,68 +74,135 @@ func CSVLateFetch(data []byte, t *catalog.Table, cols []int, pm *posmap.Map) (ex
 	if pm == nil || pm.NRows() == 0 {
 		return nil, fmt.Errorf("jit: csv late scan requires a populated positional map")
 	}
-	sorted := slices.Sorted(slices.Values(cols))
-	if _, err := appendSchema(nil, t, sorted); err != nil {
-		return nil, err
+	if !slices.IsSorted(cols) {
+		cols = slices.Sorted(slices.Values(cols))
 	}
-	// Group columns by anchor; resolved once at generation time.
+	// Group columns by anchor, resolved once at generation time. The columns
+	// ascend, so the ones an anchor reaches are a run of targets.
 	type group struct {
 		positions *offsets.Column
 		anchor    int
 		targets   []csvWalkTarget
 	}
-	var groups []*group
-	byAnchor := make(map[int]*group)
-	for slot, c := range sorted {
+	var groups []group
+	targets := make([]csvWalkTarget, len(cols))
+	for slot, c := range cols {
+		if err := columnInRange(t, c); err != nil {
+			return nil, err
+		}
 		anchor, ok := pm.Nearest(c)
 		if !ok {
 			return nil, fmt.Errorf("jit: positional map cannot reach column %d", c)
 		}
-		g, ok := byAnchor[anchor]
-		if !ok {
-			g = &group{positions: pm.Positions(anchor), anchor: anchor}
-			byAnchor[anchor] = g
-			groups = append(groups, g)
+		targets[slot] = csvWalkTarget{col: c, slot: slot, typ: t.Schema[c].Type}
+		if g := len(groups) - 1; g >= 0 && groups[g].anchor == anchor {
+			groups[g].targets = groups[g].targets[:len(groups[g].targets)+1]
+		} else {
+			groups = append(groups, group{positions: pm.Positions(anchor), anchor: anchor, targets: targets[slot : slot+1]})
 		}
-		g.targets = append(g.targets, csvWalkTarget{col: c, slot: slot, typ: t.Schema[c].Type})
 	}
+	var b lateBatch
 	return func(rids []int64, outs []*vector.Vector) error {
 		for _, g := range groups {
-			positions := g.positions
-			for _, rid := range rids {
-				if rid < 0 || rid >= positions.Len() {
-					return fmt.Errorf("jit: late scan row id %d out of range", rid)
-				}
-				pos := int(positions.At(rid))
-				cur := g.anchor
+			if err := b.locate(data, g.positions, g.positions.Len(), rids); err != nil {
+				return err
+			}
+			for i, p := range b.pos {
+				pos, c, cur := int(p), b.first[i], g.anchor
 				for _, tg := range g.targets {
 					if d := tg.col - cur; d > 0 {
 						pos = csvfile.SkipFields(data, pos, d)
+						c = byteAt(data, pos)
 					}
-					start, end, next := csvfile.FieldBounds(data, pos)
-					switch tg.typ {
+					var err error
+					switch out := outs[tg.slot]; tg.typ {
 					case vector.Int64:
-						v, err := bytesconv.ParseInt64(data[start:end])
-						if err != nil {
-							return fmt.Errorf("jit: late scan row %d col %d: %w", rid, tg.col, err)
+						var v int64
+						if v, pos, err = csvfile.Int64At(data, pos, c); err == nil {
+							out.Int64s = append(out.Int64s, v)
 						}
-						outs[tg.slot].Int64s = append(outs[tg.slot].Int64s, v)
 					case vector.Float64:
-						v, err := bytesconv.ParseFloat64(data[start:end])
-						if err != nil {
-							return fmt.Errorf("jit: late scan row %d col %d: %w", rid, tg.col, err)
+						var v float64
+						if v, pos, err = csvfile.Float64At(data, pos, c); err == nil {
+							out.Float64s = append(out.Float64s, v)
 						}
-						outs[tg.slot].Float64s = append(outs[tg.slot].Float64s, v)
 					default:
 						return fmt.Errorf("jit: unsupported type %s", tg.typ)
 					}
-					pos = next
-					cur = tg.col + 1
+					if err != nil {
+						return fmt.Errorf("jit: late scan row %d col %d: %w", rids[i], tg.col, err)
+					}
+					c, cur = byteAt(data, pos), tg.col+1
 				}
 			}
 		}
 		return nil
 	}, nil
+}
+
+// lateBatch is the scratch of a CSV or JSON late fetch, reused across its
+// batches: per row of a batch, the position its parse starts at and the byte
+// there.
+type lateBatch struct {
+	pos   []int64
+	first []byte
+}
+
+// locate fills b for a batch of row ids from col, which holds nrows rows. It
+// decodes [rids[0], rids[n-1]] in one call and compacts it in place when the
+// ids ascend and span at most twice their count, and reads col.At per row
+// otherwise (sparse, unsorted or repeated ids). Then, in a pass of its own,
+// it loads the byte at every position: the rows' cache misses overlap there,
+// instead of each one waiting behind the previous row's parse, which starts
+// from that byte.
+func (b *lateBatch) locate(data []byte, col *offsets.Column, nrows int64, rids []int64) error {
+	n := len(rids)
+	if ascendingRun(rids, nrows) {
+		lo := rids[0]
+		b.pos = col.Decode(b.pos, lo, rids[n-1]+1)
+		for i, r := range rids {
+			b.pos[i] = b.pos[r-lo] // r-lo >= i: the read is ahead of the writes
+		}
+		b.pos = b.pos[:n]
+	} else {
+		b.pos = slices.Grow(b.pos[:0], n)
+		for _, r := range rids {
+			if r < 0 || r >= nrows {
+				return fmt.Errorf("jit: late scan row id %d out of range", r)
+			}
+			b.pos = append(b.pos, col.At(r))
+		}
+	}
+	b.first = slices.Grow(b.first[:0], n)[:n]
+	for i, p := range b.pos {
+		b.first[i] = byteAt(data, int(p))
+	}
+	return nil
+}
+
+// ascendingRun reports whether rids strictly ascend within [0, nrows) and
+// span at most twice their count. Decoding and compacting a span costs about
+// as much as At per id when the span is three to four times the ids' count,
+// and a quarter less at twice it (hot offsets, 1024-id batches).
+func ascendingRun(rids []int64, nrows int64) bool {
+	n := len(rids)
+	if n == 0 || rids[0] < 0 || rids[n-1] >= nrows || rids[n-1]-rids[0] >= 2*int64(n) {
+		return false
+	}
+	for i := 1; i < n; i++ {
+		if rids[i] <= rids[i-1] {
+			return false
+		}
+	}
+	return true
+}
+
+// byteAt is data[pos], or 0 past its end.
+func byteAt(data []byte, pos int) byte {
+	if pos < len(data) {
+		return data[pos]
+	}
+	return 0
 }
 
 // BinLateFetch generates the late fetch of cols of the binary format:

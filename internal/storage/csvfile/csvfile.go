@@ -47,6 +47,39 @@ func FieldBounds(data []byte, pos int) (start, end, next int) {
 	return start, i, i
 }
 
+// Int64At converts the field at pos, whose first byte c the caller has
+// loaded (0 past the end of data), and returns the start of the next field.
+// A field that starts with a sign or a digit and is a number the prefix
+// parser takes, ending at a delimiter, a newline or the end of the file, is
+// converted in one pass; any other is delimited by FieldBounds and converted
+// by ParseInt64. The value or the error is ParseInt64's for the field.
+func Int64At(data []byte, pos int, c byte) (int64, int, error) {
+	if c-'0' <= 9 || c == '-' {
+		if v, end, ok := bytesconv.ParseInt64Prefix(data, pos); ok && fieldEnds(data, end) {
+			return v, min(end+1, len(data)), nil
+		}
+	}
+	start, end, next := FieldBounds(data, pos)
+	v, err := bytesconv.ParseInt64(data[start:end])
+	return v, next, err
+}
+
+// Float64At is Int64At for ParseFloat64.
+func Float64At(data []byte, pos int, c byte) (float64, int, error) {
+	if c-'0' <= 9 || c == '-' {
+		if v, end, ok := bytesconv.ParseFloat64Prefix(data, pos); ok && fieldEnds(data, end) {
+			return v, min(end+1, len(data)), nil
+		}
+	}
+	start, end, next := FieldBounds(data, pos)
+	v, err := bytesconv.ParseFloat64(data[start:end])
+	return v, next, err
+}
+
+func fieldEnds(data []byte, pos int) bool {
+	return pos == len(data) || data[pos] == Delim || data[pos] == '\n'
+}
+
 // SWAR constants: a byte lane holds 0x01, 0x7f, ',' or '\n' in every lane.
 const (
 	lanes1   = 0x0101010101010101

@@ -192,6 +192,12 @@ func SkipValue(data []byte, pos int) int {
 // -1 when any segment is absent. It is the generic, interpreted navigation
 // that JIT access paths specialise away.
 func FindPath(data []byte, pos int, path []string) int {
+	return findPath(data, pos, path, nil)
+}
+
+// findPath is FindPath that, with a non-nil trail, also appends to it the
+// offset of every value it skips on the way.
+func findPath(data []byte, pos int, path []string, trail *[]int) int {
 	for depth := 0; depth < len(path); depth++ {
 		inner, ok := EnterObject(data, pos)
 		if !ok {
@@ -208,6 +214,9 @@ func FindPath(data []byte, pos int, path []string) int {
 				found = vpos
 				break
 			}
+			if trail != nil {
+				*trail = append(*trail, next)
+			}
 			pos = SkipValue(data, next)
 		}
 		if found < 0 {
@@ -216,6 +225,111 @@ func FindPath(data []byte, pos int, path []string) int {
 		pos = found
 	}
 	return pos
+}
+
+// AtLiteral returns where the value after lit starts when lit is at pos byte
+// for byte and the value starts right at its end: a walker that read up to a
+// value over the literal's bytes would stop at the same offset. The skeleton
+// walks (Skeleton, and the JIT scan's) match their literals by this rule.
+func AtLiteral(data []byte, pos int, lit []byte) (int, bool) {
+	vpos := pos + len(lit)
+	if vpos >= len(data) || string(data[pos:vpos]) != string(lit) {
+		return 0, false
+	}
+	if c := data[vpos]; c == ' ' || c == '\t' || c == '\r' {
+		return 0, false // the value starts further on than where it was learned
+	}
+	return vpos, true
+}
+
+// A Skeleton finds one path in rows laid out like the last row FindPath
+// walked for it. It keeps the literal bytes from that row's start to each
+// value FindPath skipped, and then to the path's value, nesting included. On
+// a row that carries every literal (AtLiteral) with the skipped values
+// (SkipValue) in between, FindPath would read the same keys in the same
+// order with the same whitespace, so it would stop at the same offset.
+type Skeleton struct {
+	path      []string
+	lits      [][]byte // alias the learned row; empty: nothing learned
+	trail     []int    // findPath's scratch
+	misses    int      // consecutive departures
+	maxMisses int      // departures in a row after which Find stops speculating
+}
+
+// NewSkeleton returns a skeleton for path that stops speculating after
+// maxMisses consecutive rows depart from it.
+func NewSkeleton(path []string, maxMisses int) *Skeleton {
+	return &Skeleton{path: path, maxMisses: maxMisses}
+}
+
+// Find returns FindPath(data, rs, path): through the skeleton while the rows
+// match it, and through FindPath, which relearns the skeleton, at any
+// departure.
+func (k *Skeleton) Find(data []byte, rs int) int {
+	if k.misses >= k.maxMisses {
+		return FindPath(data, rs, k.path)
+	}
+	if len(k.lits) > 0 {
+		if pos, ok := k.replay(data, rs); ok {
+			k.misses = 0
+			return pos
+		}
+		k.misses++
+	}
+	k.trail = k.trail[:0]
+	pos := findPath(data, rs, k.path, &k.trail)
+	k.lits = k.lits[:0]
+	if pos >= 0 {
+		from := rs
+		for _, v := range k.trail {
+			k.lits = append(k.lits, data[from:v])
+			from = SkipValue(data, v)
+		}
+		k.lits = append(k.lits, data[from:pos])
+	}
+	return pos
+}
+
+// replay walks the row at pos through the skeleton; ok is false at the first
+// departure.
+func (k *Skeleton) replay(data []byte, pos int) (int, bool) {
+	last := len(k.lits) - 1
+	for _, lit := range k.lits[:last] {
+		vpos, ok := AtLiteral(data, pos, lit)
+		if !ok {
+			return 0, false
+		}
+		pos = SkipValue(data, vpos)
+	}
+	return AtLiteral(data, pos, k.lits[last])
+}
+
+// Int64At converts the number token at pos, whose first byte c the caller
+// has loaded (0 past the end of data), and returns the offset past it: in one
+// pass when c is a sign or a digit and the prefix parser takes the token,
+// else delimited by NumberEnd and converted by ParseInt64. The value or the
+// error is ParseInt64's for the token.
+func Int64At(data []byte, pos int, c byte) (int64, int, error) {
+	if c-'0' <= 9 || c == '-' {
+		if v, end, ok := bytesconv.ParseInt64Prefix(data, pos); ok {
+			return v, end, nil
+		}
+	}
+	end := NumberEnd(data, pos)
+	v, err := bytesconv.ParseInt64(data[pos:end])
+	return v, end, err
+}
+
+// Float64At is Int64At for ParseFloat64.
+func Float64At(data []byte, pos int, c byte) (float64, int, error) {
+	if c-'0' <= 9 || c == '-' {
+		if v, end, ok := bytesconv.ParseFloat64Prefix(data, pos); ok {
+			return v, end, nil
+		}
+	}
+	end := NumberEnd(data, pos)
+	v, err := bytesconv.ParseFloat64(data[pos:end])
+	return v, end, err
 }
 
 // SplitPath splits a dotted path into its segments.
