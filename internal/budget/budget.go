@@ -17,10 +17,8 @@ import (
 // invoked — after the manager's lock is released, so callbacks may freely
 // take their owners' locks without ordering constraints.
 //
-// The structural index keeps a per-index path budget beside this one:
-// jsonidx.New and Merge take a byte cap, which the benchmark's per-layer
-// measurements (bench/layers.go) set; the engine passes 0, which selects
-// jsonidx.DefaultMaxBytes.
+// There is no second eviction policy: a structural index is one entry, and a
+// query that records new paths publishes a new index under the same key.
 type Budget struct {
 	mu       sync.Mutex
 	capacity int64

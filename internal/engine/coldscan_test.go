@@ -262,7 +262,7 @@ func TestColdScanStructuresAllocatedOnce(t *testing.T) {
 							paths[p] = idx.Peek(p).Decode(nil, 0, rows)
 						}
 						got = idx.MemoryFootprint()
-						ref = jsonidx.Restore(idx.RowStarts().Decode(nil, 0, rows), paths, 0).MemoryFootprint()
+						ref = jsonidx.Restore(idx.RowStarts().Decode(nil, 0, rows), paths).MemoryFootprint()
 					} else {
 						t.Fatal("no positional structure after the cold query")
 					}

@@ -17,8 +17,10 @@ import (
 // positional map or structural index other columns built, a late column-shred
 // fetch, a late scan completing a partial shred from the raw file, or a read
 // through offsets a pruned warm-up recorded without converting — serial and
-// parallel, pushdown on and off. Every failure leaves the cache budget
-// charging exactly what the engine holds, an index grown in place included.
+// parallel, pushdown on and off. Every failure leaves the positional
+// structure installed before it in place, a structural index without the
+// paths the failed query recorded, and the cache budget charging exactly what
+// the engine holds.
 func TestMalformedIntFailsInEveryMode(t *testing.T) {
 	const rows, bad = 60, 37
 	schema := []catalog.Column{{Name: "a", Type: vector.Int64}, {Name: "b", Type: vector.Int64},
@@ -47,8 +49,8 @@ func TestMalformedIntFailsInEveryMode(t *testing.T) {
 		{name: "cold", sql: "SELECT SUM(c) FROM t"},
 		{name: "viamap", warm: []warm{{sql: "SELECT SUM(a) FROM t"}}, sql: "SELECT SUM(c) FROM t"},
 		{name: "late", warm: []warm{{sql: "SELECT SUM(a) FROM t"}}, sql: "SELECT SUM(c) FROM t WHERE a >= 0"},
-		// b is new to the structural index: the base scan records it in
-		// place and reaches the end of the file before the late scan fails.
+		// b is new to the structural index: the base scan records it and
+		// reaches the end of the file before the late scan fails.
 		{name: "grown", warm: []warm{{sql: "SELECT SUM(a) FROM t"}}, sql: "SELECT SUM(c) FROM t WHERE b >= 0"},
 		// Every row fails a < 0 first: c's offsets are recorded, never converted.
 		{name: "recorded", noShreds: true,
@@ -82,6 +84,7 @@ func TestMalformedIntFailsInEveryMode(t *testing.T) {
 								t.Fatalf("warm-up %q: %v", w.sql, err)
 							}
 						}
+						installed := e.tables["t"].pos.get()
 						res, err := e.Query(m.sql)
 						if !errors.Is(err, bytesconv.ErrSyntax) {
 							var got any = err
@@ -92,6 +95,12 @@ func TestMalformedIntFailsInEveryMode(t *testing.T) {
 						}
 						if err := e.AuditBudget(); err != nil {
 							t.Fatalf("after the failed %q: %v", m.sql, err)
+						}
+						if e.tables["t"].pos.get() != installed {
+							t.Fatalf("the failed %q replaced the positional structure", m.sql)
+						}
+						if idx := jsonIndex(e); idx != nil && idx.Tracked("b") {
+							t.Fatalf("the failed %q left b tracked in the structural index", m.sql)
 						}
 					})
 				}

@@ -53,8 +53,9 @@ type source interface {
 	// read whole.
 	split(pos positions, mode jit.Mode, n int) (spans []span, ok bool)
 	// scan builds the operator reading req.cols over req.span, and the
-	// private fragment of the positional structure a record-by-record pass
-	// fills on the side (nil when it fills none).
+	// private fragment of the positional structure the pass fills on the side
+	// (nil when it fills none): a record-by-record pass's new structure, or a
+	// whole-table pass's recording of what the structure does not track yet.
 	scan(tab *catalog.Table, pos positions, req scanReq) (exec.Operator, fragment, error)
 	// late returns the table's own late reader of cols (ascending): the fetch
 	// by row id an exec.LateScan runs, alone or completing a partial shred.
@@ -62,7 +63,8 @@ type source interface {
 	// publish installs on st the positional structure the fragments make up
 	// (frags[i] was filled over spans[i], in file order) and returns its
 	// footprint. A lone fragment that starts the file is adopted as it is;
-	// only a real merge copies.
+	// only a real merge copies. A recording makes a new structure that shares
+	// the recorded-over one's unchanged parts; nothing installed is written.
 	publish(st *tableState, frags []fragment, spans []span) (bytes int64, err error)
 	// spec returns the template-cache key of the access path reading cols in
 	// mode, up to the predicates and the row-id flag its caller adds.
@@ -221,8 +223,7 @@ func (e noReaderError) Error() string {
 }
 
 // ranged restricts a positional scan to a span's rows; the whole table needs
-// no restriction (and a JSON scan keeps the paths it records adaptively only
-// when unranged).
+// no restriction.
 func ranged[S interface {
 	exec.Operator
 	SetRowRange(lo, hi int64) error
@@ -427,9 +428,9 @@ func (s *jsonSource) load(tab *catalog.Table) error {
 func (s *jsonSource) stat() (int64, int64) { return int64(len(s.data)), -1 }
 
 // access: a populated structural index reads any column by row number, and
-// records the paths it does not track yet as it goes (adaptively). Row ranges
-// are skipped only while it has nothing left to record: a hole in a recording
-// would be a hole in the index.
+// records the paths it does not track yet as it goes (adaptively), for the
+// query to publish. Row ranges are skipped only while it has nothing left to
+// record: a hole in a recording would be a hole in the index.
 func (s *jsonSource) access(tab *catalog.Table, pos positions, cols []int, kind scanKind) (access, error) {
 	if kind == scanExternal {
 		return access{}, noReaderError{tab}
@@ -467,13 +468,20 @@ func (s *jsonSource) split(pos positions, mode jit.Mode, n int) ([]span, bool) {
 // index, NoDB-style).
 func (s *jsonSource) scan(tab *catalog.Table, pos positions, req scanReq) (exec.Operator, fragment, error) {
 	if req.mode == jit.ViaMap {
-		sc, err := jit.NewJSONMapScanPush(s.data, tab, req.cols, pos.jidx, req.emitRID, req.batch, req.push)
-		return ranged(sc, err, req.span)
+		// A whole-table scan's recording of untracked paths is its fragment;
+		// a row range's never covers the file and is dropped.
+		sc, rec, err := jit.NewJSONMapScanPush(s.data, tab, req.cols, pos.jidx, req.emitRID, req.batch, req.push)
+		op, _, err := ranged(sc, err, req.span)
+		var frag fragment
+		if err == nil && rec != nil && req.track && req.span == wholeTable {
+			frag = rec
+		}
+		return op, frag, err
 	}
 	var idx *jsonidx.Index
 	var frag fragment
 	if req.track {
-		idx = jsonidx.New(0)
+		idx = jsonidx.New()
 		idx.Reserve(req.rowHint)
 		frag = idx
 	}
@@ -489,13 +497,18 @@ func (s *jsonSource) late(tab *catalog.Table, pos positions, cols []int) (exec.F
 }
 
 func (s *jsonSource) publish(st *tableState, frags []fragment, spans []span) (int64, error) {
+	if rec, ok := frags[0].(*jsonidx.Recorder); ok {
+		idx := rec.Publish(st.positions().jidx)
+		st.pos.set(idx)
+		return idx.MemoryFootprint(), nil
+	}
 	idx := frags[0].(*jsonidx.Index)
 	if len(frags) > 1 || spans[0].lo != 0 {
 		idxs, offs := make([]*jsonidx.Index, len(frags)), make([]int64, len(frags))
 		for i, f := range frags {
 			idxs[i], offs[i] = f.(*jsonidx.Index), spans[i].lo
 		}
-		idx = jsonidx.Merge(idxs, offs, 0)
+		idx = jsonidx.Merge(idxs, offs)
 	}
 	st.pos.set(idx)
 	return idx.MemoryFootprint(), nil

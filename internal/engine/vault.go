@@ -53,10 +53,9 @@ type slot struct {
 	mu  sync.Mutex
 	cur structure
 
-	// saved and savedVer are the structure, and its version, the vault
-	// writer last took (written under the table's qmu and wmu).
-	saved    structure
-	savedVer uint64
+	// saved is the structure the vault writer last took (written under the
+	// table's qmu and wmu).
+	saved structure
 }
 
 func (s *slot) bind(k vault.Kind, table string) { s.kind, s.key = k, k.String()+":"+table }
@@ -84,27 +83,17 @@ func (s *slot) drop(old structure) {
 }
 
 // markSaved records x as what the vault holds.
-func (s *slot) markSaved(x structure) { s.saved, s.savedVer = x, version(x) }
+func (s *slot) markSaved(x structure) { s.saved = x }
 
 // dirty returns the slot's structure if the vault does not hold it yet: one
-// installed since the last save (structures are immutable once installed,
-// so identity tells), or one that grew in place since (a structural index
-// records new paths as queries ask for them, and bumps its Version).
+// installed since the last save (structures are immutable once installed, so
+// identity tells).
 func (s *slot) dirty() structure {
 	cur := s.get()
-	if cur == nil || cur.NRows() <= 0 || cur == s.saved && version(cur) == s.savedVer {
+	if cur == nil || cur.NRows() <= 0 || cur == s.saved {
 		return nil
 	}
 	return cur
-}
-
-// version is a structure's in-place growth counter (0 for one that never
-// grows).
-func version(x structure) uint64 {
-	if v, ok := x.(interface{ Version() uint64 }); ok {
-		return v.Version()
-	}
-	return 0
 }
 
 // vaultFingerprint computes the fingerprint vault entries for this table are

@@ -496,28 +496,31 @@ var _ exec.Operator = (*JSONScan)(nil)
 // NewJSONMapScan generates a structural-index access path: for each
 // requested path the generator resolves, once, whether recorded value
 // offsets exist (jump straight to the value) or the row-start offsets must
-// be used (walk the object from the row start, recording the path's offsets
-// as a side effect — the adaptive population of the structural index).
-// Execution is column-at-a-time over each batch's row range.
+// be used (walk the object from the row start). Execution is
+// column-at-a-time over each batch's row range. It drops the offsets it
+// records of untracked paths; NewJSONMapScanPush hands them out.
 func NewJSONMapScan(data []byte, t *catalog.Table, need []int, idx *jsonidx.Index,
 	emitRID bool, batchSize int) (*RowScan, error) {
-	return NewJSONMapScanPush(data, t, need, idx, emitRID, batchSize, Pushdown{})
+	s, _, err := NewJSONMapScanPush(data, t, need, idx, emitRID, batchSize, Pushdown{})
+	return s, err
 }
 
 // NewJSONMapScanPush generates a structural-index access path with pushdown
-// (see RowScan): recorded-offset columns are parsed only for rows opts.Preds
-// select, while columns needing adaptive recording always read dense (the
-// index must cover every row) and commit once the scan read the last row; a
-// ranged scan's recordings never match the whole file and are discarded.
-// opts.Skip applies only when no adaptive recording is staged — skipped rows
-// could never be recorded — and is dropped otherwise. opts.Syn is ignored.
+// (see RowScan), and returns with it the recording of the paths idx does not
+// track (nil when it tracks them all). Recorded-offset columns are parsed
+// only for rows opts.Preds select, while columns being recorded always read
+// dense, so the recording of a scan that read every row covers the file: the
+// caller may then publish it (jsonidx.Recorder.Publish) once the query
+// succeeded. idx itself is never written. opts.Skip applies only when nothing
+// is recorded — skipped rows could never be recorded — and is dropped
+// otherwise. opts.Syn is ignored.
 func NewJSONMapScanPush(data []byte, t *catalog.Table, need []int, idx *jsonidx.Index,
-	emitRID bool, batchSize int, opts Pushdown) (*RowScan, error) {
+	emitRID bool, batchSize int, opts Pushdown) (*RowScan, *jsonidx.Recorder, error) {
 	if t.Format != catalog.JSON {
-		return nil, fmt.Errorf("jit: json scan got format %s", t.Format)
+		return nil, nil, fmt.Errorf("jit: json scan got format %s", t.Format)
 	}
 	if idx == nil || idx.NRows() == 0 {
-		return nil, fmt.Errorf("jit: json map scan requires a populated structural index")
+		return nil, nil, fmt.Errorf("jit: json map scan requires a populated structural index")
 	}
 	// Declare the untracked paths up front so one recorder stages them all
 	// (a column out of range fails in newRowScan).
@@ -540,10 +543,10 @@ func NewJSONMapScanPush(data []byte, t *catalog.Table, need []int, idx *jsonidx.
 	s, err := newRowScan(t, need, idx.NRows(), emitRID, batchSize, opts, func(c int) (rowCol, error) {
 		return newJSONColReader(data, t, c, idx, adaptive, adaptSlot)
 	})
-	if err == nil && adaptive != nil {
-		s.atEnd = adaptive.Commit
+	if err != nil {
+		return nil, nil, err
 	}
-	return s, err
+	return s, adaptive, nil
 }
 
 // newJSONColReader generates the reader for one column; which navigation it

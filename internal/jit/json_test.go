@@ -61,7 +61,7 @@ func appendFloat(buf *bytes.Buffer, v float64) {
 
 func TestJSONSequentialScan(t *testing.T) {
 	data, tab, ints, floats := genJSONTable(t, 400, 21)
-	idx := jsonidx.New(0)
+	idx := jsonidx.New()
 	// Nested float path + flat int path, odd batch size, with row ids.
 	s, err := NewJSONSequentialScan(data, tab, []int{2, 0}, idx, true, 53)
 	if err != nil {
@@ -101,7 +101,7 @@ func TestJSONSequentialScan(t *testing.T) {
 
 func TestJSONMapScanTrackedAndAdaptive(t *testing.T) {
 	data, tab, ints, floats := genJSONTable(t, 300, 22)
-	idx := jsonidx.New(0)
+	idx := jsonidx.New()
 	s1, err := NewJSONSequentialScan(data, tab, []int{0}, idx, false, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -111,7 +111,7 @@ func TestJSONMapScanTrackedAndAdaptive(t *testing.T) {
 	}
 	// id is tracked; payload.eta and payload.ncells are untracked and must be
 	// served via row-start walks that record them adaptively.
-	s2, err := NewJSONMapScan(data, tab, []int{0, 3, 4}, idx, true, 41)
+	s2, rec, err := NewJSONMapScanPush(data, tab, []int{0, 3, 4}, idx, true, 41, Pushdown{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,12 +129,16 @@ func TestJSONMapScanTrackedAndAdaptive(t *testing.T) {
 			t.Fatalf("rid[%d] = %d", r, out[3].Int64s[r])
 		}
 	}
-	// Adaptive population: the new paths are tracked now.
+	// Adaptive population: the published index tracks the new paths, the
+	// scanned one still does not.
+	grown := rec.Publish(idx)
 	for _, p := range []string{"payload.eta", "payload.ncells"} {
-		if !idx.Tracked(p) {
-			t.Fatalf("path %q not adaptively recorded", p)
+		if idx.Tracked(p) || !grown.Tracked(p) {
+			t.Fatalf("path %q: tracked %v by the scanned index, %v by the published one",
+				p, idx.Tracked(p), grown.Tracked(p))
 		}
 	}
+	idx = grown
 	// A third scan over a freshly tracked path must serve from offsets and
 	// agree exactly.
 	s3, err := NewJSONMapScan(data, tab, []int{3}, idx, false, 0)
@@ -157,7 +161,7 @@ func TestJSONMapScanRequiresIndex(t *testing.T) {
 	if _, err := NewJSONMapScan(data, tab, []int{0}, nil, false, 0); err == nil {
 		t.Fatal("expected error for nil index")
 	}
-	if _, err := NewJSONMapScan(data, tab, []int{0}, jsonidx.New(0), false, 0); err == nil {
+	if _, err := NewJSONMapScan(data, tab, []int{0}, jsonidx.New(), false, 0); err == nil {
 		t.Fatal("expected error for empty index")
 	}
 }
@@ -174,7 +178,7 @@ func TestJSONScanMissingPath(t *testing.T) {
 		t.Fatal("expected missing-path error")
 	}
 	// A failed scan must not commit anything.
-	idx := jsonidx.New(0)
+	idx := jsonidx.New()
 	s2, _ := NewJSONSequentialScan(data, tab, []int{0}, idx, false, 0)
 	_, _ = exec.Collect(s2)
 	if idx.NRows() != 0 {
@@ -200,7 +204,7 @@ func TestJSONMatcherConflicts(t *testing.T) {
 
 func TestJSONLateScan(t *testing.T) {
 	data, tab, ints, floats := genJSONTable(t, 250, 24)
-	idx := jsonidx.New(0)
+	idx := jsonidx.New()
 	s1, err := NewJSONSequentialScan(data, tab, []int{0}, idx, false, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -240,7 +244,7 @@ func TestJSONLateScan(t *testing.T) {
 		}
 	}
 	// Requires a populated index.
-	if _, err := JSONLateFetch(data, tab, []int{2}, jsonidx.New(0)); err == nil {
+	if _, err := JSONLateFetch(data, tab, []int{2}, jsonidx.New()); err == nil {
 		t.Fatal("expected error for empty index")
 	}
 }
@@ -251,7 +255,7 @@ func TestJSONAgreesAcrossModes(t *testing.T) {
 	data, tab, _, _ := genJSONTable(t, 200, 25)
 	need := []int{1, 2, 4}
 
-	idx := jsonidx.New(0)
+	idx := jsonidx.New()
 	seq, err := NewJSONSequentialScan(data, tab, need, idx, false, 33)
 	if err != nil {
 		t.Fatal(err)

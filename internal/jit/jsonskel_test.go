@@ -31,7 +31,7 @@ var skelTable = &catalog.Table{Name: "t", Format: catalog.JSON, Schema: []catalo
 // everything it produced and left behind.
 func skelOutcome(t testing.TB, data []byte, need []int, preds []exec.Pred, speculate bool) (string, *JSONScan) {
 	t.Helper()
-	idx := jsonidx.New(0)
+	idx := jsonidx.New()
 	types := make(map[int]vector.Type)
 	for _, c := range need {
 		types[c] = skelTable.Schema[c].Type

@@ -354,7 +354,7 @@ func jsonLateIndex(data []byte, tracked []int) *jsonidx.Index {
 			paths[path] = offs
 		}
 	}
-	return jsonidx.Restore(rows, paths, 0)
+	return jsonidx.Restore(rows, paths)
 }
 
 // jsonLateCompare holds JSONLateFetch to jsonLateRef over data for rids, for
@@ -409,7 +409,7 @@ func jsonMapScanCompare(t testing.TB, data []byte, batch int) {
 		rids[r] = int64(r)
 	}
 	want := runLate(jsonLateRef(data, skelTable, cols, idx), types, rids, len(rids))
-	s, err := NewJSONMapScan(data, skelTable, cols, idx, false, batch)
+	s, rec, err := NewJSONMapScanPush(data, skelTable, cols, idx, false, batch, Pushdown{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -425,6 +425,7 @@ func jsonMapScanCompare(t testing.TB, data []byte, batch int) {
 	if got.String() != want {
 		t.Fatalf("map scan over\n%s\nread:\n%s\nper-row reference:\n%s", data, got.String(), want)
 	}
+	idx = rec.Publish(idx)
 	for _, c := range cols {
 		path := skelTable.Schema[c].Name
 		positions := idx.Positions(path)

@@ -46,9 +46,7 @@ type RowScan struct {
 	// syn, when set, advances by each batch range after its columns decoded:
 	// zone boundaries then align to batches, which the synopsis representation
 	// permits (blocks are variable row ranges).
-	syn *synopsis.Builder
-	// atEnd runs once, after the scan read the table's last row.
-	atEnd   func()
+	syn     *synopsis.Builder
 	emitRID bool
 
 	rowsPruned    int64
@@ -157,10 +155,6 @@ func (s *RowScan) Next() (*vector.Batch, error) {
 		}
 		if s.syn != nil {
 			s.syn.Advance(hi - lo)
-		}
-		if hi == s.nrows && s.atEnd != nil {
-			s.atEnd()
-			s.atEnd = nil
 		}
 		if none {
 			continue

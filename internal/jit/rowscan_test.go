@@ -3,6 +3,7 @@ package jit
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -33,8 +34,10 @@ type rowScanFormat struct {
 	ref       []*vector.Vector // aligned with need
 	build     func(t *testing.T, push Pushdown, emitRID bool) rowScanner
 	dropsSkip bool     // the path records adaptively and so never skips
-	recorded  []string // paths it must commit to idx after a whole-table scan
-	idx       func() *jsonidx.Index
+	recorded  []string // paths its recording must add to the index after a whole-table scan
+	// recording returns the last built scan's index, what that index tracked
+	// before the scan, and the scan's recording.
+	recording func() (idx *jsonidx.Index, tracked []string, rec *jsonidx.Recorder)
 	refIdx    *jsonidx.Index
 }
 
@@ -98,7 +101,7 @@ func rowScanFormats(t *testing.T) []*rowScanFormat {
 
 	// JSON via the structural index, every path tracked.
 	jdata, jtab, _, _ := genJSONTable(t, rows, 32)
-	full := jsonidx.New(0)
+	full := jsonidx.New()
 	allPaths, err := NewJSONSequentialScan(jdata, jtab, []int{0, 1, 2, 3, 4}, full, false, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -115,9 +118,9 @@ func rowScanFormats(t *testing.T) []*rowScanFormat {
 	formats = append(formats, &rowScanFormat{name: "json-tracked", tab: jtab, need: trackedNeed,
 		predCols: [2]int{2, 0}, ref: pick(trackedNeed),
 		build: func(t *testing.T, push Pushdown, emitRID bool) rowScanner {
-			s, err := NewJSONMapScanPush(jdata, jtab, trackedNeed, full, emitRID, bs, push)
-			if err != nil {
-				t.Fatal(err)
+			s, rec, err := NewJSONMapScanPush(jdata, jtab, trackedNeed, full, emitRID, bs, push)
+			if err != nil || rec != nil {
+				t.Fatalf("tracked paths: recording %v, error %v", rec, err)
 			}
 			return s
 		}})
@@ -129,16 +132,19 @@ func rowScanFormats(t *testing.T) []*rowScanFormat {
 		ref: pick(adaptNeed), dropsSkip: true, recorded: []string{"payload.eta", "payload.ncells"},
 		refIdx: full}
 	var idx *jsonidx.Index
-	af.idx = func() *jsonidx.Index { return idx }
+	var tracked []string
+	var rec *jsonidx.Recorder
+	af.recording = func() (*jsonidx.Index, []string, *jsonidx.Recorder) { return idx, tracked, rec }
 	af.build = func(t *testing.T, push Pushdown, emitRID bool) rowScanner {
-		idx = jsonidx.New(0)
+		idx = jsonidx.New()
 		s1, err := NewJSONSequentialScan(jdata, jtab, []int{0, 2}, idx, false, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		seqReference(t, s1)
-		s, err := NewJSONMapScanPush(jdata, jtab, adaptNeed, idx, emitRID, bs, push)
-		if err != nil {
+		tracked = idx.TrackedPaths()
+		var s *RowScan
+		if s, rec, err = NewJSONMapScanPush(jdata, jtab, adaptNeed, idx, emitRID, bs, push); err != nil {
 			t.Fatal(err)
 		}
 		return s
@@ -263,8 +269,9 @@ func binSynopsis(f *rowScanFormat, observed map[int]vector.Type, lo, hi int64, b
 // recording adaptively — and binary) delivers, whatever code shape it has:
 // the same values as a naive filter over the sequential scan's output, the
 // same batch boundaries and selection vectors, the same pushdown counters,
-// the structural index committed complete after a whole-table adaptive scan
-// (including one every row of which is pruned), and the same binary zone map.
+// a recording that publishes complete after a whole-table adaptive scan
+// (including one every row of which is pruned) and leaves the scanned index
+// alone, and the same binary zone map.
 func TestRowScanContract(t *testing.T) {
 	const bs = 37
 	skipEveryThird := func(start, end int64) bool { return start%3 == 1 }
@@ -324,26 +331,45 @@ func TestRowScanContract(t *testing.T) {
 											got.NRows(), got.Bounds(), got.Columns(), exp.NRows(), exp.Bounds(), exp.Columns())
 									}
 								}
-								for _, p := range f.recorded {
-									idx := f.idx()
-									if !whole {
-										if idx.Tracked(p) {
-											t.Fatalf("ranged scan committed path %q", p)
-										}
-										continue
-									}
-									if !idx.Tracked(p) {
-										t.Fatalf("path %q not committed after a whole-table scan", p)
-									}
-									if !reflect.DeepEqual(idx.Positions(p).Decode(nil, 0, idx.NRows()), f.refIdx.Positions(p).Decode(nil, 0, f.refIdx.NRows())) {
-										t.Fatalf("path %q committed offsets differ from the sequential scan's", p)
-									}
+								if f.recording != nil {
+									checkRecording(t, f, whole)
 								}
 							})
 						}
 					}
 				}
 			}
+		}
+	}
+}
+
+// checkRecording publishes the recording of f's last scan: it adds exactly
+// f.recorded, at the sequential scan's offsets, after a whole-table scan and
+// nothing after a ranged one, and the scanned index stays as it was.
+func checkRecording(t *testing.T, f *rowScanFormat, whole bool) {
+	t.Helper()
+	idx, tracked, rec := f.recording()
+	published := rec.Publish(idx)
+	if got := idx.TrackedPaths(); !reflect.DeepEqual(got, tracked) {
+		t.Fatalf("the scan changed its index: tracks %v, want %v", got, tracked)
+	}
+	want := tracked
+	if whole {
+		want = append(slices.Clone(tracked), f.recorded...)
+		sort.Strings(want)
+	}
+	if got := published.TrackedPaths(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("published index tracks %v, want %v", got, want)
+	}
+	if !whole {
+		return
+	}
+	if published.RowStarts() != idx.RowStarts() {
+		t.Fatal("published index does not share the scanned index's row starts")
+	}
+	for _, p := range f.recorded {
+		if !reflect.DeepEqual(published.Peek(p).Decode(nil, 0, published.NRows()), f.refIdx.Peek(p).Decode(nil, 0, f.refIdx.NRows())) {
+			t.Fatalf("path %q recorded offsets differ from the sequential scan's", p)
 		}
 	}
 }

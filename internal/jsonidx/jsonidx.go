@@ -10,74 +10,56 @@
 // tracked path jump straight to its value; queries over an untracked path
 // jump to the row start, walk the object once, and record the new path's
 // offsets as a side effect (adaptive population, the same
-// query-work-becomes-index behaviour positional maps have). Tracked paths
-// are evicted least-recently-used beyond a budget, so the index stays
-// proportional to the working set of queried paths, not to the file's
-// vocabulary.
+// query-work-becomes-index behaviour positional maps have). Such a recording
+// is a query product: Publish turns it into a new index value, which shares
+// the row starts and every unchanged path with the index it grew from. An
+// installed index is never written again, and the engine's cache budget
+// holds or evicts it whole.
 package jsonidx
 
 import (
 	"sort"
-	"sync"
+	"sync/atomic"
 
 	"rawdb/internal/offsets"
 )
 
-// DefaultMaxBytes bounds the tracked-path offsets of one index, in bytes.
-// The paper sizes positional maps by column-sampling policy; for JSON the
-// path working set plays that role and a byte-accounted LRU budget keeps the
-// footprint bounded and meaningful under the engine's unified cache budget
-// (an entry-counted limit would let footprint scale with file size
-// unchecked).
+// DefaultMaxBytes is kept only so that callers still passing a per-index cap
+// to New and Merge compile; the cap is ignored (the engine's cache budget
+// bounds every index as one entry).
 const DefaultMaxBytes = 64 << 20
 
-// Index is the structural index of one JSONL file. The engine serialises
-// queries per table, but one query's morsel workers consult the index
-// concurrently, so the tracked-path table (and its LRU clock) is internally
-// locked. Row starts are written exactly once — by the first committed scan,
-// before any concurrent reader can exist — and are read without locking.
-// A path's offsets are stored relative to their row's start, so they stay
-// as narrow as a row is wide.
+// Index is the structural index of one JSONL file. It is filled once, while
+// private to the scan (or merge, or vault decode) that builds it, and is
+// read-only from then on: one query's morsel workers read it concurrently
+// without locking, and a recording of new paths becomes a new index (Publish).
+// A path's offsets are stored relative to their row's start, so they stay as
+// narrow as a row is wide.
 type Index struct {
-	rows *offsets.Column // byte offset of each row start
-
-	mu    sync.Mutex                 // guards paths, use, clock, bytes, ver
+	rows  *offsets.Column            // byte offset of each row start
 	paths map[string]*offsets.Column // tracked path -> per-row value offsets, anchored at rows
-	use   map[string]int64           // logical access clock per path, for LRU
-	clock int64
-	bytes int64 // accounted bytes of tracked paths (names + offsets)
-	max   int64 // byte budget for tracked paths
-	ver   uint64
 
 	reserve int // rows the next recorder's columns are reserved for (Reserve)
 
 	// seeks counts Positions lookups that were served (observability: how
 	// often queries navigated via the structural index instead of reparsing).
-	seeks int64
+	// An index published from another shares its counter.
+	seeks *atomic.Int64
 }
 
-// Seeks returns how many tracked-path lookups this index has served (0 for
-// a nil index).
+// Seeks returns how many tracked-path lookups this index, and the ones it was
+// published from, have served (0 for a nil index).
 func (x *Index) Seeks() int64 {
 	if x == nil {
 		return 0
 	}
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	return x.seeks
+	return x.seeks.Load()
 }
 
-// New returns an empty index; maxBytes <= 0 selects DefaultMaxBytes.
-func New(maxBytes int64) *Index {
-	if maxBytes <= 0 {
-		maxBytes = DefaultMaxBytes
-	}
-	return &Index{
-		rows:  offsets.New(nil),
-		paths: make(map[string]*offsets.Column),
-		use:   make(map[string]int64),
-		max:   maxBytes,
-	}
+// New returns an empty index. Its optional argument, a former per-index byte
+// cap, is ignored.
+func New(...int64) *Index {
+	return &Index{rows: offsets.New(nil), paths: make(map[string]*offsets.Column), seeks: new(atomic.Int64)}
 }
 
 // Reserve makes the next recorder taken from x allocate its row-start and
@@ -91,9 +73,9 @@ func (x *Index) Reserve(rows int) { x.reserve = rows }
 
 // Restore reconstructs an index from its serialised parts: the row-start
 // offsets and the per-path value offsets (each of length len(rows); shorter
-// or longer recordings are dropped as incomplete). maxBytes <= 0 selects
-// DefaultMaxBytes. It is the decode-side counterpart of the vault codec.
-func Restore(rows []int64, paths map[string][]int64, maxBytes int64) *Index {
+// or longer recordings are dropped as incomplete). It is the decode-side
+// counterpart of the vault codec.
+func Restore(rows []int64, paths map[string][]int64) *Index {
 	var names []string
 	for p, offs := range paths {
 		if len(offs) == len(rows) {
@@ -101,7 +83,7 @@ func Restore(rows []int64, paths map[string][]int64, maxBytes int64) *Index {
 		}
 	}
 	sort.Strings(names)
-	x := New(maxBytes)
+	x := New()
 	x.Reserve(len(rows))
 	rec, cols, offs := x.Record(names), make([][]int64, len(names)), make([]int64, len(names))
 	for i, p := range names {
@@ -117,11 +99,6 @@ func Restore(rows []int64, paths map[string][]int64, maxBytes int64) *Index {
 	return x
 }
 
-// pathBytes is the accounted footprint of one tracked path.
-func pathBytes(name string, offs *offsets.Column) int64 {
-	return int64(len(name)) + offs.Bytes()
-}
-
 // NRows returns the number of rows whose starts are recorded; 0 means the
 // index is unpopulated and a sequential scan must run first.
 func (x *Index) NRows() int64 { return x.rows.Len() }
@@ -130,30 +107,17 @@ func (x *Index) NRows() int64 { return x.rows.Len() }
 // and immutable once committed; callers only read it.
 func (x *Index) RowStarts() *offsets.Column { return x.rows }
 
-// Version counts committed mutations of the tracked-path set. The engine's
-// vault write-back uses it to detect that an index grew since the last save
-// (the index mutates in place, so pointer identity is not enough).
-func (x *Index) Version() uint64 {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	return x.ver
-}
-
 // RowStart returns the byte offset of the given row.
 func (x *Index) RowStart(row int64) int64 { return x.rows.At(row) }
 
 // Tracked reports whether value offsets for the path are recorded.
 func (x *Index) Tracked(path string) bool {
-	x.mu.Lock()
-	defer x.mu.Unlock()
 	_, ok := x.paths[path]
 	return ok
 }
 
 // TrackedPaths returns the tracked paths in sorted order.
 func (x *Index) TrackedPaths() []string {
-	x.mu.Lock()
-	defer x.mu.Unlock()
 	out := make([]string, 0, len(x.paths))
 	for p := range x.paths {
 		out = append(out, p)
@@ -163,29 +127,19 @@ func (x *Index) TrackedPaths() []string {
 }
 
 // Positions returns the per-row value offsets of a tracked path (nil if
-// untracked) and marks the path recently used. The column is shared and never
-// mutated once installed; callers only read it.
+// untracked) and counts the seek. The column is shared and never mutated once
+// installed; callers only read it.
 func (x *Index) Positions(path string) *offsets.Column {
-	x.mu.Lock()
-	defer x.mu.Unlock()
 	offs, ok := x.paths[path]
-	if !ok {
-		return nil
+	if ok {
+		x.seeks.Add(1)
 	}
-	x.clock++
-	x.use[path] = x.clock
-	x.seeks++
 	return offs
 }
 
-// Peek returns a tracked path's offsets like Positions, but leaves the LRU
-// order and the seek count alone: for readers that serve no query, such as
-// the vault's encoder.
-func (x *Index) Peek(path string) *offsets.Column {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	return x.paths[path]
-}
+// Peek returns a tracked path's offsets like Positions, but counts no seek:
+// for readers that serve no query, such as the vault's encoder.
+func (x *Index) Peek(path string) *offsets.Column { return x.paths[path] }
 
 // MemoryFootprint returns the bytes the index's encoded offsets take, chunk
 // headers and spare room included: what the engine's cache budget charges
@@ -194,8 +148,6 @@ func (x *Index) MemoryFootprint() int64 {
 	if x == nil {
 		return 0
 	}
-	x.mu.Lock()
-	defer x.mu.Unlock()
 	n := x.rows.Bytes()
 	for _, offs := range x.paths {
 		n += offs.Bytes()
@@ -209,10 +161,10 @@ func (x *Index) MemoryFootprint() int64 {
 // starts' bases move by their morsel offsets, and path offsets, relative to
 // their rows, do not move at all. A path survives only if every fragment
 // committed a full recording for it, so the merged index reads like one built
-// by a serial scan. Fragments are private to their workers, so no locking is
-// needed on them.
-func Merge(frags []*Index, offs []int64, maxBytes int64) *Index {
-	x := New(maxBytes)
+// by a serial scan. Its optional argument, a former per-index byte cap, is
+// ignored.
+func Merge(frags []*Index, offs []int64, _ ...int64) *Index {
+	x := New()
 	if len(frags) == 0 {
 		return x
 	}
@@ -228,21 +180,17 @@ paths:
 			}
 			merged.Link(f.paths[p], 0)
 		}
-		x.clock++
 		x.paths[p] = merged
-		x.use[p] = x.clock
-		x.bytes += pathBytes(p, merged)
-		x.ver++
 	}
-	x.evict()
 	return x
 }
 
 // A Recorder stages structural observations made by one scan — row starts
-// and value offsets for a fixed set of paths — and installs them atomically
-// when the scan completes. Scans that fail mid-file therefore never leave a
-// partially populated index behind, and concurrent plan/execute interleaving
-// within one query never observes half-built state.
+// and value offsets for a fixed set of paths. Over an empty index (a first
+// scan's private fragment) Commit fills that index when the scan completes;
+// over a populated one Publish makes a new index of the recording, and the
+// recorded-over index is never written. Either way only complete recordings
+// count, so a scan that fails mid-file leaves no partial index behind.
 type Recorder struct {
 	x     *Index
 	paths []string
@@ -255,25 +203,25 @@ type Recorder struct {
 
 // Record returns a recorder staging offsets for the given paths (paths
 // already tracked are skipped). Pass the paths in the order AppendRow will
-// supply offsets.
+// supply offsets. Over a populated index it only reads x, so concurrent scans
+// may each take one.
 func (x *Index) Record(paths []string) *Recorder {
-	x.mu.Lock()
-	defer x.mu.Unlock()
 	r := &Recorder{x: x, rows: x.rows, firstScan: x.rows.Len() == 0}
+	reserve := 0
 	if r.firstScan {
+		reserve, x.reserve = x.reserve, 0
 		r.rows = offsets.New(nil)
-		r.rows.Reserve(x.reserve)
+		r.rows.Reserve(reserve)
 	}
 	for _, p := range paths {
-		if _, tracked := x.paths[p]; tracked {
+		if x.Tracked(p) {
 			continue
 		}
 		offs := offsets.New(r.rows)
-		offs.Reserve(x.reserve)
+		offs.Reserve(reserve)
 		r.paths = append(r.paths, p)
 		r.offs = append(r.offs, offs)
 	}
-	x.reserve = 0
 	return r
 }
 
@@ -295,63 +243,77 @@ func (r *Recorder) AppendRow(rowStart int64, offs []int64) {
 // AppendPathOffset stages the next row's value offset for staged path i
 // (aligned with Paths()), given that row's start. Column-at-a-time scans that
 // visit each path in an independent pass use this instead of AppendRow;
-// Commit still verifies that every path saw every row.
+// only paths that saw every row are committed or published.
 func (r *Recorder) AppendPathOffset(i int, rowStart, off int64) {
 	r.offs[i].Append(off - rowStart)
 }
 
-// Commit seals the staged offsets (offsets.Column.Clip) and installs them
-// into the index, evicting least-recently-used paths beyond the budget. It is
-// a no-op unless the staged row count matches the index (guarding against
-// partial scans, which includes the partial recordings row-range morsel
-// workers stage: their counts never match the whole file, so concurrent
-// commits discard safely).
-func (r *Recorder) Commit() {
-	x := r.x
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	if r.firstScan {
-		if r.rows.Len() == 0 {
-			return
+// NRows returns the rows the recording covers in full: its row count once
+// every staged path has an offset for each row, else 0 (a partial recording,
+// such as a row range's, adds nothing).
+func (r *Recorder) NRows() int64 {
+	n := r.rows.Len()
+	for _, offs := range r.offs {
+		if offs.Len() != n {
+			return 0
 		}
-		r.rows.Clip()
-		x.rows = r.rows
-		x.ver++
 	}
-	n := x.rows.Len()
-	for i, p := range r.paths {
-		if r.offs[i].Len() != n {
-			continue // partial recording (e.g. errored scan): discard
-		}
-		r.offs[i].Clip()
-		if old, ok := x.paths[p]; ok {
-			x.bytes -= pathBytes(p, old)
-		}
-		x.clock++
-		x.paths[p] = r.offs[i]
-		x.use[p] = x.clock
-		x.bytes += pathBytes(p, r.offs[i])
-		x.ver++
-	}
-	x.evict()
+	return n
 }
 
-// evict drops least-recently-used paths until the byte budget is met,
-// always retaining at least the most recently used path (dropping the whole
-// working set would force rebuild loops without bounding anything useful).
-func (x *Index) evict() {
-	for x.bytes > x.max && len(x.paths) > 1 {
-		var victim string
-		var oldest int64
-		first := true
-		for p, t := range x.use {
-			if first || t < oldest {
-				victim, oldest, first = p, t, false
+// complete yields the staged paths with an offset for each of n rows, their
+// columns sealed (offsets.Column.Clip).
+func (r *Recorder) complete(n int64, yield func(string, *offsets.Column)) {
+	for i, p := range r.paths {
+		if r.offs[i].Len() == n {
+			r.offs[i].Clip()
+			yield(p, r.offs[i])
+		}
+	}
+}
+
+// Commit installs a first scan's recording into the empty index it was taken
+// from, still private to that scan: the row starts and every path recorded
+// for each row. It does nothing for a recording over a populated index, which
+// only Publish turns into an index, or for a scan that staged no row.
+func (r *Recorder) Commit() {
+	if !r.firstScan || r.rows.Len() == 0 {
+		return
+	}
+	x := r.x
+	r.rows.Clip()
+	x.rows = r.rows
+	r.complete(x.rows.Len(), func(p string, offs *offsets.Column) { x.paths[p] = offs })
+}
+
+// Publish returns the index to install once the recording's query succeeded:
+// cur, when it still indexes the recorded rows (the index the recording was
+// taken from, or one published from it since), else the recorded-over index,
+// extended by every staged path recorded for each row that it does not track
+// yet. The result is a new value sharing the row starts, the unchanged path
+// columns and the seek counter; with nothing to add it is the base itself.
+// Neither cur nor the recorded-over index is written.
+func (r *Recorder) Publish(cur *Index) *Index {
+	base := r.x
+	if cur != nil && cur.rows == r.rows {
+		base = cur
+	}
+	var x *Index
+	r.complete(base.rows.Len(), func(p string, offs *offsets.Column) {
+		if base.Tracked(p) {
+			return
+		}
+		if x == nil {
+			x = &Index{rows: base.rows, paths: make(map[string]*offsets.Column, len(base.paths)+len(r.paths)),
+				seeks: base.seeks}
+			for q, c := range base.paths {
+				x.paths[q] = c
 			}
 		}
-		x.bytes -= pathBytes(victim, x.paths[victim])
-		delete(x.paths, victim)
-		delete(x.use, victim)
-		x.ver++
+		x.paths[p] = offs
+	})
+	if x == nil {
+		return base
 	}
+	return x
 }

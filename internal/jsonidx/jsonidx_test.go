@@ -9,13 +9,8 @@ import (
 	"rawdb/internal/offsets"
 )
 
-// onePath is the accounted size of a committed 2-character path over one
-// row: its name, a 56-byte segment, a 24-byte chunk header and its one-byte
-// offset (Commit clips the buffer to it).
-const onePath = 2 + 56 + 24 + 1
-
 func TestRecordCommitLookup(t *testing.T) {
-	x := New(0)
+	x := New()
 	if x.NRows() != 0 || x.Tracked("a") {
 		t.Fatal("new index not empty")
 	}
@@ -51,10 +46,11 @@ func TestRecordCommitLookup(t *testing.T) {
 	}
 }
 
-// TestAdaptiveExtension: a second scan over known rows adds a new path
-// without touching row starts; already-tracked paths are skipped.
+// TestAdaptiveExtension: a second scan over known rows records a new path
+// without touching row starts; already-tracked paths are skipped, and the
+// recording becomes a new index only when published.
 func TestAdaptiveExtension(t *testing.T) {
-	x := New(0)
+	x := New()
 	rec := x.Record([]string{"a"})
 	for r := int64(0); r < 3; r++ {
 		rec.AppendRow(r*10, []int64{r*10 + 2})
@@ -68,11 +64,15 @@ func TestAdaptiveExtension(t *testing.T) {
 	for r := int64(0); r < 3; r++ {
 		rec2.AppendRow(r*10, []int64{r*10 + 7})
 	}
-	rec2.Commit()
-	if x.NRows() != 3 {
-		t.Fatalf("rows changed: %d", x.NRows())
+	rec2.Commit() // a recording over a populated index commits nothing
+	if x.Tracked("b") {
+		t.Fatal("Commit wrote a recording into a populated index")
 	}
-	if pos := x.Positions("b"); pos.At(2) != 27 {
+	y := rec2.Publish(x)
+	if y.NRows() != 3 {
+		t.Fatalf("rows changed: %d", y.NRows())
+	}
+	if pos := y.Positions("b"); pos.At(2) != 27 {
 		t.Fatalf("b positions = %v", pos.Decode(nil, 0, 3))
 	}
 }
@@ -80,7 +80,7 @@ func TestAdaptiveExtension(t *testing.T) {
 // TestPartialScanDiscarded: a recorder that saw fewer rows than the file
 // (errored scan) must not publish anything.
 func TestPartialScanDiscarded(t *testing.T) {
-	x := New(0)
+	x := New()
 	rec := x.Record([]string{"a"})
 	rec.AppendRow(0, []int64{2})
 	rec.AppendRow(10, []int64{12})
@@ -88,90 +88,82 @@ func TestPartialScanDiscarded(t *testing.T) {
 
 	rec2 := x.Record([]string{"b"})
 	rec2.AppendRow(0, []int64{5}) // only 1 of 2 rows
-	rec2.Commit()
-	if x.Tracked("b") {
-		t.Fatal("partial path recording was committed")
+	if rec2.NRows() != 0 {
+		t.Fatalf("partial recording covers %d rows, want 0", rec2.NRows())
+	}
+	if y := rec2.Publish(x); y != x || x.Tracked("b") {
+		t.Fatal("partial path recording was published")
 	}
 
 	// Empty first scan leaves the index unpopulated.
-	y := New(0)
+	y := New()
 	y.Record([]string{"a"}).Commit()
 	if y.NRows() != 0 {
 		t.Fatal("empty commit populated rows")
 	}
 }
 
-// TestLRUEviction: path bytes beyond the budget are evicted
-// least-recently-used; recently read paths survive. Each 2-character path
-// over one row accounts its name and one chunk (onePath bytes), so a budget
-// of three times that holds three.
-func TestLRUEviction(t *testing.T) {
-	x := New(3 * onePath)
-	commit := func(path string, val int64) {
+// TestPublishMakesNewIndex: publishing a recording returns a new index that
+// shares the row starts and the unchanged path columns by pointer, and the
+// seek counter; the index it grew from still tracks exactly what it did; a
+// partial recording adds nothing. A recording published after another one
+// over the same rows extends that one, and one whose index was replaced by
+// an unrelated one extends the index it was recorded over.
+func TestPublishMakesNewIndex(t *testing.T) {
+	const rows = 4
+	record := func(x *Index, path string, delta int64, n int64) *Recorder {
 		rec := x.Record([]string{path})
-		rec.AppendRow(0, []int64{val})
-		rec.Commit()
-	}
-	commit("p0", 0)
-	commit("p1", 1)
-	commit("p2", 2)
-	x.Positions("p0") // touch p0: p1 becomes LRU
-	commit("p3", 3)
-	if x.Tracked("p1") {
-		t.Fatal("LRU path p1 survived eviction")
-	}
-	for _, p := range []string{"p0", "p2", "p3"} {
-		if !x.Tracked(p) {
-			t.Fatalf("path %s evicted unexpectedly", p)
+		for r := int64(0); r < n; r++ {
+			rec.AppendRow(r*10, []int64{r*10 + delta})
 		}
+		return rec
 	}
-	// Hammer more paths: the byte budget holds.
-	for i := 4; i < 10; i++ {
-		commit(fmt.Sprintf("p%d", i), int64(i))
-	}
-	if len(x.TrackedPaths()) != 3 {
-		t.Fatalf("tracked = %v", x.TrackedPaths())
-	}
-}
+	x := New()
+	record(x, "a", 1, rows).Commit()
+	footprint := x.MemoryFootprint()
+	x.Positions("a")
 
-// TestByteEvictionOrder pins the eviction order of the byte-accounted LRU:
-// inserting past the budget drops the least recently used paths first, and a
-// single oversized path is still retained (the budget never empties the
-// index below one path).
-func TestByteEvictionOrder(t *testing.T) {
-	x := New(3 * onePath)
-	commit := func(path string, val int64) {
-		rec := x.Record([]string{path})
-		rec.AppendRow(0, []int64{val})
-		rec.Commit()
+	recB, recC := record(x, "b", 2, rows), record(x, "c", 3, rows)
+	partial := record(x, "d", 4, rows-1)
+	y := recB.Publish(x)
+	if y == x {
+		t.Fatal("publishing a complete recording returned the same index")
 	}
-	for i := 0; i < 3; i++ {
-		commit(fmt.Sprintf("p%d", i), int64(i))
+	if y.RowStarts() != x.RowStarts() || y.Peek("a") != x.Peek("a") {
+		t.Fatal("the published index does not share the row starts and path a by pointer")
 	}
-	// Insertion order is the use order: p0 must go first, then p1.
-	commit("p3", 3)
-	if x.Tracked("p0") || !x.Tracked("p1") {
-		t.Fatalf("first eviction not LRU: tracked = %v", x.TrackedPaths())
+	if got := x.TrackedPaths(); !reflect.DeepEqual(got, []string{"a"}) || x.MemoryFootprint() != footprint {
+		t.Fatalf("the old index now tracks %v in %d bytes, want [a] in %d", got, x.MemoryFootprint(), footprint)
 	}
-	commit("p4", 4)
-	if x.Tracked("p1") || !x.Tracked("p2") {
-		t.Fatalf("second eviction not LRU: tracked = %v", x.TrackedPaths())
+	if got := y.TrackedPaths(); !reflect.DeepEqual(got, []string{"a", "b"}) {
+		t.Fatalf("the published index tracks %v, want [a b]", got)
 	}
-
-	// A lone path larger than the whole budget survives (floor of one).
-	y := New(10)
-	recY := y.Record([]string{"big"})
-	for r := int64(0); r < 4; r++ { // 3 + onePath-2 bytes > 10
-		recY.AppendRow(r*10, []int64{r*10 + 1})
+	if y.Seeks() != 1 {
+		t.Fatalf("the published index counts %d seeks, want the 1 it shares", y.Seeks())
 	}
-	recY.Commit()
-	if !y.Tracked("big") {
-		t.Fatal("oversized lone path evicted; index would thrash")
+	y.Positions("b")
+	if x.Seeks() != 2 {
+		t.Fatalf("a seek on the published index left the shared count at %d", x.Seeks())
 	}
-
-	// Version advances on every committed mutation and eviction.
-	if x.Version() == 0 {
-		t.Fatal("version never advanced")
+	if z := partial.Publish(y); z != y || y.Tracked("d") {
+		t.Fatal("a partial recording was published")
+	}
+	// c was recorded over x, while b was published: it extends y.
+	z := recC.Publish(y)
+	if got := z.TrackedPaths(); !reflect.DeepEqual(got, []string{"a", "b", "c"}) || z.Peek("b") != y.Peek("b") {
+		t.Fatalf("publishing over the current index tracks %v, want [a b c] sharing b", got)
+	}
+	if recC.Publish(z) != z {
+		t.Fatal("publishing a recording the current index already tracks made a new index")
+	}
+	// An evicted or unrelated current index: extend the one recorded over.
+	other := New()
+	record(other, "a", 1, rows).Commit()
+	for _, cur := range []*Index{nil, other} {
+		w := recB.Publish(cur)
+		if got := w.TrackedPaths(); !reflect.DeepEqual(got, []string{"a", "b"}) || w.RowStarts() != x.RowStarts() {
+			t.Fatalf("publishing over %p tracks %v, want x's [a b]", cur, got)
+		}
 	}
 }
 
@@ -183,7 +175,7 @@ func TestByteEvictionOrder(t *testing.T) {
 func TestReserveClipMerge(t *testing.T) {
 	const rows = 5000
 	fill := func(reserve int) (*Index, uint64) {
-		x := New(0)
+		x := New()
 		x.Reserve(reserve)
 		r := x.Record([]string{"a", "b"})
 		var before, after runtime.MemStats
@@ -204,7 +196,7 @@ func TestReserveClipMerge(t *testing.T) {
 		for _, p := range x.TrackedPaths() {
 			paths[p] = x.Peek(p).Decode(nil, 0, n)
 		}
-		want := Restore(x.RowStarts().Decode(nil, 0, n), paths, 0).MemoryFootprint()
+		want := Restore(x.RowStarts().Decode(nil, 0, n), paths).MemoryFootprint()
 		if got := x.MemoryFootprint(); got > want+want/20 {
 			t.Errorf("%s: %d bytes, want <= 1.05 x %d", what, got, want)
 		}
@@ -217,9 +209,9 @@ func TestReserveClipMerge(t *testing.T) {
 		if reserve == rows && mallocs != 0 {
 			t.Errorf("exact reservation: %d allocations while staging rows after the first chunk, want 0", mallocs)
 		}
-		compact(fmt.Sprintf("reserve %d, one fragment", reserve), Merge([]*Index{x}, []int64{0}, 0))
+		compact(fmt.Sprintf("reserve %d, one fragment", reserve), Merge([]*Index{x}, []int64{0}))
 	}
 	a, _ := fill(0)
 	b, _ := fill(rows)
-	compact("merged", Merge([]*Index{a, b}, []int64{0, 100 * rows}, 0))
+	compact("merged", Merge([]*Index{a, b}, []int64{0, 100 * rows}))
 }

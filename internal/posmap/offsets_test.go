@@ -53,7 +53,7 @@ func genOffsets(rng *rand.Rand, n int, start int64, widths []int64) offsetsRef {
 // serial builds both structures the way one cold scan does: row by row.
 func (ref offsetsRef) serial(lo, hi int, shift int64) (*posmap.Map, *jsonidx.Index) {
 	pm := posmap.New(refPolicy, refCols)
-	x := jsonidx.New(0)
+	x := jsonidx.New()
 	rec := x.Record(refPaths)
 	row := make([]int64, len(ref.cols))
 	offs := make([]int64, len(refPaths))
@@ -90,7 +90,7 @@ func (ref offsetsRef) merged(cuts []int) (*posmap.Map, *jsonidx.Index, error) {
 		frags, offs = append(frags, fx), append(offs, shift)
 		lo = hi
 	}
-	return pm, jsonidx.Merge(frags, offs, 0), nil
+	return pm, jsonidx.Merge(frags, offs), nil
 }
 
 // restored builds both structures the way the vault's decoder does.
@@ -107,7 +107,7 @@ func (ref offsetsRef) restored() (*posmap.Map, *jsonidx.Index, error) {
 	for p, o := range ref.paths {
 		paths[p] = slices.Clone(o)
 	}
-	return pm, jsonidx.Restore(slices.Clone(ref.rows), paths, 0), nil
+	return pm, jsonidx.Restore(slices.Clone(ref.rows), paths), nil
 }
 
 // pmBatch and idxBatch read rows [lo, hi) of one recorded column as a batch.

@@ -178,8 +178,7 @@ func EncodeJSONIdx(fp Fingerprint, x *jsonidx.Index) []byte {
 	b = binary.LittleEndian.AppendUint64(b, uint64(n))
 	b = appendI64s(b, x.RowStarts().Decode(nil, 0, n))
 	paths := x.TrackedPaths()
-	// Only complete recordings serialise (defensively); Peek leaves the LRU
-	// order and the seek count as the queries left them.
+	// Only complete recordings serialise (defensively); Peek counts no seek.
 	var full []string
 	for _, p := range paths {
 		if x.Peek(p).Len() == n {
@@ -477,7 +476,7 @@ func DecodeJSONIdx(b []byte) (Fingerprint, *jsonidx.Index, error) {
 	if r.remaining() != 0 {
 		return fp, nil, fmt.Errorf("%w: %d trailing bytes", ErrCodec, r.remaining())
 	}
-	return fp, jsonidx.Restore(rows, paths, 0), nil
+	return fp, jsonidx.Restore(rows, paths), nil
 }
 
 // DecodeSynopsis decodes a synopsis entry. Shape validation is shared with

@@ -44,7 +44,7 @@ func goldenScans(t *testing.T) (*posmap.Map, *jsonidx.Index) {
 	}
 	jschema := []catalog.Column{{Name: "id", Type: vector.Int64}, {Name: "p.e", Type: vector.Float64},
 		{Name: "p.n", Type: vector.Int64}}
-	x := jsonidx.New(0)
+	x := jsonidx.New()
 	js, err := jit.NewJSONSequentialScan(jsonl.Bytes(), &catalog.Table{Name: "j", Format: catalog.JSON, Schema: jschema},
 		[]int{0, 1, 2}, x, false, 64)
 	if err != nil {
