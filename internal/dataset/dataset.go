@@ -26,6 +26,7 @@ import (
 
 	"rawdb/internal/catalog"
 	"rawdb/internal/faults"
+	"rawdb/internal/storage/rawfile"
 )
 
 // AutoFormat asks Discover to infer each file's format from its extension.
@@ -50,6 +51,11 @@ type Partition struct {
 	// nanoseconds; both 0 for in-memory partitions, which never refresh).
 	Size  int64
 	MTime int64
+	// Inode tells a file renamed over the partition at the same size within
+	// one modification-time tick. 0 where unknown: in-memory partitions, a
+	// manifest restored from the vault (which does not store it), non-unix
+	// builds.
+	Inode uint64
 	// Rows is the partition's row count, -1 until a scan established it.
 	Rows int64
 }
@@ -160,6 +166,7 @@ func Discover(pattern string, override catalog.Format) (*Manifest, error) {
 			Format: format,
 			Size:   st.Size(),
 			MTime:  st.ModTime().UnixNano(),
+			Inode:  rawfile.IdentityOf(st).Ino,
 			Rows:   -1,
 		})
 	}
@@ -226,7 +233,8 @@ func Compare(old, new *Manifest) *Diff {
 		// changed: the partition's cache and vault namespaces key off the
 		// ID, so keeping the old state would leave it writing under a name
 		// the manifest no longer records.
-		if op.Size != np.Size || op.MTime != np.MTime || op.Format != np.Format || op.ID != np.ID {
+		if op.Size != np.Size || op.MTime != np.MTime || op.Format != np.Format || op.ID != np.ID ||
+			op.Inode != np.Inode && op.Inode != 0 && np.Inode != 0 {
 			d.Changed = append(d.Changed, [2]int{oi, ni})
 		} else {
 			d.Kept = append(d.Kept, [2]int{oi, ni})

@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"rawdb/internal/catalog"
 )
@@ -185,6 +186,42 @@ func TestCompareIDChange(t *testing.T) {
 	d := Compare(old, cur)
 	if len(d.Changed) != 1 || len(d.Added) != 1 || len(d.Kept) != 0 {
 		t.Fatalf("diff = %+v", d)
+	}
+}
+
+// TestCompareRenameOver: a file renamed over a partition at the same size and
+// modification time is a change (the inode tells), while a manifest that does
+// not know inodes (one restored from the vault) keeps the partition.
+func TestCompareRenameOver(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "a.csv")
+	writeFile(t, path, "1,2\n")
+	old, err := Discover(dir, AutoFormat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tmp := filepath.Join(t.TempDir(), "a.csv")
+	writeFile(t, tmp, "3,4\n")
+	mtime := time.Unix(0, old.Parts[0].MTime)
+	if err := os.Chtimes(tmp, mtime, mtime); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(tmp, path); err != nil {
+		t.Fatal(err)
+	}
+	cur, err := Discover(dir, AutoFormat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if old.Parts[0].Inode == 0 {
+		t.Skip("no inodes on this platform")
+	}
+	if d := Compare(old, cur); len(d.Changed) != 1 {
+		t.Fatalf("rename over at the same size and mtime: diff = %+v", d)
+	}
+	old.Parts[0].Inode = 0
+	if d := Compare(old, cur); len(d.Kept) != 1 {
+		t.Fatalf("unknown inode: diff = %+v", d)
 	}
 }
 

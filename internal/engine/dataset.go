@@ -88,7 +88,7 @@ func (e *Engine) RegisterDatasetParts(name string, parts []DataPart, schema []ca
 	for i, dp := range parts {
 		// A format backs an in-memory partition if its plug-in reads the
 		// image as handed over.
-		src, err := newSource(dp.Format, e.cfg.PosMapPolicy, present(dp.Data))
+		src, err := newSource(dp.Format, e.cfg.PosMapPolicy, present(dp.Data), nil)
 		if err != nil {
 			return fmt.Errorf("engine: dataset partition %d: %w", i, err)
 		}
@@ -157,7 +157,7 @@ func (e *Engine) datasetWarmup(st *tableState) {
 // that happens lazily at plan time, after partition pruning.
 func (e *Engine) newPartState(parent *tableState, p *dataset.Partition) *tableState {
 	ps := &tableState{nrows: -1}
-	ps.src, _ = newSource(p.Format, e.cfg.PosMapPolicy, nil) // errs only on a bad image
+	ps.src, _ = newSource(p.Format, e.cfg.PosMapPolicy, nil, &e.mapped) // errs only on a bad image
 	ps.bind(&catalog.Table{
 		Name:   parent.tab.Name + "#" + p.ID,
 		Path:   p.Path,

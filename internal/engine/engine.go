@@ -22,6 +22,7 @@ import (
 	"rawdb/internal/obs"
 	"rawdb/internal/posmap"
 	"rawdb/internal/shred"
+	"rawdb/internal/storage/rawfile"
 	"rawdb/internal/storage/rootfile"
 	"rawdb/internal/vault"
 	"rawdb/internal/vector"
@@ -210,6 +211,7 @@ type Engine struct {
 	// writers concurrently with FlushVault/Close waiting (WaitGroup forbids
 	// Add-while-Wait; the tracker just waits until the count drains to zero).
 	vaultIO ioTracker
+	mapped  atomic.Int64 // bytes of raw files mapped (raw.mapped_bytes)
 
 	mu     sync.Mutex
 	tables map[string]*tableState
@@ -234,6 +236,10 @@ type tableState struct {
 	// resident says the raw backing is in memory. The image belongs to the
 	// query holding qmu; admission (EstimateQueryBytes) reads only this.
 	resident atomic.Bool
+	// ident is the identity of the file a plain path table's caches describe
+	// (planCtx.open); dropped: DropTable removed the table.
+	ident   rawfile.Identity
+	dropped bool
 	// expectSize, for dataset partitions, is the file size the manifest
 	// recorded at refresh. A load observing different bytes means the file
 	// changed after refresh (sheared mid-query) — see loadPartChecked.
@@ -424,8 +430,8 @@ func (e *Engine) RegisterResult(name string, res *Result, names []string) error 
 // engine, releasing every cache structure accounted to it — positional map,
 // structural index, synopsis and column shreds, and for dataset parents the
 // same per partition — so the unified budget retains no bytes for a dropped
-// table. The persistent vault is left alone: it is a fingerprint-validated
-// cache, and a re-registration of the same file may reuse it.
+// table and no file stays mapped. The persistent vault is left alone: it is a
+// fingerprint-validated cache, and a re-registration may reuse it.
 func (e *Engine) DropTable(name string) error {
 	if err := e.cat.Drop(name); err != nil {
 		return err
@@ -435,9 +441,12 @@ func (e *Engine) DropTable(name string) error {
 	delete(e.tables, name)
 	e.mu.Unlock()
 	if st != nil {
+		st.qmu.Lock()
+		st.dropped = true
 		for s := range st.family {
 			e.dropState(0, s, "dropped")
 		}
+		st.qmu.Unlock()
 	}
 	return nil
 }
@@ -465,11 +474,13 @@ func present(data []byte) []byte {
 // registerRaw registers a table over one raw file: path-backed (data nil,
 // read lazily by the first query) or an in-memory image.
 func (e *Engine) registerRaw(tab *catalog.Table, data []byte) error {
-	src, err := newSource(tab.Format, e.cfg.PosMapPolicy, data)
+	src, err := newSource(tab.Format, e.cfg.PosMapPolicy, data, &e.mapped)
 	if err != nil {
 		return err
 	}
-	return e.register(tab, &tableState{src: src})
+	st := &tableState{src: src}
+	st.ident, _ = rawfile.Stat(tab.Path)
+	return e.register(tab, st)
 }
 
 func (e *Engine) register(tab *catalog.Table, st *tableState) error {
@@ -501,7 +512,7 @@ func (e *Engine) tableStates() []*tableState {
 	return sts
 }
 
-// state returns the engine state for a table, opening backing files lazily.
+// state returns the engine state for a table; plans map its file (open).
 func (e *Engine) state(name string) (*tableState, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -509,20 +520,11 @@ func (e *Engine) state(name string) (*tableState, error) {
 	if !ok {
 		return nil, fmt.Errorf("engine: unknown table %q", name)
 	}
-	// Dataset parents hold no raw bytes themselves: their partitions load
-	// lazily during planning, after partition pruning decided which files the
-	// query actually needs (see dataset.go).
-	if st.tab.Format == catalog.Dataset {
-		return st, nil
-	}
-	if err := e.loadWithRetry(st, 0); err != nil {
-		return nil, err
-	}
 	return st, nil
 }
 
-// loadTableData reads a table's raw backing into memory if it is not present
-// yet (in-situ semantics: registration recorded metadata only).
+// loadTableData maps a table's raw file if it is not present yet (in-situ
+// semantics: registration recorded metadata only).
 func loadTableData(st *tableState) error {
 	if st.resident.Load() {
 		return nil
@@ -539,11 +541,19 @@ func loadTableData(st *tableState) error {
 	return nil
 }
 
+// unload retires a path-backed table's image; the next plan maps it again.
+func (st *tableState) unload() {
+	if st.src != nil && st.tab.Path != "" {
+		st.src.release(true)
+		st.resident.Store(false)
+	}
+}
+
 // DropCaches clears all query-derived state — positional maps, column
 // shreds, loaded DBMS columns, template cache, ROOT buffer pools — to
-// simulate a cold first query. Registered raw file images stay resident
-// (the paper's cold runs also re-read files through the OS cache; I/O is
-// outside our model, see DESIGN.md).
+// simulate a cold first query. Raw images stay, mapped files too (the paper's
+// cold runs also re-read files through the OS cache; I/O is outside our model,
+// see DESIGN.md).
 func (e *Engine) DropCaches() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -558,7 +568,7 @@ func (e *Engine) DropCaches() {
 }
 
 // resetStateCaches clears one table state's query-derived structures (the
-// DropCaches per-table body; registered raw images stay resident).
+// DropCaches per-table body; raw images stay).
 func resetStateCaches(st *tableState) {
 	if st.tab.Format == catalog.Memory {
 		return // memory tables have no raw backing to re-read

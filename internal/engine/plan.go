@@ -12,6 +12,7 @@ import (
 	"rawdb/internal/jit"
 	"rawdb/internal/obs"
 	"rawdb/internal/shred"
+	"rawdb/internal/storage/rawfile"
 	"rawdb/internal/synopsis"
 	"rawdb/internal/vector"
 )
@@ -37,6 +38,9 @@ type planCtx struct {
 	// "captured" events that observe the merged state.
 	onMerge    []func() error
 	onComplete []func()
+
+	// images are the mapped files the plan reads, held until it is done.
+	images rawfile.Held
 }
 
 // Structured parallel-fallback reasons. With joins, HAVING, AVG, float SUM,
@@ -155,12 +159,15 @@ func (pl *plan) decline(reason, detailf string, args ...any) {
 // column, the base/late split, pushed and residual predicates, zone skip and
 // capture; a join's placement; the aggregate's decomposition. The pool is
 // asked about each column once per shape, in the cascade's order. Besides
-// that, decide changes only what every plan first needs resident: surviving
-// partitions' raw bytes, the DBMS baseline's loaded columns.
+// that, decide changes only what every plan first needs resident: the raw
+// files it reads (mapped, held), the DBMS baseline's loaded columns.
 func (pc *planCtx) decide(r *resolvedQuery) (plan, error) {
 	pl := plan{tables: make([]tablePlan, len(r.tables))}
 	// The build side of a join is cut first, as it is built first.
 	for t := len(r.tables) - 1; t >= 0; t-- {
+		if err := pc.open(r.tables[t].st); err != nil {
+			return pl, err
+		}
 		r.tables[t].pos = r.tables[t].st.positions()
 		if err := pc.cutTable(&pl, r, t); err != nil {
 			return pl, err
@@ -275,6 +282,7 @@ func (pc *planCtx) cutTable(pl *plan, r *resolvedQuery, t int) error {
 		if err := pc.e.loadPartData(ps, pc.id); err != nil {
 			return err
 		}
+		pc.images.Hold(ps.tab.Name, ps.src.rawFile())
 		tp.units[i].bt = &boundTable{alias: bt.alias, st: ps, pos: pos}
 		total += weight(i)
 	}

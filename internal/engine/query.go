@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime/debug"
 	"slices"
 	"sort"
 	"strings"
@@ -11,6 +12,7 @@ import (
 	"rawdb/internal/exec"
 	"rawdb/internal/obs"
 	"rawdb/internal/sql"
+	"rawdb/internal/storage/rawfile"
 )
 
 // planOpts is the fully resolved per-query planning configuration: every
@@ -108,10 +110,10 @@ func (e *Engine) QueryOptCtx(ctx context.Context, src string, opts Options) (*Re
 		var pl *partLostError
 		if errors.As(err, &pl) {
 			// A dataset partition vanished or changed between manifest
-			// refresh and load. Retry exactly once: the rerun's refresh
-			// reconciles the partition set first, so the query either
-			// answers against the new state or fails with a plain error
-			// (never a torn snapshot).
+			// refresh and load, or a mapped file under the query. Retry
+			// exactly once: the rerun's refresh reconciles first, so the
+			// query either answers against the new state or fails with a
+			// plain error (never a torn snapshot).
 			e.metrics.Counter("query.partition_retries").Inc()
 			rec.event(obs.EventRetry, "partition", pl.part, 0,
 				"replan after partition lost: "+pl.err.Error())
@@ -140,22 +142,25 @@ func (e *Engine) QueryOptCtx(ctx context.Context, src string, opts Options) (*Re
 //     table overlap.
 //  3. publish (locks re-acquired): on success the onMerge, then onComplete
 //     hooks install what the query built and vault write-backs are scheduled;
-//     on failure nothing is installed. The record folds the attempt either way.
+//     on failure, a mapped file changed under the query included, nothing is
+//     installed. The record folds the attempt either way.
 //
 // The result's Stats are the record's, filled in once the query ended.
 func (e *Engine) run(ctx context.Context, rec *queryRecord, r *resolvedQuery) (res *Result, err error) {
+	pc := rec.attempt(ctx)
+	defer pc.images.Release()
 	// Panic containment for the serial path (the exchange recovers its own
 	// workers): a bug in a generated access path or operator fails this one
-	// query instead of the process. Declared before the lock defer, so
+	// query instead of the process, as does (retryably) a fault on a file
+	// truncated under its mapping. Declared before the lock defer, so
 	// unwinding releases the table locks first; the publication hooks below
 	// never ran, so no partial structure survives the panic.
 	defer func() {
 		if p := recover(); p != nil {
-			rec.panicked("query", r, fmt.Sprintf("%v", p))
-			res, err = nil, fmt.Errorf("engine: query panicked: %v", p)
+			res, err = nil, pc.recovered(p, r)
 		}
 	}()
-	pc := rec.attempt(ctx)
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
 	locks := lockTables(r)
 	locks.lock()
 	held := true
@@ -189,8 +194,11 @@ func (e *Engine) run(ctx context.Context, rec *queryRecord, r *resolvedQuery) (r
 	held = true
 	rec.enter(phasePublish)
 
-	// Publication phase (locks re-acquired). Merge hooks run first and can
-	// fail; a failed merge fails the query like an execution error.
+	// Publication phase (locks re-acquired). A mapped file changed under the
+	// query fails it; so does a failed merge hook, like an execution error.
+	if lost := pc.lost(err); lost != nil {
+		err = lost
+	}
 	if err == nil {
 		for _, m := range pc.onMerge {
 			if err = m(); err != nil {
@@ -258,10 +266,51 @@ func (l tableLocks) unlock() {
 	}
 }
 
+// open refreshes and maps a plain table's file for the plan, and holds it.
+func (pc *planCtx) open(st *tableState) error {
+	if st.dropped {
+		return fmt.Errorf("engine: unknown table %q (dropped)", st.tab.Name)
+	}
+	if st.src == nil || st.tab.Path == "" {
+		return nil // caller-owned bytes; memory tables and datasets own none
+	}
+	if id, _ := rawfile.Stat(st.tab.Path); id != st.ident {
+		// Not the file the caches describe: invalidate them as a changed
+		// partition's; the vault is consulted under the new fingerprint.
+		pc.e.dropState(pc.id, st, "file-changed")
+		resetStateCaches(st)
+		st.ident = id
+		pc.e.vaultLoad(st)
+	}
+	if err := pc.e.loadWithRetry(st, pc.id); err != nil {
+		return err
+	}
+	pc.images.Hold(st.tab.Name, st.src.rawFile())
+	return nil
+}
+
+// lost is the retryable error of an attempt whose mapped file changed under
+// it (rawfile.Held.Lost), nil when none did.
+func (pc *planCtx) lost(fault any) error {
+	if name := pc.images.Lost(fault); name != "" {
+		return &partLostError{part: name, err: errFileChanged}
+	}
+	return nil
+}
+
+// recovered is a panic's error: a lost file, or a contained panic, counted.
+func (pc *planCtx) recovered(p any, r *resolvedQuery) error {
+	if err := pc.lost(p); err != nil {
+		return err
+	}
+	pc.panicked("query", r, fmt.Sprintf("%v", p))
+	return fmt.Errorf("engine: query panicked: %v", p)
+}
+
 // Explain returns a human-readable description of the physical plan the
 // engine would choose for src under the current caches and options, without
 // executing it.
-func (e *Engine) Explain(src string, opts Options) (string, error) {
+func (e *Engine) Explain(src string, opts Options) (out string, err error) {
 	q, err := sql.Parse(src)
 	if err != nil {
 		return "", err
@@ -276,11 +325,19 @@ func (e *Engine) Explain(src string, opts Options) (string, error) {
 	// manifest as currently known. The deferred install hooks are dropped —
 	// describing a plan must not publish the structures it would build.
 	rec := e.newRecord(opts)
+	pc := rec.newPlanCtx(context.Background())
+	defer pc.images.Release()
+	defer func() {
+		if p := recover(); p != nil {
+			out, err = "", pc.recovered(p, r)
+		}
+	}()
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
 	locks := lockTables(r)
 	locks.lock()
 	defer locks.unlock()
 	sp := rec.span("plan")
-	op, err := rec.newPlanCtx(context.Background()).plan(r)
+	op, err := pc.plan(r)
 	sp.End()
 	if err != nil {
 		return "", err

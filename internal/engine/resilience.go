@@ -54,20 +54,23 @@ func (e *Engine) loadWithRetry(st *tableState, qid int64) error {
 	return err
 }
 
-// partLostError marks a dataset partition that disappeared or changed
-// between manifest refresh and load (deleted, truncated, rewritten). It is
-// retryable at query granularity: QueryOptCtx reruns the query once, and the
-// rerun's manifest refresh reconciles the partition set first.
+// partLostError marks a raw file that disappeared or changed under a query:
+// a dataset partition between manifest refresh and load (deleted, truncated,
+// rewritten), or a mapped file before publication. It is retryable at query
+// granularity: QueryOptCtx reruns the query once, and the rerun's refresh
+// reconciles the partition set, or re-maps the file, first.
 type partLostError struct {
 	part string
 	err  error
 }
 
 func (p *partLostError) Error() string {
-	return fmt.Sprintf("engine: partition %s lost mid-query: %v", p.part, p.err)
+	return fmt.Sprintf("engine: raw file of %s lost mid-query: %v", p.part, p.err)
 }
 
 func (p *partLostError) Unwrap() error { return p.err }
+
+var errFileChanged = errors.New("file changed under its mapping")
 
 // loadPartChecked loads one partition's raw bytes and verifies them against
 // the manifest snapshot the query planned with: a load error or a size that
@@ -79,10 +82,9 @@ func (e *Engine) loadPartChecked(ps *tableState, qid int64) error {
 	if err := e.loadWithRetry(ps, qid); err != nil {
 		return &partLostError{part: ps.tab.Name, err: err}
 	}
-	data := ps.src.image() // only text formats read an image to compare; binary readers page
+	data := ps.src.image()
 	if got := int64(len(data)); ps.expectSize > 0 && data != nil && got != ps.expectSize {
-		ps.src.release(true)
-		ps.resident.Store(false)
+		ps.unload()
 		return &partLostError{
 			part: ps.tab.Name,
 			err:  fmt.Errorf("size %d differs from manifest snapshot %d", got, ps.expectSize),

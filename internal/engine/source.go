@@ -2,9 +2,11 @@ package engine
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"rawdb/internal/catalog"
 	"rawdb/internal/exec"
+	"rawdb/internal/faults"
 	"rawdb/internal/insitu"
 	"rawdb/internal/jit"
 	"rawdb/internal/jsonidx"
@@ -12,6 +14,7 @@ import (
 	"rawdb/internal/storage/binfile"
 	"rawdb/internal/storage/csvfile"
 	"rawdb/internal/storage/jsonfile"
+	"rawdb/internal/storage/rawfile"
 	"rawdb/internal/storage/rootfile"
 	"rawdb/internal/synopsis"
 	"rawdb/internal/vault"
@@ -24,22 +27,26 @@ import (
 // it asks the plug-in and runs one flow (rawScans) over its answers.
 
 // source is the input plug-in contract. Implementations own the table's raw
-// image; the positional structure scans build over it (positional map,
-// structural index) stays in the tableState's pos slot, where the cache budget
-// and the vault reach it, and comes in as the plan's positions snapshot.
+// image (caller-owned, or mapped from tab.Path); the positional structure
+// scans build over it (positional map, structural index) stays in the
+// tableState's pos slot, where the cache budget and the vault reach it, and
+// comes in as the plan's positions snapshot.
 type source interface {
-	// load reads the raw image from tab.Path unless it is already resident.
+	// load maps the raw image from tab.Path unless one is already resident.
 	load(tab *catalog.Table) error
 	// stat reports the resident raw bytes (0: none, or the format is paged
 	// through its own library) and the row count where the format states it
 	// (-1: only a scan can tell).
 	stat() (bytes, rows int64)
 	// image returns the raw image when it is one byte slice registered or
-	// read as such, else nil.
+	// mapped as such, else nil.
 	image() []byte
+	// rawFile returns the image load read from tab.Path, which plans hold
+	// while they read it (nil: the bytes are caller-owned or library-paged).
+	rawFile() *rawfile.Image
 	// release drops what can be read again: a format library's buffer pool
-	// always, and with image set the raw image itself, so the next load
-	// re-reads the file.
+	// always, and with image set a mapped image, unmapped once its last
+	// reader is done; the next load maps the file again.
 	release(image bool)
 	// access says how cols would be read right now under kind: by row number
 	// where the positional structure allows it, record by record otherwise.
@@ -190,16 +197,17 @@ func (s scanRows) NRows() int64 { return s.sc.Rows() }
 
 // newSource resolves the plug-in of a raw format. data is the in-memory image
 // for tables registered from memory, nil for path-backed ones (non-nil marks
-// the image present, however short). Memory tables and dataset parents have
-// no raw file of their own and no plug-in.
-func newSource(format catalog.Format, policy posmap.Policy, data []byte) (source, error) {
+// the image present, however short); mapped counts the bytes mapped. Memory
+// tables and dataset parents have no raw file of their own and no plug-in.
+func newSource(format catalog.Format, policy posmap.Policy, data []byte, mapped *atomic.Int64) (source, error) {
+	im := rawImage{data: data, mapped: mapped}
 	switch format {
 	case catalog.CSV:
-		return &csvSource{rawImage{data}, policy}, nil
+		return &csvSource{im, policy}, nil
 	case catalog.JSON:
-		return &jsonSource{rawImage{data}}, nil
+		return &jsonSource{im}, nil
 	case catalog.Binary:
-		s := &binSource{data: data}
+		s := &binSource{rawImage: im}
 		if data != nil {
 			r, err := binfile.NewReader(data)
 			if err != nil {
@@ -255,14 +263,33 @@ func (rowAddressed) spec(tab *catalog.Table, _ positions, mode jit.Mode, cols []
 	return baseSpec(tab, mode, cols)
 }
 
-// rawImage is the text formats' raw image: the whole file as one slice.
-type rawImage struct{ data []byte }
+// rawImage is a raw image, the whole file as one slice.
+type rawImage struct {
+	data    []byte
+	mapping *rawfile.Image
+	mapped  *atomic.Int64
+}
+
+// loadFile maps path, through fault seam site, unless an image is resident.
+func (im *rawImage) loadFile(path, site string) error {
+	if im.data != nil {
+		return nil
+	}
+	f, err := rawfile.Map(path, site, im.mapped)
+	if err == nil {
+		im.mapping, im.data = f, f.Data
+	}
+	return err
+}
 
 func (im *rawImage) image() []byte { return im.data }
 
+func (im *rawImage) rawFile() *rawfile.Image { return im.mapping }
+
 func (im *rawImage) release(image bool) {
-	if image {
-		im.data = nil
+	if image && im.mapping != nil {
+		im.mapping.Release()
+		im.mapping, im.data = nil, nil
 	}
 }
 
@@ -307,16 +334,7 @@ type csvSource struct {
 	policy posmap.Policy // which columns positional maps track
 }
 
-func (s *csvSource) load(tab *catalog.Table) error {
-	if s.data != nil {
-		return nil
-	}
-	data, err := csvfile.Load(tab.Path)
-	if err == nil {
-		s.data = data
-	}
-	return err
-}
+func (s *csvSource) load(tab *catalog.Table) error { return s.loadFile(tab.Path, faults.SiteCSVLoad) }
 
 func (s *csvSource) stat() (int64, int64) { return int64(len(s.data)), -1 }
 
@@ -414,16 +432,7 @@ func (s *csvSource) spec(tab *catalog.Table, pos positions, mode jit.Mode, cols 
 
 type jsonSource struct{ rawImage }
 
-func (s *jsonSource) load(tab *catalog.Table) error {
-	if s.data != nil {
-		return nil
-	}
-	data, err := jsonfile.Load(tab.Path)
-	if err == nil {
-		s.data = data
-	}
-	return err
-}
+func (s *jsonSource) load(tab *catalog.Table) error { return s.loadFile(tab.Path, faults.SiteJSONLoad) }
 
 func (s *jsonSource) stat() (int64, int64) { return int64(len(s.data)), -1 }
 
@@ -536,17 +545,19 @@ func (s *jsonSource) spec(tab *catalog.Table, pos positions, mode jit.Mode, cols
 
 type binSource struct {
 	rowAddressed
-	r    *binfile.Reader
-	data []byte // the image when registered from memory (the vault fingerprints it)
+	rawImage
+	r *binfile.Reader
 }
 
 func (s *binSource) load(tab *catalog.Table) error {
 	if s.r != nil {
 		return nil
 	}
-	r, err := binfile.Open(tab.Path)
+	err := s.loadFile(tab.Path, faults.SiteBinLoad)
 	if err == nil {
-		s.r = r
+		if s.r, err = binfile.NewReader(s.data); err != nil {
+			s.rawImage.release(true)
+		}
 	}
 	return err
 }
@@ -559,9 +570,11 @@ func (s *binSource) stat() (int64, int64) {
 	return int64(header + len(s.r.Payload())), s.r.NRows()
 }
 
-func (s *binSource) image() []byte { return s.data }
-
-func (s *binSource) release(bool) {}
+func (s *binSource) release(image bool) {
+	if s.rawImage.release(image); s.data == nil {
+		s.r = nil
+	}
+}
 
 // access: rows are addressed by arithmetic, always. With no sequential pass
 // to ride on, the positional pass itself builds the synopsis (unless a zone
@@ -621,6 +634,8 @@ func (s *rootSource) stat() (int64, int64) {
 }
 
 func (s *rootSource) image() []byte { return nil }
+
+func (s *rootSource) rawFile() *rawfile.Image { return nil }
 
 func (s *rootSource) release(bool) {
 	if s.file != nil {

@@ -65,7 +65,7 @@ func sourceCases(t *testing.T, policy posmap.Policy) []sourceCase {
 				src = &rootSource{file: f, tree: tr}
 			} else {
 				var err error
-				if src, err = newSource(format, policy, img); err != nil {
+				if src, err = newSource(format, policy, img, nil); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -114,14 +114,14 @@ func (e *Engine) vaultFingerprint(st *tableState) (vault.Fingerprint, bool) {
 	}
 	var fp vault.Fingerprint
 	switch img := st.src.image(); {
-	case img != nil:
-		fp = vault.DataFingerprint(img)
 	case tab.Path != "":
 		var err error
 		fp, err = vault.FileFingerprint(tab.Path)
 		if err != nil {
 			return vault.Fingerprint{}, false
 		}
+	case img != nil:
+		fp = vault.DataFingerprint(img)
 	default:
 		return vault.Fingerprint{}, false
 	}
@@ -198,18 +198,14 @@ func (e *Engine) accountState(st *tableState) {
 // flight may hold structures its publication has not charged yet.
 func (e *Engine) AuditBudget() error {
 	var bytes, entries int64
-	for _, st := range e.tableStates() {
-		st.qmu.Lock()
-		for s := range st.family {
-			for _, sl := range s.slots() {
-				if x := sl.get(); x != nil {
-					bytes += x.MemoryFootprint()
-					entries++
-				}
+	e.eachState(func(s *tableState) {
+		for _, sl := range s.slots() {
+			if x := sl.get(); x != nil {
+				bytes += x.MemoryFootprint()
+				entries++
 			}
 		}
-		st.qmu.Unlock()
-	}
+	})
 	bytes += e.shreds.SizeBytes()
 	entries += int64(e.shreds.Len())
 	if b, n := e.budget.SizeBytes(), int64(e.budget.Len()); b != bytes || n != entries {
@@ -222,9 +218,11 @@ func (e *Engine) AuditBudget() error {
 // dropState releases what a table state caches — its slots' budget entries
 // and its pooled shreds — reporting each structure it holds as invalidated
 // (the raw file changed, the partition vanished, or the table was dropped),
-// stamped with the query whose manifest refresh found it (0: none). No
-// eviction callback runs: the state itself is being discarded.
+// stamped with the query whose refresh found it (0: none), and retires its
+// mapped file. No eviction callback runs: the state is being discarded (or
+// reset). The caller holds the query lock guarding st.
 func (e *Engine) dropState(qid int64, st *tableState, reason string) {
+	st.unload()
 	name := st.tab.Name
 	for _, s := range st.slots() {
 		if x := s.get(); x != nil {
@@ -361,17 +359,23 @@ func (e *Engine) FlushVault() {
 	if e.vault == nil {
 		return
 	}
+	e.eachState(func(s *tableState) { e.vaultSave(s, false) })
+	e.vaultIO.wait()
+}
+
+// eachState runs f on every table state, a dataset's partitions included, in
+// name order, each under its table's query lock (partitions share the
+// parent's).
+func (e *Engine) eachState(f func(*tableState)) {
 	sts := e.tableStates()
 	sort.Slice(sts, func(i, j int) bool { return sts[i].tab.Name < sts[j].tab.Name })
 	for _, st := range sts {
-		// Partitions share the parent's query lock; flush them under it.
 		st.qmu.Lock()
 		for s := range st.family {
-			e.vaultSave(s, false)
+			f(s)
 		}
 		st.qmu.Unlock()
 	}
-	e.vaultIO.wait()
 }
 
 // ioTracker counts in-flight asynchronous writer goroutines and lets a
@@ -410,9 +414,11 @@ func (t *ioTracker) wait() {
 	t.mu.Unlock()
 }
 
-// Close flushes pending vault write-backs. The engine remains usable
-// afterwards; Close exists so defer-style lifecycles leave the vault warm.
+// Close flushes pending vault write-backs and retires every mapped file. The
+// engine remains usable afterwards (queries map files again); Close exists so
+// defer-style lifecycles leave the vault warm.
 func (e *Engine) Close() error {
 	e.FlushVault()
+	e.eachState((*tableState).unload)
 	return nil
 }

@@ -139,3 +139,30 @@ func TestParallelSetContextCancels(t *testing.T) {
 		}
 	}
 }
+
+// faultValue stands in for the runtime error a memory fault panics with.
+type faultValue uintptr
+
+func (f faultValue) Error() string { return "unexpected fault address" }
+func (f faultValue) Addr() uintptr { return uintptr(f) }
+
+// TestParallelWorkerFaultUnwraps: a worker's panic with an error value is
+// contained as a PanicError that unwraps to that value, so the fault address
+// of a read past a truncated mapping reaches the engine through errors.As.
+func TestParallelWorkerFaultUnwraps(t *testing.T) {
+	parts := make([]Operator, 3)
+	for i := range parts {
+		parts[i] = manyBatchScan(t, 100, 10)
+	}
+	parts[1] = &hookedOp{Operator: manyBatchScan(t, 100, 10), afterNext: func(int) { panic(faultValue(0x1234)) }}
+	par, err := NewParallel(parts, 2, 10, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = Collect(par)
+	var pe *PanicError
+	var f interface{ Addr() uintptr }
+	if !errors.As(err, &pe) || !errors.As(err, &f) || f.Addr() != 0x1234 {
+		t.Fatalf("err = %v: want a PanicError unwrapping to the fault at 0x1234", err)
+	}
+}

@@ -25,16 +25,26 @@ func (p *PanicError) Error() string {
 	return fmt.Sprintf("exec: recovered panic: %v", p.Value)
 }
 
+// Unwrap returns the panic value when it is an error (a runtime error, such
+// as a memory fault).
+func (p *PanicError) Unwrap() error {
+	err, _ := p.Value.(error)
+	return err
+}
+
 // runPart drains one morsel pipeline with panic containment: a panicking
 // operator poisons only its own morsel, surfacing as a PanicError the
 // exchange propagates like any worker error (no partial structure is
-// published — the merge hooks never run on a failed query).
+// published — the merge hooks never run on a failed query). A memory fault
+// is a panic too, not a crash: a read past the end of a raw file truncated
+// under its mapping, which the engine tells by the fault's address.
 func runPart(ctx context.Context, op Operator) (cols []*vector.Vector, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = &PanicError{Value: r, Stack: debug.Stack()}
 		}
 	}()
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
 	if err := faults.Hit(faults.SiteExecMorsel); err != nil {
 		return nil, err
 	}

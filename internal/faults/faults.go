@@ -113,8 +113,9 @@ var ErrInjected = errors.New("injected fault")
 
 // Sites instrumented by the engine. A Rule's Site must match exactly.
 const (
-	SiteCSVLoad     = "csv.load"     // csvfile.Load (raw CSV files, incl. dataset partitions)
-	SiteJSONLoad    = "json.load"    // jsonfile.Load (raw JSONL files)
+	SiteCSVLoad     = "csv.load"     // rawfile.Map of raw CSV files, incl. dataset partitions
+	SiteJSONLoad    = "json.load"    // rawfile.Map of raw JSONL files
+	SiteBinLoad     = "bin.load"     // rawfile.Map of fixed-width binary files
 	SiteVaultRead   = "vault.read"   // vault.Store.ReadEntry (cached structures)
 	SiteVaultWrite  = "vault.write"  // vault.Store.WriteEntry (structure publication)
 	SiteDatasetStat = "dataset.stat" // dataset.Discover (manifest refresh)
@@ -303,7 +304,8 @@ func (s *Schedule) hit(site string) error {
 
 // ReadData evaluates the data-class rules of site against the bytes a read
 // returned: ShortRead returns a truncated prefix, Corrupt flips a few bits in
-// place. The input slice may be modified; callers pass freshly read buffers.
+// a copy. The input is never written: it may be a read-only mapping of the
+// file, or a shared one whose writes would reach the file.
 func ReadData(site string, data []byte) []byte {
 	s := active.Load()
 	if s == nil {
@@ -327,6 +329,7 @@ func (s *Schedule) readData(site string, data []byte) []byte {
 		case ShortRead:
 			data = data[:s.rng.Intn(len(data))]
 		case Corrupt:
+			data = append([]byte(nil), data...)
 			for i, n := 0, 1+s.rng.Intn(3); i < n; i++ {
 				pos := s.rng.Intn(len(data))
 				data[pos] ^= byte(1 << s.rng.Intn(8))

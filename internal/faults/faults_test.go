@@ -121,6 +121,21 @@ func TestCorruptFlipsBitsDeterministically(t *testing.T) {
 	}
 }
 
+// TestCorruptLeavesInputIntact: a fired Corrupt flips bits in a copy, never in
+// the bytes it was handed, which may be a read-only mapping of the raw file.
+func TestCorruptLeavesInputIntact(t *testing.T) {
+	install(t, NewSchedule(42, Rule{Site: SiteCSVLoad, Kind: Corrupt, Times: 1}))
+	in := []byte("1,2,3\n4,5,6\n7,8,9\n")
+	orig := string(in)
+	got := ReadData(SiteCSVLoad, in)
+	if string(in) != orig {
+		t.Fatalf("Corrupt wrote into its input: %q, was %q", in, orig)
+	}
+	if string(got) == orig {
+		t.Fatal("Corrupt fired but returned the input unchanged")
+	}
+}
+
 func TestTornWriteTruncates(t *testing.T) {
 	install(t, NewSchedule(7, Rule{Site: SiteVaultWrite, Kind: Torn, Times: 1}))
 	data := make([]byte, 100)

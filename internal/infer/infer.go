@@ -23,6 +23,7 @@ import (
 	"rawdb/internal/storage/binfile"
 	"rawdb/internal/storage/csvfile"
 	"rawdb/internal/storage/jsonfile"
+	"rawdb/internal/storage/rawfile"
 	"rawdb/internal/storage/rootfile"
 )
 
@@ -131,18 +132,29 @@ func DatasetSchema(pattern string) ([]raw.Column, error) {
 		return nil, fmt.Errorf("no files match (schema inference needs at least one)")
 	}
 	p := m.Parts[0]
-	data, err := os.ReadFile(p.Path)
+	switch p.Format {
+	case raw.FormatCSV:
+		return fileSchema(p.Path, CSVSchema)
+	case raw.FormatJSON:
+		return fileSchema(p.Path, JSONSchema)
+	default: // binary
+		return fileSchema(p.Path, BinarySchema)
+	}
+}
+
+// fileSchema infers the schema of the file at path from a read-only mapping of
+// it, unmapped before the engine maps the file for its queries.
+func fileSchema(path string, infer func([]byte) ([]raw.Column, error)) ([]raw.Column, error) {
+	im, err := rawfile.Map(path, "", nil)
 	if err != nil {
 		return nil, err
 	}
-	switch p.Format {
-	case raw.FormatCSV:
-		return CSVSchema(data)
-	case raw.FormatJSON:
-		return JSONSchema(data)
-	default: // binary
-		return BinarySchema(data)
+	defer im.Release()
+	schema, err := infer(im.Data)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
+	return schema, nil
 }
 
 // Specs carries the repeated name=path table flags of the command line.
@@ -155,59 +167,30 @@ type Specs struct {
 }
 
 // Register infers a schema for every spec and registers the tables on eng.
-// File-backed specs are read fully into memory (the model of DESIGN.md: disk
-// I/O is outside the measured system); datasets stay on disk and are re-stat
-// ed per query.
+// Files are registered by path: the engine maps each one read-only when a
+// query first reads it; datasets are re-stat'ed per query.
 func Register(eng *raw.Engine, s Specs) error {
-	for _, spec := range s.CSVs {
-		name, path, err := SplitSpec(spec)
-		if err != nil {
-			return err
-		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		schema, err := CSVSchema(data)
-		if err != nil {
-			return fmt.Errorf("%s: %w", path, err)
-		}
-		if err := eng.RegisterCSVData(name, data, schema); err != nil {
-			return err
-		}
-	}
-	for _, spec := range s.JSONs {
-		name, path, err := SplitSpec(spec)
-		if err != nil {
-			return err
-		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		schema, err := JSONSchema(data)
-		if err != nil {
-			return fmt.Errorf("%s: %w", path, err)
-		}
-		if err := eng.RegisterJSONData(name, data, schema); err != nil {
-			return err
-		}
-	}
-	for _, spec := range s.Bins {
-		name, path, err := SplitSpec(spec)
-		if err != nil {
-			return err
-		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		schema, err := BinarySchema(data)
-		if err != nil {
-			return fmt.Errorf("%s: %w", path, err)
-		}
-		if err := eng.RegisterBinaryData(name, data, schema); err != nil {
-			return err
+	for _, f := range []struct {
+		specs    []string
+		schema   func([]byte) ([]raw.Column, error)
+		register func(name, path string, schema []raw.Column) error
+	}{
+		{s.CSVs, CSVSchema, eng.RegisterCSV},
+		{s.JSONs, JSONSchema, eng.RegisterJSON},
+		{s.Bins, BinarySchema, eng.RegisterBinary},
+	} {
+		for _, spec := range f.specs {
+			name, path, err := SplitSpec(spec)
+			if err != nil {
+				return err
+			}
+			schema, err := fileSchema(path, f.schema)
+			if err != nil {
+				return err
+			}
+			if err := f.register(name, path, schema); err != nil {
+				return err
+			}
 		}
 	}
 	for _, spec := range s.Datasets {

@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"os"
 
 	"rawdb/internal/vector"
 )
@@ -159,15 +158,6 @@ func NewReader(data []byte) (*Reader, error) {
 		rowSize:   rowSize,
 		fieldOffs: offs,
 	}, nil
-}
-
-// Open loads path into memory and parses it.
-func Open(path string) (*Reader, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("binfile: open: %w", err)
-	}
-	return NewReader(data)
 }
 
 // NRows returns the number of rows.

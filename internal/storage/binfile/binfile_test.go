@@ -148,9 +148,3 @@ func TestCorruptFiles(t *testing.T) {
 		t.Errorf("bad type byte: err = %v, want ErrCorrupt", err)
 	}
 }
-
-func TestOpenMissingFile(t *testing.T) {
-	if _, err := Open("/nonexistent/path/file.bin"); err == nil {
-		t.Fatal("expected error for missing file")
-	}
-}

@@ -18,10 +18,8 @@ import (
 	"fmt"
 	"io"
 	"math/bits"
-	"os"
 
 	"rawdb/internal/bytesconv"
-	"rawdb/internal/faults"
 	"rawdb/internal/vector"
 )
 
@@ -208,32 +206,6 @@ func EstimateRows(data []byte) int64 {
 	}
 	n := int64(len(data)) * int64(rows) / int64(end)
 	return n + n/50 + 1
-}
-
-// Load reads an entire raw file into memory. It is the stand-in for the
-// paper's memory-mapped file access: all downstream code addresses the file
-// as one byte slice.
-func Load(path string) ([]byte, error) {
-	if err := faults.Hit(faults.SiteCSVLoad); err != nil {
-		return nil, fmt.Errorf("csvfile: load %s: %w", path, err)
-	}
-	fi, err := os.Stat(path)
-	if err != nil {
-		return nil, fmt.Errorf("csvfile: load %s: %w", path, err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("csvfile: load %s: %w", path, err)
-	}
-	data = faults.ReadData(faults.SiteCSVLoad, data)
-	// A size disagreement between the stat and the read means the file was
-	// rewritten mid-read (or the read sheared): surface it as a transient
-	// error so the engine's retry sees a consistent image or fails cleanly.
-	if int64(len(data)) != fi.Size() {
-		return nil, fmt.Errorf("csvfile: load %s: short read: %d bytes for a %d-byte file",
-			path, len(data), fi.Size())
-	}
-	return data, nil
 }
 
 // A Writer emits CSV rows. It exists for the dataset generators and tests;

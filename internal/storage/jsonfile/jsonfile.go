@@ -20,11 +20,9 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"os"
 	"strings"
 
 	"rawdb/internal/bytesconv"
-	"rawdb/internal/faults"
 	"rawdb/internal/vector"
 )
 
@@ -397,30 +395,6 @@ func CountRows(data []byte) int64 {
 		n++
 	}
 	return n
-}
-
-// Load reads an entire raw file into memory, the stand-in for memory-mapped
-// access used throughout the engine.
-func Load(path string) ([]byte, error) {
-	if err := faults.Hit(faults.SiteJSONLoad); err != nil {
-		return nil, fmt.Errorf("jsonfile: load %s: %w", path, err)
-	}
-	fi, err := os.Stat(path)
-	if err != nil {
-		return nil, fmt.Errorf("jsonfile: load %s: %w", path, err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("jsonfile: load %s: %w", path, err)
-	}
-	data = faults.ReadData(faults.SiteJSONLoad, data)
-	// As in csvfile.Load: a stat/read size disagreement means the file
-	// changed mid-read; fail transiently rather than parse a sheared image.
-	if int64(len(data)) != fi.Size() {
-		return nil, fmt.Errorf("jsonfile: load %s: short read: %d bytes for a %d-byte file",
-			path, len(data), fi.Size())
-	}
-	return data, nil
 }
 
 // Field declares one leaf the Writer emits: a dotted path and its type.
