@@ -15,6 +15,7 @@ import (
 
 	"rawdb/internal/catalog"
 	"rawdb/internal/faults"
+	"rawdb/internal/storage/rootfile"
 	"rawdb/internal/vector"
 )
 
@@ -203,6 +204,69 @@ func TestMidQueryMappedRewrite(t *testing.T) {
 		}
 		return next
 	})
+}
+
+// TestRootPathTableVaultAfterReplace: a ROOT path table is read once by its
+// format library and not refreshed, so a file renamed over it must not have
+// the old file's structures saved under its fingerprint: an engine over the
+// same vault after a restart answers for the new file.
+func TestRootPathTableVaultAfterReplace(t *testing.T) {
+	dir := t.TempDir()
+	path, vaultDir := filepath.Join(dir, "t.root"), filepath.Join(dir, "vault")
+	writeRoot := func(p string, m mappedTable) {
+		var buf bytes.Buffer
+		w := rootfile.NewWriter(&buf, rootfile.Options{BasketEntries: 64})
+		tw := w.Tree("t")
+		k, v := tw.Branch("k", vector.Int64), tw.Branch("v", vector.Int64)
+		for _, r := range m {
+			k.AppendInt64(r[0])
+			v.AppendInt64(r[1])
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		writeDated(t, p, buf.Bytes())
+	}
+	query := func(e *Engine) [2]int64 {
+		t.Helper()
+		res, err := e.Query(mappedQuery)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resultPair(res)
+	}
+	orig, next := newMappedTable(2000, 1), newMappedTable(2000, 2)
+	writeRoot(path, orig)
+	e1 := newTestEngine(t, Config{CacheDir: vaultDir})
+	if err := e1.RegisterRoot("t", path, "t", mappedSchema); err != nil {
+		t.Fatal(err)
+	}
+	if got := query(e1); got != orig.answer() {
+		t.Fatalf("answered %v, want %v", got, orig.answer())
+	}
+	writeRoot(filepath.Join(dir, "next.tmp"), next)
+	if err := os.Rename(filepath.Join(dir, "next.tmp"), path); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		query(e1)
+	}
+	if err := e1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	e2 := newTestEngine(t, Config{CacheDir: vaultDir})
+	if err := e2.RegisterRoot("t", path, "t", mappedSchema); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if got := query(e2); got != next.answer() {
+			t.Fatalf("after a restart, query %d answered %v, want %v (the new file's)", i, got, next.answer())
+		}
+	}
+	if err := e2.Close(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestMappedImageLifetime races four sessions over a path table and a

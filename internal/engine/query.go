@@ -12,7 +12,6 @@ import (
 	"rawdb/internal/exec"
 	"rawdb/internal/obs"
 	"rawdb/internal/sql"
-	"rawdb/internal/storage/rawfile"
 )
 
 // planOpts is the fully resolved per-query planning configuration: every
@@ -266,7 +265,8 @@ func (l tableLocks) unlock() {
 	}
 }
 
-// open refreshes and maps a plain table's file for the plan, and holds it.
+// open maps a plain table's file for the plan, and holds it. A file its caches
+// or its mapping no longer describe is mapped anew, and then fingerprinted.
 func (pc *planCtx) open(st *tableState) error {
 	if st.dropped {
 		return fmt.Errorf("engine: unknown table %q (dropped)", st.tab.Name)
@@ -274,18 +274,21 @@ func (pc *planCtx) open(st *tableState) error {
 	if st.src == nil || st.tab.Path == "" {
 		return nil // caller-owned bytes; memory tables and datasets own none
 	}
-	if id, _ := rawfile.Stat(st.tab.Path); id != st.ident {
-		// Not the file the caches describe: invalidate them as a changed
-		// partition's; the vault is consulted under the new fingerprint.
-		pc.e.dropState(pc.id, st, "file-changed")
-		resetStateCaches(st)
-		st.ident = id
-		pc.e.vaultLoad(st)
-	}
 	if err := pc.e.loadWithRetry(st, pc.id); err != nil {
 		return err
 	}
-	pc.images.Hold(st.tab.Name, st.src.rawFile())
+	im := st.src.rawFile() // nil for ROOT: its library reads the file once, never again
+	if im != nil && (im.Identity() != st.ident || im.Changed()) {
+		pc.e.dropState(pc.id, st, "file-changed")
+		resetStateCaches(st)
+		if err := pc.e.loadWithRetry(st, pc.id); err != nil {
+			return err
+		}
+		im = st.src.rawFile()
+		st.ident = im.Identity()
+		pc.e.vaultLoad(st)
+	}
+	pc.images.Hold(st.tab.Name, im)
 	return nil
 }
 
@@ -293,7 +296,7 @@ func (pc *planCtx) open(st *tableState) error {
 // it (rawfile.Held.Lost), nil when none did.
 func (pc *planCtx) lost(fault any) error {
 	if name := pc.images.Lost(fault); name != "" {
-		return &partLostError{part: name, err: errFileChanged}
+		return &partLostError{part: name, err: errors.New("file changed under its mapping")}
 	}
 	return nil
 }

@@ -54,11 +54,10 @@ func (e *Engine) loadWithRetry(st *tableState, qid int64) error {
 	return err
 }
 
-// partLostError marks a raw file that disappeared or changed under a query:
-// a dataset partition between manifest refresh and load (deleted, truncated,
-// rewritten), or a mapped file before publication. It is retryable at query
-// granularity: QueryOptCtx reruns the query once, and the rerun's refresh
-// reconciles the partition set, or re-maps the file, first.
+// partLostError marks a raw file that changed or vanished under a query: a
+// dataset partition between manifest refresh and load, or a held file before
+// publication. It is retryable: QueryOptCtx reruns the query once, and the
+// rerun's refresh reconciles the partition set, or maps the file anew, first.
 type partLostError struct {
 	part string
 	err  error
@@ -69,8 +68,6 @@ func (p *partLostError) Error() string {
 }
 
 func (p *partLostError) Unwrap() error { return p.err }
-
-var errFileChanged = errors.New("file changed under its mapping")
 
 // loadPartChecked loads one partition's raw bytes and verifies them against
 // the manifest snapshot the query planned with: a load error or a size that

@@ -139,10 +139,10 @@ func (e *Engine) vaultLoad(st *tableState) {
 		return
 	}
 	fp, ok := e.vaultFingerprint(st)
+	st.fp, st.hasFP = fp, ok
 	if !ok {
-		return
+		return // nothing is saved under a fingerprint of another file either
 	}
-	st.fp, st.hasFP = fp, true
 	name := st.tab.Name
 	restored := func(kind vault.Kind, bytes int64) {
 		e.metrics.Counter("vault.restored").Inc()
@@ -219,8 +219,8 @@ func (e *Engine) AuditBudget() error {
 // and its pooled shreds — reporting each structure it holds as invalidated
 // (the raw file changed, the partition vanished, or the table was dropped),
 // stamped with the query whose refresh found it (0: none), and retires its
-// mapped file. No eviction callback runs: the state is being discarded (or
-// reset). The caller holds the query lock guarding st.
+// mapped file, under st's query lock. No eviction callback runs: the state is
+// being discarded (or reset).
 func (e *Engine) dropState(qid int64, st *tableState, reason string) {
 	st.unload()
 	name := st.tab.Name

@@ -14,6 +14,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime/debug"
 	"strings"
 
 	"rawdb"
@@ -143,14 +144,21 @@ func DatasetSchema(pattern string) ([]raw.Column, error) {
 }
 
 // fileSchema infers the schema of the file at path from a read-only mapping of
-// it, unmapped before the engine maps the file for its queries.
-func fileSchema(path string, infer func([]byte) ([]raw.Column, error)) ([]raw.Column, error) {
+// it, unmapped before the engine maps the file for its queries. A file
+// truncated under the mapping faults the read; that is an error, not a crash.
+func fileSchema(path string, infer func([]byte) ([]raw.Column, error)) (schema []raw.Column, err error) {
 	im, err := rawfile.Map(path, "", nil)
 	if err != nil {
 		return nil, err
 	}
 	defer im.Release()
-	schema, err := infer(im.Data)
+	defer func() {
+		if p := recover(); p != nil {
+			schema, err = nil, fmt.Errorf("%s: changed while read: %v", path, p)
+		}
+	}()
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	schema, err = infer(im.Data)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}

@@ -115,12 +115,15 @@ func (im *Image) Release() {
 	}
 }
 
+// Identity is the identity of the file Data was read from.
+func (im *Image) Identity() Identity { return im.id }
+
 // mapped reports whether Data is a mapping of the file, not a heap copy.
 func (im *Image) mapped() bool { return im.mem != nil }
 
-// changed reports whether the file at the image's path is no longer the one
+// Changed reports whether the file at the image's path is no longer the one
 // Data was read from: rewritten, replaced, truncated or removed.
-func (im *Image) changed() bool {
+func (im *Image) Changed() bool {
 	id, err := Stat(im.path)
 	return err != nil || id != im.id
 }
@@ -162,8 +165,9 @@ func (h *Held) Release() {
 
 // Lost names the held image the reader lost: the one whose mapping holds the
 // address of fault — a value recovered from a panic under
-// debug.SetPanicOnFault, or an error wrapping one (nil: none) — or else a
-// mapped one whose file changed. "" when the reader lost none.
+// debug.SetPanicOnFault, or an error wrapping one (nil: none) — or else one
+// whose file changed (a heap copy too: what was built from it must not be
+// kept under the new file's name). "" when the reader lost none.
 func (h Held) Lost(fault any) string {
 	if err, ok := fault.(error); ok {
 		var f interface{ Addr() uintptr }
@@ -176,7 +180,7 @@ func (h Held) Lost(fault any) string {
 		}
 	}
 	for _, x := range h {
-		if x.im.mapped() && x.im.changed() {
+		if x.im.Changed() {
 			return x.name
 		}
 	}

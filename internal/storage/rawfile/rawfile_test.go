@@ -161,7 +161,7 @@ func TestChanged(t *testing.T) {
 			t.Fatal(err)
 		}
 		tc.mutate()
-		if got, want := im.changed(), tc.name != "unchanged"; got != want {
+		if got, want := im.Changed(), tc.name != "unchanged"; got != want {
 			t.Errorf("%s: Changed() = %v, want %v", tc.name, got, want)
 		}
 		im.Release()
