@@ -52,9 +52,8 @@ type Partition struct {
 	Size  int64
 	MTime int64
 	// Inode tells a file renamed over the partition at the same size within
-	// one modification-time tick. 0 where unknown: in-memory partitions, a
-	// manifest restored from the vault (which does not store it), non-unix
-	// builds.
+	// one modification-time tick, also across a restart (the vaulted manifest
+	// stores it). 0 where unknown: in-memory partitions, non-unix builds.
 	Inode uint64
 	// Rows is the partition's row count, -1 until a scan established it.
 	Rows int64

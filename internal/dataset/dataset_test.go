@@ -191,7 +191,8 @@ func TestCompareIDChange(t *testing.T) {
 
 // TestCompareRenameOver: a file renamed over a partition at the same size and
 // modification time is a change (the inode tells), while a manifest that does
-// not know inodes (one restored from the vault) keeps the partition.
+// not know inodes (an in-memory one, or one from a platform without them)
+// keeps the partition.
 func TestCompareRenameOver(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "a.csv")

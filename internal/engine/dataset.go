@@ -139,6 +139,13 @@ func (e *Engine) datasetWarmup(st *tableState) {
 				for _, ki := range d.Kept {
 					ds.manifest.Parts[ki[1]].Rows = old.Parts[ki[0]].Rows
 				}
+				// A file changed since the save — renamed over the partition
+				// at the same size and mtime, too — may keep the sampled
+				// fingerprint its entries were saved under: they describe
+				// the old file, so the partition starts cold.
+				for _, ci := range d.Changed {
+					_ = e.vault.RemoveTable(st.tab.Name + "#" + old.Parts[ci[0]].ID)
+				}
 			}
 		}
 		ds.dirty = true

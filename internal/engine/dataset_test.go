@@ -408,6 +408,80 @@ func TestDatasetVaultRestartPruning(t *testing.T) {
 	e2.Close()
 }
 
+// TestDatasetVaultRestartRenameOver: a file renamed over a partition while
+// the engine is down, at the same size and with the old file's mtime, is a
+// changed partition to the first query after the restart, even where it
+// differs from the old file only outside the windows the partition's vault
+// fingerprint samples: the query answers for the new file.
+func TestDatasetVaultRestartRenameOver(t *testing.T) {
+	vals, schema := sortedVals(40000, 4)
+	dir := writeDatasetDir(t, vals, schema, []catalog.Format{catalog.CSV, catalog.CSV})
+	vaultDir := t.TempDir()
+	const q = "SELECT SUM(col2), SUM(col3) FROM t"
+	sums := func(e *Engine) [2]int64 {
+		t.Helper()
+		if err := e.RegisterDataset("t", dir, schema); err != nil {
+			t.Fatal(err)
+		}
+		res, err := e.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.AuditBudget(); err != nil {
+			t.Fatal(err)
+		}
+		return [2]int64{res.Int64(0, 0), res.Int64(0, 1)}
+	}
+	e1 := newTestEngine(t, Config{CacheDir: vaultDir})
+	old := sums(e1)
+	e1.Close()
+
+	// The new file swaps the digits 3 and 4 in the middle of the partition,
+	// between the fingerprint's interior windows.
+	part := filepath.Join(dir, "part-0000.csv")
+	data, err := os.ReadFile(part)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, err := os.Stat(part)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(data) <= 4*64<<10 {
+		t.Fatalf("partition of %d bytes is hashed whole", len(data))
+	}
+	for i := len(data)/2 - 2000; i < len(data)/2+2000; i++ {
+		switch data[i] {
+		case '3':
+			data[i] = '4'
+		case '4':
+			data[i] = '3'
+		}
+	}
+	renamed := filepath.Join(t.TempDir(), "new.csv")
+	if err := os.WriteFile(renamed, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chtimes(renamed, info.ModTime(), info.ModTime()); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(renamed, part); err != nil {
+		t.Fatal(err)
+	}
+
+	fresh := newTestEngine(t, Config{})
+	want := sums(fresh)
+	fresh.Close()
+	if want == old {
+		t.Fatal("the new file answers like the old one")
+	}
+	e2 := newTestEngine(t, Config{CacheDir: vaultDir})
+	defer e2.Close()
+	if got := sums(e2); got != want {
+		t.Fatalf("after the restart the query answered %v, want the new file's %v (the old file's: %v)", got, want, old)
+	}
+}
+
 // TestDatasetBudgetRelease is the leak audit: everything a dataset (or a
 // plain table) accounts to the cache budget — positional maps, structural
 // indexes, synopses and column shreds, across partitions — is released by

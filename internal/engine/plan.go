@@ -136,6 +136,9 @@ type scanStep struct {
 	synObs       map[int]vector.Type
 	tee, capture bool
 	emitRID      bool
+	// pooled are the columns a cut raw scan rereads although the pool holds
+	// them whole (it reads every column of a partially cached set).
+	pooled []int
 	// cached are served from the pool by row id, from shreds: full ones
 	// appended to a base scan, a late scan's partial ones completed from the
 	// raw file. hits counts every column the pool serves.
@@ -594,6 +597,13 @@ func (pc *planCtx) baseStep(u *unitPlan, cols []int, needRID bool, cands []bound
 	if u.whole() {
 		if s.a, s.err = st.src.access(tab, pos, s.cols, s.kind); s.err != nil {
 			return s, nil
+		}
+	} else if s.a.recording && pc.useCache {
+		// ShredsOf leaves the pool's statistics and recency alone.
+		for _, sh := range pc.e.shreds.ShredsOf(tab.Name) {
+			if sh.Full() && slices.Contains(cols, sh.Key().Col) {
+				s.pooled = append(s.pooled, sh.Key().Col)
+			}
 		}
 	}
 	pushable, rest := splitPreds(cands, s.cols)
@@ -1080,11 +1090,12 @@ func (pc *planCtx) rawScans(p *pipe, bt *boundTable, s *scanStep) error {
 	var synFrags []*synopsis.Builder
 	var caps []*morselCapture
 	p.ops = make([]exec.Operator, 0, len(s.spans))
+	base := scanReq{kind: s.kind, mode: s.a.mode, cols: s.cols, emitRID: s.emitRID, batch: pc.e.cfg.BatchSize,
+		track: true, tee: s.tee, pooled: s.pooled}
 	for _, sp := range s.spans {
 		hint := rowHint(st, s.a, sp)
-		req := scanReq{kind: s.kind, mode: s.a.mode, span: sp, cols: s.cols, emitRID: s.emitRID,
-			push: jit.Pushdown{Preds: s.push, Skip: s.skip}, batch: pc.e.cfg.BatchSize,
-			track: true, rowHint: hint}
+		req := base
+		req.span, req.rowHint, req.push = sp, hint, jit.Pushdown{Preds: s.push, Skip: s.skip}
 		if s.synObs != nil {
 			req.push.Syn = synopsis.NewBuilder(pc.blockRows(), s.synObs)
 			synFrags = append(synFrags, req.push.Syn)
@@ -1110,7 +1121,7 @@ func (pc *planCtx) rawScans(p *pipe, bt *boundTable, s *scanStep) error {
 		pc.hit(tab.Name, s.a.structure, 1)
 	}
 	if s.kind == scanGenerated {
-		spec := st.src.spec(tab, bt.pos, s.a.mode, s.cols)
+		spec := st.src.spec(tab, bt.pos, base)
 		spec.EmitRID = s.emitRID
 		if s.npush > 0 {
 			spec.Preds = s.push
@@ -1126,13 +1137,16 @@ func (pc *planCtx) rawScans(p *pipe, bt *boundTable, s *scanStep) error {
 	pc.onMerge = append(pc.onMerge, func() error {
 		if len(frags) > 0 {
 			// The scans visited every row: the table's row count is known
-			// from here on, whether or not anything may be published.
+			// from here on, whether or not anything may be published. A
+			// recording over a positional structure counts only when it
+			// covers the table alone; a row range's counts no row, and
+			// publish links the ranges' recordings.
 			var rows int64
 			for _, f := range frags {
 				rows += f.NRows()
 			}
 			st.learnRows(rows)
-			if s.a.structure != "" && pc.capture && rows > 0 {
+			if s.a.structure != "" && pc.capture && (rows > 0 || s.a.mode == jit.ViaMap) {
 				bytes, err := st.src.publish(st, frags, s.spans)
 				if err != nil {
 					return err
@@ -1190,7 +1204,7 @@ func (pc *planCtx) buildLate(p *pipe, t int, bt *boundTable, s *scanStep) error 
 		if err != nil {
 			return err
 		}
-		spec := st.src.spec(tab, bt.pos, jit.Late, s.cols)
+		spec := st.src.spec(tab, bt.pos, scanReq{mode: jit.Late, cols: s.cols})
 		spec.EmitRID = true
 		pc.ensureTemplate(spec)
 		if cached, k := fetch, len(s.cached); cached == nil {

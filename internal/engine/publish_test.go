@@ -14,7 +14,9 @@ import (
 
 	"rawdb/internal/catalog"
 	"rawdb/internal/exec"
+	"rawdb/internal/jit"
 	"rawdb/internal/jsonidx"
+	"rawdb/internal/shred"
 	"rawdb/internal/vector"
 )
 
@@ -45,17 +47,21 @@ func jsonIndex(e *Engine) *jsonidx.Index { return e.tables["t"].positions().jidx
 // TestNoCaptureLeavesIndex: a NoCapture query over a path the structural
 // index does not track reads it from the row starts and builds nothing — the
 // slot keeps the same index, the jsonidx.bytes gauge and the vault entry do
-// not move — and the next capturing query publishes the path.
+// not move — and the next capturing query publishes the path. Shreds are off,
+// so the first scan tees nothing and records the path it reads.
 func TestNoCaptureLeavesIndex(t *testing.T) {
 	data, schema := flatJSON(500, 3)
 	dir := t.TempDir()
-	e := newTestEngine(t, Config{Parallelism: 1, CacheDir: dir})
+	e := newTestEngine(t, Config{Parallelism: 1, CacheDir: dir, DisableShredCache: true})
 	defer e.Close()
 	if err := e.RegisterJSONData("t", data, schema); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := e.Query("SELECT SUM(p0) FROM t"); err != nil {
 		t.Fatal(err)
+	}
+	if got := jsonIndex(e).TrackedPaths(); !slices.Equal(got, []string{"p0"}) {
+		t.Fatalf("the first scan tracks %v, want [p0]", got)
 	}
 	e.FlushVault()
 	entry := func() []byte {
@@ -177,11 +183,12 @@ func viewIndex(x *jsonidx.Index) indexView {
 // table's structural index see it unchanged, byte for byte, while queries
 // over the same table — two at a time, so their executions overlap — record
 // new paths and publish them, and the index published last tracks every path
-// any query recorded. Run it under -race.
+// any query recorded, the first scan's too (shreds are off, so it tees
+// nothing). Run it under -race.
 func TestIndexReadersSeePublishedSnapshots(t *testing.T) {
 	const paths = 9
 	data, schema := flatJSON(1000, paths)
-	e := newTestEngine(t, Config{Parallelism: 1})
+	e := newTestEngine(t, Config{Parallelism: 1, DisableShredCache: true})
 	if err := e.RegisterJSONData("t", data, schema); err != nil {
 		t.Fatal(err)
 	}
@@ -237,5 +244,180 @@ func TestIndexReadersSeePublishedSnapshots(t *testing.T) {
 	}
 	if err := e.AuditBudget(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// sumColumn is SUM(p<p>) over flatJSON(rows, paths).
+func sumColumn(rows, paths, p int) int64 {
+	return int64(paths*rows*(rows-1)/2 + p*rows)
+}
+
+// querySum runs SUM(p<p>) at workers and checks its answer over
+// flatJSON(rows, paths); it returns the query's access paths.
+func querySum(t *testing.T, e *Engine, rows, paths, p, workers int) []string {
+	t.Helper()
+	res := queryAt(t, e, fmt.Sprintf("SELECT SUM(p%d) FROM t", p), workers)
+	if got := res.Value(0, 0); got != sumColumn(rows, paths, p) {
+		t.Fatalf("workers %d: SUM(p%d) = %v, want %d", workers, p, got, sumColumn(rows, paths, p))
+	}
+	if err := e.AuditBudget(); err != nil {
+		t.Fatal(err)
+	}
+	return res.Stats.AccessPaths
+}
+
+// TestFirstJSONScanSkipsTeedPaths: a capturing first scan, serial or cut into
+// morsels, records the row starts and no path it captures whole as a shred;
+// with shreds off it records every path it reads. The template key and the
+// generated-source view of a teeing scan say the same.
+func TestFirstJSONScanSkipsTeedPaths(t *testing.T) {
+	const rows, paths = 2000, 3
+	data, schema := flatJSON(rows, paths)
+	for _, workers := range []int{1, 4} {
+		for _, noShreds := range []bool{false, true} {
+			e := newTestEngine(t, Config{Parallelism: workers, DisableShredCache: noShreds})
+			if err := e.RegisterJSONData("t", data, schema); err != nil {
+				t.Fatal(err)
+			}
+			res := queryAt(t, e, "SELECT SUM(p0), MAX(p1) FROM t", workers)
+			if got := res.Value(0, 0); got != sumColumn(rows, paths, 0) {
+				t.Fatalf("SUM(p0) = %v", got)
+			}
+			if err := e.AuditBudget(); err != nil {
+				t.Fatal(err)
+			}
+			idx := jsonIndex(e)
+			want := []string{"p0", "p1"}
+			if !noShreds {
+				want = []string{}
+				for c := range 2 {
+					if e.shreds.LookupFull(shred.Key{Table: "t", Col: c}) == nil {
+						t.Fatalf("workers %d: p%d was not captured as a full shred", workers, c)
+					}
+				}
+			}
+			if idx.NRows() != rows || !slices.Equal(idx.TrackedPaths(), want) {
+				t.Fatalf("workers %d, shreds off %v: index of %d rows tracks %v, want %d rows tracking %v",
+					workers, noShreds, idx.NRows(), idx.TrackedPaths(), rows, want)
+			}
+			e.Close()
+		}
+	}
+
+	e := newTestEngine(t, Config{})
+	defer e.Close()
+	if err := e.RegisterJSONData("t", data, schema); err != nil {
+		t.Fatal(err)
+	}
+	st := e.tables["t"]
+	full := st.src.spec(st.tab, positions{}, scanReq{mode: jit.Sequential, cols: []int{0, 1}})
+	teed := st.src.spec(st.tab, positions{}, scanReq{mode: jit.Sequential, cols: []int{0, 1}, tee: true})
+	if len(teed.PMBuild) != 0 || !slices.Equal(full.PMBuild, []int{0, 1}) {
+		t.Fatalf("recorded columns: teeing scan %v, recording scan %v", teed.PMBuild, full.PMBuild)
+	}
+	if teed.Key() == full.Key() {
+		t.Fatal("a teeing and a recording first scan share a template key")
+	}
+	if src := teed.Source(); strings.Contains(src, "structidx.path(") || !strings.Contains(src, "structidx.rows.append") {
+		t.Fatalf("the teeing scan's source does not record row starts only:\n%s", src)
+	}
+}
+
+// TestParallelMapScanPublishesRecording: a query cut into row ranges over a
+// path the structural index does not track records it range by range, and
+// the query publishes the linked recording — the offsets a serial recording
+// has. A cut scan that rereads a column the pool holds whole records only
+// the others. With shreds off, the next query reads the path through those
+// offsets and publishes nothing.
+func TestParallelMapScanPublishesRecording(t *testing.T) {
+	const rows, paths = 3000, 3
+	data, schema := flatJSON(rows, paths)
+	serial := newTestEngine(t, Config{Parallelism: 1, DisableShredCache: true})
+	defer serial.Close()
+	if err := serial.RegisterJSONData("t", data, schema); err != nil {
+		t.Fatal(err)
+	}
+	querySum(t, serial, rows, paths, 0, 1)
+	querySum(t, serial, rows, paths, 2, 1)
+	want := jsonIndex(serial).Peek("p2").Decode(nil, 0, rows)
+
+	for _, noShreds := range []bool{false, true} {
+		e := newTestEngine(t, Config{Parallelism: 4, DisableShredCache: noShreds})
+		if err := e.RegisterJSONData("t", data, schema); err != nil {
+			t.Fatal(err)
+		}
+		querySum(t, e, rows, paths, 0, 4)
+		before := jsonIndex(e)
+		if before.Tracked("p2") {
+			t.Fatal("p2 tracked before any query read it")
+		}
+		if got := querySum(t, e, rows, paths, 2, 4); !strings.HasPrefix(got[0], "par[") {
+			t.Fatalf("the recording query ran %v, want a parallel plan", got)
+		}
+		idx := jsonIndex(e)
+		if idx == before || !idx.Tracked("p2") {
+			t.Fatalf("shreds off %v: the parallel recording was not published: tracks %v", noShreds, idx.TrackedPaths())
+		}
+		if got := idx.Peek("p2").Decode(nil, 0, rows); !slices.Equal(got, want) {
+			t.Fatalf("shreds off %v: published offsets differ from a serial recording", noShreds)
+		}
+		if !noShreds {
+			// p0 is pooled whole: a cut scan that rereads it with p1, which
+			// no shred holds, records p1 only.
+			res := queryAt(t, e, "SELECT SUM(p0), SUM(p1) FROM t", 4)
+			if got := res.Value(0, 1); got != sumColumn(rows, paths, 1) {
+				t.Fatalf("SUM(p1) = %v", got)
+			}
+			if got := jsonIndex(e).TrackedPaths(); !slices.Equal(got, []string{"p1", "p2"}) {
+				t.Fatalf("after rereading pooled p0 with p1 the index tracks %v, want [p1 p2]", got)
+			}
+			if err := e.AuditBudget(); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			seeks := idx.Seeks()
+			querySum(t, e, rows, paths, 2, 4)
+			if jsonIndex(e) != idx || idx.Seeks() == seeks {
+				t.Fatalf("the next query did not read p2 through its offsets (index replaced %v, seeks %d -> %d)",
+					jsonIndex(e) != idx, seeks, idx.Seeks())
+			}
+		}
+		e.Close()
+	}
+}
+
+// TestTeedPathRecordedAfterShredDrop: a path the first scan captured as a
+// shred and did not record is recorded by the first raw read after its shred
+// is dropped, and the raw read after that goes through its offsets.
+func TestTeedPathRecordedAfterShredDrop(t *testing.T) {
+	const rows, paths = 2000, 3
+	data, schema := flatJSON(rows, paths)
+	for _, workers := range []int{1, 4} {
+		e := newTestEngine(t, Config{Parallelism: workers})
+		if err := e.RegisterJSONData("t", data, schema); err != nil {
+			t.Fatal(err)
+		}
+		querySum(t, e, rows, paths, 1, workers)
+		if jsonIndex(e).Tracked("p1") {
+			t.Fatalf("workers %d: the capturing first scan recorded p1", workers)
+		}
+		if got := querySum(t, e, rows, paths, 1, workers); !strings.HasSuffix(got[0], "shred:scan(t)") {
+			t.Fatalf("workers %d: the warm query ran %v, want the shred", workers, got)
+		}
+		e.shreds.DropTable("t")
+		if got := querySum(t, e, rows, paths, 1, workers); !strings.HasSuffix(got[0], "jit:jsonidx(t)") {
+			t.Fatalf("workers %d: the query after the drop ran %v, want the structural index", workers, got)
+		}
+		idx := jsonIndex(e)
+		if !idx.Tracked("p1") {
+			t.Fatalf("workers %d: the raw read after the drop did not record p1", workers)
+		}
+		e.shreds.DropTable("t")
+		seeks := idx.Seeks()
+		querySum(t, e, rows, paths, 1, workers)
+		if jsonIndex(e) != idx || idx.Seeks() == seeks {
+			t.Fatalf("workers %d: the second raw read did not go through p1's offsets", workers)
+		}
+		e.Close()
 	}
 }

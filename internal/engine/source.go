@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"rawdb/internal/catalog"
@@ -73,9 +74,10 @@ type source interface {
 	// only a real merge copies. A recording makes a new structure that shares
 	// the recorded-over one's unchanged parts; nothing installed is written.
 	publish(st *tableState, frags []fragment, spans []span) (bytes int64, err error)
-	// spec returns the template-cache key of the access path reading cols in
-	// mode, up to the predicates and the row-id flag its caller adds.
-	spec(tab *catalog.Table, pos positions, mode jit.Mode, cols []int) jit.Spec
+	// spec returns the template-cache key of the access path req describes
+	// (its mode, its columns and the offsets it records), up to the
+	// predicates and the row-id flag its caller adds.
+	spec(tab *catalog.Table, pos positions, req scanReq) jit.Spec
 }
 
 // scanKind selects the family of scan operators reading the raw bytes.
@@ -180,6 +182,13 @@ type scanReq struct {
 	// track makes a record-by-record pass fill a fragment; the DBMS loader
 	// keeps nothing and clears it.
 	track bool
+	// tee: the planner captures cols whole as shreds over this scan, so a
+	// record-by-record pass need not record their offsets (later queries read
+	// the shreds; one that reads a path raw again records it).
+	tee bool
+	// pooled are the columns of cols the shred pool holds whole, which a cut
+	// scan rereads only alongside columns it does not: no pass records them.
+	pooled []int
 	// rowHint sizes that fragment once, for the span's rows (0: grow by
 	// append).
 	rowHint int
@@ -259,8 +268,8 @@ type rowAddressed struct{}
 
 func (rowAddressed) publish(*tableState, []fragment, []span) (int64, error) { return 0, nil }
 
-func (rowAddressed) spec(tab *catalog.Table, _ positions, mode jit.Mode, cols []int) jit.Spec {
-	return baseSpec(tab, mode, cols)
+func (rowAddressed) spec(tab *catalog.Table, _ positions, req scanReq) jit.Spec {
+	return baseSpec(tab, req.mode, req.cols)
 }
 
 // rawImage is a raw image, the whole file as one slice.
@@ -418,9 +427,9 @@ func (s *csvSource) publish(st *tableState, frags []fragment, spans []span) (int
 	return pm.MemoryFootprint(), nil
 }
 
-func (s *csvSource) spec(tab *catalog.Table, pos positions, mode jit.Mode, cols []int) jit.Spec {
-	sp := baseSpec(tab, mode, cols)
-	if mode == jit.Sequential {
+func (s *csvSource) spec(tab *catalog.Table, pos positions, req scanReq) jit.Spec {
+	sp := baseSpec(tab, req.mode, req.cols)
+	if req.mode == jit.Sequential {
 		sp.PMBuild = s.policy.Columns(len(tab.Schema))
 	} else if pos.pm != nil {
 		sp.PMRead = pos.pm.TrackedColumns()
@@ -477,12 +486,13 @@ func (s *jsonSource) split(pos positions, mode jit.Mode, n int) ([]span, bool) {
 // index, NoDB-style).
 func (s *jsonSource) scan(tab *catalog.Table, pos positions, req scanReq) (exec.Operator, fragment, error) {
 	if req.mode == jit.ViaMap {
-		// A whole-table scan's recording of untracked paths is its fragment;
-		// a row range's never covers the file and is dropped.
-		sc, rec, err := jit.NewJSONMapScanPush(s.data, tab, req.cols, pos.jidx, req.emitRID, req.batch, req.push)
+		// The recording of untracked paths is the fragment, a row range's
+		// too: publish links the ranges' recordings, which cover the file
+		// together (no span of a recording plan is skipped).
+		sc, rec, err := jit.NewJSONMapScanPush(s.data, tab, req.cols, pos.jidx, recorded(req), req.emitRID, req.batch, req.push)
 		op, _, err := ranged(sc, err, req.span)
 		var frag fragment
-		if err == nil && rec != nil && req.track && req.span == wholeTable {
+		if err == nil && rec != nil && req.track {
 			frag = rec
 		}
 		return op, frag, err
@@ -494,7 +504,7 @@ func (s *jsonSource) scan(tab *catalog.Table, pos positions, req scanReq) (exec.
 		idx.Reserve(req.rowHint)
 		frag = idx
 	}
-	sc, err := jit.NewJSONSequentialScanPush(s.bytes(req.span), tab, req.cols, idx, req.emitRID, req.batch, req.push)
+	sc, err := jit.NewJSONSequentialScanPush(s.bytes(req.span), tab, req.cols, idx, recorded(req), req.emitRID, req.batch, req.push)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -505,9 +515,23 @@ func (s *jsonSource) late(tab *catalog.Table, pos positions, cols []int) (exec.F
 	return jit.JSONLateFetch(s.data, tab, cols, pos.jidx)
 }
 
+// recorded are the columns whose offsets a pass records: those it reads that
+// no full shred serves — none the pool holds, and on a first, record-by-record
+// pass none it tees (NoDB's partial maps: record only what a later read uses).
+func recorded(req scanReq) []int {
+	if req.tee && req.mode == jit.Sequential {
+		return nil
+	}
+	return slices.DeleteFunc(slices.Clone(req.cols), func(c int) bool { return slices.Contains(req.pooled, c) })
+}
+
 func (s *jsonSource) publish(st *tableState, frags []fragment, spans []span) (int64, error) {
 	if rec, ok := frags[0].(*jsonidx.Recorder); ok {
-		idx := rec.Publish(st.positions().jidx)
+		rest := make([]*jsonidx.Recorder, len(frags)-1)
+		for i, f := range frags[1:] {
+			rest[i] = f.(*jsonidx.Recorder)
+		}
+		idx := rec.Publish(st.positions().jidx, rest...)
 		st.pos.set(idx)
 		return idx.MemoryFootprint(), nil
 	}
@@ -523,14 +547,14 @@ func (s *jsonSource) publish(st *tableState, frags []fragment, spans []span) (in
 	return idx.MemoryFootprint(), nil
 }
 
-func (s *jsonSource) spec(tab *catalog.Table, pos positions, mode jit.Mode, cols []int) jit.Spec {
-	sp := baseSpec(tab, mode, cols)
-	sp.Paths = make([]string, len(cols))
-	for i, c := range cols {
+func (s *jsonSource) spec(tab *catalog.Table, pos positions, req scanReq) jit.Spec {
+	sp := baseSpec(tab, req.mode, req.cols)
+	sp.Paths = make([]string, len(req.cols))
+	for i, c := range req.cols {
 		sp.Paths[i] = tab.Schema[c].Name
 	}
-	if mode == jit.Sequential {
-		sp.PMBuild = cols // a sequential scan records every requested path
+	if req.mode == jit.Sequential {
+		sp.PMBuild = recorded(req)
 	} else if pos.jidx != nil {
 		for c, col := range tab.Schema {
 			if pos.jidx.Tracked(col.Name) {

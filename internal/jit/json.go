@@ -3,6 +3,7 @@ package jit
 import (
 	"bytes"
 	"fmt"
+	"slices"
 
 	"rawdb/internal/catalog"
 	"rawdb/internal/exec"
@@ -151,17 +152,20 @@ func (s *JSONScan) PushStats() (rowsPruned, blocksSkipped int64) {
 // committing them to the index at end of file.
 func NewJSONSequentialScan(data []byte, t *catalog.Table, need []int,
 	idx *jsonidx.Index, emitRID bool, batchSize int) (*JSONScan, error) {
-	return NewJSONSequentialScanPush(data, t, need, idx, emitRID, batchSize, Pushdown{})
+	return NewJSONSequentialScanPush(data, t, need, idx, need, emitRID, batchSize, Pushdown{})
 }
 
 // NewJSONSequentialScanPush generates a sequential access path with pushed-
 // down predicates inlined into the matcher's leaf actions: a failing check
 // marks the row, and every later matched member is then only skipped over
 // (offset recording still happens, so the structural index stays complete)
-// without converting its value. opts.Skip is ignored (a sequential scan must
-// visit every row).
-func NewJSONSequentialScanPush(data []byte, t *catalog.Table, need []int,
-	idx *jsonidx.Index, emitRID bool, batchSize int, opts Pushdown) (*JSONScan, error) {
+// without converting its value. Into idx it records the row starts and the
+// value offsets of the columns of need that record lists, only: a path
+// whose values its caller keeps otherwise (as a full column shred) costs
+// the scan no offsets. opts.Skip is ignored (a sequential scan must visit
+// every row).
+func NewJSONSequentialScanPush(data []byte, t *catalog.Table, need []int, idx *jsonidx.Index,
+	record []int, emitRID bool, batchSize int, opts Pushdown) (*JSONScan, error) {
 	if t.Format != catalog.JSON {
 		return nil, fmt.Errorf("jit: json scan got format %s", t.Format)
 	}
@@ -189,9 +193,11 @@ func NewJSONSequentialScanPush(data []byte, t *catalog.Table, need []int,
 
 	recSlot := make(map[string]int)
 	if idx != nil {
-		paths := make([]string, len(need))
-		for i, c := range need {
-			paths[i] = t.Schema[c].Name
+		var paths []string
+		for _, c := range need {
+			if slices.Contains(record, c) {
+				paths = append(paths, t.Schema[c].Name)
+			}
 		}
 		s.rec = idx.Record(paths)
 		staged := s.rec.Paths()
@@ -501,32 +507,35 @@ var _ exec.Operator = (*JSONScan)(nil)
 // records of untracked paths; NewJSONMapScanPush hands them out.
 func NewJSONMapScan(data []byte, t *catalog.Table, need []int, idx *jsonidx.Index,
 	emitRID bool, batchSize int) (*RowScan, error) {
-	s, _, err := NewJSONMapScanPush(data, t, need, idx, emitRID, batchSize, Pushdown{})
+	s, _, err := NewJSONMapScanPush(data, t, need, idx, need, emitRID, batchSize, Pushdown{})
 	return s, err
 }
 
 // NewJSONMapScanPush generates a structural-index access path with pushdown
-// (see RowScan), and returns with it the recording of the paths idx does not
-// track (nil when it tracks them all). Recorded-offset columns are parsed
+// (see RowScan), and returns with it the recording of the paths of the
+// columns of need that record lists and idx does not track (nil when there
+// are none); the other untracked paths are walked and not recorded.
+// Recorded-offset columns are parsed
 // only for rows opts.Preds select, while columns being recorded always read
-// dense, so the recording of a scan that read every row covers the file: the
-// caller may then publish it (jsonidx.Recorder.Publish) once the query
-// succeeded. idx itself is never written. opts.Skip applies only when nothing
-// is recorded — skipped rows could never be recorded — and is dropped
-// otherwise. opts.Syn is ignored.
+// dense, so the recording of a scan that read every row of its range covers
+// that range: once the query succeeded, the caller may publish it
+// (jsonidx.Recorder.Publish), alone for the whole table or linked with the
+// recordings of the other ranges (SetRowRange). idx itself is never written.
+// opts.Skip applies only when nothing is recorded — skipped rows could never
+// be recorded — and is dropped otherwise. opts.Syn is ignored.
 func NewJSONMapScanPush(data []byte, t *catalog.Table, need []int, idx *jsonidx.Index,
-	emitRID bool, batchSize int, opts Pushdown) (*RowScan, *jsonidx.Recorder, error) {
+	record []int, emitRID bool, batchSize int, opts Pushdown) (*RowScan, *jsonidx.Recorder, error) {
 	if t.Format != catalog.JSON {
 		return nil, nil, fmt.Errorf("jit: json scan got format %s", t.Format)
 	}
 	if idx == nil || idx.NRows() == 0 {
 		return nil, nil, fmt.Errorf("jit: json map scan requires a populated structural index")
 	}
-	// Declare the untracked paths up front so one recorder stages them all
-	// (a column out of range fails in newRowScan).
+	// Declare the untracked paths to record up front so one recorder stages
+	// them all (a column out of range fails in newRowScan).
 	var newPaths []string
 	for _, c := range need {
-		if c >= 0 && c < len(t.Schema) && !idx.Tracked(t.Schema[c].Name) {
+		if c >= 0 && c < len(t.Schema) && slices.Contains(record, c) && !idx.Tracked(t.Schema[c].Name) {
 			newPaths = append(newPaths, t.Schema[c].Name)
 		}
 	}
@@ -614,25 +623,25 @@ func newJSONColReader(data []byte, t *catalog.Table, c int, idx *jsonidx.Index,
 		}
 	}
 	// Untracked path: walk from the recorded row starts, through a learned
-	// skeleton, recording offsets. The walk runs dense regardless of any
-	// selection — the adaptive recording must cover every row for the index
-	// to stay sound.
+	// skeleton, recording offsets if asked to. A recorded walk runs dense
+	// regardless of any selection — the adaptive recording must cover every
+	// row for the index to stay sound.
 	skel := jsonfile.NewSkeleton(jsonfile.SplitPath(path), maxSkeletonMisses)
-	ai := adaptSlot[path]
+	ai, recorded := adaptSlot[path]
 	switch typ {
 	case vector.Int64, vector.Float64:
 	default:
 		return rowCol{}, fmt.Errorf("jit: unsupported JSON column type %s", typ)
 	}
 	isInt := typ == vector.Int64
-	return rowCol{dense: true, read: func(rowStart, rowEnd int64, _ []int32, out *vector.Vector) error {
+	return rowCol{dense: recorded, read: func(rowStart, rowEnd int64, _ []int32, out *vector.Vector) error {
 		for r := rowStart; r < rowEnd; r++ {
 			rs := idx.RowStart(r)
 			pos := skel.Find(data, int(rs))
 			if pos < 0 {
 				return fmt.Errorf("jit json map scan: row %d: path %q absent", r, path)
 			}
-			if adaptive != nil {
+			if recorded {
 				adaptive.AppendPathOffset(ai, rs, int64(pos))
 			}
 			if isInt {

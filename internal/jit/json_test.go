@@ -111,7 +111,7 @@ func TestJSONMapScanTrackedAndAdaptive(t *testing.T) {
 	}
 	// id is tracked; payload.eta and payload.ncells are untracked and must be
 	// served via row-start walks that record them adaptively.
-	s2, rec, err := NewJSONMapScanPush(data, tab, []int{0, 3, 4}, idx, true, 41, Pushdown{})
+	s2, rec, err := NewJSONMapScanPush(data, tab, []int{0, 3, 4}, idx, []int{0, 3, 4}, true, 41, Pushdown{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,6 +311,17 @@ func scan(data []byte) {
 `
 	if got := seqSpec.Source(); got != want {
 		t.Fatalf("sequential source:\n--- got ---\n%s--- want ---\n%s", got, want)
+	}
+	// A first scan whose columns are captured whole as shreds records only
+	// the row starts: its key and its source say so.
+	teedSpec := seqSpec
+	teedSpec.PMBuild = nil
+	if teedSpec.Key() == seqSpec.Key() {
+		t.Fatal("a teeing and a recording sequential spec share a template key")
+	}
+	if src := teedSpec.Source(); strings.Contains(src, "structidx.path(") ||
+		!strings.Contains(src, "structidx.rows.append(pos)") || !strings.Contains(src, `case "payload.energy": col1.append(`) {
+		t.Fatalf("teeing sequential source must record row starts only:\n%s", src)
 	}
 
 	viaSpec := Spec{

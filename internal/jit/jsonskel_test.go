@@ -37,7 +37,7 @@ func skelOutcome(t testing.TB, data []byte, need []int, preds []exec.Pred, specu
 		types[c] = skelTable.Schema[c].Type
 	}
 	syn := synopsis.NewBuilder(5, types)
-	s, err := NewJSONSequentialScanPush(data, skelTable, need, idx, true, 7, Pushdown{Preds: preds, Syn: syn})
+	s, err := NewJSONSequentialScanPush(data, skelTable, need, idx, need, true, 7, Pushdown{Preds: preds, Syn: syn})
 	if err != nil {
 		t.Fatal(err)
 	}

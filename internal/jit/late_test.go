@@ -409,7 +409,7 @@ func jsonMapScanCompare(t testing.TB, data []byte, batch int) {
 		rids[r] = int64(r)
 	}
 	want := runLate(jsonLateRef(data, skelTable, cols, idx), types, rids, len(rids))
-	s, rec, err := NewJSONMapScanPush(data, skelTable, cols, idx, false, batch, Pushdown{})
+	s, rec, err := NewJSONMapScanPush(data, skelTable, cols, idx, cols, false, batch, Pushdown{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -425,6 +425,23 @@ func jsonMapScanCompare(t testing.TB, data []byte, batch int) {
 	if got.String() != want {
 		t.Fatalf("map scan over\n%s\nread:\n%s\nper-row reference:\n%s", data, got.String(), want)
 	}
+	// A path the caller does not ask to record reads the same and stays
+	// untracked.
+	part, prec, err := NewJSONMapScanPush(data, skelTable, cols, idx, cols[1:], false, batch, Pushdown{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	partOuts, err := exec.Collect(part)
+	if err != nil {
+		t.Fatalf("map scan recording %v failed over\n%s\n%v", cols[1:], data, err)
+	}
+	var partGot strings.Builder
+	if renderVectors(&partGot, partOuts); partGot.String() != want {
+		t.Fatalf("map scan recording %v over\n%s\nread:\n%s\nper-row reference:\n%s", cols[1:], data, partGot.String(), want)
+	}
+	if p := prec.Publish(idx); p.Tracked(skelTable.Schema[cols[0]].Name) || !p.Tracked(skelTable.Schema[cols[1]].Name) {
+		t.Fatalf("recording %v published %v", cols[1:], p.TrackedPaths())
+	}
 	idx = rec.Publish(idx)
 	for _, c := range cols {
 		path := skelTable.Schema[c].Name
@@ -435,6 +452,86 @@ func jsonMapScanCompare(t testing.TB, data []byte, batch int) {
 		for _, r := range rids {
 			if got, want := positions.At(r), jsonfile.FindPath(data, int(idx.RowStart(r)), jsonfile.SplitPath(path)); got != int64(want) {
 				t.Fatalf("path %q row %d: recorded %d, FindPath %d over\n%s", path, r, got, want, data)
+			}
+		}
+	}
+}
+
+// jsonRangeCompare holds the recordings of structural-index scans over
+// consecutive row ranges, cut where cuts say, to one whole-table recording:
+// the ranges read the same values, and their recordings, published together,
+// are the serial one's offsets, FindPath's on every row. Published without
+// the last range they add nothing.
+func jsonRangeCompare(t testing.TB, data, cuts []byte, batch int) {
+	t.Helper()
+	idx := jsonLateIndex(data, []int{0})
+	n := idx.NRows()
+	if n == 0 {
+		return
+	}
+	cols := []int{0, 1, 2, 3}
+	bounds := []int64{0, n}
+	for _, c := range cuts {
+		bounds = append(bounds, int64(c)%n)
+	}
+	slices.Sort(bounds)
+	bounds = slices.Compact(bounds)
+	serial, whole, err := NewJSONMapScanPush(data, skelTable, cols, idx, cols, false, batch, Pushdown{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantOuts, wantErr := exec.Collect(serial)
+	var want strings.Builder
+	renderVectors(&want, wantOuts)
+	var recs []*jsonidx.Recorder
+	got := make([]*vector.Vector, len(cols))
+	for i, c := range cols {
+		got[i] = vector.New(skelTable.Schema[c].Type, 0)
+	}
+	for i := 1; i < len(bounds); i++ {
+		s, rec, err := NewJSONMapScanPush(data, skelTable, cols, idx, cols, false, batch, Pushdown{})
+		if err == nil {
+			err = s.SetRowRange(bounds[i-1], bounds[i])
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		outs, err := exec.Collect(s)
+		if err != nil {
+			if wantErr == nil {
+				t.Fatalf("rows [%d,%d) failed (%v) over\n%s\nwhere the whole-table scan read all", bounds[i-1], bounds[i], err, data)
+			}
+			return
+		}
+		for j, o := range outs {
+			got[j].Int64s, got[j].Float64s = append(got[j].Int64s, o.Int64s...), append(got[j].Float64s, o.Float64s...)
+		}
+		recs = append(recs, rec)
+	}
+	if wantErr != nil {
+		t.Fatalf("every range read over\n%s\nwhere the whole-table scan failed: %v", data, wantErr)
+	}
+	var read strings.Builder
+	if renderVectors(&read, got); read.String() != want.String() {
+		t.Fatalf("ranges %v read\n%s\nthe whole-table scan\n%s", bounds, read.String(), want.String())
+	}
+	if len(recs) > 1 {
+		if short := recs[0].Publish(idx, recs[1:len(recs)-1]...); short != idx {
+			t.Fatalf("ranges %v without the last published %v", bounds, short.TrackedPaths())
+		}
+	}
+	ref, ranged := whole.Publish(idx), recs[0].Publish(idx, recs[1:]...)
+	if !slices.Equal(ranged.TrackedPaths(), ref.TrackedPaths()) {
+		t.Fatalf("ranges %v published %v, the whole-table scan %v", bounds, ranged.TrackedPaths(), ref.TrackedPaths())
+	}
+	for _, path := range ref.TrackedPaths() {
+		offs := ranged.Peek(path).Decode(nil, 0, n)
+		if !slices.Equal(offs, ref.Peek(path).Decode(nil, 0, n)) {
+			t.Fatalf("ranges %v: path %q offsets differ from the whole-table recording over\n%s", bounds, path, data)
+		}
+		for r, o := range offs {
+			if want := jsonfile.FindPath(data, int(idx.RowStart(int64(r))), jsonfile.SplitPath(path)); o != int64(want) {
+				t.Fatalf("ranges %v: path %q row %d: recorded %d, FindPath %d over\n%s", bounds, path, r, o, want, data)
 			}
 		}
 	}
@@ -472,15 +569,18 @@ func TestJSONLateFetchAgainstFindPath(t *testing.T) {
 		})
 		jsonLateCompare(t, shifting, []int64{29, 3, 3, 0, 17, 30, 12}, 4)
 		jsonMapScanCompare(t, shifting, 8)
+		jsonRangeCompare(t, shifting, []byte{7, 10, 23}, 4)
 	}
 	unstable := skelFile(3, 40, func(r int, _ *rand.Rand) int { return r * 13 })
 	jsonLateCompare(t, unstable, nil, 16)
 	jsonMapScanCompare(t, unstable, 16)
+	jsonRangeCompare(t, unstable, []byte{1, 20, 39}, 16)
 	for _, row := range jsonLateOdd {
 		for _, at := range []int{0, 1, 9} {
 			data := []byte(stable(9, at, 0) + row + "\n" + stable(5, 6, 0))
 			jsonLateCompare(t, data, nil, 5)
 			jsonMapScanCompare(t, data, 5)
+			jsonRangeCompare(t, data, []byte{byte(at), 3}, 2)
 		}
 		jsonLateCompare(t, []byte(stable(9, 4, 0)+row), nil, 3)
 	}
@@ -502,5 +602,18 @@ func FuzzJSONLateFetch(f *testing.F) {
 		}
 		jsonLateCompare(t, data, rids, int(batch)%16+1)
 		jsonMapScanCompare(t, data, int(batch)%16+1)
+	})
+}
+
+func FuzzJSONRangeRecording(f *testing.F) {
+	f.Add(skelFile(1, 6, func(int, *rand.Rand) int { return 0 }), []byte{3}, uint8(2))
+	f.Add(skelFile(2, 40, func(r int, _ *rand.Rand) int { return r / 9 * 21 }), []byte{1, 17, 9, 30}, uint8(4))
+	f.Add(skelFile(3, 12, func(r int, _ *rand.Rand) int { return r * 13 }), []byte{11, 0, 5, 5}, uint8(0))
+	f.Add([]byte("{\"a\":1,\"b\":2,\"n\":{\"c\":3,\"d\":4}}\n\n{\"b\":2e1,\"a\":1,\"n\":{\"d\":4,\"c\":+3}}\n{\"a\":n}\n"), []byte{1, 2}, uint8(1))
+	for i, row := range jsonLateOdd {
+		f.Add([]byte(string(skelFile(int64(i), 4, func(int, *rand.Rand) int { return i }))+row+"\n"), []byte{uint8(i), 4}, uint8(i))
+	}
+	f.Fuzz(func(t *testing.T, data, cuts []byte, batch uint8) {
+		jsonRangeCompare(t, data, cuts, int(batch)%16+1)
 	})
 }

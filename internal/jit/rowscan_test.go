@@ -118,7 +118,7 @@ func rowScanFormats(t *testing.T) []*rowScanFormat {
 	formats = append(formats, &rowScanFormat{name: "json-tracked", tab: jtab, need: trackedNeed,
 		predCols: [2]int{2, 0}, ref: pick(trackedNeed),
 		build: func(t *testing.T, push Pushdown, emitRID bool) rowScanner {
-			s, rec, err := NewJSONMapScanPush(jdata, jtab, trackedNeed, full, emitRID, bs, push)
+			s, rec, err := NewJSONMapScanPush(jdata, jtab, trackedNeed, full, trackedNeed, emitRID, bs, push)
 			if err != nil || rec != nil {
 				t.Fatalf("tracked paths: recording %v, error %v", rec, err)
 			}
@@ -144,7 +144,7 @@ func rowScanFormats(t *testing.T) []*rowScanFormat {
 		seqReference(t, s1)
 		tracked = idx.TrackedPaths()
 		var s *RowScan
-		if s, rec, err = NewJSONMapScanPush(jdata, jtab, adaptNeed, idx, emitRID, bs, push); err != nil {
+		if s, rec, err = NewJSONMapScanPush(jdata, jtab, adaptNeed, idx, adaptNeed, emitRID, bs, push); err != nil {
 			t.Fatal(err)
 		}
 		return s

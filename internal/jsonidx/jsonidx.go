@@ -5,19 +5,21 @@
 // Where a CSV positional map records byte offsets of every K-th column —
 // columns have fixed ordinal positions, so a nearby anchor is always useful —
 // JSON objects carry their own field names and may order members freely, so
-// the index instead records, per row, the byte offset of each *path a query
-// actually touched* plus the offset of the row itself. Later queries over a
-// tracked path jump straight to its value; queries over an untracked path
-// jump to the row start, walk the object once, and record the new path's
-// offsets as a side effect (adaptive population, the same
-// query-work-becomes-index behaviour positional maps have). Such a recording
-// is a query product: Publish turns it into a new index value, which shares
-// the row starts and every unchanged path with the index it grew from. An
-// installed index is never written again, and the engine's cache budget
-// holds or evicts it whole.
+// the index instead records the offset of each row plus, per row, the byte
+// offset of each path a later raw read will use. A first scan records the
+// paths its caller names (the engine leaves out those it captures as full
+// column shreds, as NoDB's partial maps record only what a later read uses).
+// Later queries over a tracked path jump straight to its value; queries over
+// an untracked path jump to the row start, walk the object once, and record
+// the path's offsets as a side effect (adaptive population), whole-table or
+// a row range per worker. Such a recording is a query product: Publish
+// turns it into a new index value, which shares the row starts and every
+// unchanged path with the index it grew from. An installed index is never
+// written again, and the engine's cache budget holds or evicts it whole.
 package jsonidx
 
 import (
+	"maps"
 	"sort"
 	"sync/atomic"
 
@@ -249,8 +251,8 @@ func (r *Recorder) AppendPathOffset(i int, rowStart, off int64) {
 }
 
 // NRows returns the rows the recording covers in full: its row count once
-// every staged path has an offset for each row, else 0 (a partial recording,
-// such as a row range's, adds nothing).
+// every staged path has an offset for each row, else 0 (a partial recording
+// adds nothing, and a row range's counts no row: Publish links it).
 func (r *Recorder) NRows() int64 {
 	n := r.rows.Len()
 	for _, offs := range r.offs {
@@ -261,17 +263,6 @@ func (r *Recorder) NRows() int64 {
 	return n
 }
 
-// complete yields the staged paths with an offset for each of n rows, their
-// columns sealed (offsets.Column.Clip).
-func (r *Recorder) complete(n int64, yield func(string, *offsets.Column)) {
-	for i, p := range r.paths {
-		if r.offs[i].Len() == n {
-			r.offs[i].Clip()
-			yield(p, r.offs[i])
-		}
-	}
-}
-
 // Commit installs a first scan's recording into the empty index it was taken
 // from, still private to that scan: the row starts and every path recorded
 // for each row. It does nothing for a recording over a populated index, which
@@ -280,40 +271,49 @@ func (r *Recorder) Commit() {
 	if !r.firstScan || r.rows.Len() == 0 {
 		return
 	}
-	x := r.x
 	r.rows.Clip()
-	x.rows = r.rows
-	r.complete(x.rows.Len(), func(p string, offs *offsets.Column) { x.paths[p] = offs })
+	r.x.rows = r.rows
+	for i, p := range r.paths {
+		if offs := r.offs[i]; offs.Len() == r.rows.Len() {
+			offs.Clip()
+			r.x.paths[p] = offs
+		}
+	}
 }
 
-// Publish returns the index to install once the recording's query succeeded:
-// cur, when it still indexes the recorded rows (the index the recording was
-// taken from, or one published from it since), else the recorded-over index,
-// extended by every staged path recorded for each row that it does not track
-// yet. The result is a new value sharing the row starts, the unchanged path
-// columns and the seek counter; with nothing to add it is the base itself.
-// Neither cur nor the recorded-over index is written.
-func (r *Recorder) Publish(cur *Index) *Index {
+// Publish returns the index to install once the recording's query succeeded.
+// r records the table's rows, or the first of consecutive row ranges that
+// rest record the others of, in order, each taken by a scan of the same
+// paths over the same index. The result is cur, when it still indexes the
+// recorded rows (the index the recording was taken from, or one published
+// from it since), else the recorded-over index, extended by every path the
+// ranges together record for each row and it does not track yet: their
+// chunks are linked, not copied, as Merge links fragments. It is a new value
+// sharing the row starts, the unchanged path columns and the seek counter;
+// with nothing to add it is the base itself. Neither cur nor the
+// recorded-over index is written.
+func (r *Recorder) Publish(cur *Index, rest ...*Recorder) *Index {
 	base := r.x
 	if cur != nil && cur.rows == r.rows {
 		base = cur
 	}
-	var x *Index
-	r.complete(base.rows.Len(), func(p string, offs *offsets.Column) {
-		if base.Tracked(p) {
-			return
-		}
-		if x == nil {
-			x = &Index{rows: base.rows, paths: make(map[string]*offsets.Column, len(base.paths)+len(r.paths)),
-				seeks: base.seeks}
-			for q, c := range base.paths {
-				x.paths[q] = c
+	x := base
+	for i, p := range r.paths {
+		offs := r.offs[i]
+		if len(rest) > 0 {
+			offs = offsets.New(base.rows)
+			for _, q := range append([]*Recorder{r}, rest...) {
+				offs.Link(q.offs[i], 0)
 			}
 		}
+		if base.Tracked(p) || offs.Len() != base.rows.Len() {
+			continue
+		}
+		if x == base {
+			x = &Index{rows: base.rows, paths: maps.Clone(base.paths), seeks: base.seeks}
+		}
+		offs.Clip()
 		x.paths[p] = offs
-	})
-	if x == nil {
-		return base
 	}
 	return x
 }

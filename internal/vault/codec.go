@@ -17,7 +17,7 @@ import (
 // Codec of .rawv entries, all little-endian:
 //
 //	magic    "RAWV"
-//	version  uint16
+//	version  uint16  CodecVersion, or a kind's own (Kind.version)
 //	kind     uint8
 //	fp       Size int64 | MTime int64 | Sum uint64 | Schema uint64
 //	payload  kind-specific (below)
@@ -89,6 +89,17 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", uint8(k))
 }
 
+// version is the layout version entries of kind k are written with and must
+// carry: CodecVersion, but for a kind whose own layout changed since, which
+// moves alone so that the other kinds' entries stay valid. Manifests are one
+// ahead: their partitions carry the inode.
+func (k Kind) version() uint16 {
+	if k == KindManifest {
+		return CodecVersion + 1
+	}
+	return CodecVersion
+}
+
 // decode decodes an entry of the given kind, returning the fingerprint it
 // was saved under.
 func decode(kind Kind, b []byte) (Fingerprint, any, error) {
@@ -133,7 +144,7 @@ type TableShred struct {
 
 func appendHeader(b []byte, kind Kind, fp Fingerprint) []byte {
 	b = append(b, codecMagic...)
-	b = binary.LittleEndian.AppendUint16(b, CodecVersion)
+	b = binary.LittleEndian.AppendUint16(b, kind.version())
 	b = append(b, byte(kind))
 	b = binary.LittleEndian.AppendUint64(b, uint64(fp.Size))
 	b = binary.LittleEndian.AppendUint64(b, uint64(fp.MTime))
@@ -372,8 +383,8 @@ func decodeHeader(b []byte, kind Kind) (Fingerprint, *reader, error) {
 	if string(r.take(4)) != codecMagic {
 		return Fingerprint{}, nil, fmt.Errorf("%w: bad magic", ErrCodec)
 	}
-	if v := r.u16(); v != CodecVersion {
-		return Fingerprint{}, nil, fmt.Errorf("%w: version %d, want %d", ErrCodec, v, CodecVersion)
+	if v := r.u16(); v != kind.version() {
+		return Fingerprint{}, nil, fmt.Errorf("%w: version %d, want %d", ErrCodec, v, kind.version())
 	}
 	if k := Kind(r.u8()); k != kind {
 		return Fingerprint{}, nil, fmt.Errorf("%w: kind %d, want %d", ErrCodec, k, kind)

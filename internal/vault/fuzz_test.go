@@ -17,11 +17,15 @@ import (
 func FuzzManifestDecode(f *testing.F) {
 	fp := Fingerprint{Sum: 42, Schema: 9}
 	m := &dataset.Manifest{Pattern: "logs/*.csv", Parts: []dataset.Partition{
-		{Path: "logs/a.csv", ID: "a.csv", Format: catalog.CSV, Size: 100, MTime: 1111, Rows: 10},
-		{Path: "logs/b.jsonl", ID: "b.jsonl", Format: catalog.JSON, Size: 2000, MTime: 2222, Rows: -1},
+		{Path: "logs/a.csv", ID: "a.csv", Format: catalog.CSV, Size: 100, MTime: 1111, Inode: 0, Rows: 10},
+		{Path: "logs/b.jsonl", ID: "b.jsonl", Format: catalog.JSON, Size: 2000, MTime: 2222, Inode: 31337, Rows: -1},
 	}}
 	enc := EncodeManifest(fp, m)
 	f.Add(enc)
+	f.Add(encodeManifestV1(fp, m))                 // the layout before inodes: rejected
+	f.Add(EncodeManifest(fp, sampleManifest()))    // inodes up to the top bit
+	f.Add(EncodeManifest(fp, &dataset.Manifest{})) // no pattern, no parts
+	f.Add(enc[:len(enc)-20])                       // cut inside the last inode
 	f.Add(enc[:len(enc)/2])
 	flipped := append([]byte{}, enc...)
 	flipped[11] ^= 0x40

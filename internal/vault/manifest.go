@@ -9,7 +9,8 @@ import (
 )
 
 // Manifest entries are the fifth vault record type: the partition list of a
-// dataset table (path, ID, format, stat identity, row count per partition),
+// dataset table (path, ID, format, stat identity with the inode, row count
+// per partition),
 // saved under the dataset's own name while every partition's adaptive
 // structures live in per-partition namespaces ("<table>#<partID>"). Its
 // restart value is the per-partition row counts — everything else is
@@ -20,7 +21,12 @@ import (
 //
 //	manifest pattern len uint32 + bytes, nparts uint32, then per part:
 //	         path len uint32 + bytes, id len uint32 + bytes,
-//	         format uint8, size int64, mtime int64, rows int64
+//	         format uint8, size int64, mtime int64, inode uint64, rows int64
+//
+// The inode lets the first refresh after a restart tell a file renamed over
+// a partition at the same size within one mtime tick. Entries written before
+// it was stored carry the previous layout version and are rebuilt, not
+// migrated.
 //
 // Like every other kind, decoding is defensive: every length is bounds-
 // checked before allocation and any violation returns ErrCodec (cold
@@ -44,6 +50,7 @@ func EncodeManifest(fp Fingerprint, m *dataset.Manifest) []byte {
 		b = append(b, byte(p.Format))
 		b = binary.LittleEndian.AppendUint64(b, uint64(p.Size))
 		b = binary.LittleEndian.AppendUint64(b, uint64(p.MTime))
+		b = binary.LittleEndian.AppendUint64(b, p.Inode)
 		b = binary.LittleEndian.AppendUint64(b, uint64(p.Rows))
 	}
 	return appendCheck(b)
@@ -68,8 +75,8 @@ func DecodeManifest(b []byte) (Fingerprint, *dataset.Manifest, error) {
 	}
 	m := &dataset.Manifest{Pattern: r.manifestStr("pattern")}
 	np := int(r.u32())
-	// Each partition needs at least 4+4+1+24 bytes; cap the count prefix.
-	if r.err == nil && (np < 0 || np > r.remaining()/33) {
+	// Each partition needs at least 4+4+1+32 bytes; cap the count prefix.
+	if r.err == nil && (np < 0 || np > r.remaining()/41) {
 		return fp, nil, fmt.Errorf("%w: implausible partition count %d", ErrCodec, np)
 	}
 	seenID := make(map[string]bool, np)
@@ -81,6 +88,7 @@ func DecodeManifest(b []byte) (Fingerprint, *dataset.Manifest, error) {
 		p.Format = catalog.Format(r.u8())
 		p.Size = r.i64()
 		p.MTime = r.i64()
+		p.Inode = r.u64()
 		p.Rows = r.i64()
 		if r.err != nil {
 			break

@@ -1,6 +1,8 @@
 package vault
 
 import (
+	"encoding/binary"
+	"errors"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -12,9 +14,9 @@ import (
 func sampleManifest() *dataset.Manifest {
 	return &dataset.Manifest{Pattern: "logs/*", Parts: []dataset.Partition{
 		{Path: "logs/2026-07-24.csv", ID: "2026-07-24.csv", Format: catalog.CSV,
-			Size: 4096, MTime: 1000, Rows: 120},
+			Size: 4096, MTime: 1000, Inode: 7340033, Rows: 120},
 		{Path: "logs/2026-07-25.jsonl", ID: "2026-07-25.jsonl", Format: catalog.JSON,
-			Size: 9000, MTime: 2000, Rows: -1},
+			Size: 9000, MTime: 2000, Inode: 1<<63 | 5, Rows: -1},
 		{Path: "logs/2026-07-26.bin", ID: "2026-07-26.bin", Format: catalog.Binary,
 			Size: 50, MTime: 3000, Rows: 0},
 	}}
@@ -66,6 +68,40 @@ func TestManifestCodecCorruption(t *testing.T) {
 	}
 	if _, _, err := DecodeManifest(EncodePosMap(testFP(), samplePosMap(t))); err == nil {
 		t.Fatal("posmap entry decoded as manifest")
+	}
+}
+
+// encodeManifestV1 encodes m in the layout manifests had before they stored
+// the inode: version CodecVersion, no inode field.
+func encodeManifestV1(fp Fingerprint, m *dataset.Manifest) []byte {
+	b := appendHeader(nil, KindManifest, fp)
+	binary.LittleEndian.PutUint16(b[len(codecMagic):], CodecVersion)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(m.Pattern)))
+	b = append(b, m.Pattern...)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(m.Parts)))
+	for _, p := range m.Parts {
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(p.Path)))
+		b = append(b, p.Path...)
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(p.ID)))
+		b = append(b, p.ID...)
+		b = append(b, byte(p.Format))
+		b = binary.LittleEndian.AppendUint64(b, uint64(p.Size))
+		b = binary.LittleEndian.AppendUint64(b, uint64(p.MTime))
+		b = binary.LittleEndian.AppendUint64(b, uint64(p.Rows))
+	}
+	return appendCheck(b)
+}
+
+// TestManifestWithoutInodeRejected: a manifest saved before the inode was
+// stored is invalid (the dataset re-discovers its partitions cold), not
+// read with every inode unknown; entries of the other kinds keep their
+// version.
+func TestManifestWithoutInodeRejected(t *testing.T) {
+	if _, _, err := DecodeManifest(encodeManifestV1(testFP(), sampleManifest())); !errors.Is(err, ErrCodec) {
+		t.Fatalf("a manifest without inodes decoded: %v", err)
+	}
+	if v := binary.LittleEndian.Uint16(EncodePosMap(testFP(), samplePosMap(t))[len(codecMagic):]); v != CodecVersion {
+		t.Fatalf("posmap entries are written at version %d, want %d", v, CodecVersion)
 	}
 }
 
