@@ -120,31 +120,20 @@ func TestConcurrentQueries(t *testing.T) {
 			auditBudget(t, "after the storm", eng)
 
 			// Cache-coherence invariants after the storm, as the pool's own
-			// contract states them. A key may keep several partial shreds
-			// (serial late scans capture the rows their filters let through,
-			// and Put only drops what a new shred subsumes), but none may
-			// subsume another (a redundant capture), at most one may be full,
-			// and a full one spans exactly the table's rows (a short one would
-			// mean a lost morsel).
-			subsumes := func(a, b *shred.Shred) bool {
-				if b.Full() {
-					return a.Full() && b.Len() <= a.Len()
-				}
-				return a.Subsumes(b.RowIDs())
-			}
+			// contract states them: exactly one shred per column key, and a
+			// full one spans exactly the table's rows (a short one would mean
+			// a lost morsel).
 			pool := eng.Internal().ShredPool()
 			for _, tab := range tables {
-				shs := pool.ShredsOf(tab)
-				for i, s := range shs {
+				seen := make(map[shred.Key]bool)
+				for _, s := range pool.ShredsOf(tab) {
+					if seen[s.Key()] {
+						t.Fatalf("pool holds a second shred of %v (%d rows, full=%v)", s.Key(), s.Len(), s.Full())
+					}
+					seen[s.Key()] = true
 					if s.Full() && s.Len() != ds.Rows {
 						t.Fatalf("full shred %v has %d rows, table has %d (lost morsel output)",
 							s.Key(), s.Len(), ds.Rows)
-					}
-					for j, o := range shs {
-						if i != j && s.Key() == o.Key() && subsumes(s, o) {
-							t.Fatalf("pool holds a shred of %v (%d rows, full=%v) beside one that subsumes it (%d rows, full=%v)",
-								o.Key(), o.Len(), o.Full(), s.Len(), s.Full())
-						}
 					}
 				}
 			}

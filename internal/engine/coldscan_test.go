@@ -287,7 +287,7 @@ func TestColdScanStructuresAllocatedOnce(t *testing.T) {
 					if _, err := e.Query("SELECT MAX(col3) FROM t WHERE col1 < 5000"); err != nil {
 						t.Fatal(err)
 					}
-					s := e.shreds.LookupAny(shred.Key{Table: "t", Col: 2})
+					s := e.shreds.Lookup(shred.Key{Table: "t", Col: 2})
 					if s == nil || s.Full() {
 						t.Fatalf("late capture of col3: %v", s)
 					}
@@ -469,7 +469,7 @@ func TestCancelledParallelColdJSONPublishesNothing(t *testing.T) {
 	}
 }
 
-// TestMorselCaptureReserve checks the capture tee rawScans uses for full
+// TestMorselCaptureReserve checks the capture tee captureCols uses for full
 // columns, in isolation: an exact reservation is the very buffer that gets
 // published, an overshoot is clipped to within 5 % of the length, several
 // captures concatenate in span order, and a capture the plan did not drain
@@ -488,13 +488,13 @@ func TestMorselCaptureReserve(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return newMorselCapture(child, tab, []int{0}, reserve)
+		return &morselCapture{child: child, pos: []int{0}, rid: -1, reserve: reserve}
 	}
 	publish := func(caps ...*morselCapture) *shred.Shred {
 		t.Helper()
 		e := newTestEngine(t, Config{Parallelism: 1})
-		e.newRecord(Options{}).newPlanCtx(context.Background()).publishCaptures(tab, []int{0}, caps)
-		return e.shreds.LookupAny(shred.Key{Table: "t", Col: 0})
+		e.newRecord(Options{}).newPlanCtx(context.Background()).putTee(tee{tab, []int{0}, caps})
+		return e.shreds.Lookup(shred.Key{Table: "t", Col: 0})
 	}
 	check := func(what string, s *shred.Shred) []int64 {
 		t.Helper()

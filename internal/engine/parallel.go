@@ -112,57 +112,95 @@ func residentScans(tab *catalog.Table, cols []int, vecs []*vector.Vector, spans 
 	return parts, nil
 }
 
-// morselCapture tees every batch of one raw-file scan into private per-column
-// vectors (copies — batches are reused by the scans beneath); rawScans'
-// completion hook publishes them as full columns to the shred pool — merge on
-// completion, so workers never write shared cache state.
+// morselCapture tees the columns of one scan part at pos — the rows each
+// batch's selection keeps — into private vectors (copies: batches are reused
+// by the scans beneath), with their row ids from column rid (-1: none, the
+// part is a span of whole rows in table order). publishTees puts them into
+// the shred pool when the query succeeded — merge on completion, so workers
+// never write shared cache state and a failed query installs nothing.
 type morselCapture struct {
 	child   exec.Operator
-	types   []vector.Type
+	pos     []int
+	rid     int
 	reserve int // rows to allocate for at Open (the span's row hint)
 	vecs    []*vector.Vector
-	// eof says the child was drained: only then are vecs full columns.
+	rids    []int64
+	// eof says the child was drained: only then are vecs complete.
 	eof bool
 }
 
-func newMorselCapture(child exec.Operator, tab *catalog.Table, cols []int, reserve int) *morselCapture {
-	c := &morselCapture{child: child, types: make([]vector.Type, len(cols)), reserve: reserve}
-	for i, col := range cols {
-		c.types[i] = tab.Schema[col].Type
-	}
-	return c
+// tee is one scan's capture of cols of tab into the shred pool: one
+// morselCapture per part, in part order.
+type tee struct {
+	tab  *catalog.Table
+	cols []int
+	caps []*morselCapture
 }
 
-// publishCaptures puts the columns the captures teed — one capture per span,
-// in span order — into the shred pool as full columns. One capture is adopted
-// as it filled, clipped; several concatenate into a column allocated at its
-// final size. A capture the plan did not drain holds no full column: nothing
-// is put.
-func (pc *planCtx) publishCaptures(tab *catalog.Table, cols []int, caps []*morselCapture) {
-	if len(caps) == 0 {
-		return
-	}
-	for _, mc := range caps {
-		if !mc.eof {
-			return
+// publishTees puts what the query's tees captured into the shred pool, then
+// reports each shred the pool installed as captured, in build order. The
+// row-keyed tees are put first: a query's partial shreds are then less
+// recently used than its full columns, and the budget evicts them first.
+func (pc *planCtx) publishTees() {
+	got := make([][]*shred.Shred, len(pc.tees))
+	for pass := 0; pass < 2; pass++ {
+		for i, t := range pc.tees {
+			if rowKeyed := t.caps[0].rid >= 0; rowKeyed == (pass == 0) {
+				got[i] = pc.putTee(t)
+			}
 		}
 	}
-	for ci, c := range cols {
-		full := caps[0].vecs[ci]
-		if len(caps) > 1 {
+	for i, t := range pc.tees {
+		for _, s := range got[i] {
+			pc.captured("shred", t.tab, s.SizeBytes())
+		}
+	}
+}
+
+// putTee puts the columns t teed into the shred pool, as full columns or
+// keyed by the row ids it teed, reports each shred they replace as evicted,
+// and returns the ones the pool installed. One capture is adopted as it
+// filled, clipped; several concatenate into a column allocated at its final
+// size. A capture the plan did not drain holds no complete column: nothing
+// is put.
+func (pc *planCtx) putTee(t tee) (installed []*shred.Shred) {
+	for _, mc := range t.caps {
+		if !mc.eof {
+			return nil
+		}
+	}
+	var rids []int64
+	if t.caps[0].rid >= 0 {
+		// Never nil: nil row ids mean the full column, and zero rows cached
+		// as the full column would erase it for every later query.
+		rids = []int64{}
+		for _, mc := range t.caps {
+			rids = append(rids, mc.rids...)
+		}
+	}
+	for ci, c := range t.cols {
+		vec := t.caps[0].vecs[ci]
+		if len(t.caps) > 1 {
 			total := 0
-			for _, mc := range caps {
+			for _, mc := range t.caps {
 				total += mc.vecs[ci].Len()
 			}
-			full = vector.New(tab.Schema[c].Type, total)
-			for _, mc := range caps {
-				full.AppendVector(mc.vecs[ci])
+			vec = vector.New(vec.Type, total)
+			for _, mc := range t.caps {
+				vec.AppendVector(mc.vecs[ci])
 			}
 		} else {
-			full.Clip()
+			vec.Clip()
 		}
-		pc.e.shreds.Put(shred.Key{Table: tab.Name, Col: c}, nil, full)
+		s, replaced := pc.e.shreds.Put(shred.Key{Table: t.tab.Name, Col: c}, rids, vec)
+		if replaced != nil {
+			pc.event(obs.EventEvicted, "shred", t.tab.Name, replaced.SizeBytes(), "replaced")
+		}
+		if s != nil {
+			installed = append(installed, s)
+		}
 	}
+	return installed
 }
 
 // Schema implements exec.Operator.
@@ -176,14 +214,15 @@ func (c *morselCapture) Open() error {
 		if c.reserve > n {
 			n = c.reserve
 		}
-		c.vecs = make([]*vector.Vector, len(c.types))
-		for i, t := range c.types {
-			c.vecs[i] = vector.New(t, n)
+		c.vecs = make([]*vector.Vector, len(c.pos))
+		for i, at := range c.pos {
+			c.vecs[i] = vector.New(c.child.Schema()[at].Type, n)
 		}
 	}
 	for _, v := range c.vecs {
 		v.Reset()
 	}
+	c.rids = c.rids[:0]
 	return c.child.Open()
 }
 
@@ -195,7 +234,20 @@ func (c *morselCapture) Next() (*vector.Batch, error) {
 		return b, err
 	}
 	for i, v := range c.vecs {
-		v.AppendVector(b.Cols[i])
+		if b.Sel != nil {
+			v.Gather(b.Cols[c.pos[i]], b.Sel)
+		} else {
+			v.AppendVector(b.Cols[c.pos[i]])
+		}
+	}
+	if c.rid >= 0 {
+		ids := b.Cols[c.rid].Int64s
+		if b.Sel == nil {
+			c.rids = append(c.rids, ids...)
+		}
+		for _, i := range b.Sel {
+			c.rids = append(c.rids, ids[i])
+		}
 	}
 	return b, nil
 }

@@ -568,9 +568,9 @@ func TestCutDecides(t *testing.T) {
 			if !reflect.DeepEqual(rec.stats, Stats{}) {
 				t.Fatalf("stats touched: %+v", rec.stats)
 			}
-			if len(pc.onMerge)+len(pc.onComplete)+len(rec.probes)+len(rec.scans) != 0 || rec.heat != nil {
-				t.Fatalf("hooks registered: merge %d complete %d probes %d scans %d heat %v",
-					len(pc.onMerge), len(pc.onComplete), len(rec.probes), len(rec.scans), rec.heat)
+			if len(pc.onMerge)+len(pc.tees)+len(rec.probes)+len(rec.scans) != 0 || rec.heat != nil {
+				t.Fatalf("hooks registered: merge %d tees %d probes %d scans %d heat %v",
+					len(pc.onMerge), len(pc.tees), len(rec.probes), len(rec.scans), rec.heat)
 			}
 			if spans := rec.trace.Spans(); len(spans) != 0 {
 				t.Fatalf("trace holds %d spans", len(spans))

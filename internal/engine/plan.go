@@ -33,11 +33,11 @@ type planCtx struct {
 	// Publication hooks. Execution runs without the table locks, so every
 	// mutation of shared per-table state a query performs is deferred to
 	// these, which run under the re-acquired locks and on success only: first
-	// onMerge — raw-file scans' merges of positional structure, zone-map and
-	// captured-shred fragments, which can fail — then onComplete, the
-	// "captured" events that observe the merged state.
-	onMerge    []func() error
-	onComplete []func()
+	// onMerge — raw-file scans' merges of positional structure and zone-map
+	// fragments, which can fail — then publishTees, which puts the columns
+	// the tees captured into the shred pool and reports what it installed.
+	onMerge []func() error
+	tees    []tee
 
 	// images are the mapped files the plan reads, held until it is done.
 	images rawfile.Held
@@ -425,14 +425,14 @@ func (pc *planCtx) addressable(bt *boundTable) bool {
 	return err == nil && a.mode != jit.Sequential
 }
 
-// lookup asks the pool for a full shred of column col, or for the best shred
-// there is (a partial one is completed from the raw file at runtime). A plan
+// lookup asks the pool for a full shred of column col, or for the one shred
+// it holds (a partial one is completed from the raw file at runtime). A plan
 // asks about each column once: the answers are part of it.
 func (pc *planCtx) lookup(table string, col int, full bool) *shred.Shred {
 	if full {
 		return pc.e.shreds.LookupFull(shred.Key{Table: table, Col: col})
 	}
-	return pc.e.shreds.LookupAny(shred.Key{Table: table, Col: col})
+	return pc.e.shreds.Lookup(shred.Key{Table: table, Col: col})
 }
 
 // cascade decides the scans of unit u reading filter columns fc and output
@@ -643,7 +643,7 @@ func (pc *planCtx) baseStep(u *unitPlan, cols []int, needRID bool, cands []bound
 	return s, nil
 }
 
-// lateStep decides a late scan appending cols of bt by row id: from the best
+// lateStep decides a late scan appending cols of bt by row id: from the
 // shred the pool holds (found, if the cascade asked), a partial one completed
 // from the raw file, else read from the file and captured keyed by row id.
 func (pc *planCtx) lateStep(bt *boundTable, cols []int, found []*shred.Shred, filter []boundPred) scanStep {
@@ -1040,9 +1040,9 @@ func (pc *planCtx) buildStep(p *pipe, t int, bt *boundTable, s *scanStep) error 
 	return pc.applyFilter(p, t, s.filter)
 }
 
-// buildBase builds a base scan: one resident or raw-file scan per span, the
-// capture keyed by the row ids it emits, and the cached columns appended by
-// them.
+// buildBase builds a base scan: one resident or raw-file scan per span, its
+// capture — whole columns, or keyed by the row ids it emits — and the cached
+// columns appended by them.
 func (pc *planCtx) buildBase(p *pipe, t int, bt *boundTable, s *scanStep) error {
 	if s.err != nil {
 		return s.err
@@ -1069,10 +1069,10 @@ func (pc *planCtx) buildBase(p *pipe, t int, bt *boundTable, s *scanStep) error 
 		ridIdx = len(s.cols)
 	}
 	p.layout(t, s.cols, ridIdx)
-	if s.capture {
-		if err := pc.captureRIDs(p, t, tab, s.cols, ridIdx); err != nil {
-			return err
-		}
+	if s.tee {
+		pc.captureCols(p, t, bt, s, -1)
+	} else if s.capture {
+		pc.captureCols(p, t, bt, s, ridIdx)
 	}
 	if len(s.cached) > 0 {
 		return appendLate(p, t, tab, ridIdx, s.cached, shred.NewLateFill(s.shreds, nil).Fetch)
@@ -1082,13 +1082,12 @@ func (pc *planCtx) buildBase(p *pipe, t int, bt *boundTable, s *scanStep) error 
 
 // rawScans builds one scan per span over a table's raw file through the
 // step's access path, for every format and either plan shape: synopsis
-// builders, template charge, full-column tees, and the completion hook that
-// publishes what the scans built on the side.
+// builders, template charge, and the merge hook that publishes the
+// structures the scans built on the side.
 func (pc *planCtx) rawScans(p *pipe, bt *boundTable, s *scanStep) error {
 	st, tab := bt.st, bt.st.tab
 	var frags []fragment
 	var synFrags []*synopsis.Builder
-	var caps []*morselCapture
 	p.ops = make([]exec.Operator, 0, len(s.spans))
 	base := scanReq{kind: s.kind, mode: s.a.mode, cols: s.cols, emitRID: s.emitRID, batch: pc.e.cfg.BatchSize,
 		track: true, tee: s.tee, pooled: s.pooled}
@@ -1110,11 +1109,6 @@ func (pc *planCtx) rawScans(p *pipe, bt *boundTable, s *scanStep) error {
 		if ps, ok := op.(pushStats); ok {
 			pc.probes = append(pc.probes, pruneProbe{scan: ps})
 		}
-		if s.tee {
-			mc := newMorselCapture(op, tab, s.cols, hint)
-			caps = append(caps, mc)
-			op = mc
-		}
 		p.ops = append(p.ops, op)
 	}
 	if s.a.mode == jit.ViaMap {
@@ -1128,10 +1122,7 @@ func (pc *planCtx) rawScans(p *pipe, bt *boundTable, s *scanStep) error {
 		}
 		pc.ensureTemplate(spec)
 	}
-	if len(caps) > 0 {
-		pc.shredsCaptured(tab, s.cols)
-	}
-	if len(frags) == 0 && len(synFrags) == 0 && len(caps) == 0 {
+	if len(frags) == 0 && len(synFrags) == 0 {
 		return nil
 	}
 	pc.onMerge = append(pc.onMerge, func() error {
@@ -1168,7 +1159,6 @@ func (pc *planCtx) rawScans(p *pipe, bt *boundTable, s *scanStep) error {
 				pc.captured("synopsis", tab, syn.MemoryFootprint())
 			}
 		}
-		pc.publishCaptures(tab, s.cols, caps)
 		return nil
 	})
 	return nil
@@ -1218,27 +1208,33 @@ func (pc *planCtx) buildLate(p *pipe, t int, bt *boundTable, s *scanStep) error 
 			}
 		}
 	}
-	if err := appendLate(p, t, tab, ridIdx, slices.Concat(s.cached, s.cols), fetch); err != nil || !s.capture {
+	if err := appendLate(p, t, tab, ridIdx, slices.Concat(s.cached, s.cols), fetch); err != nil {
 		return err
 	}
-	return pc.captureRIDs(p, t, tab, s.cols, ridIdx)
+	if s.capture {
+		pc.captureCols(p, t, bt, s, ridIdx)
+	}
+	return nil
 }
 
-// captureRIDs captures cols of table t, as p carries them, into the shred pool
-// keyed by the row ids at ridIdx: partial columns, the rows a pruned or late
-// scan read.
-func (pc *planCtx) captureRIDs(p *pipe, t int, tab *catalog.Table, cols []int, ridIdx int) error {
-	specs := make([]shred.CaptureSpec, len(cols))
-	for i, c := range cols {
-		specs[i] = shred.CaptureSpec{Key: shred.Key{Table: tab.Name, Col: c}, ColIdx: p.pos[boundRef{t, c}], RIDIdx: ridIdx}
+// captureCols tees the step's columns of table t, as p carries them, into the
+// shred pool when the query succeeds: whole columns, each part allocating for
+// its span's row hint, or (rid >= 0) keyed by the row ids at rid, the rows a
+// pruned or late scan read.
+func (pc *planCtx) captureCols(p *pipe, t int, bt *boundTable, s *scanStep, rid int) {
+	pos := make([]int, len(s.cols))
+	for i, c := range s.cols {
+		pos[i] = p.pos[boundRef{t, c}]
 	}
-	cap, err := shred.NewCapture(p.ops[0], pc.e.shreds, specs)
-	if err != nil {
-		return err
+	caps := make([]*morselCapture, len(p.ops))
+	for i, op := range p.ops {
+		caps[i] = &morselCapture{child: op, pos: pos, rid: rid}
+		if rid < 0 {
+			caps[i].reserve = rowHint(bt.st, s.a, s.spans[i])
+		}
+		p.ops[i] = caps[i]
 	}
-	p.ops[0] = cap
-	pc.shredsCaptured(tab, cols)
-	return nil
+	pc.tees = append(pc.tees, tee{bt.st.tab, s.cols, caps})
 }
 
 // appendLate stacks on p the late scan appending cols of table t, fetched by
@@ -1515,24 +1511,6 @@ func rowHint(st *tableState, a access, sp span) int {
 		return 0
 	}
 	return int(n)
-}
-
-// shredsCaptured records the columns a scan published into the shred pool as
-// captured, once the query completed; ShredsOf leaves the pool's statistics
-// and LRU order alone.
-func (pc *planCtx) shredsCaptured(tab *catalog.Table, cols []int) {
-	want := append([]int(nil), cols...)
-	pc.onComplete = append(pc.onComplete, func() {
-		shs := pc.e.shreds.ShredsOf(tab.Name)
-		for _, c := range want {
-			for _, s := range shs {
-				if s.Key().Col == c {
-					pc.captured("shred", tab, s.SizeBytes())
-					break
-				}
-			}
-		}
-	})
 }
 
 // splitPreds partitions predicates into those whose column is in cols and

@@ -139,8 +139,9 @@ func (e *Engine) QueryOptCtx(ctx context.Context, src string, opts Options) (*Re
 //  2. execute (locks released): operators touch only state that is immutable
 //     after planning or internally locked, so read-only queries over the same
 //     table overlap.
-//  3. publish (locks re-acquired): on success the onMerge, then onComplete
-//     hooks install what the query built and vault write-backs are scheduled;
+//  3. publish (locks re-acquired): on success the onMerge hooks, then the
+//     tees' shred publication install what the query built and vault
+//     write-backs are scheduled;
 //     on failure, a mapped file changed under the query included, nothing is
 //     installed. The record folds the attempt either way.
 //
@@ -215,9 +216,7 @@ func (e *Engine) run(ctx context.Context, rec *queryRecord, r *resolvedQuery) (r
 		rec.fold(r, err)
 		return nil, err
 	}
-	for _, f := range pc.onComplete {
-		f()
-	}
+	pc.publishTees()
 	res = &Result{cols: cols}
 	for _, c := range op.Schema() {
 		res.Columns = append(res.Columns, c.Name)

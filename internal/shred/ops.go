@@ -143,9 +143,11 @@ type CaptureSpec struct {
 }
 
 // Capture tees selected columns of the stream into the shred pool as a side
-// effect, publishing them when the stream ends cleanly. This is how "RAW
+// effect, offering them to the pool when the stream ends cleanly — "RAW
 // preserves a pool of column shreds populated as a side-effect of previous
-// queries".
+// queries". It publishes during execution, so the engine does not use it: a
+// query's captures reach the pool only once the query succeeded. It serves
+// operator pipelines of its own, such as the benchmark's layer timings.
 type Capture struct {
 	child exec.Operator
 	pool  *Pool

@@ -3,13 +3,14 @@
 // later ones.
 //
 // A shred stores the values of one table column for a sorted set of row ids
-// (nil row ids meaning the full column). An incoming query is served from a
-// shred for the rows the shred holds — wholly when they subsume the rows the
-// query needs, the paper's reuse rule; a partial shred is completed from the
-// raw file, never replanned — and the pool's cache budget evicts
-// least-recently-used shreds. This is RAW's answer to "at some moment data must adapt to
-// the query engine": only data that actually flowed through a query gets
-// cached, and only that cache is ever consulted.
+// (nil row ids meaning the full column). The pool keeps at most one shred per
+// column, the one that outranks every other capture of it: a full column
+// beats a partial one, then more rows beat fewer. An incoming query is served
+// from that shred, the paper's reuse rule — the rows a partial one lacks are
+// completed from the raw file, never replanned — and the pool's cache budget
+// evicts least-recently-used shreds. This is RAW's answer to "at some moment
+// data must adapt to the query engine": only data that actually flowed
+// through a query gets cached, and only that cache is ever consulted.
 package shred
 
 import (
@@ -37,6 +38,7 @@ type Shred struct {
 	// (rows 0..vec.Len()-1).
 	rowIDs []int64
 	vec    *vector.Vector
+	ak     string // the budget key while pooled
 }
 
 // Key returns the shred's column identity.
@@ -55,11 +57,9 @@ func (s *Shred) Vector() *vector.Vector { return s.vec }
 // RowIDs returns the sorted row ids, or nil for a full column.
 func (s *Shred) RowIDs() []int64 { return s.rowIDs }
 
-// SizeBytes returns the shred's accounted memory footprint.
-func (s *Shred) SizeBytes() int64 { return s.bytes() }
-
-// bytes estimates memory footprint for the pool budget.
-func (s *Shred) bytes() int64 {
+// SizeBytes estimates the shred's memory footprint, the bytes it charges the
+// pool's budget.
+func (s *Shred) SizeBytes() int64 {
 	var b int64
 	switch s.vec.Type {
 	case vector.Int64, vector.Float64:
@@ -72,27 +72,6 @@ func (s *Shred) bytes() int64 {
 		}
 	}
 	return b + int64(len(s.rowIDs))*8
-}
-
-// Subsumes reports whether every id in rids (sorted ascending) is present in
-// the shred.
-func (s *Shred) Subsumes(rids []int64) bool {
-	if s.rowIDs == nil {
-		n := int64(s.vec.Len())
-		return len(rids) == 0 || (rids[0] >= 0 && rids[len(rids)-1] < n)
-	}
-	have := s.rowIDs
-	j := 0
-	for _, r := range rids {
-		for j < len(have) && have[j] < r {
-			j++
-		}
-		if j >= len(have) || have[j] != r {
-			return false
-		}
-		j++
-	}
-	return true
 }
 
 // appendAt appends src's value i to dst.
@@ -123,16 +102,24 @@ func setAt(dst *vector.Vector, i int, src *vector.Vector, j int) {
 	}
 }
 
-// Pool is a concurrency-safe cache of shreds. Every shred is an entry of a
-// cache budget, which decides evictions least-recently-used and calls the
-// pool back to drop the victim.
+// outranks reports whether s would replace o as its column's pooled shred:
+// a full column beats a partial one, then more rows beat fewer.
+func (s *Shred) outranks(o *Shred) bool {
+	if s.Full() != o.Full() {
+		return s.Full()
+	}
+	return s.Len() > o.Len()
+}
+
+// Pool is a concurrency-safe cache of shreds, one per column. Every shred is
+// an entry of a cache budget, which decides evictions least-recently-used and
+// calls the pool back to drop the victim.
 type Pool struct {
 	mu     sync.Mutex
 	budget *budget.Budget
 	size   int64
-	byKey  map[Key][]*Shred
-	keyOf  map[*Shred]string // budget key per pooled shred
-	tver   map[string]int64  // per-table mutation version
+	byKey  map[Key]*Shred
+	tver   map[string]int64 // per-table mutation version
 	seq    int64
 
 	hits, misses int64
@@ -144,8 +131,7 @@ type Pool struct {
 func NewPool(capacityBytes int64) *Pool {
 	return &Pool{
 		budget: budget.New(capacityBytes),
-		byKey:  make(map[Key][]*Shred),
-		keyOf:  make(map[*Shred]string),
+		byKey:  make(map[Key]*Shred),
 		tver:   make(map[string]int64),
 	}
 }
@@ -153,150 +139,77 @@ func NewPool(capacityBytes int64) *Pool {
 // Budget returns the cache budget the pool's shreds are charged to.
 func (p *Pool) Budget() *budget.Budget { return p.budget }
 
-// Put inserts a shred for key. rowIDs must be sorted ascending and aligned
-// with vec (nil for a full column). The pool takes ownership of both slices.
-func (p *Pool) Put(key Key, rowIDs []int64, vec *vector.Vector) *Shred {
+// Put offers a shred for key. rowIDs must be sorted ascending and aligned
+// with vec (nil for a full column); the pool takes ownership of both slices.
+// The shred is installed (and returned) if it outranks the pooled one, which
+// it then replaces (and returns); otherwise the pooled one is kept, and
+// touched, and Put returns nil, nil.
+func (p *Pool) Put(key Key, rowIDs []int64, vec *vector.Vector) (installed, replaced *Shred) {
 	s := &Shred{key: key, rowIDs: rowIDs, vec: vec}
 	p.mu.Lock()
-	// Drop cached shreds this one makes redundant (it subsumes them), and
-	// refuse the insert if an existing shred already subsumes it.
-	for _, old := range p.byKey[key] {
-		if old.subsumesShred(s) {
-			p.budget.Touch(p.keyOf[old])
-			p.mu.Unlock()
-			return old
-		}
+	old := p.byKey[key]
+	if old != nil && !s.outranks(old) {
+		p.budget.Touch(old.ak)
+		p.mu.Unlock()
+		return nil, nil
 	}
-	kept := p.byKey[key][:0]
-	for _, old := range p.byKey[key] {
-		if s.subsumesShred(old) {
-			p.forget(old)
-		} else {
-			kept = append(kept, old)
-		}
+	if old != nil {
+		p.remove(old)
 	}
-	p.byKey[key] = append(kept, s)
 	p.seq++
-	ak := fmt.Sprintf("shred:%s#%d", key, p.seq)
-	p.keyOf[s] = ak
+	s.ak = fmt.Sprintf("shred:%s#%d", key, p.seq)
+	p.byKey[key] = s
 	p.tver[key.Table]++
-	bytes := s.bytes()
+	bytes := s.SizeBytes()
 	p.size += bytes
 	p.mu.Unlock()
-	// Set may evict, and an eviction callback takes mu. A Put or DropTable
-	// that removed s meanwhile found no entry to remove: forget it here.
-	p.budget.Set(ak, bytes, func() { p.dropEvicted(s) })
+	// Set may evict, and an eviction callback takes mu. A Put, DropTable or
+	// Reset that removed s meanwhile found no entry to remove: remove it here.
+	p.budget.Set(s.ak, bytes, func() { p.drop(s) })
 	p.mu.Lock()
-	if _, ok := p.keyOf[s]; !ok {
-		p.budget.Remove(ak)
+	if p.byKey[key] != s {
+		p.budget.Remove(s.ak)
 	}
 	p.mu.Unlock()
-	return s
+	return s, old
 }
 
-// dropEvicted removes a shred the budget evicted (idempotent: the shred may
-// already be gone if a subsuming Put raced the eviction).
-func (p *Pool) dropEvicted(s *Shred) {
+// drop removes a shred the budget evicted, unless it is no longer pooled.
+func (p *Pool) drop(s *Shred) {
 	p.mu.Lock()
-	if _, ok := p.keyOf[s]; ok {
+	if p.byKey[s.key] == s {
 		p.remove(s)
 	}
 	p.mu.Unlock()
 }
 
-// subsumesShred reports whether s covers every row of o.
-func (s *Shred) subsumesShred(o *Shred) bool {
-	if s.rowIDs == nil {
-		n := int64(s.vec.Len())
-		if o.rowIDs == nil {
-			return o.vec.Len() <= s.vec.Len()
-		}
-		return len(o.rowIDs) == 0 || (o.rowIDs[0] >= 0 && o.rowIDs[len(o.rowIDs)-1] < n)
-	}
-	if o.rowIDs == nil {
-		return false
-	}
-	return s.Subsumes(o.rowIDs)
-}
-
-// Lookup returns a shred for key subsuming rids (sorted ascending), or nil.
-// Passing nil rids requests a full column.
-func (p *Pool) Lookup(key Key, rids []int64) *Shred {
-	p.mu.Lock()
-	for _, s := range p.byKey[key] {
-		if rids != nil && !s.Subsumes(rids) {
-			continue
-		}
-		if rids == nil && s.rowIDs != nil {
-			continue
-		}
-		p.budget.Touch(p.keyOf[s])
-		p.hits++
-		p.mu.Unlock()
-		return s
-	}
-	p.misses++
-	p.mu.Unlock()
-	return nil
-}
-
-// LookupFull returns the full-column shred for key, or nil.
-func (p *Pool) LookupFull(key Key) *Shred { return p.Lookup(key, nil) }
-
-// LookupAny returns the best cached shred for key without knowing the rows a
-// query will need — preferring a full column, falling back to the largest
-// partial shred. The planner uses it to choose access paths before
-// execution; the rows a partial choice lacks are read from the raw file at
-// runtime (LateFill).
-func (p *Pool) LookupAny(key Key) *Shred {
-	p.mu.Lock()
-	var best *Shred
-	for _, s := range p.byKey[key] {
-		if s.rowIDs == nil {
-			best = s
-			break
-		}
-		if best == nil || s.vec.Len() > best.vec.Len() {
-			best = s
-		}
-	}
-	if best == nil {
-		p.misses++
-		p.mu.Unlock()
-		return nil
-	}
-	p.budget.Touch(p.keyOf[best])
-	p.hits++
-	p.mu.Unlock()
-	return best
-}
-
-// forget drops a pooled shred's bookkeeping and budget entry, leaving byKey
-// to the caller; the caller holds mu.
-func (p *Pool) forget(s *Shred) {
-	if ak, ok := p.keyOf[s]; ok {
-		p.budget.Remove(ak)
-		delete(p.keyOf, s)
-		p.size -= s.bytes()
-	}
+// remove unpools s and releases its budget entry; the caller holds mu.
+func (p *Pool) remove(s *Shred) {
+	p.budget.Remove(s.ak)
+	delete(p.byKey, s.key)
+	p.size -= s.SizeBytes()
 	p.tver[s.key.Table]++
 }
 
-// remove forgets a pooled shred and unlinks it from byKey; the caller holds
-// mu.
-func (p *Pool) remove(s *Shred) {
-	p.forget(s)
-	kept := p.byKey[s.key][:0]
-	for _, x := range p.byKey[s.key] {
-		if x != s {
-			kept = append(kept, x)
-		}
+// Lookup returns the pooled shred for key, full or partial, or nil. The
+// planner uses it to choose access paths before execution; the rows a
+// partial shred lacks are read from the raw file at runtime (LateFill).
+func (p *Pool) Lookup(key Key) *Shred { return p.lookup(key, false) }
+
+// LookupFull returns the pooled shred for key if it is a full column, or nil.
+func (p *Pool) LookupFull(key Key) *Shred { return p.lookup(key, true) }
+
+func (p *Pool) lookup(key Key, full bool) *Shred {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	s := p.byKey[key]
+	if s == nil || full && !s.Full() {
+		p.misses++
+		return nil
 	}
-	if len(kept) == 0 {
-		delete(p.byKey, s.key)
-	} else {
-		p.byKey[s.key] = kept
-	}
+	p.budget.Touch(s.ak)
+	p.hits++
+	return s
 }
 
 // Stats returns cumulative lookup hits and misses.
@@ -310,7 +223,7 @@ func (p *Pool) Stats() (hits, misses int64) {
 func (p *Pool) Len() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return len(p.keyOf)
+	return len(p.byKey)
 }
 
 // SizeBytes returns the current memory accounted to the pool.
@@ -326,12 +239,9 @@ func (p *Pool) SizeBytes() int64 {
 func (p *Pool) DropTable(table string) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for k, list := range p.byKey {
+	for k, s := range p.byKey {
 		if k.Table == table {
-			for _, s := range list {
-				p.forget(s)
-			}
-			delete(p.byKey, k)
+			p.remove(s)
 		}
 	}
 }
@@ -341,11 +251,10 @@ func (p *Pool) DropTable(table string) {
 func (p *Pool) Reset() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for _, ak := range p.keyOf {
-		p.budget.Remove(ak)
+	for _, s := range p.byKey {
+		p.budget.Remove(s.ak)
 	}
-	p.byKey = make(map[Key][]*Shred)
-	p.keyOf = make(map[*Shred]string)
+	p.byKey = make(map[Key]*Shred)
 	p.tver = make(map[string]int64)
 	p.size = 0
 	p.hits, p.misses = 0, 0
@@ -361,40 +270,17 @@ func (p *Pool) TableVersion(table string) int64 {
 }
 
 // ShredsOf returns a snapshot of the cached shreds of one table, sorted by
-// column then size for deterministic serialisation. Shred contents are
-// immutable once pooled, so callers may read them without further locking.
+// column for deterministic serialisation. Shred contents are immutable once
+// pooled, so callers may read them without further locking.
 func (p *Pool) ShredsOf(table string) []*Shred {
 	p.mu.Lock()
 	var out []*Shred
-	for k, list := range p.byKey {
+	for k, s := range p.byKey {
 		if k.Table == table {
-			out = append(out, list...)
+			out = append(out, s)
 		}
 	}
 	p.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].key.Col != out[j].key.Col {
-			return out[i].key.Col < out[j].key.Col
-		}
-		return out[i].vec.Len() < out[j].vec.Len()
-	})
+	sort.Slice(out, func(i, j int) bool { return out[i].key.Col < out[j].key.Col })
 	return out
-}
-
-// Keys returns the distinct cached column identities, sorted for stable
-// output.
-func (p *Pool) Keys() []Key {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	keys := make([]Key, 0, len(p.byKey))
-	for k := range p.byKey {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].Table != keys[j].Table {
-			return keys[i].Table < keys[j].Table
-		}
-		return keys[i].Col < keys[j].Col
-	})
-	return keys
 }

@@ -1,9 +1,8 @@
 package shred
 
 import (
-	"sort"
+	"slices"
 	"testing"
-	"testing/quick"
 
 	"rawdb/internal/exec"
 	"rawdb/internal/insitu"
@@ -16,10 +15,10 @@ func intVec(vals ...int64) *vector.Vector {
 	return v
 }
 
-func TestShredSubsumesAndExtract(t *testing.T) {
+func TestShredExtract(t *testing.T) {
 	full := &Shred{key: Key{"t", 1}, vec: intVec(10, 20, 30, 40)}
-	if !full.Full() || !full.Subsumes([]int64{0, 3}) || full.Subsumes([]int64{4}) {
-		t.Fatal("full shred subsumption wrong")
+	if !full.Full() {
+		t.Fatal("full shred reported partial")
 	}
 	out := vector.New(vector.Int64, 2)
 	extract := func(s *Shred, rids ...int64) error {
@@ -31,6 +30,10 @@ func TestShredSubsumesAndExtract(t *testing.T) {
 	if out.Int64s[0] != 20 || out.Int64s[1] != 40 {
 		t.Fatalf("extract = %v", out.Int64s)
 	}
+	out.Reset()
+	if err := extract(full, 4); err == nil {
+		t.Fatal("expected a row past the full column to be missing")
+	}
 
 	part := &Shred{key: Key{"t", 2}, rowIDs: []int64{2, 5, 9}, vec: intVec(200, 500, 900)}
 	if part.Full() {
@@ -38,9 +41,6 @@ func TestShredSubsumesAndExtract(t *testing.T) {
 	}
 	if _, err := NewScan([]*Shred{full, part}, []string{"a", "b"}, false, 0); err == nil {
 		t.Fatal("a base scan over a partial shred must be refused")
-	}
-	if !part.Subsumes([]int64{2, 9}) || part.Subsumes([]int64{2, 3}) {
-		t.Fatal("partial subsumption wrong")
 	}
 	out.Reset()
 	if err := extract(part, 5, 9); err != nil {
@@ -54,103 +54,58 @@ func TestShredSubsumesAndExtract(t *testing.T) {
 	}
 }
 
-func TestSubsumesProperty(t *testing.T) {
-	f := func(haveRaw, wantRaw []uint8) bool {
-		have := dedupSorted(haveRaw)
-		want := dedupSorted(wantRaw)
-		vec := vector.New(vector.Int64, len(have))
-		for _, r := range have {
-			vec.AppendInt64(r * 10)
-		}
-		s := &Shred{rowIDs: have, vec: vec}
-		got := s.Subsumes(want)
-		// Reference: set containment.
-		set := make(map[int64]bool, len(have))
-		for _, r := range have {
-			set[r] = true
-		}
-		ref := true
-		for _, r := range want {
-			if !set[r] {
-				ref = false
-				break
-			}
-		}
-		return got == ref
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func dedupSorted(raw []uint8) []int64 {
-	seen := make(map[int64]bool)
-	var out []int64
-	for _, r := range raw {
-		v := int64(r)
-		if !seen[v] {
-			seen[v] = true
-			out = append(out, v)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-func TestPoolLookupSubsumption(t *testing.T) {
+// TestPoolOutranks walks one column through the pool's rule: a full shred
+// beats a partial one, then more rows beat fewer, and a tie keeps the pooled
+// shred. Lookup serves whatever is pooled, LookupFull only a full column.
+func TestPoolOutranks(t *testing.T) {
 	p := NewPool(1 << 20)
 	key := Key{"t", 3}
-	p.Put(key, []int64{1, 4, 7}, intVec(10, 40, 70))
-	if s := p.Lookup(key, []int64{1, 7}); s == nil {
-		t.Fatal("expected subsuming shred")
+	stats := func(what string, hits, misses int64) {
+		t.Helper()
+		if h, m := p.Stats(); h != hits || m != misses {
+			t.Fatalf("%s: stats = %d/%d, want %d/%d", what, h, m, hits, misses)
+		}
 	}
-	if s := p.Lookup(key, []int64{1, 5}); s != nil {
-		t.Fatal("row 5 not cached; lookup must miss")
+	if s, old := p.Put(key, []int64{1, 4, 7}, intVec(10, 40, 70)); s == nil || old != nil {
+		t.Fatalf("first Put: installed %v, replaced %v", s, old)
 	}
-	if s := p.Lookup(key, nil); s != nil {
-		t.Fatal("full lookup must miss with only a partial shred")
+	if s := p.Lookup(key); s == nil || s.Len() != 3 {
+		t.Fatalf("Lookup = %v, want the 3-row partial shred", s)
 	}
-	hits, misses := p.Stats()
-	if hits != 1 || misses != 2 {
-		t.Fatalf("stats = %d/%d", hits, misses)
+	if s := p.LookupFull(key); s != nil {
+		t.Fatal("LookupFull must miss with only a partial shred")
 	}
-	// Full column satisfies everything.
-	p.Put(key, nil, intVec(0, 10, 20, 30, 40, 50, 60, 70))
-	if s := p.Lookup(key, []int64{5}); s == nil || !s.Full() {
-		t.Fatal("full shred should serve any rows")
-	}
-	if s := p.LookupFull(key); s == nil {
-		t.Fatal("LookupFull should hit")
-	}
-}
+	stats("partial", 1, 1)
 
-func TestPoolPutSubsumptionDedup(t *testing.T) {
-	p := NewPool(1 << 20)
-	key := Key{"t", 0}
-	p.Put(key, []int64{1, 2}, intVec(1, 2))
-	// A full column subsumes the partial: the partial must be dropped.
-	p.Put(key, nil, intVec(0, 1, 2, 3))
-	if p.Len() != 1 {
-		t.Fatalf("pool kept %d shreds, want 1", p.Len())
+	// Fewer rows, or as many, lose to the pooled shred.
+	for _, rids := range [][]int64{{2, 3}, {2, 3, 5}} {
+		vals := make([]int64, len(rids))
+		if s, old := p.Put(key, rids, intVec(vals...)); s != nil || old != nil {
+			t.Fatalf("Put of %d rows over 3: installed %v, replaced %v", len(rids), s, old)
+		}
 	}
-	// Inserting a shred an existing one subsumes is a no-op returning the
-	// existing shred.
-	s := p.Put(key, []int64{2, 3}, intVec(2, 3))
-	if !s.Full() {
-		t.Fatal("Put should have returned the covering full shred")
+	if s := p.Lookup(key); s.RowIDs()[0] != 1 {
+		t.Fatalf("a refused Put changed the pooled shred to %v", s.RowIDs())
 	}
-	if p.Len() != 1 {
-		t.Fatalf("pool size grew to %d", p.Len())
+	// More rows win, whichever rows they are.
+	s, old := p.Put(key, []int64{0, 2, 5, 8}, intVec(0, 20, 50, 80))
+	if s == nil || old == nil || old.Len() != 3 || p.Len() != 1 {
+		t.Fatalf("Put of 4 rows over 3: installed %v, replaced %v, pool holds %d", s, old, p.Len())
 	}
-	// A partial shred that subsumes the first and third of three disjoint
-	// partials drops exactly those two, and the second stays reachable.
-	k2 := Key{"t", 1}
-	p.Put(k2, []int64{0, 1}, intVec(0, 1))
-	p.Put(k2, []int64{5, 6}, intVec(5, 6))
-	p.Put(k2, []int64{2, 3}, intVec(2, 3))
-	p.Put(k2, []int64{0, 1, 2, 3}, intVec(0, 1, 2, 3))
-	if p.Len() != 3 || p.Lookup(k2, []int64{5, 6}) == nil || p.Lookup(k2, []int64{0, 3}) == nil {
-		t.Fatalf("after a two-way subsumption the pool holds %d shreds, want 3 reachable", p.Len())
+	// A full column beats any partial one, and nothing partial beats it.
+	if s, old := p.Put(key, nil, intVec(0, 10)); s == nil || !s.Full() || old == nil || old.Len() != 4 {
+		t.Fatalf("full Put over a partial: installed %v, replaced %v", s, old)
+	}
+	if s, _ := p.Put(key, []int64{0, 1, 2, 3, 4, 5}, intVec(0, 1, 2, 3, 4, 5)); s != nil {
+		t.Fatal("a partial shred displaced a full one")
+	}
+	if s := p.LookupFull(key); s == nil || s.Len() != 2 {
+		t.Fatalf("LookupFull = %v, want the 2-row full column", s)
+	}
+	stats("full", 3, 1)
+	if p.Len() != 1 || p.SizeBytes() != 16 || p.Budget().SizeBytes() != 16 || p.Budget().Len() != 1 {
+		t.Fatalf("pool holds %d shreds in %d bytes, budget %d bytes in %d entries, want one of 16",
+			p.Len(), p.SizeBytes(), p.Budget().SizeBytes(), p.Budget().Len())
 	}
 }
 
@@ -167,10 +122,10 @@ func TestPoolEviction(t *testing.T) {
 	p.Put(Key{"t", 0}, nil, mk(0))
 	p.Put(Key{"t", 1}, nil, mk(1))
 	p.Put(Key{"t", 2}, nil, mk(2)) // evicts col 0 (LRU)
-	if p.Lookup(Key{"t", 0}, nil) != nil {
+	if p.LookupFull(Key{"t", 0}) != nil {
 		t.Fatal("col 0 should have been evicted")
 	}
-	if p.Lookup(Key{"t", 2}, nil) == nil {
+	if p.LookupFull(Key{"t", 2}) == nil {
 		t.Fatal("col 2 should be cached")
 	}
 	if p.SizeBytes() > 170 {
@@ -178,16 +133,13 @@ func TestPoolEviction(t *testing.T) {
 	}
 }
 
-func TestPoolResetAndKeys(t *testing.T) {
+func TestPoolReset(t *testing.T) {
 	p := NewPool(0)
 	p.Put(Key{"b", 1}, nil, intVec(1))
 	p.Put(Key{"a", 2}, nil, intVec(2))
-	keys := p.Keys()
-	if len(keys) != 2 || keys[0].Table != "a" || keys[1].Table != "b" {
-		t.Fatalf("keys = %v", keys)
-	}
+	p.LookupFull(Key{"a", 2})
 	p.Reset()
-	if p.Len() != 0 || p.SizeBytes() != 0 {
+	if h, m := p.Stats(); p.Len() != 0 || p.SizeBytes() != 0 || p.Budget().Len() != 0 || h+m != 0 {
 		t.Fatal("reset did not empty pool")
 	}
 }
@@ -292,8 +244,8 @@ func TestCaptureOperator(t *testing.T) {
 	if _, err := exec.Collect(cap1); err != nil {
 		t.Fatal(err)
 	}
-	s := pool.Lookup(Key{"t", 9}, []int64{1, 5})
-	if s == nil {
+	s := pool.Lookup(Key{"t", 9})
+	if s == nil || !slices.Equal(s.RowIDs(), []int64{1, 3, 5}) {
 		t.Fatal("capture did not publish shred")
 	}
 	out := vector.New(vector.Int64, 2)
@@ -344,10 +296,10 @@ func TestPoolDropTable(t *testing.T) {
 	}
 
 	p.DropTable("a")
-	if p.Lookup(Key{"a", 0}, nil) != nil || p.LookupAny(Key{"a", 1}) != nil {
+	if p.LookupFull(Key{"a", 0}) != nil || p.Lookup(Key{"a", 1}) != nil {
 		t.Fatal("table a shreds survive DropTable")
 	}
-	if p.Lookup(Key{"b", 0}, nil) == nil {
+	if p.LookupFull(Key{"b", 0}) == nil {
 		t.Fatal("table b shred lost by a's drop")
 	}
 	if got := bud.SizeBytes(); got >= before || got != p.SizeBytes() || bud.Len() != 1 {
