@@ -27,7 +27,7 @@ func main() {
 	higgsEvents := flag.Int("higgs-events", 0, "Higgs events (default 30000)")
 	repeats := flag.Int("repeats", 0, "timed repeats per point, min kept (default 2)")
 	workers := flag.Int("workers", 0, "max morsel-parallel workers swept by the parallel experiment (default 8)")
-	compileDelay := flag.Duration("compile-delay", 0, "simulated access-path compile latency (e.g. 2s) charged to first queries")
+	compileDelay := flag.Duration("compile-delay", 0, "simulated access-path compile latency (e.g. 2s) added to fig1a's JIT rows")
 	md := flag.Bool("md", false, "emit markdown tables")
 	flag.Parse()
 

@@ -2,7 +2,7 @@
 // tables exactly like rawql, then serves concurrent sessions over HTTP/JSON
 // and a newline-delimited line protocol. The point of a long-lived server in
 // the paper's setting is that the adaptive structures (positional maps,
-// structural indexes, column shreds, code templates) amortise across every
+// structural indexes, column shreds, zone maps) amortise across every
 // client instead of dying with each CLI invocation.
 //
 // Usage:

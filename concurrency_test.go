@@ -143,7 +143,7 @@ func TestConcurrentQueries(t *testing.T) {
 
 // TestConcurrentDistinctTables runs parallel queries against disjoint tables
 // concurrently — the path where per-table query locks do not serialise and
-// engine-level state (catalog, template cache, shred pool) sees real
+// engine-level state (catalog, cache budget, shred pool) sees real
 // concurrent access.
 func TestConcurrentDistinctTables(t *testing.T) {
 	const goroutines = 6

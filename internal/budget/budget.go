@@ -114,9 +114,8 @@ func (b *Budget) Remove(key string) {
 // evictLocked pops LRU entries until the budget is met, returning them for
 // callback invocation outside the lock.
 //
-// Unlike the small per-structure caches (jit template cache, jsonidx path
-// budget), there is deliberately no retain-newest floor: the unified budget
-// is the user's explicit memory bound, and a single structure larger than
+// There is deliberately no retain-newest floor: the budget is the user's
+// explicit memory bound, and a single structure larger than
 // the whole budget (a full-column shred, a big table's positional map) must
 // not pin arbitrary memory past it. Such a structure is evicted right after
 // insertion and the affected table degrades to cold queries — the

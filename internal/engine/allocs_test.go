@@ -6,8 +6,9 @@ import (
 
 // TestWarmQueryAllocs fences the allocations of a warm serial query and of
 // its Explain, most of which planning makes: a query over full shreds (one
-// resident scan), a cascade completing partial shreds from the raw file, and
-// the golden join against a small binary table, over a 100k-row CSV table
+// resident scan), a cascade completing partial shreds from the raw file, the
+// golden join against a small binary table, and generated scans alone (shreds
+// off: a positional-map scan and two late reads), over a 100k-row CSV table
 // under StrategyShreds. Serial shapes only: worker counts make the counts
 // schedule-dependent. The ceilings are the counts measured when the fence was
 // set; a change that raises one must say why, and one that lowers it should
@@ -20,6 +21,7 @@ func TestWarmQueryAllocs(t *testing.T) {
 	dim := goldenTable(t, 50, 0)
 	cases := []struct {
 		name           string
+		noShreds       bool
 		warm           []string
 		sql            string
 		query, explain float64
@@ -36,12 +38,16 @@ func TestWarmQueryAllocs(t *testing.T) {
 			warm:  []string{"SELECT MAX(t.col4), COUNT(*) FROM t, u WHERE t.col2 = u.col1 AND u.col3 < 500 AND t.col1 < 1500"},
 			sql:   "SELECT MAX(t.col4), COUNT(*) FROM t, u WHERE t.col2 = u.col1 AND u.col3 < 500 AND t.col1 < 1500",
 			query: 222, explain: 176},
+		// Served jit:viamap(t), jit:late(t.cols2,) and jit:late(t.cols3,).
+		{name: "generated", noShreds: true,
+			warm: []string{"SELECT COUNT(*) FROM t WHERE col1 < 1000"},
+			sql:  "SELECT SUM(col3), MAX(col4), COUNT(*) FROM t WHERE col1 < 2500", query: 182, explain: 146},
 	}
 	serial := 1
 	opts := Options{Parallelism: &serial}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			e := newTestEngine(t, Config{Strategy: StrategyShreds})
+			e := newTestEngine(t, Config{Strategy: StrategyShreds, DisableShredCache: tc.noShreds})
 			if err := e.RegisterCSVData("t", g.csv, g.schema); err != nil {
 				t.Fatal(err)
 			}

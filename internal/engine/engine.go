@@ -18,7 +18,6 @@ import (
 
 	"rawdb/internal/budget"
 	"rawdb/internal/catalog"
-	"rawdb/internal/jit"
 	"rawdb/internal/obs"
 	"rawdb/internal/posmap"
 	"rawdb/internal/shred"
@@ -110,9 +109,6 @@ type Config struct {
 	// out over (morsel-driven parallel scans). Values <= 1 keep every query
 	// on the one-part plan; see planCtx.decide for the fallback rules.
 	Parallelism int
-	// CompileDelay simulates the one-time cost of compiling a generated
-	// access path (charged on template-cache misses; default 0).
-	CompileDelay time.Duration
 	// DisableShredCache turns off shred capture and reuse (the paper's
 	// figures 5-12 cold second queries are run with a pinned cache state
 	// instead; tests use this for isolation).
@@ -192,15 +188,14 @@ type Options struct {
 
 // Engine is a RAW query engine instance.
 type Engine struct {
-	cfg       Config
-	cat       *catalog.Catalog
-	templates *jit.Cache
-	shreds    *shred.Pool
-	vault     *vault.Store // nil unless Config.CacheDir is set (and usable)
-	budget    *budget.Budget
-	metrics   *obs.Registry
-	events    *obs.EventLog
-	heat      *obs.Heat
+	cfg     Config
+	cat     *catalog.Catalog
+	shreds  *shred.Pool
+	vault   *vault.Store // nil unless Config.CacheDir is set (and usable)
+	budget  *budget.Budget
+	metrics *obs.Registry
+	events  *obs.EventLog
+	heat    *obs.Heat
 	// queryID hands out the monotonic per-engine query IDs stamped on
 	// traces, events and query-log records; inflight tracks the queries
 	// currently between admission and completion (see record.go).
@@ -301,14 +296,12 @@ func New(cfg Config) *Engine {
 		cfg.PosMapPolicy = posmap.Policy{EveryK: 10}
 	}
 	e := &Engine{
-		cfg:       cfg,
-		cat:       catalog.New(),
-		templates: jit.NewCache(),
-		shreds:    shred.NewPool(cfg.CacheBudget),
-		tables:    make(map[string]*tableState),
+		cfg:    cfg,
+		cat:    catalog.New(),
+		shreds: shred.NewPool(cfg.CacheBudget),
+		tables: make(map[string]*tableState),
 	}
 	e.budget = e.shreds.Budget()
-	e.templates.SetCompileDelay(cfg.CompileDelay)
 	if cfg.CacheDir != "" {
 		// The vault is a cache: if the directory cannot be created the
 		// engine degrades to purely in-memory operation rather than failing.
@@ -333,9 +326,6 @@ func New(cfg Config) *Engine {
 // Catalog exposes the engine's catalog (read-mostly; use the Register
 // helpers to add tables).
 func (e *Engine) Catalog() *catalog.Catalog { return e.cat }
-
-// TemplateCache exposes the JIT template cache for inspection.
-func (e *Engine) TemplateCache() *jit.Cache { return e.templates }
 
 // ShredPool exposes the column-shred pool for inspection.
 func (e *Engine) ShredPool() *shred.Pool { return e.shreds }
@@ -550,7 +540,7 @@ func (st *tableState) unload() {
 }
 
 // DropCaches clears all query-derived state — positional maps, column
-// shreds, loaded DBMS columns, template cache, ROOT buffer pools — to
+// shreds, loaded DBMS columns, ROOT buffer pools — to
 // simulate a cold first query. Raw images stay, mapped files too (the paper's
 // cold runs also re-read files through the OS cache; I/O is outside our model,
 // see DESIGN.md).
@@ -558,7 +548,6 @@ func (e *Engine) DropCaches() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.shreds.Reset()
-	e.templates.Reset()
 	e.budget.Reset()
 	for _, st := range e.tables {
 		for s := range st.family {
@@ -604,8 +593,6 @@ type Stats struct {
 	// AccessPaths lists one label per scan operator, e.g. "jit:seq(t)",
 	// "shred:late(t.col11)".
 	AccessPaths []string
-	// TemplateHits / TemplateMisses count JIT template-cache outcomes.
-	TemplateHits, TemplateMisses int
 	// ShredHits counts columns served from the shred pool.
 	ShredHits int
 	// LoadedTables lists tables loaded (DBMS strategy) during this query.

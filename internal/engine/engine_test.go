@@ -407,32 +407,6 @@ func TestShredCacheServesWarmQueries(t *testing.T) {
 	}
 }
 
-func TestTemplateCacheReuse(t *testing.T) {
-	csvData, _, schema, _ := testData(t, 200, 6, 108)
-	e := newTestEngine(t, Config{Strategy: StrategyJIT, DisableShredCache: true})
-	if err := e.RegisterCSVData("t", csvData, schema); err != nil {
-		t.Fatal(err)
-	}
-	q := "SELECT MAX(col3) FROM t WHERE col1 < 500000000"
-	res1, err := e.Query(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res1.Stats.TemplateMisses == 0 {
-		t.Fatal("first query should compile a template")
-	}
-	// Force the same access path shape: drop the posmap so the second run
-	// regenerates the same sequential spec.
-	e.tables["t"].pos.set(nil)
-	res2, err := e.Query(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.Stats.TemplateHits == 0 {
-		t.Fatalf("second identical query should hit the template cache: %+v", res2.Stats)
-	}
-}
-
 func TestDropCaches(t *testing.T) {
 	csvData, _, schema, _ := testData(t, 300, 6, 109)
 	e := newTestEngine(t, Config{Strategy: StrategyShreds})
@@ -442,11 +416,11 @@ func TestDropCaches(t *testing.T) {
 	if _, err := e.Query("SELECT MAX(col2) FROM t WHERE col1 < 900000000"); err != nil {
 		t.Fatal(err)
 	}
-	if e.ShredPool().Len() == 0 || e.TemplateCache().Len() == 0 {
+	if e.ShredPool().Len() == 0 {
 		t.Fatal("caches should be warm after a query")
 	}
 	e.DropCaches()
-	if e.ShredPool().Len() != 0 || e.TemplateCache().Len() != 0 {
+	if e.ShredPool().Len() != 0 {
 		t.Fatal("DropCaches left state behind")
 	}
 	if e.tables["t"].positions().pm != nil {

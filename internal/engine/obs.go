@@ -53,8 +53,6 @@ func (e *Engine) initObs() {
 	m.Describe("jsonidx.bytes", "encoded bytes of structural indexes (chunked offsets), charged to the cache budget")
 	m.Describe("raw.mapped_bytes", "bytes of path-registered raw files mapped read-only, including retired mappings a running query still reads")
 	m.Gauge("raw.mapped_bytes", e.mapped.Load)
-	m.Gauge("jit.cache.entries", func() int64 { return int64(e.templates.Len()) })
-	m.Gauge("jit.cache.bytes", func() int64 { return e.templates.SizeBytes() })
 	m.Gauge("shred.pool.count", func() int64 { return int64(e.shreds.Len()) })
 	m.Gauge("shred.pool.bytes", func() int64 { return e.shreds.SizeBytes() })
 	m.Gauge("shred.lookup.hits", func() int64 { h, _ := e.shreds.Stats(); return h })

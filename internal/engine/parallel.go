@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"rawdb/internal/catalog"
 	"rawdb/internal/exec"
@@ -161,8 +163,9 @@ func (pc *planCtx) publishTees() {
 // keyed by the row ids it teed, reports each shred they replace as evicted,
 // and returns the ones the pool installed. One capture is adopted as it
 // filled, clipped; several concatenate into a column allocated at its final
-// size. A capture the plan did not drain holds no complete column: nothing
-// is put.
+// size. Row ids a tee above a join saw in probe order, a row repeated per
+// match, are sorted and made distinct first, each keeping its row's values.
+// A capture the plan did not drain holds no complete column: nothing is put.
 func (pc *planCtx) putTee(t tee) (installed []*shred.Shred) {
 	for _, mc := range t.caps {
 		if !mc.eof {
@@ -178,6 +181,7 @@ func (pc *planCtx) putTee(t tee) (installed []*shred.Shred) {
 			rids = append(rids, mc.rids...)
 		}
 	}
+	rids, sel := distinctRowIDs(rids)
 	for ci, c := range t.cols {
 		vec := t.caps[0].vecs[ci]
 		if len(t.caps) > 1 {
@@ -192,6 +196,11 @@ func (pc *planCtx) putTee(t tee) (installed []*shred.Shred) {
 		} else {
 			vec.Clip()
 		}
+		if sel != nil {
+			sorted := vector.New(vec.Type, len(sel))
+			sorted.Gather(vec, sel)
+			vec = sorted
+		}
 		s, replaced := pc.e.shreds.Put(shred.Key{Table: t.tab.Name, Col: c}, rids, vec)
 		if replaced != nil {
 			pc.event(obs.EventEvicted, "shred", t.tab.Name, replaced.SizeBytes(), "replaced")
@@ -201,6 +210,30 @@ func (pc *planCtx) putTee(t tee) (installed []*shred.Shred) {
 		}
 	}
 	return installed
+}
+
+// distinctRowIDs returns rids sorted ascending without repeats, and the
+// positions in rids each of them came from; sel is nil when rids already
+// ascend strictly, as every capture below a join's probe does.
+func distinctRowIDs(rids []int64) (out []int64, sel []int32) {
+	ordered := true
+	for i := 1; i < len(rids) && ordered; i++ {
+		ordered = rids[i-1] < rids[i]
+	}
+	if ordered {
+		return rids, nil
+	}
+	sel = make([]int32, len(rids))
+	for i := range sel {
+		sel[i] = int32(i)
+	}
+	slices.SortStableFunc(sel, func(x, y int32) int { return cmp.Compare(rids[x], rids[y]) })
+	sel = slices.CompactFunc(sel, func(x, y int32) bool { return rids[x] == rids[y] })
+	out = make([]int64, len(sel))
+	for i, at := range sel {
+		out[i] = rids[at]
+	}
+	return out, sel
 }
 
 // Schema implements exec.Operator.

@@ -371,7 +371,7 @@ func TestParallelFallbackReporting(t *testing.T) {
 	})
 	t.Run("root-join-built-once", func(t *testing.T) {
 		// A ROOT probe side declines after the CSV build side was cut: the
-		// plan that runs must be the first to touch the template cache.
+		// plan that runs must be the only one built, one scan per table.
 		big, dim := goldenTable(t, 3000, 0), goldenTable(t, 50, 0)
 		f, err := rootfile.Parse(big.root)
 		if err != nil {
@@ -388,10 +388,9 @@ func TestParallelFallbackReporting(t *testing.T) {
 		if res.Int64(0, 1) != 3000 {
 			t.Fatalf("COUNT(*) = %d, want 3000", res.Int64(0, 1))
 		}
-		if s := res.Stats; s.ParallelFallback != fallbackRootTable || s.TemplateHits != 0 ||
-			s.TemplateMisses != 2 || e.TemplateCache().Len() != 2 {
-			t.Fatalf("fallback %q, templates hit %d missed %d cached %d; want %q, 0, 2, 2",
-				s.ParallelFallback, s.TemplateHits, s.TemplateMisses, e.TemplateCache().Len(), fallbackRootTable)
+		if s := res.Stats; s.ParallelFallback != fallbackRootTable || len(s.AccessPaths) != 2 {
+			t.Fatalf("fallback %q, access paths %v; want %q and one scan per table",
+				s.ParallelFallback, s.AccessPaths, fallbackRootTable)
 		}
 	})
 	t.Run("small-file", func(t *testing.T) {
@@ -531,7 +530,6 @@ func TestCutDecides(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			templates := e.TemplateCache().Len()
 			workers := 4
 			rec := e.newRecord(Options{Parallelism: &workers, Trace: obs.NewTrace()})
 			pc := rec.newPlanCtx(context.Background())
@@ -561,9 +559,6 @@ func TestCutDecides(t *testing.T) {
 			}
 			if len(c.loaded) != tc.loaded {
 				t.Fatalf("loaded %v, want %d table(s)", c.loaded, tc.loaded)
-			}
-			if n := e.TemplateCache().Len(); n != templates {
-				t.Fatalf("template cache grew %d -> %d", templates, n)
 			}
 			if !reflect.DeepEqual(rec.stats, Stats{}) {
 				t.Fatalf("stats touched: %+v", rec.stats)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"time"
 
 	"rawdb/internal/catalog"
 	"rawdb/internal/exec"
@@ -1082,7 +1081,7 @@ func (pc *planCtx) buildBase(p *pipe, t int, bt *boundTable, s *scanStep) error 
 
 // rawScans builds one scan per span over a table's raw file through the
 // step's access path, for every format and either plan shape: synopsis
-// builders, template charge, and the merge hook that publishes the
+// builders and the merge hook that publishes the
 // structures the scans built on the side.
 func (pc *planCtx) rawScans(p *pipe, bt *boundTable, s *scanStep) error {
 	st, tab := bt.st, bt.st.tab
@@ -1113,14 +1112,6 @@ func (pc *planCtx) rawScans(p *pipe, bt *boundTable, s *scanStep) error {
 	}
 	if s.a.mode == jit.ViaMap {
 		pc.hit(tab.Name, s.a.structure, 1)
-	}
-	if s.kind == scanGenerated {
-		spec := st.src.spec(tab, bt.pos, base)
-		spec.EmitRID = s.emitRID
-		if s.npush > 0 {
-			spec.Preds = s.push
-		}
-		pc.ensureTemplate(spec)
 	}
 	if len(frags) == 0 && len(synFrags) == 0 {
 		return nil
@@ -1194,9 +1185,6 @@ func (pc *planCtx) buildLate(p *pipe, t int, bt *boundTable, s *scanStep) error 
 		if err != nil {
 			return err
 		}
-		spec := st.src.spec(tab, bt.pos, scanReq{mode: jit.Late, cols: s.cols})
-		spec.EmitRID = true
-		pc.ensureTemplate(spec)
 		if cached, k := fetch, len(s.cached); cached == nil {
 			fetch = file
 		} else {
@@ -1549,23 +1537,6 @@ func (pc *planCtx) applyFilter(p *pipe, t int, preds []boundPred) error {
 	}
 	pc.traceWrap(p, fmt.Sprintf("filter[%d]", len(preds)))
 	return nil
-}
-
-// ensureTemplate consults the JIT template cache, charging simulated compile
-// latency on a miss (which, when tracing, shows up as a jit-compile span).
-func (pc *planCtx) ensureTemplate(sp jit.Spec) {
-	start := time.Now()
-	_, hit := pc.e.templates.Ensure(sp)
-	if hit {
-		pc.stats.TemplateHits++
-		return
-	}
-	pc.stats.TemplateMisses++
-	if pc.trace != nil {
-		s := pc.trace.NewSpan("jit-compile")
-		s.AddAttr("table", sp.Table)
-		s.Window(start, time.Now())
-	}
 }
 
 func shredKeys(table string, cols []int) string {

@@ -226,10 +226,9 @@ func TestPlanGolden(t *testing.T) {
 				fmt.Fprintf(&out, "fallback: %q %q\n", s.ParallelFallback, s.ParallelFallbackDetail)
 				fmt.Fprintf(&out, "pushed=%d rowsPruned=%d blocksSkipped=%d morselsSkipped=%d shredHits=%d\n",
 					s.PredsPushed, s.RowsPruned, s.BlocksSkipped, s.MorselsSkipped, s.ShredHits)
-				fmt.Fprintf(&out, "templateHits=%d templateMisses=%d partsScanned=%d partsSkipped=%d loaded=%v\n",
-					s.TemplateHits, s.TemplateMisses, s.PartitionsScanned, s.PartitionsSkipped, s.LoadedTables)
+				fmt.Fprintf(&out, "partsScanned=%d partsSkipped=%d loaded=%v\n",
+					s.PartitionsScanned, s.PartitionsSkipped, s.LoadedTables)
 			}
-			fmt.Fprintf(&out, "templates cached: %d\n", e.TemplateCache().Len())
 			// Sorted: which events a query emits is pinned, their order within
 			// one publish phase is not (serial and parallel plans differ).
 			lines := make([]string, len(events))

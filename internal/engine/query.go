@@ -368,10 +368,6 @@ func (e *Engine) Explain(src string, opts Options) (out string, err error) {
 		fmt.Fprintf(&b, "partitions: %d scanned, %d pruned without opening their files\n",
 			stats.PartitionsScanned, stats.PartitionsSkipped)
 	}
-	if stats.TemplateMisses > 0 || stats.TemplateHits > 0 {
-		fmt.Fprintf(&b, "templates: %d generated, %d reused\n",
-			stats.TemplateMisses, stats.TemplateHits)
-	}
 	if stats.ParallelFallback != "" {
 		fmt.Fprintf(&b, "parallel fallback: %s (%s)\n",
 			stats.ParallelFallback, stats.ParallelFallbackDetail)

@@ -308,8 +308,6 @@ func (r *queryRecord) fold(q *resolvedQuery, err error) {
 		m.Counter("query.count").Inc()
 		m.Histogram("query.ns").Observe(s.Elapsed.Nanoseconds())
 		m.Counter("query.rows_out").Add(int64(s.RowsOut))
-		m.Counter("jit.template.hits").Add(int64(s.TemplateHits))
-		m.Counter("jit.template.misses").Add(int64(s.TemplateMisses))
 		m.Counter("shred.serves").Add(int64(s.ShredHits))
 		if s.ManifestRefresh > 0 {
 			m.Counter("manifest.refresh.count").Inc()

@@ -143,3 +143,68 @@ func TestCapturedEventsMatchPool(t *testing.T) {
 		}
 	}
 }
+
+// TestJoinCaptureSortsRowIDs: a late scan above a join captures the column it
+// reads keyed by the row ids the join emits, which come in probe order, with
+// a row that matches several times repeated. The pool gets them sorted and
+// distinct, each with its row's value, and the second run is served from them
+// with the same answer.
+func TestJoinCaptureSortsRowIDs(t *testing.T) {
+	const rows = 2000
+	var b bytes.Buffer
+	for i := 0; i < rows; i++ {
+		fmt.Fprintf(&b, "%d,%d\n", (rows-1-i)%700, 5*i)
+	}
+	e := newTestEngine(t, Config{Parallelism: 1})
+	if err := e.RegisterCSVData("a", kvCSV(rows, -1), kvSchema()); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.RegisterCSVData("b", b.Bytes(), kvSchema()); err != nil {
+		t.Fatal(err)
+	}
+	value := map[string]func(col int, rid int64) int64{
+		"a": func(col int, rid int64) int64 { return []int64{rid, 3 * rid}[col] },
+		"b": func(col int, rid int64) int64 { return []int64{(rows - 1 - rid) % 700, 5 * rid}[col] },
+	}
+	// The warm-ups leave positional maps and the keys whole: the join then
+	// reads v late, above it.
+	for _, q := range []string{"SELECT SUM(k) FROM a", "SELECT SUM(k) FROM b"} {
+		queryAt(t, e, q, 1)
+	}
+	var sumA, sumB int64
+	for i := int64(0); i < rows; i++ {
+		sumA, sumB = sumA+3*value["b"](0, i), sumB+5*i
+	}
+	for run := 1; run <= 2; run++ {
+		res := queryAt(t, e, "SELECT SUM(a.v), SUM(b.v) FROM a, b WHERE a.k = b.k AND a.k < 1800", 1)
+		if res.Int64(0, 0) != sumA || res.Int64(0, 1) != sumB {
+			t.Fatalf("run %d: sums %d, %d, want %d, %d", run, res.Int64(0, 0), res.Int64(0, 1), sumA, sumB)
+		}
+		keyed := 0
+		for tab, val := range value {
+			for _, s := range e.shreds.ShredsOf(tab) {
+				rids := s.RowIDs()
+				for j, v := range s.Vector().Int64s[:s.Len()] {
+					rid := int64(j)
+					if !s.Full() {
+						if rid = rids[j]; j > 0 && rid <= rids[j-1] {
+							t.Fatalf("run %d: %v row ids %d then %d", run, s.Key(), rids[j-1], rid)
+						}
+					}
+					if want := val(s.Key().Col, rid); v != want {
+						t.Fatalf("run %d: %v holds %d for row %d, want %d", run, s.Key(), v, rid, want)
+					}
+				}
+				if !s.Full() {
+					keyed++
+				}
+			}
+		}
+		if keyed == 0 {
+			t.Fatalf("run %d: no row-keyed capture above the join (%s)", run, poolView(e, "a", "b"))
+		}
+		if err := e.AuditBudget(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

@@ -74,10 +74,6 @@ type source interface {
 	// only a real merge copies. A recording makes a new structure that shares
 	// the recorded-over one's unchanged parts; nothing installed is written.
 	publish(st *tableState, frags []fragment, spans []span) (bytes int64, err error)
-	// spec returns the template-cache key of the access path req describes
-	// (its mode, its columns and the offsets it records), up to the
-	// predicates and the row-id flag its caller adds.
-	spec(tab *catalog.Table, pos positions, req scanReq) jit.Spec
 }
 
 // scanKind selects the family of scan operators reading the raw bytes.
@@ -256,21 +252,11 @@ func ranged[S interface {
 	return sc, nil, nil
 }
 
-// baseSpec is the format-independent part of a template key.
-func baseSpec(tab *catalog.Table, mode jit.Mode, cols []int) jit.Spec {
-	return jit.Spec{Format: tab.Format, Table: tab.Name, Mode: mode, Types: tab.Types(), Need: cols}
-}
-
 // rowAddressed is embedded by the formats that address rows themselves: they
-// have no positional structure to publish and put nothing of their own in a
-// template key.
+// have no positional structure to publish.
 type rowAddressed struct{}
 
 func (rowAddressed) publish(*tableState, []fragment, []span) (int64, error) { return 0, nil }
-
-func (rowAddressed) spec(tab *catalog.Table, _ positions, req scanReq) jit.Spec {
-	return baseSpec(tab, req.mode, req.cols)
-}
 
 // rawImage is a raw image, the whole file as one slice.
 type rawImage struct {
@@ -427,16 +413,6 @@ func (s *csvSource) publish(st *tableState, frags []fragment, spans []span) (int
 	return pm.MemoryFootprint(), nil
 }
 
-func (s *csvSource) spec(tab *catalog.Table, pos positions, req scanReq) jit.Spec {
-	sp := baseSpec(tab, req.mode, req.cols)
-	if req.mode == jit.Sequential {
-		sp.PMBuild = s.policy.Columns(len(tab.Schema))
-	} else if pos.pm != nil {
-		sp.PMRead = pos.pm.TrackedColumns()
-	}
-	return sp
-}
-
 // --- JSON ---
 
 type jsonSource struct{ rawImage }
@@ -545,24 +521,6 @@ func (s *jsonSource) publish(st *tableState, frags []fragment, spans []span) (in
 	}
 	st.pos.set(idx)
 	return idx.MemoryFootprint(), nil
-}
-
-func (s *jsonSource) spec(tab *catalog.Table, pos positions, req scanReq) jit.Spec {
-	sp := baseSpec(tab, req.mode, req.cols)
-	sp.Paths = make([]string, len(req.cols))
-	for i, c := range req.cols {
-		sp.Paths[i] = tab.Schema[c].Name
-	}
-	if req.mode == jit.Sequential {
-		sp.PMBuild = recorded(req)
-	} else if pos.jidx != nil {
-		for c, col := range tab.Schema {
-			if pos.jidx.Tracked(col.Name) {
-				sp.PMRead = append(sp.PMRead, c)
-			}
-		}
-	}
-	return sp
 }
 
 // --- fixed-width binary ---

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"fmt"
-	"math"
 
 	"rawdb/internal/vector"
 )
@@ -43,8 +42,8 @@ func (o CmpOp) String() string {
 // Pred is a comparison of one column against a constant. Predicates on a
 // Filter are conjunctive. Col names a column of whatever the predicate is
 // evaluated against: a batch slot inside Filter, a table column index when a
-// predicate is pushed down into a generated scan (jit.Spec.Preds) or tested
-// against a zone map (synopsis).
+// predicate is pushed down into a generated scan (jit.Pushdown.Preds) or
+// tested against a zone map (synopsis).
 type Pred struct {
 	Col int
 	Op  CmpOp
@@ -58,11 +57,6 @@ func (p Pred) MatchInt64(x int64) bool { return cmp(x, p.I64, p.Op) }
 
 // MatchFloat64 reports whether "x op F64" holds.
 func (p Pred) MatchFloat64(x float64) bool { return cmp(x, p.F64, p.Op) }
-
-// String renders the predicate for logs and template-cache keys.
-func (p Pred) String() string {
-	return fmt.Sprintf("c%d%s%d/%x", p.Col, p.Op, p.I64, math.Float64bits(p.F64))
-}
 
 // CheckPreds reports an error unless every predicate names a numeric column
 // of schema.

@@ -8,8 +8,8 @@
 //
 // Methodology notes:
 //
-//   - "Cold" means a fresh engine (no positional maps, no shreds, no
-//     templates, empty ROOT buffer pool). File bytes stay memory-resident —
+//   - "Cold" means a fresh engine (no positional maps, no shreds, empty
+//     ROOT buffer pool). File bytes stay memory-resident —
 //     disk I/O is outside the model (DESIGN.md, substitution list).
 //   - Sweep points are independent: each gets a fresh engine, the warm-up
 //     queries of the paper's protocol are re-run, and only the probe query
@@ -34,8 +34,10 @@ type Config struct {
 	WideRows    int
 	JoinRows    int
 	HiggsEvents int
-	// CompileDelay charges a simulated access-path compilation latency to
-	// first queries (Figure 1a includes ~2 s of compilation in the paper).
+	// CompileDelay is a simulated access-path compilation latency that
+	// Figure 1a adds to its JIT rows (the paper's include ~2 s of it). The
+	// engine compiles nothing: its access paths are closures built per
+	// query, so the latency is a model of the paper's cost, not a measure.
 	CompileDelay time.Duration
 	// Repeats re-runs each timed query and keeps the minimum, de-noising
 	// small datasets.
@@ -136,12 +138,11 @@ func timeQuery(repeats int, fn func() error) (time.Duration, error) {
 // narrowEngine builds a fresh engine over a narrow or wide dataset in the
 // given format ("csv" or "bin") with the given posmap spacing.
 func narrowEngine(ds *workload.Dataset, format string, strat engine.Strategy,
-	everyK int, disableShreds bool, compileDelay time.Duration) (*engine.Engine, error) {
+	everyK int, disableShreds bool) (*engine.Engine, error) {
 	e := engine.New(engine.Config{
 		Strategy:          strat,
 		PosMapPolicy:      posmap.Policy{EveryK: everyK},
 		DisableShredCache: disableShreds,
-		CompileDelay:      compileDelay,
 	})
 	var err error
 	schema := ds.Schema
@@ -364,7 +365,8 @@ func RunPushdown(cfg Config) (*Table, error) {
 // RunFig1a times the first (cold) query per access-path variant over the
 // narrow CSV file. The paper's corresponding figure shows DBMS and external
 // tables doing full loading/conversion work while in-situ variants convert
-// only the touched column; JIT adds a one-time compilation cost.
+// only the touched column; JIT adds a one-time compilation cost, which the
+// JIT rows here include only as cfg.CompileDelay, simulated.
 func RunFig1a(cfg Config) (*Table, error) {
 	cfg = cfg.withDefaults()
 	ds, err := workload.Narrow(cfg.NarrowRows, 1)
@@ -376,21 +378,23 @@ func RunFig1a(cfg Config) (*Table, error) {
 		name   string
 		strat  engine.Strategy
 		everyK int
-		delay  time.Duration
 	}{
-		{"DBMS", engine.StrategyDBMS, 10, 0},
-		{"External Tables", engine.StrategyExternal, 10, 0},
-		{"In Situ", engine.StrategyInSitu, 10, 0},
-		{"JIT", engine.StrategyJIT, 10, cfg.CompileDelay},
-		{"In Situ Col.7", engine.StrategyInSitu, 7, 0},
-		{"JIT Col.7", engine.StrategyJIT, 7, cfg.CompileDelay},
+		{"DBMS", engine.StrategyDBMS, 10},
+		{"External Tables", engine.StrategyExternal, 10},
+		{"In Situ", engine.StrategyInSitu, 10},
+		{"JIT", engine.StrategyJIT, 10},
+		{"In Situ Col.7", engine.StrategyInSitu, 7},
+		{"JIT Col.7", engine.StrategyJIT, 7},
 	}
 	t := &Table{ID: "fig1a", Title: "CSV Q1 (cold): SELECT MAX(col1) WHERE col1 < 50%",
 		Header: []string{"variant", "seconds"}}
+	if cfg.CompileDelay > 0 {
+		t.Title += fmt.Sprintf("; JIT rows include %v of simulated compilation", cfg.CompileDelay)
+	}
 	for _, v := range variants {
 		// Cold: a fresh engine per measurement.
 		d, err := timeQuery(1, func() error {
-			e, err := narrowEngine(ds, "csv", v.strat, v.everyK, true, v.delay)
+			e, err := narrowEngine(ds, "csv", v.strat, v.everyK, true)
 			if err != nil {
 				return err
 			}
@@ -399,6 +403,9 @@ func RunFig1a(cfg Config) (*Table, error) {
 		})
 		if err != nil {
 			return nil, err
+		}
+		if v.strat == engine.StrategyJIT {
+			d += cfg.CompileDelay
 		}
 		t.Rows = append(t.Rows, []string{v.name, secs(d)})
 	}
@@ -430,7 +437,7 @@ func RunFig1b(cfg Config) (*Table, error) {
 		var sum, min, max time.Duration
 		n := 0
 		for _, sel := range workload.Selectivities[1:] {
-			e, err := narrowEngine(ds, "csv", v.strat, v.everyK, true, 0)
+			e, err := narrowEngine(ds, "csv", v.strat, v.everyK, true)
 			if err != nil {
 				return nil, err
 			}
@@ -517,7 +524,7 @@ func RunFig2(cfg Config) (*Table, error) {
 		return sweepVariant{
 			name: strat.String(),
 			build: func(sel float64) (*engine.Engine, string, error) {
-				e, err := narrowEngine(ds, "bin", strat, 10, true, 0)
+				e, err := narrowEngine(ds, "bin", strat, 10, true)
 				return e, fmt.Sprintf(q2, workload.Threshold(sel)), err
 			},
 			warm: func(e *engine.Engine, sel float64) error {
@@ -538,7 +545,7 @@ func fullVsShreds(ds *workload.Dataset, format string, everyKs map[string]int,
 		return sweepVariant{
 			name: name,
 			build: func(sel float64) (*engine.Engine, string, error) {
-				e, err := narrowEngine(ds, format, strat, everyK, false, 0)
+				e, err := narrowEngine(ds, format, strat, everyK, false)
 				return e, query(sel), err
 			},
 			warm: func(e *engine.Engine, sel float64) error {
@@ -610,7 +617,7 @@ func RunTable2(cfg Config) (*Table, error) {
 			{"Column Shreds", engine.StrategyShreds},
 		} {
 			d, err := timeQuery(1, func() error {
-				e, err := narrowEngine(ds, format, v.strat, 10, false, 0)
+				e, err := narrowEngine(ds, format, v.strat, 10, false)
 				if err != nil {
 					return err
 				}
@@ -639,7 +646,7 @@ func wideSweep(id, title, format string, cfg Config) (*Table, error) {
 		return sweepVariant{
 			name: name,
 			build: func(sel float64) (*engine.Engine, string, error) {
-				e, err := narrowEngine(ds, format, strat, 10, false, 0)
+				e, err := narrowEngine(ds, format, strat, 10, false)
 				return e, fmt.Sprintf(wideQ2, workload.Threshold(sel)), err
 			},
 			warm: func(e *engine.Engine, sel float64) error {

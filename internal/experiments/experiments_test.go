@@ -1,8 +1,11 @@
 package experiments
 
 import (
+	"slices"
 	"strconv"
+	"strings"
 	"testing"
+	"time"
 )
 
 // tiny keeps experiment smoke tests fast.
@@ -66,5 +69,34 @@ func TestFig5ShredsShape(t *testing.T) {
 	if shreds > full*1.5 {
 		t.Errorf("at 10%% selectivity shreds (%.4fs) should not be much slower than full (%.4fs)",
 			shreds, full)
+	}
+}
+
+// TestFig1aCompileDelay: Figure 1a's simulated compilation latency is added
+// to the two JIT rows and to nothing else, and the title says it is
+// simulated. An hour dwarfs any measured query at tiny scale, so the test is
+// deterministic, and nothing sleeps.
+func TestFig1aCompileDelay(t *testing.T) {
+	cfg := tiny
+	cfg.CompileDelay = time.Hour
+	tbl, err := RunFig1a(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(tbl.Title, "simulated") {
+		t.Fatalf("title %q does not label the delay as simulated", tbl.Title)
+	}
+	var jit []string
+	for _, row := range tbl.Rows {
+		s, err := strconv.ParseFloat(row[1], 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if charged := s >= time.Hour.Seconds(); charged {
+			jit = append(jit, row[0])
+		}
+	}
+	if want := []string{"JIT", "JIT Col.7"}; !slices.Equal(jit, want) {
+		t.Fatalf("rows charged the delay: %v, want %v", jit, want)
 	}
 }

@@ -3,9 +3,7 @@ package jit
 import (
 	"bytes"
 	"math/rand"
-	"strings"
 	"testing"
-	"time"
 
 	"rawdb/internal/catalog"
 	"rawdb/internal/exec"
@@ -538,136 +536,5 @@ func TestLateScanValidation(t *testing.T) {
 	// Out-of-range column.
 	if _, err := NewCSVLateScan(child, data, tab, []int{9}, pm, 1); err == nil {
 		t.Fatal("expected out-of-range error")
-	}
-}
-
-func TestSpecKeyAndSource(t *testing.T) {
-	sp := Spec{
-		Format:  catalog.CSV,
-		Table:   "t",
-		Mode:    Sequential,
-		Types:   []vector.Type{vector.Int64, vector.Int64, vector.Float64},
-		Need:    []int{0, 1},
-		PMBuild: []int{1},
-		EmitRID: true,
-	}
-	key := sp.Key()
-	if !strings.Contains(key, "csv|t|seq") {
-		t.Fatalf("key = %q", key)
-	}
-	src := sp.Source()
-	for _, want := range []string{"convertToInteger", "posmap.col1.append(pos)", "skipFields(data, pos, 1)"} {
-		if !strings.Contains(src, want) {
-			t.Fatalf("source missing %q:\n%s", want, src)
-		}
-	}
-	// ViaMap emission mentions anchors and skips.
-	sp2 := Spec{Format: catalog.CSV, Table: "t", Mode: ViaMap,
-		Types: []vector.Type{vector.Int64, vector.Int64, vector.Int64},
-		Need:  []int{2}, PMRead: []int{0}}
-	if src := sp2.Source(); !strings.Contains(src, "skipFields(data, pos, 2)") {
-		t.Fatalf("viamap source:\n%s", src)
-	}
-	// Binary emission folds offsets.
-	sp3 := Spec{Format: catalog.Binary, Table: "t", Mode: Direct,
-		Types: []vector.Type{vector.Int64, vector.Float64}, Need: []int{1}}
-	if src := sp3.Source(); !strings.Contains(src, "constant offset 8, stride 16") {
-		t.Fatalf("binary source:\n%s", src)
-	}
-	// Root emission calls the library.
-	sp4 := Spec{Format: catalog.Root, Table: "ev", Mode: Direct,
-		Types: []vector.Type{vector.Int64}, Need: []int{0}}
-	if src := sp4.Source(); !strings.Contains(src, "readROOTField") {
-		t.Fatalf("root source:\n%s", src)
-	}
-}
-
-func TestCacheEnsure(t *testing.T) {
-	c := NewCache()
-	sp := Spec{Format: catalog.Binary, Table: "t", Mode: Direct,
-		Types: []vector.Type{vector.Int64}, Need: []int{0}}
-	e1, hit := c.Ensure(sp)
-	if hit || e1.Compiles != 1 || e1.Source == "" {
-		t.Fatalf("first Ensure: hit=%v entry=%+v", hit, e1)
-	}
-	e2, hit := c.Ensure(sp)
-	if !hit || e2 != e1 || e2.Hits != 1 {
-		t.Fatalf("second Ensure: hit=%v hits=%d", hit, e2.Hits)
-	}
-	if c.Len() != 1 {
-		t.Fatalf("Len = %d", c.Len())
-	}
-	c.Reset()
-	if c.Len() != 0 {
-		t.Fatalf("Len after reset = %d", c.Len())
-	}
-}
-
-// TestCacheByteEviction pins the byte-accounted LRU behaviour of the
-// template cache: entries beyond the capacity evict least-recently-used
-// first, a reused template survives, and the newest entry is never evicted.
-func TestCacheByteEviction(t *testing.T) {
-	mk := func(table string) Spec {
-		return Spec{Format: catalog.Binary, Table: table, Mode: Direct,
-			Types: []vector.Type{vector.Int64}, Need: []int{0}}
-	}
-	c := NewCache()
-	c.Ensure(mk("t1"))
-	one := c.SizeBytes()
-	if one <= 0 {
-		t.Fatal("entry accounted zero bytes")
-	}
-	// Capacity for two same-shaped entries (equal key/source lengths).
-	c.Reset()
-	c.SetCapacityBytes(2 * one)
-	c.Ensure(mk("t1"))
-	c.Ensure(mk("t2"))
-	if c.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", c.Len())
-	}
-	// Touch t1 so t2 is the LRU victim when t3 arrives.
-	if _, hit := c.Ensure(mk("t1")); !hit {
-		t.Fatal("t1 not cached")
-	}
-	c.Ensure(mk("t3"))
-	if _, hit := c.Ensure(mk("t1")); !hit {
-		t.Fatal("recently used t1 was evicted")
-	}
-	if c.SizeBytes() > 2*one {
-		t.Fatalf("size %d exceeds the %d-byte capacity", c.SizeBytes(), 2*one)
-	}
-	// t2 must have been the victim: re-ensuring it is a miss.
-	if _, hit := c.Ensure(mk("t2")); hit {
-		t.Fatal("LRU entry t2 survived eviction")
-	}
-	// A capacity smaller than a single entry still retains the newest.
-	c.Reset()
-	c.SetCapacityBytes(1)
-	c.Ensure(mk("t9"))
-	if c.Len() != 1 {
-		t.Fatalf("newest entry evicted at Len = %d", c.Len())
-	}
-	if _, hit := c.Ensure(mk("t9")); !hit {
-		t.Fatal("oversized lone entry not reusable")
-	}
-}
-
-func TestCacheCompileDelay(t *testing.T) {
-	c := NewCache()
-	var slept time.Duration
-	c.sleep = func(d time.Duration) { slept += d }
-	c.SetCompileDelay(2 * time.Second)
-	sp := Spec{Format: catalog.Binary, Table: "t", Mode: Direct,
-		Types: []vector.Type{vector.Int64}, Need: []int{0}}
-	c.Ensure(sp)
-	if slept != 2*time.Second {
-		t.Fatalf("compile delay charged %v", slept)
-	}
-	c.Ensure(sp) // hit: no extra delay
-	if slept != 2*time.Second {
-		t.Fatalf("cache hit charged extra delay: %v", slept)
-	}
-	if entries := c.Entries(); len(entries) != 1 || entries[0].Hits != 1 {
-		t.Fatalf("entries = %+v", entries)
 	}
 }

@@ -3,7 +3,7 @@ package jit
 import (
 	"bytes"
 	"math/rand"
-	"strings"
+	"slices"
 	"testing"
 
 	"rawdb/internal/bytesconv"
@@ -281,91 +281,78 @@ func TestJSONAgreesAcrossModes(t *testing.T) {
 	}
 }
 
-// TestJSONSpecSourceGolden pins the emitted generated-code text for the JSON
-// access paths, mirroring the CSV/binary golden style.
-func TestJSONSpecSourceGolden(t *testing.T) {
-	seqSpec := Spec{
-		Format:  catalog.JSON,
-		Table:   "ev",
-		Mode:    Sequential,
-		Types:   []vector.Type{vector.Int64, vector.Float64, vector.Int64},
-		Need:    []int{0, 1},
-		Paths:   []string{"id", "payload.energy"},
-		PMBuild: []int{0, 1},
-		EmitRID: true,
-	}
-	want := `// Generated access path: seq scan over table "ev" (json).
-// Template key: json|ev|seq|t=0,1,0,|n=[0 1]|pr=[]|pb=[0 1]|rid=true|paths=[id payload.energy]
-func scan(data []byte) {
-	pos := 0
-	for pos < len(data) { // per row; matcher tree compiled below
-		structidx.rows.append(pos)
-		for each member { // unmatched keys: skipValue
-			case "id": structidx.path("id").append(pos); col0.append(convertToInteger(valueAt(data, pos)))
-			case "payload.energy": structidx.path("payload.energy").append(pos); col1.append(convertToFloat(valueAt(data, pos)))
+// TestJSONScanRecords pins what each JSON access path records into the
+// structural index: a first scan that tees its columns records the row starts
+// only, a via-map read records the paths the index does not track yet, and a
+// late read records nothing.
+func TestJSONScanRecords(t *testing.T) {
+	const rows = 200
+	data, tab, ints, floats := genJSONTable(t, rows, 31)
+
+	// A first scan records the row starts and the paths record lists.
+	first := func(record []int) *jsonidx.Index {
+		idx := jsonidx.New()
+		s, err := NewJSONSequentialScanPush(data, tab, []int{0, 2}, idx, record, true, 0, Pushdown{})
+		if err != nil {
+			t.Fatal(err)
 		}
-		rid.append(row); row++
-		pos = nextRow(data, pos)
+		if _, err := exec.Collect(s); err != nil {
+			t.Fatal(err)
+		}
+		return idx
 	}
-}
-`
-	if got := seqSpec.Source(); got != want {
-		t.Fatalf("sequential source:\n--- got ---\n%s--- want ---\n%s", got, want)
+	if teed := first(nil); teed.NRows() != rows || len(teed.TrackedPaths()) != 0 {
+		t.Fatalf("teeing first scan: %d rows, paths %v; want %d rows and no path", teed.NRows(), teed.TrackedPaths(), rows)
 	}
-	// A first scan whose columns are captured whole as shreds records only
-	// the row starts: its key and its source say so.
-	teedSpec := seqSpec
-	teedSpec.PMBuild = nil
-	if teedSpec.Key() == seqSpec.Key() {
-		t.Fatal("a teeing and a recording sequential spec share a template key")
+	idx := first([]int{0})
+	if idx.NRows() != rows || !slices.Equal(idx.TrackedPaths(), []string{"id"}) {
+		t.Fatalf("recording first scan: %d rows, paths %v; want %d rows and [id]", idx.NRows(), idx.TrackedPaths(), rows)
 	}
-	if src := teedSpec.Source(); strings.Contains(src, "structidx.path(") ||
-		!strings.Contains(src, "structidx.rows.append(pos)") || !strings.Contains(src, `case "payload.energy": col1.append(`) {
-		t.Fatalf("teeing sequential source must record row starts only:\n%s", src)
+	footprint := idx.MemoryFootprint()
+
+	// A via-map read records the untracked path it reads, and not the
+	// tracked one; the index it read stays as it was.
+	via, rec, err := NewJSONMapScanPush(data, tab, []int{0, 4}, idx, []int{0, 4}, false, 0, Pushdown{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec == nil || !slices.Equal(rec.Paths(), []string{"payload.ncells"}) {
+		t.Fatalf("via-map recorder %v, want one of [payload.ncells]", rec)
+	}
+	out, err := exec.Collect(via)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := 0; r < rows; r++ {
+		if out[0].Int64s[r] != ints[r][0] || out[1].Int64s[r] != ints[r][2] {
+			t.Fatalf("via-map row %d: id %d ncells %d", r, out[0].Int64s[r], out[1].Int64s[r])
+		}
+	}
+	if !slices.Equal(idx.TrackedPaths(), []string{"id"}) || idx.MemoryFootprint() != footprint {
+		t.Fatalf("via-map read wrote its index: paths %v", idx.TrackedPaths())
+	}
+	grown := rec.Publish(idx)
+	if !slices.Equal(grown.TrackedPaths(), []string{"id", "payload.ncells"}) || grown.NRows() != rows {
+		t.Fatalf("published recording: %d rows, paths %v", grown.NRows(), grown.TrackedPaths())
 	}
 
-	viaSpec := Spec{
-		Format: catalog.JSON,
-		Table:  "ev",
-		Mode:   ViaMap,
-		Types:  []vector.Type{vector.Int64, vector.Float64, vector.Int64},
-		Need:   []int{0, 2},
-		Paths:  []string{"id", "payload.ncells"},
-		PMRead: []int{0},
+	// A late read, of a tracked and an untracked path, records nothing.
+	fetch, err := JSONLateFetch(data, tab, []int{4, 3}, grown)
+	if err != nil {
+		t.Fatal(err)
 	}
-	want = `// Generated access path: viamap scan over table "ev" (json).
-// Template key: json|ev|viamap|t=0,1,0,|n=[0 2]|pr=[0]|pb=[]|rid=false|paths=[id payload.ncells]
-func scan(data []byte) {
-	// path "id" via structural index (recorded value offsets)
-	for _, pos := range structidx.path("id").positions {
-		col0.append(convertToInteger(valueAt(data, pos)))
+	rids := []int64{3, 77, 150, 199}
+	outs := []*vector.Vector{vector.New(vector.Int64, len(rids)), vector.New(vector.Float64, len(rids))}
+	footprint = grown.MemoryFootprint()
+	if err := fetch(rids, outs); err != nil {
+		t.Fatal(err)
 	}
-	// path "payload.ncells" untracked: walk from row starts, record adaptively
-	for _, pos := range structidx.rows.positions {
-		pos = findPath(data, pos, "payload.ncells")
-		structidx.path("payload.ncells").append(pos)
-		col2.append(convertToInteger(valueAt(data, pos)))
+	for i, r := range rids {
+		if outs[0].Int64s[i] != ints[r][2] || outs[1].Float64s[i] != floats[r][1] {
+			t.Fatalf("late row %d: ncells %d eta %v", r, outs[0].Int64s[i], outs[1].Float64s[i])
+		}
 	}
-}
-`
-	if got := viaSpec.Source(); got != want {
-		t.Fatalf("viamap source:\n--- got ---\n%s--- want ---\n%s", got, want)
-	}
-
-	// Late mode shares the via-map emitter but never claims adaptive
-	// recording: it sees only surviving rows, whose partial offsets are
-	// never committed to the index.
-	lateSpec := viaSpec
-	lateSpec.Mode = Late
-	lateSrc := lateSpec.Source()
-	if !strings.Contains(lateSrc, "structidx.path(\"id\").positions") {
-		t.Fatalf("late source missing tracked-offset navigation:\n%s", lateSrc)
-	}
-	if !strings.Contains(lateSrc, "surviving row") ||
-		strings.Contains(lateSrc, "structidx.path(\"payload.ncells\").append") {
-		t.Fatalf("late source must walk, not record, untracked paths:\n%s", lateSrc)
-	}
-	if lateSpec.Key() == viaSpec.Key() {
-		t.Fatal("late and viamap specs share a template key")
+	if !slices.Equal(grown.TrackedPaths(), []string{"id", "payload.ncells"}) || grown.MemoryFootprint() != footprint {
+		t.Fatalf("late read recorded: paths %v", grown.TrackedPaths())
 	}
 }

@@ -144,7 +144,7 @@ func (s *Span) Observe(d time.Duration, rows int) {
 func (s *Span) End() { s.Closed() }
 
 // Window records an explicit wall-clock interval, for work measured outside
-// the operator pull loop (e.g. JIT template compilation at plan time).
+// the operator pull loop (e.g. a query's publication after its last batch).
 func (s *Span) Window(start, end time.Time) {
 	if s == nil {
 		return

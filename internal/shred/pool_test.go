@@ -87,8 +87,9 @@ func (m *poolModel) lookup(k Key, full bool) bool {
 
 var fuzzTables = []string{"a", "b"}
 
-// FuzzShredPool runs sequences of Put (full or partial), Lookup, LookupFull,
-// DropTable, Reset and evictions a foreign budget entry forces against
+// FuzzShredPool runs sequences of Put (full or partial, or with row ids out of
+// order or repeated, which it refuses), Lookup, LookupFull, DropTable, Reset
+// and evictions a foreign budget entry forces against
 // poolModel, checking after every step the pool's size, bytes, budget,
 // statistics and the shred it serves per key.
 func FuzzShredPool(f *testing.F) {
@@ -98,11 +99,14 @@ func FuzzShredPool(f *testing.F) {
 	// Three disjoint partial shreds of one key, then one covering two of
 	// them: one shred per key, whatever rows it holds.
 	f.Add(byte(255), []byte{0, 1, 4, 0, 1, 4, 0, 1, 4, 0, 1, 8, 3, 1, 0, 4, 1, 0})
+	// A partial shred, then offers of row ids out of order and repeated for
+	// its key and another: both refused.
+	f.Add(byte(255), []byte{0, 1, 4, 8, 1, 5, 8, 1, 6, 8, 2, 9, 3, 1, 0, 3, 2, 0})
 	f.Fuzz(func(t *testing.T, capacity byte, ops []byte) {
 		m := &poolModel{capacity: 64 + 2*int64(capacity), shreds: make(map[Key]modelShred)}
 		p := NewPool(m.capacity)
 		for i := 0; i+2 < len(ops) && i < 3*64; i += 3 {
-			op, k, arg := ops[i]%8, Key{fuzzTables[ops[i+1]%6/3], int(ops[i+1] % 3)}, ops[i+2]
+			op, k, arg := ops[i]%9, Key{fuzzTables[ops[i+1]%6/3], int(ops[i+1] % 3)}, ops[i+2]
 			step := fmt.Sprintf("step %d (op %d on %v, arg %d)", i/3, op, k, arg)
 			switch op {
 			case 0, 1, 2:
@@ -154,6 +158,23 @@ func FuzzShredPool(f *testing.F) {
 			case 7:
 				p.Reset()
 				m = &poolModel{capacity: m.capacity, shreds: make(map[Key]modelShred)}
+			case 8:
+				// Row ids out of order or repeated, as a capture above a
+				// join would see them: refused, and nothing is touched.
+				rids := make([]int64, 2+int(arg>>1)%10)
+				vals := vector.New(vector.Int64, len(rids))
+				for r := range rids {
+					rids[r] = int64(2 * r)
+					vals.AppendInt64(int64(r))
+				}
+				if arg&1 == 1 {
+					rids[0], rids[len(rids)-1] = rids[len(rids)-1], rids[0]
+				} else {
+					rids[len(rids)-1] = rids[len(rids)-2]
+				}
+				if s, old := p.Put(k, rids, vals); s != nil || old != nil {
+					t.Fatalf("%s: row ids %v installed %v, replaced %v", step, rids, s, old)
+				}
 			}
 			checkPool(t, step, p, m)
 		}
@@ -179,6 +200,9 @@ func checkPool(t *testing.T, step string, p *Pool, m *poolModel) {
 			if !ok || s.Full() != ms.full || s.Len() != ms.rows || s.SizeBytes() != ms.bytes() {
 				t.Fatalf("%s: pool serves %v with %d rows (full %v), model %+v (held %v)",
 					step, s.Key(), s.Len(), s.Full(), ms, ok)
+			}
+			if rids := s.RowIDs(); !slices.IsSorted(rids) || len(slices.Compact(slices.Clone(rids))) != len(rids) {
+				t.Fatalf("%s: pool serves %v with row ids %v", step, s.Key(), rids)
 			}
 		}
 	}

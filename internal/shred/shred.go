@@ -139,12 +139,16 @@ func NewPool(capacityBytes int64) *Pool {
 // Budget returns the cache budget the pool's shreds are charged to.
 func (p *Pool) Budget() *budget.Budget { return p.budget }
 
-// Put offers a shred for key. rowIDs must be sorted ascending and aligned
-// with vec (nil for a full column); the pool takes ownership of both slices.
-// The shred is installed (and returned) if it outranks the pooled one, which
-// it then replaces (and returns); otherwise the pooled one is kept, and
-// touched, and Put returns nil, nil.
+// Put offers a shred for key. rowIDs must ascend strictly and align with vec
+// (nil for a full column); the pool takes ownership of both slices. The
+// shred is installed (and returned) if it outranks the pooled one, which it
+// then replaces (and returns); otherwise the pooled one is kept, and touched,
+// and Put returns nil, nil. Row ids out of order, repeated or misaligned are
+// refused: Put returns nil, nil and leaves the pool as it was.
 func (p *Pool) Put(key Key, rowIDs []int64, vec *vector.Vector) (installed, replaced *Shred) {
+	if rowIDs != nil && !validRowIDs(rowIDs, vec.Len()) {
+		return nil, nil
+	}
 	s := &Shred{key: key, rowIDs: rowIDs, vec: vec}
 	p.mu.Lock()
 	old := p.byKey[key]
@@ -172,6 +176,20 @@ func (p *Pool) Put(key Key, rowIDs []int64, vec *vector.Vector) (installed, repl
 	}
 	p.mu.Unlock()
 	return s, old
+}
+
+// validRowIDs reports whether rids are n row ids in strictly ascending order,
+// the order LateFill's merge and ranking by row count rely on.
+func validRowIDs(rids []int64, n int) bool {
+	if len(rids) != n {
+		return false
+	}
+	for i := 1; i < len(rids); i++ {
+		if rids[i] <= rids[i-1] {
+			return false
+		}
+	}
+	return true
 }
 
 // drop removes a shred the budget evicted, unless it is no longer pooled.

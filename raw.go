@@ -37,7 +37,6 @@ package raw
 import (
 	"context"
 	"io"
-	"time"
 
 	"rawdb/internal/catalog"
 	"rawdb/internal/engine"
@@ -114,9 +113,6 @@ type Config struct {
 	// lifecycle event, and results are bit-identical either way (float SUM
 	// and AVG use exact summation in both plans).
 	Parallelism int
-	// CompileDelay simulates the one-time latency of compiling a generated
-	// access path, charged to the first query that needs it.
-	CompileDelay time.Duration
 	// DisableShredCache turns off column-shred capture and reuse.
 	DisableShredCache bool
 	// JoinPlacement places join-projected columns (default PlaceLate).
@@ -247,8 +243,8 @@ type HeatSnapshot = obs.HeatSnapshot
 // Engine.Inflight).
 type InflightQuery = engine.InflightQuery
 
-// Stats describes how a query executed: strategy, chosen access paths,
-// template-cache and shred-cache outcomes.
+// Stats describes how a query executed: strategy, chosen access paths and
+// shred-cache outcomes.
 type Stats = engine.Stats
 
 // Result is a fully materialised query result.
@@ -268,7 +264,6 @@ func NewEngine(cfg Config) *Engine {
 		PosMapPolicy:      cfg.PosMapPolicy,
 		BatchSize:         cfg.BatchSize,
 		Parallelism:       cfg.Parallelism,
-		CompileDelay:      cfg.CompileDelay,
 		DisableShredCache: cfg.DisableShredCache,
 		JoinPlacement:     cfg.JoinPlacement,
 		MultiColumnShreds: cfg.MultiColumnShreds,
