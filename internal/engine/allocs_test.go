@@ -33,7 +33,7 @@ func TestWarmQueryAllocs(t *testing.T) {
 		// the rows below 400: the cascade completes them from the raw file.
 		{name: "partial cascade",
 			warm: []string{"SELECT COUNT(*) FROM t WHERE col1 < 1000", "SELECT SUM(col3), MAX(col4) FROM t WHERE col1 < 400"},
-			sql:  "SELECT SUM(col3), MAX(col4), COUNT(*) FROM t WHERE col1 < 2500", query: 250, explain: 164},
+			sql:  "SELECT SUM(col3), MAX(col4), COUNT(*) FROM t WHERE col1 < 2500", query: 245, explain: 149},
 		{name: "join",
 			warm:  []string{"SELECT MAX(t.col4), COUNT(*) FROM t, u WHERE t.col2 = u.col1 AND u.col3 < 500 AND t.col1 < 1500"},
 			sql:   "SELECT MAX(t.col4), COUNT(*) FROM t, u WHERE t.col2 = u.col1 AND u.col3 < 500 AND t.col1 < 1500",
@@ -41,7 +41,7 @@ func TestWarmQueryAllocs(t *testing.T) {
 		// Served jit:viamap(t), jit:late(t.cols2,) and jit:late(t.cols3,).
 		{name: "generated", noShreds: true,
 			warm: []string{"SELECT COUNT(*) FROM t WHERE col1 < 1000"},
-			sql:  "SELECT SUM(col3), MAX(col4), COUNT(*) FROM t WHERE col1 < 2500", query: 182, explain: 146},
+			sql:  "SELECT SUM(col3), MAX(col4), COUNT(*) FROM t WHERE col1 < 2500", query: 181, explain: 143},
 	}
 	serial := 1
 	opts := Options{Parallelism: &serial}

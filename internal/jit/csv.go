@@ -22,7 +22,7 @@ type rowStep func(pos int) int
 
 // CSVScan is the sequential JIT access path over a CSV file: the first query
 // parses it front to back, optionally building a positional map; later
-// queries jump through that map, column at a time (NewCSVMapScan, a RowScan).
+// queries jump through that map (NewCSVMapScan, a RowScan over CSVLateFetch).
 // NewCSVSequentialScanPush additionally inlines pushed-down predicates and
 // synopsis building into the generated code.
 type CSVScan struct {
@@ -216,10 +216,9 @@ func NewCSVSequentialScanPush(data []byte, t *catalog.Table, need []int,
 	return s, nil
 }
 
-// NewCSVMapScan generates a ViaMap access path: for each requested column the
-// generator resolves, once, which tracked column to jump from and how many
-// fields to skip, then emits a monomorphic column reader. Execution is
-// column-at-a-time over each batch's row range.
+// NewCSVMapScan generates a ViaMap access path: a RowScan over CSVLateFetch,
+// which resolves once, per column, which tracked column to jump from and how
+// many fields to skip.
 func NewCSVMapScan(data []byte, t *catalog.Table, need []int, pm *posmap.Map,
 	emitRID bool, batchSize int) (*RowScan, error) {
 	return NewCSVMapScanPush(data, t, need, pm, emitRID, batchSize, Pushdown{})
@@ -228,7 +227,7 @@ func NewCSVMapScan(data []byte, t *catalog.Table, need []int, pm *posmap.Map,
 // NewCSVMapScanPush generates a ViaMap access path with pushdown (see
 // RowScan): opts.Preds select rows before the remaining columns are parsed,
 // and opts.Skip excludes whole batch ranges via zone maps before any field is
-// touched. opts.Syn is ignored: these readers observe nothing.
+// touched. opts.Syn is ignored: the fetch observes nothing.
 func NewCSVMapScanPush(data []byte, t *catalog.Table, need []int, pm *posmap.Map,
 	emitRID bool, batchSize int, opts Pushdown) (*RowScan, error) {
 	if t.Format != catalog.CSV {
@@ -238,121 +237,9 @@ func NewCSVMapScanPush(data []byte, t *catalog.Table, need []int, pm *posmap.Map
 		return nil, fmt.Errorf("jit: map scan requires a populated positional map")
 	}
 	opts.Syn = nil
-	return newRowScan(t, need, pm.NRows(), emitRID, batchSize, opts, func(c int) (rowCol, error) {
-		r, err := newCSVColReader(data, t, c, pm)
-		return rowCol{read: r}, err
+	return newRowScan(t, need, pm.NRows(), emitRID, batchSize, opts, nil, func(cols []int) (exec.Fetch, error) {
+		return CSVLateFetch(data, t, cols, pm)
 	})
-}
-
-// newCSVColReader generates the reader for one column: jump positions and
-// skip counts are resolved here, once, and captured as constants.
-func newCSVColReader(data []byte, t *catalog.Table, c int, pm *posmap.Map) (colReader, error) {
-	near, ok := pm.Nearest(c)
-	if !ok {
-		return nil, fmt.Errorf("jit: positional map cannot reach column %d", c)
-	}
-	positions := pm.Positions(near)
-	var batch []int64 // the batch's positions, decoded into reused scratch
-	skip := c - near
-	typ := t.Schema[c].Type
-	switch typ {
-	case vector.Int64:
-		if skip == 0 {
-			return func(rowStart, rowEnd int64, sel []int32, out *vector.Vector) error {
-				batch = positions.Decode(batch, rowStart, rowEnd)
-				if sel != nil {
-					base := out.Extend(int(rowEnd - rowStart))
-					for _, si := range sel {
-						row := rowStart + int64(si)
-						start, end, _ := csvfile.FieldBounds(data, int(batch[si]))
-						v, err := bytesconv.ParseInt64(data[start:end])
-						if err != nil {
-							return csvMapError(row, c, err)
-						}
-						out.Int64s[base+int(si)] = v
-					}
-					return nil
-				}
-				for i, p := range batch {
-					start, end, _ := csvfile.FieldBounds(data, int(p))
-					v, err := bytesconv.ParseInt64(data[start:end])
-					if err != nil {
-						return csvMapError(rowStart+int64(i), c, err)
-					}
-					out.Int64s = append(out.Int64s, v)
-				}
-				return nil
-			}, nil
-		}
-		return func(rowStart, rowEnd int64, sel []int32, out *vector.Vector) error {
-			batch = positions.Decode(batch, rowStart, rowEnd)
-			if sel != nil {
-				base := out.Extend(int(rowEnd - rowStart))
-				for _, si := range sel {
-					row := rowStart + int64(si)
-					pos := csvfile.SkipFields(data, int(batch[si]), skip)
-					start, end, _ := csvfile.FieldBounds(data, pos)
-					v, err := bytesconv.ParseInt64(data[start:end])
-					if err != nil {
-						return csvMapError(row, c, err)
-					}
-					out.Int64s[base+int(si)] = v
-				}
-				return nil
-			}
-			for i, p := range batch {
-				pos := csvfile.SkipFields(data, int(p), skip)
-				start, end, _ := csvfile.FieldBounds(data, pos)
-				v, err := bytesconv.ParseInt64(data[start:end])
-				if err != nil {
-					return csvMapError(rowStart+int64(i), c, err)
-				}
-				out.Int64s = append(out.Int64s, v)
-			}
-			return nil
-		}, nil
-	case vector.Float64:
-		return func(rowStart, rowEnd int64, sel []int32, out *vector.Vector) error {
-			batch = positions.Decode(batch, rowStart, rowEnd)
-			if sel != nil {
-				base := out.Extend(int(rowEnd - rowStart))
-				for _, si := range sel {
-					row := rowStart + int64(si)
-					pos := int(batch[si])
-					if skip > 0 {
-						pos = csvfile.SkipFields(data, pos, skip)
-					}
-					start, end, _ := csvfile.FieldBounds(data, pos)
-					v, err := bytesconv.ParseFloat64(data[start:end])
-					if err != nil {
-						return csvMapError(row, c, err)
-					}
-					out.Float64s[base+int(si)] = v
-				}
-				return nil
-			}
-			for i, p := range batch {
-				pos := int(p)
-				if skip > 0 {
-					pos = csvfile.SkipFields(data, pos, skip)
-				}
-				start, end, _ := csvfile.FieldBounds(data, pos)
-				v, err := bytesconv.ParseFloat64(data[start:end])
-				if err != nil {
-					return csvMapError(rowStart+int64(i), c, err)
-				}
-				out.Float64s = append(out.Float64s, v)
-			}
-			return nil
-		}, nil
-	default:
-		return nil, fmt.Errorf("jit: unsupported CSV column type %s", typ)
-	}
-}
-
-// csvMapError is a via-map reader's conversion failure, at row and column.
-func csvMapError(row int64, c int, err error) error {
-	return fmt.Errorf("jit csv map scan: row %d col %d: %w", row, c, err)
 }
 
 func scanSchema(t *catalog.Table, need []int, emitRID bool) (vector.Schema, error) {

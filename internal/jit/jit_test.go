@@ -300,7 +300,7 @@ func TestRootScan(t *testing.T) {
 	tree, _ := f.Tree("events")
 	tab := &catalog.Table{Name: "ev", Format: catalog.Root, Tree: "events",
 		Schema: []catalog.Column{{Name: "id", Type: vector.Int64}, {Name: "pt", Type: vector.Float64}}}
-	s, err := NewRootScan(tree, tab, []int{0, 1}, true, 40)
+	s, err := NewRootScanPruned(tree, tab, []int{0, 1}, true, 40, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,11 +319,11 @@ func TestRootScan(t *testing.T) {
 	// Unknown branch and type mismatch.
 	bad := *tab
 	bad.Schema = []catalog.Column{{Name: "nope", Type: vector.Int64}}
-	if _, err := NewRootScan(tree, &bad, []int{0}, false, 0); err == nil {
+	if _, err := NewRootScanPruned(tree, &bad, []int{0}, false, 0, nil); err == nil {
 		t.Fatal("expected missing-branch error")
 	}
 	bad.Schema = []catalog.Column{{Name: "pt", Type: vector.Int64}}
-	if _, err := NewRootScan(tree, &bad, []int{0}, false, 0); err == nil {
+	if _, err := NewRootScanPruned(tree, &bad, []int{0}, false, 0, nil); err == nil {
 		t.Fatal("expected type-mismatch error")
 	}
 }
@@ -492,7 +492,7 @@ func TestRootLateScan(t *testing.T) {
 	tree, _ := f.Tree("ev")
 	tab := &catalog.Table{Name: "ev", Format: catalog.Root, Tree: "ev",
 		Schema: []catalog.Column{{Name: "id", Type: vector.Int64}, {Name: "v", Type: vector.Int64}}}
-	base, err := NewRootScan(tree, tab, []int{0}, true, 0)
+	base, err := NewRootScanPruned(tree, tab, []int{0}, true, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -536,5 +536,12 @@ func TestLateScanValidation(t *testing.T) {
 	// Out-of-range column.
 	if _, err := NewCSVLateScan(child, data, tab, []int{9}, pm, 1); err == nil {
 		t.Fatal("expected out-of-range error")
+	}
+	// One parse pass per row reads a column once.
+	if _, err := NewCSVLateScan(child, data, tab, []int{3, 3}, pm, 1); err == nil {
+		t.Fatal("expected an error for a column requested twice")
+	}
+	if _, err := NewCSVMapScan(data, tab, []int{1, 3, 1}, pm, false, 0); err == nil {
+		t.Fatal("expected an error for a map scan reading a column twice")
 	}
 }

@@ -499,12 +499,11 @@ func (s *JSONScan) Close() error { return nil }
 
 var _ exec.Operator = (*JSONScan)(nil)
 
-// NewJSONMapScan generates a structural-index access path: for each
-// requested path the generator resolves, once, whether recorded value
-// offsets exist (jump straight to the value) or the row-start offsets must
-// be used (walk the object from the row start). Execution is
-// column-at-a-time over each batch's row range. It drops the offsets it
-// records of untracked paths; NewJSONMapScanPush hands them out.
+// NewJSONMapScan generates a structural-index access path: a RowScan over the
+// JSON fetch, which resolves once, per path, whether recorded value offsets
+// exist (jump straight to the value) or the row-start offsets must be used
+// (find the value from the row start). It drops the offsets it records of
+// untracked paths; NewJSONMapScanPush hands them out.
 func NewJSONMapScan(data []byte, t *catalog.Table, need []int, idx *jsonidx.Index,
 	emitRID bool, batchSize int) (*RowScan, error) {
 	s, _, err := NewJSONMapScanPush(data, t, need, idx, need, emitRID, batchSize, Pushdown{})
@@ -514,13 +513,13 @@ func NewJSONMapScan(data []byte, t *catalog.Table, need []int, idx *jsonidx.Inde
 // NewJSONMapScanPush generates a structural-index access path with pushdown
 // (see RowScan), and returns with it the recording of the paths of the
 // columns of need that record lists and idx does not track (nil when there
-// are none); the other untracked paths are walked and not recorded.
-// Recorded-offset columns are parsed
-// only for rows opts.Preds select, while columns being recorded always read
-// dense, so the recording of a scan that read every row of its range covers
-// that range: once the query succeeded, the caller may publish it
-// (jsonidx.Recorder.Publish), alone for the whole table or linked with the
-// recordings of the other ranges (SetRowRange). idx itself is never written.
+// are none); the other untracked paths are read and not recorded. Predicate
+// columns and columns being recorded are read on every row, the others only
+// for rows opts.Preds select, so the recording of a scan that read every row
+// of its range covers that range: once the query succeeded, the caller may
+// publish it (jsonidx.Recorder.Publish), alone for the whole table or linked
+// with the recordings of the other ranges (SetRowRange). idx itself is never
+// written.
 // opts.Skip applies only when nothing is recorded — skipped rows could never
 // be recorded — and is dropped otherwise. opts.Syn is ignored.
 func NewJSONMapScanPush(data []byte, t *catalog.Table, need []int, idx *jsonidx.Index,
@@ -534,23 +533,20 @@ func NewJSONMapScanPush(data []byte, t *catalog.Table, need []int, idx *jsonidx.
 	// Declare the untracked paths to record up front so one recorder stages
 	// them all (a column out of range fails in newRowScan).
 	var newPaths []string
+	var dense []int
 	for _, c := range need {
 		if c >= 0 && c < len(t.Schema) && slices.Contains(record, c) && !idx.Tracked(t.Schema[c].Name) {
-			newPaths = append(newPaths, t.Schema[c].Name)
+			newPaths, dense = append(newPaths, t.Schema[c].Name), append(dense, c)
 		}
 	}
 	var adaptive *jsonidx.Recorder
-	adaptSlot := make(map[string]int)
 	if len(newPaths) > 0 {
 		adaptive = idx.Record(newPaths)
-		for i, p := range adaptive.Paths() {
-			adaptSlot[p] = i
-		}
 		opts.Skip = nil
 	}
 	opts.Syn = nil
-	s, err := newRowScan(t, need, idx.NRows(), emitRID, batchSize, opts, func(c int) (rowCol, error) {
-		return newJSONColReader(data, t, c, idx, adaptive, adaptSlot)
+	s, err := newRowScan(t, need, idx.NRows(), emitRID, batchSize, opts, dense, func(cols []int) (exec.Fetch, error) {
+		return jsonFetch(data, t, cols, idx, adaptive)
 	})
 	if err != nil {
 		return nil, nil, err
@@ -558,121 +554,17 @@ func NewJSONMapScanPush(data []byte, t *catalog.Table, need []int, idx *jsonidx.
 	return s, adaptive, nil
 }
 
-// newJSONColReader generates the reader for one column; which navigation it
-// uses (recorded offsets vs row-start walk) and which conversion applies are
-// resolved here, once, and captured as constants.
-func newJSONColReader(data []byte, t *catalog.Table, c int, idx *jsonidx.Index,
-	adaptive *jsonidx.Recorder, adaptSlot map[string]int) (rowCol, error) {
-	path := t.Schema[c].Name
-	typ := t.Schema[c].Type
-	if positions := idx.Positions(path); positions != nil {
-		var batch []int64 // the batch's offsets, decoded into reused scratch
-		switch typ {
-		case vector.Int64:
-			return rowCol{read: func(rowStart, rowEnd int64, sel []int32, out *vector.Vector) error {
-				batch = positions.Decode(batch, rowStart, rowEnd)
-				if sel != nil {
-					base := out.Extend(int(rowEnd - rowStart))
-					for _, si := range sel {
-						row := rowStart + int64(si)
-						p := int(batch[si])
-						v, _, err := jsonfile.Int64At(data, p, byteAt(data, p))
-						if err != nil {
-							return jsonMapError(row, path, err)
-						}
-						out.Int64s[base+int(si)] = v
-					}
-					return nil
-				}
-				for i, p := range batch {
-					v, _, err := jsonfile.Int64At(data, int(p), byteAt(data, int(p)))
-					if err != nil {
-						return jsonMapError(rowStart+int64(i), path, err)
-					}
-					out.Int64s = append(out.Int64s, v)
-				}
-				return nil
-			}}, nil
-		case vector.Float64:
-			return rowCol{read: func(rowStart, rowEnd int64, sel []int32, out *vector.Vector) error {
-				batch = positions.Decode(batch, rowStart, rowEnd)
-				if sel != nil {
-					base := out.Extend(int(rowEnd - rowStart))
-					for _, si := range sel {
-						row := rowStart + int64(si)
-						p := int(batch[si])
-						v, _, err := jsonfile.Float64At(data, p, byteAt(data, p))
-						if err != nil {
-							return jsonMapError(row, path, err)
-						}
-						out.Float64s[base+int(si)] = v
-					}
-					return nil
-				}
-				for i, p := range batch {
-					v, _, err := jsonfile.Float64At(data, int(p), byteAt(data, int(p)))
-					if err != nil {
-						return jsonMapError(rowStart+int64(i), path, err)
-					}
-					out.Float64s = append(out.Float64s, v)
-				}
-				return nil
-			}}, nil
-		default:
-			return rowCol{}, fmt.Errorf("jit: unsupported JSON column type %s", typ)
-		}
-	}
-	// Untracked path: walk from the recorded row starts, through a learned
-	// skeleton, recording offsets if asked to. A recorded walk runs dense
-	// regardless of any selection — the adaptive recording must cover every
-	// row for the index to stay sound.
-	skel := jsonfile.NewSkeleton(jsonfile.SplitPath(path), maxSkeletonMisses)
-	ai, recorded := adaptSlot[path]
-	switch typ {
-	case vector.Int64, vector.Float64:
-	default:
-		return rowCol{}, fmt.Errorf("jit: unsupported JSON column type %s", typ)
-	}
-	isInt := typ == vector.Int64
-	return rowCol{dense: recorded, read: func(rowStart, rowEnd int64, _ []int32, out *vector.Vector) error {
-		for r := rowStart; r < rowEnd; r++ {
-			rs := idx.RowStart(r)
-			pos := skel.Find(data, int(rs))
-			if pos < 0 {
-				return fmt.Errorf("jit json map scan: row %d: path %q absent", r, path)
-			}
-			if recorded {
-				adaptive.AppendPathOffset(ai, rs, int64(pos))
-			}
-			if isInt {
-				v, _, err := jsonfile.Int64At(data, pos, byteAt(data, pos))
-				if err != nil {
-					return jsonMapError(r, path, err)
-				}
-				out.Int64s = append(out.Int64s, v)
-			} else {
-				v, _, err := jsonfile.Float64At(data, pos, byteAt(data, pos))
-				if err != nil {
-					return jsonMapError(r, path, err)
-				}
-				out.Float64s = append(out.Float64s, v)
-			}
-		}
-		return nil
-	}}, nil
-}
-
-// jsonMapError is a structural-index reader's conversion failure, at row and
-// path.
-func jsonMapError(row int64, path string, err error) error {
-	return fmt.Errorf("jit json map scan: row %d path %q: %w", row, path, err)
-}
-
 // JSONLateFetch generates the late fetch of cols of a JSONL file: for each
 // row id it jumps via the structural index — straight to the value for
 // tracked paths, to the row start and through a jsonfile.Skeleton for
 // untracked ones.
 func JSONLateFetch(data []byte, t *catalog.Table, cols []int, idx *jsonidx.Index) (exec.Fetch, error) {
+	return jsonFetch(data, t, cols, idx, nil)
+}
+
+// jsonFetch is JSONLateFetch that also records, into rec (when non-nil), the
+// offset of every untracked path rec stages, for each row id it reads.
+func jsonFetch(data []byte, t *catalog.Table, cols []int, idx *jsonidx.Index, rec *jsonidx.Recorder) (exec.Fetch, error) {
 	if t.Format != catalog.JSON {
 		return nil, fmt.Errorf("jit: json late scan got format %s", t.Format)
 	}
@@ -683,6 +575,7 @@ func JSONLateFetch(data []byte, t *catalog.Table, cols []int, idx *jsonidx.Index
 		path      string
 		positions *offsets.Column    // the path's value offsets, or the row starts
 		skel      *jsonfile.Skeleton // non-nil: untracked, found from the row start
+		rec       int                // the untracked path's slot in rec, or -1
 		isInt     bool
 	}
 	lcs := make([]lateCol, len(cols))
@@ -694,10 +587,13 @@ func JSONLateFetch(data []byte, t *catalog.Table, cols []int, idx *jsonidx.Index
 		if col.Type != vector.Int64 && col.Type != vector.Float64 {
 			return nil, fmt.Errorf("jit: unsupported JSON column type %s", col.Type)
 		}
-		lcs[i] = lateCol{path: col.Name, positions: idx.Positions(col.Name), isInt: col.Type == vector.Int64}
+		lcs[i] = lateCol{path: col.Name, positions: idx.Positions(col.Name), rec: -1, isInt: col.Type == vector.Int64}
 		if lcs[i].positions == nil {
 			lcs[i].positions = idx.RowStarts()
 			lcs[i].skel = jsonfile.NewSkeleton(jsonfile.SplitPath(col.Name), maxSkeletonMisses)
+			if rec != nil {
+				lcs[i].rec = slices.Index(rec.Paths(), col.Name)
+			}
 		}
 	}
 	nrows := idx.NRows()
@@ -709,10 +605,13 @@ func JSONLateFetch(data []byte, t *catalog.Table, cols []int, idx *jsonidx.Index
 				return err
 			}
 			for j, p := range b.pos {
-				pos, c := int(p), b.first[j]
+				pos, c := b.start(data, j)
 				if lc.skel != nil {
 					if pos = lc.skel.Find(data, pos); pos < 0 {
-						return fmt.Errorf("jit json late scan: row %d: path %q absent", rids[j], lc.path)
+						return fmt.Errorf("jit json: row %d: path %q absent", rids[j], lc.path)
+					}
+					if lc.rec >= 0 {
+						rec.AppendPathOffset(lc.rec, p, int64(pos))
 					}
 					c = byteAt(data, pos)
 				}
@@ -729,7 +628,7 @@ func JSONLateFetch(data []byte, t *catalog.Table, cols []int, idx *jsonidx.Index
 					}
 				}
 				if err != nil {
-					return fmt.Errorf("jit json late scan: row %d path %q: %w", rids[j], lc.path, err)
+					return fmt.Errorf("jit json: row %d path %q: %w", rids[j], lc.path, err)
 				}
 			}
 		}

@@ -105,7 +105,7 @@ func renderVectors(out *strings.Builder, outs []*vector.Vector) {
 func checkRange(rids []int64, nrows int64) error {
 	for _, r := range rids {
 		if r < 0 || r >= nrows {
-			return fmt.Errorf("jit: late scan row id %d out of range", r)
+			return fmt.Errorf("jit: row id %d out of range", r)
 		}
 	}
 	return nil
@@ -142,7 +142,7 @@ func csvLateRef(data []byte, tab *catalog.Table, cols []int, pm *posmap.Map) exe
 						outs[slot].AppendFloat64(v)
 					}
 					if err != nil {
-						return fmt.Errorf("jit: late scan row %d col %d: %w", r, c, err)
+						return fmt.Errorf("jit csv: row %d col %d: %w", r, c, err)
 					}
 				}
 			}
@@ -309,7 +309,7 @@ func jsonLateRef(data []byte, tab *catalog.Table, cols []int, idx *jsonidx.Index
 			for _, r := range rids {
 				pos := jsonfile.FindPath(data, int(idx.RowStart(r)), jsonfile.SplitPath(path))
 				if pos < 0 {
-					return fmt.Errorf("jit json late scan: row %d: path %q absent", r, path)
+					return fmt.Errorf("jit json: row %d: path %q absent", r, path)
 				}
 				tok := data[pos:jsonfile.NumberEnd(data, pos)]
 				var err error
@@ -323,7 +323,7 @@ func jsonLateRef(data []byte, tab *catalog.Table, cols []int, idx *jsonidx.Index
 					outs[i].AppendFloat64(v)
 				}
 				if err != nil {
-					return fmt.Errorf("jit json late scan: row %d path %q: %w", r, path, err)
+					return fmt.Errorf("jit json: row %d path %q: %w", r, path, err)
 				}
 			}
 		}

@@ -46,12 +46,6 @@ type Prune struct {
 	F64 float64
 }
 
-// NewRootScan generates an access path over the columns need of table t,
-// which must map onto branches of tree (matched by declared column name).
-func NewRootScan(tree *rootfile.Tree, t *catalog.Table, need []int, emitRID bool, batchSize int) (*RootScan, error) {
-	return NewRootScanPruned(tree, t, need, emitRID, batchSize, nil)
-}
-
 // NewRootScanPruned generates a root access path with an optional pushed
 // down predicate used for zone-map basket skipping.
 func NewRootScanPruned(tree *rootfile.Tree, t *catalog.Table, need []int, emitRID bool,

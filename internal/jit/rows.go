@@ -10,43 +10,35 @@ import (
 	"rawdb/internal/vector"
 )
 
-// colReader reads the values of one column for rows [rowStart, rowEnd) into
-// out: the column-at-a-time body of a row-addressed access path, with where
-// the field lies and how it converts resolved once, when the reader was
-// generated. A non-nil sel restricts the read to the selected batch rows: the
-// vector is extended to the full range and only the selected positions are
-// written (the selection-vector contract of vector.Batch).
-type colReader func(rowStart, rowEnd int64, sel []int32, out *vector.Vector) error
-
-// rowCol is one column of a RowScan. dense marks a reader that reads every
-// row whatever the selection — a JSON path recorded adaptively, whose offsets
-// must cover the whole file — and so must run even when no row qualifies.
-type rowCol struct {
-	read  colReader
-	dense bool
-}
-
 // RowScan is the one operator around every row-addressed JIT access path: CSV
 // through a positional map, JSON through a structural index, fixed-width
-// binary by arithmetic. The formats differ only in how their column readers
-// locate and convert a field; the batch loop is this one. Per batch range it
-// consults the zone-map exclusion test, reads the predicate columns dense,
-// evaluates the conjunction vectorized, reads the remaining columns only for
-// the qualifying rows, and emits the batch with a selection vector.
+// binary by arithmetic. A format contributes only its fetch (exec.Fetch), the
+// reader of columns by row id its late scans run too; the batch loop is this
+// one. Per batch range it consults the zone-map exclusion test, fetches the
+// dense columns — the predicate columns and any the format must read on every
+// row, or all when nothing is pushed — for the range's row ids, evaluates the
+// conjunction vectorized, fetches the other columns only for the qualifying
+// rows and places them at their batch positions, and emits the batch with a
+// selection vector.
 type RowScan struct {
 	schema    vector.Schema
 	batchSize int
 	nrows     int64
-	cols      []rowCol // by output slot
-	// pred are the slots predicates test, read first; rest are the others.
-	pred, rest []int
-	preds      []exec.Pred // Col = output slot
-	sel        []int32
-	skip       func(start, end int64) bool
-	// syn, when set, advances by each batch range after its columns decoded:
-	// zone boundaries then align to batches, which the synopsis representation
+	ncols     int // columns before the row-id column
+	// dense and rest fetch the output vectors denseOut and restOut; rest is
+	// nil when every column is dense.
+	dense, rest       exec.Fetch
+	denseOut, restOut []*vector.Vector
+	preds             []exec.Pred // Col = output slot
+	sel               []int32
+	rids, selRids     []int64 // the range's row ids and the qualifying ones
+	skip              func(start, end int64) bool
+	// syn, when set, advances by each batch range after its dense columns
+	// were fetched, accs observing them (aligned with denseOut): zone
+	// boundaries then align to batches, which the synopsis representation
 	// permits (blocks are variable row ranges).
 	syn     *synopsis.Builder
+	accs    []*synopsis.Acc
 	emitRID bool
 
 	rowsPruned    int64
@@ -57,11 +49,12 @@ type RowScan struct {
 	out    *vector.Batch
 }
 
-// newRowScan generates the scan of columns need over an nrows-row table; read
-// generates the reader of one table column. opts.Preds are bound to output
-// slots here, once.
+// newRowScan generates the scan of columns need over an nrows-row table.
+// fetch generates the format's fetch of table columns cols; dense lists the
+// columns it must read on every row whatever the selection. opts.Preds are
+// bound to output slots here, once.
 func newRowScan(t *catalog.Table, need []int, nrows int64, emitRID bool, batchSize int,
-	opts Pushdown, read func(c int) (rowCol, error)) (*RowScan, error) {
+	opts Pushdown, dense []int, fetch func(cols []int) (exec.Fetch, error)) (*RowScan, error) {
 	if batchSize <= 0 {
 		batchSize = vector.DefaultBatchSize
 	}
@@ -73,30 +66,49 @@ func newRowScan(t *catalog.Table, need []int, nrows int64, emitRID bool, batchSi
 	if err != nil {
 		return nil, err
 	}
-	s := &RowScan{schema: schema, batchSize: batchSize, nrows: nrows, preds: preds,
-		skip: opts.Skip, syn: opts.Syn, emitRID: emitRID, hi: nrows, cols: make([]rowCol, len(need))}
-	for i, c := range need {
-		if s.cols[i], err = read(c); err != nil {
+	s := &RowScan{schema: schema, batchSize: batchSize, nrows: nrows, ncols: len(need), preds: preds,
+		skip: opts.Skip, syn: opts.Syn, emitRID: emitRID, hi: nrows}
+	s.out = vector.NewBatch(schema.Types(), batchSize)
+	isDense := func(i int) bool {
+		return len(preds) == 0 || slices.Contains(dense, need[i]) ||
+			slices.ContainsFunc(preds, func(p exec.Pred) bool { return p.Col == i })
+	}
+	// The columns and their output vectors, the nd dense ones first. With
+	// every column dense the fetch reads need straight into the batch.
+	cols, outs, nd := need, s.out.Cols[:len(need)], 0
+	for i := range need {
+		if isDense(i) {
+			nd++
+		}
+	}
+	if nd < len(need) {
+		cols, outs = make([]int, 0, len(need)), make([]*vector.Vector, 0, len(need))
+		for _, first := range []bool{true, false} {
+			for i, c := range need {
+				if isDense(i) == first {
+					cols, outs = append(cols, c), append(outs, s.out.Cols[i])
+				}
+			}
+		}
+		if s.rest, err = fetch(cols[nd:]); err != nil {
 			return nil, err
 		}
+		s.restOut = outs[nd:]
 	}
-	// pred and rest share one backing array: the tested slots, then the others.
-	tested := func(i int) bool {
-		return slices.ContainsFunc(preds, func(p exec.Pred) bool { return p.Col == i })
+	if nd > 0 {
+		if s.dense, err = fetch(cols[:nd]); err != nil {
+			return nil, err
+		}
+		s.denseOut = outs[:nd]
 	}
-	s.pred = make([]int, 0, len(need))
-	for i := range need {
-		if tested(i) {
-			s.pred = append(s.pred, i)
+	if emitRID {
+		s.rids = s.out.Cols[s.ncols].Int64s // the range's ids are the row-id column
+	}
+	if s.syn != nil {
+		for _, c := range cols[:nd] {
+			s.accs = append(s.accs, s.syn.Acc(c))
 		}
 	}
-	s.rest = s.pred[len(s.pred):]
-	for i := range need {
-		if !tested(i) {
-			s.rest = append(s.rest, i)
-		}
-	}
-	s.out = vector.NewBatch(schema.Types(), batchSize)
 	return s, nil
 }
 
@@ -153,17 +165,11 @@ func (s *RowScan) Next() (*vector.Batch, error) {
 		if err != nil {
 			return nil, err
 		}
-		if s.syn != nil {
-			s.syn.Advance(hi - lo)
-		}
 		if none {
 			continue
 		}
 		if s.emitRID {
-			rid := s.out.Cols[len(s.cols)]
-			for r := lo; r < hi; r++ {
-				rid.AppendInt64(r)
-			}
+			s.out.Cols[s.ncols].Int64s = s.rids
 		}
 		s.out.Sel = sel
 		return s.out, nil
@@ -171,37 +177,83 @@ func (s *RowScan) Next() (*vector.Batch, error) {
 	return nil, nil
 }
 
-// read decodes rows [lo, hi) into the output batch: predicate columns dense,
-// then the conjunction, then the other columns under its selection, so rows
-// that do not qualify never pay their conversion. sel is nil when every row
-// qualifies; none reports that no row does.
+// read decodes rows [lo, hi) into the output batch: the dense columns, then
+// the conjunction, then the other columns for the qualifying rows only, so
+// rows that do not qualify never pay their conversion. sel is nil when every
+// row qualifies; none reports that no row does.
 func (s *RowScan) read(lo, hi int64) (sel []int32, none bool, err error) {
 	s.out.Reset()
-	for _, i := range s.pred {
-		if err := s.cols[i].read(lo, hi, nil, s.out.Cols[i]); err != nil {
+	m := int(hi - lo)
+	rids := slices.Grow(s.rids[:0], m)
+	for r := lo; r < hi; r++ {
+		rids = append(rids, r)
+	}
+	s.rids = rids
+	if s.dense != nil {
+		if err := s.dense(s.rids, s.denseOut); err != nil {
 			return nil, false, err
 		}
 	}
+	if s.syn != nil {
+		for i, acc := range s.accs {
+			if acc != nil {
+				observe(acc, s.denseOut[i])
+			}
+		}
+		s.syn.Advance(hi - lo)
+	}
 	if len(s.preds) > 0 {
-		m := int(hi - lo)
 		s.sel = exec.Select(s.sel, s.out.Cols, s.preds, nil, m)
 		s.rowsPruned += int64(m - len(s.sel))
 		switch len(s.sel) {
 		case m:
 		case 0:
-			none = true
+			return nil, true, nil
 		default:
 			sel = s.sel
-		}
-	}
-	for _, i := range s.rest {
-		if c := s.cols[i]; !none || c.dense {
-			if err := c.read(lo, hi, sel, s.out.Cols[i]); err != nil {
-				return nil, false, err
+			rids = slices.Grow(s.selRids[:0], m)
+			for _, i := range sel {
+				rids = append(rids, s.rids[i])
 			}
+			s.selRids = rids
 		}
 	}
-	return sel, none, nil
+	if s.rest == nil {
+		return sel, false, nil
+	}
+	if err := s.rest(rids, s.restOut); err != nil {
+		return nil, false, err
+	}
+	if sel != nil {
+		for _, v := range s.restOut {
+			v.Int64s, v.Float64s = spread(v.Int64s, sel, m), spread(v.Float64s, sel, m)
+		}
+	}
+	return sel, false, nil
+}
+
+// spread moves the values fetched for the selected rows, vals[k] for sel[k],
+// to their batch positions in a vector of the range's m rows. A vector of the
+// other type is empty and stays so.
+func spread[T any](vals []T, sel []int32, m int) []T {
+	if len(vals) == 0 {
+		return vals
+	}
+	vals = slices.Grow(vals, m-len(vals))[:m]
+	for k := len(sel) - 1; k >= 0; k-- { // sel[k] >= k: no value is overwritten before it moves
+		vals[sel[k]] = vals[k]
+	}
+	return vals
+}
+
+// observe folds the values of v into acc.
+func observe(acc *synopsis.Acc, v *vector.Vector) {
+	for _, x := range v.Int64s {
+		acc.ObserveInt64(x)
+	}
+	for _, x := range v.Float64s {
+		acc.ObserveFloat64(x)
+	}
 }
 
 // Close implements exec.Operator.

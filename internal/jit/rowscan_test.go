@@ -150,6 +150,26 @@ func rowScanFormats(t *testing.T) []*rowScanFormat {
 		return s
 	}
 	formats = append(formats, af)
+
+	// JSON via the structural index, two paths untracked and not recorded:
+	// one under a predicate (read on every row), one read under the
+	// selection, both found from the row start.
+	part := jsonidx.New()
+	s2, err := NewJSONSequentialScan(jdata, jtab, []int{0, 2}, part, false, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seqReference(t, s2)
+	untrackedNeed := []int{0, 3, 2, 4}
+	formats = append(formats, &rowScanFormat{name: "json-untracked", tab: jtab, need: untrackedNeed,
+		predCols: [2]int{4, 0}, ref: pick(untrackedNeed),
+		build: func(t *testing.T, push Pushdown, emitRID bool) rowScanner {
+			s, rec, err := NewJSONMapScanPush(jdata, jtab, untrackedNeed, part, nil, emitRID, bs, push)
+			if err != nil || rec != nil {
+				t.Fatalf("unrecorded paths: recording %v, error %v", rec, err)
+			}
+			return s
+		}})
 	return formats
 }
 
@@ -265,8 +285,8 @@ func binSynopsis(f *rowScanFormat, observed map[int]vector.Type, lo, hi int64, b
 }
 
 // TestRowScanContract pins what every row-addressed access path (CSV through
-// the positional map, JSON through the structural index — tracked and
-// recording adaptively — and binary) delivers, whatever code shape it has:
+// the positional map, JSON through the structural index — tracked, recording
+// adaptively, and untracked without recording — and binary) delivers, whatever code shape it has:
 // the same values as a naive filter over the sequential scan's output, the
 // same batch boundaries and selection vectors, the same pushdown counters,
 // a recording that publishes complete after a whole-table adaptive scan

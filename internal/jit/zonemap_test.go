@@ -130,7 +130,7 @@ func TestRootScanPruningAgreesWithUnpruned(t *testing.T) {
 		t.Fatal(err)
 	}
 	fp, _ := exec.NewFilter(pruned, []exec.Pred{{Col: 0, Op: exec.Gt, I64: 400}})
-	plain, err := NewRootScan(tree, tab, []int{0}, false, 100)
+	plain, err := NewRootScanPruned(tree, tab, []int{0}, false, 100, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
