@@ -297,7 +297,7 @@ func scanCols(r *resolvedQuery, t int) []int {
 // partitions that survived pruning. One-part partitions are projected onto
 // the table's layout and concatenated in manifest order, as if one scan read
 // their rows end to end; the parts of cut ones, already in that layout,
-// interleave on one exchange, which replays them in the same order.
+// interleave on one exchange, which streams them in the same order.
 func (pc *planCtx) buildDataset(r *resolvedQuery, t int, tp *tablePlan) (*pipe, error) {
 	st, cols := r.tables[t].st, tp.cols
 	tab, schema := st.tab, colSchema(st.tab, cols)

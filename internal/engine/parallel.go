@@ -27,11 +27,11 @@ func countColumn(tab *catalog.Table) int {
 }
 
 // gather puts the parts of a cut pipeline behind an exchange — a worker pool
-// (exec.Parallel) that runs them concurrently and replays their output in part
+// (exec.Parallel) that runs them concurrently and streams their output in part
 // order — leaving a one-operator pipeline. Each part gets its own span, one
 // chrome://tracing lane per morsel so concurrent workers render side by side;
-// the exchange's span is named name and adopts them and under. One part needs
-// no exchange.
+// the exchange's span is named name and adopts them, under and the pipe's
+// span (a cut join's build side). One part needs no exchange.
 func (pc *planCtx) gather(p *pipe, name string, under ...*obs.Span) error {
 	if !p.par {
 		return nil
@@ -49,7 +49,7 @@ func (pc *planCtx) gather(p *pipe, name string, under ...*obs.Span) error {
 		return err
 	}
 	par.SetContext(pc.ctx)
-	op, span := pc.opSpan(par, fmt.Sprintf("%s[workers=%d morsels=%d]", name, pc.workers, len(p.ops)), under...)
+	op, span := pc.opSpan(par, fmt.Sprintf("%s[workers=%d morsels=%d]", name, pc.workers, len(p.ops)), append(under, p.span)...)
 	p.ops, p.span, p.par = []exec.Operator{op}, span, false
 	return nil
 }

@@ -217,10 +217,10 @@ func (pc *planCtx) decide(r *resolvedQuery) (plan, error) {
 			pl.tables[t].after = &s
 		}
 	}
-	// The aggregate runs in two stages around the exchange of a cut single
-	// table; a cut join gathers its probe parts below itself.
+	// The aggregate of a cut plan runs in two stages around its exchange: a
+	// partial on each part, of a table or of a join's probe side.
 	var err error
-	pl.agg, err = decideAgg(r, pl.par && r.join == nil)
+	pl.agg, err = decideAgg(r, pl.par)
 	return pl, err
 }
 
@@ -1243,8 +1243,9 @@ func appendLate(p *pipe, t int, tab *catalog.Table, ridIdx int, cols []int, fetc
 // buildJoin builds a two-table query: table 0 is the probe side, table 1 the
 // build side, collected into one hash table (exec.SharedBuild) that the serial
 // plan probes once and a cut plan once per probe-side part on the exchange's
-// pool. Probe parts replay in file order, so the joined stream is
-// byte-identical to the serial plan's.
+// pool. Probe parts stream in file order, so the joined stream is
+// byte-identical to the serial plan's; an aggregating cut join leaves its
+// probe parts to finish, which aggregates each before the exchange.
 func (pc *planCtx) buildJoin(r *resolvedQuery, pl *plan) (*pipe, error) {
 	var sides [2]*pipe
 	for _, t := range pl.sides() {
@@ -1290,10 +1291,15 @@ func (pc *planCtx) buildJoin(r *resolvedQuery, pl *plan) (*pipe, error) {
 			return nil, err
 		}
 	}
-	if pl.par {
+	switch {
+	case pl.par && pl.agg.on:
+		// finish puts a partial aggregate on each probe part; the exchange
+		// above them adopts the build side's span.
+		merged.ops, merged.span, merged.par = left.ops, right.span, true
+	case pl.par:
 		err = pc.gather(left, "probe-exchange", right.span)
 		merged.ops, merged.span = left.ops, left.span
-	} else {
+	default:
 		jop, jspan := pc.opSpan(left.ops[0], "hashjoin", left.span, right.span)
 		merged.ops, merged.span = []exec.Operator{jop}, jspan
 	}
@@ -1361,7 +1367,11 @@ func (pc *planCtx) finish(r *resolvedQuery, pl *plan, p *pipe) (exec.Operator, e
 			}
 			p.ops[i] = agg
 		}
-		if err := pc.gather(p, "exchange"); err != nil {
+		name := "exchange"
+		if r.join != nil {
+			name = "probe-exchange" // the parts probe the shared build
+		}
+		if err := pc.gather(p, name); err != nil {
 			return nil, err
 		}
 		if a.guard >= 0 {

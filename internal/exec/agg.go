@@ -82,6 +82,9 @@ type Aggregate struct {
 	// its key when grouped.
 	keys   [][2]int64
 	states []aggState
+	// sums[si][g] is group g's exact sum for spec si, a float Sum, Avg,
+	// SumErr or MergeSum: apart, so states hold no pointers to scan.
+	sums [][]fsum
 	// table is the hash path: open addressing over slot+1 (0 is free),
 	// indexed by the top bits of a Fibonacci hash and probed linearly, at
 	// most half full. A probe compares keys[slot], so keys are stored once.
@@ -126,9 +129,6 @@ type aggState struct {
 	count int64
 	i64   int64
 	f64   float64
-	// sum is the exact accumulator of a float Sum, Avg, SumErr or MergeSum,
-	// allocated on the group's first row.
-	sum *fsum
 }
 
 // NewAggregate validates specs and groupBy against the child schema.
@@ -207,7 +207,7 @@ func (a *Aggregate) Schema() vector.Schema { return a.schema }
 // Open implements Operator.
 func (a *Aggregate) Open() error {
 	a.done = false
-	a.keys, a.states, a.table, a.dense = nil, nil, nil, nil
+	a.keys, a.states, a.sums, a.table, a.dense = nil, nil, nil, nil, nil
 	if len(a.groupBy) == 0 {
 		a.states = make([]aggState, len(a.specs))
 	}
@@ -362,17 +362,25 @@ func (a *Aggregate) update(b *vector.Batch, rows, slots []int32) {
 				}
 			})
 		default: // Sum, Avg, SumErr, MergeSum over DOUBLE: the exact sum, not a running float
-			fold(st, ns, rows, slots, col.Float64s, func(x *aggState, v float64) {
-				if x.sum == nil {
-					x.sum = new(fsum)
-				}
-				x.sum.add(v)
-			})
+			sums := a.exact(si)
+			for i, r := range rows {
+				sums[slots[i]].add(col.Float64s[r])
+				st[int(slots[i])*ns].count++
+			}
 			if s.Func == MergeSum { // the residues join the same sum; count is only tested against 0
-				fold(st, ns, rows, slots, b.Cols[s.Col2].Float64s, func(x *aggState, v float64) { x.sum.add(v) })
+				for i, r := range rows {
+					sums[slots[i]].add(b.Cols[s.Col2].Float64s[r])
+				}
 			}
 		}
 	}
+}
+
+// exact returns spec si's exact sums, one per group.
+func (a *Aggregate) exact(si int) []fsum {
+	a.sums = append(a.sums, make([][]fsum, len(a.specs)-len(a.sums))...)
+	a.sums[si] = append(a.sums[si], make([]fsum, len(a.states)/len(a.specs)-len(a.sums[si]))...)
+	return a.sums[si]
 }
 
 // extreme folds the selected values of v into m, the MIN (or MAX) of a state
@@ -442,12 +450,12 @@ func (a *Aggregate) emit() (*vector.Batch, error) {
 			case s.Func == Avg && cs[s.Col].Type == vector.Int64:
 				dst.AppendFloat64(float64(x.i64) / float64(x.count))
 			case s.Func == Avg:
-				dst.AppendFloat64(x.sum.round() / float64(x.count))
+				dst.AppendFloat64(a.sums[o][g].round() / float64(x.count))
 			case s.Func == SumErr:
-				_, lo := x.sum.compress()
+				_, lo := a.sums[o][g].compress()
 				dst.AppendFloat64(lo)
 			case s.Func == Sum && dst.Type == vector.Float64, s.Func == MergeSum:
-				dst.AppendFloat64(x.sum.round())
+				dst.AppendFloat64(a.sums[o][g].round())
 			case dst.Type == vector.Int64:
 				dst.AppendInt64(x.i64)
 			default:

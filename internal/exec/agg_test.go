@@ -325,3 +325,35 @@ func TestAggregateBatchAllocs(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkAggregateHighCardinality: one stage of COUNT and MAX grouped by
+// 40k distinct keys over the hash path, the shape of a high-cardinality
+// group-by's partials, where growing the group states is much of the cost.
+func BenchmarkAggregateHighCardinality(b *testing.B) {
+	const n = 40000
+	rng := rand.New(rand.NewSource(1))
+	keys, vals := vector.New(vector.Int64, n), vector.New(vector.Int64, n)
+	for i := range n {
+		keys.AppendInt64(denseLimit + int64(i)*7919%1_000_000_007)
+		vals.AppendInt64(rng.Int63())
+	}
+	schema := vector.Schema{{Name: "k", Type: vector.Int64}, {Name: "v", Type: vector.Int64}}
+	b.ReportAllocs()
+	for b.Loop() {
+		scan, err := NewMemScan(schema, []*vector.Vector{keys, vals}, vector.DefaultBatchSize)
+		if err != nil {
+			b.Fatal(err)
+		}
+		agg, err := NewAggregate(scan, []AggSpec{{Func: Count, Col: -1}, {Func: Max, Col: 1}}, []int{0})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := agg.Open(); err != nil {
+			b.Fatal(err)
+		}
+		if out, err := agg.Next(); err != nil || out.Len() != n {
+			b.Fatalf("%v groups, err %v", out, err)
+		}
+		agg.Close()
+	}
+}

@@ -108,7 +108,7 @@ func (b *SharedBuild) build() error {
 // until the output batch is full, then fills every output column with one
 // Gather. A chain cut off by a full batch resumes on the next call, so
 // output batches are full except the last, rows follow probe order and
-// matches build stream order: replaying probe morsels in file order
+// matches build stream order: streaming probe morsels in file order
 // reproduces the serial join byte for byte.
 type HashProbe struct {
 	probe     Operator

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime/debug"
 	"sync"
+	"sync/atomic"
 
 	"rawdb/internal/faults"
 	"rawdb/internal/vector"
@@ -32,58 +33,54 @@ func (p *PanicError) Unwrap() error {
 	return err
 }
 
-// runPart drains one morsel pipeline with panic containment: a panicking
-// operator poisons only its own morsel, surfacing as a PanicError the
-// exchange propagates like any worker error (no partial structure is
-// published — the merge hooks never run on a failed query). A memory fault
-// is a panic too, not a crash: a read past the end of a raw file truncated
-// under its mapping, which the engine tells by the fault's address.
-func runPart(ctx context.Context, op Operator) (cols []*vector.Vector, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = &PanicError{Value: r, Stack: debug.Stack()}
-		}
-	}()
-	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
-	if err := faults.Hit(faults.SiteExecMorsel); err != nil {
-		return nil, err
-	}
-	return CollectCtx(ctx, op)
-}
+// queueDepth is how many full batches a part may run ahead of the reader:
+// a part's worker blocks once its queue holds that many. Four let a part
+// keep working while the reader consumes a batch or two, and bound what a
+// part holds to four batches however large its output.
+const queueDepth = 4
 
 // Parallel is the morsel-driven exchange operator: it executes a set of
 // cloned pipelines — one per morsel of a raw file, typically scan → filter
-// (→ partial aggregate) — on a bounded worker pool, then re-emits their
-// buffered outputs strictly in morsel order. Because morsels partition the
-// file in order and every part's output is replayed in sequence, the
-// concatenated stream is byte-identical to what one serial pipeline over the
-// whole file would produce; partial-aggregate merging happens in the
-// operators planned above the exchange.
+// (→ partial aggregate) — on a bounded worker pool and streams their outputs
+// strictly in morsel order. Workers take parts in order and copy each part's
+// rows into full batches on a bounded queue of its own; Next reads the queues
+// in part order. Because morsels partition the file in order, the stream is
+// byte-identical to what one serial pipeline over the whole file would
+// produce, and so is its error: a failed part ends the stream after every
+// lower part's rows, where the serial plan would have met it.
+// Partial-aggregate merging happens in the operators planned above the
+// exchange.
 type Parallel struct {
 	schema    vector.Schema
 	parts     []Operator
 	workers   int
 	batchSize int
 
-	// onDone runs after every part drained successfully (still inside Open),
-	// the merge-on-completion hook parallel plans use to publish per-morsel
-	// cache fragments (positional maps, structural indexes, column shreds).
+	// onDone runs once every part has drained successfully, before Next
+	// reports the end of the stream: the merge-on-completion hook parallel
+	// plans use to publish per-morsel cache fragments.
 	onDone func() error
 
-	// ctx, when cancellable, is checked by every worker between morsels and
-	// between batches within a morsel, so a cancelled query stops the whole
-	// pool within one batch of work. Defaults to context.Background().
+	// ctx is the query's context. Defaults to context.Background().
 	ctx context.Context
 
-	results [][]*vector.Vector
-	part    int
-	pos     int
-	out     *vector.Batch
+	// One run, from Open to Close: part i's batches go on queues[i], closed
+	// once errs[i] is set; next is the next part to take, part the one Next
+	// reads. run, ctx's child that Close cancels, is checked before each
+	// batch of every part, so a cancelled query or a closed exchange stops
+	// the whole pool within one batch of work.
+	queues []chan *vector.Batch
+	errs   []error
+	next   atomic.Int64
+	part   int
+	run    context.Context
+	cancel context.CancelFunc
+	wg     sync.WaitGroup
 }
 
 // NewParallel validates that every part produces the same schema. workers
 // bounds the number of goroutines draining parts concurrently; batchSize <= 0
-// selects vector.DefaultBatchSize for the re-emitted stream. onDone may be
+// selects vector.DefaultBatchSize for the streamed batches. onDone may be
 // nil.
 func NewParallel(parts []Operator, workers, batchSize int, onDone func() error) (*Parallel, error) {
 	if len(parts) == 0 {
@@ -126,93 +123,133 @@ func (p *Parallel) SetContext(ctx context.Context) {
 // Schema implements Operator.
 func (p *Parallel) Schema() vector.Schema { return p.schema }
 
-// Open implements Operator. It runs every part to completion on the worker
-// pool; by the time Open returns, all morsel work (and the merge hook) is
-// done and Next only replays buffered vectors.
+// Open implements Operator. It starts the workers; each takes the lowest part
+// not yet taken, so a worker blocked on a full queue never holds up a part
+// the reader still waits for.
 func (p *Parallel) Open() error {
-	p.part, p.pos = 0, 0
-	p.results = make([][]*vector.Vector, len(p.parts))
-
-	workers := p.workers
-	if workers > len(p.parts) {
-		workers = len(p.parts)
+	n := len(p.parts)
+	p.queues, p.errs = make([]chan *vector.Batch, n), make([]error, n)
+	for i := range p.queues {
+		p.queues[i] = make(chan *vector.Batch, queueDepth)
 	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				mu.Lock()
-				failed := firstErr != nil
-				mu.Unlock()
-				if failed {
-					continue // drain remaining indexes without running them
-				}
-				cols, err := runPart(p.ctx, p.parts[i])
-				if err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-					continue
-				}
-				p.results[i] = cols
-			}
-		}()
-	}
-	for i := range p.parts {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-	if firstErr != nil {
-		return firstErr
-	}
-	if p.onDone != nil {
-		return p.onDone()
+	p.next.Store(0)
+	p.part = 0
+	p.run, p.cancel = context.WithCancel(p.ctx)
+	workers := min(p.workers, n)
+	p.wg.Add(workers)
+	for range workers {
+		go p.work()
 	}
 	return nil
 }
 
-// Next implements Operator: it streams the buffered per-part outputs in part
-// order. Emitted batches are views over the buffers (no copying).
+// work runs parts until none is left.
+func (p *Parallel) work() {
+	defer p.wg.Done()
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	for i := int(p.next.Add(1) - 1); i < len(p.parts); i = int(p.next.Add(1) - 1) {
+		p.errs[i] = p.runPart(i)
+		close(p.queues[i])
+	}
+}
+
+// runPart drains part i with panic containment: a panicking operator poisons
+// only its own morsel, surfacing as a PanicError the exchange propagates like
+// any part's error (no partial structure is published — the merge hooks
+// never run on a failed query). A memory fault is a panic too, not a crash: a
+// read past the end of a raw file truncated under its mapping, which the
+// engine tells by the fault's address. The part's rows are copied (the
+// operators beneath reuse their batches) into full batches and queued.
+func (p *Parallel) runPart(i int) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = &PanicError{Value: r, Stack: debug.Stack()}
+		}
+	}()
+	if err := ctxErr(p.run); err != nil {
+		return err
+	}
+	if err := faults.Hit(faults.SiteExecMorsel); err != nil {
+		return err
+	}
+	op := p.parts[i]
+	if err := op.Open(); err != nil {
+		return err
+	}
+	defer op.Close()
+	var out *vector.Batch
+	for {
+		if err := ctxErr(p.run); err != nil {
+			return err
+		}
+		b, err := op.Next()
+		if err != nil {
+			return err
+		}
+		if b == nil {
+			break
+		}
+		for lo, n := 0, BatchRows(b); lo < n; {
+			if out == nil { // sized for what comes, so a small part's output stays small
+				out = vector.NewBatch(p.schema.Types(), min(p.batchSize, n-lo))
+			}
+			hi := min(n, lo+p.batchSize-out.Len())
+			for c, v := range b.Cols {
+				if b.Sel != nil {
+					out.Cols[c].Gather(v, b.Sel[lo:hi])
+				} else {
+					out.Cols[c].AppendVector(v.Slice(lo, hi))
+				}
+			}
+			if lo = hi; out.Len() == p.batchSize {
+				if err := p.send(i, out); err != nil {
+					return err
+				}
+				out = nil
+			}
+		}
+	}
+	if out != nil {
+		return p.send(i, out)
+	}
+	return nil
+}
+
+// send queues b on part i's queue, unless the run ends first.
+func (p *Parallel) send(i int, b *vector.Batch) error {
+	select {
+	case p.queues[i] <- b:
+		return nil
+	case <-p.run.Done():
+		return ctxErr(p.run)
+	}
+}
+
+// Next implements Operator: it returns the parts' batches in part order, and
+// the error of the first part that failed.
 func (p *Parallel) Next() (*vector.Batch, error) {
-	for p.part < len(p.results) {
-		cols := p.results[p.part]
-		n := 0
-		if len(cols) > 0 {
-			n = cols[0].Len()
+	for p.part < len(p.queues) {
+		if b, ok := <-p.queues[p.part]; ok {
+			return b, nil
 		}
-		if p.pos >= n {
-			p.part++
-			p.pos = 0
-			continue
+		if err := p.errs[p.part]; err != nil {
+			return nil, err
 		}
-		end := p.pos + p.batchSize
-		if end > n {
-			end = n
+		if p.part++; p.part == len(p.queues) && p.onDone != nil {
+			return nil, p.onDone()
 		}
-		if p.out == nil {
-			p.out = &vector.Batch{Cols: make([]*vector.Vector, len(cols))}
-		}
-		for i, c := range cols {
-			p.out.Cols[i] = c.Slice(p.pos, end)
-		}
-		p.pos = end
-		return p.out, nil
 	}
 	return nil, nil
 }
 
-// Close implements Operator. Parts are opened and closed inside Open's
-// workers; Close only drops the buffered results.
+// Close implements Operator. It halts the parts still running and returns
+// once every worker has; parts are opened and closed by their workers.
 func (p *Parallel) Close() error {
-	p.results = nil
+	if p.cancel != nil {
+		p.cancel()
+		p.wg.Wait()
+	}
+	p.queues, p.errs, p.run, p.cancel = nil, nil, nil, nil
 	return nil
 }
 
