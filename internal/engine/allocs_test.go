@@ -28,20 +28,20 @@ func TestWarmQueryAllocs(t *testing.T) {
 	}{
 		{name: "resident",
 			warm: []string{"SELECT SUM(col2) FROM t WHERE col1 < 60000"},
-			sql:  "SELECT SUM(col2) FROM t WHERE col1 < 60000", query: 105, explain: 88},
+			sql:  "SELECT SUM(col2) FROM t WHERE col1 < 60000", query: 104, explain: 88},
 		// col1 is cached whole with the positional map, col3 and col4 only for
 		// the rows below 400: the cascade completes them from the raw file.
 		{name: "partial cascade",
 			warm: []string{"SELECT COUNT(*) FROM t WHERE col1 < 1000", "SELECT SUM(col3), MAX(col4) FROM t WHERE col1 < 400"},
-			sql:  "SELECT SUM(col3), MAX(col4), COUNT(*) FROM t WHERE col1 < 2500", query: 245, explain: 149},
+			sql:  "SELECT SUM(col3), MAX(col4), COUNT(*) FROM t WHERE col1 < 2500", query: 240, explain: 149},
 		{name: "join",
 			warm:  []string{"SELECT MAX(t.col4), COUNT(*) FROM t, u WHERE t.col2 = u.col1 AND u.col3 < 500 AND t.col1 < 1500"},
 			sql:   "SELECT MAX(t.col4), COUNT(*) FROM t, u WHERE t.col2 = u.col1 AND u.col3 < 500 AND t.col1 < 1500",
-			query: 222, explain: 176},
+			query: 219, explain: 176},
 		// Served jit:viamap(t), jit:late(t.cols2,) and jit:late(t.cols3,).
 		{name: "generated", noShreds: true,
 			warm: []string{"SELECT COUNT(*) FROM t WHERE col1 < 1000"},
-			sql:  "SELECT SUM(col3), MAX(col4), COUNT(*) FROM t WHERE col1 < 2500", query: 181, explain: 143},
+			sql:  "SELECT SUM(col3), MAX(col4), COUNT(*) FROM t WHERE col1 < 2500", query: 176, explain: 143},
 	}
 	serial := 1
 	opts := Options{Parallelism: &serial}

@@ -1365,6 +1365,7 @@ func (pc *planCtx) finish(r *resolvedQuery, pl *plan, p *pipe) (exec.Operator, e
 			if err != nil {
 				return nil, err
 			}
+			agg.MarkPartial() // a grouped partial that does not reduce passes its rows on
 			p.ops[i] = agg
 		}
 		name := "exchange"

@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"rawdb/internal/vector"
 )
@@ -78,16 +79,22 @@ type Aggregate struct {
 
 	done bool
 
-	// Group g's states are states[g*len(specs):][:len(specs)]; keys[g] is
-	// its key when grouped.
-	keys   [][2]int64
-	states []aggState
-	// sums[si][g] is group g's exact sum for spec si, a float Sum, Avg,
-	// SumErr or MergeSum: apart, so states hold no pointers to scan.
-	sums [][]fsum
+	// The group states are columns indexed by group slot: keys[k] holds
+	// group column k; counts the groups' rows, the same for every spec as no
+	// input is NULL (a grouped aggregate adds them up only when counted, that
+	// is when a COUNT or AVG reads them); vals[si].Int64s spec si's integer
+	// MIN, MAX, SUM or AVG and vals[si].Float64s its float MIN or MAX; and
+	// sums[si] the exact sums of its float SUM, AVG, SUMERR or MERGESUM. Only
+	// sums hold pointers for the collector to scan.
+	keys    [2][]int64
+	counts  []int64
+	counted bool
+	vals    []vector.Vector
+	sums    [][]fsum
 	// table is the hash path: open addressing over slot+1 (0 is free),
 	// indexed by the top bits of a Fibonacci hash and probed linearly, at
-	// most half full. A probe compares keys[slot], so keys are stored once.
+	// most half full. A probe compares the keys at the slot, so keys are
+	// stored once.
 	table []int32
 	// dense is the fast path for single-column grouping over small
 	// non-negative keys (vectorized group-by): dense[key] holds slot+1.
@@ -95,8 +102,17 @@ type Aggregate struct {
 
 	// all holds 0, 1, 2, ...: the rows of a batch without a selection.
 	// slots holds each selected row's group slot; an ungrouped aggregate
-	// never writes it, so its slots are all group 0.
-	all, slots []int32
+	// never writes it, so its slots are all group 0. fresh holds the
+	// positions, among the batch's rows, of those that created a group.
+	all, slots, fresh []int32
+
+	// partial is set by MarkPartial; rows counts the rows folded while it
+	// decides, bypass is the decision. A bypassing partial returns passed,
+	// whose COUNT and SUMERR columns are ones and noErr.
+	partial, bypass bool
+	rows            int
+	passed          *vector.Batch
+	ones, noErr     *vector.Vector
 }
 
 // seq and zeros are read-only starts for Aggregate.all and an ungrouped
@@ -112,6 +128,10 @@ var seq, zeros = func() (seq, zeros [vector.DefaultBatchSize]int32) {
 // or above it fall back to the hash path.
 const denseLimit = 1 << 21
 
+// bypassAfter is how many rows a partial folds before it decides whether it
+// reduces its input.
+const bypassAfter = 4096
+
 // growDense makes key (below denseLimit) addressable in the dense table. The
 // table at least doubles, so keys arriving in rising order cost amortised
 // O(1) copied slots each rather than a copy of the whole table — up to 8 MiB
@@ -123,12 +143,16 @@ func (a *Aggregate) growDense(key int64) {
 	a.dense = grown
 }
 
-// aggState is one spec's state in one group. Min and Max take their first
-// value when count is 0, so a zero aggState is every function's identity.
-type aggState struct {
-	count int64
-	i64   int64
-	f64   float64
+// extend lengthens s to n, the new elements zero. Its capacity at least
+// doubles when it grows, from 16: append grows a large slice by 1.25×, which
+// on the hash path's tens of thousands of groups clears and copies it many
+// times. The states only grow between resets, so the elements past len(s)
+// are zero.
+func extend[T any](s []T, n int) []T {
+	if n > cap(s) {
+		s = append(make([]T, 0, max(n, 2*cap(s), 16)), s...)
+	}
+	return s[:n]
 }
 
 // NewAggregate validates specs and groupBy against the child schema.
@@ -195,10 +219,20 @@ func NewAggregate(child Operator, specs []AggSpec, groupBy []int) (*Aggregate, e
 		schema = append(schema, vector.Col{Name: name, Type: outType})
 	}
 	a := &Aggregate{child: child, specs: specs, groupBy: groupBy, schema: schema, all: seq[:]}
+	a.counted = slices.ContainsFunc(specs, func(s AggSpec) bool { return s.Func == Count || s.Func == Avg })
 	if len(groupBy) == 0 {
 		a.slots = zeros[:]
 	}
 	return a, nil
+}
+
+// MarkPartial declares the aggregate the first stage of a grouped two-stage
+// plan, whose output a final stage merges by key: it may then stop hashing
+// (see Next).
+// Only COUNT, MIN, MAX, SUM and SUMERR have one-row partials; with another
+// spec, or without group columns, MarkPartial does nothing.
+func (a *Aggregate) MarkPartial() {
+	a.partial = len(a.groupBy) > 0 && !slices.ContainsFunc(a.specs, func(s AggSpec) bool { return s.Func == Avg || s.Func == MergeSum })
 }
 
 // Schema implements Operator.
@@ -206,25 +240,38 @@ func (a *Aggregate) Schema() vector.Schema { return a.schema }
 
 // Open implements Operator.
 func (a *Aggregate) Open() error {
-	a.done = false
-	a.keys, a.states, a.sums, a.table, a.dense = nil, nil, nil, nil, nil
-	if len(a.groupBy) == 0 {
-		a.states = make([]aggState, len(a.specs))
+	a.done, a.bypass, a.rows = false, false, 0
+	a.reset()
+	a.vals = make([]vector.Vector, len(a.specs))
+	if len(a.groupBy) == 0 { // the one group's count and integer states share an allocation
+		one := make([]int64, 1+len(a.specs))
+		a.counts = one[:1:1]
+		for si := range a.vals {
+			a.vals[si].Int64s = one[1+si : 1+si : 2+si]
+		}
 	}
 	return a.child.Open()
 }
 
-// newGroup adds a group with zero states and returns its slot. The states
-// double when they grow: append grows a large slice by 1.25×, which on the
-// hash path's tens of thousands of groups clears and copies them many times.
-func (a *Aggregate) newGroup(key [2]int64) int32 {
-	n := len(a.states) + len(a.specs)
-	if n > cap(a.states) {
-		a.states = append(make([]aggState, 0, 2*n), a.states...)
+// reset drops the group states.
+func (a *Aggregate) reset() {
+	a.keys, a.counts, a.sums, a.table, a.dense = [2][]int64{}, nil, nil, nil, nil
+	clear(a.vals)
+}
+
+// newGroup adds a group, created by the i-th of a batch's rows, and returns
+// its slot.
+func (a *Aggregate) newGroup(i int, k0, k1 int64) int32 {
+	g := len(a.counts)
+	a.counts = extend(a.counts, g+1)
+	a.keys[0] = extend(a.keys[0], g+1)
+	a.keys[0][g] = k0
+	if len(a.groupBy) == 2 {
+		a.keys[1] = extend(a.keys[1], g+1)
+		a.keys[1][g] = k1
 	}
-	a.states = a.states[:n]
-	a.keys = append(a.keys, key)
-	return int32(len(a.keys) - 1)
+	a.fresh = append(a.fresh, int32(i))
+	return int32(g)
 }
 
 // resolve returns the group slot of each of b's rows, creating groups for
@@ -237,42 +284,43 @@ func (a *Aggregate) resolve(b *vector.Batch, rows []int32) []int32 {
 	if len(a.groupBy) == 0 {
 		return slots
 	}
+	a.fresh = a.fresh[:0]
 	k0, k1 := b.Cols[a.groupBy[0]].Int64s, []int64(nil)
 	if len(a.groupBy) == 2 {
 		k1 = b.Cols[a.groupBy[1]].Int64s
 	}
 	for i, r := range rows {
-		key := [2]int64{k0[r]}
+		key, key1 := k0[r], int64(0)
 		if k1 != nil {
-			key[1] = k1[r]
-		} else if uint64(key[0]) < denseLimit {
-			if key[0] >= int64(len(a.dense)) {
-				a.growDense(key[0])
+			key1 = k1[r]
+		} else if uint64(key) < denseLimit {
+			if key >= int64(len(a.dense)) {
+				a.growDense(key)
 			}
-			if a.dense[key[0]] == 0 {
-				a.dense[key[0]] = a.newGroup(key) + 1
+			if a.dense[key] == 0 {
+				a.dense[key] = a.newGroup(i, key, 0) + 1
 			}
-			slots[i] = a.dense[key[0]] - 1
+			slots[i] = a.dense[key] - 1
 			continue
 		}
-		if 2*len(a.keys) >= len(a.table) {
+		if 2*len(a.counts) >= len(a.table) {
 			a.rehash()
 		}
-		e := a.find(key)
+		e := a.find(key, key1)
 		if a.table[e] == 0 {
-			a.table[e] = a.newGroup(key) + 1
+			a.table[e] = a.newGroup(i, key, key1) + 1
 		}
 		slots[i] = a.table[e] - 1
 	}
 	return slots
 }
 
-// find returns the index of key's entry in the hash table, or of the free
-// entry where it belongs.
-func (a *Aggregate) find(key [2]int64) uint64 {
-	mask := uint64(len(a.table) - 1)
-	e := khash(key[0]^int64(khash(key[1]))) >> bits.LeadingZeros64(mask)
-	for a.table[e] != 0 && a.keys[a.table[e]-1] != key {
+// find returns the index of key (k0, k1)'s entry in the hash table, or of
+// the free entry where it belongs.
+func (a *Aggregate) find(k0, k1 int64) uint64 {
+	mask, two := uint64(len(a.table)-1), len(a.groupBy) == 2
+	e := khash(k0^int64(khash(k1))) >> bits.LeadingZeros64(mask)
+	for s := a.table[e]; s != 0 && (a.keys[0][s-1] != k0 || two && a.keys[1][s-1] != k1); s = a.table[e] {
 		e = (e + 1) & mask
 	}
 	return e
@@ -281,9 +329,13 @@ func (a *Aggregate) find(key [2]int64) uint64 {
 // rehash sizes the hash table to four times the groups, at least 1024
 // entries, and enters every group.
 func (a *Aggregate) rehash() {
-	a.table = make([]int32, max(1024, 1<<bits.Len(uint(4*len(a.keys)))))
-	for slot, key := range a.keys {
-		a.table[a.find(key)] = int32(slot) + 1
+	a.table = make([]int32, max(1024, 1<<bits.Len(uint(4*len(a.counts)))))
+	for slot, k0 := range a.keys[0] {
+		var k1 int64
+		if len(a.groupBy) == 2 {
+			k1 = a.keys[1][slot]
+		}
+		a.table[a.find(k0, k1)] = int32(slot) + 1
 	}
 }
 
@@ -313,73 +365,71 @@ func (a *Aggregate) owner(si int) int {
 	return si
 }
 
-// update folds b's rows into their groups' states, one loop per spec. The
-// one group of an ungrouped aggregate keeps a MIN, MAX or integer SUM running
-// in a local variable, so that no row waits on the previous row's store, and
-// stores it once; its COUNT adds the batch's rows.
+// update folds b's rows into their groups' states, one typed loop per spec,
+// then counts them if counted. The one group of an ungrouped aggregate keeps
+// a MIN, MAX or integer SUM running in a local variable, so that no row waits
+// on the previous row's store, and stores it once; its count adds the batch's
+// rows.
 func (a *Aggregate) update(b *vector.Batch, rows, slots []int32) {
-	one := len(a.groupBy) == 0
+	one, n := len(a.groupBy) == 0, len(a.counts)
 	for si, s := range a.specs {
-		if a.owner(si) != si {
+		if s.Func == Count || a.owner(si) != si {
 			continue
 		}
-		st, ns := a.states[si:], len(a.specs) // group g's state of spec si is st[g*ns]
-		x, n := &st[0], int64(len(rows))      // the one group's state
-		if s.Func == Count && one {
-			x.count += n
-			continue
-		}
-		if s.Func == Count {
-			for _, g := range slots {
-				st[int(g)*ns].count++
-			}
-			continue
-		}
-		col, isMax := b.Cols[s.Col], s.Func == Max
+		col, v := b.Cols[s.Col], &a.vals[si]
+		isMax, ext := s.Func == Max, s.Func == Min || s.Func == Max
 		switch {
-		case one && col.Type == vector.Int64 && (s.Func == Min || isMax):
-			x.i64, x.count = extreme(x.i64, x.count, rows, col.Int64s, isMax), x.count+n
-		case one && col.Type == vector.Int64: // Sum, Avg
-			var sum int64
-			for _, r := range rows {
-				sum += col.Int64s[r]
+		case col.Type == vector.Int64:
+			v.Int64s = extend(v.Int64s, n)
+			m := v.Int64s
+			switch {
+			case one && ext:
+				m[0] = extreme(m[0], a.counts[0], rows, col.Int64s, isMax)
+			case one: // Sum, Avg
+				var sum int64
+				for _, r := range rows {
+					sum += col.Int64s[r]
+				}
+				m[0] += sum
+			case ext:
+				extremes(m, rows, slots, a.fresh, col.Int64s, isMax)
+			default: // Sum, Avg
+				for i, r := range rows {
+					m[slots[i]] += col.Int64s[r]
+				}
 			}
-			x.i64, x.count = x.i64+sum, x.count+n
-		case one && (s.Func == Min || isMax):
-			x.f64, x.count = extreme(x.f64, x.count, rows, col.Float64s, isMax), x.count+n
-		case col.Type == vector.Int64 && (s.Func == Min || isMax):
-			fold(st, ns, rows, slots, col.Int64s, func(x *aggState, v int64) {
-				if x.count == 0 || isMax && v > x.i64 || !isMax && v < x.i64 {
-					x.i64 = v
-				}
-			})
-		case col.Type == vector.Int64: // Sum, Avg
-			fold(st, ns, rows, slots, col.Int64s, func(x *aggState, v int64) { x.i64 += v })
-		case s.Func == Min || isMax:
-			fold(st, ns, rows, slots, col.Float64s, func(x *aggState, v float64) {
-				if x.count == 0 || isMax && v > x.f64 || !isMax && v < x.f64 {
-					x.f64 = v
-				}
-			})
+		case ext:
+			v.Float64s = extend(v.Float64s, n)
+			if one {
+				v.Float64s[0] = extreme(v.Float64s[0], a.counts[0], rows, col.Float64s, isMax)
+			} else {
+				extremes(v.Float64s, rows, slots, a.fresh, col.Float64s, isMax)
+			}
 		default: // Sum, Avg, SumErr, MergeSum over DOUBLE: the exact sum, not a running float
 			sums := a.exact(si)
 			for i, r := range rows {
 				sums[slots[i]].add(col.Float64s[r])
-				st[int(slots[i])*ns].count++
 			}
-			if s.Func == MergeSum { // the residues join the same sum; count is only tested against 0
+			if s.Func == MergeSum { // the residues join the same sum
 				for i, r := range rows {
 					sums[slots[i]].add(b.Cols[s.Col2].Float64s[r])
 				}
 			}
 		}
 	}
+	if one {
+		a.counts[0] += int64(len(rows))
+	} else if a.counted {
+		for _, g := range slots {
+			a.counts[g]++
+		}
+	}
 }
 
 // exact returns spec si's exact sums, one per group.
 func (a *Aggregate) exact(si int) []fsum {
-	a.sums = append(a.sums, make([][]fsum, len(a.specs)-len(a.sums))...)
-	a.sums[si] = append(a.sums[si], make([]fsum, len(a.states)/len(a.specs)-len(a.sums[si]))...)
+	a.sums = extend(a.sums, len(a.specs))
+	a.sums[si] = extend(a.sums[si], len(a.counts))
 	return a.sums[si]
 }
 
@@ -394,76 +444,142 @@ func extreme[T int64 | float64](m T, count int64, rows []int32, v []T, isMax boo
 	return m
 }
 
-// fold applies step to each selected row's value and its group's state, and
-// counts the row. step is inlined: fold is the loop of one spec.
-func fold[T int64 | float64](st []aggState, ns int, rows, slots []int32, v []T, step func(x *aggState, v T)) {
+// extremes folds the selected values of v into m, each group's MIN (or
+// MAX). A group first takes the value of the row that created it: fresh
+// holds those rows' positions in rows.
+func extremes[T int64 | float64](m []T, rows, slots, fresh []int32, v []T, isMax bool) {
+	for _, i := range fresh {
+		m[slots[i]] = v[rows[i]]
+	}
+	if isMax {
+		for i, r := range rows {
+			if x := v[r]; x > m[slots[i]] {
+				m[slots[i]] = x
+			}
+		}
+		return
+	}
 	for i, r := range rows {
-		x := &st[int(slots[i])*ns]
-		step(x, v[r])
-		x.count++
+		if x := v[r]; x < m[slots[i]] {
+			m[slots[i]] = x
+		}
 	}
 }
 
-// Next implements Operator.
+// Next implements Operator. A partial (MarkPartial) that holds more groups
+// than half of the first bypassAfter rows it folded does not reduce its
+// input: it emits those groups, then returns every further batch as one-row
+// partials (pass), hashing nothing. The decision depends on row counts
+// alone, and the stream still shows each group first where the serial plan
+// meets it: the early groups in first-seen order, then the later rows in
+// row order.
 func (a *Aggregate) Next() (*vector.Batch, error) {
-	if a.done {
-		return nil, nil
-	}
-	for {
+	for !a.done {
 		b, err := a.child.Next()
-		if err != nil {
+		switch {
+		case err != nil:
 			return nil, err
-		}
-		if b == nil {
-			break
-		}
-		a.consume(b)
-	}
-	a.done = true
-	return a.emit()
-}
-
-func (a *Aggregate) emit() (*vector.Batch, error) {
-	ns := len(a.specs)
-	ngroups := len(a.states) / ns
-	if ngroups == 0 {
-		return nil, nil
-	}
-	out := vector.NewBatch(a.schema.Types(), ngroups)
-	for ki := range a.groupBy {
-		for _, key := range a.keys {
-			out.Cols[ki].AppendInt64(key[ki])
-		}
-	}
-	cs := a.child.Schema()
-	for si, s := range a.specs {
-		o, dst := a.owner(si), out.Cols[len(a.groupBy)+si]
-		for g := range ngroups {
-			x := a.states[g*ns+o]
-			switch {
-			case s.Func == Count || x.count == 0: // count is 0 only in an ungrouped aggregate over no rows: all 0
-				if dst.Type == vector.Int64 {
-					dst.AppendInt64(x.count)
-				} else {
-					dst.AppendFloat64(0)
+		case b == nil:
+			a.done = true
+			if !a.bypass {
+				return a.emit(), nil
+			}
+		case a.bypass:
+			return a.pass(b), nil
+		default:
+			a.consume(b)
+			if a.partial && a.rows < bypassAfter {
+				if a.rows += BatchRows(b); a.rows >= bypassAfter && 2*len(a.counts) > a.rows {
+					out := a.emit()
+					a.reset()
+					a.bypass = true
+					return out, nil
 				}
-			case s.Func == Avg && cs[s.Col].Type == vector.Int64:
-				dst.AppendFloat64(float64(x.i64) / float64(x.count))
-			case s.Func == Avg:
-				dst.AppendFloat64(a.sums[o][g].round() / float64(x.count))
-			case s.Func == SumErr:
-				_, lo := a.sums[o][g].compress()
-				dst.AppendFloat64(lo)
-			case s.Func == Sum && dst.Type == vector.Float64, s.Func == MergeSum:
-				dst.AppendFloat64(a.sums[o][g].round())
-			case dst.Type == vector.Int64:
-				dst.AppendInt64(x.i64)
-			default:
-				dst.AppendFloat64(x.f64)
 			}
 		}
 	}
-	return out, nil
+	return nil, nil
+}
+
+// emit hands the group states to a batch: the keys, counts and value
+// columns as they are. Only AVG, float SUM and SUMERR are computed per group.
+func (a *Aggregate) emit() *vector.Batch {
+	n, ng := len(a.counts), len(a.groupBy)
+	if n == 0 {
+		return nil
+	}
+	vs, out := make([]vector.Vector, len(a.schema)), &vector.Batch{Cols: make([]*vector.Vector, len(a.schema))}
+	for c := range vs {
+		vs[c].Type, out.Cols[c] = a.schema[c].Type, &vs[c]
+	}
+	for k := range ng {
+		vs[k].Int64s = a.keys[k]
+	}
+	cs := a.child.Schema()
+	for si, s := range a.specs {
+		o, dst := a.owner(si), &vs[ng+si]
+		switch {
+		case s.Func == Count:
+			dst.Int64s = a.counts
+		case dst.Type == vector.Int64: // MIN, MAX, SUM; extend covers an ungrouped aggregate over no batch
+			dst.Int64s = extend(a.vals[o].Int64s, n)
+		case s.Func == Min || s.Func == Max:
+			dst.Float64s = extend(a.vals[o].Float64s, n)
+		case cs[s.Col].Type == vector.Int64: // AVG
+			dst.Float64s = make([]float64, n)
+			for g, c := range a.counts {
+				if c > 0 { // 0 only in an ungrouped aggregate over no rows
+					dst.Float64s[g] = float64(a.vals[o].Int64s[g]) / float64(c)
+				}
+			}
+		default: // SUM, AVG, SUMERR, MERGESUM over DOUBLE
+			dst.Float64s = make([]float64, n)
+			sums := a.exact(o)
+			for g, c := range a.counts {
+				switch {
+				case s.Func == SumErr:
+					_, dst.Float64s[g] = sums[g].compress()
+				case s.Func != Avg:
+					dst.Float64s[g] = sums[g].round()
+				case c > 0: // 0 only in an ungrouped aggregate over no rows
+					dst.Float64s[g] = sums[g].round() / float64(c)
+				}
+			}
+		}
+	}
+	return out
+}
+
+// pass returns batch b as one-row partials, copying nothing: its group and
+// value columns under its selection, with a COUNT of 1 and a SUMERR of 0 for
+// every row.
+func (a *Aggregate) pass(b *vector.Batch) *vector.Batch {
+	if n := b.Len(); a.passed == nil || n > cap(a.ones.Int64s) {
+		c := max(n, vector.DefaultBatchSize)
+		a.passed = &vector.Batch{Cols: make([]*vector.Vector, len(a.schema))}
+		a.ones = &vector.Vector{Type: vector.Int64, Int64s: make([]int64, c)}
+		a.noErr = &vector.Vector{Type: vector.Float64, Float64s: make([]float64, c)}
+		for i := range c {
+			a.ones.Int64s[i] = 1
+		}
+	}
+	n, ng := b.Len(), len(a.groupBy)
+	a.ones.Int64s, a.noErr.Float64s = a.ones.Int64s[:n], a.noErr.Float64s[:n]
+	for k, g := range a.groupBy {
+		a.passed.Cols[k] = b.Cols[g]
+	}
+	for si, s := range a.specs {
+		switch s.Func {
+		case Count:
+			a.passed.Cols[ng+si] = a.ones
+		case SumErr:
+			a.passed.Cols[ng+si] = a.noErr
+		default:
+			a.passed.Cols[ng+si] = b.Cols[s.Col]
+		}
+	}
+	a.passed.Sel = b.Sel
+	return a.passed
 }
 
 // Close implements Operator.
