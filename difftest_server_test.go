@@ -116,8 +116,8 @@ func TestDifferentialServer(t *testing.T) {
 			ts := dtTabs{t: tab, u: utab}
 			eng := raw.NewEngine(raw.Config{Strategy: tc.strat, Parallelism: 2})
 			defer eng.Close()
-			registerDT(t, eng, "t", tab, "csv", tab.renderCSV(), nil, nil)
-			registerDT(t, eng, "u", utab, "json", nil, utab.renderJSONL(), nil)
+			registerDT(t, eng, "t", tab, "csv", tab.renderCSV())
+			registerDT(t, eng, "u", utab, "json", utab.renderJSONL())
 			addr := startLineServer(t, eng, server.Options{
 				MaxConcurrent: 8, MaxQueue: 2 * tc.sessions, QueueTimeout: 30 * time.Second})
 

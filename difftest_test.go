@@ -25,17 +25,21 @@ package raw_test
 import (
 	"cmp"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"math/big"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"rawdb"
 	"rawdb/internal/storage/binfile"
+	"rawdb/internal/storage/rootfile"
 	"rawdb/internal/vector"
 	"rawdb/internal/workload"
 )
@@ -912,18 +916,71 @@ func auditBudget(t *testing.T, label string, eng *raw.Engine) {
 	}
 }
 
-// registerDT registers one generated table under one format.
-func registerDT(t *testing.T, e *raw.Engine, name string, tab *dtTable, format string,
-	csv, jsonl, bin []byte) {
+// render is the table's image in format.
+func (t *dtTable) render(tb testing.TB, format string) []byte {
+	switch format {
+	case "csv":
+		return t.renderCSV()
+	case "json":
+		return t.renderJSONL()
+	case "bin":
+		return t.renderBin(tb)
+	}
+	return t.renderRoot(tb)
+}
+
+// renderRoot writes the table as tree "t" of a ROOT-like file, in baskets of
+// 64 entries.
+func (t *dtTable) renderRoot(tb testing.TB) []byte {
+	var buf strings.Builder
+	w := rootfile.NewWriter(&buf, rootfile.Options{BasketEntries: 64})
+	tw := w.Tree("t")
+	for c, col := range t.cols {
+		br := tw.Branch(col.Name, col.Type)
+		if col.Type == raw.Int64 {
+			for _, v := range t.ints[c] {
+				br.AppendInt64(v)
+			}
+		} else {
+			for _, v := range t.floats[c] {
+				br.AppendFloat64(v)
+			}
+		}
+	}
+	if err := w.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	return []byte(buf.String())
+}
+
+// dtRootDirs holds one directory per test for the ROOT files it registers.
+var dtRootDirs sync.Map // *testing.T -> string
+
+// registerDT registers one generated table under one format from its image.
+// A ROOT image is written once per test to a file named after its bytes, and
+// registered by path: every engine of the test, restarted ones included,
+// maps the same file.
+func registerDT(t *testing.T, e *raw.Engine, name string, tab *dtTable, format string, img []byte) {
 	t.Helper()
 	var err error
 	switch format {
 	case "csv":
-		err = e.RegisterCSVData(name, csv, tab.cols)
+		err = e.RegisterCSVData(name, img, tab.cols)
 	case "json":
-		err = e.RegisterJSONData(name, jsonl, tab.cols)
+		err = e.RegisterJSONData(name, img, tab.cols)
 	case "bin":
-		err = e.RegisterBinaryData(name, bin, tab.cols)
+		err = e.RegisterBinaryData(name, img, tab.cols)
+	case "root":
+		dir, _ := dtRootDirs.LoadOrStore(t, t.TempDir())
+		h := fnv.New64a()
+		h.Write(img)
+		path := filepath.Join(dir.(string), fmt.Sprintf("%016x.root", h.Sum64()))
+		if _, err = os.Stat(path); err != nil {
+			err = os.WriteFile(path, img, 0o644)
+		}
+		if err == nil {
+			err = e.RegisterRoot(name, path, "t", tab.cols)
+		}
 	}
 	if err != nil {
 		t.Fatal(err)
@@ -1072,7 +1129,7 @@ func TestDifferentialOracle(t *testing.T) {
 	}
 	workerCycle := []int{1, 2, 8}
 	for si, s := range strategies {
-		for fi, format := range []string{"csv", "json", "bin"} {
+		for fi, format := range []string{"csv", "json", "bin", "root"} {
 			if s.strat == raw.StrategyExternal && format != "csv" {
 				continue
 			}
@@ -1082,17 +1139,13 @@ func TestDifferentialOracle(t *testing.T) {
 				tab := genTable(rng, 150)
 				utab := genTable(rng, 40)
 				ts := dtTabs{t: tab, u: utab}
-				csv, jsonl := tab.renderCSV(), tab.renderJSONL()
-				bin := tab.renderBin(t)
-				ucsv, ujsonl := utab.renderCSV(), utab.renderJSONL()
-				ubin := utab.renderBin(t)
+				img, uimg := tab.render(t, format), utab.render(t, format)
 				// "s" is t sorted on its filter column, each row 40 times: more
 				// rows than one zone-map block (4096), so blocks past the
 				// ladder's cut-offs are excluded.
 				stab := tab.sortedCopy(40)
 				sts := dtTabs{t: stab, u: utab}
-				scsv, sjsonl := stab.renderCSV(), stab.renderJSONL()
-				sbin := stab.renderBin(t)
+				simg := stab.render(t, format)
 
 				queries := make([]dtQuery, difftestQueries)
 				for i := range queries {
@@ -1134,11 +1187,11 @@ func TestDifferentialOracle(t *testing.T) {
 					modes = append(modes, mode{"vault-cold", vaultEng})
 				}
 				register := func(eng *raw.Engine) {
-					registerDT(t, eng, "t", tab, format, csv, jsonl, bin)
-					registerDT(t, eng, "u", utab, format, ucsv, ujsonl, ubin)
+					registerDT(t, eng, "t", tab, format, img)
+					registerDT(t, eng, "u", utab, format, uimg)
 					if shreds {
-						registerDT(t, eng, "l", tab, format, csv, jsonl, bin)
-						registerDT(t, eng, "s", stab, format, scsv, sjsonl, sbin)
+						registerDT(t, eng, "l", tab, format, img)
+						registerDT(t, eng, "s", stab, format, simg)
 					}
 				}
 				// fills runs the ladder over l and requires the engine to have

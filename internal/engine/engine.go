@@ -621,7 +621,7 @@ type Stats struct {
 	// predicate, so its file was never opened.
 	PartitionsSkipped int
 	// ParallelFallback names why a multi-worker query ran on the serial
-	// plan ("root-table", "small-file", ...); empty when the parallel plan
+	// plan ("small-file", ...); empty when the parallel plan
 	// ran (or was never requested). ParallelFallbackDetail elaborates.
 	ParallelFallback       string
 	ParallelFallbackDetail string

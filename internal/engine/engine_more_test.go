@@ -3,6 +3,7 @@ package engine
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"strconv"
@@ -548,8 +549,9 @@ func TestAggOverJoinAgainstNestedLoop(t *testing.T) {
 // above; this silences unused-import drift if test sections move.
 var _ exec.Operator = (*exec.MemScan)(nil)
 
-// TestRootZoneMapPruning verifies the planner pushes predicates into root
-// scans and that pruned plans return the same answers as the DBMS baseline.
+// TestRootZoneMapPruning verifies that the first query over a ROOT table
+// builds the engine's zone maps, that the next one skips blocks by them, and
+// that pruned plans return the same answers as the DBMS baseline.
 func TestRootZoneMapPruning(t *testing.T) {
 	var buf bytes.Buffer
 	w := rootfile.NewWriter(&buf, rootfile.Options{BasketEntries: 64})
@@ -574,26 +576,61 @@ func TestRootZoneMapPruning(t *testing.T) {
 	}
 	schema := []catalog.Column{{Name: "v", Type: vector.Int64}, {Name: "x", Type: vector.Int64}}
 	for _, strat := range []Strategy{StrategyJIT, StrategyShreds, StrategyDBMS} {
-		e := newTestEngine(t, Config{Strategy: strat})
+		e := newTestEngine(t, Config{Strategy: strat, SynopsisBlockRows: 256})
 		if err := e.RegisterRootFile("t", f, "t", schema); err != nil {
 			t.Fatal(err)
 		}
-		res, err := e.Query("SELECT MAX(x) FROM t WHERE v < 100")
-		if err != nil {
-			t.Fatalf("%s: %v", strat, err)
-		}
-		if res.Int64(0, 0) != want {
-			t.Fatalf("%s: got %d, want %d", strat, res.Int64(0, 0), want)
-		}
-		if strat == StrategyJIT {
-			found := false
-			for _, ap := range res.Stats.AccessPaths {
-				if ap == "jit:root+zonemap(t)" {
-					found = true
-				}
+		for run := 0; run < 2; run++ {
+			res, err := e.Query("SELECT MAX(x) FROM t WHERE v < 100")
+			if err != nil {
+				t.Fatalf("%s: %v", strat, err)
 			}
-			if !found {
-				t.Fatalf("expected zonemap access path, got %v", res.Stats.AccessPaths)
+			if res.Int64(0, 0) != want {
+				t.Fatalf("%s: got %d, want %d", strat, res.Int64(0, 0), want)
+			}
+			if run == 0 || strat == StrategyDBMS {
+				continue
+			}
+			if !slices.Contains(res.Stats.AccessPaths, "zmap(t)") || res.Stats.BlocksSkipped == 0 {
+				t.Fatalf("%s: warm query should skip blocks by the zone map: paths %v, %d blocks skipped",
+					strat, res.Stats.AccessPaths, res.Stats.BlocksSkipped)
+			}
+		}
+	}
+}
+
+// TestRootNaNNotPruned: a NaN among a ROOT float column's values satisfies
+// "<>", so no zone map may exclude its block: over [5, NaN, 5] the count is 1
+// under every strategy that reads ROOT, serial and parallel, cold and warm.
+func TestRootNaNNotPruned(t *testing.T) {
+	var buf bytes.Buffer
+	w := rootfile.NewWriter(&buf, rootfile.Options{BasketEntries: 4})
+	fb := w.Tree("t").Branch("f", vector.Float64)
+	for _, v := range []float64{5, math.NaN(), 5} {
+		fb.AppendFloat64(v)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	schema := []catalog.Column{{Name: "f", Type: vector.Float64}}
+	for _, cfg := range []Config{{}, {SynopsisBlockRows: 1, BatchSize: 1}} {
+		for _, strat := range []Strategy{StrategyDBMS, StrategyInSitu, StrategyJIT, StrategyShreds} {
+			for _, workers := range []int{1, 4} {
+				f, err := rootfile.Parse(buf.Bytes())
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg.Strategy = strat
+				e := newTestEngine(t, cfg)
+				if err := e.RegisterRootFile("t", f, "t", schema); err != nil {
+					t.Fatal(err)
+				}
+				for run := 0; run < 2; run++ {
+					if got := queryAt(t, e, "SELECT COUNT(*) FROM t WHERE f <> 5", workers).Int64(0, 0); got != 1 {
+						t.Fatalf("%s, workers %d, batch %d, run %d: COUNT(*) = %d, want 1",
+							strat, workers, cfg.BatchSize, run, got)
+					}
+				}
 			}
 		}
 	}

@@ -37,9 +37,23 @@ func newMappedTable(rows int, seed int64) mappedTable {
 	return m
 }
 
-// render writes the rows as CSV or as JSON lines.
+// render writes the rows as CSV, as JSON lines or as a ROOT-like tree "t"
+// (whose size, too, depends on the row count only).
 func (m mappedTable) render(format catalog.Format) []byte {
 	var b bytes.Buffer
+	if format == catalog.Root {
+		w := rootfile.NewWriter(&b, rootfile.Options{BasketEntries: 64})
+		tw := w.Tree("t")
+		k, v := tw.Branch("k", vector.Int64), tw.Branch("v", vector.Int64)
+		for _, r := range m {
+			k.AppendInt64(r[0])
+			v.AppendInt64(r[1])
+		}
+		if err := w.Close(); err != nil {
+			panic(err)
+		}
+		return b.Bytes()
+	}
 	for _, r := range m {
 		if format == catalog.JSON {
 			fmt.Fprintf(&b, "{\"k\":%d,\"v\":%d}\n", r[0], r[1])
@@ -78,8 +92,11 @@ func writeDated(t *testing.T, path string, data []byte) {
 }
 
 func registerMapped(e *Engine, name, path string, format catalog.Format) error {
-	if format == catalog.JSON {
+	switch format {
+	case catalog.JSON:
 		return e.RegisterJSON(name, path, mappedSchema)
+	case catalog.Root:
+		return e.RegisterRoot(name, path, "t", mappedSchema)
 	}
 	return e.RegisterCSV(name, path, mappedSchema)
 }
@@ -103,7 +120,7 @@ func resultPair(res *Result) [2]int64 {
 	return [2]int64{res.Int64(0, 0), res.Int64(0, 1)}
 }
 
-// mutateMidQuery runs mappedQuery over a CSV and a JSON path table, serial
+// mutateMidQuery runs mappedQuery over a CSV, a JSON and a ROOT path table, serial
 // and parallel, cold and warm, while a hook at the execution seam (the serial
 // phase; a morsel worker, racing the others) changes the file after planning.
 // mutate changes the file and returns the rows it now holds. The query must
@@ -111,7 +128,7 @@ func resultPair(res *Result) [2]int64 {
 // panic or a torn answer — and leave the engine quiescent, with nothing
 // mapped once closed.
 func mutateMidQuery(t *testing.T, mutate func(path string, format catalog.Format, orig mappedTable) mappedTable) {
-	for _, format := range []catalog.Format{catalog.CSV, catalog.JSON} {
+	for _, format := range []catalog.Format{catalog.CSV, catalog.JSON, catalog.Root} {
 		for _, workers := range []int{1, 4} {
 			for _, warm := range []bool{false, true} {
 				name := fmt.Sprintf("%s/workers=%d/warm=%v", format, workers, warm)
@@ -181,12 +198,19 @@ func mutateMidQuery(t *testing.T, mutate func(path string, format catalog.Format
 }
 
 // TestMidQueryMappedTruncate truncates the file to its first 1000 rows after
-// planning: a scan reading past the new end faults on the mapping, and the
-// fault is the retryable file-changed error, not a crash.
+// planning (a ROOT file, whose directory ends it, is rewritten shorter): a
+// scan reading past the new end faults on the mapping, and the fault is the
+// retryable file-changed error, not a crash.
 func TestMidQueryMappedTruncate(t *testing.T) {
 	mutateMidQuery(t, func(path string, format catalog.Format, orig mappedTable) mappedTable {
 		kept := orig[:1000]
-		if err := os.Truncate(path, int64(len(kept.render(format)))); err != nil {
+		var err error
+		if format == catalog.Root {
+			err = os.WriteFile(path, kept.render(format), 0o644)
+		} else {
+			err = os.Truncate(path, int64(len(kept.render(format))))
+		}
+		if err != nil {
 			t.Error(err)
 		}
 		return kept
@@ -206,27 +230,14 @@ func TestMidQueryMappedRewrite(t *testing.T) {
 	})
 }
 
-// TestRootPathTableVaultAfterReplace: a ROOT path table is read once by its
-// format library and not refreshed, so a file renamed over it must not have
-// the old file's structures saved under its fingerprint: an engine over the
-// same vault after a restart answers for the new file.
+// TestRootPathTableVaultAfterReplace: a ROOT path table is mapped and
+// refreshed like the other formats, so a file renamed over it is noticed by
+// the engine that reads it, and the old file's structures are not saved
+// under the new one's fingerprint: an engine over the same vault after a
+// restart answers for the new file too.
 func TestRootPathTableVaultAfterReplace(t *testing.T) {
 	dir := t.TempDir()
 	path, vaultDir := filepath.Join(dir, "t.root"), filepath.Join(dir, "vault")
-	writeRoot := func(p string, m mappedTable) {
-		var buf bytes.Buffer
-		w := rootfile.NewWriter(&buf, rootfile.Options{BasketEntries: 64})
-		tw := w.Tree("t")
-		k, v := tw.Branch("k", vector.Int64), tw.Branch("v", vector.Int64)
-		for _, r := range m {
-			k.AppendInt64(r[0])
-			v.AppendInt64(r[1])
-		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
-		writeDated(t, p, buf.Bytes())
-	}
 	query := func(e *Engine) [2]int64 {
 		t.Helper()
 		res, err := e.Query(mappedQuery)
@@ -236,7 +247,7 @@ func TestRootPathTableVaultAfterReplace(t *testing.T) {
 		return resultPair(res)
 	}
 	orig, next := newMappedTable(2000, 1), newMappedTable(2000, 2)
-	writeRoot(path, orig)
+	writeDated(t, path, orig.render(catalog.Root))
 	e1 := newTestEngine(t, Config{CacheDir: vaultDir})
 	if err := e1.RegisterRoot("t", path, "t", mappedSchema); err != nil {
 		t.Fatal(err)
@@ -244,12 +255,16 @@ func TestRootPathTableVaultAfterReplace(t *testing.T) {
 	if got := query(e1); got != orig.answer() {
 		t.Fatalf("answered %v, want %v", got, orig.answer())
 	}
-	writeRoot(filepath.Join(dir, "next.tmp"), next)
+	if err := os.WriteFile(filepath.Join(dir, "next.tmp"), next.render(catalog.Root), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	if err := os.Rename(filepath.Join(dir, "next.tmp"), path); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		query(e1)
+		if got := query(e1); got != next.answer() {
+			t.Fatalf("after the rename, query %d answered %v, want %v (the new file's)", i, got, next.answer())
+		}
 	}
 	if err := e1.Close(); err != nil {
 		t.Fatal(err)

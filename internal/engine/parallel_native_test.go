@@ -313,8 +313,9 @@ func TestParallelJoinHavingNative(t *testing.T) {
 }
 
 // TestParallelFallbackReporting pins the structured fallback surface: the
-// only remaining serial fallbacks (ROOT tables, sub-2-morsel files) must
-// name themselves in Stats, in Explain and in the lifecycle event log.
+// only remaining serial fallback (sub-2-morsel files) must name itself in
+// Stats, in Explain and in the lifecycle event log; a ROOT table, read by
+// entry id like a binary one, is cut into morsels and names none.
 func TestParallelFallbackReporting(t *testing.T) {
 	t.Run("root-table", func(t *testing.T) {
 		var buf bytes.Buffer
@@ -336,42 +337,30 @@ func TestParallelFallbackReporting(t *testing.T) {
 		if err := e.RegisterRootFile("t", f, "t", schema); err != nil {
 			t.Fatal(err)
 		}
-		// Explain before any execution: once a query runs, its captured
-		// shreds make parallel ROOT scans possible (the fallback is about
-		// paging the raw format, not the cached columns).
 		w8 := 8
 		plan, err := e.Explain("SELECT COUNT(*) FROM t", Options{Parallelism: &w8})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !strings.Contains(plan, "parallel fallback: root-table") {
-			t.Fatalf("Explain missing fallback line:\n%s", plan)
+		if strings.Contains(plan, "parallel fallback") || !strings.Contains(plan, "par[16]:jit:root(t)") {
+			t.Fatalf("Explain should cut the root table into 16 morsels:\n%s", plan)
 		}
 		res := queryAt(t, e, "SELECT COUNT(*) FROM t", 8)
 		if res.Int64(0, 0) != 500 {
 			t.Fatalf("COUNT(*) = %d, want 500", res.Int64(0, 0))
 		}
-		if res.Stats.ParallelFallback != fallbackRootTable {
-			t.Fatalf("fallback = %q (%s), want %q",
-				res.Stats.ParallelFallback, res.Stats.ParallelFallbackDetail, fallbackRootTable)
+		if s := res.Stats; s.ParallelFallback != "" || s.ParallelFallbackDetail != "" {
+			t.Fatalf("fallback = %q (%s), want none", s.ParallelFallback, s.ParallelFallbackDetail)
 		}
-		if res.Stats.ParallelFallbackDetail == "" {
-			t.Fatal("fallback detail empty")
-		}
-		foundEvent := false
 		for _, ev := range e.RecentEvents() {
-			if ev.Kind == obs.EventFallback && ev.Structure == "planner" &&
-				ev.Table == "t" && ev.Reason == fallbackRootTable {
-				foundEvent = true
+			if ev.Kind == obs.EventFallback {
+				t.Fatalf("fallback lifecycle event %+v", ev)
 			}
-		}
-		if !foundEvent {
-			t.Fatalf("no fallback lifecycle event, have %v", e.RecentEvents())
 		}
 	})
 	t.Run("root-join-built-once", func(t *testing.T) {
-		// A ROOT probe side declines after the CSV build side was cut: the
-		// plan that runs must be the only one built, one scan per table.
+		// A ROOT probe side is cut like the CSV build side: the plan that
+		// runs is the only one built, one scan per table.
 		big, dim := goldenTable(t, 3000, 0), goldenTable(t, 50, 0)
 		f, err := rootfile.Parse(big.root)
 		if err != nil {
@@ -388,9 +377,9 @@ func TestParallelFallbackReporting(t *testing.T) {
 		if res.Int64(0, 1) != 3000 {
 			t.Fatalf("COUNT(*) = %d, want 3000", res.Int64(0, 1))
 		}
-		if s := res.Stats; s.ParallelFallback != fallbackRootTable || len(s.AccessPaths) != 2 {
-			t.Fatalf("fallback %q, access paths %v; want %q and one scan per table",
-				s.ParallelFallback, s.AccessPaths, fallbackRootTable)
+		want := []string{"par[8]:jit:seq(u)", "par[8]:jit:root(t)", "par:hashjoin(t,u)"}
+		if s := res.Stats; s.ParallelFallback != "" || !reflect.DeepEqual(s.AccessPaths, want) {
+			t.Fatalf("fallback %q, access paths %v; want none and %v", s.ParallelFallback, s.AccessPaths, want)
 		}
 	})
 	t.Run("small-file", func(t *testing.T) {
@@ -467,8 +456,6 @@ func TestCutDecides(t *testing.T) {
 		loaded   int
 		shreds   bool
 	}{
-		{name: "root", strategy: StrategyJIT, register: root, sql: q, reason: fallbackRootTable,
-			detail: "root tables page through the format library at its own pace", spans: [][]int{{1}}},
 		{name: "one-row csv", strategy: StrategyJIT, register: csv(tiny), sql: q, reason: fallbackSmallFile,
 			detail: "t splits into 1 morsels (need 2)", spans: [][]int{{1}}},
 		{name: "one-row memory", strategy: StrategyJIT, sql: q, reason: fallbackSmallFile,
@@ -484,18 +471,18 @@ func TestCutDecides(t *testing.T) {
 		{name: "dataset one tiny partition", strategy: StrategyJIT, sql: q, reason: fallbackSmallFile,
 			register: dataset(DataPart{Format: catalog.CSV, Data: tiny.csv}),
 			detail:   "t yields 1 morsels across its partitions (need 2)", spans: [][]int{{1}}},
-		{name: "join with a root side", strategy: StrategyJIT, sql: join, reason: fallbackRootTable,
+
+		{name: "csv", strategy: StrategyJIT, register: csv(big), sql: q, spans: [][]int{{8}}},
+		{name: "json", strategy: StrategyJIT, sql: q, spans: [][]int{{8}},
+			register: func(e *Engine) error { return e.RegisterJSONData("t", big.json, big.schema) }},
+		{name: "root", strategy: StrategyJIT, register: root, sql: q, spans: [][]int{{8}}},
+		{name: "join with a root side", strategy: StrategyJIT, sql: join, spans: [][]int{{8}, {8}},
 			register: func(e *Engine) error {
 				if err := root(e); err != nil {
 					return err
 				}
 				return e.RegisterCSVData("u", dim.csv, dim.schema)
-			},
-			detail: "root tables page through the format library at its own pace", spans: [][]int{{1}, {1}}},
-
-		{name: "csv", strategy: StrategyJIT, register: csv(big), sql: q, spans: [][]int{{8}}},
-		{name: "json", strategy: StrategyJIT, sql: q, spans: [][]int{{8}},
-			register: func(e *Engine) error { return e.RegisterJSONData("t", big.json, big.schema) }},
+			}},
 		{name: "binary", strategy: StrategyInSitu, sql: q, spans: [][]int{{8}},
 			register: func(e *Engine) error { return e.RegisterBinaryData("t", big.bin, big.schema) }},
 		{name: "memory", strategy: StrategyShreds, sql: q, spans: [][]int{{8}},

@@ -46,9 +46,6 @@ type planCtx struct {
 // and bare GROUP BY parallel-native, these are the only ways a workers > 1
 // query still runs as one part.
 const (
-	// fallbackRootTable: ROOT files are accessed through the library pacing
-	// the paper measures; there is no splittable raw byte range.
-	fallbackRootTable = "root-table"
 	// fallbackSmallFile: the file (or dataset) yields fewer than two
 	// morsels, so an exchange would only add overhead over the one-part scan.
 	fallbackSmallFile = "small-file"
@@ -377,14 +374,10 @@ func (pc *planCtx) cutUnit(pl *plan, u *unitPlan, cols []int, n, min int) error 
 	if err != nil {
 		return err
 	}
-	spans, splittable := st.src.split(u.bt.pos, a.mode, n)
-	switch {
-	case !splittable:
-		pl.decline(fallbackRootTable, "%s tables page through the format library at its own pace", tab.Format)
-	case len(spans) < min:
-		pl.decline(fallbackSmallFile, "%s splits into %d morsels (need %d)", tab.Name, len(spans), min)
-	default:
+	if spans := st.src.split(u.bt.pos, a.mode, n); len(spans) >= min {
 		u.spans, u.a = spans, a
+	} else {
+		pl.decline(fallbackSmallFile, "%s splits into %d morsels (need %d)", tab.Name, len(spans), min)
 	}
 	return nil
 }
@@ -614,11 +607,9 @@ func (pc *planCtx) baseStep(u *unitPlan, cols []int, needRID bool, cands []bound
 	// columns always stay in the filter.
 	generated := s.kind == scanGenerated
 	capturing := generated && pc.captureActive()
-	if generated && (s.a.advisory || pc.pushdown && !capturing) {
+	if generated && pc.pushdown && !capturing {
 		s.push = execPreds(pushable)
-		if !s.a.advisory {
-			s.npush, s.filter = len(pushable), rest
-		}
+		s.npush, s.filter = len(pushable), rest
 	}
 	if generated && s.a.zoneSkip && (u.whole() || !s.a.recording) && pc.zonemaps && !capturing {
 		s.skip = synSkip(pos.syn, cands)
@@ -888,8 +879,6 @@ func (pc *planCtx) paths(r *resolvedQuery, pl *plan) {
 			pathf("shred:late(%s)", shredKeys(tab, s.cached))
 		case s.resident != "":
 			pathf("%s%s(%s)", par, s.resident, tab)
-		case s.a.advisory && len(s.push) > 0:
-			pathf("%s%s:%s+zonemap(%s)", par, s.kind, s.a.label, tab)
 		case !s.late:
 			pathf("%s%s:%s(%s)", par, s.kind, s.a.label, tab)
 		}

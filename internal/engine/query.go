@@ -276,7 +276,7 @@ func (pc *planCtx) open(st *tableState) error {
 	if err := pc.e.loadWithRetry(st, pc.id); err != nil {
 		return err
 	}
-	im := st.src.rawFile() // nil for ROOT: its library reads the file once, never again
+	im := st.src.rawFile()
 	if im != nil && (im.Identity() != st.ident || im.Changed()) {
 		pc.e.dropState(pc.id, st, "file-changed")
 		resetStateCaches(st)

@@ -57,9 +57,8 @@ type source interface {
 	// split cuts the table into spans in file order — at most n row ranges
 	// for positional modes, record-aligned byte ranges for jit.Sequential (n,
 	// or more where n would make them longer than coldMorselBytes) — that are
-	// disjoint and cover it exactly. ok is false when the format can only be
-	// read whole.
-	split(pos positions, mode jit.Mode, n int) (spans []span, ok bool)
+	// disjoint and cover it exactly.
+	split(pos positions, mode jit.Mode, n int) []span
 	// scan builds the operator reading req.cols over req.span, and the
 	// private fragment of the positional structure the pass fills on the side
 	// (nil when it fills none): a record-by-record pass's new structure, or a
@@ -156,10 +155,6 @@ type access struct {
 	// buildsSyn: this pass parses every value of the scanned columns, so a
 	// synopsis builder may observe it.
 	buildsSyn bool
-	// advisory: pushed predicates only prune storage units (ROOT baskets) and
-	// all stay in the residual filter; it is no part of the pushdown/capture
-	// arbitration.
-	advisory bool
 	// estRows estimates the rows a cold text pass reads over a span from the
 	// span's first records, for one-time allocation (nil: no estimate). Asked
 	// only where no row count is known.
@@ -222,7 +217,9 @@ func newSource(format catalog.Format, policy posmap.Policy, data []byte, mapped 
 		}
 		return s, nil
 	case catalog.Root:
-		return &rootSource{}, nil
+		// An image alone names no tree: ROOT tables come from a path or an
+		// opened file, and back no partition.
+		return &rootSource{rawImage: rawImage{mapped: mapped}}, nil
 	}
 	return nil, nil
 }
@@ -346,15 +343,15 @@ func (s *csvSource) access(tab *catalog.Table, pos positions, cols []int, kind s
 		estRows: s.estRows}, nil
 }
 
-func (s *csvSource) split(pos positions, mode jit.Mode, n int) ([]span, bool) {
+func (s *csvSource) split(pos positions, mode jit.Mode, n int) []span {
 	if mode == jit.ViaMap {
-		return splitRows(pos.pm.NRows(), n), true
+		return splitRows(pos.pm.NRows(), n)
 	}
 	var out []span
 	for _, sp := range csvfile.Split(s.data, s.morsels(n)) {
 		out = append(out, span{int64(sp.Start), int64(sp.End)})
 	}
-	return out, true
+	return out
 }
 
 func (s *csvSource) scan(tab *catalog.Table, pos positions, req scanReq) (exec.Operator, fragment, error) {
@@ -446,15 +443,15 @@ func (s *jsonSource) access(tab *catalog.Table, pos positions, cols []int, kind 
 	return a, nil
 }
 
-func (s *jsonSource) split(pos positions, mode jit.Mode, n int) ([]span, bool) {
+func (s *jsonSource) split(pos positions, mode jit.Mode, n int) []span {
 	if mode == jit.ViaMap {
-		return splitRows(pos.jidx.NRows(), n), true
+		return splitRows(pos.jidx.NRows(), n)
 	}
 	var out []span
 	for _, sp := range jsonfile.Split(s.data, s.morsels(n)) {
 		out = append(out, span{int64(sp.Start), int64(sp.End)})
 	}
-	return out, true
+	return out
 }
 
 // scan: JSON has no general-purpose scan of its own; the generic kind runs
@@ -568,8 +565,8 @@ func (s *binSource) access(tab *catalog.Table, _ positions, _ []int, kind scanKi
 	return access{mode: jit.Direct, label: "bin", zoneSkip: true, buildsSyn: true}, nil
 }
 
-func (s *binSource) split(_ positions, _ jit.Mode, n int) ([]span, bool) {
-	return splitRows(s.r.NRows(), n), true
+func (s *binSource) split(_ positions, _ jit.Mode, n int) []span {
+	return splitRows(s.r.NRows(), n)
 }
 
 func (s *binSource) scan(tab *catalog.Table, _ positions, req scanReq) (exec.Operator, fragment, error) {
@@ -587,8 +584,12 @@ func (s *binSource) late(tab *catalog.Table, _ positions, cols []int) (exec.Fetc
 
 // --- ROOT ---
 
+// rootSource reads one tree of a ROOT-like file: mapped from tab.Path and
+// parsed here, or a tree of a file the caller opened (RegisterRootFile), whose
+// bytes and buffer pool the caller owns.
 type rootSource struct {
 	rowAddressed
+	rawImage
 	file *rootfile.File
 	tree *rootfile.Tree
 }
@@ -597,13 +598,14 @@ func (s *rootSource) load(tab *catalog.Table) error {
 	if s.tree != nil {
 		return nil
 	}
-	f, err := rootfile.Open(tab.Path)
-	if err != nil {
-		return err
-	}
-	tr, err := f.Tree(tab.Tree)
+	err := s.loadFile(tab.Path, faults.SiteRootLoad)
 	if err == nil {
-		s.file, s.tree = f, tr
+		if s.file, err = rootfile.Parse(s.data); err == nil {
+			s.tree, err = s.file.Tree(tab.Tree)
+		}
+		if err != nil {
+			s.release(true)
+		}
 	}
 	return err
 }
@@ -612,44 +614,39 @@ func (s *rootSource) stat() (int64, int64) {
 	if s.tree == nil {
 		return 0, -1
 	}
-	return 0, s.tree.NEntries()
+	return int64(len(s.data)), s.tree.NEntries()
 }
 
-func (s *rootSource) image() []byte { return nil }
-
-func (s *rootSource) rawFile() *rawfile.Image { return nil }
-
-func (s *rootSource) release(bool) {
+// release drops the library's decoded baskets always, and with image set a
+// mapped image with the tree parsed from it.
+func (s *rootSource) release(image bool) {
 	if s.file != nil {
 		s.file.DropCaches()
 	}
+	if image && s.mapping != nil {
+		s.rawImage.release(true)
+		s.file, s.tree = nil, nil
+	}
 }
 
-// access: the format library pages baskets at its own pace — one unsplittable
-// scan — and prunes them by their own min/max for the first pushed predicate,
-// advisorily.
+// access: entries are addressed by id, always; like binary, the positional
+// pass builds the synopsis itself.
 func (s *rootSource) access(tab *catalog.Table, _ positions, _ []int, kind scanKind) (access, error) {
 	if kind == scanExternal {
 		return access{}, noReaderError{tab}
 	}
-	return access{mode: jit.Direct, label: "root", advisory: true}, nil
+	return access{mode: jit.Direct, label: "root", zoneSkip: true, buildsSyn: true}, nil
 }
 
-func (s *rootSource) split(positions, jit.Mode, int) ([]span, bool) { return nil, false }
+func (s *rootSource) split(_ positions, _ jit.Mode, n int) []span {
+	return splitRows(s.tree.NEntries(), n)
+}
 
-// scan: the paper has no generic ROOT scan either; the generic kind is the
-// library-backed path without pruning.
+// scan: the paper has no generic ROOT scan either; the generic kind runs the
+// generated path, which the planner gives no pushdown.
 func (s *rootSource) scan(tab *catalog.Table, _ positions, req scanReq) (exec.Operator, fragment, error) {
-	var prune *jit.Prune
-	if len(req.push.Preds) > 0 {
-		p := req.push.Preds[0]
-		prune = &jit.Prune{Col: p.Col, Op: p.Op, I64: p.I64, F64: p.F64}
-	}
-	sc, err := jit.NewRootScanPruned(s.tree, tab, req.cols, req.emitRID, req.batch, prune)
-	if err != nil {
-		return nil, nil, err
-	}
-	return sc, nil, nil
+	sc, err := jit.NewRootScanPush(s.tree, tab, req.cols, req.emitRID, req.batch, req.push)
+	return ranged(sc, err, req.span)
 }
 
 func (s *rootSource) late(tab *catalog.Table, _ positions, cols []int) (exec.Fetch, error) {

@@ -167,13 +167,7 @@ func TestSourceContract(t *testing.T) {
 			if int64(len(wholeRows)) != c.rows {
 				t.Fatalf("whole-table scan read %d rows, want %d", len(wholeRows), c.rows)
 			}
-			spans, ok := c.src.split(positions{}, cold.mode, nranges)
-			if !ok {
-				if c.tab.Format != catalog.Root {
-					t.Fatal("only ROOT may refuse to split")
-				}
-				return
-			}
+			spans := c.src.split(positions{}, cold.mode, nranges)
 			if cold.mode == jit.Sequential {
 				tiles(spans, c.size, c.src.image())
 			} else {
@@ -187,7 +181,7 @@ func TestSourceContract(t *testing.T) {
 				t.Fatalf("scanning %d spans read different rows than one whole-table scan", len(spans))
 			}
 			if len(wholeFrags) == 0 {
-				return // binary: nothing to build, rows are addressed natively
+				return // binary, ROOT: nothing to build, rows are addressed natively
 			}
 
 			// Publication: a lone fragment is adopted, several merge to its equal.
@@ -215,7 +209,7 @@ func TestSourceContract(t *testing.T) {
 			if err != nil || warm.mode != jit.ViaMap {
 				t.Fatalf("access over the published structure = %+v, %v; want a positional read", warm, err)
 			}
-			spans, _ = c.src.split(pos, warm.mode, nranges)
+			spans = c.src.split(pos, warm.mode, nranges)
 			tiles(spans, c.rows, nil)
 			if rows, _ := scanAll(pos, warm.mode, spans); !reflect.DeepEqual(rows, wholeRows) {
 				t.Fatal("positional scan over row ranges read different rows than the cold scan")
@@ -231,8 +225,8 @@ func TestSourceContract(t *testing.T) {
 func TestSourcePublication(t *testing.T) {
 	policy := posmap.Policy{EveryK: 2}
 	const q = "SELECT col1, col3 FROM t WHERE col4 >= 0"
-	// One row per batch and per zone-map block (binary scans close blocks at
-	// batch ends): fragment boundaries then fall on block boundaries wherever
+	// One row per batch and per zone-map block (binary and ROOT scans close
+	// blocks at batch ends): fragment boundaries then fall on block boundaries wherever
 	// the splitter puts them.
 	cfg := Config{Strategy: StrategyJIT, PosMapPolicy: policy, SynopsisBlockRows: 1, BatchSize: 1}
 	for _, c := range sourceCases(t, policy) {
@@ -246,13 +240,11 @@ func TestSourcePublication(t *testing.T) {
 				}
 				res := queryAt(t, e, q, workers)
 				parallel := strings.HasPrefix(res.Stats.AccessPaths[0], "par[")
-				if want := workers > 1 && c.rows >= 2 && c.tab.Format != catalog.Root; parallel != want {
+				if want := workers > 1 && c.rows >= 2; parallel != want {
 					t.Fatalf("workers %d: paths %v", workers, res.Stats.AccessPaths)
 				}
 				state := encodeState(e, e.tables["t"])
-				// (ROOT publishes nothing here: basket pruning by the predicate
-				// leaves no full column to capture.)
-				if c.rows > 0 && len(state) < 2 && c.tab.Format != catalog.Root {
+				if c.rows > 0 && len(state) < 2 {
 					t.Fatalf("workers %d published only %d structures", workers, len(state))
 				}
 				if want == nil {

@@ -284,3 +284,66 @@ func TestExchangePanickingPart(t *testing.T) {
 	par.Close()
 	settled(t, base)
 }
+
+// batchSink makes a batch escape, as the exchange's output batches do.
+var batchSink *vector.Batch
+
+// selOp returns its batch, batches times.
+type selOp struct {
+	b       *vector.Batch
+	batches int
+	left    int
+}
+
+func (o *selOp) Schema() vector.Schema { return vector.Schema{{Name: "a", Type: vector.Int64}} }
+func (o *selOp) Open() error           { o.left = o.batches; return nil }
+func (o *selOp) Close() error          { return nil }
+func (o *selOp) Next() (*vector.Batch, error) {
+	if o.left == 0 {
+		return nil, nil
+	}
+	o.left--
+	return o.b, nil
+}
+
+// TestExchangeStreamedSelectionsAllocs: a part that streams many small
+// selections (a bypassing partial aggregate passes ~400 rows of each batch)
+// allocates each full output batch once at its size, not by growing one
+// sized for the first selection.
+func TestExchangeStreamedSelectionsAllocs(t *testing.T) {
+	const bs = 1024
+	b := vector.NewBatch([]vector.Type{vector.Int64}, bs) // 410 even rows selected
+	for r := range bs {
+		b.Cols[0].AppendInt64(int64(r))
+		if r%5 != 0 && r%2 == 0 {
+			b.Sel = append(b.Sel, int32(r))
+		}
+	}
+	drain := func(batches int) float64 {
+		return testing.AllocsPerRun(10, func() {
+			par, err := NewParallel([]Operator{&selOp{b: b, batches: batches}}, 1, bs, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := par.Open(); err != nil {
+				t.Fatal(err)
+			}
+			for {
+				out, err := par.Next()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if out == nil {
+					break
+				}
+			}
+			par.Close()
+		})
+	}
+	perBatch := testing.AllocsPerRun(10, func() { batchSink = vector.NewBatch([]vector.Type{vector.Int64}, bs) })
+	const few, many = 64, 320
+	full := float64((many - few) * len(b.Sel) / bs)
+	if got := (drain(many) - drain(few)) / full; got > perBatch+0.5 {
+		t.Fatalf("%.2f allocations per streamed output batch, want at most %.0f (one batch)", got, perBatch)
+	}
+}

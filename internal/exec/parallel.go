@@ -178,6 +178,8 @@ func (p *Parallel) runPart(i int) (err error) {
 	}
 	defer op.Close()
 	var out *vector.Batch
+	types := p.schema.Types()
+	streams := false // a full batch went out, so more come: size the next ones whole
 	for {
 		if err := ctxErr(p.run); err != nil {
 			return err
@@ -191,7 +193,11 @@ func (p *Parallel) runPart(i int) (err error) {
 		}
 		for lo, n := 0, BatchRows(b); lo < n; {
 			if out == nil { // sized for what comes, so a small part's output stays small
-				out = vector.NewBatch(p.schema.Types(), min(p.batchSize, n-lo))
+				size := p.batchSize
+				if !streams {
+					size = min(size, n-lo)
+				}
+				out = vector.NewBatch(types, size)
 			}
 			hi := min(n, lo+p.batchSize-out.Len())
 			for c, v := range b.Cols {
@@ -205,7 +211,7 @@ func (p *Parallel) runPart(i int) (err error) {
 				if err := p.send(i, out); err != nil {
 					return err
 				}
-				out = nil
+				out, streams = nil, true
 			}
 		}
 	}

@@ -116,6 +116,7 @@ const (
 	SiteCSVLoad     = "csv.load"     // rawfile.Map of raw CSV files, incl. dataset partitions
 	SiteJSONLoad    = "json.load"    // rawfile.Map of raw JSONL files
 	SiteBinLoad     = "bin.load"     // rawfile.Map of fixed-width binary files
+	SiteRootLoad    = "root.load"    // rawfile.Map of ROOT-like files
 	SiteVaultRead   = "vault.read"   // vault.Store.ReadEntry (cached structures)
 	SiteVaultWrite  = "vault.write"  // vault.Store.WriteEntry (structure publication)
 	SiteDatasetStat = "dataset.stat" // dataset.Discover (manifest refresh)

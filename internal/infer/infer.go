@@ -232,7 +232,7 @@ func Register(eng *raw.Engine, s Specs) error {
 				}
 				schema = append(schema, raw.Column{Name: bn, Type: br.Type})
 			}
-			if err := eng.RegisterRootFile(treeName, f, treeName, schema); err != nil {
+			if err := eng.RegisterRoot(treeName, path, treeName, schema); err != nil {
 				return err
 			}
 		}
@@ -299,13 +299,13 @@ func (f *EngineFlags) Bind(fs *flag.FlagSet) {
 	fs.Var((*multiFlag)(&f.Specs.Roots), "root", "register every tree of a root-like file (path; tree names become table names; repeatable)")
 	fs.Var((*multiFlag)(&f.Specs.Datasets), "dataset", "register a directory or glob of raw files as one table, name=pattern (formats inferred per file by extension; schema inferred from the first file; repeatable)")
 	fs.StringVar(&f.Strategy, "strategy", "shreds", "access strategy: shreds, jit, insitu, external, dbms")
-	fs.IntVar(&f.Workers, "workers", 1, "morsel-parallel workers for scans, aggregation and joins (<=1 serial; ROOT tables and sub-morsel files fall back to serial with the reason reported in the query stats)")
+	fs.IntVar(&f.Workers, "workers", 1, "morsel-parallel workers for scans, aggregation and joins (<=1 serial; files of fewer than two morsels fall back to serial with the reason reported in the query stats)")
 	fs.StringVar(&f.CacheDir, "cachedir", "", "persistent vault directory: positional maps, structural indexes and column shreds persist here across runs (safe to delete at any time)")
 	fs.Int64Var(&f.CacheBudget, "cachebudget", 0, "in-memory cache budget in bytes across positional maps, structural indexes, synopses and column shreds (0 selects 256 MiB and leaves rawserve's memory governor off)")
 	fs.BoolVar(&f.NoPushdown, "nopushdown", false, "keep WHERE predicates in Filter operators instead of pushing them into the generated access paths")
 	fs.BoolVar(&f.NoShredCache, "noshredcache", false, "disable column-shred capture and reuse (raw-file scans then absorb predicates and skip zone-map-excluded blocks; capture otherwise wins that conflict)")
 	fs.BoolVar(&f.NoZoneMaps, "nozonemaps", false, "disable per-block min/max zone maps (no block or morsel skipping)")
-	fs.StringVar(&f.Faults, "faults", "", "chaos testing: inject deterministic faults into file and cache access, e.g. 'vault.read:corrupt:after=2;csv.load:err:times=1' (sites: csv.load json.load vault.read vault.write dataset.stat exec.morsel exec.serial; kinds: err notexist shortread corrupt torn latency panic)")
+	fs.StringVar(&f.Faults, "faults", "", "chaos testing: inject deterministic faults into file and cache access, e.g. 'vault.read:corrupt:after=2;csv.load:err:times=1' (sites: csv.load json.load root.load vault.read vault.write dataset.stat exec.morsel exec.serial; kinds: err notexist shortread corrupt torn latency panic)")
 	fs.Int64Var(&f.FaultSeed, "fault-seed", 1, "seed for the -faults schedule (determinism across runs)")
 	fs.StringVar(&f.QueryLog, "query-log", "", "append one structured JSON record per query to this file ('-' for stderr)")
 	fs.IntVar(&f.SlowMs, "slow-query-ms", 0, "with -query-log: trace every query and embed the rendered span tree in records at or over this latency")

@@ -300,7 +300,7 @@ func TestRootScan(t *testing.T) {
 	tree, _ := f.Tree("events")
 	tab := &catalog.Table{Name: "ev", Format: catalog.Root, Tree: "events",
 		Schema: []catalog.Column{{Name: "id", Type: vector.Int64}, {Name: "pt", Type: vector.Float64}}}
-	s, err := NewRootScanPruned(tree, tab, []int{0, 1}, true, 40, nil)
+	s, err := NewRootScanPush(tree, tab, []int{0, 1}, true, 40, Pushdown{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,11 +319,11 @@ func TestRootScan(t *testing.T) {
 	// Unknown branch and type mismatch.
 	bad := *tab
 	bad.Schema = []catalog.Column{{Name: "nope", Type: vector.Int64}}
-	if _, err := NewRootScanPruned(tree, &bad, []int{0}, false, 0, nil); err == nil {
+	if _, err := NewRootScanPush(tree, &bad, []int{0}, false, 0, Pushdown{}); err == nil {
 		t.Fatal("expected missing-branch error")
 	}
 	bad.Schema = []catalog.Column{{Name: "pt", Type: vector.Int64}}
-	if _, err := NewRootScanPruned(tree, &bad, []int{0}, false, 0, nil); err == nil {
+	if _, err := NewRootScanPush(tree, &bad, []int{0}, false, 0, Pushdown{}); err == nil {
 		t.Fatal("expected type-mismatch error")
 	}
 }
@@ -492,7 +492,7 @@ func TestRootLateScan(t *testing.T) {
 	tree, _ := f.Tree("ev")
 	tab := &catalog.Table{Name: "ev", Format: catalog.Root, Tree: "ev",
 		Schema: []catalog.Column{{Name: "id", Type: vector.Int64}, {Name: "v", Type: vector.Int64}}}
-	base, err := NewRootScanPruned(tree, tab, []int{0}, true, 0, nil)
+	base, err := NewRootScanPush(tree, tab, []int{0}, true, 0, Pushdown{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -261,7 +261,8 @@ func BinLateFetch(r *binfile.Reader, t *catalog.Table, cols []int) (exec.Fetch, 
 }
 
 // RootLateFetch generates the fetch of cols of the ROOT-like format using
-// id-based library access ("readROOTField(fieldName, id)").
+// id-based library access ("readROOTField(fieldName, id)"): one gather per
+// column and batch, which loads each basket the ids reach once.
 func RootLateFetch(tree *rootfile.Tree, t *catalog.Table, cols []int) (exec.Fetch, error) {
 	if t.Format != catalog.Root {
 		return nil, fmt.Errorf("jit: root late scan got format %s", t.Format)
@@ -274,34 +275,23 @@ func RootLateFetch(tree *rootfile.Tree, t *catalog.Table, cols []int) (exec.Fetc
 		col := t.Schema[c]
 		br, err := tree.Branch(col.Name)
 		if err != nil {
-			return nil, fmt.Errorf("jit: root late scan: %w", err)
+			return nil, fmt.Errorf("jit: root scan: %w", err)
 		}
-		if col.Type != vector.Int64 && col.Type != vector.Float64 {
-			return nil, fmt.Errorf("jit: unsupported type %s", col.Type)
+		if br.Type != col.Type {
+			return nil, fmt.Errorf("jit: root scan: branch %q is %s, table declares %s", col.Name, br.Type, col.Type)
 		}
 		branches[i] = br
 	}
-	nrows := tree.NEntries()
 	return func(rids []int64, outs []*vector.Vector) error {
 		for i, br := range branches {
-			out := outs[i]
-			for _, rid := range rids {
-				if rid < 0 || rid >= nrows {
-					return rowIDError(rid)
-				}
-				if out.Type == vector.Int64 {
-					v, err := br.Int64At(rid)
-					if err != nil {
-						return err
-					}
-					out.Int64s = append(out.Int64s, v)
-				} else {
-					v, err := br.Float64At(rid)
-					if err != nil {
-						return err
-					}
-					out.Float64s = append(out.Float64s, v)
-				}
+			var err error
+			if out := outs[i]; out.Type == vector.Int64 {
+				out.Int64s, err = br.Int64sAt(out.Int64s, rids)
+			} else {
+				out.Float64s, err = br.Float64sAt(out.Float64s, rids)
+			}
+			if err != nil {
+				return err
 			}
 		}
 		return nil

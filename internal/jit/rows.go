@@ -184,9 +184,9 @@ func (s *RowScan) Next() (*vector.Batch, error) {
 func (s *RowScan) read(lo, hi int64) (sel []int32, none bool, err error) {
 	s.out.Reset()
 	m := int(hi - lo)
-	rids := slices.Grow(s.rids[:0], m)
-	for r := lo; r < hi; r++ {
-		rids = append(rids, r)
+	rids := slices.Grow(s.rids[:0], m)[:m]
+	for i := range rids {
+		rids[i] = lo + int64(i)
 	}
 	s.rids = rids
 	if s.dense != nil {
@@ -211,15 +211,17 @@ func (s *RowScan) read(lo, hi int64) (sel []int32, none bool, err error) {
 			return nil, true, nil
 		default:
 			sel = s.sel
-			rids = slices.Grow(s.selRids[:0], m)
-			for _, i := range sel {
-				rids = append(rids, s.rids[i])
-			}
-			s.selRids = rids
 		}
 	}
 	if s.rest == nil {
 		return sel, false, nil
+	}
+	if sel != nil {
+		rids = slices.Grow(s.selRids[:0], m)
+		for _, i := range sel {
+			rids = append(rids, s.rids[i])
+		}
+		s.selRids = rids
 	}
 	if err := s.rest(rids, s.restOut); err != nil {
 		return nil, false, err

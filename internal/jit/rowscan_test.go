@@ -1,6 +1,7 @@
 package jit
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
 	"slices"
@@ -12,6 +13,7 @@ import (
 	"rawdb/internal/jsonidx"
 	"rawdb/internal/posmap"
 	"rawdb/internal/storage/binfile"
+	"rawdb/internal/storage/rootfile"
 	"rawdb/internal/synopsis"
 	"rawdb/internal/vector"
 )
@@ -55,7 +57,7 @@ func rowScanFormats(t *testing.T) []*rowScanFormat {
 	var formats []*rowScanFormat
 
 	// CSV via the positional map: tracked columns 0, 4, 8.
-	csvData, binData, tab, _ := genTable(t, rows, 9, 31)
+	csvData, binData, tab, vals := genTable(t, rows, 9, 31)
 	pm := posmap.New(posmap.Policy{EveryK: 4}, 9)
 	seq, err := NewCSVSequentialScan(csvData, tab, []int{0}, pm, false, 0)
 	if err != nil {
@@ -93,6 +95,44 @@ func rowScanFormats(t *testing.T) []*rowScanFormat {
 		ref: seqReference(t, binRef),
 		build: func(t *testing.T, push Pushdown, emitRID bool) rowScanner {
 			s, err := NewBinScanPush(rd, &btab, binNeed, emitRID, bs, push)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s
+		}})
+
+	// ROOT: the same values in baskets of 50 entries, read by id.
+	rtab := *tab
+	rtab.Format, rtab.Tree = catalog.Root, "t"
+	var rbuf bytes.Buffer
+	w := rootfile.NewWriter(&rbuf, rootfile.Options{BasketEntries: 50})
+	tw := w.Tree("t")
+	for c, col := range tab.Schema {
+		br := tw.Branch(col.Name, vector.Int64)
+		for _, row := range vals {
+			br.AppendInt64(row[c])
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rf, err := rootfile.Parse(rbuf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree, err := rf.Tree("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rootNeed := []int{7, 2, 4}
+	rootRef, err := NewCSVSequentialScan(csvData, tab, rootNeed, nil, false, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	formats = append(formats, &rowScanFormat{name: "root", tab: &rtab, need: rootNeed, predCols: [2]int{2, 4},
+		ref: seqReference(t, rootRef),
+		build: func(t *testing.T, push Pushdown, emitRID bool) rowScanner {
+			s, err := NewRootScanPush(tree, &rtab, rootNeed, emitRID, bs, push)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -265,7 +305,7 @@ func expectBatches(f *rowScanFormat, preds []exec.Pred, skip func(int64, int64) 
 	return batches, pruned, skipped
 }
 
-// binSynopsis is the zone map a binary scan must build: the observed columns
+// binSynopsis is the zone map a binary or ROOT scan must build: the observed columns
 // (the predicate columns, else all it reads) over every range it decodes,
 // advanced a batch at a time.
 func binSynopsis(f *rowScanFormat, observed map[int]vector.Type, lo, hi int64, bs int) *synopsis.Synopsis {
@@ -286,12 +326,12 @@ func binSynopsis(f *rowScanFormat, observed map[int]vector.Type, lo, hi int64, b
 
 // TestRowScanContract pins what every row-addressed access path (CSV through
 // the positional map, JSON through the structural index — tracked, recording
-// adaptively, and untracked without recording — and binary) delivers, whatever code shape it has:
+// adaptively, and untracked without recording — binary and ROOT) delivers, whatever code shape it has:
 // the same values as a naive filter over the sequential scan's output, the
 // same batch boundaries and selection vectors, the same pushdown counters,
 // a recording that publishes complete after a whole-table adaptive scan
 // (including one every row of which is pruned) and leaves the scanned index
-// alone, and the same binary zone map.
+// alone, and the same binary and ROOT zone map.
 func TestRowScanContract(t *testing.T) {
 	const bs = 37
 	skipEveryThird := func(start, end int64) bool { return start%3 == 1 }
@@ -302,7 +342,7 @@ func TestRowScanContract(t *testing.T) {
 				for _, emitRID := range []bool{false, true} {
 					for _, skipOn := range []bool{false, true} {
 						variants := []bool{false}
-						if f.name == "bin" && !skipOn {
+						if (f.name == "bin" || f.name == "root") && !skipOn {
 							variants = append(variants, true)
 						}
 						for _, withSyn := range variants {

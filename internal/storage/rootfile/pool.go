@@ -13,8 +13,8 @@ type DecodedBasket struct {
 
 // BufferPool is an LRU cache of decoded baskets. It models ROOT's in-memory
 // buffer pool of commonly-accessed objects: the hand-written analysis and the
-// engine's scans both read through it, so the second (warm) run of a query
-// skips decompression and decoding for hot baskets. Every tree of a file reads
+// engine's scans of compressed files read through it, so the second (warm)
+// run of a query skips decompression and decoding for hot baskets. Every tree of a file reads
 // through the file's one pool, so it is safe for concurrent use.
 type BufferPool struct {
 	mu       sync.Mutex

@@ -10,7 +10,8 @@
 //   - id-based access: any entry of any branch is addressable by its index
 //     (the paper maps this to an index-based scan and pushes filtering down);
 //   - a library-managed buffer pool of hot, decoded baskets, which is what
-//     makes the hand-written analysis fast on warm re-runs;
+//     makes the hand-written analysis fast on warm re-runs (batch reads of
+//     uncompressed baskets take the values from the image itself);
 //   - files that may declare thousands of branches of which a query touches
 //     a handful (RAW's catalog supports partial schemas for this reason).
 //
@@ -28,6 +29,8 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
+	"unsafe"
 
 	"rawdb/internal/vector"
 )
@@ -229,8 +232,8 @@ func (w *Writer) Close() error {
 
 // basketBounds computes the zone-map entry (min/max) of one basket, encoded
 // as the value's bit pattern per branch type. Mirrors the synopses scientific
-// formats embed (HDF B-trees, FITS keywords); generated access paths use
-// them to skip baskets a predicate excludes.
+// formats embed (HDF B-trees, FITS keywords). The reader skips them: they
+// drop NaN, and the engine builds zone maps of its own.
 func basketBounds(b *BranchWriter, start, end int) (lo, hi uint64) {
 	switch b.typ {
 	case vector.Int64:
@@ -284,10 +287,9 @@ func encodeBasket(b *BranchWriter, start, end int) []byte {
 // Reader side.
 
 type basket struct {
-	offset   int64
-	clen     int32
-	entries  int32
-	min, max uint64
+	offset  int64
+	clen    int32
+	entries int32
 }
 
 // Branch provides id-based access to one column of a tree. All access goes
@@ -436,18 +438,21 @@ func Parse(data []byte) (*File, error) {
 				off, ok1 := rd64()
 				cl, ok2 := rd32()
 				ne, ok3 := rd32()
-				mn, ok4 := rd64()
-				mx, ok5 := rd64()
+				_, ok4 := rd64() // the writer's basket bounds: readers
+				_, ok5 := rd64() // build zone maps of their own
 				if !ok1 || !ok2 || !ok3 || !ok4 || !ok5 {
 					return fail("basket meta")
 				}
-				if off < 0 || cl < 0 || off+int64(cl) > int64(len(data)) {
+				if off < 0 || cl < 0 || off > int64(len(data))-int64(cl) {
 					return nil, fmt.Errorf("%w: basket out of bounds", ErrCorrupt)
 				}
-				br.baskets = append(br.baskets, basket{
-					offset: off, clen: cl, entries: ne,
-					min: uint64(mn), max: uint64(mx),
-				})
+				// Only the last basket may be short: entries are found by
+				// division.
+				if ne < 0 || ne > bs || ne < bs && k < nb-1 {
+					return nil, fmt.Errorf("%w: basket %d of branch %q holds %d entries (basket size %d)",
+						ErrCorrupt, k, bname, ne, bs)
+				}
+				br.baskets = append(br.baskets, basket{offset: off, clen: cl, entries: ne})
 				br.firstEntry = append(br.firstEntry, first)
 				first += int64(ne)
 			}
@@ -484,30 +489,6 @@ func (f *File) Pool() *BufferPool { return f.pool }
 // DropCaches empties the buffer pool, simulating a cold start.
 func (f *File) DropCaches() { f.pool.Reset() }
 
-// BasketEntries returns the basket sizing of the file.
-func (f *File) BasketEntries() int { return f.basketSize }
-
-// Baskets returns the number of baskets in the branch.
-func (b *Branch) Baskets() int { return len(b.baskets) }
-
-// EntryRange returns the global entry range [first, first+count) of basket k.
-func (b *Branch) EntryRange(k int) (first, count int64) {
-	return b.firstEntry[k], int64(b.baskets[k].entries)
-}
-
-// IntBounds returns the zone-map bounds of basket k of an Int64 branch.
-func (b *Branch) IntBounds(k int) (lo, hi int64) {
-	return int64(b.baskets[k].min), int64(b.baskets[k].max)
-}
-
-// FloatBounds returns the zone-map bounds of basket k of a Float64 branch.
-func (b *Branch) FloatBounds(k int) (lo, hi float64) {
-	return math.Float64frombits(b.baskets[k].min), math.Float64frombits(b.baskets[k].max)
-}
-
-// BasketOf returns the index of the basket containing entry i.
-func (b *Branch) BasketOf(i int64) int { return b.basketFor(i) }
-
 // basketFor returns the index of the basket containing entry i.
 func (b *Branch) basketFor(i int64) int {
 	// Baskets are fixed-size except the last, so direct division works.
@@ -518,16 +499,15 @@ func (b *Branch) basketFor(i int64) int {
 	return k
 }
 
-// load returns the decoded basket k, via the buffer pool.
-func (b *Branch) load(k int) (*DecodedBasket, error) {
-	if db := b.file.pool.Get(b, k); db != nil {
-		return db, nil
-	}
+// payload returns the bytes of basket k, eight per entry: the image's own
+// in an uncompressed file, else inflated.
+func (b *Branch) payload(k int) ([]byte, error) {
 	meta := b.baskets[k]
 	raw := b.file.data[meta.offset : meta.offset+int64(meta.clen)]
 	if b.file.compressed {
+		// One byte past the payload's size is enough to tell it is wrong.
 		fr := flate.NewReader(bytes.NewReader(raw))
-		dec, err := io.ReadAll(fr)
+		dec, err := io.ReadAll(io.LimitReader(fr, int64(meta.entries)*8+1))
 		if err != nil {
 			return nil, fmt.Errorf("%w: basket decompress: %v", ErrCorrupt, err)
 		}
@@ -536,22 +516,67 @@ func (b *Branch) load(k int) (*DecodedBasket, error) {
 	if len(raw) != int(meta.entries)*8 {
 		return nil, fmt.Errorf("%w: basket payload %d bytes, want %d", ErrCorrupt, len(raw), meta.entries*8)
 	}
+	return raw, nil
+}
+
+// load returns the decoded basket k, via the buffer pool.
+func (b *Branch) load(k int) (*DecodedBasket, error) {
+	if db := b.file.pool.Get(b, k); db != nil {
+		return db, nil
+	}
+	raw, err := b.payload(k)
+	if err != nil {
+		return nil, err
+	}
 	db := &DecodedBasket{}
-	le := binary.LittleEndian
-	switch b.Type {
-	case vector.Int64:
-		db.Int64s = make([]int64, meta.entries)
-		for i := range db.Int64s {
-			db.Int64s[i] = int64(le.Uint64(raw[i*8:]))
-		}
-	case vector.Float64:
-		db.Float64s = make([]float64, meta.entries)
-		for i := range db.Float64s {
-			db.Float64s[i] = math.Float64frombits(le.Uint64(raw[i*8:]))
-		}
+	if b.Type == vector.Int64 {
+		db.Int64s = appendInt64s(nil, raw)
+	} else {
+		db.Float64s = appendFloat64s(nil, raw)
 	}
 	b.file.pool.Put(b, k, db)
 	return db, nil
+}
+
+// appendInt64s appends the little-endian values of src to dst.
+func appendInt64s(dst []int64, src []byte) []int64 {
+	if vals, ok := inPlace[int64](src); ok {
+		return append(dst, vals...)
+	}
+	n := len(dst)
+	dst = slices.Grow(dst, len(src)/8)[:n+len(src)/8]
+	for i := range dst[n:] {
+		dst[n+i] = int64(binary.LittleEndian.Uint64(src[8*i:]))
+	}
+	return dst
+}
+
+// appendFloat64s is the float64 twin of appendInt64s.
+func appendFloat64s(dst []float64, src []byte) []float64 {
+	if vals, ok := inPlace[float64](src); ok {
+		return append(dst, vals...)
+	}
+	n := len(dst)
+	dst = slices.Grow(dst, len(src)/8)[:n+len(src)/8]
+	for i := range dst[n:] {
+		dst[n+i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
+	}
+	return dst
+}
+
+// littleEndian: the machine stores 64-bit values as the format does.
+var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// inPlace views src as the values it stores where the machine reads them as
+// they are: on a little-endian machine, from an 8-aligned start (a mapped
+// image's uncompressed baskets are). Copying the view costs a move; decoding
+// value by value costs about fifteen times as much.
+func inPlace[T int64 | float64](src []byte) ([]T, bool) {
+	p := unsafe.SliceData(src)
+	if !littleEndian || len(src) < 8 || uintptr(unsafe.Pointer(p))%8 != 0 {
+		return nil, false
+	}
+	return unsafe.Slice((*T)(unsafe.Pointer(p)), len(src)/8), true
 }
 
 // Int64At returns entry i of an Int64 branch. This is the getEntry()-style
@@ -575,46 +600,74 @@ func (b *Branch) Float64At(i int64) (float64, error) {
 	return db.Float64s[i-b.firstEntry[k]], nil
 }
 
-// ReadInt64s appends entries [start, start+n) to dst, crossing baskets as
-// needed, and returns the extended slice. JIT scans use it for vectorized
-// sequential reads.
-func (b *Branch) ReadInt64s(dst []int64, start, n int64) ([]int64, error) {
-	for n > 0 {
-		k := b.basketFor(start)
-		db, err := b.load(k)
-		if err != nil {
-			return dst, err
-		}
-		local := start - b.firstEntry[k]
-		avail := int64(len(db.Int64s)) - local
-		take := n
-		if take > avail {
-			take = avail
-		}
-		dst = append(dst, db.Int64s[local:local+take]...)
-		start += take
-		n -= take
+// Int64sAt appends the entries ids of an Int64 branch to dst, in the order
+// given, and returns the extended slice: the batch form of Int64At that JIT
+// scans call. Each basket is reached once per run of ids that stay in it, and
+// a run of consecutive ids is copied in one go: from the image itself in an
+// uncompressed file, which the buffer pool then never holds, else from the
+// pooled decoded basket. An id outside the tree is an error.
+func (b *Branch) Int64sAt(dst []int64, ids []int64) ([]int64, error) {
+	if b.Type != vector.Int64 {
+		return dst, fmt.Errorf("rootfile: branch %q is %s, read as int64", b.Name, b.Type)
 	}
-	return dst, nil
+	return gather(b, dst, ids, func(db *DecodedBasket) []int64 { return db.Int64s }, appendInt64s)
 }
 
-// ReadFloat64s appends entries [start, start+n) to dst.
-func (b *Branch) ReadFloat64s(dst []float64, start, n int64) ([]float64, error) {
-	for n > 0 {
-		k := b.basketFor(start)
-		db, err := b.load(k)
-		if err != nil {
-			return dst, err
+// Float64sAt appends the entries ids of a Float64 branch to dst.
+func (b *Branch) Float64sAt(dst []float64, ids []int64) ([]float64, error) {
+	if b.Type != vector.Float64 {
+		return dst, fmt.Errorf("rootfile: branch %q is %s, read as float64", b.Name, b.Type)
+	}
+	return gather(b, dst, ids, func(db *DecodedBasket) []float64 { return db.Float64s }, appendFloat64s)
+}
+
+// gather is Int64sAt and Float64sAt over a decoded basket's values (vals)
+// or a payload's bytes (decode).
+func gather[T any](b *Branch, dst []T, ids []int64, vals func(*DecodedBasket) []T,
+	decode func([]T, []byte) []T) ([]T, error) {
+	var cur []T    // the basket's decoded entries (compressed files)
+	var raw []byte // the basket's bytes in the image (uncompressed files)
+	var first, end int64
+	for i := 0; i < len(ids); {
+		id := ids[i]
+		if id < first || id >= end {
+			if id < 0 || id >= b.tree.nentries {
+				return dst, fmt.Errorf("rootfile: entry %d outside branch %q of %d entries", id, b.Name, b.tree.nentries)
+			}
+			k := b.basketFor(id)
+			first, end = b.firstEntry[k], b.firstEntry[k]+int64(b.baskets[k].entries)
+			var err error
+			if b.file.compressed {
+				var db *DecodedBasket
+				if db, err = b.load(k); err == nil {
+					cur = vals(db)
+				}
+			} else {
+				raw, err = b.payload(k)
+			}
+			if err != nil {
+				return dst, err
+			}
 		}
-		local := start - b.firstEntry[k]
-		avail := int64(len(db.Float64s)) - local
-		take := n
-		if take > avail {
-			take = avail
+		// The run of consecutive ids from id, up to the basket's end: eight
+		// ids at a time while all continue it, then one at a time.
+		j, lim := i+1, i+int(min(end-id, int64(len(ids)-i)))
+		for ; j+8 <= lim; j += 8 {
+			d, w := id+int64(j-i), ids[j:j+8:j+8]
+			if (w[0]-d)|(w[1]-d-1)|(w[2]-d-2)|(w[3]-d-3)|(w[4]-d-4)|(w[5]-d-5)|(w[6]-d-6)|(w[7]-d-7) != 0 {
+				break
+			}
 		}
-		dst = append(dst, db.Float64s[local:local+take]...)
-		start += take
-		n -= take
+		for j < lim && ids[j] == id+int64(j-i) {
+			j++
+		}
+		lo, hi := id-first, id-first+int64(j-i)
+		if b.file.compressed {
+			dst = append(dst, cur[lo:hi]...)
+		} else {
+			dst = decode(dst, raw[8*lo:8*hi])
+		}
+		i = j
 	}
 	return dst, nil
 }

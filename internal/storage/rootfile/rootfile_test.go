@@ -2,7 +2,9 @@ package rootfile
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -99,24 +101,37 @@ func TestVectorReads(t *testing.T) {
 	id, _ := tr.Branch("eventID")
 	eta, _ := tr.Branch("eta")
 
-	got, err := id.ReadInt64s(nil, 5, 30)
+	ids := []int64{5, 6, 7, 8, 9, 30, 2, 2, 59, 0}
+	got, err := id.Int64sAt([]int64{-1}, ids)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 30 {
-		t.Fatalf("read %d values", len(got))
+	if len(got) != len(ids)+1 || got[0] != -1 {
+		t.Fatalf("read %v", got)
 	}
-	for i, v := range got {
-		if v != int64(5+i) {
-			t.Fatalf("got[%d] = %d", i, v)
+	for i, v := range got[1:] {
+		if v != ids[i] {
+			t.Fatalf("got[%d] = %d, want %d", i, v, ids[i])
 		}
 	}
-	fg, err := eta.ReadFloat64s(nil, 58, 2)
+	fg, err := eta.Float64sAt(nil, []int64{58, 59})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(fg) != 2 || fg[1] != 59*0.5 {
 		t.Fatalf("float read = %v", fg)
+	}
+	// Out-of-range ids and the wrong type are errors.
+	for _, bad := range [][]int64{{60}, {3, -1}, {59, 60}} {
+		if _, err := id.Int64sAt(nil, bad); err == nil {
+			t.Fatalf("ids %v: expected an error", bad)
+		}
+	}
+	if _, err := eta.Int64sAt(nil, []int64{0}); err == nil {
+		t.Fatal("expected an error reading a float branch as int64")
+	}
+	if _, err := id.Float64sAt(nil, []int64{0}); err == nil {
+		t.Fatal("expected an error reading an int branch as float64")
 	}
 }
 
@@ -128,15 +143,21 @@ func TestReadPropertyMatchesPointwise(t *testing.T) {
 	}
 	tr, _ := f.Tree("events")
 	id, _ := tr.Branch("eventID")
-	prop := func(a, b uint8) bool {
-		start := int64(a) % 37
-		n := int64(b) % (37 - start)
-		vec, err := id.ReadInt64s(nil, start, n)
-		if err != nil || int64(len(vec)) != n {
+	// ids: runs of consecutive entries from a, b long, then a jump back.
+	prop := func(a, b, c uint8) bool {
+		var ids []int64
+		for start := int64(a) % 37; start < 37 && len(ids) < 60; start += int64(c)%9 + 1 {
+			for i := start; i < min(start+int64(b)%12, 37); i++ {
+				ids = append(ids, i)
+			}
+			ids = append(ids, int64(c)%37)
+		}
+		vec, err := id.Int64sAt(nil, ids)
+		if err != nil || len(vec) != len(ids) {
 			return false
 		}
 		for i, v := range vec {
-			pv, err := id.Int64At(start + int64(i))
+			pv, err := id.Int64At(ids[i])
 			if err != nil || pv != v {
 				return false
 			}
@@ -276,11 +297,121 @@ func TestCorruptFiles(t *testing.T) {
 		"bad magic": append([]byte("XXXXXXXX"), good[8:]...),
 		"truncated": good[:len(good)-6],
 	}
+	// The first basket's meta follows the directory's header, the tree
+	// ("events", 20 entries, 2 branches) and the first branch's name, type
+	// and basket count.
+	meta := int(binary.LittleEndian.Uint64(good[len(good)-8:])) + 12 + 4 + len("events") + 8 + 4 +
+		4 + len("eventID") + 1 + 4
+	patch := func(name string, at int, v uint64, width int) {
+		bad := bytes.Clone(good)
+		if width == 8 {
+			binary.LittleEndian.PutUint64(bad[at:], v)
+		} else {
+			binary.LittleEndian.PutUint32(bad[at:], uint32(v))
+		}
+		cases[name] = bad
+	}
+	// An offset near MaxInt64 once wrapped the bounds check's sum.
+	patch("offset near MaxInt64", meta, math.MaxInt64-4, 8)
+	patch("negative entries", meta+12, uint64(math.MaxUint32), 4)
+	patch("short inner basket", meta+12, 7, 4)
 	for name, data := range cases {
 		if _, err := Parse(data); err == nil {
 			t.Errorf("%s: expected parse error", name)
 		} else if !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s: err = %v, want ErrCorrupt", name, err)
+		}
+	}
+}
+
+// FuzzRootParse: on any bytes Parse either fails, or every entry of every
+// branch reads through the gather without a panic, in one call and entry by
+// entry, and equals Int64At/Float64At.
+func FuzzRootParse(f *testing.F) {
+	for _, compress := range []bool{false, true} {
+		for _, n := range []int{0, 1, 20} {
+			var buf bytes.Buffer
+			w := NewWriter(&buf, Options{BasketEntries: 8, Compress: compress})
+			tw := w.Tree("t")
+			a, b := tw.Branch("a", vector.Int64), tw.Branch("b", vector.Float64)
+			for i := 0; i < n; i++ {
+				a.AppendInt64(int64(i) * 3)
+				b.AppendFloat64(float64(i) / 4)
+			}
+			if err := w.Close(); err != nil {
+				f.Fatal(err)
+			}
+			f.Add(buf.Bytes())
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		file, err := Parse(data)
+		if err != nil {
+			return
+		}
+		for _, name := range file.Trees() {
+			tr, err := file.Tree(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tr.NEntries() > 1<<16 {
+				continue // a directory may declare more entries than a test can read
+			}
+			ids := make([]int64, tr.NEntries())
+			for i := range ids {
+				ids[i] = int64(i)
+			}
+			for _, bname := range tr.Branches() {
+				br, err := tr.Branch(bname)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkGather(t, br, ids)
+			}
+		}
+	})
+}
+
+// checkGather reads ids of br in one gather and entry by entry; where the
+// gather succeeds every value must equal the point read, and a point read
+// may fail only where the gather did.
+func checkGather(t *testing.T, br *Branch, ids []int64) {
+	t.Helper()
+	var all []float64
+	var err error
+	if br.Type == vector.Int64 {
+		var v []int64
+		v, err = br.Int64sAt(nil, ids)
+		for _, x := range v {
+			all = append(all, float64(x))
+		}
+	} else {
+		all, err = br.Float64sAt(nil, ids)
+	}
+	for _, id := range ids {
+		var x float64
+		var perr error
+		if br.Type == vector.Int64 {
+			var v []int64
+			if v, perr = br.Int64sAt(nil, []int64{id}); perr == nil {
+				var pv int64
+				if pv, perr = br.Int64At(id); perr == nil && pv != v[0] {
+					t.Fatalf("branch %q entry %d: gather %d, Int64At %d", br.Name, id, v[0], pv)
+				}
+				x = float64(v[0])
+			}
+		} else {
+			var v []float64
+			if v, perr = br.Float64sAt(nil, []int64{id}); perr == nil {
+				var pv float64
+				if pv, perr = br.Float64At(id); perr == nil && math.Float64bits(pv) != math.Float64bits(v[0]) {
+					t.Fatalf("branch %q entry %d: gather %v, Float64At %v", br.Name, id, v[0], pv)
+				}
+				x = v[0]
+			}
+		}
+		if err == nil && (perr != nil || math.Float64bits(x) != math.Float64bits(all[id])) {
+			t.Fatalf("branch %q entry %d: whole gather %v, point read %v (%v)", br.Name, id, all[id], x, perr)
 		}
 	}
 }
