@@ -736,14 +736,16 @@ func oracle(ts dtTabs, q dtQuery) (rows [][]oracleCell, types []raw.Type) {
 				st.i += v
 			}
 		} else {
-			v := t.floats[it.col][r]
+			// NaN sorts above every number: MIN skips it unless every value
+			// is NaN, MAX is NaN if any value is.
+			v, nan := t.floats[it.col][r], math.IsNaN(st.f)
 			switch it.agg {
 			case "MIN":
-				if st.count == 0 || v < st.f {
+				if st.count == 0 || v < st.f || nan && !math.IsNaN(v) {
 					st.f = v
 				}
 			case "MAX":
-				if st.count == 0 || v > st.f {
+				if st.count == 0 || v > st.f || !nan && math.IsNaN(v) {
 					st.f = v
 				}
 			case "SUM", "AVG":
@@ -926,14 +928,14 @@ func (t *dtTable) render(tb testing.TB, format string) []byte {
 	case "bin":
 		return t.renderBin(tb)
 	}
-	return t.renderRoot(tb)
+	return t.renderRoot(tb, format != "root")
 }
 
 // renderRoot writes the table as tree "t" of a ROOT-like file, in baskets of
-// 64 entries.
-func (t *dtTable) renderRoot(tb testing.TB) []byte {
+// 64 entries, compressed or not.
+func (t *dtTable) renderRoot(tb testing.TB, compress bool) []byte {
 	var buf strings.Builder
-	w := rootfile.NewWriter(&buf, rootfile.Options{BasketEntries: 64})
+	w := rootfile.NewWriter(&buf, rootfile.Options{BasketEntries: 64, Compress: compress})
 	tw := w.Tree("t")
 	for c, col := range t.cols {
 		br := tw.Branch(col.Name, col.Type)
@@ -957,9 +959,10 @@ func (t *dtTable) renderRoot(tb testing.TB) []byte {
 var dtRootDirs sync.Map // *testing.T -> string
 
 // registerDT registers one generated table under one format from its image.
-// A ROOT image is written once per test to a file named after its bytes, and
-// registered by path: every engine of the test, restarted ones included,
-// maps the same file.
+// A ROOT image ("root", compressed "root-z") is written once per test to a
+// file named after its bytes, and registered by path: every engine of the
+// test, restarted ones included, maps the same file; "root-z-mem" registers
+// the compressed image itself.
 func registerDT(t *testing.T, e *raw.Engine, name string, tab *dtTable, format string, img []byte) {
 	t.Helper()
 	var err error
@@ -970,7 +973,9 @@ func registerDT(t *testing.T, e *raw.Engine, name string, tab *dtTable, format s
 		err = e.RegisterJSONData(name, img, tab.cols)
 	case "bin":
 		err = e.RegisterBinaryData(name, img, tab.cols)
-	case "root":
+	case "root-z-mem":
+		err = e.RegisterRootData(name, img, "t", tab.cols)
+	case "root", "root-z":
 		dir, _ := dtRootDirs.LoadOrStore(t, t.TempDir())
 		h := fnv.New64a()
 		h.Write(img)
@@ -1129,7 +1134,7 @@ func TestDifferentialOracle(t *testing.T) {
 	}
 	workerCycle := []int{1, 2, 8}
 	for si, s := range strategies {
-		for fi, format := range []string{"csv", "json", "bin", "root"} {
+		for fi, format := range []string{"csv", "json", "bin", "root", "root-z", "root-z-mem"} {
 			if s.strat == raw.StrategyExternal && format != "csv" {
 				continue
 			}
@@ -1216,15 +1221,23 @@ func TestDifferentialOracle(t *testing.T) {
 				run := func(m mode) {
 					for qi, q := range queries {
 						sql := q.SQL(ts)
-						w := workerCycle[qi%len(workerCycle)]
-						res, err := m.eng.QueryOpt(sql, raw.Options{Parallelism: &w})
-						if err != nil {
-							t.Fatalf("%s (seed %d) query %d %q: %v", m.name, seed, qi, sql, err)
+						ws := []int{workerCycle[qi%len(workerCycle)]}
+						if format != "root" && strings.HasPrefix(format, "root") {
+							// Compressed ROOT: each query at workers 1 and 4,
+							// the first run cold on its columns, the second
+							// warm, in alternating order.
+							ws = [][]int{{1, 4}, {4, 1}}[qi%2]
 						}
-						want, types := oracle(ts, q)
-						label := fmt.Sprintf("%s (seed %d) query %d workers %d", m.name, seed, qi, w)
-						checkOracle(t, label, sql, res, want, types)
-						auditBudget(t, label, m.eng)
+						for _, w := range ws {
+							res, err := m.eng.QueryOpt(sql, raw.Options{Parallelism: &w})
+							if err != nil {
+								t.Fatalf("%s (seed %d) query %d %q: %v", m.name, seed, qi, sql, err)
+							}
+							want, types := oracle(ts, q)
+							label := fmt.Sprintf("%s (seed %d) query %d workers %d", m.name, seed, qi, w)
+							checkOracle(t, label, sql, res, want, types)
+							auditBudget(t, label, m.eng)
+						}
 					}
 				}
 				for _, m := range modes {

@@ -47,23 +47,23 @@ func main() {
 		fmt.Printf("hand-written %-5s %10v  candidates=%d\n", run, time.Since(start).Round(time.Microsecond), n)
 	}
 
-	// Declarative analysis on the engine, via the public API. The events
-	// table declares only 2 of its branches and the jets tree is never
-	// touched — RAW's partial schemas at work.
+	// Declarative analysis on the engine, via the public API, over the same
+	// image. The events table declares only 2 of its branches and the jets
+	// tree is never touched — RAW's partial schemas at work.
 	eng := raw.NewEngine(raw.Config{Strategy: raw.StrategyShreds})
 	lepton := []raw.Column{
 		{Name: "eventID", Type: raw.Int64},
 		{Name: "pt", Type: raw.Float64},
 		{Name: "eta", Type: raw.Float64},
 	}
-	if err := eng.RegisterRootFile("events", f, "events", []raw.Column{
+	if err := eng.RegisterRootData("events", d.RootImage, "events", []raw.Column{
 		{Name: "eventID", Type: raw.Int64},
 		{Name: "runNumber", Type: raw.Int64},
 	}); err != nil {
 		log.Fatal(err)
 	}
 	for _, tree := range []string{"muons", "electrons"} {
-		if err := eng.RegisterRootFile(tree, f, tree, lepton); err != nil {
+		if err := eng.RegisterRootData(tree, d.RootImage, tree, lepton); err != nil {
 			log.Fatal(err)
 		}
 	}

@@ -86,14 +86,14 @@ func (e *Engine) RegisterDatasetParts(name string, parts []DataPart, schema []ca
 	m := &dataset.Manifest{}
 	srcs := make([]source, len(parts))
 	for i, dp := range parts {
-		// A format backs an in-memory partition if its plug-in reads the
-		// image as handed over.
-		src, err := newSource(dp.Format, e.cfg.PosMapPolicy, present(dp.Data), nil)
-		if err != nil {
-			return fmt.Errorf("engine: dataset partition %d: %w", i, err)
-		}
-		if src == nil || src.image() == nil {
+		// A format backs an in-memory partition if its plug-in loads the
+		// image as handed over; ROOT does not, as a partition names no tree.
+		src := newSource(dp.Format, e.cfg.PosMapPolicy, present(dp.Data), nil)
+		if src == nil || dp.Format == catalog.Root {
 			return fmt.Errorf("engine: dataset partition %d: format %s cannot back a partition", i, dp.Format)
+		}
+		if err := src.load(&catalog.Table{Format: dp.Format}); err != nil {
+			return fmt.Errorf("engine: dataset partition %d: %w", i, err)
 		}
 		srcs[i] = src
 		id := fmt.Sprintf("part%04d", i)
@@ -164,7 +164,7 @@ func (e *Engine) datasetWarmup(st *tableState) {
 // that happens lazily at plan time, after partition pruning.
 func (e *Engine) newPartState(parent *tableState, p *dataset.Partition) *tableState {
 	ps := &tableState{nrows: -1}
-	ps.src, _ = newSource(p.Format, e.cfg.PosMapPolicy, nil, &e.mapped) // errs only on a bad image
+	ps.src = newSource(p.Format, e.cfg.PosMapPolicy, nil, &e.mapped)
 	ps.bind(&catalog.Table{
 		Name:   parent.tab.Name + "#" + p.ID,
 		Path:   p.Path,

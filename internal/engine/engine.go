@@ -22,7 +22,6 @@ import (
 	"rawdb/internal/posmap"
 	"rawdb/internal/shred"
 	"rawdb/internal/storage/rawfile"
-	"rawdb/internal/storage/rootfile"
 	"rawdb/internal/vault"
 	"rawdb/internal/vector"
 )
@@ -377,6 +376,11 @@ func (e *Engine) RegisterRoot(name, path, tree string, schema []catalog.Column) 
 	return e.registerRaw(&catalog.Table{Name: name, Path: path, Format: catalog.Root, Tree: tree, Schema: schema}, nil)
 }
 
+// RegisterRootData registers one tree of an in-memory ROOT-like image.
+func (e *Engine) RegisterRootData(name string, data []byte, tree string, schema []catalog.Column) error {
+	return e.registerRaw(&catalog.Table{Name: name, Format: catalog.Root, Tree: tree, Schema: schema}, present(data))
+}
+
 // RegisterMemory registers a fully materialised in-memory table. Memory
 // tables let multi-stage analyses feed the result of one query into the next
 // (the Higgs use case joins staged aggregates against raw tables).
@@ -441,17 +445,6 @@ func (e *Engine) DropTable(name string) error {
 	return nil
 }
 
-// RegisterRootFile registers a tree of an already-open ROOT-like file,
-// sharing its buffer pool (several tables typically map onto one file).
-func (e *Engine) RegisterRootFile(name string, f *rootfile.File, tree string, schema []catalog.Column) error {
-	tr, err := f.Tree(tree)
-	if err != nil {
-		return err
-	}
-	st := &tableState{src: &rootSource{file: f, tree: tr}}
-	return e.register(&catalog.Table{Name: name, Format: catalog.Root, Tree: tree, Schema: schema}, st)
-}
-
 // present makes a registered in-memory image non-nil: that marks it resident,
 // however short (an empty file).
 func present(data []byte) []byte {
@@ -462,11 +455,14 @@ func present(data []byte) []byte {
 }
 
 // registerRaw registers a table over one raw file: path-backed (data nil,
-// read lazily by the first query) or an in-memory image.
+// read lazily by the first query) or an in-memory image, which is parsed now
+// so that a bad one fails here.
 func (e *Engine) registerRaw(tab *catalog.Table, data []byte) error {
-	src, err := newSource(tab.Format, e.cfg.PosMapPolicy, data, &e.mapped)
-	if err != nil {
-		return err
+	src := newSource(tab.Format, e.cfg.PosMapPolicy, data, &e.mapped)
+	if data != nil {
+		if err := src.load(tab); err != nil {
+			return err
+		}
 	}
 	st := &tableState{src: src}
 	st.ident, _ = rawfile.Stat(tab.Path)
@@ -534,16 +530,15 @@ func loadTableData(st *tableState) error {
 // unload retires a path-backed table's image; the next plan maps it again.
 func (st *tableState) unload() {
 	if st.src != nil && st.tab.Path != "" {
-		st.src.release(true)
+		st.src.release()
 		st.resident.Store(false)
 	}
 }
 
 // DropCaches clears all query-derived state — positional maps, column
-// shreds, loaded DBMS columns, ROOT buffer pools — to
-// simulate a cold first query. Raw images stay, mapped files too (the paper's
-// cold runs also re-read files through the OS cache; I/O is outside our model,
-// see DESIGN.md).
+// shreds, zone maps, loaded DBMS columns — to simulate a cold first query.
+// Raw images stay, mapped files too (the paper's cold runs also re-read files
+// through the OS cache; I/O is outside our model, see DESIGN.md).
 func (e *Engine) DropCaches() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -570,7 +565,6 @@ func resetStateCaches(st *tableState) {
 	st.loaded = nil
 	st.nrows = -1
 	if st.src != nil {
-		st.src.release(false)
 		_, st.nrows = st.src.stat()
 	}
 }

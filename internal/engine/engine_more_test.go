@@ -16,6 +16,7 @@ import (
 	"rawdb/internal/obs"
 	"rawdb/internal/posmap"
 	"rawdb/internal/shred"
+	"rawdb/internal/storage/binfile"
 	"rawdb/internal/storage/rootfile"
 	"rawdb/internal/vector"
 )
@@ -570,14 +571,10 @@ func TestRootZoneMapPruning(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	f, err := rootfile.Parse(buf.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
 	schema := []catalog.Column{{Name: "v", Type: vector.Int64}, {Name: "x", Type: vector.Int64}}
 	for _, strat := range []Strategy{StrategyJIT, StrategyShreds, StrategyDBMS} {
 		e := newTestEngine(t, Config{Strategy: strat, SynopsisBlockRows: 256})
-		if err := e.RegisterRootFile("t", f, "t", schema); err != nil {
+		if err := e.RegisterRootData("t", buf.Bytes(), "t", schema); err != nil {
 			t.Fatal(err)
 		}
 		for run := 0; run < 2; run++ {
@@ -616,13 +613,9 @@ func TestRootNaNNotPruned(t *testing.T) {
 	for _, cfg := range []Config{{}, {SynopsisBlockRows: 1, BatchSize: 1}} {
 		for _, strat := range []Strategy{StrategyDBMS, StrategyInSitu, StrategyJIT, StrategyShreds} {
 			for _, workers := range []int{1, 4} {
-				f, err := rootfile.Parse(buf.Bytes())
-				if err != nil {
-					t.Fatal(err)
-				}
 				cfg.Strategy = strat
 				e := newTestEngine(t, cfg)
-				if err := e.RegisterRootFile("t", f, "t", schema); err != nil {
+				if err := e.RegisterRootData("t", buf.Bytes(), "t", schema); err != nil {
 					t.Fatal(err)
 				}
 				for run := 0; run < 2; run++ {
@@ -633,5 +626,94 @@ func TestRootNaNNotPruned(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestTwoStageExtremesWithNaN: a float MIN or MAX answers the same at
+// Parallelism 1 and 4, cold and warm, when NaN opens a group in a later
+// morsel than the group's first row. Group 1 holds 5 in the first morsel,
+// then NaN and -1 in the second; the other rows (group 0) hold 10. NaN sorts
+// above every number: MIN(f) is -1, MAX(f) NaN. A partial that kept a NaN
+// opening its part lost the -1, so the cut plan answered MIN 5.
+func TestTwoStageExtremesWithNaN(t *testing.T) {
+	const rows = 800
+	g, f := make([]int64, rows), make([]float64, rows)
+	for r := range f {
+		f[r] = 10
+	}
+	g[0], f[0] = 1, 5
+	g[rows/8], f[rows/8] = 1, math.NaN()
+	g[rows/8+1], f[rows/8+1] = 1, -1
+	var bin, root bytes.Buffer
+	bw, err := binfile.NewWriter(&bin, []vector.Type{vector.Int64, vector.Float64}, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := rootfile.NewWriter(&root, rootfile.Options{BasketEntries: 64, Compress: true})
+	tw := w.Tree("t")
+	gb, fb := tw.Branch("g", vector.Int64), tw.Branch("f", vector.Float64)
+	for r := range rows {
+		if err := bw.WriteRow(g[r:r+1], f[r:r+1]); err != nil {
+			t.Fatal(err)
+		}
+		gb.AppendInt64(g[r])
+		fb.AppendFloat64(f[r])
+	}
+	if err := bw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	schema := []catalog.Column{{Name: "g", Type: vector.Int64}, {Name: "f", Type: vector.Float64}}
+	register := map[string]func(e *Engine) error{
+		"binary": func(e *Engine) error { return e.RegisterBinaryData("t", bin.Bytes(), schema) },
+		"root":   func(e *Engine) error { return e.RegisterRootData("t", root.Bytes(), "t", schema) },
+	}
+	queries := []string{
+		"SELECT g, MIN(f), MAX(f) FROM t GROUP BY g",
+		"SELECT MIN(f), MAX(f) FROM t",
+		"SELECT MIN(f) FROM t WHERE g = 1",
+	}
+	for format, reg := range register {
+		for _, strat := range []Strategy{StrategyDBMS, StrategyInSitu, StrategyJIT, StrategyShreds} {
+			serial, cut := newTestEngine(t, Config{Strategy: strat}), newTestEngine(t, Config{Strategy: strat})
+			if err := reg(serial); err != nil {
+				t.Fatal(err)
+			}
+			if err := reg(cut); err != nil {
+				t.Fatal(err)
+			}
+			for run := range 2 {
+				for _, q := range queries {
+					want := queryAt(t, serial, q, 1)
+					if m := want.Float64(0, len(want.Columns)-1); q != queries[2] && !math.IsNaN(m) {
+						t.Fatalf("%s %s: %q: MAX(f) = %v, want NaN", format, strat, q, m)
+					}
+					got := queryAt(t, cut, q, 4)
+					if got.Stats.ParallelFallback != "" {
+						t.Fatalf("%s %s: %q ran serially at 4 workers: %s", format, strat, q, got.Stats.ParallelFallbackDetail)
+					}
+					sameResult(t, fmt.Sprintf("%s %s run %d %q", format, strat, run, q), got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestRootImageBacksNoPartition: a dataset partition names no tree, so a ROOT
+// image backs none, not even one whose only tree has the empty name.
+func TestRootImageBacksNoPartition(t *testing.T) {
+	var buf bytes.Buffer
+	w := rootfile.NewWriter(&buf, rootfile.Options{})
+	w.Tree("").Branch("x", vector.Int64).AppendInt64(1)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	e := newTestEngine(t, Config{})
+	err := e.RegisterDatasetParts("d", []DataPart{{Format: catalog.Root, Data: buf.Bytes()}},
+		[]catalog.Column{{Name: "x", Type: vector.Int64}})
+	if err == nil || !strings.Contains(err.Error(), "cannot back a partition") {
+		t.Fatalf("a ROOT partition registered: %v", err)
 	}
 }

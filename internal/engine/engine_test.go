@@ -451,10 +451,6 @@ func TestRootTableQueries(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	f, err := rootfile.Parse(buf.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
 	schema := []catalog.Column{
 		{Name: "eventID", Type: vector.Int64},
 		{Name: "runNumber", Type: vector.Int64},
@@ -462,7 +458,7 @@ func TestRootTableQueries(t *testing.T) {
 	}
 	for _, strat := range []Strategy{StrategyDBMS, StrategyInSitu, StrategyJIT, StrategyShreds} {
 		e := newTestEngine(t, Config{Strategy: strat})
-		if err := e.RegisterRootFile("events", f, "events", schema); err != nil {
+		if err := e.RegisterRootData("events", buf.Bytes(), "events", schema); err != nil {
 			t.Fatal(err)
 		}
 		res, err := e.Query("SELECT COUNT(*) FROM events WHERE runNumber < 5 AND eta < 0.0")

@@ -217,15 +217,15 @@ func TestQueryCtxDeadlineExceeded(t *testing.T) {
 	}
 }
 
-// TestRootTreesOfOneFileConcurrent: the trees of one ROOT-like file are
-// separate tables with separate query locks, but they read through the file's
-// one buffer pool. Queries over both trees — and several over the same tree —
-// execute unlocked side by side, with a pool small enough that every scan
-// evicts baskets another scan is reading.
+// TestRootTreesOfOneFileConcurrent: the trees of one compressed ROOT-like
+// image are separate tables with separate query locks over the same bytes.
+// Queries over both trees — and several over the same tree — execute unlocked
+// side by side, shreds off, so that every one inflates the baskets it reads
+// for itself.
 func TestRootTreesOfOneFileConcurrent(t *testing.T) {
 	const rows = 1000
 	var buf bytes.Buffer
-	w := rootfile.NewWriter(&buf, rootfile.Options{BasketEntries: 16})
+	w := rootfile.NewWriter(&buf, rootfile.Options{BasketEntries: 16, Compress: true})
 	schema := []catalog.Column{{Name: "x", Type: vector.Int64}}
 	want := map[string]int64{}
 	for i, tree := range []string{"a", "b"} {
@@ -239,14 +239,9 @@ func TestRootTreesOfOneFileConcurrent(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	f, err := rootfile.Parse(buf.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.Pool().SetCapacity(4)
-	e := newTestEngine(t, Config{})
+	e := newTestEngine(t, Config{DisableShredCache: true})
 	for _, tree := range []string{"a", "b"} {
-		if err := e.RegisterRootFile(tree, f, tree, schema); err != nil {
+		if err := e.RegisterRootData(tree, buf.Bytes(), tree, schema); err != nil {
 			t.Fatal(err)
 		}
 	}

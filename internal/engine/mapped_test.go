@@ -230,6 +230,67 @@ func TestMidQueryMappedRewrite(t *testing.T) {
 	})
 }
 
+// TestRootTreeVaultKey: the trees of one ROOT file share the file's
+// fingerprint, so the vault keys a ROOT table by its tree too. After a
+// restart, a table registered again with the same tree restores what was
+// saved; registered under the same name and schema but another tree of the
+// same file, it restores nothing and answers for its own tree. By path and by
+// image alike.
+func TestRootTreeVaultKey(t *testing.T) {
+	const rows = 3000
+	var buf bytes.Buffer
+	w := rootfile.NewWriter(&buf, rootfile.Options{BasketEntries: 256})
+	schema := []catalog.Column{{Name: "x", Type: vector.Int64}}
+	want := map[string]int64{}
+	for i, tree := range []string{"a", "b"} {
+		br := w.Tree(tree).Branch("x", vector.Int64)
+		for r := range rows {
+			v := int64(r*(i+2) + i)
+			br.AppendInt64(v)
+			if v > 100 {
+				want[tree] += v
+			}
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "ab.root")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	register := map[string]func(e *Engine, tree string) error{
+		"path":  func(e *Engine, tree string) error { return e.RegisterRoot("t", path, tree, schema) },
+		"image": func(e *Engine, tree string) error { return e.RegisterRootData("t", buf.Bytes(), tree, schema) },
+	}
+	for how, reg := range register {
+		vaultDir := filepath.Join(dir, how)
+		for i, tree := range []string{"a", "a", "b"} {
+			e := newTestEngine(t, Config{Strategy: StrategyShreds, CacheDir: vaultDir})
+			if err := reg(e, tree); err != nil {
+				t.Fatal(err)
+			}
+			restored := e.Metrics().Snapshot()["vault.restored"]
+			if wantRestored := i == 1; (restored > 0) != wantRestored {
+				t.Fatalf("%s, run %d over tree %s: %d structures restored", how, i, tree, restored)
+			}
+			for range 2 {
+				res, err := e.Query("SELECT SUM(x) FROM t WHERE x > 100")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := res.Int64(0, 0); got != want[tree] {
+					t.Fatalf("%s, tree %s: SUM(x) = %d, want %d", how, tree, got, want[tree])
+				}
+			}
+			if err := e.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
 // TestRootPathTableVaultAfterReplace: a ROOT path table is mapped and
 // refreshed like the other formats, so a file renamed over it is noticed by
 // the engine that reads it, and the old file's structures are not saved

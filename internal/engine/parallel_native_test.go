@@ -328,13 +328,9 @@ func TestParallelFallbackReporting(t *testing.T) {
 		if err := w.Close(); err != nil {
 			t.Fatal(err)
 		}
-		f, err := rootfile.Parse(buf.Bytes())
-		if err != nil {
-			t.Fatal(err)
-		}
 		schema := []catalog.Column{{Name: "v", Type: vector.Int64}}
 		e := newTestEngine(t, Config{})
-		if err := e.RegisterRootFile("t", f, "t", schema); err != nil {
+		if err := e.RegisterRootData("t", buf.Bytes(), "t", schema); err != nil {
 			t.Fatal(err)
 		}
 		w8 := 8
@@ -362,12 +358,8 @@ func TestParallelFallbackReporting(t *testing.T) {
 		// A ROOT probe side is cut like the CSV build side: the plan that
 		// runs is the only one built, one scan per table.
 		big, dim := goldenTable(t, 3000, 0), goldenTable(t, 50, 0)
-		f, err := rootfile.Parse(big.root)
-		if err != nil {
-			t.Fatal(err)
-		}
 		e := newTestEngine(t, Config{Strategy: StrategyJIT})
-		if err := e.RegisterRootFile("t", f, "t", big.schema); err != nil {
+		if err := e.RegisterRootData("t", big.root, "t", big.schema); err != nil {
 			t.Fatal(err)
 		}
 		if err := e.RegisterCSVData("u", dim.csv, dim.schema); err != nil {
@@ -433,11 +425,7 @@ func TestCutDecides(t *testing.T) {
 		return func(e *Engine) error { return e.RegisterCSVData("t", g.csv, g.schema) }
 	}
 	root := func(e *Engine) error {
-		f, err := rootfile.Parse(big.root)
-		if err != nil {
-			return err
-		}
-		return e.RegisterRootFile("t", f, "t", big.schema)
+		return e.RegisterRootData("t", big.root, "t", big.schema)
 	}
 	dataset := func(parts ...DataPart) func(*Engine) error {
 		return func(e *Engine) error { return e.RegisterDatasetParts("t", parts, big.schema) }

@@ -123,11 +123,7 @@ func TestPlanGolden(t *testing.T) {
 		{"json", func(e *Engine) error { return e.RegisterJSONData("t", big.json, big.schema) }},
 		{"binary", func(e *Engine) error { return e.RegisterBinaryData("t", big.bin, big.schema) }},
 		{"root", func(e *Engine) error {
-			f, err := rootfile.Parse(big.root)
-			if err != nil {
-				return err
-			}
-			return e.RegisterRootFile("t", f, "t", big.schema)
+			return e.RegisterRootData("t", big.root, "t", big.schema)
 		}},
 		{"memory", func(e *Engine) error { return e.RegisterMemory("t", big.schema, big.cols) }},
 		{"dataset", func(e *Engine) error {

@@ -256,8 +256,8 @@ func (r *queryRecord) fold(q *resolvedQuery, err error) {
 		}
 	}
 	for _, sc := range r.scans {
-		// A scan reads the plug-in's resident size (zero for a tree of a ROOT
-		// file the caller opened): an estimate, and heat needs no more.
+		// A scan reads the plug-in's resident size: an estimate, and heat
+		// needs no more.
 		d := r.heatDelta(sc.st.tab.Name)
 		d.Scans++
 		raw, _ := sc.st.src.stat()

@@ -35,20 +35,18 @@ import (
 type source interface {
 	// load maps the raw image from tab.Path unless one is already resident.
 	load(tab *catalog.Table) error
-	// stat reports the resident raw bytes (0: none, or the format is paged
-	// through its own library) and the row count where the format states it
-	// (-1: only a scan can tell).
+	// stat reports the resident raw bytes (0: none) and the row count where
+	// the format states it (-1: only a scan can tell).
 	stat() (bytes, rows int64)
 	// image returns the raw image when it is one byte slice registered or
 	// mapped as such, else nil.
 	image() []byte
 	// rawFile returns the image load read from tab.Path, which plans hold
-	// while they read it (nil: the bytes are caller-owned or library-paged).
+	// while they read it (nil: the bytes were handed over).
 	rawFile() *rawfile.Image
-	// release drops what can be read again: a format library's buffer pool
-	// always, and with image set a mapped image, unmapped once its last
-	// reader is done; the next load maps the file again.
-	release(image bool)
+	// release drops a mapped image, unmapped once its last reader is done;
+	// the next load maps the file again. A handed-over image stays.
+	release()
 	// access says how cols would be read right now under kind: by row number
 	// where the positional structure allows it, record by record otherwise.
 	// nil cols asks whether rows are addressable at all (addressable). It
@@ -199,29 +197,20 @@ func (s scanRows) NRows() int64 { return s.sc.Rows() }
 // for tables registered from memory, nil for path-backed ones (non-nil marks
 // the image present, however short); mapped counts the bytes mapped. Memory
 // tables and dataset parents have no raw file of their own and no plug-in.
-func newSource(format catalog.Format, policy posmap.Policy, data []byte, mapped *atomic.Int64) (source, error) {
+// The image is not parsed here: load does that, as for a mapped one.
+func newSource(format catalog.Format, policy posmap.Policy, data []byte, mapped *atomic.Int64) source {
 	im := rawImage{data: data, mapped: mapped}
 	switch format {
 	case catalog.CSV:
-		return &csvSource{im, policy}, nil
+		return &csvSource{im, policy}
 	case catalog.JSON:
-		return &jsonSource{im}, nil
+		return &jsonSource{im}
 	case catalog.Binary:
-		s := &binSource{rawImage: im}
-		if data != nil {
-			r, err := binfile.NewReader(data)
-			if err != nil {
-				return nil, err
-			}
-			s.r = r
-		}
-		return s, nil
+		return &binSource{rawImage: im}
 	case catalog.Root:
-		// An image alone names no tree: ROOT tables come from a path or an
-		// opened file, and back no partition.
-		return &rootSource{rawImage: rawImage{mapped: mapped}}, nil
+		return &rootSource{rawImage: im}
 	}
-	return nil, nil
+	return nil
 }
 
 // noReaderError is access's refusal: the scan kind has no reader for the
@@ -278,8 +267,8 @@ func (im *rawImage) image() []byte { return im.data }
 
 func (im *rawImage) rawFile() *rawfile.Image { return im.mapping }
 
-func (im *rawImage) release(image bool) {
-	if image && im.mapping != nil {
+func (im *rawImage) release() {
+	if im.mapping != nil {
 		im.mapping.Release()
 		im.mapping, im.data = nil, nil
 	}
@@ -535,7 +524,7 @@ func (s *binSource) load(tab *catalog.Table) error {
 	err := s.loadFile(tab.Path, faults.SiteBinLoad)
 	if err == nil {
 		if s.r, err = binfile.NewReader(s.data); err != nil {
-			s.rawImage.release(true)
+			s.release()
 		}
 	}
 	return err
@@ -549,8 +538,8 @@ func (s *binSource) stat() (int64, int64) {
 	return int64(header + len(s.r.Payload())), s.r.NRows()
 }
 
-func (s *binSource) release(image bool) {
-	if s.rawImage.release(image); s.data == nil {
+func (s *binSource) release() {
+	if s.rawImage.release(); s.data == nil {
 		s.r = nil
 	}
 }
@@ -584,13 +573,12 @@ func (s *binSource) late(tab *catalog.Table, _ positions, cols []int) (exec.Fetc
 
 // --- ROOT ---
 
-// rootSource reads one tree of a ROOT-like file: mapped from tab.Path and
-// parsed here, or a tree of a file the caller opened (RegisterRootFile), whose
-// bytes and buffer pool the caller owns.
+// rootSource reads one tree (tab.Tree) of a ROOT-like file image, mapped from
+// tab.Path or handed over, and parsed here. An image names no tree of its
+// own, so ROOT backs no dataset partition.
 type rootSource struct {
 	rowAddressed
 	rawImage
-	file *rootfile.File
 	tree *rootfile.Tree
 }
 
@@ -600,11 +588,12 @@ func (s *rootSource) load(tab *catalog.Table) error {
 	}
 	err := s.loadFile(tab.Path, faults.SiteRootLoad)
 	if err == nil {
-		if s.file, err = rootfile.Parse(s.data); err == nil {
-			s.tree, err = s.file.Tree(tab.Tree)
+		var f *rootfile.File
+		if f, err = rootfile.Parse(s.data); err == nil {
+			s.tree, err = f.Tree(tab.Tree)
 		}
 		if err != nil {
-			s.release(true)
+			s.release()
 		}
 	}
 	return err
@@ -617,15 +606,9 @@ func (s *rootSource) stat() (int64, int64) {
 	return int64(len(s.data)), s.tree.NEntries()
 }
 
-// release drops the library's decoded baskets always, and with image set a
-// mapped image with the tree parsed from it.
-func (s *rootSource) release(image bool) {
-	if s.file != nil {
-		s.file.DropCaches()
-	}
-	if image && s.mapping != nil {
-		s.rawImage.release(true)
-		s.file, s.tree = nil, nil
+func (s *rootSource) release() {
+	if s.rawImage.release(); s.data == nil {
+		s.tree = nil
 	}
 }
 

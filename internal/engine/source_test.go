@@ -11,7 +11,6 @@ import (
 	"rawdb/internal/exec"
 	"rawdb/internal/jit"
 	"rawdb/internal/posmap"
-	"rawdb/internal/storage/rootfile"
 	"rawdb/internal/vault"
 )
 
@@ -52,22 +51,9 @@ func sourceCases(t *testing.T, policy posmap.Policy) []sourceCase {
 		}
 		add := func(format catalog.Format, img []byte, register func(e *Engine, img []byte) error) {
 			tab := &catalog.Table{Name: "t", Format: format, Tree: "t", Schema: g.schema}
-			var src source
-			if format == catalog.Root {
-				f, err := rootfile.Parse(img)
-				if err != nil {
-					t.Fatal(err)
-				}
-				tr, err := f.Tree("t")
-				if err != nil {
-					t.Fatal(err)
-				}
-				src = &rootSource{file: f, tree: tr}
-			} else {
-				var err error
-				if src, err = newSource(format, policy, img, nil); err != nil {
-					t.Fatal(err)
-				}
+			src := newSource(format, policy, img, nil)
+			if err := src.load(tab); err != nil {
+				t.Fatal(err)
 			}
 			cases = append(cases, sourceCase{
 				name: fmt.Sprintf("%s/%s", format, in.name), tab: tab, src: src,
@@ -78,13 +64,7 @@ func sourceCases(t *testing.T, policy posmap.Policy) []sourceCase {
 		add(catalog.CSV, text(g.csv), func(e *Engine, img []byte) error { return e.RegisterCSVData("t", img, g.schema) })
 		add(catalog.JSON, text(g.json), func(e *Engine, img []byte) error { return e.RegisterJSONData("t", img, g.schema) })
 		add(catalog.Binary, g.bin, func(e *Engine, img []byte) error { return e.RegisterBinaryData("t", img, g.schema) })
-		add(catalog.Root, g.root, func(e *Engine, img []byte) error {
-			f, err := rootfile.Parse(img)
-			if err != nil {
-				return err
-			}
-			return e.RegisterRootFile("t", f, "t", g.schema)
-		})
+		add(catalog.Root, g.root, func(e *Engine, img []byte) error { return e.RegisterRootData("t", img, "t", g.schema) })
 	}
 	return cases
 }

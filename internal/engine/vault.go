@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 	"sort"
@@ -98,7 +99,7 @@ func (s *slot) dirty() structure {
 
 // vaultFingerprint computes the fingerprint vault entries for this table are
 // keyed by. ok is false for tables without a stable raw identity (memory
-// tables, pre-opened ROOT files) — those are never vaulted.
+// tables) — those are never vaulted.
 func (e *Engine) vaultFingerprint(st *tableState) (vault.Fingerprint, bool) {
 	tab := st.tab
 	if tab.Format == catalog.Memory {
@@ -126,6 +127,13 @@ func (e *Engine) vaultFingerprint(st *tableState) (vault.Fingerprint, bool) {
 		return vault.Fingerprint{}, false
 	}
 	fp.Schema = vault.SchemaHash(tab.Schema)
+	if tab.Tree != "" {
+		// Every tree of a ROOT file has the file's fingerprint: the tree
+		// read tells them apart.
+		h := fnv.New64a()
+		h.Write(binary.LittleEndian.AppendUint64([]byte(tab.Tree), fp.Schema))
+		fp.Schema = h.Sum64()
+	}
 	return fp, true
 }
 

@@ -433,11 +433,17 @@ func (a *Aggregate) exact(si int) []fsum {
 	return a.sums[si]
 }
 
+// below is MIN and MAX's order: NaN sorts above every number, as in
+// PostgreSQL, so a MIN is NaN only if every value is and a MAX is NaN if any
+// value is, whatever order the values (or a two-stage plan's partials) come
+// in. Numbers compare as they are.
+func below[T int64 | float64](a, b T) bool { return a < b || b != b && a == a }
+
 // extreme folds the selected values of v into m, the MIN (or MAX) of a state
 // that has seen count rows: a state that has seen none takes the first value.
 func extreme[T int64 | float64](m T, count int64, rows []int32, v []T, isMax bool) T {
 	for i, r := range rows {
-		if x := v[r]; i == 0 && count == 0 || isMax && x > m || !isMax && x < m {
+		if x := v[r]; i == 0 && count == 0 || isMax && below(m, x) || !isMax && below(x, m) {
 			m = x
 		}
 	}
@@ -453,14 +459,14 @@ func extremes[T int64 | float64](m []T, rows, slots, fresh []int32, v []T, isMax
 	}
 	if isMax {
 		for i, r := range rows {
-			if x := v[r]; x > m[slots[i]] {
+			if x := v[r]; below(m[slots[i]], x) {
 				m[slots[i]] = x
 			}
 		}
 		return
 	}
 	for i, r := range rows {
-		if x := v[r]; x < m[slots[i]] {
+		if x := v[r]; below(x, m[slots[i]]) {
 			m[slots[i]] = x
 		}
 	}

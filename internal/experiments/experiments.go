@@ -8,9 +8,10 @@
 //
 // Methodology notes:
 //
-//   - "Cold" means a fresh engine (no positional maps, no shreds, empty
-//     ROOT buffer pool). File bytes stay memory-resident —
-//     disk I/O is outside the model (DESIGN.md, substitution list).
+//   - "Cold" means a fresh engine (no positional maps, no shreds), or for
+//     the hand-written Higgs analysis an empty ROOT buffer pool. File bytes
+//     stay memory-resident — disk I/O is outside the model (DESIGN.md,
+//     substitution list).
 //   - Sweep points are independent: each gets a fresh engine, the warm-up
 //     queries of the paper's protocol are re-run, and only the probe query
 //     is timed.
@@ -810,7 +811,7 @@ func RunTable3(cfg Config) (*Table, error) {
 
 	// RAW, cold then warm (shred pool populated by the cold run).
 	e := engine.New(engine.Config{Strategy: engine.StrategyShreds, PosMapPolicy: posmap.Policy{EveryK: 1}})
-	if _, err := higgs.Register(e, d); err != nil {
+	if err := higgs.Register(e, d); err != nil {
 		return nil, err
 	}
 	for _, run := range []string{"cold", "warm"} {

@@ -312,16 +312,12 @@ func Handwritten(f *rootfile.File, goodRuns []byte) (int64, error) {
 // branches only the hand-written analysis uses, and the jets tree is
 // registered but untouched by the query — both mirroring RAW's partial
 // schema support for files with thousands of attributes.
-func Register(e *engine.Engine, d *Data) (*rootfile.File, error) {
-	f, err := rootfile.Parse(d.RootImage)
-	if err != nil {
-		return nil, err
-	}
-	if err := e.RegisterRootFile("events", f, "events", []catalog.Column{
+func Register(e *engine.Engine, d *Data) error {
+	if err := e.RegisterRootData("events", d.RootImage, "events", []catalog.Column{
 		{Name: "eventID", Type: vector.Int64},
 		{Name: "runNumber", Type: vector.Int64},
 	}); err != nil {
-		return nil, err
+		return err
 	}
 	leptonSchema := []catalog.Column{
 		{Name: "eventID", Type: vector.Int64},
@@ -329,16 +325,13 @@ func Register(e *engine.Engine, d *Data) (*rootfile.File, error) {
 		{Name: "eta", Type: vector.Float64},
 	}
 	for _, name := range []string{"muons", "electrons", "jets"} {
-		if err := e.RegisterRootFile(name, f, name, leptonSchema); err != nil {
-			return nil, err
+		if err := e.RegisterRootData(name, d.RootImage, name, leptonSchema); err != nil {
+			return err
 		}
 	}
-	if err := e.RegisterCSVData("goodruns", d.GoodRuns, []catalog.Column{
+	return e.RegisterCSVData("goodruns", d.GoodRuns, []catalog.Column{
 		{Name: "run", Type: vector.Int64},
-	}); err != nil {
-		return nil, err
-	}
-	return f, nil
+	})
 }
 
 // RunRAW executes the declarative analysis on an engine prepared by

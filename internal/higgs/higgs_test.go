@@ -72,7 +72,7 @@ func TestRunRAWMatchesGroundTruthAllStrategies(t *testing.T) {
 	} {
 		t.Run(strat.String(), func(t *testing.T) {
 			e := engine.New(engine.Config{Strategy: strat, PosMapPolicy: posmap.Policy{EveryK: 1}})
-			if _, err := Register(e, d); err != nil {
+			if err := Register(e, d); err != nil {
 				t.Fatal(err)
 			}
 			got, err := RunRAW(e)
@@ -105,7 +105,7 @@ func TestHandwrittenAgreesWithRAW(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := engine.New(engine.Config{Strategy: engine.StrategyShreds, PosMapPolicy: posmap.Policy{EveryK: 1}})
-	if _, err := Register(e, d); err != nil {
+	if err := Register(e, d); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := RunRAW(e)

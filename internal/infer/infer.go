@@ -143,26 +143,26 @@ func DatasetSchema(pattern string) ([]raw.Column, error) {
 	}
 }
 
-// fileSchema infers the schema of the file at path from a read-only mapping of
-// it, unmapped before the engine maps the file for its queries. A file
-// truncated under the mapping faults the read; that is an error, not a crash.
-func fileSchema(path string, infer func([]byte) ([]raw.Column, error)) (schema []raw.Column, err error) {
+// fileSchema infers what read finds in the file at path (a table's schema, a
+// ROOT file's trees) from a read-only mapping of it, unmapped before the
+// engine maps the file for its queries. A file truncated under the mapping
+// faults the read; that is an error, not a crash.
+func fileSchema[T any](path string, read func([]byte) (T, error)) (v T, err error) {
 	im, err := rawfile.Map(path, "", nil)
 	if err != nil {
-		return nil, err
+		return v, err
 	}
 	defer im.Release()
 	defer func() {
 		if p := recover(); p != nil {
-			schema, err = nil, fmt.Errorf("%s: changed while read: %v", path, p)
+			err = fmt.Errorf("%s: changed while read: %v", path, p)
 		}
 	}()
 	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
-	schema, err = infer(im.Data)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
+	if v, err = read(im.Data); err != nil {
+		return v, fmt.Errorf("%s: %w", path, err)
 	}
-	return schema, nil
+	return v, nil
 }
 
 // Specs carries the repeated name=path table flags of the command line.
@@ -214,25 +214,33 @@ func Register(eng *raw.Engine, s Specs) error {
 			return err
 		}
 	}
+	type tree struct {
+		name   string
+		schema []raw.Column
+	}
 	for _, path := range s.Roots {
-		f, err := rootfile.Open(path)
+		// Every tree becomes a table of all its branches, registered by path.
+		trees, err := fileSchema(path, func(data []byte) (trees []tree, err error) {
+			f, err := rootfile.Parse(data)
+			if err != nil {
+				return nil, err
+			}
+			for _, name := range f.Trees() {
+				t, _ := f.Tree(name) // the file lists it
+				tr := tree{name: name}
+				for _, bn := range t.Branches() {
+					br, _ := t.Branch(bn)
+					tr.schema = append(tr.schema, raw.Column{Name: bn, Type: br.Type})
+				}
+				trees = append(trees, tr)
+			}
+			return trees, nil
+		})
 		if err != nil {
 			return err
 		}
-		for _, treeName := range f.Trees() {
-			tr, err := f.Tree(treeName)
-			if err != nil {
-				return err
-			}
-			var schema []raw.Column
-			for _, bn := range tr.Branches() {
-				br, err := tr.Branch(bn)
-				if err != nil {
-					return err
-				}
-				schema = append(schema, raw.Column{Name: bn, Type: br.Type})
-			}
-			if err := eng.RegisterRoot(treeName, path, treeName, schema); err != nil {
+		for _, tr := range trees {
+			if err := eng.RegisterRoot(tr.name, path, tr.name, tr.schema); err != nil {
 				return err
 			}
 		}

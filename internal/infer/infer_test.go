@@ -1,6 +1,7 @@
 package infer
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"os"
@@ -10,6 +11,7 @@ import (
 	"testing"
 
 	"rawdb"
+	"rawdb/internal/storage/rootfile"
 )
 
 // TestEngineFlags parses one argument list through the shared binder and
@@ -93,5 +95,52 @@ func TestFileSchemaTruncatedUnderMapping(t *testing.T) {
 	})
 	if err == nil {
 		t.Skip("the file was read from a heap copy: no mapping on this platform")
+	}
+}
+
+// TestRegisterRootTrees: -root registers every tree of the file with all its
+// branches, listed from a mapping the engine does not keep: after Register no
+// byte of the file is mapped, and the first query maps it by path.
+func TestRegisterRootTrees(t *testing.T) {
+	var buf bytes.Buffer
+	w := rootfile.NewWriter(&buf, rootfile.Options{BasketEntries: 4, Compress: true})
+	ev := w.Tree("events")
+	id, eta := ev.Branch("eventID", raw.Int64), ev.Branch("eta", raw.Float64)
+	pt := w.Tree("muons").Branch("pt", raw.Float64)
+	for i := range 10 {
+		id.AppendInt64(int64(i))
+		eta.AppendFloat64(float64(i) / 2)
+		pt.AppendFloat64(float64(i))
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "ev.root")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	eng := raw.NewEngine(raw.Config{})
+	if err := Register(eng, Specs{Roots: []string{path}}); err != nil {
+		t.Fatal(err)
+	}
+	if got := eng.Metrics().Snapshot()["raw.mapped_bytes"]; got != 0 {
+		t.Fatalf("raw.mapped_bytes = %d after Register", got)
+	}
+	want := map[string][]raw.Column{
+		"events": {{Name: "eventID", Type: raw.Int64}, {Name: "eta", Type: raw.Float64}},
+		"muons":  {{Name: "pt", Type: raw.Float64}},
+	}
+	if got := eng.Tables(); !reflect.DeepEqual(got, []string{"events", "muons"}) {
+		t.Fatalf("tables %v", got)
+	}
+	for name, schema := range want {
+		tab, err := eng.Internal().Catalog().Lookup(name)
+		if err != nil || !reflect.DeepEqual(tab.Schema, schema) || tab.Path != path {
+			t.Fatalf("%s: %+v, %v; want schema %v by path", name, tab, err, schema)
+		}
+	}
+	res, err := eng.Query("SELECT SUM(eta) FROM events WHERE eventID > 5")
+	if err != nil || res.Value(0, 0) != 15.0 {
+		t.Fatalf("query: %v, %v", res, err)
 	}
 }

@@ -262,7 +262,10 @@ func BinLateFetch(r *binfile.Reader, t *catalog.Table, cols []int) (exec.Fetch, 
 
 // RootLateFetch generates the fetch of cols of the ROOT-like format using
 // id-based library access ("readROOTField(fieldName, id)"): one gather per
-// column and batch, which loads each basket the ids reach once.
+// column and batch, which reaches each basket the ids fall in once. The
+// compressed baskets it inflates are the fetch's own (one rootfile.Inflated
+// per column, which holds them from batch to batch), so they die with the
+// query.
 func RootLateFetch(tree *rootfile.Tree, t *catalog.Table, cols []int) (exec.Fetch, error) {
 	if t.Format != catalog.Root {
 		return nil, fmt.Errorf("jit: root late scan got format %s", t.Format)
@@ -282,13 +285,14 @@ func RootLateFetch(tree *rootfile.Tree, t *catalog.Table, cols []int) (exec.Fetc
 		}
 		branches[i] = br
 	}
+	inflated := make([]rootfile.Inflated, len(cols))
 	return func(rids []int64, outs []*vector.Vector) error {
 		for i, br := range branches {
 			var err error
 			if out := outs[i]; out.Type == vector.Int64 {
-				out.Int64s, err = br.Int64sAt(out.Int64s, rids)
+				out.Int64s, err = br.Int64sAt(out.Int64s, rids, &inflated[i])
 			} else {
-				out.Float64s, err = br.Float64sAt(out.Float64s, rids)
+				out.Float64s, err = br.Float64sAt(out.Float64s, rids, &inflated[i])
 			}
 			if err != nil {
 				return err

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"rawdb/internal/catalog"
@@ -101,43 +102,48 @@ func rowScanFormats(t *testing.T) []*rowScanFormat {
 			return s
 		}})
 
-	// ROOT: the same values in baskets of 50 entries, read by id.
+	// ROOT: the same values in baskets of 50 entries, read by id, from an
+	// uncompressed image and from a compressed one.
 	rtab := *tab
 	rtab.Format, rtab.Tree = catalog.Root, "t"
-	var rbuf bytes.Buffer
-	w := rootfile.NewWriter(&rbuf, rootfile.Options{BasketEntries: 50})
-	tw := w.Tree("t")
-	for c, col := range tab.Schema {
-		br := tw.Branch(col.Name, vector.Int64)
-		for _, row := range vals {
-			br.AppendInt64(row[c])
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	rf, err := rootfile.Parse(rbuf.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	tree, err := rf.Tree("t")
-	if err != nil {
-		t.Fatal(err)
-	}
 	rootNeed := []int{7, 2, 4}
 	rootRef, err := NewCSVSequentialScan(csvData, tab, rootNeed, nil, false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	formats = append(formats, &rowScanFormat{name: "root", tab: &rtab, need: rootNeed, predCols: [2]int{2, 4},
-		ref: seqReference(t, rootRef),
-		build: func(t *testing.T, push Pushdown, emitRID bool) rowScanner {
-			s, err := NewRootScanPush(tree, &rtab, rootNeed, emitRID, bs, push)
-			if err != nil {
-				t.Fatal(err)
+	rref := seqReference(t, rootRef)
+	for _, compress := range []bool{false, true} {
+		var rbuf bytes.Buffer
+		w := rootfile.NewWriter(&rbuf, rootfile.Options{BasketEntries: 50, Compress: compress})
+		tw := w.Tree("t")
+		for c, col := range tab.Schema {
+			br := tw.Branch(col.Name, vector.Int64)
+			for _, row := range vals {
+				br.AppendInt64(row[c])
 			}
-			return s
-		}})
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		rf, err := rootfile.Parse(rbuf.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		tree, err := rf.Tree("t")
+		if err != nil {
+			t.Fatal(err)
+		}
+		name := map[bool]string{false: "root", true: "root-compressed"}[compress]
+		formats = append(formats, &rowScanFormat{name: name, tab: &rtab, need: rootNeed, predCols: [2]int{2, 4},
+			ref: rref,
+			build: func(t *testing.T, push Pushdown, emitRID bool) rowScanner {
+				s, err := NewRootScanPush(tree, &rtab, rootNeed, emitRID, bs, push)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return s
+			}})
+	}
 
 	// JSON via the structural index, every path tracked.
 	jdata, jtab, _, _ := genJSONTable(t, rows, 32)
@@ -342,7 +348,7 @@ func TestRowScanContract(t *testing.T) {
 				for _, emitRID := range []bool{false, true} {
 					for _, skipOn := range []bool{false, true} {
 						variants := []bool{false}
-						if (f.name == "bin" || f.name == "root") && !skipOn {
+						if (f.name == "bin" || strings.HasPrefix(f.name, "root")) && !skipOn {
 							variants = append(variants, true)
 						}
 						for _, withSyn := range variants {

@@ -5,17 +5,12 @@ import (
 	"sync"
 )
 
-// A DecodedBasket is one basket's values decoded into a typed slice.
-type DecodedBasket struct {
-	Int64s   []int64
-	Float64s []float64
-}
-
-// BufferPool is an LRU cache of decoded baskets. It models ROOT's in-memory
-// buffer pool of commonly-accessed objects: the hand-written analysis and the
-// engine's scans of compressed files read through it, so the second (warm)
-// run of a query skips decompression and decoding for hot baskets. Every tree of a file reads
-// through the file's one pool, so it is safe for concurrent use.
+// BufferPool is an LRU cache of baskets' bytes, inflated where the file is
+// compressed. It models ROOT's in-memory buffer pool of commonly-accessed
+// objects: entry-by-entry reads (Int64At, Float64At, the hand-written
+// analysis's) go through it, so the second (warm) run of a program skips
+// decompression for hot baskets. Every tree of a file reads through the
+// file's one pool, so it is safe for concurrent use.
 type BufferPool struct {
 	mu       sync.Mutex
 	capacity int
@@ -33,14 +28,11 @@ type poolKey struct {
 
 type poolEntry struct {
 	key poolKey
-	db  *DecodedBasket
+	raw []byte
 }
 
-// NewBufferPool returns a pool holding at most capacity decoded baskets.
+// NewBufferPool returns a pool holding at most capacity baskets.
 func NewBufferPool(capacity int) *BufferPool {
-	if capacity < 1 {
-		capacity = 1
-	}
 	return &BufferPool{
 		capacity: capacity,
 		lru:      list.New(),
@@ -48,31 +40,31 @@ func NewBufferPool(capacity int) *BufferPool {
 	}
 }
 
-// Get returns the decoded basket for (branch, basket) or nil on a miss.
-func (p *BufferPool) Get(b *Branch, basket int) *DecodedBasket {
+// Get returns the bytes of (branch, basket) or nil on a miss.
+func (p *BufferPool) Get(b *Branch, basket int) []byte {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if el, ok := p.index[poolKey{b, basket}]; ok {
 		p.hits++
 		p.lru.MoveToFront(el)
-		return el.Value.(*poolEntry).db
+		return el.Value.(*poolEntry).raw
 	}
 	p.misses++
 	return nil
 }
 
-// Put inserts a decoded basket, evicting the least recently used entry if the
+// Put inserts a basket's bytes, evicting the least recently used entry if the
 // pool is full.
-func (p *BufferPool) Put(b *Branch, basket int, db *DecodedBasket) {
+func (p *BufferPool) Put(b *Branch, basket int, raw []byte) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	key := poolKey{b, basket}
 	if el, ok := p.index[key]; ok {
 		p.lru.MoveToFront(el)
-		el.Value.(*poolEntry).db = db
+		el.Value.(*poolEntry).raw = raw
 		return
 	}
-	p.index[key] = p.lru.PushFront(&poolEntry{key: key, db: db})
+	p.index[key] = p.lru.PushFront(&poolEntry{key: key, raw: raw})
 	p.evictLocked()
 }
 
@@ -106,12 +98,4 @@ func (p *BufferPool) Reset() {
 	p.lru.Init()
 	p.index = make(map[poolKey]*list.Element)
 	p.hits, p.misses = 0, 0
-}
-
-// SetCapacity resizes the pool, evicting as needed.
-func (p *BufferPool) SetCapacity(capacity int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.capacity = max(capacity, 1)
-	p.evictLocked()
 }

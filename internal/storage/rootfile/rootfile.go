@@ -9,9 +9,10 @@
 //     (field) in fixed-size baskets of entries, optionally compressed;
 //   - id-based access: any entry of any branch is addressable by its index
 //     (the paper maps this to an index-based scan and pushes filtering down);
-//   - a library-managed buffer pool of hot, decoded baskets, which is what
-//     makes the hand-written analysis fast on warm re-runs (batch reads of
-//     uncompressed baskets take the values from the image itself);
+//   - a library-managed buffer pool of hot, inflated baskets, which is what
+//     makes the hand-written analysis fast on warm re-runs; the batch reads
+//     an engine's scans make bypass it (uncompressed baskets are read from
+//     the image itself, compressed ones inflated into the reader's Inflated);
 //   - files that may declare thousands of branches of which a query touches
 //     a handful (RAW's catalog supports partial schemas for this reason).
 //
@@ -28,7 +29,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"os"
 	"slices"
 	"unsafe"
 
@@ -53,8 +53,8 @@ type Options struct {
 	// BasketEntries is the number of entries per basket (default 4096).
 	BasketEntries int
 	// Compress enables per-basket DEFLATE compression, mimicking ROOT's
-	// compressed baskets: cold reads pay a decompression cost that the
-	// buffer pool amortises.
+	// compressed baskets: reads pay a decompression cost that the buffer
+	// pool amortises over entry-by-entry reads.
 	Compress bool
 }
 
@@ -152,19 +152,15 @@ func (w *Writer) Close() error {
 		for _, b := range t.branches {
 			bm := branchMeta{name: b.name, typ: b.typ}
 			for start := 0; start < n || (n == 0 && start == 0); start += w.opts.BasketEntries {
-				end := start + w.opts.BasketEntries
-				if end > n {
-					end = n
-				}
-				raw := encodeBasket(b, start, end)
-				payload := raw
+				end := min(start+w.opts.BasketEntries, n)
+				payload := encodeBasket(b, start, end)
 				if w.opts.Compress {
 					var cb bytes.Buffer
 					fw, err := flate.NewWriter(&cb, flate.BestSpeed)
 					if err != nil {
 						return err
 					}
-					if _, err := fw.Write(raw); err != nil {
+					if _, err := fw.Write(payload); err != nil {
 						return err
 					}
 					if err := fw.Close(); err != nil {
@@ -235,37 +231,31 @@ func (w *Writer) Close() error {
 // formats embed (HDF B-trees, FITS keywords). The reader skips them: they
 // drop NaN, and the engine builds zone maps of its own.
 func basketBounds(b *BranchWriter, start, end int) (lo, hi uint64) {
-	switch b.typ {
-	case vector.Int64:
-		if start >= end {
-			return 0, 0
-		}
-		mn, mx := b.i64[start], b.i64[start]
-		for _, v := range b.i64[start+1 : end] {
-			if v < mn {
-				mn = v
-			}
-			if v > mx {
-				mx = v
-			}
-		}
+	switch {
+	case start >= end:
+	case b.typ == vector.Int64:
+		mn, mx := bounds(b.i64[start:end])
 		return uint64(mn), uint64(mx)
-	case vector.Float64:
-		if start >= end {
-			return 0, 0
-		}
-		mn, mx := b.f64[start], b.f64[start]
-		for _, v := range b.f64[start+1 : end] {
-			if v < mn {
-				mn = v
-			}
-			if v > mx {
-				mx = v
-			}
-		}
+	case b.typ == vector.Float64:
+		mn, mx := bounds(b.f64[start:end])
 		return math.Float64bits(mn), math.Float64bits(mx)
 	}
 	return 0, 0
+}
+
+// bounds returns the least and the greatest value of s, which is not empty,
+// passing over a NaN that does not open s.
+func bounds[T int64 | float64](s []T) (mn, mx T) {
+	mn, mx = s[0], s[0]
+	for _, v := range s[1:] {
+		if v < mn {
+			mn = v
+		}
+		if v > mx {
+			mx = v
+		}
+	}
+	return mn, mx
 }
 
 func encodeBasket(b *BranchWriter, start, end int) []byte {
@@ -292,16 +282,15 @@ type basket struct {
 	entries int32
 }
 
-// Branch provides id-based access to one column of a tree. All access goes
-// through the file's buffer pool, as with ROOT's getEntry().
+// Branch provides id-based access to one column of a tree: entry by entry
+// through the file's buffer pool, as with ROOT's getEntry(), or by batches of
+// ids (Int64sAt, Float64sAt), which do not touch the pool.
 type Branch struct {
 	file    *File
 	tree    *Tree
 	Name    string
 	Type    vector.Type
 	baskets []basket
-	// firstEntry[k] is the global index of the first entry in basket k.
-	firstEntry []int64
 }
 
 // Tree is one table in the file.
@@ -327,7 +316,7 @@ func (t *Tree) Branch(name string) (*Branch, error) {
 // Branches returns the branch names in file order.
 func (t *Tree) Branches() []string { return t.order }
 
-// File is a parsed, memory-resident root-like file plus its buffer pool.
+// File is a parsed root-like file image plus its buffer pool.
 type File struct {
 	data       []byte
 	compressed bool
@@ -337,16 +326,8 @@ type File struct {
 	pool       *BufferPool
 }
 
-// Open loads and parses path. The buffer pool starts empty ("cold").
-func Open(path string) (*File, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("rootfile: open: %w", err)
-	}
-	return Parse(data)
-}
-
-// Parse parses an in-memory file image.
+// Parse parses a file image, which the File reads from as long as it lives.
+// The buffer pool starts empty ("cold").
 func Parse(data []byte) (*File, error) {
 	if len(data) < len(Magic)+8 || string(data[:len(Magic)]) != Magic {
 		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
@@ -453,7 +434,6 @@ func Parse(data []byte) (*File, error) {
 						ErrCorrupt, k, bname, ne, bs)
 				}
 				br.baskets = append(br.baskets, basket{offset: off, clen: cl, entries: ne})
-				br.firstEntry = append(br.firstEntry, first)
 				first += int64(ne)
 			}
 			if first != nent {
@@ -466,7 +446,7 @@ func Parse(data []byte) (*File, error) {
 		f.trees[name] = t
 		f.order = append(f.order, name)
 	}
-	f.pool = NewBufferPool(256)
+	f.pool = NewBufferPool(maxInflated)
 	return f, nil
 }
 
@@ -483,11 +463,8 @@ func (f *File) Tree(name string) (*Tree, error) {
 func (f *File) Trees() []string { return f.order }
 
 // Pool returns the file's buffer pool (exposed for statistics and for
-// cold-run simulation via DropCaches).
+// cold-run simulation via Reset).
 func (f *File) Pool() *BufferPool { return f.pool }
-
-// DropCaches empties the buffer pool, simulating a cold start.
-func (f *File) DropCaches() { f.pool.Reset() }
 
 // basketFor returns the index of the basket containing entry i.
 func (b *Branch) basketFor(i int64) int {
@@ -499,67 +476,50 @@ func (b *Branch) basketFor(i int64) int {
 	return k
 }
 
-// payload returns the bytes of basket k, eight per entry: the image's own
-// in an uncompressed file, else inflated.
-func (b *Branch) payload(k int) ([]byte, error) {
+// first returns the index of the first entry in basket k (all but the last
+// basket are full).
+func (b *Branch) first(k int) int64 { return int64(k) * int64(b.file.basketSize) }
+
+// payload returns the bytes of basket k, eight per entry: the image's own in
+// an uncompressed file, else inflated: held in in, or a copy of its own where
+// in is nil.
+func (b *Branch) payload(k int, in *Inflated) ([]byte, error) {
 	meta := b.baskets[k]
-	raw := b.file.data[meta.offset : meta.offset+int64(meta.clen)]
+	raw, size := b.file.data[meta.offset:meta.offset+int64(meta.clen)], int(meta.entries)*8
 	if b.file.compressed {
-		// One byte past the payload's size is enough to tell it is wrong.
-		fr := flate.NewReader(bytes.NewReader(raw))
-		dec, err := io.ReadAll(io.LimitReader(fr, int64(meta.entries)*8+1))
-		if err != nil {
-			return nil, fmt.Errorf("%w: basket decompress: %v", ErrCorrupt, err)
+		if in == nil {
+			return new(Inflated).inflate(nil, raw, size)
 		}
-		raw = dec
+		return in.get(k, raw, size)
 	}
-	if len(raw) != int(meta.entries)*8 {
-		return nil, fmt.Errorf("%w: basket payload %d bytes, want %d", ErrCorrupt, len(raw), meta.entries*8)
+	if len(raw) != size {
+		return nil, fmt.Errorf("%w: basket payload %d bytes, want %d", ErrCorrupt, len(raw), size)
 	}
 	return raw, nil
 }
 
-// load returns the decoded basket k, via the buffer pool.
-func (b *Branch) load(k int) (*DecodedBasket, error) {
-	if db := b.file.pool.Get(b, k); db != nil {
-		return db, nil
+// load returns the bytes of basket k, via the buffer pool.
+func (b *Branch) load(k int) ([]byte, error) {
+	if raw := b.file.pool.Get(b, k); raw != nil {
+		return raw, nil
 	}
-	raw, err := b.payload(k)
-	if err != nil {
-		return nil, err
+	raw, err := b.payload(k, nil)
+	if err == nil {
+		b.file.pool.Put(b, k, raw)
 	}
-	db := &DecodedBasket{}
-	if b.Type == vector.Int64 {
-		db.Int64s = appendInt64s(nil, raw)
-	} else {
-		db.Float64s = appendFloat64s(nil, raw)
-	}
-	b.file.pool.Put(b, k, db)
-	return db, nil
+	return raw, err
 }
 
-// appendInt64s appends the little-endian values of src to dst.
-func appendInt64s(dst []int64, src []byte) []int64 {
-	if vals, ok := inPlace[int64](src); ok {
+// appendValues appends the little-endian values of src to dst, each made
+// from its bits by conv.
+func appendValues[T int64 | float64](dst []T, src []byte, conv func(uint64) T) []T {
+	if vals, ok := inPlace[T](src); ok {
 		return append(dst, vals...)
 	}
 	n := len(dst)
 	dst = slices.Grow(dst, len(src)/8)[:n+len(src)/8]
 	for i := range dst[n:] {
-		dst[n+i] = int64(binary.LittleEndian.Uint64(src[8*i:]))
-	}
-	return dst
-}
-
-// appendFloat64s is the float64 twin of appendInt64s.
-func appendFloat64s(dst []float64, src []byte) []float64 {
-	if vals, ok := inPlace[float64](src); ok {
-		return append(dst, vals...)
-	}
-	n := len(dst)
-	dst = slices.Grow(dst, len(src)/8)[:n+len(src)/8]
-	for i := range dst[n:] {
-		dst[n+i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
+		dst[n+i] = conv(binary.LittleEndian.Uint64(src[8*i:]))
 	}
 	return dst
 }
@@ -582,51 +542,143 @@ func inPlace[T int64 | float64](src []byte) ([]T, bool) {
 // Int64At returns entry i of an Int64 branch. This is the getEntry()-style
 // id-based access the paper's generated code calls into.
 func (b *Branch) Int64At(i int64) (int64, error) {
-	k := b.basketFor(i)
-	db, err := b.load(k)
-	if err != nil {
-		return 0, err
-	}
-	return db.Int64s[i-b.firstEntry[k]], nil
+	v, err := b.entryAt(i, vector.Int64)
+	return int64(v), err
 }
 
 // Float64At returns entry i of a Float64 branch.
 func (b *Branch) Float64At(i int64) (float64, error) {
+	v, err := b.entryAt(i, vector.Float64)
+	return math.Float64frombits(v), err
+}
+
+// entryAt returns the bits of entry i of a branch of type typ, read through
+// the buffer pool.
+func (b *Branch) entryAt(i int64, typ vector.Type) (uint64, error) {
+	if b.Type != typ {
+		return 0, fmt.Errorf("rootfile: branch %q is %s, read as %s", b.Name, b.Type, typ)
+	}
 	k := b.basketFor(i)
-	db, err := b.load(k)
+	raw, err := b.load(k)
 	if err != nil {
 		return 0, err
 	}
-	return db.Float64s[i-b.firstEntry[k]], nil
+	return binary.LittleEndian.Uint64(raw[8*(i-b.first(k)):]), nil
+}
+
+// maxInflated bounds the baskets one Inflated holds: as many as the file's
+// buffer pool holds for all branches together.
+const maxInflated = 256
+
+// Inflated holds the compressed baskets of one branch that one reader's
+// gathers (Int64sAt, Float64sAt) inflated. While the baskets the reader
+// reaches only ascend (a scan), it holds just the last one. From the first
+// step back to a lower basket on (a fetch above a join sends ids in the
+// probe's order), it keeps every basket it inflates, up to maxInflated, past
+// which it drops the one reached least recently. So while a reader reaches at
+// most maxInflated baskets it inflates each at most twice, and once unless it
+// passed the basket before its first step back. The bytes die with the
+// Inflated; the file's buffer pool never sees them. The zero value is ready to
+// use; one reader's gathers run one at a time.
+type Inflated struct {
+	at   map[int]int // the index in held of each basket held
+	held []heldBasket
+	last int  // the basket reached last
+	back bool // the reader went back to a lower basket
+	tick int64
+	fr   io.ReadCloser
+}
+
+// heldBasket is one basket an Inflated holds, or a free buffer (k < 0).
+type heldBasket struct {
+	k    int
+	used int64 // the tick the basket was last reached at
+	buf  []byte
+}
+
+// get returns basket k, whose compressed bytes are raw, inflated to size
+// bytes: the copy in holds, or a new one.
+func (in *Inflated) get(k int, raw []byte, size int) ([]byte, error) {
+	if in.at == nil {
+		in.at = map[int]int{}
+	}
+	in.tick++
+	prev := in.last
+	in.last = k
+	if i, ok := in.at[k]; ok {
+		in.held[i].used = in.tick
+		return in.held[i].buf, nil
+	}
+	i := len(in.held)
+	switch {
+	case !in.back && i > 0 && k > prev:
+		i = 0 // a scan moves on: reuse the one basket it holds
+	case i < maxInflated:
+		in.back = i > 0
+		in.held = append(in.held, heldBasket{k: -1})
+	default:
+		i = 0
+		for j, h := range in.held {
+			if h.used < in.held[i].used {
+				i = j
+			}
+		}
+	}
+	h := &in.held[i]
+	delete(in.at, h.k)
+	h.k = -1
+	buf, err := in.inflate(h.buf, raw, size)
+	if err != nil {
+		return nil, err
+	}
+	*h = heldBasket{k: k, used: in.tick, buf: buf}
+	in.at[k] = i
+	return buf, nil
+}
+
+// inflate decompresses raw, a basket's compressed bytes, into buf grown to
+// size bytes, through the reader's flate reader.
+func (in *Inflated) inflate(buf, raw []byte, size int) ([]byte, error) {
+	if in.fr == nil {
+		in.fr = flate.NewReader(bytes.NewReader(raw))
+	} else if err := in.fr.(flate.Resetter).Reset(bytes.NewReader(raw), nil); err != nil {
+		return nil, fmt.Errorf("%w: basket decompress: %v", ErrCorrupt, err)
+	}
+	buf = slices.Grow(buf[:0], size)[:size]
+	if n, err := io.ReadFull(in.fr, buf); err != nil {
+		return nil, fmt.Errorf("%w: basket payload %d bytes, want %d (%v)", ErrCorrupt, n, size, err)
+	}
+	// One byte past the payload's size is enough to tell it is wrong.
+	if n, err := io.ReadFull(in.fr, make([]byte, 1)); n > 0 || err != io.EOF {
+		return nil, fmt.Errorf("%w: basket payload longer than %d bytes (%v)", ErrCorrupt, size, err)
+	}
+	return buf, nil
 }
 
 // Int64sAt appends the entries ids of an Int64 branch to dst, in the order
 // given, and returns the extended slice: the batch form of Int64At that JIT
 // scans call. Each basket is reached once per run of ids that stay in it, and
-// a run of consecutive ids is copied in one go: from the image itself in an
-// uncompressed file, which the buffer pool then never holds, else from the
-// pooled decoded basket. An id outside the tree is an error.
-func (b *Branch) Int64sAt(dst []int64, ids []int64) ([]int64, error) {
+// a run of consecutive ids is copied in one go, from the image itself in an
+// uncompressed file, else from the basket held in in or inflated into it.
+// An id outside the tree is an error.
+func (b *Branch) Int64sAt(dst []int64, ids []int64, in *Inflated) ([]int64, error) {
 	if b.Type != vector.Int64 {
 		return dst, fmt.Errorf("rootfile: branch %q is %s, read as int64", b.Name, b.Type)
 	}
-	return gather(b, dst, ids, func(db *DecodedBasket) []int64 { return db.Int64s }, appendInt64s)
+	return gather(b, in, dst, ids, func(v uint64) int64 { return int64(v) })
 }
 
 // Float64sAt appends the entries ids of a Float64 branch to dst.
-func (b *Branch) Float64sAt(dst []float64, ids []int64) ([]float64, error) {
+func (b *Branch) Float64sAt(dst []float64, ids []int64, in *Inflated) ([]float64, error) {
 	if b.Type != vector.Float64 {
 		return dst, fmt.Errorf("rootfile: branch %q is %s, read as float64", b.Name, b.Type)
 	}
-	return gather(b, dst, ids, func(db *DecodedBasket) []float64 { return db.Float64s }, appendFloat64s)
+	return gather(b, in, dst, ids, math.Float64frombits)
 }
 
-// gather is Int64sAt and Float64sAt over a decoded basket's values (vals)
-// or a payload's bytes (decode).
-func gather[T any](b *Branch, dst []T, ids []int64, vals func(*DecodedBasket) []T,
-	decode func([]T, []byte) []T) ([]T, error) {
-	var cur []T    // the basket's decoded entries (compressed files)
-	var raw []byte // the basket's bytes in the image (uncompressed files)
+// gather is Int64sAt and Float64sAt, each value made from its bits by conv.
+func gather[T int64 | float64](b *Branch, in *Inflated, dst []T, ids []int64, conv func(uint64) T) ([]T, error) {
+	var raw []byte // the bytes of the basket holding [first, end)
 	var first, end int64
 	for i := 0; i < len(ids); {
 		id := ids[i]
@@ -635,17 +687,9 @@ func gather[T any](b *Branch, dst []T, ids []int64, vals func(*DecodedBasket) []
 				return dst, fmt.Errorf("rootfile: entry %d outside branch %q of %d entries", id, b.Name, b.tree.nentries)
 			}
 			k := b.basketFor(id)
-			first, end = b.firstEntry[k], b.firstEntry[k]+int64(b.baskets[k].entries)
+			first, end = b.first(k), b.first(k)+int64(b.baskets[k].entries)
 			var err error
-			if b.file.compressed {
-				var db *DecodedBasket
-				if db, err = b.load(k); err == nil {
-					cur = vals(db)
-				}
-			} else {
-				raw, err = b.payload(k)
-			}
-			if err != nil {
+			if raw, err = b.payload(k, in); err != nil {
 				return dst, err
 			}
 		}
@@ -662,11 +706,7 @@ func gather[T any](b *Branch, dst []T, ids []int64, vals func(*DecodedBasket) []
 			j++
 		}
 		lo, hi := id-first, id-first+int64(j-i)
-		if b.file.compressed {
-			dst = append(dst, cur[lo:hi]...)
-		} else {
-			dst = decode(dst, raw[8*lo:8*hi])
-		}
+		dst = appendValues(dst, raw[8*lo:8*hi], conv)
 		i = j
 	}
 	return dst, nil

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"maps"
 	"math"
 	"math/rand"
 	"testing"
@@ -102,7 +103,7 @@ func TestVectorReads(t *testing.T) {
 	eta, _ := tr.Branch("eta")
 
 	ids := []int64{5, 6, 7, 8, 9, 30, 2, 2, 59, 0}
-	got, err := id.Int64sAt([]int64{-1}, ids)
+	got, err := id.Int64sAt([]int64{-1}, ids, new(Inflated))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +115,7 @@ func TestVectorReads(t *testing.T) {
 			t.Fatalf("got[%d] = %d, want %d", i, v, ids[i])
 		}
 	}
-	fg, err := eta.Float64sAt(nil, []int64{58, 59})
+	fg, err := eta.Float64sAt(nil, []int64{58, 59}, new(Inflated))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,15 +124,151 @@ func TestVectorReads(t *testing.T) {
 	}
 	// Out-of-range ids and the wrong type are errors.
 	for _, bad := range [][]int64{{60}, {3, -1}, {59, 60}} {
-		if _, err := id.Int64sAt(nil, bad); err == nil {
+		if _, err := id.Int64sAt(nil, bad, new(Inflated)); err == nil {
 			t.Fatalf("ids %v: expected an error", bad)
 		}
 	}
-	if _, err := eta.Int64sAt(nil, []int64{0}); err == nil {
+	if _, err := eta.Int64sAt(nil, []int64{0}, new(Inflated)); err == nil {
 		t.Fatal("expected an error reading a float branch as int64")
 	}
-	if _, err := id.Float64sAt(nil, []int64{0}); err == nil {
+	if _, err := id.Float64sAt(nil, []int64{0}, new(Inflated)); err == nil {
 		t.Fatal("expected an error reading an int branch as float64")
+	}
+	if _, err := eta.Int64At(0); err == nil {
+		t.Fatal("expected an error reading a float entry as int64")
+	}
+	if _, err := id.Float64At(0); err == nil {
+		t.Fatal("expected an error reading an int entry as float64")
+	}
+}
+
+// poison overwrites the bytes of every basket in holds with ones, so that a
+// value read back as all ones comes from a held basket, not a new inflation.
+func poison(in *Inflated) {
+	for _, h := range in.held {
+		for i := range h.buf {
+			h.buf[i] = 0xff
+		}
+	}
+}
+
+// TestGatherInflatesEachBasketOnce: over a compressed tree, a reader's gathers
+// in ascending batches hold one basket; its gathers of shuffled and repeated
+// ids after that equal Int64At/Float64At pointwise without touching the
+// buffer pool, and keep every basket they reach from gather to gather: with
+// the held bytes poisoned, a further gather reads only the poison. Past
+// maxInflated baskets a reader drops some and still reads right.
+func TestGatherInflatesEachBasketOnce(t *testing.T) {
+	const n, basket = 1000, 64
+	f, err := Parse(buildFile(t, Options{BasketEntries: basket, Compress: true}, n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, _ := f.Tree("events")
+	id, _ := tr.Branch("eventID")
+	eta, _ := tr.Branch("eta")
+	var in, fin Inflated
+	for lo := int64(0); lo < n; lo += 100 {
+		ids := make([]int64, min(100, n-lo))
+		for i := range ids {
+			ids[i] = lo + int64(i)
+		}
+		if _, err := id.Int64sAt(nil, ids, &in); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(in.held) != 1 {
+		t.Fatalf("ascending batches hold %d baskets, want 1", len(in.held))
+	}
+	rng := rand.New(rand.NewSource(5))
+	shuffled := func(size int) []int64 {
+		ids := make([]int64, size)
+		for i := range ids {
+			ids[i] = rng.Int63n(n)
+			if i%3 == 2 {
+				ids[i] = ids[rng.Intn(i)] // a repeat
+			}
+		}
+		return ids
+	}
+	for round := range 20 {
+		ids := shuffled(300)
+		iv, err := id.Int64sAt(nil, ids, &in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fv, err := eta.Float64sAt(nil, ids, &fin)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.Pool().Len() != 0 {
+			t.Fatalf("round %d: a gather filled the buffer pool", round)
+		}
+		for i, x := range ids {
+			pi, err := id.Int64At(x)
+			if err != nil || pi != iv[i] {
+				t.Fatalf("round %d: id[%d] gathered %d, Int64At %d (%v)", round, x, iv[i], pi, err)
+			}
+			pf, err := eta.Float64At(x)
+			if err != nil || math.Float64bits(pf) != math.Float64bits(fv[i]) {
+				t.Fatalf("round %d: eta[%d] gathered %v, Float64At %v (%v)", round, x, fv[i], pf, err)
+			}
+		}
+		f.Pool().Reset()
+	}
+	if want := (n + basket - 1) / basket; len(in.held) != want || len(fin.held) != want {
+		t.Fatalf("readers hold %d and %d baskets, want %d", len(in.held), len(fin.held), want)
+	}
+	poison(&in)
+	poison(&fin)
+	ids := shuffled(n)
+	iv, err := id.Int64sAt(nil, ids, &in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fv, err := eta.Float64sAt(nil, ids, &fin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, x := range ids {
+		if iv[i] != -1 || math.Float64bits(fv[i]) != math.MaxUint64 {
+			t.Fatalf("entry %d read %d and %v: its basket was inflated again", x, iv[i], fv[i])
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, func() {
+		if _, err := id.Int64sAt(make([]int64, 0, 8), []int64{7, 8, 9, 900}, &in); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > 1 { // the one is dst
+		t.Fatalf("a gather from held baskets allocates %v times", allocs)
+	}
+
+	// Two entries a basket: a reader reaching every basket holds maxInflated.
+	const many = 2 * (maxInflated + 40)
+	f, err = Parse(buildFile(t, Options{BasketEntries: 2, Compress: true}, many))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, _ = f.Tree("events")
+	id, _ = tr.Branch("eventID")
+	var lru Inflated
+	for range 3 {
+		ids := make([]int64, many)
+		for i, x := range rng.Perm(many) {
+			ids[i] = int64(x)
+		}
+		got, err := id.Int64sAt(nil, ids, &lru)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, x := range ids {
+			if got[i] != x {
+				t.Fatalf("entry %d read %d past the held bound", x, got[i])
+			}
+		}
+	}
+	if len(lru.held) != maxInflated {
+		t.Fatalf("a reader of %d baskets holds %d, want %d", many/2, len(lru.held), maxInflated)
 	}
 }
 
@@ -152,7 +289,7 @@ func TestReadPropertyMatchesPointwise(t *testing.T) {
 			}
 			ids = append(ids, int64(c)%37)
 		}
-		vec, err := id.Int64sAt(nil, ids)
+		vec, err := id.Int64sAt(nil, ids, new(Inflated))
 		if err != nil || len(vec) != len(ids) {
 			return false
 		}
@@ -213,9 +350,9 @@ func TestBufferPoolBehaviour(t *testing.T) {
 func TestBufferPoolEviction(t *testing.T) {
 	p := NewBufferPool(2)
 	b := &Branch{}
-	p.Put(b, 0, &DecodedBasket{})
-	p.Put(b, 1, &DecodedBasket{})
-	p.Put(b, 2, &DecodedBasket{}) // evicts basket 0
+	p.Put(b, 0, []byte{0})
+	p.Put(b, 1, []byte{0})
+	p.Put(b, 2, []byte{0}) // evicts basket 0
 	if p.Len() != 2 {
 		t.Fatalf("Len = %d", p.Len())
 	}
@@ -225,9 +362,9 @@ func TestBufferPoolEviction(t *testing.T) {
 	if p.Get(b, 2) == nil || p.Get(b, 1) == nil {
 		t.Fatal("baskets 1 and 2 should be cached")
 	}
-	p.SetCapacity(1)
-	if p.Len() != 1 {
-		t.Fatalf("Len after shrink = %d", p.Len())
+	p.Put(b, 3, []byte{0}) // evicts basket 2, reached before 1
+	if p.Get(b, 2) != nil || p.Get(b, 1) == nil || p.Len() != 2 {
+		t.Fatal("basket 2 should have been evicted, basket 1 kept")
 	}
 }
 
@@ -372,28 +509,78 @@ func FuzzRootParse(f *testing.F) {
 	})
 }
 
-// checkGather reads ids of br in one gather and entry by entry; where the
-// gather succeeds every value must equal the point read, and a point read
-// may fail only where the gather did.
+// gatherBits reads ids of br in one gather, as the values' bits.
+func gatherBits(br *Branch, ids []int64, in *Inflated) ([]uint64, error) {
+	var bits []uint64
+	if br.Type == vector.Int64 {
+		v, err := br.Int64sAt(nil, ids, in)
+		for _, x := range v {
+			bits = append(bits, uint64(x))
+		}
+		return bits, err
+	}
+	v, err := br.Float64sAt(nil, ids, in)
+	for _, x := range v {
+		bits = append(bits, math.Float64bits(x))
+	}
+	return bits, err
+}
+
+// checkGather reads ids (0, 1, ...) of br in one gather and entry by entry;
+// where the gather succeeds every value must equal the point read, and a point
+// read may fail only where the gather did. The ids shuffled, each followed by
+// a random one of them, read the same values through one Inflated in two
+// gathers, and a third gather of them inflates no basket the Inflated holds.
 func checkGather(t *testing.T, br *Branch, ids []int64) {
 	t.Helper()
 	var all []float64
 	var err error
 	if br.Type == vector.Int64 {
 		var v []int64
-		v, err = br.Int64sAt(nil, ids)
+		v, err = br.Int64sAt(nil, ids, new(Inflated))
 		for _, x := range v {
 			all = append(all, float64(x))
 		}
 	} else {
-		all, err = br.Float64sAt(nil, ids)
+		all, err = br.Float64sAt(nil, ids, new(Inflated))
+	}
+	if err == nil && len(ids) > 0 {
+		want, _ := gatherBits(br, ids, new(Inflated))
+		rng := rand.New(rand.NewSource(int64(len(ids))))
+		var mixed []int64
+		for _, i := range rng.Perm(len(ids)) {
+			mixed = append(mixed, ids[i], ids[rng.Intn(len(ids))])
+		}
+		var in Inflated
+		for _, part := range [][]int64{mixed[:len(mixed)/2], mixed[len(mixed)/2:]} {
+			got, gerr := gatherBits(br, part, &in)
+			if gerr != nil {
+				t.Fatalf("branch %q: unordered gather failed where the ordered one did not: %v", br.Name, gerr)
+			}
+			for k, id := range part {
+				if got[k] != want[id] {
+					t.Fatalf("branch %q entry %d: unordered gather %x, ordered %x", br.Name, id, got[k], want[id])
+				}
+			}
+		}
+		// Below the bound nothing is dropped, so what is held is read as held.
+		if br.file.compressed && len(br.baskets) <= maxInflated {
+			held := maps.Clone(in.at)
+			poison(&in)
+			got, _ := gatherBits(br, mixed, &in)
+			for k, id := range mixed {
+				if _, ok := held[br.basketFor(id)]; ok && got[k] != math.MaxUint64 {
+					t.Fatalf("branch %q entry %d: its held basket was inflated again", br.Name, id)
+				}
+			}
+		}
 	}
 	for _, id := range ids {
 		var x float64
 		var perr error
 		if br.Type == vector.Int64 {
 			var v []int64
-			if v, perr = br.Int64sAt(nil, []int64{id}); perr == nil {
+			if v, perr = br.Int64sAt(nil, []int64{id}, new(Inflated)); perr == nil {
 				var pv int64
 				if pv, perr = br.Int64At(id); perr == nil && pv != v[0] {
 					t.Fatalf("branch %q entry %d: gather %d, Int64At %d", br.Name, id, v[0], pv)
@@ -402,7 +589,7 @@ func checkGather(t *testing.T, br *Branch, ids []int64) {
 			}
 		} else {
 			var v []float64
-			if v, perr = br.Float64sAt(nil, []int64{id}); perr == nil {
+			if v, perr = br.Float64sAt(nil, []int64{id}, new(Inflated)); perr == nil {
 				var pv float64
 				if pv, perr = br.Float64At(id); perr == nil && math.Float64bits(pv) != math.Float64bits(v[0]) {
 					t.Fatalf("branch %q entry %d: gather %v, Float64At %v", br.Name, id, v[0], pv)
@@ -416,12 +603,6 @@ func checkGather(t *testing.T, br *Branch, ids []int64) {
 	}
 }
 
-func TestOpenMissingFile(t *testing.T) {
-	if _, err := Open("/nonexistent/file.root"); err == nil {
-		t.Fatal("expected error")
-	}
-}
-
 func TestDropCaches(t *testing.T) {
 	data := buildFile(t, Options{BasketEntries: 8}, 20)
 	f, _ := Parse(data)
@@ -431,8 +612,8 @@ func TestDropCaches(t *testing.T) {
 	if f.Pool().Len() == 0 {
 		t.Fatal("pool should be warm")
 	}
-	f.DropCaches()
+	f.Pool().Reset()
 	if f.Pool().Len() != 0 {
-		t.Fatal("pool should be empty after DropCaches")
+		t.Fatal("pool should be empty after Reset")
 	}
 }

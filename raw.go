@@ -42,7 +42,6 @@ import (
 	"rawdb/internal/engine"
 	"rawdb/internal/obs"
 	"rawdb/internal/posmap"
-	"rawdb/internal/storage/rootfile"
 	"rawdb/internal/vector"
 )
 
@@ -57,11 +56,8 @@ const (
 	Bytes   = vector.Bytes
 )
 
-// Column declares one field of a table schema.
-type Column struct {
-	Name string
-	Type Type
-}
+// Column declares one field of a table schema: a Name and a Type.
+type Column = catalog.Column
 
 // Strategy selects how queries access raw data. See the Config documentation.
 type Strategy = engine.Strategy
@@ -107,11 +103,12 @@ type Config struct {
 	// Parallelism is the number of worker goroutines queries fan out over
 	// (morsel-driven parallel scans, partial/final aggregation, shared-build
 	// hash joins). Values <= 1 keep every query serial. The only queries that
-	// still fall back to the serial plan are those over ROOT tables and files
-	// too small to split into two morsels; every fallback carries a
-	// structured reason in Stats.ParallelFallback, Explain output, and a
-	// lifecycle event, and results are bit-identical either way (float SUM
-	// and AVG use exact summation in both plans).
+	// still fall back to the serial plan are those over files too small to
+	// split into two morsels; every fallback carries a structured reason in
+	// Stats.ParallelFallback, Explain output, and a lifecycle event, and
+	// results are bit-identical either way (float SUM and AVG use exact
+	// summation in both plans, and NaN sorts above every number in MIN and
+	// MAX).
 	Parallelism int
 	// DisableShredCache turns off column-shred capture and reuse.
 	DisableShredCache bool
@@ -277,23 +274,15 @@ func NewEngine(cfg Config) *Engine {
 	})}
 }
 
-func cols(schema []Column) []catalog.Column {
-	out := make([]catalog.Column, len(schema))
-	for i, c := range schema {
-		out[i] = catalog.Column{Name: c.Name, Type: c.Type}
-	}
-	return out
-}
-
 // RegisterCSV registers a CSV file as a queryable table. Registration only
 // records metadata; the file is read lazily by the first query.
 func (e *Engine) RegisterCSV(name, path string, schema []Column) error {
-	return e.e.RegisterCSV(name, path, cols(schema))
+	return e.e.RegisterCSV(name, path, schema)
 }
 
 // RegisterCSVData registers an in-memory CSV image.
 func (e *Engine) RegisterCSVData(name string, data []byte, schema []Column) error {
-	return e.e.RegisterCSVData(name, data, cols(schema))
+	return e.e.RegisterCSVData(name, data, schema)
 }
 
 // RegisterJSON registers a newline-delimited JSON file (one object per
@@ -304,12 +293,12 @@ func (e *Engine) RegisterCSVData(name string, data []byte, schema []Column) erro
 // lazily by the first query, which also builds a structural index over the
 // touched paths so later queries jump straight to the needed fields.
 func (e *Engine) RegisterJSON(name, path string, schema []Column) error {
-	return e.e.RegisterJSON(name, path, cols(schema))
+	return e.e.RegisterJSON(name, path, schema)
 }
 
 // RegisterJSONData registers an in-memory JSONL image.
 func (e *Engine) RegisterJSONData(name string, data []byte, schema []Column) error {
-	return e.e.RegisterJSONData(name, data, cols(schema))
+	return e.e.RegisterJSONData(name, data, schema)
 }
 
 // FileFormat identifies the concrete format of a dataset partition.
@@ -333,53 +322,48 @@ const (
 // excludes pruned before their file is even opened (Stats.PartitionsSkipped)
 // — and concatenate results in path order.
 func (e *Engine) RegisterDataset(name, pattern string, schema []Column) error {
-	return e.e.RegisterDataset(name, pattern, cols(schema))
+	return e.e.RegisterDataset(name, pattern, schema)
 }
 
 // RegisterDatasetFormat is RegisterDataset with every partition forced to
 // one format regardless of file extension.
 func (e *Engine) RegisterDatasetFormat(name, pattern string, format FileFormat, schema []Column) error {
-	return e.e.RegisterDatasetFormat(name, pattern, format, cols(schema))
+	return e.e.RegisterDatasetFormat(name, pattern, format, schema)
 }
 
-// DatasetPart is one in-memory partition for RegisterDatasetParts.
-type DatasetPart struct {
-	Format FileFormat
-	Data   []byte
-}
+// DatasetPart is one in-memory partition for RegisterDatasetParts: a Format
+// and its Data.
+type DatasetPart = engine.DataPart
 
 // RegisterDatasetParts registers a dataset whose partitions are in-memory
 // raw images, in slice order (tests, benchmarks, harnesses).
 func (e *Engine) RegisterDatasetParts(name string, parts []DatasetPart, schema []Column) error {
-	eps := make([]engine.DataPart, len(parts))
-	for i, p := range parts {
-		eps[i] = engine.DataPart{Format: p.Format, Data: p.Data}
-	}
-	return e.e.RegisterDatasetParts(name, eps, cols(schema))
+	return e.e.RegisterDatasetParts(name, parts, schema)
 }
 
 // RegisterBinary registers a fixed-width binary file (see package
 // internal/storage/binfile for the format).
 func (e *Engine) RegisterBinary(name, path string, schema []Column) error {
-	return e.e.RegisterBinary(name, path, cols(schema))
+	return e.e.RegisterBinary(name, path, schema)
 }
 
 // RegisterBinaryData registers an in-memory binary image.
 func (e *Engine) RegisterBinaryData(name string, data []byte, schema []Column) error {
-	return e.e.RegisterBinaryData(name, data, cols(schema))
+	return e.e.RegisterBinaryData(name, data, schema)
 }
 
 // RegisterRoot registers one tree of a ROOT-like scientific file as a table.
 // The schema may be partial: only declared branches are visible, so files
 // with thousands of attributes need not be described in full.
 func (e *Engine) RegisterRoot(name, path, tree string, schema []Column) error {
-	return e.e.RegisterRoot(name, path, tree, cols(schema))
+	return e.e.RegisterRoot(name, path, tree, schema)
 }
 
-// RegisterRootFile registers a tree of an already-open ROOT-like file; all
-// tables registered from one file share its buffer pool.
-func (e *Engine) RegisterRootFile(name string, f *rootfile.File, tree string, schema []Column) error {
-	return e.e.RegisterRootFile(name, f, tree, cols(schema))
+// RegisterRootData registers one tree of an in-memory ROOT-like image. Every
+// tree of one image may be registered from the same slice, which is not
+// copied.
+func (e *Engine) RegisterRootData(name string, data []byte, tree string, schema []Column) error {
+	return e.e.RegisterRootData(name, data, tree, schema)
 }
 
 // RegisterResult registers a previous query result as an in-memory table,
@@ -452,9 +436,9 @@ func (e *Engine) Explain(src string, opts Options) (string, error) {
 	return e.e.Explain(src, opts)
 }
 
-// DropCaches clears all query-derived state (positional maps, column shreds,
-// generated access paths, loaded columns, file buffer pools), simulating a
-// cold start. The persistent vault (Config.CacheDir) is not touched: it is
+// DropCaches clears all query-derived state (positional maps, structural
+// indexes, column shreds, zone maps, loaded columns), simulating a cold
+// start. The persistent vault (Config.CacheDir) is not touched: it is
 // only read at Register* time.
 func (e *Engine) DropCaches() { e.e.DropCaches() }
 
