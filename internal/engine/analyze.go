@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 
 	"rawdb/internal/exec"
@@ -370,6 +371,26 @@ func (r *resolvedQuery) neededColumns() (filterCols, outputCols [][]int) {
 	}
 	r.filterCols, r.outputCols = filterCols, outputCols
 	return filterCols, outputCols
+}
+
+// readAbove reports whether an item, a HAVING clause, a group key or a join
+// reads column c of table t.
+func (r *resolvedQuery) readAbove(t, c int) bool {
+	ref := boundRef{t, c}
+	if r.join != nil {
+		return true
+	}
+	for _, it := range r.items {
+		if !it.star && it.ref == ref {
+			return true
+		}
+	}
+	for _, h := range r.having {
+		if !h.item.star && h.item.ref == ref {
+			return true
+		}
+	}
+	return slices.Contains(r.groupBy, ref)
 }
 
 func sortInts(s []int) {

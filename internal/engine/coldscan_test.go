@@ -16,6 +16,7 @@ import (
 	"rawdb/internal/exec"
 	"rawdb/internal/faults"
 	"rawdb/internal/jsonidx"
+	"rawdb/internal/offsets"
 	"rawdb/internal/posmap"
 	"rawdb/internal/shred"
 	"rawdb/internal/vector"
@@ -219,16 +220,11 @@ const coldScanQuery = "SELECT MAX(col2), COUNT(*) FROM t WHERE col1 < 5000"
 // fragment and captures adopted and clipped) and parallel (a hint per span,
 // fragments linked, captures merged into exactly-sized destinations): what
 // the cold query publishes holds at most 5 % spare capacity, whether the
-// estimate ran high or low, and a capture keyed by row ids (a partial column)
-// is not sized for the table.
+// estimate ran high or low (shreds: at most 5 % above their values encoded
+// serially), and a capture keyed by row ids (a partial column) is not sized
+// for the table.
 func TestColdScanStructuresAllocatedOnce(t *testing.T) {
 	const rows = 20000
-	slack := func(t *testing.T, what string, length, capacity int) {
-		t.Helper()
-		if length != rows || capacity > rows+rows/20 {
-			t.Errorf("%s: len %d cap %d, want len %d and cap <= 1.05 x len", what, length, capacity, rows)
-		}
-	}
 	for _, format := range []catalog.Format{catalog.CSV, catalog.JSON} {
 		for _, workers := range []int{1, 4} {
 			for _, wideFirst := range []bool{true, false} { // the estimate runs low, then high
@@ -277,7 +273,9 @@ func TestColdScanStructuresAllocatedOnce(t *testing.T) {
 						if !s.Full() {
 							t.Fatalf("cold capture of %s is partial", s.Key())
 						}
-						slack(t, "shred "+s.Key().String(), s.Len(), cap(s.Vector().Int64s))
+						if got, ref := s.SizeBytes(), narrowBytes(s.Values().Int64s); s.Len() != rows || got > ref+ref/20 {
+							t.Errorf("shred %s: %d rows in %d bytes, want %d rows in at most 1.05 x %d", s.Key(), s.Len(), got, rows, ref)
+						}
 					}
 					if workers > 1 {
 						return // the parallel plan reads col3 in full next
@@ -291,8 +289,8 @@ func TestColdScanStructuresAllocatedOnce(t *testing.T) {
 					if s == nil || s.Full() {
 						t.Fatalf("late capture of col3: %v", s)
 					}
-					if c := cap(s.Vector().Int64s); c >= rows {
-						t.Errorf("partial capture of %d rows holds capacity for %d", s.Len(), c)
+					if got, ref := s.SizeBytes(), narrowBytes(s.Values().Int64s)+narrowBytes(s.RowIDs()); got > ref+ref/20 {
+						t.Errorf("partial capture of %d rows holds %d bytes, %d encoded serially", s.Len(), got, ref)
 					}
 				})
 			}
@@ -470,20 +468,22 @@ func TestCancelledParallelColdJSONPublishesNothing(t *testing.T) {
 }
 
 // TestMorselCaptureReserve checks the capture tee captureCols uses for full
-// columns, in isolation: an exact reservation is the very buffer that gets
-// published, an overshoot is clipped to within 5 % of the length, several
-// captures concatenate in span order, and a capture the plan did not drain
-// publishes nothing.
+// columns, in isolation. A flat (Float64) column: an exact reservation is the
+// very buffer that gets published, an overshoot is clipped to within 5 % of
+// the length, and several captures concatenate in span order. An Int64
+// column is encoded as it comes, and several captures link in span order
+// into a column within 5 % of one encoded serially. A capture the plan did
+// not drain publishes nothing.
 func TestMorselCaptureReserve(t *testing.T) {
 	const rows = 5000
-	tab := &catalog.Table{Name: "t", Schema: []catalog.Column{{Name: "a", Type: vector.Int64}}}
-	vals := vector.New(vector.Int64, rows)
+	ints, floats := vector.New(vector.Int64, rows), vector.New(vector.Float64, rows)
 	for i := 0; i < rows; i++ {
-		vals.AppendInt64(int64(3 * i))
+		ints.AppendInt64(int64(3 * i))
+		floats.AppendFloat64(float64(3 * i))
 	}
-	capture := func(lo, hi, reserve int) *morselCapture {
+	capture := func(vals *vector.Vector, lo, hi, reserve int) *morselCapture {
 		t.Helper()
-		child, err := exec.NewMemScan(vector.Schema{{Name: "a", Type: vector.Int64}},
+		child, err := exec.NewMemScan(vector.Schema{{Name: "a", Type: vals.Type}},
 			[]*vector.Vector{vals.Slice(lo, hi)}, 512)
 		if err != nil {
 			t.Fatal(err)
@@ -493,57 +493,67 @@ func TestMorselCaptureReserve(t *testing.T) {
 	publish := func(caps ...*morselCapture) *shred.Shred {
 		t.Helper()
 		e := newTestEngine(t, Config{Parallelism: 1})
+		tab := &catalog.Table{Name: "t", Schema: []catalog.Column{{Name: "a", Type: caps[0].child.Schema()[0].Type}}}
 		e.newRecord(Options{}).newPlanCtx(context.Background()).putTee(tee{tab, []int{0}, caps})
 		return e.shreds.Lookup(shred.Key{Table: "t", Col: 0})
 	}
-	check := func(what string, s *shred.Shred) []int64 {
+	check := func(what string, s *shred.Shred) *vector.Vector {
 		t.Helper()
 		if s == nil || !s.Full() || s.Len() != rows {
 			t.Fatalf("%s: published %v", what, s)
 		}
-		got := s.Vector().Int64s
-		for i, v := range got {
-			if v != int64(3*i) {
-				t.Fatalf("%s: value %d = %d, want %d", what, i, v, 3*i)
+		got := s.Values()
+		for i := range rows {
+			if v := got.Value(i); v != int64(3*i) && v != float64(3*i) {
+				t.Fatalf("%s: value %d = %v, want %d", what, i, v, 3*i)
 			}
 		}
 		return got
 	}
-
-	mc := capture(0, rows, rows)
-	if _, err := exec.Collect(mc); err != nil {
-		t.Fatal(err)
+	drain := func(caps ...*morselCapture) {
+		t.Helper()
+		for _, mc := range caps {
+			if _, err := exec.Collect(mc); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
-	filled := &mc.vecs[0].Int64s[0]
-	got := check("exact reservation", publish(mc))
+
+	mc := capture(floats, 0, rows, rows)
+	drain(mc)
+	filled := &mc.vecs[0].Float64s[0]
+	got := check("exact reservation", publish(mc)).Float64s
 	if cap(got) != rows || &got[0] != filled {
 		t.Errorf("exact reservation: cap %d (want %d), adopted the capture's buffer: %v", cap(got), rows, &got[0] == filled)
 	}
 	for _, reserve := range []int{0, rows / 3, rows + rows/50, 4 * rows} {
-		mc := capture(0, rows, reserve)
-		if _, err := exec.Collect(mc); err != nil {
-			t.Fatal(err)
-		}
-		got := check(fmt.Sprintf("reservation of %d", reserve), publish(mc))
+		mc := capture(floats, 0, rows, reserve)
+		drain(mc)
+		got := check(fmt.Sprintf("reservation of %d", reserve), publish(mc)).Float64s
 		if cap(got) > rows+rows/20 {
 			t.Errorf("reservation of %d for %d rows: published cap %d exceeds 1.05 x len", reserve, rows, cap(got))
 		}
 	}
-
-	a, b := capture(0, rows/3, 0), capture(rows/3, rows, 0)
-	for _, mc := range []*morselCapture{b, a} { // completion order is not span order
-		if _, err := exec.Collect(mc); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := check("two spans", publish(a, b)); cap(got) != rows {
+	a, b := capture(floats, 0, rows/3, 0), capture(floats, rows/3, rows, 0)
+	drain(b, a) // completion order is not span order
+	if got := check("two spans", publish(a, b)).Float64s; cap(got) != rows {
 		t.Errorf("two spans: merged cap %d, want exactly %d", cap(got), rows)
 	}
 
-	a, b = capture(0, rows/3, 0), capture(rows/3, rows, 0)
-	if _, err := exec.Collect(a); err != nil {
-		t.Fatal(err)
+	serial := narrowBytes(ints.Int64s)
+	a, b = capture(ints, 0, rows/3, 0), capture(ints, rows/3, rows, 0)
+	drain(b, a)
+	mc = capture(ints, 0, rows, rows)
+	drain(mc)
+	for what, s := range map[string]*shred.Shred{"one Int64 span": publish(mc), "two Int64 spans": publish(a, b)} {
+		check(what, s)
+		if got := s.SizeBytes(); got > serial+serial/20 {
+			t.Errorf("%s: %d bytes, %d encoded serially", what, got, serial)
+		}
 	}
+
+	a, b = capture(ints, 0, rows/3, 0), capture(ints, rows/3, rows, 0)
+	drain(a)
 	if err := b.Open(); err != nil {
 		t.Fatal(err)
 	}
@@ -554,6 +564,16 @@ func TestMorselCaptureReserve(t *testing.T) {
 	if s := publish(a, b); s != nil {
 		t.Errorf("an undrained capture published %v", s)
 	}
+}
+
+// narrowBytes is what vals take encoded serially into one chunked column.
+func narrowBytes(vals []int64) int64 {
+	c := offsets.New(nil)
+	for _, v := range vals {
+		c.Append(v)
+	}
+	c.Clip()
+	return c.Bytes()
 }
 
 // TestColdJSONValueNeverSpansRows feeds the cold JSON scan rows whose first

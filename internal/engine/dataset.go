@@ -277,7 +277,11 @@ func (pc *planCtx) prunePartition(syn *synopsis.Synopsis, preds []boundPred) boo
 		return false
 	}
 	skip := synSkip(syn, preds)
-	return skip != nil && skip(0, syn.NRows())
+	if skip == nil {
+		return false
+	}
+	defer skip.Close()
+	return skip.Excludes(0, syn.NRows())
 }
 
 // scanCols returns the columns a cut scan of table t materialises, which is

@@ -3,13 +3,16 @@ package engine
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 
 	"rawdb/internal/catalog"
 	"rawdb/internal/exec"
 	"rawdb/internal/insitu"
 	"rawdb/internal/obs"
+	"rawdb/internal/offsets"
 	"rawdb/internal/shred"
+	"rawdb/internal/synopsis"
 	"rawdb/internal/vector"
 )
 
@@ -59,13 +62,14 @@ func (pc *planCtx) gather(p *pipe, name string, under ...*obs.Span) error {
 // test itself, per batch range: a lone range is not even tested, and when
 // every range is excluded the first is kept (operator shapes need one part)
 // for its scan to empty.
-func skipMorsels(ranges []span, skip func(lo, hi int64) bool) (kept []span, skipped int) {
+func skipMorsels(ranges []span, skip *synopsis.Test) (kept []span, skipped int) {
 	if skip == nil || len(ranges) < 2 {
 		return ranges, 0
 	}
+	defer skip.Close()
 	kept = make([]span, 0, len(ranges))
 	for _, rr := range ranges {
-		if !skip(rr.lo, rr.hi) {
+		if !skip.Excludes(rr.lo, rr.hi) {
 			kept = append(kept, rr)
 		}
 	}
@@ -85,29 +89,35 @@ func colSchema(tab *catalog.Table, cols []int) vector.Schema {
 }
 
 // residentScans builds one (predicate-absorbing) MemScan per span over
-// resident vectors aligned with cols: a memory table's or the DBMS baseline's
-// loaded columns, or full column shreds. preds are bound to the output slots;
-// skip, when non-nil, tests ranges of table rows. emitRID (whole-table scans
-// only) appends the hidden row-id column.
-func residentScans(tab *catalog.Table, cols []int, vecs []*vector.Vector, spans []span,
-	preds []exec.Pred, skip func(lo, hi int64) bool, bs int, emitRID bool) ([]exec.Operator, error) {
+// resident columns: a memory table's or the DBMS baseline's loaded vectors,
+// or full column shreds. The scans emit the first len(cols) of res, aligned
+// with cols; the others are read only by preds, which are bound to res.
+// skip, when non-nil, tests ranges of table rows, each scan through its own
+// (scanSkip). emitRID (whole-table scans only) appends the hidden row-id
+// column. A scan that prunes is a prune probe.
+func (pc *planCtx) residentScans(tab *catalog.Table, cols []int, res []exec.Column, spans []span,
+	preds []exec.Pred, skip *synopsis.Test, emitRID bool) ([]exec.Operator, error) {
 	schema := colSchema(tab, cols)
 	if emitRID {
 		schema = append(schema, vector.Col{Name: insitu.RowIDColumn, Type: vector.Int64})
 	}
 	parts := make([]exec.Operator, 0, len(spans))
 	for _, sp := range spans {
-		part, base := vecs, int64(0)
+		part, base := res, int64(0)
 		if sp != wholeTable {
 			base = sp.lo
-			part = make([]*vector.Vector, len(vecs))
-			for i, v := range vecs {
-				part[i] = v.Slice(int(sp.lo), int(sp.hi))
+			part = make([]exec.Column, len(res))
+			for i, c := range res {
+				part[i] = c.Slice(int(sp.lo), int(sp.hi))
 			}
 		}
-		ms, err := exec.NewMemScanPred(schema, part, bs, preds, base, skip)
+		test, zone := scanSkip(skip, len(spans))
+		ms, err := exec.NewMemScanPred(schema, part, emitRID, pc.e.cfg.BatchSize, preds, base, test)
 		if err != nil {
 			return nil, err
+		}
+		if len(preds) > 0 || skip != nil {
+			pc.probes = append(pc.probes, pruneProbe{scan: ms, zone: zone})
 		}
 		parts = append(parts, ms)
 	}
@@ -115,19 +125,27 @@ func residentScans(tab *catalog.Table, cols []int, vecs []*vector.Vector, spans 
 }
 
 // morselCapture tees the columns of one scan part at pos — the rows each
-// batch's selection keeps — into private vectors (copies: batches are reused
-// by the scans beneath), with their row ids from column rid (-1: none, the
-// part is a span of whole rows in table order). publishTees puts them into
-// the shred pool when the query succeeded — merge on completion, so workers
-// never write shared cache state and a failed query installs nothing.
+// batch's selection keeps — with their row ids from column rid (-1: none,
+// the part is a span of whole rows in table order). Int64 columns and the
+// row ids are encoded into chunked columns as they come, on the part's
+// worker; other types are copied into flat vectors (batches are reused by the
+// scans beneath). publishTees puts them into the shred pool when the query
+// succeeded — merge on completion, so workers never write shared cache state
+// and a failed query installs nothing.
 type morselCapture struct {
 	child   exec.Operator
 	pos     []int
 	rid     int
 	reserve int // rows to allocate for at Open (the span's row hint)
-	vecs    []*vector.Vector
-	rids    []int64
-	// eof says the child was drained: only then are vecs complete.
+	// vecs and ints are the captured columns: ints[i] for an Int64 one,
+	// vecs[i] for any other.
+	vecs []*vector.Vector
+	ints []*offsets.Column
+	rids *offsets.Column
+	// ordered says the row ids ascend strictly, from first to last.
+	ordered     bool
+	first, last int64
+	// eof says the child was drained: only then are the columns complete.
 	eof bool
 }
 
@@ -161,47 +179,53 @@ func (pc *planCtx) publishTees() {
 
 // putTee puts the columns t teed into the shred pool, as full columns or
 // keyed by the row ids it teed, reports each shred they replace as evicted,
-// and returns the ones the pool installed. One capture is adopted as it
-// filled, clipped; several concatenate into a column allocated at its final
-// size. Row ids a tee above a join saw in probe order, a row repeated per
-// match, are sorted and made distinct first, each keeping its row's values.
-// A capture the plan did not drain holds no complete column: nothing is put.
+// and returns the ones the pool installed. The parts' chunked columns are
+// linked, not copied (one part's is adopted), and flat ones concatenate into
+// a vector allocated at its final size. Row ids a tee above a join saw in
+// probe order, a row repeated per match, are sorted and made distinct first,
+// each keeping its row's values: those columns are decoded and put flat. A
+// capture the plan did not drain holds no complete column: nothing is put.
 func (pc *planCtx) putTee(t tee) (installed []*shred.Shred) {
+	ordered, last := true, int64(math.MinInt64)
 	for _, mc := range t.caps {
 		if !mc.eof {
 			return nil
 		}
+		if mc.rids.Len() > 0 {
+			ordered = ordered && mc.ordered && mc.first > last
+			last = mc.last
+		}
 	}
+	var rows *offsets.Column
 	var rids []int64
-	if t.caps[0].rid >= 0 {
+	var sel []int32
+	switch {
+	case t.caps[0].rid < 0:
+	case ordered:
 		// Never nil: nil row ids mean the full column, and zero rows cached
 		// as the full column would erase it for every later query.
+		rows = link(t.caps, func(mc *morselCapture) *offsets.Column { return mc.rids })
+	default:
 		rids = []int64{}
 		for _, mc := range t.caps {
-			rids = append(rids, mc.rids...)
+			rids = append(rids, mc.rids.Decode(nil, 0, mc.rids.Len())...)
 		}
+		rids, sel = distinctRowIDs(rids)
 	}
-	rids, sel := distinctRowIDs(rids)
 	for ci, c := range t.cols {
-		vec := t.caps[0].vecs[ci]
-		if len(t.caps) > 1 {
-			total := 0
-			for _, mc := range t.caps {
-				total += mc.vecs[ci].Len()
-			}
-			vec = vector.New(vec.Type, total)
-			for _, mc := range t.caps {
-				vec.AppendVector(mc.vecs[ci])
-			}
-		} else {
-			vec.Clip()
-		}
-		if sel != nil {
+		key := shred.Key{Table: t.tab.Name, Col: c}
+		var s, replaced *shred.Shred
+		switch ints := t.caps[0].ints[ci]; {
+		case ints != nil && sel == nil:
+			s, replaced = pc.e.shreds.PutNarrow(key, rows, link(t.caps, func(mc *morselCapture) *offsets.Column { return mc.ints[ci] }), nil)
+		case sel == nil:
+			s, replaced = pc.e.shreds.PutNarrow(key, rows, nil, concatVecs(t.caps, ci))
+		default:
+			vec := concatVecs(t.caps, ci)
 			sorted := vector.New(vec.Type, len(sel))
 			sorted.Gather(vec, sel)
-			vec = sorted
+			s, replaced = pc.e.shreds.Put(key, rids, sorted)
 		}
-		s, replaced := pc.e.shreds.Put(shred.Key{Table: t.tab.Name, Col: c}, rids, vec)
 		if replaced != nil {
 			pc.event(obs.EventEvicted, "shred", t.tab.Name, replaced.SizeBytes(), "replaced")
 		}
@@ -212,9 +236,50 @@ func (pc *planCtx) putTee(t tee) (installed []*shred.Shred) {
 	return installed
 }
 
+// link returns the parts' chunked columns of one kind as one, sealed: one
+// part's adopted, several linked.
+func link(caps []*morselCapture, of func(*morselCapture) *offsets.Column) *offsets.Column {
+	col := of(caps[0])
+	if len(caps) > 1 {
+		col = offsets.New(nil)
+		for _, mc := range caps {
+			col.Link(of(mc), 0)
+		}
+	}
+	col.Clip()
+	return col
+}
+
+// concatVecs returns the parts' column ci as one flat vector: one part's
+// adopted, clipped, several concatenated into a vector allocated at its final
+// size. An Int64 column is decoded.
+func concatVecs(caps []*morselCapture, ci int) *vector.Vector {
+	if ints := caps[0].ints[ci]; ints != nil {
+		vec := vector.New(vector.Int64, 0)
+		for _, mc := range caps {
+			vec.Int64s = append(vec.Int64s, mc.ints[ci].Decode(nil, 0, mc.ints[ci].Len())...)
+		}
+		return vec
+	}
+	vec := caps[0].vecs[ci]
+	if len(caps) == 1 {
+		vec.Clip()
+		return vec
+	}
+	total := 0
+	for _, mc := range caps {
+		total += mc.vecs[ci].Len()
+	}
+	vec = vector.New(vec.Type, total)
+	for _, mc := range caps {
+		vec.AppendVector(mc.vecs[ci])
+	}
+	return vec
+}
+
 // distinctRowIDs returns rids sorted ascending without repeats, and the
 // positions in rids each of them came from; sel is nil when rids already
-// ascend strictly, as every capture below a join's probe does.
+// ascend strictly.
 func distinctRowIDs(rids []int64) (out []int64, sel []int32) {
 	ordered := true
 	for i := 1; i < len(rids) && ordered; i++ {
@@ -242,20 +307,27 @@ func (c *morselCapture) Schema() vector.Schema { return c.child.Schema() }
 // Open implements exec.Operator.
 func (c *morselCapture) Open() error {
 	c.eof = false
+	schema := c.child.Schema()
 	if c.vecs == nil {
-		n := vector.DefaultBatchSize
-		if c.reserve > n {
-			n = c.reserve
-		}
 		c.vecs = make([]*vector.Vector, len(c.pos))
 		for i, at := range c.pos {
-			c.vecs[i] = vector.New(c.child.Schema()[at].Type, n)
+			if typ := schema[at].Type; typ != vector.Int64 {
+				c.vecs[i] = vector.New(typ, max(c.reserve, vector.DefaultBatchSize))
+			}
+		}
+		c.ints = make([]*offsets.Column, len(c.pos))
+	}
+	for i, v := range c.vecs {
+		if v != nil {
+			v.Reset()
+		} else {
+			c.ints[i] = offsets.New(nil)
+			c.ints[i].Reserve(c.reserve)
 		}
 	}
-	for _, v := range c.vecs {
-		v.Reset()
+	if c.rid >= 0 {
+		c.rids, c.ordered = offsets.New(nil), true
 	}
-	c.rids = c.rids[:0]
 	return c.child.Open()
 }
 
@@ -267,22 +339,43 @@ func (c *morselCapture) Next() (*vector.Batch, error) {
 		return b, err
 	}
 	for i, v := range c.vecs {
-		if b.Sel != nil {
-			v.Gather(b.Cols[c.pos[i]], b.Sel)
-		} else {
-			v.AppendVector(b.Cols[c.pos[i]])
+		col := b.Cols[c.pos[i]]
+		switch {
+		case v == nil && b.Sel == nil:
+			c.ints[i].AppendAll(col.Int64s)
+		case v == nil:
+			for _, j := range b.Sel {
+				c.ints[i].Append(col.Int64s[j])
+			}
+		case b.Sel != nil:
+			v.Gather(col, b.Sel)
+		default:
+			v.AppendVector(col)
 		}
 	}
 	if c.rid >= 0 {
 		ids := b.Cols[c.rid].Int64s
 		if b.Sel == nil {
-			c.rids = append(c.rids, ids...)
+			for _, r := range ids {
+				c.appendRID(r)
+			}
 		}
 		for _, i := range b.Sel {
-			c.rids = append(c.rids, ids[i])
+			c.appendRID(ids[i])
 		}
 	}
 	return b, nil
+}
+
+// appendRID appends row id r, and notes whether the ids still ascend.
+func (c *morselCapture) appendRID(r int64) {
+	if c.rids.Len() == 0 {
+		c.first = r
+	} else {
+		c.ordered = c.ordered && r > c.last
+	}
+	c.last = r
+	c.rids.Append(r)
 }
 
 // Close implements exec.Operator.

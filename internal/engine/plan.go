@@ -109,10 +109,12 @@ func (u *unitPlan) whole() bool { return len(u.spans) == 1 && u.spans[0] == whol
 type scanStep struct {
 	late bool
 	// cols are the columns the step reads itself: a base scan's resident
-	// vectors (labelled resident) or raw-file columns (read under kind through
-	// a), or those a late scan reads through the table's late reader.
+	// columns (labelled resident) or raw-file columns (read under kind through
+	// a), or those a late scan reads through the table's late reader. res
+	// are a resident scan's columns: cols', then those only its absorbed
+	// predicates read, which it does not emit.
 	cols     []int
-	vecs     []*vector.Vector
+	res      []exec.Column
 	resident string
 	kind     scanKind
 	a        access
@@ -125,7 +127,7 @@ type scanStep struct {
 	// its zone-map test and zmap says a zone map steers it.
 	push  []exec.Pred
 	npush int
-	skip  func(lo, hi int64) bool
+	skip  *synopsis.Test
 	zmap  bool
 	// synObs are what a raw scan's synopsis builders observe; tee captures its
 	// columns whole, capture keyed by row id.
@@ -195,11 +197,11 @@ func (pc *planCtx) decide(r *resolvedQuery) (plan, error) {
 						poc = append(poc, c)
 					}
 				}
-				if err := pc.cascade(u, r.filters[t], pfc, poc); err != nil {
+				if err := pc.cascade(u, r.filters[t], pfc, poc, nil); err != nil {
 					return pl, err
 				}
 			} else if r.join == nil {
-				if err := pc.cascade(u, r.filters[t], fc[t], oc[t]); err != nil {
+				if err := pc.cascade(u, r.filters[t], fc[t], oc[t], func(c int) bool { return !r.readAbove(t, c) }); err != nil {
 					return pl, err
 				}
 			} else if err := pc.joinSide(u, r.filters[t], fc[t], oc[t], &after[t]); err != nil {
@@ -243,7 +245,7 @@ func (pc *planCtx) joinSide(u *unitPlan, filters []boundPred, fc, oc []int, afte
 	}
 	sortInts(base)
 	var err error
-	if u.base, err = pc.baseStep(u, base, place != PlaceEarly && len(oc) > 0, filters, nil); err != nil {
+	if u.base, err = pc.baseStep(u, base, place != PlaceEarly && len(oc) > 0, filters, nil, nil); err != nil {
 		return err
 	}
 	if len(inter) > 0 {
@@ -351,7 +353,7 @@ func (pc *planCtx) cutUnit(pl *plan, u *unitPlan, cols []int, n, min int) error 
 			}
 		}
 		if u.shreds != nil {
-			resident, rows = "cached columns of %s yield", u.shreds[0].Vector().Len()
+			resident, rows = "cached columns of %s yield", u.shreds[0].Len()
 		}
 	}
 	if resident != "" {
@@ -434,7 +436,9 @@ func (pc *planCtx) lookup(table string, col int, full bool) *shred.Shred {
 // columns come last (one late scan each, or one for all with the multi-column
 // option). Every other plan — all full shreds, or cut, whose parts carry no
 // row ids past the exchange — reads all of its columns in the base scan.
-func (pc *planCtx) cascade(u *unitPlan, filters []boundPred, fc, oc []int) error {
+// filterOnly, when non-nil, reports whether nothing above the scan reads a
+// filter column.
+func (pc *planCtx) cascade(u *unitPlan, filters []boundPred, fc, oc []int, filterOnly func(c int) bool) error {
 	tab := u.bt.st.tab
 	late := pc.strategy == StrategyShreds && u.whole() && pc.addressable(u.bt) &&
 		len(fc) > 0 && len(fc)+len(oc) > 1
@@ -472,7 +476,7 @@ func (pc *planCtx) cascade(u *unitPlan, filters []boundPred, fc, oc []int) error
 	}
 	basePreds, latePreds := splitPreds(filters, base)
 	var err error
-	if u.base, err = pc.baseStep(u, base, late, basePreds, found[:min(len(found), len(base))]); err != nil {
+	if u.base, err = pc.baseStep(u, base, late, basePreds, found[:min(len(found), len(base))], filterOnly); err != nil {
 		return err
 	}
 	switch {
@@ -500,9 +504,11 @@ func (pc *planCtx) cascade(u *unitPlan, filters []boundPred, fc, oc []int) error
 // baseStep decides the base scan of unit u materialising cols (sorted),
 // with the hidden row-id column if needRID. The access path absorbs what it
 // can of cands, the rest is the step's filter. found are the pool's answers
-// for cols if the cascade asked; a cut plan has cutUnit's.
+// for cols if the cascade asked; a cut plan has cutUnit's. A resident scan
+// that absorbs every predicate does not emit the filter columns nothing above
+// it reads (filterOnly): it reorders cols to put them last.
 func (pc *planCtx) baseStep(u *unitPlan, cols []int, needRID bool, cands []boundPred,
-	found []*shred.Shred) (scanStep, error) {
+	found []*shred.Shred, filterOnly func(c int) bool) (scanStep, error) {
 	st, pos := u.bt.st, u.bt.pos
 	tab := st.tab
 	s := scanStep{spans: u.spans, cols: cols, filter: cands}
@@ -514,9 +520,9 @@ func (pc *planCtx) baseStep(u *unitPlan, cols []int, needRID bool, cands []bound
 		if tab.Format != catalog.Memory {
 			s.resident = "dbms:memscan"
 		}
-		s.vecs = make([]*vector.Vector, len(cols))
+		s.res = make([]exec.Column, len(cols))
 		for i, c := range cols {
-			s.vecs[i] = st.loaded[c]
+			s.res[i] = exec.Flat{V: st.loaded[c]}
 		}
 		return s, nil
 	}
@@ -545,11 +551,24 @@ func (pc *planCtx) baseStep(u *unitPlan, cols []int, needRID bool, cands []bound
 	// inside every scan and whole spans of a cut one before dispatch.
 	if s.hits == len(cols) {
 		s.resident, s.emitRID = "shred:scan", needRID
-		s.vecs = make([]*vector.Vector, len(cols))
+		s.res = make([]exec.Column, len(cols))
 		for i, sh := range found {
-			s.vecs[i] = sh.Vector()
+			s.res[i] = sh.Column()
 		}
 		if pc.pushdown {
+			// The columns only predicates read go last, and are not emitted.
+			if k := 0; !needRID && filterOnly != nil {
+				for i, c := range cols {
+					if res := s.res[i]; !slices.ContainsFunc(cands, func(bp boundPred) bool { return bp.col == c }) || !filterOnly(c) {
+						copy(cols[k+1:i+1], cols[k:i])
+						copy(s.res[k+1:i+1], s.res[k:i])
+						cols[k], s.res[k] = c, res
+						k++
+					}
+				}
+				k = max(k, 1) // a batch needs a column to carry its row count
+				s.cols = cols[:k:k]
+			}
 			s.filter, s.npush, s.push = nil, len(cands), make([]exec.Pred, len(cands))
 			for i, bp := range cands {
 				s.push[i] = exec.Pred{Col: slices.Index(cols, bp.col), Op: bp.op, I64: bp.i64, F64: bp.f64}
@@ -558,13 +577,15 @@ func (pc *planCtx) baseStep(u *unitPlan, cols []int, needRID bool, cands []bound
 		// A range is excluded only when one predicate excludes every block it
 		// overlaps: when the zone map excludes no block, the scans (and
 		// morsels) are handed no test, and unsorted columns pay nothing.
-		if syn := pos.syn; pc.zonemaps && syn != nil && syn.NRows() == int64(s.vecs[0].Len()) {
+		if syn := pos.syn; pc.zonemaps && syn != nil && syn.NRows() == int64(s.res[0].Len()) {
 			skip := synSkip(syn, cands)
-			s.zmap = skip != nil
-			for b, i := syn.Bounds(), 0; s.zmap && i+1 < len(b) && s.skip == nil; i++ {
-				if skip(b[i], b[i+1]) {
-					s.skip = skip
+			if s.zmap = skip != nil; s.zmap {
+				for b, i := syn.Bounds(), 0; i+1 < len(b) && s.skip == nil; i++ {
+					if skip.Excludes(b[i], b[i+1]) {
+						s.skip = skip
+					}
 				}
+				skip.Close()
 			}
 		}
 		s.spans, s.skipped = skipMorsels(u.spans, s.skip)
@@ -1044,10 +1065,8 @@ func (pc *planCtx) buildBase(p *pipe, t int, bt *boundTable, s *scanStep) error 
 	var err error
 	if s.resident == "" {
 		err = pc.rawScans(p, bt, s)
-	} else if p.ops, err = residentScans(tab, s.cols, s.vecs, s.spans, s.push, s.skip, pc.e.cfg.BatchSize, s.emitRID); err == nil && (len(s.push) > 0 || s.skip != nil) {
-		for _, op := range p.ops {
-			pc.probes = append(pc.probes, pruneProbe{scan: op.(*exec.MemScan)})
-		}
+	} else {
+		p.ops, err = pc.residentScans(tab, s.cols, s.res, s.spans, s.push, s.skip, s.emitRID)
 	}
 	if err != nil {
 		return err
@@ -1082,7 +1101,8 @@ func (pc *planCtx) rawScans(p *pipe, bt *boundTable, s *scanStep) error {
 	for _, sp := range s.spans {
 		hint := rowHint(st, s.a, sp)
 		req := base
-		req.span, req.rowHint, req.push = sp, hint, jit.Pushdown{Preds: s.push, Skip: s.skip}
+		skip, zone := scanSkip(s.skip, len(s.spans))
+		req.span, req.rowHint, req.push = sp, hint, jit.Pushdown{Preds: s.push, Skip: skip}
 		if s.synObs != nil {
 			req.push.Syn = synopsis.NewBuilder(pc.blockRows(), s.synObs)
 			synFrags = append(synFrags, req.push.Syn)
@@ -1095,7 +1115,9 @@ func (pc *planCtx) rawScans(p *pipe, bt *boundTable, s *scanStep) error {
 			frags = append(frags, frag)
 		}
 		if ps, ok := op.(pushStats); ok {
-			pc.probes = append(pc.probes, pruneProbe{scan: ps})
+			pc.probes = append(pc.probes, pruneProbe{scan: ps, zone: zone})
+		} else if zone != nil {
+			pc.probes = append(pc.probes, pruneProbe{zone: zone})
 		}
 		p.ops = append(p.ops, op)
 	}
@@ -1417,30 +1439,31 @@ func execPreds(bps []boundPred) []exec.Pred {
 	return out
 }
 
-// synSkip compiles the zone-map exclusion closure for a scan over rows of a
-// table: any conjunct excluding a row range (tracked columns only) lets the
-// whole range be skipped. nil when the synopsis covers no predicate column.
-func synSkip(syn *synopsis.Synopsis, preds []boundPred) func(start, end int64) bool {
-	if syn == nil {
-		return nil
-	}
-	var sps []exec.Pred
+// synSkip returns the zone-map test for a scan over rows of a table: any
+// conjunct excluding a row range (tracked columns only) lets the whole range
+// be skipped. nil when the synopsis covers no predicate column. The planner
+// tests morsels and blocks with it, closing it when done; the scans of the
+// step test their batch ranges through scanSkip.
+func synSkip(syn *synopsis.Synopsis, preds []boundPred) *synopsis.Test {
+	var buf [4]exec.Pred
+	ps := buf[:0]
 	for _, bp := range preds {
-		if syn.Tracked(bp.col) {
-			sps = append(sps, exec.Pred{Col: bp.col, Op: bp.op, I64: bp.i64, F64: bp.f64})
-		}
+		ps = append(ps, exec.Pred{Col: bp.col, Op: bp.op, I64: bp.i64, F64: bp.f64})
 	}
-	if len(sps) == 0 {
-		return nil
+	return syn.NewTest(ps)
+}
+
+// scanSkip returns one scan's skip test of a step tested by z (nil: none),
+// among parts scans, and the test to close when the attempt folds: z itself
+// for the one scan of a whole table, else a clone of its own.
+func scanSkip(z *synopsis.Test, parts int) (func(lo, hi int64) bool, *synopsis.Test) {
+	if z == nil {
+		return nil, nil
 	}
-	return func(start, end int64) bool {
-		for _, p := range sps {
-			if syn.Excludes(p, start, end) {
-				return true
-			}
-		}
-		return false
+	if parts > 1 {
+		z = z.Clone()
 	}
+	return z.Skip(), z
 }
 
 // observableCols selects the scanned columns a synopsis builder may observe:

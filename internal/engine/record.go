@@ -12,6 +12,7 @@ import (
 	"rawdb/internal/catalog"
 	"rawdb/internal/obs"
 	"rawdb/internal/shred"
+	"rawdb/internal/synopsis"
 )
 
 // One query record, many views. Everything a query does is written once, into
@@ -90,12 +91,13 @@ type queryRecord struct {
 }
 
 // pruneProbe reads one scan's runtime prune counters when its attempt folds,
-// or with fill set the rows a late scan read from the raw file for the
-// partial shreds it completed. span is the scan's trace span, assigned once
-// the scan site wraps it.
+// and closes its zone-map test, or with fill set the rows a late scan read
+// from the raw file for the partial shreds it completed. span is the scan's
+// trace span, assigned once the scan site wraps it.
 type pruneProbe struct {
 	scan         pushStats
 	fill         *shred.LateFill
+	zone         *synopsis.Test // closed, adding its counts to its synopsis
 	span         *obs.Span
 	rows, blocks int64 // as read by fold
 }
@@ -240,11 +242,17 @@ func (r *queryRecord) fold(q *resolvedQuery, err error) {
 	var filled int64
 	for i := range r.probes {
 		p := &r.probes[i]
+		if p.zone != nil {
+			p.zone.Close()
+		}
 		if p.fill != nil {
 			if n := p.fill.Filled; n > 0 {
 				filled += n
 				p.span.AddAttrInt("filled", n)
 			}
+			continue
+		}
+		if p.scan == nil {
 			continue
 		}
 		p.rows, p.blocks = p.scan.PushStats()

@@ -79,9 +79,11 @@ func TestResidentShredPlan(t *testing.T) {
 	e.budget.Remove("probe")
 
 	queryAt(t, e, q, 1) // cold again: recaptures the three full shreds
+	// Only the predicates read col2 and col3: the scan reads them, and emits
+	// col1 alone.
 	if u := plan(q); len(u.late) != 0 || u.base.resident != "shred:scan" || u.base.emitRID ||
-		!slices.Equal(u.base.cols, []int{0, 1, 2}) || !u.whole() {
-		t.Fatalf("plan %+v, want one resident shred scan of columns 0-2 without row ids", u)
+		!slices.Equal(u.base.cols, []int{0}) || len(u.base.res) != 3 || !u.whole() {
+		t.Fatalf("plan %+v, want one resident shred scan of columns 0-2, emitting column 0, without row ids", u)
 	}
 
 	// col4 is first fetched late, so only the rows col3 < 500 selected are

@@ -103,7 +103,7 @@ func TestCapturedEventsMatchPool(t *testing.T) {
 		"SELECT SUM(c) FROM t WHERE b < 10",
 	}
 	seen := map[string]bool{}
-	for _, cfg := range []Config{{Parallelism: 2}, {Parallelism: 1}, {Parallelism: 1, CacheBudget: 400 << 10}} {
+	for _, cfg := range []Config{{Parallelism: 2}, {Parallelism: 1}, {Parallelism: 1, CacheBudget: 150 << 10}} {
 		t.Run(fmt.Sprintf("workers=%d/budget=%d", cfg.Parallelism, cfg.CacheBudget), func(t *testing.T) {
 			e := newTestEngine(t, cfg)
 			for _, tab := range []string{"t", "u"} {
@@ -184,7 +184,7 @@ func TestJoinCaptureSortsRowIDs(t *testing.T) {
 		for tab, val := range value {
 			for _, s := range e.shreds.ShredsOf(tab) {
 				rids := s.RowIDs()
-				for j, v := range s.Vector().Int64s[:s.Len()] {
+				for j, v := range s.Values().Int64s {
 					rid := int64(j)
 					if !s.Full() {
 						if rid = rids[j]; j > 0 && rid <= rids[j-1] {

@@ -82,7 +82,7 @@ func encodeState(e *Engine, st *tableState) map[string][]byte {
 	if e != nil {
 		var ts []vault.TableShred
 		for _, s := range e.shreds.ShredsOf(st.tab.Name) {
-			ts = append(ts, vault.TableShred{Col: s.Key().Col, RowIDs: s.RowIDs(), Vec: s.Vector()})
+			ts = append(ts, vault.TableShred{Col: s.Key().Col, RowIDs: s.RowIDs(), Vec: s.Values()})
 		}
 		if len(ts) > 0 {
 			out["shreds"] = vault.EncodeShreds(fp, ts)

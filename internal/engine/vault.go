@@ -289,7 +289,7 @@ func (e *Engine) collectVaultWrites(st *tableState) []vaultWrite {
 			if shs := e.shreds.ShredsOf(name); len(shs) > 0 {
 				ts := make([]vault.TableShred, len(shs))
 				for i, s := range shs {
-					ts[i] = vault.TableShred{Col: s.Key().Col, RowIDs: s.RowIDs(), Vec: s.Vector()}
+					ts[i] = vault.TableShred{Col: s.Key().Col, RowIDs: s.RowIDs(), Vec: s.Values()}
 				}
 				writes = append(writes, vaultWrite{vault.KindShreds, vault.Encode(st.fp, ts)})
 				st.shredVer = v

@@ -68,7 +68,7 @@ func TestConcatPassesSelection(t *testing.T) {
 	v := vector.New(vector.Int64, 4)
 	v.Int64s = []int64{1, 9, 2, 9}
 	ms, err := NewMemScanPred(vector.Schema{{Name: "a", Type: vector.Int64}},
-		[]*vector.Vector{v}, 8, []Pred{{Col: 0, Op: Lt, I64: 5}}, 0, nil)
+		flat(v), false, 8, []Pred{{Col: 0, Op: Lt, I64: 5}}, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

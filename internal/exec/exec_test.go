@@ -63,7 +63,7 @@ func TestMemScanBatching(t *testing.T) {
 			[]batch{{0, []int32{2}}, {3, nil}}, 6},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			s, err := NewMemScanPred(c.schema, []*vector.Vector{a, b}, 3, c.preds, 0, nil)
+			s, err := NewMemScanPred(c.schema, flat(a, b), len(c.schema) > 2, 3, c.preds, 0, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -302,7 +302,7 @@ func joinDiff(bk, pk []int64, keep []bool, inBatch, outBatch int, seed int64) er
 		return err
 	}
 	pscan, err := NewMemScanPred(vector.Schema{{Name: "pk", Type: vector.Int64}, {Name: "prow", Type: vector.Int64}, {Name: "keep", Type: vector.Int64}},
-		[]*vector.Vector{intVec(pk...), rowIDs(len(pk)), keepv}, inBatch, []Pred{{Col: 2, Op: Eq, I64: 1}}, 0, nil)
+		flat(intVec(pk...), rowIDs(len(pk)), keepv), false, inBatch, []Pred{{Col: 2, Op: Eq, I64: 1}}, 0, nil)
 	if err != nil {
 		return err
 	}

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 
+	"rawdb/internal/offsets"
 	"rawdb/internal/vector"
 )
 
@@ -83,13 +84,21 @@ func rangeExcludes[T int64 | float64](mn, mx, lit T, op CmpOp) bool {
 // range exactly once, in order; a range it excluded or no row survives emits
 // nothing; a surviving range emits its rows, a selection exactly when some
 // row failed, and row ids counted from base. The scan's prune counters must
-// match. It returns how many ranges the skip excluded.
+// match. It returns how many ranges the skip excluded. With narrow set the
+// Int64 columns are read as chunked columns (Narrow); the scan emits the
+// first emit of cols, the others only predicates read.
 func checkMemScan(t *testing.T, name string, cols []*vector.Vector, preds []Pred, skip func(lo, hi int64) bool,
-	base int64, batch int, emitRID bool) int64 {
+	base int64, batch int, emitRID, narrow bool, emit int) int64 {
 	t.Helper()
-	schema := make(vector.Schema, len(cols))
-	for i, c := range cols {
+	schema := make(vector.Schema, emit)
+	for i, c := range cols[:emit] {
 		schema[i] = vector.Col{Name: fmt.Sprintf("c%d", i), Type: c.Type}
+	}
+	read := flat(cols...)
+	for i, c := range cols {
+		if narrow && c.Type == vector.Int64 {
+			read[i] = NewNarrow(encode(c.Int64s))
+		}
 	}
 	if emitRID {
 		schema = append(schema, vector.Col{Name: "rid", Type: vector.Int64})
@@ -102,7 +111,7 @@ func checkMemScan(t *testing.T, name string, cols []*vector.Vector, preds []Pred
 			return skip(lo, hi)
 		}
 	}
-	s, err := NewMemScanPred(schema, cols, batch, preds, base, logged)
+	s, err := NewMemScanPred(schema, read, emitRID, batch, preds, base, logged)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
@@ -155,13 +164,13 @@ func checkMemScan(t *testing.T, name string, cols []*vector.Vector, preds []Pred
 		}
 		for _, i := range live {
 			r := lo + int(i)
-			for c, v := range cols {
+			for c, v := range cols[:emit] {
 				if got, want := b.Cols[c].Value(int(i)), v.Value(r); !sameValue(got, want) {
 					t.Fatalf("%s: row %d column %d = %v, want %v", name, r, c, got, want)
 				}
 			}
 			if emitRID {
-				if got := b.Cols[len(cols)].Int64s[i]; got != base+int64(r) {
+				if got := b.Cols[emit].Int64s[i]; got != base+int64(r) {
 					t.Fatalf("%s: row %d carries row id %d, want %d", name, r, got, base+int64(r))
 				}
 			}
@@ -189,16 +198,18 @@ func sameValue(a, b any) bool {
 }
 
 // memScanCase builds one scan's inputs from a byte source: one to three
-// columns of either type, clustered (rising with the row, so blocks differ) or
-// drawn from the selection pools, predicates on them, and block bounds.
+// columns of either type, clustered (rising with the row, so blocks differ,
+// integers scaled so that a chunk's span needs one to eight bytes) or drawn
+// from the selection pools, predicates on them, and block bounds.
 func memScanCase(next func() byte, n, npreds int) (cols []*vector.Vector, preds []Pred, bounds []int) {
 	ncols := 1 + int(next())%3
+	scale := []int64{1, 1, 1 << 5, 1 << 13, 1 << 29}[next()%5]
 	for range ncols {
 		if next()&1 == 0 {
 			v := vector.New(vector.Int64, n)
 			for r := range n {
 				if b := next(); b < 224 {
-					v.AppendInt64(int64(r/8) + int64(b%16))
+					v.AppendInt64((int64(r/8) + int64(b%16)) * scale)
 				} else {
 					v.AppendInt64(selInts[int(b)%len(selInts)])
 				}
@@ -220,7 +231,7 @@ func memScanCase(next func() byte, n, npreds int) (cols []*vector.Vector, preds 
 		b := next()
 		p := Pred{Col: int(b) % ncols, Op: CmpOp(b / 4 % 6)}
 		lit := int64(next()) % int64(n/8+16)
-		p.I64, p.F64 = lit, float64(lit)/2*float64(1+int(b>>7))
+		p.I64, p.F64 = lit*scale, float64(lit)/2*float64(1+int(b>>7))
 		preds = append(preds, p)
 	}
 	bounds = []int{0}
@@ -233,7 +244,8 @@ func memScanCase(next func() byte, n, npreds int) (cols []*vector.Vector, preds 
 
 // TestMemScanSkipMatchesNaive: a MemScan with zero to three predicates and a
 // sound zone-map skip over random block bounds, at random batch sizes, a
-// non-zero base row and the row-id column on and off, emits exactly what the
+// non-zero base row, the row-id column on and off, flat or narrow Int64
+// columns and all columns emitted or only the first, emits exactly what the
 // per-row loop over the same batch grid says.
 func TestMemScanSkipMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
@@ -249,7 +261,8 @@ func TestMemScanSkipMatchesNaive(t *testing.T) {
 			skip = blockSkip(cols, preds, base, bounds)
 		}
 		name := fmt.Sprintf("case %d: n=%d base=%d batch=%d preds=%v", i, n, base, batch, preds)
-		skipped += checkMemScan(t, name, cols, preds, skip, base, batch, i%2 == 0)
+		emit := len(cols) - i/2%2*(len(cols)-1)
+		skipped += checkMemScan(t, name, cols, preds, skip, base, batch, i%2 == 0, i%3 > 0, emit)
 	}
 	if skipped == 0 {
 		t.Fatal("no case skipped a range")
@@ -257,8 +270,9 @@ func TestMemScanSkipMatchesNaive(t *testing.T) {
 }
 
 // FuzzMemScan holds MemScan to the per-row loop on arbitrary columns,
-// predicates, block bounds, batch sizes and base rows, with the skip test and
-// the row-id column each on or off.
+// predicates, block bounds, batch sizes and base rows, with the skip test,
+// the row-id column, narrow Int64 columns and predicate-only columns each on
+// or off.
 func FuzzMemScan(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, uint16(100), uint8(7), uint32(1000), uint8(0xc3))
 	f.Add([]byte{255, 1, 255, 3, 200, 5}, uint16(513), uint8(64), uint32(0), uint8(0x45))
@@ -278,6 +292,79 @@ func FuzzMemScan(f *testing.F) {
 		if mode&0x80 != 0 {
 			skip = blockSkip(cols, preds, int64(base), bounds)
 		}
-		checkMemScan(t, "fuzz", cols, preds, skip, int64(base), 1+int(batch), mode&0x40 != 0)
+		emit := len(cols)
+		if mode&0x10 != 0 {
+			emit = 1
+		}
+		checkMemScan(t, "fuzz", cols, preds, skip, int64(base), 1+int(batch), mode&0x40 != 0, mode&0x20 != 0, emit)
 	})
+}
+
+// flat reads vectors as Flat columns.
+func flat(vs ...*vector.Vector) []Column {
+	cols := make([]Column, len(vs))
+	for i, v := range vs {
+		cols[i] = Flat{v}
+	}
+	return cols
+}
+
+// encode returns vals as a chunked column, sealed.
+func encode(vals []int64) *offsets.Column {
+	c := offsets.New(nil)
+	for _, v := range vals {
+		c.Append(v)
+	}
+	c.Clip()
+	return c
+}
+
+// BenchmarkMemScanNarrow times a MemScan whose pushed "x < lit" keeps 40 % of
+// 50k rows of x, drawn from [0, 1e9), read only by the predicate, beside an
+// emitted flat column: x flat against narrow (four-byte lanes). Each scan
+// reads the next of 100 such columns, so that, as in a shred pool, the
+// columns a sequence of scans reads do not stay in a core's cache.
+func BenchmarkMemScanNarrow(b *testing.B) {
+	const n, ncols = 50_000, 100
+	rng := rand.New(rand.NewSource(1))
+	y := vector.New(vector.Int64, n)
+	xs := make([]*vector.Vector, ncols)
+	for i := range xs {
+		xs[i] = vector.New(vector.Int64, n)
+		for range n {
+			xs[i].AppendInt64(rng.Int63n(1e9))
+		}
+	}
+	for range n {
+		y.AppendInt64(rng.Int63n(1e9))
+	}
+	schema := vector.Schema{{Name: "y", Type: vector.Int64}}
+	preds := []Pred{{Col: 1, Op: Lt, I64: 4e8}}
+	for _, narrow := range []bool{false, true} {
+		scans := make([]*MemScan, ncols)
+		for i, x := range xs {
+			var c Column = Flat{x}
+			if narrow {
+				c = NewNarrow(encode(x.Int64s))
+			}
+			var err error
+			if scans[i], err = NewMemScanPred(schema, []Column{Flat{y}, c}, false, 0, preds, 0, nil); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.Run(map[bool]string{false: "flat", true: "narrow"}[narrow], func(b *testing.B) {
+			for i := range b.N {
+				s := scans[i%ncols]
+				if err := s.Open(); err != nil {
+					b.Fatal(err)
+				}
+				for bt, err := s.Next(); bt != nil || err != nil; bt, err = s.Next() {
+					if err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/row")
+		})
+	}
 }

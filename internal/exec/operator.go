@@ -12,6 +12,8 @@ package exec
 import (
 	"context"
 	"fmt"
+	"slices"
+	"sync"
 	"sync/atomic"
 
 	"rawdb/internal/vector"
@@ -32,16 +34,19 @@ type Operator interface {
 	Close() error
 }
 
-// MemScan streams a fully materialised table (a set of equal-length column
-// vectors) in batches. The DBMS baseline queries loaded tables through it, the
-// planner streams resident columns and cached full column shreds through it,
-// and tests use it as a deterministic source. With predicates bound
+// MemScan streams a fully materialised table (a set of equal-length columns)
+// in batches. The DBMS baseline queries loaded tables through it, the planner
+// streams resident columns and cached full column shreds through it, and
+// tests use it as a deterministic source. With predicates bound
 // (NewMemScanPred) the scan evaluates them vectorized per batch and emits a
 // selection vector instead of feeding a separate Filter; with a skip test
 // bound it drops the batch ranges a zone map excludes before reading them.
+// Flat columns are read through views; narrow ones are decoded, a batch
+// range only when a row of it survives, into buffers the scan owns.
 type MemScan struct {
 	schema    vector.Schema
-	cols      []*vector.Vector
+	cols      []Column
+	emit      int // cols[:emit] are the batch's columns, the rest only predicates read
 	batchSize int
 	preds     []Pred
 	sel       []int32
@@ -51,14 +56,17 @@ type MemScan struct {
 	skip          func(lo, hi int64) bool
 	rowsPruned    int64
 	blocksSkipped int64
-	// rid, when the schema names a column past cols, is that column: the row
-	// ids of the batch.
-	rid *vector.Vector
-	pos int
-	out *vector.Batch
+	// emitRID says the schema's last column is the row ids of the batch,
+	// built in rid.
+	emitRID bool
+	rid     vector.Vector
+	pos     int
+	out     vector.Batch
 	// views are the batch's column headers, reused so a batch allocates
-	// nothing.
+	// nothing; vecs points at them, as predicates index them.
 	views []vector.Vector
+	vecs  []*vector.Vector
+	buf   *[]int64 // the rows of the row ids and the decoded columns
 }
 
 // PushStats reports how many rows the bound predicates and skip test
@@ -69,21 +77,41 @@ func (s *MemScan) PushStats() (rowsPruned, blocksSkipped int64) {
 }
 
 // NewMemScanPred returns a scan over cols, table rows [base, base+len), that
-// absorbs the given conjunctive predicates (Col = output slot, never the
-// row-id column) and, when skip is non-nil, drops each batch range of table
-// rows [lo, hi) for which skip reports true. Batches with a partial match
-// carry a selection vector; fully filtered batch ranges are skipped.
-func NewMemScanPred(schema vector.Schema, cols []*vector.Vector, batchSize int, preds []Pred,
+// absorbs the given conjunctive predicates (Col indexes cols) and, when skip
+// is non-nil, drops each batch range of table rows [lo, hi) for which skip
+// reports true. The scan emits the columns schema names: the first of cols,
+// then, if schema is one Int64 column longer than those, the row ids; the
+// cols after them are read only by predicates, and never reach a batch.
+// Batches with a partial match carry a selection vector; fully filtered batch
+// ranges are skipped.
+func NewMemScanPred(schema vector.Schema, cols []Column, emitRID bool, batchSize int, preds []Pred,
 	base int64, skip func(lo, hi int64) bool) (*MemScan, error) {
-	s, err := NewMemScan(schema, cols, batchSize)
-	if err != nil {
+	emit := len(schema)
+	if emitRID {
+		emit--
+	}
+	if len(cols) == 0 || emit < 0 || emit > len(cols) || emitRID && schema[emit].Type != vector.Int64 {
+		return nil, fmt.Errorf("exec: memscan: %d schema columns, %d columns", len(schema), len(cols))
+	}
+	n := cols[0].Len()
+	types := make(vector.Schema, len(cols))
+	for i, c := range cols {
+		if i < emit && schema[i].Type != c.Type() {
+			return nil, fmt.Errorf("exec: memscan: column %q type mismatch", schema[i].Name)
+		}
+		if c.Len() != n {
+			return nil, fmt.Errorf("exec: memscan: ragged columns (%d vs %d)", c.Len(), n)
+		}
+		types[i].Type = c.Type()
+	}
+	if err := CheckPreds(types, preds); err != nil {
 		return nil, err
 	}
-	if err := CheckPreds(schema[:len(cols)], preds); err != nil {
-		return nil, err
+	if batchSize <= 0 {
+		batchSize = vector.DefaultBatchSize
 	}
-	s.preds, s.base, s.skip = preds, base, skip
-	return s, nil
+	return &MemScan{schema: schema, cols: cols, emit: emit, emitRID: emitRID, batchSize: batchSize,
+		preds: preds, base: base, skip: skip}, nil
 }
 
 // NewMemScan returns a scan over cols with the given schema. A schema one
@@ -95,25 +123,14 @@ func NewMemScan(schema vector.Schema, cols []*vector.Vector, batchSize int) (*Me
 	if len(schema) != len(cols) && !emitRID {
 		return nil, fmt.Errorf("exec: memscan: %d schema columns, %d vectors", len(schema), len(cols))
 	}
-	n := -1
+	if len(cols) == 0 {
+		return &MemScan{schema: schema}, nil
+	}
+	flat := make([]Column, len(cols))
 	for i, c := range cols {
-		if schema[i].Type != c.Type {
-			return nil, fmt.Errorf("exec: memscan: column %q type mismatch", schema[i].Name)
-		}
-		if n == -1 {
-			n = c.Len()
-		} else if c.Len() != n {
-			return nil, fmt.Errorf("exec: memscan: ragged columns (%d vs %d)", c.Len(), n)
-		}
+		flat[i] = Flat{c}
 	}
-	if batchSize <= 0 {
-		batchSize = vector.DefaultBatchSize
-	}
-	s := &MemScan{schema: schema, cols: cols, batchSize: batchSize}
-	if emitRID {
-		s.rid = vector.New(vector.Int64, batchSize)
-	}
-	return s, nil
+	return NewMemScanPred(schema, flat, emitRID, batchSize, nil, 0, nil)
 }
 
 // Schema implements Operator.
@@ -125,9 +142,9 @@ func (s *MemScan) Open() error {
 	return nil
 }
 
-// Next implements Operator. Batches alias the underlying storage. Per batch
-// range: the skip test, then the column views, then the predicates, and row
-// ids only for a range some row survives.
+// Next implements Operator. Per batch range: the skip test, then the first
+// predicate on its column, the others on the columns they read, and only for
+// a range some row survives, the emitted columns and the row ids.
 func (s *MemScan) Next() (*vector.Batch, error) {
 	n := 0
 	if len(s.cols) > 0 {
@@ -142,17 +159,17 @@ func (s *MemScan) Next() (*vector.Batch, error) {
 			s.rowsPruned += int64(m)
 			continue
 		}
-		if s.out == nil {
-			s.out = &vector.Batch{Cols: make([]*vector.Vector, len(s.schema))}
-			s.views = make([]vector.Vector, len(s.cols))
-		}
-		for i, c := range s.cols {
-			s.views[i] = *c.Slice(lo, end)
-			s.out.Cols[i] = &s.views[i]
+		if s.views == nil {
+			s.alloc()
 		}
 		s.out.Sel = nil
 		if len(s.preds) > 0 {
-			s.sel = Select(s.sel, s.out.Cols, s.preds, nil, m)
+			p := s.preds[0]
+			s.sel = s.cols[p.Col].Select(s.sel[:m], p, lo, end)
+			for _, q := range s.preds[1:] {
+				s.cols[q.Col].Read(s.vecs[q.Col], lo, end, s.sel)
+			}
+			s.sel = refine(s.sel, s.vecs, s.preds[1:])
 			s.rowsPruned += int64(m - len(s.sel))
 			if len(s.sel) == 0 {
 				continue // fully filtered range: advance to the next one
@@ -161,21 +178,78 @@ func (s *MemScan) Next() (*vector.Batch, error) {
 				s.out.Sel = s.sel
 			}
 		}
-		if s.rid != nil {
+		for i, c := range s.cols[:s.emit] {
+			if !slices.ContainsFunc(s.preds[min(1, len(s.preds)):], func(q Pred) bool { return q.Col == i }) {
+				c.Read(s.vecs[i], lo, end, s.out.Sel)
+			}
+		}
+		if s.emitRID {
 			ids := s.rid.Int64s[:m]
 			for i := range ids {
 				ids[i] = s.base + int64(lo+i)
 			}
 			s.rid.Int64s = ids
-			s.out.Cols[len(s.cols)] = s.rid
 		}
-		return s.out, nil
+		return &s.out, nil
 	}
 	return nil, nil
 }
 
-// Close implements Operator.
-func (s *MemScan) Close() error { return nil }
+// alloc makes the scan's batch: its column lists, their views, the selection
+// and one buffer holding the row ids and the decoded rows of every narrow
+// column, a batch each. Predicates index all of cols, the batch only the
+// emitted ones and the row ids: the two lists share one allocation.
+func (s *MemScan) alloc() {
+	bufs := 0
+	if s.emitRID {
+		bufs++
+	}
+	for _, c := range s.cols {
+		if _, ok := c.(Flat); !ok {
+			bufs++
+		}
+	}
+	var buf []int64
+	if need := bufs * s.batchSize; need > 0 {
+		if s.buf, _ = batchBufs.Get().(*[]int64); s.buf == nil || cap(*s.buf) < need {
+			s.buf = &[]int64{}
+			*s.buf = make([]int64, need)
+		}
+		buf = (*s.buf)[:need]
+	}
+	s.views = make([]vector.Vector, len(s.cols))
+	lists := make([]*vector.Vector, len(s.cols)+len(s.schema))
+	s.vecs, s.out.Cols = lists[:len(s.cols)], lists[len(s.cols):]
+	for i, c := range s.cols {
+		if _, ok := c.(Flat); !ok {
+			s.views[i].Int64s, buf = buf[:0:s.batchSize], buf[s.batchSize:]
+		}
+		s.vecs[i] = &s.views[i]
+	}
+	copy(s.out.Cols, s.vecs[:s.emit])
+	if s.emitRID {
+		s.rid = vector.Vector{Type: vector.Int64, Int64s: buf[:0:s.batchSize]}
+		s.out.Cols[s.emit] = &s.rid
+	}
+	if len(s.preds) > 0 {
+		s.sel = make([]int32, s.batchSize)
+	}
+}
+
+// batchBufs holds the row-id and decode buffers of closed scans: a scan over
+// narrow columns would otherwise allocate and clear a batch per column for
+// every query.
+var batchBufs sync.Pool
+
+// Close implements Operator. It hands the scan's buffers back; a scan opened
+// again allocates its batch anew.
+func (s *MemScan) Close() error {
+	if s.buf != nil {
+		batchBufs.Put(s.buf)
+		s.buf, s.views = nil, nil
+	}
+	return nil
+}
 
 // Project reorders/selects columns of its input by index and can rename them.
 type Project struct {

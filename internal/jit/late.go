@@ -136,38 +136,29 @@ type lateBatch struct {
 	first []byte
 }
 
-// locate fills b for a batch of row ids from col, which holds nrows rows. It
-// decodes [rids[0], rids[n-1]] in one call — compacted in place unless the ids
-// are that contiguous run, as a RowScan's unpruned range is — when the ids
-// ascend and span at most twice their count, and reads col.At per row
-// otherwise (sparse, unsorted or repeated ids). Then, unless the ids are
-// contiguous, it loads the byte at every position in a pass of its own: the
-// rows' cache misses overlap there, instead of each one waiting behind the
-// previous row's parse, which starts from that byte. A contiguous run is read
-// front to back, which the hardware prefetcher already overlaps with the
-// parse; a load pass ahead of it only stalls on the stream.
+// locate fills b for a batch of row ids from col, which holds nrows rows, in
+// one gather (offsets.Column.Gather: the ids a chunk's span holds decoded
+// together, an id alone in its span read with At), after checking every id
+// against the table. Then, unless the ids are one contiguous run, it loads
+// the byte at every position in a pass of its own: the rows' cache misses
+// overlap there, instead of each one waiting behind the previous row's
+// parse, which starts from that byte. A contiguous run, as a RowScan's
+// unpruned range is, is read front to back, which the hardware prefetcher
+// already overlaps with the parse; a load pass ahead of it only stalls on
+// the stream.
 func (b *lateBatch) locate(data []byte, col *offsets.Column, nrows int64, rids []int64) error {
-	n := len(rids)
 	b.first = b.first[:0]
-	if ascendingRun(rids, nrows) {
-		lo := rids[0]
-		if b.pos = col.Decode(b.pos, lo, rids[n-1]+1); len(b.pos) == n {
-			return nil
+	run := true
+	for i, r := range rids {
+		if r < 0 || r >= nrows {
+			return rowIDError(r)
 		}
-		for i, r := range rids {
-			b.pos[i] = b.pos[r-lo] // r-lo >= i: the read is ahead of the writes
-		}
-		b.pos = b.pos[:n]
-	} else {
-		b.pos = slices.Grow(b.pos[:0], n)
-		for _, r := range rids {
-			if r < 0 || r >= nrows {
-				return rowIDError(r)
-			}
-			b.pos = append(b.pos, col.At(r))
-		}
+		run = run && (i == 0 || r == rids[i-1]+1)
 	}
-	b.first = slices.Grow(b.first, n)[:n]
+	if b.pos = col.Gather(b.pos, rids); run {
+		return nil
+	}
+	b.first = slices.Grow(b.first, len(rids))[:len(rids)]
 	for i, p := range b.pos {
 		b.first[i] = byteAt(data, int(p))
 	}
@@ -182,23 +173,6 @@ func (b *lateBatch) start(data []byte, i int) (int, byte) {
 		return pos, byteAt(data, pos)
 	}
 	return pos, b.first[i]
-}
-
-// ascendingRun reports whether rids strictly ascend within [0, nrows) and
-// span at most twice their count. Decoding and compacting a span costs about
-// as much as At per id when the span is three to four times the ids' count,
-// and a quarter less at twice it (hot offsets, 1024-id batches).
-func ascendingRun(rids []int64, nrows int64) bool {
-	n := len(rids)
-	if n == 0 || rids[0] < 0 || rids[n-1] >= nrows || rids[n-1]-rids[0] >= 2*int64(n) {
-		return false
-	}
-	for i := 1; i < n; i++ {
-		if rids[i] <= rids[i-1] {
-			return false
-		}
-	}
-	return true
 }
 
 // byteAt is data[pos], or 0 past its end.

@@ -48,7 +48,7 @@ func checkLateFill(t *testing.T, c fillCase) {
 	for _, r := range held {
 		fillValue(c.typ, r, vec)
 	}
-	s := &Shred{key: Key{"t", 1}, rowIDs: c.have, vec: vec}
+	s := flatShred(Key{"t", 1}, c.have, vec)
 	var calls []int64
 	raw := func(rids []int64, outs []*vector.Vector) error {
 		calls = append(calls, rids...)

@@ -2,15 +2,18 @@ package shred
 
 import (
 	"fmt"
+	"slices"
+	"sort"
 
 	"rawdb/internal/exec"
 	"rawdb/internal/insitu"
+	"rawdb/internal/offsets"
 	"rawdb/internal/vector"
 )
 
 // NewScan streams full-column shreds as a base table scan (names align with
 // shreds), optionally emitting the hidden row-id column: an exec.MemScan over
-// their vectors. A scan served this way makes RAW "perform as if the data had
+// their columns. A scan served this way makes RAW "perform as if the data had
 // been loaded in advance, but without any added cost to actually load the
 // data".
 func NewScan(shreds []*Shred, names []string, emitRID bool, batchSize int) (*exec.MemScan, error) {
@@ -18,18 +21,18 @@ func NewScan(shreds []*Shred, names []string, emitRID bool, batchSize int) (*exe
 		return nil, fmt.Errorf("shred: %d names for %d shreds", len(names), len(shreds))
 	}
 	schema := make(vector.Schema, len(shreds), len(shreds)+1)
-	vecs := make([]*vector.Vector, len(shreds))
+	cols := make([]exec.Column, len(shreds))
 	for i, sh := range shreds {
 		if !sh.Full() {
 			return nil, fmt.Errorf("shred: scan requires full columns, %s is partial", sh.Key())
 		}
-		vecs[i] = sh.Vector()
-		schema[i] = vector.Col{Name: names[i], Type: vecs[i].Type}
+		cols[i] = sh.Column()
+		schema[i] = vector.Col{Name: names[i], Type: sh.Type()}
 	}
 	if emitRID {
 		schema = append(schema, vector.Col{Name: insitu.RowIDColumn, Type: vector.Int64})
 	}
-	return exec.NewMemScan(schema, vecs, batchSize)
+	return exec.NewMemScanPred(schema, cols, emitRID, batchSize, nil, 0, nil)
 }
 
 // NewLateScan appends one column per shred (named by names) to child's
@@ -42,23 +45,25 @@ func NewLateScan(child exec.Operator, ridIdx int, shreds []*Shred, names []strin
 	}
 	cols := make(vector.Schema, len(shreds))
 	for i, sh := range shreds {
-		cols[i] = vector.Col{Name: names[i], Type: sh.Vector().Type}
+		cols[i] = vector.Col{Name: names[i], Type: sh.Type()}
 	}
 	return exec.NewLateScan(child, ridIdx, insitu.RowIDColumn, cols, NewLateFill(shreds, nil).Fetch)
 }
 
 // LateFill is the late fetch of cached columns, one shred each. A row id a
-// shred holds is served from it; the ones it lacks are read by the column's
-// raw fetch (the table's own late reader), all of a batch's in one call and in
-// order, and written into their slots. A query a partial shred does not
-// subsume therefore still runs on it, and only its missing rows touch raw
-// bytes. The fill publishes nothing: the shreds stay as they were.
+// shred holds is served from it, a batch's values in one gather; the ones it
+// lacks are read by the column's raw fetch (the table's own late reader), all
+// of a batch's in one call and in order, and written into their slots. A
+// query a partial shred does not subsume therefore still runs on it, and only
+// its missing rows touch raw bytes. The fill publishes nothing: the shreds
+// stay as they were.
 type LateFill struct {
 	shreds []*Shred
 	raw    []exec.Fetch // per shred; a nil (or absent) one makes a miss an error
-	// cursors are the shreds' merge positions, carried across the batches of
-	// a pass; a row id not above the last one a merge passed restarts it.
-	cursors []int
+	// cursors walk the partial shreds' row ids, carried across the batches
+	// of a pass.
+	cursors []rowCursor
+	pos     []int64          // per row id of a batch, its position in one shred
 	miss    []int64          // the row ids one shred lacks in one batch
 	at      []int            // and their slots in the output
 	got     []*vector.Vector // per shred, what its raw fetch returned
@@ -68,41 +73,45 @@ type LateFill struct {
 
 // NewLateFill fetches from shreds, completing shred i through raw[i].
 func NewLateFill(shreds []*Shred, raw []exec.Fetch) *LateFill {
-	return &LateFill{shreds: shreds, raw: raw, cursors: make([]int, len(shreds)),
+	f := &LateFill{shreds: shreds, raw: raw, cursors: make([]rowCursor, len(shreds)),
 		got: make([]*vector.Vector, len(shreds))}
+	for i, s := range shreds {
+		f.cursors[i].rows = s.rows
+	}
+	return f
 }
 
 // Fetch is the exec.Fetch of the shreds' columns: outs[i] receives shred i's.
+// Each batch's row ids are located in the shred first — a missing one takes
+// position 0, and its slot is overwritten by the raw fetch — and the values
+// at those positions gathered in one call.
 func (f *LateFill) Fetch(rids []int64, outs []*vector.Vector) error {
 	for i, s := range f.shreds {
-		out := outs[i]
-		f.miss, f.at = f.miss[:0], f.at[:0]
-		j, n := f.cursors[i], int64(s.vec.Len())
-		for _, r := range rids {
-			k := int(r)
-			if s.rowIDs != nil {
-				if j > 0 && s.rowIDs[j-1] >= r {
-					j = 0 // a new pass, or rows a join reordered: restart the merge
-				}
-				for j < len(s.rowIDs) && s.rowIDs[j] < r {
-					j++
-				}
-				if k = j; j < len(s.rowIDs) && s.rowIDs[j] == r {
-					j++
-				} else {
-					k = -1
-				}
+		f.pos, f.miss, f.at = slices.Grow(f.pos[:0], len(rids)), f.miss[:0], f.at[:0]
+		c, n := &f.cursors[i], int64(s.Len())
+		for k, r := range rids {
+			p := r
+			if s.rows != nil {
+				p = c.find(r)
 			} else if r < 0 || r >= n {
-				k = -1
+				p = -1
 			}
-			if k >= 0 {
-				appendAt(out, s.vec, k)
-				continue
+			if p < 0 {
+				f.miss, f.at, p = append(f.miss, r), append(f.at, k), 0
 			}
-			f.miss = append(f.miss, r)
-			f.at = append(f.at, out.Extend(1))
+			f.pos = append(f.pos, p)
 		}
-		f.cursors[i] = j
+		out := outs[i]
+		switch {
+		case len(f.miss) == len(rids):
+			out.Extend(len(rids))
+		case s.ints != nil:
+			out.Int64s = s.ints.Gather(out.Int64s, f.pos)
+		default:
+			for _, p := range f.pos {
+				appendAt(out, s.col.(exec.Flat).V, int(p))
+			}
+		}
 		if len(f.miss) > 0 {
 			if err := f.fill(i, out); err != nil {
 				return err
@@ -110,6 +119,46 @@ func (f *LateFill) Fetch(rids []int64, outs []*vector.Vector) error {
 		}
 	}
 	return nil
+}
+
+// rowCursor merges a batch's row ids with a partial shred's ascending ones,
+// a chunk's span of them decoded at a time.
+type rowCursor struct {
+	rows *offsets.Column
+	j    int64 // the merge position: the rows before it are below last
+	last int64 // the row id asked for last
+	lo   int64 // win[:n] holds the row ids at [lo, lo+n)
+	n    int64
+	win  [offsets.ChunkRows]int64
+}
+
+// find returns the position of row id r in the shred, or -1, and moves the
+// merge past it. Row ids ascend within a pass: the merge steps over whole
+// spans below r, reading only their last row id, and decodes the one r falls
+// into. A row id not above the last one asked for (a new pass, or rows a
+// join reordered) is searched for from the start.
+func (c *rowCursor) find(r int64) int64 {
+	n := c.rows.Len()
+	if c.j > 0 && r <= c.last {
+		c.j = int64(sort.Search(int(c.j), func(i int) bool { return c.rows.At(int64(i)) >= r }))
+	}
+	c.last = r
+	for ; c.j < n; c.j++ {
+		if c.j < c.lo || c.j >= c.lo+c.n {
+			for c.j+offsets.ChunkRows < n && c.rows.At(c.j+offsets.ChunkRows-1) < r {
+				c.j += offsets.ChunkRows
+			}
+			c.lo, c.n = c.j, int64(len(c.rows.Decode(c.win[:0], c.j, min(c.j+offsets.ChunkRows, n))))
+		}
+		if x := c.win[c.j-c.lo]; x >= r {
+			if x > r {
+				return -1
+			}
+			c.j++
+			return c.j - 1
+		}
+	}
+	return -1
 }
 
 // fill reads the rows shred i lacks in this batch through its raw fetch and

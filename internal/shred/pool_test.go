@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"rawdb/internal/offsets"
 	"rawdb/internal/vector"
 )
 
@@ -25,13 +26,24 @@ type modelShred struct {
 	rows int
 }
 
-// bytes is what a shred of ms charges: 8 per int64 value, and 8 more per row
-// id of a partial one.
+// bytes is what a shred of ms charges: a chunked column of its values, and
+// one more of its row ids if partial. The fuzz's values and row ids are
+// below 256, one byte each.
 func (ms modelShred) bytes() int64 {
 	if ms.full {
-		return 8 * int64(ms.rows)
+		return narrowBytes(ms.rows)
 	}
-	return 16 * int64(ms.rows)
+	return 2 * narrowBytes(ms.rows)
+}
+
+// narrowBytes is what a chunked column of n one-byte rows holds: nothing for
+// no rows, else its segment (56 B), a chunk header per ChunkRows rows (24 B)
+// and a byte a row.
+func narrowBytes(n int) int64 {
+	if n == 0 {
+		return 0
+	}
+	return 56 + 24*int64((n+offsets.ChunkRows-1)/offsets.ChunkRows) + int64(n)
 }
 
 func (m *poolModel) size() (b int64) {

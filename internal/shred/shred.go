@@ -3,9 +3,10 @@
 // later ones.
 //
 // A shred stores the values of one table column for a sorted set of row ids
-// (nil row ids meaning the full column). The pool keeps at most one shred per
-// column, the one that outranks every other capture of it: a full column
-// beats a partial one, then more rows beat fewer. An incoming query is served
+// (nil row ids meaning the full column), integers and row ids chunked and
+// narrow. The pool keeps at most one shred per column, the one that outranks
+// every other capture of it: a full column beats a partial one, then more
+// rows beat fewer. An incoming query is served
 // from that shred, the paper's reuse rule — the rows a partial one lacks are
 // completed from the raw file, never replanned — and the pool's cache budget
 // evicts least-recently-used shreds. This is RAW's answer to "at some moment
@@ -19,6 +20,8 @@ import (
 	"sync"
 
 	"rawdb/internal/budget"
+	"rawdb/internal/exec"
+	"rawdb/internal/offsets"
 	"rawdb/internal/vector"
 )
 
@@ -31,54 +34,92 @@ type Key struct {
 // String returns "table.colN".
 func (k Key) String() string { return fmt.Sprintf("%s.col%d", k.Table, k.Col) }
 
-// Shred is one cached (partial) column.
+// Shred is one cached (partial) column. Its Int64 values and, for a partial
+// column, its row ids are chunked narrow columns (internal/offsets), as
+// positional maps store their offsets; values of any other type are a flat
+// vector.
 type Shred struct {
 	key Key
-	// rowIDs are the sorted row ids present; nil means the full column
-	// (rows 0..vec.Len()-1).
-	rowIDs []int64
-	vec    *vector.Vector
-	ak     string // the budget key while pooled
+	// rows are the ascending row ids present; nil means the full column
+	// (rows 0..Len()-1).
+	rows *offsets.Column
+	ints *offsets.Column // the values, of an Int64 column
+	col  exec.Column     // the values as scans read them
+	// bytes is what the shred charges the pool's budget: its chunked
+	// columns' encoded bytes and its flat values.
+	bytes int64
+	ak    string // the budget key while pooled
+}
+
+// newShred builds the shred of rows (nil: the full column) with values ints
+// (an Int64 column) or vec, both sealed by the caller.
+func newShred(key Key, rows, ints *offsets.Column, vec *vector.Vector) *Shred {
+	s := &Shred{key: key, rows: rows, ints: ints, bytes: rows.Bytes() + ints.Bytes()}
+	if ints != nil {
+		s.col = exec.NewNarrow(ints)
+		return s
+	}
+	s.col = exec.Flat{V: vec}
+	switch vec.Type {
+	case vector.Float64:
+		s.bytes += int64(vec.Len()) * 8
+	case vector.Bool:
+		s.bytes += int64(vec.Len())
+	case vector.Bytes:
+		for _, x := range vec.Bytess {
+			s.bytes += int64(len(x)) + 24
+		}
+	}
+	return s
 }
 
 // Key returns the shred's column identity.
 func (s *Shred) Key() Key { return s.key }
 
 // Full reports whether the shred holds the entire column.
-func (s *Shred) Full() bool { return s.rowIDs == nil }
+func (s *Shred) Full() bool { return s.rows == nil }
 
 // Len returns the number of cached rows.
-func (s *Shred) Len() int { return s.vec.Len() }
+func (s *Shred) Len() int { return s.col.Len() }
 
-// Vector returns the cached values (aligned with RowIDs; full columns are
-// aligned with 0..Len()-1). Callers must not modify it.
-func (s *Shred) Vector() *vector.Vector { return s.vec }
+// Type returns the type of the cached values.
+func (s *Shred) Type() vector.Type { return s.col.Type() }
 
-// RowIDs returns the sorted row ids, or nil for a full column.
-func (s *Shred) RowIDs() []int64 { return s.rowIDs }
+// Column returns the cached values as a scan reads them, aligned with RowIDs
+// (a full column's with 0..Len()-1): narrow for Int64 values, else flat.
+func (s *Shred) Column() exec.Column { return s.col }
 
-// SizeBytes estimates the shred's memory footprint, the bytes it charges the
-// pool's budget.
-func (s *Shred) SizeBytes() int64 {
-	var b int64
-	switch s.vec.Type {
-	case vector.Int64, vector.Float64:
-		b = int64(s.vec.Len()) * 8
-	case vector.Bool:
-		b = int64(s.vec.Len())
-	case vector.Bytes:
-		for _, x := range s.vec.Bytess {
-			b += int64(len(x)) + 24
-		}
+// Values returns the cached values as a flat vector: decoded for Int64
+// values, else the shred's own, which callers must not modify.
+func (s *Shred) Values() *vector.Vector {
+	if s.ints == nil {
+		return s.col.(exec.Flat).V
 	}
-	return b + int64(len(s.rowIDs))*8
+	return &vector.Vector{Type: vector.Int64, Int64s: s.ints.Decode(nil, 0, s.ints.Len())}
 }
 
-// appendAt appends src's value i to dst.
+// RowIDs returns the ascending row ids, decoded, or nil for a full column.
+func (s *Shred) RowIDs() []int64 {
+	if s.rows == nil {
+		return nil
+	}
+	return s.rows.Decode(make([]int64, 0, s.rows.Len()), 0, s.rows.Len()) // never nil
+}
+
+// SizeBytes returns the bytes the shred charges the pool's budget.
+func (s *Shred) SizeBytes() int64 { return s.bytes }
+
+// encode returns vals as a chunked column, sealed.
+func encode(vals []int64) *offsets.Column {
+	c := offsets.New(nil)
+	c.AppendAll(vals)
+	c.Clip()
+	return c
+}
+
+// appendAt appends src's value i to dst, of a type other than Int64.
 func appendAt(dst, src *vector.Vector, i int) {
 	switch dst.Type {
-	case vector.Int64:
-		dst.Int64s = append(dst.Int64s, src.Int64s[i])
 	case vector.Float64:
 		dst.Float64s = append(dst.Float64s, src.Float64s[i])
 	case vector.Bool:
@@ -139,17 +180,53 @@ func NewPool(capacityBytes int64) *Pool {
 // Budget returns the cache budget the pool's shreds are charged to.
 func (p *Pool) Budget() *budget.Budget { return p.budget }
 
-// Put offers a shred for key. rowIDs must ascend strictly and align with vec
-// (nil for a full column); the pool takes ownership of both slices. The
-// shred is installed (and returned) if it outranks the pooled one, which it
-// then replaces (and returns); otherwise the pooled one is kept, and touched,
-// and Put returns nil, nil. Row ids out of order, repeated or misaligned are
-// refused: Put returns nil, nil and leaves the pool as it was.
+// Put offers a shred for key from flat row ids (nil for a full column) and
+// values, which it encodes: see PutNarrow. Row ids out of order, repeated or
+// misaligned are refused: Put returns nil, nil and leaves the pool as it was.
 func (p *Pool) Put(key Key, rowIDs []int64, vec *vector.Vector) (installed, replaced *Shred) {
 	if rowIDs != nil && !validRowIDs(rowIDs, vec.Len()) {
 		return nil, nil
 	}
-	s := &Shred{key: key, rowIDs: rowIDs, vec: vec}
+	s := flatShred(key, rowIDs, vec)
+	return p.PutNarrow(key, s.rows, s.ints, vec)
+}
+
+// flatShred builds the shred of flat row ids (nil: the full column) and
+// values, encoding the row ids and Int64 values.
+func flatShred(key Key, rowIDs []int64, vec *vector.Vector) *Shred {
+	var rows, ints *offsets.Column
+	if rowIDs != nil {
+		rows = encode(rowIDs)
+	}
+	if vec.Type == vector.Int64 {
+		ints = encode(vec.Int64s)
+	}
+	return newShred(key, rows, ints, vec)
+}
+
+// validRowIDs reports whether rids are n row ids in strictly ascending order,
+// the order LateFill's merge and ranking by row count rely on.
+func validRowIDs(rids []int64, n int) bool {
+	if len(rids) != n {
+		return false
+	}
+	for i := 1; i < len(rids); i++ {
+		if rids[i] <= rids[i-1] {
+			return false
+		}
+	}
+	return true
+}
+
+// PutNarrow offers a shred for key: rows, its row ids (nil for a full
+// column), which must ascend strictly and align with the values, and its
+// values, ints for an Int64 column, else vec. The columns are sealed
+// (offsets.Column.Clip); the pool takes ownership of them and of vec. The
+// shred is installed (and returned) if it outranks the pooled one, which it
+// then replaces (and returns); otherwise the pooled one is kept, and
+// touched, and PutNarrow returns nil, nil.
+func (p *Pool) PutNarrow(key Key, rows, ints *offsets.Column, vec *vector.Vector) (installed, replaced *Shred) {
+	s := newShred(key, rows, ints, vec)
 	p.mu.Lock()
 	old := p.byKey[key]
 	if old != nil && !s.outranks(old) {
@@ -176,20 +253,6 @@ func (p *Pool) Put(key Key, rowIDs []int64, vec *vector.Vector) (installed, repl
 	}
 	p.mu.Unlock()
 	return s, old
-}
-
-// validRowIDs reports whether rids are n row ids in strictly ascending order,
-// the order LateFill's merge and ranking by row count rely on.
-func validRowIDs(rids []int64, n int) bool {
-	if len(rids) != n {
-		return false
-	}
-	for i := 1; i < len(rids); i++ {
-		if rids[i] <= rids[i-1] {
-			return false
-		}
-	}
-	return true
 }
 
 // drop removes a shred the budget evicted, unless it is no longer pooled.

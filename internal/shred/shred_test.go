@@ -16,7 +16,7 @@ func intVec(vals ...int64) *vector.Vector {
 }
 
 func TestShredExtract(t *testing.T) {
-	full := &Shred{key: Key{"t", 1}, vec: intVec(10, 20, 30, 40)}
+	full := flatShred(Key{"t", 1}, nil, intVec(10, 20, 30, 40))
 	if !full.Full() {
 		t.Fatal("full shred reported partial")
 	}
@@ -35,7 +35,7 @@ func TestShredExtract(t *testing.T) {
 		t.Fatal("expected a row past the full column to be missing")
 	}
 
-	part := &Shred{key: Key{"t", 2}, rowIDs: []int64{2, 5, 9}, vec: intVec(200, 500, 900)}
+	part := flatShred(Key{"t", 2}, []int64{2, 5, 9}, intVec(200, 500, 900))
 	if part.Full() {
 		t.Fatal("partial shred reported full")
 	}
@@ -103,15 +103,15 @@ func TestPoolOutranks(t *testing.T) {
 		t.Fatalf("LookupFull = %v, want the 2-row full column", s)
 	}
 	stats("full", 3, 1)
-	if p.Len() != 1 || p.SizeBytes() != 16 || p.Budget().SizeBytes() != 16 || p.Budget().Len() != 1 {
-		t.Fatalf("pool holds %d shreds in %d bytes, budget %d bytes in %d entries, want one of 16",
-			p.Len(), p.SizeBytes(), p.Budget().SizeBytes(), p.Budget().Len())
+	if b := narrowBytes(2); p.Len() != 1 || p.SizeBytes() != b || p.Budget().SizeBytes() != b || p.Budget().Len() != 1 {
+		t.Fatalf("pool holds %d shreds in %d bytes, budget %d bytes in %d entries, want one of %d",
+			p.Len(), p.SizeBytes(), p.Budget().SizeBytes(), p.Budget().Len(), b)
 	}
 }
 
 func TestPoolEviction(t *testing.T) {
-	// Each 10-value int64 shred is 80 bytes; capacity fits two.
-	p := NewPool(170)
+	// Each 10-value int64 shred is 90 bytes; capacity fits two.
+	p := NewPool(190)
 	mk := func(col int) *vector.Vector {
 		v := vector.New(vector.Int64, 10)
 		for i := int64(0); i < 10; i++ {
@@ -128,7 +128,7 @@ func TestPoolEviction(t *testing.T) {
 	if p.LookupFull(Key{"t", 2}) == nil {
 		t.Fatal("col 2 should be cached")
 	}
-	if p.SizeBytes() > 170 {
+	if p.SizeBytes() > 190 {
 		t.Fatalf("size %d exceeds capacity", p.SizeBytes())
 	}
 }
@@ -154,8 +154,8 @@ func ridSchema(names ...string) vector.Schema {
 }
 
 func TestScanOperator(t *testing.T) {
-	shA := &Shred{key: Key{"t", 0}, vec: intVec(1, 2, 3, 4, 5)}
-	shB := &Shred{key: Key{"t", 1}, vec: intVec(10, 20, 30, 40, 50)}
+	shA := flatShred(Key{"t", 0}, nil, intVec(1, 2, 3, 4, 5))
+	shB := flatShred(Key{"t", 1}, nil, intVec(10, 20, 30, 40, 50))
 	s, err := NewScan([]*Shred{shA, shB}, []string{"a", "b"}, true, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -172,12 +172,12 @@ func TestScanOperator(t *testing.T) {
 		t.Fatalf("scan output wrong: %v %v %v", out[0].Int64s, out[1].Int64s, out[2].Int64s)
 	}
 	// Partial shreds are rejected.
-	part := &Shred{key: Key{"t", 2}, rowIDs: []int64{0}, vec: intVec(9)}
+	part := flatShred(Key{"t", 2}, []int64{0}, intVec(9))
 	if _, err := NewScan([]*Shred{part}, []string{"c"}, false, 0); err == nil {
 		t.Fatal("expected partial-shred rejection")
 	}
 	// Ragged columns are rejected.
-	if _, err := NewScan([]*Shred{shA, {key: Key{"t", 3}, vec: intVec(1)}},
+	if _, err := NewScan([]*Shred{shA, flatShred(Key{"t", 3}, nil, intVec(1))},
 		[]string{"a", "c"}, false, 0); err == nil {
 		t.Fatal("expected ragged error")
 	}
@@ -194,7 +194,7 @@ func TestLateScanOperator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh := &Shred{key: Key{"t", 5}, vec: intVec(0, 11, 22, 33)}
+	sh := flatShred(Key{"t", 5}, nil, intVec(0, 11, 22, 33))
 	late, err := NewLateScan(child, 1, []*Shred{sh}, []string{"c5"})
 	if err != nil {
 		t.Fatal(err)
@@ -208,7 +208,7 @@ func TestLateScanOperator(t *testing.T) {
 	}
 	// Every pass (a new Open) restarts a partial shred's merge, even one the
 	// previous pass left at the shred's end.
-	part := &Shred{key: Key{"t", 6}, rowIDs: []int64{1, 3}, vec: intVec(10, 30)}
+	part := flatShred(Key{"t", 6}, []int64{1, 3}, intVec(10, 30))
 	again, err := NewLateScan(child, 1, []*Shred{part}, []string{"c6"})
 	if err != nil {
 		t.Fatal(err)

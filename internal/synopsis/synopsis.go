@@ -124,8 +124,31 @@ func (s *Synopsis) Excludes(p exec.Pred, start, end int64) bool {
 		return false
 	}
 	s.checks.Add(1)
-	// First block whose end exceeds start.
-	bi := sort.Search(len(s.bounds)-1, func(i int) bool { return s.bounds[i+1] > start })
+	if !s.excluded(c, p, s.block(0, start), end) {
+		return false
+	}
+	s.hits.Add(1)
+	return true
+}
+
+// block returns the first block whose end exceeds start, searching forward
+// from block from when it starts at or before start.
+func (s *Synopsis) block(from int, start int64) int {
+	if s.bounds[from] > start {
+		from = 0
+	}
+	if from+8 < len(s.bounds)-1 && s.bounds[from+8] <= start {
+		return from + sort.Search(len(s.bounds)-1-from, func(i int) bool { return s.bounds[from+i+1] > start })
+	}
+	for from < len(s.bounds)-1 && s.bounds[from+1] <= start {
+		from++
+	}
+	return from
+}
+
+// excluded reports whether the bounds of column c exclude p on every block
+// from bi on that starts before end.
+func (s *Synopsis) excluded(c *Column, p exec.Pred, bi int, end int64) bool {
 	for ; bi < len(s.bounds)-1 && s.bounds[bi] < end; bi++ {
 		switch c.Type {
 		case vector.Int64:
@@ -140,8 +163,87 @@ func (s *Synopsis) Excludes(p exec.Pred, start, end int64) bool {
 			return false
 		}
 	}
-	s.hits.Add(1)
 	return true
+}
+
+// A Test is one scan's zone-map test of a conjunction over ranges of rows:
+// a range is excluded when any predicate on a tracked column excludes it, as
+// Excludes of each in turn says. The predicates' columns are resolved when
+// the test is built, each range's first block is searched forward from the
+// previous range's when ranges ascend, and the test counts its checks and
+// hits itself, adding them to the synopsis's counters at Close. A test is
+// used by one goroutine; Clone makes another's.
+type Test struct {
+	syn          *Synopsis
+	terms        []term
+	buf          [2]term // the terms of up to two predicates, held inline
+	bi           int
+	checks, hits int64
+	skip         func(lo, hi int64) bool
+}
+
+// term is one predicate of a Test, with its column's bounds.
+type term struct {
+	p exec.Pred
+	c *Column
+}
+
+// NewTest returns the test of preds, or nil when the synopsis (nil: none)
+// tracks none of their columns. It keeps no reference to preds.
+func (s *Synopsis) NewTest(preds []exec.Pred) *Test {
+	if s == nil {
+		return nil
+	}
+	t := &Test{syn: s}
+	t.terms = t.buf[:0]
+	for _, p := range preds {
+		if c, ok := s.cols[p.Col]; ok {
+			t.terms = append(t.terms, term{p, c})
+		}
+	}
+	if len(t.terms) == 0 {
+		return nil
+	}
+	return t
+}
+
+// Clone returns a test of the same predicates with no counts.
+func (t *Test) Clone() *Test {
+	c := &Test{syn: t.syn, terms: t.terms}
+	return c
+}
+
+// Skip returns Excludes as a function value, made once.
+func (t *Test) Skip() func(lo, hi int64) bool {
+	if t.skip == nil {
+		t.skip = t.Excludes
+	}
+	return t.skip
+}
+
+// Excludes reports whether some predicate matches no row in [start, end).
+func (t *Test) Excludes(start, end int64) bool {
+	s := t.syn
+	if start >= end || start < 0 || end > s.nrows {
+		return false
+	}
+	t.bi = s.block(t.bi, start)
+	for _, tm := range t.terms {
+		t.checks++
+		if s.excluded(tm.c, tm.p, t.bi, end) {
+			t.hits++
+			return true
+		}
+	}
+	return false
+}
+
+// Close adds the checks and hits counted since the last Close to the
+// synopsis's counters.
+func (t *Test) Close() {
+	t.syn.checks.Add(t.checks)
+	t.syn.hits.Add(t.hits)
+	t.checks, t.hits = 0, 0
 }
 
 // IntRangeExcluded reports whether no value v in [lo, hi] can satisfy

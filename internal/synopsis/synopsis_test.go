@@ -2,6 +2,7 @@ package synopsis
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"rawdb/internal/exec"
@@ -188,6 +189,55 @@ func TestRestoreRejectsCorruptShapes(t *testing.T) {
 	for _, c := range cases {
 		if _, err := Restore(c.nrows, c.bounds, c.cols); err == nil {
 			t.Fatalf("%s: restore accepted corrupt shape", c.name)
+		}
+	}
+}
+
+// TestTestMatchesExcludes: one scan's Test answers every range as Excludes
+// of each predicate in turn does, and once closed has added exactly the
+// checks and hits those calls count, over ascending batch grids (forward
+// search, short and long steps) and over ranges in random order.
+func TestTestMatchesExcludes(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	s := buildSeq(t, 16, 3000)
+	ref := buildSeq(t, 16, 3000)
+	for i := range 300 {
+		var preds []exec.Pred
+		for range 1 + rng.Intn(3) {
+			preds = append(preds, exec.Pred{Col: rng.Intn(3), Op: exec.CmpOp(rng.Intn(6)),
+				I64: rng.Int63n(32000) - 1000, F64: float64(rng.Intn(3200)) - 100})
+		}
+		test := s.NewTest(preds)
+		var ranges [][2]int64
+		for lo, step := int64(rng.Intn(50)), int64(1+rng.Intn(400)); lo < 3100; lo += step {
+			ranges = append(ranges, [2]int64{lo, lo + step})
+		}
+		if i%3 == 0 {
+			rng.Shuffle(len(ranges), func(a, b int) { ranges[a], ranges[b] = ranges[b], ranges[a] })
+		}
+		for _, r := range ranges {
+			want := false
+			for _, p := range preds {
+				if ref.Excludes(p, r[0], r[1]) {
+					want = true
+					break
+				}
+			}
+			if test == nil {
+				if want {
+					t.Fatalf("preds %v: no test, but Excludes excludes %v", preds, r)
+				}
+				continue
+			}
+			if got := test.Excludes(r[0], r[1]); got != want {
+				t.Fatalf("preds %v range %v: Test says %v, Excludes %v", preds, r, got, want)
+			}
+		}
+		if test != nil {
+			test.Close()
+		}
+		if c, h := s.PruneStats(); c != ref.checks.Load() || h != ref.hits.Load() {
+			t.Fatalf("after case %d: Test counted %d checks and %d hits, Excludes %d and %d", i, c, h, ref.checks.Load(), ref.hits.Load())
 		}
 	}
 }
