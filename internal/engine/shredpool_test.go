@@ -85,7 +85,8 @@ func TestFailedQueryInstallsNoShred(t *testing.T) {
 // captured, less those reported evicted (by the budget, or replaced by a
 // capture that outranks them) and invalidated, are the pool's bytes. Cut
 // scans re-tee columns the pool holds whole, serial cascades capture
-// partial columns that full ones later replace, and a small budget evicts.
+// partial columns that full ones later replace, and a small budget evicts:
+// 400 KiB holds the narrow pool's columns, 150 KiB does not.
 func TestCapturedEventsMatchPool(t *testing.T) {
 	var data bytes.Buffer
 	for i := 0; i < 20000; i++ {
@@ -103,7 +104,7 @@ func TestCapturedEventsMatchPool(t *testing.T) {
 		"SELECT SUM(c) FROM t WHERE b < 10",
 	}
 	seen := map[string]bool{}
-	for _, cfg := range []Config{{Parallelism: 2}, {Parallelism: 1}, {Parallelism: 1, CacheBudget: 150 << 10}} {
+	for _, cfg := range []Config{{Parallelism: 2}, {Parallelism: 1}, {Parallelism: 1, CacheBudget: 400 << 10}, {Parallelism: 1, CacheBudget: 150 << 10}} {
 		t.Run(fmt.Sprintf("workers=%d/budget=%d", cfg.Parallelism, cfg.CacheBudget), func(t *testing.T) {
 			e := newTestEngine(t, cfg)
 			for _, tab := range []string{"t", "u"} {
