@@ -84,24 +84,19 @@ func Select(buf []int32, cols []*vector.Vector, preds []Pred, in []int32, n int)
 	if cap(buf) < n {
 		buf = make([]int32, n)
 	}
-	if in != nil {
-		return refine(append(buf[:0], in...), cols, preds)
-	}
-	p, v := preds[0], cols[preds[0].Col]
-	sel := Flat{v}.Select(buf, p, 0, n)
-	return refine(sel, cols, preds[1:])
-}
-
-// refine keeps the indexes of sel whose rows satisfy every one of preds, in
-// sel's storage.
-func refine(sel []int32, cols []*vector.Vector, preds []Pred) []int32 {
-	for _, p := range preds {
-		if len(sel) == 0 {
+	sel := append(buf[:0], in...)
+	for i, p := range preds {
+		v := cols[p.Col]
+		switch {
+		case i == 0 && in == nil && v.Type == vector.Int64:
+			sel = evalPredAll(buf[:n], v.Int64s[:n], p.Op, p.I64, 0)
+		case i == 0 && in == nil:
+			sel = evalPredAll(buf[:n], v.Float64s[:n], p.Op, p.F64, 0)
+		case len(sel) == 0:
 			return sel
-		}
-		if v := cols[p.Col]; v.Type == vector.Int64 {
+		case v.Type == vector.Int64:
 			sel = evalPredSel(sel, v.Int64s, p.Op, p.I64)
-		} else {
+		default:
 			sel = evalPredSel(sel, v.Float64s, p.Op, p.F64)
 		}
 	}
@@ -171,7 +166,8 @@ func (f *Filter) Close() error { return f.child.Close() }
 // evalPredAll writes to sel, as long as s, the indexes at+i with
 // "s[i] op lit". The store is unconditional and the comparison only advances
 // the count, which compiles to a flag set and an add: no branch per row to
-// mispredict. Narrow columns run it over a chunk's unsigned distances.
+// mispredict. Narrow columns run it over a chunk's unsigned distances, at
+// the chunk's offset in the batch.
 func evalPredAll[T int64 | float64 | uint8 | uint16 | uint32 | uint64](sel []int32, s []T, op CmpOp, lit T, at int32) []int32 {
 	k := 0
 	switch op {

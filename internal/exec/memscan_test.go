@@ -368,3 +368,49 @@ func BenchmarkMemScanNarrow(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkNarrowRead times Narrow.Read of a 50k-row column of four-byte
+// distances, a batch at a time, under selections that keep 5 % and 40 % of
+// each batch's rows: through Read, which gathers under an eighth and decodes
+// above it, and forced to decode every row or to gather only the kept ones.
+// Read should match the faster of the two on each side of its cut.
+func BenchmarkNarrowRead(b *testing.B) {
+	const n = 50_000
+	rng := rand.New(rand.NewSource(1))
+	vals := make([]int64, n)
+	for i := range vals {
+		vals[i] = rng.Int63n(1e9)
+	}
+	c := NewNarrow(encode(vals))
+	for _, keep := range []float64{0.05, 0.4} {
+		var sels [][]int32
+		for lo := 0; lo < n; lo += vector.DefaultBatchSize {
+			var sel []int32
+			for i := range min(vector.DefaultBatchSize, n-lo) {
+				if rng.Float64() < keep {
+					sel = append(sel, int32(i))
+				}
+			}
+			sels = append(sels, sel)
+		}
+		for _, mode := range []string{"read", "decode", "gather"} {
+			b.Run(fmt.Sprintf("keep=%g/%s", keep, mode), func(b *testing.B) {
+				var dst vector.Vector
+				for range b.N {
+					for k, lo := 0, 0; lo < n; k, lo = k+1, lo+vector.DefaultBatchSize {
+						hi := min(lo+vector.DefaultBatchSize, n)
+						switch mode {
+						case "read":
+							c.Read(&dst, lo, hi, sels[k])
+						case "decode":
+							c.Read(&dst, lo, hi, nil)
+						default:
+							c.gather(&dst, lo, hi, sels[k])
+						}
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/row")
+			})
+		}
+	}
+}

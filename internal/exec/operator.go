@@ -169,7 +169,9 @@ func (s *MemScan) Next() (*vector.Batch, error) {
 			for _, q := range s.preds[1:] {
 				s.cols[q.Col].Read(s.vecs[q.Col], lo, end, s.sel)
 			}
-			s.sel = refine(s.sel, s.vecs, s.preds[1:])
+			if len(s.preds) > 1 {
+				s.sel = Select(s.sel, s.vecs, s.preds[1:], s.sel, m)
+			}
 			s.rowsPruned += int64(m - len(s.sel))
 			if len(s.sel) == 0 {
 				continue // fully filtered range: advance to the next one

@@ -137,9 +137,9 @@ type lateBatch struct {
 }
 
 // locate fills b for a batch of row ids from col, which holds nrows rows, in
-// one gather (offsets.Column.Gather: the ids a chunk's span holds decoded
-// together, an id alone in its span read with At), after checking every id
-// against the table. Then, unless the ids are one contiguous run, it loads
+// one gather (offsets.Column.Gather: the chunk holding an id found once for
+// the run of ids that fall into it, each id's distance read in place), after
+// checking every id against the table. Then, unless the ids are one contiguous run, it loads
 // the byte at every position in a pass of its own: the rows' cache misses
 // overlap there, instead of each one waiting behind the previous row's
 // parse, which starts from that byte. A contiguous run, as a RowScan's

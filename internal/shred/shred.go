@@ -187,13 +187,6 @@ func (p *Pool) Put(key Key, rowIDs []int64, vec *vector.Vector) (installed, repl
 	if rowIDs != nil && !validRowIDs(rowIDs, vec.Len()) {
 		return nil, nil
 	}
-	s := flatShred(key, rowIDs, vec)
-	return p.PutNarrow(key, s.rows, s.ints, vec)
-}
-
-// flatShred builds the shred of flat row ids (nil: the full column) and
-// values, encoding the row ids and Int64 values.
-func flatShred(key Key, rowIDs []int64, vec *vector.Vector) *Shred {
 	var rows, ints *offsets.Column
 	if rowIDs != nil {
 		rows = encode(rowIDs)
@@ -201,7 +194,7 @@ func flatShred(key Key, rowIDs []int64, vec *vector.Vector) *Shred {
 	if vec.Type == vector.Int64 {
 		ints = encode(vec.Int64s)
 	}
-	return newShred(key, rows, ints, vec)
+	return p.PutNarrow(key, rows, ints, vec)
 }
 
 // validRowIDs reports whether rids are n row ids in strictly ascending order,

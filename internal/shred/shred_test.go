@@ -6,6 +6,7 @@ import (
 
 	"rawdb/internal/exec"
 	"rawdb/internal/insitu"
+	"rawdb/internal/offsets"
 	"rawdb/internal/vector"
 )
 
@@ -13,6 +14,19 @@ func intVec(vals ...int64) *vector.Vector {
 	v := vector.New(vector.Int64, len(vals))
 	v.Int64s = append(v.Int64s, vals...)
 	return v
+}
+
+// flatShred builds the shred of flat row ids (nil: the full column) and
+// values, encoded as Pool.Put encodes them, outside any pool.
+func flatShred(key Key, rowIDs []int64, vec *vector.Vector) *Shred {
+	var rows, ints *offsets.Column
+	if rowIDs != nil {
+		rows = encode(rowIDs)
+	}
+	if vec.Type == vector.Int64 {
+		ints = encode(vec.Int64s)
+	}
+	return newShred(key, rows, ints, vec)
 }
 
 func TestShredExtract(t *testing.T) {
