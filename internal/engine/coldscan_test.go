@@ -243,22 +243,30 @@ func TestColdScanStructuresAllocatedOnce(t *testing.T) {
 					// most 5 % more than the same offsets chunked by one serial pass.
 					var got, ref int64
 					if pm := st.positions().pm; pm != nil {
-						var pos [][]int64
-						for _, c := range pm.TrackedColumns() {
-							pos = append(pos, pm.Positions(c).Decode(nil, 0, rows))
+						serial := posmap.New(e.cfg.PosMapPolicy, len(st.tab.Schema))
+						serial.Reserve(rows)
+						row := make([]int64, len(pm.TrackedColumns()))
+						for r := range int64(rows) {
+							for i, c := range pm.TrackedColumns() {
+								row[i] = pm.Positions(c).At(r)
+							}
+							serial.AppendRow(row)
 						}
-						serial, err := posmap.Restore(pm.TrackedColumns(), pos, rows)
-						if err != nil {
-							t.Fatal(err)
-						}
+						serial.Clip()
 						got, ref = pm.MemoryFootprint(), serial.MemoryFootprint()
 					} else if idx := st.positions().jidx; idx != nil {
-						paths := map[string][]int64{}
-						for _, p := range idx.TrackedPaths() {
-							paths[p] = idx.Peek(p).Decode(nil, 0, rows)
+						serial := jsonidx.New()
+						serial.Reserve(rows)
+						paths := idx.TrackedPaths()
+						rec, offs := serial.Record(paths), make([]int64, len(paths))
+						for r := range int64(rows) {
+							for i, p := range paths {
+								offs[i] = idx.Peek(p).At(r)
+							}
+							rec.AppendRow(idx.RowStart(r), offs)
 						}
-						got = idx.MemoryFootprint()
-						ref = jsonidx.Restore(idx.RowStarts().Decode(nil, 0, rows), paths).MemoryFootprint()
+						rec.Commit()
+						got, ref = idx.MemoryFootprint(), serial.MemoryFootprint()
 					} else {
 						t.Fatal("no positional structure after the cold query")
 					}
@@ -273,7 +281,8 @@ func TestColdScanStructuresAllocatedOnce(t *testing.T) {
 						if !s.Full() {
 							t.Fatalf("cold capture of %s is partial", s.Key())
 						}
-						if got, ref := s.SizeBytes(), narrowBytes(s.Values().Int64s); s.Len() != rows || got > ref+ref/20 {
+						_, vals := decodeShred(s)
+						if got, ref := s.SizeBytes(), narrowBytes(vals.Int64s); s.Len() != rows || got > ref+ref/20 {
 							t.Errorf("shred %s: %d rows in %d bytes, want %d rows in at most 1.05 x %d", s.Key(), s.Len(), got, rows, ref)
 						}
 					}
@@ -289,7 +298,8 @@ func TestColdScanStructuresAllocatedOnce(t *testing.T) {
 					if s == nil || s.Full() {
 						t.Fatalf("late capture of col3: %v", s)
 					}
-					if got, ref := s.SizeBytes(), narrowBytes(s.Values().Int64s)+narrowBytes(s.RowIDs()); got > ref+ref/20 {
+					rids, vals := decodeShred(s)
+					if got, ref := s.SizeBytes(), narrowBytes(vals.Int64s)+narrowBytes(rids); got > ref+ref/20 {
 						t.Errorf("partial capture of %d rows holds %d bytes, %d encoded serially", s.Len(), got, ref)
 					}
 				})
@@ -381,7 +391,7 @@ func TestColdTextMorselsBounded(t *testing.T) {
 				if big := rows > 20_000; big != (want > 4) {
 					t.Fatalf("%d rows render %d bytes: %d morsels", rows, len(data), want)
 				}
-				var left []map[string][]byte
+				var left []map[string]string
 				for _, workers := range []int{1, 2} {
 					e := newTestEngine(t, Config{Parallelism: workers})
 					registerColdScan(t, e, format, data)
@@ -401,7 +411,7 @@ func TestColdTextMorselsBounded(t *testing.T) {
 					left = append(left, state)
 				}
 				for what, serial := range left[0] {
-					if !bytes.Equal(serial, left[1][what]) {
+					if serial != left[1][what] {
 						t.Errorf("%d rows: the %s the morsels merged into differs from the serial scan's", rows, what)
 					}
 				}
@@ -502,7 +512,7 @@ func TestMorselCaptureReserve(t *testing.T) {
 		if s == nil || !s.Full() || s.Len() != rows {
 			t.Fatalf("%s: published %v", what, s)
 		}
-		got := s.Values()
+		_, got := decodeShred(s)
 		for i := range rows {
 			if v := got.Value(i); v != int64(3*i) && v != float64(3*i) {
 				t.Fatalf("%s: value %d = %v, want %d", what, i, v, 3*i)

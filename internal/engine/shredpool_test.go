@@ -184,8 +184,8 @@ func TestJoinCaptureSortsRowIDs(t *testing.T) {
 		keyed := 0
 		for tab, val := range value {
 			for _, s := range e.shreds.ShredsOf(tab) {
-				rids := s.RowIDs()
-				for j, v := range s.Values().Int64s {
+				rids, vals := decodeShred(s)
+				for j, v := range vals.Int64s {
 					rid := int64(j)
 					if !s.Full() {
 						if rid = rids[j]; j > 0 && rid <= rids[j-1] {

@@ -10,8 +10,12 @@ import (
 	"rawdb/internal/catalog"
 	"rawdb/internal/exec"
 	"rawdb/internal/jit"
+	"rawdb/internal/jsonidx"
+	"rawdb/internal/offsets"
 	"rawdb/internal/posmap"
+	"rawdb/internal/shred"
 	"rawdb/internal/vault"
+	"rawdb/internal/vector"
 )
 
 // sourceCase is one plug-in over one generated input.
@@ -69,26 +73,61 @@ func sourceCases(t *testing.T, policy posmap.Policy) []sourceCase {
 	return cases
 }
 
-// encodeState renders everything queries published for table t in its vault
-// form, the representation two equal structures must share byte for byte.
-func encodeState(e *Engine, st *tableState) map[string][]byte {
-	out := make(map[string][]byte)
-	var fp vault.Fingerprint
+// encodeState renders everything queries published for table t: each
+// structure's tracked set and decoded values, the representation two equal
+// structures must share byte for byte. Their vault bytes need not agree: the
+// chunk layout follows the fragment cuts. The synopsis, which is not
+// chunked, is rendered in its vault form.
+func encodeState(e *Engine, st *tableState) map[string]string {
+	out := make(map[string]string)
+	column := func(b *strings.Builder, name any, c *offsets.Column) {
+		fmt.Fprintf(b, "%v: %v\n", name, c.Decode(nil, 0, c.Len()))
+	}
 	for _, s := range st.slots() {
-		if x := s.get(); x != nil {
-			out[s.kind.String()] = vault.Encode(fp, x)
+		var b strings.Builder
+		switch x := s.get().(type) {
+		case nil:
+			continue
+		case *posmap.Map:
+			fmt.Fprintf(&b, "rows %d\n", x.NRows())
+			for _, c := range x.TrackedColumns() {
+				column(&b, c, x.Positions(c))
+			}
+		case *jsonidx.Index:
+			column(&b, "rows", x.RowStarts())
+			for _, p := range x.TrackedPaths() {
+				column(&b, p, x.Peek(p))
+			}
+		default:
+			b.Write(vault.Encode(vault.Fingerprint{}, x))
 		}
+		out[s.kind.String()] = b.String()
 	}
 	if e != nil {
-		var ts []vault.TableShred
+		var b strings.Builder
 		for _, s := range e.shreds.ShredsOf(st.tab.Name) {
-			ts = append(ts, vault.TableShred{Col: s.Key().Col, RowIDs: s.RowIDs(), Vec: s.Values()})
+			rids, v := decodeShred(s)
+			fmt.Fprintf(&b, "col%d %v full=%v %v: %v%v%v%q\n", s.Key().Col, v.Type, s.Full(), rids, v.Int64s, v.Float64s, v.Bools, v.Bytess)
 		}
-		if len(ts) > 0 {
-			out["shreds"] = vault.EncodeShreds(fp, ts)
+		if b.Len() > 0 {
+			out["shreds"] = b.String()
 		}
 	}
 	return out
+}
+
+// decodeShred returns s's row ids (nil for a full column) and its values,
+// decoded.
+func decodeShred(s *shred.Shred) ([]int64, *vector.Vector) {
+	rows, ints, vec := s.Parts()
+	var rids []int64
+	if rows != nil {
+		rids = rows.Decode(make([]int64, 0, rows.Len()), 0, rows.Len())
+	}
+	if ints != nil {
+		vec = &vector.Vector{Type: vector.Int64, Int64s: ints.Decode(nil, 0, ints.Len())}
+	}
+	return rids, vec
 }
 
 // TestSourceContract holds every input plug-in to the contract the planner
@@ -212,7 +251,7 @@ func TestSourcePublication(t *testing.T) {
 	for _, c := range sourceCases(t, policy) {
 		t.Run(c.name, func(t *testing.T) {
 			var want *Result
-			var wantState map[string][]byte
+			var wantState map[string]string
 			for _, workers := range []int{1, 4} {
 				e := New(cfg)
 				if err := c.register(e); err != nil {

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 	"sync"
 
@@ -139,9 +140,9 @@ func (e *Engine) vaultFingerprint(st *tableState) (vault.Fingerprint, bool) {
 
 // vaultLoad warms a table from the vault, if any, at registration time.
 // Invalid or stale entries are ignored (and removed by the store); the table
-// then starts cold exactly as without a vault. A restored structure states
-// the table's row count; one disagreeing with a count already known is
-// ignored.
+// then starts cold exactly as without a vault. A restored structure, or full
+// shred, states the table's row count; one disagreeing with a count already
+// known is ignored, as is a partial shred holding a row past it.
 func (e *Engine) vaultLoad(st *tableState) {
 	if e.vault == nil {
 		return
@@ -174,11 +175,21 @@ func (e *Engine) vaultLoad(st *tableState) {
 		before := e.shreds.SizeBytes()
 		n := 0
 		shs, _ := e.vault.Load(name, vault.KindShreds, fp).([]vault.TableShred)
+		shs = slices.DeleteFunc(shs, func(ts vault.TableShred) bool {
+			// Defense in depth: the schema hash should prevent this.
+			return ts.Col >= len(st.tab.Schema) || ts.Type() != st.tab.Schema[ts.Col].Type
+		})
 		for _, ts := range shs {
-			if ts.Col >= len(st.tab.Schema) || ts.Vec.Type != st.tab.Schema[ts.Col].Type {
-				continue // defense in depth; the schema hash should prevent this
+			if ts.Rows == nil {
+				st.learnRows(ts.Len()) // a full shred states the row count, as a slot does
 			}
-			e.shreds.Put(shred.Key{Table: name, Col: ts.Col}, ts.RowIDs, ts.Vec)
+		}
+		for _, ts := range shs {
+			if st.nrows >= 0 && (ts.Rows == nil && ts.Len() != st.nrows ||
+				ts.Rows != nil && ts.Len() > 0 && ts.Rows.At(ts.Len()-1) >= st.nrows) {
+				continue // rows the table does not have, or lacking some it has
+			}
+			e.shreds.PutNarrow(shred.Key{Table: name, Col: ts.Col}, ts.Rows, ts.Ints, ts.Vec)
 			n++
 		}
 		st.shredVer = e.shreds.TableVersion(name)
@@ -289,7 +300,8 @@ func (e *Engine) collectVaultWrites(st *tableState) []vaultWrite {
 			if shs := e.shreds.ShredsOf(name); len(shs) > 0 {
 				ts := make([]vault.TableShred, len(shs))
 				for i, s := range shs {
-					ts[i] = vault.TableShred{Col: s.Key().Col, RowIDs: s.RowIDs(), Vec: s.Values()}
+					ts[i].Col = s.Key().Col
+					ts[i].Rows, ts[i].Ints, ts[i].Vec = s.Parts()
 				}
 				writes = append(writes, vaultWrite{vault.KindShreds, vault.Encode(st.fp, ts)})
 				st.shredVer = v

@@ -199,24 +199,21 @@ func csvLateImage(cells []byte, rows, ncols int, open bool) []byte {
 // every k-th column, by walking each row's fields with SkipFields.
 func csvLateMap(t testing.TB, data []byte, ncols, k int) *posmap.Map {
 	t.Helper()
-	tracked := posmap.Policy{EveryK: k}.Columns(ncols)
-	pos := make([][]int64, len(tracked))
-	var nrows int64
+	pm := posmap.New(posmap.Policy{EveryK: k}, ncols)
+	tracked := pm.TrackedColumns()
+	row := make([]int64, len(tracked))
 	for rs := 0; rs < len(data); rs = csvfile.SkipRow(data, rs) {
 		p, i := rs, 0
 		for c := 0; c < ncols; c++ {
 			if i < len(tracked) && tracked[i] == c {
-				pos[i] = append(pos[i], int64(p))
+				row[i] = int64(p)
 				i++
 			}
 			p = csvfile.SkipFields(data, p, 1)
 		}
-		nrows++
+		pm.AppendRow(row)
 	}
-	pm, err := posmap.Restore(tracked, pos, nrows)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pm.Clip()
 	return pm
 }
 
@@ -341,7 +338,8 @@ func jsonLateIndex(data []byte, tracked []int) *jsonidx.Index {
 			rows = append(rows, int64(pos))
 		}
 	}
-	paths := make(map[string][]int64)
+	var paths []string
+	var cols [][]int64
 	for _, c := range tracked {
 		path := skelTable.Schema[c].Name
 		var offs []int64
@@ -351,10 +349,20 @@ func jsonLateIndex(data []byte, tracked []int) *jsonidx.Index {
 			}
 		}
 		if len(offs) == len(rows) {
-			paths[path] = offs
+			paths, cols = append(paths, path), append(cols, offs)
 		}
 	}
-	return jsonidx.Restore(rows, paths)
+	x := jsonidx.New()
+	rec := x.Record(paths)
+	offs := make([]int64, len(paths))
+	for r, rs := range rows {
+		for i := range cols {
+			offs[i] = cols[i][r]
+		}
+		rec.AppendRow(rs, offs)
+	}
+	rec.Commit()
+	return x
 }
 
 // jsonLateCompare holds JSONLateFetch to jsonLateRef over data for rids, for

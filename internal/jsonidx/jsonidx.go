@@ -20,7 +20,7 @@ package jsonidx
 
 import (
 	"maps"
-	"sort"
+	"slices"
 	"sync/atomic"
 
 	"rawdb/internal/offsets"
@@ -73,32 +73,11 @@ func New(...int64) *Index {
 // index is shared.
 func (x *Index) Reserve(rows int) { x.reserve = rows }
 
-// Restore reconstructs an index from its serialised parts: the row-start
-// offsets and the per-path value offsets (each of length len(rows); shorter
-// or longer recordings are dropped as incomplete). It is the decode-side
-// counterpart of the vault codec.
-func Restore(rows []int64, paths map[string][]int64) *Index {
-	var names []string
-	for p, offs := range paths {
-		if len(offs) == len(rows) {
-			names = append(names, p)
-		}
-	}
-	sort.Strings(names)
-	x := New()
-	x.Reserve(len(rows))
-	rec, cols, offs := x.Record(names), make([][]int64, len(names)), make([]int64, len(names))
-	for i, p := range names {
-		cols[i] = paths[p]
-	}
-	for r, start := range rows {
-		for i, col := range cols {
-			offs[i] = col[r]
-		}
-		rec.AppendRow(start, offs)
-	}
-	rec.Commit()
-	return x
+// Restore makes an index of its parts: the row starts and each path's value
+// offsets, anchored at them and of their row count (as offsets.Read builds
+// them). The vault's decoder restores an index so, replaying no row.
+func Restore(rows *offsets.Column, paths map[string]*offsets.Column) *Index {
+	return &Index{rows: rows, paths: paths, seeks: new(atomic.Int64)}
 }
 
 // NRows returns the number of rows whose starts are recorded; 0 means the
@@ -119,14 +98,7 @@ func (x *Index) Tracked(path string) bool {
 }
 
 // TrackedPaths returns the tracked paths in sorted order.
-func (x *Index) TrackedPaths() []string {
-	out := make([]string, 0, len(x.paths))
-	for p := range x.paths {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
-}
+func (x *Index) TrackedPaths() []string { return slices.Sorted(maps.Keys(x.paths)) }
 
 // Positions returns the per-row value offsets of a tracked path (nil if
 // untracked) and counts the seek. The column is shared and never mutated once

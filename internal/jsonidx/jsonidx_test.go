@@ -171,7 +171,7 @@ func TestPublishMakesNewIndex(t *testing.T) {
 // once, with their first chunks (an exact reservation needs no regrowth), and
 // that Merge, which links
 // fragments and clips their buffers, leaves what a high or low estimate left
-// to within 5 % of the same offsets restored (which sizes them exactly).
+// to within 5 % of the same offsets chunked by one exactly reserved pass.
 func TestReserveClipMerge(t *testing.T) {
 	const rows = 5000
 	fill := func(reserve int) (*Index, uint64) {
@@ -192,11 +192,14 @@ func TestReserveClipMerge(t *testing.T) {
 	compact := func(what string, x *Index) {
 		t.Helper()
 		n := x.NRows()
-		paths := map[string][]int64{}
-		for _, p := range x.TrackedPaths() {
-			paths[p] = x.Peek(p).Decode(nil, 0, n)
+		ref := New() // the same offsets chunked by one serial pass
+		ref.Reserve(int(n))
+		rec := ref.Record(x.TrackedPaths())
+		for r := range n {
+			rec.AppendRow(x.RowStart(r), []int64{x.Peek("a").At(r), x.Peek("b").At(r)})
 		}
-		want := Restore(x.RowStarts().Decode(nil, 0, n), paths).MemoryFootprint()
+		rec.Commit()
+		want := ref.MemoryFootprint()
 		if got := x.MemoryFootprint(); got > want+want/20 {
 			t.Errorf("%s: %d bytes, want <= 1.05 x %d", what, got, want)
 		}

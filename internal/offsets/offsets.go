@@ -10,10 +10,17 @@
 // segments by reference and moves only their chunks' bases: merging the
 // fragments of a parallel scan writes one header per chunk, not one offset
 // per row.
+//
+// AppendBinary and Read are a column's one binary form, which the vault
+// writes for positional maps, structural indexes and integer shreds alike:
+// the chunks as memory holds them, so that neither a save nor a restore
+// converts a row.
 package offsets
 
 import (
 	"encoding/binary"
+	"errors"
+	"fmt"
 	"slices"
 	"unsafe"
 )
@@ -398,4 +405,92 @@ func (c *Column) Bytes() int64 {
 		n += int64(cap(s.data)) + int64(cap(s.chunks))*int64(unsafe.Sizeof(chunk{}))
 	}
 	return n
+}
+
+// chunkHead is the size of a chunk's header in the binary form: its row
+// count (uint16), width (uint8) and base (int64).
+const chunkHead = 2 + 1 + 8
+
+// AppendBinary appends the column's binary form to b, little-endian: its
+// chunk count (uint32), then per chunk its row count, width and base, and its
+// rows' distances, as memory holds them. A short chunk ends its segment, in
+// memory as in the binary form, so Read rebuilds the segments from the row
+// counts alone. An anchored column writes its distances from the anchor; the
+// anchor is written on its own.
+func (c *Column) AppendBinary(b []byte) []byte {
+	segs := c.segs
+	if len(c.stage) > 0 { // not sealed: encode the staged rows apart, leaving c as it is
+		t := New(nil)
+		t.AppendAll(c.stage)
+		t.Clip()
+		segs = append(segs[:len(segs):len(segs)], t.segs...)
+	}
+	n := 0
+	for _, s := range segs {
+		n += len(s.chunks)
+	}
+	b = binary.LittleEndian.AppendUint32(b, uint32(n))
+	for _, s := range segs {
+		for k, ch := range s.chunks {
+			rows := s.rows(k)
+			b = binary.LittleEndian.AppendUint16(b, uint16(rows))
+			b = append(b, byte(ch.w))
+			b = binary.LittleEndian.AppendUint64(b, uint64(ch.base))
+			b = append(b, s.data[ch.off:ch.off+rows*ch.w]...)
+		}
+	}
+	return b
+}
+
+// ErrBinary reports a malformed binary form.
+var ErrBinary = errors.New("offsets: malformed column")
+
+// Read decodes the binary form at the start of b into a sealed column
+// anchored at anchor (nil: absolute), and returns it with the number of bytes
+// it took. It checks that each chunk holds 1 to ChunkRows rows of width 1, 2,
+// 4 or 8, that every length fits in the bytes that remain, and that an
+// anchored column has its anchor's row count; a short chunk ends its segment,
+// so only a segment's last chunk is short. Malformed bytes return an error
+// wrapping ErrBinary, never a panic. Each segment's distances are copied into
+// one buffer of their exact size: nothing is decoded.
+func Read(b []byte, anchor *Column) (*Column, int, error) {
+	if len(b) < 4 {
+		return nil, 0, fmt.Errorf("%w: %d bytes hold no chunk count", ErrBinary, len(b))
+	}
+	n, off := int(binary.LittleEndian.Uint32(b)), 4
+	if n > (len(b)-off)/(chunkHead+1) {
+		return nil, 0, fmt.Errorf("%w: %d chunks in %d bytes", ErrBinary, n, len(b)-off)
+	}
+	c := &Column{anchor: anchor}
+	// Check the chunks up to a segment's end, then copy the segment whole.
+	for k, first, end, size := 0, 0, off, 0; k < n; k++ {
+		if len(b)-end < chunkHead {
+			return nil, 0, fmt.Errorf("%w: chunk %d cut short", ErrBinary, k)
+		}
+		rows, w := int(binary.LittleEndian.Uint16(b[end:])), int(b[end+2])
+		if rows < 1 || rows > ChunkRows || w != 1 && w != 2 && w != 4 && w != 8 {
+			return nil, 0, fmt.Errorf("%w: chunk %d of %d rows %d bytes wide", ErrBinary, k, rows, w)
+		}
+		if end += chunkHead + rows*w; end > len(b) {
+			return nil, 0, fmt.Errorf("%w: chunk %d cut short", ErrBinary, k)
+		}
+		if size += rows * w; rows == ChunkRows && k+1 < n {
+			continue
+		}
+		s := segment{row0: c.n, data: make([]byte, 0, size), chunks: make([]chunk, k+1-first)}
+		for i := range s.chunks {
+			rows, w := int(binary.LittleEndian.Uint16(b[off:])), int(b[off+2])
+			s.chunks[i] = chunk{base: int64(binary.LittleEndian.Uint64(b[off+3:])), off: len(s.data), w: w}
+			s.data = append(s.data, b[off+chunkHead:][:rows*w]...)
+			off += chunkHead + rows*w
+			c.n += int64(rows)
+		}
+		c.segs = append(c.segs, s)
+		first, size = k+1, 0
+	}
+	c.segs = clip(c.segs)
+	if anchor != nil && c.n != anchor.Len() {
+		return nil, 0, fmt.Errorf("%w: %d rows anchored at %d", ErrBinary, c.n, anchor.Len())
+	}
+	return c, off, nil
 }

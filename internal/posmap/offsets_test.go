@@ -2,6 +2,7 @@ package posmap_test
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -9,6 +10,7 @@ import (
 
 	"rawdb/internal/jsonidx"
 	"rawdb/internal/posmap"
+	"rawdb/internal/vault"
 )
 
 // offsetsRef is one recorded file, kept as plain []int64: the row starts, the
@@ -93,21 +95,16 @@ func (ref offsetsRef) merged(cuts []int) (*posmap.Map, *jsonidx.Index, error) {
 	return pm, jsonidx.Merge(frags, offs), nil
 }
 
-// restored builds both structures the way the vault's decoder does.
-func (ref offsetsRef) restored() (*posmap.Map, *jsonidx.Index, error) {
-	cols := make([][]int64, len(ref.cols))
-	for i := range cols {
-		cols[i] = slices.Clone(ref.cols[i])
-	}
-	pm, err := posmap.Restore(refPolicy.Columns(refCols), cols, int64(len(ref.rows)))
+// restored round-trips both structures through the vault's binary form, as a
+// save and a restart do: the chunks come back as they were written.
+func restored(pm *posmap.Map, x *jsonidx.Index) (*posmap.Map, *jsonidx.Index, error) {
+	fp := vault.Fingerprint{Size: math.MaxInt64}
+	_, pm, err := vault.DecodePosMap(vault.EncodePosMap(fp, pm))
 	if err != nil {
 		return nil, nil, err
 	}
-	paths := map[string][]int64{}
-	for p, o := range ref.paths {
-		paths[p] = slices.Clone(o)
-	}
-	return pm, jsonidx.Restore(slices.Clone(ref.rows), paths), nil
+	_, x, err = vault.DecodeJSONIdx(vault.EncodeJSONIdx(fp, x))
+	return pm, x, err
 }
 
 // pmBatch and idxBatch read rows [lo, hi) of one recorded column as a batch.
@@ -176,8 +173,9 @@ func (ref offsetsRef) check(pm *posmap.Map, x *jsonidx.Index, rng *rand.Rand) er
 	return nil
 }
 
-// checkAllWays builds the structures of ref serially, by a merge of the
-// fragments cuts draws and by Restore, and checks each against ref.
+// checkAllWays builds the structures of ref serially and by a merge of the
+// fragments cuts draws, round-trips the merge through the vault's binary
+// form, and checks each against ref.
 func (ref offsetsRef) checkAllWays(cuts []int, rng *rand.Rand) error {
 	pm, x := ref.serial(0, len(ref.rows), 0)
 	if err := ref.check(pm, x, rng); err != nil {
@@ -190,12 +188,12 @@ func (ref offsetsRef) checkAllWays(cuts []int, rng *rand.Rand) error {
 	if err != nil {
 		return fmt.Errorf("merge of %d fragments at %v: %w", len(cuts)+1, cuts, err)
 	}
-	pm, x, err = ref.restored()
+	pm, x, err = restored(pm, x)
 	if err == nil {
 		err = ref.check(pm, x, rng)
 	}
 	if err != nil {
-		return fmt.Errorf("restore: %w", err)
+		return fmt.Errorf("vault round trip of the merge: %w", err)
 	}
 	return nil
 }
@@ -219,8 +217,8 @@ func drawCuts(rng *rand.Rand, n, k int) []int {
 // TestOffsetsMatchReference checks the positional map and the structural
 // index against plain []int64 offsets, built serially, by a k-fragment merge
 // (k = 1..9, with empty fragments and row counts off any chunk multiple) and
-// by Restore, over row widths whose spans cross 2^8, 2^16 and 2^32 and rows
-// wider than 64 KiB.
+// by a vault round trip of the merge, over row widths whose spans cross 2^8,
+// 2^16 and 2^32 and rows wider than 64 KiB.
 func TestOffsetsMatchReference(t *testing.T) {
 	widths := map[string][]int64{
 		"narrow":  {1, 2, 3},

@@ -13,6 +13,7 @@ package posmap
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"rawdb/internal/offsets"
@@ -32,24 +33,17 @@ type Policy struct {
 // Columns materialises the tracked column set for a file with ncols columns,
 // in increasing order.
 func (p Policy) Columns(ncols int) []int {
-	seen := make(map[int]bool)
 	var out []int
-	add := func(c int) {
-		if c >= 0 && c < ncols && !seen[c] {
-			seen[c] = true
+	for c := 0; p.EveryK > 0 && c < ncols; c += p.EveryK {
+		out = append(out, c)
+	}
+	for _, c := range p.Extra {
+		if c >= 0 && c < ncols {
 			out = append(out, c)
 		}
 	}
-	if p.EveryK > 0 {
-		for c := 0; c < ncols; c += p.EveryK {
-			add(c)
-		}
-	}
-	for _, c := range p.Extra {
-		add(c)
-	}
-	sort.Ints(out)
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // String describes the policy for logs and experiment labels.
@@ -66,69 +60,49 @@ func (p Policy) String() string {
 // same row, so that they stay as narrow as a row is wide.
 type Map struct {
 	tracked []int             // sorted tracked column indexes
-	index   map[int]int       // column -> slot in positions
 	pos     []*offsets.Column // per tracked column, per row, byte offset
 	nrows   int64
 }
 
 // New returns an empty map tracking the given columns of an ncols-wide file.
 func New(policy Policy, ncols int) *Map {
-	return newMap(policy.Columns(ncols))
-}
-
-func newMap(tracked []int) *Map {
-	m := &Map{
-		tracked: tracked,
-		index:   make(map[int]int, len(tracked)),
-		pos:     make([]*offsets.Column, len(tracked)),
+	tracked := policy.Columns(ncols)
+	pos := make([]*offsets.Column, len(tracked))
+	for i := range pos {
+		pos[i] = offsets.New(pos[0]) // pos[0] itself gets a nil anchor
 	}
-	for i, c := range tracked {
-		m.index[c] = i
-		m.pos[i] = offsets.New(m.pos[0]) // pos[0] itself gets a nil anchor
-	}
+	m, _ := Restore(tracked, pos, 0)
 	return m
 }
 
-// Restore reconstructs a map from its serialised parts: the sorted tracked
-// column indexes, the per-tracked-column positions (each of length nrows) and
-// the row count. It is the decode-side counterpart of the vault codec; a map
-// restored from a valid entry is indistinguishable from one built by a scan.
-func Restore(tracked []int, pos [][]int64, nrows int64) (*Map, error) {
+// Restore makes a map of its parts: the tracked column indexes, strictly
+// ascending, their position columns of nrows rows each, the first absolute
+// and the others anchored at it (as offsets.Read builds them), and the row
+// count. The vault's decoder restores a map so, replaying no row: the map
+// holds the columns as they are, indistinguishable from a scan's.
+func Restore(tracked []int, pos []*offsets.Column, nrows int64) (*Map, error) {
 	if len(tracked) != len(pos) {
-		return nil, fmt.Errorf("posmap: %d tracked columns for %d position slices", len(tracked), len(pos))
+		return nil, fmt.Errorf("posmap: %d tracked columns for %d position columns", len(tracked), len(pos))
 	}
 	if nrows < 0 {
 		return nil, fmt.Errorf("posmap: negative row count %d", nrows)
 	}
 	for i, c := range tracked {
-		if c < 0 {
-			return nil, fmt.Errorf("posmap: negative tracked column %d", c)
+		if c < 0 || i > 0 && c <= tracked[i-1] {
+			return nil, fmt.Errorf("posmap: tracked columns %v not ascending from 0", tracked)
 		}
-		if i > 0 && c <= tracked[i-1] {
-			return nil, fmt.Errorf("posmap: tracked columns not strictly ascending")
-		}
-		if int64(len(pos[i])) != nrows {
-			return nil, fmt.Errorf("posmap: column %d has %d positions for %d rows", c, len(pos[i]), nrows)
+		if pos[i].Len() != nrows {
+			return nil, fmt.Errorf("posmap: column %d has %d positions for %d rows", c, pos[i].Len(), nrows)
 		}
 	}
-	m := newMap(tracked)
-	m.Reserve(int(nrows))
-	row := make([]int64, len(pos))
-	for r := range nrows {
-		for i := range pos {
-			row[i] = pos[i][r]
-		}
-		m.AppendRow(row)
-	}
-	m.Clip()
-	return m, nil
+	return &Map{tracked: tracked, pos: pos, nrows: nrows}, nil
 }
 
 // Tracked reports whether the map records positions for column c.
-func (m *Map) Tracked(c int) bool {
-	_, ok := m.index[c]
-	return ok
-}
+func (m *Map) Tracked(c int) bool { return m.Positions(c) != nil }
+
+// slot returns the slot of the greatest tracked column <= c, or -1.
+func (m *Map) slot(c int) int { return sort.SearchInts(m.tracked, c+1) - 1 }
 
 // TrackedColumns returns the tracked column indexes in increasing order.
 func (m *Map) TrackedColumns() []int { return m.tracked }
@@ -175,23 +149,20 @@ func (m *Map) AppendRow(offs []int64) {
 // Positions returns the per-row byte offsets for tracked column c, or nil if
 // c is not tracked. The column is shared; callers only read it.
 func (m *Map) Positions(c int) *offsets.Column {
-	i, ok := m.index[c]
-	if !ok {
-		return nil
+	if i := m.slot(c); i >= 0 && m.tracked[i] == c {
+		return m.pos[i]
 	}
-	return m.pos[i]
+	return nil
 }
 
 // Nearest returns the greatest tracked column <= c, for incremental parsing
 // from a nearby position ("jump to column 7, parse forward to column 11").
 // ok is false when no tracked column precedes c.
 func (m *Map) Nearest(c int) (col int, ok bool) {
-	// tracked is sorted; find rightmost <= c.
-	i := sort.SearchInts(m.tracked, c+1) - 1
-	if i < 0 {
-		return 0, false
+	if i := m.slot(c); i >= 0 {
+		return m.tracked[i], true
 	}
-	return m.tracked[i], true
+	return 0, false
 }
 
 // Lookup returns the byte position from which column c of row can be reached
@@ -199,11 +170,11 @@ func (m *Map) Nearest(c int) (col int, ok bool) {
 // (skip = 0), else the position of the nearest preceding tracked column with
 // skip = c - nearest. ok is false if the map cannot help for this column.
 func (m *Map) Lookup(row int64, c int) (pos int64, skip int, ok bool) {
-	near, ok := m.Nearest(c)
-	if !ok || row >= m.nrows {
+	i := m.slot(c)
+	if i < 0 || row >= m.nrows {
 		return 0, 0, false
 	}
-	return m.pos[m.index[near]].At(row), c - near, true
+	return m.pos[i].At(row), c - m.tracked[i], true
 }
 
 // Merge appends the rows of frag to m, shifting every recorded position by
@@ -214,13 +185,8 @@ func (m *Map) Lookup(row int64, c int) (pos int64, skip int, ok bool) {
 // links frag's chunks instead of copying them, moving only the bases of its
 // first column (the others are relative to it); frag is not written again.
 func (m *Map) Merge(frag *Map, byteOff int64) error {
-	if len(frag.tracked) != len(m.tracked) {
-		return fmt.Errorf("posmap: merge of map tracking %d columns into %d", len(frag.tracked), len(m.tracked))
-	}
-	for i := range m.tracked {
-		if m.tracked[i] != frag.tracked[i] {
-			return fmt.Errorf("posmap: merge of maps tracking different columns")
-		}
+	if !slices.Equal(frag.tracked, m.tracked) {
+		return fmt.Errorf("posmap: merge of a map tracking columns %v into one tracking %v", frag.tracked, m.tracked)
 	}
 	for i, col := range frag.pos {
 		if i > 0 {

@@ -136,7 +136,7 @@ func TestTrackedColumnsOrder(t *testing.T) {
 // TestReserveAndClip checks that a reserved map allocates its buffers once,
 // with its first chunk (an exact reservation needs no regrowth), and that
 // publishing it by a Merge clips what a high or low estimate leaves to within
-// 5 % of the same offsets restored, which sizes them exactly.
+// 5 % of the same offsets chunked by one exactly reserved pass.
 func TestReserveAndClip(t *testing.T) {
 	const rows = 5000
 	for _, reserve := range []int{0, rows / 3, rows, rows + rows/50, 4 * rows} {
@@ -158,14 +158,12 @@ func TestReserveAndClip(t *testing.T) {
 			t.Fatal(err)
 		}
 		m = pub
-		var pos [][]int64
-		for _, c := range m.TrackedColumns() {
-			pos = append(pos, m.Positions(c).Decode(nil, 0, rows))
+		ref := New(Policy{EveryK: 2}, 4) // the same offsets chunked by one serial pass
+		ref.Reserve(rows)
+		for r := range int64(rows) {
+			ref.AppendRow([]int64{m.Positions(0).At(r), m.Positions(2).At(r)})
 		}
-		ref, err := Restore(m.TrackedColumns(), pos, rows)
-		if err != nil {
-			t.Fatal(err)
-		}
+		ref.Clip()
 		if got, want := m.MemoryFootprint(), ref.MemoryFootprint(); got > want+want/20 {
 			t.Errorf("reserve %d: %d bytes once merged, want <= 1.05 x %d", reserve, got, want)
 		}

@@ -80,8 +80,8 @@ func FuzzShredColumn(f *testing.F) {
 		if s == nil {
 			t.Fatalf("Put refused %d values, row ids %v", len(vals), rids)
 		}
-		if got := s.Values().Int64s; !slices.Equal(got, vals) || !slices.Equal(s.RowIDs(), rids) {
-			t.Fatalf("decodes values %v row ids %v, want %v %v", got, s.RowIDs(), vals, rids)
+		if got := s.ints.Decode(nil, 0, s.ints.Len()); !slices.Equal(got, vals) || !slices.Equal(rowIDs(s), rids) {
+			t.Fatalf("decodes values %v row ids %v, want %v %v", got, rowIDs(s), vals, rids)
 		}
 		if len(vals) == 0 {
 			return

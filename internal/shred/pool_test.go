@@ -213,7 +213,7 @@ func checkPool(t *testing.T, step string, p *Pool, m *poolModel) {
 				t.Fatalf("%s: pool serves %v with %d rows (full %v), model %+v (held %v)",
 					step, s.Key(), s.Len(), s.Full(), ms, ok)
 			}
-			if rids := s.RowIDs(); !slices.IsSorted(rids) || len(slices.Compact(slices.Clone(rids))) != len(rids) {
+			if rids := rowIDs(s); !slices.IsSorted(rids) || len(slices.Compact(slices.Clone(rids))) != len(rids) {
 				t.Fatalf("%s: pool serves %v with row ids %v", step, s.Key(), rids)
 			}
 		}

@@ -89,21 +89,14 @@ func (s *Shred) Type() vector.Type { return s.col.Type() }
 // (a full column's with 0..Len()-1): narrow for Int64 values, else flat.
 func (s *Shred) Column() exec.Column { return s.col }
 
-// Values returns the cached values as a flat vector: decoded for Int64
-// values, else the shred's own, which callers must not modify.
-func (s *Shred) Values() *vector.Vector {
+// Parts returns what the shred holds, for the vault to write as it is: its
+// row ids (nil: the full column) and its values, ints for an Int64 column,
+// else vec. Callers only read them.
+func (s *Shred) Parts() (rows, ints *offsets.Column, vec *vector.Vector) {
 	if s.ints == nil {
-		return s.col.(exec.Flat).V
+		vec = s.col.(exec.Flat).V
 	}
-	return &vector.Vector{Type: vector.Int64, Int64s: s.ints.Decode(nil, 0, s.ints.Len())}
-}
-
-// RowIDs returns the ascending row ids, decoded, or nil for a full column.
-func (s *Shred) RowIDs() []int64 {
-	if s.rows == nil {
-		return nil
-	}
-	return s.rows.Decode(make([]int64, 0, s.rows.Len()), 0, s.rows.Len()) // never nil
+	return s.rows, s.ints, vec
 }
 
 // SizeBytes returns the bytes the shred charges the pool's budget.

@@ -9,6 +9,7 @@ import (
 
 	"rawdb/internal/dataset"
 	"rawdb/internal/jsonidx"
+	"rawdb/internal/offsets"
 	"rawdb/internal/posmap"
 	"rawdb/internal/synopsis"
 	"rawdb/internal/vector"
@@ -17,38 +18,39 @@ import (
 // Codec of .rawv entries, all little-endian:
 //
 //	magic    "RAWV"
-//	version  uint16  CodecVersion, or a kind's own (Kind.version)
+//	version  uint16  the kind's layout version (the kinds table)
 //	kind     uint8
 //	fp       Size int64 | MTime int64 | Sum uint64 | Schema uint64
 //	payload  kind-specific (below)
 //	check    uint64  FNV-64a of every preceding byte
 //
+// Offsets columns (positions, row starts, path offsets, row ids, integers)
+// are written in their binary form, offsets.Column.AppendBinary: chunks as
+// memory holds them, which a save and a restore copy without converting a row.
+//
 // Payloads:
 //
-//	posmap   nrows int64, ntracked uint32, tracked [ntracked]uint32,
-//	         positions [ntracked][nrows]int64
-//	jsonidx  nrows int64, rowstarts [nrows]int64, npaths uint32, then per
-//	         path: len uint32, name, offsets [nrows]int64
-//	shreds   nshreds uint32, then per shred: col uint32, full uint8,
-//	         (if partial) nrows int64 + rowids [nrows]int64,
-//	         vtype uint8, nvals int64, values (fixed 8/1 bytes, or
-//	         len-prefixed for VARCHAR)
+//	posmap   nrows int64, ntracked uint32, tracked [ntracked]uint32, then
+//	         the first tracked column's positions and each other's anchored
+//	         at them (ntracked columns)
+//	jsonidx  npaths uint32, per path: len uint32 + name; then the row starts
+//	         and each path's offsets anchored at them (1+npaths columns)
+//	shreds   nshreds uint32, then per shred: col uint32, vtype uint8,
+//	         full uint8, (if partial) its row ids as a column, then its
+//	         values: a column for Int64, else nvals int64 + values (fixed
+//	         8/1 bytes, or len-prefixed for VARCHAR)
 //	synopsis nrows int64, nbounds int64, bounds [nbounds]int64
 //	         (ascending, bounds[0] = 0, bounds[nbounds-1] = nrows),
 //	         ncols uint32, then per column: col uint32, vtype uint8,
 //	         mins [nbounds-1] + maxs [nbounds-1] (int64, or float64 bits)
 //
 // Decoding is defensive end to end: every length is bounds-checked against
-// the remaining bytes before allocation, and any violation returns an error
-// (never a panic) so the engine cold-rebuilds — the contract FuzzVaultDecode
-// exercises.
+// the remaining bytes before allocation, every offset against the raw file's
+// size, and any violation returns an error (never a panic) so the engine
+// cold-rebuilds — the contract FuzzVaultDecode exercises. An entry of another
+// layout version is such a violation: it is rebuilt, not migrated.
 
-const (
-	codecMagic = "RAWV"
-	// CodecVersion is bumped on any incompatible layout change; entries with
-	// another version are treated as invalid (cold rebuild).
-	CodecVersion = 1
-)
+const codecMagic = "RAWV"
 
 // Kind tags the structure type of one vault entry.
 type Kind uint8
@@ -64,21 +66,20 @@ const (
 )
 
 // kinds describes each entry kind: its label across metrics, events and
-// budget keys, its file name, and its decoder.
+// budget keys, its file name, and the layout version its entries are written
+// with and must carry. A kind's version moves alone when its layout changes,
+// so that the other kinds' entries stay valid: version 2 of positional maps,
+// structural indexes and shreds writes their chunks, and of manifests the
+// partitions' inodes.
 var kinds = [...]struct {
 	label, file string
-	decode      func([]byte) (Fingerprint, any, error)
+	version     uint16
 }{
-	KindPosMap:   {"posmap", "posmap.rawv", boxed(DecodePosMap)},
-	KindJSONIdx:  {"jsonidx", "jsonidx.rawv", boxed(DecodeJSONIdx)},
-	KindShreds:   {"shred", "shreds.rawv", boxed(DecodeShreds)},
-	KindSynopsis: {"synopsis", "synopsis.rawv", boxed(DecodeSynopsis)},
-	KindManifest: {"manifest", "manifest.rawv", boxed(DecodeManifest)},
-}
-
-// boxed adapts a typed decoder to the kinds table.
-func boxed[T any](dec func([]byte) (Fingerprint, T, error)) func([]byte) (Fingerprint, any, error) {
-	return func(b []byte) (Fingerprint, any, error) { return dec(b) }
+	KindPosMap:   {"posmap", "posmap.rawv", 2},
+	KindJSONIdx:  {"jsonidx", "jsonidx.rawv", 2},
+	KindShreds:   {"shred", "shreds.rawv", 2},
+	KindSynopsis: {"synopsis", "synopsis.rawv", 1},
+	KindManifest: {"manifest", "manifest.rawv", 2},
 }
 
 // String returns the structure label used across metrics and events.
@@ -89,25 +90,26 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", uint8(k))
 }
 
-// version is the layout version entries of kind k are written with and must
-// carry: CodecVersion, but for a kind whose own layout changed since, which
-// moves alone so that the other kinds' entries stay valid. Manifests are one
-// ahead: their partitions carry the inode.
-func (k Kind) version() uint16 {
-	if k == KindManifest {
-		return CodecVersion + 1
-	}
-	return CodecVersion
-}
-
 // decode decodes an entry of the given kind, returning the fingerprint it
 // was saved under.
 func decode(kind Kind, b []byte) (Fingerprint, any, error) {
-	if int(kind) >= len(kinds) || kinds[kind].decode == nil {
-		return Fingerprint{}, nil, fmt.Errorf("%w: unknown kind %d", ErrCodec, kind)
+	switch kind {
+	case KindPosMap:
+		return boxed(DecodePosMap(b))
+	case KindJSONIdx:
+		return boxed(DecodeJSONIdx(b))
+	case KindShreds:
+		return boxed(DecodeShreds(b))
+	case KindSynopsis:
+		return boxed(DecodeSynopsis(b))
+	case KindManifest:
+		return boxed(DecodeManifest(b))
 	}
-	return kinds[kind].decode(b)
+	return Fingerprint{}, nil, fmt.Errorf("%w: unknown kind %d", ErrCodec, kind)
 }
+
+// boxed returns a typed decoder's results with the structure as an any.
+func boxed[T any](fp Fingerprint, x T, err error) (Fingerprint, any, error) { return fp, x, err }
 
 // Encode serialises any structure the vault keeps, under its own kind: a
 // *posmap.Map, *jsonidx.Index, []TableShred, *synopsis.Synopsis or
@@ -132,19 +134,39 @@ func Encode(fp Fingerprint, x any) []byte {
 // version-mismatched) vault entry. Callers treat it as "entry absent".
 var ErrCodec = errors.New("vault: bad entry")
 
-// TableShred is the serialised form of one cached column shred: column index,
-// optional sorted row ids (nil = full column) and the value vector.
+// TableShred is the serialised form of one cached column shred: its column
+// index, its ascending row ids (nil: the full column) and its values, Ints
+// for an Int64 column, else Vec. The columns are a pooled shred's own, or
+// sealed ones a decode made; EncodeShreds also takes an Int64 column's values
+// as a flat Vec, which it chunks. DecodeShreds always returns Ints.
 type TableShred struct {
-	Col    int
-	RowIDs []int64
-	Vec    *vector.Vector
+	Col  int
+	Rows *offsets.Column
+	Ints *offsets.Column
+	Vec  *vector.Vector
+}
+
+// Type returns the type of the shred's values.
+func (s TableShred) Type() vector.Type {
+	if s.Ints != nil {
+		return vector.Int64
+	}
+	return s.Vec.Type
+}
+
+// Len returns the number of rows the shred holds.
+func (s TableShred) Len() int64 {
+	if s.Ints != nil {
+		return s.Ints.Len()
+	}
+	return int64(s.Vec.Len())
 }
 
 // --- encoding ---
 
 func appendHeader(b []byte, kind Kind, fp Fingerprint) []byte {
 	b = append(b, codecMagic...)
-	b = binary.LittleEndian.AppendUint16(b, kind.version())
+	b = binary.LittleEndian.AppendUint16(b, kinds[kind].version)
 	b = append(b, byte(kind))
 	b = binary.LittleEndian.AppendUint64(b, uint64(fp.Size))
 	b = binary.LittleEndian.AppendUint64(b, uint64(fp.MTime))
@@ -166,6 +188,13 @@ func appendI64s(b []byte, vs []int64) []byte {
 	return b
 }
 
+func appendF64s(b []byte, vs []float64) []byte {
+	for _, v := range vs {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+	}
+	return b
+}
+
 // EncodePosMap serialises a positional map.
 func EncodePosMap(fp Fingerprint, pm *posmap.Map) []byte {
 	tracked := pm.TrackedColumns()
@@ -176,7 +205,7 @@ func EncodePosMap(fp Fingerprint, pm *posmap.Map) []byte {
 		b = binary.LittleEndian.AppendUint32(b, uint32(c))
 	}
 	for _, c := range tracked {
-		b = appendI64s(b, pm.Positions(c).Decode(nil, 0, pm.NRows()))
+		b = pm.Positions(c).AppendBinary(b)
 	}
 	return appendCheck(b)
 }
@@ -184,23 +213,22 @@ func EncodePosMap(fp Fingerprint, pm *posmap.Map) []byte {
 // EncodeJSONIdx serialises a structural index (row starts plus every fully
 // recorded path).
 func EncodeJSONIdx(fp Fingerprint, x *jsonidx.Index) []byte {
-	n := x.NRows()
-	b := appendHeader(nil, KindJSONIdx, fp)
-	b = binary.LittleEndian.AppendUint64(b, uint64(n))
-	b = appendI64s(b, x.RowStarts().Decode(nil, 0, n))
-	paths := x.TrackedPaths()
 	// Only complete recordings serialise (defensively); Peek counts no seek.
 	var full []string
-	for _, p := range paths {
-		if x.Peek(p).Len() == n {
+	for _, p := range x.TrackedPaths() {
+		if x.Peek(p).Len() == x.NRows() {
 			full = append(full, p)
 		}
 	}
+	b := appendHeader(nil, KindJSONIdx, fp)
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(full)))
 	for _, p := range full {
 		b = binary.LittleEndian.AppendUint32(b, uint32(len(p)))
 		b = append(b, p...)
-		b = appendI64s(b, x.Peek(p).Decode(nil, 0, n))
+	}
+	b = x.RowStarts().AppendBinary(b)
+	for _, p := range full {
+		b = x.Peek(p).AppendBinary(b)
 	}
 	return appendCheck(b)
 }
@@ -211,23 +239,25 @@ func EncodeShreds(fp Fingerprint, shreds []TableShred) []byte {
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(shreds)))
 	for _, s := range shreds {
 		b = binary.LittleEndian.AppendUint32(b, uint32(s.Col))
-		if s.RowIDs == nil {
+		b = append(b, byte(s.Type()))
+		if s.Rows == nil {
 			b = append(b, 1)
 		} else {
-			b = append(b, 0)
-			b = binary.LittleEndian.AppendUint64(b, uint64(len(s.RowIDs)))
-			b = appendI64s(b, s.RowIDs)
+			b = s.Rows.AppendBinary(append(b, 0))
 		}
-		b = append(b, byte(s.Vec.Type))
-		n := s.Vec.Len()
-		b = binary.LittleEndian.AppendUint64(b, uint64(n))
-		switch s.Vec.Type {
-		case vector.Int64:
-			b = appendI64s(b, s.Vec.Int64s)
-		case vector.Float64:
-			for _, v := range s.Vec.Float64s {
-				b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+		if ints := s.Ints; ints != nil || s.Vec.Type == vector.Int64 {
+			if ints == nil {
+				ints = offsets.New(nil)
+				ints.AppendAll(s.Vec.Int64s)
+				ints.Clip()
 			}
+			b = ints.AppendBinary(b)
+			continue
+		}
+		b = binary.LittleEndian.AppendUint64(b, uint64(s.Vec.Len()))
+		switch s.Vec.Type {
+		case vector.Float64:
+			b = appendF64s(b, s.Vec.Float64s)
 		case vector.Bool:
 			for _, v := range s.Vec.Bools {
 				if v {
@@ -258,17 +288,9 @@ func EncodeSynopsis(fp Fingerprint, s *synopsis.Synopsis) []byte {
 	for _, c := range cols {
 		b = binary.LittleEndian.AppendUint32(b, uint32(c.Col))
 		b = append(b, byte(c.Type))
-		if c.Type == vector.Int64 {
-			b = appendI64s(b, c.IMin)
-			b = appendI64s(b, c.IMax)
-		} else {
-			for _, v := range c.FMin {
-				b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
-			}
-			for _, v := range c.FMax {
-				b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
-			}
-		}
+		// A column holds the int64 bounds or the float64 ones, never both.
+		b = appendF64s(appendI64s(appendI64s(b, c.IMin), c.IMax), c.FMin)
+		b = appendF64s(b, c.FMax)
 	}
 	return appendCheck(b)
 }
@@ -304,39 +326,21 @@ func (r *reader) take(n int) []byte {
 	return b
 }
 
-func (r *reader) u8() uint8 {
-	b := r.take(1)
-	if b == nil {
-		return 0
+// fixed returns the next n bytes (n <= 8), or zeros once a read failed.
+func (r *reader) fixed(n int) []byte {
+	if b := r.take(n); b != nil {
+		return b
 	}
-	return b[0]
+	return zeros[:n]
 }
 
-func (r *reader) u16() uint16 {
-	b := r.take(2)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint16(b)
-}
+var zeros [8]byte
 
-func (r *reader) u32() uint32 {
-	b := r.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-
-func (r *reader) u64() uint64 {
-	b := r.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
-}
-
-func (r *reader) i64() int64 { return int64(r.u64()) }
+func (r *reader) u8() uint8   { return r.fixed(1)[0] }
+func (r *reader) u16() uint16 { return binary.LittleEndian.Uint16(r.fixed(2)) }
+func (r *reader) u32() uint32 { return binary.LittleEndian.Uint32(r.fixed(4)) }
+func (r *reader) u64() uint64 { return binary.LittleEndian.Uint64(r.fixed(8)) }
+func (r *reader) i64() int64  { return int64(r.u64()) }
 
 // count reads a 64-bit element count and validates that width*count elements
 // can still be present, bounding allocations on corrupt input.
@@ -353,18 +357,78 @@ func (r *reader) count(width int) int {
 }
 
 func (r *reader) i64s(n int) []int64 {
-	if r.err != nil || n == 0 {
-		return nil
-	}
 	b := r.take(n * 8)
-	if b == nil {
-		return nil
-	}
-	out := make([]int64, n)
+	out := make([]int64, len(b)/8)
 	for i := range out {
 		out[i] = int64(binary.LittleEndian.Uint64(b[i*8:]))
 	}
 	return out
+}
+
+func (r *reader) f64s(n int) []float64 {
+	b := r.take(n * 8)
+	out := make([]float64, len(b)/8)
+	for i := range out {
+		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:]))
+	}
+	return out
+}
+
+// end returns the first violation, or one if bytes remain after the payload.
+func (r *reader) end() error {
+	if r.err == nil && r.remaining() != 0 {
+		r.fail("%d trailing bytes", r.remaining())
+	}
+	return r.err
+}
+
+// column reads one offsets column anchored at anchor (nil: absolute).
+func (r *reader) column(anchor *offsets.Column) *offsets.Column {
+	if r.err != nil {
+		return nil
+	}
+	c, n, err := offsets.Read(r.b[r.off:], anchor)
+	if err != nil {
+		r.fail("%v", err)
+		return nil
+	}
+	r.off += n
+	return c
+}
+
+// offsetColumns reads n columns of byte offsets into the raw file, the first
+// absolute and the others anchored at it, as positional maps and structural
+// indexes store them. Scans trust every offset, so each must lie in the raw
+// file, [0, size): one outside would panic them.
+func (r *reader) offsetColumns(n int, size int64) []*offsets.Column {
+	cols := make([]*offsets.Column, 0, min(n, 64))
+	var anchor *offsets.Column
+	for i := 0; i < n && r.err == nil; i++ {
+		c := r.column(anchor)
+		r.check(c, 0, size, false)
+		cols = append(cols, c)
+		anchor = cols[0]
+	}
+	return cols
+}
+
+// check fails the read unless every value of c lies in [lo, hi) and, if
+// ascending is set, exceeds the value before it. The values are decoded a
+// window at a time.
+func (r *reader) check(c *offsets.Column, lo, hi int64, ascending bool) {
+	const window = 32 * offsets.ChunkRows
+	var buf []int64
+	prev := lo - 1
+	for at := int64(0); at < c.Len() && r.err == nil; at += window {
+		buf = c.Decode(buf, at, min(at+window, c.Len()))
+		for _, v := range buf {
+			if v < lo || v >= hi || ascending && v <= prev {
+				r.fail("value %d outside [%d, %d) or not above %d", v, lo, hi, prev)
+				break
+			}
+			prev = v
+		}
+	}
 }
 
 // decodeHeader verifies magic, version, kind and the trailing checksum, and
@@ -383,8 +447,8 @@ func decodeHeader(b []byte, kind Kind) (Fingerprint, *reader, error) {
 	if string(r.take(4)) != codecMagic {
 		return Fingerprint{}, nil, fmt.Errorf("%w: bad magic", ErrCodec)
 	}
-	if v := r.u16(); v != kind.version() {
-		return Fingerprint{}, nil, fmt.Errorf("%w: version %d, want %d", ErrCodec, v, kind.version())
+	if v := r.u16(); v != kinds[kind].version {
+		return Fingerprint{}, nil, fmt.Errorf("%w: version %d, want %d", ErrCodec, v, kinds[kind].version)
 	}
 	if k := Kind(r.u8()); k != kind {
 		return Fingerprint{}, nil, fmt.Errorf("%w: kind %d, want %d", ErrCodec, k, kind)
@@ -402,35 +466,16 @@ func DecodePosMap(b []byte) (Fingerprint, *posmap.Map, error) {
 	}
 	nrows := r.i64()
 	nt := int(r.u32())
-	if r.err == nil && (nrows < 0 || nt < 0 || nt > r.remaining()/4) {
-		r.fail("implausible posmap shape %d x %d", nt, nrows)
+	if r.err == nil && nt > r.remaining()/4 {
+		r.fail("implausible tracked column count %d", nt)
 	}
-	tracked := make([]int, 0, max(nt, 0))
+	tracked := make([]int, 0, min(nt, 1024))
 	for i := 0; i < nt && r.err == nil; i++ {
 		tracked = append(tracked, int(r.u32()))
 	}
-	pos := make([][]int64, 0, len(tracked))
-	for range tracked {
-		if r.err == nil && nrows > int64(r.remaining())/8 {
-			r.fail("posmap rows %d exceed remaining bytes", nrows)
-		}
-		offs := r.i64s(int(nrows))
-		// Positions index into the raw file: a checksum-valid entry whose
-		// offsets escape [0, Size) would panic the scans that trust them, so
-		// range-check here and cold-rebuild instead.
-		for _, p := range offs {
-			if p < 0 || p >= fp.Size {
-				r.fail("position %d outside raw file of %d bytes", p, fp.Size)
-				break
-			}
-		}
-		pos = append(pos, offs)
-	}
-	if r.err != nil {
-		return fp, nil, r.err
-	}
-	if r.remaining() != 0 {
-		return fp, nil, fmt.Errorf("%w: %d trailing bytes", ErrCodec, r.remaining())
+	pos := r.offsetColumns(nt, fp.Size)
+	if err := r.end(); err != nil {
+		return fp, nil, err
 	}
 	pm, err := posmap.Restore(tracked, pos, nrows)
 	if err != nil {
@@ -445,49 +490,28 @@ func DecodeJSONIdx(b []byte) (Fingerprint, *jsonidx.Index, error) {
 	if err != nil {
 		return fp, nil, err
 	}
-	nrows := r.count(8)
-	rows := r.i64s(nrows)
-	for _, p := range rows {
-		if p < 0 || p >= fp.Size {
-			return fp, nil, fmt.Errorf("%w: row start %d outside raw file of %d bytes", ErrCodec, p, fp.Size)
-		}
-	}
 	np := int(r.u32())
 	// Cap the path-count prefix against remaining bytes (>= 4 bytes per
-	// path) before sizing the map, like every other count in this codec.
-	if np < 0 || np > r.remaining()/4 {
-		return fp, nil, fmt.Errorf("%w: implausible path count %d", ErrCodec, np)
+	// path) before sizing anything, like every other count in this codec.
+	if r.err == nil && np > r.remaining()/4 {
+		r.fail("implausible path count %d", np)
 	}
-	paths := make(map[string][]int64, np)
+	names := make([]string, 0, min(np, 1024))
 	for i := 0; i < np && r.err == nil; i++ {
-		nl := int(r.u32())
-		name := string(r.take(nl))
-		if r.err == nil && nrows > r.remaining()/8 {
-			r.fail("path %q offsets exceed remaining bytes", name)
-			break
-		}
-		offs := r.i64s(nrows)
-		if r.err == nil {
-			if _, dup := paths[name]; dup {
-				r.fail("duplicate path %q", name)
-				break
-			}
-			for _, p := range offs {
-				if p < 0 || p >= fp.Size {
-					r.fail("offset %d of path %q outside raw file of %d bytes", p, name, fp.Size)
-					break
-				}
-			}
-			paths[name] = offs
-		}
+		names = append(names, string(r.take(int(r.u32()))))
 	}
-	if r.err != nil {
-		return fp, nil, r.err
+	cols := r.offsetColumns(1+np, fp.Size)
+	if err := r.end(); err != nil {
+		return fp, nil, err
 	}
-	if r.remaining() != 0 {
-		return fp, nil, fmt.Errorf("%w: %d trailing bytes", ErrCodec, r.remaining())
+	paths := make(map[string]*offsets.Column, np)
+	for i, name := range names {
+		paths[name] = cols[1+i]
 	}
-	return fp, jsonidx.Restore(rows, paths), nil
+	if len(paths) != np {
+		return fp, nil, fmt.Errorf("%w: %d paths, %d of them distinct", ErrCodec, np, len(paths))
+	}
+	return fp, jsonidx.Restore(cols[0], paths), nil
 }
 
 // DecodeSynopsis decodes a synopsis entry. Shape validation is shared with
@@ -510,43 +534,26 @@ func DecodeSynopsis(b []byte) (Fingerprint, *synopsis.Synopsis, error) {
 	}
 	nz := nb - 1
 	nc := int(r.u32())
-	// Each column needs at least 5 + 2*nz*8 bytes; cap the count prefix.
+	// Each column needs at least 5 bytes; cap the count prefix.
 	if nc < 0 || nc > r.remaining()/5 {
 		return fp, nil, fmt.Errorf("%w: implausible synopsis column count %d", ErrCodec, nc)
 	}
 	cols := make([]*synopsis.Column, 0, nc)
 	for i := 0; i < nc && r.err == nil; i++ {
 		c := &synopsis.Column{Col: int(r.u32()), Type: vector.Type(r.u8())}
-		if r.err != nil {
-			break
-		}
-		if r.remaining() < nz*16 {
-			r.fail("synopsis column %d bounds exceed remaining bytes", c.Col)
-			break
-		}
 		switch c.Type {
 		case vector.Int64:
 			c.IMin = r.i64s(nz)
 			c.IMax = r.i64s(nz)
 		case vector.Float64:
-			c.FMin = make([]float64, nz)
-			for j := range c.FMin {
-				c.FMin[j] = math.Float64frombits(r.u64())
-			}
-			c.FMax = make([]float64, nz)
-			for j := range c.FMax {
-				c.FMax[j] = math.Float64frombits(r.u64())
-			}
+			c.FMin, c.FMax = r.f64s(nz), r.f64s(nz)
 		default:
 			r.fail("unknown synopsis column type %d", uint8(c.Type))
 		}
 		cols = append(cols, c)
 	}
-	if r.err != nil {
-		return fp, nil, r.err
-	}
-	if r.remaining() != 0 {
-		return fp, nil, fmt.Errorf("%w: %d trailing bytes", ErrCodec, r.remaining())
+	if err := r.end(); err != nil {
+		return fp, nil, err
 	}
 	s, err := synopsis.Restore(nrows, bounds, cols)
 	if err != nil {
@@ -565,90 +572,49 @@ func DecodeShreds(b []byte) (Fingerprint, []TableShred, error) {
 	var out []TableShred
 	for i := 0; i < ns && r.err == nil; i++ {
 		ts := TableShred{Col: int(r.u32())}
-		if ts.Col < 0 {
-			r.fail("negative column index")
-			break
-		}
-		full := r.u8()
-		if full > 1 {
-			r.fail("bad full flag %d", full)
-			break
+		vt, full := vector.Type(r.u8()), r.u8()
+		if r.err == nil && (full > 1 || vt != vector.Int64 && vt != vector.Float64 && vt != vector.Bool && vt != vector.Bytes) {
+			r.fail("shred of column %d: type %d, full flag %d", ts.Col, vt, full)
 		}
 		if full == 0 {
-			nr := r.count(8)
-			ts.RowIDs = r.i64s(nr)
-			if ts.RowIDs == nil && nr > 0 {
-				break
-			}
-			if ts.RowIDs == nil {
-				ts.RowIDs = []int64{} // partial shred with zero rows stays non-nil
-			}
-			for j := 1; j < len(ts.RowIDs); j++ {
-				if ts.RowIDs[j] <= ts.RowIDs[j-1] {
-					r.fail("row ids not strictly ascending")
-					break
-				}
-			}
+			ts.Rows = r.column(nil)
+			r.check(ts.Rows, 0, math.MaxInt64, true)
 		}
-		vt := vector.Type(r.u8())
-		if r.err == nil && vt != vector.Int64 && vt != vector.Float64 && vt != vector.Bool && vt != vector.Bytes {
-			r.fail("unknown vector type %d", vt)
-			break
+		if vt == vector.Int64 {
+			ts.Ints = r.column(nil)
+		} else {
+			ts.Vec = r.values(vt)
 		}
-		var n int
-		switch vt {
-		case vector.Int64, vector.Float64:
-			n = r.count(8)
-		default:
-			n = r.count(1)
+		if r.err == nil && ts.Rows != nil && ts.Rows.Len() != ts.Len() {
+			r.fail("%d row ids for %d values", ts.Rows.Len(), ts.Len())
 		}
-		if r.err != nil {
-			break
-		}
-		if ts.RowIDs != nil && len(ts.RowIDs) != n {
-			r.fail("%d row ids for %d values", len(ts.RowIDs), n)
-			break
-		}
-		vec := vector.New(vt, n)
-		switch vt {
-		case vector.Int64:
-			vec.Int64s = r.i64s(n)
-			if vec.Int64s == nil {
-				vec.Int64s = []int64{}
-			}
-		case vector.Float64:
-			for j := 0; j < n && r.err == nil; j++ {
-				vec.AppendFloat64(math.Float64frombits(r.u64()))
-			}
-		case vector.Bool:
-			for j := 0; j < n && r.err == nil; j++ {
-				v := r.u8()
-				if v > 1 {
-					r.fail("bad bool byte %d", v)
-					break
-				}
-				vec.AppendBool(v == 1)
-			}
-		case vector.Bytes:
-			for j := 0; j < n && r.err == nil; j++ {
-				bl := int(r.u32())
-				v := r.take(bl)
-				if r.err == nil {
-					vec.AppendBytes(append([]byte(nil), v...))
-				}
-			}
-		}
-		if r.err != nil {
-			break
-		}
-		ts.Vec = vec
 		out = append(out, ts)
 	}
-	if r.err != nil {
-		return fp, nil, r.err
-	}
-	if r.remaining() != 0 {
-		return fp, nil, fmt.Errorf("%w: %d trailing bytes", ErrCodec, r.remaining())
+	if err := r.end(); err != nil {
+		return fp, nil, err
 	}
 	return fp, out, nil
+}
+
+// values reads a flat vector of type vt (not Int64): its length, then its
+// values.
+func (r *reader) values(vt vector.Type) *vector.Vector {
+	if vt == vector.Float64 {
+		return &vector.Vector{Type: vt, Float64s: r.f64s(r.count(8))}
+	}
+	n := r.count(1)
+	vec := vector.New(vt, n)
+	for j := 0; j < n && r.err == nil; j++ {
+		switch vt {
+		case vector.Bool:
+			v := r.u8()
+			if v > 1 {
+				r.fail("bad bool byte %d", v)
+			}
+			vec.AppendBool(v == 1)
+		case vector.Bytes:
+			vec.AppendBytes(append([]byte(nil), r.take(int(r.u32()))...))
+		}
+	}
+	return vec
 }

@@ -71,9 +71,7 @@ func sampleRanges(size int64) [][2]int64 {
 // sampledSum hashes the file size and the sampled windows supplied by read.
 func sampledSum(size int64, read func(off, n int64) ([]byte, error)) (uint64, error) {
 	h := fnv.New64a()
-	var szb [8]byte
-	binary.LittleEndian.PutUint64(szb[:], uint64(size))
-	h.Write(szb[:])
+	h.Write(binary.LittleEndian.AppendUint64(nil, uint64(size)))
 	for _, r := range sampleRanges(size) {
 		b, err := read(r[0], r[1])
 		if err != nil {
@@ -116,11 +114,8 @@ func FileFingerprint(path string) (Fingerprint, error) {
 	}
 	buf := make([]byte, bufLen)
 	sum, err := sampledSum(size, func(off, n int64) ([]byte, error) {
-		b := buf[:n]
-		if _, err := f.ReadAt(b, off); err != nil {
-			return nil, err
-		}
-		return b, nil
+		_, err := f.ReadAt(buf[:n], off)
+		return buf[:n], err
 	})
 	if err != nil {
 		return Fingerprint{}, err

@@ -2,14 +2,30 @@ package vault
 
 import (
 	"bytes"
+	"fmt"
+	"math"
+	"slices"
+	"strings"
 	"testing"
 
 	"rawdb/internal/catalog"
 	"rawdb/internal/dataset"
+	"rawdb/internal/jsonidx"
 	"rawdb/internal/posmap"
 	"rawdb/internal/synopsis"
 	"rawdb/internal/vector"
 )
+
+// sealed returns data as given and, when it is long enough to carry a
+// trailer, with its trailer re-sealed over the bytes before it: a mutated
+// input then passes the checksum, and the payload checks behind it are what
+// the fuzzer exercises.
+func sealed(data []byte) [][]byte {
+	if len(data) < 8 {
+		return [][]byte{data}
+	}
+	return [][]byte{data, appendCheck(bytes.Clone(data[:len(data)-8]))}
+}
 
 // FuzzManifestDecode is the same never-panic/round-trip contract for the
 // fifth record type: a corrupt manifest.rawv must cold-rebuild the dataset's
@@ -34,32 +50,69 @@ func FuzzManifestDecode(f *testing.F) {
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		gotFP, got, err := DecodeManifest(data)
-		if err != nil {
-			return
-		}
-		enc := EncodeManifest(gotFP, got)
-		_, again, err2 := DecodeManifest(enc)
-		if err2 != nil {
-			t.Fatalf("manifest re-encode does not decode: %v", err2)
-		}
-		if again.Pattern != got.Pattern || len(again.Parts) != len(got.Parts) {
-			t.Fatal("manifest round trip changed shape")
-		}
-		for i := range got.Parts {
-			if again.Parts[i] != got.Parts[i] {
-				t.Fatalf("partition %d round trip mismatch", i)
+		for _, data := range sealed(data) {
+			gotFP, got, err := DecodeManifest(data)
+			if err != nil {
+				continue
+			}
+			_, again, err := DecodeManifest(EncodeManifest(gotFP, got))
+			if err != nil {
+				t.Fatalf("manifest re-encode does not decode: %v", err)
+			}
+			if again.Pattern != got.Pattern || !slices.Equal(again.Parts, got.Parts) {
+				t.Fatalf("manifest round trip: %+v, want %+v", again, got)
 			}
 		}
 	})
 }
 
-// FuzzVaultDecode feeds arbitrary bytes to every entry decoder. The
-// contract under test is the vault's safety property: decoding untrusted
-// bytes never panics, and either yields a structure that re-encodes to a
-// decodable entry (round trip) or returns an error — which the engine turns
-// into a clean cold rebuild. Allocation bounds are implicit: a decoder that
-// believed a huge length prefix would OOM the fuzzer.
+// posmapText renders a map's row count, tracked columns and positions.
+func posmapText(pm *posmap.Map) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%d rows\n", pm.NRows())
+	for _, c := range pm.TrackedColumns() {
+		fmt.Fprintf(&b, "%d: %v\n", c, decoded(pm.Positions(c)))
+	}
+	return b.String()
+}
+
+// jsonidxText renders an index's row starts and each path's offsets.
+func jsonidxText(x *jsonidx.Index) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "rows: %v\n", decoded(x.RowStarts()))
+	for _, p := range x.TrackedPaths() {
+		fmt.Fprintf(&b, "%q: %v\n", p, decoded(x.Peek(p)))
+	}
+	return b.String()
+}
+
+// linkedPosMap is a map merged from a fragment of 5 rows and one of 130:
+// its columns hold a short chunk mid-column, which ends a segment. Its rows
+// are w bytes apart, so that the first column's full chunk is as wide as w
+// takes to span 127 rows.
+func linkedPosMap(w int64) *posmap.Map {
+	pm := posmap.New(posmap.Policy{Extra: []int{0, 2}}, 5)
+	var at int64
+	for _, n := range []int{5, 130} {
+		frag := posmap.New(posmap.Policy{Extra: []int{0, 2}}, 5)
+		for range n {
+			frag.AppendRow([]int64{at, at + 4})
+			at += w
+		}
+		if err := pm.Merge(frag, 0); err != nil {
+			panic(err)
+		}
+	}
+	return pm
+}
+
+// FuzzVaultDecode feeds arbitrary bytes, as given and re-sealed, to every
+// chunked entry decoder. The contract under test is the vault's safety
+// property: decoding untrusted bytes never panics, and either yields a
+// structure that re-encodes to an entry decoding to the same values (round
+// trip) or returns an error — which the engine turns into a clean cold
+// rebuild. Allocation bounds are implicit: a decoder that believed a huge
+// length prefix would OOM the fuzzer.
 func FuzzVaultDecode(f *testing.F) {
 	// Seed with valid entries of each kind, plus truncations and bit flips.
 	pm := posmap.New(posmap.Policy{Extra: []int{0, 2}}, 5)
@@ -68,18 +121,27 @@ func FuzzVaultDecode(f *testing.F) {
 	}
 	fp := Fingerprint{Size: 80, MTime: 123, Sum: 7, Schema: 9}
 	posEnc := EncodePosMap(fp, pm)
-
-	iv := vector.New(vector.Int64, 3)
-	iv.Int64s = []int64{1, 2, 3}
-	sv := vector.New(vector.Bytes, 2)
-	sv.Bytess = [][]byte{[]byte("ab"), []byte("c")}
-	shredEnc := EncodeShreds(fp, []TableShred{
-		{Col: 0, Vec: iv},
-		{Col: 1, RowIDs: []int64{0, 2}, Vec: sv},
-	})
+	x := jsonidx.New()
+	rec := x.Record([]string{"a", "p.e"})
+	for r := int64(0); r < 6; r++ {
+		rec.AppendRow(r*12, []int64{r*12 + 5, r*12 + 9})
+	}
+	rec.Commit()
+	shredEnc := EncodeShreds(fp, sampleShreds())
 
 	f.Add(posEnc)
+	f.Add(EncodeJSONIdx(fp, x))
 	f.Add(shredEnc)
+	// Chunks of each width, and a short chunk mid-column.
+	wide := Fingerprint{Size: 1 << 62}
+	for _, w := range []int64{1, 1 << 8, 1 << 16, 1 << 32} {
+		f.Add(EncodePosMap(wide, linkedPosMap(w)))
+	}
+	f.Add(EncodeShreds(fp, []TableShred{{Col: 1, Rows: column(), Ints: column()}})) // a partial shred of no rows
+	// Anchored offsets past Size: rejected, a step from valid.
+	past := posmap.New(posmap.Policy{Extra: []int{0, 2}}, 5)
+	past.AppendRow([]int64{10, 85})
+	f.Add(EncodePosMap(fp, past))
 	f.Add(posEnc[:len(posEnc)/2])
 	flipped := append([]byte{}, posEnc...)
 	flipped[9] ^= 0x10
@@ -88,37 +150,29 @@ func FuzzVaultDecode(f *testing.F) {
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// Re-encode under the fingerprint the entry decoded with: offsets are
-		// range-checked against the fingerprinted file size.
-		if gotFP, got, err := DecodePosMap(data); err == nil {
-			enc := EncodePosMap(gotFP, got)
-			if _, again, err2 := DecodePosMap(enc); err2 != nil {
-				t.Fatalf("posmap re-encode does not decode: %v", err2)
-			} else if again.NRows() != got.NRows() {
-				t.Fatal("posmap round trip changed row count")
-			}
-		}
-		if gotFP, got, err := DecodeJSONIdx(data); err == nil {
-			enc := EncodeJSONIdx(gotFP, got)
-			if _, again, err2 := DecodeJSONIdx(enc); err2 != nil {
-				t.Fatalf("jsonidx re-encode does not decode: %v", err2)
-			} else if again.NRows() != got.NRows() {
-				t.Fatal("jsonidx round trip changed row count")
-			}
-		}
-		if gotFP, got, err := DecodeShreds(data); err == nil {
-			enc := EncodeShreds(gotFP, got)
-			_, again, err2 := DecodeShreds(enc)
-			if err2 != nil {
-				t.Fatalf("shreds re-encode does not decode: %v", err2)
-			}
-			if len(again) != len(got) {
-				t.Fatal("shreds round trip changed count")
-			}
-			for i := range got {
-				if again[i].Col != got[i].Col || again[i].Vec.Len() != got[i].Vec.Len() {
-					t.Fatal("shreds round trip changed shape")
+		for _, data := range sealed(data) {
+			// Re-encode under the fingerprint the entry decoded with: offsets
+			// are range-checked against the fingerprinted file size.
+			if gotFP, got, err := DecodePosMap(data); err == nil {
+				if _, again, err := DecodePosMap(EncodePosMap(gotFP, got)); err != nil {
+					t.Fatalf("posmap re-encode does not decode: %v", err)
+				} else if a, g := posmapText(again), posmapText(got); a != g {
+					t.Fatalf("posmap round trip:\n%s\nwant\n%s", a, g)
 				}
+			}
+			if gotFP, got, err := DecodeJSONIdx(data); err == nil {
+				if _, again, err := DecodeJSONIdx(EncodeJSONIdx(gotFP, got)); err != nil {
+					t.Fatalf("jsonidx re-encode does not decode: %v", err)
+				} else if a, g := jsonidxText(again), jsonidxText(got); a != g {
+					t.Fatalf("jsonidx round trip:\n%s\nwant\n%s", a, g)
+				}
+			}
+			if gotFP, got, err := DecodeShreds(data); err == nil {
+				_, again, err := DecodeShreds(EncodeShreds(gotFP, got))
+				if err != nil {
+					t.Fatalf("shreds re-encode does not decode: %v", err)
+				}
+				sameShreds(t, again, got)
 			}
 		}
 		// Fingerprints of arbitrary data are deterministic.
@@ -126,6 +180,24 @@ func FuzzVaultDecode(f *testing.F) {
 			t.Fatal("DataFingerprint not deterministic")
 		}
 	})
+}
+
+// synopsisText renders a synopsis's rows, bounds and each column's minima
+// and maxima, floats as their bits.
+func synopsisText(s *synopsis.Synopsis) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%d rows, bounds %v\n", s.NRows(), s.Bounds())
+	bits := func(fs []float64) []uint64 {
+		out := make([]uint64, len(fs))
+		for i, f := range fs {
+			out[i] = math.Float64bits(f)
+		}
+		return out
+	}
+	for _, c := range s.Columns() {
+		fmt.Fprintf(&b, "%d %v: %v %v %v %v\n", c.Col, c.Type, c.IMin, c.IMax, bits(c.FMin), bits(c.FMax))
+	}
+	return b.String()
 }
 
 // FuzzSynopsisDecode mirrors FuzzVaultDecode for the zone-map entry kind: a
@@ -151,17 +223,18 @@ func FuzzSynopsisDecode(f *testing.F) {
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		gotFP, got, err := DecodeSynopsis(data)
-		if err != nil {
-			return
-		}
-		enc := EncodeSynopsis(gotFP, got)
-		_, again, err2 := DecodeSynopsis(enc)
-		if err2 != nil {
-			t.Fatalf("synopsis re-encode does not decode: %v", err2)
-		}
-		if again.NRows() != got.NRows() || again.NBlocks() != got.NBlocks() {
-			t.Fatal("synopsis round trip changed shape")
+		for _, data := range sealed(data) {
+			gotFP, got, err := DecodeSynopsis(data)
+			if err != nil {
+				continue
+			}
+			_, again, err := DecodeSynopsis(EncodeSynopsis(gotFP, got))
+			if err != nil {
+				t.Fatalf("synopsis re-encode does not decode: %v", err)
+			}
+			if a, g := synopsisText(again), synopsisText(got); a != g {
+				t.Fatalf("synopsis round trip:\n%s\nwant\n%s", a, g)
+			}
 		}
 	})
 }

@@ -22,7 +22,7 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/codec.gol
 
 // goldenScans builds a positional map and a structural index the way a cold
 // query does, by sequential scans over a fixed CSV and JSONL file of rows of
-// uneven width, so that chunked and flat offsets alike see every width.
+// uneven width, so that their chunks take every width.
 func goldenScans(t *testing.T) (*posmap.Map, *jsonidx.Index) {
 	t.Helper()
 	var csv, jsonl bytes.Buffer
@@ -56,9 +56,11 @@ func goldenScans(t *testing.T) (*posmap.Map, *jsonidx.Index) {
 	return pm, x
 }
 
-// TestCodecGolden pins the vault's on-disk format of positional maps and
-// structural indexes: the bytes EncodePosMap and EncodeJSONIdx write for a
-// fixed scan must not change unless the codec version does. Rewrite with
+// TestCodecGolden pins the vault's on-disk format of the chunked kinds: the
+// bytes EncodePosMap and EncodeJSONIdx write for a fixed scan, and
+// EncodeShreds for sampleShreds (narrow and flat full Int64 columns,
+// partials with row ids, Float64, Bool and VARCHAR values), must not change
+// unless their kind's layout version does. Rewrite with
 // `go test ./internal/vault -run TestCodecGolden -update-golden`.
 func TestCodecGolden(t *testing.T) {
 	pm, x := goldenScans(t)
@@ -67,7 +69,7 @@ func TestCodecGolden(t *testing.T) {
 	for _, e := range []struct {
 		name string
 		b    []byte
-	}{{"posmap", EncodePosMap(fp, pm)}, {"jsonidx", EncodeJSONIdx(fp, x)}} {
+	}{{"posmap", EncodePosMap(fp, pm)}, {"jsonidx", EncodeJSONIdx(fp, x)}, {"shreds", EncodeShreds(fp, sampleShreds())}} {
 		fmt.Fprintf(&got, "%s %d bytes\n", e.name, len(e.b))
 		for b := e.b; len(b) > 0; b = b[min(32, len(b)):] {
 			got.WriteString(hex.EncodeToString(b[:min(32, len(b))]) + "\n")

@@ -110,11 +110,8 @@ func DecodeManifest(b []byte) (Fingerprint, *dataset.Manifest, error) {
 		}
 		m.Parts = append(m.Parts, p)
 	}
-	if r.err != nil {
-		return fp, nil, r.err
-	}
-	if r.remaining() != 0 {
-		return fp, nil, fmt.Errorf("%w: %d trailing bytes", ErrCodec, r.remaining())
+	if err := r.end(); err != nil {
+		return fp, nil, err
 	}
 	return fp, m, nil
 }

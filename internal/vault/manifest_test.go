@@ -9,6 +9,8 @@ import (
 
 	"rawdb/internal/catalog"
 	"rawdb/internal/dataset"
+	"rawdb/internal/synopsis"
+	"rawdb/internal/vector"
 )
 
 func sampleManifest() *dataset.Manifest {
@@ -72,10 +74,10 @@ func TestManifestCodecCorruption(t *testing.T) {
 }
 
 // encodeManifestV1 encodes m in the layout manifests had before they stored
-// the inode: version CodecVersion, no inode field.
+// the inode: version 1, no inode field.
 func encodeManifestV1(fp Fingerprint, m *dataset.Manifest) []byte {
 	b := appendHeader(nil, KindManifest, fp)
-	binary.LittleEndian.PutUint16(b[len(codecMagic):], CodecVersion)
+	binary.LittleEndian.PutUint16(b[len(codecMagic):], 1)
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(m.Pattern)))
 	b = append(b, m.Pattern...)
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(m.Parts)))
@@ -100,8 +102,11 @@ func TestManifestWithoutInodeRejected(t *testing.T) {
 	if _, _, err := DecodeManifest(encodeManifestV1(testFP(), sampleManifest())); !errors.Is(err, ErrCodec) {
 		t.Fatalf("a manifest without inodes decoded: %v", err)
 	}
-	if v := binary.LittleEndian.Uint16(EncodePosMap(testFP(), samplePosMap(t))[len(codecMagic):]); v != CodecVersion {
-		t.Fatalf("posmap entries are written at version %d, want %d", v, CodecVersion)
+	syn := synopsis.NewBuilder(4, map[int]vector.Type{0: vector.Int64})
+	syn.Acc(0).ObserveInt64(1)
+	syn.Advance(1)
+	if v := binary.LittleEndian.Uint16(EncodeSynopsis(testFP(), syn.Finish())[len(codecMagic):]); v != 1 {
+		t.Fatalf("synopsis entries are written at version %d, want 1", v)
 	}
 }
 

@@ -118,26 +118,20 @@ func (s *Store) WriteEntry(table string, kind Kind, data []byte) error {
 	if err != nil {
 		return err
 	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return err
+	_, err = tmp.Write(data)
+	if err == nil {
+		err = tmp.Sync()
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return err
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return err
+	if err == nil {
+		err = os.Rename(tmp.Name(), filepath.Join(dir, kindFile(kind)))
 	}
-	if err := os.Rename(tmpName, filepath.Join(dir, kindFile(kind))); err != nil {
-		os.Remove(tmpName)
-		return err
+	if err != nil {
+		os.Remove(tmp.Name())
 	}
-	return nil
+	return err
 }
 
 // ReadEntry returns the raw bytes of an entry, or nil when absent or

@@ -2,16 +2,21 @@ package vault
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
 	"rawdb/internal/catalog"
 	"rawdb/internal/dataset"
 	"rawdb/internal/jsonidx"
+	"rawdb/internal/offsets"
 	"rawdb/internal/posmap"
 	"rawdb/internal/synopsis"
 	"rawdb/internal/vector"
@@ -92,55 +97,89 @@ func TestVaultCodecJSONIdxRoundTrip(t *testing.T) {
 	}
 }
 
-func TestVaultCodecShredsRoundTrip(t *testing.T) {
+// column chunks vals as a sealed offsets column.
+func column(vals ...int64) *offsets.Column {
+	c := offsets.New(nil)
+	c.AppendAll(vals)
+	c.Clip()
+	return c
+}
+
+// decoded returns c's values, or nil for a nil column.
+func decoded(c *offsets.Column) []int64 {
+	if c == nil {
+		return nil
+	}
+	return c.Decode(make([]int64, 0, c.Len()), 0, c.Len())
+}
+
+// sameShreds fails unless got holds want's shreds: their columns, row ids and
+// values, decoded (an Int64 one always comes back chunked).
+func sameShreds(t *testing.T, got, want []TableShred) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%d shreds, want %d", len(got), len(want))
+	}
+	for i, s := range want {
+		g := got[i]
+		if g.Col != s.Col || (g.Rows == nil) != (s.Rows == nil) || !slices.Equal(decoded(g.Rows), decoded(s.Rows)) {
+			t.Fatalf("shred %d: column %d row ids %v, want column %d row ids %v", i, g.Col, decoded(g.Rows), s.Col, decoded(s.Rows))
+		}
+		if gv, wv := values(g), values(s); gv != wv {
+			t.Fatalf("shred %d values %s, want %s", i, gv, wv)
+		}
+	}
+}
+
+// values renders s's values, Int64 ones decoded and floats as their bits, so
+// that -0 differs from 0.
+func values(s TableShred) string {
+	if s.Type() == vector.Int64 {
+		if s.Ints != nil {
+			return fmt.Sprint(decoded(s.Ints))
+		}
+		return fmt.Sprint(s.Vec.Int64s)
+	}
+	bits := make([]uint64, len(s.Vec.Float64s))
+	for i, f := range s.Vec.Float64s {
+		bits[i] = math.Float64bits(f)
+	}
+	return fmt.Sprintf("%v %v %v %q", s.Vec.Type, bits, s.Vec.Bools, s.Vec.Bytess)
+}
+
+// sampleShreds has a shred of every kind the codec writes: a full Int64
+// column chunked and one flat, a partial one with row ids, Float64, Bool and
+// VARCHAR values, and a partial shred of no rows.
+func sampleShreds() []TableShred {
 	iv := vector.New(vector.Int64, 4)
-	iv.Int64s = []int64{5, -2, 9, 11}
+	iv.Int64s = []int64{5, -2, 9, 1 << 40}
 	fv := vector.New(vector.Float64, 3)
-	fv.Float64s = []float64{1.5, math.Inf(-1), -0.0}
+	fv.Float64s = []float64{1.5, math.Inf(-1), math.Copysign(0, -1)}
 	bv := vector.New(vector.Bool, 3)
 	bv.Bools = []bool{true, false, true}
 	sv := vector.New(vector.Bytes, 2)
 	sv.Bytess = [][]byte{[]byte("hello"), {}}
-	in := []TableShred{
-		{Col: 0, RowIDs: nil, Vec: iv}, // full column
-		{Col: 2, RowIDs: []int64{1, 5, 9}, Vec: fv},
-		{Col: 3, RowIDs: []int64{0, 2, 4}, Vec: bv},
-		{Col: 5, RowIDs: []int64{7, 8}, Vec: sv},
+	return []TableShred{
+		{Col: 0, Ints: column(3, 1, 4, 1, 5, 9, 2, 6)}, // full column, narrow
+		{Col: 1, Vec: iv}, // full column, flat: chunked on the way out
+		{Col: 2, Rows: column(1, 5, 9), Vec: fv},
+		{Col: 3, Rows: column(0, 2, 4), Vec: bv},
+		{Col: 4, Rows: column(7, 300), Ints: column(-7, 70)},
+		{Col: 5, Rows: column(7, 8), Vec: sv},
+		{Col: 6, Rows: column(), Ints: column()},
 	}
-	enc := EncodeShreds(testFP(), in)
-	fp, out, err := DecodeShreds(enc)
+}
+
+func TestVaultCodecShredsRoundTrip(t *testing.T) {
+	in := sampleShreds()
+	fp, got, err := DecodeShreds(EncodeShreds(testFP(), in))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fp != testFP() {
 		t.Fatalf("fingerprint %+v", fp)
 	}
-	if len(out) != len(in) {
-		t.Fatalf("%d shreds, want %d", len(out), len(in))
-	}
-	for i, s := range in {
-		g := out[i]
-		if g.Col != s.Col {
-			t.Fatalf("shred %d col %d, want %d", i, g.Col, s.Col)
-		}
-		if (g.RowIDs == nil) != (s.RowIDs == nil) || !reflect.DeepEqual(append([]int64{}, g.RowIDs...), append([]int64{}, s.RowIDs...)) {
-			t.Fatalf("shred %d row ids %v, want %v", i, g.RowIDs, s.RowIDs)
-		}
-		if g.Vec.Type != s.Vec.Type || g.Vec.Len() != s.Vec.Len() {
-			t.Fatalf("shred %d vector shape differs", i)
-		}
-		for r := 0; r < s.Vec.Len(); r++ {
-			if s.Vec.Type == vector.Float64 {
-				if math.Float64bits(g.Vec.Float64s[r]) != math.Float64bits(s.Vec.Float64s[r]) {
-					t.Fatalf("shred %d row %d float bits differ", i, r)
-				}
-				continue
-			}
-			if g.Vec.Value(r) != s.Vec.Value(r) {
-				t.Fatalf("shred %d row %d: %v, want %v", i, r, g.Vec.Value(r), s.Vec.Value(r))
-			}
-		}
-	}
+	sameShreds(t, got, in)
 }
 
 // TestVaultCodecCorruption: any single-byte corruption or truncation of a
@@ -169,6 +208,61 @@ func TestVaultCodecCorruption(t *testing.T) {
 	}
 }
 
+// encodePosMapV1 encodes pm in the layout positional maps had before the
+// vault wrote chunks: version 1, every position as an int64.
+func encodePosMapV1(fp Fingerprint, pm *posmap.Map) []byte {
+	b := appendHeader(nil, KindPosMap, fp)
+	binary.LittleEndian.PutUint16(b[len(codecMagic):], 1)
+	b = binary.LittleEndian.AppendUint64(b, uint64(pm.NRows()))
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(pm.TrackedColumns())))
+	for _, c := range pm.TrackedColumns() {
+		b = binary.LittleEndian.AppendUint32(b, uint32(c))
+	}
+	for _, c := range pm.TrackedColumns() {
+		b = appendI64s(b, decoded(pm.Positions(c)))
+	}
+	return appendCheck(b)
+}
+
+// atVersion returns entry b stamped with layout version v and re-sealed.
+func atVersion(b []byte, v uint16) []byte {
+	b = bytes.Clone(b[:len(b)-8])
+	binary.LittleEndian.PutUint16(b[len(codecMagic):], v)
+	return appendCheck(b)
+}
+
+// errOf returns a decoder's error.
+func errOf[T any](_ Fingerprint, _ T, err error) error { return err }
+
+// TestVaultCodecRejectsOldLayouts: positional maps, structural indexes and
+// shreds written before the vault wrote chunks (version 1) are invalid, so
+// their tables rebuild cold; nothing migrates them.
+func TestVaultCodecRejectsOldLayouts(t *testing.T) {
+	x := jsonidx.New()
+	rec := x.Record([]string{"a"})
+	rec.AppendRow(0, []int64{3})
+	rec.Commit()
+	for name, err := range map[string]error{
+		"posmap":  errOf(DecodePosMap(encodePosMapV1(testFP(), samplePosMap(t)))),
+		"jsonidx": errOf(DecodeJSONIdx(atVersion(EncodeJSONIdx(testFP(), x), 1))),
+		"shreds":  errOf(DecodeShreds(atVersion(EncodeShreds(testFP(), sampleShreds()), 1))),
+	} {
+		if !errors.Is(err, ErrCodec) {
+			t.Errorf("a version 1 %s entry decoded: %v", name, err)
+		}
+	}
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.WriteEntry("t", KindPosMap, encodePosMapV1(testFP(), samplePosMap(t))); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Load("t", KindPosMap, testFP()); got != nil {
+		t.Fatalf("a version 1 posmap entry loaded: %v", got)
+	}
+}
+
 // TestVaultCodecRejectsOutOfRange: a checksum-valid entry whose offsets
 // escape the fingerprinted file size must fail decode (scans would slice the
 // raw buffer with those positions), and an oversized path count must not
@@ -191,7 +285,7 @@ func TestVaultCodecRejectsOutOfRange(t *testing.T) {
 	// error on the implausible count, not allocate for it.
 	enc := EncodeJSONIdx(testFP(), jsonidx.New())
 	body := enc[:len(enc)-8]
-	copy(body[len(body)-4:], []byte{0xff, 0xff, 0xff, 0xff})
+	copy(body[len(appendHeader(nil, KindJSONIdx, testFP())):], []byte{0xff, 0xff, 0xff, 0xff})
 	if _, _, err := DecodeJSONIdx(appendCheck(body)); err == nil {
 		t.Fatal("forged path count decoded successfully")
 	}
